@@ -55,7 +55,7 @@ def raft_scenario() -> None:
     print("\n=== Raft-ordered desktop deployment ===")
     deployment = build_desktop_deployment(ordering="raft")
     deployment.engine.run(until=1.0)  # let the cluster elect a leader
-    orderer = deployment.fabric.orderer
+    orderer = deployment.fabric.shard(0).orderer
     leader = orderer.leader
     print(f"  raft cluster of {len(orderer.nodes)} elected leader: {leader.node_id}")
 

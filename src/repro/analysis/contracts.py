@@ -99,7 +99,7 @@ def _check_config_knobs(context: AnalysisContext) -> List[Finding]:
                 "C301",
                 f"PipelineConfig.{name} is consumed by no middleware or stage",
                 hint=(
-                    "wire the knob into build_client_middlewares / a stage, "
+                    "wire the knob into build_client_pipeline / a stage, "
                     "or delete it — dead config is a silent no-op ablation"
                 ),
             )

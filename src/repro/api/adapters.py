@@ -2,10 +2,10 @@
 
 Each adapter translates the protocol's typed envelopes onto one backend's
 internal machinery — the HyperProv client pipeline, the central database,
-or the PoW chain — so callers never touch the three historical ad-hoc
-surfaces.  The adapters call the backends' *internal* implementations
-(`_store_data_impl`, `_execute`, …), which is what lets the legacy public
-methods shrink to deprecated shims without double-dispatching.
+or the PoW chain — so callers never touch a backend-specific surface.
+The adapters (and ``HyperProvClient.get_data``) are the only callers of the
+backends' private operator implementations (``HyperProvClient._store_data``,
+``PipelinedStoreMixin._execute``, …).
 """
 
 from __future__ import annotations
@@ -124,7 +124,7 @@ class HyperProvStore(_StoreBase):
                 at_time=at_time,
             )
         else:
-            post = self.client._store_data_impl(
+            post = self.client._store_data(
                 request.key,
                 request.data,
                 dependencies=list(request.dependencies),
@@ -142,13 +142,13 @@ class HyperProvStore(_StoreBase):
 
     # --------------------------------------------------------------- reads
     def get(self, key: str, at_time: Optional[float] = None) -> RecordView:
-        query = self.client._get_impl(key, at_time=at_time)
+        query = self.client._get(key, at_time=at_time)
         return RecordView.from_record(
             query.payload, latency_s=query.latency_s, stale=query.stale
         )
 
     def history(self, key: str, at_time: Optional[float] = None) -> HistoryView:
-        query = self.client._get_key_history_impl(key, at_time=at_time)
+        query = self.client._get_key_history(key, at_time=at_time)
         entries = []
         for row in query.payload:
             if row.get("deleted"):
@@ -169,7 +169,7 @@ class HyperProvStore(_StoreBase):
         data_or_checksum: Union[bytes, bytearray, str],
         at_time: Optional[float] = None,
     ) -> VerifyResult:
-        query = self.client._check_hash_impl(key, data_or_checksum, at_time=at_time)
+        query = self.client._check_hash(key, data_or_checksum, at_time=at_time)
         return VerifyResult(key=key, matches=bool(query.payload), latency_s=query.latency_s)
 
     def query(
@@ -217,12 +217,15 @@ class HyperProvStore(_StoreBase):
         return self._query_registry.register(selector, callback=callback, tenant=tenant)
 
     def audit(self) -> bool:
-        """Every peer's block chain verifies and all heights agree."""
-        peers = self.client.network.peers
-        heights = {peer.ledger_height for peer in peers}
-        return len(heights) <= 1 and all(
-            peer.block_store.verify_chain() for peer in peers
-        )
+        """On every shard, all heights agree and every peer's chain verifies."""
+        network = self.client.network
+        for index in range(network.shard_count):
+            peers = network.shard_peers(index)
+            if len({peer.ledger_height for peer in peers}) > 1:
+                return False
+            if not all(peer.block_store.verify_chain() for peer in peers):
+                return False
+        return True
 
     # ------------------------------------------------------------ lifecycle
     def drain(self) -> None:
@@ -392,7 +395,7 @@ def adapt_store(backend: Any):
         return CentralDbStore(backend)
     if isinstance(backend, PowProvenanceChain):
         return PowChainStore(backend)
-    if hasattr(backend, "_store_data_impl"):  # HyperProvClient (lazy import cycle)
+    if hasattr(backend, "_store_data"):  # HyperProvClient (lazy import cycle)
         return HyperProvStore(backend)
     raise ConfigurationError(
         f"{type(backend).__name__} is not a known provenance backend"

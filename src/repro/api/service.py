@@ -325,11 +325,7 @@ class HyperProvService:
                 )
                 admission.adopt_counter(counter)
         if pipeline is not None:
-            self.deployment.fabric.set_order_batch_size(config.order_batch_size)
-            if config.scheduler is not None:
-                self.deployment.fabric.set_scheduler(config.scheduler)
-            if config.indexes:
-                self.deployment.fabric.enable_secondary_indexes(config.indexes)
+            client.apply_fabric_knobs()
         return ProvenanceSession(
             client.as_store(), tenant=tenant or "", owns_store=True
         )

@@ -15,9 +15,7 @@ from typing import Dict, List, Optional
 
 from repro.baselines.pipeline_support import PipelinedStoreMixin
 from repro.chaincode.records import ProvenanceRecord
-from repro.common.deprecation import warn_deprecated
 from repro.common.errors import NotFoundError
-from repro.common.hashing import checksum_of
 from repro.common.metrics import MetricsRegistry
 from repro.devices.model import DeviceModel
 from repro.middleware.config import PipelineConfig
@@ -58,37 +56,14 @@ class CentralProvenanceDatabase(PipelinedStoreMixin):
         self._init_pipeline(pipeline_config, metrics, "baseline.centraldb")
 
     # ------------------------------------------------------------------ write
-    def store_record(
+    def _store_record(
         self,
         record: ProvenanceRecord,
         at_time: float = 0.0,
         client_node: Optional[str] = None,
         payload_bytes: int = 0,
     ) -> CentralStoreResult:
-        """Store a provenance record; costs one round trip plus a disk write.
-
-        .. deprecated:: shim over ``ProvenanceStore.submit`` (see ``as_store``).
-        """
-        warn_deprecated(
-            "CentralProvenanceDatabase.store_record", "ProvenanceStore.submit"
-        )
-        return self._execute(
-            "store_record",
-            OperationKind.WRITE,
-            [record.key],
-            record=record,
-            at_time=at_time,
-            client_node=client_node,
-            payload_bytes=payload_bytes,
-        )
-
-    def _store_record_impl(
-        self,
-        record: ProvenanceRecord,
-        at_time: float = 0.0,
-        client_node: Optional[str] = None,
-        payload_bytes: int = 0,
-    ) -> CentralStoreResult:
+        """Store a provenance record; costs one round trip plus a disk write."""
         record.validate()
         cursor = at_time + self.request_overhead_s
         if self.network is not None and client_node is not None:
@@ -101,66 +76,16 @@ class CentralProvenanceDatabase(PipelinedStoreMixin):
         self._invalidate_cached_reads(record.key)
         return CentralStoreResult(record=record, latency_s=cursor - at_time, completed_at=cursor)
 
-    def store_data(
-        self,
-        key: str,
-        data: bytes,
-        creator: str = "client",
-        organization: str = "central",
-        at_time: float = 0.0,
-        client_node: Optional[str] = None,
-    ) -> CentralStoreResult:
-        """Convenience wrapper mirroring HyperProv's ``store_data`` shape.
-
-        .. deprecated:: shim over ``ProvenanceStore.submit`` (see ``as_store``).
-        """
-        warn_deprecated(
-            "CentralProvenanceDatabase.store_data", "ProvenanceStore.submit"
-        )
-        record = ProvenanceRecord(
-            key=key,
-            checksum=checksum_of(data),
-            location=f"db://{self.server_node}/{key}",
-            creator=creator,
-            organization=organization,
-            certificate_fingerprint="",
-            size_bytes=len(data),
-            timestamp=at_time,
-        )
-        return self._execute(
-            "store_record",
-            OperationKind.WRITE,
-            [record.key],
-            record=record,
-            at_time=at_time,
-            client_node=client_node,
-            payload_bytes=len(data),
-        )
-
     # ------------------------------------------------------------------- read
-    def get(self, key: str) -> ProvenanceRecord:
-        """Latest record for ``key``.
-
-        .. deprecated:: shim over ``ProvenanceStore.get`` (see ``as_store``).
-        """
-        warn_deprecated("CentralProvenanceDatabase.get", "ProvenanceStore.get")
-        return self._execute("get", OperationKind.READ, [key])
-
-    def _get_impl(self, key: str) -> ProvenanceRecord:
+    def _get(self, key: str) -> ProvenanceRecord:
+        """Latest record for ``key``."""
         history = self._records.get(key)
         if not history:
             raise NotFoundError(f"key {key!r} not present in the central database")
         return history[-1]
 
-    def history(self, key: str) -> List[ProvenanceRecord]:
-        """Every version of ``key``, oldest first.
-
-        .. deprecated:: shim over ``ProvenanceStore.history`` (see ``as_store``).
-        """
-        warn_deprecated("CentralProvenanceDatabase.history", "ProvenanceStore.history")
-        return self._execute("history", OperationKind.READ, [key])
-
-    def _history_impl(self, key: str) -> List[ProvenanceRecord]:
+    def _history(self, key: str) -> List[ProvenanceRecord]:
+        """Every version of ``key``, oldest first."""
         return list(self._records.get(key, []))
 
     @property

@@ -3,9 +3,9 @@
 Both baselines (central DB, PoW chain) expose the same three operations
 — ``store_record`` / ``get`` / ``history`` — and route them through a
 :class:`~repro.middleware.base.TransactionPipeline` the same way.  This
-mixin holds that wiring once: subclasses implement ``_store_record_impl``,
-``_get_impl`` and ``_history_impl`` and call :meth:`_init_pipeline` from
-their constructor.
+mixin holds that wiring once: subclasses implement ``_store_record``,
+``_get`` and ``_history`` and call :meth:`_init_pipeline` from their
+constructor.
 """
 
 from __future__ import annotations
@@ -52,11 +52,11 @@ class PipelinedStoreMixin:
     def _dispatch(self, ctx: Context) -> Any:
         """Terminal pipeline handler routing on the operation name."""
         if ctx.operation == "store_record":
-            return self._store_record_impl(**ctx.tags["store"])
+            return self._store_record(**ctx.tags["store"])
         if ctx.operation == "get":
-            return self._get_impl(ctx.args[0])
+            return self._get(ctx.args[0])
         if ctx.operation == "history":
-            return self._history_impl(ctx.args[0])
+            return self._history(ctx.args[0])
         raise NotFoundError(
             f"unknown {self.chaincode_label} operation {ctx.operation!r}"
         )
@@ -83,11 +83,11 @@ class PipelinedStoreMixin:
             cache.invalidate_key(key)
 
     # ------------------------------------------------- subclass obligations
-    def _store_record_impl(self, **kwargs: Any) -> Any:
+    def _store_record(self, **kwargs: Any) -> Any:
         raise NotImplementedError
 
-    def _get_impl(self, key: str) -> Any:
+    def _get(self, key: str) -> Any:
         raise NotImplementedError
 
-    def _history_impl(self, key: str) -> Any:
+    def _history(self, key: str) -> Any:
         raise NotImplementedError

@@ -14,9 +14,8 @@ from typing import Dict, List, Optional
 
 from repro.baselines.pipeline_support import PipelinedStoreMixin
 from repro.chaincode.records import ProvenanceRecord
-from repro.common.deprecation import warn_deprecated
 from repro.common.errors import NotFoundError, ValidationError
-from repro.common.hashing import HashChain, checksum_of
+from repro.common.hashing import HashChain
 from repro.common.metrics import MetricsRegistry
 from repro.consensus.pow import ProofOfWorkEngine
 from repro.devices.model import DeviceModel
@@ -68,18 +67,8 @@ class PowProvenanceChain(PipelinedStoreMixin):
         self._init_pipeline(pipeline_config, metrics, "baseline.provchain")
 
     # ------------------------------------------------------------------ write
-    def store_record(self, record: ProvenanceRecord, at_time: float = 0.0) -> PowStoreResult:
-        """Mine a block anchoring ``record``; the miner CPU is busy throughout.
-
-        .. deprecated:: shim over ``ProvenanceStore.submit`` (see ``as_store``).
-        """
-        warn_deprecated("PowProvenanceChain.store_record", "ProvenanceStore.submit")
-        return self._execute(
-            "store_record", OperationKind.WRITE, [record.key],
-            record=record, at_time=at_time,
-        )
-
-    def _store_record_impl(self, record: ProvenanceRecord, at_time: float = 0.0) -> PowStoreResult:
+    def _store_record(self, record: ProvenanceRecord, at_time: float = 0.0) -> PowStoreResult:
+        """Mine a block anchoring ``record``; the miner CPU is busy throughout."""
         record.validate()
         # All cores search in parallel, so the wall-clock mining time shrinks
         # by the core count but the whole CPU is pegged for its duration —
@@ -104,54 +93,16 @@ class PowProvenanceChain(PipelinedStoreMixin):
         self._invalidate_cached_reads(record.key)
         return PowStoreResult(entry=entry, latency_s=end - at_time)
 
-    def store_data(
-        self, key: str, data: bytes, creator: str = "miner", organization: str = "pow-org",
-        at_time: float = 0.0,
-    ) -> PowStoreResult:
-        """Convenience wrapper mirroring HyperProv's ``store_data`` shape.
-
-        .. deprecated:: shim over ``ProvenanceStore.submit`` (see ``as_store``).
-        """
-        warn_deprecated("PowProvenanceChain.store_data", "ProvenanceStore.submit")
-        record = ProvenanceRecord(
-            key=key,
-            checksum=checksum_of(data),
-            location=f"pow://{key}",
-            creator=creator,
-            organization=organization,
-            certificate_fingerprint="",
-            size_bytes=len(data),
-            timestamp=at_time,
-        )
-        return self._execute(
-            "store_record", OperationKind.WRITE, [record.key],
-            record=record, at_time=at_time,
-        )
-
     # ------------------------------------------------------------------- read
-    def get(self, key: str) -> PowChainEntry:
-        """Latest entry for ``key``.
-
-        .. deprecated:: shim over ``ProvenanceStore.get`` (see ``as_store``).
-        """
-        warn_deprecated("PowProvenanceChain.get", "ProvenanceStore.get")
-        return self._execute("get", OperationKind.READ, [key])
-
-    def _get_impl(self, key: str) -> PowChainEntry:
+    def _get(self, key: str) -> PowChainEntry:
+        """Latest entry for ``key``."""
         index = self._latest_by_key.get(key)
         if index is None:
             raise NotFoundError(f"key {key!r} not recorded on the PoW chain")
         return self._entries[index]
 
-    def history(self, key: str) -> List[PowChainEntry]:
-        """Every entry for ``key``, oldest first.
-
-        .. deprecated:: shim over ``ProvenanceStore.history`` (see ``as_store``).
-        """
-        warn_deprecated("PowProvenanceChain.history", "ProvenanceStore.history")
-        return self._execute("history", OperationKind.READ, [key])
-
-    def _history_impl(self, key: str) -> List[PowChainEntry]:
+    def _history(self, key: str) -> List[PowChainEntry]:
+        """Every entry for ``key``, oldest first."""
         return [entry for entry in self._entries if entry.record.key == key]
 
     @property

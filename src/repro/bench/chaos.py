@@ -48,14 +48,13 @@ speed.
 from __future__ import annotations
 
 import hashlib
-import json
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.api.protocol import StoreRequest
-from repro.bench.perf import PerfRegressionError
+from repro.bench.perf import PerfRegressionError, update_report_file
 from repro.bench.reporting import ResultTable, format_seconds
 from repro.common.hashing import checksum_of
 from repro.consensus.batching import BatchConfig
@@ -759,20 +758,10 @@ def run_chaos(smoke: bool = False, seed: int = CHAOS_SEED) -> ChaosBenchReport:
 
 # ------------------------------------------------------------- persistence
 def write_chaos_entry(report: ChaosBenchReport, path: Path) -> Dict[str, object]:
-    """Merge the chaos anchors into ``path`` without touching other sections.
-
-    Follows the ``bench fleet`` discipline: ``BENCH_PERF.json`` is shared
-    across experiments, so this writer only replaces the ``chaos`` section.
-    """
-    document: Dict[str, object] = {}
-    if path.exists():
-        try:
-            document = json.loads(path.read_text())
-        except (json.JSONDecodeError, OSError):
-            document = {}
-    document["chaos"] = report.to_dict()
-    path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
-    return document
+    """Replace the ``chaos`` section of ``path``."""
+    return update_report_file(
+        path, lambda document: document.update(chaos=report.to_dict())
+    )
 
 
 def check_chaos_anchors(

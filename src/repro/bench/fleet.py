@@ -22,12 +22,11 @@ anchor, which catches any change that silently moves virtual time.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from repro.bench.perf import PerfRegressionError
+from repro.bench.perf import PerfRegressionError, update_report_file
 from repro.bench.reporting import ResultTable, format_seconds
 from repro.consensus.batching import BatchConfig
 from repro.simulation.parallel import (
@@ -225,22 +224,12 @@ def run_fleet(
 
 # ------------------------------------------------------------- persistence
 def write_fleet_entry(report: FleetBenchReport, path: Path) -> Dict[str, object]:
-    """Merge this profile's results into ``path`` without touching the rest.
+    """Replace this profile's ``fleet[profile]`` entry in ``path``."""
 
-    ``BENCH_PERF.json`` is shared with ``bench perf``: the perf writer owns
-    ``measurements``/``baseline_pre_pr`` and carries ``fleet`` forward;
-    this writer only replaces its own ``fleet[profile]`` entry.
-    """
-    document: Dict[str, object] = {}
-    if path.exists():
-        try:
-            document = json.loads(path.read_text())
-        except (json.JSONDecodeError, OSError):
-            document = {}
-    fleet = document.setdefault("fleet", {})
-    fleet[report.profile] = report.to_dict()
-    path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
-    return document
+    def update(document: Dict[str, object]) -> None:
+        document.setdefault("fleet", {})[report.profile] = report.to_dict()
+
+    return update_report_file(path, update)
 
 
 def check_fleet_anchor(

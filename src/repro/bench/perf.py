@@ -33,7 +33,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.bench.reporting import ResultTable, format_seconds
 from repro.bench.runner import RunConfig, StoreDataRunner
@@ -328,38 +328,41 @@ def _scales(full: int, divisor: int) -> List[int]:
 
 
 # ------------------------------------------------------------- persistence
-def write_report(report: PerfReport, path: Path) -> Dict[str, object]:
-    """Write ``report`` to ``path``, preserving any pre-PR baseline block.
+def update_report_file(
+    path: Path, update: Callable[[Dict[str, object]], None]
+) -> Dict[str, object]:
+    """Read-modify-write the results file every bench experiment shares.
 
-    If the existing file carries a ``baseline_pre_pr`` section (the
-    numbers measured on the unoptimized implementation), it is carried
-    forward and the speedup factors are recomputed against it.  The
-    ``fleet`` and ``query`` sections (owned by ``bench fleet`` and
-    ``bench query``) are carried forward untouched as well.
+    Loads ``path`` (missing or unreadable: an empty document), lets
+    ``update`` replace the caller's own section in place, and writes the
+    document back — so no experiment can drop another's section.
     """
-    document: Dict[str, object] = report.to_dict()
-    baseline: Optional[Dict[str, object]] = None
-    fleet: Optional[Dict[str, object]] = None
-    query: Optional[Dict[str, object]] = None
+    document: Dict[str, object] = {}
     if path.exists():
         try:
-            previous = json.loads(path.read_text())
-            baseline = previous.get("baseline_pre_pr")
-            fleet = previous.get("fleet")
-            query = previous.get("query")
+            document = json.loads(path.read_text())
         except (json.JSONDecodeError, OSError):
-            baseline = None
-            fleet = None
-            query = None
-    if baseline:
-        document["baseline_pre_pr"] = baseline
-        document["speedup_vs_pre_pr"] = _speedups(report, baseline)
-    if fleet:
-        document["fleet"] = fleet
-    if query:
-        document["query"] = query
+            document = {}
+    update(document)
     path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
     return document
+
+
+def write_report(report: PerfReport, path: Path) -> Dict[str, object]:
+    """Replace the ``measurements`` section of ``path`` with ``report``.
+
+    If the file carries a ``baseline_pre_pr`` section (the numbers
+    measured on the unoptimized implementation), the speedup factors are
+    recomputed against it.
+    """
+
+    def update(document: Dict[str, object]) -> None:
+        document.update(report.to_dict())
+        baseline = document.get("baseline_pre_pr")
+        if baseline:
+            document["speedup_vs_pre_pr"] = _speedups(report, baseline)
+
+    return update_report_file(path, update)
 
 
 def _speedups(report: PerfReport, baseline: Dict[str, object]) -> Dict[str, float]:

@@ -22,13 +22,16 @@ CI perf-smoke gate asserts the committed speedup floor via
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
-from repro.bench.perf import PerfRegressionError, _preload_world_state
+from repro.bench.perf import (
+    PerfRegressionError,
+    _preload_world_state,
+    update_report_file,
+)
 from repro.bench.reporting import ResultTable, format_seconds
 from repro.core.topology import build_desktop_deployment
 
@@ -232,17 +235,10 @@ def run_query_bench(
 
 # ------------------------------------------------------------- persistence
 def write_query_entry(report: QueryBenchReport, path: Path) -> Dict[str, object]:
-    """Merge the ``query`` section into ``path``, leaving every other
-    section (perf measurements, ``baseline_pre_pr``, ``fleet``) untouched."""
-    document: Dict[str, object] = {}
-    if path.exists():
-        try:
-            document = json.loads(path.read_text())
-        except (json.JSONDecodeError, OSError):
-            document = {}
-    document["query"] = report.to_dict()
-    path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
-    return document
+    """Replace the ``query`` section of ``path``."""
+    return update_report_file(
+        path, lambda document: document.update(query=report.to_dict())
+    )
 
 
 def check_query_gate(

@@ -1,24 +1,31 @@
 """The HyperProv client library.
 
 Wraps a :class:`~repro.fabric.network.FabricNetwork` and an off-chain
-storage backend behind the operator set described in the paper:
+storage backend behind the operator set described in the paper.  The
+record-level operators are served by :meth:`HyperProvClient.as_store`
+(the unified :class:`repro.api.ProvenanceStore`); the rest are methods of
+the client itself:
 
-================  ===========================================================
-Operator          Behaviour
-================  ===========================================================
-``init``          Sanity-check that the chaincode is instantiated and the
-                  client identity validates against the channel MSP.
-``post``          Record provenance metadata for data that is already stored
-                  somewhere (checksum + location + dependencies + metadata).
-``get``           Latest on-chain provenance record for a key.
-``get_key_history``  Every recorded version of a key (operation history).
-``check_hash``    Verify a checksum (or raw data) against the chain.
-``store_data``    Store the data off-chain *and* post its provenance record.
-``get_data``      Resolve the on-chain pointer, fetch the data off-chain and
-                  verify its checksum against the chain.
+====================  =======================================================
+Operator              Behaviour
+====================  =======================================================
+``init``              Sanity-check that the chaincode is instantiated on
+                      every hosted channel and the client identity validates
+                      against each channel's MSP.
+``store.submit``      Record provenance metadata for data stored elsewhere
+                      (the paper's ``post``) or store the data off-chain
+                      *and* post its record (``store_data``).
+``store.get``         Latest on-chain provenance record for a key.
+``store.history``     Every recorded version of a key (``get_key_history``).
+``store.verify``      Verify a checksum or raw data against the chain
+                      (``check_hash``).
+``get_data``          Resolve the on-chain pointer, fetch the data off-chain
+                      and verify its checksum against the chain.
 ``get_dependencies``  The dependency list of a key's latest record.
-``get_lineage``   Full OPM lineage report built from committed history.
-================  ===========================================================
+``get_by_range``      Records in a key range (optionally paginated).
+``query_records``     Rich query over record fields.
+``get_lineage``       Full OPM lineage report built from committed history.
+====================  =======================================================
 """
 
 from __future__ import annotations
@@ -28,7 +35,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.chaincode.records import ProvenanceRecord
-from repro.common.deprecation import warn_deprecated
 from repro.common.errors import (
     ChaincodeError,
     ChecksumMismatchError,
@@ -107,13 +113,8 @@ class DataResult:
 class HyperProvClient:
     """High-level HyperProv API bound to one client identity.
 
-    .. deprecated::
-        The blocking operator methods (``post``, ``get``,
-        ``get_key_history``, ``check_hash``, ``store_data``) are kept as
-        thin shims over the unified :class:`repro.api.ProvenanceStore`
-        protocol; new code should use :meth:`as_store` or a
-        :class:`repro.api.HyperProvService` session (``docs/api.md`` has
-        the migration table).
+    Record-level reads and writes go through :meth:`as_store` or a
+    :class:`repro.api.HyperProvService` session.
     """
 
     def __init__(
@@ -156,21 +157,14 @@ class HyperProvClient:
                 f"{self.network.shard_count} channel(s); build the deployment "
                 f"with shards={config.shards}"
             )
-        # The read cache invalidates off the commit streams; on a sharded
-        # network that means one subscription per channel shard.
-        cache_events = None
-        if config.cache and self.network.shard_count > 1:
-            cache_events = [
-                self.network.shard_events(index)
-                for index in range(self.network.shard_count)
-            ]
+        # ``network.events`` is the aggregate bus: every shard's commits
+        # reach the read cache through it.
         return build_client_pipeline(
             config,
             self._dispatch,
             clock=lambda: self.network.engine.now,
             events=self.network.events,
             metrics=self.metrics,
-            cache_events=cache_events,
             shared_cache_store=self.shared_cache,
             engine=self.network.engine,
         )
@@ -178,17 +172,28 @@ class HyperProvClient:
     def configure_pipeline(self, config: PipelineConfig) -> None:
         """Swap the middleware chain (ablations: cache on/off, retry, batching).
 
-        Also applies the config's fabric-side knobs — ``order_batch_size``
-        to every endorsement batcher and ``scheduler`` to every shard's
-        ordering service — so one declarative object describes the whole
-        path.  Builds the replacement chain before touching the current
-        one, so a rejected config (e.g. more shards than the network
-        hosts) leaves the client fully functional on its old pipeline.
+        Also applies the config's fabric-side knobs
+        (:meth:`apply_fabric_knobs`), so one declarative object describes
+        the whole path.  Builds the replacement chain before touching the
+        current one, so a rejected config (e.g. more shards than the
+        network hosts) leaves the client fully functional on its old
+        pipeline.
         """
         replacement = self._build_pipeline(config)
         self.pipeline.close()
         self.pipeline = replacement
         self.pipeline_config = config
+        self.apply_fabric_knobs()
+
+    def apply_fabric_knobs(self) -> None:
+        """Push this client's fabric-side pipeline knobs onto the network.
+
+        ``order_batch_size`` goes to every endorsement batcher,
+        ``scheduler`` to every shard's ordering service and ``indexes`` to
+        every peer ledger.  The network is shared by every session of a
+        deployment, so this is last-writer-wins.
+        """
+        config = self.pipeline_config
         self.network.set_order_batch_size(config.order_batch_size)
         if config.scheduler is not None:
             self.network.set_scheduler(config.scheduler)
@@ -279,43 +284,18 @@ class HyperProvClient:
 
     # ------------------------------------------------------------------ init
     def init(self) -> bool:
-        """Verify the channel is usable: chaincode instantiated, MSP accepts us."""
-        definition = self.network.channel.chaincodes.find(self.chaincode_name)
-        if definition is None:
-            raise ChaincodeError(
-                f"chaincode {self.chaincode_name!r} is not instantiated on "
-                f"channel {self.network.channel.name!r}"
-            )
-        self.network.channel.msp.require_valid_certificate(self._context.identity.certificate)
+        """Verify every hosted channel is usable: chaincode instantiated, MSP accepts us."""
+        for shard in self.network.shards:
+            channel = shard.channel
+            if channel.chaincodes.find(self.chaincode_name) is None:
+                raise ChaincodeError(
+                    f"chaincode {self.chaincode_name!r} is not instantiated on "
+                    f"channel {channel.name!r}"
+                )
+            channel.msp.require_valid_certificate(self._context.identity.certificate)
         return True
 
     # ------------------------------------------------------------------ post
-    def post(
-        self,
-        key: str,
-        checksum: str,
-        location: str,
-        dependencies: Optional[List[str]] = None,
-        metadata: Optional[Dict[str, Any]] = None,
-        size_bytes: int = 0,
-        at_time: Optional[float] = None,
-    ) -> PostResult:
-        """Record provenance metadata for a data item already stored elsewhere.
-
-        .. deprecated:: shim over ``ProvenanceStore.submit`` (metadata-only).
-        """
-        warn_deprecated("HyperProvClient.post", "ProvenanceStore.submit")
-        return self._post(
-            "post",
-            key=key,
-            checksum=checksum,
-            location=location,
-            dependencies=dependencies,
-            metadata=metadata,
-            size_bytes=size_bytes,
-            at_time=at_time,
-        )
-
     def _post(
         self,
         operation: str,
@@ -354,15 +334,8 @@ class HyperProvClient:
         return PostResult(handle=handle, record=record)
 
     # ------------------------------------------------------------------- get
-    def get(self, key: str, at_time: Optional[float] = None) -> QueryResult:
-        """Latest provenance record for ``key``.
-
-        .. deprecated:: shim over ``ProvenanceStore.get``.
-        """
-        warn_deprecated("HyperProvClient.get", "ProvenanceStore.get")
-        return self._get_impl(key, at_time=at_time)
-
-    def _get_impl(self, key: str, at_time: Optional[float] = None) -> QueryResult:
+    def _get(self, key: str, at_time: Optional[float] = None) -> QueryResult:
+        """Latest provenance record for ``key``."""
         response, latency, ctx = self._query("get", "get", [key], at_time=at_time)
         if not response.is_ok or response.payload is None:
             raise NotFoundError(response.message or f"key {key!r} not found")
@@ -373,17 +346,8 @@ class HyperProvClient:
             stale=ctx.stale,
         )
 
-    def get_key_history(self, key: str, at_time: Optional[float] = None) -> QueryResult:
-        """Every recorded version of ``key`` (oldest first).
-
-        .. deprecated:: shim over ``ProvenanceStore.history``.
-        """
-        warn_deprecated("HyperProvClient.get_key_history", "ProvenanceStore.history")
-        return self._get_key_history_impl(key, at_time=at_time)
-
-    def _get_key_history_impl(
-        self, key: str, at_time: Optional[float] = None
-    ) -> QueryResult:
+    def _get_key_history(self, key: str, at_time: Optional[float] = None) -> QueryResult:
+        """Every recorded version of ``key`` (oldest first)."""
         response, latency, ctx = self._query(
             "get_key_history", "getkeyhistory", [key], at_time=at_time
         )
@@ -405,25 +369,13 @@ class HyperProvClient:
         self.metrics.histogram("history_latency_s").observe(latency)
         return QueryResult(payload=records, latency_s=latency, stale=ctx.stale)
 
-    def check_hash(
+    def _check_hash(
         self,
         key: str,
         data_or_checksum: Any,
         at_time: Optional[float] = None,
     ) -> QueryResult:
-        """Verify data (or a precomputed checksum) against the on-chain record.
-
-        .. deprecated:: shim over ``ProvenanceStore.verify``.
-        """
-        warn_deprecated("HyperProvClient.check_hash", "ProvenanceStore.verify")
-        return self._check_hash_impl(key, data_or_checksum, at_time=at_time)
-
-    def _check_hash_impl(
-        self,
-        key: str,
-        data_or_checksum: Any,
-        at_time: Optional[float] = None,
-    ) -> QueryResult:
+        """Verify data (or a precomputed checksum) against the on-chain record."""
         if isinstance(data_or_checksum, (bytes, bytearray)):
             checksum = checksum_of(data_or_checksum)
         else:
@@ -556,7 +508,7 @@ class HyperProvClient:
             )
         return self.storage
 
-    def store_data(
+    def _store_data(
         self,
         key: str,
         data: bytes,
@@ -569,22 +521,7 @@ class HyperProvClient:
         This is the operator exercised by Fig. 1 / Fig. 2: its cost includes
         the checksum computation, the transfer to the storage node and the
         on-chain transaction.
-
-        .. deprecated:: shim over ``ProvenanceStore.submit`` (with payload).
         """
-        warn_deprecated("HyperProvClient.store_data", "ProvenanceStore.submit")
-        return self._store_data_impl(
-            key, data, dependencies=dependencies, metadata=metadata, at_time=at_time
-        )
-
-    def _store_data_impl(
-        self,
-        key: str,
-        data: bytes,
-        dependencies: Optional[List[str]] = None,
-        metadata: Optional[Dict[str, Any]] = None,
-        at_time: Optional[float] = None,
-    ) -> PostResult:
         storage = self._require_storage()
         start = self.network.engine.now if at_time is None else at_time
         receipt = self._store_payload(storage, data, start)
@@ -619,7 +556,7 @@ class HyperProvClient:
         """Fetch the data behind ``key`` from off-chain storage and verify it."""
         storage = self._require_storage()
         start = self.network.engine.now if at_time is None else at_time
-        query = self._get_impl(key, at_time=start)
+        query = self._get(key, at_time=start)
         record: ProvenanceRecord = query.payload
 
         backend = storage.backend

@@ -10,16 +10,16 @@ The network is a true multi-channel host: each :class:`ChannelShard` owns
 a channel, an ordering service (with its own block cutter and intake
 scheduler), an endorsement batcher, an invoke pipeline, a commit/event
 stream and a per-channel ledger on every joined peer.  The paper's
-deployment is the single-shard special case — the historical single-channel
-surface (``fabric.channel``, ``fabric.orderer``, ``fabric.order_batcher``)
-keeps pointing at shard 0 — while sharded deployments route transactions
-across shards via the :class:`~repro.middleware.sharding.ShardRouterMiddleware`.
+deployment is the single-shard case (``shards=1``, reached like any other
+shard through ``shard(0)`` / ``shard_peers(0)``); sharded deployments route
+transactions across shards via the
+:class:`~repro.middleware.sharding.ShardRouterMiddleware`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.common.errors import (
     ConfigurationError,
@@ -69,13 +69,12 @@ class FabricNetworkConfig:
     #: Endorsed envelopes coalesced into one orderer submission (1 = off,
     #: reproducing the unbatched per-transaction transfer exactly).
     order_batch_size: int = 1
-    #: Batched commit delivery: complete handles through a tx-indexed lookup
-    #: (O(block txs) instead of a scan over every registered client) and
-    #: buffer per-block ``block_delivered``/chaincode-event fan-out until
-    #: :meth:`FabricNetwork.flush_commit_events` publishes the whole window
-    #: as one ``commit_batch`` callback.  Virtual-time results are identical
-    #: to the per-block path — only wall-clock cost and event granularity
-    #: change.  This is the delivery mode the parallel shard workers run.
+    #: Batched commit delivery: buffer per-block ``block_delivered``/
+    #: chaincode-event fan-out until :meth:`FabricNetwork.flush_commit_events`
+    #: publishes the whole window as one ``commit_batch`` callback.  Handles
+    #: still complete per block, so virtual-time results are identical to
+    #: the per-block path — only event granularity changes.  This is the
+    #: delivery mode the parallel shard workers run.
     batch_commit_delivery: bool = False
 
 
@@ -136,8 +135,8 @@ class FabricNetwork:
         self.network = network
         self.config = config or FabricNetworkConfig()
         self.metrics = metrics or MetricsRegistry("fabric")
-        #: Aggregate event bus carrying every shard's commit events (the
-        #: single-channel surface); each shard also has its own bus.
+        #: Aggregate event bus carrying every shard's commit events; each
+        #: shard also has its own bus.
         self.events = EventBus()
         self.orderer_node = orderer_node
         self.orderer_device = orderer_device
@@ -145,10 +144,8 @@ class FabricNetwork:
         self._clients: Dict[str, _ClientContext] = {}
         self._tx_ids = DeterministicIdGenerator("tx")
         self._shards: List[ChannelShard] = []
-        #: tx-id → owning client context, maintained only under
-        #: ``batch_commit_delivery`` so block commits complete handles with
-        #: an O(block txs) lookup instead of scanning every registered
-        #: client (the dominant wall-clock cost at fleet scale).
+        #: tx-id → owning client context of every handle awaiting commit,
+        #: so a block completes its handles with an O(block txs) lookup.
         self._pending_index: Dict[str, _ClientContext] = {}
         #: Per-shard commit notifications buffered until the next
         #: :meth:`flush_commit_events` (barrier-window boundary).
@@ -236,37 +233,6 @@ class FabricNetwork:
             )
         return self._shards[index]
 
-    def shard_events(self, index: int) -> EventBus:
-        """The commit/event stream of one shard."""
-        return self.shard(index).events
-
-    # --------------------------------------- single-channel compat surface
-    @property
-    def channel(self) -> Channel:
-        """Shard 0's channel (the historical single-channel surface)."""
-        return self._shards[0].channel
-
-    @property
-    def orderer(self) -> OrderingService:
-        return self._shards[0].orderer
-
-    @property
-    def order_batcher(self) -> EndorsementBatcher:
-        return self._shards[0].batcher
-
-    @property
-    def invoke_pipeline(self) -> TransactionPipeline:
-        return self._shards[0].pipeline
-
-    @property
-    def _peers(self) -> Dict[str, Peer]:
-        """Shard 0's peer registry (compat for single-channel callers)."""
-        return self._shards[0].peers
-
-    @property
-    def _ordered_blocks(self) -> List[Block]:
-        return self._shards[0].ordered_blocks
-
     # ------------------------------------------------------------- topology
     def add_peer(self, peer: Peer, shard: int = 0) -> None:
         """Register a peer node on one shard (joins the network fabric too)."""
@@ -322,13 +288,8 @@ class FabricNetwork:
                 return peer
         raise NotFoundError(f"unknown peer {name!r}")
 
-    @property
-    def peers(self) -> List[Peer]:
-        """Shard 0's peers in name order (the single-channel surface)."""
-        shard = self._shards[0]
-        return [shard.peers[name] for name in sorted(shard.peers)]
-
     def shard_peers(self, index: int) -> List[Peer]:
+        """One shard's peers in name order."""
         shard = self.shard(index)
         return [shard.peers[name] for name in sorted(shard.peers)]
 
@@ -411,15 +372,9 @@ class FabricNetwork:
     def register_pending(
         self, context: _ClientContext, handle: TransactionHandle
     ) -> None:
-        """Record a handle awaiting its anchor-peer commit.
-
-        The await-commit stage routes registrations through here so that,
-        under ``batch_commit_delivery``, the network can also maintain the
-        tx-id → client index that replaces the per-block client scan.
-        """
+        """Record a handle awaiting its anchor-peer commit."""
         context.pending[handle.tx_id] = handle
-        if self.config.batch_commit_delivery:
-            self._pending_index[handle.tx_id] = context
+        self._pending_index[handle.tx_id] = context
 
     def _build_proposal(
         self,
@@ -702,41 +657,36 @@ class FabricNetwork:
             commit_results[peer.name] = peer.deliver_block(block, arrivals[peer.name])
 
         self.metrics.counter("blocks_delivered").inc()
+        delivery = {"block": block, "commits": commit_results, "shard": shard_index}
         if self.config.batch_commit_delivery:
-            # Handles still complete *now*, at the same virtual times as
-            # the per-block path; only the observer fan-out is deferred to
-            # the next flush_commit_events() window.
-            self._commit_buffers.setdefault(shard_index, []).append(
-                {"block": block, "commits": commit_results, "shard": shard_index}
-            )
-            self._complete_handles_indexed(block, commit_results)
+            # Only the observer fan-out is deferred to the next
+            # flush_commit_events() window; handles still complete now.
+            self._commit_buffers.setdefault(shard_index, []).append(delivery)
+        else:
+            self._publish(shard, "block_delivered", delivery)
+            for event in self._chaincode_events(block, commit_results, shard_index):
+                self._publish(shard, f"chaincode_event:{event['name']}", event)
+        self._complete_handles_indexed(block, commit_results)
+
+    @staticmethod
+    def _chaincode_events(
+        block: Block, commit_results: Dict[str, CommitResult], shard_index: int
+    ) -> Iterator[Dict]:
+        """Payloads of the chaincode events ``block``'s valid transactions
+        emitted (what the client library's event listeners receive)."""
+        if not commit_results:
             return
-        self._publish(
-            shard,
-            "block_delivered",
-            {"block": block, "commits": commit_results, "shard": shard_index},
-        )
-
-        # Fan committed chaincode events out to network-level subscribers
-        # (the client library's event listeners hook in here).
-        if commit_results:
-            reference = next(iter(commit_results.values()))
-            for tx, code in zip(block.transactions, reference.validation_codes):
-                if code is TxValidationCode.VALID and tx.chaincode_event is not None:
-                    event_name, event_payload = tx.chaincode_event
-                    self._publish(
-                        shard,
-                        f"chaincode_event:{event_name}",
-                        {
-                            "tx_id": tx.tx_id,
-                            "name": event_name,
-                            "payload": event_payload,
-                            "block_number": block.number,
-                            "shard": shard_index,
-                        },
-                    )
-
-        self._complete_handles(block, commit_results)
+        reference = next(iter(commit_results.values()))
+        for tx, code in zip(block.transactions, reference.validation_codes):
+            if code is TxValidationCode.VALID and tx.chaincode_event is not None:
+                event_name, event_payload = tx.chaincode_event
+                yield {
+                    "tx_id": tx.tx_id,
+                    "name": event_name,
+                    "payload": event_payload,
+                    "block_number": block.number,
+                    "shard": shard_index,
+                }
 
     def _publish(self, shard: ChannelShard, topic: str, payload: Dict) -> None:
         """Publish on the shard's stream first, then the aggregate bus."""
@@ -759,34 +709,15 @@ class FabricNetwork:
             )
             result = peer.deliver_block(missed, at_time + transfer)
             self.metrics.counter("catch_up_blocks").inc()
-            catch_up_commits = {peer.name: result}
-            if self.config.batch_commit_delivery:
-                self._complete_handles_indexed(missed, catch_up_commits)
-            else:
-                self._complete_handles(missed, catch_up_commits)
-
-    def _complete_handles(self, block: Block, commit_results: Dict[str, CommitResult]) -> None:
-
-        # Complete the handles of every client whose anchor peer committed.
-        for context in self._clients.values():
-            result = commit_results.get(context.anchor_peer)
-            if result is None:
-                continue
-            for position, tx in enumerate(block.transactions):
-                handle = context.pending.pop(tx.tx_id, None)
-                if handle is None:
-                    continue
-                self._finish_handle(context, handle, result, position)
+            self._complete_handles_indexed(missed, {peer.name: result})
 
     def _complete_handles_indexed(
         self, block: Block, commit_results: Dict[str, CommitResult]
     ) -> None:
-        """Complete handles via the tx-id index (batch_commit_delivery mode).
+        """Complete the handles of every client whose anchor peer committed.
 
-        O(block txs) instead of O(clients × block txs).  Completion draws
-        (the anchor→host commit-notify transfer) happen in block-tx order
-        per client link, exactly as the scan does for any deployment where
-        clients have private host nodes, so virtual times are unchanged.
+        Looked up through the tx-id index, in block-tx order (the order
+        the anchor→host commit-notify transfers draw from each link).
         """
         for position, tx in enumerate(block.transactions):
             context = self._pending_index.get(tx.tx_id)
@@ -794,8 +725,8 @@ class FabricNetwork:
                 continue
             result = commit_results.get(context.anchor_peer)
             if result is None:
-                # Anchor peer missed this delivery (partition); leave the
-                # handle pending, matching the per-block scan's behaviour.
+                # Anchor peer missed this delivery (partition); the handle
+                # stays pending until the peer catches up.
                 continue
             del self._pending_index[tx.tx_id]
             handle = context.pending.pop(tx.tx_id)
@@ -845,23 +776,10 @@ class FabricNetwork:
             target = self.shard(index)
             events_by_name: Dict[str, List[Dict]] = {}
             for entry in entries:
-                commits = entry["commits"]
-                if not commits:
-                    continue
-                block = entry["block"]
-                reference = next(iter(commits.values()))
-                for tx, code in zip(block.transactions, reference.validation_codes):
-                    if code is TxValidationCode.VALID and tx.chaincode_event is not None:
-                        event_name, event_payload = tx.chaincode_event
-                        events_by_name.setdefault(event_name, []).append(
-                            {
-                                "tx_id": tx.tx_id,
-                                "name": event_name,
-                                "payload": event_payload,
-                                "block_number": block.number,
-                                "shard": index,
-                            }
-                        )
+                for event in self._chaincode_events(
+                    entry["block"], entry["commits"], index
+                ):
+                    events_by_name.setdefault(event["name"], []).append(event)
             target.events.publish_batch("commit_batch", entries)
             self.events.publish_batch("commit_batch", entries)
             for event_name in sorted(events_by_name):

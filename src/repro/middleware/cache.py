@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import threading
 from collections import OrderedDict
 from contextlib import ExitStack
@@ -19,13 +18,12 @@ from repro.middleware.context import Context
 #: an application error must always propagate).
 UNREACHABLE_ERRORS = (NetworkError, CircuitOpenError)
 
-#: Topic carrying the chaincode event every committed ``set`` emits.
-PROVENANCE_RECORDED_TOPIC = "chaincode_event:provenance_recorded"
-#: Topic carrying whole delivered blocks (covers deletes and foreign writes).
+#: Topic carrying whole delivered blocks: every committed write (sets,
+#: deletes, other clients' writes) is in the block's write sets.
 BLOCK_DELIVERED_TOPIC = "block_delivered"
-#: Batched counterparts published once per barrier window when the network
-#: runs with ``batch_commit_delivery`` (the parallel executor's mode).
-PROVENANCE_RECORDED_BATCH_TOPIC = "chaincode_event_batch:provenance_recorded"
+#: The same deliveries, published once per barrier window when the network
+#: runs with ``batch_commit_delivery`` (the parallel executor's mode).  A
+#: block is published on one topic or the other, never both.
 COMMIT_BATCH_TOPIC = "commit_batch"
 
 #: Read functions whose first argument names the single key they depend on
@@ -120,11 +118,9 @@ class ReadCacheMiddleware(Middleware):
     payload with ``hit_latency_s`` as the observed latency (a local lookup
     instead of a network round trip to a peer).  Correctness comes from
     invalidation, not expiry: the middleware subscribes to the network's
-    :class:`EventBus` — the ``provenance_recorded`` chaincode event names
-    the committed key directly, and delivered blocks are scanned for write
-    sets so deletes and writes from other clients also purge stale entries.
-    On a sharded network the middleware attaches to every shard's commit
-    stream (each channel delivers its own blocks).
+    aggregate :class:`EventBus` and scans every delivered block's write
+    sets, so sets, deletes and writes from other clients on any shard all
+    purge the entries they stale.
 
     By default each middleware owns a private :class:`SharedReadCache`;
     pass ``store`` to share one cache tier across several pipelines (the
@@ -169,31 +165,20 @@ class ReadCacheMiddleware(Middleware):
             self.attach(events)
 
     # -------------------------------------------------------------- wiring
-    def attach(self, events: EventBus, batched: bool = False) -> None:
-        """Subscribe to one bus whose commit events invalidate entries.
+    def attach(self, events: EventBus) -> None:
+        """Subscribe to a bus whose block deliveries invalidate entries.
 
-        May be called several times — once per shard event stream on a
-        multi-channel network.  ``batched=True`` additionally subscribes to
-        the window-batched commit topics, so invalidation keeps working when
-        the network defers per-block fan-out to barrier-window flushes
-        (``batch_commit_delivery`` / the ``parallel`` pipeline knob).
+        Both the per-block and the window-batched topic are followed, so
+        invalidation works whether or not the network defers its fan-out
+        to barrier-window flushes (``batch_commit_delivery``).
         """
         stack = self._subscriptions
         stack.enter_context(
-            events.subscribe(PROVENANCE_RECORDED_TOPIC, self._on_provenance_recorded)
-        )
-        stack.enter_context(
             events.subscribe(BLOCK_DELIVERED_TOPIC, self._on_block_delivered)
         )
-        if batched:
-            stack.enter_context(
-                events.subscribe(
-                    PROVENANCE_RECORDED_BATCH_TOPIC, self._on_provenance_batch
-                )
-            )
-            stack.enter_context(
-                events.subscribe(COMMIT_BATCH_TOPIC, self._on_commit_batch)
-            )
+        stack.enter_context(
+            events.subscribe(COMMIT_BATCH_TOPIC, self._on_commit_batch)
+        )
 
     def close(self) -> None:
         self._subscriptions.close()
@@ -266,25 +251,6 @@ class ReadCacheMiddleware(Middleware):
     def clear(self) -> None:
         self.store.clear()
 
-    def _on_provenance_recorded(self, _topic: str, payload: Dict[str, Any]) -> None:
-        key = self._event_key(payload)
-        if key is not None:
-            self.invalidate_key(key)
-
-    @staticmethod
-    def _event_key(payload: Dict[str, Any]) -> Optional[str]:
-        if not isinstance(payload, dict):
-            return None
-        if "key" in payload:
-            return payload["key"]
-        raw = payload.get("payload")
-        if isinstance(raw, str):
-            try:
-                return json.loads(raw).get("key")
-            except (ValueError, AttributeError):
-                return None
-        return None
-
     def _on_block_delivered(self, _topic: str, payload: Dict[str, Any]) -> None:
         block = payload.get("block") if isinstance(payload, dict) else None
         if block is None:
@@ -295,10 +261,6 @@ class ReadCacheMiddleware(Middleware):
                 continue
             for write in rw_set.writes:
                 self.invalidate_key(write.key)
-
-    def _on_provenance_batch(self, topic: str, payloads: Any) -> None:
-        for payload in payloads if isinstance(payloads, list) else []:
-            self._on_provenance_recorded(topic, payload)
 
     def _on_commit_batch(self, topic: str, entries: Any) -> None:
         for entry in entries if isinstance(entries, list) else []:

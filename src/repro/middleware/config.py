@@ -79,12 +79,6 @@ class PipelineConfig:
     #: Back the read cache with the deployment's shared cache tier instead
     #: of a pipeline-private store (needs ``cache=True`` to matter).
     shared_cache: bool = False
-    #: The pipeline targets a network running batched commit delivery (the
-    #: parallel executor's mode): commit-driven middlewares — today the
-    #: read cache — additionally subscribe to the window-batched topics
-    #: (``commit_batch`` and ``chaincode_event_batch:*``) so invalidation
-    #: keeps working when per-block fan-out is deferred to barrier flushes.
-    parallel: bool = False
     #: Field-value secondary indexes maintained on every peer's world state
     #: (record fields, ``metadata.<key>`` or ``metadata.*``; empty = none).
     #: Enables the query-planner middleware and, when the config is applied
@@ -205,18 +199,18 @@ class PipelineConfig:
         return names
 
 
-def build_client_middlewares(
+def build_client_pipeline(
     config: PipelineConfig,
+    terminal: Handler,
     *,
     clock: Optional[Callable[[], float]] = None,
     events: Optional[EventBus] = None,
     metrics: Optional[MetricsRegistry] = None,
     id_generator: Optional[DeterministicIdGenerator] = None,
-    cache_events: Optional[List[EventBus]] = None,
     shared_cache_store: Optional[SharedReadCache] = None,
     engine: Optional[SimulationEngine] = None,
-) -> List[Middleware]:
-    """Instantiate the stock middleware chain a :class:`PipelineConfig` asks for.
+) -> TransactionPipeline:
+    """Build the stock chain a :class:`PipelineConfig` asks for around ``terminal``.
 
     Chain order is fixed: tracing (outermost, so every attempt is visible
     under one request id) → metrics (counts the operation once) →
@@ -231,10 +225,10 @@ def build_client_middlewares(
     (innermost: keyed on the routed shard, sees every real backend call
     and nothing served from cache).
 
-    ``cache_events`` overrides the cache's invalidation subscription with
-    one bus per channel shard; ``shared_cache_store`` backs the cache with
-    a cross-pipeline tier instead of a private store (``shared_cache``);
-    ``engine`` is required by the store-and-forward replay timer.
+    ``events`` is the bus the cache's commit invalidation subscribes to;
+    ``shared_cache_store`` backs the cache with a cross-pipeline tier
+    instead of a private store (``shared_cache``); ``engine`` is required
+    by the store-and-forward replay timer.
     """
     middlewares: List[Middleware] = []
     if config.tracing:
@@ -261,7 +255,7 @@ def build_client_middlewares(
         if engine is None:
             raise ConfigurationError(
                 "store_and_forward needs the deployment's simulation engine "
-                "(pass engine=... to build_client_middlewares)"
+                "(pass engine=... to build_client_pipeline)"
             )
         middlewares.append(
             StoreAndForwardMiddleware(
@@ -289,20 +283,16 @@ def build_client_middlewares(
             RetryMiddleware(policy=policy, clock=clock, metrics=metrics, rng=jitter_rng)
         )
     if config.cache:
-        cache = ReadCacheMiddleware(
-            capacity=config.cache_capacity,
-            hit_latency_s=config.cache_hit_latency_s,
-            events=None,
-            metrics=metrics,
-            store=shared_cache_store if config.shared_cache else None,
-            serve_stale=config.stale_reads,
+        middlewares.append(
+            ReadCacheMiddleware(
+                capacity=config.cache_capacity,
+                hit_latency_s=config.cache_hit_latency_s,
+                events=events,
+                metrics=metrics,
+                store=shared_cache_store if config.shared_cache else None,
+                serve_stale=config.stale_reads,
+            )
         )
-        if cache_events is not None:
-            for bus in cache_events:
-                cache.attach(bus, batched=config.parallel)
-        elif events is not None:
-            cache.attach(events, batched=config.parallel)
-        middlewares.append(cache)
     if config.shards > 1:
         middlewares.append(ShardRouterMiddleware(config.shards, metrics=metrics))
     if config.circuit_breaker:
@@ -314,32 +304,4 @@ def build_client_middlewares(
                 metrics=metrics,
             )
         )
-    return middlewares
-
-
-def build_client_pipeline(
-    config: PipelineConfig,
-    terminal: Handler,
-    *,
-    clock: Optional[Callable[[], float]] = None,
-    events: Optional[EventBus] = None,
-    metrics: Optional[MetricsRegistry] = None,
-    id_generator: Optional[DeterministicIdGenerator] = None,
-    cache_events: Optional[List[EventBus]] = None,
-    shared_cache_store: Optional[SharedReadCache] = None,
-    engine: Optional[SimulationEngine] = None,
-) -> TransactionPipeline:
-    """Build a ready-to-run pipeline around ``terminal``."""
-    return TransactionPipeline(
-        build_client_middlewares(
-            config,
-            clock=clock,
-            events=events,
-            metrics=metrics,
-            id_generator=id_generator,
-            cache_events=cache_events,
-            shared_cache_store=shared_cache_store,
-            engine=engine,
-        ),
-        terminal,
-    )
+    return TransactionPipeline(middlewares, terminal)

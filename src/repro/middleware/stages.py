@@ -210,8 +210,8 @@ class AwaitCommitStage(FabricStage):
     """Register the handle so the anchor peer's commit completes it.
 
     The commit itself is asynchronous (the orderer cuts a block, the peers
-    validate and the network completes pending handles in
-    ``_complete_handles``); this stage wires the handle into that path.
+    validate and the network completes the block's pending handles through
+    its tx-id index); this stage wires the handle into that path.
     """
 
     name = "await-commit"

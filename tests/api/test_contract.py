@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import ProvenanceStore, StoreRequest
+from repro.api import HyperProvService, ProvenanceStore, StoreRequest
 from repro.api.adapters import CentralDbStore, HyperProvStore, PowChainStore, adapt_store
 from repro.baselines.centraldb import CentralProvenanceDatabase
 from repro.baselines.provchain import PowProvenanceChain
@@ -23,6 +23,7 @@ from repro.common.hashing import checksum_of
 from repro.core.topology import build_desktop_deployment
 from repro.devices.model import DeviceModel
 from repro.devices.profiles import RASPBERRY_PI_3B_PLUS, XEON_E5_1603
+from repro.middleware.config import PipelineConfig
 from repro.simulation.randomness import DeterministicRandom
 
 BACKENDS = ("hyperprov", "central-db", "provchain-pow")
@@ -135,6 +136,21 @@ def test_hyperprov_audit_detects_local_ledger_rewrite():
     assert store.audit() is False
 
 
+def test_hyperprov_audit_covers_every_shard():
+    """Regression: a rewrite on a shard-1 ledger used to pass the audit."""
+    deployment = build_desktop_deployment(seed=42, shards=2)
+    session = HyperProvService(deployment).session(pipeline=PipelineConfig(shards=2))
+    for i in range(8):
+        session.submit(f"audit/{i}", f"v{i}".encode())
+    session.drain()
+    assert min(deployment.fabric.shard_ledger_heights(1).values()) >= 1
+    assert session.audit() is True
+    victim = deployment.fabric.shard_peers(1)[0]
+    victim.tamper(0, 0).args[1] = "f" * 64
+    assert victim.block_store.verify_chain() is False
+    assert session.audit() is False
+
+
 # -------------------------------------------------------------- envelopes
 def test_metadata_only_submit_requires_checksum_and_location():
     store = _build_store("hyperprov")
@@ -178,35 +194,9 @@ def test_adapt_store_dispatches_and_caches():
     assert isinstance(adapt_store(chain), PowChainStore)
 
 
-# ------------------------------------------------------- deprecated shims
-def test_legacy_methods_still_work_but_warn(desktop_deployment):
-    client = desktop_deployment.client
-    with pytest.warns(DeprecationWarning):
-        post = client.store_data("legacy/1", b"old-api")
-    desktop_deployment.drain()
-    assert post.handle.is_valid
-    with pytest.warns(DeprecationWarning):
-        record = client.get("legacy/1").payload
-    assert record.checksum == checksum_of(b"old-api")
-    with pytest.warns(DeprecationWarning):
-        assert client.check_hash("legacy/1", b"old-api").payload
-
-
-def test_legacy_baseline_methods_still_work_but_warn():
-    device = DeviceModel("srv", XEON_E5_1603, rng=DeterministicRandom(7))
-    database = CentralProvenanceDatabase(server_device=device)
-    with pytest.warns(DeprecationWarning):
-        database.store_data("legacy/k", b"v")
-    with pytest.warns(DeprecationWarning):
-        assert database.get("legacy/k").checksum == checksum_of(b"v")
-    with pytest.warns(DeprecationWarning):
-        assert len(database.history("legacy/k")) == 1
-
-
 def test_post_result_total_latency_contract(desktop_deployment):
-    client = desktop_deployment.client
-    with pytest.warns(DeprecationWarning):
-        post = client.store_data("latency/1", b"x")
+    store = desktop_deployment.client.as_store()
+    post = store.submit(StoreRequest(key="latency/1", data=b"x")).raw
     with pytest.raises(IncompleteTransactionError):
         _ = post.total_latency_s
     desktop_deployment.drain()

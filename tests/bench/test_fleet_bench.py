@@ -82,6 +82,26 @@ class TestPersistence:
         assert document["fleet"]["24x2"]["anchor"] == tiny_report.anchor
         assert json.loads(path.read_text())["fleet"]["24x2"]["devices"] == 24
 
+    def test_perf_write_report_replaces_only_its_own_sections(self, tmp_path):
+        """Regression: ``bench perf`` used to drop the committed chaos anchors."""
+        path = tmp_path / "BENCH_PERF.json"
+        others = {
+            "chaos": {"scenarios": {"partition_heal": {"anchor": "c" * 64}}, "seed": 7},
+            "fleet": {"500x2": {"anchor": "f" * 64, "devices": 500}},
+            "query": {"speedup_indexed_vs_scan": {"10000": 88.0}},
+        }
+        path.write_text(json.dumps({"measurements": ["stale"], **others}))
+        report = PerfReport(
+            measurements=[PerfMeasurement("commit-heavy", 4, 4, 0.1, 40.0, 0.5)]
+        )
+        write_report(report, path)
+        on_disk = json.loads(path.read_text())
+        assert on_disk["measurements"] == report.to_dict()["measurements"]
+        for section, before in others.items():
+            assert json.dumps(on_disk[section], sort_keys=True) == json.dumps(
+                before, sort_keys=True
+            )
+
     def test_check_fleet_anchor_gate(self, tiny_report):
         good = {"fleet": {tiny_report.profile: {"anchor": tiny_report.anchor}}}
         assert check_fleet_anchor(tiny_report, good) == []

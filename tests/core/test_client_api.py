@@ -13,6 +13,7 @@ from repro.chaincode.records import ProvenanceRecord
 from repro.common.errors import ChaincodeError, NotFoundError, ValidationError
 from repro.common.hashing import checksum_of
 from repro.core.client import HyperProvClient
+from repro.fabric.channel import Channel
 
 
 def test_init_succeeds_on_healthy_deployment(desktop_deployment):
@@ -28,6 +29,14 @@ def test_init_fails_without_chaincode(desktop_deployment):
     )
     with pytest.raises(ChaincodeError):
         client.init()
+
+
+def test_init_checks_every_hosted_channel(desktop_deployment):
+    """Regression: only shard 0's channel used to be validated."""
+    bare = Channel(name="bare-channel", msp=desktop_deployment.channel.msp)
+    desktop_deployment.fabric.add_channel(bare)
+    with pytest.raises(ChaincodeError, match="bare-channel"):
+        desktop_deployment.client.init()
 
 
 def test_post_and_get_metadata_only(desktop_deployment):

@@ -24,7 +24,7 @@ def test_desktop_deployment_matches_paper_setup(desktop_deployment):
     assert profiles.count("xeon-e5-1603") == 2
     assert "core-i7-4700mq" in profiles
     assert "core-i3-2310m" in profiles
-    assert isinstance(desktop_deployment.fabric.orderer, SoloOrderingService)
+    assert isinstance(desktop_deployment.fabric.shard(0).orderer, SoloOrderingService)
     assert "storage" in desktop_deployment.devices
     assert desktop_deployment.channel.name == "hyperprov-channel"
 
@@ -51,7 +51,7 @@ def test_deployments_are_deterministic_given_seed():
 
 def test_raft_deployment_builds_and_commits():
     deployment = build_desktop_deployment(ordering="raft", seed=3)
-    assert isinstance(deployment.fabric.orderer, RaftOrderingService)
+    assert isinstance(deployment.fabric.shard(0).orderer, RaftOrderingService)
     deployment.engine.run(until=1.0)
     post = deployment.client.as_store().submit(StoreRequest(key="raft/1", data=b"x"))
     deployment.drain()
@@ -63,7 +63,7 @@ def test_custom_batch_config_is_applied():
     config = BatchConfig(max_message_count=1, batch_timeout_s=0.5)
     deployment = build_desktop_deployment(batch_config=config, seed=5)
     assert deployment.channel.batch_config.max_message_count == 1
-    assert deployment.fabric.orderer.batch_config.max_message_count == 1
+    assert deployment.fabric.shard(0).orderer.batch_config.max_message_count == 1
 
 
 def test_build_deployment_rejects_empty_peer_list():

@@ -128,7 +128,7 @@ def test_pipeline_shards_must_not_exceed_network_channels(sharded):
 
 def test_single_shard_deployment_unchanged(desktop_deployment):
     assert desktop_deployment.fabric.shard_count == 1
-    assert desktop_deployment.fabric.channel.name == "hyperprov-channel"
+    assert desktop_deployment.fabric.shard(0).channel.name == "hyperprov-channel"
     session = HyperProvService(desktop_deployment).session()
     session.submit("compat/1", b"x")
     session.drain()
@@ -157,11 +157,11 @@ def test_default_pipeline_config_leaves_deployment_scheduler_alone():
     service = HyperProvService(deployment)
     with service.session(tenant="a", pipeline=PipelineConfig(cache=True)):
         pass
-    scheduler = deployment.fabric.orderer.scheduler
+    scheduler = deployment.fabric.shard(0).orderer.scheduler
     assert isinstance(scheduler, FairShareScheduler)
     # An explicit swap keeps the deployment's build-time weights.
     deployment.fabric.set_scheduler("fair-share")
-    assert deployment.fabric.orderer.scheduler.weights == {"gold": 2.0}
+    assert deployment.fabric.shard(0).orderer.scheduler.weights == {"gold": 2.0}
 
 
 def test_rejected_configure_pipeline_leaves_client_functional(desktop_deployment):

@@ -82,7 +82,7 @@ def test_peer_catches_up_after_missing_multiple_blocks():
 def test_raft_leader_failover_elects_new_leader():
     deployment = build_desktop_deployment(ordering="raft", seed=19)
     deployment.engine.run(until=1.0)
-    orderer = deployment.fabric.orderer
+    orderer = deployment.fabric.shard(0).orderer
     first_leader = orderer.leader
     assert first_leader is not None
 
@@ -110,7 +110,7 @@ def test_raft_leader_failover_elects_new_leader():
 def test_raft_minority_partition_cannot_commit():
     deployment = build_desktop_deployment(ordering="raft", seed=23)
     deployment.engine.run(until=1.0)
-    orderer = deployment.fabric.orderer
+    orderer = deployment.fabric.shard(0).orderer
     leader = orderer.leader
     assert leader is not None
     # Cut the leader off together with nothing else: it keeps believing it is

@@ -1,8 +1,10 @@
 """Cache hit/miss + invalidation and endorsement-batcher flush semantics.
 
 These run against full deployments so the invalidation path exercises the
-real commit events (chaincode event + block delivery) rather than mocks.
+real commit events (block delivery) rather than mocks.
 """
+
+from types import SimpleNamespace
 
 import pytest
 
@@ -85,9 +87,10 @@ class TestReadCacheUnit:
         pipeline = TransactionPipeline([cache], terminal=lambda ctx: ("x", 0.1))
         pipeline.execute(read_ctx("get", args=("sensor/1",)))
         assert len(cache) == 1
+        write = SimpleNamespace(key="sensor/1")
+        transaction = SimpleNamespace(rw_set=SimpleNamespace(writes=[write]))
         bus.publish(
-            "chaincode_event:provenance_recorded",
-            {"payload": '{"key": "sensor/1"}', "tx_id": "tx-0"},
+            "block_delivered", {"block": SimpleNamespace(transactions=[transaction])}
         )
         assert len(cache) == 0
 
@@ -153,7 +156,7 @@ class TestEndorsementBatcher:
         deployment = build_desktop_deployment(seed=42)
         client = deployment.client
         client.configure_pipeline(PipelineConfig(order_batch_size=3))
-        batcher = deployment.fabric.order_batcher
+        batcher = deployment.fabric.shard(0).batcher
 
         handles = [post_inline(client, f"batch/{i}") for i in range(2)]
         assert batcher.queued == 2
@@ -170,9 +173,9 @@ class TestEndorsementBatcher:
         client.configure_pipeline(PipelineConfig(order_batch_size=10))
 
         handles = [post_inline(client, f"partial/{i}") for i in range(4)]
-        assert deployment.fabric.order_batcher.queued == 4
+        assert deployment.fabric.shard(0).batcher.queued == 4
         deployment.drain()
-        assert deployment.fabric.order_batcher.queued == 0
+        assert deployment.fabric.shard(0).batcher.queued == 0
         assert all(h.is_valid for h in handles)
 
     def test_batched_run_commits_same_records_as_unbatched(self):
@@ -195,7 +198,7 @@ class TestEndorsementBatcher:
     def test_batch_size_one_is_passthrough(self):
         deployment = build_desktop_deployment(seed=42)
         deployment.client.as_store().submit(StoreRequest(key="solo/0", data=b"x"))
-        assert deployment.fabric.order_batcher.queued == 0
+        assert deployment.fabric.shard(0).batcher.queued == 0
         deployment.drain()
         flushes = deployment.fabric.metrics.get_counter("batcher.flushes")
         assert flushes is None or flushes.value == 0
@@ -204,11 +207,11 @@ class TestEndorsementBatcher:
         deployment = build_desktop_deployment(seed=42)
         deployment.client.configure_pipeline(PipelineConfig(order_batch_size=10))
         post_inline(deployment.client, "reject/0")
-        queued_before = deployment.fabric.order_batcher.queued
+        queued_before = deployment.fabric.shard(0).batcher.queued
         with pytest.raises(Exception):
             deployment.fabric.set_order_batch_size(0)
         # The rejected reconfiguration must not have force-flushed the queue.
-        assert deployment.fabric.order_batcher.queued == queued_before
+        assert deployment.fabric.shard(0).batcher.queued == queued_before
 
     def test_closed_loop_drain_with_batch_larger_than_inflight(self):
         """Commit callbacks that submit new work must not starve the batcher.
@@ -231,4 +234,4 @@ class TestEndorsementBatcher:
         )
         assert result.submitted == 40
         assert result.committed == 40
-        assert deployment.fabric.order_batcher.queued == 0
+        assert deployment.fabric.shard(0).batcher.queued == 0

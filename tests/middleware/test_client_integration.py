@@ -82,10 +82,10 @@ class TestClientPipeline:
         client.configure_pipeline(PipelineConfig(cache=False))
         assert client.read_cache is None
         # The old cache unsubscribed from the network bus on close: no
-        # handler remains on the chaincode-event topic it invalidated on.
-        from repro.middleware.cache import PROVENANCE_RECORDED_TOPIC
+        # handler remains on the block-delivery topic it invalidated on.
+        from repro.middleware.cache import BLOCK_DELIVERED_TOPIC
 
-        assert PROVENANCE_RECORDED_TOPIC not in desktop_deployment.fabric.events.topics()
+        assert BLOCK_DELIVERED_TOPIC not in desktop_deployment.fabric.events.topics()
 
 
 class TestBaselinePipelines:
@@ -128,14 +128,17 @@ class TestBaselinePipelines:
         assert chain.verify_chain()
 
     def test_default_pipeline_preserves_legacy_behaviour(self):
-        """The deprecated blocking surface still works (and warns)."""
+        """The default (all-off) pipeline is transparent to the backend."""
         device = DeviceModel("srv", XEON_E5_1603, rng=DeterministicRandom(7))
         db = CentralProvenanceDatabase(device)
-        with pytest.warns(DeprecationWarning):
-            result = db.store_record(make_record("a"))
+        store = db.as_store()
+        record = make_record("a")
+        result = store.submit(
+            StoreRequest(key=record.key, checksum=record.checksum,
+                         location=record.location, creator=record.creator)
+        )
         assert result.latency_s > 0
         assert db.record_count == 1
         tampered = db.tamper("a", "f" * 64)
-        with pytest.warns(DeprecationWarning):
-            assert db.get("a").checksum == tampered.checksum
+        assert store.get("a").checksum == tampered.checksum
         assert db.detect_tampering() == []

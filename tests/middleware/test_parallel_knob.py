@@ -1,14 +1,15 @@
-"""``PipelineConfig.parallel``: cache invalidation under batched delivery."""
+"""Read-cache invalidation needs no knob: both commit feeds are followed."""
 
 from types import SimpleNamespace
 
+import pytest
+
+from repro.api.protocol import StoreRequest
+from repro.common.errors import ConfigurationError
 from repro.common.events import EventBus
-from repro.middleware.base import TransactionPipeline
+from repro.core.topology import build_desktop_deployment
 from repro.middleware.cache import ReadCacheMiddleware
-from repro.middleware.config import (
-    PipelineConfig,
-    build_client_middlewares,
-)
+from repro.middleware.config import PipelineConfig, build_client_pipeline
 from repro.middleware.context import Context, OperationKind
 
 
@@ -28,58 +29,45 @@ def fake_block(*keys: str) -> SimpleNamespace:
     return SimpleNamespace(transactions=[transaction], number=1)
 
 
-def prime(cache_pipeline: TransactionPipeline, key: str) -> None:
-    cache_pipeline.execute(read_ctx(key))
-
-
 class TestParallelKnob:
-    def test_round_trips_through_dict(self):
-        config = PipelineConfig(parallel=True)
-        assert PipelineConfig.from_dict(config.to_dict()).parallel is True
-        assert PipelineConfig().parallel is False
-
-    def test_batched_chaincode_events_invalidate_cache(self):
-        bus = EventBus()
-        middlewares = build_client_middlewares(
-            PipelineConfig(cache=True, parallel=True, tracing=False, metrics=False),
-            events=bus,
-        )
-        cache = next(m for m in middlewares if isinstance(m, ReadCacheMiddleware))
-        pipeline = TransactionPipeline(middlewares, terminal=lambda ctx: ("v", 0.1))
-        prime(pipeline, "k1")
-        assert len(cache) == 1
-        bus.publish_batch(
-            "chaincode_event_batch:provenance_recorded", [{"key": "k1"}]
-        )
-        assert len(cache) == 0
+    def test_parallel_key_is_rejected(self):
+        with pytest.raises(ConfigurationError, match="parallel"):
+            PipelineConfig.from_dict({"parallel": True})
+        assert "parallel" not in PipelineConfig().to_dict()
 
     def test_commit_batch_entries_invalidate_cache(self):
         bus = EventBus()
-        middlewares = build_client_middlewares(
-            PipelineConfig(cache=True, parallel=True, tracing=False, metrics=False),
+        pipeline = build_client_pipeline(
+            PipelineConfig(cache=True, tracing=False, metrics=False),
+            lambda ctx: ("v", 0.1),
             events=bus,
         )
-        cache = next(m for m in middlewares if isinstance(m, ReadCacheMiddleware))
-        pipeline = TransactionPipeline(middlewares, terminal=lambda ctx: ("v", 0.1))
-        prime(pipeline, "k2")
+        cache = pipeline.find(ReadCacheMiddleware)
+        pipeline.execute(read_ctx("k2"))
         assert len(cache) == 1
         bus.publish_batch("commit_batch", [{"block": fake_block("k2"), "shard": 0}])
         assert len(cache) == 0
 
-    def test_default_pipeline_ignores_batched_topics(self):
-        bus = EventBus()
-        middlewares = build_client_middlewares(
-            PipelineConfig(cache=True, tracing=False, metrics=False), events=bus
-        )
-        cache = next(m for m in middlewares if isinstance(m, ReadCacheMiddleware))
-        pipeline = TransactionPipeline(middlewares, terminal=lambda ctx: ("v", 0.1))
-        prime(pipeline, "k3")
-        bus.publish_batch("commit_batch", [{"block": fake_block("k3"), "shard": 0}])
-        # Not attached to the batched topic: the entry survives (and the
-        # per-block topics still invalidate as before).
-        assert len(cache) == 1
-        bus.publish("block_delivered", {"block": fake_block("k3")})
-        assert len(cache) == 0
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_default_cache_invalidated_under_both_delivery_modes(self, batched):
+        deployment = build_desktop_deployment(seed=42)
+        deployment.fabric.config.batch_commit_delivery = batched
+        client = deployment.client
+        client.configure_pipeline(PipelineConfig(cache=True))
+        store = client.as_store()
+        store.store(StoreRequest(key="hot", data=b"v1"))  # drain flushes the window
+        assert store.verify("hot", b"v1").matches
+        assert len(client.read_cache) == 1
+
+        store.submit(StoreRequest(key="hot", data=b"v2"))
+        deployment.engine.run_until_idle()  # the batch timeout cuts the block
+        assert deployment.fabric.in_flight() == 0  # committed
+        if batched:
+            # Fan-out is still buffered: the entry survives until the flush.
+            assert len(client.read_cache) == 1
+            assert deployment.fabric.flush_commit_events() == 1
+        assert len(client.read_cache) == 0
+        assert store.verify("hot", b"v2").matches
 
     def test_publish_batch_empty_is_noop(self):
         bus = EventBus()
