@@ -156,12 +156,14 @@ class HyperProvStore(_StoreBase):
             else:
                 entries.append(
                     HistoryEntryView(
-                        view=RecordView.from_record(row["record"]),
+                        view=RecordView.from_record(row["record"], stale=query.stale),
                         tx_id=row.get("tx_id"),
                         block=row.get("block"),
                     )
                 )
-        return HistoryView(key=key, entries=tuple(entries), latency_s=query.latency_s)
+        return HistoryView(
+            key=key, entries=tuple(entries), latency_s=query.latency_s, stale=query.stale
+        )
 
     def verify(
         self,
@@ -170,7 +172,9 @@ class HyperProvStore(_StoreBase):
         at_time: Optional[float] = None,
     ) -> VerifyResult:
         query = self.client._check_hash(key, data_or_checksum, at_time=at_time)
-        return VerifyResult(key=key, matches=bool(query.payload), latency_s=query.latency_s)
+        return VerifyResult(
+            key=key, matches=bool(query.payload), latency_s=query.latency_s, stale=query.stale
+        )
 
     def query(
         self,
@@ -188,13 +192,15 @@ class HyperProvStore(_StoreBase):
             explain=explain,
         )
         records = tuple(
-            RecordView.from_record(row["record"]) for row in result.payload
+            RecordView.from_record(row["record"], stale=result.stale)
+            for row in result.payload
         )
         return QueryPage(
             records=records,
             bookmark=result.bookmark,
             plan=result.plan,
             latency_s=result.latency_s,
+            stale=result.stale,
         )
 
     def subscribe(

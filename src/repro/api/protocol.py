@@ -148,6 +148,8 @@ class HistoryView:
     key: str
     entries: Tuple[HistoryEntryView, ...]
     latency_s: float = 0.0
+    #: True when served from the stale-read archive (see :class:`RecordView`).
+    stale: bool = False
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -174,6 +176,9 @@ class QueryPage:
     bookmark: Optional[str] = None
     plan: Optional[Dict[str, Any]] = None
     latency_s: float = 0.0
+    #: True when served from the stale-read archive; every record of a
+    #: stale page carries the marker too.
+    stale: bool = False
 
     def __len__(self) -> int:
         return len(self.records)
@@ -189,6 +194,9 @@ class VerifyResult:
     key: str
     matches: bool
     latency_s: float = 0.0
+    #: True when the verdict came from the stale-read archive: it compares
+    #: against the last version this client saw, not the authoritative one.
+    stale: bool = False
 
     def __bool__(self) -> bool:
         return self.matches

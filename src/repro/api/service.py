@@ -125,7 +125,7 @@ class ProvenanceSession:
             else entry
             for entry in history.entries
         )
-        return HistoryView(key=key, entries=entries, latency_s=history.latency_s)
+        return replace(history, key=key, entries=entries)
 
     def verify(
         self,

@@ -35,12 +35,13 @@ event that client applications can subscribe to.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.chaincode.records import ProvenanceRecord
-from repro.chaincode.shim import Chaincode, ChaincodeResponse, ChaincodeStub
+from repro.chaincode.shim import Candidates, Chaincode, ChaincodeResponse, ChaincodeStub
 from repro.common.caching import BoundedMemo
 from repro.common.errors import ValidationError
+from repro.ledger.transaction import ReadSetEntry
 from repro.query.planner import PATH_INDEX, build_plan, intersect_keys
 from repro.query.selectors import SELECTOR_FIELD_DEFAULTS, compile_selector
 
@@ -64,12 +65,6 @@ class HyperProvChaincode(Chaincode):
     RECORD_CACHE_MAX = 100_000
 
     def __init__(self) -> None:
-        # Rich queries parse candidate values into documents; a committed
-        # value is immutable for a given (key, version), so the parse is
-        # memoized across queries (and across the peers sharing this
-        # installed chaincode — versions are global commit coordinates,
-        # hence the same (key, version) holds the same value on any peer).
-        self._record_cache: BoundedMemo = BoundedMemo(self.RECORD_CACHE_MAX)
         # ``set`` builds the same record on every endorsing peer: the
         # invocation is deterministic given the proposal (tx_id, timestamp)
         # and the previous committed value the peer simulated against.
@@ -253,9 +248,10 @@ class HyperProvChaincode(Chaincode):
         start_key = stub.args[0] if stub.args else ""
         end_key = stub.args[1] if len(stub.args) > 1 else ""
         if len(stub.args) <= 2:
-            results = stub.get_state_by_range(start_key, end_key)
-            payload = [{"key": key, "record": value} for key, value in results]
-            return ChaincodeResponse.success(json.dumps(payload))
+            rows, _ = self._collect(
+                stub, stub.get_state_by_range(start_key, end_key), markers=True
+            )
+            return ChaincodeResponse.success(json.dumps(rows))
         try:
             limit = int(stub.args[2]) if stub.args[2] else 0
         except ValueError:
@@ -263,15 +259,9 @@ class HyperProvChaincode(Chaincode):
         if limit < 0:
             return ChaincodeResponse.error("getbyrange limit must be >= 0")
         bookmark = stub.args[3] if len(stub.args) > 3 else ""
-        records = []
-        truncated = False
-        for key, value in stub.iter_state_by_range(start_key, end_key, bookmark):
-            if key.startswith("__"):
-                continue
-            records.append({"key": key, "record": value})
-            if limit and len(records) >= limit:
-                truncated = True
-                break
+        records, truncated = self._collect(
+            stub, stub.iter_state_by_range(start_key, end_key, bookmark), limit=limit
+        )
         envelope = {
             "records": records,
             "bookmark": records[-1]["key"] if truncated else None,
@@ -369,24 +359,17 @@ class HyperProvChaincode(Chaincode):
         else:
             candidates = stub.get_state_by_range("", "")
 
-        # Compile the residual predicates once; the per-candidate loop
-        # then runs the pre-dispatched checks.  Index-served equalities
+        # Compile the residual predicates once.  Index-served equalities
         # are already guaranteed by the posting intersection.
-        residual = {name: selector[name] for name in plan.residual_fields}
-        compiled = self._compile_selector(residual)
-        matches = []
-        truncated = False
-        for key, value in candidates:
-            if key.startswith("__"):
-                continue
-            document = self._parse_record(stub, key, value)
-            if document is None:
-                continue
-            if all(check(document) for check in compiled):
-                matches.append({"key": key, "record": value})
-                if limit and len(matches) >= limit:
-                    truncated = True
-                    break
+        compiled = self._compile_selector(
+            {name: selector[name] for name in plan.residual_fields}
+        )
+        if len(compiled) == 1:
+            match = compiled[0]
+        else:
+            def match(document: Dict) -> bool:
+                return all(check(document) for check in compiled)
+        matches, truncated = self._collect(stub, candidates, match, limit)
         if not paginated:
             return ChaincodeResponse.success(json.dumps(matches))
         envelope = {
@@ -397,25 +380,45 @@ class HyperProvChaincode(Chaincode):
             envelope["plan"] = plan.explain()
         return ChaincodeResponse.success(json.dumps(envelope))
 
-    def _parse_record(
-        self, stub: ChaincodeStub, key: str, value: str
-    ) -> Optional[Dict]:
-        """Parse a candidate ledger value, memoized by (key, version)."""
-        version = stub.world_state.get_version(key)
-        cache_key = (key, version)
-        if version is not None:
-            document = self._record_cache.get(cache_key)
-            if document is not None:
-                return document
-        try:
-            document = json.loads(value)
-        except (TypeError, json.JSONDecodeError):
-            return None
-        if not isinstance(document, dict):
-            return None
-        if version is not None:
-            self._record_cache[cache_key] = document
-        return document
+    @staticmethod
+    def _collect(
+        stub: ChaincodeStub,
+        candidates: Candidates,
+        match: Optional[Callable[[Dict], bool]] = None,
+        limit: int = 0,
+        markers: bool = False,
+    ) -> Tuple[List[Dict[str, str]], bool]:
+        """The one scan loop behind ``query`` and ``getbyrange``.
+
+        Visits ``candidates`` in order and returns ``(rows, truncated)``:
+        a row per candidate that is not a ``__`` marker key (unless
+        ``markers``) and, when ``match`` is given, whose value is a JSON
+        object satisfying it; ``truncated`` when ``limit`` rows filled
+        the page.  Every visited candidate — skipped, rejected or the one
+        that filled the page — is recorded as a read, nothing after it;
+        a materialised candidate list was fetched, hence read, in full.
+        """
+        reads: List[ReadSetEntry] = []
+        visit = reads.append
+        rows: List[Dict[str, str]] = []
+        truncated = False
+        remaining = iter(candidates)
+        for key, entry in remaining:
+            visit(ReadSetEntry(key, entry.version))
+            if not markers and key.startswith("__"):
+                continue
+            if match is not None:
+                document = entry.document
+                if document is None or not match(document):
+                    continue
+            rows.append({"key": key, "record": entry.value})
+            if limit and len(rows) >= limit:
+                truncated = True
+                break
+        if truncated and isinstance(candidates, list):
+            reads.extend(ReadSetEntry(key, entry.version) for key, entry in remaining)
+        stub.rw_set.extend_reads(reads)
+        return rows, truncated
 
     #: Selector field defaults, shared with the query subsystem (kept as a
     #: class attribute for the historical surface).

@@ -73,23 +73,35 @@ class ProvenanceRecord:
 
     @classmethod
     def from_json(cls, document: str) -> "ProvenanceRecord":
-        """Parse a ledger value back into a record."""
+        """Parse a ledger value back into a record.
+
+        Raises :class:`ValidationError` for anything that is not a JSON
+        object with well-typed fields.  The parsed ``dependencies`` and
+        ``metadata`` containers are private to this call and become the
+        record's own (no second copy per decoded row).
+        """
         try:
             data = json.loads(document)
-        except (TypeError, json.JSONDecodeError) as exc:
+            if not isinstance(data, dict):
+                raise TypeError(f"expected a JSON object, got {type(data).__name__}")
+            dependencies = data.get("dependencies") or []
+            metadata = data.get("metadata") or {}
+            if not isinstance(dependencies, list) or not isinstance(metadata, dict):
+                raise TypeError("dependencies must be a list and metadata an object")
+            return cls(
+                key=data.get("key", ""),
+                checksum=data.get("checksum", ""),
+                location=data.get("location", ""),
+                creator=data.get("creator", ""),
+                organization=data.get("organization", ""),
+                certificate_fingerprint=data.get("certificate_fingerprint", ""),
+                dependencies=dependencies,
+                metadata=metadata,
+                timestamp=float(data.get("timestamp", 0.0)),
+                size_bytes=int(data.get("size_bytes", 0)),
+            )
+        except (TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
             raise ValidationError(f"malformed provenance record: {exc}") from exc
-        return cls(
-            key=data.get("key", ""),
-            checksum=data.get("checksum", ""),
-            location=data.get("location", ""),
-            creator=data.get("creator", ""),
-            organization=data.get("organization", ""),
-            certificate_fingerprint=data.get("certificate_fingerprint", ""),
-            dependencies=list(data.get("dependencies", [])),
-            metadata=dict(data.get("metadata", {})),
-            timestamp=float(data.get("timestamp", 0.0)),
-            size_bytes=int(data.get("size_bytes", 0)),
-        )
 
     def matches_checksum(self, checksum: str) -> bool:
         """Whether ``checksum`` equals this record's checksum."""

@@ -12,13 +12,16 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.common.errors import ChaincodeError
 from repro.crypto.certificates import Certificate
 from repro.ledger.history import HistoryDatabase, HistoryEntry
 from repro.ledger.transaction import ReadWriteSet
-from repro.ledger.world_state import WorldState
+from repro.ledger.world_state import VersionedValue, WorldState
+
+#: What a scan hands the chaincode: ``(key, committed entry)`` in key order.
+Candidates = Iterable[Tuple[str, VersionedValue]]
 
 
 @dataclass
@@ -89,78 +92,54 @@ class ChaincodeStub:
         self._pending_writes[key] = None
         self.rw_set.add_write(key, None, is_delete=True)
 
-    def get_state_by_range(self, start_key: str, end_key: str) -> List[Tuple[str, str]]:
-        """Committed key range query (``end_key`` empty = to the end)."""
+    # Scans.  Every form charges exactly **one** state operation — a query
+    # keeps the same virtual-time cost whichever access path serves it —
+    # and hands back ``(key, VersionedValue)`` candidates in key order.
+    # Recording the reads is the consumer's half of the contract: it
+    # passes one ``ReadSetEntry`` per candidate it visited to
+    # ``rw_set.extend_reads`` in a single call once its loop is over.
+    def get_state_by_range(self, start_key: str, end_key: str) -> Candidates:
+        """Committed key range (``end_key`` empty = to the end), materialised."""
         self.state_operations += 1
-        entries = self.world_state.range_query_versioned(start_key, end_key)
-        self.rw_set.extend_reads([(key, entry.version) for key, entry in entries])
-        return [(key, entry.value) for key, entry in entries]
+        return self.world_state.range_query_versioned(start_key, end_key)
 
-    def get_state_by_prefix(self, prefix: str) -> List[Tuple[str, str]]:
-        """Committed keys starting with ``prefix`` (composite-key lookups).
+    def get_state_by_prefix(self, prefix: str) -> Candidates:
+        """Committed keys starting with ``prefix``, materialised.
 
         Served from the world state's prefix index, so a prefix-scoped
         rich query only reads its candidate keys instead of the whole key
         space.
         """
         self.state_operations += 1
-        entries = self.world_state.query_by_prefix_versioned(prefix)
-        self.rw_set.extend_reads([(key, entry.version) for key, entry in entries])
-        return [(key, entry.value) for key, entry in entries]
+        return self.world_state.query_by_prefix_versioned(prefix)
 
-    def get_state_by_keys(self, keys: List[str]) -> List[Tuple[str, str]]:
-        """Committed values for an explicit candidate key list.
+    def get_state_by_keys(self, keys: List[str]) -> Candidates:
+        """Committed entries for an explicit candidate key list.
 
         The index-path read: the planner hands over the (sorted) keys
-        surviving a posting-list intersection and this fetches them in one
-        shim call.  Like the range/prefix scans it costs exactly **one**
-        state operation and records a read per returned key — a query
-        keeps the same virtual-time cost whichever access path serves it.
-        Missing keys (deleted since indexing) are skipped.
+        surviving a posting-list intersection.  Missing keys (deleted
+        since indexing) are skipped.
         """
         self.state_operations += 1
-        results: List[Tuple[str, str]] = []
-        reads: List[Tuple[str, object]] = []
-        world_state = self.world_state
-        for key in keys:
-            entry = world_state.get(key)
-            if entry is None:
-                continue
-            reads.append((key, entry.version))
-            results.append((key, entry.value))
-        self.rw_set.extend_reads(reads)
-        return results
+        get = self.world_state.get
+        return [(key, entry) for key, entry in zip(keys, map(get, keys)) if entry is not None]
 
-    def iter_state_by_prefix(
-        self, prefix: str, start_after: str = ""
-    ) -> Iterator[Tuple[str, str]]:
+    def iter_state_by_prefix(self, prefix: str, start_after: str = "") -> Candidates:
         """Lazy prefix scan, optionally resuming strictly after a bookmark.
 
-        The paginated counterpart of :meth:`get_state_by_prefix`: yields
-        ``(key, value)`` in key order without materialising the whole
-        run, so a bookmark+limit page only touches the rows it returns.
-        An empty ``prefix`` walks the full key space (the paginated form
-        of ``get_state_by_range("", "")``).  One state operation charged
-        up front, reads recorded as rows are consumed.
+        The paginated counterpart of :meth:`get_state_by_prefix`: a
+        bookmark+limit page only touches the rows it visits.  An empty
+        ``prefix`` walks the full key space.
         """
         self.state_operations += 1
-        return self._record_reads(
-            self.world_state.iter_by_prefix_versioned(prefix, start_after)
-        )
+        return self.world_state.iter_by_prefix_versioned(prefix, start_after)
 
     def iter_state_by_range(
         self, start_key: str, end_key: str, start_after: str = ""
-    ) -> Iterator[Tuple[str, str]]:
+    ) -> Candidates:
         """Lazy range scan, optionally resuming strictly after a bookmark."""
         self.state_operations += 1
-        return self._record_reads(
-            self.world_state.iter_by_range_versioned(start_key, end_key, start_after)
-        )
-
-    def _record_reads(self, entries) -> Iterator[Tuple[str, str]]:
-        for key, entry in entries:
-            self.rw_set.add_read(key, entry.version)
-            yield key, entry.value
+        return self.world_state.iter_by_range_versioned(start_key, end_key, start_after)
 
     def get_history_for_key(self, key: str) -> List[HistoryEntry]:
         """Every committed modification of ``key``, oldest first."""

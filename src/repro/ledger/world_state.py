@@ -16,9 +16,9 @@ key space.
 
 from __future__ import annotations
 
+import json
 from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Protocol, Set, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Protocol, Set, Tuple
 
 from repro.ledger.transaction import Version
 
@@ -27,90 +27,95 @@ from repro.ledger.transaction import Version
 _COMPACT_MIN_TOMBSTONES = 16
 
 
-@dataclass(frozen=True)
 class VersionedValue:
-    """A committed value together with the version that wrote it."""
+    """A committed value together with the version that wrote it.
+
+    Immutable.  ``document`` is the value parsed as a JSON object
+    (``None`` when it is anything else) — what rich queries match
+    against.  It is filled on first access and kept on the entry, so a
+    committed version is parsed at most once per peer and a workload that
+    never scans never parses.
+    """
+
+    __slots__ = ("value", "version", "document")
 
     value: str
     version: Version
+    document: Optional[Dict[str, Any]]
+
+    def __init__(self, value: str, version: Version) -> None:
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "version", version)
+
+    def __getattr__(self, name: str) -> Optional[Dict[str, Any]]:
+        # Reached only while the ``document`` slot is still empty: a filled
+        # slot is a plain attribute read, with no call on the scan path.
+        if name != "document":
+            raise AttributeError(name)
+        try:
+            document = json.loads(self.value)
+        except (TypeError, ValueError):
+            document = None
+        if not isinstance(document, dict):
+            document = None
+        object.__setattr__(self, "document", document)
+        return document
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"VersionedValue is immutable; cannot assign {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, VersionedValue):
+            return NotImplemented
+        return self.value == other.value and self.version == other.version
+
+    def __hash__(self) -> int:
+        return hash((self.value, self.version))
+
+    def __repr__(self) -> str:
+        return f"VersionedValue(value={self.value!r}, version={self.version!r})"
 
 
 class _SortedKeyIndex:
     """A sorted key list maintained incrementally with lazy deletions.
 
     Inserts use ``insort`` (O(log n) search + memmove); deletions only
-    record a tombstone, and scans skip dead entries until a compaction
-    rebuilds the list.  Re-inserting a tombstoned key simply clears the
-    tombstone, so the list never holds duplicates.
+    record a tombstone until a compaction rebuilds the list.  Re-inserting
+    a tombstoned key simply clears the tombstone, so the list never holds
+    duplicates.  :class:`WorldState` walks ``keys`` directly and skips a
+    tombstoned key by its missing entry.
     """
 
     def __init__(self) -> None:
-        self._keys: List[str] = []
+        self.keys: List[str] = []
         self._dead: Set[str] = set()
 
     def __len__(self) -> int:
-        return len(self._keys) - len(self._dead)
+        return len(self.keys) - len(self._dead)
 
     def add(self, key: str) -> None:
         if key in self._dead:
             self._dead.discard(key)
             return
-        insort(self._keys, key)
+        insort(self.keys, key)
 
     def discard(self, key: str) -> None:
         self._dead.add(key)
         if len(self._dead) >= _COMPACT_MIN_TOMBSTONES and \
-                len(self._dead) * 2 >= len(self._keys):
+                len(self._dead) * 2 >= len(self.keys):
             self.compact()
 
     def compact(self) -> None:
         """Drop tombstoned entries from the sorted list.
 
         Rebinds (never mutates) both the key list and the tombstone set:
-        in-flight scans hold references to the old objects and keep
+        in-flight scans hold a reference to the old list and keep
         iterating a consistent snapshot.
         """
         if self._dead:
             dead = self._dead
-            self._keys = [key for key in self._keys if key not in dead]
+            self.keys = [key for key in self.keys if key not in dead]
             self._dead = set()
-
-    def scan(self, start_key: str = "", end_key: str = "") -> Iterator[str]:
-        """Live keys with ``start_key <= key`` and (if set) ``key < end_key``.
-
-        Iterates a stable snapshot: deletions during iteration hide keys
-        not yet yielded, and a concurrent compaction cannot shift
-        positions under the scan (see :meth:`compact`).
-        """
-        keys = self._keys
-        dead = self._dead
-        index = bisect_left(keys, start_key) if start_key else 0
-        for position in range(index, len(keys)):
-            key = keys[position]
-            if end_key and key >= end_key:
-                return
-            if key not in dead:
-                yield key
-
-    def scan_prefix(self, prefix: str, start_after: str = "") -> Iterator[str]:
-        """Live keys starting with ``prefix`` (a contiguous sorted run).
-
-        ``start_after`` resumes a paginated scan strictly *after* the
-        given key — the bookmark contract: pages never overlap even when
-        the bookmark key itself was deleted between pages.
-        """
-        keys = self._keys
-        dead = self._dead
-        if start_after and start_after >= prefix:
-            index = bisect_right(keys, start_after)
-        else:
-            index = bisect_left(keys, prefix) if prefix else 0
-        for position in range(index, len(keys)):
-            key = keys[position]
-            if prefix and not key.startswith(prefix):
-                return
-            if key not in dead:
-                yield key
 
 
 class SecondaryIndex(Protocol):
@@ -214,14 +219,10 @@ class WorldState:
         return len(self._data)
 
     def keys(self) -> List[str]:
-        return list(self._index.scan())
+        return [key for key, _entry in self.items()]
 
     def items(self) -> Iterator[Tuple[str, VersionedValue]]:
-        data = self._data
-        for key in self._index.scan():
-            entry = data.get(key)
-            if entry is not None:  # deleted while iterating
-                yield key, entry
+        return self._range("", "")
 
     def range_query(self, start_key: str, end_key: str) -> List[Tuple[str, str]]:
         """All ``(key, value)`` pairs with ``start_key <= key < end_key``.
@@ -230,21 +231,15 @@ class WorldState:
         Fabric's ``GetStateByRange`` semantics.
         """
         return [
-            (key, self._data[key].value)
-            for key in self._index.scan(start_key, end_key)
+            (key, entry.value)
+            for key, entry in self._range(start_key, end_key)
         ]
 
     def range_query_versioned(
         self, start_key: str, end_key: str
     ) -> List[Tuple[str, VersionedValue]]:
-        """Range query returning the full versioned entries in one pass.
-
-        The shim records a read (key + version) for every returned pair;
-        fetching the :class:`VersionedValue` directly avoids a second
-        per-key lookup for the version.
-        """
-        data = self._data
-        return [(key, data[key]) for key in self._index.scan(start_key, end_key)]
+        """Range query returning the full versioned entries in one pass."""
+        return list(self._range(start_key, end_key))
 
     def query_by_prefix(self, prefix: str) -> List[Tuple[str, str]]:
         """All pairs whose key starts with ``prefix`` (composite-key lookups).
@@ -253,25 +248,13 @@ class WorldState:
         contained in a single first-segment bucket, otherwise from the
         main sorted index (same complexity, larger constant).
         """
-        return [
-            (key, entry.value)
-            for key, entry in self.query_by_prefix_versioned(prefix)
-        ]
+        return [(key, entry.value) for key, entry in self._prefix_run(prefix)]
 
     def query_by_prefix_versioned(
         self, prefix: str
     ) -> List[Tuple[str, VersionedValue]]:
         """Prefix query returning the full versioned entries in one pass."""
-        index: _SortedKeyIndex = self._index
-        if self._buckets is not None and prefix:
-            segment, separator, _rest = prefix.partition(self.PREFIX_SEPARATOR)
-            if separator:  # the prefix names one complete bucket
-                bucket = self._buckets.get(segment)
-                if bucket is None:
-                    return []
-                index = bucket
-        data = self._data
-        return [(key, data[key]) for key in index.scan_prefix(prefix)]
+        return list(self._prefix_run(prefix))
 
     def prefix_key_estimate(self, prefix: str) -> int:
         """Cheap upper bound on the keys under ``prefix``.
@@ -280,27 +263,29 @@ class WorldState:
         single first-segment bucket, the full key count otherwise.  O(1),
         never scans.
         """
+        bucket = self._bucket_of_prefix(prefix)
+        if bucket is self._index:
+            return len(self._data)
+        return len(bucket) if bucket is not None else 0
+
+    def _bucket_of_prefix(self, prefix: str) -> Optional[_SortedKeyIndex]:
+        """The smallest index holding every key under ``prefix``.
+
+        The first-segment bucket when the prefix names one complete
+        bucket (``None`` if no key ever landed there), the main index
+        otherwise.
+        """
         if self._buckets is not None and prefix:
             segment, separator, _rest = prefix.partition(self.PREFIX_SEPARATOR)
             if separator:
-                bucket = self._buckets.get(segment)
-                return len(bucket) if bucket is not None else 0
-        return len(self._data)
+                return self._buckets.get(segment)
+        return self._index
 
     def iter_by_range_versioned(
         self, start_key: str, end_key: str, start_after: str = ""
     ) -> Iterator[Tuple[str, VersionedValue]]:
         """Lazy range scan, optionally resuming strictly after a bookmark."""
-        effective_start = start_key
-        if start_after and start_after >= start_key:
-            effective_start = start_after
-        data = self._data
-        for key in self._index.scan(effective_start, end_key):
-            if start_after and key <= start_after:
-                continue
-            entry = data.get(key)
-            if entry is not None:  # deleted while iterating
-                yield key, entry
+        return self._range(start_key, end_key, start_after)
 
     def iter_by_prefix_versioned(
         self, prefix: str, start_after: str = ""
@@ -313,18 +298,45 @@ class WorldState:
         first page of *k* rows touches O(log n + k) work instead of the
         whole prefix run.
         """
-        index: _SortedKeyIndex = self._index
-        if self._buckets is not None and prefix:
-            segment, separator, _rest = prefix.partition(self.PREFIX_SEPARATOR)
-            if separator:  # the prefix names one complete bucket
-                bucket = self._buckets.get(segment)
-                if bucket is None:
-                    return
-                index = bucket
-        data = self._data
-        for key in index.scan_prefix(prefix, start_after):
-            entry = data.get(key)
-            if entry is not None:  # deleted while iterating
+        return self._prefix_run(prefix, start_after)
+
+    # Every scan above is one generator: a visited row crosses one frame.
+    def _range(
+        self, start_key: str, end_key: str, start_after: str = ""
+    ) -> Iterator[Tuple[str, VersionedValue]]:
+        return self._walk(self._index.keys, start_key, start_after, end_key, "")
+
+    def _prefix_run(
+        self, prefix: str, start_after: str = ""
+    ) -> Iterator[Tuple[str, VersionedValue]]:
+        bucket = self._bucket_of_prefix(prefix)
+        keys = bucket.keys if bucket is not None else []
+        return self._walk(keys, prefix, start_after, "", prefix)
+
+    def _walk(
+        self, keys: List[str], lower: str, start_after: str, end_key: str, prefix: str
+    ) -> Iterator[Tuple[str, VersionedValue]]:
+        """Live entries with ``lower <= key < end_key`` sharing ``prefix``.
+
+        ``start_after`` resumes strictly *after* the given key — the
+        bookmark contract: pages never overlap even when the bookmark key
+        itself was deleted between pages.  Iterates a stable snapshot:
+        a compaction never mutates ``keys`` (see
+        :meth:`_SortedKeyIndex.compact`), and a key deleted before the
+        walk reaches it has no entry and is skipped.
+        """
+        if start_after and start_after >= lower:
+            start = bisect_right(keys, start_after)
+        else:
+            start = bisect_left(keys, lower)
+        stop = bisect_left(keys, end_key) if end_key else len(keys)
+        get = self._data.get
+        for position in range(start, stop):
+            key = keys[position]
+            if not key.startswith(prefix):
+                return
+            entry = get(key)
+            if entry is not None:
                 yield key, entry
 
     def snapshot(self) -> Dict[str, str]:

@@ -222,6 +222,33 @@ def test_checkhash_matches_and_mismatches(creator_cert):
     assert json.loads(bad.payload)["matches"] is False
 
 
+@pytest.mark.parametrize("value", [
+    "[1]", "3", "null", '{"timestamp": "x"}', "not json",
+    '{"dependencies": 5}', '{"metadata": [1]}',
+])
+def test_from_json_rejects_every_non_record_with_validation_error(value):
+    with pytest.raises(ValidationError, match="malformed provenance record"):
+        ProvenanceRecord.from_json(value)
+
+
+@pytest.mark.parametrize("value", ["[1]", "3", "null", '{"timestamp": "x"}'])
+def test_checkhash_on_a_garbage_ledger_value_is_an_error_response_not_a_crash(value):
+    state = committed_state_with("k", value)
+    response = HyperProvChaincode().invoke(
+        make_stub("checkhash", ["k", checksum_of(b"x")], world_state=state)
+    )
+    assert not response.is_ok and "malformed provenance record" in response.message
+
+
+@pytest.mark.parametrize("value", ["[1]", "3", "null"])
+def test_scan_path_and_from_json_agree_that_a_non_object_is_not_a_record(value):
+    state = committed_state_with("k", value)
+    rows = HyperProvChaincode().invoke(
+        make_stub("query", [json.dumps({"_prefix": "k"})], world_state=state)
+    )
+    assert json.loads(rows.payload) == []
+
+
 def test_getkeyhistory_returns_all_versions(creator_cert):
     chaincode = HyperProvChaincode()
     history = HistoryDatabase()

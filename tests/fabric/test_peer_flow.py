@@ -1,12 +1,15 @@
 """Tests for peers (endorse/validate/commit) and the Fabric network flow."""
 
+import json
+
 import pytest
 
 from repro.chaincode.hyperprov import HyperProvChaincode
 from repro.chaincode.records import ProvenanceRecord
 from repro.common.errors import EndorsementError
 from repro.api.protocol import StoreRequest
-from repro.common.hashing import checksum_of
+from repro.common.hashing import checksum_of, sha256_hex
+from repro.common.serialization import canonical_json
 from repro.consensus.batching import BatchConfig
 from repro.core.topology import build_desktop_deployment
 from repro.fabric.gossip import GossipDisseminator
@@ -40,6 +43,34 @@ def test_peer_endorses_valid_set_proposal(single_peer, organizations):
     assert response.endorsement.organization == "org1"
     assert finished_at > 0.0
     assert response.rw_set.writes[0].key == "k"
+
+
+def test_large_scan_response_is_signed_over_the_read_set_digest(single_peer, organizations, msp):
+    """A 500-row query is endorsed like any other proposal: the signature
+    covers the digest of the full read set and verifies against the MSP."""
+    for index in range(500):
+        key = f"scan/{index:04d}"
+        record = ProvenanceRecord(
+            key=key, checksum=checksum_of(key.encode()), location=f"ssh://s/{key}",
+            creator='cam "7"\\é', organization="org1", certificate_fingerprint="fp",
+            metadata={"hot": index % 16 == 0},
+        )
+        single_peer.world_state.put(key, record.to_json(), (index // 10, index % 10))
+    client = organizations[0].enroll("client1", role="client")
+    proposal = make_proposal(
+        client, "query", ['{"_limit": 50, "_prefix": "scan/", "metadata.hot": true}']
+    )
+    response, _ = single_peer.query(proposal, at_time=0.0)
+    assert response.is_ok and len(json.loads(response.payload)["records"]) == 32
+    assert len(response.rw_set.reads) == 500
+    endorsement = response.endorsement
+    assert endorsement is not None
+    digest = response.rw_set.digest()
+    assert digest == sha256_hex(canonical_json(response.rw_set.to_dict()))
+    assert endorsement.response_digest == digest
+    assert msp.verify_signature(
+        endorsement.certificate, digest.encode("ascii"), endorsement.signature
+    )
 
 
 def test_peer_rejects_bad_client_signature(single_peer, organizations):

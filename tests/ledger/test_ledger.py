@@ -7,7 +7,7 @@ from repro.ledger.block import Block
 from repro.ledger.blockchain import BlockStore, GENESIS_PREVIOUS_HASH
 from repro.ledger.history import HistoryDatabase
 from repro.ledger.transaction import ReadWriteSet, Transaction, TxValidationCode
-from repro.ledger.world_state import WorldState
+from repro.ledger.world_state import VersionedValue, WorldState
 
 
 def make_tx(tx_id: str, key: str = "k", value: str = "v", read_version=None) -> Transaction:
@@ -186,6 +186,30 @@ def test_world_state_put_get_with_versions():
     assert state.get_version("k") == (0, 0)
     state.put("k", "v2", (1, 3))
     assert state.get_version("k") == (1, 3)
+
+
+def test_versioned_value_is_immutable_and_value_compared():
+    entry = VersionedValue("v", (1, 2))
+    for name in ("value", "version", "document", "other"):
+        with pytest.raises(AttributeError):
+            setattr(entry, name, "x")
+    assert entry == VersionedValue(value="v", version=(1, 2))
+    assert entry != VersionedValue("v", (1, 3))
+    assert hash(entry) == hash(VersionedValue("v", (1, 2)))
+    with pytest.raises(AttributeError):
+        entry.missing
+
+
+@pytest.mark.parametrize("value", ["[1]", "3", "null", '"text"', "not json", ""])
+def test_versioned_value_document_is_none_for_non_object_values(value):
+    assert VersionedValue(value, (0, 0)).document is None
+
+
+def test_versioned_value_parses_its_document_once_and_keeps_it():
+    entry = VersionedValue('{"creator": "cam", "metadata": {"hot": true}}', (0, 0))
+    document = entry.document
+    assert document == {"creator": "cam", "metadata": {"hot": True}}
+    assert entry.document is document
 
 
 def test_world_state_delete():

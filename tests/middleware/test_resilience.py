@@ -2,12 +2,18 @@
 
 import pytest
 
+from repro.api.protocol import StoreRequest
 from repro.common.errors import (
     CircuitOpenError,
     ConfigurationError,
     DeadlineExceededError,
     NetworkError,
 )
+from repro.common.hashing import checksum_of
+from repro.consensus.batching import BatchConfig
+from repro.core.topology import DeploymentSpec, build_deployment
+from repro.devices.profiles import DESKTOP_PROFILES, XEON_E5_1603
+from repro.faults import FaultInjector, FaultPlan, PartitionFault
 from repro.ledger.transaction import TxValidationCode
 from repro.middleware.config import PipelineConfig
 from repro.middleware.context import Context, OperationKind
@@ -253,3 +259,62 @@ class TestConfigWiring:
     def test_stale_reads_require_the_cache(self):
         with pytest.raises(ConfigurationError, match="stale_reads needs cache"):
             PipelineConfig(stale_reads=True)
+
+
+# ------------------------------------------------------- stale-read markers
+class TestStaleReadMarkers:
+    """The stale archive answers every read operator, so every one of
+    them must carry the marker: never silently fresh."""
+
+    def test_all_four_read_operators_mark_archive_answers_stale(self):
+        deployment = build_deployment(
+            DeploymentSpec(
+                name="stale-markers",
+                peer_profiles=DESKTOP_PROFILES,
+                orderer_profile=XEON_E5_1603,
+                storage_profile=XEON_E5_1603,
+                client_profile=DESKTOP_PROFILES[2],
+                client_colocated_with=None,  # the partition isolates the client alone
+                batch_config=BatchConfig(max_message_count=1),
+                seed=5,
+            )
+        )
+        deployment.client.configure_pipeline(PipelineConfig(cache=True, stale_reads=True))
+        store = deployment.client.as_store()
+        engine = deployment.engine
+        v1, v2 = checksum_of(b"v1"), checksum_of(b"v2")
+        selector = {"_prefix": "sensor/"}
+        answers = {}
+
+        def submit(checksum):
+            store.submit(StoreRequest(key="sensor/a", checksum=checksum, location="edge://a"))
+
+        def read_all(tag):
+            answers[tag] = (
+                store.get("sensor/a"),
+                store.history("sensor/a"),
+                store.verify("sensor/a", v1),
+                store.query(selector),
+            )
+
+        engine.schedule_at(1.0, lambda: submit(v1))
+        engine.schedule_at(3.0, lambda: read_all("prime"))
+        engine.schedule_at(3.5, lambda: submit(v2))
+        FaultInjector(
+            FaultPlan(seed=5, faults=(PartitionFault(4.0, 7.0, (("client",),)),)),
+            deployment.fabric,
+        ).install()
+        engine.schedule_at(5.0, lambda: read_all("during"))
+        engine.schedule_at(9.0, lambda: read_all("after"))
+        deployment.fabric.flush_and_drain()
+
+        for tag, stale in (("prime", False), ("during", True), ("after", False)):
+            view, history, verdict, page = answers[tag]
+            assert [view.stale, history.stale, verdict.stale, page.stale] == [stale] * 4, tag
+            assert all(record.stale is stale for record in page.records), tag
+            assert all(record.stale is stale for record in history.records), tag
+        # The archive still vouches for v1 mid-partition — which is exactly
+        # why the verdict must say where it came from.
+        assert answers["during"][2].matches and not answers["after"][2].matches
+        assert answers["during"][3].records[0].checksum == v1
+        assert answers["after"][3].records[0].checksum == v2

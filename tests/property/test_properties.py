@@ -4,12 +4,12 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from repro.common.hashing import HashChain, checksum_of
+from repro.common.hashing import HashChain, checksum_of, sha256_hex
 from repro.common.serialization import canonical_json, from_canonical_json
 from repro.crypto.merkle import MerkleTree
 from repro.ledger.block import Block
 from repro.ledger.blockchain import BlockStore
-from repro.ledger.transaction import ReadWriteSet, Transaction
+from repro.ledger.transaction import ReadSetEntry, ReadWriteSet, Transaction
 from repro.ledger.world_state import WorldState
 from repro.membership.policies import OutOfPolicy, SignaturePolicy
 from repro.simulation.resources import SimResource
@@ -158,3 +158,33 @@ def test_checksum_equality_iff_payload_equality(a, b):
         assert checksum_of(a) == checksum_of(b)
     else:
         assert checksum_of(a) != checksum_of(b)
+
+
+# ---------------------------------------------------------------- rw-set digest
+#: Quotes, backslashes, control characters, non-ASCII and astral code points.
+awkward_text = st.text(
+    alphabet=st.one_of(
+        st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "/", "é", "ø", "\u2028", "😀"]),
+        st.characters(blacklist_categories=("Cs",)),
+    ),
+    max_size=12,
+)
+versions = st.one_of(
+    st.none(), st.tuples(st.integers(0, 10**9), st.integers(0, 10**6))
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(awkward_text, versions), max_size=600),
+    st.lists(st.tuples(awkward_text, st.one_of(st.none(), awkward_text), st.booleans()), max_size=5),
+)
+def test_rw_set_digest_equals_canonical_json_of_to_dict(reads, writes):
+    """The direct encoder must stay byte-for-byte the reference encoding
+    (what every endorser signs and every validator recomputes)."""
+    rw_set = ReadWriteSet()
+    rw_set.extend_reads([ReadSetEntry(key, version) for key, version in reads])
+    for key, value, is_delete in writes:
+        rw_set.add_write(key, value, is_delete=is_delete)
+    assert rw_set.canonical_bytes() == canonical_json(rw_set.to_dict())
+    assert rw_set.digest() == sha256_hex(canonical_json(rw_set.to_dict()))

@@ -11,6 +11,10 @@ assert, for randomized selectors:
 * both agree with a trivially correct oracle that re-scans every document
   per query with independently re-implemented match semantics;
 * paginated walks concatenate to exactly the unpaginated answer;
+* both paths cost one state operation and record reads in key order with
+  the committed versions; a scan reads every live row of its scope up to
+  the one that fills the page, the index path every candidate key it
+  fetched — a subset of what the scan reads that covers every returned row;
 * over a run, the planner genuinely exercises more than one access path
   (otherwise the equivalence claim is vacuous).
 """
@@ -101,21 +105,47 @@ def _oracle_query(documents: dict, selector: dict) -> list:
     return rows
 
 
-def _query(state: WorldState, selector: dict):
-    response = HyperProvChaincode().invoke(
-        ChaincodeStub(
-            tx_id="tx-q",
-            channel="ch",
-            function="query",
-            args=[json.dumps(selector, sort_keys=True)],
-            world_state=state,
-            history=HistoryDatabase(),
-            creator=None,
-            timestamp=1.0,
-        )
+def _query_with_reads(state: WorldState, selector: dict):
+    stub = ChaincodeStub(
+        tx_id="tx-q",
+        channel="ch",
+        function="query",
+        args=[json.dumps(selector, sort_keys=True)],
+        world_state=state,
+        history=HistoryDatabase(),
+        creator=None,
+        timestamp=1.0,
     )
+    response = HyperProvChaincode().invoke(stub)
     assert response.is_ok, response.payload
-    return response.payload
+    assert stub.state_operations == 1
+    reads = [(entry.key, entry.version) for entry in stub.rw_set.reads]
+    # Key order, no duplicates, and the version each row is committed at.
+    assert [key for key, _ in reads] == sorted({key for key, _ in reads})
+    assert all(version == state.get_version(key) for key, version in reads)
+    return response.payload, reads
+
+
+def _query(state: WorldState, selector: dict):
+    return _query_with_reads(state, selector)[0]
+
+
+def _assert_read_sets_agree(documents, selector, returned, truncated,
+                            index_reads, scan_reads, bookmark=""):
+    """What the two access paths promise about reads (see module docstring)."""
+    scope = [
+        key for key in sorted(documents)
+        if key.startswith(selector.get("_prefix", "")) and key > bookmark
+    ]
+    scan_keys = [key for key, _ in scan_reads]
+    # A scan reads its scope in order and stops at the row filling the page.
+    stop = scope.index(returned[-1]) + 1 if truncated else len(scope)
+    assert scan_keys == scope[:stop]
+    # The index path reads candidates only; every returned row is among them.
+    assert all(key in scope for key, _ in index_reads)
+    assert set(returned) <= {key for key, _ in index_reads}
+    if not truncated:
+        assert set(index_reads) <= set(scan_reads)
 
 
 @pytest.mark.parametrize("seed", [1, 7, 42, 1337])
@@ -130,12 +160,15 @@ def test_planner_paths_match_the_naive_full_scan_oracle(seed):
     def check_equivalence():
         for _ in range(4):
             selector = _random_selector(rng)
-            with_index = _query(indexed, selector)
-            without = _query(plain, selector)
+            with_index, index_reads = _query_with_reads(indexed, selector)
+            without, scan_reads = _query_with_reads(plain, selector)
             # Access path must never change the response bytes.
             assert with_index == without
             keys = [row["key"] for row in json.loads(without)]
             assert keys == _oracle_query(documents, selector)
+            _assert_read_sets_agree(
+                documents, selector, keys, False, index_reads, scan_reads
+            )
             # Record which path the planner actually chose.
             explained = json.loads(
                 _query(indexed, {**selector, "_explain": True})
@@ -149,10 +182,16 @@ def test_planner_paths_match_the_naive_full_scan_oracle(seed):
             request = {**selector, "_limit": 3}
             if bookmark:
                 request["_bookmark"] = bookmark
-            with_index = _query(indexed, request)
-            assert with_index == _query(plain, request)
+            with_index, index_reads = _query_with_reads(indexed, request)
+            without, scan_reads = _query_with_reads(plain, request)
+            assert with_index == without
             envelope = json.loads(with_index)
-            collected.extend(row["key"] for row in envelope["records"])
+            page = [row["key"] for row in envelope["records"]]
+            _assert_read_sets_agree(
+                documents, selector, page, envelope["bookmark"] is not None,
+                index_reads, scan_reads, bookmark,
+            )
+            collected.extend(page)
             if not envelope["bookmark"]:
                 break
             bookmark = envelope["bookmark"]
