@@ -39,7 +39,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.chaincode.records import ProvenanceRecord
 from repro.chaincode.shim import Candidates, Chaincode, ChaincodeResponse, ChaincodeStub
-from repro.common.caching import BoundedMemo
 from repro.common.errors import ValidationError
 from repro.ledger.transaction import ReadSetEntry
 from repro.query.planner import PATH_INDEX, build_plan, intersect_keys
@@ -60,22 +59,6 @@ class HyperProvChaincode(Chaincode):
 
     #: Name of the chaincode event emitted on every successful ``set``.
     RECORD_EVENT = "provenance_recorded"
-
-    #: Size cap shared by the per-instance memo caches below.
-    RECORD_CACHE_MAX = 100_000
-
-    def __init__(self) -> None:
-        # ``set`` builds the same record on every endorsing peer: the
-        # invocation is deterministic given the proposal (tx_id, timestamp)
-        # and the previous committed value the peer simulated against.
-        # Memoize the serialized record/event under exactly those inputs so
-        # the n-th endorser skips re-validating and re-serializing an
-        # identical record (the simulation itself — reads, writes, ACL
-        # checks — still runs).
-        self._set_cache: BoundedMemo = BoundedMemo(self.RECORD_CACHE_MAX)
-        # Parsed ``set`` arguments (dependencies/metadata JSON) by tx_id:
-        # every endorsing peer receives the identical proposal args.
-        self._args_cache: BoundedMemo = BoundedMemo(self.RECORD_CACHE_MAX)
 
     # ------------------------------------------------------------------ init
     def init(self, stub: ChaincodeStub) -> ChaincodeResponse:
@@ -121,22 +104,15 @@ class HyperProvChaincode(Chaincode):
         key = stub.args[0]
         checksum = stub.args[1]
         location = stub.args[2]
-        parsed_args = self._args_cache.get(stub.tx_id)
-        if parsed_args is None:
-            dependencies: List[str] = []
-            metadata = {}
-            size_bytes = 0
-            if len(stub.args) > 3 and stub.args[3]:
-                dependencies = json.loads(stub.args[3])
-            if len(stub.args) > 4 and stub.args[4]:
-                metadata = json.loads(stub.args[4])
-            if len(stub.args) > 5 and stub.args[5]:
-                size_bytes = int(stub.args[5])
-            self._args_cache[stub.tx_id] = (dependencies, metadata, size_bytes)
-        else:
-            # Shared read-only across this tx's endorsers; ``metadata`` is
-            # copied below before the one place that mutates it.
-            dependencies, metadata, size_bytes = parsed_args
+        dependencies: List[str] = []
+        metadata = {}
+        size_bytes = 0
+        if len(stub.args) > 3 and stub.args[3]:
+            dependencies = json.loads(stub.args[3])
+        if len(stub.args) > 4 and stub.args[4]:
+            metadata = json.loads(stub.args[4])
+        if len(stub.args) > 5 and stub.args[5]:
+            size_bytes = int(stub.args[5])
 
         creator = stub.get_creator()
         if creator is None:
@@ -155,7 +131,6 @@ class HyperProvChaincode(Chaincode):
                     f"key {key!r} is owned by organization "
                     f"{previous.organization!r}; {creator.organization!r} may not update it"
                 )
-            metadata = dict(metadata)
             metadata.setdefault("previous_checksum", previous.checksum)
 
         # Dependencies must already exist on chain — lineage cannot point at
@@ -167,31 +142,23 @@ class HyperProvChaincode(Chaincode):
                     f"dependency {dependency!r} is not recorded on the ledger"
                 )
 
-        # The timestamp is part of the key: a retried submission reuses its
-        # tx_id but carries the retry attempt's proposal timestamp, and the
-        # memoized record must reflect the attempt actually endorsed.
-        cache_key = (stub.tx_id, stub.get_tx_timestamp(), previous_raw)
-        cached_set = self._set_cache.get(cache_key)
-        if cached_set is None:
-            record = ProvenanceRecord(
-                key=key,
-                checksum=checksum,
-                location=location,
-                creator=creator.subject,
-                organization=creator.organization,
-                certificate_fingerprint=creator.fingerprint,
-                dependencies=dependencies,
-                metadata=metadata,
-                timestamp=stub.get_tx_timestamp(),
-                size_bytes=size_bytes,
-            )
-            record.validate()
-            event_json = json.dumps(
-                {"key": key, "checksum": checksum, "creator": creator.subject}
-            )
-            cached_set = (record.to_json(), event_json)
-            self._set_cache[cache_key] = cached_set
-        record_json, event_json = cached_set
+        record = ProvenanceRecord(
+            key=key,
+            checksum=checksum,
+            location=location,
+            creator=creator.subject,
+            organization=creator.organization,
+            certificate_fingerprint=creator.fingerprint,
+            dependencies=dependencies,
+            metadata=metadata,
+            timestamp=stub.get_tx_timestamp(),
+            size_bytes=size_bytes,
+        )
+        record.validate()
+        record_json = record.to_json()
+        event_json = json.dumps(
+            {"key": key, "checksum": checksum, "creator": creator.subject}
+        )
         stub.put_state(key, record_json)
         stub.set_event(self.RECORD_EVENT, event_json)
         return ChaincodeResponse.success(record_json)

@@ -11,7 +11,7 @@ HyperProv chaincode relies on.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.common.errors import ChaincodeError
@@ -48,24 +48,55 @@ class ChaincodeResponse:
         return self.status == self.OK
 
 
-@dataclass
 class ChaincodeStub:
     """Per-invocation view of the ledger handed to the chaincode."""
 
-    tx_id: str
-    channel: str
-    function: str
-    args: List[str]
-    world_state: WorldState
-    history: HistoryDatabase
-    creator: Optional[Certificate] = None
-    timestamp: float = 0.0
-    rw_set: ReadWriteSet = field(default_factory=ReadWriteSet)
-    #: Number of shim calls made (used by the device model to charge time).
-    state_operations: int = 0
-    #: Chaincode event set by the invocation, as ``(name, payload)``.
-    event: Optional[Tuple[str, str]] = None
-    _pending_writes: Dict[str, Optional[str]] = field(default_factory=dict)
+    def __init__(
+        self,
+        tx_id: str,
+        channel: str,
+        function: str,
+        args: List[str],
+        world_state: WorldState,
+        history: HistoryDatabase,
+        creator: Optional[Certificate] = None,
+        timestamp: float = 0.0,
+        read_log: Optional[List[Tuple[str, Optional[VersionedValue]]]] = None,
+    ) -> None:
+        self.tx_id = tx_id
+        self.channel = channel
+        self.function = function
+        self.args = args
+        self._world_state = world_state
+        self._history = history
+        self.creator = creator
+        self.timestamp = timestamp
+        self.rw_set = ReadWriteSet()
+        #: Number of shim calls made (used by the device model to charge time).
+        self.state_operations = 0
+        #: Chaincode event set by the invocation, as ``(name, payload)``.
+        self.event: Optional[Tuple[str, str]] = None
+        #: Pass a list to have every point read served from the world state
+        #: appended as ``(key, committed entry)``.  It is complete for as
+        #: long as it stays a list: a deterministic chaincode's outcome is
+        #: then a pure function of the proposal and of these pairs, so a
+        #: replica holding equal entries may adopt it (``Peer.endorse``).
+        #: Any other look at the ledger — a scan, the history index, the
+        #: raw ``world_state``/``history`` — sets it to ``None`` for good.
+        self.read_log = read_log
+        self._pending_writes: Dict[str, Optional[str]] = {}
+
+    @property
+    def world_state(self) -> WorldState:
+        """The peer's committed world state (planner statistics, indexes)."""
+        self.read_log = None
+        return self._world_state
+
+    @property
+    def history(self) -> HistoryDatabase:
+        """The peer's key-history index."""
+        self.read_log = None
+        return self._history
 
     # ------------------------------------------------------------- state API
     def get_state(self, key: str) -> Optional[str]:
@@ -74,7 +105,9 @@ class ChaincodeStub:
         self.state_operations += 1
         if key in self._pending_writes:
             return self._pending_writes[key]
-        entry = self.world_state.get(key)
+        entry = self._world_state.get(key)
+        if self.read_log is not None:
+            self.read_log.append((key, entry))
         self.rw_set.add_read(key, entry.version if entry else None)
         return entry.value if entry else None
 
@@ -98,6 +131,9 @@ class ChaincodeStub:
     # Recording the reads is the consumer's half of the contract: it
     # passes one ``ReadSetEntry`` per candidate it visited to
     # ``rw_set.extend_reads`` in a single call once its loop is over.
+    # Scans and the history lookup reach the ledger through the
+    # ``world_state``/``history`` properties, which is what ends the
+    # read log.
     def get_state_by_range(self, start_key: str, end_key: str) -> Candidates:
         """Committed key range (``end_key`` empty = to the end), materialised."""
         self.state_operations += 1

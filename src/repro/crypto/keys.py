@@ -21,7 +21,6 @@ import hmac
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from repro.common.caching import BoundedMemo
 from repro.common.errors import CryptoError
 
 _PUBLIC_DERIVATION_TAG = b"hyperprov-public-key-v1"
@@ -35,10 +34,32 @@ _SIGNATURE_TAG = b"hyperprov-signature-v1"
 #: for real ECDSA — see the package docstring.)
 _KEY_REGISTRY: dict = {}
 
+
+class _BoundedMemo(dict):
+    """A dict memo with a size cap, cleared wholesale when full.
+
+    O(1) amortized inserts, a hard memory bound and no per-hit
+    bookkeeping; dropping everything on overflow is cheaper than LRU and
+    the memo re-warms in one pass.  Not thread-safe — the simulation is
+    single-threaded by design.
+    """
+
+    __slots__ = ("cap",)
+
+    def __init__(self, cap: int) -> None:
+        super().__init__()
+        self.cap = cap
+
+    def __setitem__(self, key, value) -> None:
+        if len(self) >= self.cap and key not in self:
+            self.clear()
+        super().__setitem__(key, value)
+
+
 #: Memoized verification outcomes keyed by (public_key, message, signature).
 #: ``verify`` is a pure function, but the same triple is re-checked by every
 #: endorsing peer (the client's proposal signature) — cache the HMAC result.
-_VERIFY_CACHE = BoundedMemo(16384)
+_VERIFY_CACHE = _BoundedMemo(16384)
 
 
 @lru_cache(maxsize=4096)

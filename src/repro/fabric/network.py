@@ -36,7 +36,7 @@ from repro.consensus.solo import SoloOrderingService
 from repro.devices.model import DeviceModel
 from repro.fabric.channel import Channel
 from repro.fabric.gossip import GossipDisseminator
-from repro.fabric.peer import CommitResult, Peer
+from repro.fabric.peer import CommitResult, Peer, SharedSimulation
 from repro.fabric.proposal import Proposal, ProposalResponse, TransactionHandle
 from repro.ledger.block import Block
 from repro.ledger.transaction import Transaction, TxValidationCode
@@ -62,7 +62,10 @@ class FabricNetworkConfig:
     #: Use org-leader gossip for block dissemination instead of direct
     #: orderer → every-peer delivery.
     use_gossip: bool = False
-    #: Peers a client sends proposals to; ``None`` means every channel member.
+    #: Peers a client sends proposals to, in this order; ``None`` means every
+    #: channel member in name order.  Resolved against each shard's peers
+    #: once, when the first client is registered (every name must be hosted
+    #: by every shard, or that raises ``ConfigurationError``).
     endorsing_peers: Optional[List[str]] = None
     #: Extra fixed client-side latency per request (SDK/GRPC overhead), seconds.
     client_overhead_s: float = 0.002
@@ -106,6 +109,11 @@ class ChannelShard:
     #: Per-channel peer replicas (same node names across shards — one peer
     #: process hosting one ledger per joined channel, as in Fabric).
     peers: Dict[str, Peer] = field(default_factory=dict)
+    #: ``peers`` in name order (block delivery order), kept by ``add_peer``.
+    ordered_peers: List[Peer] = field(default_factory=list)
+    #: The peers proposals fan out to, in order; resolved on first use by
+    #: ``FabricNetwork._endorsers`` and dropped when a peer joins.
+    endorsers: Optional[List[Peer]] = None
     #: Every block this shard's ordering service produced, in order.  Used
     #: to bring peers that missed deliveries (partitions) back up to date.
     ordered_blocks: List[Block] = field(default_factory=list)
@@ -242,6 +250,8 @@ class FabricNetwork:
                 f"peer {peer.name!r} is already part of shard {shard}"
             )
         target.peers[peer.name] = peer
+        target.ordered_peers = [target.peers[name] for name in sorted(target.peers)]
+        target.endorsers = None
         if peer.name not in self.network.nodes:
             self.network.register_node(peer.name, profile=peer.device.profile.nic)
 
@@ -265,9 +275,13 @@ class FabricNetwork:
         host = host_node or name
         if host not in self.network.nodes:
             self.network.register_node(host, profile=device.profile.nic)
-        anchor = anchor_peer or sorted(self._shards[0].peers)[0]
+        anchor = anchor_peer or self._shards[0].ordered_peers[0].name
         if not any(anchor in shard.peers for shard in self._shards):
             raise NotFoundError(f"anchor peer {anchor!r} is not part of the network")
+        # The topology is complete once clients register: a misnamed
+        # endorsing peer fails here, not in the middle of an invoke.
+        for shard in self._shards:
+            self._endorsers(shard)
         self._clients[name] = _ClientContext(
             name=name,
             identity=identity,
@@ -290,8 +304,7 @@ class FabricNetwork:
 
     def shard_peers(self, index: int) -> List[Peer]:
         """One shard's peers in name order."""
-        shard = self.shard(index)
-        return [shard.peers[name] for name in sorted(shard.peers)]
+        return list(self.shard(index).ordered_peers)
 
     def client_context(self, name: str) -> _ClientContext:
         context = self._clients.get(name)
@@ -299,10 +312,21 @@ class FabricNetwork:
             raise NotFoundError(f"unknown client {name!r}")
         return context
 
-    def _endorsing_peer_names(self, shard: ChannelShard) -> List[str]:
-        if self.config.endorsing_peers is not None:
-            return list(self.config.endorsing_peers)
-        return sorted(shard.peers)
+    def _endorsers(self, shard: ChannelShard) -> List[Peer]:
+        """The peers a proposal on ``shard`` is sent to, resolved once per shard."""
+        if shard.endorsers is None:
+            names = self.config.endorsing_peers
+            if names is None:
+                shard.endorsers = shard.ordered_peers
+            else:
+                for name in names:
+                    if name not in shard.peers:
+                        raise ConfigurationError(
+                            f"endorsing peer {name!r} is not hosted on channel "
+                            f"{shard.channel.name!r} (its peers: {sorted(shard.peers)})"
+                        )
+                shard.endorsers = [shard.peers[name] for name in names]
+        return shard.endorsers
 
     # ----------------------------------------------------------- submission
     def submit_transaction(
@@ -572,8 +596,11 @@ class FabricNetwork:
         responses: List[ProposalResponse] = []
         completion_times: List[float] = []
         reachable = 0
-        for peer_name in self._endorsing_peer_names(shard):
-            peer = shard.peers[peer_name]
+        # Lives for this fan-out only: replicas whose reads agree adopt the
+        # first endorser's chaincode run instead of repeating it.
+        shared = SharedSimulation(proposal)
+        for peer in self._endorsers(shard):
+            peer_name = peer.name
             if peer_name in self._offline_peers:
                 continue
             if not self.network.partitions.can_communicate(context.host_node, peer_name):
@@ -583,7 +610,7 @@ class FabricNetwork:
                 context.host_node, peer_name, proposal.size_bytes
             )
             try:
-                response, ready_at = peer.endorse(proposal, sent_at + to_peer)
+                response, ready_at = peer.endorse(proposal, sent_at + to_peer, shared)
             except EndorsementError:
                 continue
             back = self.network.estimate_transfer_time(
@@ -621,7 +648,7 @@ class FabricNetwork:
                 self.engine.now, duration, label=f"cut:{block.number}"
             )
 
-        shard_peers = self.shard_peers(shard_index)
+        shard_peers = shard.ordered_peers
         if self._offline_peers:
             # Crashed peer processes miss the delivery entirely; they
             # re-sync through _catch_up_peer on restart.

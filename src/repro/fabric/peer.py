@@ -11,10 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.chaincode.shim import ChaincodeStub
+from repro.chaincode.shim import Chaincode, ChaincodeResponse, ChaincodeStub
 from repro.common.errors import ChaincodeError, EndorsementError
 from repro.common.events import EventBus
-from repro.common.metrics import MetricsRegistry
+from repro.common.metrics import Counter, Histogram, MetricsRegistry
 from repro.devices.model import DeviceModel
 from repro.fabric.channel import Channel
 from repro.fabric.proposal import Proposal, ProposalResponse
@@ -49,6 +49,46 @@ class CommitResult:
         return self.committed_at - self.received_at
 
 
+class SharedSimulation:
+    """The one chaincode run an endorsement fan-out shares between replicas.
+
+    A deterministic chaincode's outcome (response, rw-set, event, state
+    operation count) is a pure function of the proposal and of the
+    ``(version, value)`` pairs its point reads returned.  The network makes
+    one of these per fan-out and hands it to every endorser of that
+    proposal: the first peer whose simulation kept a complete read log
+    (:attr:`ChaincodeStub.read_log`) fills it, and a later peer adopts that
+    run only after re-reading the same keys from its *own* world state and
+    finding every entry equal.  It dies with the fan-out, so there is
+    nothing to key, bound or evict, and a retried submission (a new
+    :class:`Proposal`) can never meet an earlier attempt's result.
+    """
+
+    __slots__ = ("proposal", "chaincode", "stub", "result")
+
+    def __init__(self, proposal: Proposal) -> None:
+        self.proposal = proposal
+        self.chaincode: Optional[Chaincode] = None
+        self.stub: Optional[ChaincodeStub] = None
+        self.result: Optional[ChaincodeResponse] = None
+
+    def holds_for(
+        self, proposal: Proposal, chaincode: Chaincode, world_state: WorldState
+    ) -> bool:
+        """Whether a replica with this ``world_state`` would get the same run."""
+        if (
+            self.stub is None
+            or self.proposal is not proposal
+            or self.chaincode is not chaincode
+        ):
+            return False
+        committed = world_state.get
+        for key, entry in self.stub.read_log:
+            if committed(key) != entry:
+                return False
+        return True
+
+
 class Peer:
     """A Fabric peer node."""
 
@@ -81,6 +121,7 @@ class Peer:
         self._endorsements_counter = self.metrics.counter("endorsements")
         self._endorse_time = self.metrics.histogram("endorse_time_s")
         self._queries_counter = self.metrics.counter("queries")
+        self._query_time = self.metrics.histogram("query_time_s")
         self._blocks_committed = self.metrics.counter("blocks_committed")
         self._txs_valid = self.metrics.counter("txs_valid")
         self._txs_invalid = self.metrics.counter("txs_invalid")
@@ -88,12 +129,44 @@ class Peer:
         channel.join(name)
 
     # -------------------------------------------------------------- endorse
-    def endorse(self, proposal: Proposal, at_time: float) -> Tuple[ProposalResponse, float]:
+    def endorse(
+        self,
+        proposal: Proposal,
+        at_time: float,
+        shared: Optional[SharedSimulation] = None,
+    ) -> Tuple[ProposalResponse, float]:
         """Simulate the chaincode for ``proposal`` and endorse the result.
 
         Returns the response and the virtual time at which it is ready to
-        leave the peer (after CPU queueing on this device).
+        leave the peer (after CPU queueing on this device).  With the
+        fan-out's ``shared`` simulation the chaincode run itself may be
+        adopted from an earlier replica (see :class:`SharedSimulation`);
+        the install check, the client-signature verification, the device
+        charges and this peer's own signature never are.
         """
+        return self._evaluate(
+            proposal, at_time, shared, self._endorsements_counter, self._endorse_time
+        )
+
+    # ---------------------------------------------------------------- query
+    def query(self, proposal: Proposal, at_time: float) -> Tuple[ProposalResponse, float]:
+        """Evaluate a read-only invocation (no ordering, no commit).
+
+        The same checks, charges and signed response as :meth:`endorse`,
+        counted under ``queries``/``query_time_s`` instead.
+        """
+        return self._evaluate(
+            proposal, at_time, None, self._queries_counter, self._query_time
+        )
+
+    def _evaluate(
+        self,
+        proposal: Proposal,
+        at_time: float,
+        shared: Optional[SharedSimulation],
+        calls: Counter,
+        time_s: Histogram,
+    ) -> Tuple[ProposalResponse, float]:
         definition = self.channel.chaincodes.get(proposal.chaincode)
         if not definition.is_installed_on(self.name):
             raise EndorsementError(
@@ -116,21 +189,7 @@ class Peer:
             )
             return response, at_time
 
-        # Simulate the chaincode against committed state.
-        stub = ChaincodeStub(
-            tx_id=proposal.tx_id,
-            channel=self.channel.name,
-            function=proposal.function,
-            args=list(proposal.args),
-            world_state=self.world_state,
-            history=self.history,
-            creator=proposal.creator,
-            timestamp=proposal.timestamp,
-        )
-        try:
-            result = definition.chaincode.invoke(stub)
-        except Exception as exc:  # noqa: BLE001 - chaincode bugs become 500s
-            raise ChaincodeError(f"chaincode {proposal.chaincode!r} crashed: {exc}") from exc
+        stub, result = self._simulate(definition.chaincode, proposal, shared)
 
         # Charge device time: signature verification of the client,
         # chaincode execution (container IPC + state ops), response signing.
@@ -141,8 +200,8 @@ class Peer:
         )
         _, finished_at = self.device.charge_cpu(at_time, duration, label=f"endorse:{proposal.tx_id}")
 
-        self._endorsements_counter.inc()
-        self._endorse_time.observe(finished_at - at_time)
+        calls.inc()
+        time_s.observe(finished_at - at_time)
 
         if not result.is_ok:
             response = ProposalResponse(
@@ -179,12 +238,35 @@ class Peer:
         )
         return response, finished_at
 
-    # ---------------------------------------------------------------- query
-    def query(self, proposal: Proposal, at_time: float) -> Tuple[ProposalResponse, float]:
-        """Evaluate a read-only invocation (no ordering, no commit)."""
-        response, finished_at = self.endorse(proposal, at_time)
-        self._queries_counter.inc()
-        return response, finished_at
+    def _simulate(
+        self,
+        chaincode: Chaincode,
+        proposal: Proposal,
+        shared: Optional[SharedSimulation],
+    ) -> Tuple[ChaincodeStub, ChaincodeResponse]:
+        """Run the chaincode against committed state, or adopt the fan-out's run."""
+        if shared is not None and shared.holds_for(proposal, chaincode, self.world_state):
+            return shared.stub, shared.result
+        # Only the first simulation of the fan-out is offered to the rest.
+        offer = shared is not None and shared.stub is None and shared.proposal is proposal
+        stub = ChaincodeStub(
+            tx_id=proposal.tx_id,
+            channel=self.channel.name,
+            function=proposal.function,
+            args=list(proposal.args),
+            world_state=self.world_state,
+            history=self.history,
+            creator=proposal.creator,
+            timestamp=proposal.timestamp,
+            read_log=[] if offer else None,
+        )
+        try:
+            result = chaincode.invoke(stub)
+        except Exception as exc:  # noqa: BLE001 - chaincode bugs become 500s
+            raise ChaincodeError(f"chaincode {proposal.chaincode!r} crashed: {exc}") from exc
+        if offer and stub.read_log is not None:
+            shared.chaincode, shared.stub, shared.result = chaincode, stub, result
+        return stub, result
 
     # --------------------------------------------------------------- commit
     def deliver_block(self, block: Block, at_time: float) -> CommitResult:

@@ -20,9 +20,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field, replace
 from json.encoder import encode_basestring_ascii as _quote
-from typing import ClassVar, Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from repro.common.caching import BoundedMemo
 from repro.common.errors import SealedEnvelopeError
 from repro.common.hashing import sha256_hex
 from repro.common.serialization import canonical_json
@@ -152,35 +151,15 @@ class ReadWriteSet:
         ])
         return ('{"reads":[%s],"writes":[%s]}' % (reads, writes)).encode("ascii")
 
-    #: Cross-object digest memo for small rw-sets: every endorsing peer
-    #: simulates the same invocation and produces an identical rw-set in
-    #: its own object, so the serialized digest can be shared by content.
-    #: Large (range-scan) rw-sets skip the memo — they are one-shot per
-    #: query and tupling hundreds of entries buys nothing.
-    _DIGEST_MEMO: ClassVar[BoundedMemo] = BoundedMemo(50_000)
-    _DIGEST_MEMO_ENTRY_LIMIT = 64
-
     def digest(self) -> str:
         """Stable digest of the read/write set (what endorsers sign).
 
         Computed once and cached per object; the cache is dropped whenever
-        the mutation API adds an entry.  Small rw-sets additionally share
-        digests across objects with identical content.
+        the mutation API adds an entry.
         """
-        if self._digest is not None:
-            return self._digest
-        memo_key = None
-        if len(self.reads) + len(self.writes) <= self._DIGEST_MEMO_ENTRY_LIMIT:
-            memo_key = (tuple(self.reads), tuple(self.writes))
-            shared = self._DIGEST_MEMO.get(memo_key)
-            if shared is not None:
-                self._digest = shared
-                return shared
-        digest = sha256_hex(self.canonical_bytes())
-        if memo_key is not None:
-            self._DIGEST_MEMO[memo_key] = digest
-        self._digest = digest
-        return digest
+        if self._digest is None:
+            self._digest = sha256_hex(self.canonical_bytes())
+        return self._digest
 
 
 @dataclass

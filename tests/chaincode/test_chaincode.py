@@ -86,6 +86,32 @@ def test_stub_counts_state_operations():
     assert stub.state_operations == 3
 
 
+def test_stub_read_log_holds_the_committed_entries_point_reads_returned():
+    state = WorldState()
+    state.put("k", "v", (3, 1))
+    stub = ChaincodeStub(
+        tx_id="tx-1", channel="ch", function="set", args=[], world_state=state,
+        history=HistoryDatabase(), read_log=[],
+    )
+    stub.put_state("own", "write")
+    assert (stub.get_state("k"), stub.get_state("absent"), stub.get_state("own")) == (
+        "v", None, "write"
+    )
+    # Committed entries only: a read served from the pending writes is
+    # decided by the invocation itself, not by the ledger.
+    assert stub.read_log == [("k", state.get("k")), ("absent", None)]
+    stub.get_state_by_range("", "")
+    assert stub.read_log is None
+    stub.get_state("k")
+    assert stub.read_log is None
+
+
+def test_stub_keeps_no_read_log_unless_asked():
+    stub = make_stub("get", ["k"])
+    stub.get_state("k")
+    assert stub.read_log is None
+
+
 # -------------------------------------------------------------------- records
 def test_record_roundtrip_json():
     record = ProvenanceRecord(
