@@ -9,7 +9,7 @@ hardware — the comparison the paper's related-work section appeals to.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.baselines.pipeline_support import PipelinedStoreMixin

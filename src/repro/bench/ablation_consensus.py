@@ -9,7 +9,7 @@ crash-fault-tolerant ordering.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict
 
 from repro.bench.reporting import ResultTable, format_seconds
 from repro.bench.runner import RunConfig, RunResult, StoreDataRunner

@@ -21,7 +21,6 @@ from repro.bench.runner import RunConfig, StoreDataRunner
 from repro.core.topology import build_rpi_deployment
 from repro.devices.model import DeviceModel
 from repro.devices.profiles import RASPBERRY_PI_3B_PLUS, XEON_E5_1603
-from repro.energy.meter import PowerMeter
 from repro.energy.power import PowerModel
 from repro.simulation.randomness import DeterministicRandom
 from repro.workloads.payloads import PayloadGenerator

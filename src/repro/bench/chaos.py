@@ -51,7 +51,7 @@ import hashlib
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from repro.api.protocol import StoreRequest
 from repro.bench.perf import PerfRegressionError, update_report_file

@@ -1,8 +1,10 @@
 """A tiny synchronous publish/subscribe event bus.
 
 Fabric exposes block and chaincode events to client applications through
-the *event hub*; peers, the client library and the metrics layer all use
-this bus so that benchmark harnesses can observe commits without polling.
+the *event hub*; here :class:`~repro.fabric.network.FabricNetwork` owns the
+one bus every commit is announced on (the tracing middleware and the fault
+injector publish on it too), and the client library, the read cache and
+the continuous-query registry observe it without polling.
 """
 
 from __future__ import annotations
@@ -66,8 +68,8 @@ class EventBus:
 
     def __init__(self) -> None:
         # Plain dict, and topics are dropped as soon as their handler list
-        # empties: per-transaction topics (``tx_committed:{tx_id}``) would
-        # otherwise accumulate one empty list per transaction forever.
+        # empties: one-shot subscriptions on ever-new topic names (one per
+        # request id, say) would otherwise leave an empty list each, forever.
         self._handlers: Dict[str, List[Subscription]] = {}
         self._published: int = 0
         #: publish re-entrancy depth; structural removals are deferred
@@ -135,8 +137,8 @@ class EventBus:
         self._published += 1
         handlers = self._handlers.get(topic)
         if not handlers:
-            # Fast path: most per-transaction topics have no subscriber on
-            # 3 of the 4 peers publishing them.
+            # Fast path: most publishes (pipeline trace events, chaincode
+            # events) have no subscriber at all.
             return 0
         errors: List[Exception] = []
         delivered = 0
@@ -170,22 +172,6 @@ class EventBus:
         if errors:
             raise errors[0]
         return delivered
-
-    def publish_batch(self, topic: str, payloads: List[Any]) -> int:
-        """Deliver a whole window of payloads as **one** handler invocation.
-
-        The batched form of :meth:`publish`: handlers subscribed to
-        ``topic`` receive the payload *list* in a single call instead of
-        one call per payload.  This is the commit-delivery coalescing the
-        parallel executor relies on — per-block notification fan-out is
-        buffered and handed over once per barrier window, so subscriber
-        dispatch cost is paid per window, not per block.
-
-        An empty batch is a no-op (nothing is published, no handler runs).
-        """
-        if not payloads:
-            return 0
-        return self.publish(topic, payloads)
 
     def topics(self) -> List[str]:
         """Topics that currently have at least one subscriber."""

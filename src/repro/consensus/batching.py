@@ -10,7 +10,7 @@ the batching ablation benchmark.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.common.errors import ConfigurationError
 from repro.ledger.transaction import Transaction

@@ -15,7 +15,7 @@ a block when its log entry commits.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.common.errors import OrderingError

@@ -42,6 +42,7 @@ from repro.common.errors import (
     NotFoundError,
     ValidationError,
 )
+from repro.common.events import Subscription
 from repro.common.hashing import checksum_of
 from repro.common.metrics import MetricsRegistry
 from repro.fabric.network import FabricNetwork
@@ -447,13 +448,14 @@ class HyperProvClient:
             )
         return QueryResult(payload=records, latency_s=latency, stale=ctx.stale)
 
-    def on_provenance_recorded(self, callback) -> None:
+    def on_provenance_recorded(self, callback) -> Subscription:
         """Subscribe to the chaincode event emitted on every committed ``set``.
 
         ``callback`` receives a dict with ``key``, ``checksum``, ``creator``,
         ``tx_id`` and ``block_number`` once the recording transaction commits
         — the push-style integration the NodeJS client library offers through
-        Fabric's event hub.
+        Fabric's event hub.  ``cancel()`` the returned subscription (or use
+        it as a context manager) to detach the listener.
         """
         event_topic = "chaincode_event:provenance_recorded"
 
@@ -464,7 +466,7 @@ class HyperProvClient:
             )
             callback(details)
 
-        self.network.events.subscribe(event_topic, _handler)
+        return self.network.events.subscribe(event_topic, _handler)
 
     def get_by_range(
         self,

@@ -10,7 +10,7 @@ by the CA; certificates can be verified against the CA and revoked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Set
 
 from repro.common.errors import CryptoError, DuplicateError

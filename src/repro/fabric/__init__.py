@@ -20,7 +20,6 @@ substrate the HyperProv client library runs on.
 from repro.fabric.proposal import Proposal, ProposalResponse, TransactionHandle
 from repro.fabric.peer import Peer, CommitResult
 from repro.fabric.channel import Channel
-from repro.fabric.gossip import GossipDisseminator
 from repro.fabric.network import FabricNetwork, FabricNetworkConfig
 
 __all__ = [
@@ -30,7 +29,6 @@ __all__ = [
     "Peer",
     "CommitResult",
     "Channel",
-    "GossipDisseminator",
     "FabricNetwork",
     "FabricNetworkConfig",
 ]

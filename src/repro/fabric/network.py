@@ -8,12 +8,12 @@ phases so the benchmark harness can report throughput and response times.
 
 The network is a true multi-channel host: each :class:`ChannelShard` owns
 a channel, an ordering service (with its own block cutter and intake
-scheduler), an endorsement batcher, an invoke pipeline, a commit/event
-stream and a per-channel ledger on every joined peer.  The paper's
-deployment is the single-shard case (``shards=1``, reached like any other
-shard through ``shard(0)`` / ``shard_peers(0)``); sharded deployments route
-transactions across shards via the
-:class:`~repro.middleware.sharding.ShardRouterMiddleware`.
+scheduler), an endorsement batcher, an invoke pipeline and a per-channel
+ledger on every joined peer; every shard's commits are announced on the
+network's one event bus.  The paper's deployment is the single-shard case
+(``shards=1``, reached like any other shard through ``shard(0)`` /
+``shard_peers(0)``); sharded deployments route transactions across shards
+via the :class:`~repro.middleware.sharding.ShardRouterMiddleware`.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from repro.consensus.scheduler import make_scheduler
 from repro.consensus.solo import SoloOrderingService
 from repro.devices.model import DeviceModel
 from repro.fabric.channel import Channel
-from repro.fabric.gossip import GossipDisseminator
 from repro.fabric.peer import CommitResult, Peer, SharedSimulation
 from repro.fabric.proposal import Proposal, ProposalResponse, TransactionHandle
 from repro.ledger.block import Block
@@ -59,9 +58,6 @@ from repro.simulation.engine import RunOutcome, SimulationEngine
 class FabricNetworkConfig:
     """Tunables for the orchestration layer."""
 
-    #: Use org-leader gossip for block dissemination instead of direct
-    #: orderer → every-peer delivery.
-    use_gossip: bool = False
     #: Peers a client sends proposals to, in this order; ``None`` means every
     #: channel member in name order.  Resolved against each shard's peers
     #: once, when the first client is registered (every name must be hosted
@@ -72,13 +68,6 @@ class FabricNetworkConfig:
     #: Endorsed envelopes coalesced into one orderer submission (1 = off,
     #: reproducing the unbatched per-transaction transfer exactly).
     order_batch_size: int = 1
-    #: Batched commit delivery: buffer per-block ``block_delivered``/
-    #: chaincode-event fan-out until :meth:`FabricNetwork.flush_commit_events`
-    #: publishes the whole window as one ``commit_batch`` callback.  Handles
-    #: still complete per block, so virtual-time results are identical to
-    #: the per-block path — only event granularity changes.  This is the
-    #: delivery mode the parallel shard workers run.
-    batch_commit_delivery: bool = False
 
 
 @dataclass
@@ -102,8 +91,6 @@ class ChannelShard:
     orderer: OrderingService
     orderer_node: str
     orderer_device: Optional[DeviceModel]
-    #: Per-shard commit/event stream (``block_delivered``, chaincode events).
-    events: EventBus
     batcher: Optional[EndorsementBatcher] = None
     pipeline: Optional[TransactionPipeline] = None
     #: Per-channel peer replicas (same node names across shards — one peer
@@ -143,21 +130,17 @@ class FabricNetwork:
         self.network = network
         self.config = config or FabricNetworkConfig()
         self.metrics = metrics or MetricsRegistry("fabric")
-        #: Aggregate event bus carrying every shard's commit events; each
-        #: shard also has its own bus.
+        #: The one commit stream: every shard's ``block_delivered`` and
+        #: ``chaincode_event:{name}`` announcements (see :meth:`_announce`).
         self.events = EventBus()
         self.orderer_node = orderer_node
         self.orderer_device = orderer_device
-        self.gossip = GossipDisseminator(network)
         self._clients: Dict[str, _ClientContext] = {}
         self._tx_ids = DeterministicIdGenerator("tx")
         self._shards: List[ChannelShard] = []
         #: tx-id → owning client context of every handle awaiting commit,
         #: so a block completes its handles with an O(block txs) lookup.
         self._pending_index: Dict[str, _ClientContext] = {}
-        #: Per-shard commit notifications buffered until the next
-        #: :meth:`flush_commit_events` (barrier-window boundary).
-        self._commit_buffers: Dict[int, List[Dict]] = {}
         #: Per-tenant fair-share weights the deployment was built with;
         #: ``set_scheduler`` falls back to these so a policy swap through
         #: a PipelineConfig does not silently reset custom weights.
@@ -184,8 +167,8 @@ class FabricNetwork:
         """Host an additional channel; returns its shard index.
 
         Each shard gets its own ordering service (block cutter + intake
-        scheduler), endorsement batcher, invoke pipeline and event stream,
-        so shards order and commit independently of each other.
+        scheduler), endorsement batcher and invoke pipeline, so shards
+        order and commit independently of each other.
         """
         index = len(self._shards)
         node = orderer_node or (
@@ -202,7 +185,6 @@ class FabricNetwork:
             orderer=service,
             orderer_node=node,
             orderer_device=orderer_device,
-            events=EventBus(),
         )
         service.register_consumer(
             lambda block, shard_index=index: self._on_block_ordered(shard_index, block)
@@ -656,21 +638,16 @@ class FabricNetwork:
             for _ in offline:
                 self.metrics.counter("missed_deliveries").inc()
             shard_peers = [p for p in shard_peers if p.name not in self._offline_peers]
-        if self.config.use_gossip:
-            arrivals = self.gossip.disseminate(
-                shard.orderer_node, shard_peers, block.size_bytes, sent_at
+        arrivals = {}
+        for peer in shard_peers:
+            if not self.network.partitions.can_communicate(
+                shard.orderer_node, peer.name
+            ):
+                continue
+            transfer = self.network.estimate_transfer_time(
+                shard.orderer_node, peer.name, block.size_bytes
             )
-        else:
-            arrivals = {}
-            for peer in shard_peers:
-                if not self.network.partitions.can_communicate(
-                    shard.orderer_node, peer.name
-                ):
-                    continue
-                transfer = self.network.estimate_transfer_time(
-                    shard.orderer_node, peer.name, block.size_bytes
-                )
-                arrivals[peer.name] = sent_at + transfer
+            arrivals[peer.name] = sent_at + transfer
 
         commit_results = {}
         for peer in shard_peers:
@@ -684,15 +661,9 @@ class FabricNetwork:
             commit_results[peer.name] = peer.deliver_block(block, arrivals[peer.name])
 
         self.metrics.counter("blocks_delivered").inc()
-        delivery = {"block": block, "commits": commit_results, "shard": shard_index}
-        if self.config.batch_commit_delivery:
-            # Only the observer fan-out is deferred to the next
-            # flush_commit_events() window; handles still complete now.
-            self._commit_buffers.setdefault(shard_index, []).append(delivery)
-        else:
-            self._publish(shard, "block_delivered", delivery)
-            for event in self._chaincode_events(block, commit_results, shard_index):
-                self._publish(shard, f"chaincode_event:{event['name']}", event)
+        self._announce(shard, block, commit_results)
+        for event in self._chaincode_events(block, commit_results, shard_index):
+            self.events.publish(f"chaincode_event:{event['name']}", event)
         self._complete_handles_indexed(block, commit_results)
 
     @staticmethod
@@ -715,10 +686,22 @@ class FabricNetwork:
                     "shard": shard_index,
                 }
 
-    def _publish(self, shard: ChannelShard, topic: str, payload: Dict) -> None:
-        """Publish on the shard's stream first, then the aggregate bus."""
-        shard.events.publish(topic, payload)
-        self.events.publish(topic, payload)
+    def _announce(
+        self, shard: ChannelShard, block: Block, commits: Dict[str, CommitResult]
+    ) -> None:
+        """Tell the commit stream which peers just committed ``block``.
+
+        The only ``block_delivered`` publish there is: once when the block
+        is ordered (``commits`` holds every peer that received it) and once
+        more per peer that commits it late through :meth:`_catch_up_peer`,
+        so an observer following a lagging peer (a read cache) hears of the
+        block when *that* peer's state changes.  Subscribers that must act
+        once per block de-duplicate on ``(shard, block.number)``.
+        """
+        self.events.publish(
+            "block_delivered",
+            {"block": block, "commits": commits, "shard": shard.index},
+        )
 
     def _catch_up_peer(
         self, shard: ChannelShard, peer: Peer, at_time: float, up_to: int
@@ -736,7 +719,9 @@ class FabricNetwork:
             )
             result = peer.deliver_block(missed, at_time + transfer)
             self.metrics.counter("catch_up_blocks").inc()
-            self._complete_handles_indexed(missed, {peer.name: result})
+            commits = {peer.name: result}
+            self._announce(shard, missed, commits)
+            self._complete_handles_indexed(missed, commits)
 
     def _complete_handles_indexed(
         self, block: Block, commit_results: Dict[str, CommitResult]
@@ -782,45 +767,6 @@ class FabricNetwork:
         else:
             self.metrics.counter("txs_invalidated").inc()
         self.metrics.histogram("tx_latency_s").observe(handle.latency_s)
-
-    def flush_commit_events(self, shard: Optional[int] = None) -> int:
-        """Publish buffered commit notifications as one batch per stream.
-
-        Under ``batch_commit_delivery`` every ordered block appends one
-        entry (block, per-peer commits, shard) to its shard's buffer; this
-        drains the buffer of one shard (or all of them) into a single
-        ``commit_batch`` publish, plus one ``chaincode_event_batch:{name}``
-        publish per distinct event name.  The parallel executor calls this
-        at each barrier-window boundary.  Returns the number of block
-        entries flushed.
-        """
-        indices = [shard] if shard is not None else sorted(self._commit_buffers)
-        flushed = 0
-        for index in indices:
-            entries = self._commit_buffers.pop(index, [])
-            if not entries:
-                continue
-            target = self.shard(index)
-            events_by_name: Dict[str, List[Dict]] = {}
-            for entry in entries:
-                for event in self._chaincode_events(
-                    entry["block"], entry["commits"], index
-                ):
-                    events_by_name.setdefault(event["name"], []).append(event)
-            target.events.publish_batch("commit_batch", entries)
-            self.events.publish_batch("commit_batch", entries)
-            for event_name in sorted(events_by_name):
-                payloads = events_by_name[event_name]
-                topic = f"chaincode_event_batch:{event_name}"
-                target.events.publish_batch(topic, payloads)
-                self.events.publish_batch(topic, payloads)
-            flushed += len(entries)
-        return flushed
-
-    @property
-    def buffered_commit_events(self) -> int:
-        """Block entries awaiting the next :meth:`flush_commit_events`."""
-        return sum(len(entries) for entries in self._commit_buffers.values())
 
     # ---------------------------------------------------------------- query
     def query(
@@ -892,8 +838,6 @@ class FabricNetwork:
             executed += int(self.engine.run_until_idle(max_events=max_events))
             if not any(shard.batcher.queued for shard in self._shards):
                 break
-        if self.config.batch_commit_delivery:
-            self.flush_commit_events()
         reason = "deadlock" if self.in_flight() > 0 else "idle"
         return RunOutcome(executed, reason)
 

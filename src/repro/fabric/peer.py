@@ -13,7 +13,6 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.chaincode.shim import Chaincode, ChaincodeResponse, ChaincodeStub
 from repro.common.errors import ChaincodeError, EndorsementError
-from repro.common.events import EventBus
 from repro.common.metrics import Counter, Histogram, MetricsRegistry
 from repro.devices.model import DeviceModel
 from repro.fabric.channel import Channel
@@ -98,7 +97,6 @@ class Peer:
         identity: Identity,
         device: DeviceModel,
         channel: Channel,
-        event_bus: Optional[EventBus] = None,
         metrics: Optional[MetricsRegistry] = None,
         parallel_validation: bool = False,
     ) -> None:
@@ -106,7 +104,6 @@ class Peer:
         self.identity = identity
         self.device = device
         self.channel = channel
-        self.events = event_bus or EventBus()
         self.metrics = metrics or MetricsRegistry(f"peer.{name}")
         #: FastFabric-style optimization (Gorenflo et al., cited by the
         #: paper): validate endorsement signatures on all cores in parallel
@@ -326,34 +323,6 @@ class Peer:
         self._txs_valid.inc(valid)
         self._txs_invalid.inc(len(validation_codes) - valid)
         self._commit_time.observe(result.commit_duration_s)
-
-        self.events.publish(
-            "block_committed",
-            {"peer": self.name, "block": validated_block, "result": result},
-        )
-        for tx, code in zip(block.transactions, validation_codes):
-            self.events.publish(
-                f"tx_committed:{tx.tx_id}",
-                {
-                    "peer": self.name,
-                    "tx_id": tx.tx_id,
-                    "code": code,
-                    "committed_at": committed_at,
-                    "block_number": validated_block.number,
-                },
-            )
-            if code is TxValidationCode.VALID and tx.chaincode_event is not None:
-                event_name, event_payload = tx.chaincode_event
-                self.events.publish(
-                    f"chaincode_event:{event_name}",
-                    {
-                        "peer": self.name,
-                        "tx_id": tx.tx_id,
-                        "name": event_name,
-                        "payload": event_payload,
-                        "block_number": validated_block.number,
-                    },
-                )
         return result
 
     # ------------------------------------------------------------ validation

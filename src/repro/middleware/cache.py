@@ -6,7 +6,7 @@ import threading
 from collections import OrderedDict
 from contextlib import ExitStack
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, Optional, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.common.errors import CircuitOpenError, NetworkError
 from repro.common.events import EventBus
@@ -19,12 +19,10 @@ from repro.middleware.context import Context
 UNREACHABLE_ERRORS = (NetworkError, CircuitOpenError)
 
 #: Topic carrying whole delivered blocks: every committed write (sets,
-#: deletes, other clients' writes) is in the block's write sets.
+#: deletes, other clients' writes) is in the block's write sets.  A block
+#: is announced again for each peer that commits it late (catch-up after a
+#: partition or a crash); invalidating twice is harmless.
 BLOCK_DELIVERED_TOPIC = "block_delivered"
-#: The same deliveries, published once per barrier window when the network
-#: runs with ``batch_commit_delivery`` (the parallel executor's mode).  A
-#: block is published on one topic or the other, never both.
-COMMIT_BATCH_TOPIC = "commit_batch"
 
 #: Read functions whose first argument names the single key they depend on
 #: (the Fabric chaincode's read set plus the baselines' ``get``/``history``).
@@ -166,18 +164,9 @@ class ReadCacheMiddleware(Middleware):
 
     # -------------------------------------------------------------- wiring
     def attach(self, events: EventBus) -> None:
-        """Subscribe to a bus whose block deliveries invalidate entries.
-
-        Both the per-block and the window-batched topic are followed, so
-        invalidation works whether or not the network defers its fan-out
-        to barrier-window flushes (``batch_commit_delivery``).
-        """
-        stack = self._subscriptions
-        stack.enter_context(
+        """Subscribe to a bus whose block deliveries invalidate entries."""
+        self._subscriptions.enter_context(
             events.subscribe(BLOCK_DELIVERED_TOPIC, self._on_block_delivered)
-        )
-        stack.enter_context(
-            events.subscribe(COMMIT_BATCH_TOPIC, self._on_commit_batch)
         )
 
     def close(self) -> None:
@@ -261,10 +250,6 @@ class ReadCacheMiddleware(Middleware):
                 continue
             for write in rw_set.writes:
                 self.invalidate_key(write.key)
-
-    def _on_commit_batch(self, topic: str, entries: Any) -> None:
-        for entry in entries if isinstance(entries, list) else []:
-            self._on_block_delivered(topic, entry)
 
     # -------------------------------------------------------- introspection
     def __len__(self) -> int:

@@ -22,7 +22,7 @@ default so fault-free pipelines keep byte-identical virtual time:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 
 from repro.common.errors import (

@@ -27,11 +27,11 @@ from typing import Any, Optional
 
 from repro.common.errors import AdmissionRejectedError, ConfigurationError
 from repro.common.metrics import MetricsRegistry
-from repro.common.tenancy import (  # noqa: F401 - canonical home, re-exported
-    namespace_key,
-    strip_namespace,
-    tenant_namespace,
-)
+# ``repro.common.tenancy`` is the canonical home; the two helpers this
+# module does not use itself are re-exported for its importers.
+from repro.common.tenancy import namespace_key as namespace_key
+from repro.common.tenancy import strip_namespace as strip_namespace
+from repro.common.tenancy import tenant_namespace
 from repro.middleware.base import Handler, Middleware
 from repro.middleware.context import Context
 

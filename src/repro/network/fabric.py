@@ -295,8 +295,8 @@ class NetworkFabric:
         """Schedule delivery through the discrete-event engine.
 
         The receiving handler runs as a simulation event at the computed
-        arrival time rather than inline, which is what the gossip and Raft
-        layers use so that message interleavings respect virtual time.
+        arrival time rather than inline, which is what the Raft layer uses
+        so that message interleavings respect virtual time.
         """
         receipt = self.send(source, destination, msg_type, payload, size_bytes, deliver=False)
         handler = self._handlers[destination]

@@ -5,22 +5,22 @@ aggregate commit stream and keeps a registry of standing per-tenant
 selectors.  Every *validated* committed write is matched against every
 active query and fanned out to the subscriber's callback (or buffered on
 the handle when no callback is given) — the realtime push counterpart of
-the poll-style rich query, fed by exactly the commit-event topics the
-read-cache invalidation already consumes.
+the poll-style rich query, fed by the same ``block_delivered`` topic the
+read-cache invalidation consumes.
 
-Exactly-once delivery falls out of the network's event topology: a block
-is published either per-block (``block_delivered``) or once inside a
-barrier-window batch (``commit_batch``) — never both — and the aggregate
-bus carries every shard's stream, so multi-shard routing needs no extra
-work here.  Invalidated transactions (MVCC conflicts and friends) are
-filtered out by the per-block validation codes, so subscribers see only
-records that actually reached the world state.
+The network's one bus carries every shard's blocks, so multi-shard routing
+needs no extra work here.  A block is announced when it is ordered and
+again for each peer that commits it late (catch-up after a partition or a
+crash); the registry remembers, per shard, the next block number it has
+not yet fanned out, so subscribers see each committed write exactly once.
+Invalidated transactions (MVCC conflicts and friends) are filtered out by
+the per-block validation codes, so subscribers see only records that
+actually reached the world state.
 """
 
 from __future__ import annotations
 
 import json
-from contextlib import ExitStack
 from dataclasses import dataclass, field
 from types import TracebackType
 from typing import Any, Callable, Dict, List, Optional, Type
@@ -35,9 +35,8 @@ from repro.query.selectors import (
     matches,
 )
 
-#: Commit-stream topics (the same ones ``middleware.cache`` invalidates on).
+#: Commit-stream topic (the same one ``middleware.cache`` invalidates on).
 BLOCK_DELIVERED_TOPIC = "block_delivered"
-COMMIT_BATCH_TOPIC = "commit_batch"
 
 #: ``callback(event)`` where ``event`` is the delivery dict below.
 DeliveryCallback = Callable[[Dict[str, Any]], None]
@@ -94,24 +93,18 @@ class ContinuousQuery:
 class ContinuousQueryRegistry:
     """Fan committed records out to matching standing selectors.
 
-    Attach to the network's *aggregate* event bus (``fabric.events``): it
-    carries each ordered block exactly once across all shards, via either
-    the per-block or the window-batched topic depending on the delivery
-    mode — the registry subscribes to both, and the network guarantees
-    they are mutually exclusive per block.
+    Attach to the network's event bus (``fabric.events``): it carries the
+    ``block_delivered`` announcements of every shard.
     """
 
     def __init__(self, events: EventBus) -> None:
         self._queries: Dict[str, ContinuousQuery] = {}
         self._counter = 0
-        #: Bus subscriptions are context managers; the stack guarantees
-        #: both detach on close even if one cancel raises.
-        self._subscriptions = ExitStack()
-        self._subscriptions.enter_context(
-            events.subscribe(BLOCK_DELIVERED_TOPIC, self._on_block_delivered)
-        )
-        self._subscriptions.enter_context(
-            events.subscribe(COMMIT_BATCH_TOPIC, self._on_commit_batch)
+        #: shard → number of the first block not fanned out yet; a block
+        #: below it is a re-announcement for a peer that was catching up.
+        self._next_block: Dict[int, int] = {}
+        self._subscription = events.subscribe(
+            BLOCK_DELIVERED_TOPIC, self._on_block_delivered
         )
 
     # ----------------------------------------------------------- lifecycle
@@ -160,7 +153,7 @@ class ContinuousQueryRegistry:
 
     def close(self) -> None:
         """Cancel every standing query and detach from the commit stream."""
-        self._subscriptions.close()
+        self._subscription.cancel()
         for query in list(self._queries.values()):
             query.cancel()
 
@@ -169,18 +162,19 @@ class ContinuousQueryRegistry:
         return len(self._queries)
 
     # ------------------------------------------------------------- delivery
-    def _on_commit_batch(self, topic: str, entries: Any) -> None:
-        for entry in entries if isinstance(entries, list) else []:
-            self._on_block_delivered(topic, entry)
-
     def _on_block_delivered(self, _topic: str, payload: Any) -> None:
-        if not self._queries or not isinstance(payload, dict):
+        if not isinstance(payload, dict):
             return
         block = payload.get("block")
         commits = payload.get("commits") or {}
         if block is None or not commits:
             return
         shard = payload.get("shard", 0)
+        if block.number < self._next_block.get(shard, 0):
+            return
+        self._next_block[shard] = block.number + 1
+        if not self._queries:
+            return
         # Every peer reaches the same verdict on the same sealed block;
         # any commit result carries the authoritative validation codes.
         reference = next(iter(commits.values()))

@@ -5,7 +5,7 @@ runs each site (or a group of sites) in its own worker process, advancing
 all workers in lock-step **barrier windows** of virtual time:
 
     coordinator: advance(k·W → (k+1)·W)  ...  barrier  ...  advance(...)
-    worker i:    run events < horizon, flush commit batch, report window
+    worker i:    run events < horizon, report window
 
 ``W`` is the *lookahead*: the amount of virtual time a worker may execute
 without observing the other shards.  Fleet sites share no links, peers or
@@ -21,8 +21,7 @@ conservative protocol would require if shards *did* exchange messages.
 Workers are forked processes (the coordinator→worker command boundary is
 a :class:`~repro.workloads.fleet.FleetSpec` plus site indices — workers
 rebuild arrival plans and topology locally, nothing big crosses the
-pipe).  Each worker runs its sites with ``batch_commit_delivery`` on, so
-commit-event fan-out is published once per barrier window.  With
+pipe) and run the same delivery code as the sequential engine.  With
 ``workers <= 1`` the same windowed protocol runs inline (no processes),
 which is also the portable fallback when the platform cannot fork.
 
@@ -185,7 +184,7 @@ def _assign_sites(spec: FleetSpec, workers: int) -> List[List[int]]:
 def _prepare_worker_deployment(spec: FleetSpec, sites: Sequence[int]) -> Tuple[FleetDeployment, int]:
     from repro.workloads.fleet import build_fleet, submit_fleet
 
-    deployment = build_fleet(spec, sites=sites, batch_commit_delivery=True)
+    deployment = build_fleet(spec, sites=sites)
     submitted = submit_fleet(deployment)
     return deployment, submitted
 
@@ -198,8 +197,8 @@ def _site_worker(spec: FleetSpec, sites: List[int], worker: int,
     count from ``horizon_s`` and ``window_s``):
 
     * worker → ``("ready", submitted)`` once its sites are built,
-    * coordinator → ``"advance"`` per window; worker runs the window,
-      flushes the commit batch and replies ``("window", index, events)``,
+    * coordinator → ``"advance"`` per window; worker runs the window
+      and replies ``("window", index, events)``,
     * after the last window the worker drains (no further commands), then
       sends ``("done", payload)`` with commit logs, counts and stats.
 
@@ -223,14 +222,12 @@ def _site_worker(spec: FleetSpec, sites: List[int], worker: int,
             boundary = (window_index + 1) * window_s
             begin = _wall_clock()
             outcome = deployment.engine.run(until=boundary)
-            deployment.fabric.flush_commit_events()
             stats.busy_wall_s += _wall_clock() - begin
             stats.windows += 1
             stats.events += int(outcome)
             conn.send(("window", window_index, stats.events))
         begin = _wall_clock()
         deployment.drain()
-        deployment.fabric.flush_commit_events()
         stats.busy_wall_s += _wall_clock() - begin
         payload = {
             "lines": {s: commit_log_lines(deployment, s) for s in sites},
@@ -354,9 +351,8 @@ def _run_parallel_inline(
 ) -> FleetRunResult:
     """The windowed protocol without processes (workers=1 / no-fork fallback).
 
-    Sites still run on per-site engines with batched commit delivery —
-    the decomposition and delivery-path gains apply; only the concurrent
-    execution of windows is lost.
+    Sites still run on per-site engines — the decomposition gain
+    applies; only the concurrent execution of windows is lost.
     """
     from repro.workloads.fleet import commit_counts, commit_log_lines
 
@@ -374,7 +370,6 @@ def _run_parallel_inline(
         for deployment, stats in zip(deployments, stats_list):
             begin = _wall_clock()
             outcome = deployment.engine.run(until=boundary)
-            deployment.fabric.flush_commit_events()
             stats.busy_wall_s += _wall_clock() - begin
             stats.windows += 1
             stats.events += int(outcome)
@@ -383,7 +378,6 @@ def _run_parallel_inline(
     for deployment, stats in zip(deployments, stats_list):
         begin = _wall_clock()
         deployment.drain()
-        deployment.fabric.flush_commit_events()
         stats.busy_wall_s += _wall_clock() - begin
         site = deployment.sites[0]
         lines_by_site[site] = commit_log_lines(deployment, site)

@@ -47,7 +47,7 @@ from repro.consensus.solo import SoloOrderingService
 from repro.devices.model import DeviceModel
 from repro.devices.profiles import DESKTOP_PROFILES, RPI_PROFILES, XEON_E5_1603
 from repro.fabric.channel import Channel
-from repro.fabric.network import FabricNetwork, FabricNetworkConfig
+from repro.fabric.network import FabricNetwork
 from repro.fabric.peer import Peer
 from repro.fabric.proposal import TransactionHandle
 from repro.membership.identity import Organization
@@ -166,9 +166,7 @@ class FleetDeployment:
 
 
 def build_fleet(
-    spec: FleetSpec,
-    sites: Optional[Sequence[int]] = None,
-    batch_commit_delivery: bool = False,
+    spec: FleetSpec, sites: Optional[Sequence[int]] = None
 ) -> FleetDeployment:
     """Assemble fleet sites on one engine.
 
@@ -231,9 +229,6 @@ def build_fleet(
                 orderer=orderer,
                 orderer_node=orderer_node,
                 orderer_device=orderer_device,
-                config=FabricNetworkConfig(
-                    batch_commit_delivery=batch_commit_delivery
-                ),
             )
             index = 0
         else:

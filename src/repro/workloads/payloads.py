@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional
+from typing import Dict, Iterator
 
 from repro.common.hashing import checksum_of
 from repro.simulation.randomness import DeterministicRandom

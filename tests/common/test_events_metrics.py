@@ -69,11 +69,11 @@ def test_published_count_increments():
 
 
 def test_per_tx_topics_stay_bounded_across_many_transactions():
-    """Regression: one-shot ``tx_committed:{tx_id}`` subscriptions must not
-    leave an empty handler list behind for every transaction ever seen."""
+    """Regression: one-shot subscriptions on per-transaction topic names must
+    not leave an empty handler list behind for every transaction ever seen."""
     bus = EventBus()
     for tx_number in range(1000):
-        topic = f"tx_committed:tx-{tx_number}"
+        topic = f"committed:tx-{tx_number}"
         received = []
         subscription = bus.subscribe(topic, lambda _t, p: received.append(p))
         bus.publish(topic, {"tx": tx_number})

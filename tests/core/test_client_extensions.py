@@ -129,6 +129,22 @@ def test_provenance_recorded_event_fires_on_commit(desktop_deployment):
     assert event["block_number"] == post.handle.commit_block
 
 
+def test_cancelled_provenance_listener_hears_nothing_more(desktop_deployment):
+    client = desktop_deployment.client
+    received = []
+    subscription = client.on_provenance_recorded(received.append)
+    store = client.as_store()
+    store.submit(StoreRequest(key="events/1", data=b"one"))
+    desktop_deployment.drain()
+    assert [event["key"] for event in received] == ["events/1"]
+
+    subscription.cancel()
+    store.submit(StoreRequest(key="events/2", data=b"two"))
+    desktop_deployment.drain()
+    assert [event["key"] for event in received] == ["events/1"]
+    assert "chaincode_event:provenance_recorded" not in client.network.events.topics()
+
+
 def test_no_event_for_invalidated_transaction(desktop_deployment):
     client = desktop_deployment.client
     received = []

@@ -121,6 +121,31 @@ def test_cache_invalidation_works_per_shard(sharded):
     assert refreshed.checksum == checksum_of(b"v2")
 
 
+def test_one_subscriber_sees_every_shards_blocks_exactly_once():
+    deployment = build_desktop_deployment(seed=42, shards=4)
+    fabric = deployment.fabric
+    seen = []
+    fabric.events.subscribe(
+        "block_delivered",
+        lambda _topic, delivery: seen.append(
+            (delivery["shard"], delivery["block"].number, sorted(delivery["commits"]))
+        ),
+    )
+    session = session_for(deployment, 4)
+    for i in range(48):
+        session.submit(f"spread/{i}", f"v{i}".encode())
+    session.drain()
+
+    peer_names = sorted(peer.name for peer in deployment.peers)
+    expected = [
+        (shard.index, block.number, peer_names)
+        for shard in fabric.shards
+        for block in shard.ordered_blocks
+    ]
+    assert sorted(seen) == expected
+    assert {shard for shard, _, _ in seen} == {0, 1, 2, 3}
+
+
 def test_pipeline_shards_must_not_exceed_network_channels(sharded):
     with pytest.raises(ValidationError):
         session_for(sharded, 4)

@@ -12,7 +12,6 @@ from repro.common.hashing import checksum_of, sha256_hex
 from repro.common.serialization import canonical_json
 from repro.consensus.batching import BatchConfig
 from repro.core.topology import build_desktop_deployment
-from repro.fabric.gossip import GossipDisseminator
 from repro.fabric.proposal import Proposal
 from repro.ledger.transaction import TxValidationCode
 from repro.membership.policies import majority_of
@@ -193,26 +192,3 @@ def test_transaction_handle_timings_populated(desktop_deployment):
     assert handle.ordered_at >= handle.endorsed_at
     assert handle.committed_at > handle.ordered_at
     assert "endorsement_s" in handle.timings
-
-
-# --------------------------------------------------------------------- gossip
-def test_gossip_elects_one_leader_per_org(desktop_deployment):
-    gossip = GossipDisseminator(desktop_deployment.network)
-    leaders = gossip.elect_leaders(desktop_deployment.peers)
-    assert len(leaders) == 4  # one org per peer in this deployment
-    arrivals = gossip.disseminate(
-        "orderer", desktop_deployment.peers, block_size_bytes=4096, sent_at=1.0
-    )
-    assert set(arrivals) == {p.name for p in desktop_deployment.peers}
-    assert all(t > 1.0 for t in arrivals.values())
-
-
-def test_gossip_respects_partitions(desktop_deployment):
-    gossip = GossipDisseminator(desktop_deployment.network)
-    unreachable = desktop_deployment.peers[-1].name
-    others = [p.name for p in desktop_deployment.peers[:-1]] + ["orderer", "storage"]
-    desktop_deployment.network.partitions.partition([others, [unreachable]])
-    arrivals = gossip.disseminate(
-        "orderer", desktop_deployment.peers, block_size_bytes=4096, sent_at=0.0
-    )
-    assert unreachable not in arrivals

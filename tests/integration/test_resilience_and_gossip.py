@@ -1,5 +1,5 @@
-"""Resilience-oriented integration tests: gossip dissemination, Raft leader
-failover, peer catch-up, and resource accounting across the flow."""
+"""Resilience-oriented integration tests: Raft leader failover, peer
+catch-up, and resource accounting across the flow."""
 
 import pytest
 
@@ -8,44 +8,8 @@ from repro.bench.resource_usage import run_resource_usage
 from repro.common.hashing import checksum_of
 from repro.consensus.batching import BatchConfig
 from repro.consensus.raft import RaftState
-from repro.core.topology import (
-    DeploymentSpec,
-    build_deployment,
-    build_desktop_deployment,
-)
-from repro.devices.profiles import XEON_E5_1603
+from repro.core.topology import build_desktop_deployment
 from repro.fabric.network import FabricNetworkConfig
-
-
-# ----------------------------------------------------------------- gossip mode
-def test_gossip_dissemination_end_to_end():
-    """With org-leader gossip enabled the flow still commits on every peer."""
-    deployment = build_desktop_deployment(seed=13)
-    deployment.fabric.config.use_gossip = True
-    post = deployment.client.as_store().submit(StoreRequest(key="gossip/1", data=b"x"))
-    deployment.drain()
-    assert post.ok
-    assert set(deployment.fabric.ledger_heights().values()) == {1}
-
-
-def test_multiple_peers_per_org_share_a_gossip_leader():
-    """Two peers in the same organization: the leader relays blocks to the
-    member, and both end with the same ledger."""
-    spec = DeploymentSpec(
-        name="two-per-org",
-        peer_profiles=[XEON_E5_1603] * 2,
-        orderer_profile=XEON_E5_1603,
-        storage_profile=XEON_E5_1603,
-        client_profile=XEON_E5_1603,
-        client_colocated_with=0,
-        batch_config=BatchConfig(max_message_count=1),
-    )
-    deployment = build_deployment(spec)
-    deployment.fabric.config.use_gossip = True
-    post = deployment.client.as_store().submit(StoreRequest(key="g/1", data=b"x"))
-    deployment.drain()
-    assert post.ok
-    assert set(deployment.fabric.ledger_heights().values()) == {1}
 
 
 # ------------------------------------------------------------------- catch-up

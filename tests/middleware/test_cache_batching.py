@@ -11,6 +11,8 @@ import pytest
 from repro.api.protocol import StoreRequest
 from repro.common.events import EventBus
 from repro.common.metrics import MetricsRegistry
+from repro.consensus.batching import BatchConfig
+from repro.core.client import HyperProvClient
 from repro.core.topology import build_desktop_deployment
 from repro.middleware.base import TransactionPipeline
 from repro.middleware.cache import ReadCacheMiddleware
@@ -127,6 +129,82 @@ class TestReadCacheEndToEnd:
         # ... so the read goes back to the peer and sees the new checksum.
         assert client.metrics.get_counter("cache.misses").value == 2
         assert refreshed.checksum != first.checksum
+
+    def test_default_cache_drops_entry_on_commit(self):
+        deployment = build_desktop_deployment(seed=42)
+        client = deployment.client
+        client.configure_pipeline(PipelineConfig(cache=True))
+        store = client.as_store()
+        store.store(StoreRequest(key="hot", data=b"v1"))
+        assert store.verify("hot", b"v1").matches
+        assert len(client.read_cache) == 1
+
+        store.submit(StoreRequest(key="hot", data=b"v2"))
+        deployment.engine.run_until_idle()  # the batch timeout cuts the block
+        assert deployment.fabric.in_flight() == 0  # committed
+        assert len(client.read_cache) == 0
+        assert store.verify("hot", b"v2").matches
+
+    @pytest.mark.parametrize("fault", ["partition", "crash"])
+    def test_anchor_catch_up_invalidates_what_was_cached_from_it(self, fault):
+        """A block the reader's anchor commits late (after a partition heals
+        or the peer restarts) is announced for that peer, so an entry cached
+        from the lagging anchor cannot outlive the catch-up."""
+        deployment = build_desktop_deployment(
+            seed=42, batch_config=BatchConfig(max_message_count=1)
+        )
+        fabric = deployment.fabric
+        anchor = fabric.client_context(deployment.client.client_name).anchor_peer
+        writer_peer = deployment.peers[0]
+        assert writer_peer.name != anchor
+        fabric.add_client(
+            "client-b",
+            identity=deployment.channel.msp.organization("org1").enroll(
+                "client-b", role="client"
+            ),
+            device=writer_peer.device,
+            host_node="client-b",
+            anchor_peer=writer_peer.name,
+        )
+        writer = HyperProvClient(network=fabric, client_name="client-b").as_store()
+        deployment.client.configure_pipeline(PipelineConfig(cache=True))
+        reader = deployment.client.as_store()
+        announced = []
+        fabric.events.subscribe(
+            "block_delivered",
+            lambda _topic, delivery: announced.append(
+                (delivery["block"].number, sorted(delivery["commits"]))
+            ),
+        )
+
+        def write(version):
+            post = writer.submit(
+                StoreRequest(key="k", checksum=f"{version:064x}", location="file://k")
+            )
+            assert fabric.flush_and_drain().stop_reason == "idle"
+            assert post.ok
+            return post.record.checksum
+
+        v1 = write(1)
+        assert reader.get("k").checksum == v1
+        if fault == "partition":
+            others = sorted(set(deployment.network.nodes) - {anchor})
+            deployment.network.partitions.partition([others, [anchor]])
+        else:
+            fabric.crash_peer(anchor)
+        v2 = write(2)  # commits on the other three peers, drops the v1 entry
+        if fault == "partition":
+            # An honest answer from the lagging anchor — and it is cached again.
+            assert reader.get("k").checksum == v1
+            deployment.network.partitions.heal()
+            assert fabric.catch_up_peers() == 1
+        else:
+            fabric.restart_peer(anchor)
+
+        fresh = reader.get("k")
+        assert fresh.checksum == v2
+        assert not fresh.stale
+        assert announced[-1] == (1, [anchor])
 
     def test_cache_disabled_config_reproduces_uncached_latency(self):
         deployment = build_desktop_deployment(seed=42)

@@ -223,6 +223,11 @@ class TestPipelineConfig:
         with pytest.raises(ConfigurationError):
             PipelineConfig.from_dict({"cache": True, "warp_speed": 9})
 
+    def test_parallel_key_is_rejected(self):
+        with pytest.raises(ConfigurationError, match="parallel"):
+            PipelineConfig.from_dict({"parallel": True})
+        assert "parallel" not in PipelineConfig().to_dict()
+
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             PipelineConfig(retry_attempts=0)

@@ -10,6 +10,7 @@ from repro.chaincode.records import ProvenanceRecord
 from repro.common.errors import ConfigurationError, ValidationError
 from repro.common.events import EventBus
 from repro.common.hashing import checksum_of
+from repro.consensus.batching import BatchConfig
 from repro.core.topology import build_desktop_deployment
 from repro.fabric.peer import CommitResult
 from repro.ledger.block import Block
@@ -156,18 +157,21 @@ def test_deletes_are_not_delivered():
     assert [event["key"] for event in seen] == ["iot/kept"]
 
 
-def test_commit_batch_topic_delivers_each_block_once():
-    """In batched delivery mode the network publishes ``commit_batch``
-    *instead of* per-block events — the registry must not double-count."""
+def test_reannounced_block_is_delivered_once_per_shard():
+    """A block is announced again for every peer that commits it late; the
+    registry fans it out the first time it carries a commit result."""
     bus = EventBus()
     registry = ContinuousQueryRegistry(bus)
     seen = []
     registry.register({"_prefix": "iot/"}, callback=seen.append)
-    entries = [
-        block_payload(0, [WriteSetEntry("iot/a", record_value("iot/a"))]),
-        block_payload(1, [WriteSetEntry("iot/b", record_value("iot/b"))], shard=1),
-    ]
-    bus.publish("commit_batch", entries)
+    unseen = block_payload(0, [WriteSetEntry("iot/a", record_value("iot/a"))])
+    unseen["commits"] = {}  # ordered while no peer was reachable
+    first = block_payload(0, [WriteSetEntry("iot/a", record_value("iot/a"))])
+    other_shard = block_payload(
+        0, [WriteSetEntry("iot/b", record_value("iot/b"))], shard=1
+    )
+    for payload in (unseen, first, first, other_shard, first, other_shard):
+        bus.publish("block_delivered", payload)
     assert [(event["key"], event["shard"]) for event in seen] == [
         ("iot/a", 0),
         ("iot/b", 1),
@@ -244,6 +248,47 @@ def test_deliveries_follow_commits_under_churn(desktop_deployment):
     keys = sorted(event["key"] for event in seen)
     assert keys == ["iot/a", "iot/a", "iot/c"]
     assert len({(e["key"], e["tx_id"]) for e in seen}) == 3  # no duplicates
+
+
+@pytest.mark.parametrize("fault", ["partition", "crash"])
+def test_each_commit_is_delivered_once_across_a_peer_catching_up(fault):
+    deployment = build_desktop_deployment(
+        seed=42, batch_config=BatchConfig(max_message_count=1)
+    )
+    fabric = deployment.fabric
+    session = HyperProvService(deployment).session(
+        pipeline=PipelineConfig(continuous_queries=True)
+    )
+    seen = []
+    session.subscribe({"_prefix": "iot/"}, callback=seen.append)
+    lagging = deployment.peers[3].name
+    assert lagging != fabric.client_context(deployment.client.client_name).anchor_peer
+
+    def write(key):
+        post = session.submit(key, checksum=checksum_of(key.encode()), location="loc")
+        assert fabric.flush_and_drain().stop_reason == "idle"
+        assert post.ok
+        return post.handle.tx_id
+
+    tx_ids = [write("iot/before")]
+    if fault == "partition":
+        others = sorted(set(deployment.network.nodes) - {lagging})
+        deployment.network.partitions.partition([others, [lagging]])
+    else:
+        fabric.crash_peer(lagging)
+    tx_ids += [write("iot/missed-1"), write("iot/missed-2")]
+    if fault == "partition":
+        deployment.network.partitions.heal()
+        assert fabric.catch_up_peers() == 1
+    else:
+        fabric.restart_peer(lagging)
+    tx_ids.append(write("iot/after"))
+
+    assert set(fabric.ledger_heights().values()) == {4}
+    assert [event["tx_id"] for event in seen] == tx_ids
+    assert [event["key"] for event in seen] == [
+        "iot/before", "iot/missed-1", "iot/missed-2", "iot/after",
+    ]
 
 
 def test_session_close_cancels_standing_queries(desktop_deployment):
