@@ -15,7 +15,7 @@ never consults the host.  These rules flag the four leak classes:
 ``repro/bench/`` is exempt from D101/D104 — the bench harness *measures*
 wall-clock and may read the host — but D102/D103 hold everywhere:
 benchmarks must still be seeded and ordered or the committed anchors in
-``BENCH_PERF.json`` stop reproducing.
+``ANCHORS.json`` stop reproducing.
 """
 
 from __future__ import annotations

@@ -15,14 +15,15 @@ Module           Reproduces
 ``ablation_cache``   Read-cache middleware on/off (repeated-get latency)
 ``ablation_concurrency``  In-flight submission depth sweep (futures API)
 ``ablation_sharding``  Channel shards vs throughput + tenant fair-sharing
-``perf``             Wall-clock simulated-tx/s of the hot paths (BENCH_PERF.json)
 ``fleet``            Parallel vs sequential fleet executor (speedup + anchor)
 ``query``            Indexed vs scan selector throughput + continuous delivery
 ``chaos``            Deterministic fault-injection scenarios with invariants
 ===============  ==========================================================
 
-Run ``python -m repro.bench <experiment>`` or use the pytest-benchmark
-suites in ``benchmarks/``.
+Run ``python -m repro.bench <experiment>``.  ``fleet`` and ``chaos`` gate
+their determinism anchors against the committed ``ANCHORS.json`` through
+``anchors``; wall-clock performance is measured by the repo benchmark,
+``python3 benchmarks/perf/run.py``.
 """
 
 from repro.bench.runner import StoreDataRunner, RunConfig, RunResult
@@ -41,7 +42,6 @@ from repro.bench.ablation_sharding import (
     run_fairness_comparison,
     run_sharding_ablation,
 )
-from repro.bench.perf import run_perf
 from repro.bench.chaos import run_chaos
 from repro.bench.fleet import run_fleet
 from repro.bench.query_bench import run_query_bench
@@ -66,7 +66,6 @@ __all__ = [
     "run_fastfabric_ablation",
     "run_sharding_ablation",
     "run_fairness_comparison",
-    "run_perf",
     "run_chaos",
     "run_fleet",
     "run_query_bench",

@@ -40,9 +40,9 @@ Every scenario reduces to a SHA-256 **anchor** over its virtual-time
 observations (commit log, read results, fault log, stop reason).  The
 full profile runs each scenario twice and fails unless both passes
 produce the same anchor; CI gates a fresh ``--smoke`` run against the
-anchors committed in ``BENCH_PERF.json`` — any change that moves
-simulated time under faults fails the gate regardless of wall-clock
-speed.
+anchors committed in ``ANCHORS.json`` (``--anchors``, see
+:mod:`repro.bench.anchors`) — any change that moves simulated time under
+faults fails the gate regardless of wall-clock speed.
 """
 
 from __future__ import annotations
@@ -50,11 +50,10 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Dict, List, Tuple
 
 from repro.api.protocol import StoreRequest
-from repro.bench.perf import PerfRegressionError, update_report_file
+from repro.bench.anchors import GateError
 from repro.bench.reporting import ResultTable, format_seconds
 from repro.common.hashing import checksum_of
 from repro.consensus.batching import BatchConfig
@@ -86,7 +85,7 @@ CHAOS_SEED = 42
 FAIR_SHARE_LATENCY_BOUND_S = 3.0
 
 
-class ChaosInvariantError(PerfRegressionError):
+class ChaosInvariantError(GateError):
     """A chaos scenario's correctness invariant was violated."""
 
 
@@ -122,13 +121,6 @@ class ChaosScenarioResult:
     wall_s: float
     invariants: Dict[str, object]
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "anchor": self.anchor,
-            "invariants": dict(self.invariants),
-            "wall_s": round(self.wall_s, 4),
-        }
-
 
 @dataclass
 class ChaosBenchReport:
@@ -143,13 +135,6 @@ class ChaosBenchReport:
             if result.name == name:
                 return result
         raise KeyError(name)
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "seed": self.seed,
-            "repeats": self.repeats,
-            "scenarios": {r.name: r.to_dict() for r in self.scenarios},
-        }
 
     def to_table(self) -> ResultTable:
         table = ResultTable(
@@ -754,41 +739,3 @@ def run_chaos(smoke: bool = False, seed: int = CHAOS_SEED) -> ChaosBenchReport:
         result.wall_s = min(wall)
         results.append(result)
     return ChaosBenchReport(seed=seed, repeats=repeats, scenarios=results)
-
-
-# ------------------------------------------------------------- persistence
-def write_chaos_entry(report: ChaosBenchReport, path: Path) -> Dict[str, object]:
-    """Replace the ``chaos`` section of ``path``."""
-    return update_report_file(
-        path, lambda document: document.update(chaos=report.to_dict())
-    )
-
-
-def check_chaos_anchors(
-    report: ChaosBenchReport, baseline_data: Dict[str, object]
-) -> List[str]:
-    """Gate a fresh run against the committed scenario anchors.
-
-    A scenario absent from the baseline is skipped (new scenarios land
-    with their first committed anchor); a present scenario must match
-    byte for byte.
-    """
-    chaos = baseline_data.get("chaos")
-    if not isinstance(chaos, dict):
-        return []
-    committed = chaos.get("scenarios")
-    if not isinstance(committed, dict):
-        return []
-    failures = []
-    for result in report.scenarios:
-        entry = committed.get(result.name)
-        if not isinstance(entry, dict) or "anchor" not in entry:
-            continue
-        anchor = str(entry["anchor"])
-        if result.anchor != anchor:
-            failures.append(
-                f"chaos {result.name}: anchor {result.anchor} does not match "
-                f"the committed baseline {anchor} — virtual time under "
-                "faults moved"
-            )
-    return failures

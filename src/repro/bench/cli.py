@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
 from repro.bench import (
@@ -19,27 +18,16 @@ from repro.bench import (
     run_fig2,
     run_fig3,
     run_ops_table,
-    run_perf,
     run_resource_usage,
     run_sharding_ablation,
 )
-from repro.bench.chaos import (
-    check_chaos_anchors,
-    run_chaos,
-    write_chaos_entry,
-)
-from repro.bench.fleet import (
-    check_fleet_anchor,
-    run_fleet,
-    shard_stats_table,
-    write_fleet_entry,
-)
-from repro.bench.perf import PerfRegressionError, check_regression_data, write_report
+from repro.bench import anchors
+from repro.bench.chaos import run_chaos
+from repro.bench.fleet import anchor_inputs, run_fleet, shard_stats_table
 from repro.bench.query_bench import (
     DEFAULT_MIN_SPEEDUP,
     check_query_gate,
     run_query_bench,
-    write_query_entry,
 )
 from repro.bench.ops_table import stage_table as ops_stage_table
 from repro.bench.ops_table import to_table as ops_to_table
@@ -173,140 +161,55 @@ def _run_sharding(args: argparse.Namespace) -> str:
     return "\n\n".join([ablation.to_table().render(), fairness.to_table().render()])
 
 
-def _run_perf(args: argparse.Namespace) -> str:
-    import json
-
-    # Load the baseline BEFORE writing the report: with the default
-    # --perf-output, baseline and output may be the same file, and reading
-    # it back after the write would compare the run against itself.
-    baseline_data = None
-    if args.perf_baseline:
-        baseline = Path(args.perf_baseline)
-        try:
-            baseline_data = json.loads(baseline.read_text())
-        except (OSError, ValueError) as exc:
-            # A missing or corrupt baseline must fail the gate cleanly —
-            # silently skipping it would let regressions through CI.
-            raise PerfRegressionError(
-                f"perf baseline {baseline} is unreadable: {exc!r}"
-            ) from exc
-
-    report = run_perf(
-        commit_requests=args.perf_requests,
-        keys=args.perf_keys,
-        queries=args.perf_queries,
-        repeats=args.perf_repeats,
-    )
-    output = Path(args.perf_output)
-    document = write_report(report, output)
-    table = report.to_table()
-    table.add_note(f"written to {output}")
-    rendered = table.render()
-    # Per-shard utilization/stall of the committed fleet runs rides along
-    # so lookahead regressions stay visible from the perf entry point too.
-    for profile, entry in sorted(document.get("fleet", {}).items()):
-        stats = entry.get("shard_stats") or []
-        if stats:
-            rendered += "\n\n" + shard_stats_table(
-                stats, f"committed fleet {profile} — per-shard wall-clock"
-            ).render()
-    if baseline_data is not None:
-        try:
-            failures = check_regression_data(
-                report, baseline_data, tolerance=args.perf_tolerance
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            # Structurally invalid baseline rows fail the gate too.
-            raise PerfRegressionError(
-                f"perf baseline {args.perf_baseline} is unreadable: {exc!r}"
-            ) from exc
-        if failures:
-            raise PerfRegressionError(
-                "wall-clock perf regression vs "
-                f"{args.perf_baseline}:\n" + "\n".join(f"  - {f}" for f in failures)
-            )
-        rendered += (
-            f"\nperf gate: no regression vs {args.perf_baseline} "
-            f"(tolerance {args.perf_tolerance}x)"
-        )
-    return rendered
-
-
 def _run_fleet(args: argparse.Namespace) -> str:
-    import json
-
-    # Same load-before-write discipline as _run_perf: with the default
-    # --perf-output the baseline and the output are the same file.
-    baseline_data = None
-    if args.perf_baseline:
-        baseline = Path(args.perf_baseline)
-        try:
-            baseline_data = json.loads(baseline.read_text())
-        except (OSError, ValueError) as exc:
-            raise PerfRegressionError(
-                f"fleet baseline {baseline} is unreadable: {exc!r}"
-            ) from exc
-
+    # Load before the run: an unreadable anchors file should fail in
+    # milliseconds, not after the 10k-device fleet has been simulated.
+    committed = anchors.load(args.anchors) if args.anchors else None
     report = run_fleet(
         devices=args.fleet_devices,
         shards=args.fleet_shards,
         workers=args.workers,
         duration_s=args.fleet_duration,
     )
-    output = Path(args.perf_output)
-    write_fleet_entry(report, output)
-    table = report.to_table()
-    table.add_note(f"written to {output} (fleet/{report.profile})")
     stats = shard_stats_table(
-        [s for s in report.to_dict()["shard_stats"]],
+        report.parallel.shard_stats,
         f"fleet {report.profile} — per-shard wall-clock (parallel run)",
     )
-    rendered = "\n\n".join([table.render(), stats.render()])
-    if baseline_data is not None:
-        failures = check_fleet_anchor(report, baseline_data)
-        if failures:
-            raise PerfRegressionError(
-                f"fleet determinism gate vs {args.perf_baseline}:\n"
-                + "\n".join(f"  - {f}" for f in failures)
-            )
+    rendered = "\n\n".join([report.to_table().render(), stats.render()])
+    if committed is not None:
+        anchors.check(
+            committed, "fleet", report.profile,
+            anchor_inputs(report.spec), report.anchor,
+        )
         rendered += (
-            f"\nfleet gate: determinism anchor matches {args.perf_baseline} "
+            f"\nfleet gate: determinism anchor matches {args.anchors} "
             f"(profile {report.profile})"
         )
     return rendered
 
 
 def _run_chaos(args: argparse.Namespace) -> str:
-    import json
-
-    # Same load-before-write discipline as _run_perf: with the default
-    # --perf-output the baseline and the output are the same file.
-    baseline_data = None
-    if args.perf_baseline:
-        baseline = Path(args.perf_baseline)
-        try:
-            baseline_data = json.loads(baseline.read_text())
-        except (OSError, ValueError) as exc:
-            raise PerfRegressionError(
-                f"chaos baseline {baseline} is unreadable: {exc!r}"
-            ) from exc
-
+    committed = anchors.load(args.anchors) if args.anchors else None
     report = run_chaos(smoke=args.smoke, seed=args.chaos_seed)
-    output = Path(args.perf_output)
-    write_chaos_entry(report, output)
-    table = report.to_table()
-    table.add_note(f"written to {output} (chaos section)")
-    rendered = table.render()
-    if baseline_data is not None:
-        failures = check_chaos_anchors(report, baseline_data)
+    rendered = report.to_table().render()
+    if committed is not None:
+        # Every scenario is checked before failing, so one run of an
+        # intentional change lists every anchor that has to be edited.
+        failures = []
+        for result in report.scenarios:
+            try:
+                anchors.check(
+                    committed, "chaos", result.name,
+                    {"seed": report.seed}, result.anchor,
+                )
+            except anchors.GateError as exc:
+                failures.append(str(exc))
         if failures:
-            raise PerfRegressionError(
-                f"chaos determinism gate vs {args.perf_baseline}:\n"
-                + "\n".join(f"  - {f}" for f in failures)
+            raise anchors.GateError(
+                f"chaos determinism gate vs {args.anchors}:\n"
+                + "\n".join(f"  - {failure}" for failure in failures)
             )
-        rendered += (
-            f"\nchaos gate: every scenario anchor matches {args.perf_baseline}"
-        )
+        rendered += f"\nchaos gate: every scenario anchor matches {args.anchors}"
     return rendered
 
 
@@ -317,21 +220,11 @@ def _run_query(args: argparse.Namespace) -> str:
         commits=args.query_commits,
         repeats=args.query_repeats,
     )
-    output = Path(args.perf_output)
-    document = write_query_entry(report, output)
-    table = report.to_table()
-    table.add_note(f"written to {output} (query section)")
-    rendered = table.render()
-    failures = check_query_gate(document, min_speedup=args.query_min_speedup)
-    if failures:
-        raise PerfRegressionError(
-            "query bench gate:\n" + "\n".join(f"  - {f}" for f in failures)
-        )
-    rendered += (
+    check_query_gate(report, min_speedup=args.query_min_speedup)
+    return report.to_table().render() + (
         f"\nquery gate: indexed selector meets the "
         f"{args.query_min_speedup}x speedup floor"
     )
-    return rendered
 
 
 EXPERIMENTS: Dict[str, Callable[[argparse.Namespace], str]] = {
@@ -346,7 +239,6 @@ EXPERIMENTS: Dict[str, Callable[[argparse.Namespace], str]] = {
     "ablation-consensus": _run_consensus,
     "ablation-fastfabric": _run_fastfabric,
     "ablation-sharding": _run_sharding,
-    "perf": _run_perf,
     "fleet": _run_fleet,
     "query": _run_query,
     "chaos": _run_chaos,
@@ -411,47 +303,15 @@ def build_parser() -> argparse.ArgumentParser:
              "(the tenant-isolation table always compares fifo vs "
              "fair-share; default: fifo)",
     )
-    perf = parser.add_argument_group(
-        "perf", "wall-clock measurement configuration for the perf experiment"
-    )
-    perf.add_argument(
-        "--perf-requests", type=_positive_int, default=240,
-        help="metadata-post requests in the commit-heavy workload's full "
-             "scale (default: 240; a 1/4 scale always runs first)",
-    )
-    perf.add_argument(
-        "--perf-keys", type=_positive_int, default=10_000,
-        help="preloaded world-state keys for the range/rich-query workloads "
-             "(default: 10000; a 1/10 scale always runs first)",
-    )
-    perf.add_argument(
-        "--perf-queries", type=_positive_int, default=60,
-        help="queries issued per read workload and scale (default: 60)",
-    )
-    perf.add_argument(
-        "--perf-repeats", type=_positive_int, default=2,
-        help="measurement passes per workload; the fastest is reported "
-             "(min-over-repeats damps scheduling noise; default: 2)",
-    )
-    perf.add_argument(
-        "--perf-output", default="BENCH_PERF.json",
-        help="where to write the perf report (default: BENCH_PERF.json)",
-    )
-    perf.add_argument(
-        "--perf-baseline", default=None,
-        help="committed baseline JSON to gate against; the run fails when "
-             "wall-clock throughput regresses more than --perf-tolerance "
-             "below it (default: no gate)",
-    )
-    perf.add_argument(
-        "--perf-tolerance", type=float, default=3.0,
-        help="allowed slowdown factor vs the baseline before the perf gate "
-             "fails (default: 3.0)",
+    parser.add_argument(
+        "--anchors", default=None, metavar="FILE",
+        help="committed anchors file (ANCHORS.json) the fleet and chaos "
+             "experiments gate against: the run's inputs must have an entry "
+             "and its determinism anchor must match, else exit 1; the file "
+             "is only read (default: no gate, an ad hoc run)",
     )
     fleet = parser.add_argument_group(
-        "fleet", "parallel fleet configuration for the fleet experiment "
-                 "(shares --perf-output/--perf-baseline; the baseline gate "
-                 "checks the determinism anchor, not throughput)"
+        "fleet", "parallel fleet configuration for the fleet experiment"
     )
     fleet.add_argument(
         "--fleet-devices", type=_positive_int, default=10_000,
@@ -474,8 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     query = parser.add_argument_group(
         "query", "read-side query bench configuration for the query "
-                 "experiment (shares --perf-output; the gate checks the "
-                 "indexed-vs-scan speedup, not absolute throughput)"
+                 "experiment (the gate checks the indexed-vs-scan speedup of "
+                 "the run itself, not absolute throughput)"
     )
     query.add_argument(
         "--query-keys", type=_positive_int, nargs="+", default=[1_000, 10_000],
@@ -503,20 +363,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chaos = parser.add_argument_group(
         "chaos", "fault-injection scenario configuration for the chaos "
-                 "experiment (shares --perf-output/--perf-baseline; the "
-                 "gate checks per-scenario determinism anchors)"
+                 "experiment"
     )
     chaos.add_argument(
         "--smoke", action="store_true",
         help="run each chaos scenario once instead of the double-pass "
              "determinism check (the CI shape — determinism is then gated "
-             "against the committed anchors via --perf-baseline)",
+             "against the committed anchors via --anchors)",
     )
     chaos.add_argument(
         "--chaos-seed", type=_positive_int, default=42,
         help="seed for the chaos deployments and fault plans (default: 42; "
-             "changing it changes every anchor, so the baseline gate only "
-             "applies at the committed seed)",
+             "changing it changes every anchor, so --anchors only passes at "
+             "a seed with committed entries)",
     )
     return parser
 
@@ -530,7 +389,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     for name in selected:
         try:
             outputs.append(EXPERIMENTS[name](args))
-        except PerfRegressionError as exc:
+        except anchors.GateError as exc:
             print("\n\n".join(outputs + [str(exc)]))
             return 1
     print("\n\n".join(outputs))

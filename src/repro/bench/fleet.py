@@ -14,19 +14,18 @@ into a heap holding millions of dead simulation objects, and their GC
 passes would fault all of those pages copy-on-write — a measurement
 artifact, not a property of either executor.
 
-Results land in the ``fleet`` section of ``BENCH_PERF.json`` keyed by
-``{devices}x{shards}`` profile, next to the ``perf`` measurements.  The
-CI perf-smoke job re-runs a reduced profile and gates on the committed
-anchor, which catches any change that silently moves virtual time.
+Nothing is written.  With ``--anchors ANCHORS.json`` the anchor is gated
+against the entry committed for this run's inputs (see
+:mod:`repro.bench.anchors`); CI does that at a reduced profile, which
+catches any change that silently moves virtual time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Dict, List, Optional
 
-from repro.bench.perf import PerfRegressionError, update_report_file
+from repro.bench.anchors import GateError
 from repro.bench.reporting import ResultTable, format_seconds
 from repro.consensus.batching import BatchConfig
 from repro.simulation.parallel import (
@@ -77,8 +76,19 @@ def fleet_spec(
 
 
 def profile_name(spec: FleetSpec) -> str:
-    """The ``fleet`` section key one configuration's results live under."""
+    """The ``fleet`` section key one configuration's anchor lives under."""
     return f"{spec.devices}x{spec.shards}"
+
+
+def anchor_inputs(spec: FleetSpec) -> Dict[str, object]:
+    """The inputs that determine a bench fleet run's anchor (everything
+    else in :func:`fleet_spec` is a module constant)."""
+    return {
+        "devices": spec.devices,
+        "shards": spec.shards,
+        "duration_s": spec.duration_s,
+        "seed": spec.seed,
+    }
 
 
 @dataclass
@@ -106,29 +116,11 @@ class FleetBenchReport:
     def verify_determinism(self) -> None:
         """Fail loudly when the executors disagree on virtual time."""
         if self.parallel.anchor != self.sequential.anchor:
-            raise PerfRegressionError(
+            raise GateError(
                 "fleet determinism anchor mismatch: parallel "
                 f"{self.parallel.anchor} != sequential {self.sequential.anchor} "
                 f"(profile {self.profile})"
             )
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "devices": self.spec.devices,
-            "shards": self.spec.shards,
-            "workers": self.parallel.workers,
-            "duration_s": self.spec.duration_s,
-            "seed": self.spec.seed,
-            "window_s": round(self.parallel.window_s, 6),
-            "submitted": self.sequential.submitted,
-            "committed": self.sequential.committed,
-            "pending": self.sequential.pending,
-            "sequential_wall_s": round(self.sequential.wall_s, 4),
-            "parallel_wall_s": round(self.parallel.wall_s, 4),
-            "speedup": round(self.speedup, 2),
-            "anchor": self.anchor,
-            "shard_stats": [_stats_dict(s) for s in self.parallel.shard_stats],
-        }
 
     def to_table(self) -> ResultTable:
         table = ResultTable(
@@ -158,26 +150,8 @@ class FleetBenchReport:
         return table
 
 
-def _stats_dict(stats: ShardRunStats) -> Dict[str, object]:
-    return {
-        "worker": stats.worker,
-        "sites": list(stats.sites),
-        "windows": stats.windows,
-        "events": stats.events,
-        "busy_wall_s": round(stats.busy_wall_s, 4),
-        "barrier_stall_s": round(stats.barrier_stall_s, 4),
-        "utilization": round(stats.utilization, 4),
-    }
-
-
-def shard_stats_table(
-    stats: List[Dict[str, object]], title: str
-) -> ResultTable:
-    """Per-worker utilization/stall table (satellite of every fleet run).
-
-    Accepts the serialized form so the CLI can render both a fresh run and
-    the committed ``BENCH_PERF.json`` section with one code path.
-    """
+def shard_stats_table(stats: List[ShardRunStats], title: str) -> ResultTable:
+    """Per-worker utilization/stall table (satellite of every fleet run)."""
     table = ResultTable(
         title=title,
         columns=[
@@ -187,13 +161,13 @@ def shard_stats_table(
     )
     for entry in stats:
         table.add_row(
-            entry["worker"],
-            ",".join(str(s) for s in entry["sites"]),
-            entry["windows"],
-            entry["events"],
-            format_seconds(float(entry["busy_wall_s"])),
-            format_seconds(float(entry["barrier_stall_s"])),
-            f"{float(entry['utilization']) * 100:.1f}%",
+            entry.worker,
+            ",".join(str(site) for site in entry.sites),
+            entry.windows,
+            entry.events,
+            format_seconds(entry.busy_wall_s),
+            format_seconds(entry.barrier_stall_s),
+            f"{entry.utilization * 100:.1f}%",
         )
     table.add_note(
         "barrier stall is wall time parked waiting for the coordinator; "
@@ -220,38 +194,3 @@ def run_fleet(
     report = FleetBenchReport(spec=spec, parallel=parallel, sequential=sequential)
     report.verify_determinism()
     return report
-
-
-# ------------------------------------------------------------- persistence
-def write_fleet_entry(report: FleetBenchReport, path: Path) -> Dict[str, object]:
-    """Replace this profile's ``fleet[profile]`` entry in ``path``."""
-
-    def update(document: Dict[str, object]) -> None:
-        document.setdefault("fleet", {})[report.profile] = report.to_dict()
-
-    return update_report_file(path, update)
-
-
-def check_fleet_anchor(
-    report: FleetBenchReport, baseline_data: Dict[str, object]
-) -> List[str]:
-    """Gate a fresh run against the committed determinism anchor.
-
-    Returns failure strings when the baseline holds this profile and its
-    anchor differs; an absent profile is skipped (reduced CI scales only
-    gate what they measured, mirroring :func:`check_regression_data`).
-    """
-    fleet = baseline_data.get("fleet")
-    if not isinstance(fleet, dict):
-        return []
-    entry = fleet.get(report.profile)
-    if not isinstance(entry, dict) or "anchor" not in entry:
-        return []
-    committed = str(entry["anchor"])
-    if report.anchor != committed:
-        return [
-            f"fleet {report.profile}: determinism anchor {report.anchor} "
-            f"does not match the committed baseline {committed} — virtual "
-            "time moved"
-        ]
-    return []

@@ -3,7 +3,7 @@
 Benchmarks and the CLI describe a pipeline as data — cache on/off, retry
 attempts, batch size — and build it here, so an ablation is a config swap
 rather than a code fork.  ``PipelineConfig()`` (all defaults) reproduces
-the pre-middleware behaviour exactly: tracing and metrics only observe,
+the pre-middleware behaviour exactly: request ids and metrics only observe,
 retry makes a single attempt, the cache is off and the batcher passes
 every envelope straight through.
 """
@@ -48,19 +48,13 @@ RETRY_JITTER_SEED = 20240807
 class PipelineConfig:
     """Which middlewares a client pipeline runs, and how they are tuned."""
 
-    #: Assign request ids and publish trace events.
-    tracing: bool = True
     #: Record per-operation and per-stage latency metrics.
     metrics: bool = True
     #: Total attempts per operation (1 = no retry).
     retry_attempts: int = 1
-    retry_backoff_s: float = 0.05
-    retry_multiplier: float = 2.0
     #: Serve repeated reads from a client-side cache (commit-invalidated).
     cache: bool = False
     cache_capacity: int = 256
-    #: Latency charged for a cache hit (a local lookup, not a peer RTT).
-    cache_hit_latency_s: float = 0.0
     #: Endorsed envelopes coalesced per orderer submission (fabric-side).
     order_batch_size: int = 1
     #: Tenant whose namespace every key argument is rewritten into
@@ -98,8 +92,6 @@ class PipelineConfig:
     #: Per-shard closed→open→half-open circuit breaker at the bottom of
     #: the chain (cache hits bypass it).
     circuit_breaker: bool = False
-    #: Consecutive transport failures that open one shard's circuit.
-    circuit_failure_threshold: int = 5
     #: Virtual seconds an open circuit rejects calls before one half-open
     #: probe is allowed through.
     circuit_cooldown_s: float = 1.0
@@ -122,8 +114,6 @@ class PipelineConfig:
             raise ConfigurationError("deadline_s must be >= 0")
         if not 0.0 <= self.retry_jitter < 1.0:
             raise ConfigurationError("retry_jitter must be in [0, 1)")
-        if self.circuit_failure_threshold < 1:
-            raise ConfigurationError("circuit_failure_threshold must be >= 1")
         if self.circuit_cooldown_s <= 0:
             raise ConfigurationError("circuit_cooldown_s must be > 0")
         if self.saf_replay_interval_s <= 0:
@@ -173,9 +163,7 @@ class PipelineConfig:
 
     def middleware_names(self) -> List[str]:
         """Names of the middlewares this config enables, in chain order."""
-        names = []
-        if self.tracing:
-            names.append("request-id")
+        names = ["request-id"]
         if self.metrics:
             names.append("metrics")
         if self.indexes:
@@ -230,9 +218,9 @@ def build_client_pipeline(
     instead of a private store (``shared_cache``); ``engine`` is required
     by the store-and-forward replay timer.
     """
-    middlewares: List[Middleware] = []
-    if config.tracing:
-        middlewares.append(RequestIdMiddleware(id_generator=id_generator, events=events))
+    middlewares: List[Middleware] = [
+        RequestIdMiddleware(id_generator=id_generator, events=events)
+    ]
     if config.metrics and metrics is not None:
         middlewares.append(MetricsMiddleware(registry=metrics, clock=clock))
     if config.indexes:
@@ -268,8 +256,6 @@ def build_client_pipeline(
     if config.retry_attempts > 1:
         policy = RetryPolicy(
             max_attempts=config.retry_attempts,
-            backoff_s=config.retry_backoff_s,
-            multiplier=config.retry_multiplier,
             jitter_fraction=config.retry_jitter,
         )
         jitter_rng = (
@@ -286,7 +272,6 @@ def build_client_pipeline(
         middlewares.append(
             ReadCacheMiddleware(
                 capacity=config.cache_capacity,
-                hit_latency_s=config.cache_hit_latency_s,
                 events=events,
                 metrics=metrics,
                 store=shared_cache_store if config.shared_cache else None,
@@ -298,7 +283,6 @@ def build_client_pipeline(
     if config.circuit_breaker:
         middlewares.append(
             CircuitBreakerMiddleware(
-                failure_threshold=config.circuit_failure_threshold,
                 cooldown_s=config.circuit_cooldown_s,
                 clock=clock,
                 metrics=metrics,

@@ -28,7 +28,7 @@ which is also the portable fallback when the platform cannot fork.
 Determinism: virtual-time results are byte-identical to the sequential
 engine — the commit-log anchor digest of :func:`run_fleet_parallel` equals
 the one from :func:`run_fleet_sequential` for the same spec, which the
-property tests and the CI perf-smoke gate both check.
+property tests and the CI ``anchors`` gate both check.
 """
 
 from __future__ import annotations

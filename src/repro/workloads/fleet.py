@@ -379,7 +379,7 @@ def commit_log_lines(deployment: FleetDeployment, site: int) -> List[str]:
 def commit_anchor(lines_by_site: Dict[int, List[str]]) -> str:
     """SHA-256 over every site's commit log, in site order.
 
-    The determinism anchor committed to ``BENCH_PERF.json`` and gated in
+    The determinism anchor committed to ``ANCHORS.json`` and gated in
     CI: the sequential engine and the parallel executor must produce the
     same digest.
     """

@@ -239,139 +239,3 @@ def test_cli_main_runs_sharding_experiment(capsys):
     assert exit_code == 0
     assert "tenant isolation" in captured.out
     assert "throughput scaling" in captured.out
-
-
-# ------------------------------------------------------------------ bench perf
-def test_perf_harness_measures_all_workloads(tmp_path):
-    from repro.bench.perf import run_perf, write_report
-
-    report = run_perf(commit_requests=8, keys=120, queries=4)
-    workloads = {m.workload for m in report.measurements}
-    assert workloads == {"commit-heavy", "range-query", "rich-query", "read-mix"}
-    for measurement in report.measurements:
-        assert measurement.wall_s > 0
-        assert measurement.wall_ops_per_s > 0
-        assert measurement.operations > 0
-    # Commit-heavy actually commits every request at the full scale.
-    full = report.find("commit-heavy", 8)
-    assert full is not None and full.operations == 8
-
-    output = tmp_path / "BENCH_PERF.json"
-    document = write_report(report, output)
-    assert output.exists()
-    assert len(document["measurements"]) == len(report.measurements)
-
-
-def test_perf_report_carries_baseline_forward(tmp_path):
-    import json
-
-    from repro.bench.perf import (
-        PerfMeasurement, PerfReport, write_report,
-    )
-
-    output = tmp_path / "BENCH_PERF.json"
-    baseline = {
-        "measurements": [
-            {"workload": "commit-heavy", "scale": 8, "operations": 8,
-             "wall_s": 1.0, "wall_ops_per_s": 8.0, "virtual_mean_s": 0.1},
-        ]
-    }
-    output.write_text(json.dumps({"baseline_pre_pr": baseline}))
-    report = PerfReport([
-        PerfMeasurement(
-            workload="commit-heavy", scale=8, operations=8,
-            wall_s=0.25, wall_ops_per_s=32.0, virtual_mean_s=0.1,
-        )
-    ])
-    document = write_report(report, output)
-    assert document["baseline_pre_pr"] == baseline
-    assert document["speedup_vs_pre_pr"] == {"commit-heavy@8": 4.0}
-    # The file on disk round-trips the same content.
-    assert json.loads(output.read_text())["speedup_vs_pre_pr"] == {
-        "commit-heavy@8": 4.0
-    }
-
-
-def test_perf_regression_gate(tmp_path):
-    import json
-
-    from repro.bench.perf import PerfMeasurement, PerfReport, check_regression
-
-    baseline_path = tmp_path / "baseline.json"
-    baseline_path.write_text(json.dumps({
-        "measurements": [
-            {"workload": "commit-heavy", "scale": 8, "operations": 8,
-             "wall_s": 1.0, "wall_ops_per_s": 900.0, "virtual_mean_s": 0.1},
-            {"workload": "rich-query", "scale": 120, "operations": 4,
-             "wall_s": 1.0, "wall_ops_per_s": 90.0, "virtual_mean_s": 0.1},
-        ]
-    }))
-
-    def report_with(tput):
-        return PerfReport([
-            PerfMeasurement(
-                workload="commit-heavy", scale=8, operations=8,
-                wall_s=1.0, wall_ops_per_s=tput, virtual_mean_s=0.1,
-            )
-        ])
-
-    # Within tolerance (3x): no failures; unmatched baseline rows skipped.
-    assert check_regression(report_with(400.0), baseline_path) == []
-    failures = check_regression(report_with(200.0), baseline_path)
-    assert len(failures) == 1 and "commit-heavy@8" in failures[0]
-    # A custom tolerance moves the floor.
-    assert check_regression(report_with(200.0), baseline_path, tolerance=5.0) == []
-
-
-def test_cli_perf_runs_and_honours_baseline_gate(tmp_path, capsys):
-    import json
-
-    output = tmp_path / "perf.json"
-    exit_code = main([
-        "perf", "--perf-requests", "6", "--perf-keys", "60",
-        "--perf-queries", "3", "--perf-output", str(output),
-    ])
-    captured = capsys.readouterr()
-    assert exit_code == 0
-    assert "wall ops/s" in captured.out
-    assert output.exists()
-
-    # A baseline demanding impossible throughput fails the gate (exit 1).
-    impossible = {
-        "measurements": [
-            {"workload": "commit-heavy", "scale": 6, "operations": 6,
-             "wall_s": 1.0, "wall_ops_per_s": 1e12, "virtual_mean_s": 0.1},
-        ]
-    }
-    baseline_path = tmp_path / "impossible.json"
-    baseline_path.write_text(json.dumps(impossible))
-    exit_code = main([
-        "perf", "--perf-requests", "6", "--perf-keys", "60",
-        "--perf-queries", "3", "--perf-output", str(output),
-        "--perf-baseline", str(baseline_path),
-    ])
-    captured = capsys.readouterr()
-    assert exit_code == 1
-    assert "regression" in captured.out
-
-
-def test_cli_perf_gate_not_vacuous_when_output_is_baseline(tmp_path, capsys):
-    """Regression: with --perf-output == --perf-baseline the gate must
-    compare against the baseline as committed, not the file it just wrote."""
-    import json
-
-    shared = tmp_path / "BENCH_PERF.json"
-    shared.write_text(json.dumps({
-        "measurements": [
-            {"workload": "commit-heavy", "scale": 6, "operations": 6,
-             "wall_s": 1.0, "wall_ops_per_s": 1e12, "virtual_mean_s": 0.1},
-        ]
-    }))
-    exit_code = main([
-        "perf", "--perf-requests", "6", "--perf-keys", "60",
-        "--perf-queries", "3", "--perf-output", str(shared),
-        "--perf-baseline", str(shared),
-    ])
-    captured = capsys.readouterr()
-    assert exit_code == 1
-    assert "regression" in captured.out

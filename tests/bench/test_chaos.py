@@ -1,18 +1,22 @@
-"""Chaos bench: scenario smoke, persistence merge and the anchor gate."""
+"""Chaos bench: scenario smoke and the read-only anchor gate."""
 
 import json
+from pathlib import Path
 
 import pytest
 
+from repro.bench import anchors
+from repro.bench.anchors import GateError
 from repro.bench.chaos import (
     SCENARIOS,
     ChaosBenchReport,
     ChaosInvariantError,
     ChaosScenarioResult,
-    check_chaos_anchors,
     run_chaos,
-    write_chaos_entry,
 )
+from repro.bench.cli import main
+
+COMMITTED = Path(__file__).resolve().parents[2] / "ANCHORS.json"
 
 
 @pytest.fixture(scope="module")
@@ -46,44 +50,83 @@ class TestScenarios:
         assert shifted.anchor != report.scenario("orderer_stall").anchor
 
 
-class TestPersistence:
-    def test_write_merges_without_touching_other_sections(self, report, tmp_path):
-        path = tmp_path / "bench.json"
-        path.write_text(json.dumps({"fleet": {"keep": 1}}))
-        document = write_chaos_entry(report, path)
-        assert document["fleet"] == {"keep": 1}
-        on_disk = json.loads(path.read_text())
-        assert set(on_disk["chaos"]["scenarios"]) == set(SCENARIOS)
-        assert on_disk["chaos"]["seed"] == report.seed
+def anchors_file(tmp_path, report, **overrides):
+    """An anchors file committing ``report``'s anchors (or ``overrides``)."""
+    chaos = {
+        r.name: {"inputs": {"seed": report.seed}, "anchor": r.anchor}
+        for r in report.scenarios
+    }
+    chaos.update(overrides)
+    path = tmp_path / "anchors.json"
+    path.write_text(json.dumps({"fleet": {"keep": 1}, "chaos": chaos}))
+    return path
 
-    def test_write_tolerates_missing_and_corrupt_files(self, report, tmp_path):
-        fresh = tmp_path / "fresh.json"
-        write_chaos_entry(report, fresh)
-        assert "chaos" in json.loads(fresh.read_text())
+
+class TestPersistence:
+    """``--anchors`` names a file the gate reads and never writes."""
+
+    def test_gated_run_leaves_the_anchors_file_untouched(self, tmp_path, capsys):
+        # A copy of the committed file: the smoke run must reproduce all
+        # five committed anchors and change no byte of it.
+        path = tmp_path / "ANCHORS.json"
+        path.write_bytes(COMMITTED.read_bytes())
+        assert main(["chaos", "--smoke", "--anchors", str(path)]) == 0
+        assert "every scenario anchor matches" in capsys.readouterr().out
+        assert path.read_bytes() == COMMITTED.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ANCHORS.json"]
+
+    def test_missing_or_corrupt_anchors_file_fails_the_gate(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        assert main(["chaos", "--smoke", "--anchors", str(missing)]) == 1
+        assert "unreadable" in capsys.readouterr().out
+        assert not missing.exists()
         corrupt = tmp_path / "corrupt.json"
         corrupt.write_text("{not json")
-        write_chaos_entry(report, corrupt)
-        assert "chaos" in json.loads(corrupt.read_text())
+        assert main(["chaos", "--smoke", "--anchors", str(corrupt)]) == 1
+        assert "unreadable" in capsys.readouterr().out
+        assert corrupt.read_text() == "{not json"
 
 
 class TestAnchorGate:
-    def baseline_for(self, report):
-        return {"chaos": {"scenarios": {r.name: r.to_dict() for r in report.scenarios}}}
+    def test_matching_anchors_pass(self, report, tmp_path):
+        committed = anchors.load(anchors_file(tmp_path, report))
+        for result in report.scenarios:
+            anchors.check(
+                committed, "chaos", result.name, {"seed": report.seed}, result.anchor
+            )
 
-    def test_matching_anchors_pass(self, report):
-        assert check_chaos_anchors(report, self.baseline_for(report)) == []
-
-    def test_changed_anchor_fails_that_scenario(self, report):
-        baseline = self.baseline_for(report)
-        baseline["chaos"]["scenarios"]["partition_heal"]["anchor"] = "0" * 64
-        failures = check_chaos_anchors(report, baseline)
+    def test_changed_anchor_fails_that_scenario(self, report, tmp_path, capsys):
+        drifted = {"inputs": {"seed": report.seed}, "anchor": "0" * 64}
+        path = anchors_file(tmp_path, report, partition_heal=drifted)
+        assert main(["chaos", "--smoke", "--anchors", str(path)]) == 1
+        failures = [
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("  - ")
+        ]
         assert len(failures) == 1
-        assert "partition_heal" in failures[0]
+        assert "partition_heal: virtual time moved" in failures[0]
+        assert "0" * 64 in failures[0]
+        assert report.scenario("partition_heal").anchor in failures[0]
 
-    def test_absent_scenario_and_absent_section_are_skipped(self, report):
-        assert check_chaos_anchors(report, {}) == []
-        partial = {"chaos": {"scenarios": {}}}
-        assert check_chaos_anchors(report, partial) == []
+    def test_absent_scenario_and_absent_section_fail_the_gate(self, report):
+        """Regression: absent entries used to be skipped, so a gate pointed
+        at the wrong file (or a renamed scenario) passed vacuously."""
+        result = report.scenarios[0]
+        for committed in ({}, {"chaos": {}}):
+            with pytest.raises(GateError, match="no committed anchor"):
+                anchors.check(
+                    committed, "chaos", result.name,
+                    {"seed": report.seed}, result.anchor,
+                )
+
+    def test_other_seed_is_a_missing_anchor_not_drift(self, capsys):
+        """Regression: ``--chaos-seed 7`` against seed-42 anchors used to
+        fail as "virtual time moved"."""
+        argv = ["chaos", "--smoke", "--chaos-seed", "7", "--anchors", str(COMMITTED)]
+        assert main(argv) == 1
+        out = capsys.readouterr().out
+        assert out.count("no committed anchor for {'seed': 7}") == len(SCENARIOS)
+        assert "virtual time moved" not in out
 
     def test_double_pass_mismatch_fails_the_full_profile(self, monkeypatch):
         calls = {"count": 0}

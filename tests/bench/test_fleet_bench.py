@@ -1,19 +1,22 @@
-"""``bench fleet``: speedup report, anchor gate, BENCH_PERF.json merging."""
+"""``bench fleet``: speedup report and the read-only anchor gate."""
 
 import json
 
 import pytest
 
-from repro.bench.cli import build_parser
+from repro.bench import anchors
+from repro.bench.anchors import GateError
+from repro.bench.cli import build_parser, main
 from repro.bench.fleet import (
-    check_fleet_anchor,
+    anchor_inputs,
     fleet_spec,
     profile_name,
     run_fleet,
     shard_stats_table,
-    write_fleet_entry,
 )
-from repro.bench.perf import PerfMeasurement, PerfRegressionError, PerfReport, write_report
+
+TINY = ["fleet", "--fleet-devices", "24", "--fleet-shards", "2", "--workers", "2",
+        "--fleet-duration", "30"]
 
 
 @pytest.fixture(scope="module")
@@ -26,13 +29,14 @@ class TestRunFleet:
         assert tiny_report.profile == "24x2"
         assert tiny_report.parallel.anchor == tiny_report.sequential.anchor
         tiny_report.verify_determinism()
-        data = tiny_report.to_dict()
-        assert data["devices"] == 24
-        assert data["workers"] == 2
-        assert data["committed"] == tiny_report.sequential.committed
-        assert len(data["anchor"]) == 64
-        assert len(data["shard_stats"]) == 2
-        assert data["speedup"] > 0
+        assert anchor_inputs(tiny_report.spec) == {
+            "devices": 24, "shards": 2, "duration_s": 30.0, "seed": 42,
+        }
+        assert tiny_report.parallel.workers == 2
+        assert tiny_report.parallel.committed == tiny_report.sequential.committed > 0
+        assert len(tiny_report.anchor) == 64
+        assert len(tiny_report.parallel.shard_stats) == 2
+        assert tiny_report.speedup > 0
 
     def test_mismatched_anchor_fails_loudly(self, tiny_report):
         import dataclasses
@@ -49,68 +53,73 @@ class TestRunFleet:
             parallel=drifted,
             sequential=tiny_report.sequential,
         )
-        with pytest.raises(PerfRegressionError):
+        with pytest.raises(GateError):
             broken.verify_determinism()
 
     def test_shard_stats_table_renders(self, tiny_report):
         rendered = shard_stats_table(
-            tiny_report.to_dict()["shard_stats"], "stats"
+            tiny_report.parallel.shard_stats, "stats"
         ).render()
         assert "barrier stall" in rendered
         assert "utilization" in rendered
 
 
+def anchors_file(tmp_path, report, **entry):
+    """An anchors file committing ``report`` (fields overridden by ``entry``)."""
+    committed = {"inputs": anchor_inputs(report.spec), "anchor": report.anchor}
+    committed.update(entry)
+    path = tmp_path / "anchors.json"
+    path.write_text(json.dumps({"fleet": {report.profile: committed}}))
+    return path
+
+
 class TestPersistence:
-    def test_write_fleet_entry_merges_without_clobbering(self, tiny_report, tmp_path):
-        path = tmp_path / "BENCH_PERF.json"
-        path.write_text(json.dumps({"measurements": [1, 2], "fleet": {"9x9": {"anchor": "x"}}}))
-        document = write_fleet_entry(tiny_report, path)
-        assert document["measurements"] == [1, 2]
-        assert document["fleet"]["9x9"] == {"anchor": "x"}
-        assert document["fleet"]["24x2"]["anchor"] == tiny_report.anchor
-        assert json.loads(path.read_text()) == document
-
-    def test_perf_write_report_preserves_fleet_section(self, tiny_report, tmp_path):
-        path = tmp_path / "BENCH_PERF.json"
-        write_fleet_entry(tiny_report, path)
-        report = PerfReport(
-            measurements=[
-                PerfMeasurement("commit-heavy", 4, 4, 0.1, 40.0, 0.5)
-            ]
-        )
-        document = write_report(report, path)
-        assert document["fleet"]["24x2"]["anchor"] == tiny_report.anchor
-        assert json.loads(path.read_text())["fleet"]["24x2"]["devices"] == 24
-
-    def test_perf_write_report_replaces_only_its_own_sections(self, tmp_path):
-        """Regression: ``bench perf`` used to drop the committed chaos anchors."""
-        path = tmp_path / "BENCH_PERF.json"
-        others = {
-            "chaos": {"scenarios": {"partition_heal": {"anchor": "c" * 64}}, "seed": 7},
-            "fleet": {"500x2": {"anchor": "f" * 64, "devices": 500}},
-            "query": {"speedup_indexed_vs_scan": {"10000": 88.0}},
-        }
-        path.write_text(json.dumps({"measurements": ["stale"], **others}))
-        report = PerfReport(
-            measurements=[PerfMeasurement("commit-heavy", 4, 4, 0.1, 40.0, 0.5)]
-        )
-        write_report(report, path)
-        on_disk = json.loads(path.read_text())
-        assert on_disk["measurements"] == report.to_dict()["measurements"]
-        for section, before in others.items():
-            assert json.dumps(on_disk[section], sort_keys=True) == json.dumps(
-                before, sort_keys=True
-            )
+    """Nothing persists: the gate reads the anchors file, never writes it."""
 
     def test_check_fleet_anchor_gate(self, tiny_report):
-        good = {"fleet": {tiny_report.profile: {"anchor": tiny_report.anchor}}}
-        assert check_fleet_anchor(tiny_report, good) == []
-        bad = {"fleet": {tiny_report.profile: {"anchor": "0" * 64}}}
-        failures = check_fleet_anchor(tiny_report, bad)
-        assert failures and "anchor" in failures[0]
-        # Absent profile or section: skipped, mirroring the perf gate.
-        assert check_fleet_anchor(tiny_report, {}) == []
-        assert check_fleet_anchor(tiny_report, {"fleet": {}}) == []
+        inputs = anchor_inputs(tiny_report.spec)
+        profile = tiny_report.profile
+        good = {"fleet": {profile: {"inputs": inputs, "anchor": tiny_report.anchor}}}
+        anchors.check(good, "fleet", profile, inputs, tiny_report.anchor)
+        bad = {"fleet": {profile: {"inputs": inputs, "anchor": "0" * 64}}}
+        with pytest.raises(GateError, match="virtual time moved"):
+            anchors.check(bad, "fleet", profile, inputs, tiny_report.anchor)
+        # Absent profile or section: a failure, not a silent skip.
+        for absent in ({}, {"fleet": {}}):
+            with pytest.raises(GateError, match="no committed anchor"):
+                anchors.check(absent, "fleet", profile, inputs, tiny_report.anchor)
+
+    def test_cli_gate_passes_on_the_committed_anchor(
+        self, tiny_report, tmp_path, capsys
+    ):
+        path = anchors_file(tmp_path, tiny_report)
+        before = path.read_bytes()
+        assert main(TINY + ["--anchors", str(path)]) == 0
+        assert "determinism anchor matches" in capsys.readouterr().out
+        assert path.read_bytes() == before
+
+    def test_cli_gate_fails_without_a_committed_entry(self, tmp_path, capsys):
+        """Regression: a profile with no committed anchor used to print
+        "determinism anchor matches" and exit 0."""
+        path = tmp_path / "anchors.json"
+        path.write_text(json.dumps({"fleet": {"500x2": {"anchor": "f" * 64}}}))
+        assert main(TINY + ["--anchors", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "fleet 24x2: no committed anchor for" in out
+        assert "'devices': 24" in out and "'duration_s': 30.0" in out
+        assert "matches" not in out
+
+    def test_cli_gate_other_duration_is_a_missing_anchor_not_drift(
+        self, tiny_report, tmp_path, capsys
+    ):
+        """Regression: the gate keyed on ``{devices}x{shards}`` only, so a
+        run at another duration failed as "virtual time moved"."""
+        longer = dict(anchor_inputs(tiny_report.spec), duration_s=200.0)
+        path = anchors_file(tmp_path, tiny_report, inputs=longer)
+        assert main(TINY + ["--anchors", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "no committed anchor for" in out and "'duration_s': 30.0" in out
+        assert "virtual time moved" not in out
 
 
 class TestCli:
