@@ -46,12 +46,7 @@ def main() -> None:
         )
     )
     deployment.client.configure_pipeline(
-        PipelineConfig(
-            cache=True,
-            stale_reads=True,
-            store_and_forward=True,
-            saf_replay_interval_s=0.5,
-        )
+        PipelineConfig(cache=True, stale_reads=True, store_and_forward=True)
     )
     store = deployment.client.as_store()
     engine = deployment.engine

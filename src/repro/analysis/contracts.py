@@ -1,4 +1,4 @@
-"""Pipeline-contract checker: rules C301–C303.
+"""Pipeline-contract checker: rules C301–C304.
 
 ``PipelineConfig`` is the single ablation surface — every experiment in
 ``bench`` is a config swap — so a knob that nothing consumes is a silent
@@ -11,6 +11,12 @@ request behind it in the chain.
   the dataclass definition itself.
 * **C302** — a ``PipelineConfig`` field does not appear (in backticks)
   in ``docs/architecture.md``'s config table.
+* **C304** — a consumed ``PipelineConfig`` field is passed by keyword by
+  no call in ``src/repro`` (outside the dataclass), ``benchmarks/`` or
+  ``examples/``: with one value in use outside ``tests/`` the knob is a
+  constant.  *Any* keyword argument of that name counts (``replace(cfg,
+  tenant=…)``, a topology builder's ``shards=…``) — the same deliberate
+  looseness as C301's attribute reads.
 * **C303** — a ``Middleware.handle`` override never references its
   ``call_next`` parameter and is not annotated
   ``# repro: terminal-middleware``.  *Referencing* (not just calling)
@@ -21,12 +27,16 @@ request behind it in the chain.
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Set
+from pathlib import Path
+from typing import Dict, Iterator, List, Optional, Set
 
 from repro.analysis.core import AnalysisContext, Finding, SourceFile
 
 CONFIG_MODULE = "src/repro/middleware/config.py"
 CONFIG_CLASS = "PipelineConfig"
+#: Directories under the analysis root, besides the source tree, whose
+#: calls count as setting a knob (C304).  ``tests/`` is left out on purpose.
+CALLER_DIRS = ("benchmarks", "examples")
 
 
 def _find_class(source: SourceFile, name: str) -> Optional[ast.ClassDef]:
@@ -48,21 +58,50 @@ def _dataclass_fields(cls: ast.ClassDef) -> Dict[str, int]:
     return fields
 
 
-def _attribute_reads(
-    source: SourceFile, skip: Optional[ast.ClassDef]
-) -> Set[str]:
-    """All ``<expr>.attr`` attribute names read in a file, excluding one
-    class body (the dataclass defining the fields)."""
+def _nodes_outside(
+    tree: ast.Module, skip: Optional[ast.ClassDef]
+) -> Iterator[ast.AST]:
+    """Every node of a module except those inside one class body (the
+    dataclass defining the fields)."""
     skip_range = (
         range(skip.lineno, (skip.end_lineno or skip.lineno) + 1)
         if skip is not None
         else range(0)
     )
-    reads: Set[str] = set()
-    for node in ast.walk(source.tree):
-        if isinstance(node, ast.Attribute) and node.lineno not in skip_range:
-            reads.add(node.attr)
-    return reads
+    for node in ast.walk(tree):
+        if getattr(node, "lineno", None) not in skip_range:
+            yield node
+
+
+def _attribute_reads(tree: ast.Module, skip: Optional[ast.ClassDef]) -> Set[str]:
+    """All ``<expr>.attr`` attribute names read in a module."""
+    return {
+        node.attr
+        for node in _nodes_outside(tree, skip)
+        if isinstance(node, ast.Attribute)
+    }
+
+
+def _keywords_passed(
+    tree: ast.Module, skip: Optional[ast.ClassDef] = None
+) -> Set[str]:
+    """All keyword-argument names any call in a module passes."""
+    return {
+        keyword.arg
+        for node in _nodes_outside(tree, skip)
+        if isinstance(node, ast.Call)
+        for keyword in node.keywords
+        if keyword.arg is not None
+    }
+
+
+def _caller_trees(root: Path) -> List[ast.Module]:
+    """Parsed modules of the non-source caller directories that exist."""
+    return [
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for directory in CALLER_DIRS
+        for path in sorted((root / directory).rglob("*.py"))
+    ]
 
 
 def check_contracts(context: AnalysisContext) -> List[Finding]:
@@ -85,9 +124,13 @@ def _check_config_knobs(context: AnalysisContext) -> List[Finding]:
     fields = _dataclass_fields(config_class)
 
     consumed: Set[str] = set()
+    passed: Set[str] = set()
     for source in context.files:
         skip = config_class if source is config_source else None
-        consumed |= _attribute_reads(source, skip)
+        consumed |= _attribute_reads(source.tree, skip)
+        passed |= _keywords_passed(source.tree, skip)
+    for tree in _caller_trees(context.root):
+        passed |= _keywords_passed(tree)
 
     for name, line in sorted(fields.items()):
         marker = ast.copy_location(ast.Pass(), config_class)
@@ -101,6 +144,21 @@ def _check_config_knobs(context: AnalysisContext) -> List[Finding]:
                 hint=(
                     "wire the knob into build_client_pipeline / a stage, "
                     "or delete it — dead config is a silent no-op ablation"
+                ),
+            )
+            if finding is not None:
+                findings.append(finding)
+        elif name not in passed:
+            finding = context.finding(
+                config_source,
+                marker,
+                "C304",
+                f"PipelineConfig.{name} is consumed but never set — make it "
+                "a constant",
+                hint=(
+                    "no call outside tests/ passes it by keyword; move the "
+                    "value to the consuming component's constructor default "
+                    "and delete the field"
                 ),
             )
             if finding is not None:

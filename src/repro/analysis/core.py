@@ -43,6 +43,7 @@ RULES: Dict[str, Tuple[str, str]] = {
     "C301": ("contract", "PipelineConfig knob consumed by no middleware/stage"),
     "C302": ("contract", "PipelineConfig knob missing from the docs config table"),
     "C303": ("contract", "middleware neither forwards nor terminates the chain"),
+    "C304": ("contract", "PipelineConfig knob consumed but set by no caller"),
     "T401": ("threading", "thread-shared attribute mutated outside the lock"),
     "T402": ("threading", "EventBus handler list mutated outside the safe API"),
 }

@@ -26,7 +26,6 @@ from repro.api.protocol import (
     VerifyResult,
 )
 from repro.common.errors import ConfigurationError
-from repro.middleware.cache import ReadCacheMiddleware, SharedReadCache
 from repro.middleware.config import PipelineConfig
 from repro.middleware.tenancy import (
     AdmissionControlMiddleware,
@@ -53,7 +52,7 @@ class ProvenanceSession:
         #: The underlying :class:`ProvenanceStore` adapter.
         self.backend = store
         self.tenant = tenant
-        self._owns_store = owns_store
+        self._owns_backend = owns_store
         self._handles: List[SubmitHandle] = []
         self._subscriptions: List[Any] = []
         self._submitted = 0
@@ -222,7 +221,7 @@ class ProvenanceSession:
         for subscription in self._subscriptions:
             subscription.cancel()
         self._subscriptions.clear()
-        if self._owns_store:
+        if self._owns_backend:
             self.backend.close()
         self._closed = True
 
@@ -248,32 +247,6 @@ class HyperProvService:
         #: One in-flight counter per tenant, shared across its sessions,
         #: so the admission cap is per tenant rather than per session.
         self._admission_counters: Dict[str, InFlightCounter] = {}
-        #: Lazily created shared read-cache tier (``shared_cache`` knob):
-        #: every session asking for it gets the same thread-safe LRU, so
-        #: repeated reads across tenant sessions hit one store.  Entries
-        #: are keyed on namespaced args, so tenants stay isolated.
-        self._shared_cache: Optional[SharedReadCache] = None
-        self._shared_cache_invalidator: Optional[ReadCacheMiddleware] = None
-
-    def shared_cache(self, capacity: int = 1024) -> SharedReadCache:
-        """The deployment-wide cache tier (created on first use).
-
-        The tier outlives any single session, so the service itself keeps
-        an invalidation subscription on the deployment's commit stream —
-        a write committed while no shared-cache session is open still
-        purges the entries it stales.  Later callers asking for a larger
-        capacity grow the store (never shrink it under existing users).
-        """
-        if self._shared_cache is None:
-            self._shared_cache = SharedReadCache(capacity=capacity)
-            events = getattr(getattr(self.deployment, "fabric", None), "events", None)
-            if events is not None:
-                self._shared_cache_invalidator = ReadCacheMiddleware(
-                    store=self._shared_cache, events=events
-                )
-        else:
-            self._shared_cache.capacity = max(self._shared_cache.capacity, capacity)
-        return self._shared_cache
 
     def session(
         self,
@@ -288,14 +261,11 @@ class HyperProvService:
         ``pipeline`` applied the way benchmarks always did.  With a tenant
         or a cap, the session gets its own client whose pipeline includes
         the tenant-prefix and admission-control middlewares; the network,
-        identity, off-chain storage and (with ``shared_cache``) the read
-        cache tier are shared.
+        identity and off-chain storage are shared.
         """
         if tenant is None and max_in_flight == 0:
             client = self.deployment.client
             if pipeline is not None:
-                if pipeline.shared_cache:
-                    client.shared_cache = self.shared_cache(pipeline.cache_capacity)
                 client.configure_pipeline(pipeline)
             return ProvenanceSession(client.as_store(), tenant="")
 
@@ -311,11 +281,6 @@ class HyperProvService:
             client_name=self.deployment.client.client_name,
             storage=self.deployment.storage,
             pipeline_config=config,
-            shared_cache=(
-                self.shared_cache(config.cache_capacity)
-                if config.shared_cache
-                else None
-            ),
         )
         if config.max_in_flight > 0:
             admission = client.pipeline.find(AdmissionControlMiddleware)

@@ -73,11 +73,3 @@ def run_batch_ablation(
         ablation.batch_sizes.append(batch_size)
         ablation.results.append(result)
     return ablation
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(run_batch_ablation().to_table().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -109,11 +109,3 @@ def run_cache_ablation(
         variant.cache_misses = misses.value if misses else 0.0
         ablation.variants.append(variant)
     return ablation
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(run_cache_ablation().to_table().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

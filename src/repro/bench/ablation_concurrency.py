@@ -78,11 +78,3 @@ def run_concurrency_ablation(
         ablation.depths.append(depth)
         ablation.results.append(result)
     return ablation
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(run_concurrency_ablation().to_table().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -55,11 +55,3 @@ def run_consensus_ablation(
         )
         ablation.results[mode] = result
     return ablation
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(run_consensus_ablation().to_table().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -60,14 +60,3 @@ def run_fastfabric_ablation(
         )
         ablation.results[label] = result
     return ablation
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    ablation = run_fastfabric_ablation()
-    table = ablation.to_table()
-    table.add_note(f"throughput speedup from parallel validation: {ablation.speedup:.2f}x")
-    print(table.render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

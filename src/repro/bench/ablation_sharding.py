@@ -205,13 +205,3 @@ def run_fairness_comparison(
     for scheduler in ("fifo", "fair-share"):
         comparison.by_scheduler[scheduler] = workload(build(scheduler)).run()
     return comparison
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(run_sharding_ablation().to_table().render())
-    print()
-    print(run_fairness_comparison().to_table().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

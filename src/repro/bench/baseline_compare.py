@@ -139,15 +139,3 @@ def run_baseline_comparison(
     report.entries.append(_measure_provchain(requests, payload_bytes, seed, pow_difficulty_bits))
     report.entries.append(_measure_central_db(requests, payload_bytes, seed))
     return report
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    report = run_baseline_comparison()
-    table = report.to_table()
-    table.add_note("expected shape: hyperprov ≫ provchain-pow on throughput at far lower power; "
-                   "central-db is fastest but offers no tamper evidence")
-    print(table.render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -227,13 +227,7 @@ def _assert_committed_everywhere(
 def _scenario_partition_heal(seed: int) -> ChaosScenarioResult:
     deployment = build_deployment(_edge_spec("chaos-partition", seed))
     deployment.client.configure_pipeline(
-        PipelineConfig(
-            cache=True,
-            stale_reads=True,
-            store_and_forward=True,
-            saf_replay_interval_s=0.5,
-            saf_max_replays=32,
-        )
+        PipelineConfig(cache=True, stale_reads=True, store_and_forward=True)
     )
     store = deployment.client.as_store()
     engine = deployment.engine
@@ -535,14 +529,7 @@ def _scenario_churn_fair_share(seed: int) -> ChaosScenarioResult:
     client_b = HyperProvClient(
         network=deployment.fabric, client_name="tenant-b", storage=deployment.storage
     )
-    client_b.configure_pipeline(
-        PipelineConfig(
-            tenant="beta",
-            store_and_forward=True,
-            saf_replay_interval_s=0.5,
-            saf_max_replays=32,
-        )
-    )
+    client_b.configure_pipeline(PipelineConfig(tenant="beta", store_and_forward=True))
 
     engine = deployment.engine
     checksum = checksum_of(b"chaos-churn")

@@ -104,14 +104,3 @@ def run_fig1(
             config.concurrency = concurrency
         series.results.append(runner.run(config))
     return series
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    series = run_fig1()
-    table = series.to_table("Fig. 1 — desktop: throughput and response time vs data size")
-    table.add_note("shape check: throughput falls and response time rises with size")
-    print(table.render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -43,14 +43,3 @@ def run_fig2(
             config.concurrency = concurrency
         series.results.append(runner.run(config))
     return series
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    series = run_fig2()
-    table = series.to_table("Fig. 2 — RPi: throughput and response time vs data size")
-    table.add_note("shape check: same trend as Fig. 1 at lower absolute performance")
-    print(table.render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -126,15 +126,3 @@ def run_fig3(
                 _measure_load_level(label, rate, interval_s, payload_bytes, seed)
             )
     return figure
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    figure = run_fig3()
-    table = figure.to_table()
-    table.add_note("paper reference points: idle-with-HLF 2.71 W, peak max 3.64 W, "
-                   "peak mean ≈ 10.7% above idle")
-    print(table.render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

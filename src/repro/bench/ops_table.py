@@ -138,14 +138,3 @@ def stage_table(results: List[OperatorLatencies]) -> ResultTable:
         "commit = block cut, delivery, validation and commit notify"
     )
     return table
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    results = run_ops_table()
-    print(to_table(results).render())
-    print()
-    print(stage_table(results).render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -115,14 +115,3 @@ def run_resource_usage(
         "desktop": _measure(build_desktop_deployment(seed=seed), payload_bytes, requests, seed),
         "rpi": _measure(build_rpi_deployment(seed=seed), payload_bytes, requests, seed),
     }
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    reports = run_resource_usage()
-    print(reports["desktop"].to_table().render())
-    print()
-    print(reports["rpi"].to_table().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

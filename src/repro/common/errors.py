@@ -105,38 +105,6 @@ class PartitionError(NetworkError):
     """Source and destination are in different network partitions."""
 
 
-class DeadlineExceededError(HyperProvError):
-    """An operation ran past its per-request deadline budget.
-
-    Deliberately *not* a :class:`NetworkError`: the retry middleware must
-    never retry past the deadline, so this error is terminal for the
-    request even when the underlying cause was transient.
-    """
-
-    def __init__(self, message: str, deadline_at: float = 0.0) -> None:
-        super().__init__(message)
-        #: The absolute virtual time the request was allowed to run until.
-        self.deadline_at = deadline_at
-
-
-class CircuitOpenError(HyperProvError):
-    """The circuit breaker for a backend/shard is open; the call was
-    rejected without being attempted.
-
-    Deliberately *not* a :class:`NetworkError` either — retrying against
-    an open breaker would defeat its purpose, so the default retry policy
-    propagates it immediately.
-    """
-
-    def __init__(self, key: object, until: float) -> None:
-        super().__init__(
-            f"circuit for backend {key!r} is open until t={until:.3f}s; "
-            f"request rejected without an attempt"
-        )
-        self.key = key
-        self.until = until
-
-
 class CryptoError(HyperProvError):
     """Signature verification or certificate validation failed."""
 

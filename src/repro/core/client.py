@@ -49,7 +49,7 @@ from repro.fabric.network import FabricNetwork
 from repro.fabric.proposal import ProposalResponse, TransactionHandle
 from repro.ledger.history import HistoryEntry
 from repro.middleware.base import TransactionPipeline
-from repro.middleware.cache import ReadCacheMiddleware, SharedReadCache
+from repro.middleware.cache import ReadCacheMiddleware
 from repro.middleware.config import PipelineConfig, build_client_pipeline
 from repro.middleware.context import Context, OperationKind
 from repro.provenance.graph import ProvenanceGraph
@@ -126,7 +126,6 @@ class HyperProvClient:
         chaincode_name: str = "hyperprov",
         metrics: Optional[MetricsRegistry] = None,
         pipeline_config: Optional[PipelineConfig] = None,
-        shared_cache: Optional[SharedReadCache] = None,
     ) -> None:
         self.network = network
         self.client_name = client_name
@@ -134,10 +133,6 @@ class HyperProvClient:
         self.chaincode_name = chaincode_name
         self.metrics = metrics or MetricsRegistry(f"client.{client_name}")
         self._context = network.client_context(client_name)
-        #: Optional shared cache tier backing the read cache when the
-        #: pipeline config asks for ``shared_cache`` (set by the service
-        #: facade so tenant sessions share one store).
-        self.shared_cache = shared_cache
         self.pipeline_config = pipeline_config or PipelineConfig()
         self.pipeline: TransactionPipeline = self._build_pipeline(self.pipeline_config)
         self._store_adapter = None
@@ -166,7 +161,6 @@ class HyperProvClient:
             clock=lambda: self.network.engine.now,
             events=self.network.events,
             metrics=self.metrics,
-            shared_cache_store=self.shared_cache,
             engine=self.network.engine,
         )
 
@@ -234,7 +228,6 @@ class HyperProvClient:
             at_time=ctx.at_time,
             payload_size_bytes=ctx.payload_size_bytes,
             shard=shard,
-            deadline_at=ctx.tags.get("deadline_at"),
         )
 
     def _query(

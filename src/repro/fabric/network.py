@@ -19,7 +19,7 @@ via the :class:`~repro.middleware.sharding.ShardRouterMiddleware`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.common.errors import (
     ConfigurationError,
@@ -104,6 +104,10 @@ class ChannelShard:
     #: Every block this shard's ordering service produced, in order.  Used
     #: to bring peers that missed deliveries (partitions) back up to date.
     ordered_blocks: List[Block] = field(default_factory=list)
+    #: Number of the first block whose chaincode events are still
+    #: unpublished.  A block cut while no peer could receive it stays at or
+    #: past this mark until the first peer catches up on it.
+    events_pending_from: int = 0
     #: Shard-private transaction-id namespace.  ``None`` uses the network's
     #: global ``tx-N`` counter; fleet shards get their own namespace so a
     #: shard mints the same ids whether it runs alone in a worker process
@@ -190,9 +194,8 @@ class FabricNetwork:
             lambda block, shard_index=index: self._on_block_ordered(shard_index, block)
         )
         batcher = EndorsementBatcher(
-            batch_size=self.config.order_batch_size, metrics=self.metrics
+            self, shard, batch_size=self.config.order_batch_size, metrics=self.metrics
         )
-        batcher.bind(self, shard)
         shard.batcher = batcher
         #: The client→endorse→order→commit path as discrete pipeline stages.
         shard.pipeline = TransactionPipeline(
@@ -320,7 +323,6 @@ class FabricNetwork:
         at_time: Optional[float] = None,
         payload_size_bytes: int = 0,
         shard: int = 0,
-        deadline_at: Optional[float] = None,
     ) -> TransactionHandle:
         """Run the full invoke flow for one transaction on one shard.
 
@@ -328,10 +330,6 @@ class FabricNetwork:
         handle completes when the client's anchor peer commits the block
         containing the transaction.  Call ``engine.run_until_idle()`` (or
         the harness's drain helper) to make pending batches flush.
-
-        ``deadline_at`` is an absolute virtual-time budget: the submit
-        stage refuses to hand the envelope to the orderer past it (the
-        handle completes invalid and ``DeadlineExceededError`` is raised).
         """
         context = self.client_context(client_name)
         target = self.shard(shard)
@@ -341,26 +339,21 @@ class FabricNetwork:
             self.engine.schedule_at(
                 at_time,
                 lambda: self._run_invoke(
-                    context, chaincode, function, args, handle, payload_size_bytes,
-                    target, deadline_at,
+                    context, chaincode, function, args, handle, payload_size_bytes, target
                 ),
                 label=f"submit:{handle.tx_id}",
             )
             return handle
         handle = self._make_handle(start, function, target)
         self._run_invoke(
-            context, chaincode, function, args, handle, payload_size_bytes,
-            target, deadline_at,
+            context, chaincode, function, args, handle, payload_size_bytes, target
         )
         return handle
 
     def _make_handle(
-        self,
-        submitted_at: float,
-        function: str,
-        shard: Optional[ChannelShard] = None,
+        self, submitted_at: float, function: str, shard: ChannelShard
     ) -> TransactionHandle:
-        ids = shard.tx_ids if shard is not None and shard.tx_ids is not None else self._tx_ids
+        ids = shard.tx_ids if shard.tx_ids is not None else self._tx_ids
         return TransactionHandle(
             tx_id=ids.next(), submitted_at=submitted_at, function=function
         )
@@ -390,9 +383,8 @@ class FabricNetwork:
         function: str,
         args: List[str],
         payload_size_bytes: int,
-        channel_name: Optional[str] = None,
+        channel_name: str,
     ) -> Proposal:
-        channel_name = channel_name or self._shards[0].channel.name
         unsigned = Proposal(
             tx_id=handle.tx_id,
             channel=channel_name,
@@ -421,7 +413,6 @@ class FabricNetwork:
         handle: TransactionHandle,
         payload_size_bytes: int,
         shard: ChannelShard,
-        deadline_at: Optional[float] = None,
     ) -> None:
         """Run one invoke through the shard's staged pipeline.
 
@@ -438,8 +429,6 @@ class FabricNetwork:
             client_name=context.name,
             payload_size_bytes=payload_size_bytes,
         )
-        if deadline_at is not None:
-            ctx.tags["deadline_at"] = deadline_at
         ctx.tags["invoke"] = InvokeState(
             client_context=context,
             handle=handle,
@@ -662,29 +651,37 @@ class FabricNetwork:
 
         self.metrics.counter("blocks_delivered").inc()
         self._announce(shard, block, commit_results)
-        for event in self._chaincode_events(block, commit_results, shard_index):
-            self.events.publish(f"chaincode_event:{event['name']}", event)
+        if commit_results:
+            self._publish_chaincode_events(
+                shard, block, next(iter(commit_results.values()))
+            )
         self._complete_handles_indexed(block, commit_results)
 
-    @staticmethod
-    def _chaincode_events(
-        block: Block, commit_results: Dict[str, CommitResult], shard_index: int
-    ) -> Iterator[Dict]:
-        """Payloads of the chaincode events ``block``'s valid transactions
-        emitted (what the client library's event listeners receive)."""
-        if not commit_results:
-            return
-        reference = next(iter(commit_results.values()))
-        for tx, code in zip(block.transactions, reference.validation_codes):
+    def _publish_chaincode_events(
+        self, shard: ChannelShard, block: Block, result: CommitResult
+    ) -> None:
+        """Publish the chaincode events ``block``'s valid transactions emitted
+        (what the client library's event listeners receive).
+
+        Once per block: by the first commit of it, whether that is the
+        ordered delivery or — when no peer could receive the block as it
+        was cut — the first peer to catch up on it (``result`` is that
+        commit; its validation codes decide which transactions count).
+        """
+        for tx, code in zip(block.transactions, result.validation_codes):
             if code is TxValidationCode.VALID and tx.chaincode_event is not None:
                 event_name, event_payload = tx.chaincode_event
-                yield {
-                    "tx_id": tx.tx_id,
-                    "name": event_name,
-                    "payload": event_payload,
-                    "block_number": block.number,
-                    "shard": shard_index,
-                }
+                self.events.publish(
+                    f"chaincode_event:{event_name}",
+                    {
+                        "tx_id": tx.tx_id,
+                        "name": event_name,
+                        "payload": event_payload,
+                        "block_number": block.number,
+                        "shard": shard.index,
+                    },
+                )
+        shard.events_pending_from = block.number + 1
 
     def _announce(
         self, shard: ChannelShard, block: Block, commits: Dict[str, CommitResult]
@@ -721,6 +718,8 @@ class FabricNetwork:
             self.metrics.counter("catch_up_blocks").inc()
             commits = {peer.name: result}
             self._announce(shard, missed, commits)
+            if missed.number >= shard.events_pending_from:
+                self._publish_chaincode_events(shard, missed, result)
             self._complete_handles_indexed(missed, commits)
 
     def _complete_handles_indexed(

@@ -26,23 +26,20 @@ class EndorsementBatcher(Middleware):
 
     def __init__(
         self,
+        fabric: Any,
+        shard: Any,
         batch_size: int = 1,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         if batch_size < 1:
             raise ValueError("batch size must be at least 1")
+        #: The owning FabricNetwork (engine clock + topology).
+        self.fabric = fabric
+        #: The ChannelShard this batcher serves (one batcher per channel).
+        self.shard = shard
         self.batch_size = batch_size
         self.metrics = metrics
-        #: Late-bound by the owning FabricNetwork (avoids an import cycle).
-        self.fabric = None
-        #: The ChannelShard this batcher serves (one batcher per channel).
-        self.shard = None
         self._pending: List[Tuple[Context, Handler]] = []
-
-    def bind(self, fabric: Any, shard: Any = None) -> None:
-        """Attach the owning FabricNetwork and shard (topology + orderer node)."""
-        self.fabric = fabric
-        self.shard = shard
 
     # ------------------------------------------------------------- pipeline
     def handle(self, ctx: Context, call_next: Handler) -> Any:
@@ -65,25 +62,18 @@ class EndorsementBatcher(Middleware):
         batch, self._pending = self._pending, []
         states = [ctx.tags["invoke"] for ctx, _ in batch]
         send_at = max(state.assembled_at for state in states)
-        if self.fabric is not None:
-            # A drain-time flush happens after virtual time moved past the
-            # assembly times; the batch leaves the client no earlier than now.
-            send_at = max(send_at, self.fabric.engine.now)
+        # A drain-time flush happens after virtual time moved past the
+        # assembly times; the batch leaves the client no earlier than now.
+        send_at = max(send_at, self.fabric.engine.now)
         total_bytes = sum(state.transaction.size_bytes for state in states)
         for ctx, call_next in batch:
             state = ctx.tags["invoke"]
-            if self.fabric is not None:
-                orderer_node = (
-                    self.shard.orderer_node
-                    if self.shard is not None
-                    else self.fabric.orderer_node
-                )
-                transfer = self.fabric.network.estimate_transfer_time(
-                    state.client_context.host_node,
-                    orderer_node,
-                    total_bytes,
-                )
-                ctx.tags["order_arrival"] = send_at + transfer
+            transfer = self.fabric.network.estimate_transfer_time(
+                state.client_context.host_node,
+                self.shard.orderer_node,
+                total_bytes,
+            )
+            ctx.tags["order_arrival"] = send_at + transfer
             call_next(ctx)
         if self.metrics is not None:
             self.metrics.counter("batcher.flushes").inc()

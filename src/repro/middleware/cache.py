@@ -1,4 +1,8 @@
-"""Read-path result cache with commit-event invalidation."""
+"""Read-path result cache with commit-event invalidation.
+
+One private LRU store per pipeline, plus the optional stale-read archive
+that answers reads (marked ``stale``) while the peer is unreachable.
+"""
 
 from __future__ import annotations
 
@@ -8,15 +12,15 @@ from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
-from repro.common.errors import CircuitOpenError, NetworkError
+from repro.common.errors import NetworkError
 from repro.common.events import EventBus
 from repro.common.metrics import MetricsRegistry
 from repro.middleware.base import Handler, Middleware
 from repro.middleware.context import Context
 
-#: Failures the stale-read fallback may answer for (transport-class only:
-#: an application error must always propagate).
-UNREACHABLE_ERRORS = (NetworkError, CircuitOpenError)
+#: The failure class the stale-read fallback may answer for (transport
+#: only: an application error must always propagate).
+UNREACHABLE_ERRORS = NetworkError
 
 #: Topic carrying whole delivered blocks: every committed write (sets,
 #: deletes, other clients' writes) is in the block's write sets.  A block
@@ -45,14 +49,10 @@ class CacheEntry:
 
 
 class SharedReadCache:  # repro: thread-shared
-    """Thread-safe LRU store usable as a shared cache tier.
+    """Thread-safe LRU store behind one :class:`ReadCacheMiddleware`.
 
-    One instance can back many :class:`ReadCacheMiddleware` pipelines —
-    the service facade hands the same store to every tenant session so
-    repeated reads across sessions hit one cache instead of N private
-    dicts.  Entries are keyed on the *namespaced* read arguments (the
-    tenant-prefix middleware runs above the cache), so two tenants can
-    never observe each other's cached rows.
+    Entries are keyed on the *namespaced* read arguments (the
+    tenant-prefix middleware runs above the cache).
 
     All operations take the store's lock: sessions may be driven from
     different threads (the futures-based write path invites that), and an
@@ -120,17 +120,15 @@ class ReadCacheMiddleware(Middleware):
     sets, so sets, deletes and writes from other clients on any shard all
     purge the entries they stale.
 
-    By default each middleware owns a private :class:`SharedReadCache`;
-    pass ``store`` to share one cache tier across several pipelines (the
-    ``shared_cache`` pipeline knob) — the store then outlives any single
-    pipeline and ``close()`` only drops this middleware's subscriptions.
+    Each middleware owns a private :class:`SharedReadCache` store, torn
+    down with its subscriptions on ``close()``.
 
     With ``serve_stale=True`` the middleware additionally keeps a
     *stale archive*: the last successful result per read, LRU-bounded but
     **never** invalidated by commits.  When the authoritative peer is
-    unreachable (partition, crashed peer, open circuit) a read that would
-    otherwise fail is answered from the archive with ``ctx.stale = True``
-    — graceful degradation with an explicit marker, never silently passed
+    unreachable (partition, crashed peer) a read that would otherwise
+    fail is answered from the archive with ``ctx.stale = True`` —
+    graceful degradation with an explicit marker, never silently passed
     off as fresh.
     """
 
@@ -142,7 +140,6 @@ class ReadCacheMiddleware(Middleware):
         hit_latency_s: float = 0.0,
         events: Optional[EventBus] = None,
         metrics: Optional[MetricsRegistry] = None,
-        store: Optional[SharedReadCache] = None,
         serve_stale: bool = False,
     ) -> None:
         if capacity < 1:
@@ -151,8 +148,7 @@ class ReadCacheMiddleware(Middleware):
         self.hit_latency_s = hit_latency_s
         self.metrics = metrics
         self.serve_stale = serve_stale
-        self._owns_store = store is None
-        self.store = store if store is not None else SharedReadCache(capacity)
+        self.store = SharedReadCache(capacity)
         #: Last-known-good results for the stale fallback (commit events
         #: never touch this; only LRU pressure evicts).
         self._stale_archive: "OrderedDict[CacheKey, Any]" = OrderedDict()
@@ -171,8 +167,7 @@ class ReadCacheMiddleware(Middleware):
 
     def close(self) -> None:
         self._subscriptions.close()
-        if self._owns_store:
-            self.store.clear()
+        self.store.clear()
         self._stale_archive.clear()
 
     # ------------------------------------------------------------- pipeline

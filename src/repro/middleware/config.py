@@ -10,8 +10,8 @@ every envelope straight through.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Tuple
 
 from repro.common.errors import ConfigurationError, ValidationError
 from repro.common.events import EventBus
@@ -19,14 +19,10 @@ from repro.common.ids import DeterministicIdGenerator
 from repro.common.metrics import MetricsRegistry
 from repro.consensus.scheduler import SCHEDULER_NAMES
 from repro.middleware.base import Handler, Middleware, TransactionPipeline
-from repro.middleware.cache import ReadCacheMiddleware, SharedReadCache
+from repro.middleware.cache import ReadCacheMiddleware
 from repro.middleware.metrics import MetricsMiddleware
 from repro.middleware.query import QueryPlannerMiddleware
-from repro.middleware.resilience import (
-    CircuitBreakerMiddleware,
-    DeadlineMiddleware,
-    StoreAndForwardMiddleware,
-)
+from repro.middleware.resilience import StoreAndForwardMiddleware
 from repro.middleware.retry import RetryMiddleware, RetryPolicy
 from repro.middleware.sharding import ShardRouterMiddleware
 from repro.middleware.tenancy import (
@@ -37,19 +33,12 @@ from repro.middleware.tenancy import (
 from repro.middleware.tracing import RequestIdMiddleware
 from repro.query.indexes import validate_index_fields
 from repro.simulation.engine import SimulationEngine
-from repro.simulation.randomness import DeterministicRandom
-
-#: Seed for the retry-jitter RNG stream (forked per tenant so colocated
-#: pipelines decorrelate while every run stays byte-reproducible).
-RETRY_JITTER_SEED = 20240807
 
 
 @dataclass
 class PipelineConfig:
     """Which middlewares a client pipeline runs, and how they are tuned."""
 
-    #: Record per-operation and per-stage latency metrics.
-    metrics: bool = True
     #: Total attempts per operation (1 = no retry).
     retry_attempts: int = 1
     #: Serve repeated reads from a client-side cache (commit-invalidated).
@@ -70,9 +59,6 @@ class PipelineConfig:
     #: ``None`` (the default) leaves whatever policy the deployment was
     #: built with untouched.
     scheduler: Optional[str] = None
-    #: Back the read cache with the deployment's shared cache tier instead
-    #: of a pipeline-private store (needs ``cache=True`` to matter).
-    shared_cache: bool = False
     #: Field-value secondary indexes maintained on every peer's world state
     #: (record fields, ``metadata.<key>`` or ``metadata.*``; empty = none).
     #: Enables the query-planner middleware and, when the config is applied
@@ -81,27 +67,9 @@ class PipelineConfig:
     #: Allow sessions built from this config to register standing
     #: commit-fed selectors (``session.subscribe``).
     continuous_queries: bool = False
-    #: Per-request virtual-time budget in seconds (0 = no deadline).
-    #: Reads finishing past it and writes whose envelope would reach the
-    #: orderer past it raise ``DeadlineExceededError``; retry backoffs
-    #: never restart an attempt beyond it.
-    deadline_s: float = 0.0
-    #: Symmetric jitter fraction on retry backoff delays (0 = the
-    #: historical deterministic schedule, no RNG draws).
-    retry_jitter: float = 0.0
-    #: Per-shard closed→open→half-open circuit breaker at the bottom of
-    #: the chain (cache hits bypass it).
-    circuit_breaker: bool = False
-    #: Virtual seconds an open circuit rejects calls before one half-open
-    #: probe is allowed through.
-    circuit_cooldown_s: float = 1.0
     #: Queue unreachable writes locally and replay them on a virtual-time
     #: interval (graceful degradation during partitions).
     store_and_forward: bool = False
-    saf_replay_interval_s: float = 0.5
-    #: Replay attempts per queued write before it is abandoned (bounds
-    #: the replay loop when a partition never heals).
-    saf_max_replays: int = 64
     #: Serve reads from the last-known-good archive with an explicit
     #: ``stale=True`` marker when the peer is unreachable (needs
     #: ``cache=True``).
@@ -110,16 +78,6 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if self.retry_attempts < 1:
             raise ConfigurationError("retry_attempts must be >= 1")
-        if self.deadline_s < 0:
-            raise ConfigurationError("deadline_s must be >= 0")
-        if not 0.0 <= self.retry_jitter < 1.0:
-            raise ConfigurationError("retry_jitter must be in [0, 1)")
-        if self.circuit_cooldown_s <= 0:
-            raise ConfigurationError("circuit_cooldown_s must be > 0")
-        if self.saf_replay_interval_s <= 0:
-            raise ConfigurationError("saf_replay_interval_s must be > 0")
-        if self.saf_max_replays < 1:
-            raise ConfigurationError("saf_max_replays must be >= 1")
         if self.stale_reads and not self.cache:
             raise ConfigurationError(
                 "stale_reads needs cache=True (the stale archive lives in "
@@ -147,45 +105,6 @@ class PipelineConfig:
         else:
             self.indexes = ()
 
-    # -------------------------------------------------------- serialization
-    def to_dict(self) -> Dict[str, Any]:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "PipelineConfig":
-        known = {name for name in cls.__dataclass_fields__}  # type: ignore[attr-defined]
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigurationError(
-                f"unknown pipeline config keys: {sorted(unknown)}"
-            )
-        return cls(**data)
-
-    def middleware_names(self) -> List[str]:
-        """Names of the middlewares this config enables, in chain order."""
-        names = ["request-id"]
-        if self.metrics:
-            names.append("metrics")
-        if self.indexes:
-            names.append("query-planner")
-        if self.max_in_flight > 0:
-            names.append("admission-control")
-        if self.tenant:
-            names.append("tenant-prefix")
-        if self.deadline_s > 0:
-            names.append("deadline")
-        if self.store_and_forward:
-            names.append("store-and-forward")
-        if self.retry_attempts > 1:
-            names.append("retry")
-        if self.cache:
-            names.append("read-cache")
-        if self.shards > 1:
-            names.append("shard-router")
-        if self.circuit_breaker:
-            names.append("circuit-breaker")
-        return names
-
 
 def build_client_pipeline(
     config: PipelineConfig,
@@ -195,33 +114,30 @@ def build_client_pipeline(
     events: Optional[EventBus] = None,
     metrics: Optional[MetricsRegistry] = None,
     id_generator: Optional[DeterministicIdGenerator] = None,
-    shared_cache_store: Optional[SharedReadCache] = None,
     engine: Optional[SimulationEngine] = None,
 ) -> TransactionPipeline:
     """Build the stock chain a :class:`PipelineConfig` asks for around ``terminal``.
 
-    Chain order is fixed: tracing (outermost, so every attempt is visible
-    under one request id) → metrics (counts the operation once) →
+    This function alone decides chain membership and order
+    (``TransactionPipeline.middleware_names()`` reports the result):
+    tracing (outermost, so every attempt is visible under one request id)
+    → metrics (whenever a registry is given; counts the operation once) →
+    query-planner (surfaces the access path rich-query responses report) →
     admission control (rejects over-cap writes before they consume any
     downstream work) → tenant-prefix (namespaces keys before the cache and
-    the terminal ever see them) → deadline (stamps the budget every lower
-    layer honours) → store-and-forward (above retry, so a write queues
-    only after retry exhausted the transient path) → retry → cache (so a
-    retried attempt can still be answered from cache and a hit
-    short-circuits everything below it) → shard-router (routing runs per
-    attempt and a cache hit never pays the fan-out) → circuit-breaker
-    (innermost: keyed on the routed shard, sees every real backend call
-    and nothing served from cache).
+    the terminal ever see them) → store-and-forward (above retry, so a
+    write queues only after retry exhausted the transient path) → retry →
+    cache (so a retried attempt can still be answered from cache and a hit
+    short-circuits everything below it) → shard-router (innermost: routing
+    runs per attempt and a cache hit never pays the fan-out).
 
     ``events`` is the bus the cache's commit invalidation subscribes to;
-    ``shared_cache_store`` backs the cache with a cross-pipeline tier
-    instead of a private store (``shared_cache``); ``engine`` is required
-    by the store-and-forward replay timer.
+    ``engine`` is required by the store-and-forward replay timer.
     """
     middlewares: List[Middleware] = [
         RequestIdMiddleware(id_generator=id_generator, events=events)
     ]
-    if config.metrics and metrics is not None:
+    if metrics is not None:
         middlewares.append(MetricsMiddleware(registry=metrics, clock=clock))
     if config.indexes:
         middlewares.append(QueryPlannerMiddleware(config.indexes, metrics=metrics))
@@ -235,38 +151,20 @@ def build_client_pipeline(
         )
     if config.tenant:
         middlewares.append(TenantPrefixMiddleware(config.tenant, metrics=metrics))
-    if config.deadline_s > 0:
-        middlewares.append(
-            DeadlineMiddleware(config.deadline_s, clock=clock, metrics=metrics)
-        )
     if config.store_and_forward:
         if engine is None:
             raise ConfigurationError(
                 "store_and_forward needs the deployment's simulation engine "
                 "(pass engine=... to build_client_pipeline)"
             )
+        middlewares.append(StoreAndForwardMiddleware(engine, metrics=metrics))
+    if config.retry_attempts > 1:
         middlewares.append(
-            StoreAndForwardMiddleware(
-                engine,
-                replay_interval_s=config.saf_replay_interval_s,
-                max_replays=config.saf_max_replays,
+            RetryMiddleware(
+                policy=RetryPolicy(max_attempts=config.retry_attempts),
+                clock=clock,
                 metrics=metrics,
             )
-        )
-    if config.retry_attempts > 1:
-        policy = RetryPolicy(
-            max_attempts=config.retry_attempts,
-            jitter_fraction=config.retry_jitter,
-        )
-        jitter_rng = (
-            DeterministicRandom(RETRY_JITTER_SEED).fork(
-                f"retry:{config.tenant or 'default'}"
-            )
-            if config.retry_jitter > 0
-            else None
-        )
-        middlewares.append(
-            RetryMiddleware(policy=policy, clock=clock, metrics=metrics, rng=jitter_rng)
         )
     if config.cache:
         middlewares.append(
@@ -274,18 +172,9 @@ def build_client_pipeline(
                 capacity=config.cache_capacity,
                 events=events,
                 metrics=metrics,
-                store=shared_cache_store if config.shared_cache else None,
                 serve_stale=config.stale_reads,
             )
         )
     if config.shards > 1:
         middlewares.append(ShardRouterMiddleware(config.shards, metrics=metrics))
-    if config.circuit_breaker:
-        middlewares.append(
-            CircuitBreakerMiddleware(
-                cooldown_s=config.circuit_cooldown_s,
-                clock=clock,
-                metrics=metrics,
-            )
-        )
     return TransactionPipeline(middlewares, terminal)

@@ -1,18 +1,10 @@
-"""Failure-handling middlewares: deadlines, circuit breaking, store-and-forward.
+"""Failure-handling middleware: store-and-forward.
 
-Three composable policies the chaos scenarios exercise, all off by
-default so fault-free pipelines keep byte-identical virtual time:
+One policy, off by default so fault-free pipelines keep byte-identical
+virtual time; ``bench chaos``'s ``partition_heal`` and
+``churn_fair_share`` scenarios (and ``examples/chaos_partition.py``)
+exercise it:
 
-* :class:`DeadlineMiddleware` — stamps an absolute virtual-time budget on
-  every operation (``ctx.tags["deadline_at"]``).  The retry middleware
-  abandons backoffs past it, the submit-to-orderer stage refuses arrivals
-  past it, and reads that finish late raise
-  :class:`~repro.common.errors.DeadlineExceededError` instead of quietly
-  returning after the caller gave up.
-* :class:`CircuitBreakerMiddleware` — classic closed→open→half-open
-  breaker, one state machine per backend key (the routed shard).  Sits at
-  the bottom of the chain so cache hits never touch it and every routed
-  attempt is observed.
 * :class:`StoreAndForwardMiddleware` — degraded-mode writes: when the
   network is unreachable the write is queued locally and replayed on a
   virtual-time interval; callers receive a placeholder handle that
@@ -23,142 +15,15 @@ default so fault-free pipelines keep byte-identical virtual time:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple, Type
+from typing import Any, List, Optional
 
-from repro.common.errors import (
-    CircuitOpenError,
-    ConfigurationError,
-    DeadlineExceededError,
-    NetworkError,
-)
+from repro.common.errors import ConfigurationError, NetworkError
 from repro.common.metrics import MetricsRegistry
 from repro.ledger.transaction import TxValidationCode
 from repro.fabric.proposal import TransactionHandle
 from repro.middleware.base import Handler, Middleware
 from repro.middleware.context import Context
-from repro.middleware.retry import DEFAULT_RETRYABLE
 from repro.simulation.engine import SimulationEngine
-
-
-class DeadlineMiddleware(Middleware):
-    """Thread a per-request virtual-time budget through the chain."""
-
-    name = "deadline"
-
-    def __init__(
-        self,
-        deadline_s: float,
-        clock: Optional[Callable[[], float]] = None,
-        metrics: Optional[MetricsRegistry] = None,
-    ) -> None:
-        if deadline_s <= 0:
-            raise ConfigurationError("deadline_s must be > 0")
-        self.deadline_s = deadline_s
-        self.clock = clock or (lambda: 0.0)
-        self.metrics = metrics
-
-    def handle(self, ctx: Context, call_next: Handler) -> Any:
-        start = ctx.at_time if ctx.at_time is not None else self.clock()
-        deadline_at = start + self.deadline_s
-        ctx.tags["deadline_at"] = deadline_at
-        result = call_next(ctx)
-        if ctx.is_read and isinstance(result, tuple) and len(result) == 2:
-            latency = float(result[1])
-            if start + latency > deadline_at:
-                if self.metrics is not None:
-                    self.metrics.counter("deadline.read_exceeded").inc()
-                raise DeadlineExceededError(
-                    f"read {ctx.function!r} finished at t={start + latency:.4f}s, "
-                    f"past its deadline t={deadline_at:.4f}s",
-                    deadline_at=deadline_at,
-                )
-        return result
-
-
-@dataclass
-class BreakerState:
-    """One backend's breaker: consecutive failures and the open window."""
-
-    state: str = "closed"  # "closed" | "open" | "half-open"
-    failures: int = 0
-    opened_until: float = 0.0
-
-
-class CircuitBreakerMiddleware(Middleware):
-    """Per-backend closed→open→half-open circuit breaker.
-
-    Keyed on the routed shard (``ctx.tags["shard"]``, 0 when unrouted).
-    ``failure_threshold`` consecutive trip-class failures open the
-    circuit; while open every call is rejected with
-    :class:`CircuitOpenError` without touching the backend.  After
-    ``cooldown_s`` of virtual time one probe call is let through
-    (half-open): success closes the circuit, failure re-opens it for
-    another cooldown.
-    """
-
-    name = "circuit-breaker"
-
-    def __init__(
-        self,
-        failure_threshold: int = 5,
-        cooldown_s: float = 1.0,
-        clock: Optional[Callable[[], float]] = None,
-        metrics: Optional[MetricsRegistry] = None,
-        trip_on: Tuple[Type[Exception], ...] = DEFAULT_RETRYABLE,
-    ) -> None:
-        if failure_threshold < 1:
-            raise ConfigurationError("circuit failure_threshold must be >= 1")
-        if cooldown_s <= 0:
-            raise ConfigurationError("circuit cooldown_s must be > 0")
-        self.failure_threshold = failure_threshold
-        self.cooldown_s = cooldown_s
-        self.clock = clock or (lambda: 0.0)
-        self.metrics = metrics
-        self.trip_on = trip_on
-        self._breakers: Dict[Any, BreakerState] = {}
-
-    def breaker(self, key: Any = 0) -> BreakerState:
-        """The (lazily created) breaker state for one backend key."""
-        return self._breakers.setdefault(key, BreakerState())
-
-    def handle(self, ctx: Context, call_next: Handler) -> Any:
-        key = ctx.tags.get("shard", 0)
-        breaker = self.breaker(key)
-        now = ctx.at_time if ctx.at_time is not None else self.clock()
-        if breaker.state == "open":
-            if now < breaker.opened_until:
-                if self.metrics is not None:
-                    self.metrics.counter("circuit.rejected").inc()
-                raise CircuitOpenError(key, breaker.opened_until)
-            breaker.state = "half-open"
-            if self.metrics is not None:
-                self.metrics.counter("circuit.half_open_probes").inc()
-        try:
-            result = call_next(ctx)
-        except self.trip_on:
-            self._record_failure(breaker, now)
-            raise
-        if breaker.state != "closed":
-            breaker.state = "closed"
-            if self.metrics is not None:
-                self.metrics.counter("circuit.closed").inc()
-        breaker.failures = 0
-        return result
-
-    def _record_failure(self, breaker: BreakerState, now: float) -> None:
-        if breaker.state == "half-open":
-            # The probe failed: straight back to open, fresh cooldown.
-            breaker.state = "open"
-            breaker.opened_until = now + self.cooldown_s
-            if self.metrics is not None:
-                self.metrics.counter("circuit.reopened").inc()
-            return
-        breaker.failures += 1
-        if breaker.failures >= self.failure_threshold:
-            breaker.state = "open"
-            breaker.opened_until = now + self.cooldown_s
-            if self.metrics is not None:
-                self.metrics.counter("circuit.opened").inc()
 
 
 @dataclass
@@ -174,25 +39,21 @@ class _QueuedWrite:
 class StoreAndForwardMiddleware(Middleware):
     """Queue unreachable writes locally and replay them on a timer.
 
-    A write failing with a network-class error (partition, crashed peers,
-    open circuit downstream) is captured instead of propagated: the
-    caller receives a *placeholder* :class:`TransactionHandle` at once,
-    and a virtual-time replay loop re-runs the downstream chain every
+    A write failing with a network-class error (partition, crashed peers)
+    is captured instead of propagated: the caller receives a *placeholder*
+    :class:`TransactionHandle` at once, and a virtual-time replay loop
+    re-runs the downstream chain every
     ``replay_interval_s`` until the write lands (the placeholder then
     mirrors the real handle — tx id, timings, commit — and completes) or
     ``max_replays`` attempts are exhausted (the placeholder completes
     ``INVALID_OTHER_REASON``, bounding the replay loop so a partition
     that never heals cannot keep the engine spinning forever).
-
-    The request's deadline budget is deliberately dropped on queueing: a
-    store-and-forward accept means "this write will be delivered when
-    connectivity returns", not "within the original budget".
     """
 
     name = "store-and-forward"
 
-    #: Failures that park a write instead of propagating.
-    QUEUE_ON: Tuple[Type[Exception], ...] = (NetworkError, CircuitOpenError)
+    #: The failure class that parks a write instead of propagating.
+    QUEUE_ON = NetworkError
 
     def __init__(
         self,
@@ -235,8 +96,6 @@ class StoreAndForwardMiddleware(Middleware):
             function=ctx.function,
         )
         placeholder.timings["saf_queued_at_s"] = self.engine.now
-        # The budget covered the original attempt, not the replay loop.
-        ctx.tags.pop("deadline_at", None)
         self._queue.append(_QueuedWrite(ctx=ctx, downstream=downstream, placeholder=placeholder))
         if self.metrics is not None:
             self.metrics.counter("saf.queued").inc()

@@ -7,7 +7,6 @@ from typing import Any, Callable, Optional, Tuple, Type
 
 from repro.common.errors import (
     ConfigurationError,
-    DeadlineExceededError,
     EndorsementError,
     NetworkError,
     OrderingError,
@@ -15,7 +14,6 @@ from repro.common.errors import (
 from repro.common.metrics import MetricsRegistry
 from repro.middleware.base import Handler, Middleware
 from repro.middleware.context import Context
-from repro.simulation.randomness import DeterministicRandom
 
 #: Failures that are plausibly transient on a real Fabric network.
 DEFAULT_RETRYABLE: Tuple[Type[Exception], ...] = (
@@ -33,29 +31,16 @@ class RetryPolicy:
     backoff_s: float = 0.05
     multiplier: float = 2.0
     retry_on: Tuple[Type[Exception], ...] = field(default=DEFAULT_RETRYABLE)
-    #: Symmetric jitter applied to every backoff delay: each delay is
-    #: scaled by a factor drawn uniformly from ``[1 - j, 1 + j]``.  0
-    #: keeps the historical deterministic schedule (and draws no RNG).
-    jitter_fraction: float = 0.0
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ConfigurationError("retry policy needs at least one attempt")
         if self.backoff_s < 0 or self.multiplier < 1.0:
             raise ConfigurationError("backoff must be >= 0 and multiplier >= 1")
-        if not 0.0 <= self.jitter_fraction < 1.0:
-            raise ConfigurationError("jitter_fraction must be in [0, 1)")
 
-    def delay_before(
-        self, attempt: int, rng: Optional[DeterministicRandom] = None
-    ) -> float:
+    def delay_before(self, attempt: int) -> float:
         """Backoff before the given (2-based) retry attempt."""
-        delay = self.backoff_s * (self.multiplier ** max(0, attempt - 2))
-        if self.jitter_fraction > 0.0 and rng is not None:
-            # Decorrelates retry storms from colocated clients while
-            # staying byte-reproducible through the forked stream.
-            delay *= 1.0 + self.jitter_fraction * (rng.random() * 2.0 - 1.0)
-        return delay
+        return self.backoff_s * (self.multiplier ** max(0, attempt - 2))
 
 
 class RetryMiddleware(Middleware):
@@ -65,12 +50,6 @@ class RetryMiddleware(Middleware):
     inside the discrete-event simulation a retry costs simulated seconds,
     not wall-clock sleeps.  Once attempts are exhausted the last error
     propagates unchanged (retry-gives-up propagation).
-
-    When the context carries a deadline budget (``ctx.tags["deadline_at"]``,
-    set by the deadline middleware upstream), a backoff that would restart
-    the attempt past the budget is abandoned immediately: the retry raises
-    :class:`DeadlineExceededError` chained from the last failure rather
-    than burning attempts the caller will never wait for.
     """
 
     name = "retry"
@@ -80,32 +59,18 @@ class RetryMiddleware(Middleware):
         policy: Optional[RetryPolicy] = None,
         clock: Optional[Callable[[], float]] = None,
         metrics: Optional[MetricsRegistry] = None,
-        rng: Optional[DeterministicRandom] = None,
     ) -> None:
         self.policy = policy or RetryPolicy()
         self.clock = clock or (lambda: 0.0)
         self.metrics = metrics
-        self.rng = rng
 
     def handle(self, ctx: Context, call_next: Handler) -> Any:
         last_error: Optional[Exception] = None
         for attempt in range(1, self.policy.max_attempts + 1):
             ctx.attempt = attempt
             if attempt > 1:
-                delay = self.policy.delay_before(attempt, rng=self.rng)
-                restart_at = max(ctx.at_time or 0.0, self.clock()) + delay
-                deadline_at = ctx.tags.get("deadline_at")
-                if deadline_at is not None and restart_at > deadline_at:
-                    if self.metrics is not None:
-                        self.metrics.counter("retry.deadline_abandoned").inc()
-                    assert last_error is not None
-                    raise DeadlineExceededError(
-                        f"retry attempt {attempt} would start at "
-                        f"t={restart_at:.4f}s, past the deadline "
-                        f"t={deadline_at:.4f}s",
-                        deadline_at=deadline_at,
-                    ) from last_error
-                ctx.at_time = restart_at
+                delay = self.policy.delay_before(attempt)
+                ctx.at_time = max(ctx.at_time or 0.0, self.clock()) + delay
                 ctx.timings[f"retry_backoff_{attempt}_s"] = delay
                 if self.metrics is not None:
                     self.metrics.counter("retry.attempts").inc()

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, List, Optional
 
-from repro.common.errors import DeadlineExceededError, PartitionError
+from repro.common.errors import PartitionError
 from repro.fabric.proposal import Proposal, ProposalResponse, TransactionHandle
 from repro.ledger.transaction import Transaction, TxValidationCode
 from repro.middleware.base import Handler, Middleware
@@ -186,18 +186,6 @@ class SubmitToOrdererStage(FabricStage):
             )
             arrival = state.assembled_at + transfer
         state.handle.timings["to_orderer_s"] = arrival - state.assembled_at
-        deadline_at = ctx.tags.get("deadline_at")
-        if deadline_at is not None and arrival > deadline_at:
-            # The envelope would reach the orderer past its budget: fail
-            # now, at the deadline, instead of burning ordering/commit work
-            # on a transaction the caller has already given up on.
-            state.handle.complete(deadline_at, TxValidationCode.INVALID_OTHER_REASON)
-            fabric.metrics.counter("deadline_exceeded").inc()
-            raise DeadlineExceededError(
-                f"tx {state.handle.tx_id} would reach the orderer at "
-                f"t={arrival:.4f}s, past its deadline t={deadline_at:.4f}s",
-                deadline_at=deadline_at,
-            )
         fabric.engine.schedule_at(
             arrival,
             lambda: fabric._submit_to_orderer(state.transaction, state.handle, state.shard),

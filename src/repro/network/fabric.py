@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.common.errors import NetworkError, NotFoundError, PartitionError
+from repro.common.errors import NotFoundError, PartitionError
 from repro.common.ids import DeterministicIdGenerator
 from repro.common.metrics import MetricsRegistry
 from repro.network.link import Link, LinkProfile, GIGABIT_LAN
@@ -306,25 +306,3 @@ class NetworkFabric:
             label=f"deliver:{msg_type}:{destination}",
         )
         return receipt
-
-    def broadcast(
-        self,
-        source: str,
-        msg_type: str,
-        payload: Any,
-        size_bytes: int,
-    ) -> Dict[str, DeliveryReceipt]:
-        """Send the same message to every reachable node except the source."""
-        receipts: Dict[str, DeliveryReceipt] = {}
-        for destination in self.nodes:
-            if destination == source:
-                continue
-            if not self.partitions.can_communicate(source, destination):
-                continue
-            try:
-                receipts[destination] = self.send(
-                    source, destination, msg_type, payload, size_bytes
-                )
-            except NetworkError:
-                continue
-        return receipts

@@ -8,7 +8,7 @@ milliseconds of wall-clock time and keeps every run deterministic.
 """
 
 from repro.simulation.clock import VirtualClock
-from repro.simulation.engine import SimulationEngine, Event, Process
+from repro.simulation.engine import SimulationEngine, Event
 from repro.simulation.resources import SimResource, ResourceBusyError
 from repro.simulation.randomness import DeterministicRandom
 
@@ -16,7 +16,6 @@ __all__ = [
     "VirtualClock",
     "SimulationEngine",
     "Event",
-    "Process",
     "SimResource",
     "ResourceBusyError",
     "DeterministicRandom",

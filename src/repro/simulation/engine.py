@@ -2,9 +2,7 @@
 
 The engine is intentionally small: events are callbacks scheduled at an
 absolute virtual time; ties are broken by insertion order so identical
-runs replay identically.  Long-running activities (block cutting timers,
-workload arrival processes) are modelled as :class:`Process` objects that
-re-schedule themselves.
+runs replay identically.
 """
 
 from __future__ import annotations
@@ -91,53 +89,6 @@ class Event:
             self.cancelled = True
             if self.engine is not None:
                 self.engine._note_cancelled(self)
-
-
-class Process:
-    """A recurring activity driven by the engine.
-
-    Subclasses (or instances constructed with ``body``) implement
-    :meth:`tick`, which returns the delay until the next activation, or
-    ``None`` to stop.
-    """
-
-    def __init__(
-        self,
-        engine: "SimulationEngine",
-        body: Optional[Callable[["Process"], Optional[float]]] = None,
-        label: str = "process",
-    ) -> None:
-        self.engine = engine
-        self.label = label
-        self._body = body
-        self._stopped = False
-        self.activations = 0
-
-    def tick(self) -> Optional[float]:
-        """Run one activation; return seconds until the next one, or ``None``."""
-        if self._body is None:
-            raise NotImplementedError("override tick() or pass a body callable")
-        return self._body(self)
-
-    def stop(self) -> None:
-        """Stop re-scheduling the process after the current activation."""
-        self._stopped = True
-
-    @property
-    def stopped(self) -> bool:
-        return self._stopped
-
-    def start(self, delay: float = 0.0) -> None:
-        """Schedule the first activation ``delay`` seconds from now."""
-        self.engine.schedule_in(delay, self._activate, label=self.label)
-
-    def _activate(self) -> None:
-        if self._stopped:
-            return
-        self.activations += 1
-        next_delay = self.tick()
-        if next_delay is not None and not self._stopped:
-            self.engine.schedule_in(next_delay, self._activate, label=self.label)
 
 
 class SimulationEngine:

@@ -27,3 +27,10 @@ class SwallowMiddleware(Middleware):
 class AuditSink(Middleware):  # repro: terminal-middleware
     def handle(self, ctx, call_next):
         return {"status": "recorded"}
+
+
+def build(config: PipelineConfig):
+    # batch_size is passed by keyword here and window_ms in examples/, so
+    # neither fires C304; fixed_knob is read but no call ever sets it.
+    tuned = PipelineConfig(batch_size=4)
+    return BatchingMiddleware(tuned), config.fixed_knob

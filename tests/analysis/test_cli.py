@@ -19,6 +19,7 @@ EXPECTED = [
     ("C301", "middleware/config.py", 11),
     ("C302", "middleware/config.py", 10),
     ("C303", "middleware/stages.py", 23),
+    ("C304", "middleware/config.py", 13),
     ("D101", "simx/wallclock.py", 10),
     ("D101", "simx/wallclock.py", 11),
     ("D101", "simx/wallclock.py", 12),
@@ -162,6 +163,7 @@ def test_list_rules(capsys):
         "C301",
         "C302",
         "C303",
+        "C304",
         "T401",
         "T402",
     ):

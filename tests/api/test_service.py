@@ -6,7 +6,7 @@ import pytest
 
 from repro.api import HyperProvService
 from repro.common.errors import AdmissionRejectedError, ConfigurationError, NotFoundError
-from repro.middleware.config import PipelineConfig
+from repro.middleware.config import PipelineConfig, build_client_pipeline
 from repro.middleware.tenancy import namespace_key, strip_namespace, tenant_namespace
 
 
@@ -191,10 +191,13 @@ def test_admission_cap_without_tenant(service):
 
 # ---------------------------------------------------------- config surface
 def test_pipeline_config_names_include_tenancy_middlewares():
-    config = PipelineConfig(tenant="acme", max_in_flight=8)
-    names = config.middleware_names()
-    assert "tenant-prefix" in names and "admission-control" in names
-    assert names.index("admission-control") < names.index("tenant-prefix")
+    pipeline = build_client_pipeline(
+        PipelineConfig(tenant="acme", max_in_flight=8), lambda ctx: None
+    )
+    # Admission sits above the prefix: a rejected write costs nothing.
+    assert pipeline.middleware_names() == [
+        "request-id", "admission-control", "tenant-prefix",
+    ]
 
 
 def test_pipeline_config_validates_tenancy_fields():
@@ -202,5 +205,3 @@ def test_pipeline_config_validates_tenancy_fields():
         PipelineConfig(tenant="has/slash")
     with pytest.raises(ConfigurationError):
         PipelineConfig(max_in_flight=-1)
-    roundtrip = PipelineConfig.from_dict(PipelineConfig(tenant="t", max_in_flight=2).to_dict())
-    assert roundtrip.tenant == "t" and roundtrip.max_in_flight == 2

@@ -3,12 +3,10 @@
 import pytest
 
 from repro.api.protocol import StoreRequest
-from repro.common.errors import DeadlineExceededError
 from repro.consensus.batching import BatchConfig
 from repro.core.client import HyperProvClient
 from repro.core.topology import build_desktop_deployment
 from repro.ledger.transaction import TxValidationCode
-from repro.middleware.config import PipelineConfig
 
 
 def metadata_post(store, key: str, version: int = 0):
@@ -45,10 +43,6 @@ def test_drain_leaves_no_pending_residue():
     assert fabric.in_flight() == len(fabric._pending_index) == 1
     deployment.network.partitions.heal()
     assert fabric.catch_up_peers() == 1
-    # Deadline-refused: the envelope never reaches the await-commit stage.
-    deployment.client.configure_pipeline(PipelineConfig(deadline_s=1e-6))
-    with pytest.raises(DeadlineExceededError):
-        metadata_post(store, "too-late")
 
     assert fabric.flush_and_drain().stop_reason == "idle"
     codes = sorted(post.handle.validation_code.name for post in racers)
@@ -56,6 +50,28 @@ def test_drain_leaves_no_pending_residue():
     assert delayed.ok
     assert fabric.in_flight() == 0
     assert len(fabric._pending_index) == 0
+
+
+@pytest.mark.parametrize("crashed", [4, 2])
+def test_chaincode_events_fire_once_per_block_whoever_commits_it_first(crashed):
+    """All four peers down at the cut: nobody commits the block when it is
+    ordered, so the first peer to catch up must publish its events (the
+    gap PR 15 left).  Two down: the ordered delivery published them, and
+    the two peers catching up later must not publish them again."""
+    deployment = build_desktop_deployment(seed=42)
+    fabric, engine = deployment.fabric, deployment.engine
+    events = []
+    deployment.client.on_provenance_recorded(events.append)
+    post = metadata_post(deployment.client.as_store(), "gap/1")
+    for peer in deployment.peers[-crashed:]:
+        engine.schedule_at(0.5, lambda name=peer.name: fabric.crash_peer(name))
+        engine.schedule_at(5.0, lambda name=peer.name: fabric.restart_peer(name))
+
+    assert fabric.flush_and_drain().stop_reason == "idle"
+    assert post.handle.validation_code is TxValidationCode.VALID
+    assert all(peer.committed(post.handle.tx_id) for peer in deployment.peers)
+    assert [event["key"] for event in events] == ["gap/1"]
+    assert events[0]["block_number"] == post.handle.commit_block
 
 
 def test_two_clients_in_one_block_complete_in_block_order():

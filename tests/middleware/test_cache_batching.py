@@ -99,9 +99,11 @@ class TestReadCacheUnit:
     def test_close_cancels_subscriptions(self):
         bus = EventBus()
         cache = ReadCacheMiddleware(events=bus)
-        assert bus.topics()
+        cache.handle(read_ctx(), lambda ctx: ("payload", 0.5))
+        assert bus.topics() and len(cache) == 1
         cache.close()
         assert not bus.topics()
+        assert len(cache) == 0  # the pipeline's own store goes with it
 
 
 class TestReadCacheEndToEnd:

@@ -1,5 +1,7 @@
 """Unit tests for the transaction pipeline core and stock middlewares."""
 
+import dataclasses
+
 import pytest
 
 from repro.common.errors import ConfigurationError, NetworkError, NotFoundError
@@ -205,28 +207,44 @@ class TestRetry:
 
 
 class TestPipelineConfig:
+    def built(self, config):
+        """Names of the chain actually built (with a metrics registry, as
+        every client has one)."""
+        return build_client_pipeline(
+            config, lambda ctx: None, metrics=MetricsRegistry()
+        ).middleware_names()
+
+    def test_exactly_twelve_fields(self):
+        assert [field.name for field in dataclasses.fields(PipelineConfig)] == [
+            "retry_attempts", "cache", "cache_capacity", "order_batch_size",
+            "tenant", "max_in_flight", "shards", "scheduler", "indexes",
+            "continuous_queries", "store_and_forward", "stale_reads",
+        ]
+
     def test_default_config_enables_observation_only(self):
-        config = PipelineConfig()
-        assert config.middleware_names() == ["request-id", "metrics"]
+        assert self.built(PipelineConfig()) == ["request-id", "metrics"]
+        # The metrics middleware follows the registry, not a config field.
+        bare = build_client_pipeline(PipelineConfig(), lambda ctx: None)
+        assert bare.middleware_names() == ["request-id"]
 
     def test_full_config_ordering(self):
-        config = PipelineConfig(retry_attempts=3, cache=True)
-        assert config.middleware_names() == [
+        assert self.built(PipelineConfig(retry_attempts=3, cache=True)) == [
             "request-id", "metrics", "retry", "read-cache",
         ]
 
-    def test_round_trips_through_dict(self):
-        config = PipelineConfig(cache=True, retry_attempts=2, order_batch_size=4)
-        assert PipelineConfig.from_dict(config.to_dict()) == config
-
-    def test_from_dict_rejects_unknown_keys(self):
-        with pytest.raises(ConfigurationError):
-            PipelineConfig.from_dict({"cache": True, "warp_speed": 9})
-
-    def test_parallel_key_is_rejected(self):
-        with pytest.raises(ConfigurationError, match="parallel"):
-            PipelineConfig.from_dict({"parallel": True})
-        assert "parallel" not in PipelineConfig().to_dict()
+    def test_benchmark_tenant_config_builds_the_traced_chain(self):
+        # The shape of benchmarks/perf/workloads.py::tenant_pipeline plus the
+        # session's tenant and cap: every probe-bound middleware, in order.
+        config = PipelineConfig(
+            shards=4, cache=True, cache_capacity=256,
+            indexes=("creator", "metadata.*"), continuous_queries=True,
+            scheduler="fair-share", retry_attempts=2,
+            tenant="tenant-0", max_in_flight=64,
+        )
+        assert self.built(config) == [
+            "request-id", "metrics", "query-planner", "admission-control",
+            "tenant-prefix", "retry", "read-cache", "shard-router",
+        ]
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):

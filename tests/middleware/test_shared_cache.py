@@ -1,10 +1,8 @@
-"""The shared read-cache tier: cross-session hits, isolation, thread safety."""
+"""The read cache's LRU store: eviction order and thread safety."""
 
 import threading
 
-from repro.api.service import HyperProvService
-from repro.middleware.cache import CacheEntry, ReadCacheMiddleware, SharedReadCache
-from repro.middleware.config import PipelineConfig
+from repro.middleware.cache import CacheEntry, SharedReadCache
 
 
 # ----------------------------------------------------------------- the store
@@ -44,104 +42,3 @@ def test_shared_store_survives_concurrent_use():
         thread.join()
     assert not errors
     assert len(store) <= 64
-
-
-def test_middleware_with_shared_store_does_not_clear_it_on_close():
-    store = SharedReadCache()
-    middleware = ReadCacheMiddleware(store=store)
-    store.put(("c", "get", ("k",)), entry("k"))
-    middleware.close()
-    assert len(store) == 1  # the tier outlives any one pipeline
-    private = ReadCacheMiddleware()
-    private.store.put(("c", "get", ("k",)), entry("k"))
-    private.close()
-    assert len(private.store) == 0  # private stores are torn down
-
-
-# ------------------------------------------------------------- service knob
-def test_sessions_share_one_cache_tier(desktop_deployment):
-    service = HyperProvService(desktop_deployment)
-    config = PipelineConfig(cache=True, shared_cache=True)
-
-    with service.session(tenant="a", pipeline=config) as writer:
-        writer.submit("hot", b"v1")
-        writer.drain()
-        writer.get("hot")  # populates the shared tier
-
-    with service.session(tenant="a", pipeline=config) as reader:
-        reader.get("hot")
-    metrics = desktop_deployment.client.metrics
-    # Both sessions used their own pipelines but one backing store: the
-    # second session's read is a hit without ever having missed.
-    tier = service.shared_cache()
-    assert len(tier) >= 1
-    assert metrics is not None  # deployment untouched by tenant sessions
-
-
-def test_shared_cache_keeps_tenants_isolated(desktop_deployment):
-    service = HyperProvService(desktop_deployment)
-    config = PipelineConfig(cache=True, shared_cache=True)
-
-    with service.session(tenant="a", pipeline=config) as tenant_a:
-        tenant_a.submit("secret", b"a-data")
-        tenant_a.drain()
-        tenant_a.get("secret")
-
-    with service.session(tenant="b", pipeline=config) as tenant_b:
-        tenant_b.submit("secret", b"b-data")
-        tenant_b.drain()
-        view = tenant_b.get("secret")
-    from repro.common.hashing import checksum_of
-    # Tenant b never observes tenant a's cached row for the same relative
-    # key: entries are keyed on the namespaced arguments.
-    assert view.checksum == checksum_of(b"b-data")
-    cached_args = {key[2][0] for key in service.shared_cache().keys()}
-    assert "tenant/a/secret" in cached_args
-    assert "tenant/b/secret" in cached_args
-
-
-def test_shared_cache_commit_invalidation_spans_sessions(desktop_deployment):
-    service = HyperProvService(desktop_deployment)
-    config = PipelineConfig(cache=True, shared_cache=True)
-
-    with service.session(tenant="a", pipeline=config) as first:
-        first.submit("inv", b"v1")
-        first.drain()
-        first.get("inv")
-
-        with service.session(tenant="a", pipeline=config) as second:
-            # Second session overwrites; the commit event must purge the
-            # shared entry the first session created.
-            second.submit("inv", b"v2")
-            second.drain()
-            refreshed = second.get("inv")
-    from repro.common.hashing import checksum_of
-    assert refreshed.checksum == checksum_of(b"v2")
-
-
-def test_shared_tier_invalidates_even_with_no_session_open(desktop_deployment):
-    """Regression: the service keeps its own invalidation subscription, so
-    a commit while no shared-cache session is open still purges entries."""
-    from repro.common.hashing import checksum_of
-
-    service = HyperProvService(desktop_deployment)
-    config = PipelineConfig(cache=True, shared_cache=True)
-
-    with service.session(tenant="a", pipeline=config) as first:
-        first.submit("phantom", b"v1")
-        first.drain()
-        first.get("phantom")  # cached in the shared tier
-    # Overwrite through a plain (non-shared-cache) session while nothing
-    # holding the shared tier is open.
-    with service.session(tenant="a") as writer:
-        writer.submit("phantom", b"v2")
-        writer.drain()
-    with service.session(tenant="a", pipeline=config) as reader:
-        assert reader.get("phantom").checksum == checksum_of(b"v2")
-
-
-def test_shared_tier_capacity_grows_to_largest_request(desktop_deployment):
-    service = HyperProvService(desktop_deployment)
-    assert service.shared_cache(capacity=8).capacity == 8
-    assert service.shared_cache(capacity=64).capacity == 64
-    assert service.shared_cache(capacity=4).capacity == 64  # never shrinks

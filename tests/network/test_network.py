@@ -137,12 +137,6 @@ def test_send_later_delivers_via_engine(fabric):
     assert received[0] > 0.0
 
 
-def test_broadcast_skips_source_and_partitioned_nodes(fabric):
-    fabric.partitions.partition([["alpha", "beta"], ["gamma"]])
-    receipts = fabric.broadcast("alpha", "announce", None, 10)
-    assert set(receipts) == {"beta"}
-
-
 def test_bytes_sent_accounting(fabric):
     fabric.send("alpha", "beta", "ping", None, size_bytes=500)
     fabric.send("alpha", "gamma", "ping", None, size_bytes=700)

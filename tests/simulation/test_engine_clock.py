@@ -4,7 +4,7 @@ import pytest
 
 from repro.common.errors import SimulationError
 from repro.simulation.clock import VirtualClock
-from repro.simulation.engine import Process, SimulationEngine
+from repro.simulation.engine import SimulationEngine
 
 
 # ----------------------------------------------------------------------- clock
@@ -177,35 +177,3 @@ def test_processed_event_count():
         engine.schedule_at(float(i), lambda: None)
     engine.run_until_idle()
     assert engine.processed_events == 5
-
-
-# --------------------------------------------------------------------- process
-def test_process_reschedules_until_body_returns_none():
-    engine = SimulationEngine()
-    ticks = []
-
-    def body(process):
-        ticks.append(engine.now)
-        return 1.0 if len(ticks) < 3 else None
-
-    Process(engine, body=body, label="ticker").start(delay=0.5)
-    engine.run_until_idle()
-    assert ticks == [0.5, 1.5, 2.5]
-
-
-def test_process_stop_prevents_future_activations():
-    engine = SimulationEngine()
-    ticks = []
-    process = Process(engine, body=lambda p: ticks.append(1) or 1.0)
-    process.start()
-    engine.run(until=2.5)
-    process.stop()
-    engine.run_until_idle()
-    assert len(ticks) <= 4
-
-
-def test_process_requires_body_or_override():
-    engine = SimulationEngine()
-    process = Process(engine)
-    with pytest.raises(NotImplementedError):
-        process.tick()
