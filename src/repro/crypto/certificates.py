@@ -42,6 +42,19 @@ class Certificate:
             "role": self.role,
         }
 
+    def canonical_text(self) -> str:
+        """``canonical_json(self.to_dict())`` as text, encoded once per object.
+
+        Every transaction envelope embeds its creator's and each endorser's
+        certificate, and a whole run sees a handful of distinct ones; the
+        certificate is frozen, so the fragment cannot change under it.
+        """
+        cached = self.__dict__.get("_canonical_text")
+        if cached is None:
+            cached = canonical_json(self.to_dict()).decode("ascii")
+            object.__setattr__(self, "_canonical_text", cached)
+        return cached
+
     def tbs_bytes(self) -> bytes:
         """The "to-be-signed" portion of the certificate."""
         return canonical_json(

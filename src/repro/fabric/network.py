@@ -35,7 +35,7 @@ from repro.consensus.scheduler import make_scheduler
 from repro.consensus.solo import SoloOrderingService
 from repro.devices.model import DeviceModel
 from repro.fabric.channel import Channel
-from repro.fabric.peer import CommitResult, Peer, SharedSimulation
+from repro.fabric.peer import CommitResult, Peer, SharedCommit, SharedSimulation
 from repro.fabric.proposal import Proposal, ProposalResponse, TransactionHandle
 from repro.ledger.block import Block
 from repro.ledger.transaction import Transaction, TxValidationCode
@@ -134,6 +134,12 @@ class FabricNetwork:
         self.network = network
         self.config = config or FabricNetworkConfig()
         self.metrics = metrics or MetricsRegistry("fabric")
+        # Resolved once, like a peer's: these are touched per block or per
+        # committed transaction, and a by-name look-up is measurable there.
+        self._blocks_delivered = self.metrics.counter("blocks_delivered")
+        self._txs_committed = self.metrics.counter("txs_committed")
+        self._txs_invalidated = self.metrics.counter("txs_invalidated")
+        self._tx_latency = self.metrics.histogram("tx_latency_s")
         #: The one commit stream: every shard's ``block_delivered`` and
         #: ``chaincode_event:{name}`` announcements (see :meth:`_announce`).
         self.events = EventBus()
@@ -639,6 +645,10 @@ class FabricNetwork:
             arrivals[peer.name] = sent_at + transfer
 
         commit_results = {}
+        # Lives for this fan-out only: replicas whose ledgers agree on what
+        # validation reads adopt the first replica's commit of the block
+        # instead of repeating it (a catch-up delivery never carries one).
+        shared = SharedCommit(block)
         for peer in shard_peers:
             if peer.name not in arrivals:
                 # Peer is unreachable (partition): it misses this block and
@@ -647,9 +657,11 @@ class FabricNetwork:
                 self.metrics.counter("missed_deliveries").inc()
                 continue
             self._catch_up_peer(shard, peer, arrivals[peer.name], up_to=block.number)
-            commit_results[peer.name] = peer.deliver_block(block, arrivals[peer.name])
+            commit_results[peer.name] = peer.deliver_block(
+                block, arrivals[peer.name], shared
+            )
 
-        self.metrics.counter("blocks_delivered").inc()
+        self._blocks_delivered.inc()
         self._announce(shard, block, commit_results)
         if commit_results:
             self._publish_chaincode_events(
@@ -762,10 +774,10 @@ class FabricNetwork:
             block_number=result.block_number,
         )
         if code is TxValidationCode.VALID:
-            self.metrics.counter("txs_committed").inc()
+            self._txs_committed.inc()
         else:
-            self.metrics.counter("txs_invalidated").inc()
-        self.metrics.histogram("tx_latency_s").observe(handle.latency_s)
+            self._txs_invalidated.inc()
+        self._tx_latency.observe(handle.latency_s)
 
     # ---------------------------------------------------------------- query
     def query(

@@ -19,7 +19,7 @@ from repro.fabric.channel import Channel
 from repro.fabric.proposal import Proposal, ProposalResponse
 from repro.ledger.block import Block
 from repro.ledger.blockchain import BlockStore
-from repro.ledger.history import HistoryDatabase
+from repro.ledger.history import HistoryDatabase, HistoryEntry
 from repro.ledger.transaction import (
     Endorsement,
     ReadWriteSet,
@@ -27,7 +27,7 @@ from repro.ledger.transaction import (
     TxValidationCode,
     Version,
 )
-from repro.ledger.world_state import WorldState
+from repro.ledger.world_state import VersionedValue, WorldState
 from repro.membership.identity import Identity
 
 
@@ -84,6 +84,75 @@ class SharedSimulation:
         committed = world_state.get
         for key, entry in self.stub.read_log:
             if committed(key) != entry:
+                return False
+        return True
+
+
+class SharedCommit:
+    """The one validation of a block a delivery fan-out shares between replicas.
+
+    What committing a block does to a replica (one validation code per
+    transaction, the ordered world-state writes and deletes, one history
+    entry per write, the signature-check count, the Merkle verdict) is a
+    pure function of the block, of the channel and of exactly what
+    validation reads from the replica's own ledger: its chain height and
+    tip hash, which of the block's tx ids it already holds, and the
+    pre-block version of every key some transaction reads before the block
+    itself has written it.  The network makes one of these per fan-out and
+    hands it to every replica: the first one that validates *and commits*
+    the block fills it, and a later replica applies the recorded outcome
+    only after re-reading those inputs from its **own** ledger and finding
+    every one equal — sharing the immutable :class:`VersionedValue` and
+    frozen :class:`HistoryEntry` objects instead of building its own.  It
+    dies with the fan-out, so there is nothing to key, bound or evict;
+    ``codes`` is a tuple, so nothing mutable is shared.
+
+    A filled plan implies the block passed the filling replica's
+    ``BlockStore.append``, so the data hash of this very ``Block`` object's
+    transaction list is known to match its header.
+    """
+
+    __slots__ = (
+        "block", "channel", "height", "tip_hash", "held", "read_versions",
+        "codes", "verify_ops", "valid", "applied",
+    )
+
+    #: ``None`` until a replica has validated and committed ``block``; every
+    #: slot below is written by that replica's ``Peer._validate``.
+    channel: Optional[Channel]
+    height: int
+    tip_hash: str
+    #: Tx ids of ``block`` the validating replica had already committed.
+    held: Set[str]
+    #: Key → version the validating replica's world state held before the
+    #: block, for every key validation looked up there.
+    read_versions: Dict[str, Optional[Version]]
+    codes: Tuple[TxValidationCode, ...]
+    verify_ops: int
+    #: The valid transactions, each with the version its writes get.
+    valid: List[Tuple[Transaction, Version]]
+    #: The committed writes in order: ``(key, entry, history entry)``,
+    #: ``entry`` being ``None`` for a delete.
+    applied: List[Tuple[str, Optional[VersionedValue], HistoryEntry]]
+
+    def __init__(self, block: Block) -> None:
+        self.block = block
+        self.channel = None
+
+    def holds_for(self, block: Block, peer: "Peer") -> bool:
+        """Whether ``peer`` validating ``block`` itself would get this outcome."""
+        if self.channel is None or self.block is not block or self.channel is not peer.channel:
+            return False
+        store = peer.block_store
+        if store.height != self.height or store.latest_hash != self.tip_hash:
+            return False
+        held = self.held
+        for tx in block.transactions:
+            if peer.committed(tx.tx_id) is not (tx.tx_id in held):
+                return False
+        version_of = peer.world_state.get_version
+        for key, version in self.read_versions.items():
+            if version_of(key) != version:
                 return False
         return True
 
@@ -266,39 +335,54 @@ class Peer:
         return stub, result
 
     # --------------------------------------------------------------- commit
-    def deliver_block(self, block: Block, at_time: float) -> CommitResult:
-        """Validate and commit a block received from the ordering service."""
+    def deliver_block(
+        self, block: Block, at_time: float, shared: Optional[SharedCommit] = None
+    ) -> CommitResult:
+        """Validate and commit a block received from the ordering service.
+
+        Validate, verify, apply: the validation codes are worked out against
+        the committed ledger without touching it, ``BlockStore.append``
+        checks the block number, the hash link to this replica's own tip and
+        the data hash, and only then are the valid transactions' writes,
+        history entries and tx ids written — a block the replica refuses
+        leaves it untouched.  With the fan-out's ``shared`` commit the
+        validation outcome may be adopted from an earlier replica (see
+        :class:`SharedCommit`); the number and link checks, the upkeep of
+        this replica's own indexes, the device charges, the
+        :class:`CommitResult` and the metrics never are.
+        """
+        adopted = shared is not None and shared.holds_for(block, self)
+        if adopted:
+            commit = shared
+        else:
+            # Only the first commit of the fan-out is offered to the rest.
+            offer = shared is not None and shared.channel is None and shared.block is block
+            commit = self._validate(block, shared if offer else SharedCommit(block))
+        validation_codes = list(commit.codes)
+
         # Each peer stores its own Block object but *shares* the sealed,
         # effectively-immutable transaction envelopes with the orderer and
         # the other peers (FastFabric-style zero-copy commit).  Per-peer
         # ledger isolation for tamper-evidence experiments is preserved by
         # the explicit copy-on-write hook (``Block.tamper`` /
         # ``Peer.tamper``) instead of an unconditional deep copy.
-        validation_codes: List[TxValidationCode] = []
-        verify_ops = 0
-
-        block_number = self.block_store.height
-        for tx_position, tx in enumerate(block.transactions):
-            code = self._validate_transaction(tx)
-            if code is TxValidationCode.VALID:
-                version: Version = (block_number, tx_position)
-                self._apply_writes(tx, version, block.header.timestamp)
-                self._committed_tx_ids.add(tx.tx_id)
-            validation_codes.append(code)
-            verify_ops += max(1, len(tx.endorsements))
-
         validated_block = Block(
             header=block.header,
             transactions=block.transactions,
             validation_flags=validation_codes,
             orderer=block.orderer,
         )
-        self.block_store.append(validated_block)
+        self.block_store.append(validated_block, data_hash_verified=adopted)
+        if adopted:
+            self._adopt(commit)
+        else:
+            self._apply(block, commit)
+            commit.channel = self.channel
 
         # Charge device time: verify endorsement signatures, MVCC checks
         # (cheap), write the block to disk.  With FastFabric-style parallel
         # validation the signature checks are spread over every core.
-        verify_duration = self.device.verify_time(verify_ops)
+        verify_duration = self.device.verify_time(commit.verify_ops)
         if self.parallel_validation:
             verify_duration /= self.device.profile.cores
         cpu_duration = verify_duration + self.device.serialization_time(block.size_bytes)
@@ -308,7 +392,7 @@ class Peer:
             "disk", cpu_done, disk_duration, label=f"commit:{block.number}"
         )
 
-        valid = sum(1 for c in validation_codes if c is TxValidationCode.VALID)
+        valid = validation_codes.count(TxValidationCode.VALID)
         result = CommitResult(
             peer=self.name,
             block_number=validated_block.number,
@@ -326,16 +410,59 @@ class Peer:
         return result
 
     # ------------------------------------------------------------ validation
-    def _validate_transaction(self, tx: Transaction) -> TxValidationCode:
-        if tx.tx_id in self._committed_tx_ids:
-            return TxValidationCode.DUPLICATE_TXID
+    def _validate(self, block: Block, commit: SharedCommit) -> SharedCommit:
+        """Fill ``commit`` with this replica's verdict on ``block``; writes nothing.
 
+        Transactions are judged in order against the committed ledger plus
+        the effects of the block's own earlier valid transactions
+        (``written``, ``accepted``); every look-up that reaches the ledger
+        itself is recorded (``held``, ``read_versions``) — those, with the
+        height and tip, are what another replica must agree on to adopt.
+        """
+        commit.height = self.block_store.height
+        commit.tip_hash = self.block_store.latest_hash
+        commit.held = held = set()
+        commit.read_versions = read_versions = {}
+        commit.valid = valid = []
+        commit.applied = []
+        committed = self._committed_tx_ids
+        written: Dict[str, Optional[Version]] = {}
+        accepted: Set[str] = set()
+        codes: List[TxValidationCode] = []
+        verify_ops = 0
+        for position, tx in enumerate(block.transactions):
+            tx_id = tx.tx_id
+            if tx_id in committed:
+                held.add(tx_id)
+                code = TxValidationCode.DUPLICATE_TXID
+            elif tx_id in accepted:
+                code = TxValidationCode.DUPLICATE_TXID
+            else:
+                code = self._validate_transaction(tx, written, read_versions)
+            if code is TxValidationCode.VALID:
+                accepted.add(tx_id)
+                version: Version = (commit.height, position)
+                valid.append((tx, version))
+                for write in tx.rw_set.writes:
+                    written[write.key] = None if write.is_delete else version
+            codes.append(code)
+            verify_ops += max(1, len(tx.endorsements))
+        commit.codes = tuple(codes)
+        commit.verify_ops = verify_ops
+        return commit
+
+    def _validate_transaction(
+        self,
+        tx: Transaction,
+        written: Dict[str, Optional[Version]],
+        read_versions: Dict[str, Optional[Version]],
+    ) -> TxValidationCode:
         definition = self.channel.chaincodes.find(tx.chaincode)
         if definition is None:
             return TxValidationCode.INVALID_OTHER_REASON
 
         msp = self.channel.msp
-        # Endorsement signature + certificate validation.
+        # Endorsement digest + certificate validation.
         valid_orgs = set()
         expected_digest = tx.rw_set.digest()
         for endorsement in tx.endorsements:
@@ -348,28 +475,51 @@ class Peer:
             return TxValidationCode.ENDORSEMENT_POLICY_FAILURE
 
         # MVCC validation: every read version must still be current.
+        committed_version = self.world_state.get_version
         for read in tx.rw_set.reads:
-            current = self.world_state.get_version(read.key)
+            key = read.key
+            if key in written:
+                current = written[key]
+            else:
+                current = read_versions[key] = committed_version(key)
             recorded = tuple(read.version) if read.version is not None else None
             if current != recorded:
                 return TxValidationCode.MVCC_READ_CONFLICT
         return TxValidationCode.VALID
 
-    def _apply_writes(self, tx: Transaction, version: Version, timestamp: float) -> None:
-        for write in tx.rw_set.writes:
-            if write.is_delete:
-                self.world_state.delete(write.key, version)
+    def _apply(self, block: Block, commit: SharedCommit) -> None:
+        """Write the valid transactions' effects, keeping the objects for adopters."""
+        timestamp = block.header.timestamp
+        applied = commit.applied
+        for tx, version in commit.valid:
+            for write in tx.rw_set.writes:
+                entry = None
+                if write.is_delete:
+                    self.world_state.delete(write.key, version)
+                else:
+                    entry = self.world_state.put(write.key, write.value or "", version)
+                record = self.history.record(
+                    key=write.key,
+                    tx_id=tx.tx_id,
+                    block_number=version[0],
+                    tx_number=version[1],
+                    timestamp=timestamp,
+                    value=write.value,
+                    is_delete=write.is_delete,
+                )
+                applied.append((write.key, entry, record))
+            self._committed_tx_ids.add(tx.tx_id)
+
+    def _adopt(self, commit: SharedCommit) -> None:
+        """Write the recorded effects, sharing the validating replica's entries."""
+        for key, entry, record in commit.applied:
+            if entry is None:
+                self.world_state.delete(key, (record.block_number, record.tx_number))
             else:
-                self.world_state.put(write.key, write.value or "", version)
-            self.history.record(
-                key=write.key,
-                tx_id=tx.tx_id,
-                block_number=version[0],
-                tx_number=version[1],
-                timestamp=timestamp,
-                value=write.value,
-                is_delete=write.is_delete,
-            )
+                self.world_state.put_entry(key, entry)
+            self.history.append(record)
+        for tx, _version in commit.valid:
+            self._committed_tx_ids.add(tx.tx_id)
 
     # --------------------------------------------------------------- tamper
     def tamper(self, block_number: int, tx_position: int) -> Transaction:

@@ -19,8 +19,15 @@ class BlockStore:
         self._tx_index: Dict[str, Tuple[int, int]] = {}
 
     # ------------------------------------------------------------------ write
-    def append(self, block: Block) -> None:
-        """Append ``block`` after verifying number, hash link and data hash."""
+    def append(self, block: Block, data_hash_verified: bool = False) -> None:
+        """Append ``block`` after verifying number, hash link and data hash.
+
+        Nothing is stored when a check fails.  ``data_hash_verified`` says
+        the Merkle root over this very transaction list was already checked
+        against this header (by the replica whose commit of the block the
+        caller adopts); number and hash link are checked against this
+        store's own tip regardless.
+        """
         expected_number = len(self._blocks)
         if block.number != expected_number:
             raise ValidationError(
@@ -34,7 +41,7 @@ class BlockStore:
                 f"block {block.number} previous-hash mismatch: "
                 f"expected {expected_previous[:12]}…, got {block.header.previous_hash[:12]}…"
             )
-        if not block.verify_data_hash():
+        if not data_hash_verified and not block.verify_data_hash():
             raise ValidationError(f"block {block.number} data hash does not match its transactions")
         for position, tx in enumerate(block.transactions):
             self._tx_index[tx.tx_id] = (block.number, position)

@@ -49,19 +49,28 @@ class HistoryDatabase:
         is_delete: bool = False,
     ) -> HistoryEntry:
         """Append a history entry for ``key`` and return it."""
-        entry = HistoryEntry(
-            key=key,
-            tx_id=tx_id,
-            block_number=block_number,
-            tx_number=tx_number,
-            timestamp=timestamp,
-            value=value,
-            is_delete=is_delete,
+        return self.append(
+            HistoryEntry(
+                key=key,
+                tx_id=tx_id,
+                block_number=block_number,
+                tx_number=tx_number,
+                timestamp=timestamp,
+                value=value,
+                is_delete=is_delete,
+            )
         )
-        existing = self._entries.get(key)
+
+    def append(self, entry: HistoryEntry) -> HistoryEntry:
+        """Append an existing (frozen) entry under its key and return it.
+
+        A replica adopting another replica's commit of the same block
+        indexes the very entry that replica recorded.
+        """
+        existing = self._entries.get(entry.key)
         if existing is None:
-            self._entries[key] = [entry]
-            insort(self._sorted_keys, key)
+            self._entries[entry.key] = [entry]
+            insort(self._sorted_keys, entry.key)
         else:
             existing.append(entry)
         self.total_entries += 1

@@ -18,8 +18,10 @@ therefore cache their canonical bytes.  The cache contract is explicit:
 from __future__ import annotations
 
 import enum
+import json
 from dataclasses import dataclass, field, replace
 from json.encoder import encode_basestring_ascii as _quote
+from math import isfinite
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.common.errors import SealedEnvelopeError
@@ -29,6 +31,13 @@ from repro.crypto.certificates import Certificate
 
 #: A key version is (block_number, tx_number) exactly like Fabric's height-based versions.
 Version = Tuple[int, int]
+
+
+def _json_number(value: float) -> str:
+    """``json.dumps(value)``, without the encoder for the usual finite float."""
+    if type(value) is float and isfinite(value):
+        return repr(value)
+    return json.dumps(value)
 
 
 class TxValidationCode(enum.Enum):
@@ -137,6 +146,9 @@ class ReadWriteSet:
         tuples directly skips one dict and one list per read.  The
         equality with :meth:`to_dict` is pinned by a property test.
         """
+        return self._canonical_text().encode("ascii")
+
+    def _canonical_text(self) -> str:
         reads = ",".join([
             '{"key":%s,"version":[%d,%d]}' % (_quote(key), *version)
             if version else '{"key":%s,"version":null}' % _quote(key)
@@ -149,7 +161,7 @@ class ReadWriteSet:
             )
             for key, value, is_delete in self.writes
         ])
-        return ('{"reads":[%s],"writes":[%s]}' % (reads, writes)).encode("ascii")
+        return '{"reads":[%s],"writes":[%s]}' % (reads, writes)
 
     def digest(self) -> str:
         """Stable digest of the read/write set (what endorsers sign).
@@ -191,6 +203,17 @@ class Endorsement:
             "signature": self.signature,
             "response_digest": self.response_digest,
         }
+
+    def _canonical_text(self) -> str:
+        """Exactly ``canonical_json(self.to_dict())`` as text."""
+        return (
+            '{"certificate":%s,"endorser":%s,"organization":%s,'
+            '"response_digest":%s,"signature":%s}' % (
+                self.certificate.canonical_text(), _quote(self.endorser),
+                _quote(self.organization), _quote(self.response_digest),
+                _quote(self.signature),
+            )
+        )
 
 
 @dataclass
@@ -316,22 +339,41 @@ class Transaction:
         """
         if self._envelope is not None:
             return self._envelope
-        envelope = canonical_json(
-            {
-                "tx_id": self.tx_id,
-                "channel": self.channel,
-                "chaincode": self.chaincode,
-                "function": self.function,
-                "args": list(self.args),
-                "rw_set": self.rw_set.to_dict(),
-                "endorsements": [e.to_dict() for e in self.endorsements],
-                "creator": self.creator.to_dict() if self.creator else None,
-                "timestamp": self.timestamp,
-            }
-        )
+        # Exactly ``canonical_json(self.to_dict())`` (pinned by a property
+        # test), assembled from fragments: the certificates' encodings are
+        # cached on the frozen certificates and the rw-set formats its
+        # entry tuples directly, so no nested dict is built or walked.
+        envelope = (
+            '{"args":[%s],"chaincode":%s,"channel":%s,"creator":%s,'
+            '"endorsements":[%s],"function":%s,"rw_set":%s,"timestamp":%s,"tx_id":%s}' % (
+                ",".join([_quote(arg) for arg in self.args]),
+                _quote(self.chaincode),
+                _quote(self.channel),
+                self.creator.canonical_text() if self.creator else "null",
+                ",".join([e._canonical_text() for e in self.endorsements]),
+                _quote(self.function),
+                self.rw_set._canonical_text(),
+                _json_number(self.timestamp),
+                _quote(self.tx_id),
+            )
+        ).encode("ascii")
         if self._sealed:
             self._envelope = envelope
         return envelope
+
+    def to_dict(self) -> Dict[str, object]:
+        """The envelope as a dictionary (the reference for :meth:`envelope_bytes`)."""
+        return {
+            "tx_id": self.tx_id,
+            "channel": self.channel,
+            "chaincode": self.chaincode,
+            "function": self.function,
+            "args": list(self.args),
+            "rw_set": self.rw_set.to_dict(),
+            "endorsements": [e.to_dict() for e in self.endorsements],
+            "creator": self.creator.to_dict() if self.creator else None,
+            "timestamp": self.timestamp,
+        }
 
     def digest(self) -> str:
         if self._envelope_digest is not None:

@@ -30,11 +30,12 @@ _COMPACT_MIN_TOMBSTONES = 16
 class VersionedValue:
     """A committed value together with the version that wrote it.
 
-    Immutable.  ``document`` is the value parsed as a JSON object
-    (``None`` when it is anything else) — what rich queries match
-    against.  It is filled on first access and kept on the entry, so a
-    committed version is parsed at most once per peer and a workload that
-    never scans never parses.
+    Immutable, and therefore shared between the replicas of a channel
+    that committed the version together (``WorldState.put_entry``).
+    ``document`` is the value parsed as a JSON object (``None`` when it is
+    anything else) — what rich queries match against.  It is filled on
+    first access and kept on the entry, so a committed version is parsed
+    at most once and a workload that never scans never parses.
     """
 
     __slots__ = ("value", "version", "document")
@@ -180,17 +181,29 @@ class WorldState:
         entry = self._data.get(key)
         return entry.version if entry else None
 
-    def put(self, key: str, value: str, version: Version) -> None:
-        """Commit a write (only the committing peer calls this)."""
+    def put(self, key: str, value: str, version: Version) -> VersionedValue:
+        """Commit a write (only the committing peer calls this); returns its entry."""
+        return self.put_entry(key, VersionedValue(value=value, version=version))
+
+    def put_entry(self, key: str, entry: VersionedValue) -> VersionedValue:
+        """Commit a write whose immutable entry already exists.
+
+        A replica adopting another replica's commit of the same block
+        stores the very entry that replica built (one object per committed
+        version per channel, its ``document`` parsed at most once); the
+        sorted index, the prefix buckets and the attached secondary index
+        are this world state's own and are kept here either way.
+        """
         if key not in self._data:
             self._index.add(key)
             bucket = self._bucket_for(key)
             if bucket is not None:
                 bucket.add(key)
-        self._data[key] = VersionedValue(value=value, version=version)
+        self._data[key] = entry
         if self._secondary is not None:
-            self._secondary.update(key, value)
+            self._secondary.update(key, entry.value)
         self.writes_applied += 1
+        return entry
 
     def delete(self, key: str, version: Version) -> None:
         """Remove a key from the world state."""

@@ -152,7 +152,11 @@ class CollectEndorsementsStage(FabricStage):
             rw_set=consistent[0].rw_set,
             endorsements=[r.endorsement for r in consistent if r.endorsement],
             creator=client.identity.certificate,
-            creator_signature=client.identity.sign(state.proposal.signed_bytes()),
+            # The client's signature over the proposal bytes, made when the
+            # proposal was built; signing is deterministic, so signing the
+            # same bytes again (as ``sign_time()`` above is charged for)
+            # would produce the same value.
+            creator_signature=state.proposal.signature,
             timestamp=state.proposal.timestamp,
             response_payload=consistent[0].payload,
             chaincode_event=consistent[0].chaincode_event,

@@ -86,6 +86,9 @@ class NetworkFabric:
         self.default_profile = default_profile
         self._rng = rng or DeterministicRandom(11)
         self.metrics = metrics or MetricsRegistry("network")
+        # Resolved once: every transfer counts its bytes, and a by-name
+        # registry look-up per transfer is measurable.
+        self._bytes_counter = self.metrics.counter("bytes")
         self.partitions = PartitionManager()
         self._handlers: Dict[str, MessageHandler] = {}
         self._links: Dict[Tuple[str, str], Link] = {}
@@ -203,7 +206,7 @@ class NetworkFabric:
                 self._bytes_by_node[source] = (
                     self._bytes_by_node.get(source, 0) + size_bytes
                 )
-                self.metrics.counter("bytes").inc(size_bytes)
+                self._bytes_counter.inc(size_bytes)
                 self.metrics.counter("fault.dropped").inc()
             if fault.duplicate_rate > 0.0 and rng.random() < fault.duplicate_rate:
                 # Spurious retransmission: extra bytes on the wire, but the
@@ -211,7 +214,7 @@ class NetworkFabric:
                 self._bytes_by_node[source] = (
                     self._bytes_by_node.get(source, 0) + size_bytes
                 )
-                self.metrics.counter("bytes").inc(size_bytes)
+                self._bytes_counter.inc(size_bytes)
                 self.metrics.counter("fault.duplicated").inc()
         return duration
 
@@ -241,7 +244,7 @@ class NetworkFabric:
         if self._link_faults:
             duration = self._apply_link_faults(source, destination, size_bytes, duration)
         self._bytes_by_node[source] = self._bytes_by_node.get(source, 0) + size_bytes
-        self.metrics.counter("bytes").inc(size_bytes)
+        self._bytes_counter.inc(size_bytes)
         return duration
 
     def send(
@@ -276,7 +279,7 @@ class NetworkFabric:
                 latency = self._apply_link_faults(source, destination, size_bytes, latency)
         self._bytes_by_node[source] = self._bytes_by_node.get(source, 0) + size_bytes
         self.metrics.counter("messages").inc()
-        self.metrics.counter("bytes").inc(size_bytes)
+        self._bytes_counter.inc(size_bytes)
         self.metrics.histogram("latency_s").observe(latency)
         message.delivered_at = message.sent_at + latency
         if deliver:

@@ -9,8 +9,9 @@ from repro.common.serialization import canonical_json, from_canonical_json
 from repro.crypto.merkle import MerkleTree
 from repro.ledger.block import Block
 from repro.ledger.blockchain import BlockStore
-from repro.ledger.transaction import ReadSetEntry, ReadWriteSet, Transaction
+from repro.ledger.transaction import Endorsement, ReadSetEntry, ReadWriteSet, Transaction
 from repro.ledger.world_state import WorldState
+from repro.membership.identity import Organization
 from repro.membership.policies import OutOfPolicy, SignaturePolicy
 from repro.simulation.resources import SimResource
 
@@ -188,3 +189,85 @@ def test_rw_set_digest_equals_canonical_json_of_to_dict(reads, writes):
         rw_set.add_write(key, value, is_delete=is_delete)
     assert rw_set.canonical_bytes() == canonical_json(rw_set.to_dict())
     assert rw_set.digest() == sha256_hex(canonical_json(rw_set.to_dict()))
+
+
+# ------------------------------------------------------------ envelope bytes
+#: Five certificates, as a whole run sees (one subject is not ASCII).
+certificates = [
+    Organization(name).enroll(subject, role=role).certificate
+    for name, subject, role in [
+        ("org1", "client", "client"), ("org1", "peer0", "peer"), ("org2", "peer1", "peer"),
+        ("org3", 'peer "é"', "peer"), ("org4", "peer3", "member"),
+    ]
+]
+endorsements = st.builds(
+    Endorsement,
+    endorser=awkward_text, organization=awkward_text,
+    certificate=st.sampled_from(certificates),
+    signature=awkward_text, response_digest=awkward_text,
+)
+timestamps = st.one_of(st.floats(), st.integers(-10**6, 10**12))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.tuples(awkward_text, awkward_text, awkward_text, awkward_text),
+    st.lists(awkward_text, max_size=6),
+    st.lists(st.tuples(awkward_text, versions), max_size=8),
+    st.lists(st.tuples(awkward_text, st.one_of(st.none(), awkward_text), st.booleans()), max_size=4),
+    st.lists(endorsements, max_size=4),
+    st.one_of(st.none(), st.sampled_from(certificates)),
+    timestamps,
+)
+def test_envelope_bytes_equal_canonical_json_of_the_envelope_dict(
+    names, args, reads, writes, endorsed, creator, timestamp
+):
+    """The fragment-assembled envelope must stay byte-for-byte the reference
+    encoding: block sizes, transaction digests and Merkle roots hang on it."""
+    tx_id, channel, chaincode, function = names
+    rw_set = ReadWriteSet()
+    rw_set.extend_reads([ReadSetEntry(key, version) for key, version in reads])
+    for key, value, is_delete in writes:
+        rw_set.add_write(key, value, is_delete=is_delete)
+    tx = Transaction(
+        tx_id=tx_id, channel=channel, chaincode=chaincode, function=function, args=args,
+        rw_set=rw_set, endorsements=endorsed, creator=creator, timestamp=timestamp,
+    )
+    reference = canonical_json({
+        "tx_id": tx_id,
+        "channel": channel,
+        "chaincode": chaincode,
+        "function": function,
+        "args": list(args),
+        "rw_set": rw_set.to_dict(),
+        "endorsements": [
+            {
+                "endorser": e.endorser, "organization": e.organization,
+                "certificate": e.certificate.to_dict(), "signature": e.signature,
+                "response_digest": e.response_digest,
+            }
+            for e in endorsed
+        ],
+        "creator": creator.to_dict() if creator else None,
+        "timestamp": timestamp,
+    })
+    assert tx.envelope_bytes() == reference == canonical_json(tx.to_dict())
+
+    # Unsealed envelopes recompute on every call, so edits stay hash-visible.
+    tx.args.append("late")
+    assert tx.envelope_bytes() == canonical_json(tx.to_dict()) != reference
+    tx.args.pop()
+
+    tx.seal()
+    sealed = tx.envelope_bytes()
+    assert sealed == reference and tx.envelope_bytes() is sealed
+    assert tx.digest() == sha256_hex(reference) and tx.size_bytes == len(reference)
+
+    # So do tamper() clones; the sealed original keeps serving its bytes.
+    clone = tx.tamper()
+    assert clone.envelope_bytes() == reference
+    clone.function = function + "!"
+    assert clone.envelope_bytes() == canonical_json(clone.to_dict()) != reference
+    assert clone.digest() != tx.digest()
+    assert tx.envelope_bytes() is sealed
+
