@@ -73,7 +73,6 @@ ALLOWED_EDGES: Dict[str, FrozenSet[str]] = {
             "common",
             "consensus",
             "devices",
-            "middleware",
             "network",
             "simulation",
         }

@@ -5,7 +5,7 @@ internal machinery — the HyperProv client pipeline, the central database,
 or the PoW chain — so callers never touch a backend-specific surface.
 The adapters (and ``HyperProvClient.get_data``) are the only callers of the
 backends' private operator implementations (``HyperProvClient._store_data``,
-``PipelinedStoreMixin._execute``, …).
+``CentralProvenanceDatabase._store_record``, …).
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from repro.api.protocol import (
     SubmitHandle,
     VerifyResult,
 )
-from repro.middleware.context import OperationKind
 
 
 class _StoreBase:
@@ -72,9 +71,7 @@ class _StoreBase:
         )
 
     def close(self) -> None:
-        pipeline = getattr(getattr(self, "backend", None), "pipeline", None)
-        if pipeline is not None:
-            pipeline.close()
+        """Synchronous backends hold nothing to release."""
 
 
 class HyperProvStore(_StoreBase):
@@ -241,7 +238,7 @@ class HyperProvStore(_StoreBase):
         if self._query_registry is not None:
             self._query_registry.close()
             self._query_registry = None
-        super().close()
+        self.client.pipeline.close()
 
 
 class CentralDbStore(_StoreBase):
@@ -255,13 +252,8 @@ class CentralDbStore(_StoreBase):
     def submit(self, request: StoreRequest, at_time: Optional[float] = None) -> SubmitHandle:
         start = at_time or 0.0
         record = self._record_for(request, start)
-        result = self.backend._execute(
-            "store_record",
-            OperationKind.WRITE,
-            [record.key],
-            record=record,
-            at_time=start,
-            payload_bytes=len(request.data or b""),
+        result = self.backend._store_record(
+            record, at_time=start, payload_bytes=len(request.data or b"")
         )
         return SubmitHandle(
             request=request,
@@ -288,11 +280,11 @@ class CentralDbStore(_StoreBase):
         )
 
     def get(self, key: str, at_time: Optional[float] = None) -> RecordView:
-        record = self.backend._execute("get", OperationKind.READ, [key])
+        record = self.backend._get(key)
         return RecordView.from_record(record)
 
     def history(self, key: str, at_time: Optional[float] = None) -> HistoryView:
-        records = self.backend._execute("history", OperationKind.READ, [key])
+        records = self.backend._history(key)
         entries = tuple(
             HistoryEntryView(view=RecordView.from_record(record), tx_id=str(index))
             for index, record in enumerate(records)
@@ -306,7 +298,7 @@ class CentralDbStore(_StoreBase):
         at_time: Optional[float] = None,
     ) -> VerifyResult:
         checksum = _as_checksum(data_or_checksum)
-        record = self.backend._execute("get", OperationKind.READ, [key])
+        record = self.backend._get(key)
         return VerifyResult(key=key, matches=record.checksum == checksum)
 
     def audit(self) -> bool:
@@ -325,13 +317,7 @@ class PowChainStore(_StoreBase):
     def submit(self, request: StoreRequest, at_time: Optional[float] = None) -> SubmitHandle:
         start = at_time or 0.0
         record = self._record_for(request, start)
-        result = self.backend._execute(
-            "store_record",
-            OperationKind.WRITE,
-            [record.key],
-            record=record,
-            at_time=start,
-        )
+        result = self.backend._store_record(record, at_time=start)
         return SubmitHandle(
             request=request,
             backend=self.backend_name,
@@ -357,11 +343,11 @@ class PowChainStore(_StoreBase):
         )
 
     def get(self, key: str, at_time: Optional[float] = None) -> RecordView:
-        entry = self.backend._execute("get", OperationKind.READ, [key])
+        entry = self.backend._get(key)
         return RecordView.from_record(entry.record)
 
     def history(self, key: str, at_time: Optional[float] = None) -> HistoryView:
-        entries = self.backend._execute("history", OperationKind.READ, [key])
+        entries = self.backend._history(key)
         views = tuple(
             HistoryEntryView(
                 view=RecordView.from_record(entry.record),
@@ -379,7 +365,7 @@ class PowChainStore(_StoreBase):
         at_time: Optional[float] = None,
     ) -> VerifyResult:
         checksum = _as_checksum(data_or_checksum)
-        entry = self.backend._execute("get", OperationKind.READ, [key])
+        entry = self.backend._get(key)
         return VerifyResult(key=key, matches=entry.record.checksum == checksum)
 
     def audit(self) -> bool:

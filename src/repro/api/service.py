@@ -53,7 +53,7 @@ class ProvenanceSession:
         self.backend = store
         self.tenant = tenant
         self._owns_backend = owns_store
-        self._handles: List[SubmitHandle] = []
+        self._in_flight = 0
         self._subscriptions: List[Any] = []
         self._submitted = 0
         self._closed = False
@@ -65,7 +65,7 @@ class ProvenanceSession:
     @property
     def in_flight(self) -> int:
         """Submissions not yet committed."""
-        return sum(1 for handle in self._handles if not handle.done)
+        return self._in_flight
 
     @property
     def submitted(self) -> int:
@@ -101,8 +101,14 @@ class ProvenanceSession:
         )
         handle = self.backend.submit(request, at_time=at_time)
         self._submitted += 1
-        self._handles.append(handle)
+        if not handle.done:
+            # Counted, not kept: a caller that drops its handle frees it.
+            self._in_flight += 1
+            handle.add_done_callback(self._on_done)
         return handle
+
+    def _on_done(self, _handle: SubmitHandle) -> None:
+        self._in_flight -= 1
 
     def store(self, key: str, data: Optional[bytes] = None, **kwargs: Any) -> SubmitHandle:
         """Blocking write: ``submit`` then ``drain``."""
@@ -205,8 +211,6 @@ class ProvenanceSession:
         even when no handle is currently in flight.
         """
         self.backend.drain()
-        # Completed handles no longer need tracking.
-        self._handles = [handle for handle in self._handles if not handle.done]
 
     def close(self) -> None:
         """Drain, then release the session's pipeline (if it owns one).

@@ -13,13 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.baselines.pipeline_support import PipelinedStoreMixin
 from repro.chaincode.records import ProvenanceRecord
 from repro.common.errors import NotFoundError
-from repro.common.metrics import MetricsRegistry
 from repro.devices.model import DeviceModel
-from repro.middleware.config import PipelineConfig
-from repro.middleware.context import OperationKind
 from repro.network.fabric import NetworkFabric
 
 
@@ -32,10 +28,8 @@ class CentralStoreResult:
     completed_at: float
 
 
-class CentralProvenanceDatabase(PipelinedStoreMixin):
+class CentralProvenanceDatabase:
     """Single-server provenance store with request/response over the network."""
-
-    chaincode_label = "centraldb"
 
     def __init__(
         self,
@@ -43,8 +37,6 @@ class CentralProvenanceDatabase(PipelinedStoreMixin):
         network: Optional[NetworkFabric] = None,
         server_node: str = "provdb",
         request_overhead_s: float = 0.0015,
-        pipeline_config: Optional[PipelineConfig] = None,
-        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self.server_device = server_device
         self.network = network
@@ -53,7 +45,15 @@ class CentralProvenanceDatabase(PipelinedStoreMixin):
         self._records: Dict[str, List[ProvenanceRecord]] = {}
         if network is not None and server_node not in network.nodes:
             network.register_node(server_node, profile=server_device.profile.nic)
-        self._init_pipeline(pipeline_config, metrics, "baseline.centraldb")
+        self._store_adapter = None
+
+    def as_store(self):
+        """This baseline as a unified :class:`repro.api.ProvenanceStore`."""
+        if self._store_adapter is None:
+            from repro.api.adapters import CentralDbStore
+
+            self._store_adapter = CentralDbStore(self)
+        return self._store_adapter
 
     # ------------------------------------------------------------------ write
     def _store_record(
@@ -73,7 +73,6 @@ class CentralProvenanceDatabase(PipelinedStoreMixin):
         write = self.server_device.disk_write_time(payload_bytes + len(record.to_json()))
         _, cursor = self.server_device.occupy("disk", cursor, write, label="provdb-write")
         self._records.setdefault(record.key, []).append(record)
-        self._invalidate_cached_reads(record.key)
         return CentralStoreResult(record=record, latency_s=cursor - at_time, completed_at=cursor)
 
     # ------------------------------------------------------------------- read
@@ -100,7 +99,7 @@ class CentralProvenanceDatabase(PipelinedStoreMixin):
         replicated ledger to contradict the rewrite.  This is the property
         HyperProv is designed to prevent.
         """
-        current = self._execute("get", OperationKind.READ, [key])
+        current = self._get(key)
         tampered = ProvenanceRecord(
             key=current.key,
             checksum=new_checksum,

@@ -12,15 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.baselines.pipeline_support import PipelinedStoreMixin
 from repro.chaincode.records import ProvenanceRecord
 from repro.common.errors import NotFoundError, ValidationError
 from repro.common.hashing import HashChain
-from repro.common.metrics import MetricsRegistry
 from repro.consensus.pow import ProofOfWorkEngine
 from repro.devices.model import DeviceModel
-from repro.middleware.config import PipelineConfig
-from repro.middleware.context import OperationKind
 from repro.simulation.randomness import DeterministicRandom
 
 
@@ -44,18 +40,14 @@ class PowStoreResult:
     latency_s: float
 
 
-class PowProvenanceChain(PipelinedStoreMixin):
+class PowProvenanceChain:
     """A single-miner Proof-of-Work provenance ledger."""
-
-    chaincode_label = "provchain"
 
     def __init__(
         self,
         miner_device: DeviceModel,
         difficulty_bits: int = 20,
         rng: Optional[DeterministicRandom] = None,
-        pipeline_config: Optional[PipelineConfig] = None,
-        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self.miner_device = miner_device
         self.engine = ProofOfWorkEngine(
@@ -64,7 +56,15 @@ class PowProvenanceChain(PipelinedStoreMixin):
         self._chain = HashChain()
         self._entries: List[PowChainEntry] = []
         self._latest_by_key: Dict[str, int] = {}
-        self._init_pipeline(pipeline_config, metrics, "baseline.provchain")
+        self._store_adapter = None
+
+    def as_store(self):
+        """This baseline as a unified :class:`repro.api.ProvenanceStore`."""
+        if self._store_adapter is None:
+            from repro.api.adapters import PowChainStore
+
+            self._store_adapter = PowChainStore(self)
+        return self._store_adapter
 
     # ------------------------------------------------------------------ write
     def _store_record(self, record: ProvenanceRecord, at_time: float = 0.0) -> PowStoreResult:
@@ -90,7 +90,6 @@ class PowProvenanceChain(PipelinedStoreMixin):
         )
         self._entries.append(entry)
         self._latest_by_key[record.key] = entry.index
-        self._invalidate_cached_reads(record.key)
         return PowStoreResult(entry=entry, latency_s=end - at_time)
 
     # ------------------------------------------------------------------- read
@@ -120,7 +119,7 @@ class PowProvenanceChain(PipelinedStoreMixin):
         The rewrite is applied to the local copy but :meth:`verify_chain`
         will subsequently fail — demonstrating tamper evidence.
         """
-        entry = self._execute("get", OperationKind.READ, [key])
+        entry = self._get(key)
         tampered = ProvenanceRecord(
             key=entry.record.key,
             checksum=new_checksum,

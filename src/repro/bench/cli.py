@@ -325,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument(
         "--workers", type=_positive_int, default=4,
         help="worker processes for the parallel executor, clamped to the "
-             "shard count; 1 runs the windowed protocol inline "
+             "shard count; 1 runs the sites in-process, one engine each "
              "(default: 4)",
     )
     fleet.add_argument(

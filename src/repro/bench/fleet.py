@@ -1,9 +1,9 @@
 """Fleet-scale wall-clock benchmark (``bench fleet``).
 
 Runs the 10k-device metadata-post fleet twice — once on the parallel
-executor (multi-process shard workers, batched commit delivery) and once
-on the sequential engine — and reports the wall-clock speedup plus the
-virtual-time **determinism anchor**: a digest over every site's commit log
+executor (one forked worker per site group) and once on the sequential
+engine — and reports the wall-clock speedup plus the virtual-time
+**determinism anchor**: a digest over every site's commit log
 (tx ids, submit/commit times, validation codes, block numbers).  The two
 runs must produce byte-identical anchors; a mismatch fails the benchmark
 because it means the parallel decomposition changed simulated behaviour.
@@ -23,7 +23,7 @@ catches any change that silently moves virtual time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.bench.anchors import GateError
 from repro.bench.reporting import ResultTable, format_seconds
@@ -155,7 +155,7 @@ def shard_stats_table(stats: List[ShardRunStats], title: str) -> ResultTable:
     table = ResultTable(
         title=title,
         columns=[
-            "worker", "sites", "windows", "events",
+            "worker", "sites", "events",
             "busy wall", "barrier stall", "utilization",
         ],
     )
@@ -163,16 +163,15 @@ def shard_stats_table(stats: List[ShardRunStats], title: str) -> ResultTable:
         table.add_row(
             entry.worker,
             ",".join(str(site) for site in entry.sites),
-            entry.windows,
             entry.events,
             format_seconds(entry.busy_wall_s),
             format_seconds(entry.barrier_stall_s),
             f"{entry.utilization * 100:.1f}%",
         )
     table.add_note(
-        "barrier stall is wall time parked waiting for the coordinator; "
-        "rising stall at unchanged busy time means the lookahead window "
-        "regressed"
+        "busy wall is a worker's build + submit + drain time; barrier stall "
+        "is what the join costs it (the slowest worker's busy time minus its "
+        "own), so stall measures how unevenly the sites were assigned"
     )
     return table
 
@@ -183,13 +182,12 @@ def run_fleet(
     workers: int = 4,
     duration_s: float = FLEET_DURATION_S,
     seed: int = 42,
-    window_s: Optional[float] = None,
 ) -> FleetBenchReport:
     """Measure parallel then sequential and verify the determinism anchor."""
     spec = fleet_spec(devices=devices, shards=shards, duration_s=duration_s, seed=seed)
     spec.validate()
     # Parallel first: fork from a clean heap (see module docstring).
-    parallel = run_fleet_parallel(spec, workers=workers, window_s=window_s)
+    parallel = run_fleet_parallel(spec, workers=workers)
     sequential = run_fleet_sequential(spec)
     report = FleetBenchReport(spec=spec, parallel=parallel, sequential=sequential)
     report.verify_determinism()

@@ -77,11 +77,6 @@ class DeploymentSpec:
     #: ordering rate, which is what makes scheduling policy and shard
     #: scaling observable.
     orderer_intake_interval_s: float = 0.0
-    #: Worker processes the parallel executor may spread this deployment's
-    #: channel shards over (clamped to ``shards`` at run time).  The
-    #: sequential builder ignores it — 1 keeps everything on one engine,
-    #: which remains the default execution mode.
-    workers: int = 1
     #: Field-value secondary indexes attached to every peer ledger at build
     #: time (same syntax as ``PipelineConfig.indexes``; empty = none).
     indexes: Sequence[str] = ()
@@ -123,8 +118,6 @@ def build_deployment(spec: DeploymentSpec) -> HyperProvDeployment:
         raise ConfigurationError("a deployment needs at least one peer")
     if spec.shards < 1:
         raise ConfigurationError("a deployment needs at least one channel shard")
-    if spec.workers < 1:
-        raise ConfigurationError("a deployment needs at least one worker")
 
     engine = SimulationEngine()
     rng = DeterministicRandom(spec.seed)

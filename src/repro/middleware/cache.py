@@ -28,11 +28,8 @@ UNREACHABLE_ERRORS = NetworkError
 #: partition or a crash); invalidating twice is harmless.
 BLOCK_DELIVERED_TOPIC = "block_delivered"
 
-#: Read functions whose first argument names the single key they depend on
-#: (the Fabric chaincode's read set plus the baselines' ``get``/``history``).
-KEY_SCOPED_FUNCTIONS = frozenset(
-    {"get", "getkeyhistory", "checkhash", "getdependencies", "history"}
-)
+#: Read functions whose first argument names the single key they depend on.
+KEY_SCOPED_FUNCTIONS = frozenset({"get", "getkeyhistory", "checkhash", "getdependencies"})
 
 CacheKey = Tuple[str, str, Tuple[str, ...]]
 

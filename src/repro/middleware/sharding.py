@@ -37,9 +37,7 @@ from repro.middleware.base import Handler, Middleware
 from repro.middleware.context import Context
 
 #: Functions whose first argument names the single key they operate on.
-KEY_SCOPED_FUNCTIONS = frozenset(
-    {"get", "checkhash", "getdependencies", "set", "store_record"}
-)
+KEY_SCOPED_FUNCTIONS = frozenset({"get", "checkhash", "getdependencies", "set"})
 
 #: Read functions the router fans out to every shard and merges.
 FAN_OUT_FUNCTIONS = frozenset({"getbyrange", "query", "getkeyhistory"})

@@ -15,8 +15,7 @@ the namespace on the wire:
 
 Both are enabled declaratively through
 :class:`~repro.middleware.config.PipelineConfig` (``tenant`` /
-``max_in_flight``) and therefore apply uniformly to the HyperProv client
-and to both baseline stores.
+``max_in_flight``).
 """
 
 from __future__ import annotations
@@ -35,11 +34,8 @@ from repro.common.tenancy import tenant_namespace
 from repro.middleware.base import Handler, Middleware
 from repro.middleware.context import Context
 
-#: Read functions whose first argument is the single ledger key they touch
-#: (chaincode reads plus the baselines' ``get`` / ``history``).
-KEY_SCOPED_FUNCTIONS = frozenset(
-    {"get", "getkeyhistory", "checkhash", "getdependencies", "history"}
-)
+#: Read functions whose first argument is the single ledger key they touch.
+KEY_SCOPED_FUNCTIONS = frozenset({"get", "getkeyhistory", "checkhash", "getdependencies"})
 
 #: Upper bound used to close an open-ended range within a tenant namespace.
 _RANGE_END_SENTINEL = "~"
@@ -65,7 +61,6 @@ class TenantPrefixMiddleware(Middleware):
     # ------------------------------------------------------------- pipeline
     def handle(self, ctx: Context, call_next: Handler) -> Any:
         self._rewrite_args(ctx)
-        self._rewrite_store_tags(ctx)
         result = call_next(ctx)
         if ctx.function == "query":
             return self._filter_query_result(result)
@@ -90,8 +85,6 @@ class TenantPrefixMiddleware(Middleware):
                 ctx.args[3] = self.prefix + ctx.args[3]
         elif ctx.function == "query" and ctx.args:
             ctx.args[0] = self._namespace_selector_prefix(ctx.args[0])
-        elif ctx.operation == "store_record" and ctx.args:
-            ctx.args[0] = self.prefix + ctx.args[0]
 
     def _namespace_selector_prefix(self, encoded: str) -> str:
         """Scope a rich-query selector's reserved ``_prefix`` to the tenant.
@@ -125,20 +118,6 @@ class TenantPrefixMiddleware(Middleware):
         if not isinstance(dependencies, list):
             return encoded
         return json.dumps([self.prefix + str(dep) for dep in dependencies])
-
-    def _rewrite_store_tags(self, ctx: Context) -> None:
-        """Namespace the record a baseline store carries out of band."""
-        store = ctx.tags.get("store")
-        if not isinstance(store, dict):
-            return
-        record = store.get("record")
-        if record is None or not hasattr(record, "key"):
-            return
-        store["record"] = replace(
-            record,
-            key=self.prefix + record.key,
-            dependencies=[self.prefix + dep for dep in record.dependencies],
-        )
 
     # ------------------------------------------------------------ filtering
     def _filter_query_result(self, result: Any) -> Any:

@@ -1,29 +1,22 @@
-"""Conservative-time parallel execution of shard-disjoint fleets.
+"""Parallel execution of shard-disjoint fleets: a process map over sites.
 
 The sequential engine runs every fleet site on one event heap; this module
-runs each site (or a group of sites) in its own worker process, advancing
-all workers in lock-step **barrier windows** of virtual time:
+runs each group of sites in its own worker process:
 
-    coordinator: advance(k·W → (k+1)·W)  ...  barrier  ...  advance(...)
-    worker i:    run events < horizon, report window
+    coordinator: fork(spec, sites) ............ receive one result per worker
+    worker i:    build → submit → drain → send {lines, counts, stats}
 
-``W`` is the *lookahead*: the amount of virtual time a worker may execute
-without observing the other shards.  Fleet sites share no links, peers or
-RNG streams (see :mod:`repro.workloads.fleet`), so no event on one shard
-can ever depend on another shard's window — any positive lookahead is
-safe, and the barrier exchanges only window statistics (the degenerate
-null-message of a conservative protocol with no cross-shard channels).
-The floor below keeps the window honest anyway: it never drops under the
-orderer intake pacing interval or the LAN propagation floor, the two
-shortest cause→effect delays in the simulation, which is what a
-conservative protocol would require if shards *did* exchange messages.
+Fleet sites share no links, peers, RNG streams or transaction-id
+namespace (see :mod:`repro.workloads.fleet`), so no event on one site can
+depend on another site: workers need no virtual-time synchronisation, and
+the only barrier is the join at the end.  A cross-shard channel, when one
+exists, is what would give a window protocol something to synchronise.
 
-Workers are forked processes (the coordinator→worker command boundary is
-a :class:`~repro.workloads.fleet.FleetSpec` plus site indices — workers
+Workers are forked processes (the coordinator→worker boundary is a
+:class:`~repro.workloads.fleet.FleetSpec` plus site indices — workers
 rebuild arrival plans and topology locally, nothing big crosses the
-pipe) and run the same delivery code as the sequential engine.  With
-``workers <= 1`` the same windowed protocol runs inline (no processes),
-which is also the portable fallback when the platform cannot fork.
+pipe) and run :func:`_run_sites`, the same function the sequential run
+and the in-process run (``workers == 1`` or a single site group) call.
 
 Determinism: virtual-time results are byte-identical to the sequential
 engine — the commit-log anchor digest of :func:`run_fleet_parallel` equals
@@ -38,19 +31,18 @@ import multiprocessing
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Sequence
 
 from repro.common.errors import ConfigurationError, SimulationError
 
 if TYPE_CHECKING:
-    from repro.workloads.fleet import FleetDeployment, FleetSpec
+    from repro.workloads.fleet import FleetSpec
 
 # The fleet workload sits *above* the simulation layer (it builds whole
-# deployments out of core/fabric pieces), so this module — generic
-# barrier-window machinery that happens to ship a fleet front-end — only
-# imports it inside the functions that need it.  Keeping the edge out of
-# module scope is what lets `repro.simulation` stay below `workloads` in
-# the layering DAG (rule A201) and avoids the package import cycle.
+# deployments out of core/fabric pieces), so this module only imports it
+# inside the functions that need it.  Keeping the edge out of module
+# scope is what lets `repro.simulation` stay below `workloads` in the
+# layering DAG (rule A201) and avoids the package import cycle.
 
 
 def _wall_clock() -> float:
@@ -62,23 +54,6 @@ def _wall_clock() -> float:
     """
     return time.perf_counter()  # repro: allow-wallclock
 
-#: Default barrier window, in virtual seconds.  Small enough that commit
-#: batches stay timely, large enough that barrier crossings are a rounding
-#: error in wall time (a 300 s fleet run takes 60 barriers).
-DEFAULT_WINDOW_S = 5.0
-
-#: LAN propagation floor: no simulated cause→effect crosses a link faster
-#: than this, so the conservative lookahead never needs to be smaller.
-MIN_LOOKAHEAD_S = 0.001
-
-
-def conservative_lookahead(spec: FleetSpec, window_s: Optional[float] = None) -> float:
-    """The barrier window: requested size clamped to the lookahead floor."""
-    requested = DEFAULT_WINDOW_S if window_s is None else window_s
-    if requested <= 0:
-        raise ConfigurationError("barrier window must be positive")
-    return max(requested, spec.orderer_intake_interval_s, MIN_LOOKAHEAD_S)
-
 
 @dataclass
 class ShardRunStats:
@@ -86,11 +61,11 @@ class ShardRunStats:
 
     worker: int
     sites: List[int]
-    windows: int = 0
     events: int = 0
-    #: Wall time spent executing simulation events and flushing windows.
+    #: Wall time the worker spent building, submitting and draining.
     busy_wall_s: float = 0.0
-    #: Wall time spent parked at barriers waiting for the coordinator.
+    #: What the join costs this worker: the slowest worker's busy time
+    #: minus its own (filled in by the coordinator of a forked run).
     barrier_stall_s: float = 0.0
 
     @property
@@ -106,7 +81,6 @@ class FleetRunResult:
     spec: FleetSpec
     mode: str
     workers: int
-    window_s: float
     wall_s: float
     submitted: int
     lines_by_site: Dict[int, List[str]]
@@ -132,19 +106,12 @@ class FleetRunResult:
         return self.committed / self.wall_s if self.wall_s > 0 else 0.0
 
 
-def window_count(horizon_s: float, window_s: float) -> int:
-    """Barrier windows needed to cover ``[0, horizon_s]`` plus the tail.
+def _run_sites(spec: FleetSpec, sites: Sequence[int], worker: int) -> Dict[str, Any]:
+    """Run these sites to completion on one engine and collect their logs.
 
-    The final window's ``run(until=...)`` leaves timer-driven tail work
-    (batch-timeout cuts, commit deliveries) which the drain phase after
-    the last barrier finishes; coordinator and workers must agree on this
-    count, so both compute it from the same spec-derived inputs.
+    The one way sites are run: the sequential baseline calls it with every
+    site, the in-process run once per site, a forked worker with its group.
     """
-    return int(horizon_s // window_s) + 1
-
-
-def run_fleet_sequential(spec: FleetSpec) -> FleetRunResult:
-    """The baseline: every site on one engine, per-block commit delivery."""
     from repro.workloads.fleet import (
         build_fleet,
         commit_counts,
@@ -152,27 +119,50 @@ def run_fleet_sequential(spec: FleetSpec) -> FleetRunResult:
         submit_fleet,
     )
 
-    start = _wall_clock()
-    deployment = build_fleet(spec)
-    submitted = submit_fleet(deployment)
-    stats = ShardRunStats(worker=0, sites=list(deployment.sites))
     begin = _wall_clock()
+    deployment = build_fleet(spec, sites=sites)
+    submitted = submit_fleet(deployment)
     deployment.drain()
-    stats.busy_wall_s = _wall_clock() - begin
-    stats.windows = 1
-    stats.events = deployment.engine.processed_events
-    wall = _wall_clock() - start
+    stats = ShardRunStats(
+        worker=worker,
+        sites=list(deployment.sites),
+        events=deployment.engine.processed_events,
+        busy_wall_s=_wall_clock() - begin,
+    )
+    return {
+        "lines": {s: commit_log_lines(deployment, s) for s in deployment.sites},
+        "counts": {s: commit_counts(deployment, s) for s in deployment.sites},
+        "stats": stats,
+        "submitted": submitted,
+    }
+
+
+def _merge(
+    spec: FleetSpec, mode: str, workers: int, start: float, payloads: List[Dict[str, Any]]
+) -> FleetRunResult:
+    """Fold per-group payloads (disjoint site sets) into one result."""
+    lines_by_site: Dict[int, List[str]] = {}
+    counts_by_site: Dict[int, Dict[str, int]] = {}
+    for payload in payloads:
+        lines_by_site.update(payload["lines"])
+        counts_by_site.update(payload["counts"])
     return FleetRunResult(
         spec=spec,
-        mode="sequential",
-        workers=1,
-        window_s=0.0,
-        wall_s=wall,
-        submitted=submitted,
-        lines_by_site={s: commit_log_lines(deployment, s) for s in deployment.sites},
-        counts_by_site={s: commit_counts(deployment, s) for s in deployment.sites},
-        shard_stats=[stats],
+        mode=mode,
+        workers=workers,
+        wall_s=_wall_clock() - start,
+        submitted=sum(payload["submitted"] for payload in payloads),
+        lines_by_site=lines_by_site,
+        counts_by_site=counts_by_site,
+        shard_stats=[payload["stats"] for payload in payloads],
     )
+
+
+def run_fleet_sequential(spec: FleetSpec) -> FleetRunResult:
+    """The baseline: every site on one engine."""
+    start = _wall_clock()
+    payload = _run_sites(spec, range(spec.shards), worker=0)
+    return _merge(spec, "sequential", 1, start, [payload])
 
 
 def _assign_sites(spec: FleetSpec, workers: int) -> List[List[int]]:
@@ -181,65 +171,31 @@ def _assign_sites(spec: FleetSpec, workers: int) -> List[List[int]]:
     return [list(range(w, spec.shards, count)) for w in range(count)]
 
 
-def _prepare_worker_deployment(spec: FleetSpec, sites: Sequence[int]) -> Tuple[FleetDeployment, int]:
-    from repro.workloads.fleet import build_fleet, submit_fleet
+def _site_worker(spec: FleetSpec, sites: List[int], worker: int, conn) -> None:
+    """Worker-process body: run the sites, send the one result message.
 
-    deployment = build_fleet(spec, sites=sites)
-    submitted = submit_fleet(deployment)
-    return deployment, submitted
-
-
-def _site_worker(spec: FleetSpec, sites: List[int], worker: int,
-                 horizon_s: float, window_s: float, conn) -> None:
-    """Worker-process body: build locally, obey the barrier protocol.
-
-    Protocol (coordinator drives; both sides compute the same window
-    count from ``horizon_s`` and ``window_s``):
-
-    * worker → ``("ready", submitted)`` once its sites are built,
-    * coordinator → ``"advance"`` per window; worker runs the window
-      and replies ``("window", index, events)``,
-    * after the last window the worker drains (no further commands), then
-      sends ``("done", payload)`` with commit logs, counts and stats.
-
-    Any exception is reported as ``("error", traceback)`` so the
-    coordinator can fail loudly instead of deadlocking on a dead pipe.
+    An exception travels as ``("error", traceback)`` so the coordinator
+    can name it; a worker that dies without a word shows as EOF.
     """
-    from repro.workloads.fleet import commit_counts, commit_log_lines
-
     try:
-        deployment, submitted = _prepare_worker_deployment(spec, sites)
-        stats = ShardRunStats(worker=worker, sites=list(sites))
-        conn.send(("ready", submitted))
-
-        windows = window_count(horizon_s, window_s)
-        for window_index in range(windows):
-            wait_begin = _wall_clock()
-            command = conn.recv()
-            stats.barrier_stall_s += _wall_clock() - wait_begin
-            if command != "advance":
-                raise SimulationError(f"unexpected barrier command {command!r}")
-            boundary = (window_index + 1) * window_s
-            begin = _wall_clock()
-            outcome = deployment.engine.run(until=boundary)
-            stats.busy_wall_s += _wall_clock() - begin
-            stats.windows += 1
-            stats.events += int(outcome)
-            conn.send(("window", window_index, stats.events))
-        begin = _wall_clock()
-        deployment.drain()
-        stats.busy_wall_s += _wall_clock() - begin
-        payload = {
-            "lines": {s: commit_log_lines(deployment, s) for s in sites},
-            "counts": {s: commit_counts(deployment, s) for s in sites},
-            "stats": stats,
-            "submitted": submitted,
-        }
-        conn.send(("done", payload))
+        conn.send(("done", _run_sites(spec, sites, worker)))
     except Exception:  # noqa: BLE001 - reported to the coordinator
         conn.send(("error", traceback.format_exc()))
     finally:
         conn.close()
+
+
+def _receive(conn, worker: int, sites: List[int]) -> Dict[str, Any]:
+    """One worker's result, or a typed error naming the worker and its sites."""
+    try:
+        status, value = conn.recv()
+    except EOFError:
+        raise SimulationError(
+            f"fleet worker {worker} (sites {sites}) died without reporting a result"
+        ) from None
+    if status == "error":
+        raise SimulationError(f"fleet worker {worker} (sites {sites}) failed:\n{value}")
+    return value
 
 
 def _fork_context():
@@ -250,26 +206,23 @@ def _fork_context():
         return multiprocessing.get_context()
 
 
-def run_fleet_parallel(
-    spec: FleetSpec, workers: int, window_s: Optional[float] = None
-) -> FleetRunResult:
-    """Run the fleet with per-shard workers under the barrier protocol.
+def run_fleet_parallel(spec: FleetSpec, workers: int) -> FleetRunResult:
+    """Run the fleet's sites as a process map, one worker per site group.
 
-    ``workers`` is clamped to the shard count; ``workers <= 1`` runs the
-    windowed protocol inline (no processes).  Returns the same result
-    shape as :func:`run_fleet_sequential`, with per-worker utilization
-    and barrier-stall accounting in ``shard_stats``.
+    ``workers`` is clamped to the shard count; with one group the sites
+    run in this process, one engine each (``mode="parallel-inline"``).
+    Returns the same result shape as :func:`run_fleet_sequential`, with
+    per-worker busy time and join stall in ``shard_stats``.
     """
     spec.validate()
     if workers < 1:
         raise ConfigurationError("workers must be >= 1")
-    lookahead = conservative_lookahead(spec, window_s)
-    horizon = spec.arrival_plan().horizon_s()
     assignments = _assign_sites(spec, workers)
 
     start = _wall_clock()
-    if len(assignments) == 1 or workers == 1:
-        return _run_parallel_inline(spec, lookahead, horizon, start)
+    if len(assignments) == 1:
+        payloads = [_run_sites(spec, [site], worker=0) for site in range(spec.shards)]
+        return _merge(spec, "parallel-inline", 1, start, payloads)
 
     context = _fork_context()
     processes = []
@@ -283,114 +236,31 @@ def run_fleet_parallel(
     gc.freeze()
     try:
         for worker, sites in enumerate(assignments):
-            parent_conn, child_conn = context.Pipe()
+            parent_conn, child_conn = context.Pipe(duplex=False)
             process = context.Process(
                 target=_site_worker,
-                args=(spec, sites, worker, horizon, lookahead, child_conn),
+                args=(spec, sites, worker, child_conn),
                 daemon=True,
             )
             process.start()
             child_conn.close()
             processes.append(process)
             pipes.append(parent_conn)
-
-        submitted = 0
-        for conn in pipes:
-            submitted += _expect(conn, "ready")
-
-        windows = window_count(horizon, lookahead)
-        for _ in range(windows):
-            for conn in pipes:
-                conn.send("advance")
-            for conn in pipes:
-                _expect(conn, "window")
-
-        payloads = [_expect(conn, "done") for conn in pipes]
+        payloads = [
+            _receive(conn, worker, sites)
+            for worker, (conn, sites) in enumerate(zip(pipes, assignments))
+        ]
     finally:
         for conn in pipes:
             conn.close()
         for process in processes:
-            process.join(timeout=60)
-            if process.is_alive():  # pragma: no cover - hung worker
+            if process.is_alive():
                 process.terminate()
+            process.join()
         gc.unfreeze()
 
-    lines_by_site: Dict[int, List[str]] = {}
-    counts_by_site: Dict[int, Dict[str, int]] = {}
-    shard_stats: List[ShardRunStats] = []
+    slowest = max(payload["stats"].busy_wall_s for payload in payloads)
     for payload in payloads:
-        lines_by_site.update(payload["lines"])
-        counts_by_site.update(payload["counts"])
-        shard_stats.append(payload["stats"])
-    wall = _wall_clock() - start
-    return FleetRunResult(
-        spec=spec,
-        mode="parallel",
-        workers=len(assignments),
-        window_s=lookahead,
-        wall_s=wall,
-        submitted=submitted,
-        lines_by_site=lines_by_site,
-        counts_by_site=counts_by_site,
-        shard_stats=shard_stats,
-    )
-
-
-def _expect(conn, kind: str):
-    """Receive one protocol message, unwrapping worker errors."""
-    message = conn.recv()
-    if message[0] == "error":
-        raise SimulationError(f"fleet worker failed:\n{message[1]}")
-    if message[0] != kind:
-        raise SimulationError(f"expected {kind!r} from worker, got {message[0]!r}")
-    return message[1]
-
-
-def _run_parallel_inline(
-    spec: FleetSpec, lookahead: float, horizon: float, start: float
-) -> FleetRunResult:
-    """The windowed protocol without processes (workers=1 / no-fork fallback).
-
-    Sites still run on per-site engines — the decomposition gain
-    applies; only the concurrent execution of windows is lost.
-    """
-    from repro.workloads.fleet import commit_counts, commit_log_lines
-
-    deployments: List[FleetDeployment] = []
-    stats_list: List[ShardRunStats] = []
-    submitted = 0
-    for site in range(spec.shards):
-        deployment, count = _prepare_worker_deployment(spec, [site])
-        deployments.append(deployment)
-        stats_list.append(ShardRunStats(worker=0, sites=[site]))
-        submitted += count
-    windows = window_count(horizon, lookahead)
-    for window_index in range(windows):
-        boundary = (window_index + 1) * lookahead
-        for deployment, stats in zip(deployments, stats_list):
-            begin = _wall_clock()
-            outcome = deployment.engine.run(until=boundary)
-            stats.busy_wall_s += _wall_clock() - begin
-            stats.windows += 1
-            stats.events += int(outcome)
-    lines_by_site: Dict[int, List[str]] = {}
-    counts_by_site: Dict[int, Dict[str, int]] = {}
-    for deployment, stats in zip(deployments, stats_list):
-        begin = _wall_clock()
-        deployment.drain()
-        stats.busy_wall_s += _wall_clock() - begin
-        site = deployment.sites[0]
-        lines_by_site[site] = commit_log_lines(deployment, site)
-        counts_by_site[site] = commit_counts(deployment, site)
-    wall = _wall_clock() - start
-    return FleetRunResult(
-        spec=spec,
-        mode="parallel-inline",
-        workers=1,
-        window_s=lookahead,
-        wall_s=wall,
-        submitted=submitted,
-        lines_by_site=lines_by_site,
-        counts_by_site=counts_by_site,
-        shard_stats=stats_list,
-    )
+        stats = payload["stats"]
+        stats.barrier_stall_s = slowest - stats.busy_wall_s
+    return _merge(spec, "parallel", len(assignments), start, payloads)

@@ -233,14 +233,6 @@ class CohortArrivalPlan:
         selected = self._schedules if shard is None else self.for_shard(shard)
         return sum(len(s.times) for s in selected)
 
-    def horizon_s(self) -> float:
-        """Latest arrival across the fleet (0.0 for an empty plan)."""
-        latest = 0.0
-        for schedule in self._schedules:
-            if schedule.times:
-                latest = max(latest, schedule.times[-1])
-        return latest
-
     def merged(self, shard: Optional[int] = None) -> List[Tuple[float, int]]:
         """``(time, device_index)`` pairs sorted by time (ties by device).
 

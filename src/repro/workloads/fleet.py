@@ -96,7 +96,7 @@ class FleetSpec:
     payload_size_bytes: int = 1024
     peers_per_site: int = 2
     batch_config: BatchConfig = field(default_factory=BatchConfig)
-    #: Per-envelope orderer intake pacing (also the barrier lookahead floor).
+    #: Per-envelope orderer intake pacing.
     orderer_intake_interval_s: float = 0.0
 
     def validate(self) -> None:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro.api import HyperProvService
@@ -33,6 +36,20 @@ def test_multiple_submissions_stay_in_flight_until_drain(service):
     assert all(not handle.done for handle in handles)
     session.drain()
     assert all(handle.done and handle.ok for handle in handles)
+
+
+def test_session_counts_submissions_without_keeping_them(service, desktop_deployment):
+    """A closed-loop caller drives the engine itself and never drains the
+    session: a committed, dropped handle must not stay reachable."""
+    session = service.session()
+    handle = session.submit("svc/dropped", b"payload")
+    dropped = weakref.ref(handle)
+    assert session.in_flight == 1
+    del handle
+    desktop_deployment.drain()  # the engine commits it; session.drain() is never called
+    assert session.in_flight == 0
+    gc.collect()
+    assert dropped() is None
 
 
 def test_context_manager_drains_on_exit(service):

@@ -1,27 +1,10 @@
-"""Client + baseline integration with the transaction pipeline."""
+"""Client integration with the transaction pipeline."""
 
 import pytest
 
 from repro.api.protocol import StoreRequest
-from repro.baselines.centraldb import CentralProvenanceDatabase
-from repro.baselines.provchain import PowProvenanceChain
-from repro.chaincode.records import ProvenanceRecord
-from repro.devices.model import DeviceModel
-from repro.devices.profiles import XEON_E5_1603
 from repro.middleware.config import PipelineConfig
 from repro.middleware.metrics import STAGE_COMMIT, STAGE_ENDORSE, STAGE_ORDER
-from repro.simulation.randomness import DeterministicRandom
-
-
-def make_record(key="k", checksum="0" * 64):
-    return ProvenanceRecord(
-        key=key,
-        checksum=checksum,
-        location=f"db://x/{key}",
-        creator="tester",
-        organization="org1",
-        certificate_fingerprint="",
-    )
 
 
 class TestClientPipeline:
@@ -86,59 +69,3 @@ class TestClientPipeline:
         from repro.middleware.cache import BLOCK_DELIVERED_TOPIC
 
         assert BLOCK_DELIVERED_TOPIC not in desktop_deployment.fabric.events.topics()
-
-
-class TestBaselinePipelines:
-    def test_centraldb_operations_flow_through_pipeline(self):
-        device = DeviceModel("srv", XEON_E5_1603, rng=DeterministicRandom(7))
-        db = CentralProvenanceDatabase(device, pipeline_config=PipelineConfig(cache=True))
-        store = db.as_store()
-        record = make_record("a")
-        store.submit(StoreRequest(key=record.key, checksum=record.checksum,
-                                  location=record.location, creator=record.creator))
-        assert store.get("a").key == "a"
-        assert store.get("a").key == "a"  # served from cache
-        assert db.metrics.get_counter("cache.hits").value == 1
-        assert db.metrics.get_counter("ops.store_record").value == 1
-        assert db.metrics.get_counter("ops.get").value == 2
-
-    def test_centraldb_store_invalidates_cache(self):
-        device = DeviceModel("srv", XEON_E5_1603, rng=DeterministicRandom(7))
-        db = CentralProvenanceDatabase(device, pipeline_config=PipelineConfig(cache=True))
-        store = db.as_store()
-        store.submit(StoreRequest(key="a", checksum="1" * 64, location="db://x/a"))
-        assert store.get("a").checksum == "1" * 64
-        store.submit(StoreRequest(key="a", checksum="2" * 64, location="db://x/a"))
-        assert store.get("a").checksum == "2" * 64  # not the stale cached version
-
-    def test_provchain_operations_flow_through_pipeline(self):
-        device = DeviceModel("miner", XEON_E5_1603, rng=DeterministicRandom(9))
-        chain = PowProvenanceChain(
-            device, difficulty_bits=8, pipeline_config=PipelineConfig(cache=True)
-        )
-        store = chain.as_store()
-        store.submit(StoreRequest(key="a", checksum="1" * 64, location="pow://a"))
-        view = store.get("a")
-        assert view.key == "a"
-        # The cache hit below the adapter returns the same backend record.
-        assert store.get("a").record is view.record
-        store.submit(StoreRequest(key="a", checksum="2" * 64, location="pow://a"))
-        assert store.get("a").checksum == "2" * 64
-        assert chain.metrics.get_counter("ops.store_record").value == 2
-        assert chain.verify_chain()
-
-    def test_default_pipeline_preserves_legacy_behaviour(self):
-        """The default (all-off) pipeline is transparent to the backend."""
-        device = DeviceModel("srv", XEON_E5_1603, rng=DeterministicRandom(7))
-        db = CentralProvenanceDatabase(device)
-        store = db.as_store()
-        record = make_record("a")
-        result = store.submit(
-            StoreRequest(key=record.key, checksum=record.checksum,
-                         location=record.location, creator=record.creator)
-        )
-        assert result.latency_s > 0
-        assert db.record_count == 1
-        tampered = db.tamper("a", "f" * 64)
-        assert store.get("a").checksum == tampered.checksum
-        assert db.detect_tampering() == []

@@ -1,4 +1,4 @@
-"""Determinism and protocol tests for the parallel fleet executor.
+"""Determinism and failure-path tests for the parallel fleet executor.
 
 The load-bearing property (ISSUE satellite): sequential and parallel
 executors produce **identical virtual-time commit logs** — same tx ids,
@@ -6,22 +6,21 @@ same submit/commit timestamps, same validation codes and block numbers —
 for the same spec, with churn and a partition window enabled.
 """
 
+import multiprocessing
+import os
+import time
+
 import pytest
 
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, SimulationError
 from repro.consensus.batching import BatchConfig
-from repro.core.topology import DeploymentSpec, build_deployment
-from repro.devices.profiles import DESKTOP_PROFILES, XEON_E5_1603
 from repro.simulation.parallel import (
-    DEFAULT_WINDOW_S,
-    MIN_LOOKAHEAD_S,
     ShardRunStats,
     _assign_sites,
-    conservative_lookahead,
     run_fleet_parallel,
     run_fleet_sequential,
-    window_count,
 )
+from repro.workloads import fleet
 from repro.workloads.fleet import FleetSpec
 
 
@@ -74,25 +73,7 @@ class TestDeterminism:
 
 
 class TestBarrierProtocol:
-    def test_window_count_covers_horizon_plus_tail(self):
-        assert window_count(0.0, 5.0) == 1
-        assert window_count(4.9, 5.0) == 1
-        assert window_count(5.0, 5.0) == 2
-        assert window_count(60.0, 5.0) == 13
-
-    def test_conservative_lookahead_floors(self):
-        spec = property_spec()
-        assert conservative_lookahead(spec) == DEFAULT_WINDOW_S
-        assert conservative_lookahead(spec, 0.5) == 0.5
-        # Never below the orderer intake pacing interval.
-        paced = property_spec(orderer_intake_interval_s=2.0)
-        assert conservative_lookahead(paced, 0.5) == 2.0
-        # Never below the LAN propagation floor.
-        assert conservative_lookahead(spec, 1e-9) == MIN_LOOKAHEAD_S
-
-    def test_lookahead_rejects_nonpositive_window(self):
-        with pytest.raises(ConfigurationError):
-            conservative_lookahead(property_spec(), 0.0)
+    """The join is the only barrier left: assignment, validation, its cost."""
 
     def test_workers_validated(self):
         with pytest.raises(ConfigurationError):
@@ -106,16 +87,22 @@ class TestBarrierProtocol:
         assert _assign_sites(spec, 9) == [[0], [1], [2], [3]]
 
     def test_shard_stats_accounting(self):
-        spec = property_spec()
+        """More shards than workers: full logs equal, one stats row per worker."""
+        spec = property_spec(shards=3)
+        sequential = run_fleet_sequential(spec)
         result = run_fleet_parallel(spec, workers=2)
-        assert len(result.shard_stats) == 2
-        horizon = spec.arrival_plan().horizon_s()
-        expected_windows = window_count(horizon, result.window_s)
+        assert result.mode == "parallel" and result.workers == 2
+        assert result.lines_by_site == sequential.lines_by_site
+        assert result.counts_by_site == sequential.counts_by_site
+        assert result.submitted == sequential.submitted
+        assert [s.sites for s in result.shard_stats] == [[0, 2], [1]]
         for stats in result.shard_stats:
-            assert stats.windows == expected_windows
             assert stats.busy_wall_s > 0
-            assert 0.0 <= stats.utilization <= 1.0
-        assert sum(s.events for s in result.shard_stats) > 0
+            assert stats.barrier_stall_s >= 0
+            assert 0.0 < stats.utilization <= 1.0
+        slowest = max(result.shard_stats, key=lambda s: s.busy_wall_s)
+        assert slowest.barrier_stall_s == 0.0
+        assert all(s.events > 0 for s in result.shard_stats)
 
     def test_utilization_math(self):
         stats = ShardRunStats(worker=0, sites=[0], busy_wall_s=3.0, barrier_stall_s=1.0)
@@ -123,15 +110,43 @@ class TestBarrierProtocol:
         assert ShardRunStats(worker=0, sites=[0]).utilization == 0.0
 
 
-class TestDeploymentWorkersKnob:
-    def test_workers_default_and_validation(self):
-        spec = DeploymentSpec(
-            peer_profiles=DESKTOP_PROFILES[:1],
-            orderer_profile=XEON_E5_1603,
-            storage_profile=XEON_E5_1603,
-            client_profile=DESKTOP_PROFILES[0],
-        )
-        assert spec.workers == 1
-        spec.workers = 0
-        with pytest.raises(ConfigurationError):
-            build_deployment(spec)
+class TestWorkerFailure:
+    """A worker that dies or raises fails the run with a typed error, promptly.
+
+    ``run_fleet_parallel`` forks, so the children inherit the patched
+    ``build_fleet`` (resolved at call time inside the worker).
+    """
+
+    @staticmethod
+    def fail_site_one(monkeypatch, failure):
+        real = fleet.build_fleet
+
+        def build(spec, sites=None):
+            if list(sites) == [1]:
+                failure()
+            return real(spec, sites)
+
+        monkeypatch.setattr(fleet, "build_fleet", build)
+
+    @staticmethod
+    def run_and_time():
+        begin = time.monotonic()
+        with pytest.raises(SimulationError) as caught:
+            run_fleet_parallel(property_spec(), workers=2)
+        assert time.monotonic() - begin < 5.0
+        assert multiprocessing.active_children() == []
+        return str(caught.value)
+
+    def test_killed_worker_is_a_typed_prompt_error(self, monkeypatch):
+        self.fail_site_one(monkeypatch, lambda: os._exit(3))
+        message = self.run_and_time()
+        assert "fleet worker 1 (sites [1]) died without reporting a result" in message
+
+    def test_raising_worker_is_a_typed_prompt_error(self, monkeypatch):
+        def boom():
+            raise ValueError("boom")
+
+        self.fail_site_one(monkeypatch, boom)
+        message = self.run_and_time()
+        assert "fleet worker 1 (sites [1]) failed" in message
+        assert "Traceback" in message and "ValueError: boom" in message
