@@ -17,10 +17,9 @@ from __future__ import annotations
 import argparse
 
 from repro.bench.baseline_compare import run_baseline_comparison
-from repro.bench.fig1_throughput import run_fig1
-from repro.bench.fig2_rpi import run_fig2
 from repro.bench.fig3_energy import run_fig3
 from repro.bench.ops_table import run_ops_table, to_table
+from repro.bench.sweeps import SWEEPS, run_sweep
 
 
 def main() -> None:
@@ -33,13 +32,11 @@ def main() -> None:
     rpi_requests = 10 if args.quick else 25
     interval = 120.0 if args.quick else 600.0
 
-    fig1 = run_fig1(requests_per_size=requests)
-    table1 = fig1.to_table("Fig. 1 — desktop: throughput and response time vs data size")
+    table1 = run_sweep(SWEEPS["fig1"], requests=requests).to_table()
     table1.add_note("expected shape: throughput falls, response time rises with size")
     print(table1.render())
 
-    fig2 = run_fig2(requests_per_size=rpi_requests)
-    table2 = fig2.to_table("Fig. 2 — RPi: throughput and response time vs data size")
+    table2 = run_sweep(SWEEPS["fig2"], requests=rpi_requests).to_table()
     table2.add_note("expected shape: same trend as Fig. 1 at lower absolute performance")
     print("\n" + table2.render())
 

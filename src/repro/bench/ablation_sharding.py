@@ -1,87 +1,29 @@
-"""Ablation: sharded multi-channel routing and tenant-aware fair sharing.
+"""Ablation: tenant-aware fair sharing at a backlogged orderer.
 
-Two questions, one experiment:
-
-1. **Does the ordering path scale horizontally?**  The write workload
-   (metadata-only provenance posts, isolating the order/commit path from
-   client-side storage cost) runs against deployments hosting 1 → N
-   channel shards, each shard ordered by its own machine.  The orderer's
-   per-envelope intake cost is modelled explicitly (the
-   ``intake_interval_s`` parameter of :func:`run_sharding_ablation`),
-   reproducing the single-orderer bottleneck the paper's testbeds have —
-   so adding channels adds ordering capacity and throughput should rise
-   until peers saturate.
-
-2. **Does fair-share scheduling protect light tenants?**  A heavy tenant
-   submits ``skew``× the light tenant's load as a burst into one shard's
-   backlogged orderer.  Under FIFO intake the light tenant's p95 commit
-   latency degrades by the full backlog; under the weighted
-   deficit-round-robin ``fair-share`` scheduler the light tenant keeps a
-   bounded factor of its solo latency.  The table reports both against
-   the light tenant's solo run.
+The second table of ``ablation-sharding`` (the shard-count throughput
+sweep is :func:`repro.bench.sweeps.shard_sweep`): does fair-share
+scheduling protect light tenants?  A heavy tenant submits ``skew``× the
+light tenant's load as a burst into one shard's backlogged orderer.
+Under FIFO intake the light tenant's p95 commit latency degrades by the
+full backlog; under the weighted deficit-round-robin ``fair-share``
+scheduler the light tenant keeps a bounded factor of its solo latency.
+The table reports both against the light tenant's solo run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional
 
 from repro.bench.reporting import ResultTable, format_seconds
-from repro.bench.runner import RunConfig, RunResult, StoreDataRunner
 from repro.consensus.batching import BatchConfig
 from repro.core.topology import build_desktop_deployment
 from repro.api.service import HyperProvService
-from repro.middleware.config import PipelineConfig
 from repro.workloads.scenarios import SkewedTenantWorkload, TenantLoadResult
 
-DEFAULT_SHARD_COUNTS: Sequence[int] = (1, 2, 4)
-#: Short batch timeout so a shard's final partial block does not park the
+#: Short batch timeout so a final partial block does not park the
 #: makespan on the default 2 s timeout (steady-state measurement).
 BENCH_BATCH_TIMEOUT_S = 0.25
-
-
-@dataclass
-class ShardingAblation:
-    """Results of the shard-count throughput sweep."""
-
-    scheduler: str = "fifo"
-    intake_interval_s: float = 0.04
-    shard_counts: List[int] = field(default_factory=list)
-    results: List[RunResult] = field(default_factory=list)
-
-    @property
-    def speedup(self) -> float:
-        """Throughput at the highest shard count relative to one shard."""
-        if len(self.results) < 2 or self.results[0].throughput_tps <= 0:
-            return 1.0
-        return self.results[-1].throughput_tps / self.results[0].throughput_tps
-
-    def to_table(self) -> ResultTable:
-        table = ResultTable(
-            title=(
-                "Ablation — channel shards vs write throughput "
-                f"(metadata posts, {self.scheduler} intake, "
-                f"{self.intake_interval_s * 1000:.0f} ms/envelope orderer cost)"
-            ),
-            columns=["shards", "throughput (tx/s)", "mean response",
-                     "p50 response", "p95 response", "committed"],
-        )
-        for count, result in zip(self.shard_counts, self.results):
-            table.add_row(
-                count,
-                round(result.throughput_tps, 2),
-                format_seconds(result.mean_response_s),
-                format_seconds(result.p50_response_s),
-                format_seconds(result.p95_response_s),
-                result.committed,
-            )
-        table.add_note(
-            f"throughput scaling from 1 → "
-            f"{self.shard_counts[-1] if self.shard_counts else '?'} shards: "
-            f"{self.speedup:.2f}x (each shard's channel is ordered by its own machine; "
-            f"peers host every channel, so peer CPU eventually saturates)"
-        )
-        return table
 
 
 @dataclass
@@ -133,40 +75,6 @@ class FairnessComparison:
             "queues; FIFO serves the heavy tenant's backlog first"
         )
         return table
-
-
-def run_sharding_ablation(
-    shard_counts: Sequence[int] = DEFAULT_SHARD_COUNTS,
-    requests: int = 240,
-    concurrency: int = 64,
-    scheduler: str = "fifo",
-    intake_interval_s: float = 0.04,
-    seed: int = 42,
-) -> ShardingAblation:
-    """Sweep channel-shard counts under the metadata-post write workload."""
-    ablation = ShardingAblation(scheduler=scheduler, intake_interval_s=intake_interval_s)
-    for count in shard_counts:
-        deployment = build_desktop_deployment(
-            seed=seed,
-            shards=count,
-            scheduler=scheduler,
-            orderer_intake_interval_s=intake_interval_s,
-            batch_config=BatchConfig(batch_timeout_s=BENCH_BATCH_TIMEOUT_S),
-        )
-        runner = StoreDataRunner(deployment)
-        result = runner.run(
-            RunConfig(
-                data_size_bytes=256,
-                request_count=requests,
-                concurrency=min(concurrency, requests),
-                metadata_only=True,
-                seed=seed,
-                pipeline=PipelineConfig(shards=count, scheduler=scheduler),
-            )
-        )
-        ablation.shard_counts.append(count)
-        ablation.results.append(result)
-    return ablation
 
 
 def run_fairness_comparison(

@@ -4,33 +4,26 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from typing import Callable, Dict, List, Optional
 
-from repro.bench import (
-    run_baseline_comparison,
-    run_batch_ablation,
-    run_cache_ablation,
-    run_concurrency_ablation,
-    run_consensus_ablation,
-    run_fairness_comparison,
-    run_fastfabric_ablation,
-    run_fig1,
-    run_fig2,
-    run_fig3,
-    run_ops_table,
-    run_resource_usage,
-    run_sharding_ablation,
-)
 from repro.bench import anchors
+from repro.bench.ablation_cache import run_cache_ablation
+from repro.bench.ablation_sharding import run_fairness_comparison
+from repro.bench.baseline_compare import run_baseline_comparison
 from repro.bench.chaos import run_chaos
+from repro.bench.fig3_energy import run_fig3
 from repro.bench.fleet import anchor_inputs, run_fleet, shard_stats_table
 from repro.bench.query_bench import (
     DEFAULT_MIN_SPEEDUP,
     check_query_gate,
     run_query_bench,
 )
+from repro.bench.ops_table import run_ops_table
 from repro.bench.ops_table import stage_table as ops_stage_table
 from repro.bench.ops_table import to_table as ops_to_table
+from repro.bench.resource_usage import run_resource_usage
+from repro.bench.sweeps import SWEEPS, run_sweep, shard_sweep
 from repro.consensus.scheduler import SCHEDULER_NAMES
 from repro.middleware.config import PipelineConfig
 
@@ -43,50 +36,15 @@ def _positive_int(value: str) -> int:
     return parsed
 
 
-def _pipeline_config(args: argparse.Namespace) -> Optional[PipelineConfig]:
-    """Build the declarative pipeline config the CLI flags describe.
-
-    Returns ``None`` when every flag is at its default so experiments keep
-    the deployment's stock pipeline (byte-for-byte the unmodified path).
-    """
-    if not (args.cache or args.retry_attempts > 1 or args.order_batch > 1):
-        return None
-    return PipelineConfig(
-        cache=args.cache,
-        retry_attempts=args.retry_attempts,
-        order_batch_size=args.order_batch,
-    )
-
-
-def _note_read_only_flags(args: argparse.Namespace, table) -> None:
-    """Flag middlewares that cannot affect a write-only StoreData workload."""
-    if args.cache or args.retry_attempts > 1:
-        table.add_note(
-            "--cache/--retry-attempts act on the read path; this workload is "
-            "write-only, so they do not change its numbers (see ablation-cache)"
-        )
-
-
-def _run_fig1(args: argparse.Namespace) -> str:
-    series = run_fig1(
-        requests_per_size=args.requests,
-        pipeline=_pipeline_config(args),
-        concurrency=args.concurrency,
-    )
-    table = series.to_table("Fig. 1 — desktop: throughput and response time vs data size")
-    _note_read_only_flags(args, table)
-    return table.render()
-
-
-def _run_fig2(args: argparse.Namespace) -> str:
-    series = run_fig2(
-        requests_per_size=args.requests,
-        pipeline=_pipeline_config(args),
-        concurrency=args.concurrency,
-    )
-    table = series.to_table("Fig. 2 — RPi: throughput and response time vs data size")
-    _note_read_only_flags(args, table)
-    return table.render()
+def _run_sweep(name: str, args: argparse.Namespace) -> str:
+    """Run one :data:`SWEEPS` row; --concurrency/--order-batch reach fig1/fig2 only."""
+    overrides = {}
+    if name in ("fig1", "fig2"):
+        if args.concurrency is not None:
+            overrides["concurrency"] = args.concurrency
+        if args.order_batch > 1:
+            overrides["pipeline"] = PipelineConfig(order_batch_size=args.order_batch)
+    return run_sweep(SWEEPS[name], requests=args.requests, **overrides).to_table().render()
 
 
 def _run_fig3(args: argparse.Namespace) -> str:
@@ -106,27 +64,8 @@ def _run_baselines(args: argparse.Namespace) -> str:
     return report.to_table().render()
 
 
-def _run_batch(args: argparse.Namespace) -> str:
-    return run_batch_ablation(requests=args.requests).to_table().render()
-
-
 def _run_cache(args: argparse.Namespace) -> str:
     return run_cache_ablation().to_table().render()
-
-
-def _run_concurrency(args: argparse.Namespace) -> str:
-    return run_concurrency_ablation(requests=args.requests).to_table().render()
-
-
-def _run_consensus(args: argparse.Namespace) -> str:
-    return run_consensus_ablation(requests=args.requests).to_table().render()
-
-
-def _run_fastfabric(args: argparse.Namespace) -> str:
-    ablation = run_fastfabric_ablation(requests=args.requests)
-    table = ablation.to_table()
-    table.add_note(f"throughput speedup from parallel validation: {ablation.speedup:.2f}x")
-    return table.render()
 
 
 def _run_resources(args: argparse.Namespace) -> str:
@@ -150,10 +89,8 @@ def _run_sharding(args: argparse.Namespace) -> str:
     # state past the priming and final-block tail; scale the shared
     # --requests knob (default 20 → 240) instead of hiding a second flag.
     requests = max(args.requests, 4) * 12
-    ablation = run_sharding_ablation(
-        shard_counts=_shard_counts(args.shards),
-        requests=requests,
-        scheduler=args.scheduler,
+    ablation = run_sweep(
+        shard_sweep(args.scheduler), requests=requests, values=_shard_counts(args.shards)
     )
     fairness = run_fairness_comparison(
         light_requests=max(6, min(requests // 24, 20)),
@@ -228,17 +165,13 @@ def _run_query(args: argparse.Namespace) -> str:
 
 
 EXPERIMENTS: Dict[str, Callable[[argparse.Namespace], str]] = {
-    "fig1": _run_fig1,
-    "fig2": _run_fig2,
+    **{name: partial(_run_sweep, name) for name in SWEEPS},
+    # The shard sweep takes --shards/--scheduler and prints a second table.
+    "ablation-sharding": _run_sharding,
     "fig3": _run_fig3,
     "ops": _run_ops,
     "baselines": _run_baselines,
-    "ablation-batch": _run_batch,
     "ablation-cache": _run_cache,
-    "ablation-concurrency": _run_concurrency,
-    "ablation-consensus": _run_consensus,
-    "ablation-fastfabric": _run_fastfabric,
-    "ablation-sharding": _run_sharding,
     "fleet": _run_fleet,
     "query": _run_query,
     "chaos": _run_chaos,
@@ -273,17 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pipeline = parser.add_argument_group(
         "pipeline", "middleware configuration applied to fig1/fig2 runs"
-    )
-    pipeline.add_argument(
-        "--cache", action="store_true",
-        help="enable the read-cache middleware (commit-event invalidated)",
-    )
-    pipeline.add_argument(
-        "--retry-attempts", type=_positive_int, default=1,
-        help="total attempts per read operation via the retry middleware "
-             "(default: 1; writes complete asynchronously through handles — "
-             "endorsement failures surface as invalidated handles, not "
-             "retryable exceptions)",
     )
     pipeline.add_argument(
         "--order-batch", type=_positive_int, default=1,

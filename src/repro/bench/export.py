@@ -17,21 +17,15 @@ import json
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from repro.bench.fig1_throughput import FigureSeries, run_fig1
-from repro.bench.fig2_rpi import run_fig2
 from repro.bench.fig3_energy import EnergyFigure, run_fig3
 from repro.bench.ops_table import OperatorLatencies, run_ops_table
+from repro.bench.sweeps import SWEEPS, SweepResult, run_sweep
 from repro.middleware.metrics import STAGES
 
 
-def figure_series_rows(series: FigureSeries) -> List[Dict[str, object]]:
+def figure_series_rows(series: SweepResult, setup: str) -> List[Dict[str, object]]:
     """Flatten a Fig. 1 / Fig. 2 series into plottable rows."""
-    rows = []
-    for result in series.results:
-        summary = result.summary()
-        summary["setup"] = series.setup
-        rows.append(summary)
-    return rows
+    return [{**result.summary(), "setup": setup} for result in series.results]
 
 
 def energy_rows(figure: EnergyFigure) -> List[Dict[str, object]]:
@@ -106,11 +100,13 @@ def export_all(
     out_dir = Path(out_dir)
     written: Dict[str, str] = {}
 
-    fig1 = run_fig1(requests_per_size=requests, seed=seed)
-    written["fig1"] = str(write_csv(out_dir / "fig1_desktop.csv", figure_series_rows(fig1)))
+    fig1 = run_sweep(SWEEPS["fig1"], requests=requests, seed=seed)
+    written["fig1"] = str(
+        write_csv(out_dir / "fig1_desktop.csv", figure_series_rows(fig1, "desktop"))
+    )
 
-    fig2 = run_fig2(requests_per_size=rpi_requests, seed=seed)
-    written["fig2"] = str(write_csv(out_dir / "fig2_rpi.csv", figure_series_rows(fig2)))
+    fig2 = run_sweep(SWEEPS["fig2"], requests=rpi_requests, seed=seed)
+    written["fig2"] = str(write_csv(out_dir / "fig2_rpi.csv", figure_series_rows(fig2, "rpi")))
 
     fig3 = run_fig3(interval_s=energy_interval_s, seed=seed)
     written["fig3"] = str(write_csv(out_dir / "fig3_energy.csv", energy_rows(fig3)))

@@ -34,16 +34,11 @@ class RunConfig:
     #: above the orderer's default MaxMessageCount (10) so blocks are cut by
     #: count rather than by the batch timeout under load.
     concurrency: int = 16
-    key_prefix: str = "bench"
     seed: int = 42
     #: Declarative middleware configuration applied to the deployment's
     #: client (and the fabric's endorsement batcher) before the run; ``None``
     #: keeps whatever pipeline the client already has.
     pipeline: Optional[PipelineConfig] = None
-    #: Run the workload inside a tenant namespace (multi-tenant benches).
-    tenant: Optional[str] = None
-    #: Per-tenant admission cap forwarded to the session (0 = uncapped).
-    max_in_flight: int = 0
     #: Submit metadata-only provenance posts (checksum + location) instead
     #: of storing payloads off-chain — isolates the ordering/commit path
     #: from the client-side storage cost (the sharding ablation's mode).
@@ -148,23 +143,14 @@ class StoreDataRunner:
         """Execute one closed-loop measurement run."""
         deployment = self.deployment
         engine = deployment.engine
-        session = self.service.session(
-            tenant=config.tenant,
-            pipeline=config.pipeline,
-            max_in_flight=config.max_in_flight,
-        )
+        session = self.service.session(pipeline=config.pipeline)
         generator = PayloadGenerator(
             size_bytes=config.data_size_bytes,
             seed=config.seed,
-            prefix=f"{config.key_prefix}/{config.data_size_bytes}",
+            prefix=f"bench/{config.data_size_bytes}",
         )
         items: Iterator[DataItem] = generator.items(config.request_count)
-        # An admission cap below the loop's concurrency would reject the
-        # excess slots outright; clamp so the closed loop runs at the cap.
-        concurrency = config.concurrency
-        if config.max_in_flight > 0:
-            concurrency = min(concurrency, config.max_in_flight)
-        stagger = self.estimate_item_interval(config.data_size_bytes) / max(1, concurrency)
+        stagger = self.estimate_item_interval(config.data_size_bytes) / max(1, config.concurrency)
 
         start_time = engine.now
         state = {"issued": 0}
@@ -211,7 +197,7 @@ class StoreDataRunner:
 
         # Prime the loop: stagger the initial slots slightly so they do not
         # collide on the client CPU at t=0.
-        for slot in range(min(concurrency, config.request_count)):
+        for slot in range(min(config.concurrency, config.request_count)):
             engine.schedule_at(start_time + slot * stagger, issue_next, label="bench:prime")
 
         session.drain()

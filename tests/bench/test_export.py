@@ -13,14 +13,14 @@ from repro.bench.export import (
     stage_rows,
     write_csv,
 )
-from repro.bench.fig1_throughput import run_fig1
 from repro.bench.fig3_energy import run_fig3
 from repro.bench.ops_table import run_ops_table
+from repro.bench.sweeps import SWEEPS, run_sweep
 
 
 def test_figure_series_rows_carry_setup_and_metrics():
-    series = run_fig1(sizes=(1024,), requests_per_size=10)
-    rows = figure_series_rows(series)
+    series = run_sweep(SWEEPS["fig1"], values=(1024,), requests=10)
+    rows = figure_series_rows(series, "desktop")
     assert len(rows) == 1
     assert rows[0]["setup"] == "desktop"
     assert rows[0]["throughput_tps"] > 0
