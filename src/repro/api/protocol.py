@@ -81,7 +81,12 @@ class StoreRequest:
 # ---------------------------------------------------------------- responses
 @dataclass(frozen=True)
 class RecordView:
-    """Backend-independent view of one provenance record version."""
+    """Backend-independent view of one provenance record version.
+
+    Every field is a plain attribute, filled when the read returns;
+    ``metadata`` and ``dependencies`` are the view's own containers, so
+    changing them changes no stored state and no later answer.
+    """
 
     key: str
     checksum: str
@@ -97,8 +102,6 @@ class RecordView:
     #: True when the result was served from the stale-read archive because
     #: the authoritative peer was unreachable (never silently fresh).
     stale: bool = False
-    #: The underlying backend record (shared across all three backends).
-    record: Optional[ProvenanceRecord] = None
 
     @classmethod
     def from_record(
@@ -107,7 +110,11 @@ class RecordView:
         latency_s: float = 0.0,
         stale: bool = False,
     ) -> "RecordView":
-        return cls(
+        # A scan builds one view per returned row, and a frozen dataclass's
+        # ``__init__`` pays one ``object.__setattr__`` call per field; the
+        # fields go into the instance dict in one update instead.
+        view = object.__new__(cls)
+        view.__dict__.update(
             key=record.key,
             checksum=record.checksum,
             location=record.location,
@@ -119,8 +126,8 @@ class RecordView:
             size_bytes=record.size_bytes,
             latency_s=latency_s,
             stale=stale,
-            record=record,
         )
+        return view
 
     def relative_to(self, strip: Callable[[str], str]) -> "RecordView":
         """A copy with ``strip`` applied to the key and every dependency."""

@@ -40,7 +40,9 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.chaincode.records import ProvenanceRecord
 from repro.chaincode.shim import Candidates, Chaincode, ChaincodeResponse, ChaincodeStub
 from repro.common.errors import ValidationError
+from repro.ledger.scan import ScanPage
 from repro.ledger.transaction import ReadSetEntry
+from repro.ledger.world_state import VersionedValue
 from repro.query.planner import PATH_INDEX, build_plan, intersect_keys
 from repro.query.selectors import SELECTOR_FIELD_DEFAULTS, compile_selector
 
@@ -218,7 +220,7 @@ class HyperProvChaincode(Chaincode):
             rows, _ = self._collect(
                 stub, stub.get_state_by_range(start_key, end_key), markers=True
             )
-            return ChaincodeResponse.success(json.dumps(rows))
+            return ChaincodeResponse.scanned(ScanPage(rows))
         try:
             limit = int(stub.args[2]) if stub.args[2] else 0
         except ValueError:
@@ -226,14 +228,12 @@ class HyperProvChaincode(Chaincode):
         if limit < 0:
             return ChaincodeResponse.error("getbyrange limit must be >= 0")
         bookmark = stub.args[3] if len(stub.args) > 3 else ""
-        records, truncated = self._collect(
+        rows, truncated = self._collect(
             stub, stub.iter_state_by_range(start_key, end_key, bookmark), limit=limit
         )
-        envelope = {
-            "records": records,
-            "bookmark": records[-1]["key"] if truncated else None,
-        }
-        return ChaincodeResponse.success(json.dumps(envelope))
+        return ChaincodeResponse.scanned(
+            ScanPage(rows, rows[-1].key if truncated else None, enveloped=True)
+        )
 
     def _get_dependencies(self, stub: ChaincodeStub) -> ChaincodeResponse:
         """``getdependencies(key)`` — the dependency list of the latest record."""
@@ -336,16 +336,13 @@ class HyperProvChaincode(Chaincode):
         else:
             def match(document: Dict) -> bool:
                 return all(check(document) for check in compiled)
-        matches, truncated = self._collect(stub, candidates, match, limit)
-        if not paginated:
-            return ChaincodeResponse.success(json.dumps(matches))
-        envelope = {
-            "records": matches,
-            "bookmark": matches[-1]["key"] if truncated else None,
-        }
-        if explain:
-            envelope["plan"] = plan.explain()
-        return ChaincodeResponse.success(json.dumps(envelope))
+        rows, truncated = self._collect(stub, candidates, match, limit)
+        return ChaincodeResponse.scanned(ScanPage(
+            rows,
+            rows[-1].key if truncated else None,
+            plan.explain() if explain else None,
+            enveloped=paginated,
+        ))
 
     @staticmethod
     def _collect(
@@ -354,38 +351,44 @@ class HyperProvChaincode(Chaincode):
         match: Optional[Callable[[Dict], bool]] = None,
         limit: int = 0,
         markers: bool = False,
-    ) -> Tuple[List[Dict[str, str]], bool]:
+    ) -> Tuple[Tuple[VersionedValue, ...], bool]:
         """The one scan loop behind ``query`` and ``getbyrange``.
 
         Visits ``candidates`` in order and returns ``(rows, truncated)``:
-        a row per candidate that is not a ``__`` marker key (unless
-        ``markers``) and, when ``match`` is given, whose value is a JSON
-        object satisfying it; ``truncated`` when ``limit`` rows filled
-        the page.  Every visited candidate — skipped, rejected or the one
-        that filled the page — is recorded as a read, nothing after it;
-        a materialised candidate list was fetched, hence read, in full.
+        the committed version of every candidate that is not a ``__``
+        marker key (unless ``markers``) and, when ``match`` is given,
+        whose value is a JSON object satisfying it; ``truncated`` when
+        ``limit`` rows filled the page.  Every visited candidate —
+        skipped, rejected or the one that filled the page — is recorded
+        as a read, nothing after it; a materialised candidate list was
+        fetched, hence read, in full.  A visited row costs appends of
+        what its version already carries, nothing is built per row.
         """
         reads: List[ReadSetEntry] = []
-        visit = reads.append
-        rows: List[Dict[str, str]] = []
+        lines: List[str] = []
+        visit, visit_line = reads.append, lines.append
+        rows: List[VersionedValue] = []
         truncated = False
         remaining = iter(candidates)
         for key, entry in remaining:
-            visit(ReadSetEntry(key, entry.version))
+            visit(entry.read)
+            visit_line(entry.read_line)
             if not markers and key.startswith("__"):
                 continue
             if match is not None:
                 document = entry.document
                 if document is None or not match(document):
                     continue
-            rows.append({"key": key, "record": entry.value})
+            rows.append(entry)
             if limit and len(rows) >= limit:
                 truncated = True
                 break
         if truncated and isinstance(candidates, list):
-            reads.extend(ReadSetEntry(key, entry.version) for key, entry in remaining)
-        stub.rw_set.extend_reads(reads)
-        return rows, truncated
+            for _key, entry in remaining:
+                visit(entry.read)
+                visit_line(entry.read_line)
+        stub.rw_set.extend_reads(reads, lines)
+        return tuple(rows), truncated
 
     #: Selector field defaults, shared with the query subsystem (kept as a
     #: class attribute for the historical surface).

@@ -17,6 +17,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from repro.common.errors import ChaincodeError
 from repro.crypto.certificates import Certificate
 from repro.ledger.history import HistoryDatabase, HistoryEntry
+from repro.ledger.scan import ScanPage
 from repro.ledger.transaction import ReadWriteSet
 from repro.ledger.world_state import VersionedValue, WorldState
 
@@ -31,6 +32,8 @@ class ChaincodeResponse:
     status: int
     payload: Optional[str] = None
     message: str = ""
+    #: The rows behind a scan's ``payload`` (``query``, ``getbyrange``).
+    scan: Optional[ScanPage] = None
 
     OK = 200
     ERROR = 500
@@ -38,6 +41,11 @@ class ChaincodeResponse:
     @classmethod
     def success(cls, payload: Optional[str] = None) -> "ChaincodeResponse":
         return cls(status=cls.OK, payload=payload)
+
+    @classmethod
+    def scanned(cls, page: ScanPage) -> "ChaincodeResponse":
+        """A scan's answer: the page, and the payload it renders to."""
+        return cls(status=cls.OK, payload=page.payload(), scan=page)
 
     @classmethod
     def error(cls, message: str) -> "ChaincodeResponse":
@@ -129,8 +137,9 @@ class ChaincodeStub:
     # keeps the same virtual-time cost whichever access path serves it —
     # and hands back ``(key, VersionedValue)`` candidates in key order.
     # Recording the reads is the consumer's half of the contract: it
-    # passes one ``ReadSetEntry`` per candidate it visited to
-    # ``rw_set.extend_reads`` in a single call once its loop is over.
+    # passes the ``read`` (and ``read_line``) of every candidate it
+    # visited to ``rw_set.extend_reads`` in a single call once its loop
+    # is over.
     # Scans and the history lookup reach the ledger through the
     # ``world_state``/``history`` properties, which is what ends the
     # read log.

@@ -42,6 +42,26 @@ def canonical_json(obj: Any) -> bytes:
     ).encode("utf-8")
 
 
+def copy_json(value: Any) -> Any:
+    """A private copy of a parsed-JSON value: containers copied, scalars shared.
+
+    The common shape — a flat dict or list of scalars — costs one C-level
+    copy and a type check per item; only nested containers recurse.
+    """
+    if type(value) is dict:
+        copied = dict(value)
+        for key, item in value.items():
+            if type(item) is dict or type(item) is list:
+                copied[key] = copy_json(item)
+        return copied
+    if type(value) is list:
+        return [
+            copy_json(item) if type(item) is dict or type(item) is list else item
+            for item in value
+        ]
+    return value
+
+
 def _decode_bytes(obj: Any) -> Any:
     if isinstance(obj, dict):
         if set(obj.keys()) == {"__bytes__"}:

@@ -45,9 +45,11 @@ from repro.common.errors import (
 from repro.common.events import Subscription
 from repro.common.hashing import checksum_of
 from repro.common.metrics import MetricsRegistry
+from repro.common.serialization import copy_json
 from repro.fabric.network import FabricNetwork
 from repro.fabric.proposal import ProposalResponse, TransactionHandle
 from repro.ledger.history import HistoryEntry
+from repro.ledger.scan import ScanPage
 from repro.middleware.base import TransactionPipeline
 from repro.middleware.cache import ReadCacheMiddleware
 from repro.middleware.config import PipelineConfig, build_client_pipeline
@@ -422,24 +424,31 @@ class HyperProvClient:
             "query_records", "query", [json.dumps(request, sort_keys=True)],
             at_time=at_time,
         )
-        if not response.is_ok or response.payload is None:
+        if not response.is_ok or response.scan is None:
             raise ChaincodeError(response.message or "rich query failed")
-        decoded = json.loads(response.payload)
-        rows = decoded["records"] if isinstance(decoded, dict) else decoded
-        records = [
-            {"key": row["key"], "record": ProvenanceRecord.from_json(row["record"])}
-            for row in rows
-        ]
         self.metrics.histogram("query_latency_s").observe(latency)
-        if isinstance(decoded, dict):
-            return QueryResult(
-                payload=records,
-                latency_s=latency,
-                bookmark=decoded.get("bookmark"),
-                plan=decoded.get("plan"),
-                stale=ctx.stale,
-            )
-        return QueryResult(payload=records, latency_s=latency, stale=ctx.stale)
+        return self._scan_result(response.scan, latency, ctx)
+
+    @staticmethod
+    def _scan_result(page: ScanPage, latency: float, ctx: Context) -> QueryResult:
+        """Decode a scan's rows: one record per committed version.
+
+        Each record is built from the version's already-parsed document
+        and owns its containers — the caller is another machine, whatever
+        it does to a result changes no peer's state and no later answer.
+        """
+        records = [
+            {"key": row.key, "record": ProvenanceRecord.from_document(row.document)}
+            for row in page.rows
+            if not row.key.startswith("__")
+        ]
+        return QueryResult(
+            payload=records,
+            latency_s=latency,
+            bookmark=page.bookmark,
+            plan=copy_json(page.plan),
+            stale=ctx.stale,
+        )
 
     def on_provenance_recorded(self, callback) -> Subscription:
         """Subscribe to the chaincode event emitted on every committed ``set``.
@@ -477,23 +486,9 @@ class HyperProvClient:
         response, latency, ctx = self._query(
             "get_by_range", "getbyrange", args, at_time=at_time
         )
-        if not response.is_ok or response.payload is None:
+        if not response.is_ok or response.scan is None:
             raise ChaincodeError(response.message or "range query failed")
-        decoded = json.loads(response.payload)
-        rows = decoded["records"] if isinstance(decoded, dict) else decoded
-        records = [
-            {"key": row["key"], "record": ProvenanceRecord.from_json(row["record"])}
-            for row in rows
-            if not row["key"].startswith("__")
-        ]
-        if isinstance(decoded, dict):
-            return QueryResult(
-                payload=records,
-                latency_s=latency,
-                bookmark=decoded.get("bookmark"),
-                stale=ctx.stale,
-            )
-        return QueryResult(payload=records, latency_s=latency, stale=ctx.stale)
+        return self._scan_result(response.scan, latency, ctx)
 
     # ------------------------------------------------------------ store_data
     def _require_storage(self) -> ContentAddressedStore:

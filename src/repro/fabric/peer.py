@@ -301,6 +301,7 @@ class Peer:
             endorsement=endorsement,
             produced_at=finished_at,
             chaincode_event=stub.event,
+            scan=result.scan,
         )
         return response, finished_at
 

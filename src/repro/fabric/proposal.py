@@ -8,6 +8,7 @@ from typing import Callable, Dict, List, Optional
 from repro.common.hashing import sha256_hex
 from repro.common.serialization import canonical_json
 from repro.crypto.certificates import Certificate
+from repro.ledger.scan import ScanPage
 from repro.ledger.transaction import Endorsement, ReadWriteSet, TxValidationCode
 
 
@@ -84,6 +85,9 @@ class ProposalResponse:
     produced_at: float = 0.0
     #: Chaincode event set during simulation, as ``(name, payload)``.
     chaincode_event: Optional[tuple] = None
+    #: The rows behind a scan's ``payload`` (``query``, ``getbyrange``):
+    #: what every layer above the peer reads instead of the string.
+    scan: Optional[ScanPage] = None
 
     @property
     def is_ok(self) -> bool:

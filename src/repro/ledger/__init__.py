@@ -18,6 +18,7 @@ from repro.ledger.transaction import (
 )
 from repro.ledger.block import Block, BlockHeader
 from repro.ledger.world_state import WorldState, VersionedValue
+from repro.ledger.scan import ScanPage
 from repro.ledger.history import HistoryDatabase, HistoryEntry
 from repro.ledger.blockchain import BlockStore
 
@@ -32,6 +33,7 @@ __all__ = [
     "BlockHeader",
     "WorldState",
     "VersionedValue",
+    "ScanPage",
     "HistoryDatabase",
     "HistoryEntry",
     "BlockStore",

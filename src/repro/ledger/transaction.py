@@ -67,6 +67,13 @@ class ReadSetEntry(NamedTuple):
     version: Optional[Version]
 
 
+def canonical_read(key: str, version: Optional[Version]) -> str:
+    """One read as it stands in ``canonical_json(rw_set.to_dict())``."""
+    if version:
+        return '{"key":%s,"version":[%d,%d]}' % (_quote(key), *version)
+    return '{"key":%s,"version":null}' % _quote(key)
+
+
 class WriteSetEntry(NamedTuple):
     """A key written during simulation; ``is_delete`` marks deletions."""
 
@@ -85,6 +92,13 @@ class ReadWriteSet:
         default=None, init=False, repr=False, compare=False
     )
     _sealed: bool = field(default=False, init=False, repr=False, compare=False)
+    #: The canonical line of every read, when a scan that is the whole
+    #: read set handed them over (``extend_reads``).  Never grows, so it is
+    #: trusted only while ``reads`` is exactly as long; dropped once the
+    #: digest is cached.
+    _read_lines: Optional[List[str]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __setattr__(self, name: str, value: object) -> None:
         if name in ("reads", "writes") and getattr(self, "_sealed", False):
@@ -114,11 +128,19 @@ class ReadWriteSet:
         self._digest = None
         self.reads.append(ReadSetEntry(key=key, version=version))
 
-    def extend_reads(self, entries: List[ReadSetEntry]) -> None:
-        """Record every read of a scan in one call, in visit order."""
+    def extend_reads(
+        self, entries: List[ReadSetEntry], lines: Optional[List[str]] = None
+    ) -> None:
+        """Record every read of a scan in one call, in visit order.
+
+        ``lines[i]`` is ``canonical_read(*entries[i])``: a scan passes the
+        lines its committed versions already carry, and the digest joins
+        them instead of formatting every entry again.
+        """
         if self._sealed:
             raise SealedEnvelopeError("cannot add a read to a sealed rw-set")
         self._digest = None
+        self._read_lines = lines if not self.reads else None
         self.reads.extend(entries)
 
     def add_write(self, key: str, value: Optional[str], is_delete: bool = False) -> None:
@@ -149,11 +171,10 @@ class ReadWriteSet:
         return self._canonical_text().encode("ascii")
 
     def _canonical_text(self) -> str:
-        reads = ",".join([
-            '{"key":%s,"version":[%d,%d]}' % (_quote(key), *version)
-            if version else '{"key":%s,"version":null}' % _quote(key)
-            for key, version in self.reads
-        ])
+        lines = self._read_lines
+        if lines is None or len(lines) != len(self.reads):
+            lines = [canonical_read(key, version) for key, version in self.reads]
+        reads = ",".join(lines)
         writes = ",".join([
             '{"is_delete":%s,"key":%s,"value":%s}' % (
                 "true" if is_delete else "false", _quote(key),
@@ -171,6 +192,7 @@ class ReadWriteSet:
         """
         if self._digest is None:
             self._digest = sha256_hex(self.canonical_bytes())
+            self._read_lines = None
         return self._digest
 
 

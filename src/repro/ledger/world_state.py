@@ -20,47 +20,78 @@ import json
 from bisect import bisect_left, bisect_right, insort
 from typing import Any, Dict, Iterator, List, Optional, Protocol, Set, Tuple
 
-from repro.ledger.transaction import Version
+from repro.ledger.transaction import ReadSetEntry, Version, canonical_read
 
 #: Compact the sorted index once tombstones outnumber this floor *and*
 #: half of the live keys (amortizes rebuilds over many deletes).
 _COMPACT_MIN_TOMBSTONES = 16
 
 
+def _parse_document(entry: "VersionedValue") -> Optional[Dict[str, Any]]:
+    try:
+        document = json.loads(entry.value)
+    except (TypeError, ValueError):
+        return None
+    return document if isinstance(document, dict) else None
+
+
+def _read_entry(entry: "VersionedValue") -> ReadSetEntry:
+    if entry.key is None:
+        raise AttributeError("a VersionedValue built without its key has no read entry")
+    return ReadSetEntry(entry.key, entry.version)
+
+
+def _read_line(entry: "VersionedValue") -> str:
+    return canonical_read(*entry.read)
+
+
 class VersionedValue:
-    """A committed value together with the version that wrote it.
+    """A committed value together with the key and the version that wrote it.
 
     Immutable, and therefore shared between the replicas of a channel
-    that committed the version together (``WorldState.put_entry``).
-    ``document`` is the value parsed as a JSON object (``None`` when it is
-    anything else) — what rich queries match against.  It is filled on
-    first access and kept on the entry, so a committed version is parsed
-    at most once and a workload that never scans never parses.
+    that committed the version together (``WorldState.put_entry``).  What
+    a scan derives from a version is a *fragment* kept on the entry: filled
+    on first access, so every version computes it at most once for all
+    replicas and a workload that never scans computes none.
+
+    ``document``   the value parsed as a JSON object (``None`` when it is
+                   anything else) — what rich queries match against and
+                   what clients build records from.  Read-only by contract:
+                   whoever hands parts of it out copies them.
+    ``read``       the :class:`ReadSetEntry` a scan visiting this version
+                   records.
+    ``read_line``  that entry's line in the rw-set's canonical JSON.
     """
 
-    __slots__ = ("value", "version", "document")
+    __slots__ = ("value", "version", "key", "document", "read", "read_line")
 
     value: str
     version: Version
+    key: Optional[str]
     document: Optional[Dict[str, Any]]
+    read: ReadSetEntry
+    read_line: str
 
-    def __init__(self, value: str, version: Version) -> None:
+    _FRAGMENTS = {
+        "document": _parse_document,
+        "read": _read_entry,
+        "read_line": _read_line,
+    }
+
+    def __init__(self, value: str, version: Version, key: Optional[str] = None) -> None:
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "version", version)
+        object.__setattr__(self, "key", key)
 
-    def __getattr__(self, name: str) -> Optional[Dict[str, Any]]:
-        # Reached only while the ``document`` slot is still empty: a filled
+    def __getattr__(self, name: str) -> Any:
+        # Reached only while a fragment's slot is still empty: a filled
         # slot is a plain attribute read, with no call on the scan path.
-        if name != "document":
+        fill = self._FRAGMENTS.get(name)
+        if fill is None:
             raise AttributeError(name)
-        try:
-            document = json.loads(self.value)
-        except (TypeError, ValueError):
-            document = None
-        if not isinstance(document, dict):
-            document = None
-        object.__setattr__(self, "document", document)
-        return document
+        fragment = fill(self)
+        object.__setattr__(self, name, fragment)
+        return fragment
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"VersionedValue is immutable; cannot assign {name!r}")
@@ -183,16 +214,17 @@ class WorldState:
 
     def put(self, key: str, value: str, version: Version) -> VersionedValue:
         """Commit a write (only the committing peer calls this); returns its entry."""
-        return self.put_entry(key, VersionedValue(value=value, version=version))
+        return self.put_entry(key, VersionedValue(value, version, key))
 
     def put_entry(self, key: str, entry: VersionedValue) -> VersionedValue:
         """Commit a write whose immutable entry already exists.
 
         A replica adopting another replica's commit of the same block
-        stores the very entry that replica built (one object per committed
-        version per channel, its ``document`` parsed at most once); the
-        sorted index, the prefix buckets and the attached secondary index
-        are this world state's own and are kept here either way.
+        stores the very entry that replica built under the same ``key``
+        (one object per committed version per channel, each of its
+        fragments computed at most once); the sorted index, the prefix
+        buckets and the attached secondary index are this world state's
+        own and are kept here either way.
         """
         if key not in self._data:
             self._index.add(key)

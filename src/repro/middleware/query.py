@@ -3,10 +3,9 @@
 The planner itself runs inside the chaincode (it needs the peer's
 world-state indexes); this middleware is its client-side counterpart.
 For rich-query operations it surfaces the access path the planner chose —
-parsed from the ``plan`` member of explain-enabled response envelopes —
-into ``ctx.tags["query_plan"]`` and per-path metrics counters, so bench
-tables and sessions can report which path served each query without
-re-parsing payloads.
+the ``plan`` an explain-enabled response's page carries — into
+``ctx.tags["query_plan"]`` and per-path metrics counters, so bench tables
+and sessions can report which path served each query.
 
 Enabled by the ``PipelineConfig.indexes`` knob, which also drives the
 fabric-side index enablement (``FabricNetwork.enable_secondary_indexes``)
@@ -72,14 +71,5 @@ class QueryPlannerMiddleware(Middleware):
     @staticmethod
     def _extract_plan(result: Any) -> Optional[dict]:
         response = result[0] if isinstance(result, tuple) else result
-        payload = getattr(response, "payload", None)
-        if not isinstance(payload, str) or not payload.startswith("{"):
-            return None
-        try:
-            envelope = json.loads(payload)
-        except ValueError:
-            return None
-        if not isinstance(envelope, dict):
-            return None
-        plan = envelope.get("plan")
-        return plan if isinstance(plan, dict) else None
+        page = getattr(response, "scan", None)
+        return page.plan if page is not None else None

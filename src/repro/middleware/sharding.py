@@ -28,11 +28,13 @@ import bisect
 import hashlib
 import json
 from dataclasses import replace
-from typing import Any, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.common.metrics import MetricsRegistry
 from repro.common.tenancy import TENANT_PREFIX, tenant_of_key
+from repro.ledger.scan import ScanPage
+from repro.ledger.world_state import VersionedValue
 from repro.middleware.base import Handler, Middleware
 from repro.middleware.context import Context
 
@@ -139,14 +141,22 @@ class ShardRouterMiddleware(Middleware):
             results.append(call_next(sub))
         if self.metrics is not None:
             self.metrics.counter("router.fan_outs").inc()
-        ok = [result for result in results if self._is_ok(result)]
+        history = ctx.function == "getkeyhistory"
+        ok = [result for result in results if self._is_ok(result, history)]
         if not ok:
             return results[0]
-        merged_rows = self._merge_payloads(
-            ctx, [self._payload(result) for result in ok]
-        )
+        responses = [self._response(result) for result in ok]
         latency = max((self._latency(result) for result in ok), default=0.0)
-        return self._rebuild(ok[0], merged_rows, latency)
+        if history:
+            merged = replace(responses[0], payload=self._merge_history_payloads(
+                [response.payload for response in responses]
+            ))
+        else:
+            page = self._merge_pages(ctx, [response.scan for response in responses])
+            merged = replace(responses[0], payload=page.payload(), scan=page)
+        if isinstance(ok[0], tuple):
+            return (merged, latency)
+        return merged
 
     @staticmethod
     def _sub_context(ctx: Context, shard: int) -> Context:
@@ -156,16 +166,18 @@ class ShardRouterMiddleware(Middleware):
 
     # ----------------------------------------------------- result plumbing
     @staticmethod
-    def _is_ok(result: Any) -> bool:
-        response = result[0] if isinstance(result, tuple) else result
-        return bool(getattr(response, "is_ok", False)) and isinstance(
-            getattr(response, "payload", None), str
-        )
+    def _response(result: Any) -> Any:
+        return result[0] if isinstance(result, tuple) else result
 
-    @staticmethod
-    def _payload(result: Any) -> str:
-        response = result[0] if isinstance(result, tuple) else result
-        return response.payload
+    @classmethod
+    def _is_ok(cls, result: Any, history: bool) -> bool:
+        """Whether a shard answered: a history payload, or a scan's page."""
+        response = cls._response(result)
+        if not getattr(response, "is_ok", False):
+            return False
+        if history:
+            return isinstance(getattr(response, "payload", None), str)
+        return getattr(response, "scan", None) is not None
 
     @staticmethod
     def _latency(result: Any) -> float:
@@ -173,87 +185,61 @@ class ShardRouterMiddleware(Middleware):
             return float(result[1])
         return 0.0
 
-    @staticmethod
-    def _rebuild(template: Any, payload: str, latency: float) -> Any:
-        response = template[0] if isinstance(template, tuple) else template
-        merged = replace(response, payload=payload)
-        if isinstance(template, tuple):
-            return (merged, latency)
-        return merged
-
     # -------------------------------------------------------------- merging
-    def _merge_payloads(self, ctx: Context, payloads: List[str]) -> str:
-        decoded_payloads: List[Any] = []
+    def _merge_history_payloads(self, payloads: List[str]) -> str:
+        rows: List[Any] = []
         for payload in payloads:
             try:
-                decoded_payloads.append(json.loads(payload))
+                decoded = json.loads(payload)
             except ValueError:
                 continue
-        if ctx.function == "getkeyhistory":
-            rows = [
-                row
-                for decoded in decoded_payloads
-                if isinstance(decoded, list)
-                for row in decoded
-            ]
-            return json.dumps(self._merge_history(rows))
-        if any(
-            isinstance(decoded, dict) and isinstance(decoded.get("records"), list)
-            for decoded in decoded_payloads
-        ):
-            return json.dumps(self._merge_envelopes(ctx, decoded_payloads))
-        rows = [
-            row
-            for decoded in decoded_payloads
-            if isinstance(decoded, list)
-            for row in decoded
-        ]
-        return json.dumps(self._merge_keyed_rows(rows))
+            if isinstance(decoded, list):
+                rows.extend(decoded)
+        return json.dumps(self._merge_history(rows))
 
-    def _merge_envelopes(self, ctx: Context, decoded_payloads: List[Any]) -> dict:
+    def _merge_pages(self, ctx: Context, pages: List[ScanPage]) -> ScanPage:
         """Merge per-shard pages into one page honouring the request limit.
 
-        Every shard resumed strictly after the same bookmark and returned
-        at most one page, so the union (dedup, key order) truncated to the
-        limit is exactly the global next page.  The merged bookmark is the
-        last returned key whenever any shard signalled more rows or the
-        union overflowed the limit — the same "possibly one empty trailing
-        page" contract the single-shard path has.  Per-shard plans are
-        kept under the merged plan so ``explain`` stays honest about the
-        fan-out.
+        Rows are the shards' committed versions, combined in key order;
+        a key two shards both hold (ownership moved between runs) keeps
+        the version whose record is newest.  Every shard resumed strictly
+        after the same bookmark and returned at most one page, so the
+        union truncated to the limit is exactly the global next page.
+        The merged bookmark is the last returned key whenever any shard
+        signalled more rows or the union overflowed the limit — the same
+        "possibly one empty trailing page" contract the single-shard path
+        has.  Per-shard plans are kept under the merged plan so
+        ``explain`` stays honest about the fan-out.
         """
-        rows: List[Any] = []
-        has_more = False
-        plans: List[Any] = []
-        for decoded in decoded_payloads:
-            if isinstance(decoded, list):  # a legacy-shaped shard response
-                rows.extend(decoded)
-                continue
-            if not isinstance(decoded, dict):
-                continue
-            records = decoded.get("records")
-            if isinstance(records, list):
-                rows.extend(records)
-            if decoded.get("bookmark"):
-                has_more = True
-            plan = decoded.get("plan")
-            if isinstance(plan, dict):
-                plans.append(plan)
-        merged = self._merge_keyed_rows(rows)
+        by_key: Dict[str, VersionedValue] = {}
+        for page in pages:
+            for row in page.rows:
+                current = by_key.get(row.key)
+                if current is None or _record_timestamp(row) >= _record_timestamp(current):
+                    by_key[row.key] = row
+        merged = [by_key[key] for key in sorted(by_key)]
+        if not any(page.enveloped for page in pages):
+            return ScanPage(tuple(merged))
+        has_more = any(page.bookmark for page in pages)
         limit = self._request_limit(ctx)
         if limit and len(merged) > limit:
             merged = merged[:limit]
             has_more = True
-        bookmark = merged[-1]["key"] if has_more and merged else None
-        envelope: dict = {"records": merged, "bookmark": bookmark}
+        plans = [page.plan for page in pages if page.plan is not None]
+        plan = None
         if plans:
-            paths = {plan.get("access_path") for plan in plans}
-            envelope["plan"] = {
+            paths = {shard_plan.get("access_path") for shard_plan in plans}
+            plan = {
                 "access_path": paths.pop() if len(paths) == 1 else "mixed",
                 "fan_out": len(plans),
                 "shards": plans,
             }
-        return envelope
+        return ScanPage(
+            tuple(merged),
+            merged[-1].key if has_more and merged else None,
+            plan,
+            enveloped=True,
+        )
 
     @staticmethod
     def _request_limit(ctx: Context) -> int:
@@ -292,21 +278,11 @@ class ShardRouterMiddleware(Middleware):
 
         return sorted(entries, key=sort_key)
 
-    @staticmethod
-    def _merge_keyed_rows(rows: List[Any]) -> List[Any]:
-        """Combine range/rich-query rows: key order, newest record wins."""
-        def record_timestamp(row: Any) -> float:
-            try:
-                return float(json.loads(row["record"]).get("timestamp", 0.0))
-            except (KeyError, TypeError, ValueError):
-                return 0.0
 
-        by_key = {}
-        for row in rows:
-            if not isinstance(row, dict) or "key" not in row:
-                continue
-            key = row["key"]
-            current = by_key.get(key)
-            if current is None or record_timestamp(row) >= record_timestamp(current):
-                by_key[key] = row
-        return [by_key[key] for key in sorted(by_key)]
+def _record_timestamp(row: VersionedValue) -> float:
+    """The commit timestamp a row's record carries (0.0 when it has none)."""
+    document = row.document
+    try:
+        return float(document.get("timestamp", 0.0)) if document else 0.0
+    except (TypeError, ValueError):
+        return 0.0

@@ -61,12 +61,7 @@ class TenantPrefixMiddleware(Middleware):
     # ------------------------------------------------------------- pipeline
     def handle(self, ctx: Context, call_next: Handler) -> Any:
         self._rewrite_args(ctx)
-        result = call_next(ctx)
-        if ctx.function == "query":
-            return self._filter_query_result(result)
-        if ctx.function == "getbyrange":
-            return self._strip_result_bookmark(result)
-        return result
+        return self._scope_page(call_next(ctx))
 
     # ------------------------------------------------------------ rewriting
     def _rewrite_args(self, ctx: Context) -> None:
@@ -120,76 +115,33 @@ class TenantPrefixMiddleware(Middleware):
         return json.dumps([self.prefix + str(dep) for dep in dependencies])
 
     # ------------------------------------------------------------ filtering
-    def _filter_query_result(self, result: Any) -> Any:
-        """Drop rich-query rows that belong to other namespaces."""
+    def _scope_page(self, result: Any) -> Any:
+        """Keep a scan's answer (``query``, ``getbyrange``) inside the namespace.
+
+        Rich-query selectors match record fields, so rows of other
+        namespaces are dropped here, on the rows the response carries;
+        the bookmark is a ledger key and goes back tenant-relative.
+        Anything that carries no page passes through.
+        """
         response = result[0] if isinstance(result, tuple) else result
-        payload = getattr(response, "payload", None)
-        if not isinstance(payload, str):
+        page = getattr(response, "scan", None)
+        if page is None:
             return result
-        try:
-            rows = json.loads(payload)
-        except ValueError:
+        prefix = self.prefix
+        kept = tuple([row for row in page.rows if row.key.startswith(prefix)])
+        bookmark = page.bookmark
+        if bookmark is not None and bookmark.startswith(prefix):
+            bookmark = bookmark[len(prefix):]
+        dropped = len(page.rows) - len(kept)
+        if not dropped and bookmark == page.bookmark:
             return result
-        if isinstance(rows, dict) and isinstance(rows.get("records"), list):
-            return self._filter_envelope(result, response, rows)
-        if not isinstance(rows, list):
-            return result
-        kept = [
-            row for row in rows
-            if isinstance(row, dict) and str(row.get("key", "")).startswith(self.prefix)
-        ]
-        if len(kept) == len(rows):
-            return result
-        if self.metrics is not None:
-            self.metrics.counter("tenant.rows_filtered").inc(len(rows) - len(kept))
-        return self._replace_payload(result, response, json.dumps(kept))
-
-    def _filter_envelope(self, result: Any, response: Any, envelope: dict) -> Any:
-        """Paginated envelope: filter the page, un-namespace its bookmark."""
-        records = envelope["records"]
-        kept = [
-            row for row in records
-            if isinstance(row, dict) and str(row.get("key", "")).startswith(self.prefix)
-        ]
-        bookmark = envelope.get("bookmark")
-        stripped = self._strip_bookmark(bookmark)
-        if len(kept) == len(records) and stripped == bookmark:
-            return result
-        if self.metrics is not None and len(kept) != len(records):
-            self.metrics.counter("tenant.rows_filtered").inc(len(records) - len(kept))
-        payload = json.dumps({**envelope, "records": kept, "bookmark": stripped})
-        return self._replace_payload(result, response, payload)
-
-    def _strip_result_bookmark(self, result: Any) -> Any:
-        """Un-namespace the bookmark of a paginated ``getbyrange`` envelope."""
-        response = result[0] if isinstance(result, tuple) else result
-        payload = getattr(response, "payload", None)
-        if not isinstance(payload, str) or not payload.startswith("{"):
-            return result  # legacy list payload: no bookmark to rewrite
-        try:
-            envelope = json.loads(payload)
-        except ValueError:
-            return result
-        if not isinstance(envelope, dict):
-            return result
-        bookmark = envelope.get("bookmark")
-        stripped = self._strip_bookmark(bookmark)
-        if stripped == bookmark:
-            return result
-        payload = json.dumps({**envelope, "bookmark": stripped})
-        return self._replace_payload(result, response, payload)
-
-    def _strip_bookmark(self, bookmark: Any) -> Any:
-        if isinstance(bookmark, str) and bookmark.startswith(self.prefix):
-            return bookmark[len(self.prefix):]
-        return bookmark
-
-    @staticmethod
-    def _replace_payload(result: Any, response: Any, payload: str) -> Any:
-        filtered = replace(response, payload=payload)
+        if dropped and self.metrics is not None:
+            self.metrics.counter("tenant.rows_filtered").inc(dropped)
+        scoped = page._replace(rows=kept, bookmark=bookmark)
+        response = replace(response, payload=scoped.payload(), scan=scoped)
         if isinstance(result, tuple):
-            return (filtered,) + result[1:]
-        return filtered
+            return (response,) + result[1:]
+        return response
 
 
 class InFlightCounter:

@@ -61,7 +61,6 @@ def test_store_then_get_roundtrip(store):
     view = store.get("contract/a")
     assert view.key == "contract/a"
     assert view.checksum == checksum_of(b"payload-a")
-    assert view.record is not None
 
 
 def test_get_missing_key_raises(store):

@@ -113,13 +113,14 @@ def test_same_relative_key_is_distinct_per_tenant(service):
     assert len(alice.history("reading")) == 1
 
 
-def test_tenant_dependencies_stay_in_namespace(service):
+def test_tenant_dependencies_stay_in_namespace(service, desktop_deployment):
     alice = service.session(tenant="alice")
     alice.store("raw", b"base")
     alice.store("derived", b"out", dependencies=("raw",))
     view = alice.get("derived")
     assert view.dependencies == ("raw",)  # relative view...
-    assert view.record.dependencies == ["tenant/alice/raw"]  # namespaced ledger
+    stored = desktop_deployment.peers[0].world_state.get("tenant/alice/derived")
+    assert stored.document["dependencies"] == ["tenant/alice/raw"]  # namespaced ledger
 
 
 def test_tenant_keys_are_namespaced_on_the_ledger(service, desktop_deployment):

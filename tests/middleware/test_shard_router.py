@@ -6,7 +6,9 @@ import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.fabric.proposal import ProposalResponse
+from repro.ledger.scan import ScanPage
 from repro.ledger.transaction import ReadWriteSet
+from repro.ledger.world_state import VersionedValue
 from repro.middleware.base import TransactionPipeline
 from repro.middleware.context import Context, OperationKind
 from repro.middleware.sharding import (
@@ -26,12 +28,24 @@ def ctx_for(function, args, kind=OperationKind.READ):
 def response_with(payload):
     # A present endorsement marks the response ok (is_ok semantics); a
     # shard missing the key answers with none, like a failed endorsement.
+    # A scan answers with its page; the payload is what the page renders to.
+    scan = payload if isinstance(payload, ScanPage) else None
+    if scan is not None:
+        payload = scan.payload()
     endorsement = object() if payload is not None else None
     status = 200 if payload is not None else 500
     return ProposalResponse(
         tx_id="t", peer="p", status=status, payload=payload, message="",
-        rw_set=ReadWriteSet(), endorsement=endorsement, produced_at=0.0,
+        rw_set=ReadWriteSet(), endorsement=endorsement, produced_at=0.0, scan=scan,
     )
+
+
+def page_of(*rows):
+    """A shard's plain ``getbyrange`` answer: ``(key, record document)`` rows."""
+    return ScanPage(tuple(
+        VersionedValue(json.dumps(document), (0, index), key)
+        for index, (key, document) in enumerate(rows)
+    ))
 
 
 # ------------------------------------------------------------------- ring
@@ -104,23 +118,22 @@ def fan_out_pipeline(router, payload_by_shard):
 
 def test_range_fan_out_merges_rows_in_key_order():
     router = ShardRouterMiddleware(shards=2)
-    rows0 = [{"key": "b", "record": json.dumps({"timestamp": 1.0})}]
-    rows1 = [{"key": "a", "record": json.dumps({"timestamp": 2.0})}]
-    pipeline = fan_out_pipeline(
-        router, {0: json.dumps(rows0), 1: json.dumps(rows1)}
-    )
+    pipeline = fan_out_pipeline(router, {
+        0: page_of(("b", {"timestamp": 1.0})), 1: page_of(("a", {"timestamp": 2.0})),
+    })
     response, latency = pipeline.execute(ctx_for("getbyrange", ["", "~"]))
     merged = json.loads(response.payload)
     assert [row["key"] for row in merged] == ["a", "b"]
+    assert [row.key for row in response.scan.rows] == ["a", "b"]
     # Fan-out latency is the slowest shard's, not the sum.
     assert latency == pytest.approx(0.2)
 
 
 def test_fan_out_dedupes_duplicate_keys_keeping_newest():
     router = ShardRouterMiddleware(shards=2)
-    old = [{"key": "k", "record": json.dumps({"timestamp": 1.0, "v": "old"})}]
-    new = [{"key": "k", "record": json.dumps({"timestamp": 9.0, "v": "new"})}]
-    pipeline = fan_out_pipeline(router, {0: json.dumps(old), 1: json.dumps(new)})
+    old = page_of(("k", {"timestamp": 1.0, "v": "old"}))
+    new = page_of(("k", {"timestamp": 9.0, "v": "new"}))
+    pipeline = fan_out_pipeline(router, {0: old, 1: new})
     response, _ = pipeline.execute(ctx_for("getbyrange", ["", "~"]))
     merged = json.loads(response.payload)
     assert len(merged) == 1
@@ -146,8 +159,8 @@ def test_history_fan_out_orders_by_commit_timestamp():
 
 def test_fan_out_tolerates_missing_shards():
     router = ShardRouterMiddleware(shards=2)
-    rows = [{"key": "a", "record": json.dumps({"timestamp": 1.0})}]
-    pipeline = fan_out_pipeline(router, {1: json.dumps(rows)})  # shard 0 misses
+    rows = page_of(("a", {"timestamp": 1.0}))
+    pipeline = fan_out_pipeline(router, {1: rows})  # shard 0 misses
     response, _ = pipeline.execute(ctx_for("getbyrange", ["", "~"]))
     assert [row["key"] for row in json.loads(response.payload)] == ["a"]
 
