@@ -4,8 +4,8 @@
   its typed envelopes (:class:`StoreRequest`, :class:`RecordView`,
   :class:`HistoryView`, :class:`VerifyResult`, :class:`SubmitHandle`).
 * :mod:`repro.api.adapters` — the protocol implementations for
-  HyperProv, the central database and the PoW chain (every backend also
-  exposes ``as_store()``).
+  HyperProv, the central database and the PoW chain (reached through each
+  backend's ``as_store()``).
 * :mod:`repro.api.service` — :class:`HyperProvService`, the sessioned
   facade with futures-based submission and tenant namespaces.
 
@@ -13,12 +13,7 @@ See ``docs/api.md`` for the session lifecycle and the migration table
 from the legacy blocking methods.
 """
 
-from repro.api.adapters import (
-    CentralDbStore,
-    HyperProvStore,
-    PowChainStore,
-    adapt_store,
-)
+from repro.api.adapters import CentralDbStore, HyperProvStore, PowChainStore
 from repro.api.protocol import (
     HistoryEntryView,
     HistoryView,
@@ -45,7 +40,6 @@ __all__ = [
     "HyperProvStore",
     "CentralDbStore",
     "PowChainStore",
-    "adapt_store",
     "HyperProvService",
     "ProvenanceSession",
 ]

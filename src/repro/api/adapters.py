@@ -1,22 +1,28 @@
-"""``ProvenanceStore`` adapters for the three provenance backends.
+"""The ``ProvenanceStore`` implementations of the three provenance backends.
 
-Each adapter translates the protocol's typed envelopes onto one backend's
-internal machinery — the HyperProv client pipeline, the central database,
-or the PoW chain — so callers never touch a backend-specific surface.
-The adapters (and ``HyperProvClient.get_data``) are the only callers of the
-backends' private operator implementations (``HyperProvClient._store_data``,
-``CentralProvenanceDatabase._store_record``, …).
+:class:`HyperProvStore` *is* HyperProv's record operators — each one a
+pipeline call on its client and one decode of the peer's response; the two
+baseline adapters translate the protocol's typed envelopes onto the central
+database and the PoW chain, and are the only callers of those backends'
+private operator implementations (``_store_record``, ``_get``, ``_history``).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, Union
+import json
+from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro.baselines.centraldb import CentralProvenanceDatabase
 from repro.baselines.provchain import PowProvenanceChain
 from repro.chaincode.records import ProvenanceRecord
-from repro.common.errors import ConfigurationError, ValidationError
+from repro.common.errors import (
+    ChaincodeError,
+    ConfigurationError,
+    NotFoundError,
+    ValidationError,
+)
 from repro.common.hashing import checksum_of
+from repro.common.serialization import copy_json
 from repro.api.protocol import (
     HistoryEntryView,
     HistoryView,
@@ -35,6 +41,24 @@ class _StoreBase:
 
     def submit(self, request: StoreRequest, at_time: Optional[float] = None) -> SubmitHandle:
         raise NotImplementedError
+
+    def _record_for(
+        self, request: StoreRequest, at_time: float, location: str, creator: str,
+        organization: str,
+    ) -> ProvenanceRecord:
+        """The record a backend without a membership service stores for ``request``."""
+        return ProvenanceRecord(
+            key=request.key,
+            checksum=request.checksum or checksum_of(request.data or b""),
+            location=request.location or location,
+            creator=request.creator or creator,
+            organization=organization,
+            certificate_fingerprint="",
+            dependencies=list(request.dependencies),
+            metadata=dict(request.metadata),
+            size_bytes=request.size_bytes or len(request.data or b""),
+            timestamp=at_time,
+        )
 
     def store(self, request: StoreRequest, at_time: Optional[float] = None) -> SubmitHandle:
         """Blocking write: submit, then drain until the handle completes."""
@@ -63,7 +87,6 @@ class _StoreBase:
         self,
         selector: Dict[str, Any],
         callback: Optional[Callable[[Dict[str, Any]], None]] = None,
-        tenant: Optional[str] = None,
     ) -> Any:
         """Continuous queries need a commit stream (HyperProv only)."""
         raise ConfigurationError(
@@ -75,7 +98,12 @@ class _StoreBase:
 
 
 class HyperProvStore(_StoreBase):
-    """The HyperProv client behind the unified protocol.
+    """The HyperProv record operators: one pipeline call, one decode each.
+
+    Every method builds the chaincode arguments, runs them through the
+    client's middleware pipeline and turns the peer's response straight
+    into the protocol's view — tenant-relative when the client's
+    ``PipelineConfig.tenant`` is set, so no caller strips a namespace.
 
     Writes are genuinely non-blocking: ``submit`` returns while the
     endorsed envelope may still sit in the client-side endorsement
@@ -105,62 +133,90 @@ class HyperProvStore(_StoreBase):
 
     # -------------------------------------------------------------- writes
     def submit(self, request: StoreRequest, at_time: Optional[float] = None) -> SubmitHandle:
+        """The paper's ``post`` (metadata only) or ``store_data`` (payload first).
+
+        ``store_data`` is the operator exercised by Fig. 1 / Fig. 2: its
+        cost includes the checksum computation, the transfer to the
+        storage node and the on-chain transaction.
+        """
+        client = self.client
+        receipt = None
         if request.is_metadata_only:
             if not request.checksum or not request.location:
                 raise ValidationError(
                     "metadata-only StoreRequest needs both checksum and location"
                 )
-            post = self.client._post(
-                "post",
-                key=request.key,
-                checksum=request.checksum,
-                location=request.location,
-                dependencies=list(request.dependencies),
-                metadata=dict(request.metadata),
-                size_bytes=request.size_bytes,
-                at_time=at_time,
-            )
+            operation = "post"
+            checksum, location, size_bytes = request.checksum, request.location, request.size_bytes
         else:
-            post = self.client._store_data(
-                request.key,
-                request.data,
-                dependencies=list(request.dependencies),
-                metadata=dict(request.metadata),
-                at_time=at_time,
-            )
+            receipt = client._put_payload(request.data, at_time)
+            operation, at_time = "store_data", receipt.completed_at
+            checksum, location, size_bytes = receipt.checksum, receipt.location, len(request.data)
+        dependencies = list(request.dependencies)
+        args = [
+            request.key,
+            checksum,
+            location,
+            json.dumps(dependencies),
+            json.dumps(request.metadata, sort_keys=True),
+            str(size_bytes),
+        ]
+        handle = client._invoke(operation, "set", args, at_time=at_time)
+        identity = client._context.identity
+        record = ProvenanceRecord(
+            key=request.key,
+            checksum=checksum,
+            location=location,
+            creator=identity.name,
+            organization=identity.organization,
+            certificate_fingerprint=identity.certificate.fingerprint,
+            dependencies=dependencies,
+            metadata=dict(request.metadata),
+            size_bytes=size_bytes,
+        )
+        client.metrics.counter("post").inc()
+        if receipt is not None:
+            client.metrics.counter("store_data").inc()
+            client.metrics.histogram("store_data_bytes").observe(size_bytes)
         return SubmitHandle(
             request=request,
             backend=self.backend_name,
-            record=post.record,
-            handle=post.handle,
-            storage_receipt=post.storage_receipt,
-            raw=post,
+            record=record,
+            handle=handle,
+            storage_receipt=receipt,
         )
 
     # --------------------------------------------------------------- reads
     def get(self, key: str, at_time: Optional[float] = None) -> RecordView:
-        query = self.client._get(key, at_time=at_time)
-        return RecordView.from_record(
-            query.payload, latency_s=query.latency_s, stale=query.stale
+        client = self.client
+        response, latency, ctx = client._query("get", "get", [key], at_time=at_time)
+        if not response.is_ok or response.payload is None:
+            raise NotFoundError(response.message or f"key {key!r} not found")
+        client.metrics.histogram("get_latency_s").observe(latency)
+        return RecordView.from_document(
+            response.payload, client.pipeline_config.tenant, latency, ctx.stale
         )
 
     def history(self, key: str, at_time: Optional[float] = None) -> HistoryView:
-        query = self.client._get_key_history(key, at_time=at_time)
-        entries = []
-        for row in query.payload:
-            if row.get("deleted"):
-                entries.append(HistoryEntryView(view=None, tx_id=row.get("tx_id"), deleted=True))
-            else:
-                entries.append(
-                    HistoryEntryView(
-                        view=RecordView.from_record(row["record"], stale=query.stale),
-                        tx_id=row.get("tx_id"),
-                        block=row.get("block"),
-                    )
-                )
-        return HistoryView(
-            key=key, entries=tuple(entries), latency_s=query.latency_s, stale=query.stale
+        client = self.client
+        response, latency, ctx = client._query(
+            "get_key_history", "getkeyhistory", [key], at_time=at_time
         )
+        if not response.is_ok or response.payload is None:
+            raise NotFoundError(response.message or f"no history for key {key!r}")
+        tenant, stale = client.pipeline_config.tenant, ctx.stale
+        entries = tuple(
+            HistoryEntryView(None, row["tx_id"], row["block"], deleted=True)
+            if row.get("is_delete") or not row.get("value")
+            else HistoryEntryView(
+                RecordView.from_document(row["value"], tenant, stale=stale),
+                row["tx_id"],
+                row["block"],
+            )
+            for row in json.loads(response.payload)
+        )
+        client.metrics.histogram("history_latency_s").observe(latency)
+        return HistoryView(key=key, entries=entries, latency_s=latency, stale=stale)
 
     def verify(
         self,
@@ -168,10 +224,13 @@ class HyperProvStore(_StoreBase):
         data_or_checksum: Union[bytes, bytearray, str],
         at_time: Optional[float] = None,
     ) -> VerifyResult:
-        query = self.client._check_hash(key, data_or_checksum, at_time=at_time)
-        return VerifyResult(
-            key=key, matches=bool(query.payload), latency_s=query.latency_s, stale=query.stale
+        response, latency, ctx = self.client._query(
+            "check_hash", "checkhash", [key, _as_checksum(data_or_checksum)], at_time=at_time
         )
+        if not response.is_ok or response.payload is None:
+            raise NotFoundError(response.message or f"key {key!r} not found")
+        matches = json.loads(response.payload)["matches"]
+        return VerifyResult(key=key, matches=bool(matches), latency_s=latency, stale=ctx.stale)
 
     def query(
         self,
@@ -181,30 +240,52 @@ class HyperProvStore(_StoreBase):
         bookmark: Optional[str] = None,
         explain: bool = False,
     ) -> QueryPage:
-        result = self.client.query_records(
-            selector,
-            at_time=at_time,
-            limit=limit,
-            bookmark=bookmark,
-            explain=explain,
+        """Rich query: records whose fields match ``selector``.
+
+        Examples: ``{"creator": "camera-gw"}``, ``{"organization": "org2"}``,
+        ``{"metadata.station": "tromso-01"}``, ``{"dependencies": "raw/a"}``.
+        """
+        request = dict(selector)
+        if limit is not None:
+            request["_limit"] = limit
+        if bookmark is not None:
+            request["_bookmark"] = bookmark
+        if explain:
+            request["_explain"] = True
+        client = self.client
+        response, latency, ctx = client._query(
+            "query", "query", [json.dumps(request, sort_keys=True)], at_time=at_time
         )
-        records = tuple(
-            RecordView.from_record(row["record"], stale=result.stale)
-            for row in result.payload
-        )
+        page = response.scan
+        if not response.is_ok or page is None:
+            raise ChaincodeError(response.message or "rich query failed")
+        client.metrics.histogram("query_latency_s").observe(latency)
         return QueryPage(
-            records=records,
-            bookmark=result.bookmark,
-            plan=result.plan,
-            latency_s=result.latency_s,
-            stale=result.stale,
+            records=tuple(self.row_views(page, ctx.stale)),
+            bookmark=page.bookmark,
+            plan=copy_json(page.plan),
+            latency_s=latency,
+            stale=ctx.stale,
         )
+
+    def row_views(self, page: Any, stale: bool) -> List[RecordView]:
+        """One view per row of a scan (``query``, ``client.get_by_range``).
+
+        Built from the committed version's already-parsed document; the
+        caller is another machine, so whatever it does to a view changes
+        no peer's state and no later answer.
+        """
+        tenant = self.client.pipeline_config.tenant
+        return [
+            RecordView.from_document(row.document, tenant, stale=stale)
+            for row in page.rows
+            if not row.key.startswith("__")
+        ]
 
     def subscribe(
         self,
         selector: Dict[str, Any],
         callback: Optional[Callable[[Dict[str, Any]], None]] = None,
-        tenant: Optional[str] = None,
     ) -> Any:
         """Register a standing selector on the deployment's commit stream.
 
@@ -212,12 +293,20 @@ class HyperProvStore(_StoreBase):
         it observes every shard's commits regardless of how the router
         spread the writes.  It is created on first use and torn down with
         the store (``close``), cancelling every outstanding registration.
+        A tenant client's registrations see only its own namespace.
         """
+        config = self.client.pipeline_config
+        if not config.continuous_queries:
+            raise ConfigurationError(
+                "this store's pipeline was not built with continuous_queries=True"
+            )
         if self._query_registry is None:
             from repro.query.continuous import ContinuousQueryRegistry
 
             self._query_registry = ContinuousQueryRegistry(self.client.network.events)
-        return self._query_registry.register(selector, callback=callback, tenant=tenant)
+        return self._query_registry.register(
+            selector, callback=callback, tenant=config.tenant or None
+        )
 
     def audit(self) -> bool:
         """On every shard, all heights agree and every peer's chain verifies."""
@@ -251,7 +340,10 @@ class CentralDbStore(_StoreBase):
 
     def submit(self, request: StoreRequest, at_time: Optional[float] = None) -> SubmitHandle:
         start = at_time or 0.0
-        record = self._record_for(request, start)
+        record = self._record_for(
+            request, start, f"db://{self.backend.server_node}/{request.key}",
+            "client", "central",
+        )
         result = self.backend._store_record(
             record, at_time=start, payload_bytes=len(request.data or b"")
         )
@@ -259,24 +351,8 @@ class CentralDbStore(_StoreBase):
             request=request,
             backend=self.backend_name,
             record=result.record,
-            raw=result,
             latency_s=result.latency_s,
             completed_at=result.completed_at,
-        )
-
-    def _record_for(self, request: StoreRequest, at_time: float) -> ProvenanceRecord:
-        checksum = request.checksum or checksum_of(request.data or b"")
-        return ProvenanceRecord(
-            key=request.key,
-            checksum=checksum,
-            location=request.location or f"db://{self.backend.server_node}/{request.key}",
-            creator=request.creator or "client",
-            organization="central",
-            certificate_fingerprint="",
-            dependencies=list(request.dependencies),
-            metadata=dict(request.metadata),
-            size_bytes=request.size_bytes or len(request.data or b""),
-            timestamp=at_time,
         )
 
     def get(self, key: str, at_time: Optional[float] = None) -> RecordView:
@@ -316,30 +392,16 @@ class PowChainStore(_StoreBase):
 
     def submit(self, request: StoreRequest, at_time: Optional[float] = None) -> SubmitHandle:
         start = at_time or 0.0
-        record = self._record_for(request, start)
+        record = self._record_for(
+            request, start, f"pow://{request.key}", "miner", "pow-org"
+        )
         result = self.backend._store_record(record, at_time=start)
         return SubmitHandle(
             request=request,
             backend=self.backend_name,
             record=result.entry.record,
-            raw=result,
             latency_s=result.latency_s,
             completed_at=result.entry.recorded_at,
-        )
-
-    def _record_for(self, request: StoreRequest, at_time: float) -> ProvenanceRecord:
-        checksum = request.checksum or checksum_of(request.data or b"")
-        return ProvenanceRecord(
-            key=request.key,
-            checksum=checksum,
-            location=request.location or f"pow://{request.key}",
-            creator=request.creator or "miner",
-            organization="pow-org",
-            certificate_fingerprint="",
-            dependencies=list(request.dependencies),
-            metadata=dict(request.metadata),
-            size_bytes=request.size_bytes or len(request.data or b""),
-            timestamp=at_time,
         )
 
     def get(self, key: str, at_time: Optional[float] = None) -> RecordView:
@@ -377,18 +439,3 @@ def _as_checksum(data_or_checksum: Union[bytes, bytearray, str]) -> str:
     if isinstance(data_or_checksum, (bytes, bytearray)):
         return checksum_of(data_or_checksum)
     return str(data_or_checksum)
-
-
-def adapt_store(backend: Any):
-    """Wrap any known backend in its :class:`ProvenanceStore` adapter."""
-    if hasattr(backend, "as_store") and getattr(backend, "_store_adapter", None):
-        return backend._store_adapter
-    if isinstance(backend, CentralProvenanceDatabase):
-        return CentralDbStore(backend)
-    if isinstance(backend, PowProvenanceChain):
-        return PowChainStore(backend)
-    if hasattr(backend, "_store_data"):  # HyperProvClient (lazy import cycle)
-        return HyperProvStore(backend)
-    raise ConfigurationError(
-        f"{type(backend).__name__} is not a known provenance backend"
-    )

@@ -30,27 +30,23 @@ Call           Meaning
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import (
     Any,
     Callable,
     Dict,
     List,
     Optional,
+    Protocol,
     Tuple,
     Union,
+    runtime_checkable,
 )
 
-try:  # Protocol is 3.8+; keep a soft fallback for exotic interpreters.
-    from typing import Protocol, runtime_checkable
-except ImportError:  # pragma: no cover
-    Protocol = object  # type: ignore[assignment]
-
-    def runtime_checkable(cls):  # type: ignore[no-redef]
-        return cls
-
-from repro.chaincode.records import ProvenanceRecord
+from repro.chaincode.records import ProvenanceRecord, record_fields
 from repro.common.errors import IncompleteTransactionError
+from repro.common.serialization import copy_json
+from repro.common.tenancy import strip_namespace
 
 
 # ---------------------------------------------------------------- requests
@@ -104,38 +100,56 @@ class RecordView:
     stale: bool = False
 
     @classmethod
-    def from_record(
+    def from_record(cls, record: ProvenanceRecord) -> "RecordView":
+        """The view of a record a baseline holds in memory."""
+        return cls(
+            record.key, record.checksum, record.location, record.creator,
+            record.organization, tuple(record.dependencies), dict(record.metadata),
+            record.timestamp, record.size_bytes,
+        )
+
+    @classmethod
+    def from_document(
         cls,
-        record: ProvenanceRecord,
+        document: Any,
+        tenant: str = "",
         latency_s: float = 0.0,
         stale: bool = False,
     ) -> "RecordView":
+        """The view of one committed ledger value (JSON text or parsed document).
+
+        The one place a HyperProv read turns what a peer committed into
+        what the caller keeps: the record's type checks run here (a
+        :class:`~repro.common.errors.ValidationError` for anything that is
+        not a well-typed record), ``tenant``'s namespace comes off the key
+        and every dependency, and the containers are copied — a parsed
+        document is shared by every replica and every later reader.
+        """
+        (key, checksum, location, creator, organization, _fingerprint,
+         dependencies, metadata, timestamp, size_bytes) = record_fields(document)
+        if tenant:
+            key = strip_namespace(tenant, key)
+            dependencies = [strip_namespace(tenant, dep) for dep in dependencies]
+        else:
+            dependencies = copy_json(dependencies)
         # A scan builds one view per returned row, and a frozen dataclass's
         # ``__init__`` pays one ``object.__setattr__`` call per field; the
         # fields go into the instance dict in one update instead.
         view = object.__new__(cls)
         view.__dict__.update(
-            key=record.key,
-            checksum=record.checksum,
-            location=record.location,
-            creator=record.creator,
-            organization=record.organization,
-            dependencies=tuple(record.dependencies),
-            metadata=dict(record.metadata),
-            timestamp=record.timestamp,
-            size_bytes=record.size_bytes,
+            key=key,
+            checksum=checksum,
+            location=location,
+            creator=creator,
+            organization=organization,
+            dependencies=tuple(dependencies),
+            metadata=copy_json(metadata),
+            timestamp=timestamp,
+            size_bytes=size_bytes,
             latency_s=latency_s,
             stale=stale,
         )
         return view
-
-    def relative_to(self, strip: Callable[[str], str]) -> "RecordView":
-        """A copy with ``strip`` applied to the key and every dependency."""
-        return replace(
-            self,
-            key=strip(self.key),
-            dependencies=tuple(strip(dep) for dep in self.dependencies),
-        )
 
 
 @dataclass(frozen=True)
@@ -237,9 +251,6 @@ class SubmitHandle:
       store first).
     * ``add_done_callback(fn)`` — fires ``fn(handle)`` at completion (or
       immediately if already complete).
-
-    The attributes ``record`` / ``handle`` / ``storage_receipt`` mirror
-    the legacy ``PostResult`` shape so converted call sites keep working.
     """
 
     def __init__(
@@ -249,7 +260,6 @@ class SubmitHandle:
         record: ProvenanceRecord,
         handle: Optional[Any] = None,
         storage_receipt: Optional[Any] = None,
-        raw: Optional[Any] = None,
         latency_s: Optional[float] = None,
         completed_at: Optional[float] = None,
     ) -> None:
@@ -260,8 +270,6 @@ class SubmitHandle:
         #: Underlying :class:`TransactionHandle` for async backends.
         self.handle = handle
         self.storage_receipt = storage_receipt
-        #: Backend-native result object (``PostResult``, ``PowStoreResult``, …).
-        self.raw = raw
         self._latency_s = latency_s
         self._completed_at = completed_at
 
@@ -384,7 +392,6 @@ class ProvenanceStore(Protocol):
         self,
         selector: Dict[str, Any],
         callback: Optional[Callable[[Dict[str, Any]], None]] = None,
-        tenant: Optional[str] = None,
     ) -> Any:
         """Standing commit-fed selector; returns a cancellable handle."""
         ...

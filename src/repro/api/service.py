@@ -25,21 +25,16 @@ from repro.api.protocol import (
     SubmitHandle,
     VerifyResult,
 )
-from repro.common.errors import ConfigurationError
 from repro.middleware.config import PipelineConfig
-from repro.middleware.tenancy import (
-    AdmissionControlMiddleware,
-    InFlightCounter,
-    strip_namespace,
-)
+from repro.middleware.tenancy import AdmissionControlMiddleware, InFlightCounter
 
 
 class ProvenanceSession:
     """One tenant's handle on a provenance store.
 
     All keys are tenant-relative: the pipeline's tenant-prefix middleware
-    maps them into ``tenant/<name>/…`` on the way down and the session
-    strips the namespace from every returned view, so application code is
+    maps them into ``tenant/<name>/…`` on the way down and the store
+    decodes every answer without the namespace, so application code is
     identical in single- and multi-tenant deployments.
     """
 
@@ -59,9 +54,6 @@ class ProvenanceSession:
         self._closed = False
 
     # ------------------------------------------------------------ utilities
-    def _strip(self, key: str) -> str:
-        return strip_namespace(self.tenant, key) if self.tenant else key
-
     @property
     def in_flight(self) -> int:
         """Submissions not yet committed."""
@@ -119,18 +111,10 @@ class ProvenanceSession:
 
     # --------------------------------------------------------------- reads
     def get(self, key: str, at_time: Optional[float] = None) -> RecordView:
-        view = self.backend.get(key, at_time=at_time)
-        return view.relative_to(self._strip)
+        return self.backend.get(key, at_time=at_time)
 
     def history(self, key: str, at_time: Optional[float] = None) -> HistoryView:
-        history = self.backend.history(key, at_time=at_time)
-        entries = tuple(
-            replace(entry, view=entry.view.relative_to(self._strip))
-            if entry.view is not None
-            else entry
-            for entry in history.entries
-        )
-        return replace(history, key=key, entries=entries)
+        return self.backend.history(key, at_time=at_time)
 
     def verify(
         self,
@@ -159,21 +143,13 @@ class ProvenanceSession:
         ``explain=True`` surfaces the planner's access-path report.
         Returned keys and bookmarks are tenant-relative.
         """
-        page = self.backend.query(
+        return self.backend.query(
             selector,
             at_time=at_time,
             limit=limit,
             bookmark=bookmark,
             explain=explain,
         )
-        if self.tenant:
-            page = replace(
-                page,
-                records=tuple(
-                    view.relative_to(self._strip) for view in page.records
-                ),
-            )
-        return page
 
     def subscribe(
         self,
@@ -189,16 +165,7 @@ class ProvenanceSession:
         Handles are cancelled automatically when the session closes.
         Requires a pipeline built with ``continuous_queries=True``.
         """
-        config = getattr(
-            getattr(self.backend, "client", None), "pipeline_config", None
-        )
-        if config is not None and not config.continuous_queries:
-            raise ConfigurationError(
-                "this session's pipeline was not built with continuous_queries=True"
-            )
-        handle = self.backend.subscribe(
-            selector, callback=callback, tenant=self.tenant or None
-        )
+        handle = self.backend.subscribe(selector, callback=callback)
         self._subscriptions.append(handle)
         return handle
 

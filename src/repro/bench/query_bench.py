@@ -150,10 +150,10 @@ def _measure_selector_mode(
     _preload_world_state(deployment, keys)
     if mode == "indexed":
         deployment.fabric.enable_secondary_indexes(INDEX_FIELDS)
-    client = deployment.client
+    store = deployment.client.as_store()
     # Pin the access path outside the timed loop: the comparison is only
     # meaningful if each mode runs the path it claims to measure.
-    plan = client.query_records(_selector(0), explain=True).plan
+    plan = store.query(_selector(0), explain=True).plan
     access_path = plan["access_path"]
     expected = "index-intersection" if mode == "indexed" else "scan"
     if access_path != expected:
@@ -162,7 +162,7 @@ def _measure_selector_mode(
         )
     started = time.perf_counter()
     for query in range(queries):
-        client.query_records(_selector(query % PREFIX_GROUPS))
+        store.query(_selector(query % PREFIX_GROUPS))
     wall = max(time.perf_counter() - started, 1e-9)
     return QueryMeasurement(
         mode=mode,
@@ -176,8 +176,10 @@ def _measure_selector_mode(
 
 def _measure_continuous(commits: int, seed: int) -> ContinuousMeasurement:
     from repro.api.protocol import StoreRequest
+    from repro.middleware.config import PipelineConfig
 
     deployment = build_desktop_deployment(seed=seed)
+    deployment.client.configure_pipeline(PipelineConfig(continuous_queries=True))
     store = deployment.client.as_store()
     delivered: List[Dict[str, object]] = []
     store.subscribe({"metadata.kind": "bench"}, callback=delivered.append)

@@ -10,10 +10,43 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Tuple
 
 from repro.common.errors import ValidationError
-from repro.common.serialization import copy_json
+
+
+def record_fields(value: Any) -> Tuple[Any, ...]:
+    """The fields of a ledger value, type-checked, in :class:`ProvenanceRecord` order.
+
+    ``value`` is the committed JSON text or its already-parsed document.
+    Raises :class:`ValidationError` for anything that is not a JSON object
+    with well-typed fields.  ``dependencies`` and ``metadata`` are the
+    document's own containers: whoever parsed the text owns them, whoever
+    was handed a shared document copies them.
+    """
+    try:
+        data = json.loads(value) if isinstance(value, str) else value
+        if not isinstance(data, dict):
+            raise TypeError(f"expected a JSON object, got {type(data).__name__}")
+        dependencies = data.get("dependencies") or []
+        metadata = data.get("metadata") or {}
+        if not isinstance(dependencies, list) or not isinstance(metadata, dict):
+            raise TypeError("dependencies must be a list and metadata an object")
+        get = data.get
+        return (
+            get("key", ""),
+            get("checksum", ""),
+            get("location", ""),
+            get("creator", ""),
+            get("organization", ""),
+            get("certificate_fingerprint", ""),
+            dependencies,
+            metadata,
+            float(get("timestamp", 0.0)),
+            int(get("size_bytes", 0)),
+        )
+    except (TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        raise ValidationError(f"malformed provenance record: {exc}") from exc
 
 
 @dataclass
@@ -79,50 +112,9 @@ class ProvenanceRecord:
         Raises :class:`ValidationError` for anything that is not a JSON
         object with well-typed fields.  The parsed ``dependencies`` and
         ``metadata`` containers are private to this call and become the
-        record's own (no second copy per decoded row).
+        record's own.
         """
-        try:
-            return cls._from_fields(json.loads(document))
-        except (TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
-            raise ValidationError(f"malformed provenance record: {exc}") from exc
-
-    @classmethod
-    def from_document(cls, document: Optional[Dict[str, Any]]) -> "ProvenanceRecord":
-        """The record of an already-parsed ledger value, same checks as :meth:`from_json`.
-
-        ``document`` stays somebody else's (a committed version shares its
-        parsed document with every replica and every later reader): the
-        record gets private copies of ``dependencies`` and ``metadata``.
-        """
-        try:
-            record = cls._from_fields(document)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"malformed provenance record: {exc}") from exc
-        record.dependencies = copy_json(record.dependencies)
-        record.metadata = copy_json(record.metadata)
-        return record
-
-    @classmethod
-    def _from_fields(cls, data: Any) -> "ProvenanceRecord":
-        if not isinstance(data, dict):
-            raise TypeError(f"expected a JSON object, got {type(data).__name__}")
-        dependencies = data.get("dependencies") or []
-        metadata = data.get("metadata") or {}
-        if not isinstance(dependencies, list) or not isinstance(metadata, dict):
-            raise TypeError("dependencies must be a list and metadata an object")
-        get = data.get
-        return cls(
-            get("key", ""),
-            get("checksum", ""),
-            get("location", ""),
-            get("creator", ""),
-            get("organization", ""),
-            get("certificate_fingerprint", ""),
-            dependencies,
-            metadata,
-            float(get("timestamp", 0.0)),
-            int(get("size_bytes", 0)),
-        )
+        return cls(*record_fields(document))
 
     def matches_checksum(self, checksum: str) -> bool:
         """Whether ``checksum`` equals this record's checksum."""

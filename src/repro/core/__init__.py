@@ -11,7 +11,7 @@ paper (the x86-64 desktop setup and the Raspberry Pi edge setup) with one
 call each.
 """
 
-from repro.core.client import HyperProvClient, PostResult, DataResult, QueryResult
+from repro.core.client import HyperProvClient, DataResult, QueryResult
 from repro.core.topology import (
     HyperProvDeployment,
     DeploymentSpec,
@@ -23,7 +23,6 @@ from repro.core.watcher import FileWatcher, WatchedChange
 
 __all__ = [
     "HyperProvClient",
-    "PostResult",
     "DataResult",
     "QueryResult",
     "HyperProvDeployment",

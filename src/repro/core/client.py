@@ -19,11 +19,11 @@ Operator              Behaviour
 ``store.history``     Every recorded version of a key (``get_key_history``).
 ``store.verify``      Verify a checksum or raw data against the chain
                       (``check_hash``).
+``store.query``       Rich query over record fields.
 ``get_data``          Resolve the on-chain pointer, fetch the data off-chain
                       and verify its checksum against the chain.
 ``get_dependencies``  The dependency list of a key's latest record.
 ``get_by_range``      Records in a key range (optionally paginated).
-``query_records``     Rich query over record fields.
 ``get_lineage``       Full OPM lineage report built from committed history.
 ====================  =======================================================
 """
@@ -34,22 +34,21 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
+from repro.api.protocol import RecordView
 from repro.chaincode.records import ProvenanceRecord
 from repro.common.errors import (
     ChaincodeError,
     ChecksumMismatchError,
-    IncompleteTransactionError,
     NotFoundError,
     ValidationError,
 )
 from repro.common.events import Subscription
 from repro.common.hashing import checksum_of
 from repro.common.metrics import MetricsRegistry
-from repro.common.serialization import copy_json
+from repro.common.tenancy import strip_namespace
 from repro.fabric.network import FabricNetwork
 from repro.fabric.proposal import ProposalResponse, TransactionHandle
 from repro.ledger.history import HistoryEntry
-from repro.ledger.scan import ScanPage
 from repro.middleware.base import TransactionPipeline
 from repro.middleware.cache import ReadCacheMiddleware
 from repro.middleware.config import PipelineConfig, build_client_pipeline
@@ -63,50 +62,22 @@ from repro.storage.sshfs import SSHFSStorageBackend
 
 @dataclass
 class QueryResult:
-    """Outcome of a read-only operation."""
+    """Outcome of ``get_by_range`` / ``get_dependencies``."""
 
     payload: Any
     latency_s: float
     #: Resume token of a paginated read (``None`` = last page / unpaginated).
     bookmark: Optional[str] = None
-    #: The planner's access-path report, when the query asked to explain.
-    plan: Optional[Dict[str, Any]] = None
     #: Degraded-mode marker: the peer was unreachable and this result was
     #: served from the client's last-known-good archive (``stale_reads``).
     stale: bool = False
 
 
 @dataclass
-class PostResult:
-    """Outcome of a provenance-recording operation."""
-
-    handle: TransactionHandle
-    record: ProvenanceRecord
-    storage_receipt: Optional[StorageReceipt] = None
-
-    @property
-    def total_latency_s(self) -> float:
-        """Storage + on-chain latency as observed by the caller.
-
-        Contract: only defined once the transaction has committed (drain
-        the deployment, or wait for ``handle.on_complete``).  Raises
-        :class:`~repro.common.errors.IncompleteTransactionError` while the
-        handle is still in flight instead of silently propagating ``nan``.
-        """
-        if not self.handle.is_complete:
-            raise IncompleteTransactionError(
-                f"transaction {self.handle.tx_id} has not committed yet; drain the "
-                f"network (or use handle.on_complete) before reading total_latency_s"
-            )
-        storage = self.storage_receipt.duration_s if self.storage_receipt else 0.0
-        return storage + self.handle.latency_s
-
-
-@dataclass
 class DataResult:
     """Outcome of ``get_data``: record, bytes and verification status."""
 
-    record: ProvenanceRecord
+    record: RecordView
     data: bytes
     verified: bool
     latency_s: float
@@ -291,99 +262,7 @@ class HyperProvClient:
             channel.msp.require_valid_certificate(self._context.identity.certificate)
         return True
 
-    # ------------------------------------------------------------------ post
-    def _post(
-        self,
-        operation: str,
-        key: str,
-        checksum: str,
-        location: str,
-        dependencies: Optional[List[str]] = None,
-        metadata: Optional[Dict[str, Any]] = None,
-        size_bytes: int = 0,
-        at_time: Optional[float] = None,
-    ) -> PostResult:
-        """Shared ``set``-invoke body; ``operation`` labels metrics/traces."""
-        dependencies = dependencies or []
-        metadata = metadata or {}
-        args = [
-            key,
-            checksum,
-            location,
-            json.dumps(dependencies),
-            json.dumps(metadata, sort_keys=True),
-            str(size_bytes),
-        ]
-        handle = self._invoke(operation, "set", args, at_time=at_time)
-        record = ProvenanceRecord(
-            key=key,
-            checksum=checksum,
-            location=location,
-            creator=self._context.identity.name,
-            organization=self._context.identity.organization,
-            certificate_fingerprint=self._context.identity.certificate.fingerprint,
-            dependencies=list(dependencies),
-            metadata=dict(metadata),
-            size_bytes=size_bytes,
-        )
-        self.metrics.counter("post").inc()
-        return PostResult(handle=handle, record=record)
-
-    # ------------------------------------------------------------------- get
-    def _get(self, key: str, at_time: Optional[float] = None) -> QueryResult:
-        """Latest provenance record for ``key``."""
-        response, latency, ctx = self._query("get", "get", [key], at_time=at_time)
-        if not response.is_ok or response.payload is None:
-            raise NotFoundError(response.message or f"key {key!r} not found")
-        self.metrics.histogram("get_latency_s").observe(latency)
-        return QueryResult(
-            payload=ProvenanceRecord.from_json(response.payload),
-            latency_s=latency,
-            stale=ctx.stale,
-        )
-
-    def _get_key_history(self, key: str, at_time: Optional[float] = None) -> QueryResult:
-        """Every recorded version of ``key`` (oldest first)."""
-        response, latency, ctx = self._query(
-            "get_key_history", "getkeyhistory", [key], at_time=at_time
-        )
-        if not response.is_ok or response.payload is None:
-            raise NotFoundError(response.message or f"no history for key {key!r}")
-        entries = json.loads(response.payload)
-        records = []
-        for entry in entries:
-            if entry.get("is_delete") or not entry.get("value"):
-                records.append({"tx_id": entry["tx_id"], "deleted": True})
-            else:
-                records.append(
-                    {
-                        "tx_id": entry["tx_id"],
-                        "block": entry["block"],
-                        "record": ProvenanceRecord.from_json(entry["value"]),
-                    }
-                )
-        self.metrics.histogram("history_latency_s").observe(latency)
-        return QueryResult(payload=records, latency_s=latency, stale=ctx.stale)
-
-    def _check_hash(
-        self,
-        key: str,
-        data_or_checksum: Any,
-        at_time: Optional[float] = None,
-    ) -> QueryResult:
-        """Verify data (or a precomputed checksum) against the on-chain record."""
-        if isinstance(data_or_checksum, (bytes, bytearray)):
-            checksum = checksum_of(data_or_checksum)
-        else:
-            checksum = str(data_or_checksum)
-        response, latency, ctx = self._query(
-            "check_hash", "checkhash", [key, checksum], at_time=at_time
-        )
-        if not response.is_ok or response.payload is None:
-            raise NotFoundError(response.message or f"key {key!r} not found")
-        matches = json.loads(response.payload)["matches"]
-        return QueryResult(payload=bool(matches), latency_s=latency, stale=ctx.stale)
-
+    # ------------------------------------------------- beyond the protocol
     def get_dependencies(self, key: str, at_time: Optional[float] = None) -> QueryResult:
         """Dependency list of the latest record for ``key``."""
         response, latency, ctx = self._query(
@@ -391,64 +270,11 @@ class HyperProvClient:
         )
         if not response.is_ok or response.payload is None:
             raise NotFoundError(response.message or f"key {key!r} not found")
-        return QueryResult(
-            payload=json.loads(response.payload), latency_s=latency, stale=ctx.stale
-        )
-
-    def query_records(
-        self,
-        selector: Dict[str, Any],
-        at_time: Optional[float] = None,
-        limit: Optional[int] = None,
-        bookmark: Optional[str] = None,
-        explain: bool = False,
-    ) -> QueryResult:
-        """Rich query: records whose fields match ``selector``.
-
-        Examples: ``{"creator": "camera-gw"}``, ``{"organization": "org2"}``,
-        ``{"metadata.station": "tromso-01"}``, ``{"dependencies": "raw/a"}``.
-
-        ``limit``/``bookmark`` page through the matches — pass the returned
-        :attr:`QueryResult.bookmark` back to resume; ``None`` means the
-        last page.  ``explain=True`` additionally surfaces the planner's
-        access-path report in :attr:`QueryResult.plan`.
-        """
-        request = dict(selector)
-        if limit is not None:
-            request["_limit"] = limit
-        if bookmark is not None:
-            request["_bookmark"] = bookmark
-        if explain:
-            request["_explain"] = True
-        response, latency, ctx = self._query(
-            "query_records", "query", [json.dumps(request, sort_keys=True)],
-            at_time=at_time,
-        )
-        if not response.is_ok or response.scan is None:
-            raise ChaincodeError(response.message or "rich query failed")
-        self.metrics.histogram("query_latency_s").observe(latency)
-        return self._scan_result(response.scan, latency, ctx)
-
-    @staticmethod
-    def _scan_result(page: ScanPage, latency: float, ctx: Context) -> QueryResult:
-        """Decode a scan's rows: one record per committed version.
-
-        Each record is built from the version's already-parsed document
-        and owns its containers — the caller is another machine, whatever
-        it does to a result changes no peer's state and no later answer.
-        """
-        records = [
-            {"key": row.key, "record": ProvenanceRecord.from_document(row.document)}
-            for row in page.rows
-            if not row.key.startswith("__")
-        ]
-        return QueryResult(
-            payload=records,
-            latency_s=latency,
-            bookmark=page.bookmark,
-            plan=copy_json(page.plan),
-            stale=ctx.stale,
-        )
+        dependencies = json.loads(response.payload)
+        tenant = self.pipeline_config.tenant
+        if tenant:
+            dependencies = [strip_namespace(tenant, dep) for dep in dependencies]
+        return QueryResult(payload=dependencies, latency_s=latency, stale=ctx.stale)
 
     def on_provenance_recorded(self, callback) -> Subscription:
         """Subscribe to the chaincode event emitted on every committed ``set``.
@@ -488,9 +314,15 @@ class HyperProvClient:
         )
         if not response.is_ok or response.scan is None:
             raise ChaincodeError(response.message or "range query failed")
-        return self._scan_result(response.scan, latency, ctx)
+        views = self.as_store().row_views(response.scan, ctx.stale)
+        return QueryResult(
+            payload=[{"key": view.key, "record": view} for view in views],
+            latency_s=latency,
+            bookmark=response.scan.bookmark,
+            stale=ctx.stale,
+        )
 
-    # ------------------------------------------------------------ store_data
+    # -------------------------------------------------------------- off-chain
     def _require_storage(self) -> ContentAddressedStore:
         if self.storage is None:
             raise ValidationError(
@@ -498,59 +330,27 @@ class HyperProvClient:
             )
         return self.storage
 
-    def _store_data(
-        self,
-        key: str,
-        data: bytes,
-        dependencies: Optional[List[str]] = None,
-        metadata: Optional[Dict[str, Any]] = None,
-        at_time: Optional[float] = None,
-    ) -> PostResult:
-        """Store ``data`` off-chain and record its provenance on chain.
-
-        This is the operator exercised by Fig. 1 / Fig. 2: its cost includes
-        the checksum computation, the transfer to the storage node and the
-        on-chain transaction.
-        """
+    def _put_payload(self, data: bytes, at_time: Optional[float] = None) -> StorageReceipt:
+        """Store ``data`` off-chain; its record is posted at ``receipt.completed_at``."""
         storage = self._require_storage()
         start = self.network.engine.now if at_time is None else at_time
-        receipt = self._store_payload(storage, data, start)
-        post = self._post(
-            "store_data",
-            key=key,
-            checksum=receipt.checksum,
-            location=receipt.location,
-            dependencies=dependencies,
-            metadata=metadata,
-            size_bytes=len(data),
-            at_time=receipt.completed_at,
-        )
-        self.metrics.counter("store_data").inc()
-        self.metrics.histogram("store_data_bytes").observe(len(data))
-        return PostResult(handle=post.handle, record=post.record, storage_receipt=receipt)
-
-    def _store_payload(
-        self, storage: ContentAddressedStore, data: bytes, at_time: float
-    ) -> StorageReceipt:
-        backend = storage.backend
-        if isinstance(backend, SSHFSStorageBackend):
+        if isinstance(storage.backend, SSHFSStorageBackend):
             return storage.put(
                 data,
-                at_time=at_time,
+                at_time=start,
                 client_device=self._context.device,
                 client_node=self._context.host_node,
             )
-        return storage.put(data, at_time=at_time)
+        return storage.put(data, at_time=start)
 
     def get_data(self, key: str, at_time: Optional[float] = None) -> DataResult:
         """Fetch the data behind ``key`` from off-chain storage and verify it."""
         storage = self._require_storage()
         start = self.network.engine.now if at_time is None else at_time
-        query = self._get(key, at_time=start)
-        record: ProvenanceRecord = query.payload
+        record = self.as_store().get(key, at_time=start)
 
         backend = storage.backend
-        fetch_start = start + query.latency_s
+        fetch_start = start + record.latency_s
         if isinstance(backend, SSHFSStorageBackend):
             receipt = storage.get(
                 record.checksum,
@@ -574,7 +374,7 @@ class HyperProvClient:
             data=obj.data,
             verified=verified,
             latency_s=latency,
-            timings={"chain_s": query.latency_s, "storage_s": receipt.duration_s},
+            timings={"chain_s": record.latency_s, "storage_s": receipt.duration_s},
         )
 
     # -------------------------------------------------------------- lineage

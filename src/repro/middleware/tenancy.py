@@ -24,7 +24,11 @@ import json
 from dataclasses import replace
 from typing import Any, Optional
 
-from repro.common.errors import AdmissionRejectedError, ConfigurationError
+from repro.common.errors import (
+    AdmissionRejectedError,
+    ConfigurationError,
+    ValidationError,
+)
 from repro.common.metrics import MetricsRegistry
 # ``repro.common.tenancy`` is the canonical home; the two helpers this
 # module does not use itself are re-exported for its importers.
@@ -34,8 +38,10 @@ from repro.common.tenancy import tenant_namespace
 from repro.middleware.base import Handler, Middleware
 from repro.middleware.context import Context
 
-#: Read functions whose first argument is the single ledger key they touch.
-KEY_SCOPED_FUNCTIONS = frozenset({"get", "getkeyhistory", "checkhash", "getdependencies"})
+#: Functions whose first argument is the single ledger key they touch.
+KEY_SCOPED_FUNCTIONS = frozenset(
+    {"get", "getkeyhistory", "checkhash", "getdependencies", "delete"}
+)
 
 #: Upper bound used to close an open-ended range within a tenant namespace.
 _RANGE_END_SENTINEL = "~"
@@ -65,21 +71,34 @@ class TenantPrefixMiddleware(Middleware):
 
     # ------------------------------------------------------------ rewriting
     def _rewrite_args(self, ctx: Context) -> None:
-        if ctx.function == "set" and ctx.args:
-            ctx.args[0] = self.prefix + ctx.args[0]
-            if len(ctx.args) > 3:
-                ctx.args[3] = self._prefix_dependency_json(ctx.args[3])
-        elif ctx.function in KEY_SCOPED_FUNCTIONS and ctx.args:
-            ctx.args[0] = self.prefix + ctx.args[0]
-        elif ctx.function == "getbyrange" and len(ctx.args) >= 2:
-            ctx.args[0] = self.prefix + ctx.args[0]
-            # An empty end key means "unbounded"; bound it to the namespace.
-            ctx.args[1] = self.prefix + (ctx.args[1] or _RANGE_END_SENTINEL)
-            # Paginated form: the resume bookmark is a (tenant-relative) key.
-            if len(ctx.args) > 3 and ctx.args[3]:
-                ctx.args[3] = self.prefix + ctx.args[3]
-        elif ctx.function == "query" and ctx.args:
-            ctx.args[0] = self._namespace_selector_prefix(ctx.args[0])
+        """Namespace every key argument; too-short args go down for the chaincode to reject."""
+        function, args = ctx.function, ctx.args
+        if function == "set":
+            if args:
+                args[0] = self.prefix + args[0]
+                if len(args) > 3:
+                    args[3] = self._prefix_dependency_json(args[3])
+        elif function in KEY_SCOPED_FUNCTIONS:
+            if args:
+                args[0] = self.prefix + args[0]
+        elif function == "getbyrange":
+            if len(args) >= 2:
+                args[0] = self.prefix + args[0]
+                # An empty end key means "unbounded"; bound it to the namespace.
+                args[1] = self.prefix + (args[1] or _RANGE_END_SENTINEL)
+                # Paginated form: the resume bookmark is a (tenant-relative) key.
+                if len(args) > 3 and args[3]:
+                    args[3] = self.prefix + args[3]
+        elif function == "query":
+            if args:
+                args[0] = self._namespace_selector_prefix(args[0])
+        else:
+            # Fail closed: an unrewritten key would address the global
+            # namespace from inside the tenant's pipeline.
+            raise ValidationError(
+                f"tenant {self.tenant!r} pipeline has no namespace rule for "
+                f"chaincode function {function!r}"
+            )
 
     def _namespace_selector_prefix(self, encoded: str) -> str:
         """Scope a rich-query selector's reserved ``_prefix`` to the tenant.

@@ -11,7 +11,6 @@ from __future__ import annotations
 import pytest
 
 from repro.api import HyperProvService, ProvenanceStore, StoreRequest
-from repro.api.adapters import CentralDbStore, HyperProvStore, PowChainStore, adapt_store
 from repro.baselines.centraldb import CentralProvenanceDatabase
 from repro.baselines.provchain import PowProvenanceChain
 from repro.common.errors import (
@@ -50,6 +49,7 @@ def store(request) -> ProvenanceStore:
 def test_adapters_satisfy_the_protocol(store):
     assert isinstance(store, ProvenanceStore)
     assert store.backend_name in BACKENDS
+    assert store.backend.as_store() is store  # one adapter per backend, cached
 
 
 def test_store_then_get_roundtrip(store):
@@ -179,24 +179,10 @@ def test_hyperprov_submit_is_nonblocking_and_result_gated():
     assert handle.result().latency_s > 0
 
 
-def test_adapt_store_dispatches_and_caches():
-    device = DeviceModel("srv", XEON_E5_1603, rng=DeterministicRandom(7))
-    database = CentralProvenanceDatabase(server_device=device)
-    assert isinstance(adapt_store(database), CentralDbStore)
-    assert database.as_store() is database.as_store()
-
-    deployment = build_desktop_deployment(seed=42)
-    assert isinstance(adapt_store(deployment.client), HyperProvStore)
-
-    miner = DeviceModel("m", RASPBERRY_PI_3B_PLUS, rng=DeterministicRandom(8))
-    chain = PowProvenanceChain(miner, difficulty_bits=8, rng=DeterministicRandom(9))
-    assert isinstance(adapt_store(chain), PowChainStore)
-
-
 def test_post_result_total_latency_contract(desktop_deployment):
     store = desktop_deployment.client.as_store()
-    post = store.submit(StoreRequest(key="latency/1", data=b"x")).raw
+    post = store.submit(StoreRequest(key="latency/1", data=b"x"))
     with pytest.raises(IncompleteTransactionError):
-        _ = post.total_latency_s
+        _ = post.latency_s
     desktop_deployment.drain()
-    assert post.total_latency_s > 0
+    assert post.latency_s == post.storage_receipt.duration_s + post.handle.latency_s > 0

@@ -11,7 +11,11 @@ heap with the peers.  These tests pin the boundary the row path crosses:
 * the tenant filter and the shard merge hold on the rows themselves — a
   tenant's merged page on a 4-shard router equals the single-shard page,
   carries nobody else's row, and its bookmarks resume without overlap;
-* a tenant session's views carry no namespaced string anywhere.
+* a tenant session's views — and its client's leftover operators — carry
+  no namespaced string anywhere;
+* a read builds one ``RecordView`` per returned row and nothing else per
+  row, and a committed value that is not a well-typed record fails (or is
+  skipped) the same way on every read.
 """
 
 from __future__ import annotations
@@ -21,7 +25,9 @@ import json
 
 import pytest
 
-from repro.api import HyperProvService
+from repro.api import HyperProvService, RecordView, StoreRequest
+from repro.chaincode.records import ProvenanceRecord
+from repro.common.errors import ValidationError
 from repro.common.hashing import checksum_of
 from repro.core.topology import build_desktop_deployment
 from repro.middleware.config import PipelineConfig
@@ -52,8 +58,8 @@ def _documents(deployment) -> dict:
     }
 
 
-def _flat(page) -> list:
-    return [dataclasses.asdict(view) | {"latency_s": 0.0} for view in page.records]
+def _flat(views) -> list:
+    return [dataclasses.asdict(view) | {"latency_s": 0.0} for view in views]
 
 
 # ---------------------------------------------------------------- isolation
@@ -72,13 +78,12 @@ def test_mutating_returned_views_and_records_moves_nothing(service, desktop_depl
         view.metadata["hot"] = "tampered"
         view.metadata["nested"]["tags"].append("tampered")
         view.metadata.clear()
-    for row in client.query_records(selector, limit=10).payload:
-        row["record"].dependencies.append("tampered")
-        row["record"].metadata["nested"]["tags"].clear()
-        row["record"].metadata["extra"] = True
+    for view in client.as_store().query(selector, limit=10).records:
+        view.metadata["nested"]["tags"].clear()
+        view.metadata["extra"] = True
     for row in client.get_by_range("scan/item", "scan/item~").payload:
-        row["record"].dependencies.clear()
         row["record"].metadata["nested"]["tags"].append("tampered")
+        row["record"].metadata.clear()
     explained = session.query(selector, limit=10, explain=True)
     explained.plan["residual_fields"].append("tampered")
     explained.plan.clear()
@@ -104,7 +109,7 @@ def test_mutating_returned_views_and_records_moves_nothing(service, desktop_depl
     # The range answer was private too.
     ranged = client.get_by_range("scan/item", "scan/item~").payload
     assert len(ranged) == 6
-    assert all(row["record"].dependencies == ["scan/raw"] for row in ranged)
+    assert all(row["record"].dependencies == ("scan/raw",) for row in ranged)
     assert ranged[0]["record"].metadata["nested"]["tags"] == ["a", 0]
 
 
@@ -168,6 +173,111 @@ def test_json_calls_of_a_query_do_not_grow_with_the_rows_returned(service, monke
     assert narrow == wide and wide["loads"] == 0
 
 
+# ------------------------------------------------------- construction count
+def _constructions(monkeypatch, action) -> dict:
+    """How many views and records ``action`` builds (every way there is to build one)."""
+    built = {"views": 0, "records": 0}
+    view_init, record_init = RecordView.__init__, ProvenanceRecord.__init__
+    from_document = RecordView.from_document.__func__
+
+    def counting_view_init(self, *args, **kwargs):
+        built["views"] += 1
+        view_init(self, *args, **kwargs)
+
+    def counting_from_document(cls, *args, **kwargs):
+        built["views"] += 1
+        return from_document(cls, *args, **kwargs)
+
+    def counting_record_init(self, *args, **kwargs):
+        built["records"] += 1
+        record_init(self, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(RecordView, "__init__", counting_view_init)
+        patch.setattr(RecordView, "from_document", classmethod(counting_from_document))
+        patch.setattr(ProvenanceRecord, "__init__", counting_record_init)
+        action()
+    return built
+
+
+@pytest.mark.parametrize("tenant", [None, "acme"])
+def test_a_read_builds_one_view_per_row_and_no_record_per_row(service, monkeypatch, tenant):
+    session = service.session(tenant=tenant)
+    for index in range(60):
+        for version in range(4 if index == 0 else 1):
+            session.submit(
+                f"count/{index:02d}", checksum=checksum_of(f"{index}.{version}".encode()),
+                location=f"ext://count/{index}", metadata={"hot": True},
+            )
+            session.drain()
+    selector = {"_prefix": "count/", "metadata.hot": True}
+    for reader in (session, session.backend):
+        answers = []
+        built = {
+            rows: _constructions(
+                monkeypatch, lambda: answers.append(reader.query(selector, limit=rows))
+            )
+            for rows in (5, 50)
+        }
+        assert [len(page) for page in answers] == [5, 50]
+        assert (built[5]["views"], built[50]["views"]) == (5, 50)
+        # The peer's chaincode may build records of its own; none per returned row.
+        assert built[5]["records"] == built[50]["records"]
+
+        built = {
+            key: _constructions(monkeypatch, lambda: answers.append(reader.history(key)))
+            for key in ("count/01", "count/00")
+        }
+        assert [len(history.records) for history in answers[2:]] == [1, 4]
+        assert (built["count/01"]["views"], built["count/00"]["views"]) == (1, 4)
+        assert built["count/01"]["records"] == built["count/00"]["records"]
+
+        built = _constructions(monkeypatch, lambda: reader.get("count/00"))
+        assert built == {"views": 1, "records": 0}
+
+
+# --------------------------------------------------------- malformed values
+def _malformed(document: dict) -> dict:
+    """Committed values that are not well-typed records, by what is wrong."""
+    def broken(**fields):
+        return json.dumps({**document, "key": "bad/x", **fields}, sort_keys=True)
+
+    return {
+        "not JSON": "not json",
+        "not an object": "[1, 2]",
+        "dependencies not a list": broken(dependencies="bad/good"),
+        "metadata not an object": broken(metadata=[1]),
+        "non-numeric timestamp": broken(timestamp="soon"),
+        "non-numeric size_bytes": broken(size_bytes="big"),
+        "null size_bytes": broken(size_bytes=None),
+    }
+
+
+def test_a_value_that_is_not_a_well_typed_record_fails_every_read_alike(desktop_deployment):
+    """Put straight into the peers' state: no chaincode ``set`` would commit these."""
+    client = desktop_deployment.client
+    store = client.as_store()
+    store.store(StoreRequest(key="bad/good", data=b"fine"))
+    document = json.loads(desktop_deployment.peers[0].world_state.get_value("bad/good"))
+    reads = {
+        "get": lambda: store.get("bad/x"),
+        "history": lambda: store.history("bad/x"),
+        "query": lambda: store.query({"creator": "hyperprov-client"}),
+        "get_by_range": lambda: client.get_by_range("bad/", "bad/~"),
+    }
+    for version, (what, value) in enumerate(_malformed(document).items(), start=1):
+        for peer in desktop_deployment.peers:
+            peer.world_state.put("bad/x", value, (90 + version, 0))
+            peer.history.record("bad/x", f"tx-bad-{version}", 90 + version, 0, 1.0, value)
+        for name, read in reads.items():
+            if name == "query" and what in ("not JSON", "not an object"):
+                # The chaincode's selector match skips what has no document.
+                assert [view.key for view in read().records] == ["bad/good"], what
+                continue
+            with pytest.raises(ValidationError, match="malformed provenance record"):
+                read()
+
+
 # ------------------------------------------------------- tenants and shards
 TENANTS = ("acme", "globex", "initech")
 
@@ -226,7 +336,7 @@ def test_the_tenant_filter_holds_on_rows_a_selector_cannot_scope():
     acme = sessions["acme"]
     client = acme.backend.client
     response, _latency, _ctx = client._query(
-        "query_records", "query", [json.dumps({"metadata.hot": True})]
+        "query", "query", [json.dumps({"metadata.hot": True})]
     )
     assert [row.key for row in response.scan.rows] == [
         f"tenant/acme/scan/item-{index:02d}" for index in range(0, 9, 2)
@@ -274,5 +384,15 @@ def test_no_string_reachable_from_a_tenant_sessions_views_is_namespaced(service)
         acme.query({"_prefix": "a/"}),
         acme.query({"metadata.hot": True}, limit=1),
     ]
+    # The store answers what the session answers; the client's leftover
+    # operators answer in the same namespace-free keys.
+    client = acme.backend.client
+    direct = acme.backend.get("a/derived")
+    assert dataclasses.asdict(direct) | {"latency_s": 0.0} == _flat([view])[0]
+    dependencies = client.get_dependencies("a/derived")
+    ranged = client.get_by_range("", "")
+    assert dependencies.payload == ["a/raw"]
+    assert [row["key"] for row in ranged.payload] == ["a/derived", "a/raw"]
+    answers += [direct, dependencies, ranged]
     leaked = [text for answer in answers for text in _strings(answer) if "tenant/" in text]
     assert leaked == []

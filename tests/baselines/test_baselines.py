@@ -60,7 +60,7 @@ def test_pow_chain_missing_key(pow_chain):
 def test_pow_chain_mining_pegs_the_cpu(pow_chain, miner):
     result = _store(pow_chain, "item/1", b"x")
     assert miner.busy_time(component="cpu") > 0
-    assert result.raw.entry.mined_in_s >= 0
+    assert result.ok and pow_chain._get("item/1").mined_in_s >= 0
 
 
 def test_pow_chain_detects_tampering(pow_chain):

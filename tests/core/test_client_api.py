@@ -8,8 +8,7 @@ remaining operator-specific extensions (``get_data``, ``get_dependencies``,
 
 import pytest
 
-from repro.api.protocol import StoreRequest
-from repro.chaincode.records import ProvenanceRecord
+from repro.api.protocol import RecordView, StoreRequest
 from repro.common.errors import ChaincodeError, NotFoundError, ValidationError
 from repro.common.hashing import checksum_of
 from repro.core.client import HyperProvClient
@@ -142,7 +141,7 @@ def test_get_by_range_excludes_internal_keys(desktop_deployment):
     desktop_deployment.drain()
     rows = client.get_by_range("range/", "range/~").payload
     assert [row["key"] for row in rows] == ["range/a", "range/b"]
-    assert all(isinstance(row["record"], ProvenanceRecord) for row in rows)
+    assert all(isinstance(row["record"], RecordView) for row in rows)
 
 
 def test_get_missing_key_raises(desktop_deployment):

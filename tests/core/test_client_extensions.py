@@ -20,14 +20,14 @@ def test_query_records_by_creator_and_metadata(desktop_deployment):
     store.submit(StoreRequest(key="q/b", data=b"b", metadata={"station": "oslo-02"}))
     desktop_deployment.drain()
 
-    by_creator = client.query_records({"creator": "hyperprov-client"}).payload
-    assert {row["key"] for row in by_creator} == {"q/a", "q/b"}
+    by_creator = store.query({"creator": "hyperprov-client"}).records
+    assert {view.key for view in by_creator} == {"q/a", "q/b"}
 
-    by_station = client.query_records({"metadata.station": "tromso-01"}).payload
-    assert [row["key"] for row in by_station] == ["q/a"]
+    by_station = store.query({"metadata.station": "tromso-01"}).records
+    assert [view.key for view in by_station] == ["q/a"]
 
-    none = client.query_records({"creator": "nobody"}).payload
-    assert none == []
+    none = store.query({"creator": "nobody"}).records
+    assert none == ()
 
 
 def test_query_records_by_dependency(desktop_deployment):
@@ -37,8 +37,8 @@ def test_query_records_by_dependency(desktop_deployment):
     desktop_deployment.drain()
     store.submit(StoreRequest(key="q/derived", data=b"derived", dependencies=("q/raw",)))
     desktop_deployment.drain()
-    rows = client.query_records({"dependencies": "q/raw"}).payload
-    assert [row["key"] for row in rows] == ["q/derived"]
+    rows = store.query({"dependencies": "q/raw"}).records
+    assert [view.key for view in rows] == ["q/derived"]
 
 
 def test_query_records_rejects_bad_selector(desktop_deployment):
@@ -46,7 +46,7 @@ def test_query_records_rejects_bad_selector(desktop_deployment):
     client.as_store().submit(StoreRequest(key="q/x", data=b"x"))
     desktop_deployment.drain()
     with pytest.raises(ChaincodeError):
-        client.query_records({})
+        client.as_store().query({})
 
 
 # ------------------------------------------------------------ access control

@@ -69,7 +69,7 @@ def test_rich_query_fans_out_and_merges(sharded):
     for i in range(10):
         session.submit(f"rich/{i}", b"x", metadata={"kind": "demo"})
     session.drain()
-    rows = sharded.client.query_records({"metadata.kind": "demo"}).payload
+    rows = sharded.client.as_store().query({"metadata.kind": "demo"}).records
     assert len(rows) == 10
 
 

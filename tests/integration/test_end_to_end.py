@@ -79,6 +79,7 @@ def test_history_survives_world_state_deletion(desktop_deployment):
     history = store.history("ephemeral/1")
     assert len(history) == 2
     assert history.entries[-1].deleted is True
+    assert history.entries[-1].block == handle.commit_block > history.entries[0].block
 
 
 def test_partitioned_peer_misses_blocks_and_no_endorsement_majority_fails():

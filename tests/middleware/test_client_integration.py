@@ -17,7 +17,7 @@ class TestClientPipeline:
         store.history("ops/a")
         store.verify("ops/a", b"a")
         client.get_dependencies("ops/a")
-        client.query_records({"creator": "hyperprov-client"})
+        store.query({"creator": "hyperprov-client"})
         client.get_by_range("ops/", "ops/~")
         counters = {
             name.split("ops.")[-1]
@@ -26,7 +26,7 @@ class TestClientPipeline:
         }
         assert {
             "store_data", "get", "get_key_history", "check_hash",
-            "get_dependencies", "query_records", "get_by_range",
+            "get_dependencies", "query", "get_by_range",
         } <= counters
 
     def test_stage_breakdown_recorded_for_writes(self, desktop_deployment):

@@ -272,23 +272,38 @@ def test_tenant_prefix_scopes_rich_query_prefix_selector():
 
     middleware = TenantPrefixMiddleware("acme")
 
-    scoped = make_ctx(
-        "query", args=[json.dumps({"_prefix": "sensor/", "creator": "x"})],
-        operation="query_records",
-    )
+    scoped = make_ctx("query", args=[json.dumps({"_prefix": "sensor/", "creator": "x"})])
     middleware._rewrite_args(scoped)
     assert json.loads(scoped.args[0])["_prefix"] == "tenant/acme/sensor/"
 
     # Without an explicit _prefix the scan is scoped to the whole tenant
     # namespace, so candidate selection skips other tenants' keys.
-    unscoped = make_ctx(
-        "query", args=[json.dumps({"creator": "x"})], operation="query_records"
-    )
+    unscoped = make_ctx("query", args=[json.dumps({"creator": "x"})])
     middleware._rewrite_args(unscoped)
     assert json.loads(unscoped.args[0])["_prefix"] == "tenant/acme/"
 
     # Malformed selectors pass through so the chaincode still rejects them.
     for bad in ["{not json", "{}", json.dumps({"_prefix": 7})]:
-        ctx = make_ctx("query", args=[bad], operation="query_records")
+        ctx = make_ctx("query", args=[bad])
         middleware._rewrite_args(ctx)
         assert ctx.args[0] == bad
+
+
+def test_tenant_prefix_namespaces_the_key_of_a_delete():
+    from repro.middleware.tenancy import TenantPrefixMiddleware
+
+    seen = []
+    ctx = make_ctx("delete", kind=OperationKind.WRITE, args=["doc/1"])
+    TenantPrefixMiddleware("acme").handle(ctx, lambda inner: seen.append(list(inner.args)))
+    assert seen == [["tenant/acme/doc/1"]]
+
+
+def test_tenant_prefix_refuses_a_function_it_has_no_rule_for():
+    from repro.common.errors import ValidationError
+    from repro.middleware.tenancy import TenantPrefixMiddleware
+
+    reached = []
+    ctx = make_ctx("transfer", kind=OperationKind.WRITE, args=["doc/1"])
+    with pytest.raises(ValidationError, match="no namespace rule"):
+        TenantPrefixMiddleware("acme").handle(ctx, reached.append)
+    assert reached == [] and ctx.args == ["doc/1"]

@@ -107,13 +107,11 @@ def submit_keys(deployment, keys):
 def test_client_query_pagination_walks_every_match(desktop_deployment):
     keys = [f"page/{i}" for i in range(5)]
     submit_keys(desktop_deployment, keys)
-    client = desktop_deployment.client
+    store = desktop_deployment.client.as_store()
     collected, bookmark, pages = [], None, 0
     while True:
-        result = client.query_records(
-            {"_prefix": "page/"}, limit=2, bookmark=bookmark
-        )
-        collected.extend(row["key"] for row in result.payload)
+        result = store.query({"_prefix": "page/"}, limit=2, bookmark=bookmark)
+        collected.extend(view.key for view in result.records)
         pages += 1
         if result.bookmark is None:
             break
@@ -124,10 +122,10 @@ def test_client_query_pagination_walks_every_match(desktop_deployment):
 
 def test_client_query_explain_surfaces_the_plan(desktop_deployment):
     submit_keys(desktop_deployment, ["plan/a", "plan/b"])
-    result = desktop_deployment.client.query_records(
+    result = desktop_deployment.client.as_store().query(
         {"_prefix": "plan/"}, explain=True
     )
-    assert [row["key"] for row in result.payload] == ["plan/a", "plan/b"]
+    assert [view.key for view in result.records] == ["plan/a", "plan/b"]
     assert result.plan["access_path"] == "prefix"
 
 
@@ -145,7 +143,7 @@ def test_client_get_by_range_pagination(desktop_deployment):
 
 def test_unpaginated_query_has_no_bookmark(desktop_deployment):
     submit_keys(desktop_deployment, ["solo/a"])
-    result = desktop_deployment.client.query_records({"_prefix": "solo/"})
+    result = desktop_deployment.client.as_store().query({"_prefix": "solo/"})
     assert result.bookmark is None
     assert result.plan is None
 
@@ -180,17 +178,13 @@ def test_tenant_range_bookmark_round_trips_through_the_namespace(desktop_deploym
     service.drain()
     client = session.backend.client
     first = client.get_by_range("doc/", "doc/~", limit=2)
-    # Keys come back namespaced (the session layer strips them for views),
-    # but the bookmark is already tenant-relative — clients feed it back
-    # verbatim and the tenancy middleware re-namespaces it on the way down.
-    assert [row["key"] for row in first.payload] == [
-        "tenant/acme/doc/0", "tenant/acme/doc/1"
-    ]
+    # Keys and bookmark are both tenant-relative — clients feed the
+    # bookmark back verbatim and the tenancy middleware re-namespaces it
+    # on the way down.
+    assert [row["key"] for row in first.payload] == ["doc/0", "doc/1"]
     assert first.bookmark == "doc/1"
     second = client.get_by_range("doc/", "doc/~", limit=2, bookmark=first.bookmark)
-    assert [row["key"] for row in second.payload] == [
-        "tenant/acme/doc/2", "tenant/acme/doc/3"
-    ]
+    assert [row["key"] for row in second.payload] == ["doc/2", "doc/3"]
     session.close()
 
 
@@ -207,11 +201,11 @@ def test_sharded_query_pagination_merges_to_one_global_walk(sharded):
     for key in keys:
         session.submit(key, b"x")
     session.drain()
-    client = sharded.client
+    store = sharded.client.as_store()
     collected, bookmark = [], None
     while True:
-        result = client.query_records({"_prefix": "fan/"}, limit=5, bookmark=bookmark)
-        page_keys = [row["key"] for row in result.payload]
+        result = store.query({"_prefix": "fan/"}, limit=5, bookmark=bookmark)
+        page_keys = [view.key for view in result.records]
         assert len(page_keys) <= 5
         collected.extend(page_keys)
         if result.bookmark is None:
@@ -246,7 +240,7 @@ def test_sharded_explain_reports_fan_out(sharded):
     for i in range(6):
         session.submit(f"xfan/{i}", b"x")
     session.drain()
-    result = sharded.client.query_records({"_prefix": "xfan/"}, explain=True)
+    result = sharded.client.as_store().query({"_prefix": "xfan/"}, explain=True)
     assert result.plan["fan_out"] == 2
     assert len(result.plan["shards"]) == 2
     assert result.plan["access_path"] == "prefix"

@@ -30,17 +30,20 @@ def run_workload(indexed: bool):
     deployment.drain()
     client = deployment.client
     observations = []
+    for page in [
+        store.query({"metadata.group": 1}),
+        store.query({"creator": "hyperprov-client", "metadata.hot": True}),
+        store.query({"_prefix": "vt/"}, limit=3),
+        store.query({"_prefix": "vt/"}, limit=3, bookmark="vt/2"),
+    ]:
+        observations.append((page.records, round(page.latency_s, 12), page.bookmark))
     for result in [
-        client.query_records({"metadata.group": 1}),
-        client.query_records({"creator": "hyperprov-client", "metadata.hot": True}),
-        client.query_records({"_prefix": "vt/"}, limit=3),
-        client.query_records({"_prefix": "vt/"}, limit=3, bookmark="vt/2"),
         client.get_by_range("vt/", "vt/~"),
         client.get_by_range("vt/", "vt/~", limit=4),
     ]:
         observations.append(
             (
-                [(row["key"], row["record"].to_json()) for row in result.payload],
+                [(row["key"], row["record"]) for row in result.payload],
                 round(result.latency_s, 12),
                 result.bookmark,
             )
