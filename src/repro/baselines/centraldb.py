@@ -71,7 +71,7 @@ class CentralProvenanceDatabase:
                 client_node, self.server_node, payload_bytes + 1024
             )
         write = self.server_device.disk_write_time(payload_bytes + len(record.to_json()))
-        _, cursor = self.server_device.occupy("disk", cursor, write, label="provdb-write")
+        _, cursor = self.server_device.occupy("disk", cursor, write)
         self._records.setdefault(record.key, []).append(record)
         return CentralStoreResult(record=record, latency_s=cursor - at_time, completed_at=cursor)
 

@@ -78,7 +78,7 @@ class PowProvenanceChain:
         mining_time, _full_util = self.engine.sample_mining_time(hash_rate)
         end = at_time
         for _core in range(cores):
-            _, core_end = self.miner_device.charge_cpu(at_time, mining_time, label="pow-mine")
+            _, core_end = self.miner_device.charge_cpu(at_time, mining_time)
             end = max(end, core_end)
         chain_hash = self._chain.extend(record.to_json())
         entry = PowChainEntry(

@@ -9,8 +9,9 @@ metrics stack.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 
 def percentile(samples: Sequence[float], pct: float) -> float:
@@ -66,13 +67,13 @@ class Gauge:
 
 @dataclass
 class Histogram:
-    """Stores every observation; adequate for benchmark-scale sample counts."""
+    """Stores every observation, as packed doubles (8 bytes a sample)."""
 
     name: str
-    samples: List[float] = field(default_factory=list)
+    samples: array = field(default_factory=lambda: array("d"))
 
     def observe(self, value: float) -> None:
-        self.samples.append(float(value))
+        self.samples.append(value)
 
     @property
     def count(self) -> int:

@@ -59,7 +59,9 @@ class _BoundedMemo(dict):
 #: Memoized verification outcomes keyed by (public_key, message, signature).
 #: ``verify`` is a pure function, but the same triple is re-checked by every
 #: endorsing peer (the client's proposal signature) — cache the HMAC result.
-_VERIFY_CACHE = _BoundedMemo(16384)
+#: Every re-check falls inside one endorsement fan-out, before the next
+#: triple arrives; the cap only bounds the message bytes the keys pin.
+_VERIFY_CACHE = _BoundedMemo(64)
 
 
 @lru_cache(maxsize=4096)

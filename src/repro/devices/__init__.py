@@ -23,7 +23,7 @@ from repro.devices.profiles import (
     RPI_PROFILES,
     profile_by_name,
 )
-from repro.devices.model import DeviceModel, BusyInterval
+from repro.devices.model import DeviceModel
 
 __all__ = [
     "HardwareProfile",
@@ -35,5 +35,4 @@ __all__ = [
     "RPI_PROFILES",
     "profile_by_name",
     "DeviceModel",
-    "BusyInterval",
 ]

@@ -9,29 +9,13 @@ the busy interval for energy accounting, and returns the duration.
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional, Tuple
+from array import array
+from typing import Optional, Tuple
 
+from repro.common.errors import SimulationError
 from repro.devices.profiles import HardwareProfile
 from repro.simulation.randomness import DeterministicRandom
 from repro.simulation.resources import SimResource, interval_overlap
-
-
-class BusyInterval(NamedTuple):
-    """A span of virtual time during which a component was busy.
-
-    A ``NamedTuple`` — every simulated charge appends one, so
-    construction cost is on the hot path (the energy meter reads them in
-    bulk afterwards).
-    """
-
-    start: float
-    end: float
-    component: str
-    label: str = ""
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
 
 
 class DeviceModel:
@@ -61,7 +45,10 @@ class DeviceModel:
         self.disk = SimResource(f"{name}.disk", concurrency=1)
         self.nic = SimResource(f"{name}.nic", concurrency=1)
         self._components = {"cpu": self.cpu, "disk": self.disk, "nic": self.nic}
-        self._busy_intervals: List[BusyInterval] = []
+        #: Busy spans per component as flat ``start, end, start, end, …``
+        #: doubles: every simulated charge appends one, the energy meter
+        #: reads them in bulk afterwards.
+        self._busy = {component: array("d") for component in self._components}
 
     # ------------------------------------------------------------- durations
     def _jitter(self, mean: float) -> float:
@@ -102,9 +89,7 @@ class DeviceModel:
         return self._jitter(payload_bytes / (self.profile.hash_rate_bytes_per_s * 4.0))
 
     # --------------------------------------------------------------- accrual
-    def occupy(
-        self, component: str, start: float, duration: float, label: str = ""
-    ) -> Tuple[float, float]:
+    def occupy(self, component: str, start: float, duration: float) -> Tuple[float, float]:
         """Reserve a component for ``duration`` starting no earlier than ``start``.
 
         Returns the actual ``(start, end)`` of the busy interval, which may
@@ -113,29 +98,18 @@ class DeviceModel:
         """
         resource = self._components.get(component)
         if resource is None:
-            raise ValueError(f"unknown device component {component!r}")
+            raise SimulationError(f"unknown device component {component!r}")
         if duration <= 0:
             return (start, start)
-        reservation = resource.reserve(start, duration)
-        self._busy_intervals.append(
-            BusyInterval(
-                start=reservation.start,
-                end=reservation.end,
-                component=component,
-                label=label,
-            )
-        )
-        return (reservation.start, reservation.end)
+        span = resource.reserve(start, duration)[:2]
+        self._busy[component].extend(span)
+        return span
 
-    def charge_cpu(self, start: float, duration: float, label: str = "") -> Tuple[float, float]:
+    def charge_cpu(self, start: float, duration: float) -> Tuple[float, float]:
         """Shorthand for occupying the CPU."""
-        return self.occupy("cpu", start, duration, label)
+        return self.occupy("cpu", start, duration)
 
     # ------------------------------------------------------------ accounting
-    @property
-    def busy_intervals(self) -> List[BusyInterval]:
-        return list(self._busy_intervals)
-
     def busy_time(
         self,
         window: Optional[Tuple[float, float]] = None,
@@ -145,16 +119,19 @@ class DeviceModel:
 
         Concurrent busy intervals on different cores are summed, so the
         result can exceed the window length; utilization normalizes by the
-        core count.
+        core count.  Spans are summed in the order they were charged,
+        component by component.
         """
+        logs = self._busy.values() if component is None else [self._busy.get(component, ())]
         total = 0.0
-        for interval in self._busy_intervals:
-            if component is not None and interval.component != component:
-                continue
+        for log in logs:
+            spans = zip(log[::2], log[1::2])
             if window is None:
-                total += interval.duration
+                for start, end in spans:
+                    total += end - start
             else:
-                total += interval_overlap((interval.start, interval.end), window)
+                for span in spans:
+                    total += interval_overlap(span, window)
         return total
 
     def utilization(self, window: Tuple[float, float], component: str = "cpu") -> float:
@@ -173,7 +150,8 @@ class DeviceModel:
 
     def reset_accounting(self) -> None:
         """Clear busy intervals and resource reservations (between runs)."""
-        self._busy_intervals.clear()
+        for log in self._busy.values():
+            del log[:]
         self.cpu.reset()
         self.disk.reset()
         self.nic.reset()

@@ -608,9 +608,7 @@ class FabricNetwork:
         handle.ordered_at = self.engine.now
         if shard.orderer_device is not None:
             duration = shard.orderer_device.serialization_time(transaction.size_bytes)
-            shard.orderer_device.charge_cpu(
-                self.engine.now, duration, label=f"order:{transaction.tx_id}"
-            )
+            shard.orderer_device.charge_cpu(self.engine.now, duration)
         shard.orderer.submit(transaction)
 
     # ------------------------------------------------------------- delivery
@@ -621,9 +619,7 @@ class FabricNetwork:
         sent_at = self.engine.now
         if shard.orderer_device is not None:
             duration = shard.orderer_device.serialization_time(block.size_bytes)
-            _, sent_at = shard.orderer_device.charge_cpu(
-                self.engine.now, duration, label=f"cut:{block.number}"
-            )
+            _, sent_at = shard.orderer_device.charge_cpu(self.engine.now, duration)
 
         shard_peers = shard.ordered_peers
         if self._offline_peers:
@@ -810,7 +806,7 @@ class FabricNetwork:
         )
 
         prep = context.device.sign_time() + self.config.client_overhead_s
-        _, prep_done = context.device.charge_cpu(start, prep, label=f"query:{handle.tx_id}")
+        _, prep_done = context.device.charge_cpu(start, prep)
         to_peer = self.network.estimate_transfer_time(
             context.host_node, target_name, proposal.size_bytes
         )

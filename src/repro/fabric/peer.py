@@ -264,7 +264,7 @@ class Peer:
             + self.device.chaincode_time(stub.state_operations, proposal.size_bytes)
             + self.device.sign_time()
         )
-        _, finished_at = self.device.charge_cpu(at_time, duration, label=f"endorse:{proposal.tx_id}")
+        _, finished_at = self.device.charge_cpu(at_time, duration)
 
         calls.inc()
         time_s.observe(finished_at - at_time)
@@ -387,11 +387,9 @@ class Peer:
         if self.parallel_validation:
             verify_duration /= self.device.profile.cores
         cpu_duration = verify_duration + self.device.serialization_time(block.size_bytes)
-        _, cpu_done = self.device.charge_cpu(at_time, cpu_duration, label=f"validate:{block.number}")
+        _, cpu_done = self.device.charge_cpu(at_time, cpu_duration)
         disk_duration = self.device.disk_write_time(block.size_bytes)
-        _, committed_at = self.device.occupy(
-            "disk", cpu_done, disk_duration, label=f"commit:{block.number}"
-        )
+        _, committed_at = self.device.occupy("disk", cpu_done, disk_duration)
 
         valid = validation_codes.count(TxValidationCode.VALID)
         result = CommitResult(

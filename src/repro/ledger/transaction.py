@@ -3,13 +3,15 @@
 Envelope serialization (``envelope_bytes``/``digest``/``size_bytes``) and
 rw-set digests are on the simulator's hottest path: every block cut, every
 Merkle build and every per-peer validation touches them.  Both classes
-therefore cache their canonical bytes.  The cache contract is explicit:
+therefore cache what is read of their canonical bytes — the SHA-256 and,
+for an envelope, the length; the bytes themselves are never retained.
+The cache contract is explicit:
 
 * mutations go through the mutation API (``add_read``/``add_write``),
   which invalidates the cache;
 * ``seal()`` freezes the envelope (the client seals after assembling it,
-  before ordering) — after that the cached bytes are reused forever and
-  mutation attempts fail loudly;
+  before ordering) — after that the envelope is built once, its digest
+  and size are reused forever and mutation attempts fail loudly;
 * ``tamper()`` returns a private, unsealed copy-on-write clone for
   tamper-evidence experiments, so structurally shared envelopes on other
   peers stay untouched.
@@ -261,18 +263,17 @@ class Transaction:
     #: Chaincode event emitted during endorsement, as ``(name, payload)``.
     chaincode_event: Optional[Tuple[str, str]] = None
     validation_code: TxValidationCode = TxValidationCode.VALID
-    _envelope: Optional[bytes] = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    #: SHA-256 and length of the sealed envelope, filled by its one build.
     _envelope_digest: Optional[str] = field(
         default=None, init=False, repr=False, compare=False
     )
+    _envelope_size: int = field(default=0, init=False, repr=False, compare=False)
     _sealed: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __setattr__(self, name: str, value: object) -> None:
         # Sealed envelopes are structurally shared across peers: rebinding
         # any envelope field (scalar or container) would mutate every
-        # peer's ledger at once while the cached bytes keep verifying.
+        # peer's ledger at once while the cached digest keeps verifying.
         # Only commit metadata (``validation_code``) and the private cache
         # slots stay assignable after seal().
         if (
@@ -296,12 +297,12 @@ class Transaction:
         return self._sealed
 
     def seal(self) -> "Transaction":
-        """Freeze the envelope so its canonical bytes can be cached forever.
+        """Freeze the envelope so its digest and size can be cached forever.
 
         The client seals right after assembling the envelope (nothing may
         change once it is submitted for ordering); sealing converts the
         mutable containers to tuples so accidental in-place edits fail
-        loudly instead of silently diverging from the cached bytes.
+        loudly instead of silently diverging from the cached digest.
         ``validation_code`` stays assignable — it is commit metadata, not
         part of the envelope.
         """
@@ -355,17 +356,15 @@ class Transaction:
     def envelope_bytes(self) -> bytes:
         """Canonical bytes of the full transaction envelope (hashed into blocks).
 
-        Sealed envelopes serialize exactly once and reuse the bytes;
-        unsealed ones (test fixtures, tampered clones) recompute per call
-        so in-place edits remain hash-visible.
+        Rebuilt on every call and never retained: what the ledger reads
+        of an envelope is :meth:`digest` and :attr:`size_bytes`, which a
+        sealed transaction takes from one build.
         """
-        if self._envelope is not None:
-            return self._envelope
         # Exactly ``canonical_json(self.to_dict())`` (pinned by a property
         # test), assembled from fragments: the certificates' encodings are
         # cached on the frozen certificates and the rw-set formats its
         # entry tuples directly, so no nested dict is built or walked.
-        envelope = (
+        return (
             '{"args":[%s],"chaincode":%s,"channel":%s,"creator":%s,'
             '"endorsements":[%s],"function":%s,"rw_set":%s,"timestamp":%s,"tx_id":%s}' % (
                 ",".join([_quote(arg) for arg in self.args]),
@@ -379,9 +378,18 @@ class Transaction:
                 _quote(self.tx_id),
             )
         ).encode("ascii")
+
+    def _measure(self) -> Tuple[str, int]:
+        """``(digest, size)`` of a fresh build, kept when the envelope is sealed.
+
+        Unsealed envelopes (test fixtures, tampered clones) recompute per
+        call so in-place edits remain hash-visible.
+        """
+        envelope = self.envelope_bytes()
+        digest, size = sha256_hex(envelope), len(envelope)
         if self._sealed:
-            self._envelope = envelope
-        return envelope
+            self._envelope_digest, self._envelope_size = digest, size
+        return digest, size
 
     def to_dict(self) -> Dict[str, object]:
         """The envelope as a dictionary (the reference for :meth:`envelope_bytes`)."""
@@ -398,17 +406,12 @@ class Transaction:
         }
 
     def digest(self) -> str:
-        if self._envelope_digest is not None:
-            return self._envelope_digest
-        digest = sha256_hex(self.envelope_bytes())
-        if self._sealed:
-            self._envelope_digest = digest
-        return digest
+        return self._envelope_digest or self._measure()[0]
 
     @property
     def size_bytes(self) -> int:
         """Approximate wire size of the transaction envelope."""
-        return len(self.envelope_bytes())
+        return self._envelope_size or self._measure()[1]
 
     def endorsing_organizations(self) -> List[str]:
         """Distinct organizations that endorsed this transaction."""

@@ -78,9 +78,7 @@ class BuildProposalStage(FabricStage):
             + client.device.serialization_time(state.proposal.size_bytes)
             + fabric.config.client_overhead_s
         )
-        _, state.prep_done = client.device.charge_cpu(
-            state.start, prep, label=f"prepare:{state.handle.tx_id}"
-        )
+        _, state.prep_done = client.device.charge_cpu(state.start, prep)
         return call_next(ctx)
 
 
@@ -139,9 +137,7 @@ class CollectEndorsementsStage(FabricStage):
 
         # Client verifies endorsements and assembles the envelope.
         assemble = client.device.verify_time(len(consistent)) + client.device.sign_time()
-        _, state.assembled_at = client.device.charge_cpu(
-            endorsement_done, assemble, label=f"assemble:{handle.tx_id}"
-        )
+        _, state.assembled_at = client.device.charge_cpu(endorsement_done, assemble)
 
         state.transaction = Transaction(
             tx_id=handle.tx_id,

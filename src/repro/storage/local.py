@@ -35,7 +35,7 @@ class LocalStorageBackend(StorageBackend):
             if write
             else self.device.disk_read_time(size_bytes)
         )
-        _, end = self.device.occupy("disk", at_time, duration, label="local-storage")
+        _, end = self.device.occupy("disk", at_time, duration)
         return end - at_time
 
     def store(self, path: str, data: bytes, at_time: float = 0.0) -> StorageReceipt:

@@ -63,7 +63,7 @@ class SSHFSStorageBackend(StorageBackend):
 
     # ------------------------------------------------------------------ cost
     def _client_side_cost(
-        self, client_device: Optional[DeviceModel], size_bytes: int, at_time: float, label: str
+        self, client_device: Optional[DeviceModel], size_bytes: int, at_time: float
     ) -> float:
         """Checksum + SSH encryption on the requesting device."""
         if client_device is None:
@@ -72,7 +72,7 @@ class SSHFSStorageBackend(StorageBackend):
             client_device.hash_time(size_bytes) * (1.0 + self.config.encryption_factor)
             + self.config.protocol_overhead_s
         )
-        _, end = client_device.charge_cpu(at_time, duration, label=label)
+        _, end = client_device.charge_cpu(at_time, duration)
         return end - at_time
 
     # ----------------------------------------------------------------- store
@@ -91,7 +91,7 @@ class SSHFSStorageBackend(StorageBackend):
         """
         checksum = self.checksum(data)
         cursor = at_time
-        cursor += self._client_side_cost(client_device, len(data), cursor, f"sshfs-put:{path}")
+        cursor += self._client_side_cost(client_device, len(data), cursor)
 
         if client_node is not None:
             transfer = self.network.estimate_transfer_time(
@@ -102,9 +102,7 @@ class SSHFSStorageBackend(StorageBackend):
         cursor += transfer
 
         write_duration = self.storage_device.disk_write_time(len(data))
-        _, cursor = self.storage_device.occupy(
-            "disk", cursor, write_duration, label=f"sshfs-write:{path}"
-        )
+        _, cursor = self.storage_device.occupy("disk", cursor, write_duration)
 
         self._objects[path] = StoredObject(
             path=path, data=bytes(data), checksum=checksum, stored_at=cursor
@@ -134,17 +132,13 @@ class SSHFSStorageBackend(StorageBackend):
 
         cursor = at_time
         read_duration = self.storage_device.disk_read_time(obj.size_bytes)
-        _, cursor = self.storage_device.occupy(
-            "disk", cursor, read_duration, label=f"sshfs-read:{path}"
-        )
+        _, cursor = self.storage_device.occupy("disk", cursor, read_duration)
         if client_node is not None:
             cursor += self.network.estimate_transfer_time(
                 self.config.storage_node, client_node, obj.size_bytes
             )
         if self.config.verify_on_read:
-            cursor += self._client_side_cost(
-                client_device, obj.size_bytes, cursor, f"sshfs-verify:{path}"
-            )
+            cursor += self._client_side_cost(client_device, obj.size_bytes, cursor)
             if expected_checksum is not None and expected_checksum != obj.checksum:
                 raise ChecksumMismatchError(expected_checksum, obj.checksum)
 

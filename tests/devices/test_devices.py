@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.common.errors import ConfigurationError, NotFoundError
+from repro.common.errors import ConfigurationError, NotFoundError, SimulationError
 from repro.devices.model import DeviceModel
 from repro.devices.profiles import (
     CORE_I3_2310M,
@@ -89,10 +89,17 @@ def test_chaincode_time_scales_with_state_operations(device):
 
 
 def test_occupy_records_busy_intervals(device):
-    start, end = device.charge_cpu(1.0, 0.5, label="work")
-    assert (start, end) == (1.0, 1.5)
-    assert device.busy_time(component="cpu") == pytest.approx(0.5)
-    assert device.busy_intervals[0].label == "work"
+    assert device.charge_cpu(1.0, 0.5) == (1.0, 1.5)
+    assert device.occupy("disk", 2.0, 0.25) == (2.0, 2.25)
+    # The recorded span per component, read back through windows on it.
+    assert device.busy_time(component="cpu") == 0.5
+    assert device.busy_time(window=(0.0, 1.0), component="cpu") == 0.0
+    assert device.busy_time(window=(1.25, 9.0), component="cpu") == 0.25
+    assert device.busy_time(window=(1.5, 9.0), component="cpu") == 0.0
+    assert device.busy_time(window=(2.0, 2.25), component="disk") == 0.25
+    assert device.busy_time(window=(0.0, 2.0), component="disk") == 0.0
+    assert device.busy_time(component="nic") == 0.0
+    assert device.busy_time() == 0.75
 
 
 def test_occupy_queues_when_all_cores_busy(device):
@@ -110,7 +117,7 @@ def test_occupy_zero_duration_is_noop(device):
 
 
 def test_occupy_unknown_component_rejected(device):
-    with pytest.raises(ValueError):
+    with pytest.raises(SimulationError):
         device.occupy("gpu", 0.0, 1.0)
 
 
@@ -131,7 +138,7 @@ def test_reset_accounting_clears_state(device):
     device.charge_cpu(0.0, 1.0)
     device.reset_accounting()
     assert device.busy_time() == 0.0
-    assert device.busy_intervals == []
+    assert device.cpu.next_free() == 0.0
 
 
 def test_disk_and_serialization_costs_positive(device):

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.common.errors import NotFoundError, SealedEnvelopeError, ValidationError
+from repro.common.hashing import sha256_hex
+from repro.common.serialization import canonical_json
 from repro.ledger.block import Block
 from repro.ledger.blockchain import BlockStore, GENESIS_PREVIOUS_HASH
 from repro.ledger.history import HistoryDatabase
@@ -62,13 +64,31 @@ def test_unsealed_transaction_recomputes_envelope_on_mutation():
     assert tx.digest() != before  # no stale cache on unsealed envelopes
 
 
-def test_sealed_transaction_caches_envelope_and_rejects_mutation():
+def test_sealed_transaction_caches_envelope_and_rejects_mutation(monkeypatch):
+    builds = []
+    build = Transaction.envelope_bytes
+    monkeypatch.setattr(
+        Transaction, "envelope_bytes", lambda self: builds.append(self) or build(self)
+    )
     tx = make_tx("t1")
     unsealed_digest = tx.digest()
     assert tx.seal() is tx
     assert tx.sealed and tx.rw_set.sealed
-    assert tx.digest() == unsealed_digest  # sealing does not change bytes
-    assert tx.envelope_bytes() is tx.envelope_bytes()  # compute-once
+    reference = canonical_json(tx.to_dict())
+    for _ in range(3):
+        assert tx.digest() == unsealed_digest == sha256_hex(reference)
+        assert tx.size_bytes == len(reference)
+    # One build while unsealed, one serves the sealed digest and size forever.
+    assert builds == [tx, tx]
+    assert not [name for name, value in vars(tx).items() if isinstance(value, bytes)]
+    assert tx.envelope_bytes() == reference  # on demand, not retained
+
+    clone = tx.tamper()
+    assert (clone.digest(), clone.size_bytes) == (tx.digest(), tx.size_bytes)
+    clone.args[1] = "forged-and-longer"
+    assert clone.digest() == sha256_hex(canonical_json(clone.to_dict())) != tx.digest()
+    assert clone.size_bytes == len(canonical_json(clone.to_dict())) != tx.size_bytes
+
     with pytest.raises(TypeError):
         tx.args[1] = "forged"
     with pytest.raises(SealedEnvelopeError):

@@ -7,13 +7,15 @@ from hypothesis import given, settings, strategies as st
 from repro.common.hashing import HashChain, checksum_of, sha256_hex
 from repro.common.serialization import canonical_json, from_canonical_json
 from repro.crypto.merkle import MerkleTree
+from repro.devices.model import DeviceModel
+from repro.devices.profiles import XEON_E5_1603
 from repro.ledger.block import Block
 from repro.ledger.blockchain import BlockStore
 from repro.ledger.transaction import Endorsement, ReadSetEntry, ReadWriteSet, Transaction
 from repro.ledger.world_state import WorldState
 from repro.membership.identity import Organization
 from repro.membership.policies import OutOfPolicy, SignaturePolicy
-from repro.simulation.resources import SimResource
+from repro.simulation.resources import SimResource, interval_overlap
 
 payloads = st.binary(min_size=0, max_size=256)
 keys = st.text(alphabet="abcdefghij/", min_size=1, max_size=12)
@@ -142,6 +144,58 @@ def test_resource_reservations_never_overlap_per_slot(requests, concurrency):
     assert resource.busy_time == pytest.approx(total, abs=1e-9)
 
 
+# -------------------------------------------------------------------- busy log
+_COMPONENTS = ("cpu", "disk", "nic")
+_charges = st.lists(
+    st.tuples(st.sampled_from(_COMPONENTS),
+              st.floats(min_value=0, max_value=50),
+              st.sampled_from([0.0, 1e-9, 0.125, 0.3, 1.0, 7.5])
+              | st.floats(min_value=0, max_value=5)),
+    max_size=40,
+)
+_windows = st.lists(
+    st.tuples(st.floats(min_value=-5, max_value=80), st.floats(min_value=-5, max_value=80)),
+    min_size=1, max_size=6,
+)
+
+
+@given(_charges, _windows)
+def test_device_busy_log_equals_a_list_of_intervals(charges, windows):
+    """Out-of-order starts, zero durations and queueing: ``busy_time`` and
+    ``utilization`` are exactly the brute-force sums over every recorded
+    span, in charge order, component by component."""
+    device = DeviceModel("d", XEON_E5_1603)
+    reference = {component: [] for component in _COMPONENTS}
+    for component, start, duration in charges:
+        span = device.occupy(component, start, duration)
+        assert span[0] >= start and (duration > 0 or span == (start, start))
+        if duration > 0:
+            reference[component].append(span)
+
+    def brute(window, component):
+        total = 0.0
+        for name in _COMPONENTS if component is None else (component,):
+            for start, end in reference[name]:
+                total += end - start if window is None else interval_overlap((start, end), window)
+        return total
+
+    capacity = {"cpu": XEON_E5_1603.cores, "disk": 1, "nic": 1}
+    for component in (None, *_COMPONENTS):
+        assert device.busy_time(component=component) == brute(None, component)
+        for window in windows:
+            busy = brute(window, component)
+            assert device.busy_time(window=window, component=component) == busy
+            if component is not None:
+                length = window[1] - window[0]
+                expected = min(1.0, busy / (length * capacity[component])) if length > 0 else 0.0
+                assert device.utilization(window, component) == expected
+
+    device.reset_accounting()
+    for component in (None, *_COMPONENTS):
+        assert device.busy_time(component=component) == 0.0
+    assert device.occupy("cpu", 0.0, 1.0) == (0.0, 1.0)  # reservations are gone too
+
+
 # ----------------------------------------------------------------------- policies
 @given(st.sets(st.sampled_from(["org1", "org2", "org3", "org4", "org5"]), max_size=5),
        st.integers(min_value=1, max_value=5))
@@ -259,15 +313,14 @@ def test_envelope_bytes_equal_canonical_json_of_the_envelope_dict(
     tx.args.pop()
 
     tx.seal()
-    sealed = tx.envelope_bytes()
-    assert sealed == reference and tx.envelope_bytes() is sealed
+    assert tx.envelope_bytes() == reference
     assert tx.digest() == sha256_hex(reference) and tx.size_bytes == len(reference)
 
-    # So do tamper() clones; the sealed original keeps serving its bytes.
+    # So do tamper() clones; the sealed original keeps serving its digest.
     clone = tx.tamper()
     assert clone.envelope_bytes() == reference
     clone.function = function + "!"
     assert clone.envelope_bytes() == canonical_json(clone.to_dict()) != reference
-    assert clone.digest() != tx.digest()
-    assert tx.envelope_bytes() is sealed
+    assert clone.digest() != tx.digest() == sha256_hex(reference)
+    assert tx.envelope_bytes() == reference
 
