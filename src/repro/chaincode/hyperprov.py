@@ -35,16 +35,26 @@ event that client applications can subscribe to.
 from __future__ import annotations
 
 import json
-from typing import Callable, Dict, List, Optional, Tuple
+from functools import partial
+from itertools import chain, filterfalse, islice, takewhile, tee
+from operator import attrgetter, is_not
+from typing import List, Optional, Tuple
 
 from repro.chaincode.records import ProvenanceRecord
 from repro.chaincode.shim import Candidates, Chaincode, ChaincodeResponse, ChaincodeStub
 from repro.common.errors import ValidationError
 from repro.ledger.scan import ScanPage
-from repro.ledger.transaction import ReadSetEntry
 from repro.ledger.world_state import VersionedValue
 from repro.query.planner import PATH_INDEX, build_plan, intersect_keys
-from repro.query.selectors import SELECTOR_FIELD_DEFAULTS, compile_selector
+from repro.query.selectors import RowPredicate, compile_row_predicate
+
+_READ = attrgetter("read")
+_READ_LINE = attrgetter("read_line")
+
+
+def _is_marker(entry: VersionedValue) -> bool:
+    """Whether ``entry`` sits under a ``__`` marker key (never a record)."""
+    return entry.key.startswith("__")
 
 
 class HyperProvChaincode(Chaincode):
@@ -326,16 +336,9 @@ class HyperProvChaincode(Chaincode):
         else:
             candidates = stub.get_state_by_range("", "")
 
-        # Compile the residual predicates once.  Index-served equalities
-        # are already guaranteed by the posting intersection.
-        compiled = self._compile_selector(
-            {name: selector[name] for name in plan.residual_fields}
-        )
-        if len(compiled) == 1:
-            match = compiled[0]
-        else:
-            def match(document: Dict) -> bool:
-                return all(check(document) for check in compiled)
+        # Index-served equalities are already guaranteed by the posting
+        # intersection; the residual fields compile to one row predicate.
+        match = compile_row_predicate({name: selector[name] for name in plan.residual_fields})
         rows, truncated = self._collect(stub, candidates, match, limit)
         return ChaincodeResponse.scanned(ScanPage(
             rows,
@@ -348,62 +351,45 @@ class HyperProvChaincode(Chaincode):
     def _collect(
         stub: ChaincodeStub,
         candidates: Candidates,
-        match: Optional[Callable[[Dict], bool]] = None,
+        match: Optional[RowPredicate] = None,
         limit: int = 0,
         markers: bool = False,
     ) -> Tuple[Tuple[VersionedValue, ...], bool]:
-        """The one scan loop behind ``query`` and ``getbyrange``.
+        """The one scan behind ``query`` and ``getbyrange``.
 
-        Visits ``candidates`` in order and returns ``(rows, truncated)``:
-        the committed version of every candidate that is not a ``__``
-        marker key (unless ``markers``) and, when ``match`` is given,
-        whose value is a JSON object satisfying it; ``truncated`` when
-        ``limit`` rows filled the page.  Every visited candidate —
-        skipped, rejected or the one that filled the page — is recorded
-        as a read, nothing after it; a materialised candidate list was
-        fetched, hence read, in full.  A visited row costs appends of
-        what its version already carries, nothing is built per row.
+        Takes the run of ``candidates`` in order and returns ``(rows,
+        truncated)``: every candidate that satisfies ``match`` (when
+        given) and is not a ``__`` marker key (unless ``markers``);
+        ``truncated`` when ``limit`` rows filled the page.  Every
+        candidate pulled — skipped, rejected or the one that filled the
+        page — is recorded as a read, nothing after it; a materialised
+        candidate list was fetched, hence read, in full.
+
+        The run is never walked by a Python loop here: ``filter`` calls
+        ``match`` once per visited row (a scan without predicate makes
+        no call), the marker test runs on its hits only, and the read
+        set is mapped off the visited run in bulk.  ``candidates`` may be
+        any iterable — under the benchmark's tracer a lazy scan arrives
+        as a plain generator — so nothing here sizes or slices it.
         """
-        reads: List[ReadSetEntry] = []
-        lines: List[str] = []
-        visit, visit_line = reads.append, lines.append
-        rows: List[VersionedValue] = []
-        truncated = False
-        remaining = iter(candidates)
-        for key, entry in remaining:
-            visit(entry.read)
-            visit_line(entry.read_line)
-            if not markers and key.startswith("__"):
-                continue
-            if match is not None:
-                document = entry.document
-                if document is None or not match(document):
-                    continue
-            rows.append(entry)
-            if limit and len(rows) >= limit:
-                truncated = True
-                break
-        if truncated and isinstance(candidates, list):
-            for _key, entry in remaining:
-                visit(entry.read)
-                visit_line(entry.read_line)
-        stub.rw_set.extend_reads(reads, lines)
-        return tuple(rows), truncated
-
-    #: Selector field defaults, shared with the query subsystem (kept as a
-    #: class attribute for the historical surface).
-    _SELECTOR_FIELD_DEFAULTS = SELECTOR_FIELD_DEFAULTS
-
-    @classmethod
-    def _compile_selector(cls, selector: dict) -> List:
-        """Turn a selector into per-document predicate callables.
-
-        Delegates to :func:`repro.query.selectors.compile_selector` — the
-        single definition of match semantics shared with the planner's
-        residual filter and the continuous-query registry.
-        """
-        return compile_selector(selector)
-
+        # A container was fetched whole; a one-shot iterator (it is its
+        # own ``iter``) fetches a row when the row is pulled.
+        lazy = iter(candidates) is candidates
+        visited, hits = tee(candidates)
+        if match is not None:
+            hits = filter(match, hits)
+        if not markers:
+            hits = filterfalse(_is_marker, hits)
+        rows = tuple(islice(hits, limit) if limit else hits)
+        truncated = bool(limit) and len(rows) == limit
+        if truncated and lazy:
+            # The last row returned is the last one pulled: stop there,
+            # without asking the scan for another.
+            last = rows[-1]
+            visited = chain(takewhile(partial(is_not, last), visited), (last,))
+        run = list(visited)
+        stub.rw_set.extend_reads(list(map(_READ, run)), list(map(_READ_LINE, run)))
+        return rows, truncated
 
     def _delete(self, stub: ChaincodeStub) -> ChaincodeResponse:
         """``delete(key)`` — remove the key from the world state.

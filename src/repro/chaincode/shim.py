@@ -21,8 +21,10 @@ from repro.ledger.scan import ScanPage
 from repro.ledger.transaction import ReadWriteSet
 from repro.ledger.world_state import VersionedValue, WorldState
 
-#: What a scan hands the chaincode: ``(key, committed entry)`` in key order.
-Candidates = Iterable[Tuple[str, VersionedValue]]
+#: What a scan hands the chaincode: committed versions (each carries its
+#: ``.key``) in key order — a list when the scan fetched them all, a
+#: one-shot iterator when rows are looked up as they are pulled.
+Candidates = Iterable[VersionedValue]
 
 
 @dataclass
@@ -135,11 +137,10 @@ class ChaincodeStub:
 
     # Scans.  Every form charges exactly **one** state operation — a query
     # keeps the same virtual-time cost whichever access path serves it —
-    # and hands back ``(key, VersionedValue)`` candidates in key order.
+    # and hands back the run of committed versions in key order.
     # Recording the reads is the consumer's half of the contract: it
     # passes the ``read`` (and ``read_line``) of every candidate it
-    # visited to ``rw_set.extend_reads`` in a single call once its loop
-    # is over.
+    # pulled to ``rw_set.extend_reads`` in a single call once it is done.
     # Scans and the history lookup reach the ledger through the
     # ``world_state``/``history`` properties, which is what ends the
     # read log.
@@ -166,8 +167,7 @@ class ChaincodeStub:
         since indexing) are skipped.
         """
         self.state_operations += 1
-        get = self.world_state.get
-        return [(key, entry) for key, entry in zip(keys, map(get, keys)) if entry is not None]
+        return list(filter(None, map(self.world_state.get, keys)))
 
     def iter_state_by_prefix(self, prefix: str, start_after: str = "") -> Candidates:
         """Lazy prefix scan, optionally resuming strictly after a bookmark.

@@ -9,9 +9,10 @@ The scheme mimics the API of an asymmetric signature system:
 
 Internally the "public key" is a commitment to the private key and the
 signature binds the message to the private key via HMAC; verification
-re-derives the commitment.  This gives unforgeability against actors that
-follow the library API (nobody else holds the private key object), which
-is sufficient for protocol-level simulation.
+recomputes the HMAC under the key registered for that commitment.  This
+gives unforgeability against actors that follow the library API (nobody
+else holds the private key object), which is sufficient for
+protocol-level simulation.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ from repro.common.errors import CryptoError
 
 _PUBLIC_DERIVATION_TAG = b"hyperprov-public-key-v1"
 _SIGNATURE_TAG = b"hyperprov-signature-v1"
+#: What ``hexdigest`` emits, and all a signature's MAC may consist of.
+_HEX_DIGITS = "0123456789abcdef"
 
 #: Registry mapping public keys to the private key that generated them.  It
 #: plays the role of the asymmetric trapdoor: verifiers can re-compute the
@@ -132,13 +135,20 @@ def verify(
     embedded_public, mac_hex = signature.split(":", 1)
     if embedded_public != public_key:
         return False
-    if len(mac_hex) != 64 or any(c not in "0123456789abcdef" for c in mac_hex):
+    # 64 lower-case hex digits and nothing else: ``strip`` leaves an
+    # empty string exactly when every character is in the set.
+    if len(mac_hex) != 64 or mac_hex.strip(_HEX_DIGITS):
         return False
-    signing_key = private_hint if private_hint is not None else _KEY_REGISTRY.get(public_key)
-    if signing_key is None:
+    if private_hint is None:
+        # Registered by ``KeyPair.generate`` under the public key it
+        # derives to, so a hit needs no second derivation.
+        signing_key = _KEY_REGISTRY.get(public_key)
+        if signing_key is None:
+            return False
+    elif _derive_public(private_hint) != public_key:
         return False
-    if _derive_public(signing_key) != public_key:
-        return False
+    else:
+        signing_key = private_hint
     expected = hmac.new(
         signing_key, _SIGNATURE_TAG + bytes(message), hashlib.sha256
     ).hexdigest()

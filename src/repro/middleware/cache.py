@@ -10,7 +10,7 @@ import threading
 from collections import OrderedDict
 from contextlib import ExitStack
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, List, Optional, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.common.errors import NetworkError
 from repro.common.events import EventBus
@@ -51,6 +51,11 @@ class SharedReadCache:  # repro: thread-shared
     Entries are keyed on the *namespaced* read arguments (the
     tenant-prefix middleware runs above the cache).
 
+    Every committed write asks which entries it stales, so the store
+    keeps the answer: a state key → cache keys reverse map and the set
+    of broad entries, maintained wherever an entry comes or goes.  An
+    invalidation costs the entries it drops, not a pass over the store.
+
     All operations take the store's lock: sessions may be driven from
     different threads (the futures-based write path invites that), and an
     LRU's ``move_to_end`` is not atomic on its own.
@@ -62,6 +67,10 @@ class SharedReadCache:  # repro: thread-shared
         self.capacity = capacity
         self._lock = threading.RLock()
         self._entries: "OrderedDict[CacheKey, CacheEntry]" = OrderedDict()
+        #: state key → cache keys of the entries that name it in ``keys``.
+        self._dependents: Dict[str, Set[CacheKey]] = {}
+        #: cache keys of the ``broad`` entries.
+        self._broad: Set[CacheKey] = set()
 
     def get(self, key: CacheKey) -> Optional[CacheEntry]:
         with self._lock:
@@ -73,29 +82,45 @@ class SharedReadCache:  # repro: thread-shared
     def put(self, key: CacheKey, entry: CacheEntry) -> int:
         """Store an entry; returns how many LRU entries were evicted."""
         with self._lock:
+            replaced = self._entries.get(key)
+            if replaced is not None:
+                self._unlink(key, replaced)
             self._entries[key] = entry
             self._entries.move_to_end(key)
+            if entry.broad:
+                self._broad.add(key)
+            for state_key in entry.keys:
+                self._dependents.setdefault(state_key, set()).add(key)
             evicted = 0
             while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
+                self._unlink(*self._entries.popitem(last=False))
                 evicted += 1
             return evicted
+
+    def _unlink(self, key: CacheKey, entry: CacheEntry) -> None:
+        """Forget what ``entry`` (stored under ``key``) depended on."""
+        with self._lock:  # re-entrant: every caller already holds it
+            if entry.broad:
+                self._broad.discard(key)
+            for state_key in entry.keys:
+                dependents = self._dependents[state_key]
+                dependents.discard(key)
+                if not dependents:
+                    del self._dependents[state_key]
 
     def invalidate_key(self, state_key: str) -> int:
         """Drop every entry that may depend on ``state_key``; returns count."""
         with self._lock:
-            stale = [
-                cache_key
-                for cache_key, entry in self._entries.items()
-                if entry.broad or state_key in entry.keys
-            ]
+            stale = self._broad.union(self._dependents.get(state_key, ()))
             for cache_key in stale:
-                del self._entries[cache_key]
+                self._unlink(cache_key, self._entries.pop(cache_key))
             return len(stale)
 
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
+            self._dependents.clear()
+            self._broad.clear()
 
     def __len__(self) -> int:
         with self._lock:

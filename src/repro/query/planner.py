@@ -24,7 +24,7 @@ instead of inferring it from timings.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import AbstractSet, Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.query.indexes import FieldValueIndex
 from repro.query.selectors import split_selector
@@ -157,25 +157,24 @@ def intersect_keys(
 ) -> List[str]:
     """Sorted candidate keys for an ``index-intersection`` plan.
 
-    Intersects posting lists smallest-first (the plan ordered them), then
-    applies the prefix scope and bookmark cut, returning keys in the same
-    order the scan paths visit them.
+    Intersects posting lists smallest-first (the plan ordered them), cuts
+    the survivors to the prefix scope and past the bookmark, and sorts
+    what is left: the keys come back in the order the scan paths visit
+    them.
     """
-    survivors: Optional[Set[str]] = None
+    survivors: Optional[AbstractSet[str]] = None
     for name in plan.indexed_fields:
         posting = index.lookup(name, selector[name])
         if not posting:
             return []
-        if survivors is None:
-            survivors = set(posting)
-        else:
-            survivors &= posting
-            if not survivors:
-                return []
+        # Postings are the index's own sets: intersect into a new one.
+        survivors = posting if survivors is None else survivors & posting
+        if not survivors:
+            return []
     assert survivors is not None
-    keys = sorted(survivors)
+    keys: Iterable[str] = survivors
     if plan.prefix:
         keys = [key for key in keys if key.startswith(plan.prefix)]
     if plan.bookmark:
         keys = [key for key in keys if key > plan.bookmark]
-    return keys
+    return sorted(keys)

@@ -7,9 +7,9 @@ string expectation is a membership test).  This mirrors the rich queries
 HLF offers when the state database supports them.
 
 The compiled form — one predicate callable per field — is shared by the
-full-scan match loop in the chaincode, the planner's residual filter and
-the continuous-query registry, so all three surfaces agree byte-for-byte
-on what "matches" means.
+chaincode's scan (residual filter of an indexed plan included, through
+:func:`compile_row_predicate`) and the continuous-query registry, so
+every surface agrees byte-for-byte on what "matches" means.
 """
 
 from __future__ import annotations
@@ -33,6 +33,9 @@ SELECTOR_FIELD_DEFAULTS: Dict[str, Any] = {
 }
 
 Predicate = Callable[[Dict[str, Any]], bool]
+#: A whole selector as one callable over a committed version (anything
+#: whose ``document`` is the parsed value, or ``None``).
+RowPredicate = Callable[[Any], bool]
 
 
 def compile_selector(selector: Dict[str, Any]) -> List[Predicate]:
@@ -67,6 +70,27 @@ def compile_selector(selector: Dict[str, Any]) -> List[Predicate]:
             # (mirrors the dataclass getattr(..., None) behaviour).
             checks.append(lambda doc, e=expected: e is None)
     return checks
+
+
+def compile_row_predicate(selector: Dict[str, Any]) -> RowPredicate:
+    """The whole selector as one callable over committed versions.
+
+    What a scan hands to ``filter``: one call per visited row, which
+    reaches the document and runs the per-field predicates.  A row whose
+    value is not a JSON object never matches, not even an empty selector.
+    """
+    checks = compile_selector(selector)
+
+    def match(row: Any) -> bool:
+        document = row.document
+        if document is None:
+            return False
+        for check in checks:
+            if not check(document):
+                return False
+        return True
+
+    return match
 
 
 def matches(document: Dict[str, Any], compiled: List[Predicate]) -> bool:

@@ -86,6 +86,31 @@ def test_stub_counts_state_operations():
     assert stub.state_operations == 3
 
 
+def test_stub_scans_hand_back_the_run_of_committed_versions():
+    state = WorldState()
+    for index, key in enumerate(["a/1", "a/2", "b/1", "gone"]):
+        state.put(key, key.upper(), (0, index))
+    state.delete("gone", (1, 0))
+    a1, a2, b1 = (state.get(key) for key in ("a/1", "a/2", "b/1"))
+    stub = make_stub("query", [], world_state=state)
+    # The eager forms fetched their run (a list, read in full by whoever
+    # takes it); a row is the committed version itself and carries its key.
+    assert stub.get_state_by_range("a/2", "") == [a2, b1]
+    assert stub.get_state_by_prefix("a/") == [a1, a2]
+    assert stub.get_state_by_keys(["a/1", "gone", "never", "b/1"]) == [a1, b1]
+    assert stub.get_state_by_range("", "")[0] is a1 and a1.key == "a/1"
+    # The lazy forms look a row up when it is pulled: one-shot iterators.
+    for scan, expected in (
+        (stub.iter_state_by_prefix("a/"), [a1, a2]),
+        (stub.iter_state_by_prefix("a/", "a/1"), [a2]),
+        (stub.iter_state_by_range("a/2", "", "gone"), []),
+        (stub.iter_state_by_range("", "b/1", "a/1"), [a2]),
+    ):
+        assert iter(scan) is scan
+        assert list(scan) == expected and list(scan) == []
+    assert stub.state_operations == 8 and stub.rw_set.reads == []
+
+
 def test_stub_read_log_holds_the_committed_entries_point_reads_returned():
     state = WorldState()
     state.put("k", "v", (3, 1))

@@ -38,6 +38,26 @@ def test_verify_rejects_malformed_signature():
     assert not verify(keys.public_key, b"m", f"{keys.public_key}:not-hex!")
 
 
+def test_verify_is_strict_about_the_mac_and_about_whose_key_it_checks():
+    alice, bob = KeyPair.generate("alice"), KeyPair.generate("bob")
+    signature = alice.sign(b"m")
+    public, mac = signature.split(":")
+    assert verify(alice.public_key, b"m", signature)
+    # 64 lower-case hex digits, nothing else — wherever the odd character sits.
+    for bad in (mac.upper(), mac[:-1], mac + "0", " " + mac[1:], mac[:31] + "g" + mac[32:],
+                mac[:-1] + "é", mac[:-1] + "\n", ""):
+        assert not verify(alice.public_key, b"m", f"{public}:{bad}"), bad
+    # The embedded key must be the claimed one, and a known one.
+    assert not verify(bob.public_key, b"m", signature)
+    assert not verify("f" * 64, b"m", f"{'f' * 64}:{mac}")
+    # A hint is checked against the public key, not taken on trust.
+    assert verify(alice.public_key, b"m", signature, private_hint=alice.private_key)
+    forged = sign(bob.private_key, b"m").split(":")[1]
+    assert not verify(
+        alice.public_key, b"m", f"{alice.public_key}:{forged}", private_hint=bob.private_key
+    )
+
+
 def test_sign_requires_bytes():
     with pytest.raises(CryptoError):
         sign(KeyPair.generate("a").private_key, "not-bytes")  # type: ignore[arg-type]

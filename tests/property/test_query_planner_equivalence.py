@@ -84,6 +84,11 @@ def _oracle_matches(document: dict, field: str, expected) -> bool:
     """Independent re-implementation of one selector equality."""
     if field.startswith("metadata."):
         return (document.get("metadata") or {}).get(field[len("metadata."):]) == expected
+    if field == "dependencies":
+        held = document.get("dependencies") or []
+        return expected in held if isinstance(expected, str) else held == expected
+    if field not in ProvenanceRecord.__dataclass_fields__:
+        return expected is None  # no record has it, whatever the document says
     defaults = {"creator": "", "organization": "", "checksum": ""}
     return document.get(field, defaults.get(field)) == expected
 

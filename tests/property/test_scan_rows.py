@@ -6,8 +6,12 @@ its read set is appended from what each visited version already carries.
 For random ledgers — quotes, backslashes, control characters and non-ASCII
 in keys and values, ``__`` marker keys, values that are not JSON objects,
 updates and deletes — and random requests over all six candidate sources,
-these tests pin, against a reference kept here:
+these tests pin, against a brute-force reference kept here (a plain dict
+of the committed state, sorted per request; the planner suite's own
+reading of what a selector field matches):
 
+* the candidates a range or prefix scan pulled are the live keys in scope,
+  in key order, cut after the row that filled a lazy page;
 * the payload is byte-for-byte the ``json.dumps`` of the row dicts the
   reference loop builds (the response's external surface did not move);
 * the reads are one entry per candidate the scan pulled, in pull order,
@@ -16,7 +20,11 @@ these tests pin, against a reference kept here:
 * asking twice gives equal answers (the second from filled fragments) and
   a write in between changes exactly the written row;
 * cloned, tampered and hand-extended read sets digest from their own
-  entries, never from the scan's cached lines.
+  entries, never from the scan's cached lines;
+* a page that fills stops pulling at the filling row whatever hands the
+  candidates over (the ledger's lazy scan, a list iterator, a generator
+  as the benchmark's tracer wraps it), and a 5-row page over a 10 000-key
+  state pulls 5 rows and looks up one chunk of keys.
 """
 
 import json
@@ -34,11 +42,13 @@ from repro.ledger.history import HistoryDatabase
 from repro.ledger.transaction import ReadSetEntry, Transaction
 from repro.ledger.world_state import WorldState
 from repro.query.indexes import FieldValueIndex
-from repro.query.selectors import compile_selector
+from repro.query.selectors import compile_row_predicate
+from tests.property.test_query_planner_equivalence import _oracle_matches
 
 AWKWARD = ['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "ø", " ", "😀", "'", "{", "]"]
 SEGMENTS = ["a", "b", '"q"', "é\\", "__m"]
 STATIONS = ["tromso", 'al"ta', "vardø", "x\\y"]
+PARENTS = ["a/00", 'b/07"', "é\\/03"]
 NON_OBJECTS = ["not json", "true", "[1, 2]", '"str"', "12", "", "null"]
 
 
@@ -74,23 +84,27 @@ def _record_value(rng: random.Random, key: str, step: int) -> str:
         creator=rng.choice(["cam", 'g"w', "ø"]),
         organization="org1",
         certificate_fingerprint="fp",
-        dependencies=[_random_key(rng)] if rng.random() < 0.3 else [],
+        dependencies=rng.sample(PARENTS, rng.randrange(1, 3)) if rng.random() < 0.3 else [],
         metadata=metadata,
         timestamp=float(step),
     ).to_json()
 
 
-def _random_ledger(rng: random.Random, state: WorldState, steps: int = 220) -> None:
+def _random_ledger(rng: random.Random, state: WorldState, steps: int = 220) -> dict:
+    """Fill ``state``; returns the brute-force model ``{key: (value, version)}``."""
+    model = {"__hyperprov_initialized__": ("true", (0, 0))}
     state.put("__hyperprov_initialized__", "true", (0, 0))
-    live = []
     for step in range(1, steps + 1):
-        if live and rng.random() < 0.15:
-            state.delete(live.pop(rng.randrange(len(live))), (step, 0))
+        live = sorted(model)
+        if len(live) > 1 and rng.random() < 0.15:
+            key = live[rng.randrange(len(live))]
+            state.delete(key, (step, 0))
+            del model[key]
             continue
         key = _random_key(rng)
-        state.put(key, _random_value(rng, key, step), (step, rng.randrange(4)))
-        if key not in live:
-            live.append(key)
+        model[key] = (_random_value(rng, key, step), (step, rng.randrange(4)))
+        state.put(key, *model[key])
+    return model
 
 
 def _random_selector(rng: random.Random) -> dict:
@@ -101,6 +115,13 @@ def _random_selector(rng: random.Random) -> dict:
         selector["metadata.station"] = rng.choice(STATIONS)
     if rng.random() < 0.3:
         selector["metadata.hot"] = rng.random() < 0.5
+    if rng.random() < 0.25:
+        # A string is a membership test, a list an equality.
+        key = rng.choice(PARENTS)
+        selector["dependencies"] = rng.choice([key, [key], []])
+    if rng.random() < 0.15:
+        # No record has the field: only an explicit ``None`` matches.
+        selector["colour"] = rng.choice([None, "red"])
     if rng.random() < 0.6 or not selector:
         selector["_prefix"] = rng.choice(["a/", "b/1", '"q"/', "é\\/", "__", "", "zz/"])
         if not selector["_prefix"] and len(selector) == 1:
@@ -157,23 +178,39 @@ def _invoke(state: WorldState, function: str, args: list):
     return stub, response
 
 
-def _reference_rows(pulled, predicates, limit, markers):
-    """The parent's scan loop: row dicts and whether the page filled."""
+def _reference_rows(candidates, fields, limit, markers):
+    """The reference scan loop over ``(key, value)`` pairs in key order.
+
+    ``fields`` is the selector without its reserved fields, or ``None``
+    for a scan that matches nothing (``getbyrange``).  Returns the row
+    dicts, whether the page filled and how many candidates were visited.
+    """
     rows = []
-    for key, entry in pulled:
+    for visited, (key, value) in enumerate(candidates, 1):
         if not markers and key.startswith("__"):
             continue
-        if predicates is not None:
+        if fields is not None:
             try:
-                document = json.loads(entry.value)
+                document = json.loads(value)
             except ValueError:
                 continue
-            if not isinstance(document, dict) or not all(check(document) for check in predicates):
+            if not isinstance(document, dict) or not all(
+                _oracle_matches(document, field, expected) for field, expected in fields.items()
+            ):
                 continue
-        rows.append({"key": key, "record": entry.value})
+        rows.append({"key": key, "record": value})
         if limit and len(rows) >= limit:
-            return rows, True
-    return rows, False
+            return rows, True, visited
+    return rows, False, len(candidates)
+
+
+def _in_scope(model, low="", high="", prefix="", after=""):
+    """Brute force: the live ``(key, value, version)`` a scan has in scope."""
+    return [
+        (key, *model[key])
+        for key in sorted(model)
+        if key >= low and (not high or key < high) and key.startswith(prefix) and key > after
+    ]
 
 
 def _reference_payload(rows, truncated, enveloped, plan):
@@ -186,14 +223,28 @@ def _reference_payload(rows, truncated, enveloped, plan):
     return json.dumps(envelope)
 
 
-def _check_answer(stub, response, predicates, limit, markers, enveloped):
+def _check_answer(stub, response, fields, limit, markers, enveloped, scope=None):
+    """Hold one answer against the reference; ``scope`` is ``_in_scope(...)``.
+
+    Without a ``scope`` (the index path: which candidates survive the
+    posting intersection is the planner's business) the reference scans
+    what the stub saw pulled.
+    """
     page = response.scan
-    rows, truncated = _reference_rows(stub.pulled, predicates, limit, markers)
+    pulled = [(entry.key, entry.value, entry.version) for entry in stub.pulled]
+    if scope is None:
+        scope = pulled
+    rows, truncated, visited = _reference_rows(
+        [(key, value) for key, value, _version in scope], fields, limit, markers
+    )
+    # A lazy scan stops at the row that filled the page; a list was fetched whole.
+    lazy = stub.source.startswith("lazy")
+    assert pulled == (scope[:visited] if lazy else scope)
     assert response.payload == _reference_payload(rows, truncated, enveloped, page.plan)
 
     # One read per pulled candidate, in pull order, digesting like the reference.
     rw_set = stub.rw_set
-    assert rw_set.reads == [ReadSetEntry(key, entry.version) for key, entry in stub.pulled]
+    assert rw_set.reads == [ReadSetEntry(key, version) for key, _value, version in pulled]
     assert all(type(read) is ReadSetEntry for read in rw_set.reads)
     reference = canonical_json(rw_set.to_dict())
     assert rw_set.canonical_bytes() == reference
@@ -212,6 +263,33 @@ def _check_answer(stub, response, predicates, limit, markers, enveloped):
     return rows
 
 
+def _check_query(state, model, selector, sources=None):
+    """One ``query`` against the reference; returns the reference's rows."""
+    fields = {name: value for name, value in selector.items() if not name.startswith("_")}
+    enveloped = any(name in selector for name in ("_limit", "_bookmark", "_explain"))
+    stub, response = _invoke(state, "query", [json.dumps(selector, sort_keys=True)])
+    if sources is not None:
+        sources.add(stub.source)
+    scope = None
+    if stub.source != "index-keys":
+        scope = _in_scope(
+            model, prefix=selector.get("_prefix", ""), after=selector.get("_bookmark", "")
+        )
+    return _check_answer(
+        stub, response, fields, selector.get("_limit", 0), False, enveloped, scope
+    )
+
+
+def _check_range(state, model, low, high, *page, sources=None):
+    """One ``getbyrange`` (``page`` = limit, bookmark) against the reference."""
+    limit, bookmark = page or (0, "")
+    stub, response = _invoke(state, "getbyrange", [low, high, *map(str, page)])
+    if sources is not None:
+        sources.add(stub.source)
+    scope = _in_scope(model, low, high, after=bookmark)
+    return _check_answer(stub, response, None, limit, not page, bool(page), scope)
+
+
 @pytest.mark.parametrize("seed", [3, 11, 42, 2024])
 def test_scan_answers_match_the_reference_rendering_and_read_set(seed):
     rng = random.Random(seed)
@@ -219,36 +297,23 @@ def test_scan_answers_match_the_reference_rendering_and_read_set(seed):
     indexed.attach_secondary_index(FieldValueIndex(("creator", "metadata.*")))
     plain = WorldState()
     for state in (indexed, plain):
-        _random_ledger(random.Random(seed), state)
+        model = _random_ledger(random.Random(seed), state)
     sources = set()
 
     for _ in range(150):
         selector = _random_selector(rng)
-        predicates = compile_selector(
-            {name: value for name, value in selector.items() if not name.startswith("_")}
-        )
-        enveloped = any(name in selector for name in ("_limit", "_bookmark", "_explain"))
-        answers = []
-        for state in (indexed, plain):
-            stub, response = _invoke(state, "query", [json.dumps(selector, sort_keys=True)])
-            sources.add(stub.source)
-            rows = _check_answer(
-                stub, response, predicates, selector.get("_limit", 0), False, enveloped
-            )
-            answers.append(rows)
-        assert answers[0] == answers[1]  # the access path never changes the rows
+        # The access path never changes the rows.
+        assert _check_query(indexed, model, selector, sources) == \
+            _check_query(plain, model, selector, sources)
 
     for _ in range(60):
         low, high = sorted([_random_key(rng), _random_key(rng)])
         end = rng.choice([high, ""])
-        stub, response = _invoke(plain, "getbyrange", [low, end])
-        sources.add(stub.source)
-        _check_answer(stub, response, None, 0, True, False)
-        limit = rng.randrange(0, 6)
-        bookmark = rng.choice(["", _random_key(rng)])
-        stub, response = _invoke(plain, "getbyrange", [low, end, str(limit), bookmark])
-        sources.add(stub.source)
-        _check_answer(stub, response, None, limit, False, True)
+        _check_range(plain, model, low, end, sources=sources)
+        _check_range(
+            plain, model, low, end, rng.randrange(0, 6), rng.choice(["", _random_key(rng)]),
+            sources=sources,
+        )
 
     assert sources == {
         "index-keys", "lazy-prefix", "eager-prefix", "eager-range", "lazy-range",
@@ -350,3 +415,167 @@ def test_a_tampered_block_clone_digests_its_own_reads():
     # The shared original — and the world-state versions behind it — did not move.
     assert rw_set.digest() == sealed_digest == _reference_digest(rw_set)
     assert state.get(read.key).read == read
+
+
+# ------------------------------------------------------- the run, not the rows
+def _hot_state(count: int):
+    """``k/00000…`` records, every fourth one hot; returns state and model."""
+    rng = random.Random(count)
+    state, model = WorldState(), {}
+    for index in range(count):
+        key = f"k/{index:05d}"
+        document = json.loads(_record_value(rng, key, index))
+        document["metadata"] = {"hot": index % 4 == 3}
+        model[key] = (json.dumps(document), (index, 0))
+        state.put(key, *model[key])
+    return state, model
+
+
+def _collect(candidates, match, limit):
+    stub = ChaincodeStub(
+        tx_id="tx", channel="ch", function="query", args=[],
+        world_state=WorldState(), history=HistoryDatabase(),
+    )
+    rows, truncated = HyperProvChaincode._collect(stub, candidates, match, limit)
+    return rows, truncated, stub.rw_set
+
+
+def test_a_filled_page_reads_up_to_the_filling_row_whoever_hands_the_run_over():
+    state, model = _hot_state(40)
+    run = state.range_query_versioned("", "")
+    match = compile_row_predicate({"metadata.hot": True})
+    pulls = []
+
+    def traced(scan):
+        # What the benchmark's tracer makes of a lazy scan: a plain generator.
+        for row in scan:
+            pulls.append(row.key)
+            yield row
+
+    # Rows 3, 7 and 11 are hot: the third hit is the twelfth candidate.
+    lazy_shapes = {
+        "ledger": state.iter_by_range_versioned("", ""),
+        "list iterator": iter(run),
+        "generator": traced(state.iter_by_prefix_versioned("k/")),
+    }
+    expected_reads = [ReadSetEntry(key, model[key][1]) for key in sorted(model)[:12]]
+    for shape, candidates in lazy_shapes.items():
+        rows, truncated, rw_set = _collect(candidates, match, 3)
+        assert [row.key for row in rows] == ["k/00003", "k/00007", "k/00011"], shape
+        assert truncated and rw_set.reads == expected_reads, shape
+        assert rw_set.digest() == sha256_hex(canonical_json(rw_set.to_dict())), shape
+        # Nothing was taken from the scan behind the page's back either.
+        assert next(candidates).key == "k/00012", shape
+    assert pulls == sorted(model)[:13]
+
+    # A list was fetched, hence read, in full — the rows are the same.
+    rows, truncated, rw_set = _collect(run, match, 3)
+    assert [row.key for row in rows] == ["k/00003", "k/00007", "k/00011"] and truncated
+    assert rw_set.reads == [ReadSetEntry(key, model[key][1]) for key in sorted(model)]
+
+    # A page that does not fill reads its whole run, lazy or not.
+    for candidates in (iter(run), run, traced(iter(run))):
+        rows, truncated, rw_set = _collect(candidates, match, 11)
+        assert len(rows) == 10 and not truncated and len(rw_set.reads) == 40
+    # No predicate, no marker filter, no limit: the run is the page.
+    stub = ChaincodeStub("tx", "ch", "getbyrange", [], WorldState(), HistoryDatabase())
+    assert HyperProvChaincode._collect(stub, iter(run), markers=True) == (tuple(run), False)
+
+
+class _CountingDict(dict):
+    lookups = 0
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return super().get(key, default)
+
+
+@pytest.mark.parametrize("request_args", [
+    ("query", {"_prefix": "k/", "_limit": 5}),
+    ("query", {"_prefix": "k/", "_limit": 5, "_bookmark": "k/04999"}),
+    ("query", {"_prefix": "", "_limit": 5, "organization": "org1"}),
+    ("getbyrange", ["k/02000", "", "5", ""]),
+    ("getbyrange", ["", "k/09000", "5", "k/00017"]),
+])
+def test_a_five_row_page_over_ten_thousand_keys_pulls_five_rows(request_args):
+    state, _model = _hot_state(10_000)
+    state._data = counting = _CountingDict(state._data)
+    function, request = request_args
+    args = [json.dumps(request)] if function == "query" else request
+    stub, response = _invoke(state, function, args)
+    assert len(response.scan.rows) == 5 and response.scan.bookmark == response.scan.rows[-1].key
+    assert len(stub.pulled) == len(stub.rw_set.reads) == 5
+    # Behind the rows pulled the ledger looks keys up a chunk at a time.
+    assert 5 <= counting.lookups <= WorldState._SCAN_LOOKAHEAD
+
+
+def test_tombstones_compaction_and_reputs_stay_on_the_reference():
+    rng = random.Random(17)
+    state, model = WorldState(), {}
+    for index in range(40):
+        key = f"k/{index:02d}"
+        model[key] = (_record_value(rng, key, index), (1, index))
+        state.put(key, *model[key])
+
+    def delete(key, step):
+        state.delete(key, (step, 0))
+        del model[key]
+
+    def check(bookmarks):
+        _check_query(state, model, {"_prefix": "k/"})
+        _check_range(state, model, "", "")
+        _check_range(state, model, "k/05", "k/31")
+        for bookmark in bookmarks:
+            for limit in (0, 3):
+                _check_query(state, model, {"_prefix": "k/", "_bookmark": bookmark, "_limit": limit})
+                _check_range(state, model, "k/02", "", limit, bookmark)
+
+    # Ten tombstones: under the compaction floor, the index still lists them.
+    for index in range(4, 34, 3):
+        delete(f"k/{index:02d}", 2)
+    assert len(state._index.keys) == 40 and len(state) == 30
+    check(["k/04", "k/07", "k/08", "k/31", "k/39"])  # deleted, deleted, live, deleted, last
+
+    # Re-putting a tombstoned key brings it back once, at its place.
+    model["k/07"] = (_record_value(rng, "k/07", 3), (3, 0))
+    state.put("k/07", *model["k/07"])
+    check(["k/06", "k/07"])
+
+    # At twenty tombstones of forty keys the index compacts (and gathers new
+    # tombstones after); the deleted names stay usable as bookmarks and
+    # scans do not notice.
+    for index in range(0, 40, 2):
+        if f"k/{index:02d}" in model:
+            delete(f"k/{index:02d}", 4)
+    assert len(state) < len(state._index.keys) < 40
+    check(["k/04", "k/10", "k/11", "k/38"])
+    model["k/10"] = (_record_value(rng, "k/10", 5), (5, 0))
+    state.put("k/10", *model["k/10"])
+    check(["k/09", "k/10"])
+
+
+EDGE = "\U0010ffff"
+
+
+def test_prefix_edges_stay_on_the_reference():
+    rng = random.Random(23)
+    state, model = WorldState(), {}
+    keys = [
+        "a", "a/", "a/1", "a/1/x", f"a/{EDGE}", f"a/{EDGE}{EDGE}", f"a/{EDGE}/x", "a0", "ab/1",
+        "b/1", EDGE, EDGE * 2, f"{EDGE}/z", "tenant", "tenant/a/1", "tenant/b", "tenantx/y",
+    ]
+    for step, key in enumerate(keys):
+        model[key] = (_record_value(rng, key, step), (step, 0))
+        state.put(key, *model[key])
+    prefixes = [
+        "a", "a/", "a/1", f"a/{EDGE}", f"a/{EDGE}{EDGE}", EDGE, EDGE * 2, EDGE * 3,
+        "tenant", "tenant/", "tenant/b", "zz", "zz/",
+    ]
+    for prefix in prefixes:
+        rows = _check_query(state, model, {"_prefix": prefix})
+        assert [row["key"] for row in rows] == sorted(k for k in keys if k.startswith(prefix))
+        for bookmark in ("", "a/1", f"a/{EDGE}", EDGE, "tenant/a"):
+            _check_query(state, model, {"_prefix": prefix, "_bookmark": bookmark, "_limit": 2})
+    # The empty prefix needs a field beside it; it walks the whole key space.
+    rows = _check_query(state, model, {"_prefix": "", "organization": "org1"})
+    assert [row["key"] for row in rows] == sorted(keys)

@@ -108,6 +108,50 @@ def test_indexed_world_state_matches_naive_oracle(seed, prefix_index):
     _assert_equivalent(state, oracle, rng)
 
 
+EDGE = "\U0010ffff"  # no code point sorts after it: a prefix ending here has no "next" string
+
+
+@pytest.mark.parametrize("prefix_index", [True, False])
+def test_prefix_and_bookmark_edges_match_the_naive_oracle(prefix_index):
+    state = WorldState(prefix_index=prefix_index)
+    oracle = NaiveWorldState()
+    keys = [
+        "a", "a/", "a/1", "a/1/x", f"a/{EDGE}", f"a/{EDGE}{EDGE}", f"a/{EDGE}/x", "a0", "ab/1",
+        "b/1", EDGE, EDGE * 2, f"{EDGE}/z", "tenant", "tenant/a/1", "tenant/b", "tenantx/y",
+    ]
+    for step, key in enumerate(keys):
+        for store in (state, oracle):
+            store.put(key, f"v{step}", (0, step))
+    for store in (state, oracle):
+        store.delete("a/1", (1, 0))
+    # Ends in U+10FFFF, is a whole key, is a deleted key, has no separator
+    # (spans buckets), names no bucket, is empty.
+    prefixes = [
+        "", "a", "a/", "a/1", f"a/{EDGE}", f"a/{EDGE}{EDGE}", f"a/{EDGE}/x", EDGE, EDGE * 2,
+        EDGE * 3, "tenant", "tenant/", "tenantx/y", "zz", "zz/",
+    ]
+    for prefix in prefixes:
+        expected = oracle.query_by_prefix(prefix)
+        assert state.query_by_prefix(prefix) == expected
+        versions = state.query_by_prefix_versioned(prefix)
+        assert [(entry.key, entry.value) for entry in versions] == expected
+        assert all(entry is state.get(entry.key) for entry in versions)
+        for bookmark in ["", "a/1", f"a/{EDGE}", EDGE * 2, "tenant/a", "zzz"] + keys:
+            resumed = state.iter_by_prefix_versioned(prefix, bookmark)
+            assert [(entry.key, entry.value) for entry in resumed] == [
+                pair for pair in expected if pair[0] > bookmark
+            ], (prefix, bookmark)
+    for low in ["", "a/1", f"a/{EDGE}", EDGE]:
+        for high in ["", "a0", EDGE, EDGE * 2, "a"]:
+            expected = oracle.range_query(low, high)
+            assert state.range_query(low, high) == expected
+            for bookmark in ["", "a/1", f"a/{EDGE}{EDGE}", "b/1"]:
+                resumed = state.iter_by_range_versioned(low, high, bookmark)
+                assert [(entry.key, entry.value) for entry in resumed] == [
+                    pair for pair in expected if pair[0] > bookmark
+                ], (low, high, bookmark)
+
+
 def test_delete_then_reput_does_not_duplicate_index_entries():
     state = WorldState()
     for round_number in range(40):
