@@ -3,17 +3,16 @@ architecture invariants.
 
 Pure stdlib (``ast``) — this package imports nothing else from
 ``repro`` so it can analyze a broken tree without importing it.  Run as
-``python -m repro.analysis``; see ``docs/determinism.md`` for the rule
-catalogue and suppression policy.
+``python -m repro.analysis``: it prints every finding and exits 1 if
+there is one; an inline pragma is the only suppression.  See
+``docs/determinism.md`` for the rule catalogue.
 """
 
-from repro.analysis.baseline import Baseline
 from repro.analysis.cli import CHECKERS, main, run_analysis
 from repro.analysis.core import RULES, AnalysisContext, Finding, SourceFile
 
 __all__ = [
     "AnalysisContext",
-    "Baseline",
     "CHECKERS",
     "Finding",
     "RULES",

@@ -1,60 +1,42 @@
-"""``python -m repro.analysis`` — run the checkers, gate on the baseline.
+"""``python -m repro.analysis [--root DIR]`` — run every checker over a
+repo tree, print the findings, exit 1 if there are any.
 
-Modes:
-
-* default — print every finding (informational; exit 0).
-* ``--check`` — exit 1 if any finding is absent from the committed
-  baseline.  This is the CI gate.
-* ``--update-baseline`` — rewrite the baseline from the current finding
-  set (review the diff like code).
-
-``--rules`` narrows to a comma-separated rule/prefix list (``D``,
-``A201,C303``); ``--format json`` emits machine-readable findings.
+An inline ``# repro: allow-<family>`` pragma is the only way to silence a
+finding (see ``docs/determinism.md``).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.analysis.baseline import DEFAULT_BASELINE_NAME, Baseline
 from repro.analysis.concurrency import check_concurrency
 from repro.analysis.contracts import check_contracts
-from repro.analysis.core import RULES, AnalysisContext, Finding
+from repro.analysis.core import AnalysisContext, Finding
 from repro.analysis.determinism import check_determinism
 from repro.analysis.layering import check_layering
 
 Checker = Callable[[AnalysisContext], List[Finding]]
 
-#: Registered checker families, run in order.
-CHECKERS: Dict[str, Checker] = {
-    "determinism": check_determinism,
-    "layering": check_layering,
-    "contracts": check_contracts,
-    "concurrency": check_concurrency,
-}
+#: Checker families, run in order.
+CHECKERS: Tuple[Checker, ...] = (
+    check_determinism,
+    check_layering,
+    check_contracts,
+    check_concurrency,
+)
 
 
-def run_analysis(
-    root: Path,
-    source_root: Optional[Path] = None,
-    rules: Optional[Sequence[str]] = None,
-) -> List[Finding]:
+def run_analysis(root: Path) -> List[Finding]:
     """Run every checker over ``root`` and return sorted findings."""
-    context = AnalysisContext.load(root, source_root=source_root)
-    findings: List[Finding] = []
-    for checker in CHECKERS.values():
-        findings.extend(checker(context))
-    if rules:
-        prefixes = tuple(r.strip().upper() for r in rules if r.strip())
-        findings = [f for f in findings if f.rule.startswith(prefixes)]
+    context = AnalysisContext.load(root)
+    findings = [finding for checker in CHECKERS for finding in checker(context)]
     return sorted(findings, key=lambda f: (f.path, f.line, f.rule))
 
 
-def _parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
+def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description="Determinism & architecture static analysis for repro.",
@@ -63,116 +45,11 @@ def _parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
         "--root",
         type=Path,
         default=Path.cwd(),
-        help="repo root (holds src/, docs/, the baseline); default: cwd",
+        help="repo root (holds src/repro, docs/); default: cwd",
     )
-    parser.add_argument(
-        "--source-root",
-        type=Path,
-        default=None,
-        help="override the analyzed tree (default: <root>/src/repro)",
-    )
-    parser.add_argument(
-        "--baseline",
-        type=Path,
-        default=None,
-        help=f"baseline file (default: <root>/{DEFAULT_BASELINE_NAME})",
-    )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="exit 1 on findings not covered by the baseline (CI gate)",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline from the current finding set",
-    )
-    parser.add_argument(
-        "--rules",
-        default=None,
-        help="comma-separated rule ids or prefixes to run (e.g. D,A201)",
-    )
-    parser.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="finding output format",
-    )
-    parser.add_argument(
-        "--list-rules",
-        action="store_true",
-        help="print the rule table and exit",
-    )
-    return parser.parse_args(argv)
-
-
-def _print_findings(findings: List[Finding], fmt: str) -> None:
-    if fmt == "json":
-        print(
-            json.dumps(
-                [
-                    {
-                        "rule": f.rule,
-                        "path": f.path,
-                        "line": f.line,
-                        "symbol": f.symbol,
-                        "message": f.message,
-                        "hint": f.hint,
-                    }
-                    for f in findings
-                ],
-                indent=2,
-            )
-        )
-    else:
-        for finding in findings:
-            print(finding.render())
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _parse_args(argv)
-    if args.list_rules:
-        for rule, (family, description) in sorted(RULES.items()):
-            print(f"{rule}  [{family:>10}]  {description}")
-        return 0
-
-    root = args.root.resolve()
-    rules = args.rules.split(",") if args.rules else None
-    findings = run_analysis(root, source_root=args.source_root, rules=rules)
-
-    baseline_path = args.baseline or (root / DEFAULT_BASELINE_NAME)
-    if args.update_baseline:
-        Baseline.from_findings(findings).dump(baseline_path)
-        print(
-            f"wrote {baseline_path} with {len(findings)} suppression(s)",
-            file=sys.stderr,
-        )
-        return 0
-
-    if not args.check:
-        _print_findings(findings, args.format)
-        print(f"{len(findings)} finding(s)", file=sys.stderr)
-        return 0
-
-    baseline = Baseline.load(baseline_path)
-    fresh = baseline.new_findings(findings)
-    _print_findings(fresh, args.format)
-    stale = baseline.stale_entries(findings)
-    if stale:
-        print(
-            f"note: {len(stale)} stale baseline entr(y/ies) no longer fire; "
-            "run --update-baseline to drop them",
-            file=sys.stderr,
-        )
-    if fresh:
-        print(
-            f"FAIL: {len(fresh)} new finding(s) not covered by "
-            f"{baseline_path.name}",
-            file=sys.stderr,
-        )
-        return 1
-    print(
-        f"OK: {len(findings)} finding(s), all covered by the baseline",
-        file=sys.stderr,
-    )
-    return 0
+    args = parser.parse_args(argv)
+    findings = run_analysis(args.root.resolve())
+    for finding in findings:
+        print(finding.render())
+    print(f"{len(findings)} finding(s)", file=sys.stderr)
+    return 1 if findings else 0

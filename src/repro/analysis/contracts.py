@@ -1,22 +1,29 @@
-"""Pipeline-contract checker: rules C301–C304.
+"""Contract checker: rules C301–C304.
 
-``PipelineConfig`` is the single ablation surface — every experiment in
-``bench`` is a config swap — so a knob that nothing consumes is a silent
-no-op ablation, and an undocumented knob is invisible to the person
-designing the experiment.  Similarly, a middleware that neither calls
-``call_next`` nor declares itself terminal quietly swallows every
-request behind it in the chain.
+A config class is an experiment's knob surface — ``PipelineConfig`` for
+the client pipeline, ``DeploymentSpec`` / ``FleetSpec`` for the
+topologies, ``RunConfig`` / ``BatchConfig`` for a run — so a knob that
+nothing consumes is a silent no-op ablation, a knob that nothing sets is
+a constant with a config field's cost, and an undocumented pipeline knob
+is invisible to the person designing the experiment.  Similarly, a
+middleware that neither calls ``call_next`` nor declares itself terminal
+quietly swallows every request behind it in the chain.
 
-* **C301** — a ``PipelineConfig`` field is consumed by no code outside
-  the dataclass definition itself.
+* **C301** — a field of a registered config class (:data:`CONFIG_CLASSES`)
+  is read as an attribute by no code in ``src/repro`` outside the class
+  body.
 * **C302** — a ``PipelineConfig`` field does not appear (in backticks)
   in ``docs/architecture.md``'s config table.
-* **C304** — a consumed ``PipelineConfig`` field is passed by keyword by
-  no call in ``src/repro`` (outside the dataclass), ``benchmarks/`` or
-  ``examples/``: with one value in use outside ``tests/`` the knob is a
-  constant.  *Any* keyword argument of that name counts (``replace(cfg,
-  tenant=…)``, a topology builder's ``shards=…``) — the same deliberate
-  looseness as C301's attribute reads.
+* **C304** — a consumed field of a registered config class is set by
+  nothing outside tests: no call passes it by keyword and no dict
+  literal writes it as a string key (how ``SWEEPS`` rows pass
+  ``RunConfig`` and topology fields) anywhere in ``src/repro`` *except
+  the class's own defining module* — a builder forwarding its own
+  parameter is not a setter — or anywhere under ``benchmarks/`` or
+  ``examples/`` outside a ``tests`` directory.  With one value in use
+  the knob is a constant.  *Any* keyword or key of that name counts
+  (``replace(cfg, tenant=…)``, a topology builder's ``shards=…``) — the
+  same deliberate looseness as C301's attribute reads.
 * **C303** — a ``Middleware.handle`` override never references its
   ``call_next`` parameter and is not annotated
   ``# repro: terminal-middleware``.  *Referencing* (not just calling)
@@ -32,10 +39,19 @@ from typing import Dict, Iterator, List, Optional, Set
 
 from repro.analysis.core import AnalysisContext, Finding, SourceFile
 
-CONFIG_MODULE = "src/repro/middleware/config.py"
-CONFIG_CLASS = "PipelineConfig"
+#: Registered config classes: defining module → class name.
+CONFIG_CLASSES: Dict[str, str] = {
+    "src/repro/middleware/config.py": "PipelineConfig",
+    "src/repro/core/topology.py": "DeploymentSpec",
+    "src/repro/workloads/fleet.py": "FleetSpec",
+    "src/repro/bench/runner.py": "RunConfig",
+    "src/repro/consensus/batching.py": "BatchConfig",
+}
+#: The one registered class whose fields must also appear in
+#: ``docs/architecture.md``'s config table (C302).
+DOCUMENTED_CLASS = "PipelineConfig"
 #: Directories under the analysis root, besides the source tree, whose
-#: calls count as setting a knob (C304).  ``tests/`` is left out on purpose.
+#: calls count as setting a knob (C304); their ``tests`` directories do not.
 CALLER_DIRS = ("benchmarks", "examples")
 
 
@@ -82,25 +98,29 @@ def _attribute_reads(tree: ast.Module, skip: Optional[ast.ClassDef]) -> Set[str]
     }
 
 
-def _keywords_passed(
-    tree: ast.Module, skip: Optional[ast.ClassDef] = None
-) -> Set[str]:
-    """All keyword-argument names any call in a module passes."""
-    return {
-        keyword.arg
-        for node in _nodes_outside(tree, skip)
-        if isinstance(node, ast.Call)
-        for keyword in node.keywords
-        if keyword.arg is not None
-    }
+def _names_set(tree: ast.Module) -> Set[str]:
+    """Keyword-argument names passed, and string keys of dict literals
+    written, anywhere in a module."""
+    names: Set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            names.update(k.arg for k in node.keywords if k.arg is not None)
+        elif isinstance(node, ast.Dict):
+            names.update(
+                key.value
+                for key in node.keys
+                if isinstance(key, ast.Constant) and isinstance(key.value, str)
+            )
+    return names
 
 
 def _caller_trees(root: Path) -> List[ast.Module]:
-    """Parsed modules of the non-source caller directories that exist."""
+    """Parsed modules of the non-source caller directories, tests left out."""
     return [
         ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for directory in CALLER_DIRS
         for path in sorted((root / directory).rglob("*.py"))
+        if "tests" not in path.relative_to(root).parts
     ]
 
 
@@ -112,69 +132,71 @@ def check_contracts(context: AnalysisContext) -> List[Finding]:
 
 
 def _check_config_knobs(context: AnalysisContext) -> List[Finding]:
-    findings: List[Finding] = []
-    config_source = next(
-        (s for s in context.files if s.relative == CONFIG_MODULE), None
-    )
-    if config_source is None:
-        return findings
-    config_class = _find_class(config_source, CONFIG_CLASS)
-    if config_class is None:
-        return findings
-    fields = _dataclass_fields(config_class)
-
-    consumed: Set[str] = set()
-    passed: Set[str] = set()
-    for source in context.files:
-        skip = config_class if source is config_source else None
-        consumed |= _attribute_reads(source.tree, skip)
-        passed |= _keywords_passed(source.tree, skip)
+    candidates: List[Optional[Finding]] = []
+    reads = {s.relative: _attribute_reads(s.tree, None) for s in context.files}
+    sets = {s.relative: _names_set(s.tree) for s in context.files}
+    set_outside_src: Set[str] = set()
     for tree in _caller_trees(context.root):
-        passed |= _keywords_passed(tree)
+        set_outside_src |= _names_set(tree)
 
-    for name, line in sorted(fields.items()):
-        marker = ast.copy_location(ast.Pass(), config_class)
-        marker.lineno = line
-        if name not in consumed:
-            finding = context.finding(
-                config_source,
-                marker,
-                "C301",
-                f"PipelineConfig.{name} is consumed by no middleware or stage",
-                hint=(
-                    "wire the knob into build_client_pipeline / a stage, "
-                    "or delete it — dead config is a silent no-op ablation"
-                ),
-            )
-            if finding is not None:
-                findings.append(finding)
-        elif name not in passed:
-            finding = context.finding(
-                config_source,
-                marker,
-                "C304",
-                f"PipelineConfig.{name} is consumed but never set — make it "
-                "a constant",
-                hint=(
-                    "no call outside tests/ passes it by keyword; move the "
-                    "value to the consuming component's constructor default "
-                    "and delete the field"
-                ),
-            )
-            if finding is not None:
-                findings.append(finding)
-        if context.architecture_doc and f"`{name}`" not in context.architecture_doc:
-            finding = context.finding(
-                config_source,
-                marker,
-                "C302",
-                f"PipelineConfig.{name} is missing from the config table in "
-                "docs/architecture.md",
-                hint="add a row describing the knob and which middleware reads it",
-            )
-            if finding is not None:
-                findings.append(finding)
-    return findings
+    for source in context.files:
+        class_name = CONFIG_CLASSES.get(source.relative)
+        config_class = _find_class(source, class_name) if class_name else None
+        if config_class is None:
+            continue
+        consumed = _attribute_reads(source.tree, config_class)
+        passed = set(set_outside_src)
+        for relative in reads:
+            if relative != source.relative:
+                consumed |= reads[relative]
+                passed |= sets[relative]
+        for name, line in sorted(_dataclass_fields(config_class).items()):
+            marker = ast.copy_location(ast.Pass(), config_class)
+            marker.lineno = line
+            knob = f"{class_name}.{name}"
+            if name not in consumed:
+                candidates.append(
+                    context.finding(
+                        source,
+                        marker,
+                        "C301",
+                        f"{knob} is consumed by nothing",
+                        hint=(
+                            "wire the knob into the component it configures, "
+                            "or delete it — dead config is a silent no-op ablation"
+                        ),
+                    )
+                )
+            elif name not in passed:
+                candidates.append(
+                    context.finding(
+                        source,
+                        marker,
+                        "C304",
+                        f"{knob} is consumed but never set — make it a constant",
+                        hint=(
+                            "nothing outside tests/ and its defining module "
+                            "passes it by keyword or dict key; move the value "
+                            "to the consuming component and delete the field"
+                        ),
+                    )
+                )
+            if (
+                class_name == DOCUMENTED_CLASS
+                and context.architecture_doc
+                and f"`{name}`" not in context.architecture_doc
+            ):
+                candidates.append(
+                    context.finding(
+                        source,
+                        marker,
+                        "C302",
+                        f"{knob} is missing from the config table in "
+                        "docs/architecture.md",
+                        hint="add a row describing the knob and which middleware reads it",
+                    )
+                )
+    return [finding for finding in candidates if finding is not None]
 
 
 def _middleware_base_names(cls: ast.ClassDef) -> Set[str]:

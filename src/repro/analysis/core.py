@@ -2,20 +2,16 @@
 
 The analyzers are pure-stdlib AST passes: a :class:`SourceFile` bundles a
 parsed module with its pragma map, a :class:`Finding` is one rule
-violation with a stable fingerprint, and :class:`AnalysisContext` holds
-the file set one run covers.  Checkers are callables ``(context) ->
-List[Finding]`` registered in :data:`repro.analysis.cli.CHECKERS`.
+violation at one site, and :class:`AnalysisContext` holds the file set
+one run covers.  Checkers are callables ``(context) -> List[Finding]``
+listed in :data:`repro.analysis.cli.CHECKERS`.
 
-Suppression has two layers, checked in this order:
-
-* **Inline pragmas** — ``# repro: allow-<family>`` on the flagged line or
-  the line directly above silences one site permanently; this is the
-  sanctioned form for *intentional* violations (a wall-clock utilization
-  counter, a deliberately terminal middleware).  Class-scoped pragmas
-  (``# repro: thread-shared``) instead opt a class *into* a checker.
-* **The committed baseline** (``analysis-baseline.json``) — grandfathers
-  known findings so the CI gate only fails on *new* violations; see
-  :mod:`repro.analysis.baseline`.
+Suppression is inline only: ``# repro: allow-<family>`` on the flagged
+line or the line directly above silences that one site — the sanctioned
+form for *intentional* violations (a wall-clock utilization counter).
+Two class-scoped pragmas work the other way: ``# repro: thread-shared``
+opts a class *into* a checker and ``# repro: terminal-middleware``
+declares a deliberate sink.
 """
 
 from __future__ import annotations
@@ -40,10 +36,10 @@ RULES: Dict[str, Tuple[str, str]] = {
     "A201": ("layering", "package import outside the declared layering DAG"),
     "A202": ("layering", "module-level import cycle"),
     "A203": ("layering", "restricted package imported outside its seam"),
-    "C301": ("contract", "PipelineConfig knob consumed by no middleware/stage"),
+    "C301": ("contract", "config field consumed by nothing"),
     "C302": ("contract", "PipelineConfig knob missing from the docs config table"),
     "C303": ("contract", "middleware neither forwards nor terminates the chain"),
-    "C304": ("contract", "PipelineConfig knob consumed but set by no caller"),
+    "C304": ("contract", "config field consumed but set by no caller"),
     "T401": ("threading", "thread-shared attribute mutated outside the lock"),
     "T402": ("threading", "EventBus handler list mutated outside the safe API"),
 }
@@ -58,13 +54,8 @@ class Finding:
     line: int
     message: str
     hint: str = ""
-    #: Enclosing symbol (``Class.method`` / function / ``<module>``); part
-    #: of the baseline fingerprint so suppressions survive line drift.
+    #: Enclosing symbol (``Class.method`` / function / ``<module>``).
     symbol: str = "<module>"
-
-    @property
-    def fingerprint(self) -> Tuple[str, str, str]:
-        return (self.rule, self.path, self.symbol)
 
     def render(self) -> str:
         text = f"{self.path}:{self.line}: {self.rule} [{self.symbol}] {self.message}"
@@ -143,7 +134,7 @@ class SourceFile:
 
 
 def enclosing_symbols(tree: ast.Module) -> Dict[int, str]:
-    """Line number → dotted enclosing symbol, for fingerprinting findings."""
+    """Line number → dotted enclosing symbol, for naming a finding's site."""
     symbols: Dict[int, str] = {}
 
     def visit(node: ast.AST, prefix: str) -> None:
@@ -164,20 +155,17 @@ def enclosing_symbols(tree: ast.Module) -> Dict[int, str]:
 class AnalysisContext:
     """Everything one analysis run sees: the file set and repo layout."""
 
-    root: Path  # repo root (holds src/, docs/, analysis-baseline.json)
+    root: Path  # repo root (holds src/, docs/, benchmarks/, examples/)
     files: List[SourceFile]
     #: docs/architecture.md text, empty when absent (contract checker).
     architecture_doc: str = ""
     _symbols: Dict[str, Dict[int, str]] = field(default_factory=dict)
 
     @classmethod
-    def load(
-        cls, root: Path, source_root: Optional[Path] = None
-    ) -> "AnalysisContext":
-        source_root = source_root or (root / "src" / "repro")
+    def load(cls, root: Path) -> "AnalysisContext":
         files = [
             SourceFile.load(path, root)
-            for path in sorted(source_root.rglob("*.py"))
+            for path in sorted((root / "src" / "repro").rglob("*.py"))
             if "__pycache__" not in path.parts
         ]
         doc_path = root / "docs" / "architecture.md"

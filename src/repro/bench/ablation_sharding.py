@@ -5,8 +5,8 @@ sweep is :func:`repro.bench.sweeps.shard_sweep`): does fair-share
 scheduling protect light tenants?  A heavy tenant submits ``skew``× the
 light tenant's load as a burst into one shard's backlogged orderer.
 Under FIFO intake the light tenant's p95 commit latency degrades by the
-full backlog; under the weighted deficit-round-robin ``fair-share``
-scheduler the light tenant keeps a bounded factor of its solo latency.
+full backlog; under the per-tenant round-robin ``fair-share`` scheduler
+the light tenant keeps a bounded factor of its solo latency.
 The table reports both against the light tenant's solo run.
 """
 
@@ -71,8 +71,8 @@ class FairnessComparison:
                 light.committed if light else 0,
             )
         table.add_note(
-            "fair-share = weighted deficit round robin over per-tenant intake "
-            "queues; FIFO serves the heavy tenant's backlog first"
+            "fair-share = round robin over per-tenant intake queues; FIFO "
+            "serves the heavy tenant's backlog first"
         )
         return table
 

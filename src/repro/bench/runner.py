@@ -21,6 +21,7 @@ from repro.common.hashing import checksum_of
 from repro.common.metrics import percentile
 from repro.core.topology import HyperProvDeployment
 from repro.middleware.config import PipelineConfig
+from repro.middleware.stages import CLIENT_OVERHEAD_S
 from repro.workloads.payloads import DataItem, PayloadGenerator
 
 
@@ -132,7 +133,7 @@ class StoreDataRunner:
         transfer = size_bytes * 8.0 / bandwidth
         fixed = (
             self.deployment.storage_backend.config.protocol_overhead_s
-            + self.deployment.fabric.config.client_overhead_s
+            + CLIENT_OVERHEAD_S
             + profile.sign_time_s
             + profile.chaincode_invoke_overhead_s * 0.5
         )

@@ -79,7 +79,7 @@ class OrderingService(ABC):
     def submit(self, tx: Transaction) -> None:
         """Submit a transaction for ordering."""
         self.metrics.counter("submitted").inc()
-        self.scheduler.enqueue(tx, now=self.engine.now)
+        self.scheduler.enqueue(tx)
         self._pump()
 
     def stall(self) -> None:

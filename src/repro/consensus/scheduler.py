@@ -8,11 +8,10 @@ block until its backlog drained.  The intake is now a pluggable
 
 * :class:`FifoScheduler` — arrival order, byte-for-byte the historical
   behaviour (and the default).
-* :class:`FairShareScheduler` — weighted deficit-round-robin over
-  per-tenant queues.  Each round every backlogged tenant gets to place
-  ``weight`` transactions into the cutter, so a tenant submitting 10x the
-  load cannot push the light tenants' transactions to the back of every
-  block.
+* :class:`FairShareScheduler` — round-robin over per-tenant queues, no
+  weights.  Each round every backlogged tenant places one transaction
+  into the cutter, so a tenant submitting 10x the load cannot push the
+  light tenants' transactions to the back of every block.
 
 Tenants are recognised from the ledger-key namespace the tenant-prefix
 middleware writes (``tenant/<name>/…``); un-namespaced traffic shares the
@@ -21,7 +20,7 @@ default ``""`` tenant and therefore one round-robin slot.
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
+from collections import deque
 from typing import Deque, Dict, Iterable, List, Optional
 
 from repro.common.errors import ConfigurationError
@@ -49,7 +48,7 @@ class OrderingScheduler:
 
     name = "scheduler"
 
-    def enqueue(self, tx: Transaction, now: float = 0.0) -> None:
+    def enqueue(self, tx: Transaction) -> None:
         raise NotImplementedError
 
     def next_transaction(self) -> Optional[Transaction]:
@@ -82,7 +81,7 @@ class FifoScheduler(OrderingScheduler):
     def __init__(self) -> None:
         self._queue: Deque[Transaction] = deque()
 
-    def enqueue(self, tx: Transaction, now: float = 0.0) -> None:
+    def enqueue(self, tx: Transaction) -> None:
         self._queue.append(tx)
 
     def next_transaction(self) -> Optional[Transaction]:
@@ -103,78 +102,52 @@ class FifoScheduler(OrderingScheduler):
 
 
 class FairShareScheduler(OrderingScheduler):
-    """Weighted deficit-round-robin over per-tenant intake queues.
+    """Round-robin over per-tenant intake queues.
 
-    Every backlogged tenant holds a credit counter.  Serving a transaction
-    costs one credit; when the tenant at the head of the round-robin ring
-    is out of credit it is recharged by its weight and rotated to the
-    back.  With equal weights the block cutter therefore interleaves
-    tenants 1:1 regardless of backlog ratios; a weight of 2 buys a tenant
-    two slots per round and a weight of 0.5 one slot every other round
-    (the recharge *accumulates*, classic DRR, so fractional weights make
-    progress instead of starving).  An idle tenant leaves the ring and
-    forfeits its credit, so nobody saves up a burst allowance.
+    Backlogged tenants form a ring; each call serves one transaction of
+    the tenant at its head.  The head moves to the back on the call
+    *after* the one that served it, not on the serving call itself, so a
+    tenant that joins while the head is mid-turn queues behind everyone
+    already waiting but ahead of the head's next transaction.  The cutter
+    therefore interleaves tenants 1:1 regardless of backlog ratios.  An
+    idle tenant leaves the ring and rejoins at its back.
     """
 
     name = "fair-share"
 
-    def __init__(
-        self,
-        weights: Optional[Dict[str, float]] = None,
-        default_weight: float = 1.0,
-    ) -> None:
-        if default_weight <= 0:
-            raise ConfigurationError("default_weight must be positive")
-        for tenant, weight in (weights or {}).items():
-            if weight <= 0:
-                raise ConfigurationError(
-                    f"scheduler weight for tenant {tenant!r} must be positive"
-                )
-        self.weights = dict(weights or {})
-        self.default_weight = default_weight
+    def __init__(self) -> None:
         #: Per-tenant FIFO queues, in tenant-arrival order.
-        self._queues: "OrderedDict[str, Deque[Transaction]]" = OrderedDict()
+        self._queues: Dict[str, Deque[Transaction]] = {}
         #: Round-robin ring of tenants with a backlog.
         self._ring: Deque[str] = deque()
-        self._credit: Dict[str, float] = {}
+        #: Whether the ring's head has been served this turn.
+        self._head_served = False
         #: Transactions served per tenant (fairness introspection).
         self.served: Dict[str, int] = {}
 
-    def weight_of(self, tenant: str) -> float:
-        return self.weights.get(tenant, self.default_weight)
-
-    def enqueue(self, tx: Transaction, now: float = 0.0) -> None:
+    def enqueue(self, tx: Transaction) -> None:
         tenant = tenant_of_transaction(tx)
         queue = self._queues.get(tenant)
         if queue is None:
             queue = self._queues[tenant] = deque()
         if not queue:
-            # Tenant (re)joins the ring with a fresh turn's worth of credit.
             self._ring.append(tenant)
-            self._credit[tenant] = self.weight_of(tenant)
         queue.append(tx)
 
     def next_transaction(self) -> Optional[Transaction]:
-        while self._ring:
-            tenant = self._ring[0]
-            queue = self._queues[tenant]
-            if not queue:  # pragma: no cover - ring invariant guard
-                self._ring.popleft()
-                self._credit.pop(tenant, None)
-                continue
-            if self._credit[tenant] >= 1.0:
-                self._credit[tenant] -= 1.0
-                tx = queue.popleft()
-                self.served[tenant] = self.served.get(tenant, 0) + 1
-                if not queue:
-                    self._ring.popleft()
-                    self._credit.pop(tenant, None)
-                return tx
-            # Turn exhausted: recharge (accumulating, so sub-1 weights
-            # eventually reach a full slot) and rotate to the ring's back.
-            self._credit[tenant] += self.weight_of(tenant)
-            self._ring.rotate(-1)
-        return None
+        ring = self._ring
+        if not ring:
+            return None
+        if self._head_served:
+            ring.rotate(-1)
+        tenant = ring[0]
+        queue = self._queues[tenant]
+        tx = queue.popleft()
+        self.served[tenant] = self.served.get(tenant, 0) + 1
+        self._head_served = bool(queue)
+        if not queue:
+            ring.popleft()
+        return tx
 
     @property
     def pending(self) -> int:
@@ -192,15 +165,12 @@ class FairShareScheduler(OrderingScheduler):
 SCHEDULER_NAMES = ("fifo", "fair-share")
 
 
-def make_scheduler(
-    name: str,
-    weights: Optional[Dict[str, float]] = None,
-) -> OrderingScheduler:
+def make_scheduler(name: str) -> OrderingScheduler:
     """Instantiate a scheduler by its config name."""
     if name == "fifo":
         return FifoScheduler()
     if name == "fair-share":
-        return FairShareScheduler(weights=weights)
+        return FairShareScheduler()
     raise ConfigurationError(
         f"unknown ordering scheduler {name!r} (choose from {SCHEDULER_NAMES})"
     )

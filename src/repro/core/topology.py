@@ -29,7 +29,7 @@ from repro.devices.profiles import (
 from repro.energy.meter import PowerMeter
 from repro.energy.power import PowerModel
 from repro.fabric.channel import Channel
-from repro.fabric.network import FabricNetwork, FabricNetworkConfig
+from repro.fabric.network import FabricNetwork
 from repro.fabric.peer import Peer
 from repro.membership.identity import Organization
 from repro.membership.msp import MSP
@@ -57,10 +57,8 @@ class DeploymentSpec:
     client_colocated_with: Optional[int] = 0
     #: Orderer batching parameters.
     batch_config: BatchConfig = field(default_factory=BatchConfig)
-    #: ``"solo"`` or ``"raft"``.
+    #: ``"solo"`` or ``"raft"`` (a three-node cluster).
     ordering: str = "solo"
-    #: Raft cluster size when ``ordering == "raft"``.
-    raft_cluster_size: int = 3
     #: Enable FastFabric-style parallel validation on every peer.
     parallel_validation: bool = False
     #: Channels the deployment hosts.  Every peer node joins every channel
@@ -70,8 +68,6 @@ class DeploymentSpec:
     shards: int = 1
     #: Orderer intake policy: ``"fifo"`` or ``"fair-share"`` (per shard).
     scheduler: str = "fifo"
-    #: Per-tenant weights for the fair-share scheduler (default weight 1).
-    scheduler_weights: Optional[Dict[str, float]] = None
     #: Per-envelope orderer processing time; 0 keeps intake synchronous
     #: (the historical behaviour).  Positive values bound each channel's
     #: ordering rate, which is what makes scheduling policy and shard
@@ -155,7 +151,7 @@ def build_deployment(spec: DeploymentSpec) -> HyperProvDeployment:
     network.register_node(orderer_node, profile=spec.orderer_profile.nic)
 
     def build_orderer(name: str, rng_label: str) -> object:
-        scheduler = make_scheduler(spec.scheduler, spec.scheduler_weights)
+        scheduler = make_scheduler(spec.scheduler)
         if spec.ordering == "solo":
             return SoloOrderingService(
                 name=name,
@@ -169,7 +165,6 @@ def build_deployment(spec: DeploymentSpec) -> HyperProvDeployment:
                 name=name,
                 engine=engine,
                 network=network,
-                cluster_size=spec.raft_cluster_size,
                 batch_config=spec.batch_config,
                 rng=rng.fork(rng_label),
                 scheduler=scheduler,
@@ -186,10 +181,6 @@ def build_deployment(spec: DeploymentSpec) -> HyperProvDeployment:
         orderer=orderer,
         orderer_node=orderer_node,
         orderer_device=orderer_device,
-        config=FabricNetworkConfig(),
-    )
-    fabric.default_scheduler_weights = (
-        dict(spec.scheduler_weights) if spec.scheduler_weights else None
     )
     for peer in peers:
         fabric.add_peer(peer)
@@ -303,7 +294,6 @@ def build_desktop_deployment(
     parallel_validation: bool = False,
     shards: int = 1,
     scheduler: str = "fifo",
-    scheduler_weights: Optional[Dict[str, float]] = None,
     orderer_intake_interval_s: float = 0.0,
     indexes: Sequence[str] = (),
     seed: int = 42,
@@ -326,7 +316,6 @@ def build_desktop_deployment(
         parallel_validation=parallel_validation,
         shards=shards,
         scheduler=scheduler,
-        scheduler_weights=scheduler_weights,
         orderer_intake_interval_s=orderer_intake_interval_s,
         indexes=indexes,
         seed=seed,
@@ -340,7 +329,6 @@ def build_rpi_deployment(
     parallel_validation: bool = False,
     shards: int = 1,
     scheduler: str = "fifo",
-    scheduler_weights: Optional[Dict[str, float]] = None,
     orderer_intake_interval_s: float = 0.0,
     indexes: Sequence[str] = (),
     seed: int = 42,
@@ -363,7 +351,6 @@ def build_rpi_deployment(
         parallel_validation=parallel_validation,
         shards=shards,
         scheduler=scheduler,
-        scheduler_weights=scheduler_weights,
         orderer_intake_interval_s=orderer_intake_interval_s,
         indexes=indexes,
         seed=seed,

@@ -20,7 +20,7 @@ substrate the HyperProv client library runs on.
 from repro.fabric.proposal import Proposal, ProposalResponse, TransactionHandle
 from repro.fabric.peer import Peer, CommitResult
 from repro.fabric.channel import Channel
-from repro.fabric.network import FabricNetwork, FabricNetworkConfig
+from repro.fabric.network import FabricNetwork
 
 __all__ = [
     "Proposal",
@@ -30,5 +30,4 @@ __all__ = [
     "CommitResult",
     "Channel",
     "FabricNetwork",
-    "FabricNetworkConfig",
 ]

@@ -44,6 +44,7 @@ from repro.middleware.base import TransactionPipeline
 from repro.middleware.batching import EndorsementBatcher
 from repro.middleware.context import Context, OperationKind
 from repro.middleware.stages import (
+    CLIENT_OVERHEAD_S,
     AwaitCommitStage,
     BuildProposalStage,
     CollectEndorsementsStage,
@@ -52,22 +53,6 @@ from repro.middleware.stages import (
 )
 from repro.network.fabric import NetworkFabric
 from repro.simulation.engine import RunOutcome, SimulationEngine
-
-
-@dataclass
-class FabricNetworkConfig:
-    """Tunables for the orchestration layer."""
-
-    #: Peers a client sends proposals to, in this order; ``None`` means every
-    #: channel member in name order.  Resolved against each shard's peers
-    #: once, when the first client is registered (every name must be hosted
-    #: by every shard, or that raises ``ConfigurationError``).
-    endorsing_peers: Optional[List[str]] = None
-    #: Extra fixed client-side latency per request (SDK/GRPC overhead), seconds.
-    client_overhead_s: float = 0.002
-    #: Endorsed envelopes coalesced into one orderer submission (1 = off,
-    #: reproducing the unbatched per-transaction transfer exactly).
-    order_batch_size: int = 1
 
 
 @dataclass
@@ -96,11 +81,9 @@ class ChannelShard:
     #: Per-channel peer replicas (same node names across shards — one peer
     #: process hosting one ledger per joined channel, as in Fabric).
     peers: Dict[str, Peer] = field(default_factory=dict)
-    #: ``peers`` in name order (block delivery order), kept by ``add_peer``.
+    #: ``peers`` in name order — block delivery and endorsement fan-out
+    #: order — kept by ``add_peer``.
     ordered_peers: List[Peer] = field(default_factory=list)
-    #: The peers proposals fan out to, in order; resolved on first use by
-    #: ``FabricNetwork._endorsers`` and dropped when a peer joins.
-    endorsers: Optional[List[Peer]] = None
     #: Every block this shard's ordering service produced, in order.  Used
     #: to bring peers that missed deliveries (partitions) back up to date.
     ordered_blocks: List[Block] = field(default_factory=list)
@@ -127,12 +110,13 @@ class FabricNetwork:
         orderer: Optional[OrderingService] = None,
         orderer_node: str = "orderer",
         orderer_device: Optional[DeviceModel] = None,
-        config: Optional[FabricNetworkConfig] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self.engine = engine
         self.network = network
-        self.config = config or FabricNetworkConfig()
+        #: Endorsed envelopes coalesced into one orderer submission (1 = off,
+        #: reproducing the unbatched per-transaction transfer exactly).
+        self.order_batch_size = 1
         self.metrics = metrics or MetricsRegistry("fabric")
         # Resolved once, like a peer's: these are touched per block or per
         # committed transaction, and a by-name look-up is measurable there.
@@ -151,10 +135,6 @@ class FabricNetwork:
         #: tx-id → owning client context of every handle awaiting commit,
         #: so a block completes its handles with an O(block txs) lookup.
         self._pending_index: Dict[str, _ClientContext] = {}
-        #: Per-tenant fair-share weights the deployment was built with;
-        #: ``set_scheduler`` falls back to these so a policy swap through
-        #: a PipelineConfig does not silently reset custom weights.
-        self.default_scheduler_weights: Optional[Dict[str, float]] = None
         #: Peer processes currently crashed (fault injection): they endorse
         #: nothing, serve no queries and miss block deliveries until
         #: :meth:`restart_peer` brings them back and re-syncs their ledgers.
@@ -200,7 +180,7 @@ class FabricNetwork:
             lambda block, shard_index=index: self._on_block_ordered(shard_index, block)
         )
         batcher = EndorsementBatcher(
-            self, shard, batch_size=self.config.order_batch_size, metrics=self.metrics
+            self, shard, batch_size=self.order_batch_size, metrics=self.metrics
         )
         shard.batcher = batcher
         #: The client→endorse→order→commit path as discrete pipeline stages.
@@ -242,7 +222,6 @@ class FabricNetwork:
             )
         target.peers[peer.name] = peer
         target.ordered_peers = [target.peers[name] for name in sorted(target.peers)]
-        target.endorsers = None
         if peer.name not in self.network.nodes:
             self.network.register_node(peer.name, profile=peer.device.profile.nic)
 
@@ -269,10 +248,6 @@ class FabricNetwork:
         anchor = anchor_peer or self._shards[0].ordered_peers[0].name
         if not any(anchor in shard.peers for shard in self._shards):
             raise NotFoundError(f"anchor peer {anchor!r} is not part of the network")
-        # The topology is complete once clients register: a misnamed
-        # endorsing peer fails here, not in the middle of an invoke.
-        for shard in self._shards:
-            self._endorsers(shard)
         self._clients[name] = _ClientContext(
             name=name,
             identity=identity,
@@ -302,22 +277,6 @@ class FabricNetwork:
         if context is None:
             raise NotFoundError(f"unknown client {name!r}")
         return context
-
-    def _endorsers(self, shard: ChannelShard) -> List[Peer]:
-        """The peers a proposal on ``shard`` is sent to, resolved once per shard."""
-        if shard.endorsers is None:
-            names = self.config.endorsing_peers
-            if names is None:
-                shard.endorsers = shard.ordered_peers
-            else:
-                for name in names:
-                    if name not in shard.peers:
-                        raise ConfigurationError(
-                            f"endorsing peer {name!r} is not hosted on channel "
-                            f"{shard.channel.name!r} (its peers: {sorted(shard.peers)})"
-                        )
-                shard.endorsers = [shard.peers[name] for name in names]
-        return shard.endorsers
 
     # ----------------------------------------------------------- submission
     def submit_transaction(
@@ -450,7 +409,7 @@ class FabricNetwork:
         """Reconfigure every shard's endorsement batcher (flushes queues)."""
         if batch_size < 1:
             raise ConfigurationError("order batch size must be at least 1")
-        self.config.order_batch_size = batch_size
+        self.order_batch_size = batch_size
         for shard in self._shards:
             shard.batcher.flush()
             shard.batcher.batch_size = batch_size
@@ -475,18 +434,15 @@ class FabricNetwork:
                     FieldValueIndex(normalized) if normalized else None
                 )
 
-    def set_scheduler(self, name: str, weights: Optional[Dict[str, float]] = None) -> None:
+    def set_scheduler(self, name: str) -> None:
         """Swap the intake scheduler on every shard's ordering service.
 
         Each shard gets its own scheduler instance (per-shard tenant
         queues); any queued backlog is carried over into the new
-        scheduler.  Without explicit ``weights`` the deployment's
-        build-time ``default_scheduler_weights`` apply.
+        scheduler.
         """
-        if weights is None:
-            weights = self.default_scheduler_weights
         for shard in self._shards:
-            shard.orderer.set_scheduler(make_scheduler(name, weights))
+            shard.orderer.set_scheduler(make_scheduler(name))
 
     def set_intake_interval(self, interval_s: float) -> None:
         """Set the per-envelope orderer processing time on every shard."""
@@ -576,7 +532,7 @@ class FabricNetwork:
         # Lives for this fan-out only: replicas whose reads agree adopt the
         # first endorser's chaincode run instead of repeating it.
         shared = SharedSimulation(proposal)
-        for peer in self._endorsers(shard):
+        for peer in shard.ordered_peers:
             peer_name = peer.name
             if peer_name in self._offline_peers:
                 continue
@@ -805,7 +761,7 @@ class FabricNetwork:
             channel_name=target.channel.name,
         )
 
-        prep = context.device.sign_time() + self.config.client_overhead_s
+        prep = context.device.sign_time() + CLIENT_OVERHEAD_S
         _, prep_done = context.device.charge_cpu(start, prep)
         to_peer = self.network.estimate_transfer_time(
             context.host_node, target_name, proposal.size_bytes

@@ -25,6 +25,9 @@ from repro.ledger.transaction import Transaction, TxValidationCode
 from repro.middleware.base import Handler, Middleware
 from repro.middleware.context import Context
 
+#: Fixed client-side latency per request (SDK/gRPC overhead), seconds.
+CLIENT_OVERHEAD_S = 0.002
+
 
 @dataclass
 class InvokeState:
@@ -76,7 +79,7 @@ class BuildProposalStage(FabricStage):
         prep = (
             client.device.sign_time()
             + client.device.serialization_time(state.proposal.size_bytes)
-            + fabric.config.client_overhead_s
+            + CLIENT_OVERHEAD_S
         )
         _, state.prep_done = client.device.charge_cpu(state.start, prep)
         return call_next(ctx)

@@ -23,6 +23,10 @@ from typing import Iterator, List, Optional, Tuple
 from repro.common.errors import ConfigurationError
 from repro.simulation.randomness import DeterministicRandom
 
+#: A churned device is offline for this fraction of the run, placed
+#: deterministically per device (:class:`CohortArrivalPlan`).
+CHURN_OFFLINE_FRACTION = 0.25
+
 
 class ArrivalProcess(ABC):
     """Produces the virtual-time points at which requests are issued."""
@@ -179,9 +183,6 @@ class CohortArrivalPlan:
     seed: int = 42
     #: Fraction of devices that leave mid-run and rejoin later (churn).
     churn_fraction: float = 0.0
-    #: Churned devices are offline for this fraction of the run, centred
-    #: deterministically per device.
-    churn_offline_fraction: float = 0.25
     _schedules: List[DeviceArrivals] = field(default_factory=list, repr=False)
 
     def __post_init__(self) -> None:
@@ -191,8 +192,6 @@ class CohortArrivalPlan:
             raise ConfigurationError("a cohort needs at least one shard")
         if not 0.0 <= self.churn_fraction <= 1.0:
             raise ConfigurationError("churn_fraction must be in [0, 1]")
-        if not 0.0 < self.churn_offline_fraction <= 0.8:
-            raise ConfigurationError("churn_offline_fraction must be in (0, 0.8]")
         root = DeterministicRandom(self.seed)
         churn_period = (
             int(1.0 / self.churn_fraction) if self.churn_fraction > 0 else 0
@@ -206,8 +205,8 @@ class CohortArrivalPlan:
             if churn_period and index % churn_period == churn_period - 1:
                 # Deterministic per-device offline window, jittered by the
                 # device's own stream so the fleet does not churn in lockstep.
-                width = self.duration_s * self.churn_offline_fraction
-                start = rng.uniform(0.1, 0.9 - self.churn_offline_fraction)
+                width = self.duration_s * CHURN_OFFLINE_FRACTION
+                start = rng.uniform(0.1, 0.9 - CHURN_OFFLINE_FRACTION)
                 leave = start * self.duration_s
                 rejoin = leave + width
                 times = [t for t in times if not leave <= t < rejoin]

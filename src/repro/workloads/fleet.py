@@ -59,6 +59,13 @@ from repro.simulation.randomness import DeterministicRandom
 from repro.workloads.arrivals import CohortArrivalPlan
 
 
+#: Peer replicas per site: an anchor, and one that partition windows cut off.
+PEERS_PER_SITE = 2
+
+#: Declared off-chain payload size of every fleet post, bytes.
+PAYLOAD_SIZE_BYTES = 1024
+
+
 def site_peer_name(site: int, replica: int) -> str:
     return f"s{site}-peer{replica}"
 
@@ -89,15 +96,10 @@ class FleetSpec:
     seed: int = 42
     #: Fraction of devices that leave mid-run and rejoin (schedule gaps).
     churn_fraction: float = 0.0
-    churn_offline_fraction: float = 0.25
     #: ``(start_s, end_s)`` windows during which each site's last peer
     #: replica is partitioned away (it catches up after the heal).
     partition_windows: Tuple[Tuple[float, float], ...] = ()
-    payload_size_bytes: int = 1024
-    peers_per_site: int = 2
     batch_config: BatchConfig = field(default_factory=BatchConfig)
-    #: Per-envelope orderer intake pacing.
-    orderer_intake_interval_s: float = 0.0
 
     def validate(self) -> None:
         if self.devices < 1:
@@ -110,12 +112,6 @@ class FleetSpec:
             raise ConfigurationError("per-device rate cannot be negative")
         if self.duration_s <= 0:
             raise ConfigurationError("duration must be positive")
-        if self.peers_per_site < 1:
-            raise ConfigurationError("each site needs at least one peer")
-        if self.payload_size_bytes < 0:
-            raise ConfigurationError("payload size cannot be negative")
-        if self.orderer_intake_interval_s < 0:
-            raise ConfigurationError("intake interval cannot be negative")
         self.batch_config.validate()
         previous_end = 0.0
         for start, end in self.partition_windows:
@@ -136,7 +132,6 @@ class FleetSpec:
             duration_s=self.duration_s,
             seed=self.seed,
             churn_fraction=self.churn_fraction,
-            churn_offline_fraction=self.churn_offline_fraction,
         )
 
     def site_of_device(self, index: int) -> int:
@@ -205,13 +200,10 @@ def build_fleet(
         )
         network.register_node(orderer_node, profile=XEON_E5_1603.nic)
         orderer = SoloOrderingService(
-            name=orderer_node,
-            engine=engine,
-            batch_config=spec.batch_config,
-            intake_interval_s=spec.orderer_intake_interval_s,
+            name=orderer_node, engine=engine, batch_config=spec.batch_config
         )
         peers: List[Peer] = []
-        for replica in range(spec.peers_per_site):
+        for replica in range(PEERS_PER_SITE):
             peer_node = site_peer_name(site, replica)
             profile = DESKTOP_PROFILES[replica % len(DESKTOP_PROFILES)]
             device = DeviceModel(
@@ -291,11 +283,11 @@ def _schedule_partition_windows(deployment: FleetDeployment) -> None:
     intra-site reachability is identical either way.
     """
     spec = deployment.spec
-    if not spec.partition_windows or spec.peers_per_site < 2:
+    if not spec.partition_windows:
         return
     partitions = deployment.network.partitions
     groups = [
-        [site_peer_name(site, spec.peers_per_site - 1)] for site in deployment.sites
+        [site_peer_name(site, PEERS_PER_SITE - 1)] for site in deployment.sites
     ]
     for start, end in spec.partition_windows:
         deployment.engine.schedule_at(
@@ -336,7 +328,7 @@ def submit_fleet(
             f"ext://{key}",
             "[]",
             "{}",
-            str(spec.payload_size_bytes),
+            str(PAYLOAD_SIZE_BYTES),
         ]
         handle = deployment.fabric.submit_transaction(
             device_name(index),
@@ -344,7 +336,7 @@ def submit_fleet(
             "set",
             args,
             at_time=at_time,
-            payload_size_bytes=spec.payload_size_bytes,
+            payload_size_bytes=PAYLOAD_SIZE_BYTES,
             shard=deployment.shard_of_site[site],
         )
         deployment.handles[site].append((index, handle))

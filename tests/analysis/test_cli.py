@@ -1,10 +1,10 @@
-"""CLI modes: report/check/update-baseline/rules/format, plus the
-end-to-end fixture finding set."""
+"""The CLI's one mode, plus the end-to-end fixture finding set."""
 
 from __future__ import annotations
 
-import json
 import shutil
+
+import pytest
 
 from repro.analysis.cli import main, run_analysis
 
@@ -16,9 +16,11 @@ EXPECTED = [
     ("A201", "common/reachup.py", 5),
     ("A202", "network/cyc_b.py", 1),
     ("A203", "ledger/benchhook.py", 3),
+    ("C301", "consensus/batching.py", 10),
     ("C301", "middleware/config.py", 11),
     ("C302", "middleware/config.py", 10),
     ("C303", "middleware/stages.py", 23),
+    ("C304", "consensus/batching.py", 9),
     ("C304", "middleware/config.py", 13),
     ("D101", "simx/wallclock.py", 10),
     ("D101", "simx/wallclock.py", 11),
@@ -51,120 +53,76 @@ def test_full_fixture_finding_set():
     assert got == sorted(EXPECTED)
 
 
-def test_default_mode_reports_and_exits_zero(tmp_path, capsys):
-    code = main(
-        ["--root", str(BADREPO), "--baseline", str(tmp_path / "b.json")]
-    )
+def printed_findings(out):
+    """``(rule, path-suffix, line)`` of every finding ``main`` printed, in
+    print order."""
+    printed = []
+    for text in out.splitlines():
+        if text.startswith(" "):
+            continue  # a finding's hint line
+        site, rule = text.split(" ")[:2]
+        path, line = site.split(":")[:2]
+        printed.append((rule, "/".join(path.split("/")[-2:]), int(line)))
+    return printed
+
+
+def test_main_prints_every_finding_and_exits_one(capsys):
+    assert main(["--root", str(BADREPO)]) == 1
     captured = capsys.readouterr()
-    assert code == 0
+    assert sorted(printed_findings(captured.out)) == sorted(EXPECTED)
     assert f"{len(EXPECTED)} finding(s)" in captured.err
-    assert "D101" in captured.out
 
 
-def test_check_without_baseline_fails(tmp_path, capsys):
-    code = main(
-        [
-            "--root",
-            str(BADREPO),
-            "--baseline",
-            str(tmp_path / "absent.json"),
-            "--check",
-        ]
-    )
+def test_findings_print_in_path_then_line_order(capsys):
+    main(["--root", str(BADREPO)])
+    lines = [
+        line
+        for line in capsys.readouterr().out.splitlines()
+        if not line.startswith(" ")
+    ]
+    sites = [(line.split(":")[0], int(line.split(":")[1])) for line in lines]
+    assert sites == sorted(sites)
+
+
+def test_root_defaults_to_the_working_directory(monkeypatch, capsys):
+    monkeypatch.chdir(BADREPO)
+    assert main([]) == 1
     captured = capsys.readouterr()
-    assert code == 1
-    assert "FAIL" in captured.err
+    assert sorted(printed_findings(captured.out)) == sorted(EXPECTED)
 
 
-def test_update_baseline_then_check_passes(tmp_path, capsys):
-    baseline = tmp_path / "b.json"
-    assert main(
-        ["--root", str(BADREPO), "--baseline", str(baseline), "--update-baseline"]
-    ) == 0
-    assert baseline.exists()
-    code = main(["--root", str(BADREPO), "--baseline", str(baseline), "--check"])
-    captured = capsys.readouterr()
-    assert code == 0
-    assert "OK" in captured.err
-
-
-def test_check_fails_on_new_finding_only(tmp_path, capsys):
+def test_inline_pragma_is_the_suppression(tmp_path, capsys):
     root = tmp_path / "badrepo"
     shutil.copytree(BADREPO, root)
-    baseline = root / "analysis-baseline.json"
-    main(["--root", str(root), "--baseline", str(baseline), "--update-baseline"])
-    capsys.readouterr()
-
-    # A brand-new violation in a previously-clean module must trip the gate.
-    (root / "src" / "repro" / "simx" / "fresh.py").write_text(
-        "import time\n\n\ndef oops():\n    return time.time()\n",
-        encoding="utf-8",
+    module = root / "src" / "repro" / "simx" / "wallclock.py"
+    source = module.read_text(encoding="utf-8").replace(
+        "now = datetime.now()  # line 12: D101",
+        "now = datetime.now()  # repro: allow-wallclock",
     )
-    code = main(["--root", str(root), "--baseline", str(baseline), "--check"])
+    module.write_text(source, encoding="utf-8")
+    assert main(["--root", str(root)]) == 1
     captured = capsys.readouterr()
-    assert code == 1
-    assert "fresh.py" in captured.out
-    assert "FAIL: 1 new finding" in captured.err
+    expected = [e for e in EXPECTED if e != ("D101", "simx/wallclock.py", 12)]
+    assert sorted(printed_findings(captured.out)) == sorted(expected)
+    assert f"{len(expected)} finding(s)" in captured.err
 
 
-def test_check_notes_stale_entries(tmp_path, capsys):
-    root = tmp_path / "badrepo"
-    shutil.copytree(BADREPO, root)
-    baseline = root / "analysis-baseline.json"
-    main(["--root", str(root), "--baseline", str(baseline), "--update-baseline"])
-    capsys.readouterr()
-
-    # Fixing a violation leaves its baseline entry stale, not failing.
-    (root / "src" / "repro" / "simx" / "randomness.py").unlink()
-    code = main(["--root", str(root), "--baseline", str(baseline), "--check"])
-    captured = capsys.readouterr()
-    assert code == 0
-    assert "stale" in captured.err
+#: The analyzer's flags from before ``--root`` became its only option: a
+#: baseline file, a report-only mode, rule filters and output formats.
+REMOVED_FLAGS = [
+    ["--check"],
+    ["--baseline", "analysis-baseline.json"],
+    ["--update-baseline"],
+    ["--rules", "D"],
+    ["--format", "json"],
+    ["--list-rules"],
+    ["--source-root", "src/repro"],
+]
 
 
-def test_rules_prefix_filter():
-    only_d = run_analysis(BADREPO, rules=["D"])
-    assert only_d and all(f.rule.startswith("D") for f in only_d)
-    exact = run_analysis(BADREPO, rules=["A201", "C303"])
-    assert sorted({f.rule for f in exact}) == ["A201", "C303"]
-
-
-def test_format_json(tmp_path, capsys):
-    code = main(
-        [
-            "--root",
-            str(BADREPO),
-            "--baseline",
-            str(tmp_path / "b.json"),
-            "--format",
-            "json",
-        ]
-    )
-    captured = capsys.readouterr()
-    assert code == 0
-    payload = json.loads(captured.out)
-    assert len(payload) == len(EXPECTED)
-    assert {"rule", "path", "line", "symbol", "message", "hint"} <= set(
-        payload[0]
-    )
-
-
-def test_list_rules(capsys):
-    assert main(["--list-rules"]) == 0
-    out = capsys.readouterr().out
-    for rule in (
-        "D101",
-        "D102",
-        "D103",
-        "D104",
-        "A201",
-        "A202",
-        "A203",
-        "C301",
-        "C302",
-        "C303",
-        "C304",
-        "T401",
-        "T402",
-    ):
-        assert rule in out
+@pytest.mark.parametrize("flag", REMOVED_FLAGS, ids=lambda flag: flag[0])
+def test_root_is_the_only_option(flag, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--root", str(BADREPO), *flag])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

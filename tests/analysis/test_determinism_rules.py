@@ -69,7 +69,6 @@ def test_findings_carry_symbol_and_hint(bad_context):
     assert first.render().startswith(
         "src/repro/simx/wallclock.py:10: D101 [stamp]"
     )
-    assert first.fingerprint == ("D101", "src/repro/simx/wallclock.py", "stamp")
 
 
 def test_bench_paths_exempt_from_wallclock_but_not_randomness(tmp_path):

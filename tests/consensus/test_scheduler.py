@@ -1,6 +1,9 @@
 """Unit tests for the pluggable orderer intake schedulers."""
 
+from collections import deque
+
 import pytest
+from hypothesis import example, given, seed, settings, strategies as st
 
 from repro.common.errors import ConfigurationError
 from repro.consensus.batching import BatchConfig
@@ -65,25 +68,6 @@ def test_fair_share_interleaves_tenants_one_to_one():
     # heavy backlog drains (FIFO would put it at positions 10 and 11).
     assert positions["light"] == [1, 3]
     assert scheduler.served["heavy"] == 10
-
-
-def test_fair_share_weights_buy_extra_slots():
-    scheduler = FairShareScheduler(weights={"gold": 2.0})
-    for i in range(6):
-        scheduler.enqueue(make_tx(f"g{i}", f"tenant/gold/k{i}"))
-        scheduler.enqueue(make_tx(f"s{i}", f"tenant/silver/k{i}"))
-    served = [scheduler.next_transaction() for _ in range(12)]
-    first_six = [tenant_of_transaction(tx) for tx in served[:6]]
-    # Per round: gold serves two for silver's one.
-    assert first_six.count("gold") == 4
-    assert first_six.count("silver") == 2
-
-
-def test_fair_share_rejects_non_positive_weights():
-    with pytest.raises(ConfigurationError):
-        FairShareScheduler(weights={"a": 0})
-    with pytest.raises(ConfigurationError):
-        FairShareScheduler(default_weight=-1)
 
 
 def test_fair_share_pending_by_tenant():
@@ -176,15 +160,142 @@ def test_set_scheduler_carries_backlog_over():
     assert len(blocks) == 1 and blocks[0].tx_count == 2
 
 
-def test_fair_share_fractional_weights_make_progress():
-    """Regression: a sub-1 weight must accumulate credit, not spin forever."""
-    scheduler = FairShareScheduler(weights={"slow": 0.5})
-    for i in range(4):
-        scheduler.enqueue(make_tx(f"s{i}", "tenant/slow/k"))
-        scheduler.enqueue(make_tx(f"f{i}", "tenant/fast/k"))
-    served = [scheduler.next_transaction() for _ in range(8)]
-    assert all(tx is not None for tx in served)
-    tenants = [tenant_of_transaction(tx) for tx in served]
-    # The slow tenant gets roughly one slot per two of the fast tenant's.
-    assert tenants.count("slow") == 4 and tenants.count("fast") == 4
-    assert tenants[:3].count("fast") >= 2
+# ------------------------------------------------------ round-robin oracle
+class UnitWeightDRR:
+    """Deficit round-robin with every tenant's weight 1 — the fair-share
+    scheduler as it stood with weights, kept as the reference."""
+
+    def __init__(self):
+        self.queues = {}
+        self.ring = deque()
+        self.credit = {}
+
+    def enqueue(self, tx):
+        tenant = tenant_of_transaction(tx)
+        queue = self.queues.setdefault(tenant, deque())
+        if not queue:
+            self.ring.append(tenant)
+            self.credit[tenant] = 1.0
+        queue.append(tx)
+
+    def next_transaction(self):
+        while self.ring:
+            tenant = self.ring[0]
+            queue = self.queues[tenant]
+            if self.credit[tenant] >= 1.0:
+                self.credit[tenant] -= 1.0
+                tx = queue.popleft()
+                if not queue:
+                    self.ring.popleft()
+                    del self.credit[tenant]
+                return tx
+            self.credit[tenant] += 1.0
+            self.ring.rotate(-1)
+        return None
+
+    def drain(self):
+        return list(iter(self.next_transaction, None))
+
+
+TENANTS = ["", "a", "b", "c", "d"]
+
+programs = st.lists(
+    st.one_of(
+        st.tuples(st.just("enqueue"), st.sampled_from(TENANTS)),
+        st.just(("next",)),
+        st.just(("drain",)),
+    ),
+    max_size=60,
+)
+
+
+def run_program(scheduler, program, txs):
+    """Replay ``program`` on ``scheduler``; every served transaction, in order."""
+    served = []
+    enqueued = iter(txs)
+    for step in program:
+        if step[0] == "enqueue":
+            scheduler.enqueue(next(enqueued))
+        elif step[0] == "next":
+            served.append(scheduler.next_transaction())
+        else:
+            served.extend(scheduler.drain())
+    return served
+
+
+@seed(20261015)
+@settings(max_examples=300, deadline=None)
+@given(programs)
+# The head's tenant still has a backlog when "b" joins mid-turn: "b" is
+# served next, so a scheduler that rotates on the serving call fails here.
+@example([("enqueue", "a"), ("enqueue", "a"), ("next",), ("enqueue", "b"), ("next",)])
+def test_fair_share_serves_what_unit_weight_drr_serves(program):
+    txs = [
+        make_tx(f"t{i}", f"tenant/{step[1]}/k{i}" if step[1] else f"item/k{i}")
+        for i, step in enumerate(s for s in program if s[0] == "enqueue")
+    ]
+    scheduler = FairShareScheduler()
+    expected = run_program(UnitWeightDRR(), program, txs)
+    served = run_program(scheduler, program, txs)
+    assert len(served) == len(expected)
+    assert all(got is want for got, want in zip(served, expected))
+    assert scheduler.pending == len(txs) - sum(tx is not None for tx in served)
+
+
+class EagerRoundRobin(FairShareScheduler):
+    """Moves the head to the back on the call that serves it."""
+
+    def next_transaction(self):
+        if not self._ring:
+            return None
+        tenant = self._ring.popleft()
+        queue = self._queues[tenant]
+        tx = queue.popleft()
+        if queue:
+            self._ring.append(tenant)
+        return tx
+
+
+def test_eager_rotation_fails_the_oracle():
+    """The oracle has teeth: rotating on the serving call is caught."""
+    program = [("enqueue", "a"), ("enqueue", "a"), ("next",), ("enqueue", "b"), ("next",)]
+    txs = [make_tx("a0", "tenant/a/k0"), make_tx("a1", "tenant/a/k1"),
+           make_tx("b0", "tenant/b/k0")]
+    expected = run_program(UnitWeightDRR(), program, txs)
+    assert [tx.tx_id for tx in expected] == ["a0", "b0"]
+    assert [tx.tx_id for tx in run_program(EagerRoundRobin(), program, txs)] == ["a0", "a1"]
+    assert run_program(FairShareScheduler(), program, txs) == expected
+
+
+def test_fair_share_joiner_goes_ahead_of_the_heads_next_turn():
+    scheduler = FairShareScheduler()
+    for tx_id, key in [("a0", "tenant/a/k0"), ("a1", "tenant/a/k1"),
+                       ("b0", "tenant/b/k0"), ("c0", "tenant/c/k0")]:
+        scheduler.enqueue(make_tx(tx_id, key))
+    first = scheduler.next_transaction()
+    scheduler.enqueue(make_tx("d0", "tenant/d/k0"))  # joins while "a" is mid-turn
+    rest = scheduler.drain()
+    # "d" queues behind everyone already waiting, ahead of a's second turn.
+    assert [tx.tx_id for tx in [first, *rest]] == ["a0", "b0", "c0", "d0", "a1"]
+
+
+def test_fair_share_idle_tenant_rejoins_at_the_back():
+    scheduler = FairShareScheduler()
+    scheduler.enqueue(make_tx("a0", "tenant/a/k0"))
+    scheduler.enqueue(make_tx("b0", "tenant/b/k0"))
+    scheduler.enqueue(make_tx("b1", "tenant/b/k1"))
+    assert scheduler.next_transaction().tx_id == "a0"  # "a" goes idle
+    scheduler.enqueue(make_tx("a1", "tenant/a/k1"))
+    assert [tx.tx_id for tx in scheduler.drain()] == ["b0", "a1", "b1"]
+    assert scheduler.pending == 0 and scheduler.next_transaction() is None
+    assert scheduler.served == {"a": 2, "b": 2}
+
+
+@pytest.mark.parametrize("prefix", ["item", "tenant/solo"])
+def test_fair_share_with_one_tenant_is_arrival_order(prefix):
+    fair, fifo = FairShareScheduler(), FifoScheduler()
+    txs = [make_tx(f"t{i}", f"{prefix}/k{i}") for i in range(6)]
+    for tx in txs:
+        fair.enqueue(tx)
+        fifo.enqueue(tx)
+    assert fair.drain() == fifo.drain() == txs

@@ -59,6 +59,13 @@ def test_raft_deployment_builds_and_commits():
     assert post.ok
 
 
+@pytest.mark.parametrize("shards", [1, 2])
+def test_raft_ordering_is_a_three_node_cluster_per_shard(shards):
+    deployment = build_desktop_deployment(ordering="raft", shards=shards, seed=3)
+    for shard in deployment.fabric.shards:
+        assert len(shard.orderer.nodes) == 3
+
+
 def test_custom_batch_config_is_applied():
     config = BatchConfig(max_message_count=1, batch_timeout_s=0.5)
     deployment = build_desktop_deployment(batch_config=config, seed=5)

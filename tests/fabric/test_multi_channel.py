@@ -146,6 +146,25 @@ def test_one_subscriber_sees_every_shards_blocks_exactly_once():
     assert {shard for shard, _, _ in seen} == {0, 1, 2, 3}
 
 
+def test_proposals_fan_out_to_every_peer_of_their_shard_in_name_order(sharded):
+    session = session_for(sharded, 2)
+    for i in range(8):
+        session.submit(f"fanout/{i}", f"v{i}".encode())
+    session.drain()
+    for shard in sharded.fabric.shards:
+        names = [peer.name for peer in shard.ordered_peers]
+        assert names == sorted(shard.peers)
+        reader = shard.ordered_peers[0]
+        transactions = [
+            tx
+            for number in range(reader.ledger_height)
+            for tx in reader.block_store.block(number).transactions
+        ]
+        assert transactions
+        for tx in transactions:
+            assert [e.endorser for e in tx.endorsements] == names
+
+
 def test_pipeline_shards_must_not_exceed_network_channels(sharded):
     with pytest.raises(ValidationError):
         session_for(sharded, 4)
@@ -176,17 +195,14 @@ def test_default_pipeline_config_leaves_deployment_scheduler_alone():
     not silently reset a fair-share deployment back to FIFO."""
     from repro.consensus.scheduler import FairShareScheduler
 
-    deployment = build_desktop_deployment(
-        seed=42, scheduler="fair-share", scheduler_weights={"gold": 2.0}
-    )
+    deployment = build_desktop_deployment(seed=42, scheduler="fair-share")
+    built = deployment.fabric.shard(0).orderer.scheduler
     service = HyperProvService(deployment)
     with service.session(tenant="a", pipeline=PipelineConfig(cache=True)):
         pass
     scheduler = deployment.fabric.shard(0).orderer.scheduler
     assert isinstance(scheduler, FairShareScheduler)
-    # An explicit swap keeps the deployment's build-time weights.
-    deployment.fabric.set_scheduler("fair-share")
-    assert deployment.fabric.shard(0).orderer.scheduler.weights == {"gold": 2.0}
+    assert scheduler is built
 
 
 def test_rejected_configure_pipeline_leaves_client_functional(desktop_deployment):

@@ -12,19 +12,10 @@ property test in ``tests/property/test_endorsement_adoption.py``.)
 import pytest
 
 from repro.chaincode.hyperprov import HyperProvChaincode
-from repro.common.errors import ConfigurationError
 from repro.common.hashing import checksum_of
-from repro.consensus.batching import BatchConfig
 from repro.core.topology import build_desktop_deployment
-from repro.devices.model import DeviceModel
-from repro.devices.profiles import XEON_E5_1603
-from repro.fabric.channel import Channel
-from repro.fabric.network import FabricNetwork, FabricNetworkConfig
 from repro.fabric.peer import Peer, SharedSimulation
 from repro.ledger.transaction import TxValidationCode
-from repro.network.fabric import NetworkFabric
-from repro.simulation.engine import SimulationEngine
-from repro.simulation.randomness import DeterministicRandom
 
 CLIENT = "hyperprov-client"
 
@@ -274,60 +265,3 @@ def test_reads_alone_leave_the_endorsement_counter_at_zero():
     assert anchor.metrics.counter("queries").value == 3
     assert anchor.metrics.counter("endorsements").value == 0
     assert anchor.metrics.histogram("endorse_time_s").count == 0
-
-
-def _bare_network(channel, endorsing_peers):
-    engine = SimulationEngine()
-    return FabricNetwork(
-        engine=engine,
-        network=NetworkFabric(engine=engine, rng=DeterministicRandom(5)),
-        channel=channel,
-        config=FabricNetworkConfig(endorsing_peers=endorsing_peers),
-    )
-
-
-def test_unknown_endorsing_peer_is_a_configuration_error(channel, single_peer, organizations):
-    fabric = _bare_network(channel, [single_peer.name, "peer9.org9"])
-    fabric.add_peer(single_peer)
-    client = organizations[0].enroll("client1", role="client")
-    device = DeviceModel("client-device", XEON_E5_1603, rng=DeterministicRandom(4))
-    with pytest.raises(ConfigurationError) as error:
-        fabric.add_client("client1", identity=client, device=device)
-    assert "peer9.org9" in str(error.value) and channel.name in str(error.value)
-
-
-def test_endorsing_peers_are_validated_per_shard(channel, single_peer, organizations, msp):
-    """A name hosted by shard 0 only fails for the shard that lacks it."""
-    fabric = _bare_network(channel, [single_peer.name])
-    fabric.add_peer(single_peer)
-    other = Channel(name="other-channel", msp=msp, batch_config=BatchConfig())
-    index = fabric.add_channel(other)
-    identity = organizations[1].enroll("peer1", role="peer")
-    device = DeviceModel("peer1-device", XEON_E5_1603, rng=DeterministicRandom(6))
-    fabric.add_peer(Peer("peer1.org2", identity, device, other), shard=index)
-    client = organizations[0].enroll("client1", role="client")
-    with pytest.raises(ConfigurationError, match="other-channel"):
-        fabric.add_client("client1", identity=client, device=device)
-
-
-def test_configured_endorsing_peers_receive_the_proposals_in_order(
-    channel, single_peer, organizations
-):
-    identity = organizations[1].enroll("peer1", role="peer")
-    device = DeviceModel("peer1-device", XEON_E5_1603, rng=DeterministicRandom(6))
-    second = Peer("peer1.org2", identity, device, channel)
-    channel.chaincodes.install_on("hyperprov", second.name)
-    third = Peer("peer2.org3", organizations[2].enroll("peer2", role="peer"), device, channel)
-    fabric = _bare_network(channel, [second.name, single_peer.name])
-    for peer in (single_peer, second, third):
-        fabric.add_peer(peer)
-    client = organizations[0].enroll("client1", role="client")
-    fabric.add_client("client1", identity=client, device=device)
-
-    handle = fabric.submit_transaction("client1", "hyperprov", "set", set_args("k", b"v"))
-    fabric.flush_and_drain()
-
-    assert handle.is_valid
-    transaction = third.block_store.block(handle.commit_block).transactions[0]
-    assert [e.endorser for e in transaction.endorsements] == [second.name, single_peer.name]
-    assert third.metrics.counter("endorsements").value == 0

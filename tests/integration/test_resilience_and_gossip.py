@@ -9,7 +9,6 @@ from repro.common.hashing import checksum_of
 from repro.consensus.batching import BatchConfig
 from repro.consensus.raft import RaftState
 from repro.core.topology import build_desktop_deployment
-from repro.fabric.network import FabricNetworkConfig
 
 
 # ------------------------------------------------------------------- catch-up

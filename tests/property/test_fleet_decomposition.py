@@ -5,8 +5,7 @@ link, peer, RNG stream or transaction-id namespace.  For small random
 fleets the per-site runs (``run_fleet_parallel(spec, workers=1)``: one
 engine per site, in this process, so the case is fast and shrinks) must
 produce exactly the commit logs of the one-engine run, through churn,
-partition windows, batched and per-post blocks, one to three replicas per
-site and paced orderer intake.
+partition windows and batched and per-post blocks.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -41,11 +40,9 @@ fleet_specs = st.builds(
     seed=st.integers(min_value=0, max_value=2**16),
     churn_fraction=st.sampled_from([0.0, 0.3]),
     partition_windows=partition_windows(),
-    peers_per_site=st.integers(min_value=1, max_value=3),
     batch_config=st.sampled_from([1, 10]).map(
         lambda count: BatchConfig(max_message_count=count)
     ),
-    orderer_intake_interval_s=st.sampled_from([0.0, 0.05]),
 )
 
 

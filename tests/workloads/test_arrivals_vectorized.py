@@ -5,6 +5,7 @@ import pytest
 from repro.common.errors import ConfigurationError
 from repro.simulation.randomness import DeterministicRandom
 from repro.workloads.arrivals import (
+    CHURN_OFFLINE_FRACTION,
     CohortArrivalPlan,
     PoissonSchedule,
     sample_poisson_times,
@@ -75,6 +76,19 @@ class TestCohortArrivalPlan:
             assert 0.0 < leave < rejoin <= plan.duration_s
             assert not any(leave <= t < rejoin for t in schedule.times)
 
+    def test_churn_window_is_a_fixed_share_of_the_run(self):
+        plan = self.make_plan(churn_fraction=1.0)
+        windows = [s.offline_window for s in plan.schedules]
+        assert all(window is not None for window in windows)
+        for leave, rejoin in windows:
+            assert rejoin - leave == pytest.approx(
+                plan.duration_s * CHURN_OFFLINE_FRACTION
+            )
+            assert 0.1 * plan.duration_s <= leave
+            assert rejoin <= 0.9 * plan.duration_s + 1e-9
+        # Jittered per device, so the fleet does not churn in lockstep.
+        assert len({leave for leave, _ in windows}) == plan.devices
+
     def test_merged_is_sorted_and_horizon_bounds_it(self):
         plan = self.make_plan()
         merged = plan.merged()
@@ -87,5 +101,3 @@ class TestCohortArrivalPlan:
             self.make_plan(devices=0)
         with pytest.raises(ConfigurationError):
             self.make_plan(churn_fraction=1.5)
-        with pytest.raises(ConfigurationError):
-            self.make_plan(churn_offline_fraction=0.9)
