@@ -24,7 +24,7 @@ Experiment                Reproduces
 -----------------------------------------------------------------------------
 ``fleet``                 Parallel vs sequential fleet executor (speedup + anchor)
 ``query``                 ``query_bench`` — indexed vs scan selectors, ≥ 10x floor
-``chaos``                 Deterministic fault-injection scenarios with invariants
+``chaos``                 ``chaos`` — fault-scenario rows (``SCENARIOS``) and named invariants
 ========================  ===================================================
 
 ``fleet`` and ``chaos`` gate their determinism anchors against the

@@ -127,17 +127,17 @@ def _run_fleet(args: argparse.Namespace) -> str:
 
 def _run_chaos(args: argparse.Namespace) -> str:
     committed = anchors.load(args.anchors) if args.anchors else None
-    report = run_chaos(smoke=args.smoke, seed=args.chaos_seed)
+    report = run_chaos()
     rendered = report.to_table().render()
     if committed is not None:
         # Every scenario is checked before failing, so one run of an
         # intentional change lists every anchor that has to be edited.
         failures = []
-        for result in report.scenarios:
+        for run in report.scenarios:
             try:
                 anchors.check(
-                    committed, "chaos", result.name,
-                    {"seed": report.seed}, result.anchor,
+                    committed, "chaos", run.scenario.name,
+                    {"seed": report.seed}, run.anchor,
                 )
             except anchors.GateError as exc:
                 failures.append(str(exc))
@@ -282,22 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--query-min-speedup", type=float, default=DEFAULT_MIN_SPEEDUP,
         help="indexed-vs-scan wall-clock speedup the largest key scale "
              f"must reach before the gate fails (default: {DEFAULT_MIN_SPEEDUP})",
-    )
-    chaos = parser.add_argument_group(
-        "chaos", "fault-injection scenario configuration for the chaos "
-                 "experiment"
-    )
-    chaos.add_argument(
-        "--smoke", action="store_true",
-        help="run each chaos scenario once instead of the double-pass "
-             "determinism check (the CI shape — determinism is then gated "
-             "against the committed anchors via --anchors)",
-    )
-    chaos.add_argument(
-        "--chaos-seed", type=_positive_int, default=42,
-        help="seed for the chaos deployments and fault plans (default: 42; "
-             "changing it changes every anchor, so --anchors only passes at "
-             "a seed with committed entries)",
     )
     return parser
 

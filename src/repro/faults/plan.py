@@ -13,6 +13,7 @@ same deployment produces byte-identical runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Tuple, Type, Union
 
@@ -20,6 +21,10 @@ from repro.common.errors import ConfigurationError
 
 
 def _check_window(name: str, start_s: float, end_s: float) -> None:
+    if not (math.isfinite(start_s) and math.isfinite(end_s)):
+        raise ConfigurationError(
+            f"{name}: start_s and end_s must be finite (got {start_s}, {end_s})"
+        )
     if start_s < 0:
         raise ConfigurationError(f"{name}: start_s must be >= 0 (got {start_s})")
     if end_s < start_s:
@@ -129,8 +134,11 @@ class LinkDegradeFault:
         _check_window("LinkDegradeFault", self.start_s, self.end_s)
         if not self.source or not self.destination:
             raise ConfigurationError("LinkDegradeFault: endpoints must be non-empty")
-        if self.extra_latency_s < 0:
-            raise ConfigurationError("LinkDegradeFault: extra_latency_s must be >= 0")
+        if not math.isfinite(self.extra_latency_s) or self.extra_latency_s < 0:
+            raise ConfigurationError(
+                "LinkDegradeFault: extra_latency_s must be finite and >= 0 "
+                f"(got {self.extra_latency_s})"
+            )
         for rate_name in ("drop_rate", "duplicate_rate"):
             rate = getattr(self, rate_name)
             if not 0.0 <= rate <= 1.0:
@@ -155,8 +163,10 @@ class ByzantineFault:
     shard: int = 0
 
     def validate(self) -> None:
-        if self.at_s < 0:
-            raise ConfigurationError("ByzantineFault: at_s must be >= 0")
+        if not math.isfinite(self.at_s) or self.at_s < 0:
+            raise ConfigurationError(
+                f"ByzantineFault: at_s must be finite and >= 0 (got {self.at_s})"
+            )
         if not self.peer:
             raise ConfigurationError("ByzantineFault: peer name must be non-empty")
         if self.block_number < -1:
@@ -196,14 +206,3 @@ class FaultPlan:
 
     def of_type(self, *types: Type["Fault"]) -> Tuple[Fault, ...]:
         return tuple(fault for fault in self.faults if isinstance(fault, types))
-
-    @property
-    def horizon_s(self) -> float:
-        """Virtual time by which every scheduled injection has fired."""
-        edges = [0.0]
-        for fault in self.faults:
-            if isinstance(fault, ByzantineFault):
-                edges.append(fault.at_s)
-            else:
-                edges.append(fault.end_s)
-        return max(edges)

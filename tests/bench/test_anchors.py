@@ -60,9 +60,9 @@ def test_committed_anchors_cover_every_ci_gate():
     """CI's ``--anchors ANCHORS.json`` runs must find an entry: a renamed
     scenario or a changed CI profile fails here, not vacuously in CI."""
     committed = anchors.load(COMMITTED)
-    for name in SCENARIOS:
-        assert committed["chaos"][name]["inputs"] == {"seed": CHAOS_SEED}
-        assert len(committed["chaos"][name]["anchor"]) == 64
+    for row in SCENARIOS:
+        assert committed["chaos"][row.name]["inputs"] == {"seed": CHAOS_SEED}
+        assert len(committed["chaos"][row.name]["anchor"]) == 64
     ci_profile = fleet_spec(devices=500, shards=2)  # ci.yml's fleet step
     entry = committed["fleet"][profile_name(ci_profile)]
     assert entry["inputs"] == anchor_inputs(ci_profile)
@@ -78,7 +78,7 @@ def test_committed_anchors_cover_every_ci_gate():
          "--fleet-duration", "30"],
         ["query", "--query-keys", "64", "--query-queries", "2", "--query-commits",
          "2", "--query-repeats", "1", "--query-min-speedup", "0"],
-        ["chaos", "--smoke"],
+        ["chaos"],
     ],
     ids=["fleet", "query", "chaos"],
 )

@@ -1,5 +1,7 @@
 """FaultPlan validation and introspection."""
 
+import math
+
 import pytest
 
 from repro.common.errors import ConfigurationError
@@ -22,6 +24,21 @@ class TestWindowValidation:
     def test_inverted_window_raises(self):
         with pytest.raises(ConfigurationError, match="end_s"):
             FaultPlan(seed=1, faults=(ChurnFault(5.0, 1.0, "dev"),)).validate()
+
+    @pytest.mark.parametrize(
+        "start_s, end_s", [(math.nan, 5.0), (0.0, math.nan), (0.0, math.inf), (math.inf, math.inf)]
+    )
+    def test_non_finite_window_edges_raise(self, start_s, end_s):
+        faults = (
+            PartitionFault(start_s, end_s, (("client",),)),
+            ChurnFault(start_s, end_s, "dev"),
+            PeerCrashFault(start_s, end_s, "p"),
+            OrdererStallFault(start_s, end_s),
+            LinkDegradeFault(start_s, end_s, "a", "b"),
+        )
+        for fault in faults:
+            with pytest.raises(ConfigurationError, match="finite"):
+                FaultPlan(seed=1, faults=(fault,)).validate()
 
     def test_zero_duration_window_is_legal(self):
         FaultPlan(seed=1, faults=(PartitionFault(2.0, 2.0, (("a",),)),)).validate()
@@ -50,6 +67,16 @@ class TestFieldValidation:
     def test_link_extra_latency_must_be_non_negative(self):
         with pytest.raises(ConfigurationError, match="extra_latency_s"):
             LinkDegradeFault(0.0, 1.0, "a", "b", extra_latency_s=-0.1).validate()
+
+    @pytest.mark.parametrize("extra", [math.nan, math.inf])
+    def test_link_extra_latency_must_be_finite(self, extra):
+        with pytest.raises(ConfigurationError, match="finite"):
+            LinkDegradeFault(0.0, 1.0, "a", "b", extra_latency_s=extra).validate()
+
+    @pytest.mark.parametrize("at_s", [-1.0, math.nan, math.inf])
+    def test_byzantine_time_must_be_finite_and_non_negative(self, at_s):
+        with pytest.raises(ConfigurationError, match="at_s"):
+            FaultPlan(seed=1, faults=(ByzantineFault(at_s, "p"),)).validate()
 
     def test_byzantine_bounds(self):
         with pytest.raises(ConfigurationError, match="block_number"):
@@ -81,14 +108,3 @@ class TestPlanIntrospection:
         assert len(plan.of_type(PartitionFault)) == 1
         assert len(plan.of_type(PartitionFault, ChurnFault)) == 2
         assert plan.of_type(OrdererStallFault) == ()
-
-    def test_horizon_covers_the_last_edge(self):
-        plan = FaultPlan(
-            seed=1,
-            faults=(
-                PartitionFault(0.0, 7.0, (("a",),)),
-                ByzantineFault(9.5, "p"),
-            ),
-        )
-        assert plan.horizon_s == 9.5
-        assert FaultPlan(seed=1).horizon_s == 0.0
