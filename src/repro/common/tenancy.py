@@ -1,10 +1,12 @@
 """The tenant key-namespace format, in one place.
 
-The ``tenant/<name>/…`` ledger-key layout is load-bearing for three
+The ``tenant/<name>/…`` ledger-key layout is load-bearing for four
 otherwise-unrelated layers: the tenant-prefix middleware writes it, the
-shard router co-locates on it, and the fair-share orderer scheduler
-attributes transactions by it.  They all parse the format through these
-helpers so a change to the scheme cannot silently diverge.
+shard router co-locates on it and confines a tenant's reads by it, the
+Fabric network records which shards hold each namespace, and the
+fair-share orderer scheduler attributes transactions by it.  They all
+parse the format through these helpers so a change to the scheme cannot
+silently diverge.
 """
 
 from __future__ import annotations
@@ -22,6 +24,15 @@ def tenant_namespace(tenant: str) -> str:
     if "/" in tenant:
         raise ConfigurationError(f"tenant name {tenant!r} must not contain '/'")
     return f"{TENANT_PREFIX}{tenant}/"
+
+
+def namespace_end(tenant: str) -> str:
+    """The least string above every key in ``tenant``'s namespace.
+
+    The exclusive end of the namespace's key range (``tenant/<name>0``):
+    the bound ``WorldState`` puts on a prefix scan of ``tenant/<name>/``.
+    """
+    return tenant_namespace(tenant)[:-1] + chr(ord("/") + 1)
 
 
 def namespace_key(tenant: str, key: str) -> str:
@@ -42,3 +53,16 @@ def tenant_of_key(key: str) -> str:
     remainder = key[len(TENANT_PREFIX):]
     name, _, rest = remainder.partition("/")
     return name if rest else ""
+
+
+def tenant_of_prefix(prefix: str) -> str:
+    """The tenant whose namespace holds every key starting with ``prefix``.
+
+    ``""`` when no one namespace does: ``tenant/a`` also starts
+    ``tenant/ab/…``, and ``tenant/`` starts every namespace.  Unlike
+    :func:`tenant_of_key`, ``tenant/a/`` itself counts as inside ``a``.
+    """
+    if not prefix.startswith(TENANT_PREFIX):
+        return ""
+    name, slash, _ = prefix[len(TENANT_PREFIX):].partition("/")
+    return name if slash else ""

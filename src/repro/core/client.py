@@ -127,7 +127,8 @@ class HyperProvClient:
                 f"with shards={config.shards}"
             )
         # ``network.events`` is the aggregate bus: every shard's commits
-        # reach the read cache through it.
+        # reach the read cache through it; the network's placement table
+        # tells the shard router where each tenant namespace lives.
         return build_client_pipeline(
             config,
             self._dispatch,
@@ -135,6 +136,7 @@ class HyperProvClient:
             events=self.network.events,
             metrics=self.metrics,
             engine=self.network.engine,
+            placement=self.network.tenant_shards,
         )
 
     def configure_pipeline(self, config: PipelineConfig) -> None:

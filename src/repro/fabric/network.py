@@ -19,7 +19,7 @@ via the :class:`~repro.middleware.sharding.ShardRouterMiddleware`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.common.errors import (
     ConfigurationError,
@@ -30,6 +30,7 @@ from repro.common.errors import (
 from repro.common.events import EventBus
 from repro.common.ids import DeterministicIdGenerator
 from repro.common.metrics import MetricsRegistry
+from repro.common.tenancy import TENANT_PREFIX, tenant_of_prefix
 from repro.consensus.base import OrderingService
 from repro.consensus.scheduler import make_scheduler
 from repro.consensus.solo import SoloOrderingService
@@ -139,6 +140,9 @@ class FabricNetwork:
         #: nothing, serve no queries and miss block deliveries until
         #: :meth:`restart_peer` brings them back and re-syncs their ledgers.
         self._offline_peers: Set[str] = set()
+        #: tenant → every shard that has ordered a write under its
+        #: namespace (see :meth:`tenant_shards`).
+        self._tenant_shards: Dict[str, FrozenSet[int]] = {}
         self.add_channel(
             channel,
             orderer=orderer,
@@ -211,6 +215,15 @@ class FabricNetwork:
                 f"shard {index} does not exist (network has {len(self._shards)})"
             )
         return self._shards[index]
+
+    def tenant_shards(self, tenant: str) -> FrozenSet[int]:
+        """The shards that have ordered a write under ``tenant``'s namespace.
+
+        A superset of where the namespace's committed keys live: a shard
+        missing here holds none of them, so a read confined to the
+        namespace need not ask it.
+        """
+        return self._tenant_shards.get(tenant, frozenset())
 
     # ------------------------------------------------------------- topology
     def add_peer(self, peer: Peer, shard: int = 0) -> None:
@@ -572,6 +585,7 @@ class FabricNetwork:
         """Deliver a freshly cut block to the shard's peers, complete handles."""
         shard = self._shards[shard_index]
         shard.ordered_blocks.append(block)
+        self._place_tenants(shard_index, block)
         sent_at = self.engine.now
         if shard.orderer_device is not None:
             duration = shard.orderer_device.serialization_time(block.size_bytes)
@@ -620,6 +634,22 @@ class FabricNetwork:
                 shard, block, next(iter(commit_results.values()))
             )
         self._complete_handles_indexed(block, commit_results)
+
+    def _place_tenants(self, shard_index: int, block: Block) -> None:
+        """Record the tenant namespaces ``block``'s writes touch on this shard.
+
+        Once per ordered block, invalid transactions included: the table
+        only has to be a superset of where committed keys live.
+        """
+        table = self._tenant_shards
+        for tx in block.transactions:
+            for write in tx.rw_set.writes:
+                if not write.key.startswith(TENANT_PREFIX):
+                    continue
+                tenant = tenant_of_prefix(write.key)
+                placed = table.get(tenant, frozenset())
+                if tenant and shard_index not in placed:
+                    table[tenant] = placed | {shard_index}
 
     def _publish_chaincode_events(
         self, shard: ChannelShard, block: Block, result: CommitResult

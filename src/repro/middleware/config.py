@@ -24,7 +24,7 @@ from repro.middleware.metrics import MetricsMiddleware
 from repro.middleware.query import QueryPlannerMiddleware
 from repro.middleware.resilience import StoreAndForwardMiddleware
 from repro.middleware.retry import RetryMiddleware, RetryPolicy
-from repro.middleware.sharding import ShardRouterMiddleware
+from repro.middleware.sharding import Placement, ShardRouterMiddleware
 from repro.middleware.tenancy import (
     AdmissionControlMiddleware,
     TenantPrefixMiddleware,
@@ -115,6 +115,7 @@ def build_client_pipeline(
     metrics: Optional[MetricsRegistry] = None,
     id_generator: Optional[DeterministicIdGenerator] = None,
     engine: Optional[SimulationEngine] = None,
+    placement: Optional[Placement] = None,
 ) -> TransactionPipeline:
     """Build the stock chain a :class:`PipelineConfig` asks for around ``terminal``.
 
@@ -132,7 +133,9 @@ def build_client_pipeline(
     runs per attempt and a cache hit never pays the fan-out).
 
     ``events`` is the bus the cache's commit invalidation subscribes to;
-    ``engine`` is required by the store-and-forward replay timer.
+    ``engine`` is required by the store-and-forward replay timer;
+    ``placement`` (tenant → shards holding its namespace) lets the shard
+    router confine a tenant's fan-out reads.
     """
     middlewares: List[Middleware] = [
         RequestIdMiddleware(id_generator=id_generator, events=events)
@@ -176,5 +179,7 @@ def build_client_pipeline(
             )
         )
     if config.shards > 1:
-        middlewares.append(ShardRouterMiddleware(config.shards, metrics=metrics))
+        middlewares.append(
+            ShardRouterMiddleware(config.shards, metrics=metrics, placement=placement)
+        )
     return TransactionPipeline(middlewares, terminal)

@@ -9,12 +9,17 @@ to.  :class:`ShardRouterMiddleware` is that link:
   tenant namespace (``tenant/<name>/…``) hashes on ``tenant/<name>`` alone,
   so all of one tenant's keys co-locate on a single channel — its commits,
   cache invalidations and history stay shard-local.
-* **Range scans, rich queries and key history** fan out to every shard and
-  merge: range/rich rows are combined in key order (deduplicated on key,
-  newest record wins), history entries are merged in commit-timestamp
-  order.  History fans out because shard ownership can move when the ring
-  is re-sized between runs — old versions of a key may live on the shard
-  that owned it under the previous layout.
+* **Range scans, rich queries and key history** fan out and merge:
+  range/rich rows are combined in key order (deduplicated on key, newest
+  record wins), history entries are merged in commit-timestamp order.  A
+  read confined to one tenant namespace — a ``query`` whose ``_prefix``
+  starts ``tenant/<name>/``, a ``getbyrange`` inside the namespace, the
+  history of a namespaced key — fans out to the shards that hold the
+  namespace: the ring owner plus every shard the network's ``placement``
+  table says has ordered a write under it.  Everything else fans out to
+  all shards, because shard ownership can move when the ring is re-sized
+  between runs — old versions of a key may live on the shard that owned
+  it under the previous layout.
 
 The router sits at the bottom of the client chain (below the read cache,
 so a cached read never pays the fan-out) and communicates the decision to
@@ -28,11 +33,16 @@ import bisect
 import hashlib
 import json
 from dataclasses import replace
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.common.metrics import MetricsRegistry
-from repro.common.tenancy import TENANT_PREFIX, tenant_of_key
+from repro.common.tenancy import (
+    TENANT_PREFIX,
+    namespace_end,
+    tenant_of_key,
+    tenant_of_prefix,
+)
 from repro.ledger.scan import ScanPage
 from repro.ledger.world_state import VersionedValue
 from repro.middleware.base import Handler, Middleware
@@ -41,8 +51,14 @@ from repro.middleware.context import Context
 #: Functions whose first argument names the single key they operate on.
 KEY_SCOPED_FUNCTIONS = frozenset({"get", "checkhash", "getdependencies", "set"})
 
-#: Read functions the router fans out to every shard and merges.
+#: Read functions the router fans out and merges.
 FAN_OUT_FUNCTIONS = frozenset({"getbyrange", "query", "getkeyhistory"})
+
+#: Ring points per shard.
+VIRTUAL_NODES = 64
+
+#: tenant → the shards that have ordered a write under its namespace.
+Placement = Callable[[str], FrozenSet[int]]
 
 
 def routing_key(ledger_key: str) -> str:
@@ -60,22 +76,19 @@ def routing_key(ledger_key: str) -> str:
 class ConsistentHashRing:
     """A classic consistent-hash ring over shard indices.
 
-    Each shard owns ``virtual_nodes`` deterministic points on the ring
+    Each shard owns :data:`VIRTUAL_NODES` deterministic points on the ring
     (MD5 of ``shard:<index>:<replica>``), so adding a shard only remaps
     ~1/N of the keyspace instead of reshuffling everything — the property
     that makes growing from 2 to 4 channels an incremental migration.
     """
 
-    def __init__(self, shards: int, virtual_nodes: int = 64) -> None:
+    def __init__(self, shards: int) -> None:
         if shards < 1:
             raise ConfigurationError("a hash ring needs at least one shard")
-        if virtual_nodes < 1:
-            raise ConfigurationError("virtual_nodes must be >= 1")
         self.shards = shards
-        self.virtual_nodes = virtual_nodes
         points: List[Tuple[int, int]] = []
         for shard in range(shards):
-            for replica in range(virtual_nodes):
+            for replica in range(VIRTUAL_NODES):
                 digest = hashlib.md5(
                     f"shard:{shard}:{replica}".encode("ascii")
                 ).hexdigest()
@@ -90,9 +103,13 @@ class ConsistentHashRing:
 
     def route(self, key: str) -> int:
         """The shard index owning ``key`` (via its routing prefix)."""
+        return self.owner(routing_key(key))
+
+    def owner(self, point: str) -> int:
+        """The shard index owning an already-collapsed routing key."""
         if self.shards == 1:
             return 0
-        position = bisect.bisect(self._hashes, self._hash(routing_key(key)))
+        position = bisect.bisect(self._hashes, self._hash(point))
         if position == len(self._hashes):
             position = 0
         return self._owners[position]
@@ -106,12 +123,14 @@ class ShardRouterMiddleware(Middleware):
     def __init__(
         self,
         shards: int,
-        virtual_nodes: int = 64,
         metrics: Optional[MetricsRegistry] = None,
+        placement: Optional[Placement] = None,
     ) -> None:
-        self.ring = ConsistentHashRing(shards, virtual_nodes=virtual_nodes)
+        self.ring = ConsistentHashRing(shards)
         self.shards = shards
         self.metrics = metrics
+        #: Without a placement table no read can be confined: all shards.
+        self.placement = placement
 
     # ------------------------------------------------------------- pipeline
     def handle(self, ctx: Context, call_next: Handler) -> Any:
@@ -133,10 +152,44 @@ class ShardRouterMiddleware(Middleware):
         return 0
 
     # -------------------------------------------------------------- fan-out
+    def _fan_out_shards(self, ctx: Context) -> Sequence[int]:
+        """The shards a fan-out read asks, in index order.
+
+        A read confined to one tenant's namespace asks the namespace's
+        ring owner plus the shards ``placement`` says have ordered a write
+        under it (a re-sized ring leaves older versions there); the other
+        shards hold no key the read can return.  Any other read asks all.
+        """
+        tenant = self._confining_tenant(ctx) if self.placement is not None else ""
+        if not tenant:
+            return range(self.shards)
+        asked = {self.ring.owner(TENANT_PREFIX + tenant)}
+        asked.update(shard for shard in self.placement(tenant) if shard < self.shards)
+        return sorted(asked)
+
+    @staticmethod
+    def _confining_tenant(ctx: Context) -> str:
+        """The tenant whose namespace holds every key this read can return."""
+        args = ctx.args
+        if not args:
+            return ""
+        if ctx.function == "getkeyhistory":
+            return tenant_of_prefix(args[0])
+        if ctx.function == "getbyrange":
+            tenant = tenant_of_prefix(args[0])
+            end = args[1] if len(args) > 1 else ""
+            return tenant if tenant and end and end <= namespace_end(tenant) else ""
+        try:
+            selector = json.loads(args[0])
+        except (TypeError, ValueError):
+            return ""
+        prefix = selector.get("_prefix") if isinstance(selector, dict) else None
+        return tenant_of_prefix(prefix) if isinstance(prefix, str) else ""
+
     def _fan_out(self, ctx: Context, call_next: Handler) -> Any:
-        """Run the read on every shard and merge the shard results."""
+        """Run the read on each shard that can answer it and merge the results."""
         results = []
-        for shard in range(self.shards):
+        for shard in self._fan_out_shards(ctx):
             sub = self._sub_context(ctx, shard)
             results.append(call_next(sub))
         if self.metrics is not None:

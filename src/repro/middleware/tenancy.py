@@ -34,7 +34,7 @@ from repro.common.metrics import MetricsRegistry
 # module does not use itself are re-exported for its importers.
 from repro.common.tenancy import namespace_key as namespace_key
 from repro.common.tenancy import strip_namespace as strip_namespace
-from repro.common.tenancy import tenant_namespace
+from repro.common.tenancy import namespace_end, tenant_namespace
 from repro.middleware.base import Handler, Middleware
 from repro.middleware.context import Context
 
@@ -42,9 +42,6 @@ from repro.middleware.context import Context
 KEY_SCOPED_FUNCTIONS = frozenset(
     {"get", "getkeyhistory", "checkhash", "getdependencies", "delete"}
 )
-
-#: Upper bound used to close an open-ended range within a tenant namespace.
-_RANGE_END_SENTINEL = "~"
 
 
 class TenantPrefixMiddleware(Middleware):
@@ -62,6 +59,7 @@ class TenantPrefixMiddleware(Middleware):
     def __init__(self, tenant: str, metrics: Optional[MetricsRegistry] = None) -> None:
         self.tenant = tenant
         self.prefix = tenant_namespace(tenant)
+        self.end = namespace_end(tenant)
         self.metrics = metrics
 
     # ------------------------------------------------------------- pipeline
@@ -84,8 +82,8 @@ class TenantPrefixMiddleware(Middleware):
         elif function == "getbyrange":
             if len(args) >= 2:
                 args[0] = self.prefix + args[0]
-                # An empty end key means "unbounded"; bound it to the namespace.
-                args[1] = self.prefix + (args[1] or _RANGE_END_SENTINEL)
+                # An empty end key means "unbounded": the namespace's end.
+                args[1] = self.prefix + args[1] if args[1] else self.end
                 # Paginated form: the resume bookmark is a (tenant-relative) key.
                 if len(args) > 3 and args[3]:
                     args[3] = self.prefix + args[3]

