@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from repro.core import build_rpi_deployment
 from repro.core.watcher import FileWatcher
-from repro.provenance.queries import LineageQueryEngine
 from repro.workloads.scenarios import IoTPipelineWorkload, PipelineStage
 
 
@@ -61,21 +60,19 @@ def main() -> None:
     print(f"watcher recorded {watcher.change_count} log versions")
 
     # --- Lineage queries. ----------------------------------------------------
-    graph = client.build_provenance_graph()
-    queries = LineageQueryEngine(graph)
-
-    lineage = queries.lineage_report(report.record.key)
+    lineage = client.get_lineage(report.record.key)
     print(f"\nLineage of {report.record.key}:")
     print(f"  ancestors           : {lineage.ancestor_count}")
     print(f"  derivation depth    : {lineage.depth}")
     print(f"  contributing agents : {lineage.contributing_agents}")
 
-    # Impact analysis: which artifacts depend on the first sensor's readings?
+    # Impact analysis: which artifacts derive from the first sensor's readings?
     first_sensor_key = pipeline.raw_posts[0].record.key
-    impact = queries.impact_set(first_sensor_key)
-    print(f"\nIf {first_sensor_key} were mis-calibrated, these keys are affected:")
-    for key in sorted(impact):
-        print(f"  - {key}")
+    impact = client.get_lineage(first_sensor_key).descendants
+    assert impact, "the summary and the report derive from every sensor"
+    print(f"\nIf {first_sensor_key} were mis-calibrated, these artifacts are affected:")
+    for artifact in impact:
+        print(f"  - {artifact}")
 
     # End-to-end integrity: every stored item still matches its on-chain checksum.
     checks = pipeline.verify_all()

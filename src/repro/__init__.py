@@ -9,7 +9,7 @@ The package is organized bottom-up:
 * the paper's contribution — :mod:`repro.core` (client library and
   deployments), :mod:`repro.api` (the unified ``ProvenanceStore``
   protocol and tenant-sessioned service facade) and
-  :mod:`repro.provenance` (OPM lineage),
+  :mod:`repro.provenance` (lineage walked over committed records),
 * evaluation — :mod:`repro.workloads`, :mod:`repro.baselines`,
   :mod:`repro.bench`.
 

@@ -24,13 +24,15 @@ Operator              Behaviour
                       and verify its checksum against the chain.
 ``get_dependencies``  The dependency list of a key's latest record.
 ``get_by_range``      Records in a key range (optionally paginated).
-``get_lineage``       Full OPM lineage report built from committed history.
+``get_lineage``       Ancestors, descendants, depth and agents of a key,
+                      walked over committed history (tenant-confined).
 ====================  =======================================================
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -45,7 +47,7 @@ from repro.common.errors import (
 from repro.common.events import Subscription
 from repro.common.hashing import checksum_of
 from repro.common.metrics import MetricsRegistry
-from repro.common.tenancy import strip_namespace
+from repro.common.tenancy import strip_namespace, tenant_namespace
 from repro.fabric.network import FabricNetwork
 from repro.fabric.proposal import ProposalResponse, TransactionHandle
 from repro.ledger.history import HistoryEntry
@@ -53,8 +55,7 @@ from repro.middleware.base import TransactionPipeline
 from repro.middleware.cache import ReadCacheMiddleware
 from repro.middleware.config import PipelineConfig, build_client_pipeline
 from repro.middleware.context import Context, OperationKind
-from repro.provenance.graph import ProvenanceGraph
-from repro.provenance.queries import LineageQueryEngine, LineageReport
+from repro.provenance.lineage import LineageReport, lineage_report
 from repro.storage.base import StorageReceipt
 from repro.storage.content import ContentAddressedStore
 from repro.storage.sshfs import SSHFSStorageBackend
@@ -380,31 +381,38 @@ class HyperProvClient:
         )
 
     # -------------------------------------------------------------- lineage
-    def build_provenance_graph(self, peer_name: Optional[str] = None) -> ProvenanceGraph:
-        """Reconstruct the OPM graph from a peer's committed key history.
+    def get_lineage(self, key: str) -> LineageReport:
+        """Lineage report (ancestors, descendants, agents) for ``key``.
 
-        On a sharded network the peer hosts one ledger per channel; the
-        graph aggregates every shard's history, ordered by commit
-        timestamp (block numbers are only comparable within one shard).
+        Walks the anchor peer's committed history on every shard, ordered
+        by commit timestamp (block numbers are only comparable within one
+        shard).  Under a tenant pipeline only the tenant's namespace is
+        read, a dependency that leaves it is dropped, and every artifact
+        in the report is named by its tenant-relative key.
         """
-        name = peer_name or self._context.anchor_peer
-        graph = ProvenanceGraph()
+        tenant = self.pipeline_config.tenant
+        prefix = tenant_namespace(tenant) if tenant else ""
         entries: List[HistoryEntry] = []
         for index in range(self.network.shard_count):
-            peer = self.network.peer(name, shard=index)
-            for key in peer.history.keys():
-                if key.startswith("__"):
-                    continue
-                entries.extend(peer.history.history_for_key(key))
+            history = self.network.peer(self._context.anchor_peer, shard=index).history
+            keys = history.keys()
+            for ledger_key in keys[bisect_left(keys, prefix):]:
+                if not ledger_key.startswith(prefix):
+                    break
+                if not ledger_key.startswith("__"):
+                    entries.extend(history.history_for_key(ledger_key))
         entries.sort(key=lambda e: (e.timestamp, e.block_number, e.tx_number))
-        for entry in entries:
-            if entry.is_delete or not entry.value:
-                continue
-            record = ProvenanceRecord.from_json(entry.value)
-            graph.ingest_record(record, tx_id=entry.tx_id, block_number=entry.block_number)
-        return graph
-
-    def get_lineage(self, key: str, peer_name: Optional[str] = None) -> LineageReport:
-        """Full lineage report (ancestors, descendants, agents) for ``key``."""
-        graph = self.build_provenance_graph(peer_name)
-        return LineageQueryEngine(graph).lineage_report(key)
+        records = [
+            ProvenanceRecord.from_json(entry.value)
+            for entry in entries
+            if entry.value and not entry.is_delete
+        ]
+        if tenant:
+            for record in records:
+                record.key = strip_namespace(tenant, record.key)
+                record.dependencies = [
+                    strip_namespace(tenant, dep)
+                    for dep in record.dependencies
+                    if dep.startswith(prefix)
+                ]
+        return lineage_report(records, key)

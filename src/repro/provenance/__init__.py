@@ -1,30 +1,5 @@
-"""Provenance modelling following the Open Provenance Model (OPM).
+"""Lineage over committed records, following the Open Provenance Model."""
 
-HyperProv "follows the features from the Open Provenance Model" — data
-items are OPM *artifacts*, the operations that produce them are
-*processes*, and the identities recorded in the creator certificates are
-*agents*.  This package builds the provenance graph from on-chain records
-and answers lineage queries (ancestry, descendants, derivation paths,
-cycle checks).
-"""
+from repro.provenance.lineage import LineageReport, lineage_report
 
-from repro.provenance.model import (
-    Artifact,
-    ProvProcess,
-    Agent,
-    OpmRelation,
-    RelationType,
-)
-from repro.provenance.graph import ProvenanceGraph
-from repro.provenance.queries import LineageQueryEngine, LineageReport
-
-__all__ = [
-    "Artifact",
-    "ProvProcess",
-    "Agent",
-    "OpmRelation",
-    "RelationType",
-    "ProvenanceGraph",
-    "LineageQueryEngine",
-    "LineageReport",
-]
+__all__ = ["LineageReport", "lineage_report"]

@@ -13,7 +13,6 @@ from repro.common.hashing import checksum_of
 from repro.consensus.batching import BatchConfig
 from repro.core.topology import build_desktop_deployment, build_rpi_deployment
 from repro.ledger.transaction import TxValidationCode
-from repro.provenance.queries import LineageQueryEngine
 from repro.workloads.scenarios import IoTPipelineWorkload, PipelineStage
 
 
@@ -153,11 +152,13 @@ def test_provenance_graph_rebuilt_from_chain_matches_submissions(rpi_deployment)
     )
     rpi_deployment.drain()
 
-    graph = client.build_provenance_graph()
-    assert {a.key for a in graph.artifacts()} == {"iot/raw-1", "iot/raw-2", "iot/combined"}
-    assert graph.is_acyclic()
-    engine = LineageQueryEngine(graph)
-    assert {a.key for a in engine.ancestors_of("iot/combined")} == {"iot/raw-1", "iot/raw-2"}
+    combined = client.get_lineage("iot/combined")
+    assert combined.root == f"artifact:iot/combined@{checksum_of(b'c')[:16]}"
+    assert combined.ancestors == [
+        f"artifact:iot/raw-1@{checksum_of(b'r1')[:16]}",
+        f"artifact:iot/raw-2@{checksum_of(b'r2')[:16]}",
+    ]
+    assert client.get_lineage("iot/raw-1").descendants == [combined.root]
 
 
 def test_rpi_and_desktop_agree_on_semantics_but_not_speed():

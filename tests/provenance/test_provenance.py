@@ -1,13 +1,16 @@
-"""Tests for the OPM model, the provenance graph and lineage queries."""
+"""Tests for lineage walked over committed records, alone and through a client."""
 
 import pytest
 
+from repro.api.protocol import StoreRequest
+from repro.api.service import HyperProvService
 from repro.chaincode.records import ProvenanceRecord
 from repro.common.errors import NotFoundError, ValidationError
 from repro.common.hashing import checksum_of
-from repro.provenance.graph import ProvenanceGraph
-from repro.provenance.model import Agent, Artifact, OpmRelation, ProvProcess, RelationType
-from repro.provenance.queries import LineageQueryEngine
+from repro.core.topology import build_desktop_deployment
+from repro.middleware.config import PipelineConfig
+from repro.middleware.sharding import ConsistentHashRing
+from repro.provenance import lineage_report
 
 
 def record_for(key, payload, dependencies=(), creator="client1", organization="org1"):
@@ -23,144 +26,240 @@ def record_for(key, payload, dependencies=(), creator="client1", organization="o
     )
 
 
+def artifact(key, payload):
+    return f"artifact:{key}@{checksum_of(payload)[:16]}"
+
+
 @pytest.fixture
-def pipeline_graph():
+def pipeline_records():
     """raw-a, raw-b -> merged -> report (a realistic derivation pipeline)."""
-    graph = ProvenanceGraph()
-    graph.ingest_record(record_for("raw-a", b"a"), tx_id="t1", block_number=0)
-    graph.ingest_record(record_for("raw-b", b"b", creator="client2"), tx_id="t2", block_number=0)
-    graph.ingest_record(
-        record_for("merged", b"ab", dependencies=["raw-a", "raw-b"]), tx_id="t3", block_number=1
-    )
-    graph.ingest_record(
-        record_for("report", b"summary", dependencies=["merged"]), tx_id="t4", block_number=2
-    )
-    return graph
+    return [
+        record_for("raw-a", b"a"),
+        record_for("raw-b", b"b", creator="client2"),
+        record_for("merged", b"ab", dependencies=["raw-a", "raw-b"]),
+        record_for("report", b"summary", dependencies=["merged"]),
+    ]
 
 
-# ----------------------------------------------------------------------- model
+# ---------------------------------------------------------------- artifacts
 def test_artifact_version_id_is_stable():
-    assert Artifact.version_id("k", "a" * 64) == Artifact.version_id("k", "a" * 64)
-    assert Artifact.version_id("k", "a" * 64) != Artifact.version_id("k", "b" * 64)
-
-
-def test_process_and_agent_factories():
-    process = ProvProcess.for_transaction("tx-9", "set", timestamp=4.2)
-    agent = Agent.for_identity("client1", "org1", "fp")
-    assert process.process_id == "process:tx-9"
-    assert agent.agent_id == "agent:org1/client1"
-
-
-def test_relation_describe_mentions_both_ends():
-    relation = OpmRelation("a", "b", RelationType.USED)
-    assert "a" in relation.describe() and "b" in relation.describe()
-
-
-# ----------------------------------------------------------------------- graph
-def test_ingest_creates_nodes_and_edges(pipeline_graph):
-    assert len(pipeline_graph.artifacts()) == 4
-    assert len(pipeline_graph.processes()) == 4
-    assert len(pipeline_graph.agents()) == 2
-    assert pipeline_graph.edge_count > 0
-    assert pipeline_graph.is_acyclic()
+    """Re-posting the same bytes names the same artifact; new bytes a new one."""
+    first = lineage_report([record_for("k", b"v1")], "k").root
+    again = lineage_report([record_for("k", b"v1"), record_for("k", b"v1")], "k").root
+    other = lineage_report([record_for("k", b"v1"), record_for("k", b"v2")], "k").root
+    assert first == again == artifact("k", b"v1")
+    assert other == artifact("k", b"v2")
 
 
 def test_ingest_rejects_missing_dependency():
-    graph = ProvenanceGraph()
-    with pytest.raises(ValidationError):
-        graph.ingest_record(
-            record_for("derived", b"x", dependencies=["never-recorded"]), tx_id="t1"
-        )
+    with pytest.raises(ValidationError, match="never-recorded"):
+        lineage_report([record_for("derived", b"x", dependencies=["never-recorded"])], "derived")
 
 
 def test_ingest_rejects_invalid_record():
-    graph = ProvenanceGraph()
     bad = record_for("k", b"x")
     bad.checksum = "short"
     with pytest.raises(ValidationError):
-        graph.ingest_record(bad, tx_id="t1")
+        lineage_report([bad], "k")
+
+
+def test_every_record_is_validated_not_only_those_of_the_key():
+    bad = record_for("other", b"x")
+    bad.checksum = "short"
+    with pytest.raises(ValidationError):
+        lineage_report([record_for("k", b"v1"), bad], "k")
 
 
 def test_latest_artifact_tracks_newest_version():
-    graph = ProvenanceGraph()
-    graph.ingest_record(record_for("k", b"v1"), tx_id="t1")
-    graph.ingest_record(record_for("k", b"v2"), tx_id="t2")
-    assert graph.latest_artifact("k").checksum == checksum_of(b"v2")
+    report = lineage_report([record_for("k", b"v1"), record_for("k", b"v2")], "k")
+    assert report.root == artifact("k", b"v2")
+
+
+def test_a_dependency_resolves_to_the_version_latest_at_ingest():
+    records = [
+        record_for("a", b"v1"),
+        record_for("d", b"d", dependencies=["a"]),
+        record_for("a", b"v2"),
+    ]
+    derived = lineage_report(records, "d")
+    assert (derived.ancestors, derived.depth) == ([artifact("a", b"v1")], 1)
+    # The newer version of ``a`` came later, so nothing derives from it, but
+    # the descendants of a key are walked from every one of its versions.
+    source = lineage_report(records, "a")
+    assert (source.root, source.ancestors) == (artifact("a", b"v2"), [])
+    assert source.descendants == [artifact("d", b"d")]
+
+
+def test_unknown_key_raises(pipeline_records):
     with pytest.raises(NotFoundError):
-        graph.latest_artifact("ghost")
+        lineage_report(pipeline_records, "ghost")
 
 
-def test_relation_queries(pipeline_graph):
-    merged = pipeline_graph.latest_artifact("merged")
-    generated_by = pipeline_graph.successors(merged.artifact_id, RelationType.WAS_GENERATED_BY)
-    assert len(generated_by) == 1
-    derived_from = pipeline_graph.successors(merged.artifact_id, RelationType.WAS_DERIVED_FROM)
-    assert len(derived_from) == 2
+# ------------------------------------------------------------------ reports
+def test_ancestors_of_report_cover_whole_pipeline(pipeline_records):
+    report = lineage_report(pipeline_records, "report")
+    assert report.ancestors == sorted(
+        [artifact("raw-a", b"a"), artifact("raw-b", b"b"), artifact("merged", b"ab")]
+    )
 
 
-def test_unknown_node_raises(pipeline_graph):
-    with pytest.raises(NotFoundError):
-        pipeline_graph.node("ghost")
-    with pytest.raises(NotFoundError):
-        pipeline_graph.add_relation(OpmRelation("ghost", "ghost2", RelationType.USED))
+def test_descendants_of_raw_input(pipeline_records):
+    report = lineage_report(pipeline_records, "raw-a")
+    assert report.descendants == sorted(
+        [artifact("merged", b"ab"), artifact("report", b"summary")]
+    )
+    assert report.ancestors == [] and report.depth == 0
 
 
-# --------------------------------------------------------------------- queries
-def test_ancestors_of_report_cover_whole_pipeline(pipeline_graph):
-    engine = LineageQueryEngine(pipeline_graph)
-    ancestors = engine.ancestors_of("report")
-    keys = {a.key for a in ancestors}
-    assert keys == {"raw-a", "raw-b", "merged"}
-
-
-def test_ancestors_respect_max_depth(pipeline_graph):
-    engine = LineageQueryEngine(pipeline_graph)
-    shallow = engine.ancestors_of("report", max_depth=1)
-    assert {a.key for a in shallow} == {"merged"}
-
-
-def test_descendants_of_raw_input(pipeline_graph):
-    engine = LineageQueryEngine(pipeline_graph)
-    descendants = engine.descendants_of("raw-a")
-    assert {d.key for d in descendants} == {"merged", "report"}
-
-
-def test_derivation_path_exists_and_missing(pipeline_graph):
-    engine = LineageQueryEngine(pipeline_graph)
-    path = engine.derivation_path("report", "raw-a")
-    assert [a.key for a in path] == ["report", "merged", "raw-a"]
-    assert engine.derivation_path("raw-a", "report") == []
-
-
-def test_lineage_report_contents(pipeline_graph):
-    engine = LineageQueryEngine(pipeline_graph)
-    report = engine.lineage_report("report")
+def test_lineage_report_contents(pipeline_records):
+    report = lineage_report(pipeline_records, "report")
     assert report.ancestor_count == 3
     assert report.descendant_count == 0
     assert report.depth == 2
-    assert "agent:org1/client1" in report.contributing_agents
-    assert "agent:org1/client2" in report.contributing_agents
+    assert report.contributing_agents == ["agent:org1/client1", "agent:org1/client2"]
 
 
-def test_version_chain_ordering():
-    graph = ProvenanceGraph()
-    graph.ingest_record(record_for("k", b"v1"), tx_id="t1")
-    record2 = record_for("k", b"v2")
-    record2.timestamp = 5.0
-    graph.ingest_record(record2, tx_id="t2")
-    engine = LineageQueryEngine(graph)
-    chain = engine.version_chain("k")
-    assert [a.checksum for a in chain] == [checksum_of(b"v1"), checksum_of(b"v2")]
+def test_agents_for_key_only_includes_contributors(pipeline_records):
+    assert lineage_report(pipeline_records, "raw-a").contributing_agents == [
+        "agent:org1/client1"
+    ]
+
+
+def test_depth_is_the_shortest_distance_to_the_farthest_ancestor():
+    """A shortcut edge counts: depth is a BFS distance, not the longest path."""
+    records = [
+        record_for("a", b"a"),
+        record_for("b", b"b", dependencies=["a"]),
+        record_for("c", b"c", dependencies=["b"]),
+        record_for("d", b"d", dependencies=["c", "a"]),
+    ]
+    report = lineage_report(records, "d")
+    assert report.ancestors == sorted(artifact(k, k.encode()) for k in "abc")
+    assert report.depth == 2
+
+
+# --------------------------------------------------------------- edge cases
+def test_a_self_dependency_derives_from_the_previous_version():
+    records = [
+        record_for("k", b"v1", creator="c1"),
+        record_for("k", b"v2", dependencies=["k"], creator="c2"),
+    ]
+    report = lineage_report(records, "k")
+    assert report.root == artifact("k", b"v2")
+    assert report.ancestors == [artifact("k", b"v1")]
+    # The later version derives from the earlier one, so it is a descendant
+    # of the key: descendants are walked from every version, not the root.
+    assert report.descendants == [artifact("k", b"v2")]
+    assert report.depth == 1
+    assert report.contributing_agents == ["agent:org1/c1", "agent:org1/c2"]
+    # A first version cannot depend on itself: nothing earlier exists.
+    with pytest.raises(ValidationError):
+        lineage_report([record_for("k", b"v1", dependencies=["k"])], "k")
+
+
+def test_a_reposted_checksum_closes_a_cycle():
+    records = [
+        record_for("k", b"same", creator="c1"),
+        record_for("j", b"j", dependencies=["k"], creator="c3"),
+        # Same bytes under k again: the same artifact, now derived from j.
+        record_for("k", b"same", dependencies=["j"], creator="c2"),
+    ]
+    k, j = artifact("k", b"same"), artifact("j", b"j")
+    report = lineage_report(records, "k")
+    assert (report.root, report.ancestors, report.descendants, report.depth) == (
+        k, [j], [j], 1
+    )
+    # The merged artifact carries the agents of both its posts, j its own.
+    assert report.contributing_agents == ["agent:org1/c1", "agent:org1/c2", "agent:org1/c3"]
+    other = lineage_report(records, "j")
+    assert (other.ancestors, other.descendants) == ([k], [k])
+
+
+# ------------------------------------------------------------ through a client
+def test_lineage_crosses_shards():
+    """Versions of one key on two shards: descendants come from both."""
+    deployment = build_desktop_deployment(seed=42, shards=2)
+    service = HyperProvService(deployment)
+    ring = ConsistentHashRing(2)
+    source, late = [key for key in (f"cross/{i}" for i in range(64)) if ring.route(key) == 1][:2]
+
+    # A one-shard pipeline writes everything to shard 0 ...
+    with service.session(pipeline=PipelineConfig(shards=1)) as one:
+        one.submit(source, b"v1")
+        one.drain()
+        one.submit("cross/early", b"early", dependencies=(source,))
+        one.drain()
+    # ... the two-shard ring puts the second version and its derivative on 1.
+    with service.session(pipeline=PipelineConfig(shards=2)) as two:
+        two.submit(source, b"v2")
+        two.drain()
+        two.submit(late, b"late", dependencies=(source,))
+        two.drain()
+    for shard, payload in ((0, b"v1"), (1, b"v2")):
+        peers = deployment.fabric.shard(shard).peers
+        held = peers[sorted(peers)[0]].world_state.get_value(source)
+        assert checksum_of(payload) in held
+
+    client = deployment.client
+    engine = deployment.fabric.engine
+    before = (engine.now, engine.pending_events)
+    report = client.get_lineage(source)
+    assert report.root == artifact(source, b"v2")
+    assert report.descendants == sorted(
+        [artifact("cross/early", b"early"), artifact(late, b"late")]
+    )
+    assert client.get_lineage("cross/early").ancestors == [artifact(source, b"v1")]
+    assert client.get_lineage(late).ancestors == [artifact(source, b"v2")]
+    # Lineage reads committed history: no virtual time, nothing scheduled.
+    assert (engine.now, engine.pending_events) == before
+
+
+def test_a_tenants_lineage_holds_only_its_own_artifacts():
+    """Two tenants and a global client write the same relative keys."""
+    deployment = build_desktop_deployment(seed=42)
+    service = HyperProvService(deployment)
+    store = deployment.client.as_store()
+    store.submit(StoreRequest(key="raw", data=b"global raw"))
+    deployment.drain()
+    clients = {}
+    for tenant in ("a", "b"):
+        session = service.session(tenant=tenant)
+        session.submit("raw", f"{tenant} raw".encode())
+        session.drain()
+        session.submit("derived", f"{tenant} derived".encode(), dependencies=("raw",))
+        session.drain()
+        clients[tenant] = session.backend.client
+    # A non-tenant client may write into a namespace with a dependency
+    # outside it; the tenant's walk drops that edge without error.
+    store.submit(StoreRequest(key="tenant/a/foreign", data=b"foreign", dependencies=("raw",)))
+    deployment.drain()
+
+    for tenant, client in clients.items():
+        own_raw = artifact("raw", f"{tenant} raw".encode())
+        own_derived = artifact("derived", f"{tenant} derived".encode())
+        assert client.get_dependencies("derived").payload == ["raw"]
+        derived = client.get_lineage("derived")
+        assert (derived.root, derived.ancestors, derived.descendants) == (
+            own_derived, [own_raw], []
+        )
+        raw = client.get_lineage("raw")
+        assert (raw.root, raw.descendants) == (own_raw, [own_derived])
+    foreign = clients["a"].get_lineage("foreign")
+    assert (foreign.root, foreign.ancestors) == (artifact("foreign", b"foreign"), [])
     with pytest.raises(NotFoundError):
-        engine.version_chain("ghost")
+        clients["b"].get_lineage("foreign")
+
+    # The global client sees every namespace under its ledger keys.
+    everything = deployment.client.get_lineage("raw")
+    assert everything.root == artifact("raw", b"global raw")
+    assert everything.descendants == [artifact("tenant/a/foreign", b"foreign")]
 
 
-def test_impact_set_groups_by_key(pipeline_graph):
-    engine = LineageQueryEngine(pipeline_graph)
-    impact = engine.impact_set("raw-a")
-    assert set(impact) == {"merged", "report"}
-
-
-def test_agents_for_key_only_includes_contributors(pipeline_graph):
-    engine = LineageQueryEngine(pipeline_graph)
-    assert engine.agents_for_key("raw-a") == ["agent:org1/client1"]
+def test_a_key_only_the_global_client_wrote_is_not_a_tenants():
+    deployment = build_desktop_deployment(seed=42)
+    deployment.client.as_store().submit(StoreRequest(key="only-global", data=b"g"))
+    deployment.drain()
+    tenant = HyperProvService(deployment).session(tenant="a")
+    with pytest.raises(NotFoundError):
+        tenant.backend.client.get_lineage("only-global")
+    assert deployment.client.get_lineage("only-global").root == artifact("only-global", b"g")
