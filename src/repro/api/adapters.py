@@ -202,18 +202,21 @@ class HyperProvStore(_StoreBase):
         response, latency, ctx = client._query(
             "get_key_history", "getkeyhistory", [key], at_time=at_time
         )
-        if not response.is_ok or response.payload is None:
+        page = response.history
+        if not response.is_ok or page is None:
             raise NotFoundError(response.message or f"no history for key {key!r}")
         tenant, stale = client.pipeline_config.tenant, ctx.stale
+        # One parse of each returned version's value, kept by nobody: the
+        # view owns what it needs, the committed entry stays text.
         entries = tuple(
-            HistoryEntryView(None, row["tx_id"], row["block"], deleted=True)
-            if row.get("is_delete") or not row.get("value")
+            HistoryEntryView(None, entry.tx_id, entry.block_number, deleted=True)
+            if entry.is_delete or not entry.value
             else HistoryEntryView(
-                RecordView.from_document(row["value"], tenant, stale=stale),
-                row["tx_id"],
-                row["block"],
+                RecordView.from_document(entry.value, tenant, stale=stale),
+                entry.tx_id,
+                entry.block_number,
             )
-            for row in json.loads(response.payload)
+            for entry in page.entries
         )
         client.metrics.histogram("history_latency_s").observe(latency)
         return HistoryView(key=key, entries=entries, latency_s=latency, stale=stale)

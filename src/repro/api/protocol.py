@@ -46,7 +46,7 @@ from typing import (
 from repro.chaincode.records import ProvenanceRecord, record_fields
 from repro.common.errors import IncompleteTransactionError
 from repro.common.serialization import copy_json
-from repro.common.tenancy import strip_namespace
+from repro.common.tenancy import relative_key, strip_namespace
 
 
 # ---------------------------------------------------------------- requests
@@ -123,12 +123,15 @@ class RecordView:
         :class:`~repro.common.errors.ValidationError` for anything that is
         not a well-typed record), ``tenant``'s namespace comes off the key
         and every dependency, and the containers are copied — a parsed
-        document is shared by every replica and every later reader.
+        document is shared by every replica and every later reader.  A
+        record whose own key lies outside ``tenant``'s namespace is a
+        :class:`~repro.common.errors.TenancyError`; its dependencies are
+        stripped leniently.
         """
         (key, checksum, location, creator, organization, _fingerprint,
          dependencies, metadata, timestamp, size_bytes) = record_fields(document)
         if tenant:
-            key = strip_namespace(tenant, key)
+            key = relative_key(tenant, key)
             dependencies = [strip_namespace(tenant, dep) for dep in dependencies]
         else:
             dependencies = copy_json(dependencies)

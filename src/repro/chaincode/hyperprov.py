@@ -43,7 +43,7 @@ from typing import List, Optional, Tuple
 from repro.chaincode.records import ProvenanceRecord
 from repro.chaincode.shim import Candidates, Chaincode, ChaincodeResponse, ChaincodeStub
 from repro.common.errors import ValidationError
-from repro.ledger.scan import ScanPage
+from repro.ledger.scan import HistoryPage, ScanPage
 from repro.ledger.world_state import VersionedValue
 from repro.query.planner import PATH_INDEX, build_plan, intersect_keys
 from repro.query.selectors import RowPredicate, compile_row_predicate
@@ -191,17 +191,7 @@ class HyperProvChaincode(Chaincode):
         entries = stub.get_history_for_key(stub.args[0])
         if not entries:
             return ChaincodeResponse.error(f"no history for key {stub.args[0]!r}")
-        history = [
-            {
-                "tx_id": entry.tx_id,
-                "block": entry.block_number,
-                "timestamp": entry.timestamp,
-                "is_delete": entry.is_delete,
-                "value": entry.value,
-            }
-            for entry in entries
-        ]
-        return ChaincodeResponse.success(json.dumps(history))
+        return ChaincodeResponse.versions(HistoryPage(tuple(entries)))
 
     def _check_hash(self, stub: ChaincodeStub) -> ChaincodeResponse:
         """``checkhash(key, checksum)`` — verify data integrity against the chain."""

@@ -17,7 +17,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from repro.common.errors import ChaincodeError
 from repro.crypto.certificates import Certificate
 from repro.ledger.history import HistoryDatabase, HistoryEntry
-from repro.ledger.scan import ScanPage
+from repro.ledger.scan import HistoryPage, ScanPage
 from repro.ledger.transaction import ReadWriteSet
 from repro.ledger.world_state import VersionedValue, WorldState
 
@@ -29,13 +29,20 @@ Candidates = Iterable[VersionedValue]
 
 @dataclass
 class ChaincodeResponse:
-    """Result of a chaincode invocation."""
+    """Result of a chaincode invocation.
+
+    A point or invoke answer is its ``payload`` string; a multi-row read
+    answers with rows instead (``scan`` for ``query`` / ``getbyrange``,
+    ``history`` for ``getkeyhistory``) and no string.
+    """
 
     status: int
     payload: Optional[str] = None
     message: str = ""
-    #: The rows behind a scan's ``payload`` (``query``, ``getbyrange``).
+    #: The rows a scan matched (``query``, ``getbyrange``).
     scan: Optional[ScanPage] = None
+    #: The versions of a key (``getkeyhistory``).
+    history: Optional[HistoryPage] = None
 
     OK = 200
     ERROR = 500
@@ -46,8 +53,23 @@ class ChaincodeResponse:
 
     @classmethod
     def scanned(cls, page: ScanPage) -> "ChaincodeResponse":
-        """A scan's answer: the page, and the payload it renders to."""
-        return cls(status=cls.OK, payload=page.payload(), scan=page)
+        """A scan's answer: the page, never rendered."""
+        return cls(status=cls.OK, scan=page)
+
+    @classmethod
+    def versions(cls, page: HistoryPage) -> "ChaincodeResponse":
+        """A key history's answer: the page, never rendered."""
+        return cls(status=cls.OK, history=page)
+
+    @property
+    def size(self) -> int:
+        """Length of the text this answer stands for: what a network charges.
+
+        A page counts its text without rendering it; a point or invoke
+        answer is its ``payload``.
+        """
+        page = self.scan if self.scan is not None else self.history
+        return len(self.payload or "") if page is None else page.size()
 
     @classmethod
     def error(cls, message: str) -> "ChaincodeResponse":

@@ -20,6 +20,10 @@ class ValidationError(HyperProvError):
     """A transaction, block, or record failed validation."""
 
 
+class TenancyError(ValidationError):
+    """A key that should lie inside a tenant's namespace lies outside it."""
+
+
 class NotFoundError(HyperProvError):
     """A requested key, block, node, or data item does not exist."""
 

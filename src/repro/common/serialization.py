@@ -27,19 +27,18 @@ class _CanonicalEncoder(json.JSONEncoder):
         return super().default(o)
 
 
+#: Holds configuration only, so one instance serves every call (what
+#: ``json.dumps`` would build afresh each time).
+_CANONICAL = _CanonicalEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+
+
 def canonical_json(obj: Any) -> bytes:
     """Encode ``obj`` into deterministic JSON bytes.
 
     Keys are sorted and separators are minimal so that logically equal
     objects always serialize to identical bytes.
     """
-    return json.dumps(
-        obj,
-        cls=_CanonicalEncoder,
-        sort_keys=True,
-        separators=(",", ":"),
-        ensure_ascii=True,
-    ).encode("utf-8")
+    return _CANONICAL.encode(obj).encode("utf-8")
 
 
 def copy_json(value: Any) -> Any:

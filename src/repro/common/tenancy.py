@@ -11,7 +11,7 @@ silently diverge.
 
 from __future__ import annotations
 
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, TenancyError
 
 #: Ledger-key prefix every tenant namespace lives under.
 TENANT_PREFIX = "tenant/"
@@ -41,9 +41,26 @@ def namespace_key(tenant: str, key: str) -> str:
 
 
 def strip_namespace(tenant: str, key: str) -> str:
-    """Map a namespaced ledger key back to the tenant-relative key."""
+    """Map a namespaced ledger key back to the tenant-relative key.
+
+    Lenient: a key outside the namespace comes back unchanged.  What a
+    tenant reads as its own goes through :func:`relative_key` instead.
+    """
     prefix = tenant_namespace(tenant)
     return key[len(prefix):] if key.startswith(prefix) else key
+
+
+def relative_key(tenant: str, key: str) -> str:
+    """The tenant-relative form of a ledger key ``tenant`` owns.
+
+    The strict :func:`strip_namespace`: a key outside the namespace is a
+    :class:`~repro.common.errors.TenancyError`, so a leak fails where it
+    happens instead of reaching the caller as a foreign key.
+    """
+    prefix = tenant_namespace(tenant)
+    if not key.startswith(prefix):
+        raise TenancyError(f"key {key!r} lies outside tenant {tenant!r}'s namespace")
+    return key[len(prefix):]
 
 
 def tenant_of_key(key: str) -> str:

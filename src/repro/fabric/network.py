@@ -560,7 +560,7 @@ class FabricNetwork:
             except EndorsementError:
                 continue
             back = self.network.estimate_transfer_time(
-                peer_name, context.host_node, len((response.payload or "")) + 1024
+                peer_name, context.host_node, response.size + 1024
             )
             responses.append(response)
             completion_times.append(ready_at + back)
@@ -798,7 +798,7 @@ class FabricNetwork:
         )
         response, ready_at = peer.query(proposal, prep_done + to_peer)
         back = self.network.estimate_transfer_time(
-            target_name, context.host_node, len(response.payload or "") + 1024
+            target_name, context.host_node, response.size + 1024
         )
         latency = (ready_at + back) - start
         self.metrics.histogram("query_latency_s").observe(latency)

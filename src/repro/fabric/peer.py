@@ -302,6 +302,7 @@ class Peer:
             produced_at=finished_at,
             chaincode_event=stub.event,
             scan=result.scan,
+            history=result.history,
         )
         return response, finished_at
 

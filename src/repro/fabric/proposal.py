@@ -8,7 +8,7 @@ from typing import Callable, Dict, List, Optional
 from repro.common.hashing import sha256_hex
 from repro.common.serialization import canonical_json
 from repro.crypto.certificates import Certificate
-from repro.ledger.scan import ScanPage
+from repro.ledger.scan import HistoryPage, ScanPage
 from repro.ledger.transaction import Endorsement, ReadWriteSet, TxValidationCode
 
 
@@ -85,13 +85,22 @@ class ProposalResponse:
     produced_at: float = 0.0
     #: Chaincode event set during simulation, as ``(name, payload)``.
     chaincode_event: Optional[tuple] = None
-    #: The rows behind a scan's ``payload`` (``query``, ``getbyrange``):
-    #: what every layer above the peer reads instead of the string.
+    #: The rows of a multi-row read, carried instead of a ``payload``
+    #: string (see :class:`~repro.chaincode.shim.ChaincodeResponse`):
+    #: ``scan`` for ``query`` / ``getbyrange``, ``history`` for
+    #: ``getkeyhistory``.
     scan: Optional[ScanPage] = None
+    history: Optional[HistoryPage] = None
 
     @property
     def is_ok(self) -> bool:
         return self.status == 200 and self.endorsement is not None
+
+    @property
+    def size(self) -> int:
+        """Length of the text the response stands for: what the network charges."""
+        page = self.scan if self.scan is not None else self.history
+        return len(self.payload or "") if page is None else page.size()
 
 
 @dataclass

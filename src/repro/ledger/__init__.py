@@ -18,7 +18,7 @@ from repro.ledger.transaction import (
 )
 from repro.ledger.block import Block, BlockHeader
 from repro.ledger.world_state import WorldState, VersionedValue
-from repro.ledger.scan import ScanPage
+from repro.ledger.scan import HistoryPage, ScanPage
 from repro.ledger.history import HistoryDatabase, HistoryEntry
 from repro.ledger.blockchain import BlockStore
 
@@ -34,6 +34,7 @@ __all__ = [
     "WorldState",
     "VersionedValue",
     "ScanPage",
+    "HistoryPage",
     "HistoryDatabase",
     "HistoryEntry",
     "BlockStore",

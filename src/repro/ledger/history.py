@@ -11,7 +11,10 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional
+
+from repro.ledger.scan import entry_size
 
 
 @dataclass(frozen=True)
@@ -25,6 +28,15 @@ class HistoryEntry:
     timestamp: float
     value: Optional[str]
     is_delete: bool = False
+
+    @cached_property
+    def text_size(self) -> int:
+        """Length of this version's object in a history answer's text.
+
+        Counted by the first answer that returns it and kept (one int):
+        the network charges that length, nobody renders the text.
+        """
+        return entry_size(self)
 
 
 class HistoryDatabase:

@@ -21,6 +21,7 @@ from bisect import bisect_left, bisect_right, insort
 from itertools import chain
 from typing import Any, Dict, Iterator, List, Optional, Protocol, Set, Tuple
 
+from repro.ledger.scan import row_size
 from repro.ledger.transaction import ReadSetEntry, Version, canonical_read
 
 #: Compact the sorted index once tombstones outnumber this floor *and*
@@ -62,9 +63,12 @@ class VersionedValue:
     ``read``       the :class:`ReadSetEntry` a scan visiting this version
                    records.
     ``read_line``  that entry's line in the rw-set's canonical JSON.
+    ``text_size``  the length of the version's row in a scan answer's text
+                   (:func:`~repro.ledger.scan.row_size`) — what the network
+                   charges for it; the text itself is never kept.
     """
 
-    __slots__ = ("value", "version", "key", "document", "read", "read_line")
+    __slots__ = ("value", "version", "key", "document", "read", "read_line", "text_size")
 
     value: str
     version: Version
@@ -72,11 +76,13 @@ class VersionedValue:
     document: Optional[Dict[str, Any]]
     read: ReadSetEntry
     read_line: str
+    text_size: int
 
     _FRAGMENTS = {
         "document": _parse_document,
         "read": _read_entry,
         "read_line": _read_line,
+        "text_size": row_size,
     }
 
     def __init__(self, value: str, version: Version, key: Optional[str] = None) -> None:

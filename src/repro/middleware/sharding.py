@@ -33,6 +33,8 @@ import bisect
 import hashlib
 import json
 from dataclasses import replace
+from itertools import chain
+from operator import attrgetter
 from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigurationError
@@ -43,7 +45,7 @@ from repro.common.tenancy import (
     tenant_of_key,
     tenant_of_prefix,
 )
-from repro.ledger.scan import ScanPage
+from repro.ledger.scan import HistoryPage, ScanPage
 from repro.ledger.world_state import VersionedValue
 from repro.middleware.base import Handler, Middleware
 from repro.middleware.context import Context
@@ -59,6 +61,9 @@ VIRTUAL_NODES = 64
 
 #: tenant → the shards that have ordered a write under its namespace.
 Placement = Callable[[str], FrozenSet[int]]
+
+#: Cross-shard order of a key's versions (see ``_merge_history``).
+_COMMIT_ORDER = attrgetter("timestamp", "block_number")
 
 
 def routing_key(ledger_key: str) -> str:
@@ -194,19 +199,20 @@ class ShardRouterMiddleware(Middleware):
             results.append(call_next(sub))
         if self.metrics is not None:
             self.metrics.counter("router.fan_outs").inc()
-        history = ctx.function == "getkeyhistory"
-        ok = [result for result in results if self._is_ok(result, history)]
+        field = "history" if ctx.function == "getkeyhistory" else "scan"
+        ok = [result for result in results if self._is_ok(result, field)]
         if not ok:
             return results[0]
         responses = [self._response(result) for result in ok]
         latency = max((self._latency(result) for result in ok), default=0.0)
-        if history:
-            merged = replace(responses[0], payload=self._merge_history_payloads(
-                [response.payload for response in responses]
+        if field == "history":
+            merged = replace(responses[0], history=self._merge_history(
+                [response.history for response in responses]
             ))
         else:
-            page = self._merge_pages(ctx, [response.scan for response in responses])
-            merged = replace(responses[0], payload=page.payload(), scan=page)
+            merged = replace(responses[0], scan=self._merge_pages(
+                ctx, [response.scan for response in responses]
+            ))
         if isinstance(ok[0], tuple):
             return (merged, latency)
         return merged
@@ -223,14 +229,10 @@ class ShardRouterMiddleware(Middleware):
         return result[0] if isinstance(result, tuple) else result
 
     @classmethod
-    def _is_ok(cls, result: Any, history: bool) -> bool:
-        """Whether a shard answered: a history payload, or a scan's page."""
+    def _is_ok(cls, result: Any, field: str) -> bool:
+        """Whether a shard answered with a page in ``field`` (``scan``/``history``)."""
         response = cls._response(result)
-        if not getattr(response, "is_ok", False):
-            return False
-        if history:
-            return isinstance(getattr(response, "payload", None), str)
-        return getattr(response, "scan", None) is not None
+        return getattr(response, "is_ok", False) and getattr(response, field, None) is not None
 
     @staticmethod
     def _latency(result: Any) -> float:
@@ -239,17 +241,6 @@ class ShardRouterMiddleware(Middleware):
         return 0.0
 
     # -------------------------------------------------------------- merging
-    def _merge_history_payloads(self, payloads: List[str]) -> str:
-        rows: List[Any] = []
-        for payload in payloads:
-            try:
-                decoded = json.loads(payload)
-            except ValueError:
-                continue
-            if isinstance(decoded, list):
-                rows.extend(decoded)
-        return json.dumps(self._merge_history(rows))
-
     def _merge_pages(self, ctx: Context, pages: List[ScanPage]) -> ScanPage:
         """Merge per-shard pages into one page honouring the request limit.
 
@@ -312,24 +303,17 @@ class ShardRouterMiddleware(Middleware):
         return 0
 
     @staticmethod
-    def _merge_history(entries: List[Any]) -> List[Any]:
-        """Order history entries from several shards by commit time.
+    def _merge_history(pages: List[HistoryPage]) -> HistoryPage:
+        """Order the shards' versions of one key by commit time.
 
         Block numbers are per-shard (each shard cuts its own chain), so
         cross-shard ordering uses the entry's commit timestamp first and
-        only falls back to block/tx ordering to break ties within a shard.
+        only falls back to the block number to break ties within a shard;
+        the sort is stable, so equal keys keep the shards' asking order.
         """
-        def sort_key(entry: Any) -> Tuple[float, int]:
-            if not isinstance(entry, dict):
-                return (0.0, 0)
-            timestamp = entry.get("timestamp")
-            block = entry.get("block")
-            return (
-                float(timestamp) if timestamp is not None else 0.0,
-                int(block) if block is not None else 0,
-            )
-
-        return sorted(entries, key=sort_key)
+        return HistoryPage(tuple(sorted(
+            chain.from_iterable(page.entries for page in pages), key=_COMMIT_ORDER
+        )))
 
 
 def _record_timestamp(row: VersionedValue) -> float:

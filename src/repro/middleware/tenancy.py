@@ -154,8 +154,7 @@ class TenantPrefixMiddleware(Middleware):
             return result
         if dropped and self.metrics is not None:
             self.metrics.counter("tenant.rows_filtered").inc(dropped)
-        scoped = page._replace(rows=kept, bookmark=bookmark)
-        response = replace(response, payload=scoped.payload(), scan=scoped)
+        response = replace(response, scan=page._replace(rows=kept, bookmark=bookmark))
         if isinstance(result, tuple):
             return (response,) + result[1:]
         return response

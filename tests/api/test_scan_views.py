@@ -27,9 +27,10 @@ import pytest
 
 from repro.api import HyperProvService, RecordView, StoreRequest
 from repro.chaincode.records import ProvenanceRecord
-from repro.common.errors import ValidationError
+from repro.common.errors import TenancyError, ValidationError
 from repro.common.hashing import checksum_of
 from repro.core.topology import build_desktop_deployment
+from repro.ledger.scan import HistoryPage, ScanPage
 from repro.middleware.config import PipelineConfig
 
 
@@ -171,6 +172,68 @@ def test_json_calls_of_a_query_do_not_grow_with_the_rows_returned(service, monke
     narrow = _json_calls(monkeypatch, lambda: client.get_by_range("count/00", "count/05"))
     wide = _json_calls(monkeypatch, lambda: client.get_by_range("count/00", "count/55"))
     assert narrow == wide and wide["loads"] == 0
+
+
+def _tenant_reads_on_four_shards():
+    """A cached ``acme`` session on 4 shards: ``one`` has 1 version, ``four`` 4."""
+    deployment = build_desktop_deployment(shards=4)
+    service = HyperProvService(deployment)
+    session = service.session(tenant="acme", pipeline=PipelineConfig(shards=4, cache=True))
+    for key, versions in (("one", 1), ("four", 4)):
+        for version in range(versions):
+            session.submit(key, f"{key}.{version}".encode())
+            service.drain()
+    return session
+
+
+def test_a_tenants_reads_on_four_shards_render_no_page(monkeypatch):
+    session = _tenant_reads_on_four_shards()
+    client = session.backend.client
+    rendered = []
+    for page_type in (ScanPage, HistoryPage):
+        render = page_type.payload
+
+        def counting(page, _render=render):
+            rendered.append(type(page).__name__)
+            return _render(page)
+
+        monkeypatch.setattr(page_type, "payload", counting)
+    reads = {
+        "query": lambda: session.query({"_prefix": ""}),
+        "paged query": lambda: session.query({"_prefix": ""}, limit=1),
+        "range": lambda: client.get_by_range("", ""),
+        "history": lambda: session.history("four"),
+    }
+    hits = client.metrics.counter("cache.hits")
+    for name, read in reads.items():
+        for attempt in ("miss", "hit"):
+            before = hits.value
+            assert read(), name
+            assert (hits.value > before) is (attempt == "hit"), (name, attempt)
+    assert rendered == []
+
+
+def test_a_tenants_history_on_four_shards_parses_each_version_once(monkeypatch):
+    session = _tenant_reads_on_four_shards()
+    for key, versions in (("one", 1), ("four", 4)):
+        answers = []
+        calls = _json_calls(monkeypatch, lambda: answers.append(session.history(key)))
+        assert len(answers[0]) == versions
+        assert calls == {"loads": versions, "dumps": 0}
+
+
+def test_a_record_outside_the_tenants_namespace_fails_its_view():
+    document = ProvenanceRecord(
+        key="tenant/b/x", checksum=checksum_of(b"x"), location="loc", creator="c",
+        organization="org1", certificate_fingerprint="", dependencies=["tenant/b/raw"],
+    ).to_json()
+    assert RecordView.from_document(document, "b").key == "x"
+    with pytest.raises(TenancyError, match="outside tenant 'a'"):
+        RecordView.from_document(document, "a")
+    assert issubclass(TenancyError, ValidationError)
+    # Dependencies stay lenient: a foreign one comes back as it is.
+    own = json.loads(document) | {"key": "tenant/a/y"}
+    assert RecordView.from_document(own, "a").dependencies == ("tenant/b/raw",)
 
 
 # ------------------------------------------------------- construction count
@@ -331,7 +394,7 @@ def test_a_tenants_merged_page_equals_the_single_shard_page():
 
 def test_the_tenant_filter_holds_on_rows_a_selector_cannot_scope():
     """A selector on record fields matches every namespace on the shard;
-    the rows of the others are dropped from the page *and* from the payload."""
+    the rows of the others are dropped from the page, hence from its text."""
     deployment, sessions = _tenant_sessions(shards=1)
     acme = sessions["acme"]
     client = acme.backend.client
@@ -341,7 +404,8 @@ def test_the_tenant_filter_holds_on_rows_a_selector_cannot_scope():
     assert [row.key for row in response.scan.rows] == [
         f"tenant/acme/scan/item-{index:02d}" for index in range(0, 9, 2)
     ]
-    decoded = json.loads(response.payload)
+    assert response.payload is None
+    decoded = json.loads(response.scan.payload())
     assert [row["key"] for row in decoded] == [row.key for row in response.scan.rows]
     # Unscoped, the same selector sees all three namespaces on the peer.
     everyone, _ = deployment.fabric.query(

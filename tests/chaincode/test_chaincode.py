@@ -297,7 +297,7 @@ def test_scan_path_and_from_json_agree_that_a_non_object_is_not_a_record(value):
     rows = HyperProvChaincode().invoke(
         make_stub("query", [json.dumps({"_prefix": "k"})], world_state=state)
     )
-    assert json.loads(rows.payload) == []
+    assert json.loads(rows.scan.payload()) == []
 
 
 def test_getkeyhistory_returns_all_versions(creator_cert):
@@ -306,7 +306,7 @@ def test_getkeyhistory_returns_all_versions(creator_cert):
     history.record("k", "t1", 0, 0, 1.0, "v1")
     history.record("k", "t2", 1, 0, 2.0, "v2")
     response = chaincode.invoke(make_stub("getkeyhistory", ["k"], history=history))
-    entries = json.loads(response.payload)
+    entries = json.loads(response.history.payload())
     assert [e["tx_id"] for e in entries] == ["t1", "t2"]
 
 
@@ -322,7 +322,7 @@ def test_getbyrange_excludes_other_prefixes(creator_cert):
     for key in ["a/1", "a/2", "b/1"]:
         state.put(key, "{}", (0, 0))
     response = chaincode.invoke(make_stub("getbyrange", ["a/", "a/~"], world_state=state))
-    rows = json.loads(response.payload)
+    rows = json.loads(response.scan.payload())
     assert [row["key"] for row in rows] == ["a/1", "a/2"]
 
 

@@ -68,7 +68,7 @@ def test_query_by_creator(org1_cert):
         stub_for("query", [json.dumps({"creator": "client1"})], state=state)
     )
     assert response.is_ok
-    assert [row["key"] for row in json.loads(response.payload)] == ["a"]
+    assert [row["key"] for row in json.loads(response.scan.payload())] == ["a"]
 
 
 def test_query_by_metadata_and_dependency(org1_cert):
@@ -80,11 +80,11 @@ def test_query_by_metadata_and_dependency(org1_cert):
     by_metadata = chaincode.invoke(
         stub_for("query", [json.dumps({"metadata.station": "tromso"})], state=state)
     )
-    assert [row["key"] for row in json.loads(by_metadata.payload)] == ["raw"]
+    assert [row["key"] for row in json.loads(by_metadata.scan.payload())] == ["raw"]
     by_dependency = chaincode.invoke(
         stub_for("query", [json.dumps({"dependencies": "raw"})], state=state)
     )
-    assert [row["key"] for row in json.loads(by_dependency.payload)] == ["derived"]
+    assert [row["key"] for row in json.loads(by_dependency.scan.payload())] == ["derived"]
 
 
 def test_query_rejects_malformed_selectors():
@@ -103,7 +103,7 @@ def test_query_skips_internal_and_malformed_values():
     response = chaincode.invoke(
         stub_for("query", [json.dumps({"organization": "org1"})], state=state)
     )
-    assert [row["key"] for row in json.loads(response.payload)] == ["good"]
+    assert [row["key"] for row in json.loads(response.scan.payload())] == ["good"]
 
 
 def test_query_prefix_scopes_scan_to_candidate_keys():
@@ -120,7 +120,7 @@ def test_query_prefix_scopes_scan_to_candidate_keys():
             state=state,
         )
     )
-    assert [row["key"] for row in json.loads(scoped.payload)] == ["tenant/a/1"]
+    assert [row["key"] for row in json.loads(scoped.scan.payload())] == ["tenant/a/1"]
     # The rw-set only records the candidate keys, not the whole key space.
     stub = stub_for(
         "query", [json.dumps({"_prefix": "tenant/a/", "creator": "client1"})],
@@ -136,7 +136,7 @@ def test_query_prefix_alone_returns_everything_under_it():
     response = chaincode.invoke(
         stub_for("query", [json.dumps({"_prefix": "p/"})], state=state)
     )
-    assert [row["key"] for row in json.loads(response.payload)] == ["p/1", "p/2"]
+    assert [row["key"] for row in json.loads(response.scan.payload())] == ["p/1", "p/2"]
 
 
 def test_query_prefix_validation():
@@ -154,10 +154,10 @@ def test_query_parse_memo_does_not_serve_stale_records_after_update():
     chaincode = HyperProvChaincode()
     state = state_with_records(record("item", metadata={"rev": 1}))
     selector = [json.dumps({"metadata.rev": 2})]
-    assert json.loads(chaincode.invoke(stub_for("query", selector, state=state)).payload) == []
+    assert json.loads(chaincode.invoke(stub_for("query", selector, state=state)).scan.payload()) == []
     updated = record("item", metadata={"rev": 2})
     state.put("item", updated.to_json(), (1, 0))  # new version, new value
-    rows = json.loads(chaincode.invoke(stub_for("query", selector, state=state)).payload)
+    rows = json.loads(chaincode.invoke(stub_for("query", selector, state=state)).scan.payload())
     assert [row["key"] for row in rows] == ["item"]
 
 

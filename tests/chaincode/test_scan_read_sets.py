@@ -52,7 +52,7 @@ def invoke(state, function, args):
     assert response.is_ok, response.message
     assert stub.state_operations == 1
     reads = [(entry.key, entry.version) for entry in stub.rw_set.reads]
-    return json.loads(response.payload), reads
+    return json.loads(response.scan.payload()), reads
 
 
 def query(state, **selector):

@@ -60,7 +60,7 @@ def test_large_scan_response_is_signed_over_the_read_set_digest(single_peer, org
         client, "query", ['{"_limit": 50, "_prefix": "scan/", "metadata.hot": true}']
     )
     response, _ = single_peer.query(proposal, at_time=0.0)
-    assert response.is_ok and len(json.loads(response.payload)["records"]) == 32
+    assert response.is_ok and len(json.loads(response.scan.payload())["records"]) == 32
     assert len(response.rw_set.reads) == 500
     endorsement = response.endorsement
     assert endorsement is not None

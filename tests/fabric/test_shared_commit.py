@@ -352,7 +352,7 @@ def test_adopting_replica_keeps_its_own_secondary_index():
         response, _ = built.fabric.query(
             CLIENT, "hyperprov", "query", [selector], peer_name=peer.name
         )
-        answers.append(json.loads(response.payload))
+        answers.append(json.loads(response.scan.payload()))
         assert peer.world_state.secondary_index.lookup("metadata.hot", True) == {
             "item/b", "item/c"
         }

@@ -7,7 +7,8 @@ import pytest
 from repro.common.errors import ConfigurationError
 from repro.common.tenancy import namespace_end, tenant_of_prefix
 from repro.fabric.proposal import ProposalResponse
-from repro.ledger.scan import ScanPage
+from repro.ledger.history import HistoryEntry
+from repro.ledger.scan import HistoryPage, ScanPage
 from repro.ledger.transaction import ReadWriteSet
 from repro.ledger.world_state import VersionedValue
 from repro.middleware.base import TransactionPipeline
@@ -27,18 +28,19 @@ def ctx_for(function, args, kind=OperationKind.READ):
     )
 
 
-def response_with(payload):
+def response_with(answer):
     # A present endorsement marks the response ok (is_ok semantics); a
     # shard missing the key answers with none, like a failed endorsement.
-    # A scan answers with its page; the payload is what the page renders to.
-    scan = payload if isinstance(payload, ScanPage) else None
-    if scan is not None:
-        payload = scan.payload()
-    endorsement = object() if payload is not None else None
-    status = 200 if payload is not None else 500
+    # A scan or a key history answers with its page and no payload string.
+    scan = answer if isinstance(answer, ScanPage) else None
+    history = answer if isinstance(answer, HistoryPage) else None
+    payload = answer if isinstance(answer, str) else None
+    endorsement = object() if answer is not None else None
+    status = 200 if answer is not None else 500
     return ProposalResponse(
         tx_id="t", peer="p", status=status, payload=payload, message="",
-        rw_set=ReadWriteSet(), endorsement=endorsement, produced_at=0.0, scan=scan,
+        rw_set=ReadWriteSet(), endorsement=endorsement, produced_at=0.0,
+        scan=scan, history=history,
     )
 
 
@@ -122,7 +124,8 @@ def test_range_fan_out_merges_rows_in_key_order():
         0: page_of(("b", {"timestamp": 1.0})), 1: page_of(("a", {"timestamp": 2.0})),
     })
     response, latency = pipeline.execute(ctx_for("getbyrange", ["", "~"]))
-    merged = json.loads(response.payload)
+    assert response.payload is None
+    merged = json.loads(response.scan.payload())
     assert [row["key"] for row in merged] == ["a", "b"]
     assert [row.key for row in response.scan.rows] == ["a", "b"]
     # Fan-out latency is the slowest shard's, not the sum.
@@ -135,26 +138,26 @@ def test_fan_out_dedupes_duplicate_keys_keeping_newest():
     new = page_of(("k", {"timestamp": 9.0, "v": "new"}))
     pipeline = fan_out_pipeline(router, {0: old, 1: new})
     response, _ = pipeline.execute(ctx_for("getbyrange", ["", "~"]))
-    merged = json.loads(response.payload)
+    merged = json.loads(response.scan.payload())
     assert len(merged) == 1
     assert json.loads(merged[0]["record"])["v"] == "new"
 
 
 def test_history_fan_out_orders_by_commit_timestamp():
     router = ShardRouterMiddleware(shards=2)
-    shard0 = [
-        {"tx_id": "t2", "block": 0, "timestamp": 5.0, "is_delete": False, "value": "v2"}
-    ]
-    shard1 = [
-        {"tx_id": "t1", "block": 7, "timestamp": 1.0, "is_delete": False, "value": "v1"}
-    ]
-    pipeline = fan_out_pipeline(
-        router, {0: json.dumps(shard0), 1: json.dumps(shard1)}
-    )
+    shard0 = HistoryPage((HistoryEntry("k", "t2", 0, 0, 5.0, "v2"),))
+    shard1 = HistoryPage((
+        HistoryEntry("k", "t1", 7, 0, 1.0, "v1"),
+        HistoryEntry("k", "t3", 8, 0, 5.0, None, is_delete=True),
+    ))
+    pipeline = fan_out_pipeline(router, {0: shard0, 1: shard1})
     response, _ = pipeline.execute(ctx_for("getkeyhistory", ["k"]))
-    merged = json.loads(response.payload)
-    # Ordered by timestamp, not by per-shard block numbers.
-    assert [entry["tx_id"] for entry in merged] == ["t1", "t2"]
+    # Ordered by timestamp, not by per-shard block numbers; a tie falls
+    # back to the block.  The merged answer is the shards' own entries.
+    assert [entry.tx_id for entry in response.history.entries] == ["t1", "t2", "t3"]
+    assert {*response.history.entries} == {*shard0.entries, *shard1.entries}
+    assert response.payload is None
+    assert response.size == len(response.history.payload())
 
 
 def test_fan_out_tolerates_missing_shards():
@@ -162,7 +165,7 @@ def test_fan_out_tolerates_missing_shards():
     rows = page_of(("a", {"timestamp": 1.0}))
     pipeline = fan_out_pipeline(router, {1: rows})  # shard 0 misses
     response, _ = pipeline.execute(ctx_for("getbyrange", ["", "~"]))
-    assert [row["key"] for row in json.loads(response.payload)] == ["a"]
+    assert [row.key for row in response.scan.rows] == ["a"]
 
 
 def test_fan_out_with_no_hits_returns_first_error():
@@ -202,7 +205,7 @@ def asked_shards(placement, function, args):
     def terminal(ctx):
         asked.append(ctx.tags["shard"])
         if function == "getkeyhistory":
-            return (response_with("[]"), 0.0)
+            return (response_with(HistoryPage(())), 0.0)
         return (response_with(page_of()), 0.0)
 
     router = ShardRouterMiddleware(shards=4, placement=placement)

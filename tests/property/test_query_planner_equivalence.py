@@ -122,13 +122,13 @@ def _query_with_reads(state: WorldState, selector: dict):
         timestamp=1.0,
     )
     response = HyperProvChaincode().invoke(stub)
-    assert response.is_ok, response.payload
+    assert response.is_ok, response.message
     assert stub.state_operations == 1
     reads = [(entry.key, entry.version) for entry in stub.rw_set.reads]
     # Key order, no duplicates, and the version each row is committed at.
     assert [key for key, _ in reads] == sorted({key for key, _ in reads})
     assert all(version == state.get_version(key) for key, version in reads)
-    return response.payload, reads
+    return response.scan.payload(), reads
 
 
 def _query(state: WorldState, selector: dict):

@@ -1,8 +1,10 @@
-"""Randomized reference tests: a scan's payload, read set and carried rows.
+"""Randomized reference tests: a read's rows, their text, its size and read set.
 
-A scan (``query``, both forms of ``getbyrange``) answers with a payload
-string *and* the committed versions it matched (``ChaincodeResponse.scan``);
-its read set is appended from what each visited version already carries.
+A scan (``query``, both forms of ``getbyrange``) answers with the
+committed versions it matched (``ChaincodeResponse.scan``), a key history
+(``getkeyhistory``) with the key's committed entries
+(``ChaincodeResponse.history``); neither carries a payload string.  A
+scan's read set is appended from what each visited version already carries.
 For random ledgers — quotes, backslashes, control characters and non-ASCII
 in keys and values, ``__`` marker keys, values that are not JSON objects,
 updates and deletes — and random requests over all six candidate sources,
@@ -12,11 +14,13 @@ reading of what a selector field matches):
 
 * the candidates a range or prefix scan pulled are the live keys in scope,
   in key order, cut after the row that filled a lazy page;
-* the payload is byte-for-byte the ``json.dumps`` of the row dicts the
-  reference loop builds (the response's external surface did not move);
+* the page's text (``payload()``) is byte-for-byte the ``json.dumps`` of
+  the row dicts the reference loop builds, and its ``size()`` — what the
+  network charges — is that text's length, in every page shape; the same
+  holds for a history page against the ``json.dumps`` of its entry dicts;
 * the reads are one entry per candidate the scan pulled, in pull order,
   and the digest is ``sha256(canonical_json(rw_set.to_dict()))``;
-* the carried rows, bookmark and plan are the payload's, decoded;
+* the carried rows, bookmark and plan are the text's, decoded;
 * asking twice gives equal answers (the second from filled fragments) and
   a write in between changes exactly the written row;
 * cloned, tampered and hand-extended read sets digest from their own
@@ -38,9 +42,10 @@ from repro.chaincode.shim import ChaincodeStub
 from repro.common.hashing import checksum_of, sha256_hex
 from repro.common.serialization import canonical_json
 from repro.ledger.block import Block
-from repro.ledger.history import HistoryDatabase
+from repro.ledger.history import HistoryDatabase, HistoryEntry
+from repro.ledger.scan import HistoryPage, ScanPage
 from repro.ledger.transaction import ReadSetEntry, Transaction
-from repro.ledger.world_state import WorldState
+from repro.ledger.world_state import VersionedValue, WorldState
 from repro.query.indexes import FieldValueIndex
 from repro.query.selectors import compile_row_predicate
 from tests.property.test_query_planner_equivalence import _oracle_matches
@@ -240,7 +245,12 @@ def _check_answer(stub, response, fields, limit, markers, enveloped, scope=None)
     # A lazy scan stops at the row that filled the page; a list was fetched whole.
     lazy = stub.source.startswith("lazy")
     assert pulled == (scope[:visited] if lazy else scope)
-    assert response.payload == _reference_payload(rows, truncated, enveloped, page.plan)
+    # The answer is the page; its text is rendered only on request, and
+    # the size the network charges is that text's length, counted.
+    assert response.payload is None
+    text = page.payload()
+    assert text == _reference_payload(rows, truncated, enveloped, page.plan)
+    assert page.size() == response.size == len(text)
 
     # One read per pulled candidate, in pull order, digesting like the reference.
     rw_set = stub.rw_set
@@ -250,8 +260,8 @@ def _check_answer(stub, response, fields, limit, markers, enveloped, scope=None)
     assert rw_set.canonical_bytes() == reference
     assert rw_set.digest() == sha256_hex(reference)
 
-    # The carried page is the payload, decoded the old way.
-    decoded = json.loads(response.payload)
+    # The carried page is its text, decoded the old way.
+    decoded = json.loads(text)
     assert page.enveloped is enveloped is isinstance(decoded, dict)
     decoded_rows = decoded["records"] if enveloped else decoded
     assert [{"key": row.key, "record": row.value} for row in page.rows] == decoded_rows
@@ -329,7 +339,7 @@ def test_asking_twice_is_equal_and_a_write_moves_exactly_its_row(seed):
 
     first_stub, first = _invoke(state, "query", request)
     again_stub, again = _invoke(state, "query", request)
-    assert again.payload == first.payload and again.scan == first.scan
+    assert again.scan.payload() == first.scan.payload() and again.scan == first.scan
     assert again_stub.rw_set.reads == first_stub.rw_set.reads
     assert again_stub.rw_set.digest() == first_stub.rw_set.digest()
     # Equal, and literally the same objects: nothing was rebuilt per row.
@@ -579,3 +589,83 @@ def test_prefix_edges_stay_on_the_reference():
     # The empty prefix needs a field beside it; it walks the whole key space.
     rows = _check_query(state, model, {"_prefix": "", "organization": "org1"})
     assert [row["key"] for row in rows] == sorted(keys)
+
+
+# ------------------------------------------------------------- size, not text
+def _random_rows(rng: random.Random, count: int):
+    return tuple(
+        VersionedValue(_random_value(rng, key, step), (step, 0), key)
+        for step, key in enumerate(sorted({_random_key(rng) for _ in range(count)}))
+    )
+
+
+@pytest.mark.parametrize("seed", [1, 19, 77])
+def test_a_pages_size_is_its_texts_length_in_every_shape(seed):
+    rng = random.Random(seed)
+    for _ in range(40):
+        rows = _random_rows(rng, rng.randrange(6))
+        bookmark = rows[-1].key if rows and rng.random() < 0.5 else None
+        plan = {"access_path": _text(rng), "residual_fields": [_text(rng)], "n": rng.random()}
+        shapes = [
+            ScanPage(rows),
+            ScanPage(rows, enveloped=True),
+            ScanPage(rows, bookmark, enveloped=True),
+            ScanPage(rows, bookmark, plan, enveloped=True),
+        ]
+        for page in shapes:
+            reference = [{"key": row.key, "record": row.value} for row in rows]
+            if page.enveloped:
+                reference = {"records": reference, "bookmark": page.bookmark}
+                if page.plan is not None:
+                    reference["plan"] = page.plan
+            assert page.payload() == json.dumps(reference)
+            assert page.size() == len(page.payload())
+
+
+def _reference_history(entries):
+    """The parent's ``getkeyhistory`` text: ``json.dumps`` of the entry dicts."""
+    return json.dumps([
+        {
+            "tx_id": entry.tx_id,
+            "block": entry.block_number,
+            "timestamp": entry.timestamp,
+            "is_delete": entry.is_delete,
+            "value": entry.value,
+        }
+        for entry in entries
+    ])
+
+
+@pytest.mark.parametrize("seed", [2, 31, 404])
+def test_a_history_answer_is_the_keys_entries_and_sizes_its_text(seed):
+    rng = random.Random(seed)
+    history = HistoryDatabase()
+    keys = ["k", 'q"\\', "é/😀"]
+    for block in range(60):
+        key = rng.choice(keys)
+        deleted = rng.random() < 0.2
+        history.record(
+            key, _text(rng, 6) or "tx", block, rng.randrange(3),
+            rng.choice([rng.random() * 1e4, float(block), 1e-7 * block, 1e21]),
+            None if deleted else _random_value(rng, key, block), is_delete=deleted,
+        )
+    for key in keys:
+        stub = ChaincodeStub(
+            tx_id="tx", channel="ch", function="getkeyhistory", args=[key],
+            world_state=WorldState(), history=history,
+        )
+        response = HyperProvChaincode().invoke(stub)
+        assert response.is_ok and response.payload is None
+        page = response.history
+        assert list(page.entries) == history.history_for_key(key)
+        text = page.payload()
+        assert text == _reference_history(page.entries)
+        assert page.size() == response.size == len(text)
+    # The empty page, and a hand-built one with awkward fields.
+    assert HistoryPage(()).payload() == "[]" and HistoryPage(()).size() == 2
+    odd = HistoryPage((
+        HistoryEntry("k", '"\\\n\x00é', 0, 0, 0.1, None, True),
+        HistoryEntry("k", "t", 7, 1, 3, "\x1f😀", False),
+    ))
+    assert odd.payload() == _reference_history(odd.entries)
+    assert odd.size() == len(odd.payload())

@@ -7,7 +7,9 @@ a write under it.  Random writes from tenant and non-tenant sessions on
 re-size) are followed by a tenant's query, range and history.  Each answer
 must equal the same read through a router whose placement names every
 shard.  A fresh deployment's tenant read, query, range and history alike,
-costs exactly one peer query.
+costs exactly one peer query.  A key history merged from 2 or 4 shards
+comes back in the order the string-merging router produced, whose sort
+key is kept here as the reference.
 """
 
 import dataclasses
@@ -17,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.api.service import HyperProvService
 from repro.common.errors import NotFoundError
+from repro.common.hashing import checksum_of
 from repro.core.topology import build_desktop_deployment
 from repro.fabric.peer import Peer
 from repro.middleware.config import PipelineConfig
@@ -120,3 +123,63 @@ def test_a_tenant_read_on_a_fresh_deployment_is_one_peer_query(read, peer_querie
     peer_queries.clear()
     assert answer(session, read)
     assert len(peer_queries) == 1
+
+
+def parent_merge_order(entries):
+    """The string-merging router's ``_merge_history``: the reference order."""
+    def sort_key(entry):
+        if not isinstance(entry, dict):
+            return (0.0, 0)
+        timestamp = entry.get("timestamp")
+        block = entry.get("block")
+        return (
+            float(timestamp) if timestamp is not None else 0.0,
+            int(block) if block is not None else 0,
+        )
+
+    return sorted(entries, key=sort_key)
+
+
+history_writes = st.lists(
+    # (writer's ring, relative key, drain after the write)
+    st.tuples(st.sampled_from([2, 4]), st.sampled_from(["k1", "k2"]), st.booleans()),
+    min_size=1, max_size=10,
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(program=history_writes, reader_ring=st.sampled_from([2, 4]))
+def test_a_merged_history_keeps_the_commit_order_of_the_string_merge(program, reader_ring):
+    deployment = build_desktop_deployment(seed=42, shards=4)
+    service = HyperProvService(deployment)
+    writers = {
+        ring: service.session(tenant=READER, pipeline=PipelineConfig(shards=ring))
+        for ring in (2, 4)
+    }
+    for step, (ring, key, drain) in enumerate(program):
+        # Both rings write the key: its versions land on two shards, whose
+        # block numbers say nothing about the order between them.
+        writers[ring].submit(
+            key, checksum=checksum_of(f"{step}:{key}".encode()), location=f"ext://{step}"
+        )
+        if drain:
+            service.drain()
+    service.drain()
+    reader = service.session(tenant=READER, pipeline=PipelineConfig(shards=reader_ring))
+    anchor = reader.backend.client._context.anchor_peer
+    for key in ("k1", "k2"):
+        # What each shard the reader's ring covers answered, in shard order,
+        # as the dicts the string merge sorted.
+        rows = [
+            {"tx_id": entry.tx_id, "block": entry.block_number, "timestamp": entry.timestamp,
+             "is_delete": entry.is_delete, "value": entry.value}
+            for shard in range(reader_ring)
+            for entry in deployment.fabric.peer(anchor, shard=shard)
+            .history.history_for_key(f"tenant/{READER}/{key}")
+        ]
+        if not rows:
+            with pytest.raises(NotFoundError):
+                reader.history(key)
+            continue
+        merged = [(entry.tx_id, entry.block) for entry in reader.history(key).entries]
+        assert merged == [(row["tx_id"], row["block"]) for row in parent_merge_order(rows)]

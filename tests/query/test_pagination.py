@@ -55,36 +55,36 @@ FIVE = ["r/0", "r/1", "r/2", "r/3", "r/4"]
 # --------------------------------------------------- chaincode getbyrange
 def test_two_argument_getbyrange_stays_a_plain_list():
     response = getbyrange(state_with_keys(*FIVE), ["r/", "r/~"])
-    rows = json.loads(response.payload)
+    rows = json.loads(response.scan.payload())
     assert isinstance(rows, list)
     assert [row["key"] for row in rows] == FIVE
 
 
 def test_getbyrange_limit_pages_with_bookmark_resume():
     state = state_with_keys(*FIVE)
-    first = json.loads(getbyrange(state, ["r/", "r/~", "2"]).payload)
+    first = json.loads(getbyrange(state, ["r/", "r/~", "2"]).scan.payload())
     assert [row["key"] for row in first["records"]] == ["r/0", "r/1"]
     assert first["bookmark"] == "r/1"
-    second = json.loads(getbyrange(state, ["r/", "r/~", "2", "r/1"]).payload)
+    second = json.loads(getbyrange(state, ["r/", "r/~", "2", "r/1"]).scan.payload())
     assert [row["key"] for row in second["records"]] == ["r/2", "r/3"]
     # The last page fills exactly, so one trailing empty page closes the walk.
-    third = json.loads(getbyrange(state, ["r/", "r/~", "2", "r/3"]).payload)
+    third = json.loads(getbyrange(state, ["r/", "r/~", "2", "r/3"]).scan.payload())
     assert [row["key"] for row in third["records"]] == ["r/4"]
     assert third["bookmark"] is None
 
 
 def test_getbyrange_zero_limit_returns_everything_in_one_envelope():
-    envelope = json.loads(getbyrange(state_with_keys(*FIVE), ["r/", "r/~", "0"]).payload)
+    envelope = json.loads(getbyrange(state_with_keys(*FIVE), ["r/", "r/~", "0"]).scan.payload())
     assert [row["key"] for row in envelope["records"]] == FIVE
     assert envelope["bookmark"] is None
 
 
 def test_getbyrange_resumes_past_a_deleted_bookmark_key():
     state = state_with_keys(*FIVE)
-    first = json.loads(getbyrange(state, ["r/", "r/~", "2"]).payload)
+    first = json.loads(getbyrange(state, ["r/", "r/~", "2"]).scan.payload())
     state.delete(first["bookmark"], (1, 0))  # r/1 vanishes between pages
     second = json.loads(
-        getbyrange(state, ["r/", "r/~", "2", first["bookmark"]]).payload
+        getbyrange(state, ["r/", "r/~", "2", first["bookmark"]]).scan.payload()
     )
     assert [row["key"] for row in second["records"]] == ["r/2", "r/3"]
 

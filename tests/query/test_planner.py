@@ -64,8 +64,8 @@ def run_query(state, selector):
     response = HyperProvChaincode().invoke(
         stub_for("query", [json.dumps(selector)], state)
     )
-    assert response.is_ok, response.payload
-    return json.loads(response.payload)
+    assert response.is_ok, response.message
+    return json.loads(response.scan.payload())
 
 
 # ----------------------------------------------------------- plan choice
@@ -252,7 +252,7 @@ def test_query_payload_is_byte_identical_with_and_without_index(selector):
     args = [json.dumps(selector)]
     without = chaincode.invoke(stub_for("query", args, plain))
     with_index = HyperProvChaincode().invoke(stub_for("query", args, indexed))
-    assert without.payload == with_index.payload
+    assert without.scan.payload() == with_index.scan.payload()
 
 
 def test_paginated_walk_is_byte_identical_with_and_without_index():
@@ -270,8 +270,8 @@ def test_paginated_walk_is_byte_identical_with_and_without_index():
         args = [json.dumps(request)]
         without = HyperProvChaincode().invoke(stub_for("query", args, plain))
         with_index = HyperProvChaincode().invoke(stub_for("query", args, indexed))
-        assert without.payload == with_index.payload
-        envelope = json.loads(without.payload)
+        assert without.scan.payload() == with_index.scan.payload()
+        envelope = json.loads(without.scan.payload())
         pages += 1
         if not envelope["bookmark"]:
             break
