@@ -1,12 +1,9 @@
-"""Concurrency checker: rules T401–T402.
+"""Concurrency checker: rule T402.
 
-Almost everything in the simulator is single-threaded by construction —
-the event loop owns all state.  The deliberate exceptions are opt-in:
+The simulator is single-threaded by construction — the event loop owns
+all state and no module starts a thread (a tier-1 test holds that) — so
+the hazard left is re-entrancy:
 
-* **T401** — a class annotated ``# repro: thread-shared`` (e.g. the
-  shared read-cache tier, which worker threads hit concurrently) must
-  perform every attribute mutation inside ``with self.<lock>:``.
-  ``__init__`` is exempt: the object is not yet published.
 * **T402** — ``EventBus._handlers`` may be structurally mutated only by
   the reentrancy-safe API (``__init__``, ``subscribe``, and the deferred
   compactor) — ``unsubscribe`` during ``publish`` must go through the
@@ -17,9 +14,9 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import Iterator, List, Optional, Set, Tuple
+from typing import Iterator, List, Optional, Tuple
 
-from repro.analysis.core import AnalysisContext, Finding, SourceFile, dotted_name
+from repro.analysis.core import AnalysisContext, Finding, SourceFile
 
 #: Method names that structurally mutate their receiver.
 MUTATOR_METHODS = frozenset(
@@ -105,102 +102,13 @@ def _iter_mutations(body: List[ast.stmt]) -> Iterator[Tuple[ast.AST, str]]:
                         yield node, attr
 
 
-def _lock_attributes(cls: ast.ClassDef) -> Set[str]:
-    """Instance attributes holding locks: assigned a ``threading.*Lock``
-    (or Condition/Semaphore) in ``__init__``, or named like a lock."""
-    locks: Set[str] = set()
-    for item in cls.body:
-        if not (isinstance(item, ast.FunctionDef) and item.name == "__init__"):
-            continue
-        for node in ast.walk(item):
-            if not isinstance(node, ast.Assign):
-                continue
-            for target in node.targets:
-                attr = _self_attr_root(target)
-                if attr is None:
-                    continue
-                if isinstance(node.value, ast.Call):
-                    ctor = dotted_name(node.value.func) or ""
-                    if ctor.split(".")[-1] in {
-                        "Lock",
-                        "RLock",
-                        "Condition",
-                        "Semaphore",
-                        "BoundedSemaphore",
-                    }:
-                        locks.add(attr)
-                if "lock" in attr.lower():
-                    locks.add(attr)
-    return locks
-
-
-def _locked_line_ranges(
-    method: ast.FunctionDef, locks: Set[str]
-) -> List[range]:
-    """Line ranges lexically inside ``with self.<lock>:`` blocks."""
-    ranges: List[range] = []
-    for node in ast.walk(method):
-        if not isinstance(node, ast.With):
-            continue
-        for item in node.items:
-            expr = item.context_expr
-            # accept both `with self._lock:` and `with self._lock.acquire_...():`
-            attr = _self_attr_root(expr)
-            if attr in locks:
-                ranges.append(range(node.lineno, (node.end_lineno or node.lineno) + 1))
-                break
-    return ranges
-
-
 def check_concurrency(context: AnalysisContext) -> List[Finding]:
     findings: List[Finding] = []
     for source in context.files:
         for node in source.tree.body:
-            if isinstance(node, ast.ClassDef):
-                if source.has_pragma(node.lineno, "thread-shared"):
-                    findings.extend(_check_thread_shared(context, source, node))
-                if node.name == "EventBus":
-                    findings.extend(_check_eventbus(context, source, node))
+            if isinstance(node, ast.ClassDef) and node.name == "EventBus":
+                findings.extend(_check_eventbus(context, source, node))
         findings.extend(_check_external_bus_mutation(context, source))
-    return findings
-
-
-def _check_thread_shared(
-    context: AnalysisContext, source: SourceFile, cls: ast.ClassDef
-) -> List[Finding]:
-    findings: List[Finding] = []
-    locks = _lock_attributes(cls)
-    if not locks:
-        finding = context.finding(
-            source,
-            cls,
-            "T401",
-            f"{cls.name} is marked `# repro: thread-shared` but holds no lock",
-            hint="create a threading.Lock/RLock in __init__ and guard mutations",
-        )
-        if finding is not None:
-            findings.append(finding)
-        return findings
-    for method in cls.body:
-        if not isinstance(method, ast.FunctionDef) or method.name == "__init__":
-            continue
-        locked = _locked_line_ranges(method, locks)
-        for mutation, attr in _iter_mutations(method.body):
-            if attr in locks:
-                continue
-            line = getattr(mutation, "lineno", method.lineno)
-            if any(line in block for block in locked):
-                continue
-            finding = context.finding(
-                source,
-                mutation,
-                "T401",
-                f"{cls.name}.{method.name} mutates `self.{attr}` outside "
-                f"`with self.{sorted(locks)[0]}`",
-                hint="wrap the mutation in the instance lock",
-            )
-            if finding is not None:
-                findings.append(finding)
     return findings
 
 

@@ -9,9 +9,8 @@ listed in :data:`repro.analysis.cli.CHECKERS`.
 Suppression is inline only: ``# repro: allow-<family>`` on the flagged
 line or the line directly above silences that one site — the sanctioned
 form for *intentional* violations (a wall-clock utilization counter).
-Two class-scoped pragmas work the other way: ``# repro: thread-shared``
-opts a class *into* a checker and ``# repro: terminal-middleware``
-declares a deliberate sink.
+One class-scoped pragma works the other way:
+``# repro: terminal-middleware`` declares a deliberate sink.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ import ast
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 #: ``# repro: tag-one, tag-two`` — trailing or whole-line comment form.
 _PRAGMA_RE = re.compile(r"#\s*repro:\s*([a-z][a-z0-9_,\s-]*)")
@@ -40,7 +39,6 @@ RULES: Dict[str, Tuple[str, str]] = {
     "C302": ("contract", "PipelineConfig knob missing from the docs config table"),
     "C303": ("contract", "middleware neither forwards nor terminates the chain"),
     "C304": ("contract", "config field consumed but set by no caller"),
-    "T401": ("threading", "thread-shared attribute mutated outside the lock"),
     "T402": ("threading", "EventBus handler list mutated outside the safe API"),
 }
 
@@ -250,10 +248,3 @@ def resolve_call_target(call: ast.Call, imports: Dict[str, str]) -> Optional[str
     if resolved_head is None:
         return None
     return f"{resolved_head}.{rest}" if rest else resolved_head
-
-
-def iter_files(context: AnalysisContext, prefix: str = "") -> Iterable[SourceFile]:
-    """Context files whose repo-relative path starts with ``prefix``."""
-    for source in context.files:
-        if source.relative.startswith(prefix):
-            yield source

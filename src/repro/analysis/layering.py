@@ -126,6 +126,7 @@ ALLOWED_EDGES: Dict[str, FrozenSet[str]] = {
             "middleware",
             "query",
             "simulation",
+            "storage",
             "workloads",
         }
     ),

@@ -74,7 +74,7 @@ def _role_of(deployment: HyperProvDeployment, node: str) -> str:
         return "peer+client" if node == client_host else "peer"
     if node == deployment.fabric.orderer_node:
         return "orderer"
-    if node == deployment.storage_backend.config.storage_node:
+    if node == deployment.storage_backend.storage_node:
         return "storage"
     return "client"
 

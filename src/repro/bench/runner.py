@@ -22,6 +22,7 @@ from repro.common.metrics import percentile
 from repro.core.topology import HyperProvDeployment
 from repro.middleware.config import PipelineConfig
 from repro.middleware.stages import CLIENT_OVERHEAD_S
+from repro.storage.sshfs import PROTOCOL_OVERHEAD_S
 from repro.workloads.payloads import DataItem, PayloadGenerator
 
 
@@ -132,7 +133,7 @@ class StoreDataRunner:
         hashing = size_bytes / profile.hash_rate_bytes_per_s * 1.5
         transfer = size_bytes * 8.0 / bandwidth
         fixed = (
-            self.deployment.storage_backend.config.protocol_overhead_s
+            PROTOCOL_OVERHEAD_S
             + CLIENT_OVERHEAD_S
             + profile.sign_time_s
             + profile.chaincode_invoke_overhead_s * 0.5

@@ -228,9 +228,6 @@ class ChaincodeStub:
     def get_tx_timestamp(self) -> float:
         return self.timestamp
 
-    def get_args(self) -> List[str]:
-        return [self.function] + list(self.args)
-
 
 class Chaincode(ABC):
     """Base class for chaincode implementations."""

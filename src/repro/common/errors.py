@@ -48,29 +48,6 @@ class OrderingError(HyperProvError):
     """The ordering service rejected or failed to order a transaction."""
 
 
-class CommitError(ValidationError):
-    """A transaction was invalidated during the commit/validation phase."""
-
-    def __init__(self, message: str, code: str = "GENERIC") -> None:
-        super().__init__(message)
-        #: Machine readable validation code (mirrors Fabric's TxValidationCode).
-        self.code = code
-
-
-class MVCCConflictError(CommitError):
-    """The transaction's read set conflicts with a newer committed version."""
-
-    def __init__(self, key: str, expected_version: object, found_version: object) -> None:
-        super().__init__(
-            f"MVCC conflict on key {key!r}: read version {expected_version}, "
-            f"committed version is {found_version}",
-            code="MVCC_READ_CONFLICT",
-        )
-        self.key = key
-        self.expected_version = expected_version
-        self.found_version = found_version
-
-
 class AdmissionRejectedError(HyperProvError):
     """A tenant exceeded its in-flight submission cap (admission control)."""
 

@@ -40,11 +40,6 @@ class IdGenerator:
         suffix = short_uid(f"{self.seed}:{self.prefix}:{index}", 8)
         return f"{self.prefix}-{index}-{suffix}"
 
-    def peek_index(self) -> int:
-        """Number of identifiers handed out so far (cheap introspection)."""
-        # itertools.count cannot be peeked; keep a parallel counter instead.
-        raise NotImplementedError("use DeterministicIdGenerator for peeking")
-
 
 class DeterministicIdGenerator(IdGenerator):
     """:class:`IdGenerator` variant that also tracks how many ids were issued."""

@@ -107,19 +107,6 @@ class Histogram:
         """Linear-interpolated percentile, ``pct`` in [0, 100]."""
         return percentile(self.samples, pct)
 
-    def summary(self) -> Dict[str, float]:
-        """Convenience dictionary with the usual summary statistics."""
-        return {
-            "count": float(self.count),
-            "mean": self.mean,
-            "min": self.minimum,
-            "max": self.maximum,
-            "stddev": self.stddev,
-            "p50": self.percentile(50),
-            "p95": self.percentile(95),
-            "p99": self.percentile(99),
-        }
-
 
 class MetricsRegistry:
     """Named collection of counters, gauges and histograms."""

@@ -48,15 +48,6 @@ class BlockCutter:
     def pending_count(self) -> int:
         return len(self._pending)
 
-    @property
-    def pending_bytes(self) -> int:
-        return self._pending_bytes
-
-    @property
-    def first_pending_at(self) -> Optional[float]:
-        """Virtual time at which the oldest pending transaction arrived."""
-        return self._first_pending_at
-
     def add(self, tx: Transaction, now: float) -> Optional[List[Transaction]]:
         """Add a transaction; return a completed batch if one was cut.
 

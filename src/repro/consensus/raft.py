@@ -47,15 +47,11 @@ class LogEntry:
     committed: bool = False
 
 
-@dataclass
-class RaftConfig:
-    """Raft timing parameters (seconds of virtual time)."""
-
-    election_timeout_min_s: float = 0.150
-    election_timeout_max_s: float = 0.300
-    heartbeat_interval_s: float = 0.050
-    message_size_bytes: int = 512
-
+#: Raft timing (seconds of virtual time) and the size charged per message.
+ELECTION_TIMEOUT_MIN_S = 0.150
+ELECTION_TIMEOUT_MAX_S = 0.300
+HEARTBEAT_INTERVAL_S = 0.050
+MESSAGE_SIZE_BYTES = 512
 
 CommitCallback = Callable[[LogEntry], None]
 
@@ -69,14 +65,12 @@ class RaftNode:
         peers: List[str],
         engine: SimulationEngine,
         network: NetworkFabric,
-        config: Optional[RaftConfig] = None,
         rng: Optional[DeterministicRandom] = None,
     ) -> None:
         self.node_id = node_id
         self.peers = [p for p in peers if p != node_id]
         self.engine = engine
         self.network = network
-        self.config = config or RaftConfig()
         self._rng = rng or DeterministicRandom(101)
 
         # Persistent state.
@@ -141,9 +135,7 @@ class RaftNode:
     def _reset_election_timer(self) -> None:
         if self._election_event is not None:
             self._election_event.cancel()
-        timeout = self._rng.uniform(
-            self.config.election_timeout_min_s, self.config.election_timeout_max_s
-        )
+        timeout = self._rng.uniform(ELECTION_TIMEOUT_MIN_S, ELECTION_TIMEOUT_MAX_S)
         # Daemon event: timers keep Raft alive while the simulation runs but
         # must not prevent run_until_idle() from ever terminating.
         self._election_event = self.engine.schedule_in(
@@ -155,7 +147,7 @@ class RaftNode:
         if self._heartbeat_event is not None:
             self._heartbeat_event.cancel()
         self._heartbeat_event = self.engine.schedule_in(
-            self.config.heartbeat_interval_s,
+            HEARTBEAT_INTERVAL_S,
             self._on_heartbeat,
             label=f"raft:{self.node_id}:heartbeat", daemon=True,
         )
@@ -269,7 +261,7 @@ class RaftNode:
                 destination,
                 msg_type,
                 payload,
-                size_bytes=self.config.message_size_bytes,
+                size_bytes=MESSAGE_SIZE_BYTES,
             )
         except Exception:  # noqa: BLE001 - unreachable peers are simply skipped
             return
@@ -407,7 +399,6 @@ class RaftOrderingService(OrderingService):
         network: NetworkFabric,
         cluster_size: int = 3,
         batch_config: Optional[BatchConfig] = None,
-        raft_config: Optional[RaftConfig] = None,
         metrics: Optional[MetricsRegistry] = None,
         rng: Optional[DeterministicRandom] = None,
         scheduler: Optional[OrderingScheduler] = None,
@@ -431,7 +422,6 @@ class RaftOrderingService(OrderingService):
                 peers=node_ids,
                 engine=engine,
                 network=network,
-                config=raft_config,
                 rng=rng.fork(node_id),
             )
             for node_id in node_ids
@@ -449,17 +439,6 @@ class RaftOrderingService(OrderingService):
             if node.is_leader:
                 return node
         return None
-
-    def wait_for_leader(self, timeout_s: float = 5.0) -> RaftNode:
-        """Run the simulation until a leader is elected (or fail)."""
-        deadline = self.engine.now + timeout_s
-        while self.leader is None and self.engine.now < deadline:
-            if not self.engine.step():
-                break
-        leader = self.leader
-        if leader is None:
-            raise OrderingError("raft cluster failed to elect a leader")
-        return leader
 
     def _order_batch(self, batch: List[Transaction]) -> None:
         leader = self.leader

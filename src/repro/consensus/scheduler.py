@@ -68,10 +68,6 @@ class OrderingScheduler:
                 return drained
             drained.append(tx)
 
-    def pending_by_tenant(self) -> Dict[str, int]:
-        """Backlog per tenant (introspection for benches and tests)."""
-        return {}
-
 
 class FifoScheduler(OrderingScheduler):
     """Strict arrival order — the historical orderer intake."""
@@ -92,13 +88,6 @@ class FifoScheduler(OrderingScheduler):
     @property
     def pending(self) -> int:
         return len(self._queue)
-
-    def pending_by_tenant(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for tx in self._queue:
-            tenant = tenant_of_transaction(tx)
-            counts[tenant] = counts.get(tenant, 0) + 1
-        return counts
 
 
 class FairShareScheduler(OrderingScheduler):

@@ -38,7 +38,7 @@ from repro.network.fabric import NetworkFabric
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.randomness import DeterministicRandom
 from repro.storage.content import ContentAddressedStore
-from repro.storage.sshfs import SSHFSConfig, SSHFSStorageBackend
+from repro.storage.sshfs import SSHFSStorageBackend
 
 
 @dataclass
@@ -236,7 +236,7 @@ def build_deployment(spec: DeploymentSpec) -> HyperProvDeployment:
     storage_backend = SSHFSStorageBackend(
         network=network,
         storage_device=storage_device,
-        config=SSHFSConfig(storage_node=storage_node),
+        storage_node=storage_node,
     )
     storage = ContentAddressedStore(storage_backend)
 

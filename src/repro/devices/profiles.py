@@ -72,11 +72,6 @@ class HardwareProfile:
         if not 0 <= self.variance_fraction < 1:
             raise ConfigurationError("variance_fraction must be in [0, 1)")
 
-    @property
-    def dynamic_power_range_w(self) -> float:
-        """Watts between idle and fully loaded."""
-        return self.max_power_w - self.idle_power_w
-
 
 XEON_E5_1603 = HardwareProfile(
     name="xeon-e5-1603",

@@ -457,13 +457,6 @@ class FabricNetwork:
         for shard in self._shards:
             shard.orderer.set_scheduler(make_scheduler(name))
 
-    def set_intake_interval(self, interval_s: float) -> None:
-        """Set the per-envelope orderer processing time on every shard."""
-        if interval_s < 0:
-            raise ConfigurationError("intake interval must be >= 0")
-        for shard in self._shards:
-            shard.orderer.intake_interval_s = interval_s
-
     # ------------------------------------------------------ fault injection
     def crash_peer(self, name: str) -> None:
         """Take a peer process offline (all shards hosting it).
@@ -493,10 +486,6 @@ class FabricNetwork:
             if peer.ledger_height < tip:
                 self._catch_up_peer(shard, peer, now, up_to=tip)
         self.metrics.counter("peer_restarts").inc()
-
-    def offline_peers(self) -> Set[str]:
-        """Names of peers currently crashed."""
-        return set(self._offline_peers)
 
     def catch_up_peers(self, at_time: Optional[float] = None) -> int:
         """Re-sync every reachable, online peer to its shard's chain tip.

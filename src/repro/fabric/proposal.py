@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
-from repro.common.hashing import sha256_hex
 from repro.common.serialization import canonical_json
 from repro.crypto.certificates import Certificate
 from repro.ledger.scan import HistoryPage, ScanPage
@@ -44,9 +43,6 @@ class Proposal:
             if name == "args":
                 value = tuple(value)
         object.__setattr__(self, name, value)
-
-    def digest(self) -> str:
-        return sha256_hex(self.signed_bytes())
 
     def signed_bytes(self) -> bytes:
         """The bytes covered by the client's proposal signature.

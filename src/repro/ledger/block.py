@@ -115,9 +115,6 @@ class Block:
         """Check that the header's data hash matches the transactions."""
         return self.merkle_tree().root == self.header.data_hash
 
-    def transaction_ids(self) -> List[str]:
-        return [tx.tx_id for tx in self.transactions]
-
     def valid_transactions(self) -> List[Transaction]:
         """Transactions marked VALID by the committer (all, if not yet validated)."""
         if not self.validation_flags:

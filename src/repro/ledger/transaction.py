@@ -28,7 +28,6 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.common.errors import SealedEnvelopeError
 from repro.common.hashing import sha256_hex
-from repro.common.serialization import canonical_json
 from repro.crypto.certificates import Certificate
 
 #: A key version is (block_number, tx_number) exactly like Fabric's height-based versions.
@@ -341,18 +340,6 @@ class Transaction:
         )
         return clone
 
-    def proposal_bytes(self) -> bytes:
-        """The canonical bytes of the original proposal (what the client signs)."""
-        return canonical_json(
-            {
-                "tx_id": self.tx_id,
-                "channel": self.channel,
-                "chaincode": self.chaincode,
-                "function": self.function,
-                "args": self.args,
-            }
-        )
-
     def envelope_bytes(self) -> bytes:
         """Canonical bytes of the full transaction envelope (hashed into blocks).
 
@@ -412,7 +399,3 @@ class Transaction:
     def size_bytes(self) -> int:
         """Approximate wire size of the transaction envelope."""
         return self._envelope_size or self._measure()[1]
-
-    def endorsing_organizations(self) -> List[str]:
-        """Distinct organizations that endorsed this transaction."""
-        return sorted({e.organization for e in self.endorsements})

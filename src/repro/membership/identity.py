@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.common.errors import NotFoundError
 from repro.crypto.certificates import Certificate, CertificateAuthority
@@ -22,15 +22,6 @@ class Identity:
     def sign(self, message: bytes) -> str:
         """Sign ``message`` with this identity's private key."""
         return self.keys.sign(message)
-
-    @property
-    def msp_id(self) -> str:
-        """The MSP identifier for the owning organization."""
-        return self.organization
-
-    @property
-    def public_key(self) -> str:
-        return self.keys.public_key
 
 
 class Organization:
@@ -73,9 +64,6 @@ class Organization:
         """Revoke an identity's certificate (it will fail MSP validation)."""
         identity = self.get_identity(identity_name)
         self.ca.revoke(identity.certificate)
-
-    def find(self, identity_name: str) -> Optional[Identity]:
-        return self._identities.get(identity_name)
 
     @property
     def identity_count(self) -> int:

@@ -12,18 +12,18 @@ batcher — while :mod:`repro.middleware.stages` holds the Fabric invoke flow
 itself (build-proposal → collect-endorsements → submit-to-orderer →
 await-commit) decomposed into the same middleware shape.  Pipelines are
 assembled declaratively from :class:`~repro.middleware.config.PipelineConfig`
-so benchmarks can run ablations (cache on/off, batch size, retry policy) as
+so benchmarks can run ablations (cache on/off, batch size, retry attempts) as
 configuration swaps instead of code forks.
 """
 
 from repro.middleware.base import Middleware, TransactionPipeline
 from repro.middleware.batching import EndorsementBatcher
-from repro.middleware.cache import ReadCacheMiddleware, SharedReadCache
+from repro.middleware.cache import ReadCacheMiddleware
 from repro.middleware.config import PipelineConfig, build_client_pipeline
 from repro.middleware.context import Context, OperationKind
 from repro.middleware.metrics import MetricsMiddleware
 from repro.middleware.query import QueryPlannerMiddleware
-from repro.middleware.retry import RetryMiddleware, RetryPolicy
+from repro.middleware.retry import RetryMiddleware
 from repro.middleware.sharding import (
     ConsistentHashRing,
     ShardRouterMiddleware,
@@ -46,9 +46,7 @@ __all__ = [
     "RequestIdMiddleware",
     "MetricsMiddleware",
     "RetryMiddleware",
-    "RetryPolicy",
     "ReadCacheMiddleware",
-    "SharedReadCache",
     "QueryPlannerMiddleware",
     "ShardRouterMiddleware",
     "ConsistentHashRing",

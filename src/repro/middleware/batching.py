@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from typing import Any, List, Optional, Tuple
 
+from repro.common.errors import ConfigurationError
 from repro.common.metrics import MetricsRegistry
 from repro.middleware.base import Handler, Middleware
 from repro.middleware.context import Context
@@ -32,7 +33,7 @@ class EndorsementBatcher(Middleware):
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         if batch_size < 1:
-            raise ValueError("batch size must be at least 1")
+            raise ConfigurationError("batch size must be at least 1")
         #: The owning FabricNetwork (engine clock + topology).
         self.fabric = fabric
         #: The ChannelShard this batcher serves (one batcher per channel).

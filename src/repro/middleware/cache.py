@@ -6,13 +6,12 @@ that answers reads (marked ``stale``) while the peer is unreachable.
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
 
-from repro.common.errors import NetworkError
+from repro.common.errors import ConfigurationError, NetworkError
 from repro.common.events import EventBus
 from repro.common.metrics import MetricsRegistry
 from repro.middleware.base import Handler, Middleware
@@ -45,8 +44,8 @@ class CacheEntry:
     broad: bool
 
 
-class SharedReadCache:  # repro: thread-shared
-    """Thread-safe LRU store behind one :class:`ReadCacheMiddleware`.
+class ReadCacheStore:
+    """LRU store behind one :class:`ReadCacheMiddleware`.
 
     Entries are keyed on the *namespaced* read arguments (the
     tenant-prefix middleware runs above the cache).
@@ -56,16 +55,14 @@ class SharedReadCache:  # repro: thread-shared
     of broad entries, maintained wherever an entry comes or goes.  An
     invalidation costs the entries it drops, not a pass over the store.
 
-    All operations take the store's lock: sessions may be driven from
-    different threads (the futures-based write path invites that), and an
-    LRU's ``move_to_end`` is not atomic on its own.
+    No lock: every caller runs on the simulation's one thread, inside a
+    pipeline's ``execute`` or a commit-stream handler.
     """
 
     def __init__(self, capacity: int = 1024) -> None:
         if capacity < 1:
-            raise ValueError("cache capacity must be at least 1")
+            raise ConfigurationError("cache capacity must be at least 1")
         self.capacity = capacity
-        self._lock = threading.RLock()
         self._entries: "OrderedDict[CacheKey, CacheEntry]" = OrderedDict()
         #: state key → cache keys of the entries that name it in ``keys``.
         self._dependents: Dict[str, Set[CacheKey]] = {}
@@ -73,76 +70,69 @@ class SharedReadCache:  # repro: thread-shared
         self._broad: Set[CacheKey] = set()
 
     def get(self, key: CacheKey) -> Optional[CacheEntry]:
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-            return entry
+        entry = self._entries.get(key)
+        if entry is not None:
+            self._entries.move_to_end(key)
+        return entry
 
     def put(self, key: CacheKey, entry: CacheEntry) -> int:
         """Store an entry; returns how many LRU entries were evicted."""
-        with self._lock:
-            replaced = self._entries.get(key)
-            if replaced is not None:
-                self._unlink(key, replaced)
-            self._entries[key] = entry
-            self._entries.move_to_end(key)
-            if entry.broad:
-                self._broad.add(key)
-            for state_key in entry.keys:
-                self._dependents.setdefault(state_key, set()).add(key)
-            evicted = 0
-            while len(self._entries) > self.capacity:
-                self._unlink(*self._entries.popitem(last=False))
-                evicted += 1
-            return evicted
+        replaced = self._entries.get(key)
+        if replaced is not None:
+            self._unlink(key, replaced)
+        self._entries[key] = entry
+        self._entries.move_to_end(key)
+        if entry.broad:
+            self._broad.add(key)
+        for state_key in entry.keys:
+            self._dependents.setdefault(state_key, set()).add(key)
+        evicted = 0
+        while len(self._entries) > self.capacity:
+            self._unlink(*self._entries.popitem(last=False))
+            evicted += 1
+        return evicted
 
     def _unlink(self, key: CacheKey, entry: CacheEntry) -> None:
         """Forget what ``entry`` (stored under ``key``) depended on."""
-        with self._lock:  # re-entrant: every caller already holds it
-            if entry.broad:
-                self._broad.discard(key)
-            for state_key in entry.keys:
-                dependents = self._dependents[state_key]
-                dependents.discard(key)
-                if not dependents:
-                    del self._dependents[state_key]
+        if entry.broad:
+            self._broad.discard(key)
+        for state_key in entry.keys:
+            dependents = self._dependents[state_key]
+            dependents.discard(key)
+            if not dependents:
+                del self._dependents[state_key]
 
     def invalidate_key(self, state_key: str) -> int:
         """Drop every entry that may depend on ``state_key``; returns count."""
-        with self._lock:
-            stale = self._broad.union(self._dependents.get(state_key, ()))
-            for cache_key in stale:
-                self._unlink(cache_key, self._entries.pop(cache_key))
-            return len(stale)
+        stale = self._broad.union(self._dependents.get(state_key, ()))
+        for cache_key in stale:
+            self._unlink(cache_key, self._entries.pop(cache_key))
+        return len(stale)
 
     def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self._dependents.clear()
-            self._broad.clear()
+        self._entries.clear()
+        self._dependents.clear()
+        self._broad.clear()
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self._entries)
 
     def keys(self) -> List[CacheKey]:
-        with self._lock:
-            return list(self._entries.keys())
+        return list(self._entries.keys())
 
 
 class ReadCacheMiddleware(Middleware):
     """LRU cache for read-only operations, invalidated by commit events.
 
     A hit short-circuits the rest of the pipeline and returns the cached
-    payload with ``hit_latency_s`` as the observed latency (a local lookup
-    instead of a network round trip to a peer).  Correctness comes from
+    payload with a latency of 0.0 (a local lookup instead of a network
+    round trip to a peer).  Correctness comes from
     invalidation, not expiry: the middleware subscribes to the network's
     aggregate :class:`EventBus` and scans every delivered block's write
     sets, so sets, deletes and writes from other clients on any shard all
     purge the entries they stale.
 
-    Each middleware owns a private :class:`SharedReadCache` store, torn
+    Each middleware owns a private :class:`ReadCacheStore`, torn
     down with its subscriptions on ``close()``.
 
     With ``serve_stale=True`` the middleware additionally keeps a
@@ -159,18 +149,14 @@ class ReadCacheMiddleware(Middleware):
     def __init__(
         self,
         capacity: int = 256,
-        hit_latency_s: float = 0.0,
         events: Optional[EventBus] = None,
         metrics: Optional[MetricsRegistry] = None,
         serve_stale: bool = False,
     ) -> None:
-        if capacity < 1:
-            raise ValueError("cache capacity must be at least 1")
+        self.store = ReadCacheStore(capacity)
         self.capacity = capacity
-        self.hit_latency_s = hit_latency_s
         self.metrics = metrics
         self.serve_stale = serve_stale
-        self.store = SharedReadCache(capacity)
         #: Last-known-good results for the stale fallback (commit events
         #: never touch this; only LRU pressure evicts).
         self._stale_archive: "OrderedDict[CacheKey, Any]" = OrderedDict()
@@ -200,7 +186,7 @@ class ReadCacheMiddleware(Middleware):
         entry = self.store.get(key)
         if entry is not None:
             ctx.cache_hit = True
-            ctx.timings["cache_lookup_s"] = self.hit_latency_s
+            ctx.timings["cache_lookup_s"] = 0.0
             if self.metrics is not None:
                 self.metrics.counter("cache.hits").inc()
             return self._hit_result(entry.result)
@@ -215,7 +201,7 @@ class ReadCacheMiddleware(Middleware):
                     raise
                 self._stale_archive.move_to_end(key)
                 ctx.stale = True
-                ctx.timings["cache_lookup_s"] = self.hit_latency_s
+                ctx.timings["cache_lookup_s"] = 0.0
                 if self.metrics is not None:
                     self.metrics.counter("cache.stale_served").inc()
                 return self._hit_result(archived)
@@ -227,7 +213,7 @@ class ReadCacheMiddleware(Middleware):
     def _hit_result(self, result: Any) -> Any:
         """Rewrite the cached result's latency to the local lookup cost."""
         if isinstance(result, tuple) and len(result) == 2:
-            return (result[0], self.hit_latency_s)
+            return (result[0], 0.0)
         return result
 
     def _store(self, ctx: Context, key: CacheKey, result: Any) -> None:
@@ -253,9 +239,6 @@ class ReadCacheMiddleware(Middleware):
         if stale and self.metrics is not None:
             self.metrics.counter("cache.invalidations").inc(stale)
         return stale
-
-    def clear(self) -> None:
-        self.store.clear()
 
     def _on_block_delivered(self, _topic: str, payload: Dict[str, Any]) -> None:
         block = payload.get("block") if isinstance(payload, dict) else None

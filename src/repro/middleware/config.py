@@ -23,7 +23,7 @@ from repro.middleware.cache import ReadCacheMiddleware
 from repro.middleware.metrics import MetricsMiddleware
 from repro.middleware.query import QueryPlannerMiddleware
 from repro.middleware.resilience import StoreAndForwardMiddleware
-from repro.middleware.retry import RetryMiddleware, RetryPolicy
+from repro.middleware.retry import RetryMiddleware
 from repro.middleware.sharding import Placement, ShardRouterMiddleware
 from repro.middleware.tenancy import (
     AdmissionControlMiddleware,
@@ -164,7 +164,7 @@ def build_client_pipeline(
     if config.retry_attempts > 1:
         middlewares.append(
             RetryMiddleware(
-                policy=RetryPolicy(max_attempts=config.retry_attempts),
+                max_attempts=config.retry_attempts,
                 clock=clock,
                 metrics=metrics,
             )

@@ -63,8 +63,6 @@ class MetricsMiddleware(Middleware):
         latency = self._read_latency(ctx, result)
         if latency is not None:
             self.registry.histogram(f"op.{ctx.operation}.latency_s").observe(latency)
-            if ctx.cache_hit:
-                self.registry.histogram("cache.hit_latency_s").observe(latency)
 
     @staticmethod
     def _read_latency(ctx: Context, result: Any) -> Optional[float]:

@@ -207,11 +207,6 @@ class AdmissionControlMiddleware(Middleware):
         counter.value += self._counter.value
         self._counter = counter
 
-    @property
-    def in_flight(self) -> int:
-        """Writes currently holding an admission slot."""
-        return self._counter.value
-
     # ------------------------------------------------------------- pipeline
     def handle(self, ctx: Context, call_next: Handler) -> Any:
         if not ctx.is_write:

@@ -142,12 +142,6 @@ class NetworkFabric:
             )
         return self._links[key]
 
-    def set_link_profile(self, source: str, destination: str, profile: LinkProfile) -> None:
-        """Override the profile of one directed link (e.g. a WAN hop)."""
-        self._links[(source, destination)] = Link(
-            source, destination, profile, rng=self._rng.fork(f"{source}->{destination}")
-        )
-
     # ----------------------------------------------------------- link faults
     def inject_link_fault(
         self,
@@ -178,10 +172,6 @@ class NetworkFabric:
         )
         self._link_faults.append(fault)
         return fault
-
-    def clear_link_faults(self) -> None:
-        """Remove every installed link fault."""
-        self._link_faults = []
 
     def _apply_link_faults(
         self, source: str, destination: str, size_bytes: int, duration: float

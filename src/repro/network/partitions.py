@@ -76,12 +76,6 @@ class PartitionManager:
         destination_group = self._group_of.get(destination, implicit_group)
         return source_group == destination_group
 
-    def group_of(self, node: str) -> Optional[int]:
-        """The explicit group index of ``node``, or ``None`` if unassigned."""
-        if not self._partitioned:
-            return None
-        return self._group_of.get(node)
-
     def reachable_from(self, source: str, all_nodes: Iterable[str]) -> List[str]:
         """All nodes from ``all_nodes`` that ``source`` can currently reach."""
         return [node for node in all_nodes if self.can_communicate(source, node)]

@@ -27,6 +27,7 @@ from typing import Any, Callable, Dict, List, Optional, Type
 
 from repro.common.errors import ValidationError
 from repro.common.events import EventBus
+from repro.common.tenancy import relative_key, strip_namespace, tenant_namespace
 from repro.ledger.transaction import TxValidationCode
 from repro.query.selectors import (
     RESERVED_SELECTOR_FIELDS,
@@ -47,7 +48,8 @@ class ContinuousQuery:
     """One standing selector registration (cancel via :meth:`cancel`).
 
     Deliveries are dicts ``{"key", "record", "block_number", "shard",
-    "tx_id"}`` with ``key`` tenant-relative for tenant-scoped queries.
+    "tx_id"}``.  For a tenant-scoped query ``key`` and the record's own
+    ``key`` and ``dependencies`` are tenant-relative.
     Without a callback they accumulate on the handle; :meth:`pop_events`
     drains them (the pull-style cursor shape).
     """
@@ -197,10 +199,9 @@ class ContinuousQueryRegistry:
                 continue
             scoped_key = key
             if query.tenant is not None:
-                namespace = f"tenant/{query.tenant}/"
-                if not key.startswith(namespace):
+                if not key.startswith(tenant_namespace(query.tenant)):
                     continue
-                scoped_key = key[len(namespace):]
+                scoped_key = relative_key(query.tenant, key)
             if query.prefix and not scoped_key.startswith(query.prefix):
                 continue
             if document is None:
@@ -211,7 +212,10 @@ class ContinuousQueryRegistry:
                 continue
             event = {
                 "key": scoped_key,
-                "record": document,
+                "record": (
+                    document if query.tenant is None
+                    else _tenant_record(document, query.tenant)
+                ),
                 "block_number": block_number,
                 "shard": shard,
                 "tx_id": tx_id,
@@ -221,6 +225,22 @@ class ContinuousQueryRegistry:
                 query.callback(event)
             else:
                 query._pending.append(event)
+
+
+def _tenant_record(document: Dict[str, Any], tenant: str) -> Dict[str, Any]:
+    """``tenant``'s own copy of a shared document, named as its reads name it.
+
+    The rule of :meth:`repro.api.protocol.RecordView.from_document`: the
+    record's key through the strict ``relative_key``, its dependencies
+    through the lenient ``strip_namespace``.  ``document`` itself stays as
+    committed for every other query.
+    """
+    record = dict(document)
+    record["key"] = relative_key(tenant, document["key"])
+    record["dependencies"] = [
+        strip_namespace(tenant, dep) for dep in document["dependencies"]
+    ]
+    return record
 
 
 def _parse_document(value: str) -> Optional[Dict[str, Any]]:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from typing import List, Sequence, TypeVar
+from typing import List, TypeVar
 
 T = TypeVar("T")
 
@@ -41,23 +41,8 @@ class DeterministicRandom:
         value = self._rng.gauss(mean, mean * stddev_fraction)
         return max(0.0, value)
 
-    def lognormal_jitter(self, mean: float, sigma: float = 0.25) -> float:
-        """Log-normally distributed multiplicative jitter around ``mean``."""
-        if mean <= 0:
-            return 0.0
-        return mean * self._rng.lognormvariate(0.0, sigma)
-
-    def randint(self, low: int, high: int) -> int:
-        return self._rng.randint(low, high)
-
     def random(self) -> float:
         return self._rng.random()
-
-    def choice(self, items: Sequence[T]) -> T:
-        return self._rng.choice(items)
-
-    def sample(self, items: Sequence[T], k: int) -> List[T]:
-        return self._rng.sample(list(items), k)
 
     def shuffle(self, items: List[T]) -> List[T]:
         """Return a shuffled copy of ``items`` (does not mutate the input)."""

@@ -17,7 +17,7 @@ themselves go to an off-chain store — in the paper, an SSH file system
 
 from repro.storage.base import StorageBackend, StoredObject, StorageReceipt
 from repro.storage.local import LocalStorageBackend
-from repro.storage.sshfs import SSHFSStorageBackend, SSHFSConfig
+from repro.storage.sshfs import SSHFSStorageBackend
 from repro.storage.content import ContentAddressedStore
 
 __all__ = [
@@ -26,6 +26,5 @@ __all__ = [
     "StorageReceipt",
     "LocalStorageBackend",
     "SSHFSStorageBackend",
-    "SSHFSConfig",
     "ContentAddressedStore",
 ]

@@ -16,7 +16,6 @@ the shape of Fig. 1 and Fig. 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.common.errors import ChecksumMismatchError, NotFoundError, StorageError
@@ -25,23 +24,18 @@ from repro.network.fabric import NetworkFabric
 from repro.storage.base import StorageBackend, StorageReceipt, StoredObject
 
 
-@dataclass
-class SSHFSConfig:
-    """Tunables of the SSHFS mount."""
-
-    #: Name of the network node hosting the SSHFS export.
-    storage_node: str = "storage"
-    #: Extra CPU factor for SSH encryption/decryption relative to hashing
-    #: the same payload (AES on the client; cheap but not free on a RPi).
-    encryption_factor: float = 0.5
-    #: Fixed per-operation protocol overhead (SSH round-trips, FUSE), seconds.
-    protocol_overhead_s: float = 0.004
-    #: Verify the checksum after every retrieval.
-    verify_on_read: bool = True
+#: Extra CPU factor for SSH encryption/decryption relative to hashing the
+#: same payload (AES on the client; cheap but not free on a RPi).
+ENCRYPTION_FACTOR = 0.5
+#: Fixed per-operation protocol overhead (SSH round-trips, FUSE), seconds.
+PROTOCOL_OVERHEAD_S = 0.004
 
 
 class SSHFSStorageBackend(StorageBackend):
-    """Remote store reached over the simulated network."""
+    """Remote store reached over the simulated network.
+
+    ``storage_node`` names the network node hosting the SSHFS export.
+    """
 
     scheme = "ssh"
 
@@ -49,17 +43,17 @@ class SSHFSStorageBackend(StorageBackend):
         self,
         network: NetworkFabric,
         storage_device: DeviceModel,
-        config: Optional[SSHFSConfig] = None,
+        storage_node: str = "storage",
     ) -> None:
         self.network = network
         self.storage_device = storage_device
-        self.config = config or SSHFSConfig()
+        self.storage_node = storage_node
         self._objects: Dict[str, StoredObject] = {}
-        if self.config.storage_node not in network.nodes:
-            network.register_node(self.config.storage_node, profile=storage_device.profile.nic)
+        if self.storage_node not in network.nodes:
+            network.register_node(self.storage_node, profile=storage_device.profile.nic)
 
     def location_of(self, path: str) -> str:
-        return f"{self.scheme}://{self.config.storage_node}/{path}"
+        return f"{self.scheme}://{self.storage_node}/{path}"
 
     # ------------------------------------------------------------------ cost
     def _client_side_cost(
@@ -67,10 +61,10 @@ class SSHFSStorageBackend(StorageBackend):
     ) -> float:
         """Checksum + SSH encryption on the requesting device."""
         if client_device is None:
-            return self.config.protocol_overhead_s
+            return PROTOCOL_OVERHEAD_S
         duration = (
-            client_device.hash_time(size_bytes) * (1.0 + self.config.encryption_factor)
-            + self.config.protocol_overhead_s
+            client_device.hash_time(size_bytes) * (1.0 + ENCRYPTION_FACTOR)
+            + PROTOCOL_OVERHEAD_S
         )
         _, end = client_device.charge_cpu(at_time, duration)
         return end - at_time
@@ -95,7 +89,7 @@ class SSHFSStorageBackend(StorageBackend):
 
         if client_node is not None:
             transfer = self.network.estimate_transfer_time(
-                client_node, self.config.storage_node, len(data)
+                client_node, self.storage_node, len(data)
             )
         else:
             transfer = 0.0
@@ -125,22 +119,21 @@ class SSHFSStorageBackend(StorageBackend):
         client_node: Optional[str] = None,
         expected_checksum: Optional[str] = None,
     ) -> StorageReceipt:
-        """Download the object at ``path`` and (optionally) verify its checksum."""
+        """Download the object at ``path`` and verify it against ``expected_checksum``."""
         obj = self._objects.get(path)
         if obj is None:
-            raise NotFoundError(f"no object stored at {path!r} on {self.config.storage_node}")
+            raise NotFoundError(f"no object stored at {path!r} on {self.storage_node}")
 
         cursor = at_time
         read_duration = self.storage_device.disk_read_time(obj.size_bytes)
         _, cursor = self.storage_device.occupy("disk", cursor, read_duration)
         if client_node is not None:
             cursor += self.network.estimate_transfer_time(
-                self.config.storage_node, client_node, obj.size_bytes
+                self.storage_node, client_node, obj.size_bytes
             )
-        if self.config.verify_on_read:
-            cursor += self._client_side_cost(client_device, obj.size_bytes, cursor)
-            if expected_checksum is not None and expected_checksum != obj.checksum:
-                raise ChecksumMismatchError(expected_checksum, obj.checksum)
+        cursor += self._client_side_cost(client_device, obj.size_bytes, cursor)
+        if expected_checksum is not None and expected_checksum != obj.checksum:
+            raise ChecksumMismatchError(expected_checksum, obj.checksum)
 
         return StorageReceipt(
             path=path,

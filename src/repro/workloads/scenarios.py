@@ -142,12 +142,6 @@ class TenantLoadResult:
     committed: int
     response_times_s: List[float] = field(default_factory=list)
 
-    @property
-    def mean_response_s(self) -> float:
-        if not self.response_times_s:
-            return float("nan")
-        return sum(self.response_times_s) / len(self.response_times_s)
-
     def response_percentile_s(self, pct: float) -> float:
         if not self.response_times_s:
             return float("nan")

@@ -38,8 +38,6 @@ EXPECTED = [
     ("D104", "simx/wallclock.py", 21),
     ("D104", "simx/wallclock.py", 22),
     ("D104", "simx/wallclock.py", 23),
-    ("T401", "common/shared.py", 6),
-    ("T401", "common/shared.py", 24),
     ("T402", "common/busimpl.py", 13),
     ("T402", "devices/reaches.py", 5),
 ]

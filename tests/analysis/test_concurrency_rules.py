@@ -1,33 +1,10 @@
-"""Rules T401–T402 against the fixture corpus."""
+"""Rule T402 against the fixture corpus."""
 
 from __future__ import annotations
 
 from repro.analysis.concurrency import check_concurrency
 
 from .conftest import pairs
-
-
-def test_thread_shared_findings_exact(bad_context):
-    findings = check_concurrency(bad_context)
-    assert pairs(findings, "common/shared.py") == [
-        ("T401", 6),  # Unlocked: thread-shared with no lock at all
-        ("T401", 24),  # PartiallyLocked.evict mutates outside the lock
-    ]
-
-
-def test_locked_mutation_is_clean(bad_context):
-    # PartiallyLocked.put mutates inside `with self._lock:` (line 21).
-    findings = check_concurrency(bad_context)
-    assert all(
-        f.line != 21 for f in findings if f.path.endswith("common/shared.py")
-    )
-
-
-def test_unmarked_class_is_ignored(bad_context):
-    findings = check_concurrency(bad_context)
-    assert all(
-        "SingleThreaded" not in f.message for f in findings
-    )
 
 
 def test_eventbus_mutation_outside_safe_api(bad_context):

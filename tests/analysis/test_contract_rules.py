@@ -134,6 +134,23 @@ def test_registered_class_is_a_dataclass_in_its_module(module, class_name):
     assert any(isinstance(node, ast.AnnAssign) for node in defined[0].body)
 
 
+def test_every_config_class_is_registered():
+    """A ``@dataclass`` named like a config class but missing from the
+    registry escapes C301/C304: its unset fields would go unreported."""
+    unregistered = []
+    for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py")):
+        module = path.relative_to(REPO_ROOT).as_posix()
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if (
+                isinstance(node, ast.ClassDef)
+                and node.name.endswith(("Config", "Spec", "Policy"))
+                and any(ast.unparse(d).startswith("dataclass") for d in node.decorator_list)
+                and CONFIG_CLASSES.get(module) != node.name
+            ):
+                unregistered.append(f"{module}::{node.name}")
+    assert unregistered == []
+
+
 def test_dict_key_under_benchmarks_counts_as_set(tmp_path):
     root = tmp_path / "repo"
     shutil.copytree(BADREPO, root)

@@ -9,12 +9,14 @@ from types import SimpleNamespace
 import pytest
 
 from repro.api.protocol import StoreRequest
+from repro.common.errors import ConfigurationError
 from repro.common.events import EventBus
 from repro.common.metrics import MetricsRegistry
 from repro.consensus.batching import BatchConfig
 from repro.core.client import HyperProvClient
 from repro.core.topology import build_desktop_deployment
 from repro.middleware.base import TransactionPipeline
+from repro.middleware.batching import EndorsementBatcher
 from repro.middleware.cache import ReadCacheMiddleware
 from repro.middleware.config import PipelineConfig
 from repro.middleware.context import Context, OperationKind
@@ -33,7 +35,7 @@ def read_ctx(function="get", args=("k",)):
 class TestReadCacheUnit:
     def test_hit_returns_cached_payload_with_hit_latency(self):
         calls = []
-        cache = ReadCacheMiddleware(hit_latency_s=0.001)
+        cache = ReadCacheMiddleware()
         pipeline = TransactionPipeline(
             [cache], terminal=lambda ctx: calls.append(1) or ("payload", 0.5)
         )
@@ -42,8 +44,12 @@ class TestReadCacheUnit:
         hit = pipeline.execute(hit_ctx)
         assert len(calls) == 1
         assert miss == ("payload", 0.5)
-        assert hit == ("payload", 0.001)
+        assert hit == ("payload", 0.0)
         assert hit_ctx.cache_hit is True
+
+    def test_capacity_below_one_is_a_configuration_error(self):
+        with pytest.raises(ConfigurationError):
+            ReadCacheMiddleware(capacity=0)
 
     def test_writes_are_never_cached(self):
         calls = []
@@ -282,6 +288,10 @@ class TestEndorsementBatcher:
         deployment.drain()
         flushes = deployment.fabric.metrics.get_counter("batcher.flushes")
         assert flushes is None or flushes.value == 0
+
+    def test_batch_size_below_one_is_a_configuration_error(self):
+        with pytest.raises(ConfigurationError):
+            EndorsementBatcher(fabric=None, shard=None, batch_size=0)
 
     def test_invalid_batch_size_rejected_without_side_effects(self):
         deployment = build_desktop_deployment(seed=42)

@@ -10,7 +10,7 @@ from repro.common.metrics import MetricsRegistry
 from repro.middleware.base import Middleware, TransactionPipeline
 from repro.middleware.config import PipelineConfig, build_client_pipeline
 from repro.middleware.context import Context, OperationKind
-from repro.middleware.retry import RetryMiddleware, RetryPolicy
+from repro.middleware.retry import RetryMiddleware
 from repro.middleware.tracing import RequestIdMiddleware
 
 
@@ -153,7 +153,7 @@ class TestRetry:
             return "ok"
 
         pipeline = TransactionPipeline(
-            [RetryMiddleware(RetryPolicy(max_attempts=3, backoff_s=0.1))],
+            [RetryMiddleware(max_attempts=3)],
             terminal=flaky,
         )
         ctx = make_ctx()
@@ -171,7 +171,7 @@ class TestRetry:
             raise NetworkError(f"down ({ctx.attempt})")
 
         pipeline = TransactionPipeline(
-            [RetryMiddleware(RetryPolicy(max_attempts=3), metrics=metrics)],
+            [RetryMiddleware(max_attempts=3, metrics=metrics)],
             terminal=always_down,
         )
         with pytest.raises(NetworkError, match=r"down \(3\)"):
@@ -187,23 +187,29 @@ class TestRetry:
             raise NotFoundError("no such key")
 
         pipeline = TransactionPipeline(
-            [RetryMiddleware(RetryPolicy(max_attempts=5))], terminal=not_found
+            [RetryMiddleware(max_attempts=5)], terminal=not_found
         )
         with pytest.raises(NotFoundError):
             pipeline.execute(make_ctx())
         assert calls == [1]
 
     def test_exponential_backoff_schedule(self):
-        policy = RetryPolicy(max_attempts=4, backoff_s=0.1, multiplier=2.0)
-        assert policy.delay_before(2) == pytest.approx(0.1)
-        assert policy.delay_before(3) == pytest.approx(0.2)
-        assert policy.delay_before(4) == pytest.approx(0.4)
+        def always_down(ctx):
+            raise NetworkError("down")
+
+        pipeline = TransactionPipeline(
+            [RetryMiddleware(max_attempts=4)], terminal=always_down
+        )
+        ctx = make_ctx()
+        with pytest.raises(NetworkError):
+            pipeline.execute(ctx)
+        backoffs = [ctx.timings[f"retry_backoff_{n}_s"] for n in (2, 3, 4)]
+        assert backoffs == pytest.approx([0.05, 0.1, 0.2])
+        assert ctx.at_time == pytest.approx(0.35)
 
     def test_policy_validation(self):
         with pytest.raises(ConfigurationError):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(ConfigurationError):
-            RetryPolicy(multiplier=0.5)
+            RetryMiddleware(max_attempts=0)
 
 
 class TestPipelineConfig:

@@ -1,12 +1,12 @@
-"""The read cache's LRU store: eviction order, thread safety, invalidation."""
+"""The read cache's LRU store: eviction order, validation, invalidation."""
 
 import random
-import threading
 from collections import OrderedDict
 
 import pytest
 
-from repro.middleware.cache import CacheEntry, SharedReadCache
+from repro.common.errors import ConfigurationError
+from repro.middleware.cache import CacheEntry, ReadCacheStore
 
 
 # ----------------------------------------------------------------- the store
@@ -15,7 +15,7 @@ def entry(value):
 
 
 def test_shared_store_lru_eviction():
-    store = SharedReadCache(capacity=2)
+    store = ReadCacheStore(capacity=2)
     store.put(("c", "get", ("a",)), entry("a"))
     store.put(("c", "get", ("b",)), entry("b"))
     store.get(("c", "get", ("a",)))  # refresh "a"
@@ -24,28 +24,9 @@ def test_shared_store_lru_eviction():
     assert {key[2][0] for key in store.keys()} == {"a", "c"}
 
 
-def test_shared_store_survives_concurrent_use():
-    store = SharedReadCache(capacity=64)
-    errors = []
-
-    def worker(name):
-        try:
-            for i in range(500):
-                key = ("c", "get", (f"{name}/{i % 80}",))
-                store.put(key, entry(f"{name}/{i}"))
-                store.get(key)
-                if i % 7 == 0:
-                    store.invalidate_key(f"{name}/{i % 80}")
-        except Exception as exc:  # pragma: no cover - failure path
-            errors.append(exc)
-
-    threads = [threading.Thread(target=worker, args=(f"t{n}",)) for n in range(4)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    assert not errors
-    assert len(store) <= 64
+def test_store_capacity_below_one_is_a_configuration_error():
+    with pytest.raises(ConfigurationError):
+        ReadCacheStore(capacity=0)
 
 
 # ------------------------------------------------- invalidation's reverse map
@@ -84,7 +65,7 @@ class BruteForceStore:
 def test_invalidation_by_reverse_map_matches_the_brute_force_scan(seed):
     rng = random.Random(seed)
     capacity = rng.choice([1, 3, 8, 40])
-    store, reference = SharedReadCache(capacity), BruteForceStore(capacity)
+    store, reference = ReadCacheStore(capacity), BruteForceStore(capacity)
     state_keys = [f"k/{n}" for n in range(12)]
     for step in range(3000):
         roll = rng.random()

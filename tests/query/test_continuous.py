@@ -1,8 +1,6 @@
 """Continuous queries: registration, exactly-once commit-fed delivery,
 tenant isolation, shard fan-in and session lifecycle."""
 
-import json
-
 import pytest
 
 from repro.api.service import HyperProvService
@@ -324,6 +322,52 @@ def test_tenant_subscriptions_are_isolated_and_tenant_relative(desktop_deploymen
     assert [event["key"] for event in rival_seen] == ["doc/r"]
     acme.close()
     rival.close()
+
+
+def test_a_tenants_delivery_names_its_record_as_the_tenants_reads_do(desktop_deployment):
+    service = HyperProvService(desktop_deployment)
+    session = service.session(
+        tenant="a", pipeline=PipelineConfig(continuous_queries=True)
+    )
+    seen = []
+    session.subscribe({"metadata.kind": "lineage"}, callback=seen.append)
+    session.submit("x", b"x", metadata={"kind": "lineage"})
+    session.drain()
+    session.submit("y", b"y", dependencies=("x",), metadata={"kind": "lineage"})
+    session.drain()
+    view = session.get("y")
+    assert (view.key, view.dependencies) == ("y", ("x",))
+    assert [
+        (event["key"], event["record"]["key"], event["record"]["dependencies"])
+        for event in seen
+    ] == [("x", "x", []), ("y", "y", ["x"])]
+    session.close()
+
+
+def test_a_tenant_query_leaves_the_shared_document_as_committed():
+    """One write, parsed once, matched by a tenant query and a global one:
+    each gets the record as it reads it."""
+    bus = EventBus()
+    registry = ContinuousQueryRegistry(bus)
+    tenant_seen, global_seen = [], []
+    registry.register({"creator": "cam-1"}, callback=tenant_seen.append, tenant="a")
+    registry.register({"creator": "cam-1"}, callback=global_seen.append)
+    value = ProvenanceRecord(
+        key="tenant/a/y",
+        checksum=checksum_of(b"y"),
+        location="ssh://storage/y",
+        creator="cam-1",
+        organization="org1",
+        certificate_fingerprint="fp",
+        dependencies=["tenant/a/x", "global/z"],
+    ).to_json()
+    bus.publish("block_delivered", block_payload(0, [WriteSetEntry("tenant/a/y", value)]))
+    assert [(e["record"]["key"], e["record"]["dependencies"]) for e in tenant_seen] == [
+        ("y", ["x", "global/z"])
+    ]
+    assert [(e["record"]["key"], e["record"]["dependencies"]) for e in global_seen] == [
+        ("tenant/a/y", ["tenant/a/x", "global/z"])
+    ]
 
 
 def test_multi_shard_commits_all_reach_one_subscriber():

@@ -11,7 +11,7 @@ from repro.simulation.engine import SimulationEngine
 from repro.simulation.randomness import DeterministicRandom
 from repro.storage.content import ContentAddressedStore
 from repro.storage.local import LocalStorageBackend
-from repro.storage.sshfs import SSHFSConfig, SSHFSStorageBackend
+from repro.storage.sshfs import SSHFSStorageBackend
 
 
 @pytest.fixture
@@ -124,8 +124,7 @@ def test_sshfs_inventory_helpers(sshfs):
 
 def test_sshfs_registers_storage_node_on_network(network):
     device = DeviceModel("storage", XEON_E5_1603)
-    SSHFSStorageBackend(network=network, storage_device=device,
-                        config=SSHFSConfig(storage_node="nas"))
+    SSHFSStorageBackend(network=network, storage_device=device, storage_node="nas")
     assert "nas" in network.nodes
 
 
