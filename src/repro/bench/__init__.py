@@ -1,35 +1,28 @@
 """Benchmark harness: ``python -m repro.bench <experiment>``.
 
+Every table experiment is rows of ``experiments.EXPERIMENTS``, held to the
+``experiments.PAPER_CLAIMS`` printed under it as ``claim:`` lines:
+
 ========================  ===================================================
-Experiment                Reproduces
-========================  ===================================================
-*StoreData sweeps — one* ``SWEEPS`` *row each in* ``sweeps``, *run by* ``run_sweep``
------------------------------------------------------------------------------
-``fig1``                  Fig. 1 — throughput & response time vs data size (desktop)
-``fig2``                  Fig. 2 — the same sweep on the Raspberry Pi setup
+``fig1`` / ``fig2``       Fig. 1 / Fig. 2 — throughput & response time vs data size
+``fig3``                  Fig. 3 — RPi power per 10-minute interval by load
+``ops``                   Per-operator latency + write-path stage breakdown
+``baselines``             HyperProv vs PoW chain vs central DB
+``resources``             Per-node CPU, disk and traffic on both setups
 ``ablation-batch``        Orderer batch-size (``MaxMessageCount``) sweep
-``ablation-concurrency``  In-flight submission depth sweep (futures API)
+``ablation-cache``        Read-cache middleware off/on
+``ablation-concurrency``  In-flight submission depth sweep
 ``ablation-consensus``    Solo vs Raft ordering
 ``ablation-fastfabric``   Sequential vs parallel block validation (RPi)
-``ablation-sharding``     Channel shards vs throughput (+ the tenant
-                          fair-sharing table of ``ablation_sharding``)
-*Other experiments — one module each*
------------------------------------------------------------------------------
-``fig3``                  ``fig3_energy`` — RPi power per 10-minute interval by load
-``ops``                   ``ops_table`` — per-operator latency + stage breakdown
-``baselines``             ``baseline_compare`` — HyperProv vs PoW vs central DB
-``resources``             ``resource_usage`` — per-node CPU and traffic
-``ablation-cache``        ``ablation_cache`` — read-cache middleware on/off
-*Gates*
------------------------------------------------------------------------------
-``fleet``                 Parallel vs sequential fleet executor (speedup + anchor)
-``query``                 ``query_bench`` — indexed vs scan selectors, ≥ 10x floor
-``chaos``                 ``chaos`` — fault-scenario rows (``SCENARIOS``) and named invariants
+``ablation-sharding``     Channel shards vs throughput + tenant fair sharing
 ========================  ===================================================
 
-``fleet`` and ``chaos`` gate their determinism anchors against the
-committed ``ANCHORS.json`` through ``anchors``; ``export`` writes the
-figures' CSVs; wall-clock performance is measured by the repo benchmark,
-``python3 benchmarks/perf/run.py``.  Import from the modules — the package
-itself imports nothing, so binding one module does not load the rest.
+The seven StoreData sweeps are ``sweeps.SWEEPS`` rows run by ``run_sweep``.
+The gates keep their own modules, since each fails the command on what a
+row cannot express: ``fleet`` (parallel vs sequential executor) and
+``chaos`` (fault scenarios) on determinism anchors committed in
+``ANCHORS.json`` (``anchors``), ``query`` (``query_bench``) on a same-run
+indexed-vs-scan ratio.  ``export`` writes the figures' rows as CSV;
+wall-clock performance is ``python3 benchmarks/perf/run.py``.  The package
+imports nothing, so binding one module does not load the rest.
 """

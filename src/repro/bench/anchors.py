@@ -12,7 +12,8 @@ Gates read this file and never write it.  An intentional virtual-time
 change is made by editing the anchor string by hand — the mismatch
 message prints both the committed and the fresh value — so it shows up in
 review as a one-line diff.  Wall-clock numbers live nowhere in this file;
-``benchmarks/perf`` measures those.
+``benchmarks/perf`` measures those.  A gate fails its command, which no
+row of :data:`repro.bench.experiments.EXPERIMENTS` does.
 """
 
 from __future__ import annotations

@@ -1,5 +1,8 @@
 """``bench chaos`` — fault scenarios as rows run by ``run_scenario``, checked by named invariants.
 
+A gate, not a row of :data:`repro.bench.experiments.EXPERIMENTS`: a
+failed invariant or a moved anchor fails the command, which a row cannot.
+
 Two choices no row shows.  Every scenario deployment cuts single-message
 blocks: chaos exercises failure handling, not batching, and immediate
 commits keep the timelines legible.  The client runs on a network node of

@@ -4,28 +4,28 @@ from __future__ import annotations
 
 import argparse
 import sys
-from functools import partial
+from dataclasses import replace
 from typing import Callable, Dict, List, Optional
 
 from repro.bench import anchors
-from repro.bench.ablation_cache import run_cache_ablation
-from repro.bench.ablation_sharding import run_fairness_comparison
-from repro.bench.baseline_compare import run_baseline_comparison
 from repro.bench.chaos import run_chaos
-from repro.bench.fig3_energy import run_fig3
+from repro.bench.experiments import (
+    CLAIMS_LOAD,
+    EXPERIMENTS,
+    Experiment,
+    command_of,
+    measure,
+    render,
+    sweep_experiment,
+)
 from repro.bench.fleet import anchor_inputs, run_fleet, shard_stats_table
 from repro.bench.query_bench import (
     DEFAULT_MIN_SPEEDUP,
     check_query_gate,
     run_query_bench,
 )
-from repro.bench.ops_table import run_ops_table
-from repro.bench.ops_table import stage_table as ops_stage_table
-from repro.bench.ops_table import to_table as ops_to_table
-from repro.bench.resource_usage import run_resource_usage
-from repro.bench.sweeps import SWEEPS, run_sweep, shard_sweep
+from repro.bench.sweeps import shard_sweep
 from repro.consensus.scheduler import SCHEDULER_NAMES
-from repro.middleware.config import PipelineConfig
 
 
 def _positive_int(value: str) -> int:
@@ -34,43 +34,6 @@ def _positive_int(value: str) -> int:
     if parsed < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {parsed}")
     return parsed
-
-
-def _run_sweep(name: str, args: argparse.Namespace) -> str:
-    """Run one :data:`SWEEPS` row; --concurrency/--order-batch reach fig1/fig2 only."""
-    overrides = {}
-    if name in ("fig1", "fig2"):
-        if args.concurrency is not None:
-            overrides["concurrency"] = args.concurrency
-        if args.order_batch > 1:
-            overrides["pipeline"] = PipelineConfig(order_batch_size=args.order_batch)
-    return run_sweep(SWEEPS[name], requests=args.requests, **overrides).to_table().render()
-
-
-def _run_fig3(args: argparse.Namespace) -> str:
-    figure = run_fig3(interval_s=args.interval)
-    return figure.to_table().render()
-
-
-def _run_ops(args: argparse.Namespace) -> str:
-    results = run_ops_table(repeats=max(2, args.requests // 10))
-    return "\n\n".join(
-        [ops_to_table(results).render(), ops_stage_table(results).render()]
-    )
-
-
-def _run_baselines(args: argparse.Namespace) -> str:
-    report = run_baseline_comparison(requests=args.requests)
-    return report.to_table().render()
-
-
-def _run_cache(args: argparse.Namespace) -> str:
-    return run_cache_ablation().to_table().render()
-
-
-def _run_resources(args: argparse.Namespace) -> str:
-    reports = run_resource_usage(requests=args.requests)
-    return "\n\n".join(report.to_table().render() for report in reports.values())
 
 
 def _shard_counts(max_shards: int) -> List[int]:
@@ -82,20 +45,6 @@ def _shard_counts(max_shards: int) -> List[int]:
         count *= 2
     counts.append(max_shards)
     return counts
-
-
-def _run_sharding(args: argparse.Namespace) -> str:
-    # The shard sweep needs enough requests per deployment to reach steady
-    # state past the priming and final-block tail; scale the shared
-    # --requests knob (default 20 → 240) instead of hiding a second flag.
-    requests = max(args.requests, 4) * 12
-    ablation = run_sweep(
-        shard_sweep(args.scheduler), requests=requests, values=_shard_counts(args.shards)
-    )
-    fairness = run_fairness_comparison(
-        light_requests=max(6, min(requests // 24, 20)),
-    )
-    return "\n\n".join([ablation.to_table().render(), fairness.to_table().render()])
 
 
 def _run_fleet(args: argparse.Namespace) -> str:
@@ -164,19 +113,16 @@ def _run_query(args: argparse.Namespace) -> str:
     )
 
 
-EXPERIMENTS: Dict[str, Callable[[argparse.Namespace], str]] = {
-    **{name: partial(_run_sweep, name) for name in SWEEPS},
-    # The shard sweep takes --shards/--scheduler and prints a second table.
-    "ablation-sharding": _run_sharding,
-    "fig3": _run_fig3,
-    "ops": _run_ops,
-    "baselines": _run_baselines,
-    "ablation-cache": _run_cache,
+#: The commands a table row cannot express: each runs its own workload and
+#: fails the command on a committed anchor or a same-run ratio.
+GATES: Dict[str, Callable[[argparse.Namespace], str]] = {
     "fleet": _run_fleet,
     "query": _run_query,
     "chaos": _run_chaos,
-    "resources": _run_resources,
 }
+COMMANDS = sorted({command_of(key) for key in EXPERIMENTS} | set(GATES))
+#: Seed of every table experiment.
+SEED = 42
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -187,29 +133,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "experiments",
         nargs="+",
-        choices=sorted(EXPERIMENTS) + ["all"],
+        choices=COMMANDS + ["all"],
         help="which experiment(s) to run ('all' runs every one)",
     )
     parser.add_argument(
-        "--requests", type=_positive_int, default=20,
-        help="requests per measurement point (default: 20)",
-    )
-    parser.add_argument(
-        "--concurrency", type=_positive_int, default=None,
-        help="in-flight submissions the closed loop keeps outstanding on "
-             "fig1/fig2 (default: the runner's 16; ablation-concurrency "
-             "sweeps this knob)",
-    )
-    parser.add_argument(
-        "--interval", type=float, default=600.0,
-        help="energy measurement interval in virtual seconds (default: 600)",
-    )
-    pipeline = parser.add_argument_group(
-        "pipeline", "middleware configuration applied to fig1/fig2 runs"
-    )
-    pipeline.add_argument(
-        "--order-batch", type=_positive_int, default=1,
-        help="endorsed envelopes coalesced per orderer submission (default: 1)",
+        "--requests", type=_positive_int, default=CLAIMS_LOAD,
+        help=f"requests per measurement point (default: {CLAIMS_LOAD}, the claims' load)",
     )
     sharding = parser.add_argument_group(
         "sharding", "multi-channel configuration for ablation-sharding"
@@ -286,15 +215,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def tables_for(args: argparse.Namespace) -> Dict[str, Experiment]:
+    """:data:`EXPERIMENTS`, the shard sweep built from ``--shards`` and ``--scheduler``."""
+    sharding = replace(shard_sweep(args.scheduler), values=_shard_counts(args.shards))
+    return {**EXPERIMENTS, "ablation-sharding": sweep_experiment(sharding)}
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    """Run the selected experiments and print their tables."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    selected = sorted(EXPERIMENTS) if "all" in args.experiments else args.experiments
+    """Measure every selected table, then print them (a claim of ``fig2``
+    reads ``fig1`` too); only a gate sets the exit code, never a claim."""
+    args = build_parser().parse_args(argv)
+    selected = COMMANDS if "all" in args.experiments else args.experiments
+    tables = tables_for(args)
+    measured = measure(tables, [key for key in tables if command_of(key) in selected],
+                       args.requests, SEED)
     outputs = []
     for name in selected:
+        if name not in GATES:
+            outputs.extend(render(key, measured, args.requests, tables)
+                           for key in tables if command_of(key) == name)
+            continue
         try:
-            outputs.append(EXPERIMENTS[name](args))
+            outputs.append(GATES[name](args))
         except anchors.GateError as exc:
             print("\n\n".join(outputs + [str(exc)]))
             return 1

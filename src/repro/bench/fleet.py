@@ -14,10 +14,11 @@ into a heap holding millions of dead simulation objects, and their GC
 passes would fault all of those pages copy-on-write — a measurement
 artifact, not a property of either executor.
 
-Nothing is written.  With ``--anchors ANCHORS.json`` the anchor is gated
-against the entry committed for this run's inputs (see
-:mod:`repro.bench.anchors`); CI does that at a reduced profile, which
-catches any change that silently moves virtual time.
+A gate, not a row of :data:`repro.bench.experiments.EXPERIMENTS`: a row
+cannot fail the command.  Nothing is written.  With ``--anchors
+ANCHORS.json`` the anchor is gated against the entry committed for this
+run's inputs (see :mod:`repro.bench.anchors`); CI does that at a reduced
+profile, which catches any change that silently moves virtual time.
 """
 
 from __future__ import annotations

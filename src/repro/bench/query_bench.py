@@ -15,10 +15,12 @@ Two workloads for the read-side query subsystem:
     matching writes flows through endorse → order → commit; reports
     deliveries per wall-clock second and checks none were missed.
 
-Nothing is written: :func:`check_query_gate` holds the indexed/scan ratio
-of the run just measured to a floor — both sides come from the same run on
-the same host, so runner speed cancels out and no committed number is
-needed.  Absolute wall-clock throughput is ``benchmarks/perf``'s job.
+A gate, not a row of :data:`repro.bench.experiments.EXPERIMENTS`: it
+fails the command, which a row cannot.  Nothing is written:
+:func:`check_query_gate` holds the indexed/scan ratio of the run just
+measured to a floor — both sides come from the same run on the same host,
+so runner speed cancels out and no committed number is needed.
+Absolute wall-clock throughput is ``benchmarks/perf``'s job.
 """
 
 from __future__ import annotations

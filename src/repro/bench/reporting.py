@@ -1,20 +1,9 @@
-"""Result tables and formatting helpers for the benchmark harness."""
+"""Cell formatters and the fixed-width table every bench table renders through."""
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
-
-
-def format_si(value: float, unit: str = "") -> str:
-    """Human-readable SI formatting (1536 → ``1.5 k``)."""
-    magnitude = abs(value)
-    for threshold, suffix in ((1e9, "G"), (1e6, "M"), (1e3, "k")):
-        if magnitude >= threshold:
-            return f"{value / threshold:.2f} {suffix}{unit}".rstrip()
-    return f"{value:.2f} {unit}".rstrip()
+from typing import List, Sequence
 
 
 def format_seconds(value: float) -> str:
@@ -39,7 +28,7 @@ def format_bytes(value: float) -> str:
 
 @dataclass
 class ResultTable:
-    """A titled table of benchmark results with text and CSV rendering."""
+    """A titled table of benchmark results with a fixed-width text rendering."""
 
     title: str
     columns: Sequence[str]
@@ -55,17 +44,6 @@ class ResultTable:
 
     def add_note(self, note: str) -> None:
         self.notes.append(note)
-
-    def to_dicts(self) -> List[Dict[str, object]]:
-        return [dict(zip(self.columns, row)) for row in self.rows]
-
-    def to_csv(self) -> str:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer)
-        writer.writerow(self.columns)
-        for row in self.rows:
-            writer.writerow(row)
-        return buffer.getvalue()
 
     def render(self) -> str:
         """Fixed-width text rendering suitable for the console and EXPERIMENTS.md."""

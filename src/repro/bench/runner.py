@@ -1,4 +1,4 @@
-"""The StoreData workload runner shared by Fig. 1 / Fig. 2 / ablations.
+"""The StoreData workload runner shared by the sweeps and the tables.
 
 The paper's custom benchmarking program issues ``StoreData`` requests in a
 closed loop and reports the achieved throughput and the response time
@@ -7,13 +7,13 @@ observed by the client.  The runner reproduces that through the unified
 slots are kept outstanding as in-flight futures (``session.submit``);
 whenever a submission's future completes on the client's anchor peer, the
 slot immediately issues the next request.  Throughput and response times
-fall out of the completed handles.
+fall out of the completed handles, as one row of raw values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from dataclasses import dataclass
+from typing import Any, Dict, Iterator, List, Optional
 
 from repro.api.protocol import SubmitHandle
 from repro.api.service import HyperProvService
@@ -47,70 +47,6 @@ class RunConfig:
     metadata_only: bool = False
 
 
-@dataclass
-class RunResult:
-    """Measured outcome of one run."""
-
-    config: RunConfig
-    submitted: int
-    committed: int
-    failed: int
-    makespan_s: float
-    throughput_tps: float
-    response_times_s: List[float] = field(default_factory=list)
-    chain_latencies_s: List[float] = field(default_factory=list)
-    storage_times_s: List[float] = field(default_factory=list)
-
-    @property
-    def mean_response_s(self) -> float:
-        if not self.response_times_s:
-            return float("nan")
-        return sum(self.response_times_s) / len(self.response_times_s)
-
-    def response_percentile_s(self, pct: float) -> float:
-        """Response-time percentile via the shared linear-interpolated helper."""
-        if not self.response_times_s:
-            return float("nan")
-        return percentile(self.response_times_s, pct)
-
-    @property
-    def p50_response_s(self) -> float:
-        return self.response_percentile_s(50)
-
-    @property
-    def p95_response_s(self) -> float:
-        return self.response_percentile_s(95)
-
-    @property
-    def p99_response_s(self) -> float:
-        return self.response_percentile_s(99)
-
-    @property
-    def mean_storage_s(self) -> float:
-        if not self.storage_times_s:
-            return 0.0
-        return sum(self.storage_times_s) / len(self.storage_times_s)
-
-    @property
-    def mean_chain_s(self) -> float:
-        if not self.chain_latencies_s:
-            return 0.0
-        return sum(self.chain_latencies_s) / len(self.chain_latencies_s)
-
-    def summary(self) -> Dict[str, float]:
-        return {
-            "size_bytes": float(self.config.data_size_bytes),
-            "throughput_tps": self.throughput_tps,
-            "mean_response_s": self.mean_response_s,
-            "p50_response_s": self.p50_response_s,
-            "p95_response_s": self.p95_response_s,
-            "p99_response_s": self.p99_response_s,
-            "mean_storage_s": self.mean_storage_s,
-            "mean_chain_s": self.mean_chain_s,
-            "committed": float(self.committed),
-        }
-
-
 class StoreDataRunner:
     """Drives a closed-loop StoreData workload against a deployment."""
 
@@ -141,8 +77,14 @@ class StoreDataRunner:
         return hashing + transfer + fixed
 
     # ------------------------------------------------------------------- run
-    def run(self, config: RunConfig) -> RunResult:
-        """Execute one closed-loop measurement run."""
+    def run(self, config: RunConfig) -> Dict[str, Any]:
+        """Execute one closed-loop measurement run.
+
+        The row: ``committed``, ``failed``, ``throughput_tps``, the mean,
+        p50 and p95 response time (NaN with nothing committed) and
+        ``storage_share``, the mean off-chain storage time over the mean
+        response time.
+        """
         deployment = self.deployment
         engine = deployment.engine
         session = self.service.session(pipeline=config.pipeline)
@@ -213,24 +155,20 @@ class StoreDataRunner:
             for handle, submitted in zip(handles, submissions)
             if handle.done and handle.ok
         ]
-        chain_latencies = [h.handle.latency_s for h in committed if h.handle is not None]
-
-        if committed:
-            last_commit = max(h.committed_at for h in committed)
-            makespan = max(1e-9, last_commit - start_time)
-            throughput = len(committed) / makespan
-        else:
-            makespan = 0.0
-            throughput = 0.0
-
-        return RunResult(
-            config=config,
-            submitted=len(handles),
-            committed=len(committed),
-            failed=len(failed),
-            makespan_s=makespan,
-            throughput_tps=throughput,
-            response_times_s=response_times,
-            chain_latencies_s=chain_latencies,
-            storage_times_s=storage_times,
-        )
+        if not committed:
+            nan = float("nan")
+            return {"committed": 0, "failed": len(failed), "throughput_tps": 0.0,
+                    "mean_response_s": nan, "p50_response_s": nan, "p95_response_s": nan,
+                    "storage_share": 0.0}
+        last_commit = max(h.committed_at for h in committed)
+        mean_response = sum(response_times) / len(response_times)
+        mean_storage = sum(storage_times) / len(storage_times) if storage_times else 0.0
+        return {
+            "committed": len(committed),
+            "failed": len(failed),
+            "throughput_tps": len(committed) / max(1e-9, last_commit - start_time),
+            "mean_response_s": mean_response,
+            "p50_response_s": percentile(response_times, 50),
+            "p95_response_s": percentile(response_times, 95),
+            "storage_share": mean_storage / mean_response if mean_response else 0.0,
+        }

@@ -2,38 +2,26 @@
 
 Every experiment here has the same shape — for each value on one axis,
 build a fresh deployment, run the closed-loop StoreData workload on it and
-print one table row — so each is a :class:`Sweep` entry in :data:`SWEEPS`
+return one row — so each is a :class:`Sweep` entry in :data:`SWEEPS`
 (keyed by the CLI's experiment names) and :func:`run_sweep` is the one
-loop.  What the paper and the ablations expect of the rows:
-
-* ``fig1`` / ``fig2`` — "increasing the size of data items impacts both
-  throughput and response times, when off-chain storage is involved":
-  throughput falls and response time rises with size, and the RPi setup
-  shows the "similar trend ... however absolute performance for RPi is
-  lower than desktop machines as expected".
-* ``ablation-batch`` — ``MaxMessageCount`` at saturation: flat throughput,
-  response time growing with the block size.
-* ``ablation-concurrency`` — depth 1 is a strictly blocking client (every
-  block is cut by the batch timeout); deeper pipelines fill blocks by count.
-* ``ablation-consensus`` — the paper's Solo orderer vs HLF v1.4.1's Raft.
-* ``ablation-fastfabric`` — parallel endorsement-signature validation
-  (Gorenflo et al., ICBC '19) on the RPi peers, where validation is the
-  most expensive relative to the hardware.
-* ``ablation-sharding`` — metadata-only posts (no client-side storage
-  cost) against 1 → N channel shards, each ordered by its own machine,
-  with the orderer's per-envelope intake cost modelled explicitly so one
-  orderer is the bottleneck the paper's testbeds have.
+loop.  ``fig1`` / ``fig2`` sweep data size on the desktop and RPi
+testbeds; ``ablation-fastfabric`` is parallel endorsement-signature
+validation (Gorenflo et al., ICBC '19) on the RPi peers, where validation
+costs most relative to the hardware; ``ablation-sharding`` models the
+orderer's per-envelope intake cost so one orderer is the bottleneck the
+paper's testbeds have.  What each sweep is held to is a row of
+:data:`repro.bench.experiments.PAPER_CLAIMS`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.bench.ablation_sharding import BENCH_BATCH_TIMEOUT_S
-from repro.bench.reporting import ResultTable, format_bytes, format_seconds
-from repro.bench.runner import RunConfig, RunResult, StoreDataRunner
+from repro.bench.reporting import format_bytes, format_seconds
+from repro.bench.runner import RunConfig, StoreDataRunner
 from repro.consensus.batching import BatchConfig
 from repro.core.topology import (
     HyperProvDeployment,
@@ -47,22 +35,23 @@ KIB = 1024
 BATCH_SWEEP_TIMEOUT_S = 2.0
 #: Modelled per-envelope orderer intake cost of the shard sweep.
 SHARD_INTAKE_INTERVAL_S = 0.04
+#: Short batch timeout of the shard sweep and the fairness table, so a
+#: final partial block does not park the makespan on the default 2 s
+#: timeout (steady-state measurement).
+BENCH_BATCH_TIMEOUT_S = 0.25
 
+#: A measured row: raw values keyed by name.
+Row = Dict[str, Any]
 
-def _storage_share(result: RunResult) -> str:
-    response = result.mean_response_s
-    share = result.mean_storage_s / response if response and not math.isnan(response) else 0.0
-    return f"{share * 100:.0f}%"
-
-
-#: Every cell a sweep table can show besides its axis column.
-COLUMNS: Dict[str, Callable[[RunResult], object]] = {
-    "throughput (tx/s)": lambda r: round(r.throughput_tps, 2),
-    "mean response": lambda r: format_seconds(r.mean_response_s),
-    "p50 response": lambda r: format_seconds(r.p50_response_s),
-    "p95 response": lambda r: format_seconds(r.p95_response_s),
-    "storage share": _storage_share,
-    "committed": lambda r: r.committed,
+#: Every cell a sweep table can show besides its axis column: header →
+#: (row key, formatter).
+COLUMNS: Dict[str, Tuple[str, Callable[[Any], object]]] = {
+    "throughput (tx/s)": ("throughput_tps", partial(round, ndigits=2)),
+    "mean response": ("mean_response_s", format_seconds),
+    "p50 response": ("p50_response_s", format_seconds),
+    "p95 response": ("p95_response_s", format_seconds),
+    "storage share": ("storage_share", lambda share: f"{share * 100:.0f}%"),
+    "committed": ("committed", str),
 }
 
 
@@ -78,60 +67,31 @@ class Sweep:
     point: Callable[[Any, int], Tuple[Dict[str, Any], Dict[str, Any]]]
     #: Keys of :data:`COLUMNS`, in table order.
     columns: Sequence[str]
-    #: Requests per point when the caller names no count.
-    requests: int
     payload_bytes: int = 64 * KIB
     build: Callable[..., HyperProvDeployment] = build_desktop_deployment
     #: Renders an axis value into its first-column cell.
-    cell: Callable[[Any], object] = lambda value: value
+    cell: Callable[[Any], object] = str
     #: Table note; ``{last}`` is the last axis value, ``{speedup}`` the
-    #: last point's throughput relative to the first's.
+    #: last point's throughput over the first's.
     note: Optional[str] = None
-
-
-@dataclass
-class SweepResult:
-    """The measured points of one sweep, in axis order."""
-
-    sweep: Sweep
-    values: List[Any]
-    results: List[RunResult]
-
-    @property
-    def speedup(self) -> float:
-        """Throughput at the last axis value relative to the first."""
-        first = self.results[0].throughput_tps
-        return self.results[-1].throughput_tps / first if first > 0 else float("nan")
-
-    def to_table(self) -> ResultTable:
-        sweep = self.sweep
-        table = ResultTable(title=sweep.title, columns=[sweep.axis, *sweep.columns])
-        for value, result in zip(self.values, self.results):
-            table.add_row(
-                sweep.cell(value), *(COLUMNS[column](result) for column in sweep.columns)
-            )
-        if sweep.note:
-            table.add_note(sweep.note.format(last=self.values[-1], speedup=self.speedup))
-        return table
 
 
 def run_sweep(
     sweep: Sweep,
-    requests: Optional[int] = None,
-    values: Optional[Sequence[Any]] = None,
+    requests: int,
     seed: int = 42,
+    values: Optional[Sequence[Any]] = None,
     **run_overrides: Any,
-) -> SweepResult:
+) -> List[Row]:
     """Measure every point of ``sweep``, each on a fresh deployment.
 
+    One row per axis value, in axis order; the value is under ``"value"``.
     Points share nothing, so a value measured alone equals the same value
     inside the full sweep.  ``run_overrides`` are :class:`RunConfig` fields
     (``concurrency``, ``pipeline``) set on every point over the sweep's own.
     """
-    requests = sweep.requests if requests is None else requests
-    values = list(sweep.values if values is None else values)
-    results = []
-    for value in values:
+    rows = []
+    for value in sweep.values if values is None else values:
         deployment_kwargs, run_kwargs = sweep.point(value, requests)
         deployment = sweep.build(seed=seed, **deployment_kwargs)
         config = RunConfig(**{
@@ -141,8 +101,9 @@ def run_sweep(
             **run_kwargs,
             **run_overrides,
         })
-        results.append(StoreDataRunner(deployment).run(config))
-    return SweepResult(sweep, values, results)
+        rows.append({"value": value, "requests": config.request_count,
+                     **StoreDataRunner(deployment).run(config)})
+    return rows
 
 
 def _batch_point(size: int, requests: int) -> Tuple[Dict[str, Any], Dict[str, Any]]:
@@ -172,13 +133,17 @@ def shard_sweep(scheduler: str = "fifo") -> Sweep:
     """The shard-count sweep under ``scheduler`` orderer intake."""
 
     def point(shards: int, requests: int) -> Tuple[Dict[str, Any], Dict[str, Any]]:
+        # Each deployment needs enough requests to reach steady state past
+        # the priming and final-block tail: 12x the requested load.
+        count = max(requests, 4) * 12
         return {
             "shards": shards,
             "scheduler": scheduler,
             "orderer_intake_interval_s": SHARD_INTAKE_INTERVAL_S,
             "batch_config": BatchConfig(batch_timeout_s=BENCH_BATCH_TIMEOUT_S),
         }, {
-            "concurrency": min(64, requests),
+            "request_count": count,
+            "concurrency": min(64, count),
             "metadata_only": True,
             "pipeline": PipelineConfig(shards=shards, scheduler=scheduler),
         }
@@ -194,7 +159,6 @@ def shard_sweep(scheduler: str = "fifo") -> Sweep:
         point=point,
         columns=("throughput (tx/s)", "mean response", "p50 response",
                  "p95 response", "committed"),
-        requests=240,
         payload_bytes=256,
         note=(
             "throughput scaling from 1 → {last} shards: {speedup:.2f}x (each "
@@ -211,7 +175,6 @@ _FIG1 = Sweep(
     point=lambda size, requests: ({}, {"data_size_bytes": size}),
     columns=("throughput (tx/s)", "mean response", "p95 response",
              "storage share", "committed"),
-    requests=30,
     cell=format_bytes,
 )
 
@@ -221,7 +184,6 @@ SWEEPS: Dict[str, Sweep] = {
         _FIG1,
         title="Fig. 2 — RPi: throughput and response time vs data size",
         build=build_rpi_deployment,
-        requests=20,
     ),
     "ablation-batch": Sweep(
         title="Ablation — orderer batch size (64 KiB payloads, desktop setup)",
@@ -229,7 +191,6 @@ SWEEPS: Dict[str, Sweep] = {
         values=(1, 10, 50, 100),
         point=_batch_point,
         columns=("throughput (tx/s)", "mean response", "p95 response", "committed"),
-        requests=40,
     ),
     "ablation-concurrency": Sweep(
         title="Ablation — in-flight submission depth (64 KiB payloads, desktop setup)",
@@ -237,7 +198,6 @@ SWEEPS: Dict[str, Sweep] = {
         values=(1, 2, 4, 8, 16),
         point=lambda depth, requests: ({}, {"concurrency": depth}),
         columns=("throughput (tx/s)", "mean response", "p50 response", "p95 response"),
-        requests=30,
         note="throughput speedup from keeping {last} submissions in flight "
              "vs. 1: {speedup:.2f}x",
     ),
@@ -247,7 +207,6 @@ SWEEPS: Dict[str, Sweep] = {
         values=("solo", "raft"),
         point=lambda ordering, requests: ({"ordering": ordering}, {}),
         columns=("throughput (tx/s)", "mean response", "committed"),
-        requests=25,
         build=_build_ordering,
     ),
     "ablation-fastfabric": Sweep(
@@ -256,7 +215,6 @@ SWEEPS: Dict[str, Sweep] = {
         values=("sequential", "parallel"),
         point=lambda mode, requests: ({"parallel_validation": mode == "parallel"}, {}),
         columns=("throughput (tx/s)", "mean response", "p95 response"),
-        requests=40,
         payload_bytes=KIB,
         build=build_rpi_deployment,
         note="throughput speedup from parallel validation: {speedup:.2f}x",

@@ -18,7 +18,7 @@ def percentile(samples: Sequence[float], pct: float) -> float:
     """Linear-interpolated percentile of ``samples``, ``pct`` in [0, 100].
 
     The single shared implementation used by :class:`Histogram` and the
-    benchmark harness (``RunResult``), so every reported percentile uses
+    benchmark harness (``StoreDataRunner.run``), so every reported percentile uses
     the same method.  Returns ``0.0`` for an empty sample set.
     """
     if not samples:

@@ -30,9 +30,9 @@ class MetricsMiddleware(Middleware):
     returns.  Writes return a :class:`TransactionHandle` immediately; the
     middleware registers an ``on_complete`` callback and, once the anchor
     peer commits, decomposes the end-to-end latency into the endorse /
-    order / commit phases recorded on the handle — the breakdown
-    ``bench.ops_table`` and ``bench.export`` report so the ops benchmark
-    can attribute where time goes.
+    order / commit phases recorded on the handle — the breakdown the
+    ``ops/stages`` table of ``bench.experiments`` reports so the ops
+    benchmark can attribute where time goes.
     """
 
     name = "metrics"

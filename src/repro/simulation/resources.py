@@ -90,7 +90,11 @@ class SimResource:
 
 
 def interval_overlap(a: Tuple[float, float], b: Tuple[float, float]) -> float:
-    """Length of the overlap between two ``(start, end)`` intervals."""
-    start = max(a[0], b[0])
-    end = min(a[1], b[1])
-    return max(0.0, end - start)
+    """Length of the overlap between two ``(start, end)`` intervals.
+
+    Conditionals, not ``max``/``min``: a power meter sums this over every
+    busy span of a device once per sample window.
+    """
+    (a_start, a_end), (b_start, b_end) = a, b
+    overlap = (a_end if a_end < b_end else b_end) - (a_start if a_start > b_start else b_start)
+    return overlap if overlap > 0.0 else 0.0

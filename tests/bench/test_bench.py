@@ -1,33 +1,44 @@
-"""Tests for the benchmark harness: runner, reporting, CLI and figure shapes.
+"""Tests for the benchmark harness: runner, reporting, tables, claims and CLI.
 
-The shape tests are the repo's paper-shape oracles, one per experiment.
-Request counts are whole blocks (multiples of the orderer's 10-message
-block) so no run's makespan is parked on the final block's batch timeout.
+What the reproduction is held to is :data:`PAPER_CLAIMS`, one parametrized
+test per row.  Every table is measured once per session at the load its
+claims hold at (``measured`` in ``conftest.py``); the CLI and export tests
+read the same runs.
 """
+
+import re
+from pathlib import Path
 
 import pytest
 
-from repro.bench.baseline_compare import run_baseline_comparison
-from repro.bench.cli import EXPERIMENTS, build_parser, main
-from repro.common.metrics import percentile
-from repro.bench.fig3_energy import run_fig3
-from repro.bench.ops_table import run_ops_table, to_table
-from repro.bench.reporting import ResultTable, format_bytes, format_seconds, format_si
-from repro.bench.resource_usage import run_resource_usage
+from repro.bench import cli
+from repro.bench import runner as runner_module
+from repro.bench.cli import GATES, build_parser, main, tables_for
+from repro.bench.experiments import (
+    CLAIMS_LOAD,
+    EXPERIMENTS,
+    NOT_OFFLINE,
+    PAPER_CLAIMS,
+    command_of,
+)
+from repro.bench.reporting import ResultTable, format_bytes, format_seconds
 from repro.bench.runner import RunConfig, StoreDataRunner
-from repro.bench.sweeps import BATCH_SWEEP_TIMEOUT_S, COLUMNS, SWEEPS, run_sweep
+from repro.bench.sweeps import COLUMNS, SWEEPS, run_sweep
+from repro.common.metrics import percentile
+
+TABLE_COMMANDS = sorted({command_of(key) for key in EXPERIMENTS})
+CI_WORKFLOW = Path(__file__).resolve().parents[2] / ".github" / "workflows" / "ci.yml"
 
 
 # ------------------------------------------------------------------- reporting
-def test_result_table_render_and_csv():
+def test_result_table_render():
     table = ResultTable("Demo", ["a", "b"])
     table.add_row(1, 2.5)
     table.add_row("x", "y")
     table.add_note("a note")
     rendered = table.render()
     assert "Demo" in rendered and "a note" in rendered
-    assert table.to_csv().splitlines()[0] == "a,b"
-    assert table.to_dicts()[0] == {"a": 1, "b": 2.5}
+    assert rendered.splitlines()[2].split() == ["a", "b"]
 
 
 def test_result_table_rejects_wrong_arity():
@@ -37,7 +48,6 @@ def test_result_table_rejects_wrong_arity():
 
 
 def test_formatting_helpers():
-    assert format_si(1500) == "1.50 k"
     assert format_seconds(0.002).endswith("ms")
     assert format_seconds(2.0).endswith("s")
     assert format_seconds(float("nan")) == "n/a"
@@ -48,13 +58,12 @@ def test_formatting_helpers():
 def test_runner_commits_every_request(desktop_deployment):
     runner = StoreDataRunner(desktop_deployment)
     result = runner.run(RunConfig(data_size_bytes=1024, request_count=12, concurrency=12))
-    assert result.committed == 12
-    assert result.failed == 0
-    assert result.throughput_tps > 0
-    assert len(result.response_times_s) == 12
-    assert result.mean_response_s > 0
-    assert result.p95_response_s >= result.mean_response_s * 0.5
-    assert result.summary()["committed"] == 12.0
+    assert result["committed"] == 12
+    assert result["failed"] == 0
+    assert result["throughput_tps"] > 0
+    assert result["mean_response_s"] > 0
+    assert result["p95_response_s"] >= result["mean_response_s"] * 0.5
+    assert 0 < result["storage_share"] < 1
 
 
 def test_runner_interval_estimate_grows_with_size(desktop_deployment):
@@ -62,255 +71,147 @@ def test_runner_interval_estimate_grows_with_size(desktop_deployment):
     assert runner.estimate_item_interval(4 * 1024 * 1024) > runner.estimate_item_interval(1024)
 
 
-def test_runner_percentiles_use_shared_helper(desktop_deployment):
+def test_runner_percentiles_use_shared_helper(desktop_deployment, monkeypatch):
+    calls = {}
+
+    def recording(values, pct):
+        calls[pct] = (len(values), percentile(values, pct))
+        return calls[pct][1]
+
+    monkeypatch.setattr(runner_module, "percentile", recording)
     runner = StoreDataRunner(desktop_deployment)
     result = runner.run(RunConfig(data_size_bytes=1024, request_count=10, concurrency=10))
-    assert result.p50_response_s == percentile(result.response_times_s, 50)
-    assert result.p95_response_s == percentile(result.response_times_s, 95)
-    assert result.p99_response_s == percentile(result.response_times_s, 99)
-    summary = result.summary()
-    assert summary["p50_response_s"] <= summary["p95_response_s"] <= summary["p99_response_s"]
+    assert calls == {50: (10, result["p50_response_s"]), 95: (10, result["p95_response_s"])}
+    assert result["p50_response_s"] <= result["p95_response_s"]
 
 
-# ---------------------------------------------------------------- sweep table
-def test_sweep_table_is_well_formed():
-    for name, sweep in SWEEPS.items():
-        assert name in EXPERIMENTS
-        assert set(sweep.columns) <= set(COLUMNS), name
-        assert sweep.values and sweep.requests > 0, name
-    titles = [sweep.title for sweep in SWEEPS.values()]
+# ---------------------------------------------------------------------- tables
+def test_experiment_table_is_well_formed(measured):
+    """Every sweep is a table, no two tables share a title, ``ops`` and
+    ``ops/stages`` split one run by their columns, and every claim reads
+    tables that exist."""
+    assert set(SWEEPS) <= set(EXPERIMENTS)
+    for sweep in SWEEPS.values():
+        assert set(sweep.columns) <= set(COLUMNS)
+    assert all(measured(key) for key in EXPERIMENTS)  # each keeps rows carrying its columns
+    titles = [table.title.format(**measured(key)[0]) for key, table in EXPERIMENTS.items()]
     assert len(set(titles)) == len(titles)
+    assert [row["stage"] for row in measured("ops/stages")] == ["endorse", "order", "commit"]
+    assert "store_data" in {row["operator"] for row in measured("ops")}
+    for claim in PAPER_CLAIMS:
+        assert set(claim.experiments) <= set(EXPERIMENTS), claim.name
+        assert claim.kind in ("calibration", "prediction"), claim.name
+        assert all(op in ("<", "<=", ">", ">=", "==") for op, _ in claim.tolerance), claim.name
 
 
-@pytest.mark.parametrize("name", sorted(SWEEPS))
-def test_sweep_points_are_independent(name):
-    """Fresh deployment per point: a value measured alone equals the same
-    value inside the full sweep, and every point commits its whole load."""
-    sweep = SWEEPS[name]
-    full = run_sweep(sweep, requests=8)
-    assert full.values == list(sweep.values)
-    for result in full.results:
-        assert result.failed == 0
-        assert result.committed == result.config.request_count
-    alone = run_sweep(sweep, requests=8, values=sweep.values[-1:])
-    assert alone.results[0].summary() == full.results[-1].summary()
-    assert len(full.to_table().rows) == len(sweep.values)
+def test_a_sweep_point_measured_alone_equals_it_inside_the_sweep(measured):
+    """Fresh deployment per point: the last point of the cheapest sweep,
+    measured alone, equals the same point of the full run."""
+    full = measured("ablation-fastfabric")
+    sweep = SWEEPS["ablation-fastfabric"]
+    assert [row["value"] for row in full] == list(sweep.values)
+    alone = run_sweep(sweep, CLAIMS_LOAD, values=sweep.values[-1:])
+    assert alone == full[-1:]
 
 
-# --------------------------------------------------------------------- figures
-@pytest.fixture(scope="module")
-def fig1_series():
-    return run_sweep(SWEEPS["fig1"], requests=20)
+def test_a_20_message_block_keeps_the_1_message_blocks_throughput(measured):
+    """A block size between the sweep's points (20) costs at most a fifth
+    of the 1-message block's throughput."""
+    one = measured("ablation-batch")[0]
+    assert one["value"] == 1
+    (twenty,) = run_sweep(SWEEPS["ablation-batch"], CLAIMS_LOAD, values=(20,))
+    assert twenty["committed"] == twenty["requests"]
+    assert twenty["throughput_tps"] >= 0.8 * one["throughput_tps"]
 
 
-def test_fig1_shape_throughput_falls_and_latency_rises(fig1_series):
-    throughputs = [r.throughput_tps for r in fig1_series.results]
-    responses = [r.mean_response_s for r in fig1_series.results]
-    # The largest items are clearly slower than the smallest.
-    assert throughputs[-1] < throughputs[0] * 0.8
-    assert responses[-1] > responses[0] * 1.2
-    # Monotone within a small tolerance for simulation jitter.
-    for previous, current in zip(throughputs, throughputs[1:]):
-        assert current <= previous * 1.05
-    for previous, current in zip(responses, responses[1:]):
-        assert current >= previous * 0.95
-    assert all(r.failed == 0 for r in fig1_series.results)
-    assert len(fig1_series.to_table().rows) == len(SWEEPS["fig1"].values)
+# ---------------------------------------------------------------------- claims
+@pytest.mark.parametrize(
+    "claim", PAPER_CLAIMS, ids=[f"{c.experiments[0]}: {c.name}" for c in PAPER_CLAIMS]
+)
+def test_paper_claim_holds(claim, measured):
+    value = claim.quantity(*(measured(key) for key in claim.experiments))
+    assert claim.holds(value), f"{claim.name}: {value} is not {claim.tolerance}"
 
 
-def test_fig2_rpi_is_slower_than_desktop(fig1_series):
-    rpi = run_sweep(SWEEPS["fig2"], requests=20)
-    # Same trend as Fig. 1 ...
-    assert rpi.results[-1].throughput_tps < rpi.results[0].throughput_tps
-    assert rpi.results[-1].mean_response_s > rpi.results[0].mean_response_s
-    assert all(r.failed == 0 for r in rpi.results)
-    # ... at a fraction of the desktop's absolute performance.
-    for d, r in zip(fig1_series.results, rpi.results):
-        assert d.throughput_tps > 3.0 * r.throughput_tps
-        assert r.mean_response_s > d.mean_response_s
+def test_every_paper_value_names_an_existing_file():
+    root = Path(__file__).resolve().parents[2]
+    cited = [claim for claim in PAPER_CLAIMS if claim.paper != NOT_OFFLINE]
+    assert all((root / claim.source).is_file() for claim in cited)
+    assert {"2.71 W", "3.64 W"} <= {claim.paper for claim in cited}
 
 
-def test_fig3_energy_matches_paper_shape():
-    figure = run_fig3(interval_s=120.0)
-    idle_no_hlf = figure.report_for("idle (no HLF)")
-    idle_hlf = figure.report_for("idle (HLF running)")
-    peak = figure.report_for("peak load")
-    # HLF idling barely adds power (paper: 2.71 W vs an idle RPi).
-    assert idle_hlf.mean_watts - idle_no_hlf.mean_watts < 0.2
-    assert idle_hlf.mean_watts == pytest.approx(2.71, abs=0.1)
-    # Peak load stays a modest fraction above idle (paper: ~10.7 %, max 3.64 W).
-    increase = (peak.mean_watts - idle_no_hlf.mean_watts) / idle_no_hlf.mean_watts
-    assert 0.02 < increase < 0.35
-    assert peak.mean_watts < idle_hlf.mean_watts * 1.35
-    assert peak.max_watts < 3.9
-    # Power rises monotonically with the load level.
-    means = [report.mean_watts for report in figure.intervals]
-    assert means == sorted(means)
-    assert len(figure.to_table().rows) == 5
-
-
-def test_ops_table_covers_both_setups():
-    results = run_ops_table(repeats=2)
-    assert [r.setup for r in results] == ["desktop", "rpi"]
-    desktop, rpi = results
-    assert {"post", "get", "store_data", "get_data"} <= set(desktop.latencies_s)
-    for operator, desktop_latency in desktop.latencies_s.items():
-        assert desktop_latency > 0
-        assert rpi.latencies_s[operator] > desktop_latency, operator
-    # Reads (one peer, no ordering) are cheaper than writes (endorsement +
-    # ordering + commit) on both setups.
-    for setup in results:
-        assert setup.latencies_s["get"] < setup.latencies_s["post"]
-        assert setup.latencies_s["check_hash"] < setup.latencies_s["store_data"]
-    rendered = to_table(results).render()
-    assert "store_data" in rendered
-
-
-def test_baseline_comparison_shape():
-    report = run_baseline_comparison(requests=8, pow_difficulty_bits=22)
-    hyperprov = report.entry("hyperprov")
-    pow_chain = report.entry("provchain-pow")
-    central = report.entry("central-db")
-    # Permissioned blockchain beats PoW on throughput (by a wide margin) and power.
-    assert hyperprov.throughput_tps > 3 * pow_chain.throughput_tps
-    assert hyperprov.mean_power_w < pow_chain.mean_power_w
-    # The centralized DB is fastest but not tamper evident.
-    assert central.throughput_tps > hyperprov.throughput_tps
-    assert not central.tamper_evident
-    assert hyperprov.tamper_evident and pow_chain.tamper_evident
-    assert len(report.to_table().rows) == 3
-
-
-def test_resource_usage_matches_paper_shape():
-    requests = 20
-    reports = run_resource_usage(payload_bytes=256 * 1024, requests=requests)
-    desktop, rpi = reports["desktop"], reports["rpi"]
-    # The desktop setup sustains far higher throughput ...
-    assert desktop.throughput_tps > 3 * rpi.throughput_tps
-
-    # ... while every committed transaction costs the RPi peers far more
-    # CPU time than it costs the desktop peers (limited hardware capacity).
-    def peer_cpu_seconds_per_tx(report):
-        return max(u.cpu_core_seconds for u in report.nodes if "peer" in u.role) / requests
-
-    assert peer_cpu_seconds_per_tx(rpi) > 3 * peer_cpu_seconds_per_tx(desktop)
-    for report in reports.values():
-        co_hosted = next(u for u in report.nodes if u.role == "peer+client")
-        other_peers = [u for u in report.nodes if u.role == "peer"]
-        # The peer co-hosting the client burns the most CPU time ...
-        assert co_hosted.cpu_core_seconds >= max(u.cpu_core_seconds for u in other_peers)
-        # ... and dominates outbound traffic (every payload to the storage
-        # node, every proposal to the peers).
-        assert co_hosted.bytes_sent > 0
-        assert co_hosted.bytes_sent == max(u.bytes_sent for u in report.nodes)
-
-
-def test_batch_ablation_larger_batches_do_not_hurt_throughput():
-    ablation = run_sweep(SWEEPS["ablation-batch"], values=(1, 20), requests=20)
-    assert len(ablation.results) == 2
-    small, large = ablation.results
-    assert large.throughput_tps >= small.throughput_tps * 0.8
-    assert len(ablation.to_table().rows) == 2
-
-
-def test_batch_ablation_measures_block_size_not_timeout():
-    """Every point runs whole blocks: flat throughput, response time
-    growing with the block size, no row cut by the batch timeout."""
-    ablation = run_sweep(SWEEPS["ablation-batch"], requests=20)
-    by_size = dict(zip(ablation.values, ablation.results))
-    assert all(result.failed == 0 for result in ablation.results)
-    assert all(
-        result.throughput_tps > 0.6 * by_size[1].throughput_tps for result in ablation.results
-    )
-    assert all(result.mean_response_s < BATCH_SWEEP_TIMEOUT_S for result in ablation.results)
-    # A block twice as large takes about twice as long to fill.
-    assert by_size[100].mean_response_s > 1.5 * by_size[50].mean_response_s
-    assert "committed" in ablation.to_table().columns
-
-
-def test_concurrency_ablation_deeper_pipelines_raise_throughput():
-    ablation = run_sweep(SWEEPS["ablation-concurrency"], requests=20)
-    by_depth = dict(zip(ablation.values, ablation.results))
-    # Keeping more than one submission in flight beats the blocking client.
-    assert by_depth[2].throughput_tps > by_depth[1].throughput_tps
-    assert by_depth[16].throughput_tps > by_depth[1].throughput_tps * 2
-    assert ablation.speedup > 2.0
-    assert all(result.failed == 0 for result in ablation.results)
-    assert len(ablation.to_table().rows) == 5
-
-
-def test_consensus_ablation_solo_and_raft_commit_everything():
-    ablation = run_sweep(SWEEPS["ablation-consensus"], requests=20)
-    solo, raft = ablation.results
-    assert ablation.values == ["solo", "raft"]
-    assert (solo.committed, solo.failed) == (20, 0)
-    assert (raft.committed, raft.failed) == (20, 0)
-    # Raft adds replication latency but stays within an order of magnitude.
-    assert raft.throughput_tps > solo.throughput_tps * 0.1
+def test_a_claim_line_says_paper_simulated_and_verdict():
+    claim = next(c for c in PAPER_CLAIMS if c.paper == "2.71 W")
+    rows = [{"interval": "idle (HLF running)", "mean_watts": 3.5}]
+    line = claim.line({"fig3": rows}, requests=4)
+    assert line.startswith("claim: [calibration] ")
+    assert "paper 2.71 W" in line and "simulated 3.5 at --requests 4, outside" in line
+    assert line.endswith(">= 2.61, <= 2.81 (held at --requests 20)")
+    assert "simulated n/a" in claim.line({}, requests=4)
 
 
 # ------------------------------------------------------------------------- cli
 def test_cli_parser_accepts_known_experiments():
-    parser = build_parser()
-    args = parser.parse_args(["fig1", "--requests", "5"])
+    args = build_parser().parse_args(["fig1", "--requests", "5"])
     assert args.experiments == ["fig1"]
     assert args.requests == 5
-    assert args.concurrency is None
 
 
-def test_cli_exposes_concurrency_and_requests():
-    parser = build_parser()
-    args = parser.parse_args(["ablation-concurrency", "--requests", "8", "--concurrency", "4"])
-    assert args.experiments == ["ablation-concurrency"]
-    assert args.requests == 8
-    assert args.concurrency == 4
+@pytest.mark.parametrize("flag", ["--concurrency", "--order-batch", "--interval"])
+def test_cli_refuses_the_deleted_flags(flag):
     with pytest.raises(SystemExit):
-        parser.parse_args(["fig1", "--concurrency", "0"])
+        build_parser().parse_args(["fig1", flag, "4"])
 
 
-def test_cli_rejects_unknown_experiment():
+def test_cli_rejects_unknown_experiment_and_zero_requests():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["figx"])
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["fig1", "--requests", "0"])
 
 
-@pytest.mark.parametrize("name", sorted(SWEEPS))
-def test_cli_main_runs_every_sweep(name, capsys):
-    exit_code = main([name, "--requests", "4"])
-    captured = capsys.readouterr()
-    assert exit_code == 0
-    assert SWEEPS[name].title in captured.out
-
-
-def test_cli_main_runs_ops_experiment(capsys):
-    exit_code = main(["ops", "--requests", "20"])
-    captured = capsys.readouterr()
-    assert exit_code == 0
-    assert "operator" in captured.out
-
-
-# ----------------------------------------------------------- sharding ablation
-def test_sharding_ablation_scales_write_throughput():
-    ablation = run_sweep(SWEEPS["ablation-sharding"], values=(1, 2), requests=60)
-    assert [r.committed for r in ablation.results] == [60, 60]
-    assert ablation.speedup > 1.2  # two ordering machines beat one
-    rendered = ablation.to_table().render()
-    assert "shards" in rendered
-
-
-def test_cli_exposes_shards_and_scheduler_flags():
+def test_cli_shards_and_scheduler_flags_build_the_shard_sweep():
     parser = build_parser()
-    args = parser.parse_args(
-        ["ablation-sharding", "--shards", "2", "--scheduler", "fair-share"]
-    )
-    assert args.shards == 2
-    assert args.scheduler == "fair-share"
+    args = parser.parse_args(["ablation-sharding", "--shards", "2", "--scheduler", "fair-share"])
+    table = tables_for(args)["ablation-sharding"]
+    assert "fair-share intake" in table.title
+    assert [row["value"] for row in table.rows(1, 42)] == [1, 2]
     with pytest.raises(SystemExit):
         parser.parse_args(["ablation-sharding", "--scheduler", "lifo"])
 
 
-def test_cli_main_runs_sharding_experiment(capsys):
-    exit_code = main(["ablation-sharding", "--shards", "2", "--requests", "4"])
-    captured = capsys.readouterr()
-    assert exit_code == 0
-    assert "tenant isolation" in captured.out
-    assert "throughput scaling" in captured.out
+@pytest.mark.parametrize("command", TABLE_COMMANDS)
+def test_cli_prints_each_table_with_its_claims(command, cached_tables, measured,
+                                               monkeypatch, capsys):
+    """Each command prints its tables — title, headers, first-column cells
+    and note — and, under them, every claim row of those tables within
+    tolerance at the load it holds at."""
+    claims = [claim for claim in PAPER_CLAIMS if command_of(claim.experiments[0]) == command]
+    # A claim reading another command's table (fig2 against fig1) needs it in the run.
+    needed = sorted({command_of(key) for claim in claims for key in claim.experiments})
+    monkeypatch.setattr(cli, "tables_for", lambda args: cached_tables)
+    assert main(needed) == 0
+    out = capsys.readouterr().out
+    for key, table in EXPERIMENTS.items():
+        if command_of(key) != command:
+            continue
+        rows = measured(key)
+        assert table.title.format(**rows[0]) in out
+        assert all(header in out for header, _, _ in table.columns), key
+        _, field, cell = table.columns[0]
+        assert all(str(cell(row[field])) in out for row in rows), key
+        if table.note is not None:
+            assert f"note: {table.note(rows)}" in out
+    lines = [line for line in out.splitlines() if line.startswith("claim:")]
+    assert len(lines) == sum(command_of(claim.experiments[0]) in needed
+                             for claim in PAPER_CLAIMS)
+    assert all(f"at --requests {CLAIMS_LOAD}, within" in line for line in lines)
+
+
+def test_ci_smoke_job_runs_every_table_experiment():
+    """A new table row cannot be left out of the CI smoke run."""
+    workflow = CI_WORKFLOW.read_text()
+    job = workflow[workflow.index("\n  bench-smoke:"):workflow.index("\n  anchors:")]
+    named = set(re.findall(r"[a-z0-9-]+", job))
+    assert set(TABLE_COMMANDS) - set(GATES) <= named
+    assert set(TABLE_COMMANDS).isdisjoint(GATES)

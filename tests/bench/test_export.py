@@ -1,50 +1,13 @@
-"""Tests for the CSV/JSON experiment exporter."""
+"""Tests for the CSV/JSON figure exporter."""
 
 import csv
 import json
+from dataclasses import replace
 
 import pytest
 
-from repro.bench.export import (
-    energy_rows,
-    export_all,
-    figure_series_rows,
-    ops_rows,
-    stage_rows,
-    write_csv,
-)
-from repro.bench.fig3_energy import run_fig3
-from repro.bench.ops_table import run_ops_table
-from repro.bench.sweeps import SWEEPS, run_sweep
-
-
-def test_figure_series_rows_carry_setup_and_metrics():
-    series = run_sweep(SWEEPS["fig1"], values=(1024,), requests=10)
-    rows = figure_series_rows(series, "desktop")
-    assert len(rows) == 1
-    assert rows[0]["setup"] == "desktop"
-    assert rows[0]["throughput_tps"] > 0
-    assert rows[0]["size_bytes"] == 1024.0
-
-
-def test_energy_rows_cover_every_interval():
-    figure = run_fig3(load_levels={"idle (no HLF)": 0.0, "peak load": 5.0}, interval_s=60.0)
-    rows = energy_rows(figure)
-    assert [row["interval"] for row in rows] == ["idle (no HLF)", "peak load"]
-    assert all(row["mean_watts"] > 0 for row in rows)
-
-
-def test_ops_rows_flatten_both_setups():
-    results = run_ops_table(repeats=2)
-    rows = ops_rows(results)
-    setups = {row["setup"] for row in rows}
-    assert setups == {"desktop", "rpi"}
-    assert all(row["latency_s"] > 0 for row in rows)
-
-    breakdown = stage_rows(results)
-    assert {row["setup"] for row in breakdown} == {"desktop", "rpi"}
-    assert {row["stage"] for row in breakdown} == {"endorse", "order", "commit"}
-    assert all(row["mean_latency_s"] > 0 for row in breakdown)
+from repro.bench import export
+from repro.bench.export import FIGURES, write_csv
 
 
 def test_write_csv_roundtrip(tmp_path):
@@ -60,14 +23,27 @@ def test_write_csv_rejects_empty(tmp_path):
         write_csv(tmp_path / "empty.csv", [])
 
 
-def test_export_all_writes_every_file(tmp_path):
-    written = export_all(tmp_path, requests=10, rpi_requests=10, energy_interval_s=60.0)
-    assert set(written) == {"fig1", "fig2", "fig3", "ops", "ops_stages", "manifest"}
-    for path in written.values():
-        assert (tmp_path / path.split("/")[-1]).exists() or path.startswith(str(tmp_path))
+def test_one_request_count_reaches_every_figure(tmp_path, cached_tables, monkeypatch, capsys):
+    """``--requests N`` is the count of every figure and of the manifest
+    (``fig2`` once ran at a fixed 20), and each CSV holds that table's rows."""
+    asked = {}
+
+    def recording(key):
+        def rows(requests, seed):
+            asked[key] = requests
+            return cached_tables[key].rows(20, seed)  # the claims' shared run
+        return replace(cached_tables[key], rows=rows)
+
+    monkeypatch.setattr(export, "EXPERIMENTS", {key: recording(key) for key in cached_tables})
+    assert export.main(["--out", str(tmp_path), "--requests", "7"]) == 0
+    assert asked == {key: 7 for key in FIGURES}
     manifest = json.loads((tmp_path / "manifest.json").read_text())
-    assert manifest["seed"] == 42
-    assert set(manifest["files"]) == {"fig1", "fig2", "fig3", "ops", "ops_stages"}
-    with (tmp_path / "fig1_desktop.csv").open() as handle:
-        rows = list(csv.DictReader(handle))
-    assert len(rows) == 6  # one row per default data size
+    assert manifest["requests"] == 7 and manifest["seed"] == 42
+    assert set(manifest["files"]) == set(FIGURES)
+    assert "manifest: " in capsys.readouterr().out
+    for key in FIGURES:
+        with (tmp_path / f"{key.replace('/', '_')}.csv").open() as handle:
+            rows = list(csv.DictReader(handle))
+        assert len(rows) == len(cached_tables[key].rows(20, 42)), key
+    with (tmp_path / "fig1.csv").open() as handle:
+        assert len(list(csv.DictReader(handle))) == 6  # one row per data size

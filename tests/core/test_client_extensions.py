@@ -4,7 +4,6 @@ ownership access control, chaincode events and parallel validation."""
 import pytest
 
 from repro.api.protocol import StoreRequest
-from repro.bench.sweeps import SWEEPS, run_sweep
 from repro.common.errors import ChaincodeError
 from repro.common.hashing import checksum_of
 from repro.core.client import HyperProvClient
@@ -158,13 +157,6 @@ def test_no_event_for_invalidated_transaction(desktop_deployment):
 
 
 # -------------------------------------------------------- parallel validation
-def test_parallel_validation_never_slower():
-    ablation = run_sweep(SWEEPS["ablation-fastfabric"], requests=20)
-    assert ablation.values == ["sequential", "parallel"]
-    assert [(r.committed, r.failed) for r in ablation.results] == [(20, 0), (20, 0)]
-    assert ablation.speedup >= 0.98
-
-
 def test_parallel_validation_flag_reaches_peers():
     deployment = build_desktop_deployment(parallel_validation=True, seed=2)
     assert all(peer.parallel_validation for peer in deployment.peers)

@@ -1,10 +1,7 @@
 """Resilience-oriented integration tests: Raft leader failover, peer
 catch-up, and resource accounting across the flow."""
 
-import pytest
-
 from repro.api.protocol import StoreRequest
-from repro.bench.resource_usage import run_resource_usage
 from repro.common.hashing import checksum_of
 from repro.consensus.batching import BatchConfig
 from repro.consensus.raft import RaftState
@@ -102,19 +99,6 @@ def test_network_accounts_bytes_for_protocol_transfers(desktop_deployment):
     desktop_deployment.drain()
     assert desktop_deployment.network.bytes_sent_by(client_host) > 100_000
     assert desktop_deployment.network.bytes_sent_by("orderer") > 0
-
-
-def test_resource_usage_report_structure():
-    reports = run_resource_usage(payload_bytes=32 * 1024, requests=10)
-    assert set(reports) == {"desktop", "rpi"}
-    for report in reports.values():
-        roles = {usage.role for usage in report.nodes}
-        assert {"peer", "peer+client", "orderer", "storage"} <= roles
-        assert report.throughput_tps > 0
-        rendered = report.to_table().render()
-        assert "cpu util" in rendered
-        with pytest.raises(KeyError):
-            report.node_usage("ghost")
 
 
 def test_checksum_mismatch_error_fields():

@@ -322,6 +322,5 @@ class TestEndorsementBatcher:
                 pipeline=PipelineConfig(order_batch_size=32),
             )
         )
-        assert result.submitted == 40
-        assert result.committed == 40
+        assert result["committed"] == 40 and result["failed"] == 0
         assert deployment.fabric.shard(0).batcher.queued == 0

@@ -79,6 +79,18 @@ def test_interval_overlap():
     assert interval_overlap((0, 2), (1, 3)) == 1
     assert interval_overlap((0, 1), (2, 3)) == 0
     assert interval_overlap((0, 10), (2, 4)) == 2
+    assert interval_overlap((2, 4), (0, 10)) == 2
+    assert interval_overlap((0.0, 1.0), (1.0, 2.0)) == 0.0  # touching, not overlapping
+
+
+def test_interval_overlap_equals_the_max_min_form():
+    """Bit for bit: a meter's per-sample power is a sum of these."""
+    rng = DeterministicRandom(11)
+    for _ in range(500):
+        a = sorted((rng.uniform(0.0, 10.0), rng.uniform(0.0, 10.0)))
+        b = sorted((rng.uniform(0.0, 10.0), rng.uniform(0.0, 10.0)))
+        expected = max(0.0, min(a[1], b[1]) - max(a[0], b[0]))
+        assert interval_overlap(tuple(a), tuple(b)) == expected
 
 
 # ------------------------------------------------------------------ randomness
