@@ -123,10 +123,6 @@ class HyperProvStore(_StoreBase):
 
     # -------------------------------------------------------------- attrs
     @property
-    def backend(self) -> Any:
-        return self.client
-
-    @property
     def storage(self):
         """The client's off-chain content store (``None`` if detached)."""
         return self.client.storage

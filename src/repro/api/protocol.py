@@ -35,7 +35,6 @@ from typing import (
     Any,
     Callable,
     Dict,
-    List,
     Optional,
     Protocol,
     Tuple,
@@ -181,11 +180,6 @@ class HistoryView:
     def __iter__(self):
         return iter(self.entries)
 
-    @property
-    def records(self) -> List[RecordView]:
-        """The surviving record views, oldest first (deletes skipped)."""
-        return [entry.view for entry in self.entries if entry.view is not None]
-
 
 @dataclass(frozen=True)
 class QueryPage:
@@ -203,12 +197,6 @@ class QueryPage:
     #: True when served from the stale-read archive; every record of a
     #: stale page carries the marker too.
     stale: bool = False
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def __iter__(self):
-        return iter(self.records)
 
 
 @dataclass(frozen=True)

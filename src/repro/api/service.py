@@ -50,7 +50,6 @@ class ProvenanceSession:
         self._owns_backend = owns_store
         self._in_flight = 0
         self._subscriptions: List[Any] = []
-        self._submitted = 0
         self._closed = False
 
     # ------------------------------------------------------------ utilities
@@ -58,11 +57,6 @@ class ProvenanceSession:
     def in_flight(self) -> int:
         """Submissions not yet committed."""
         return self._in_flight
-
-    @property
-    def submitted(self) -> int:
-        """Total submissions made through this session (never resets)."""
-        return self._submitted
 
     # -------------------------------------------------------------- writes
     def submit(
@@ -92,7 +86,6 @@ class ProvenanceSession:
             size_bytes=size_bytes,
         )
         handle = self.backend.submit(request, at_time=at_time)
-        self._submitted += 1
         if not handle.done:
             # Counted, not kept: a caller that drops its handle frees it.
             self._in_flight += 1

@@ -87,10 +87,6 @@ class CentralProvenanceDatabase:
         """Every version of ``key``, oldest first."""
         return list(self._records.get(key, []))
 
-    @property
-    def record_count(self) -> int:
-        return sum(len(history) for history in self._records.values())
-
     # --------------------------------------------------------------- weakness
     def tamper(self, key: str, new_checksum: str) -> ProvenanceRecord:
         """Silently rewrite the latest record for ``key``.

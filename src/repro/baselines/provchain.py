@@ -104,10 +104,6 @@ class PowProvenanceChain:
         """Every entry for ``key``, oldest first."""
         return [entry for entry in self._entries if entry.record.key == key]
 
-    @property
-    def length(self) -> int:
-        return len(self._entries)
-
     # -------------------------------------------------------------- integrity
     def verify_chain(self) -> bool:
         """Re-play the hash chain over all recorded entries."""

@@ -48,7 +48,7 @@ from repro.energy.power import PowerModel
 from repro.middleware.config import PipelineConfig
 from repro.middleware.metrics import STAGES
 from repro.simulation.randomness import DeterministicRandom
-from repro.workloads.arrivals import PoissonSchedule
+from repro.workloads.arrivals import sample_poisson_times
 from repro.workloads.payloads import PayloadGenerator
 from repro.workloads.scenarios import SkewedTenantWorkload
 
@@ -111,11 +111,10 @@ def _metered_device(label: str, rate_per_s: Optional[float], seed: int) -> Devic
     deployment = build_rpi_deployment(seed=seed)
     store = deployment.client.as_store()
     if rate_per_s > 0.0:
-        schedule = PoissonSchedule(rate_per_s=rate_per_s, duration_s=INTERVAL_S, seed=seed)
         generator = PayloadGenerator(size_bytes=KIB, seed=seed, prefix=f"energy/{label}")
         # Submissions run as engine events so device time is charged at the
         # arrival instants, not retroactively after the interval.
-        for arrival in schedule.arrival_times():
+        for arrival in sample_poisson_times(DeterministicRandom(seed), rate_per_s, INTERVAL_S):
             item = generator.next_item()
             deployment.engine.schedule_at(
                 arrival,

@@ -9,13 +9,12 @@ the HyperProv chaincode implementation (:mod:`repro.chaincode.hyperprov`)
 with the same function set the paper's Go chaincode exposes.
 """
 
-from repro.chaincode.shim import Chaincode, ChaincodeStub, ChaincodeResponse
+from repro.chaincode.shim import ChaincodeStub, ChaincodeResponse
 from repro.chaincode.records import ProvenanceRecord
 from repro.chaincode.hyperprov import HyperProvChaincode
 from repro.chaincode.lifecycle import ChaincodeDefinition, ChaincodeRegistry
 
 __all__ = [
-    "Chaincode",
     "ChaincodeStub",
     "ChaincodeResponse",
     "ProvenanceRecord",

@@ -41,7 +41,7 @@ from operator import attrgetter, is_not
 from typing import List, Optional, Tuple
 
 from repro.chaincode.records import ProvenanceRecord
-from repro.chaincode.shim import Candidates, Chaincode, ChaincodeResponse, ChaincodeStub
+from repro.chaincode.shim import Candidates, ChaincodeResponse, ChaincodeStub
 from repro.common.errors import ValidationError
 from repro.ledger.scan import HistoryPage, ScanPage
 from repro.ledger.world_state import VersionedValue
@@ -57,7 +57,7 @@ def _is_marker(entry: VersionedValue) -> bool:
     return entry.key.startswith("__")
 
 
-class HyperProvChaincode(Chaincode):
+class HyperProvChaincode:
     """Chaincode storing and querying HyperProv provenance records."""
 
     name = "hyperprov"
@@ -71,12 +71,6 @@ class HyperProvChaincode(Chaincode):
 
     #: Name of the chaincode event emitted on every successful ``set``.
     RECORD_EVENT = "provenance_recorded"
-
-    # ------------------------------------------------------------------ init
-    def init(self, stub: ChaincodeStub) -> ChaincodeResponse:
-        """Instantiate the chaincode; writes a marker key for sanity checks."""
-        stub.put_state("__hyperprov_initialized__", "true")
-        return ChaincodeResponse.success("hyperprov chaincode instantiated")
 
     # ---------------------------------------------------------------- invoke
     #: Dispatch table built once at class definition (the per-invocation

@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Set
 
-from repro.chaincode.shim import Chaincode
+from repro.chaincode.hyperprov import HyperProvChaincode
 from repro.common.errors import ChaincodeError, NotFoundError
-from repro.membership.policies import Policy
+from repro.membership.policies import MajorityPolicy
 
 
 @dataclass
@@ -23,8 +23,8 @@ class ChaincodeDefinition:
 
     name: str
     version: str
-    chaincode: Chaincode
-    endorsement_policy: Policy
+    chaincode: HyperProvChaincode
+    endorsement_policy: MajorityPolicy
     installed_on: Set[str] = field(default_factory=set)
 
     def is_installed_on(self, peer_name: str) -> bool:
@@ -41,8 +41,8 @@ class ChaincodeRegistry:
         self,
         name: str,
         version: str,
-        chaincode: Chaincode,
-        endorsement_policy: Policy,
+        chaincode: HyperProvChaincode,
+        endorsement_policy: MajorityPolicy,
     ) -> ChaincodeDefinition:
         """Register (or upgrade) a chaincode definition on the channel."""
         existing = self._definitions.get(name)
@@ -61,10 +61,6 @@ class ChaincodeRegistry:
         self._definitions[name] = definition
         return definition
 
-    def install_on(self, name: str, peer_name: str) -> None:
-        """Mark the chaincode package as installed on ``peer_name``."""
-        self.get(name).installed_on.add(peer_name)
-
     def get(self, name: str) -> ChaincodeDefinition:
         definition = self._definitions.get(name)
         if definition is None:
@@ -73,6 +69,3 @@ class ChaincodeRegistry:
 
     def find(self, name: str) -> Optional[ChaincodeDefinition]:
         return self._definitions.get(name)
-
-    def names(self) -> Set[str]:
-        return set(self._definitions)

@@ -10,7 +10,6 @@ HyperProv chaincode relies on.
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -60,16 +59,6 @@ class ChaincodeResponse:
     def versions(cls, page: HistoryPage) -> "ChaincodeResponse":
         """A key history's answer: the page, never rendered."""
         return cls(status=cls.OK, history=page)
-
-    @property
-    def size(self) -> int:
-        """Length of the text this answer stands for: what a network charges.
-
-        A page counts its text without rendering it; a point or invoke
-        answer is its ``payload``.
-        """
-        page = self.scan if self.scan is not None else self.history
-        return len(self.payload or "") if page is None else page.size()
 
     @classmethod
     def error(cls, message: str) -> "ChaincodeResponse":
@@ -227,18 +216,3 @@ class ChaincodeStub:
 
     def get_tx_timestamp(self) -> float:
         return self.timestamp
-
-
-class Chaincode(ABC):
-    """Base class for chaincode implementations."""
-
-    #: Name under which the chaincode is installed.
-    name: str = "chaincode"
-
-    @abstractmethod
-    def init(self, stub: ChaincodeStub) -> ChaincodeResponse:
-        """Called once when the chaincode is instantiated on a channel."""
-
-    @abstractmethod
-    def invoke(self, stub: ChaincodeStub) -> ChaincodeResponse:
-        """Dispatch an invocation; ``stub.function`` selects the operation."""

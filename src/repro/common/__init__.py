@@ -27,9 +27,9 @@ from repro.common.errors import (
     ChaincodeError,
     SimulationError,
 )
-from repro.common.hashing import sha256_hex, sha256_bytes, checksum_of, HashChain
+from repro.common.hashing import sha256_hex, checksum_of, HashChain
 from repro.common.ids import IdGenerator, short_uid
-from repro.common.serialization import canonical_json, from_canonical_json
+from repro.common.serialization import canonical_json
 from repro.common.events import EventBus, Subscription
 from repro.common.metrics import MetricsRegistry, Counter, Gauge, Histogram
 
@@ -47,13 +47,11 @@ __all__ = [
     "ChaincodeError",
     "SimulationError",
     "sha256_hex",
-    "sha256_bytes",
     "checksum_of",
     "HashChain",
     "IdGenerator",
     "short_uid",
     "canonical_json",
-    "from_canonical_json",
     "EventBus",
     "Subscription",
     "MetricsRegistry",

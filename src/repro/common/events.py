@@ -71,7 +71,6 @@ class EventBus:
         # empties: one-shot subscriptions on ever-new topic names (one per
         # request id, say) would otherwise leave an empty list each, forever.
         self._handlers: Dict[str, List[Subscription]] = {}
-        self._published: int = 0
         #: publish re-entrancy depth; structural removals are deferred
         #: while > 0 so in-flight handler walks keep stable indices.
         self._publishing: int = 0
@@ -80,16 +79,6 @@ class EventBus:
         #: next join ticket; publishes snapshot it so handlers subscribed
         #: mid-publish never see the in-flight event, on *any* topic.
         self._next_stamp: int = 0
-
-    @property
-    def published_count(self) -> int:
-        """Total number of events published on this bus."""
-        return self._published
-
-    @property
-    def topic_count(self) -> int:
-        """Number of topics currently holding at least one subscription."""
-        return len(self._handlers)
 
     def subscribe(self, topic: str, handler: EventHandler) -> Subscription:
         """Register ``handler`` for ``topic`` and return a cancellable handle."""
@@ -134,7 +123,6 @@ class EventBus:
 
     def publish(self, topic: str, payload: Any = None) -> int:
         """Publish ``payload`` on ``topic``; returns number of handlers invoked."""
-        self._published += 1
         handlers = self._handlers.get(topic)
         if not handlers:
             # Fast path: most publishes (pipeline trace events, chaincode
@@ -173,10 +161,3 @@ class EventBus:
             raise errors[0]
         return delivered
 
-    def topics(self) -> List[str]:
-        """Topics that currently have at least one subscriber."""
-        return sorted(
-            topic
-            for topic, subs in self._handlers.items()
-            if any(entry.active for entry in subs)
-        )

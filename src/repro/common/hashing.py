@@ -19,11 +19,6 @@ def _to_bytes(data: BytesLike) -> bytes:
     return bytes(data)
 
 
-def sha256_bytes(data: BytesLike) -> bytes:
-    """Return the raw 32-byte SHA-256 digest of ``data``."""
-    return hashlib.sha256(_to_bytes(data)).digest()
-
-
 def sha256_hex(data: BytesLike) -> str:
     """Return the hex-encoded SHA-256 digest of ``data``."""
     return hashlib.sha256(_to_bytes(data)).hexdigest()
@@ -36,14 +31,6 @@ def checksum_of(data: BytesLike) -> str:
     can be swapped in one place.
     """
     return sha256_hex(data)
-
-
-def combine_hashes(hashes: Iterable[str]) -> str:
-    """Hash the concatenation of several hex digests (order-sensitive)."""
-    acc = hashlib.sha256()
-    for item in hashes:
-        acc.update(item.encode("ascii"))
-    return acc.hexdigest()
 
 
 class HashChain:
@@ -64,9 +51,6 @@ class HashChain:
         """The latest chained digest."""
         return self._current
 
-    def __len__(self) -> int:
-        return self._length
-
     def extend(self, item: BytesLike) -> str:
         """Fold ``item`` into the chain and return the new digest."""
         digest = hashlib.sha256()
@@ -81,4 +65,4 @@ class HashChain:
         replay = HashChain(seed)
         for item in items:
             replay.extend(item)
-        return replay.current == self._current and len(replay) == self._length
+        return replay.current == self._current and replay._length == self._length

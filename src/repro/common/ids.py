@@ -39,19 +39,3 @@ class IdGenerator:
         index = next(self._counter)
         suffix = short_uid(f"{self.seed}:{self.prefix}:{index}", 8)
         return f"{self.prefix}-{index}-{suffix}"
-
-
-class DeterministicIdGenerator(IdGenerator):
-    """:class:`IdGenerator` variant that also tracks how many ids were issued."""
-
-    def __init__(self, prefix: str, seed: str = "hyperprov") -> None:
-        super().__init__(prefix, seed)
-        self._issued = 0
-
-    def next(self) -> str:
-        identifier = super().next()
-        self._issued += 1
-        return identifier
-
-    def peek_index(self) -> int:
-        return self._issued

@@ -17,9 +17,9 @@ from typing import Dict, Optional, Sequence
 def percentile(samples: Sequence[float], pct: float) -> float:
     """Linear-interpolated percentile of ``samples``, ``pct`` in [0, 100].
 
-    The single shared implementation used by :class:`Histogram` and the
-    benchmark harness (``StoreDataRunner.run``), so every reported percentile uses
-    the same method.  Returns ``0.0`` for an empty sample set.
+    The single shared implementation the benchmark harness
+    (``StoreDataRunner.run``) and the workloads use, so every reported
+    percentile uses the same method.  Returns ``0.0`` for an empty sample set.
     """
     if not samples:
         return 0.0
@@ -61,9 +61,6 @@ class Gauge:
     def set(self, value: float) -> None:
         self.value = value
 
-    def add(self, delta: float) -> None:
-        self.value += delta
-
 
 @dataclass
 class Histogram:
@@ -88,24 +85,9 @@ class Histogram:
         return self.total / self.count if self.samples else 0.0
 
     @property
-    def minimum(self) -> float:
-        return min(self.samples) if self.samples else 0.0
-
-    @property
     def maximum(self) -> float:
         return max(self.samples) if self.samples else 0.0
 
-    @property
-    def stddev(self) -> float:
-        if len(self.samples) < 2:
-            return 0.0
-        mean = self.mean
-        variance = sum((x - mean) ** 2 for x in self.samples) / (len(self.samples) - 1)
-        return math.sqrt(variance)
-
-    def percentile(self, pct: float) -> float:
-        """Linear-interpolated percentile, ``pct`` in [0, 100]."""
-        return percentile(self.samples, pct)
 
 
 class MetricsRegistry:
@@ -143,21 +125,3 @@ class MetricsRegistry:
 
     def get_histogram(self, name: str) -> Optional[Histogram]:
         return self._histograms.get(self._qualify(name))
-
-    def snapshot(self) -> Dict[str, float]:
-        """Flat dictionary of every metric's current value (histogram means)."""
-        data: Dict[str, float] = {}
-        for counter in self._counters.values():
-            data[counter.name] = counter.value
-        for gauge in self._gauges.values():
-            data[gauge.name] = gauge.value
-        for histogram in self._histograms.values():
-            data[f"{histogram.name}.mean"] = histogram.mean
-            data[f"{histogram.name}.count"] = float(histogram.count)
-        return data
-
-    def reset(self) -> None:
-        """Drop all recorded metrics."""
-        self._counters.clear()
-        self._gauges.clear()
-        self._histograms.clear()

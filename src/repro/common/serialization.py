@@ -59,20 +59,3 @@ def copy_json(value: Any) -> Any:
             for item in value
         ]
     return value
-
-
-def _decode_bytes(obj: Any) -> Any:
-    if isinstance(obj, dict):
-        if set(obj.keys()) == {"__bytes__"}:
-            return bytes.fromhex(obj["__bytes__"])
-        return {key: _decode_bytes(value) for key, value in obj.items()}
-    if isinstance(obj, list):
-        return [_decode_bytes(item) for item in obj]
-    return obj
-
-
-def from_canonical_json(data: bytes | str) -> Any:
-    """Decode bytes produced by :func:`canonical_json`."""
-    if isinstance(data, (bytes, bytearray)):
-        data = data.decode("utf-8")
-    return _decode_bytes(json.loads(data))

@@ -35,11 +35,6 @@ def namespace_end(tenant: str) -> str:
     return tenant_namespace(tenant)[:-1] + chr(ord("/") + 1)
 
 
-def namespace_key(tenant: str, key: str) -> str:
-    """Map a tenant-relative key to its namespaced ledger key."""
-    return tenant_namespace(tenant) + key
-
-
 def strip_namespace(tenant: str, key: str) -> str:
     """Map a namespaced ledger key back to the tenant-relative key.
 

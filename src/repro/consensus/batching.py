@@ -44,10 +44,6 @@ class BlockCutter:
         self._first_pending_at: Optional[float] = None
         self.batches_cut = 0
 
-    @property
-    def pending_count(self) -> int:
-        return len(self._pending)
-
     def add(self, tx: Transaction, now: float) -> Optional[List[Transaction]]:
         """Add a transaction; return a completed batch if one was cut.
 

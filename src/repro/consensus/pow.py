@@ -4,36 +4,21 @@ HyperProv's related-work comparison (ProvChain [9] and public-blockchain
 provenance in general) motivates the claim that permissioned blockchains
 need far fewer resources.  The ProvChain-style baseline in
 :mod:`repro.baselines` anchors provenance records by mining blocks with
-this engine.  Two modes are provided:
-
-* :meth:`mine` — real nonce search (small difficulties, used in tests to
-  demonstrate the mechanism),
-* :meth:`expected_mining_time` / :meth:`sample_mining_time` — analytic /
-  sampled mining time for a device's hash rate, used by the simulator so
-  the baseline benchmark does not have to grind real hashes.
+this engine: :meth:`expected_mining_time` / :meth:`sample_mining_time`
+give the analytic / sampled mining time for a device's hash rate, so the
+baseline benchmark does not have to grind real hashes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.common.errors import ConfigurationError
-from repro.common.hashing import sha256_hex
 from repro.simulation.randomness import DeterministicRandom
 
 
-@dataclass(frozen=True)
-class PowBlockResult:
-    """Outcome of a successful mining run."""
-
-    nonce: int
-    digest: str
-    attempts: int
-
-
 class ProofOfWorkEngine:
-    """Nonce-search proof of work over SHA-256 with a leading-zero-bit target."""
+    """Proof of work over SHA-256 with a leading-zero-bit target, timed, not ground."""
 
     def __init__(self, difficulty_bits: int = 16, rng: Optional[DeterministicRandom] = None) -> None:
         if not 1 <= difficulty_bits <= 64:
@@ -41,26 +26,6 @@ class ProofOfWorkEngine:
         self.difficulty_bits = difficulty_bits
         self._rng = rng or DeterministicRandom(999)
 
-    # ----------------------------------------------------------- real search
-    def _meets_target(self, digest_hex: str) -> bool:
-        value = int(digest_hex, 16)
-        return value >> (256 - self.difficulty_bits) == 0
-
-    def mine(self, payload: bytes, max_attempts: int = 5_000_000) -> PowBlockResult:
-        """Search for a nonce such that ``H(payload || nonce)`` meets the target."""
-        for nonce in range(max_attempts):
-            digest = sha256_hex(payload + nonce.to_bytes(8, "big"))
-            if self._meets_target(digest):
-                return PowBlockResult(nonce=nonce, digest=digest, attempts=nonce + 1)
-        raise ConfigurationError(
-            f"no nonce found within {max_attempts} attempts at {self.difficulty_bits} bits"
-        )
-
-    def verify(self, payload: bytes, nonce: int) -> bool:
-        """Check a previously mined nonce."""
-        return self._meets_target(sha256_hex(payload + nonce.to_bytes(8, "big")))
-
-    # ------------------------------------------------------------ simulation
     @property
     def expected_attempts(self) -> float:
         """Mean number of hash evaluations to find a valid nonce."""

@@ -21,7 +21,7 @@ default ``""`` tenant and therefore one round-robin slot.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Iterable, List, Optional
+from typing import Deque, Dict, List, Optional
 
 from repro.common.errors import ConfigurationError
 from repro.common.tenancy import tenant_of_key  # noqa: F401 - re-exported
@@ -142,13 +142,6 @@ class FairShareScheduler(OrderingScheduler):
     def pending(self) -> int:
         return sum(len(queue) for queue in self._queues.values())
 
-    def pending_by_tenant(self) -> Dict[str, int]:
-        return {
-            tenant: len(queue)
-            for tenant, queue in self._queues.items()
-            if queue
-        }
-
 
 #: Scheduler names accepted by configs and the bench CLI.
 SCHEDULER_NAMES = ("fifo", "fair-share")
@@ -169,16 +162,3 @@ def adopt_backlog(old: OrderingScheduler, new: OrderingScheduler) -> None:
     """Move any queued transactions from ``old`` into ``new`` on a swap."""
     for tx in old.drain():
         new.enqueue(tx)
-
-
-def interleave_positions(txs: Iterable[Transaction]) -> Dict[str, List[int]]:
-    """Positions each tenant's transactions occupy in an ordered stream.
-
-    A test/bench helper: feed it the transactions of the cut blocks in
-    order and it returns, per tenant, the global positions served — the
-    raw material for starvation assertions.
-    """
-    positions: Dict[str, List[int]] = {}
-    for index, tx in enumerate(txs):
-        positions.setdefault(tenant_of_transaction(tx), []).append(index)
-    return positions

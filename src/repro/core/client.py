@@ -52,13 +52,11 @@ from repro.fabric.network import FabricNetwork
 from repro.fabric.proposal import ProposalResponse, TransactionHandle
 from repro.ledger.history import HistoryEntry
 from repro.middleware.base import TransactionPipeline
-from repro.middleware.cache import ReadCacheMiddleware
 from repro.middleware.config import PipelineConfig, build_client_pipeline
 from repro.middleware.context import Context, OperationKind
 from repro.provenance.lineage import LineageReport, lineage_report
-from repro.storage.base import StorageReceipt
 from repro.storage.content import ContentAddressedStore
-from repro.storage.sshfs import SSHFSStorageBackend
+from repro.storage.sshfs import StorageReceipt
 
 
 @dataclass
@@ -173,11 +171,6 @@ class HyperProvClient:
         # (several tenant pipelines share one deployment).
         if config.indexes:
             self.network.enable_secondary_indexes(config.indexes)
-
-    @property
-    def read_cache(self) -> Optional[ReadCacheMiddleware]:
-        """The read-cache middleware, when the config enables it."""
-        return self.pipeline.find(ReadCacheMiddleware)
 
     def _dispatch(self, ctx: Context):
         """Terminal pipeline handler: hand the operation to the network.
@@ -337,14 +330,12 @@ class HyperProvClient:
         """Store ``data`` off-chain; its record is posted at ``receipt.completed_at``."""
         storage = self._require_storage()
         start = self.network.engine.now if at_time is None else at_time
-        if isinstance(storage.backend, SSHFSStorageBackend):
-            return storage.put(
-                data,
-                at_time=start,
-                client_device=self._context.device,
-                client_node=self._context.host_node,
-            )
-        return storage.put(data, at_time=start)
+        return storage.put(
+            data,
+            at_time=start,
+            client_device=self._context.device,
+            client_node=self._context.host_node,
+        )
 
     def get_data(self, key: str, at_time: Optional[float] = None) -> DataResult:
         """Fetch the data behind ``key`` from off-chain storage and verify it."""
@@ -352,18 +343,13 @@ class HyperProvClient:
         start = self.network.engine.now if at_time is None else at_time
         record = self.as_store().get(key, at_time=start)
 
-        backend = storage.backend
-        fetch_start = start + record.latency_s
-        if isinstance(backend, SSHFSStorageBackend):
-            receipt = storage.get(
-                record.checksum,
-                at_time=fetch_start,
-                client_device=self._context.device,
-                client_node=self._context.host_node,
-                expected_checksum=record.checksum,
-            )
-        else:
-            receipt = storage.get(record.checksum, at_time=fetch_start)
+        receipt = storage.get(
+            record.checksum,
+            at_time=start + record.latency_s,
+            client_device=self._context.device,
+            client_node=self._context.host_node,
+            expected_checksum=record.checksum,
+        )
         obj = storage.get_object(record.checksum)
         if obj is None:
             raise NotFoundError(f"data for key {key!r} is missing from off-chain storage")

@@ -33,7 +33,7 @@ from repro.fabric.network import FabricNetwork
 from repro.fabric.peer import Peer
 from repro.membership.identity import Organization
 from repro.membership.msp import MSP
-from repro.membership.policies import majority_of
+from repro.membership.policies import MajorityPolicy
 from repro.network.fabric import NetworkFabric
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.randomness import DeterministicRandom
@@ -100,12 +100,6 @@ class HyperProvDeployment:
     def drain(self) -> None:
         """Flush pending batches and run the simulation to quiescence."""
         self.fabric.flush_and_drain()
-
-    def device(self, name: str) -> DeviceModel:
-        model = self.devices.get(name)
-        if model is None:
-            raise ConfigurationError(f"unknown device {name!r}")
-        return model
 
 
 def build_deployment(spec: DeploymentSpec) -> HyperProvDeployment:
@@ -186,7 +180,7 @@ def build_deployment(spec: DeploymentSpec) -> HyperProvDeployment:
         fabric.add_peer(peer)
 
     # Chaincode: HyperProv, endorsed by a majority of the organizations.
-    policy = majority_of([org.name for org in organizations])
+    policy = MajorityPolicy([org.name for org in organizations])
     channel.instantiate_chaincode(HyperProvChaincode(), endorsement_policy=policy)
 
     # Extra channel shards: each gets its own ordering service on its own

@@ -97,10 +97,6 @@ class FileWatcher:
         self.changes.append(change)
         return change
 
-    def observed_paths(self) -> List[str]:
-        """Paths the watcher has recorded at least once."""
-        return sorted(self._last_checksum)
-
     @property
     def change_count(self) -> int:
         return len(self.changes)

@@ -11,7 +11,7 @@ identical to Fabric's, which is what the reproduction needs.
 
 from repro.crypto.keys import KeyPair, sign, verify
 from repro.crypto.certificates import Certificate, CertificateAuthority
-from repro.crypto.merkle import MerkleTree
+from repro.crypto.merkle import merkle_root
 
 __all__ = [
     "KeyPair",
@@ -19,5 +19,5 @@ __all__ = [
     "verify",
     "Certificate",
     "CertificateAuthority",
-    "MerkleTree",
+    "merkle_root",
 ]

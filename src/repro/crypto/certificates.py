@@ -11,7 +11,7 @@ by the CA; certificates can be verified against the CA and revoked.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Set
+from typing import Dict, Set
 
 from repro.common.errors import CryptoError, DuplicateError
 from repro.common.serialization import canonical_json
@@ -186,11 +186,3 @@ class CertificateAuthority:
             )
             self._signature_ok[certificate] = cached
         return cached
-
-    def lookup(self, subject: str) -> Optional[Certificate]:
-        """Return the certificate issued to ``subject``, if any."""
-        return self._issued.get(subject)
-
-    @property
-    def issued_count(self) -> int:
-        return len(self._issued)

@@ -97,10 +97,6 @@ class KeyPair:
         """Sign ``message`` with this key pair's private key."""
         return sign(self.private_key, message)
 
-    def verify(self, message: bytes, signature: str) -> bool:
-        """Verify a signature against this key pair's public key."""
-        return verify(self.public_key, message, signature, private_hint=self.private_key)
-
 
 def sign(private_key: bytes, message: bytes) -> str:
     """Produce a hex signature of ``message`` under ``private_key``."""

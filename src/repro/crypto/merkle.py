@@ -1,97 +1,32 @@
-"""Merkle trees over transaction lists.
+"""The Merkle root a block header commits to.
 
-Fabric blocks carry the hash of their transaction data; we use a Merkle
-root so individual transactions can also be proven against a block header
-(`inclusion proofs`), which the test-suite uses as a tamper-evidence
-invariant.
+Fabric blocks carry the hash of their transaction data; here that is the
+root of a binary Merkle tree over the transactions' digests.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 from repro.common.hashing import sha256_hex
 
-ProofStep = Tuple[str, str]  # (sibling_hash, "L" | "R")
+#: The root of a block with no transactions.
+EMPTY_ROOT = sha256_hex(b"hyperprov-empty-merkle")
 
 
-class MerkleTree:
-    """Binary Merkle tree built over a sequence of byte strings."""
+def merkle_root(leaf_hashes: Sequence[str]) -> str:
+    """Root of the binary tree over ``leaf_hashes``.
 
-    EMPTY_ROOT = sha256_hex(b"hyperprov-empty-merkle")
-
-    def __init__(self, leaves: Sequence[bytes]) -> None:
-        self._leaf_hashes: List[str] = [sha256_hex(leaf) for leaf in leaves]
-        self._levels: List[List[str]] = []
-        self._build()
-
-    @classmethod
-    def from_leaf_hashes(cls, leaf_hashes: Sequence[str]) -> "MerkleTree":
-        """Build a tree from already-computed leaf hashes.
-
-        A leaf hash here is exactly ``sha256_hex(leaf)``, so a tree built
-        from ``Transaction.digest()`` values (cached on sealed envelopes)
-        has the same root as one built from the raw envelope bytes —
-        without re-hashing every envelope per peer per block.
-        """
-        tree = cls.__new__(cls)
-        tree._leaf_hashes = list(leaf_hashes)
-        tree._levels = []
-        tree._build()
-        return tree
-
-    def _build(self) -> None:
-        if not self._leaf_hashes:
-            self._levels = [[self.EMPTY_ROOT]]
-            return
-        level = list(self._leaf_hashes)
-        self._levels = [level]
-        while len(level) > 1:
-            next_level: List[str] = []
-            for index in range(0, len(level), 2):
-                left = level[index]
-                right = level[index + 1] if index + 1 < len(level) else left
-                next_level.append(sha256_hex(left + right))
-            self._levels.append(next_level)
-            level = next_level
-
-    @property
-    def root(self) -> str:
-        """The Merkle root (a stable constant for an empty tree)."""
-        return self._levels[-1][0]
-
-    @property
-    def leaf_count(self) -> int:
-        return len(self._leaf_hashes)
-
-    def proof(self, index: int) -> List[ProofStep]:
-        """Inclusion proof for the leaf at ``index``.
-
-        Each step is ``(sibling_hash, side)`` where ``side`` says whether the
-        sibling is concatenated on the left or the right.
-        """
-        if not 0 <= index < len(self._leaf_hashes):
-            raise IndexError(f"leaf index {index} out of range")
-        steps: List[ProofStep] = []
-        position = index
-        for level in self._levels[:-1]:
-            sibling_index = position + 1 if position % 2 == 0 else position - 1
-            if sibling_index >= len(level):
-                sibling_index = position  # odd node duplicated with itself
-            side = "R" if position % 2 == 0 else "L"
-            steps.append((level[sibling_index], side))
-            position //= 2
-        return steps
-
-    @classmethod
-    def verify_proof(cls, leaf: bytes, proof: List[ProofStep], root: str) -> bool:
-        """Check that ``leaf`` is included under ``root`` via ``proof``."""
-        current = sha256_hex(leaf)
-        for sibling, side in proof:
-            if side == "R":
-                current = sha256_hex(current + sibling)
-            elif side == "L":
-                current = sha256_hex(sibling + current)
-            else:
-                return False
-        return current == root
+    A leaf hash is ``sha256_hex(leaf)``: a block's leaves are its
+    ``Transaction.digest()`` values, cached on sealed envelopes, so no
+    envelope is re-hashed per peer per block.  A level with an odd node
+    count pairs its last node with itself.
+    """
+    if not leaf_hashes:
+        return EMPTY_ROOT
+    level: List[str] = list(leaf_hashes)
+    while len(level) > 1:
+        if len(level) % 2:
+            level.append(level[-1])
+        level = [sha256_hex(level[i] + level[i + 1]) for i in range(0, len(level), 2)]
+    return level[0]

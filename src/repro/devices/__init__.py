@@ -21,7 +21,6 @@ from repro.devices.profiles import (
     RASPBERRY_PI_3B_PLUS,
     DESKTOP_PROFILES,
     RPI_PROFILES,
-    profile_by_name,
 )
 from repro.devices.model import DeviceModel
 
@@ -33,6 +32,5 @@ __all__ = [
     "RASPBERRY_PI_3B_PLUS",
     "DESKTOP_PROFILES",
     "RPI_PROFILES",
-    "profile_by_name",
     "DeviceModel",
 ]

@@ -147,11 +147,3 @@ class DeviceModel:
         }.get(component, 1)
         busy = self.busy_time(window=window, component=component)
         return min(1.0, busy / (length * capacity))
-
-    def reset_accounting(self) -> None:
-        """Clear busy intervals and resource reservations (between runs)."""
-        for log in self._busy.values():
-            del log[:]
-        self.cpu.reset()
-        self.disk.reset()
-        self.nic.reset()

@@ -20,9 +20,9 @@ Calibration notes
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Tuple
 
-from repro.common.errors import ConfigurationError, NotFoundError
+from repro.common.errors import ConfigurationError
 from repro.network.link import LinkProfile, GIGABIT_LAN, RPI_LAN
 
 
@@ -167,18 +167,3 @@ DESKTOP_PROFILES: Tuple[HardwareProfile, ...] = (
 
 #: The four Raspberry Pi devices of the paper's second setup.
 RPI_PROFILES: Tuple[HardwareProfile, ...] = (RASPBERRY_PI_3B_PLUS,) * 4
-
-_ALL_PROFILES: Dict[str, HardwareProfile] = {
-    profile.name: profile
-    for profile in (XEON_E5_1603, CORE_I7_4700MQ, CORE_I3_2310M, RASPBERRY_PI_3B_PLUS)
-}
-
-
-def profile_by_name(name: str) -> HardwareProfile:
-    """Look up a built-in hardware profile by its ``name`` field."""
-    profile = _ALL_PROFILES.get(name)
-    if profile is None:
-        raise NotFoundError(
-            f"unknown hardware profile {name!r}; available: {sorted(_ALL_PROFILES)}"
-        )
-    return profile

@@ -8,7 +8,7 @@ intervals in Fig. 3), reporting mean power, peak power and total energy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List
 
 from repro.common.errors import ConfigurationError
 from repro.energy.power import PowerModel, PowerSample
@@ -26,10 +26,6 @@ class IntervalReport:
     min_watts: float
     energy_joules: float
     samples: List[PowerSample] = field(default_factory=list)
-
-    @property
-    def duration_s(self) -> float:
-        return self.end - self.start
 
     @property
     def energy_wh(self) -> float:
@@ -85,17 +81,3 @@ class PowerMeter:
             energy_joules=energy,
             samples=samples if keep_samples else [],
         )
-
-    def measure_intervals(
-        self,
-        boundaries: List[Tuple[float, float]],
-        labels: Optional[List[str]] = None,
-    ) -> List[IntervalReport]:
-        """Measure several back-to-back intervals (Fig. 3's 10-minute bars)."""
-        labels = labels or ["" for _ in boundaries]
-        if len(labels) != len(boundaries):
-            raise ConfigurationError("labels and boundaries must have the same length")
-        return [
-            self.measure_interval(start, end, label=label)
-            for (start, end), label in zip(boundaries, labels)
-        ]

@@ -69,9 +69,3 @@ class PowerModel:
             nic_utilization=nic_util,
             disk_utilization=disk_util,
         )
-
-    def energy_over(self, window: Tuple[float, float]) -> float:
-        """Energy in joules consumed over ``window``."""
-        start, end = window
-        duration = max(0.0, end - start)
-        return self.power_over(window).watts * duration

@@ -6,11 +6,11 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.chaincode.lifecycle import ChaincodeRegistry
-from repro.chaincode.shim import Chaincode
+from repro.chaincode.hyperprov import HyperProvChaincode
 from repro.common.errors import ConfigurationError
 from repro.consensus.batching import BatchConfig
 from repro.membership.msp import MSP
-from repro.membership.policies import Policy
+from repro.membership.policies import MajorityPolicy
 
 
 @dataclass
@@ -42,8 +42,8 @@ class Channel:
 
     def instantiate_chaincode(
         self,
-        chaincode: Chaincode,
-        endorsement_policy: Policy,
+        chaincode: HyperProvChaincode,
+        endorsement_policy: MajorityPolicy,
         version: str = "1.0",
         install_on: Optional[List[str]] = None,
     ) -> None:

@@ -28,7 +28,7 @@ from repro.common.errors import (
     NotFoundError,
 )
 from repro.common.events import EventBus
-from repro.common.ids import DeterministicIdGenerator
+from repro.common.ids import IdGenerator
 from repro.common.metrics import MetricsRegistry
 from repro.common.tenancy import TENANT_PREFIX, tenant_of_prefix
 from repro.consensus.base import OrderingService
@@ -97,7 +97,7 @@ class ChannelShard:
     #: shard mints the same ids whether it runs alone in a worker process
     #: or next to its siblings on one engine (tx-id length feeds proposal
     #: ``size_bytes``, so ids must match for virtual times to match).
-    tx_ids: Optional[DeterministicIdGenerator] = None
+    tx_ids: Optional[IdGenerator] = None
 
 
 class FabricNetwork:
@@ -131,7 +131,7 @@ class FabricNetwork:
         self.orderer_node = orderer_node
         self.orderer_device = orderer_device
         self._clients: Dict[str, _ClientContext] = {}
-        self._tx_ids = DeterministicIdGenerator("tx")
+        self._tx_ids = IdGenerator("tx")
         self._shards: List[ChannelShard] = []
         #: tx-id → owning client context of every handle awaiting commit,
         #: so a block completes its handles with an O(block txs) lookup.
@@ -344,7 +344,7 @@ class FabricNetwork:
         interleaving — a prerequisite for running the shard alone in a
         worker process and still minting byte-identical transactions.
         """
-        self.shard(shard).tx_ids = DeterministicIdGenerator(namespace)
+        self.shard(shard).tx_ids = IdGenerator(namespace)
 
     def register_pending(
         self, context: _ClientContext, handle: TransactionHandle

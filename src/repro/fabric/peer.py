@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.chaincode.shim import Chaincode, ChaincodeResponse, ChaincodeStub
+from repro.chaincode.hyperprov import HyperProvChaincode
+from repro.chaincode.shim import ChaincodeResponse, ChaincodeStub
 from repro.common.errors import ChaincodeError, EndorsementError
 from repro.common.metrics import Counter, Histogram, MetricsRegistry
 from repro.devices.model import DeviceModel
@@ -67,12 +68,12 @@ class SharedSimulation:
 
     def __init__(self, proposal: Proposal) -> None:
         self.proposal = proposal
-        self.chaincode: Optional[Chaincode] = None
+        self.chaincode: Optional[HyperProvChaincode] = None
         self.stub: Optional[ChaincodeStub] = None
         self.result: Optional[ChaincodeResponse] = None
 
     def holds_for(
-        self, proposal: Proposal, chaincode: Chaincode, world_state: WorldState
+        self, proposal: Proposal, chaincode: HyperProvChaincode, world_state: WorldState
     ) -> bool:
         """Whether a replica with this ``world_state`` would get the same run."""
         if (
@@ -308,7 +309,7 @@ class Peer:
 
     def _simulate(
         self,
-        chaincode: Chaincode,
+        chaincode: HyperProvChaincode,
         proposal: Proposal,
         shared: Optional[SharedSimulation],
     ) -> Tuple[ChaincodeStub, ChaincodeResponse]:

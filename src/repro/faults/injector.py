@@ -52,7 +52,6 @@ class FaultInjector:
         self.rng = DeterministicRandom(plan.seed).fork("faults")
         #: Chronological record of every injection actually applied.
         self.log: List[Dict[str, Any]] = []
-        self._events: List[Any] = []
         self._installed = False
 
     # ------------------------------------------------------------- install
@@ -68,44 +67,34 @@ class FaultInjector:
             | {fault.end_s for fault in window_faults}
         )
         for boundary in boundaries:
-            self._events.append(
-                self.engine.schedule_at(
-                    boundary,
-                    lambda at=boundary: self._apply_partition_state(at),
-                    label=f"fault:partition@{boundary}",
-                )
+            self.engine.schedule_at(
+                boundary,
+                lambda at=boundary: self._apply_partition_state(at),
+                label=f"fault:partition@{boundary}",
             )
 
         for crash in self.plan.of_type(PeerCrashFault):
-            self._events.append(
-                self.engine.schedule_at(
-                    crash.start_s,
-                    lambda fault=crash: self._crash(fault),
-                    label=f"fault:crash:{crash.peer}",
-                )
+            self.engine.schedule_at(
+                crash.start_s,
+                lambda fault=crash: self._crash(fault),
+                label=f"fault:crash:{crash.peer}",
             )
-            self._events.append(
-                self.engine.schedule_at(
-                    crash.end_s,
-                    lambda fault=crash: self._restart(fault),
-                    label=f"fault:restart:{crash.peer}",
-                )
+            self.engine.schedule_at(
+                crash.end_s,
+                lambda fault=crash: self._restart(fault),
+                label=f"fault:restart:{crash.peer}",
             )
 
         for stall in self.plan.of_type(OrdererStallFault):
-            self._events.append(
-                self.engine.schedule_at(
-                    stall.start_s,
-                    lambda fault=stall: self._stall(fault),
-                    label=f"fault:stall:{stall.shard}",
-                )
+            self.engine.schedule_at(
+                stall.start_s,
+                lambda fault=stall: self._stall(fault),
+                label=f"fault:stall:{stall.shard}",
             )
-            self._events.append(
-                self.engine.schedule_at(
-                    stall.end_s,
-                    lambda fault=stall: self._resume(fault),
-                    label=f"fault:resume:{stall.shard}",
-                )
+            self.engine.schedule_at(
+                stall.end_s,
+                lambda fault=stall: self._resume(fault),
+                label=f"fault:resume:{stall.shard}",
             )
 
         for link in self.plan.of_type(LinkDegradeFault):
@@ -129,20 +118,12 @@ class FaultInjector:
             )
 
         for byz in self.plan.of_type(ByzantineFault):
-            self._events.append(
-                self.engine.schedule_at(
-                    byz.at_s,
-                    lambda fault=byz: self._tamper(fault),
-                    label=f"fault:byzantine:{byz.peer}",
-                )
+            self.engine.schedule_at(
+                byz.at_s,
+                lambda fault=byz: self._tamper(fault),
+                label=f"fault:byzantine:{byz.peer}",
             )
         return self
-
-    def uninstall(self) -> None:
-        """Cancel every not-yet-fired injection (the log is kept)."""
-        for event in self._events:
-            event.cancel()
-        self._events.clear()
 
     # ------------------------------------------------- partition boundaries
     def _active_windows(self, at: float) -> List[Tuple[Tuple[str, ...], ...]]:

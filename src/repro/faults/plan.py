@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Tuple, Type, Union
+from typing import Set, Tuple, Type, Union
 
 from repro.common.errors import ConfigurationError
 
@@ -60,6 +60,14 @@ class PartitionFault:
         _check_window("PartitionFault", self.start_s, self.end_s)
         if not self.groups or all(not group for group in self.groups):
             raise ConfigurationError("PartitionFault: needs at least one named node")
+        seen: Set[str] = set()
+        for node in (node for group in self.groups for node in group):
+            if node in seen:
+                # The injector would silently place it in the last group.
+                raise ConfigurationError(
+                    f"PartitionFault: node {node!r} is named in more than one group"
+                )
+            seen.add(node)
 
 
 @dataclass(frozen=True)

@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.common.hashing import sha256_hex
 from repro.common.serialization import canonical_json
-from repro.crypto.merkle import MerkleTree
+from repro.crypto.merkle import merkle_root
 from repro.ledger.transaction import Transaction, TxValidationCode
 
 
@@ -67,11 +67,10 @@ class Block:
         orderer: str = "",
     ) -> "Block":
         """Assemble a block, computing the Merkle data hash over the txs."""
-        tree = MerkleTree.from_leaf_hashes([tx.digest() for tx in transactions])
         header = BlockHeader(
             number=number,
             previous_hash=previous_hash,
-            data_hash=tree.root,
+            data_hash=merkle_root([tx.digest() for tx in transactions]),
             timestamp=timestamp,
         )
         return cls(header=header, transactions=transactions, orderer=orderer)
@@ -101,42 +100,15 @@ class Block:
             self._size = sum(tx.size_bytes for tx in self.transactions) + 256
         return self._size
 
-    def merkle_tree(self) -> MerkleTree:
-        """(Re)build the Merkle tree over the block's transactions.
+    def verify_data_hash(self) -> bool:
+        """Check that the header's data hash matches the transactions.
 
         Leaf hashes are the transaction digests (``sha256(envelope)``), so
         sealed envelopes contribute their cached digest while tampered
         (unsealed) clones are re-serialized and re-hashed — mutations stay
-        visible to :meth:`verify_data_hash`.
+        visible here.
         """
-        return MerkleTree.from_leaf_hashes([tx.digest() for tx in self.transactions])
-
-    def verify_data_hash(self) -> bool:
-        """Check that the header's data hash matches the transactions."""
-        return self.merkle_tree().root == self.header.data_hash
-
-    def valid_transactions(self) -> List[Transaction]:
-        """Transactions marked VALID by the committer (all, if not yet validated)."""
-        if not self.validation_flags:
-            return list(self.transactions)
-        return [
-            tx
-            for tx, flag in zip(self.transactions, self.validation_flags)
-            if flag is TxValidationCode.VALID
-        ]
-
-    def validation_summary(self) -> Dict[str, int]:
-        """Count of transactions per validation code."""
-        summary: Dict[str, int] = {}
-        for flag in self.validation_flags:
-            summary[flag.value] = summary.get(flag.value, 0) + 1
-        return summary
-
-    def find_transaction(self, tx_id: str) -> Optional[Transaction]:
-        for tx in self.transactions:
-            if tx.tx_id == tx_id:
-                return tx
-        return None
+        return merkle_root([tx.digest() for tx in self.transactions]) == self.header.data_hash
 
     def tamper(self, tx_position: int) -> Transaction:
         """Copy-on-write hook: make one transaction of *this* block mutable.

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import List
 
 from repro.common.errors import NotFoundError, ValidationError
 from repro.ledger.block import Block
-from repro.ledger.transaction import Transaction
 
 GENESIS_PREVIOUS_HASH = "0" * 64
 
@@ -16,7 +15,6 @@ class BlockStore:
 
     def __init__(self) -> None:
         self._blocks: List[Block] = []
-        self._tx_index: Dict[str, Tuple[int, int]] = {}
 
     # ------------------------------------------------------------------ write
     def append(self, block: Block, data_hash_verified: bool = False) -> None:
@@ -43,8 +41,6 @@ class BlockStore:
             )
         if not data_hash_verified and not block.verify_data_hash():
             raise ValidationError(f"block {block.number} data hash does not match its transactions")
-        for position, tx in enumerate(block.transactions):
-            self._tx_index[tx.tx_id] = (block.number, position)
         self._blocks.append(block)
 
     # ------------------------------------------------------------------- read
@@ -61,31 +57,6 @@ class BlockStore:
         if not 0 <= number < len(self._blocks):
             raise NotFoundError(f"block {number} does not exist (height={self.height})")
         return self._blocks[number]
-
-    def latest_block(self) -> Optional[Block]:
-        return self._blocks[-1] if self._blocks else None
-
-    def __iter__(self) -> Iterator[Block]:
-        return iter(self._blocks)
-
-    def blocks(self) -> List[Block]:
-        return list(self._blocks)
-
-    def find_transaction(self, tx_id: str) -> Optional[Transaction]:
-        """Locate a transaction anywhere in the chain by its id."""
-        location = self._tx_index.get(tx_id)
-        if location is None:
-            return None
-        block_number, position = location
-        return self._blocks[block_number].transactions[position]
-
-    def transaction_location(self, tx_id: str) -> Optional[Tuple[int, int]]:
-        """``(block_number, tx_position)`` of a committed transaction."""
-        return self._tx_index.get(tx_id)
-
-    @property
-    def total_transactions(self) -> int:
-        return len(self._tx_index)
 
     # ------------------------------------------------------------ verification
     def verify_chain(self) -> bool:

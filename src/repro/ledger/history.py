@@ -92,14 +92,5 @@ class HistoryDatabase:
         """All modifications of ``key`` in commit order (oldest first)."""
         return list(self._entries.get(key, []))
 
-    def latest(self, key: str) -> Optional[HistoryEntry]:
-        """The most recent modification of ``key``."""
-        entries = self._entries.get(key)
-        return entries[-1] if entries else None
-
-    def version_count(self, key: str) -> int:
-        """How many times ``key`` has been written."""
-        return len(self._entries.get(key, []))
-
     def keys(self) -> List[str]:
         return list(self._sorted_keys)

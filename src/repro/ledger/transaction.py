@@ -106,10 +106,6 @@ class ReadWriteSet:
             raise SealedEnvelopeError(f"cannot rebind {name!r} on a sealed rw-set")
         object.__setattr__(self, name, value)
 
-    @property
-    def sealed(self) -> bool:
-        return self._sealed
-
     def seal(self) -> "ReadWriteSet":
         """Freeze the rw-set; further ``add_read``/``add_write`` calls raise."""
         if not self._sealed:
@@ -286,15 +282,7 @@ class Transaction:
             )
         object.__setattr__(self, name, value)
 
-    @property
-    def is_valid(self) -> bool:
-        return self.validation_code is TxValidationCode.VALID
-
     # ------------------------------------------------------------ seal/tamper
-    @property
-    def sealed(self) -> bool:
-        return self._sealed
-
     def seal(self) -> "Transaction":
         """Freeze the envelope so its digest and size can be cached forever.
 

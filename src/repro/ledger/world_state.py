@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_left, bisect_right, insort
 from itertools import chain
-from typing import Any, Dict, Iterator, List, Optional, Protocol, Set, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.ledger.scan import row_size
 from repro.ledger.transaction import ReadSetEntry, Version, canonical_read
@@ -167,21 +167,6 @@ class _SortedKeyIndex:
             self._dead = set()
 
 
-class SecondaryIndex(Protocol):
-    """What :class:`WorldState` needs from an attached field-value index.
-
-    The concrete implementation lives in :mod:`repro.query.indexes`; the
-    ledger only requires the maintenance half of the contract so the
-    dependency arrow keeps pointing query → ledger, never back.
-    """
-
-    def update(self, key: str, value: str) -> None:
-        """(Re-)index ``key`` after a committed put of ``value``."""
-
-    def remove(self, key: str) -> None:
-        """Drop every posting for ``key`` after a committed delete."""
-
-
 class WorldState:
     """Versioned key/value store with range and composite-key queries."""
 
@@ -201,16 +186,20 @@ class WorldState:
             {} if prefix_index else None
         )
         #: optional field-value secondary index, maintained transactionally
-        #: with every committed put/delete (see ``attach_secondary_index``).
-        self._secondary: Optional[SecondaryIndex] = None
+        #: with every committed put/delete (see ``attach_secondary_index``):
+        #: a ``repro.query.indexes.FieldValueIndex``, of which the ledger
+        #: calls only ``update(key, value)`` and ``remove(key)``.  It is
+        #: untyped here so the dependency arrow keeps pointing
+        #: query → ledger, never back.
+        self._secondary: Optional[Any] = None
         self.writes_applied = 0
 
     @property
-    def secondary_index(self) -> Optional[SecondaryIndex]:
+    def secondary_index(self) -> Optional[Any]:
         """The attached field-value index, if any (read path introspection)."""
         return self._secondary
 
-    def attach_secondary_index(self, index: Optional[SecondaryIndex]) -> None:
+    def attach_secondary_index(self, index: Optional[Any]) -> None:
         """Attach (or detach, with ``None``) a field-value secondary index.
 
         Existing committed state is reindexed immediately, so an index
@@ -224,10 +213,6 @@ class WorldState:
     def get(self, key: str) -> Optional[VersionedValue]:
         """The latest committed value for ``key``, or ``None``."""
         return self._data.get(key)
-
-    def get_value(self, key: str) -> Optional[str]:
-        entry = self._data.get(key)
-        return entry.value if entry else None
 
     def get_version(self, key: str) -> Optional[Version]:
         entry = self._data.get(key)
@@ -278,41 +263,24 @@ class WorldState:
             bucket = self._buckets[segment] = _SortedKeyIndex()
         return bucket
 
-    def __contains__(self, key: str) -> bool:
-        return key in self._data
-
     def __len__(self) -> int:
         return len(self._data)
 
-    def keys(self) -> List[str]:
-        return [entry.key for entry in self._range("", "")]
-
-    def items(self) -> Iterator[Tuple[str, VersionedValue]]:
-        return ((entry.key, entry) for entry in self._range("", ""))
-
-    def range_query(self, start_key: str, end_key: str) -> List[Tuple[str, str]]:
-        """All ``(key, value)`` pairs with ``start_key <= key < end_key``.
+    def range_query_versioned(self, start_key: str, end_key: str) -> List[VersionedValue]:
+        """The committed versions (they carry ``.key``) with ``start_key <= key < end_key``.
 
         An empty ``end_key`` means "to the end of the key space", matching
         Fabric's ``GetStateByRange`` semantics.
         """
-        return [(entry.key, entry.value) for entry in self._range(start_key, end_key)]
-
-    def range_query_versioned(self, start_key: str, end_key: str) -> List[VersionedValue]:
-        """Range query returning the committed versions (they carry ``.key``)."""
         return list(self._range(start_key, end_key))
 
-    def query_by_prefix(self, prefix: str) -> List[Tuple[str, str]]:
-        """All pairs whose key starts with ``prefix`` (composite-key lookups).
+    def query_by_prefix_versioned(self, prefix: str) -> List[VersionedValue]:
+        """The committed versions whose key starts with ``prefix``.
 
         Served from the secondary prefix index when the queried prefix is
         contained in a single first-segment bucket, otherwise from the
         main sorted index (same complexity, larger constant).
         """
-        return [(entry.key, entry.value) for entry in self._prefix_run(prefix)]
-
-    def query_by_prefix_versioned(self, prefix: str) -> List[VersionedValue]:
-        """Prefix query returning the committed versions (they carry ``.key``)."""
         return list(self._prefix_run(prefix))
 
     def prefix_key_estimate(self, prefix: str) -> int:

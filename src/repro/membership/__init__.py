@@ -4,28 +4,16 @@ Permissioned blockchains differ from public ones precisely here: every
 participant holds an identity issued by an organization's certificate
 authority, and policies over those organizations gate endorsement and
 channel access.  This package models organizations, enrolled identities,
-the MSP validation rules and signature policies.
+the MSP validation rules and the majority endorsement policy.
 """
 
 from repro.membership.identity import Identity, Organization
 from repro.membership.msp import MSP
-from repro.membership.policies import (
-    Policy,
-    SignaturePolicy,
-    AndPolicy,
-    OrPolicy,
-    OutOfPolicy,
-    majority_of,
-)
+from repro.membership.policies import MajorityPolicy
 
 __all__ = [
     "Identity",
     "Organization",
     "MSP",
-    "Policy",
-    "SignaturePolicy",
-    "AndPolicy",
-    "OrPolicy",
-    "OutOfPolicy",
-    "majority_of",
+    "MajorityPolicy",
 ]

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict
 
-from repro.common.errors import NotFoundError
 from repro.crypto.certificates import Certificate, CertificateAuthority
 from repro.crypto.keys import KeyPair
 
@@ -51,23 +50,5 @@ class Organization:
         self._identities[identity_name] = identity
         return identity
 
-    def get_identity(self, identity_name: str) -> Identity:
-        """Return a previously enrolled identity or raise ``NotFoundError``."""
-        identity = self._identities.get(identity_name)
-        if identity is None:
-            raise NotFoundError(
-                f"identity {identity_name!r} is not enrolled with organization {self.name!r}"
-            )
-        return identity
-
-    def revoke(self, identity_name: str) -> None:
-        """Revoke an identity's certificate (it will fail MSP validation)."""
-        identity = self.get_identity(identity_name)
-        self.ca.revoke(identity.certificate)
-
-    @property
-    def identity_count(self) -> int:
-        return len(self._identities)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"Organization({self.name!r}, identities={self.identity_count})"
+        return f"Organization({self.name!r}, identities={len(self._identities)})"

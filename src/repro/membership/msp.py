@@ -8,9 +8,9 @@ valid and unrevoked, and to verify signatures produced by those identities.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List
+from typing import Dict, Iterable
 
-from repro.common.errors import CryptoError, NotFoundError
+from repro.common.errors import CryptoError
 from repro.crypto.certificates import Certificate
 from repro.crypto.keys import verify
 from repro.membership.identity import Organization
@@ -27,20 +27,6 @@ class MSP:
     def add_organization(self, organization: Organization) -> None:
         """Admit an organization (its CA becomes a trust anchor)."""
         self._organizations[organization.name] = organization
-
-    def remove_organization(self, name: str) -> None:
-        """Expel an organization; its members immediately fail validation."""
-        self._organizations.pop(name, None)
-
-    def organization(self, name: str) -> Organization:
-        org = self._organizations.get(name)
-        if org is None:
-            raise NotFoundError(f"organization {name!r} is not part of this MSP")
-        return org
-
-    @property
-    def organization_names(self) -> List[str]:
-        return sorted(self._organizations)
 
     def validate_certificate(self, certificate: Certificate) -> bool:
         """Return ``True`` iff the certificate chains to a trusted, unrevoked CA."""
@@ -64,12 +50,3 @@ class MSP:
         if not self.validate_certificate(certificate):
             return False
         return verify(certificate.public_key, message, signature)
-
-    def member_organizations_of(self, certificates: Iterable[Certificate]) -> List[str]:
-        """Distinct organizations represented by a set of valid certificates."""
-        orgs = {
-            cert.organization
-            for cert in certificates
-            if self.validate_certificate(cert)
-        }
-        return sorted(orgs)

@@ -1,116 +1,31 @@
-"""Signature policies (Fabric endorsement-policy style).
+"""The endorsement policy: Fabric's default majority of the consortium.
 
 A policy is evaluated against the set of organizations whose valid
-signatures were collected for a proposal.  Policies compose:
-
-* :class:`SignaturePolicy` — a single organization must have signed,
-* :class:`AndPolicy` — all sub-policies must be satisfied,
-* :class:`OrPolicy` — at least one sub-policy must be satisfied,
-* :class:`OutOfPolicy` — at least *n* of the sub-policies must be satisfied.
-
-``majority_of(orgs)`` builds the common "majority of the consortium" rule.
+signatures were collected for a proposal.  ``MajorityPolicy(orgs)`` is
+the one policy every channel uses.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
-from typing import Iterable, List, Sequence, Set
+from typing import Sequence, Set
+
+from repro.common.errors import ConfigurationError
 
 
-class Policy(ABC):
-    """Base class for signature policies."""
+class MajorityPolicy:
+    """A strict majority of the listed organizations must have signed.
 
-    @abstractmethod
-    def evaluate(self, signed_organizations: Set[str]) -> bool:
-        """Return ``True`` iff the policy is satisfied by these signers."""
+    Each listed organization counts once per listing, as Fabric's
+    ``NOutOf`` over one signature rule per organization does.
+    """
 
-    @abstractmethod
-    def describe(self) -> str:
-        """Human-readable policy expression (used in logs and reports)."""
-
-    def __call__(self, signed_organizations: Iterable[str]) -> bool:
-        return self.evaluate(set(signed_organizations))
-
-
-class SignaturePolicy(Policy):
-    """Requires a signature from one specific organization."""
-
-    def __init__(self, organization: str) -> None:
-        self.organization = organization
+    def __init__(self, organizations: Sequence[str]) -> None:
+        if not organizations:
+            raise ConfigurationError("cannot build a majority policy over zero organizations")
+        self.organizations = tuple(organizations)
+        self.threshold = len(self.organizations) // 2 + 1
 
     def evaluate(self, signed_organizations: Set[str]) -> bool:
-        return self.organization in signed_organizations
-
-    def describe(self) -> str:
-        return f"Org({self.organization})"
-
-
-class AndPolicy(Policy):
-    """All sub-policies must hold."""
-
-    def __init__(self, *children: Policy) -> None:
-        if not children:
-            raise ValueError("AndPolicy requires at least one child policy")
-        self.children: Sequence[Policy] = children
-
-    def evaluate(self, signed_organizations: Set[str]) -> bool:
-        return all(child.evaluate(signed_organizations) for child in self.children)
-
-    def describe(self) -> str:
-        return "AND(" + ", ".join(c.describe() for c in self.children) + ")"
-
-
-class OrPolicy(Policy):
-    """At least one sub-policy must hold."""
-
-    def __init__(self, *children: Policy) -> None:
-        if not children:
-            raise ValueError("OrPolicy requires at least one child policy")
-        self.children: Sequence[Policy] = children
-
-    def evaluate(self, signed_organizations: Set[str]) -> bool:
-        return any(child.evaluate(signed_organizations) for child in self.children)
-
-    def describe(self) -> str:
-        return "OR(" + ", ".join(c.describe() for c in self.children) + ")"
-
-
-class OutOfPolicy(Policy):
-    """At least ``threshold`` of the sub-policies must hold (Fabric's NOutOf)."""
-
-    def __init__(self, threshold: int, children: Sequence[Policy]) -> None:
-        if threshold < 1:
-            raise ValueError("threshold must be at least 1")
-        if threshold > len(children):
-            raise ValueError("threshold cannot exceed the number of child policies")
-        self.threshold = threshold
-        self.children: List[Policy] = list(children)
-
-    def evaluate(self, signed_organizations: Set[str]) -> bool:
-        satisfied = sum(
-            1 for child in self.children if child.evaluate(signed_organizations)
-        )
+        """Return ``True`` iff enough listed organizations signed."""
+        satisfied = sum(1 for org in self.organizations if org in signed_organizations)
         return satisfied >= self.threshold
-
-    def describe(self) -> str:
-        inner = ", ".join(c.describe() for c in self.children)
-        return f"OutOf({self.threshold}, [{inner}])"
-
-
-def majority_of(organizations: Sequence[str]) -> OutOfPolicy:
-    """Policy requiring signatures from a strict majority of ``organizations``."""
-    if not organizations:
-        raise ValueError("cannot build a majority policy over zero organizations")
-    children = [SignaturePolicy(org) for org in organizations]
-    threshold = len(organizations) // 2 + 1
-    return OutOfPolicy(threshold, children)
-
-
-def any_of(organizations: Sequence[str]) -> OrPolicy:
-    """Policy satisfied by a signature from any one of ``organizations``."""
-    return OrPolicy(*[SignaturePolicy(org) for org in organizations])
-
-
-def all_of(organizations: Sequence[str]) -> AndPolicy:
-    """Policy requiring signatures from every one of ``organizations``."""
-    return AndPolicy(*[SignaturePolicy(org) for org in organizations])

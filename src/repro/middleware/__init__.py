@@ -32,8 +32,6 @@ from repro.middleware.sharding import (
 from repro.middleware.tenancy import (
     AdmissionControlMiddleware,
     TenantPrefixMiddleware,
-    namespace_key,
-    strip_namespace,
     tenant_namespace,
 )
 from repro.middleware.tracing import RequestIdMiddleware
@@ -55,8 +53,6 @@ __all__ = [
     "AdmissionControlMiddleware",
     "TenantPrefixMiddleware",
     "tenant_namespace",
-    "namespace_key",
-    "strip_namespace",
     "PipelineConfig",
     "build_client_pipeline",
 ]

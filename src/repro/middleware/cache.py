@@ -9,7 +9,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from contextlib import ExitStack
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Any, Dict, FrozenSet, Optional, Set, Tuple
 
 from repro.common.errors import ConfigurationError, NetworkError
 from repro.common.events import EventBus
@@ -113,12 +113,6 @@ class ReadCacheStore:
         self._entries.clear()
         self._dependents.clear()
         self._broad.clear()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def keys(self) -> List[CacheKey]:
-        return list(self._entries.keys())
 
 
 class ReadCacheMiddleware(Middleware):
@@ -250,10 +244,3 @@ class ReadCacheMiddleware(Middleware):
                 continue
             for write in rw_set.writes:
                 self.invalidate_key(write.key)
-
-    # -------------------------------------------------------- introspection
-    def __len__(self) -> int:
-        return len(self.store)
-
-    def cached_keys(self) -> List[CacheKey]:
-        return self.store.keys()

@@ -15,7 +15,7 @@ from typing import Callable, List, Optional, Tuple
 
 from repro.common.errors import ConfigurationError, ValidationError
 from repro.common.events import EventBus
-from repro.common.ids import DeterministicIdGenerator
+from repro.common.ids import IdGenerator
 from repro.common.metrics import MetricsRegistry
 from repro.consensus.scheduler import SCHEDULER_NAMES
 from repro.middleware.base import Handler, Middleware, TransactionPipeline
@@ -113,7 +113,7 @@ def build_client_pipeline(
     clock: Optional[Callable[[], float]] = None,
     events: Optional[EventBus] = None,
     metrics: Optional[MetricsRegistry] = None,
-    id_generator: Optional[DeterministicIdGenerator] = None,
+    id_generator: Optional[IdGenerator] = None,
     engine: Optional[SimulationEngine] = None,
     placement: Optional[Placement] = None,
 ) -> TransactionPipeline:

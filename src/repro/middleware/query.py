@@ -14,7 +14,6 @@ the same way ``order_batch_size`` and ``scheduler`` are applied.
 
 from __future__ import annotations
 
-import json
 from typing import Any, Iterable, Optional, Tuple
 
 from repro.common.metrics import MetricsRegistry
@@ -35,21 +34,15 @@ class QueryPlannerMiddleware(Middleware):
         self,
         indexes: Iterable[str],
         metrics: Optional[MetricsRegistry] = None,
-        explain: bool = False,
     ) -> None:
         #: The index fields this pipeline expects the deployment to maintain.
         self.indexes: Tuple[str, ...] = validate_index_fields(indexes)
         self.metrics = metrics
-        #: Force ``_explain`` into every selector so plans are always
-        #: surfaced (responses become envelopes; sessions handle both shapes).
-        self.explain = explain
 
     # ------------------------------------------------------------- pipeline
     def handle(self, ctx: Context, call_next: Handler) -> Any:
         if ctx.function != "query" or not ctx.is_read or not ctx.args:
             return call_next(ctx)
-        if self.explain:
-            self._force_explain(ctx)
         result = call_next(ctx)
         plan = self._extract_plan(result)
         if plan is not None:
@@ -58,15 +51,6 @@ class QueryPlannerMiddleware(Middleware):
                 path = plan.get("access_path", "unknown")
                 self.metrics.counter(f"query.plan.{path}").inc()
         return result
-
-    def _force_explain(self, ctx: Context) -> None:
-        try:
-            selector = json.loads(ctx.args[0])
-        except (TypeError, ValueError):
-            return  # malformed: let the chaincode reject it
-        if not isinstance(selector, dict) or selector.get("_explain") is True:
-            return
-        ctx.args[0] = json.dumps({**selector, "_explain": True}, sort_keys=True)
 
     @staticmethod
     def _extract_plan(result: Any) -> Optional[dict]:

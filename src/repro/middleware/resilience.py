@@ -74,11 +74,6 @@ class StoreAndForwardMiddleware(Middleware):
         self._replay_event = None
         self._sequence = 0
 
-    @property
-    def queued(self) -> int:
-        """Writes currently parked awaiting replay."""
-        return len(self._queue)
-
     def handle(self, ctx: Context, call_next: Handler) -> Any:
         if not ctx.is_write:
             return call_next(ctx)

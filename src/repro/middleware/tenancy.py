@@ -30,10 +30,6 @@ from repro.common.errors import (
     ValidationError,
 )
 from repro.common.metrics import MetricsRegistry
-# ``repro.common.tenancy`` is the canonical home; the two helpers this
-# module does not use itself are re-exported for its importers.
-from repro.common.tenancy import namespace_key as namespace_key
-from repro.common.tenancy import strip_namespace as strip_namespace
 from repro.common.tenancy import namespace_end, tenant_namespace
 from repro.middleware.base import Handler, Middleware
 from repro.middleware.context import Context

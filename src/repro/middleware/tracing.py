@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from repro.common.events import EventBus
-from repro.common.ids import DeterministicIdGenerator
+from repro.common.ids import IdGenerator
 from repro.middleware.base import Handler, Middleware
 from repro.middleware.context import Context
 
@@ -26,10 +26,10 @@ class RequestIdMiddleware(Middleware):
 
     def __init__(
         self,
-        id_generator: Optional[DeterministicIdGenerator] = None,
+        id_generator: Optional[IdGenerator] = None,
         events: Optional[EventBus] = None,
     ) -> None:
-        self._ids = id_generator or DeterministicIdGenerator("req")
+        self._ids = id_generator or IdGenerator("req")
         self.events = events
 
     def handle(self, ctx: Context, call_next: Handler) -> Any:

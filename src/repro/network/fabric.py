@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.common.errors import NotFoundError, PartitionError
-from repro.common.ids import DeterministicIdGenerator
+from repro.common.errors import ConfigurationError, NotFoundError, PartitionError
+from repro.common.ids import IdGenerator
 from repro.common.metrics import MetricsRegistry
 from repro.network.link import Link, LinkProfile, GIGABIT_LAN
 from repro.network.partitions import PartitionManager
@@ -93,7 +93,7 @@ class NetworkFabric:
         self._handlers: Dict[str, MessageHandler] = {}
         self._links: Dict[Tuple[str, str], Link] = {}
         self._node_profiles: Dict[str, LinkProfile] = {}
-        self._ids = DeterministicIdGenerator("msg")
+        self._ids = IdGenerator("msg")
         self._bytes_by_node: Dict[str, int] = {}
         # Unknown-site partitions must raise, not no-op (chaos-plan typos).
         self.partitions.bind_known_nodes(lambda: self._handlers.keys())
@@ -112,12 +112,6 @@ class NetworkFabric:
         self._handlers[name] = handler or (lambda message: None)
         self._node_profiles[name] = profile or self.default_profile
         self._bytes_by_node.setdefault(name, 0)
-
-    def set_handler(self, name: str, handler: MessageHandler) -> None:
-        """Replace the inbound handler for a registered node."""
-        if name not in self._handlers:
-            raise NotFoundError(f"node {name!r} is not registered on the network")
-        self._handlers[name] = handler
 
     @property
     def nodes(self) -> Tuple[str, ...]:
@@ -159,7 +153,7 @@ class NetworkFabric:
         if destination not in self._handlers:
             raise NotFoundError(f"destination node {destination!r} is not registered")
         if end_s < start_s:
-            raise ValueError(f"link fault window [{start_s}, {end_s}) is inverted")
+            raise ConfigurationError(f"link fault window [{start_s}, {end_s}) is inverted")
         fault = LinkFault(
             source=source,
             destination=destination,

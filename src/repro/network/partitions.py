@@ -8,9 +8,9 @@ the node set into groups, check reachability and heal partitions.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set
+from typing import Callable, Dict, Iterable, Optional, Sequence
 
-from repro.common.errors import NotFoundError
+from repro.common.errors import ConfigurationError, NotFoundError
 
 
 class PartitionManager:
@@ -52,7 +52,7 @@ class PartitionManager:
         for index, group in enumerate(groups):
             for node in group:
                 if node in staged:
-                    raise ValueError(f"node {node!r} appears in more than one group")
+                    raise ConfigurationError(f"node {node!r} appears in more than one group")
                 if known is not None and node not in known:
                     raise NotFoundError(
                         f"cannot partition unknown node {node!r}; "
@@ -75,16 +75,3 @@ class PartitionManager:
         source_group = self._group_of.get(source, implicit_group)
         destination_group = self._group_of.get(destination, implicit_group)
         return source_group == destination_group
-
-    def reachable_from(self, source: str, all_nodes: Iterable[str]) -> List[str]:
-        """All nodes from ``all_nodes`` that ``source`` can currently reach."""
-        return [node for node in all_nodes if self.can_communicate(source, node)]
-
-    def groups(self) -> List[Set[str]]:
-        """The explicit groups currently installed."""
-        if not self._partitioned:
-            return []
-        grouped: Dict[int, Set[str]] = {}
-        for node, index in self._group_of.items():
-            grouped.setdefault(index, set()).add(node)
-        return [grouped[key] for key in sorted(grouped)]

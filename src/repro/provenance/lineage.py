@@ -32,10 +32,6 @@ class LineageReport:
     def ancestor_count(self) -> int:
         return len(self.ancestors)
 
-    @property
-    def descendant_count(self) -> int:
-        return len(self.descendants)
-
 
 def _distances(start: str, edges: Dict[str, Set[str]]) -> Dict[str, int]:
     """Breadth-first distance from ``start`` to every node it reaches."""

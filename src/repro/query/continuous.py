@@ -159,10 +159,6 @@ class ContinuousQueryRegistry:
         for query in list(self._queries.values()):
             query.cancel()
 
-    @property
-    def active_count(self) -> int:
-        return len(self._queries)
-
     # ------------------------------------------------------------- delivery
     def _on_block_delivered(self, _topic: str, payload: Any) -> None:
         if not isinstance(payload, dict):

@@ -75,7 +75,12 @@ def validate_index_fields(fields: Iterable[str]) -> Tuple[str, ...]:
 
 
 class FieldValueIndex:
-    """Posting-list index satisfying the ledger's ``SecondaryIndex`` protocol."""
+    """Posting-list index a ``WorldState`` keeps current.
+
+    The world state calls ``update`` after every committed put and
+    ``remove`` after every committed delete; those two methods are all
+    the ledger requires of an attached index.
+    """
 
     def __init__(self, fields: Iterable[str]) -> None:
         self.fields = validate_index_fields(fields)
@@ -173,19 +178,6 @@ class FieldValueIndex:
         """Posting-list size for ``(field, expected)`` (0 when not covered)."""
         keys = self.lookup(field, expected)
         return len(keys) if keys is not None else 0
-
-    # -------------------------------------------------------- introspection
-    @property
-    def indexed_key_count(self) -> int:
-        """Keys currently holding at least one posting."""
-        return len(self._key_terms)
-
-    def posting_sizes(self, field: str) -> Dict[Any, int]:
-        """value → posting size for one field (bench/debug tables)."""
-        return {
-            token: len(keys)
-            for token, keys in self._postings.get(field, {}).items()
-        }
 
 
 #: Shared immutable empty result for covered-but-absent lookups.

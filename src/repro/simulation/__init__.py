@@ -9,7 +9,7 @@ milliseconds of wall-clock time and keeps every run deterministic.
 
 from repro.simulation.clock import VirtualClock
 from repro.simulation.engine import SimulationEngine, Event
-from repro.simulation.resources import SimResource, ResourceBusyError
+from repro.simulation.resources import SimResource
 from repro.simulation.randomness import DeterministicRandom
 
 __all__ = [
@@ -17,6 +17,5 @@ __all__ = [
     "SimulationEngine",
     "Event",
     "SimResource",
-    "ResourceBusyError",
     "DeterministicRandom",
 ]

@@ -32,12 +32,5 @@ class VirtualClock:
         self._now = max(self._now, float(timestamp))
         return self._now
 
-    def advance_by(self, duration: float) -> float:
-        """Advance the clock by ``duration`` seconds (must be >= 0)."""
-        if duration < 0:
-            raise SimulationError("cannot advance the clock by a negative duration")
-        self._now += float(duration)
-        return self._now
-
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"VirtualClock(now={self._now:.6f})"

@@ -124,11 +124,6 @@ class SimulationEngine:
         """Number of events executed so far."""
         return self._processed
 
-    @property
-    def pending_events(self) -> int:
-        """Number of events still queued (including cancelled ones)."""
-        return len(self._queue)
-
     def schedule_at(
         self, timestamp: float, callback: EventCallback, label: str = "", daemon: bool = False
     ) -> Event:
@@ -151,11 +146,6 @@ class SimulationEngine:
         return event
 
     # ------------------------------------------------------------ compaction
-    @property
-    def cancelled_pending(self) -> int:
-        """Cancelled events still occupying heap slots."""
-        return self._cancelled_queued
-
     def _note_cancelled(self, event: Event) -> None:
         """Called by :meth:`Event.cancel`; compacts when the heap is mostly dead."""
         self._cancelled_queued += 1

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from typing import List, TypeVar
+from typing import TypeVar
 
 T = TypeVar("T")
 
@@ -43,12 +43,6 @@ class DeterministicRandom:
 
     def random(self) -> float:
         return self._rng.random()
-
-    def shuffle(self, items: List[T]) -> List[T]:
-        """Return a shuffled copy of ``items`` (does not mutate the input)."""
-        copy = list(items)
-        self._rng.shuffle(copy)
-        return copy
 
     def bytes(self, length: int) -> bytes:
         """Deterministic pseudo-random payload bytes of the given length."""

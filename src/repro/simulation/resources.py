@@ -1,7 +1,7 @@
 """Serially-reusable simulated resources (CPU cores, NICs, disks).
 
-A :class:`SimResource` tracks when it next becomes free and how long it
-has been busy in total.  Callers *reserve* a duration starting no earlier
+A :class:`SimResource` tracks when each of its slots next becomes free.
+Callers *reserve* a duration starting no earlier
 than a requested time; the resource returns the actual start/end times so
 queueing delay is modelled without an explicit waiting queue.
 """
@@ -13,10 +13,6 @@ from typing import NamedTuple, Tuple
 from repro.common.errors import SimulationError
 
 
-class ResourceBusyError(SimulationError):
-    """Raised when a non-blocking reservation cannot be satisfied."""
-
-
 class Reservation(NamedTuple):
     """Outcome of a resource reservation.
 
@@ -26,16 +22,10 @@ class Reservation(NamedTuple):
 
     start: float
     end: float
-    requested_at: float = 0.0
-
-    @property
-    def wait(self) -> float:
-        """Queueing delay experienced before the reservation started."""
-        return max(0.0, self.start - self.requested_at)
 
 
 class SimResource:
-    """A single-server FIFO resource with utilization accounting."""
+    """A FIFO resource with ``concurrency`` server slots."""
 
     def __init__(self, name: str, concurrency: int = 1) -> None:
         if concurrency < 1:
@@ -44,12 +34,6 @@ class SimResource:
         self.concurrency = concurrency
         # Next-free time per logical server slot.
         self._free_at = [0.0] * concurrency
-        self.busy_time = 0.0
-        self.reservations = 0
-
-    def next_free(self) -> float:
-        """Earliest time at which any slot is free."""
-        return min(self._free_at)
 
     def reserve(self, requested_at: float, duration: float) -> Reservation:
         """Reserve ``duration`` seconds starting no earlier than ``requested_at``.
@@ -64,29 +48,7 @@ class SimResource:
         start = max(requested_at, free_at[slot])
         end = start + duration
         self._free_at[slot] = end
-        self.busy_time += duration
-        self.reservations += 1
-        return Reservation(start=start, end=end, requested_at=requested_at)
-
-    def try_reserve(self, requested_at: float, duration: float) -> Reservation:
-        """Reserve only if a slot is free exactly at ``requested_at``."""
-        if self.next_free() > requested_at + 1e-12:
-            raise ResourceBusyError(
-                f"resource {self.name!r} busy until {self.next_free():.6f}"
-            )
-        return self.reserve(requested_at, duration)
-
-    def utilization(self, horizon: float) -> float:
-        """Fraction of ``[0, horizon]`` during which the resource was busy."""
-        if horizon <= 0:
-            return 0.0
-        return min(1.0, self.busy_time / (horizon * self.concurrency))
-
-    def reset(self) -> None:
-        """Forget all reservations (used between benchmark repetitions)."""
-        self._free_at = [0.0] * self.concurrency
-        self.busy_time = 0.0
-        self.reservations = 0
+        return Reservation(start=start, end=end)
 
 
 def interval_overlap(a: Tuple[float, float], b: Tuple[float, float]) -> float:

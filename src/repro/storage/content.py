@@ -1,4 +1,4 @@
-"""Content-addressed naming layer over any storage backend.
+"""Content-addressed naming layer over the SSHFS store.
 
 HyperProv's data pointers are derived from the content checksum, so the
 same payload stored twice resolves to the same location and the on-chain
@@ -7,15 +7,16 @@ record's checksum doubles as the retrieval key.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
-from repro.storage.base import StorageBackend, StorageReceipt, StoredObject
+from repro.common.hashing import checksum_of
+from repro.storage.sshfs import SSHFSStorageBackend, StorageReceipt, StoredObject
 
 
 class ContentAddressedStore:
     """Names objects ``<prefix>/<checksum>`` on an underlying backend."""
 
-    def __init__(self, backend: StorageBackend, prefix: str = "objects") -> None:
+    def __init__(self, backend: SSHFSStorageBackend, prefix: str = "objects") -> None:
         self.backend = backend
         self.prefix = prefix
 
@@ -25,7 +26,7 @@ class ContentAddressedStore:
 
     def put(self, data: bytes, at_time: float = 0.0, **kwargs) -> StorageReceipt:
         """Store ``data`` under its content address (idempotent)."""
-        checksum = self.backend.checksum(data)
+        checksum = checksum_of(data)
         path = self.path_for(checksum)
         if self.backend.exists(path):
             # Already stored: return a zero-cost receipt pointing at it.
@@ -45,11 +46,3 @@ class ContentAddressedStore:
 
     def get_object(self, checksum: str) -> Optional[StoredObject]:
         return self.backend.get_object(self.path_for(checksum))
-
-    def exists(self, checksum: str) -> bool:
-        return self.backend.exists(self.path_for(checksum))
-
-    def list_checksums(self) -> List[str]:
-        """Checksums of every object stored through this layer."""
-        paths = self.backend.list_paths(prefix=self.prefix)
-        return sorted(path.rsplit("/", 1)[-1] for path in paths)

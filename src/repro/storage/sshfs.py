@@ -16,12 +16,13 @@ the shape of Fig. 1 and Fig. 2.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, Optional
 
-from repro.common.errors import ChecksumMismatchError, NotFoundError, StorageError
+from repro.common.errors import ChecksumMismatchError, NotFoundError
+from repro.common.hashing import checksum_of
 from repro.devices.model import DeviceModel
 from repro.network.fabric import NetworkFabric
-from repro.storage.base import StorageBackend, StorageReceipt, StoredObject
 
 
 #: Extra CPU factor for SSH encryption/decryption relative to hashing the
@@ -31,13 +32,37 @@ ENCRYPTION_FACTOR = 0.5
 PROTOCOL_OVERHEAD_S = 0.004
 
 
-class SSHFSStorageBackend(StorageBackend):
+@dataclass(frozen=True)
+class StoredObject:
+    """An object held by the storage node."""
+
+    path: str
+    data: bytes
+    checksum: str
+    stored_at: float = 0.0
+
+    @property
+    def size_bytes(self) -> int:
+        return len(self.data)
+
+
+@dataclass(frozen=True)
+class StorageReceipt:
+    """Result of a store/retrieve operation, including its simulated cost."""
+
+    path: str
+    location: str
+    checksum: str
+    size_bytes: int
+    duration_s: float
+    completed_at: float
+
+
+class SSHFSStorageBackend:
     """Remote store reached over the simulated network.
 
     ``storage_node`` names the network node hosting the SSHFS export.
     """
-
-    scheme = "ssh"
 
     def __init__(
         self,
@@ -53,7 +78,8 @@ class SSHFSStorageBackend(StorageBackend):
             network.register_node(self.storage_node, profile=storage_device.profile.nic)
 
     def location_of(self, path: str) -> str:
-        return f"{self.scheme}://{self.storage_node}/{path}"
+        """The URI recorded on chain as the data pointer."""
+        return f"ssh://{self.storage_node}/{path}"
 
     # ------------------------------------------------------------------ cost
     def _client_side_cost(
@@ -83,7 +109,7 @@ class SSHFSStorageBackend(StorageBackend):
         ``client_device``/``client_node`` identify where the upload
         originates; without them only the storage-side costs are charged.
         """
-        checksum = self.checksum(data)
+        checksum = checksum_of(data)
         cursor = at_time
         cursor += self._client_side_cost(client_device, len(data), cursor)
 
@@ -150,23 +176,3 @@ class SSHFSStorageBackend(StorageBackend):
 
     def exists(self, path: str) -> bool:
         return path in self._objects
-
-    def delete(self, path: str) -> bool:
-        return self._objects.pop(path, None) is not None
-
-    def list_paths(self, prefix: str = "") -> List[str]:
-        return sorted(path for path in self._objects if path.startswith(prefix))
-
-    def total_bytes_stored(self) -> int:
-        """Bytes currently held by the storage node (capacity planning)."""
-        return sum(obj.size_bytes for obj in self._objects.values())
-
-    def verify_integrity(self) -> List[str]:
-        """Re-hash every stored object; returns paths whose checksum drifted."""
-        corrupted = []
-        for path, obj in self._objects.items():
-            if self.checksum(obj.data) != obj.checksum:
-                corrupted.append(path)
-        if corrupted:
-            raise StorageError(f"corrupted objects detected: {corrupted}")
-        return corrupted

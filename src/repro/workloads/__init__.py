@@ -2,8 +2,8 @@
 
 Provides deterministic payload generators for the IoT-at-the-edge use case
 the paper motivates (sensor readings, camera images, processed derivative
-files) and arrival processes (closed-loop and open-loop Poisson) that
-drive the benchmark harness.
+files) and open-loop Poisson arrival timelines that drive the benchmark
+harness.
 """
 
 from repro.workloads.payloads import (
@@ -12,7 +12,7 @@ from repro.workloads.payloads import (
     ImagePayloadGenerator,
     DataItem,
 )
-from repro.workloads.arrivals import ArrivalProcess, ClosedLoopSchedule, PoissonSchedule
+from repro.workloads.arrivals import CohortArrivalPlan, sample_poisson_times
 from repro.workloads.scenarios import (
     IoTPipelineWorkload,
     PipelineStage,
@@ -25,9 +25,8 @@ __all__ = [
     "SensorReadingGenerator",
     "ImagePayloadGenerator",
     "DataItem",
-    "ArrivalProcess",
-    "ClosedLoopSchedule",
-    "PoissonSchedule",
+    "CohortArrivalPlan",
+    "sample_poisson_times",
     "IoTPipelineWorkload",
     "PipelineStage",
     "SkewedTenantWorkload",

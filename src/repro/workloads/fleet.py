@@ -52,7 +52,7 @@ from repro.fabric.peer import Peer
 from repro.fabric.proposal import TransactionHandle
 from repro.membership.identity import Organization
 from repro.membership.msp import MSP
-from repro.membership.policies import majority_of
+from repro.membership.policies import MajorityPolicy
 from repro.network.fabric import NetworkFabric
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.randomness import DeterministicRandom
@@ -234,7 +234,7 @@ def build_fleet(
         for peer in peers:
             fabric.add_peer(peer, shard=index)
         channel.instantiate_chaincode(
-            HyperProvChaincode(), endorsement_policy=majority_of([org.name])
+            HyperProvChaincode(), endorsement_policy=MajorityPolicy([org.name])
         )
         shard_of_site[site] = index
 

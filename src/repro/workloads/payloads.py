@@ -6,6 +6,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, Iterator
 
+from repro.common.errors import ConfigurationError
 from repro.common.hashing import checksum_of
 from repro.simulation.randomness import DeterministicRandom
 
@@ -32,7 +33,7 @@ class PayloadGenerator:
 
     def __init__(self, size_bytes: int, seed: int = 42, prefix: str = "item") -> None:
         if size_bytes < 0:
-            raise ValueError("payload size cannot be negative")
+            raise ConfigurationError("payload size cannot be negative")
         self.size_bytes = size_bytes
         self.prefix = prefix
         self._rng = DeterministicRandom(seed)

@@ -7,6 +7,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.api.protocol import SubmitHandle
 from repro.api.service import ProvenanceSession
+from repro.common.errors import ConfigurationError
 from repro.common.hashing import checksum_of
 from repro.common.metrics import percentile
 from repro.core.client import HyperProvClient
@@ -125,10 +126,6 @@ class IoTPipelineWorkload:
             )
         return results
 
-    @property
-    def total_items(self) -> int:
-        return len(self.raw_posts) + len(self.derived_posts)
-
 
 # --------------------------------------------------------------------------
 # Skewed multi-tenant load (tenant-isolation benches and fairness tests)
@@ -177,9 +174,9 @@ class SkewedTenantWorkload:
         payload_checksum: str = "ab" * 32,
     ) -> None:
         if light_requests < 1:
-            raise ValueError("light_requests must be >= 1")
+            raise ConfigurationError("light_requests must be >= 1")
         if skew < 1:
-            raise ValueError("skew must be >= 1")
+            raise ConfigurationError("skew must be >= 1")
         self.service = service
         self.light_requests = light_requests
         self.heavy_requests = light_requests * skew

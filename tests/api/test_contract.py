@@ -14,6 +14,7 @@ from repro.api import HyperProvService, ProvenanceStore, StoreRequest
 from repro.baselines.centraldb import CentralProvenanceDatabase
 from repro.baselines.provchain import PowProvenanceChain
 from repro.common.errors import (
+    ConfigurationError,
     IncompleteTransactionError,
     NotFoundError,
     ValidationError,
@@ -49,7 +50,8 @@ def store(request) -> ProvenanceStore:
 def test_adapters_satisfy_the_protocol(store):
     assert isinstance(store, ProvenanceStore)
     assert store.backend_name in BACKENDS
-    assert store.backend.as_store() is store  # one adapter per backend, cached
+    owner = store.client if store.backend_name == "hyperprov" else store.backend
+    assert owner.as_store() is store  # one adapter per backend, cached
 
 
 def test_store_then_get_roundtrip(store):
@@ -105,6 +107,25 @@ def test_audit_is_clean_without_tampering(store):
 
 
 # ------------------------------------------------------- tamper semantics
+@pytest.mark.parametrize("backend", BACKENDS[1:])
+def test_baselines_refuse_rich_queries_and_subscriptions(backend):
+    store = _build_store(backend)
+    with pytest.raises(ConfigurationError, match="rich queries"):
+        store.query({"creator": "alice"})
+    with pytest.raises(ConfigurationError, match="continuous queries"):
+        store.subscribe({"creator": "alice"})
+
+
+@pytest.mark.parametrize("backend", BACKENDS[1:])
+def test_baselines_have_nothing_to_drain_or_release(backend):
+    store = _build_store(backend)
+    handle = store.submit(StoreRequest(key="sync/a", data=b"a"))
+    assert handle.done  # a synchronous backend completes on submit
+    store.drain()
+    store.close()
+    assert store.get("sync/a").checksum == checksum_of(b"a")
+
+
 def test_tamper_evidence_matches_backend_semantics():
     """PoW exposes rewrites via audit; the central DB never notices."""
     pow_store = _build_store("provchain-pow")

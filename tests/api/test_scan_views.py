@@ -53,7 +53,7 @@ def _documents(deployment) -> dict:
     """Every peer's parsed documents, snapshotted through JSON (no sharing)."""
     return {
         peer.name: json.dumps(
-            {key: entry.document for key, entry in peer.world_state.items()}, sort_keys=True
+            {entry.key: entry.document for entry in peer.world_state.range_query_versioned("", "")}, sort_keys=True
         )
         for peer in deployment.peers
     }
@@ -70,7 +70,7 @@ def test_mutating_returned_views_and_records_moves_nothing(service, desktop_depl
     client = desktop_deployment.client
     selector = {"_prefix": "scan/item", "metadata.hot": True}
 
-    before = _flat(session.query(selector, limit=10))
+    before = _flat(session.query(selector, limit=10).records)
     documents = _documents(desktop_deployment)
     assert len(before) == 3
 
@@ -89,7 +89,7 @@ def test_mutating_returned_views_and_records_moves_nothing(service, desktop_depl
     explained.plan["residual_fields"].append("tampered")
     explained.plan.clear()
 
-    assert _flat(session.query(selector, limit=10)) == before
+    assert _flat(session.query(selector, limit=10).records) == before
     assert _documents(desktop_deployment) == documents
     assert session.query(selector, limit=10, explain=True).plan["residual_fields"] == [
         "metadata.hot"
@@ -162,7 +162,7 @@ def test_json_calls_of_a_query_do_not_grow_with_the_rows_returned(service, monke
     ask(50)  # every visited version has parsed its document once
     small = _json_calls(monkeypatch, lambda: ask(5))
     large = _json_calls(monkeypatch, lambda: ask(50))
-    assert (len(pages[5]), len(pages[50])) == (5, 50)
+    assert (len(pages[5].records), len(pages[50].records)) == (5, 50)
     assert small == large
     # What is left is the request, not the rows: the chaincode parses the selector.
     assert large["loads"] == 1
@@ -282,7 +282,7 @@ def test_a_read_builds_one_view_per_row_and_no_record_per_row(service, monkeypat
             )
             for rows in (5, 50)
         }
-        assert [len(page) for page in answers] == [5, 50]
+        assert [len(page.records) for page in answers] == [5, 50]
         assert (built[5]["views"], built[50]["views"]) == (5, 50)
         # The peer's chaincode may build records of its own; none per returned row.
         assert built[5]["records"] == built[50]["records"]
@@ -291,7 +291,7 @@ def test_a_read_builds_one_view_per_row_and_no_record_per_row(service, monkeypat
             key: _constructions(monkeypatch, lambda: answers.append(reader.history(key)))
             for key in ("count/01", "count/00")
         }
-        assert [len(history.records) for history in answers[2:]] == [1, 4]
+        assert [len(history) for history in answers[2:]] == [1, 4]
         assert (built["count/01"]["views"], built["count/00"]["views"]) == (1, 4)
         assert built["count/01"]["records"] == built["count/00"]["records"]
 
@@ -321,7 +321,7 @@ def test_a_value_that_is_not_a_well_typed_record_fails_every_read_alike(desktop_
     client = desktop_deployment.client
     store = client.as_store()
     store.store(StoreRequest(key="bad/good", data=b"fine"))
-    document = json.loads(desktop_deployment.peers[0].world_state.get_value("bad/good"))
+    document = json.loads(desktop_deployment.peers[0].world_state.get("bad/good").value)
     reads = {
         "get": lambda: store.get("bad/x"),
         "history": lambda: store.history("bad/x"),

@@ -2,8 +2,8 @@
 
 Both baselines are exercised through their unified
 :class:`repro.api.ProvenanceStore` adapters (``as_store()``); only the
-backend-specific surfaces (``tamper``, ``verify_chain``, ``length``,
-``record_count``, ``detect_tampering``) are touched directly.
+backend-specific surfaces (``tamper``, ``verify_chain``,
+``detect_tampering``) are touched directly.
 """
 
 import pytest
@@ -40,7 +40,7 @@ def test_pow_chain_stores_and_retrieves(pow_chain):
     result = _store(pow_chain, "item/1", b"payload", creator="alice")
     assert result.latency_s > 0
     assert pow_chain.as_store().get("item/1").checksum == checksum_of(b"payload")
-    assert pow_chain.length == 1
+    assert len(pow_chain.as_store().history("item/1")) == 1
     assert pow_chain.verify_chain()
 
 
@@ -86,7 +86,7 @@ def test_central_db_store_and_get():
     result = _store(database, "item/1", b"payload", creator="alice")
     assert result.latency_s > 0
     assert database.as_store().get("item/1").checksum == checksum_of(b"payload")
-    assert database.record_count == 1
+    assert len(database.as_store().history("item/1")) == 1
 
 
 def test_central_db_history_and_missing_key():

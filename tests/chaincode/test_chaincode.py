@@ -10,11 +10,10 @@ from repro.chaincode.records import ProvenanceRecord
 from repro.chaincode.shim import ChaincodeStub
 from repro.common.errors import ChaincodeError, NotFoundError, ValidationError
 from repro.common.hashing import checksum_of
-from repro.crypto.keys import KeyPair
 from repro.ledger.history import HistoryDatabase
 from repro.ledger.world_state import WorldState
 from repro.membership.identity import Organization
-from repro.membership.policies import SignaturePolicy
+from repro.membership.policies import MajorityPolicy
 
 
 @pytest.fixture
@@ -353,36 +352,29 @@ def test_unknown_function_errors():
     assert "unknown function" in response.message
 
 
-def test_init_writes_marker():
-    chaincode = HyperProvChaincode()
-    stub = make_stub("init", [])
-    assert chaincode.init(stub).is_ok
-    assert stub.rw_set.writes[0].key == "__hyperprov_initialized__"
-
-
 # ------------------------------------------------------------------- lifecycle
 def test_lifecycle_instantiate_and_install():
     registry = ChaincodeRegistry()
     definition = registry.instantiate("hyperprov", "1.0", HyperProvChaincode(),
-                                      SignaturePolicy("org1"))
-    registry.install_on("hyperprov", "peer0")
+                                      MajorityPolicy(["org1"]))
+    definition.installed_on.add("peer0")
     assert definition.is_installed_on("peer0")
     assert not definition.is_installed_on("peer1")
-    assert registry.names() == {"hyperprov"}
+    assert registry.find("hyperprov") is definition
 
 
 def test_lifecycle_duplicate_version_rejected():
     registry = ChaincodeRegistry()
-    registry.instantiate("cc", "1.0", HyperProvChaincode(), SignaturePolicy("org1"))
+    registry.instantiate("cc", "1.0", HyperProvChaincode(), MajorityPolicy(["org1"]))
     with pytest.raises(ChaincodeError):
-        registry.instantiate("cc", "1.0", HyperProvChaincode(), SignaturePolicy("org1"))
+        registry.instantiate("cc", "1.0", HyperProvChaincode(), MajorityPolicy(["org1"]))
 
 
 def test_lifecycle_upgrade_keeps_installations():
     registry = ChaincodeRegistry()
-    registry.instantiate("cc", "1.0", HyperProvChaincode(), SignaturePolicy("org1"))
-    registry.install_on("cc", "peer0")
-    registry.instantiate("cc", "2.0", HyperProvChaincode(), SignaturePolicy("org1"))
+    registry.instantiate("cc", "1.0", HyperProvChaincode(), MajorityPolicy(["org1"]))
+    registry.get("cc").installed_on.add("peer0")
+    registry.instantiate("cc", "2.0", HyperProvChaincode(), MajorityPolicy(["org1"]))
     assert registry.get("cc").version == "2.0"
     assert registry.get("cc").is_installed_on("peer0")
 

@@ -7,8 +7,6 @@ import pytest
 from repro.common.hashing import (
     HashChain,
     checksum_of,
-    combine_hashes,
-    sha256_bytes,
     sha256_hex,
 )
 
@@ -21,23 +19,13 @@ def test_sha256_accepts_strings_as_utf8():
     assert sha256_hex("data") == sha256_hex(b"data")
 
 
-def test_sha256_bytes_returns_32_bytes():
-    assert len(sha256_bytes(b"x")) == 32
-
-
 def test_checksum_is_sha256_alias():
     assert checksum_of(b"payload") == sha256_hex(b"payload")
-
-
-def test_combine_hashes_is_order_sensitive():
-    a, b = sha256_hex(b"a"), sha256_hex(b"b")
-    assert combine_hashes([a, b]) != combine_hashes([b, a])
 
 
 def test_hash_chain_starts_at_genesis():
     chain = HashChain()
     assert chain.current == HashChain.GENESIS
-    assert len(chain) == 0
 
 
 def test_hash_chain_extend_changes_digest():
@@ -45,7 +33,6 @@ def test_hash_chain_extend_changes_digest():
     first = chain.extend(b"block-1")
     second = chain.extend(b"block-2")
     assert first != second
-    assert len(chain) == 2
 
 
 def test_hash_chain_verify_replays_items():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.chaincode.hyperprov import HyperProvChaincode
 from repro.consensus.batching import BatchConfig
@@ -13,9 +14,18 @@ from repro.fabric.channel import Channel
 from repro.fabric.peer import Peer
 from repro.membership.identity import Organization
 from repro.membership.msp import MSP
-from repro.membership.policies import majority_of
+from repro.membership.policies import MajorityPolicy
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.randomness import DeterministicRandom
+
+# Property-test profiles.  ``tier1`` (the default) draws the same examples
+# on every run, so two runs of the suite test the same thing; ``deep``
+# (``pytest --hypothesis-profile=deep``) draws fresh ones, ten times the
+# default budget, and replays failures from the example database.  A test
+# that sets its own ``max_examples`` keeps it under both.
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.register_profile("deep", max_examples=10 * settings.default.max_examples)
+settings.load_profile("tier1")
 
 
 @pytest.fixture
@@ -66,7 +76,7 @@ def single_peer(channel, organizations) -> Peer:
     device = DeviceModel("peer0-device", XEON_E5_1603, rng=DeterministicRandom(3))
     peer = Peer(name="peer0.org1", identity=identity, device=device, channel=channel)
     channel.instantiate_chaincode(
-        HyperProvChaincode(), endorsement_policy=majority_of(["org1"])
+        HyperProvChaincode(), endorsement_policy=MajorityPolicy(["org1"])
     )
     return peer
 

@@ -34,7 +34,7 @@ def test_cutter_cuts_on_message_count():
     assert cutter.add(make_tx("t2"), now=0.1) is None
     batch = cutter.add(make_tx("t3"), now=0.2)
     assert batch is not None and len(batch) == 3
-    assert cutter.pending_count == 0
+    assert cutter.add(make_tx("t4"), now=0.3) is None  # the cut left nothing pending
 
 
 def test_cutter_cuts_on_byte_limit():

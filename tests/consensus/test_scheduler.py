@@ -10,7 +10,6 @@ from repro.consensus.batching import BatchConfig
 from repro.consensus.scheduler import (
     FairShareScheduler,
     FifoScheduler,
-    interleave_positions,
     make_scheduler,
     tenant_of_key,
     tenant_of_transaction,
@@ -63,19 +62,11 @@ def test_fair_share_interleaves_tenants_one_to_one():
     scheduler.enqueue(make_tx("l0", "tenant/light/k0"))
     scheduler.enqueue(make_tx("l1", "tenant/light/k1"))
     served = [scheduler.next_transaction() for _ in range(scheduler.pending)]
-    positions = interleave_positions(served)
+    light = [i for i, tx in enumerate(served) if tenant_of_transaction(tx) == "light"]
     # The light tenant is served within the first rounds, not after the
     # heavy backlog drains (FIFO would put it at positions 10 and 11).
-    assert positions["light"] == [1, 3]
+    assert light == [1, 3]
     assert scheduler.served["heavy"] == 10
-
-
-def test_fair_share_pending_by_tenant():
-    scheduler = FairShareScheduler()
-    scheduler.enqueue(make_tx("a0", "tenant/a/k"))
-    scheduler.enqueue(make_tx("b0", "tenant/b/k"))
-    scheduler.enqueue(make_tx("b1", "tenant/b/k2"))
-    assert scheduler.pending_by_tenant() == {"a": 1, "b": 2}
 
 
 # ------------------------------------------------------------------ factory

@@ -77,6 +77,21 @@ def test_store_data_roundtrip_with_offchain_storage(desktop_deployment):
     assert result.timings["storage_s"] > 0
 
 
+def test_payload_upload_is_charged_to_the_client_host(desktop_deployment):
+    """The client hashes, encrypts and sends the payload itself: its device
+    and its link to the storage node pay for the upload."""
+    device = desktop_deployment.client_device
+    payload = b"p" * 256 * 1024
+    before = device.busy_time(component="cpu")
+    post = desktop_deployment.client.as_store().submit(StoreRequest(key="upload/1", data=payload))
+    assert device.busy_time(component="cpu") > before
+    desktop_deployment.drain()
+    bare = desktop_deployment.storage_backend.store(
+        "bare/upload", payload, at_time=desktop_deployment.engine.now + 100.0
+    )
+    assert post.ok and post.storage_receipt.duration_s > bare.duration_s
+
+
 def test_get_data_detects_offchain_tampering(desktop_deployment):
     client = desktop_deployment.client
     payload = b"original"
@@ -110,7 +125,7 @@ def test_history_shows_every_version(desktop_deployment):
         desktop_deployment.drain()
     history = store.history("versioned/key")
     assert len(history) == 3
-    checksums = [view.checksum for view in history.records]
+    checksums = [entry.view.checksum for entry in history]
     assert checksums == [checksum_of(b"v1"), checksum_of(b"v2"), checksum_of(b"v3")]
 
 

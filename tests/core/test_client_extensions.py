@@ -9,6 +9,7 @@ from repro.common.hashing import checksum_of
 from repro.core.client import HyperProvClient
 from repro.core.topology import build_desktop_deployment
 from repro.ledger.transaction import TxValidationCode
+from tests.internals import live_topics, organization
 
 
 # ----------------------------------------------------------------- rich query
@@ -52,7 +53,7 @@ def test_query_records_rejects_bad_selector(desktop_deployment):
 @pytest.fixture
 def second_org_client(desktop_deployment):
     """A client enrolled with org2 on the same channel."""
-    org2 = desktop_deployment.channel.msp.organization("org2")
+    org2 = organization(desktop_deployment.channel.msp, "org2")
     identity = org2.enroll("org2-client", role="client")
     device = desktop_deployment.peers[1].device
     desktop_deployment.fabric.add_client(
@@ -141,7 +142,7 @@ def test_cancelled_provenance_listener_hears_nothing_more(desktop_deployment):
     store.submit(StoreRequest(key="events/2", data=b"two"))
     desktop_deployment.drain()
     assert [event["key"] for event in received] == ["events/1"]
-    assert "chaincode_event:provenance_recorded" not in client.network.events.topics()
+    assert "chaincode_event:provenance_recorded" not in live_topics(client.network.events)
 
 
 def test_no_event_for_invalidated_transaction(desktop_deployment):

@@ -11,7 +11,6 @@ from repro.core.topology import (
     DeploymentSpec,
     build_deployment,
     build_desktop_deployment,
-    build_rpi_deployment,
 )
 from repro.core.watcher import FileWatcher
 from repro.devices.profiles import RASPBERRY_PI_3B_PLUS, XEON_E5_1603
@@ -108,12 +107,6 @@ def test_separate_client_host_supported():
     assert post.ok
 
 
-def test_device_lookup_helper(desktop_deployment):
-    assert desktop_deployment.device("orderer").name == "orderer"
-    with pytest.raises(ConfigurationError):
-        desktop_deployment.device("ghost")
-
-
 # --------------------------------------------------------------------- watcher
 def test_watcher_posts_new_and_modified_files(desktop_deployment):
     watcher = FileWatcher(desktop_deployment.client, namespace="edge-files")
@@ -129,7 +122,7 @@ def test_watcher_posts_new_and_modified_files(desktop_deployment):
     desktop_deployment.drain()
     assert second is not None and not second.is_new
     assert watcher.change_count == 2
-    assert watcher.observed_paths() == ["camera/frame.jpg"]
+    assert [change.path for change in watcher.changes] == ["camera/frame.jpg"] * 2
 
 
 def test_watcher_links_versions_as_dependencies(desktop_deployment):

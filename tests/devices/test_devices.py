@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.common.errors import ConfigurationError, NotFoundError, SimulationError
+from repro.common.errors import ConfigurationError, SimulationError
 from repro.devices.model import DeviceModel
 from repro.devices.profiles import (
     CORE_I3_2310M,
@@ -12,7 +12,6 @@ from repro.devices.profiles import (
     RPI_PROFILES,
     XEON_E5_1603,
     HardwareProfile,
-    profile_by_name,
 )
 from repro.simulation.randomness import DeterministicRandom
 
@@ -41,12 +40,6 @@ def test_rpi_idle_power_matches_paper_calibration():
     """The paper reports 2.71 W for an idle RPi with HLF running."""
     idle_with_hlf = RASPBERRY_PI_3B_PLUS.idle_power_w + RASPBERRY_PI_3B_PLUS.hlf_baseline_power_w
     assert idle_with_hlf == pytest.approx(2.71, abs=0.05)
-
-
-def test_profile_lookup_by_name():
-    assert profile_by_name("raspberry-pi-3b-plus") is RASPBERRY_PI_3B_PLUS
-    with pytest.raises(NotFoundError):
-        profile_by_name("cray-1")
 
 
 def test_profile_validation_catches_bad_values():
@@ -132,13 +125,6 @@ def test_busy_time_window_restriction(device):
     device.charge_cpu(10.0, 2.0)
     assert device.busy_time(window=(0.0, 5.0)) == pytest.approx(2.0)
     assert device.busy_time() == pytest.approx(4.0)
-
-
-def test_reset_accounting_clears_state(device):
-    device.charge_cpu(0.0, 1.0)
-    device.reset_accounting()
-    assert device.busy_time() == 0.0
-    assert device.cpu.next_free() == 0.0
 
 
 def test_disk_and_serialization_costs_positive(device):

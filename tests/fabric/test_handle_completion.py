@@ -7,6 +7,7 @@ from repro.consensus.batching import BatchConfig
 from repro.core.client import HyperProvClient
 from repro.core.topology import build_desktop_deployment
 from repro.ledger.transaction import TxValidationCode
+from tests.internals import organization
 
 
 def metadata_post(store, key: str, version: int = 0):
@@ -17,7 +18,7 @@ def metadata_post(store, key: str, version: int = 0):
 
 def add_remote_client(deployment, name: str, anchor_peer: str) -> HyperProvClient:
     """A second client on its own host node, anchored on ``anchor_peer``."""
-    identity = deployment.channel.msp.organization("org2").enroll(name, role="client")
+    identity = organization(deployment.channel.msp, "org2").enroll(name, role="client")
     deployment.fabric.add_client(
         name, identity=identity, device=deployment.peers[1].device,
         host_node=f"{name}-host", anchor_peer=anchor_peer,

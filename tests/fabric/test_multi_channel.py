@@ -6,6 +6,7 @@ from repro.api.protocol import StoreRequest
 from repro.api.service import HyperProvService
 from repro.common.errors import ValidationError
 from repro.core.topology import build_desktop_deployment
+from repro.middleware.cache import ReadCacheMiddleware
 from repro.middleware.config import PipelineConfig
 from repro.middleware.sharding import ConsistentHashRing
 
@@ -95,7 +96,7 @@ def test_cross_shard_history_merges_after_resharding(sharded):
         assert len(history) == 2
         # Oldest first across shards (per-shard block numbers both start
         # at 0, so ordering must come from commit timestamps).
-        checks = [view.checksum for view in history.records]
+        checks = [entry.view.checksum for entry in history]
         assert len(set(checks)) == 2
         latest = after.get(key)
         assert latest.checksum == checks[-1]
@@ -215,7 +216,7 @@ def test_rejected_configure_pipeline_leaves_client_functional(desktop_deployment
     with pytest.raises(ValidationError):
         client.configure_pipeline(PipelineConfig(cache=True, shards=2))
     assert client.pipeline_config.shards == 1
-    cache = client.read_cache
+    cache = client.pipeline.find(ReadCacheMiddleware)
     assert cache is not None and cache._subscriptions
 
     store = client.as_store()

@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from repro.chaincode.hyperprov import HyperProvChaincode
 from repro.chaincode.records import ProvenanceRecord
 from repro.common.errors import EndorsementError
 from repro.api.protocol import StoreRequest
@@ -14,7 +13,6 @@ from repro.consensus.batching import BatchConfig
 from repro.core.topology import build_desktop_deployment
 from repro.fabric.proposal import Proposal
 from repro.ledger.transaction import TxValidationCode
-from repro.membership.policies import majority_of
 
 
 def make_proposal(identity, function, args, tx_id="tx-1", chaincode="hyperprov"):
@@ -42,6 +40,14 @@ def test_peer_endorses_valid_set_proposal(single_peer, organizations):
     assert response.endorsement.organization == "org1"
     assert finished_at > 0.0
     assert response.rw_set.writes[0].key == "k"
+
+
+def test_peer_refuses_chaincode_not_installed_on_it(single_peer, channel, organizations):
+    client = organizations[0].enroll("client1", role="client")
+    channel.chaincodes.get("hyperprov").installed_on.discard(single_peer.name)
+    proposal = make_proposal(client, "set", ["k", checksum_of(b"x"), "ssh://storage/k"])
+    with pytest.raises(EndorsementError, match="not installed"):
+        single_peer.endorse(proposal, at_time=0.0)
 
 
 def test_large_scan_response_is_signed_over_the_read_set_digest(single_peer, organizations, msp):
@@ -192,3 +198,16 @@ def test_transaction_handle_timings_populated(desktop_deployment):
     assert handle.ordered_at >= handle.endorsed_at
     assert handle.committed_at > handle.ordered_at
     assert "endorsement_s" in handle.timings
+
+
+def test_transaction_ids_are_deterministic_per_deployment():
+    def first_tx_id():
+        deployment = build_desktop_deployment(seed=42)
+        handle = deployment.client.as_store().submit(StoreRequest(key="ids/a", data=b"a"))
+        deployment.drain()
+        return handle.handle.tx_id
+
+    tx_id = first_tx_id()
+    assert tx_id == first_tx_id()
+    prefix, index, digest = tx_id.split("-")
+    assert (prefix, index, len(digest)) == ("tx", "0", 8)

@@ -14,7 +14,7 @@ import json
 
 import pytest
 
-from repro.common.errors import ValidationError
+from repro.common.errors import SealedEnvelopeError, ValidationError
 from repro.common.hashing import checksum_of
 from repro.core.topology import build_desktop_deployment
 from repro.fabric.peer import Peer, SharedCommit
@@ -75,11 +75,12 @@ def ledger_fingerprint(peer):
     """By-value view of everything a commit may write on one replica."""
     return (
         peer.ledger_height,
-        [(key, entry.value, entry.version) for key, entry in peer.world_state.items()],
+        [(entry.key, entry.value, entry.version)
+         for entry in peer.world_state.range_query_versioned("", "")],
         peer.world_state.writes_applied,
         {key: peer.history.history_for_key(key) for key in peer.history.keys()},
         peer.history.total_entries,
-        peer.block_store.total_transactions,
+        sum(peer.block_store.block(n).tx_count for n in range(peer.block_store.height)),
     )
 
 
@@ -87,7 +88,7 @@ def forged_transaction(peer, tx_id="tx-forged"):
     """An unsealed copy of the peer's latest transaction under a fresh id,
     its read versions and endorsement digests re-pointed at current state —
     what a validating replica judges ``VALID``."""
-    forged = peer.block_store.latest_block().transactions[-1].tamper()
+    forged = peer.block_store.block(peer.block_store.height - 1).transactions[-1].tamper()
     forged.tx_id = tx_id
     forged.rw_set.reads = [
         ReadSetEntry(read.key, peer.world_state.get_version(read.key))
@@ -195,7 +196,7 @@ def test_replica_on_another_version_reports_its_own_conflict(deployment):
     assert codes[edited.name] == [TxValidationCode.MVCC_READ_CONFLICT]
     assert all(codes[peer.name] == [TxValidationCode.VALID] for peer in honest)
     assert edited.world_state.get_version("item/a") == (0, 7)
-    assert edited.history.version_count("item/a") == 1
+    assert len(edited.history.history_for_key("item/a")) == 1
     assert not edited.committed(update.tx_id)
     assert holders(honest, "item/a") == 1
     assert all(peer.world_state.get_version("item/a") == (1, 0) for peer in honest)
@@ -212,7 +213,7 @@ def test_replica_that_already_holds_the_tx_id_reports_a_duplicate_alone(deployme
     codes = {name: result.validation_codes for name, _, _, result in deployment.deliveries}
     assert codes[holder.name] == [TxValidationCode.DUPLICATE_TXID]
     assert all(codes[peer.name] == [TxValidationCode.VALID] for peer in others)
-    assert "item/a" not in holder.world_state and holder.history.total_entries == 0
+    assert holder.world_state.get("item/a") is None and holder.history.total_entries == 0
     assert holders(others, "item/a") == 1
     assert holder.ledger_height == 1
 
@@ -254,7 +255,8 @@ def test_replica_on_another_height_or_tip_does_not_adopt(deployment, difference)
     deployment.fabric.flush_and_drain()
     submit(deployment, "item/b", b"v1")
     deployment.fabric.flush_and_drain()
-    first, second = deployment.peers[0].block_store.blocks()
+    store = deployment.peers[0].block_store
+    first, second = (store.block(n) for n in range(store.height))
     plan = deployment.plans[-1]
     assert plan.block.number == 1 and plan.channel is outsider.channel
     if difference == "tip":
@@ -314,7 +316,9 @@ def test_tamper_after_adoption_breaks_one_replica_only(deployment):
         assert peer.block_store.verify_chain()
         assert peer.block_store.block(0).transactions[0] is original
         assert ledger_fingerprint(peer) == fingerprint
-    assert original.args[1] == checksum_of(b"v1") and original.sealed
+    assert original.args[1] == checksum_of(b"v1")
+    with pytest.raises(SealedEnvelopeError):
+        original.timestamp = 0.0
     assert [peer.block_store.block(0).hash for peer in deployment.peers] == block_hashes
 
 
@@ -323,14 +327,14 @@ def test_shared_entries_cannot_be_assigned_to(deployment):
     deployment.drain()
     assert holders(deployment.peers, "item/a") == 1
     entry = deployment.peers[3].world_state.get("item/a")
-    record = deployment.peers[3].history.latest("item/a")
+    record = deployment.peers[3].history.history_for_key("item/a")[-1]
     with pytest.raises(AttributeError):
         entry.value = "forged"
     with pytest.raises(AttributeError):
         entry.version = (9, 9)
     with pytest.raises(AttributeError):
         record.value = "forged"
-    assert deployment.peers[0].world_state.get_value("item/a") == record.value
+    assert deployment.peers[0].world_state.get("item/a").value == record.value
 
 
 def test_adopting_replica_keeps_its_own_secondary_index():

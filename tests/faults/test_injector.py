@@ -62,15 +62,6 @@ class TestInstallLifecycle:
         with pytest.raises(SimulationError, match="already installed"):
             injector.install()
 
-    def test_uninstall_cancels_pending_injections(self):
-        deployment = make_deployment()
-        plan = FaultPlan(seed=1, faults=(PartitionFault(1.0, 5.0, (("client",),)),))
-        injector = FaultInjector(plan, deployment.fabric).install()
-        injector.uninstall()
-        deployment.engine.run(until=10.0)
-        assert not deployment.fabric.network.partitions.is_partitioned
-        assert injector.log == []
-
     def test_injections_are_published_on_the_aggregate_bus(self):
         deployment = make_deployment()
         seen = []
@@ -132,6 +123,13 @@ class TestPartitionWindows:
 
 
 class TestPointFaults:
+    def test_crash_and_restart_name_a_known_peer(self):
+        fabric = make_deployment().fabric
+        with pytest.raises(NotFoundError):
+            fabric.crash_peer("ghost.org9")
+        with pytest.raises(NotFoundError):
+            fabric.restart_peer("ghost.org9")
+
     def test_crashed_peer_recovers_missed_blocks_on_restart(self):
         deployment = make_deployment()
         plan = FaultPlan(seed=1, faults=(PeerCrashFault(1.0, 3.0, "peer0.org1"),))

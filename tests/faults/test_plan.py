@@ -49,6 +49,17 @@ class TestWindowValidation:
         with pytest.raises(ConfigurationError, match="named node"):
             FaultPlan(seed=1, faults=(PartitionFault(0.0, 1.0, ((),)),)).validate()
 
+    @pytest.mark.parametrize("groups", [
+        (("peer0",), ("peer0", "peer1")),
+        (("peer0", "peer1"), ("peer2",), ("peer1",)),
+        (("peer0", "peer0"),),
+    ])
+    def test_partition_names_each_node_once(self, groups):
+        # Two groups claiming one node would leave it in whichever the
+        # injector applied last.
+        with pytest.raises(ConfigurationError, match="more than one group"):
+            FaultPlan(seed=1, faults=(PartitionFault(1.0, 2.0, groups),)).validate()
+
     def test_empty_names_raise(self):
         with pytest.raises(ConfigurationError):
             ChurnFault(0.0, 1.0, "").validate()

@@ -5,11 +5,17 @@ import pytest
 from repro.common.errors import NotFoundError, SealedEnvelopeError, ValidationError
 from repro.common.hashing import sha256_hex
 from repro.common.serialization import canonical_json
+from repro.crypto.merkle import EMPTY_ROOT, merkle_root
 from repro.ledger.block import Block
 from repro.ledger.blockchain import BlockStore, GENESIS_PREVIOUS_HASH
 from repro.ledger.history import HistoryDatabase
 from repro.ledger.transaction import ReadWriteSet, Transaction, TxValidationCode
 from repro.ledger.world_state import VersionedValue, WorldState
+
+
+def pairs(entries):
+    """``(key, value)`` of each committed version a scan returns."""
+    return [(entry.key, entry.value) for entry in entries]
 
 
 def make_tx(tx_id: str, key: str = "k", value: str = "v", read_version=None) -> Transaction:
@@ -49,13 +55,6 @@ def test_transaction_size_positive_and_grows_with_args():
     assert 0 < small.size_bytes < large.size_bytes
 
 
-def test_transaction_is_valid_flag():
-    tx = make_tx("t1")
-    assert tx.is_valid
-    tx.validation_code = TxValidationCode.MVCC_READ_CONFLICT
-    assert not tx.is_valid
-
-
 # ---------------------------------------------------------------- seal/tamper
 def test_unsealed_transaction_recomputes_envelope_on_mutation():
     tx = make_tx("t1")
@@ -73,7 +72,6 @@ def test_sealed_transaction_caches_envelope_and_rejects_mutation(monkeypatch):
     tx = make_tx("t1")
     unsealed_digest = tx.digest()
     assert tx.seal() is tx
-    assert tx.sealed and tx.rw_set.sealed
     reference = canonical_json(tx.to_dict())
     for _ in range(3):
         assert tx.digest() == unsealed_digest == sha256_hex(reference)
@@ -98,7 +96,7 @@ def test_sealed_transaction_caches_envelope_and_rejects_mutation(monkeypatch):
     tx.seal()  # idempotent
     # Commit metadata stays assignable on sealed envelopes.
     tx.validation_code = TxValidationCode.MVCC_READ_CONFLICT
-    assert not tx.is_valid
+    assert tx.validation_code is TxValidationCode.MVCC_READ_CONFLICT
 
 
 def test_sealed_transaction_rejects_scalar_field_mutation():
@@ -146,7 +144,6 @@ def test_rw_set_digest_cache_invalidated_by_mutation_api():
 def test_tamper_clone_is_mutable_isolated_and_hash_visible():
     tx = make_tx("t1").seal()
     clone = tx.tamper()
-    assert not clone.sealed
     assert clone.digest() == tx.digest()  # identical until mutated
     clone.args[1] = "forged"
     clone.rw_set.add_write("extra", "w")
@@ -177,32 +174,25 @@ def test_block_build_computes_merkle_data_hash():
     assert block.tx_count == 2
 
 
+def test_block_data_hash_is_the_root_of_its_transaction_digests():
+    txs = [make_tx("t1"), make_tx("t2"), make_tx("t3")]
+    block = Block.build(0, GENESIS_PREVIOUS_HASH, txs, timestamp=1.0)
+    assert block.header.data_hash == merkle_root([tx.digest() for tx in txs])
+    empty = Block.build(1, block.hash, [], timestamp=2.0)
+    assert empty.header.data_hash == EMPTY_ROOT and empty.verify_data_hash()
+
+
 def test_block_data_hash_detects_tampering():
     block = Block.build(0, GENESIS_PREVIOUS_HASH, [make_tx("t1"), make_tx("t2")], timestamp=1.0)
     block.transactions[0].args[1] = "tampered"
     assert not block.verify_data_hash()
 
 
-def test_block_valid_transactions_respects_flags():
-    txs = [make_tx("t1"), make_tx("t2")]
-    block = Block.build(0, GENESIS_PREVIOUS_HASH, txs, timestamp=0.0)
-    assert len(block.valid_transactions()) == 2
-    block.validation_flags = [TxValidationCode.VALID, TxValidationCode.MVCC_READ_CONFLICT]
-    assert [tx.tx_id for tx in block.valid_transactions()] == ["t1"]
-    assert block.validation_summary() == {"VALID": 1, "MVCC_READ_CONFLICT": 1}
-
-
-def test_block_find_transaction():
-    block = Block.build(0, GENESIS_PREVIOUS_HASH, [make_tx("t1")], timestamp=0.0)
-    assert block.find_transaction("t1") is not None
-    assert block.find_transaction("missing") is None
-
-
 # ----------------------------------------------------------------- world state
 def test_world_state_put_get_with_versions():
     state = WorldState()
     state.put("k", "v1", (0, 0))
-    assert state.get_value("k") == "v1"
+    assert state.get("k").value == "v1"
     assert state.get_version("k") == (0, 0)
     state.put("k", "v2", (1, 3))
     assert state.get_version("k") == (1, 3)
@@ -237,22 +227,32 @@ def test_world_state_delete():
     state.put("k", "v", (0, 0))
     state.delete("k", (1, 0))
     assert state.get("k") is None
-    assert "k" not in state
+    assert len(state) == 0
+
+
+def test_deleting_an_absent_key_counts_the_write_and_changes_nothing():
+    state = WorldState()
+    state.put("a/1", "v", (0, 0))
+    state.delete("a/ghost", (1, 0))
+    assert state.writes_applied == 2
+    assert pairs(state.range_query_versioned("", "")) == [("a/1", "v")]
+    assert pairs(state.query_by_prefix_versioned("a/")) == [("a/1", "v")]
 
 
 def test_world_state_range_query():
     state = WorldState()
     for key in ["a/1", "a/2", "b/1"]:
         state.put(key, key.upper(), (0, 0))
-    assert state.range_query("a/", "a/~") == [("a/1", "A/1"), ("a/2", "A/2")]
-    assert state.range_query("a/", "") == [("a/1", "A/1"), ("a/2", "A/2"), ("b/1", "B/1")]
+    assert pairs(state.range_query_versioned("a/", "a/~")) == [("a/1", "A/1"), ("a/2", "A/2")]
+    assert pairs(state.range_query_versioned("a/", "")) == [
+        ("a/1", "A/1"), ("a/2", "A/2"), ("b/1", "B/1")]
 
 
 def test_world_state_prefix_query_and_snapshot():
     state = WorldState()
     state.put("sensors/1", "x", (0, 0))
     state.put("cameras/1", "y", (0, 1))
-    assert state.query_by_prefix("sensors/") == [("sensors/1", "x")]
+    assert pairs(state.query_by_prefix_versioned("sensors/")) == [("sensors/1", "x")]
     assert state.snapshot() == {"sensors/1": "x", "cameras/1": "y"}
     assert len(state) == 2
 
@@ -264,21 +264,21 @@ def test_history_records_in_order():
     history.record("k", "t2", 1, 0, 2.0, "v2")
     entries = history.history_for_key("k")
     assert [e.value for e in entries] == ["v1", "v2"]
-    assert history.latest("k").tx_id == "t2"
-    assert history.version_count("k") == 2
+    assert history.history_for_key("k")[-1].tx_id == "t2"
+    assert len(history.history_for_key("k")) == 2
 
 
 def test_history_unknown_key_is_empty():
     history = HistoryDatabase()
     assert history.history_for_key("ghost") == []
-    assert history.latest("ghost") is None
+    assert history.history_for_key("ghost") == []
 
 
 def test_history_tracks_deletes():
     history = HistoryDatabase()
     history.record("k", "t1", 0, 0, 1.0, "v1")
     history.record("k", "t2", 1, 0, 2.0, None, is_delete=True)
-    assert history.latest("k").is_delete
+    assert history.history_for_key("k")[-1].is_delete
 
 
 def test_history_keys_maintained_sorted_without_rescan():
@@ -299,18 +299,18 @@ def test_world_state_prefix_bucket_index_matches_cross_bucket_scan():
     ]:
         state.put(key, value, (0, 0))
     # Bucket-resolved prefix (contains the separator).
-    assert state.query_by_prefix("tenant/a/") == [("tenant/a/1", "a1")]
-    assert state.query_by_prefix("tenant/") == [
+    assert pairs(state.query_by_prefix_versioned("tenant/a/")) == [("tenant/a/1", "a1")]
+    assert pairs(state.query_by_prefix_versioned("tenant/")) == [
         ("tenant/a/1", "a1"), ("tenant/b/2", "b2")
     ]
     # A prefix without a separator spans buckets ("tenant" vs "tenantx").
-    assert state.query_by_prefix("tenant") == [
+    assert pairs(state.query_by_prefix_versioned("tenant")) == [
         ("tenant/a/1", "a1"), ("tenant/b/2", "b2"), ("tenantx/y", "y")
     ]
-    assert state.query_by_prefix("missing/") == []
+    assert pairs(state.query_by_prefix_versioned("missing/")) == []
     # Deletes are reflected in the bucket index too.
     state.delete("tenant/a/1", (1, 0))
-    assert state.query_by_prefix("tenant/") == [("tenant/b/2", "b2")]
+    assert pairs(state.query_by_prefix_versioned("tenant/")) == [("tenant/b/2", "b2")]
 
 
 # ------------------------------------------------------------------ blockstore
@@ -353,14 +353,6 @@ def test_blockstore_rejects_tampered_block_data():
     block.transactions[0].args[1] = "tampered"
     with pytest.raises(ValidationError):
         store.append(block)
-
-
-def test_blockstore_transaction_index():
-    store = _chain_of(3)
-    assert store.find_transaction("t2").tx_id == "t2"
-    assert store.transaction_location("t2") == (2, 0)
-    assert store.find_transaction("missing") is None
-    assert store.total_transactions == 3
 
 
 def test_blockstore_block_out_of_range():

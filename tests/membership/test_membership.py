@@ -2,18 +2,10 @@
 
 import pytest
 
-from repro.common.errors import CryptoError, NotFoundError
+from repro.common.errors import ConfigurationError, CryptoError
 from repro.membership.identity import Organization
 from repro.membership.msp import MSP
-from repro.membership.policies import (
-    AndPolicy,
-    OrPolicy,
-    OutOfPolicy,
-    SignaturePolicy,
-    all_of,
-    any_of,
-    majority_of,
-)
+from repro.membership.policies import MajorityPolicy
 
 
 # --------------------------------------------------------------- organizations
@@ -27,12 +19,6 @@ def test_enroll_creates_identity_with_valid_certificate():
 def test_enroll_is_idempotent():
     org = Organization("org1")
     assert org.enroll("peer0") is org.enroll("peer0")
-    assert org.identity_count == 1
-
-
-def test_get_identity_unknown_raises():
-    with pytest.raises(NotFoundError):
-        Organization("org1").get_identity("ghost")
 
 
 def test_identity_signature_verifies_via_msp():
@@ -47,7 +33,7 @@ def test_revoked_identity_fails_msp_validation():
     org = Organization("org1")
     identity = org.enroll("client1")
     msp = MSP([org])
-    org.revoke("client1")
+    org.ca.revoke(identity.certificate)
     assert not msp.validate_certificate(identity.certificate)
     with pytest.raises(CryptoError):
         msp.require_valid_certificate(identity.certificate)
@@ -61,82 +47,31 @@ def test_msp_rejects_foreign_organization():
     assert not msp.validate_certificate(outsider.certificate)
 
 
-def test_msp_add_and_remove_organization():
+def test_msp_add_organization_trusts_its_members():
     org1, org2 = Organization("org1"), Organization("org2")
     msp = MSP([org1])
+    member = org2.enroll("b").certificate
+    assert not msp.validate_certificate(member)
     msp.add_organization(org2)
-    assert msp.organization_names == ["org1", "org2"]
-    msp.remove_organization("org1")
-    assert msp.organization_names == ["org2"]
-    with pytest.raises(NotFoundError):
-        msp.organization("org1")
-
-
-def test_member_organizations_of_filters_invalid_certs():
-    org1, org2 = Organization("org1"), Organization("org2")
-    msp = MSP([org1])
-    certs = [org1.enroll("a").certificate, org2.enroll("b").certificate]
-    assert msp.member_organizations_of(certs) == ["org1"]
+    assert msp.validate_certificate(member)
 
 
 # ------------------------------------------------------------------- policies
-def test_signature_policy():
-    policy = SignaturePolicy("org1")
-    assert policy({"org1", "org2"})
-    assert not policy({"org2"})
-
-
-def test_and_policy_requires_all():
-    policy = AndPolicy(SignaturePolicy("org1"), SignaturePolicy("org2"))
-    assert policy({"org1", "org2"})
-    assert not policy({"org1"})
-
-
-def test_or_policy_requires_any():
-    policy = OrPolicy(SignaturePolicy("org1"), SignaturePolicy("org2"))
-    assert policy({"org2"})
-    assert not policy({"org3"})
-
-
-def test_out_of_policy_threshold():
-    policy = OutOfPolicy(2, [SignaturePolicy(f"org{i}") for i in range(1, 5)])
-    assert policy({"org1", "org3"})
-    assert not policy({"org1"})
-
-
-def test_out_of_policy_validates_threshold():
-    with pytest.raises(ValueError):
-        OutOfPolicy(0, [SignaturePolicy("org1")])
-    with pytest.raises(ValueError):
-        OutOfPolicy(3, [SignaturePolicy("org1")])
-
-
 def test_majority_of_four_organizations_needs_three():
-    policy = majority_of(["org1", "org2", "org3", "org4"])
-    assert policy({"org1", "org2", "org3"})
-    assert not policy({"org1", "org2"})
+    policy = MajorityPolicy(["org1", "org2", "org3", "org4"])
+    assert policy.evaluate({"org1", "org2", "org3"})
+    assert not policy.evaluate({"org1", "org2"})
 
 
 def test_majority_of_single_org():
-    assert majority_of(["org1"])({"org1"})
-    with pytest.raises(ValueError):
-        majority_of([])
+    assert MajorityPolicy(["org1"]).evaluate({"org1", "org2"})
+    assert not MajorityPolicy(["org1"]).evaluate({"org2"})
+    with pytest.raises(ConfigurationError):
+        MajorityPolicy([])
 
 
-def test_any_of_and_all_of_helpers():
-    assert any_of(["org1", "org2"])({"org2"})
-    assert all_of(["org1", "org2"])({"org1", "org2"})
-    assert not all_of(["org1", "org2"])({"org1"})
-
-
-def test_policy_descriptions_are_readable():
-    policy = AndPolicy(SignaturePolicy("org1"), OrPolicy(SignaturePolicy("org2")))
-    description = policy.describe()
-    assert "org1" in description and "org2" in description
-
-
-def test_empty_composite_policies_rejected():
-    with pytest.raises(ValueError):
-        AndPolicy()
-    with pytest.raises(ValueError):
-        OrPolicy()
+def test_majority_counts_signers_per_listed_organization():
+    policy = MajorityPolicy(["org1", "org1", "org2"])
+    assert policy.threshold == 2
+    assert policy.evaluate({"org1"})
+    assert not policy.evaluate({"org2", "org3"})

@@ -20,6 +20,7 @@ from repro.middleware.batching import EndorsementBatcher
 from repro.middleware.cache import ReadCacheMiddleware
 from repro.middleware.config import PipelineConfig
 from repro.middleware.context import Context, OperationKind
+from tests.internals import cache_keys, live_topics, organization
 
 
 def read_ctx(function="get", args=("k",)):
@@ -64,7 +65,7 @@ class TestReadCacheUnit:
         pipeline.execute(ctx)
         pipeline.execute(ctx)
         assert len(calls) == 2
-        assert len(cache) == 0
+        assert len(cache_keys(cache.store)) == 0
 
     def test_invalidate_key_drops_key_scoped_and_broad_entries(self):
         cache = ReadCacheMiddleware()
@@ -72,10 +73,10 @@ class TestReadCacheUnit:
         pipeline.execute(read_ctx("get", args=("a",)))
         pipeline.execute(read_ctx("get", args=("b",)))
         pipeline.execute(read_ctx("getbyrange", args=("", "~")))  # broad
-        assert len(cache) == 3
+        assert len(cache_keys(cache.store)) == 3
         dropped = cache.invalidate_key("a")
         assert dropped == 2  # the exact-key entry for "a" plus the range scan
-        assert len(cache) == 1  # "b" survives
+        assert len(cache_keys(cache.store)) == 1  # "b" survives
 
     def test_lru_eviction_respects_capacity(self):
         metrics = MetricsRegistry()
@@ -83,10 +84,10 @@ class TestReadCacheUnit:
         pipeline = TransactionPipeline([cache], terminal=lambda ctx: ("x", 0.1))
         for key in ("a", "b", "c"):
             pipeline.execute(read_ctx("get", args=(key,)))
-        assert len(cache) == 2
+        assert len(cache_keys(cache.store)) == 2
         assert metrics.get_counter("cache.evictions").value == 1
         # "a" was evicted; "b" and "c" remain.
-        remaining = {args[0] for (_, _, args) in cache.cached_keys()}
+        remaining = {args[0] for (_, _, args) in cache_keys(cache.store)}
         assert remaining == {"b", "c"}
 
     def test_provenance_recorded_event_invalidates(self):
@@ -94,22 +95,22 @@ class TestReadCacheUnit:
         cache = ReadCacheMiddleware(events=bus)
         pipeline = TransactionPipeline([cache], terminal=lambda ctx: ("x", 0.1))
         pipeline.execute(read_ctx("get", args=("sensor/1",)))
-        assert len(cache) == 1
+        assert len(cache_keys(cache.store)) == 1
         write = SimpleNamespace(key="sensor/1")
         transaction = SimpleNamespace(rw_set=SimpleNamespace(writes=[write]))
         bus.publish(
             "block_delivered", {"block": SimpleNamespace(transactions=[transaction])}
         )
-        assert len(cache) == 0
+        assert len(cache_keys(cache.store)) == 0
 
     def test_close_cancels_subscriptions(self):
         bus = EventBus()
         cache = ReadCacheMiddleware(events=bus)
         cache.handle(read_ctx(), lambda ctx: ("payload", 0.5))
-        assert bus.topics() and len(cache) == 1
+        assert live_topics(bus) and len(cache_keys(cache.store)) == 1
         cache.close()
-        assert not bus.topics()
-        assert len(cache) == 0  # the pipeline's own store goes with it
+        assert not live_topics(bus)
+        assert len(cache_keys(cache.store)) == 0  # the pipeline's own store goes with it
 
 
 class TestReadCacheEndToEnd:
@@ -145,12 +146,12 @@ class TestReadCacheEndToEnd:
         store = client.as_store()
         store.store(StoreRequest(key="hot", data=b"v1"))
         assert store.verify("hot", b"v1").matches
-        assert len(client.read_cache) == 1
+        assert len(cache_keys(client.pipeline.find(ReadCacheMiddleware).store)) == 1
 
         store.submit(StoreRequest(key="hot", data=b"v2"))
         deployment.engine.run_until_idle()  # the batch timeout cuts the block
         assert deployment.fabric.in_flight() == 0  # committed
-        assert len(client.read_cache) == 0
+        assert len(cache_keys(client.pipeline.find(ReadCacheMiddleware).store)) == 0
         assert store.verify("hot", b"v2").matches
 
     @pytest.mark.parametrize("fault", ["partition", "crash"])
@@ -167,7 +168,7 @@ class TestReadCacheEndToEnd:
         assert writer_peer.name != anchor
         fabric.add_client(
             "client-b",
-            identity=deployment.channel.msp.organization("org1").enroll(
+            identity=organization(deployment.channel.msp, "org1").enroll(
                 "client-b", role="client"
             ),
             device=writer_peer.device,
@@ -250,6 +251,18 @@ class TestEndorsementBatcher:
         # The third submission filled the batch: nothing left queued.
         assert batcher.queued == 0
         assert deployment.fabric.metrics.get_counter("batcher.flushes").value == 1
+        deployment.drain()
+        assert all(h.is_valid for h in handles)
+
+    def test_close_flushes_the_partial_batch(self):
+        deployment = build_desktop_deployment(seed=42)
+        client = deployment.client
+        client.configure_pipeline(PipelineConfig(order_batch_size=3))
+        batcher = deployment.fabric.shard(0).batcher
+        handles = [post_inline(client, f"close/{i}") for i in range(2)]
+        assert batcher.queued == 2
+        batcher.close()
+        assert batcher.queued == 0
         deployment.drain()
         assert all(h.is_valid for h in handles)
 

@@ -3,8 +3,10 @@
 import pytest
 
 from repro.api.protocol import StoreRequest
+from repro.middleware.cache import ReadCacheMiddleware
 from repro.middleware.config import PipelineConfig
 from repro.middleware.metrics import STAGE_COMMIT, STAGE_ENDORSE, STAGE_ORDER
+from tests.internals import live_topics
 
 
 class TestClientPipeline:
@@ -19,15 +21,12 @@ class TestClientPipeline:
         client.get_dependencies("ops/a")
         store.query({"creator": "hyperprov-client"})
         client.get_by_range("ops/", "ops/~")
-        counters = {
-            name.split("ops.")[-1]
-            for name in client.metrics.snapshot()
-            if ".ops." in name
-        }
-        assert {
+        operators = (
             "store_data", "get", "get_key_history", "check_hash",
             "get_dependencies", "query", "get_by_range",
-        } <= counters
+        )
+        uncounted = [op for op in operators if client.metrics.get_counter(f"ops.{op}") is None]
+        assert uncounted == []
 
     def test_stage_breakdown_recorded_for_writes(self, desktop_deployment):
         client = desktop_deployment.client
@@ -60,12 +59,11 @@ class TestClientPipeline:
     def test_configure_pipeline_swaps_chain_and_closes_old_cache(self, desktop_deployment):
         client = desktop_deployment.client
         client.configure_pipeline(PipelineConfig(cache=True))
-        cache = client.read_cache
-        assert cache is not None
+        assert client.pipeline.find(ReadCacheMiddleware) is not None
         client.configure_pipeline(PipelineConfig(cache=False))
-        assert client.read_cache is None
+        assert client.pipeline.find(ReadCacheMiddleware) is None
         # The old cache unsubscribed from the network bus on close: no
         # handler remains on the block-delivery topic it invalidated on.
         from repro.middleware.cache import BLOCK_DELIVERED_TOPIC
 
-        assert BLOCK_DELIVERED_TOPIC not in desktop_deployment.fabric.events.topics()
+        assert BLOCK_DELIVERED_TOPIC not in live_topics(desktop_deployment.fabric.events)

@@ -15,6 +15,7 @@ from repro.middleware.context import Context, OperationKind
 from repro.middleware.resilience import StoreAndForwardMiddleware
 from repro.fabric.proposal import TransactionHandle
 from repro.simulation.engine import SimulationEngine
+from tests.internals import queued_writes
 
 
 def read_ctx(at_time=0.0, **kwargs):
@@ -57,9 +58,9 @@ class TestStoreAndForward:
         placeholder = saf.handle(write_ctx(at_time=0.0), downstream)
         assert isinstance(placeholder, TransactionHandle)
         assert placeholder.tx_id.startswith("saf-")
-        assert saf.queued == 1
+        assert queued_writes(saf) == 1
         engine.run(until=3.0)
-        assert saf.queued == 0
+        assert queued_writes(saf) == 0
         # The replayed handle completing completes the placeholder too.
         healed[0].complete(2.5, TxValidationCode.VALID, block_number=4)
         assert placeholder.is_valid
@@ -77,9 +78,23 @@ class TestStoreAndForward:
         placeholder = saf.handle(write_ctx(at_time=0.0), always_down)
         engine.run_until_idle()
         # Bounded: the replay loop gave up instead of spinning forever.
-        assert saf.queued == 0
+        assert queued_writes(saf) == 0
         assert placeholder.validation_code is TxValidationCode.INVALID_OTHER_REASON
         assert placeholder.timings["saf_replays"] == 3.0
+
+    def test_close_cancels_the_pending_replay(self):
+        engine = SimulationEngine()
+        saf = StoreAndForwardMiddleware(engine, replay_interval_s=0.5)
+        attempts = []
+
+        def always_down(ctx):
+            attempts.append(engine.now)
+            raise NetworkError("partitioned")
+
+        saf.handle(write_ctx(at_time=0.0), always_down)
+        saf.close()
+        engine.run_until_idle()
+        assert attempts == [0.0]  # the parked write is never replayed
 
     def test_reads_and_healthy_writes_bypass_the_queue(self):
         engine = SimulationEngine()
@@ -87,7 +102,7 @@ class TestStoreAndForward:
         assert saf.handle(read_ctx(), lambda c: "fresh") == "fresh"
         handle = TransactionHandle(tx_id="tx-1", submitted_at=0.0, function="post")
         assert saf.handle(write_ctx(), lambda c: handle) is handle
-        assert saf.queued == 0
+        assert queued_writes(saf) == 0
 
 
 # ------------------------------------------------------------- config knobs
@@ -173,7 +188,7 @@ class TestStaleReadMarkers:
             view, history, verdict, page = answers[tag]
             assert [view.stale, history.stale, verdict.stale, page.stale] == [stale] * 4, tag
             assert all(record.stale is stale for record in page.records), tag
-            assert all(record.stale is stale for record in history.records), tag
+            assert all(record.stale is stale for record in (entry.view for entry in history)), tag
         # The archive still vouches for v1 mid-partition — which is exactly
         # why the verdict must say where it came from.
         assert answers["during"][2].matches and not answers["after"][2].matches

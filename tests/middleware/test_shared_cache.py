@@ -7,6 +7,7 @@ import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.middleware.cache import CacheEntry, ReadCacheStore
+from tests.internals import cache_keys
 
 
 # ----------------------------------------------------------------- the store
@@ -21,7 +22,7 @@ def test_shared_store_lru_eviction():
     store.get(("c", "get", ("a",)))  # refresh "a"
     evicted = store.put(("c", "get", ("c",)), entry("c"))
     assert evicted == 1
-    assert {key[2][0] for key in store.keys()} == {"a", "c"}
+    assert {key[2][0] for key in cache_keys(store)} == {"a", "c"}
 
 
 def test_store_capacity_below_one_is_a_configuration_error():
@@ -87,7 +88,7 @@ def test_invalidation_by_reverse_map_matches_the_brute_force_scan(seed):
         else:
             store.clear()
             reference.entries.clear()
-        assert store.keys() == list(reference.entries)  # same entries, same LRU order
+        assert cache_keys(store) == list(reference.entries)  # same entries, same LRU order
         # The maps hold exactly what the surviving entries depend on.
         assert store._broad == {key for key, held in reference.entries.items() if held.broad}
         dependents = {}

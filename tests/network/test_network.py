@@ -82,15 +82,16 @@ def test_heal_restores_connectivity():
 
 def test_node_cannot_be_in_two_groups():
     manager = PartitionManager()
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError):
         manager.partition([["a"], ["a", "b"]])
 
 
-def test_reachable_from_and_groups():
+def test_each_group_reaches_only_itself():
     manager = PartitionManager()
     manager.partition([["a", "b"], ["c", "d"]])
-    assert manager.reachable_from("a", ["a", "b", "c", "d"]) == ["a", "b"]
-    assert manager.groups() == [{"a", "b"}, {"c", "d"}]
+    reach = {node: [other for other in "abcd" if manager.can_communicate(node, other)]
+             for node in "abcd"}
+    assert reach == {"a": ["a", "b"], "b": ["a", "b"], "c": ["c", "d"], "d": ["c", "d"]}
 
 
 # --------------------------------------------------------------------- fabric
@@ -104,7 +105,7 @@ def fabric():
 
 def test_send_delivers_to_handler(fabric):
     received = []
-    fabric.set_handler("beta", lambda message: received.append(message))
+    fabric.register_node("beta", handler=lambda message: received.append(message))
     receipt = fabric.send("alpha", "beta", "ping", {"x": 1}, size_bytes=100)
     assert receipt.delivered
     assert received[0].payload == {"x": 1}
@@ -129,7 +130,7 @@ def test_partitioned_nodes_cannot_communicate(fabric):
 
 def test_send_later_delivers_via_engine(fabric):
     received = []
-    fabric.set_handler("beta", lambda message: received.append(fabric.engine.now))
+    fabric.register_node("beta", handler=lambda message: received.append(fabric.engine.now))
     fabric.send_later("alpha", "beta", "ping", None, size_bytes=1024)
     assert received == []
     fabric.engine.run_until_idle()

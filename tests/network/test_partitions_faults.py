@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.common.errors import NotFoundError, PartitionError
+from repro.common.errors import ConfigurationError, NotFoundError, PartitionError
 from repro.network.fabric import NetworkFabric
 from repro.network.link import LinkProfile
 from repro.network.partitions import PartitionManager
@@ -35,7 +35,7 @@ class TestPartitionManagerEdges:
 
     def test_duplicate_node_across_groups_raises(self):
         manager = PartitionManager()
-        with pytest.raises(ValueError, match="more than one group"):
+        with pytest.raises(ConfigurationError, match="more than one group"):
             manager.partition([["a"], ["a", "b"]])
 
     def test_unlisted_nodes_form_an_implicit_group(self):
@@ -113,7 +113,7 @@ class TestLinkFaultWindows:
 
     def test_inverted_window_raises(self):
         fabric = make_fabric("a", "b")
-        with pytest.raises(ValueError, match="inverted"):
+        with pytest.raises(ConfigurationError, match="inverted"):
             fabric.inject_link_fault("a", "b", start_s=5.0, end_s=1.0)
 
     def test_drop_retransmission_is_deterministic(self):

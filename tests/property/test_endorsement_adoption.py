@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 from repro.common.hashing import checksum_of
 from repro.core.topology import build_desktop_deployment
 from repro.fabric.peer import Peer
+from tests.internals import organization
 
 KEYS = [f"item/{index}" for index in range(4)]
 CLIENTS = ["hyperprov-client", "org2-client"]
@@ -39,7 +40,7 @@ def build(share: bool):
     """A desktop deployment with a second-organization client; returns it
     with the list every endorsement is recorded into."""
     deployment = build_desktop_deployment(seed=7)
-    org2 = deployment.channel.msp.organization("org2")
+    org2 = organization(deployment.channel.msp, "org2")
     deployment.fabric.add_client(
         "org2-client",
         identity=org2.enroll("org2-client", role="client"),

@@ -1,12 +1,17 @@
 """Property-based tests (hypothesis) on core data-structure invariants."""
 
+import json
+
 import pytest
 
 from hypothesis import given, settings, strategies as st
 
+from repro.chaincode.records import ProvenanceRecord
+from repro.common.errors import ConfigurationError
+from repro.common.events import EventBus
 from repro.common.hashing import HashChain, checksum_of, sha256_hex
-from repro.common.serialization import canonical_json, from_canonical_json
-from repro.crypto.merkle import MerkleTree
+from repro.common.serialization import canonical_json
+from repro.crypto.merkle import EMPTY_ROOT, merkle_root
 from repro.devices.model import DeviceModel
 from repro.devices.profiles import XEON_E5_1603
 from repro.ledger.block import Block
@@ -14,8 +19,14 @@ from repro.ledger.blockchain import BlockStore
 from repro.ledger.transaction import Endorsement, ReadSetEntry, ReadWriteSet, Transaction
 from repro.ledger.world_state import WorldState
 from repro.membership.identity import Organization
-from repro.membership.policies import OutOfPolicy, SignaturePolicy
+from repro.faults.plan import FaultPlan, PartitionFault
+from repro.membership.policies import MajorityPolicy
+from repro.network.partitions import PartitionManager
+from repro.query.indexes import FieldValueIndex
+from repro.simulation.randomness import DeterministicRandom
 from repro.simulation.resources import SimResource, interval_overlap
+from repro.workloads.arrivals import sample_poisson_times
+from tests.internals import indexed_keys, live_topics
 
 payloads = st.binary(min_size=0, max_size=256)
 keys = st.text(alphabet="abcdefghij/", min_size=1, max_size=12)
@@ -50,26 +61,38 @@ def test_hash_chain_detects_any_single_mutation(items, index):
     assert not chain.verify(mutated)
 
 
-@given(st.lists(payloads, min_size=1, max_size=32))
-def test_merkle_proofs_verify_for_all_leaves(leaves):
-    tree = MerkleTree(leaves)
-    for index, leaf in enumerate(leaves):
-        assert MerkleTree.verify_proof(leaf, tree.proof(index), tree.root)
+# ----------------------------------------------------------------------- merkle
+def _pairwise_root(hashes):
+    """The root by its definition: hash pairs level by level, an odd last
+    node paired with itself, one leaf is its own root."""
+    if not hashes:
+        return EMPTY_ROOT
+    if len(hashes) == 1:
+        return hashes[0]
+    padded = hashes + hashes[-1:] if len(hashes) % 2 else hashes
+    return _pairwise_root([sha256_hex(padded[i] + padded[i + 1]) for i in range(0, len(padded), 2)])
 
 
-@given(st.lists(payloads, min_size=2, max_size=16), st.integers(min_value=0, max_value=15))
-def test_merkle_proof_rejects_substituted_leaf(leaves, index):
-    index = index % len(leaves)
-    tree = MerkleTree(leaves)
-    substitute = leaves[index] + b"\xff"
-    assert not MerkleTree.verify_proof(substitute, tree.proof(index), tree.root)
+@given(st.lists(payloads, max_size=33))
+def test_merkle_root_matches_the_pairwise_definition(leaves):
+    hashes = [sha256_hex(leaf) for leaf in leaves]
+    assert merkle_root(hashes) == _pairwise_root(hashes)
+    assert hashes == [sha256_hex(leaf) for leaf in leaves]  # the input is not touched
+
+
+@given(st.lists(payloads, min_size=2, max_size=16, unique=True), st.integers(min_value=0))
+def test_merkle_root_depends_on_leaf_order(leaves, index):
+    hashes = [sha256_hex(leaf) for leaf in leaves]
+    index %= len(hashes) - 1
+    swapped = list(hashes)
+    swapped[index], swapped[index + 1] = swapped[index + 1], swapped[index]
+    assert merkle_root(swapped) != merkle_root(hashes)
 
 
 # ----------------------------------------------------------------- serialization
 @given(
     st.recursive(
-        st.one_of(st.integers(), st.booleans(), st.text(max_size=20), st.none(),
-                  st.binary(max_size=32)),
+        st.one_of(st.integers(), st.booleans(), st.text(max_size=20), st.none()),
         lambda children: st.one_of(
             st.lists(children, max_size=4),
             st.dictionaries(st.text(max_size=8), children, max_size=4),
@@ -78,7 +101,12 @@ def test_merkle_proof_rejects_substituted_leaf(leaves, index):
     )
 )
 def test_canonical_json_roundtrip(value):
-    assert from_canonical_json(canonical_json(value)) == value
+    assert json.loads(canonical_json(value)) == value
+
+
+@given(st.binary(max_size=64))
+def test_canonical_json_encodes_any_bytes_as_their_hex(blob):
+    assert json.loads(canonical_json({"b": blob})) == {"b": {"__bytes__": blob.hex()}}
 
 
 @given(st.dictionaries(st.text(max_size=8), st.integers(), max_size=8))
@@ -97,7 +125,7 @@ def test_world_state_last_write_wins(writes):
         expected[key] = value
     assert state.snapshot() == expected
     for key, value in expected.items():
-        assert state.get_value(key) == value
+        assert state.get(key).value == value
 
 
 @given(st.lists(keys, min_size=1, max_size=30))
@@ -105,8 +133,8 @@ def test_world_state_range_query_is_sorted_and_complete(key_list):
     state = WorldState()
     for position, key in enumerate(key_list):
         state.put(key, "v", (0, position))
-    results = state.range_query("", "")
-    assert [key for key, _ in results] == sorted(set(key_list))
+    results = state.range_query_versioned("", "")
+    assert [entry.key for entry in results] == sorted(set(key_list))
 
 
 # -------------------------------------------------------------------- block store
@@ -124,7 +152,7 @@ def test_block_store_chain_always_verifies(batches):
         store.append(Block.build(number, store.latest_hash, txs, timestamp=float(number)))
     assert store.verify_chain()
     assert store.height == len(batches)
-    assert store.total_transactions == counter
+    assert sum(store.block(n).tx_count for n in range(store.height)) == counter
 
 
 # --------------------------------------------------------------------- resources
@@ -133,15 +161,16 @@ def test_block_store_chain_always_verifies(batches):
        st.integers(min_value=1, max_value=4))
 def test_resource_reservations_never_overlap_per_slot(requests, concurrency):
     resource = SimResource("cpu", concurrency=concurrency)
-    total = 0.0
-    last_starts = []
+    spans = []
     for requested_at, duration in requests:
         reservation = resource.reserve(requested_at, duration)
         assert reservation.start >= requested_at
         assert reservation.end - reservation.start == pytest.approx(duration, abs=1e-9)
-        total += duration
-        last_starts.append(reservation.start)
-    assert resource.busy_time == pytest.approx(total, abs=1e-9)
+        # Each slot runs one reservation at a time, so fewer than
+        # ``concurrency`` earlier ones can still be running at its start.
+        running = sum(1 for start, end in spans if start <= reservation.start < end)
+        assert running < concurrency
+        spans.append(reservation)
 
 
 # -------------------------------------------------------------------- busy log
@@ -190,20 +219,14 @@ def test_device_busy_log_equals_a_list_of_intervals(charges, windows):
                 expected = min(1.0, busy / (length * capacity[component])) if length > 0 else 0.0
                 assert device.utilization(window, component) == expected
 
-    device.reset_accounting()
-    for component in (None, *_COMPONENTS):
-        assert device.busy_time(component=component) == 0.0
-    assert device.occupy("cpu", 0.0, 1.0) == (0.0, 1.0)  # reservations are gone too
-
 
 # ----------------------------------------------------------------------- policies
 @given(st.sets(st.sampled_from(["org1", "org2", "org3", "org4", "org5"]), max_size=5),
        st.integers(min_value=1, max_value=5))
-def test_out_of_policy_threshold_semantics(signers, threshold):
-    orgs = ["org1", "org2", "org3", "org4", "org5"]
-    policy = OutOfPolicy(threshold, [SignaturePolicy(org) for org in orgs])
-    satisfied = policy.evaluate(signers)
-    assert satisfied == (len(signers & set(orgs)) >= threshold)
+def test_majority_policy_semantics(signers, size):
+    orgs = ["org1", "org2", "org3", "org4", "org5"][:size]
+    satisfied = MajorityPolicy(orgs).evaluate(signers)
+    assert satisfied == (len(signers & set(orgs)) > size / 2)
 
 
 # ---------------------------------------------------------------------- checksums
@@ -324,3 +347,81 @@ def test_envelope_bytes_equal_canonical_json_of_the_envelope_dict(
     assert clone.digest() != tx.digest() == sha256_hex(reference)
     assert tx.envelope_bytes() == reference
 
+
+# ----------------------------------------------------------------------- arrivals
+@given(st.integers(min_value=0, max_value=2**32), st.floats(min_value=0.01, max_value=20.0),
+       st.floats(min_value=0.1, max_value=50.0))
+def test_poisson_times_are_sorted_inside_the_window_and_seeded(seed, rate, duration):
+    times = sample_poisson_times(DeterministicRandom(seed), rate, duration)
+    assert times == sorted(times)
+    assert all(0.0 < t < duration for t in times)
+    assert times == sample_poisson_times(DeterministicRandom(seed), rate, duration)
+
+
+# --------------------------------------------------------------------- partitions
+@given(st.lists(st.lists(st.sampled_from("abcdef"), min_size=1, max_size=3),
+                min_size=1, max_size=4))
+def test_a_partition_is_accepted_iff_it_names_each_node_once(groups):
+    fault = PartitionFault(0.0, 1.0, groups)
+    named = [node for group in fault.groups for node in group]
+    if len(set(named)) == len(named):
+        FaultPlan(seed=1, faults=(fault,)).validate()
+        manager = PartitionManager()
+        manager.partition(fault.groups)
+        for group in fault.groups:
+            assert all(manager.can_communicate(group[0], node) for node in group)
+    else:
+        with pytest.raises(ConfigurationError):
+            FaultPlan(seed=1, faults=(fault,)).validate()
+        with pytest.raises(ConfigurationError):
+            PartitionManager().partition(fault.groups)
+
+
+# ------------------------------------------------------------------------- events
+_bus_programs = st.lists(
+    st.tuples(st.sampled_from(["subscribe", "cancel", "publish"]),
+              st.sampled_from(["t0", "t1", "t2"]), st.integers(min_value=0, max_value=20)),
+    max_size=40,
+)
+
+
+@given(_bus_programs)
+def test_event_bus_delivers_to_exactly_the_live_subscriptions(program):
+    bus = EventBus()
+    live = []  # (topic, subscription, payloads received)
+    for operation, topic, pick in program:
+        if operation == "subscribe":
+            received = []
+            subscription = bus.subscribe(topic, lambda _t, p, received=received: received.append(p))
+            live.append((topic, subscription, received))
+        elif operation == "cancel" and live:
+            live.pop(pick % len(live))[1].cancel()
+        elif operation == "publish":
+            before = [len(received) for _, _, received in live]
+            assert bus.publish(topic, pick) == sum(1 for t, _, _ in live if t == topic)
+            assert [len(received) - count for (_, _, received), count in zip(live, before)] == [
+                int(t == topic) for t, _, _ in live
+            ]
+        # A topic is held exactly while it has a live subscription.
+        assert sorted(live_topics(bus)) == sorted({t for t, _, _ in live})
+
+
+# ------------------------------------------------------------------------ indexes
+@given(st.lists(st.tuples(st.sampled_from(["put", "remove"]), st.sampled_from("abcd"),
+                          st.sampled_from(["alice", "bob", ""])), max_size=30))
+def test_field_index_postings_follow_the_live_documents(program):
+    index = FieldValueIndex(["creator"])
+    live = {}
+    for operation, key, creator in program:
+        if operation == "put":
+            record = ProvenanceRecord(key=key, checksum=checksum_of(key.encode()),
+                                      location="ssh://storage/" + key, creator=creator,
+                                      organization="org1", certificate_fingerprint="fp")
+            index.update(key, record.to_json())
+            live[key] = creator
+        else:
+            index.remove(key)
+            live.pop(key, None)
+    for creator in ("alice", "bob", ""):
+        assert index.lookup("creator", creator) == {k for k, c in live.items() if c == creator}
+    assert indexed_keys(index) == set(live)

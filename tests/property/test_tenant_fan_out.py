@@ -72,7 +72,7 @@ def answer(session, read):
         return session.backend.client.get_by_range(read[1], read[2]).payload
     else:
         try:
-            views = session.history(read[1]).records
+            views = [entry.view for entry in session.history(read[1])]
         except NotFoundError as error:
             return str(error)
     return [dataclasses.replace(view, latency_s=0.0) for view in views]

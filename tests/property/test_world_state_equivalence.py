@@ -59,6 +59,27 @@ class NaiveWorldState:
         ]
 
 
+def pairs(entries):
+    return [(entry.key, entry.value) for entry in entries]
+
+
+def range_pairs(state, low, high):
+    return pairs(state.range_query_versioned(low, high))
+
+
+def prefix_pairs(state, prefix):
+    return pairs(state.query_by_prefix_versioned(prefix))
+
+
+def live_keys(state):
+    return [entry.key for entry in state.range_query_versioned("", "")]
+
+
+def value_of(state, key):
+    entry = state.get(key)
+    return entry.value if entry is not None else None
+
+
 def _random_key(rng: random.Random) -> str:
     segment = rng.choice(["tenant", "perf", "iot", "x", "audit"])
     # Small key space on purpose: collisions exercise re-puts of deleted
@@ -67,23 +88,23 @@ def _random_key(rng: random.Random) -> str:
 
 
 def _assert_equivalent(state: WorldState, oracle: NaiveWorldState, rng: random.Random):
-    assert state.keys() == oracle.keys()
-    assert [key for key, _ in state.items()] == oracle.keys()
+    assert live_keys(state) == oracle.keys()
+    assert [entry.key for entry in state.iter_by_range_versioned("", "")] == oracle.keys()
     assert len(state) == len(oracle.keys())
     # Point lookups (hits and misses) agree, including versions.
     for key in oracle.keys()[:5] + [_random_key(rng) for _ in range(5)]:
-        assert state.get_value(key) == oracle.get_value(key)
+        assert value_of(state, key) == oracle.get_value(key)
         assert state.get_version(key) == oracle.get_version(key)
-        assert (key in state) == (oracle.get_value(key) is not None)
+        assert (state.get(key) is not None) == (oracle.get_value(key) is not None)
     # Range queries, including open-ended and empty ranges.
     bounds = sorted([_random_key(rng), _random_key(rng)])
-    assert state.range_query(bounds[0], bounds[1]) == oracle.range_query(*bounds)
-    assert state.range_query("", "") == oracle.range_query("", "")
-    assert state.range_query(bounds[1], bounds[0]) == \
+    assert range_pairs(state, bounds[0], bounds[1]) == oracle.range_query(*bounds)
+    assert range_pairs(state, "", "") == oracle.range_query("", "")
+    assert range_pairs(state, bounds[1], bounds[0]) == \
         oracle.range_query(bounds[1], bounds[0])
     # Prefix queries: bucket-resolved, cross-bucket, and missing prefixes.
     for prefix in ("tenant/", "perf/0", "", "nosuch/", "x", _random_key(rng)):
-        assert state.query_by_prefix(prefix) == oracle.query_by_prefix(prefix)
+        assert prefix_pairs(state, prefix) == oracle.query_by_prefix(prefix)
 
 
 @pytest.mark.parametrize("seed", [1, 7, 42, 1337])
@@ -132,7 +153,7 @@ def test_prefix_and_bookmark_edges_match_the_naive_oracle(prefix_index):
     ]
     for prefix in prefixes:
         expected = oracle.query_by_prefix(prefix)
-        assert state.query_by_prefix(prefix) == expected
+        assert prefix_pairs(state, prefix) == expected
         versions = state.query_by_prefix_versioned(prefix)
         assert [(entry.key, entry.value) for entry in versions] == expected
         assert all(entry is state.get(entry.key) for entry in versions)
@@ -144,7 +165,7 @@ def test_prefix_and_bookmark_edges_match_the_naive_oracle(prefix_index):
     for low in ["", "a/1", f"a/{EDGE}", EDGE]:
         for high in ["", "a0", EDGE, EDGE * 2, "a"]:
             expected = oracle.range_query(low, high)
-            assert state.range_query(low, high) == expected
+            assert range_pairs(state, low, high) == expected
             for bookmark in ["", "a/1", f"a/{EDGE}{EDGE}", "b/1"]:
                 resumed = state.iter_by_range_versioned(low, high, bookmark)
                 assert [(entry.key, entry.value) for entry in resumed] == [
@@ -158,9 +179,9 @@ def test_delete_then_reput_does_not_duplicate_index_entries():
         state.put("a/1", f"v{round_number}", (round_number, 0))
         state.delete("a/1", (round_number, 1))
     state.put("a/1", "final", (99, 0))
-    assert state.keys() == ["a/1"]
-    assert state.range_query("", "") == [("a/1", "final")]
-    assert state.query_by_prefix("a/") == [("a/1", "final")]
+    assert live_keys(state) == ["a/1"]
+    assert range_pairs(state, "", "") == [("a/1", "final")]
+    assert prefix_pairs(state, "a/") == [("a/1", "final")]
 
 
 def test_mass_delete_triggers_compaction_and_queries_stay_correct():
@@ -170,11 +191,11 @@ def test_mass_delete_triggers_compaction_and_queries_stay_correct():
     for index in range(0, 500, 2):
         state.delete(f"k/{index:04d}", (1, index))
     survivors = [f"k/{index:04d}" for index in range(1, 500, 2)]
-    assert state.keys() == survivors
-    assert [key for key, _ in state.range_query("k/0100", "k/0110")] == [
+    assert live_keys(state) == survivors
+    assert [key for key, _ in range_pairs(state, "k/0100", "k/0110")] == [
         "k/0101", "k/0103", "k/0105", "k/0107", "k/0109"
     ]
-    assert len(state.query_by_prefix("k/")) == len(survivors)
+    assert len(prefix_pairs(state, "k/")) == len(survivors)
 
 
 def test_bulk_delete_while_iterating_items_is_safe():
@@ -184,12 +205,12 @@ def test_bulk_delete_while_iterating_items_is_safe():
     for index in range(100):
         state.put(f"k{index:03d}", "v", (0, index))
     seen = []
-    for key, _entry in state.items():
-        seen.append(key)
-        state.delete(key, (1, 0))
+    for entry in state.iter_by_range_versioned("", ""):
+        seen.append(entry.key)
+        state.delete(entry.key, (1, 0))
     assert seen == [f"k{index:03d}" for index in range(100)]
     assert len(state) == 0
-    assert state.keys() == []
+    assert live_keys(state) == []
 
 
 def test_snapshot_matches_live_state_after_interleaving():

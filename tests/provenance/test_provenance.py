@@ -11,6 +11,7 @@ from repro.core.topology import build_desktop_deployment
 from repro.middleware.config import PipelineConfig
 from repro.middleware.sharding import ConsistentHashRing
 from repro.provenance import lineage_report
+from tests.internals import queued_events
 
 
 def record_for(key, payload, dependencies=(), creator="client1", organization="org1"):
@@ -114,7 +115,7 @@ def test_descendants_of_raw_input(pipeline_records):
 def test_lineage_report_contents(pipeline_records):
     report = lineage_report(pipeline_records, "report")
     assert report.ancestor_count == 3
-    assert report.descendant_count == 0
+    assert report.descendants == []
     assert report.depth == 2
     assert report.contributing_agents == ["agent:org1/client1", "agent:org1/client2"]
 
@@ -197,12 +198,12 @@ def test_lineage_crosses_shards():
         two.drain()
     for shard, payload in ((0, b"v1"), (1, b"v2")):
         peers = deployment.fabric.shard(shard).peers
-        held = peers[sorted(peers)[0]].world_state.get_value(source)
+        held = peers[sorted(peers)[0]].world_state.get(source).value
         assert checksum_of(payload) in held
 
     client = deployment.client
     engine = deployment.fabric.engine
-    before = (engine.now, engine.pending_events)
+    before = (engine.now, queued_events(engine))
     report = client.get_lineage(source)
     assert report.root == artifact(source, b"v2")
     assert report.descendants == sorted(
@@ -211,7 +212,7 @@ def test_lineage_crosses_shards():
     assert client.get_lineage("cross/early").ancestors == [artifact(source, b"v1")]
     assert client.get_lineage(late).ancestors == [artifact(source, b"v2")]
     # Lineage reads committed history: no virtual time, nothing scheduled.
-    assert (engine.now, engine.pending_events) == before
+    assert (engine.now, queued_events(engine)) == before
 
 
 def test_a_tenants_lineage_holds_only_its_own_artifacts():

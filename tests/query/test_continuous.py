@@ -15,6 +15,7 @@ from repro.ledger.block import Block
 from repro.ledger.transaction import ReadWriteSet, Transaction, TxValidationCode, WriteSetEntry
 from repro.middleware.config import PipelineConfig
 from repro.query.continuous import ContinuousQueryRegistry
+from tests.internals import live_topics, registered_queries
 
 
 def record_value(key, creator="client1", metadata=None):
@@ -70,14 +71,14 @@ def test_register_rejects_bad_selectors():
         registry.register({"creator": "x", "_limit": 5})
     with pytest.raises(ValidationError):
         registry.register({"_explain": True})
-    assert registry.active_count == 0
+    assert registered_queries(registry) == 0
 
 
 def test_prefix_only_selector_is_valid():
     registry = ContinuousQueryRegistry(EventBus())
     query = registry.register({"_prefix": "iot/"})
     assert query.active
-    assert registry.active_count == 1
+    assert registered_queries(registry) == 1
 
 
 def test_cancel_is_idempotent_and_deregisters():
@@ -86,14 +87,14 @@ def test_cancel_is_idempotent_and_deregisters():
     query.cancel()
     query.cancel()
     assert not query.active
-    assert registry.active_count == 0
+    assert registered_queries(registry) == 0
 
 
 def test_handle_is_a_context_manager():
     registry = ContinuousQueryRegistry(EventBus())
     with registry.register({"creator": "x"}) as query:
         assert query.active
-    assert registry.active_count == 0
+    assert registered_queries(registry) == 0
 
 
 # ------------------------------------------------------ unit-level stream
@@ -213,13 +214,13 @@ def test_registry_close_detaches_from_the_bus():
     seen = []
     registry.register({"_prefix": "iot/"}, callback=seen.append)
     registry.close()
-    assert bus.topics() == []
+    assert live_topics(bus) == []
     bus.publish(
         "block_delivered",
         block_payload(0, [WriteSetEntry("iot/a", record_value("iot/a"))]),
     )
     assert seen == []
-    assert registry.active_count == 0
+    assert registered_queries(registry) == 0
 
 
 # ------------------------------------------------------- end-to-end flow

@@ -22,6 +22,7 @@ from repro.simulation.parallel import (
 )
 from repro.workloads import fleet
 from repro.workloads.fleet import FleetSpec
+from tests.internals import device_schedules
 
 
 def property_spec(**overrides) -> FleetSpec:
@@ -66,7 +67,7 @@ class TestDeterminism:
     def test_churn_and_partition_visible_in_run(self):
         spec = property_spec()
         plan = spec.arrival_plan()
-        churned = [s for s in plan.schedules if s.offline_window is not None]
+        churned = [s for s in device_schedules(plan) if s.offline_window is not None]
         assert churned, "property spec must exercise churn"
         result = run_fleet_sequential(spec)
         assert result.committed > 0

@@ -4,7 +4,7 @@ import pytest
 
 from repro.common.errors import SimulationError
 from repro.simulation.randomness import DeterministicRandom
-from repro.simulation.resources import ResourceBusyError, SimResource, interval_overlap
+from repro.simulation.resources import SimResource, interval_overlap
 
 
 # ------------------------------------------------------------------- resources
@@ -22,7 +22,6 @@ def test_back_to_back_reservations_queue_fifo():
     assert first.end == 2.0
     assert second.start == 2.0
     assert second.end == 4.0
-    assert second.wait == pytest.approx(1.0)
 
 
 def test_multi_slot_resource_runs_in_parallel():
@@ -34,29 +33,6 @@ def test_multi_slot_resource_runs_in_parallel():
     assert third.start == 2.0
 
 
-def test_busy_time_accumulates():
-    resource = SimResource("disk")
-    resource.reserve(0.0, 1.0)
-    resource.reserve(5.0, 0.5)
-    assert resource.busy_time == pytest.approx(1.5)
-    assert resource.reservations == 2
-
-
-def test_utilization_is_bounded_by_one():
-    resource = SimResource("cpu")
-    resource.reserve(0.0, 10.0)
-    assert resource.utilization(horizon=5.0) == 1.0
-    assert resource.utilization(horizon=20.0) == pytest.approx(0.5)
-    assert resource.utilization(horizon=0.0) == 0.0
-
-
-def test_try_reserve_raises_when_busy():
-    resource = SimResource("cpu")
-    resource.reserve(0.0, 5.0)
-    with pytest.raises(ResourceBusyError):
-        resource.try_reserve(1.0, 1.0)
-
-
 def test_negative_duration_rejected():
     with pytest.raises(SimulationError):
         SimResource("cpu").reserve(0.0, -1.0)
@@ -65,14 +41,6 @@ def test_negative_duration_rejected():
 def test_zero_concurrency_rejected():
     with pytest.raises(SimulationError):
         SimResource("cpu", concurrency=0)
-
-
-def test_reset_clears_state():
-    resource = SimResource("cpu")
-    resource.reserve(0.0, 3.0)
-    resource.reset()
-    assert resource.busy_time == 0.0
-    assert resource.next_free() == 0.0
 
 
 def test_interval_overlap():
@@ -129,11 +97,3 @@ def test_exponential_mean_roughly_matches():
 
 def test_bytes_returns_requested_length():
     assert len(DeterministicRandom(1).bytes(1000)) == 1000
-
-
-def test_shuffle_returns_copy():
-    rng = DeterministicRandom(5)
-    original = [1, 2, 3, 4, 5]
-    shuffled = rng.shuffle(original)
-    assert sorted(shuffled) == original
-    assert original == [1, 2, 3, 4, 5]

@@ -1,4 +1,4 @@
-"""Tests for the off-chain storage backends and content addressing."""
+"""Tests for the SSHFS off-chain store and content addressing."""
 
 import pytest
 
@@ -10,8 +10,7 @@ from repro.network.fabric import NetworkFabric
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.randomness import DeterministicRandom
 from repro.storage.content import ContentAddressedStore
-from repro.storage.local import LocalStorageBackend
-from repro.storage.sshfs import SSHFSStorageBackend
+from repro.storage.sshfs import PROTOCOL_OVERHEAD_S, SSHFSStorageBackend
 
 
 @pytest.fixture
@@ -32,45 +31,6 @@ def client_device():
     return DeviceModel("client", RASPBERRY_PI_3B_PLUS, rng=DeterministicRandom(3))
 
 
-# ----------------------------------------------------------------------- local
-def test_local_store_and_retrieve_roundtrip():
-    backend = LocalStorageBackend()
-    receipt = backend.store("a/b", b"payload")
-    assert receipt.checksum == checksum_of(b"payload")
-    assert backend.exists("a/b")
-    retrieved = backend.retrieve("a/b")
-    assert retrieved.checksum == receipt.checksum
-    assert backend.get_object("a/b").data == b"payload"
-
-
-def test_local_missing_path_raises():
-    with pytest.raises(NotFoundError):
-        LocalStorageBackend().retrieve("ghost")
-
-
-def test_local_delete_and_list():
-    backend = LocalStorageBackend()
-    backend.store("x/1", b"1")
-    backend.store("x/2", b"2")
-    backend.store("y/1", b"3")
-    assert backend.list_paths("x/") == ["x/1", "x/2"]
-    assert backend.delete("x/1")
-    assert not backend.delete("x/1")
-    assert backend.list_paths("x/") == ["x/2"]
-
-
-def test_local_with_device_charges_disk_time():
-    device = DeviceModel("host", RASPBERRY_PI_3B_PLUS, rng=DeterministicRandom(4))
-    backend = LocalStorageBackend(device=device)
-    receipt = backend.store("k", b"x" * 1024 * 1024)
-    assert receipt.duration_s > 0
-    assert device.busy_time(component="disk") > 0
-
-
-def test_local_location_uses_file_scheme():
-    assert LocalStorageBackend(host="edge-1").location_of("a") == "file://edge-1/a"
-
-
 # ----------------------------------------------------------------------- sshfs
 def test_sshfs_store_and_retrieve_with_costs(sshfs, client_device):
     data = b"y" * 256 * 1024
@@ -88,6 +48,22 @@ def test_sshfs_store_and_retrieve_with_costs(sshfs, client_device):
     )
     assert fetched.checksum == receipt.checksum
     assert fetched.duration_s > 0
+
+
+def test_sshfs_charges_hashing_to_the_client_device_it_is_given(sshfs, client_device):
+    data = b"z" * 64 * 1024
+    bare = sshfs.store("items/bare", data, at_time=0.0)
+    assert client_device.busy_time() == 0.0
+    assert bare.duration_s > PROTOCOL_OVERHEAD_S  # the storage node's disk write
+    sshfs.store("items/hashed", data, at_time=10.0, client_device=client_device)
+    assert client_device.busy_time(component="cpu") > PROTOCOL_OVERHEAD_S
+
+
+def test_sshfs_retrieve_charges_the_transfer_to_the_client_node(sshfs):
+    sshfs.store("items/far", b"f" * 512 * 1024, at_time=0.0)
+    local = sshfs.retrieve("items/far", at_time=100.0)
+    remote = sshfs.retrieve("items/far", at_time=200.0, client_node="client-host")
+    assert remote.duration_s > local.duration_s
 
 
 def test_sshfs_transfer_cost_grows_with_size(sshfs, client_device):
@@ -113,13 +89,13 @@ def test_sshfs_missing_object_raises(sshfs):
         sshfs.retrieve("ghost")
 
 
-def test_sshfs_inventory_helpers(sshfs):
-    sshfs.store("a/1", b"1")
-    sshfs.store("a/2", b"22")
-    assert sshfs.total_bytes_stored() == 3
-    assert sshfs.list_paths("a/") == ["a/1", "a/2"]
-    assert sshfs.verify_integrity() == []
-    assert sshfs.delete("a/1")
+def test_sshfs_keeps_a_storage_node_already_on_the_network(network):
+    device = DeviceModel("storage", XEON_E5_1603)
+    received = []
+    network.register_node("nas", handler=received.append, profile=RASPBERRY_PI_3B_PLUS.nic)
+    SSHFSStorageBackend(network=network, storage_device=device, storage_node="nas")
+    network.send("client-host", "nas", "ping", None, 64)
+    assert len(received) == 1  # the node kept its own handler
 
 
 def test_sshfs_registers_storage_node_on_network(network):
@@ -136,8 +112,7 @@ def test_content_store_is_idempotent(sshfs):
     second = store.put(data)
     assert first.path == second.path
     assert second.duration_s == 0.0
-    assert store.exists(checksum_of(data))
-    assert store.list_checksums() == [checksum_of(data)]
+    assert store.get_object(checksum_of(data)).data == data
 
 
 def test_content_store_get_roundtrip(sshfs, client_device):
@@ -154,3 +129,12 @@ def test_content_store_path_layout(sshfs):
     store = ContentAddressedStore(sshfs, prefix="objects")
     checksum = checksum_of(b"z")
     assert store.path_for(checksum) == f"objects/{checksum[:2]}/{checksum}"
+
+
+def test_content_address_is_a_path_on_the_storage_node(sshfs):
+    store = ContentAddressedStore(sshfs)
+    checksum = checksum_of(b"addressed")
+    receipt = store.put(b"addressed")
+    assert receipt.location == f"ssh://storage/objects/{checksum[:2]}/{checksum}"
+    assert store.get_object(checksum).data == b"addressed"
+    assert store.get_object(checksum_of(b"never stored")) is None

@@ -1,4 +1,4 @@
-"""Vectorized arrival sampling: same draws as the generator, plan invariants."""
+"""Vectorized arrival sampling and the fleet plan's invariants."""
 
 import pytest
 
@@ -7,16 +7,18 @@ from repro.simulation.randomness import DeterministicRandom
 from repro.workloads.arrivals import (
     CHURN_OFFLINE_FRACTION,
     CohortArrivalPlan,
-    PoissonSchedule,
     sample_poisson_times,
 )
+from tests.internals import device_schedules
 
 
 class TestSamplePoissonTimes:
-    def test_matches_generator_draw_for_draw(self):
-        generated = list(PoissonSchedule(5.0, 30.0, seed=11).arrival_times())
-        sampled = PoissonSchedule(5.0, 30.0, seed=11).sample()
-        assert sampled == generated
+    def test_fig3_timeline_is_pinned(self):
+        # Fig. 3's medium-load interval: 0.5 arrivals/s for 600 s at seed 42.
+        times = sample_poisson_times(DeterministicRandom(42), 0.5, 600.0)
+        assert len(times) == 282
+        assert times[:3] == [2.040120574549602, 2.0907782526350798, 2.7340263807850107]
+        assert times[-1] == 599.1926920593339
 
     def test_zero_rate_is_empty(self):
         assert sample_poisson_times(DeterministicRandom(1), 0.0, 10.0) == []
@@ -29,8 +31,8 @@ class TestSamplePoissonTimes:
             sample_poisson_times(rng, 1.0, 0.0)
 
     def test_times_stay_inside_the_window(self):
-        times = sample_poisson_times(DeterministicRandom(3), 2.0, 50.0, start_time_s=5.0)
-        assert all(5.0 <= t < 55.0 for t in times)
+        times = sample_poisson_times(DeterministicRandom(3), 2.0, 50.0)
+        assert all(0.0 < t < 50.0 for t in times)
         assert times == sorted(times)
 
 
@@ -51,34 +53,35 @@ class TestCohortArrivalPlan:
     def test_device_streams_independent_of_shard_count(self):
         # Streams fork by device index, never by shard layout, so resharding
         # a fleet cannot move any device's submission times.
-        by_two = {s.device_index: s.times for s in self.make_plan(shards=2).schedules}
-        by_four = {s.device_index: s.times for s in self.make_plan(shards=4).schedules}
+        by_two = {s.device_index: s.times for s in device_schedules(self.make_plan(shards=2))}
+        by_four = {s.device_index: s.times for s in device_schedules(self.make_plan(shards=4))}
         assert by_two == by_four
 
-    def test_shard_slices_partition_the_fleet(self):
+    def test_devices_are_homed_round_robin(self):
         plan = self.make_plan()
-        seen = []
-        for shard in range(plan.shards):
-            for schedule in plan.for_shard(shard):
-                assert schedule.device_index % plan.shards == shard
-                seen.append(schedule.device_index)
-        assert sorted(seen) == list(range(plan.devices))
-        assert sum(plan.total_arrivals(s) for s in range(plan.shards)) == (
-            plan.total_arrivals()
-        )
+        assert [s.device_index for s in device_schedules(plan)] == list(range(plan.devices))
+        assert all(s.shard == s.device_index % plan.shards for s in device_schedules(plan))
 
     def test_churned_devices_have_a_silent_window(self):
         plan = self.make_plan()
-        churned = [s for s in plan.schedules if s.offline_window is not None]
+        churned = [s for s in device_schedules(plan) if s.offline_window is not None]
         assert churned, "churn_fraction=0.25 must churn some devices"
         for schedule in churned:
             leave, rejoin = schedule.offline_window
             assert 0.0 < leave < rejoin <= plan.duration_s
             assert not any(leave <= t < rejoin for t in schedule.times)
 
+    def test_without_churn_every_device_keeps_its_whole_timeline(self):
+        calm = self.make_plan(churn_fraction=0.0)
+        churned = self.make_plan(churn_fraction=1.0)
+        assert all(s.offline_window is None for s in device_schedules(calm))
+        for quiet, cut in zip(device_schedules(calm), device_schedules(churned)):
+            # Churn only cuts a window out of the device's own stream.
+            assert set(cut.times) <= set(quiet.times)
+
     def test_churn_window_is_a_fixed_share_of_the_run(self):
         plan = self.make_plan(churn_fraction=1.0)
-        windows = [s.offline_window for s in plan.schedules]
+        windows = [s.offline_window for s in device_schedules(plan)]
         assert all(window is not None for window in windows)
         for leave, rejoin in windows:
             assert rejoin - leave == pytest.approx(

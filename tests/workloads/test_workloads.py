@@ -5,13 +5,14 @@ import json
 import pytest
 
 from repro.common.errors import ConfigurationError
-from repro.workloads.arrivals import ClosedLoopSchedule, PoissonSchedule, merge_schedules
+from repro.simulation.randomness import DeterministicRandom
+from repro.workloads.arrivals import sample_poisson_times
 from repro.workloads.payloads import (
     ImagePayloadGenerator,
     PayloadGenerator,
     SensorReadingGenerator,
 )
-from repro.workloads.scenarios import IoTPipelineWorkload, PipelineStage
+from repro.workloads.scenarios import IoTPipelineWorkload, PipelineStage, SkewedTenantWorkload
 
 
 # ------------------------------------------------------------------- payloads
@@ -35,7 +36,7 @@ def test_payload_generator_is_deterministic():
 
 
 def test_payload_generator_rejects_negative_size():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError):
         PayloadGenerator(size_bytes=-1)
 
 
@@ -58,46 +59,9 @@ def test_image_generator_size_varies_around_target():
 
 
 # ------------------------------------------------------------------- arrivals
-def test_closed_loop_schedule_count_and_order():
-    schedule = ClosedLoopSchedule(total_requests=10, concurrency=2,
-                                  estimated_service_time_s=0.1)
-    times = list(schedule.arrival_times())
-    assert len(times) == 10
-    assert times == sorted(times)
-
-
-def test_closed_loop_validation():
-    with pytest.raises(ConfigurationError):
-        ClosedLoopSchedule(total_requests=0)
-    with pytest.raises(ConfigurationError):
-        ClosedLoopSchedule(total_requests=1, concurrency=0)
-
-
-def test_poisson_schedule_rate_and_bounds():
-    schedule = PoissonSchedule(rate_per_s=10.0, duration_s=100.0, seed=5)
-    times = list(schedule.arrival_times())
-    assert all(0.0 <= t < 100.0 for t in times)
-    assert times == sorted(times)
-    assert len(times) == pytest.approx(schedule.expected_count(), rel=0.2)
-
-
-def test_poisson_zero_rate_yields_nothing():
-    assert list(PoissonSchedule(0.0, 10.0).arrival_times()) == []
-
-
-def test_poisson_validation():
-    with pytest.raises(ConfigurationError):
-        PoissonSchedule(-1.0, 10.0)
-    with pytest.raises(ConfigurationError):
-        PoissonSchedule(1.0, 0.0)
-
-
-def test_merge_schedules_sorted():
-    merged = merge_schedules([
-        PoissonSchedule(1.0, 10.0, seed=1),
-        PoissonSchedule(2.0, 10.0, seed=2),
-    ])
-    assert merged == sorted(merged)
+def test_poisson_times_hold_the_rate():
+    times = sample_poisson_times(DeterministicRandom(5), rate_per_s=10.0, duration_s=100.0)
+    assert len(times) == pytest.approx(10.0 * 100.0, rel=0.2)
 
 
 # ------------------------------------------------------------------ scenarios
@@ -121,7 +85,13 @@ def test_iot_pipeline_ingest_and_derive(desktop_deployment):
 
     checks = workload.verify_all()
     assert all(checks.values())
-    assert workload.total_items == 4
+    assert len(workload.raw_posts) + len(workload.derived_posts) == 4
+
+
+@pytest.mark.parametrize("knobs", [{"light_requests": 0}, {"skew": 0}])
+def test_skewed_tenant_workload_rejects_empty_load(knobs):
+    with pytest.raises(ConfigurationError):
+        SkewedTenantWorkload(service=None, **knobs)
 
 
 def test_iot_pipeline_derive_requires_sources(desktop_deployment):
