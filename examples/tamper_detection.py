@@ -66,26 +66,24 @@ def provchain_scenario() -> None:
     print("\n=== ProvChain-style Proof-of-Work ledger ===")
     miner = DeviceModel("rpi-miner", RASPBERRY_PI_3B_PLUS)
     chain = PowProvenanceChain(miner, difficulty_bits=20)
-    store = chain.as_store()
-    result = store.store(StoreRequest(key="audit/batch-42", data=ORIGINAL))
+    result = chain.store(StoreRequest(key="audit/batch-42", data=ORIGINAL))
     power = PowerModel(miner).power_over((0.0, max(result.latency_s, 1e-9))).watts
     print(f"  mining one record took {result.latency_s:.2f} s of virtual time "
           f"at {power:.1f} W on an RPi")
     chain.tamper("audit/batch-42", checksum_of(FORGED))
-    print(f"  audit after tampering: {store.audit()} (detected)")
+    print(f"  audit after tampering: {chain.audit()} (detected)")
 
 
 def central_db_scenario() -> None:
     print("\n=== Centralized provenance database ===")
     server = DeviceModel("db-server", XEON_E5_1603)
     database = CentralProvenanceDatabase(server_device=server)
-    store = database.as_store()
-    store.store(StoreRequest(key="audit/batch-42", data=ORIGINAL))
+    database.store(StoreRequest(key="audit/batch-42", data=ORIGINAL))
     database.tamper("audit/batch-42", checksum_of(FORGED))
-    rewritten = store.get("audit/batch-42")
+    rewritten = database.get("audit/batch-42")
     print(f"  record now claims checksum of forged data: "
           f"{rewritten.checksum == checksum_of(FORGED)}")
-    print(f"  audit still looks clean: {store.audit()} "
+    print(f"  audit still looks clean: {database.audit()} "
           "(nothing to detect it with)")
 
 

@@ -4,11 +4,12 @@ The repo's packages form a declared DAG (:data:`ALLOWED_EDGES`), mined
 from the intended architecture rather than the incidental import graph:
 ``common`` sits at the bottom and imports nothing above it, the
 ``middleware``/``query``/``faults`` subsystems never reach into
-``bench``, and the ``api`` adapters are the only seam crossing between
-backend families.  Only **top-level** (module-scope, non-TYPE_CHECKING)
-imports count: a function-level deferred import is the sanctioned
-cycle-breaker (``api/service.py`` → ``core.client`` is the canonical
-example) precisely because it cannot deadlock module initialisation.
+``bench``, and the baselines sit on top of ``api`` (each implements the
+store protocol itself) with only ``bench`` above them.  Only
+**top-level** (module-scope, non-TYPE_CHECKING) imports count: a
+function-level deferred import is the sanctioned cycle-breaker
+(``api/service.py`` → ``core.client`` is the canonical example)
+precisely because it cannot deadlock module initialisation.
 
 * **A201** — package ``X`` imports package ``Y`` but ``X → Y`` is not a
   declared edge.
@@ -17,8 +18,8 @@ example) precisely because it cannot deadlock module initialisation.
   ``middleware``/``fabric``, but module-level cycles are always a bug
   waiting for an import-order change).
 * **A203** — a restricted package is imported from outside its seam:
-  ``bench`` is a leaf (nobody imports it), ``baselines`` is reachable
-  only through ``api``/``bench``.
+  ``bench`` is a leaf (nobody imports it), ``baselines`` is imported
+  only by ``bench``.
 """
 
 from __future__ import annotations
@@ -66,14 +67,14 @@ ALLOWED_EDGES: Dict[str, FrozenSet[str]] = {
         }
     ),
     "faults": frozenset({"common", "fabric", "simulation"}),
-    "api": frozenset({"baselines", "chaincode", "common", "middleware"}),
+    "api": frozenset({"chaincode", "common", "middleware"}),
     "baselines": frozenset(
         {
+            "api",
             "chaincode",
             "common",
             "consensus",
             "devices",
-            "network",
             "simulation",
         }
     ),
@@ -137,7 +138,7 @@ ALLOWED_EDGES: Dict[str, FrozenSet[str]] = {
 #: importing it would smuggle host time behind the D101 allowlist.
 RESTRICTED_IMPORTERS: Dict[str, FrozenSet[str]] = {
     "bench": frozenset(),
-    "baselines": frozenset({"api", "bench"}),
+    "baselines": frozenset({"bench"}),
 }
 
 

@@ -1,11 +1,13 @@
 """Unified client-facing API: one protocol, three backends, tenant sessions.
 
-* :mod:`repro.api.protocol` — the :class:`ProvenanceStore` protocol and
-  its typed envelopes (:class:`StoreRequest`, :class:`RecordView`,
-  :class:`HistoryView`, :class:`VerifyResult`, :class:`SubmitHandle`).
-* :mod:`repro.api.adapters` — the protocol implementations for
-  HyperProv, the central database and the PoW chain (reached through each
-  backend's ``as_store()``).
+* :mod:`repro.api.protocol` — the :class:`ProvenanceStore` protocol, its
+  typed envelopes (:class:`StoreRequest`, :class:`RecordView`,
+  :class:`HistoryView`, :class:`VerifyResult`, :class:`SubmitHandle`) and
+  ``StoreBase``, the part every backend shares.
+* :mod:`repro.api.adapters` — :class:`HyperProvStore`, HyperProv's
+  implementation (reached through ``client.as_store()``).  The central
+  database and the PoW chain in :mod:`repro.baselines` are stores
+  themselves.
 * :mod:`repro.api.service` — :class:`HyperProvService`, the sessioned
   facade with futures-based submission and tenant namespaces.
 
@@ -13,7 +15,7 @@ See ``docs/api.md`` for the session lifecycle and the migration table
 from the legacy blocking methods.
 """
 
-from repro.api.adapters import CentralDbStore, HyperProvStore, PowChainStore
+from repro.api.adapters import HyperProvStore
 from repro.api.protocol import (
     HistoryEntryView,
     HistoryView,
@@ -38,8 +40,6 @@ __all__ = [
     "StoreReceipt",
     "SubmitHandle",
     "HyperProvStore",
-    "CentralDbStore",
-    "PowChainStore",
     "HyperProvService",
     "ProvenanceSession",
 ]

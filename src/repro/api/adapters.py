@@ -1,10 +1,8 @@
-"""The ``ProvenanceStore`` implementations of the three provenance backends.
+"""HyperProv's ``ProvenanceStore``: the client's record operators.
 
 :class:`HyperProvStore` *is* HyperProv's record operators — each one a
-pipeline call on its client and one decode of the peer's response; the two
-baseline adapters translate the protocol's typed envelopes onto the central
-database and the PoW chain, and are the only callers of those backends'
-private operator implementations (``_store_record``, ``_get``, ``_history``).
+pipeline call on its client and one decode of the peer's response.  The
+two baselines are stores themselves (:mod:`repro.baselines`).
 """
 
 from __future__ import annotations
@@ -12,92 +10,23 @@ from __future__ import annotations
 import json
 from typing import Any, Callable, Dict, List, Optional, Union
 
-from repro.baselines.centraldb import CentralProvenanceDatabase
-from repro.baselines.provchain import PowProvenanceChain
 from repro.chaincode.records import ProvenanceRecord
-from repro.common.errors import (
-    ChaincodeError,
-    ConfigurationError,
-    NotFoundError,
-    ValidationError,
-)
-from repro.common.hashing import checksum_of
+from repro.common.errors import ChaincodeError, ConfigurationError, NotFoundError
 from repro.common.serialization import copy_json
 from repro.api.protocol import (
     HistoryEntryView,
     HistoryView,
     QueryPage,
     RecordView,
+    StoreBase,
     StoreRequest,
     SubmitHandle,
     VerifyResult,
+    as_checksum,
 )
 
 
-class _StoreBase:
-    """Shared conveniences: blocking ``store`` and lifecycle no-ops."""
-
-    backend_name = "store"
-
-    def submit(self, request: StoreRequest, at_time: Optional[float] = None) -> SubmitHandle:
-        raise NotImplementedError
-
-    def _record_for(
-        self, request: StoreRequest, at_time: float, location: str, creator: str,
-        organization: str,
-    ) -> ProvenanceRecord:
-        """The record a backend without a membership service stores for ``request``."""
-        return ProvenanceRecord(
-            key=request.key,
-            checksum=request.checksum or checksum_of(request.data or b""),
-            location=request.location or location,
-            creator=request.creator or creator,
-            organization=organization,
-            certificate_fingerprint="",
-            dependencies=list(request.dependencies),
-            metadata=dict(request.metadata),
-            size_bytes=request.size_bytes or len(request.data or b""),
-            timestamp=at_time,
-        )
-
-    def store(self, request: StoreRequest, at_time: Optional[float] = None) -> SubmitHandle:
-        """Blocking write: submit, then drain until the handle completes."""
-        handle = self.submit(request, at_time=at_time)
-        if not handle.done:
-            self.drain()
-        return handle
-
-    def drain(self) -> None:
-        """Synchronous backends have nothing in flight."""
-
-    def query(
-        self,
-        selector: Dict[str, Any],
-        at_time: Optional[float] = None,
-        limit: Optional[int] = None,
-        bookmark: Optional[str] = None,
-        explain: bool = False,
-    ) -> QueryPage:
-        """Rich queries need a selector-capable backend (HyperProv only)."""
-        raise ConfigurationError(
-            f"the {self.backend_name} backend does not support rich queries"
-        )
-
-    def subscribe(
-        self,
-        selector: Dict[str, Any],
-        callback: Optional[Callable[[Dict[str, Any]], None]] = None,
-    ) -> Any:
-        """Continuous queries need a commit stream (HyperProv only)."""
-        raise ConfigurationError(
-            f"the {self.backend_name} backend does not support continuous queries"
-        )
-
-    def close(self) -> None:
-        """Synchronous backends hold nothing to release."""
-
-
-class HyperProvStore(_StoreBase):
+class HyperProvStore(StoreBase):
     """The HyperProv record operators: one pipeline call, one decode each.
 
     Every method builds the chaincode arguments, runs them through the
@@ -137,11 +66,7 @@ class HyperProvStore(_StoreBase):
         """
         client = self.client
         receipt = None
-        if request.is_metadata_only:
-            if not request.checksum or not request.location:
-                raise ValidationError(
-                    "metadata-only StoreRequest needs both checksum and location"
-                )
+        if request.data is None:
             operation = "post"
             checksum, location, size_bytes = request.checksum, request.location, request.size_bytes
         else:
@@ -224,7 +149,7 @@ class HyperProvStore(_StoreBase):
         at_time: Optional[float] = None,
     ) -> VerifyResult:
         response, latency, ctx = self.client._query(
-            "check_hash", "checkhash", [key, _as_checksum(data_or_checksum)], at_time=at_time
+            "check_hash", "checkhash", [key, as_checksum(data_or_checksum)], at_time=at_time
         )
         if not response.is_ok or response.payload is None:
             raise NotFoundError(response.message or f"key {key!r} not found")
@@ -327,114 +252,3 @@ class HyperProvStore(_StoreBase):
             self._query_registry.close()
             self._query_registry = None
         self.client.pipeline.close()
-
-
-class CentralDbStore(_StoreBase):
-    """The centralized-database baseline behind the unified protocol."""
-
-    backend_name = "central-db"
-
-    def __init__(self, database: CentralProvenanceDatabase) -> None:
-        self.backend = database
-
-    def submit(self, request: StoreRequest, at_time: Optional[float] = None) -> SubmitHandle:
-        start = at_time or 0.0
-        record = self._record_for(
-            request, start, f"db://{self.backend.server_node}/{request.key}",
-            "client", "central",
-        )
-        result = self.backend._store_record(
-            record, at_time=start, payload_bytes=len(request.data or b"")
-        )
-        return SubmitHandle(
-            request=request,
-            backend=self.backend_name,
-            record=result.record,
-            latency_s=result.latency_s,
-            completed_at=result.completed_at,
-        )
-
-    def get(self, key: str, at_time: Optional[float] = None) -> RecordView:
-        record = self.backend._get(key)
-        return RecordView.from_record(record)
-
-    def history(self, key: str, at_time: Optional[float] = None) -> HistoryView:
-        records = self.backend._history(key)
-        entries = tuple(
-            HistoryEntryView(view=RecordView.from_record(record), tx_id=str(index))
-            for index, record in enumerate(records)
-        )
-        return HistoryView(key=key, entries=entries)
-
-    def verify(
-        self,
-        key: str,
-        data_or_checksum: Union[bytes, bytearray, str],
-        at_time: Optional[float] = None,
-    ) -> VerifyResult:
-        checksum = _as_checksum(data_or_checksum)
-        record = self.backend._get(key)
-        return VerifyResult(key=key, matches=record.checksum == checksum)
-
-    def audit(self) -> bool:
-        """No integrity record exists, so an audit always looks clean."""
-        return not self.backend.detect_tampering()
-
-
-class PowChainStore(_StoreBase):
-    """The ProvChain-style PoW baseline behind the unified protocol."""
-
-    backend_name = "provchain-pow"
-
-    def __init__(self, chain: PowProvenanceChain) -> None:
-        self.backend = chain
-
-    def submit(self, request: StoreRequest, at_time: Optional[float] = None) -> SubmitHandle:
-        start = at_time or 0.0
-        record = self._record_for(
-            request, start, f"pow://{request.key}", "miner", "pow-org"
-        )
-        result = self.backend._store_record(record, at_time=start)
-        return SubmitHandle(
-            request=request,
-            backend=self.backend_name,
-            record=result.entry.record,
-            latency_s=result.latency_s,
-            completed_at=result.entry.recorded_at,
-        )
-
-    def get(self, key: str, at_time: Optional[float] = None) -> RecordView:
-        entry = self.backend._get(key)
-        return RecordView.from_record(entry.record)
-
-    def history(self, key: str, at_time: Optional[float] = None) -> HistoryView:
-        entries = self.backend._history(key)
-        views = tuple(
-            HistoryEntryView(
-                view=RecordView.from_record(entry.record),
-                tx_id=entry.chain_hash,
-                block=entry.index,
-            )
-            for entry in entries
-        )
-        return HistoryView(key=key, entries=views)
-
-    def verify(
-        self,
-        key: str,
-        data_or_checksum: Union[bytes, bytearray, str],
-        at_time: Optional[float] = None,
-    ) -> VerifyResult:
-        checksum = _as_checksum(data_or_checksum)
-        entry = self.backend._get(key)
-        return VerifyResult(key=key, matches=entry.record.checksum == checksum)
-
-    def audit(self) -> bool:
-        """Re-play the hash chain: tampered entries break it."""
-        return self.backend.verify_chain()
-
-
-def _as_checksum(data_or_checksum: Union[bytes, bytearray, str]) -> str:
-    if isinstance(data_or_checksum, (bytes, bytearray)):
-        return checksum_of(data_or_checksum)
-    return str(data_or_checksum)

@@ -43,7 +43,12 @@ from typing import (
 )
 
 from repro.chaincode.records import ProvenanceRecord, record_fields
-from repro.common.errors import IncompleteTransactionError
+from repro.common.errors import (
+    ConfigurationError,
+    IncompleteTransactionError,
+    ValidationError,
+)
+from repro.common.hashing import checksum_of
 from repro.common.serialization import copy_json
 from repro.common.tenancy import relative_key, strip_namespace
 
@@ -53,9 +58,10 @@ from repro.common.tenancy import relative_key, strip_namespace
 class StoreRequest:
     """One write, described independently of the backend.
 
-    Exactly one of ``data`` (store the payload and derive its checksum) or
-    ``checksum`` + ``location`` (metadata-only post for data that already
-    lives elsewhere) should be provided.
+    Exactly one of ``data`` (store the payload and derive its checksum and
+    location) or ``checksum`` + ``location`` (metadata-only post for data
+    that already lives elsewhere) is given; any other combination is a
+    :class:`~repro.common.errors.ValidationError` at construction.
     """
 
     key: str
@@ -68,9 +74,42 @@ class StoreRequest:
     #: Creator identity hint for backends without a membership service.
     creator: str = ""
 
-    @property
-    def is_metadata_only(self) -> bool:
-        return self.data is None
+    def __post_init__(self) -> None:
+        if self.data is None:
+            if not self.checksum or not self.location:
+                raise ValidationError(
+                    "metadata-only StoreRequest needs both checksum and location"
+                )
+        elif self.checksum is not None or self.location is not None:
+            raise ValidationError(
+                "a StoreRequest with data derives its own checksum and location"
+            )
+
+    def record_for(
+        self, at_time: float, location: str, creator: str, organization: str
+    ) -> ProvenanceRecord:
+        """The record a backend without a membership service stores.
+
+        ``location`` and ``creator`` are the backend's own, used when the
+        request names none; the containers are copies, so the caller's
+        request and the stored record share nothing.
+        """
+        if self.data is None:
+            checksum, location, size_bytes = self.checksum, self.location, self.size_bytes
+        else:
+            checksum, size_bytes = checksum_of(self.data), len(self.data)
+        return ProvenanceRecord(
+            key=self.key,
+            checksum=checksum,
+            location=location,
+            creator=self.creator or creator,
+            organization=organization,
+            certificate_fingerprint="",
+            dependencies=list(self.dependencies),
+            metadata=copy_json(self.metadata),
+            size_bytes=size_bytes,
+            timestamp=at_time,
+        )
 
 
 # ---------------------------------------------------------------- responses
@@ -97,15 +136,6 @@ class RecordView:
     #: True when the result was served from the stale-read archive because
     #: the authoritative peer was unreachable (never silently fresh).
     stale: bool = False
-
-    @classmethod
-    def from_record(cls, record: ProvenanceRecord) -> "RecordView":
-        """The view of a record a baseline holds in memory."""
-        return cls(
-            record.key, record.checksum, record.location, record.creator,
-            record.organization, tuple(record.dependencies), dict(record.metadata),
-            record.timestamp, record.size_bytes,
-        )
 
     @classmethod
     def from_document(
@@ -398,3 +428,60 @@ class ProvenanceStore(Protocol):
     def close(self) -> None:
         """Release pipeline resources (subscriptions, queues)."""
         ...
+
+
+class StoreBase:
+    """What the three backends share: blocking ``store`` and lifecycle no-ops.
+
+    A backend subclasses this and implements the record operators
+    (``submit``, ``get``, ``history``, ``verify``, ``audit``); the
+    selector-driven calls refuse unless it overrides them.
+    """
+
+    backend_name = "store"
+
+    def submit(self, request: StoreRequest, at_time: Optional[float] = None) -> SubmitHandle:
+        raise NotImplementedError
+
+    def store(self, request: StoreRequest, at_time: Optional[float] = None) -> SubmitHandle:
+        """Blocking write: submit, then drain until the handle completes."""
+        handle = self.submit(request, at_time=at_time)
+        if not handle.done:
+            self.drain()
+        return handle
+
+    def drain(self) -> None:
+        """Synchronous backends have nothing in flight."""
+
+    def query(
+        self,
+        selector: Dict[str, Any],
+        at_time: Optional[float] = None,
+        limit: Optional[int] = None,
+        bookmark: Optional[str] = None,
+        explain: bool = False,
+    ) -> QueryPage:
+        """Rich queries need a selector-capable backend (HyperProv only)."""
+        raise ConfigurationError(
+            f"the {self.backend_name} backend does not support rich queries"
+        )
+
+    def subscribe(
+        self,
+        selector: Dict[str, Any],
+        callback: Optional[Callable[[Dict[str, Any]], None]] = None,
+    ) -> Any:
+        """Continuous queries need a commit stream (HyperProv only)."""
+        raise ConfigurationError(
+            f"the {self.backend_name} backend does not support continuous queries"
+        )
+
+    def close(self) -> None:
+        """Synchronous backends hold nothing to release."""
+
+
+def as_checksum(data_or_checksum: Union[bytes, bytearray, str]) -> str:
+    """The checksum ``verify`` compares: of the data, or the one given."""
+    if isinstance(data_or_checksum, (bytes, bytearray)):
+        return checksum_of(data_or_checksum)
+    return str(data_or_checksum)

@@ -44,7 +44,7 @@ class ProvenanceSession:
         tenant: str = "",
         owns_store: bool = False,
     ) -> None:
-        #: The underlying :class:`ProvenanceStore` adapter.
+        #: The underlying :class:`ProvenanceStore`.
         self.backend = store
         self.tenant = tenant
         self._owns_backend = owns_store

@@ -3,7 +3,7 @@
 The paper positions HyperProv against public-blockchain provenance
 systems (ProvChain [9], SmartProvenance [13]) on resource consumption,
 and implicitly against centralized provenance databases on trust.  Two
-baselines are provided:
+baselines are provided, each a :class:`repro.api.ProvenanceStore` itself:
 
 * :class:`~repro.baselines.provchain.PowProvenanceChain` — a ProvChain-style
   system that anchors every provenance record by mining a Proof-of-Work

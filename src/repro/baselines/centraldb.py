@@ -10,107 +10,98 @@ weakness that motivates blockchain-based provenance in the first place.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Union
 
+from repro.api.protocol import (
+    HistoryEntryView,
+    HistoryView,
+    RecordView,
+    StoreBase,
+    StoreRequest,
+    SubmitHandle,
+    VerifyResult,
+    as_checksum,
+)
 from repro.chaincode.records import ProvenanceRecord
 from repro.common.errors import NotFoundError
 from repro.devices.model import DeviceModel
-from repro.network.fabric import NetworkFabric
+
+#: Host name of the database server in every location it assigns.
+SERVER_NODE = "provdb"
+#: Fixed cost of one client request/response round trip (seconds).
+REQUEST_OVERHEAD_S = 0.0015
 
 
-@dataclass
-class CentralStoreResult:
-    """Outcome of one store operation against the central database."""
+class CentralProvenanceDatabase(StoreBase):
+    """Single-server provenance store behind the unified protocol."""
 
-    record: ProvenanceRecord
-    latency_s: float
-    completed_at: float
+    backend_name = "central-db"
 
-
-class CentralProvenanceDatabase:
-    """Single-server provenance store with request/response over the network."""
-
-    def __init__(
-        self,
-        server_device: DeviceModel,
-        network: Optional[NetworkFabric] = None,
-        server_node: str = "provdb",
-        request_overhead_s: float = 0.0015,
-    ) -> None:
+    def __init__(self, server_device: DeviceModel) -> None:
         self.server_device = server_device
-        self.network = network
-        self.server_node = server_node
-        self.request_overhead_s = request_overhead_s
         self._records: Dict[str, List[ProvenanceRecord]] = {}
-        if network is not None and server_node not in network.nodes:
-            network.register_node(server_node, profile=server_device.profile.nic)
-        self._store_adapter = None
-
-    def as_store(self):
-        """This baseline as a unified :class:`repro.api.ProvenanceStore`."""
-        if self._store_adapter is None:
-            from repro.api.adapters import CentralDbStore
-
-            self._store_adapter = CentralDbStore(self)
-        return self._store_adapter
 
     # ------------------------------------------------------------------ write
-    def _store_record(
-        self,
-        record: ProvenanceRecord,
-        at_time: float = 0.0,
-        client_node: Optional[str] = None,
-        payload_bytes: int = 0,
-    ) -> CentralStoreResult:
-        """Store a provenance record; costs one round trip plus a disk write."""
+    def submit(self, request: StoreRequest, at_time: Optional[float] = None) -> SubmitHandle:
+        """Store the request's record; costs one round trip plus a disk write."""
+        start = at_time or 0.0
+        record = request.record_for(
+            start, f"db://{SERVER_NODE}/{request.key}", "client", "central"
+        )
         record.validate()
-        cursor = at_time + self.request_overhead_s
-        if self.network is not None and client_node is not None:
-            cursor += self.network.estimate_transfer_time(
-                client_node, self.server_node, payload_bytes + 1024
-            )
-        write = self.server_device.disk_write_time(payload_bytes + len(record.to_json()))
-        _, cursor = self.server_device.occupy("disk", cursor, write)
+        write = self.server_device.disk_write_time(
+            len(request.data or b"") + len(record.to_json())
+        )
+        _, end = self.server_device.occupy("disk", start + REQUEST_OVERHEAD_S, write)
         self._records.setdefault(record.key, []).append(record)
-        return CentralStoreResult(record=record, latency_s=cursor - at_time, completed_at=cursor)
+        return SubmitHandle(
+            request=request,
+            backend=self.backend_name,
+            record=record.copy(),
+            latency_s=end - start,
+            completed_at=end,
+        )
 
     # ------------------------------------------------------------------- read
-    def _get(self, key: str) -> ProvenanceRecord:
-        """Latest record for ``key``."""
-        history = self._records.get(key)
-        if not history:
+    def _versions(self, key: str) -> List[ProvenanceRecord]:
+        """Every record stored for ``key``, oldest first."""
+        versions = self._records.get(key)
+        if not versions:
             raise NotFoundError(f"key {key!r} not present in the central database")
-        return history[-1]
+        return versions
 
-    def _history(self, key: str) -> List[ProvenanceRecord]:
-        """Every version of ``key``, oldest first."""
-        return list(self._records.get(key, []))
+    def get(self, key: str, at_time: Optional[float] = None) -> RecordView:
+        return RecordView.from_document(self._versions(key)[-1].to_json())
+
+    def history(self, key: str, at_time: Optional[float] = None) -> HistoryView:
+        entries = tuple(
+            HistoryEntryView(
+                view=RecordView.from_document(record.to_json()), tx_id=str(index)
+            )
+            for index, record in enumerate(self._versions(key))
+        )
+        return HistoryView(key=key, entries=entries)
+
+    def verify(
+        self,
+        key: str,
+        data_or_checksum: Union[bytes, bytearray, str],
+        at_time: Optional[float] = None,
+    ) -> VerifyResult:
+        checksum = as_checksum(data_or_checksum)
+        return VerifyResult(key=key, matches=self._versions(key)[-1].checksum == checksum)
 
     # --------------------------------------------------------------- weakness
-    def tamper(self, key: str, new_checksum: str) -> ProvenanceRecord:
+    def audit(self) -> bool:
+        """No integrity record exists, so an audit always looks clean."""
+        return True
+
+    def tamper(self, key: str, new_checksum: str) -> None:
         """Silently rewrite the latest record for ``key``.
 
         Succeeds without leaving any trace — there is no hash chain or
         replicated ledger to contradict the rewrite.  This is the property
         HyperProv is designed to prevent.
         """
-        current = self._get(key)
-        tampered = ProvenanceRecord(
-            key=current.key,
-            checksum=new_checksum,
-            location=current.location,
-            creator=current.creator,
-            organization=current.organization,
-            certificate_fingerprint=current.certificate_fingerprint,
-            dependencies=list(current.dependencies),
-            metadata=dict(current.metadata),
-            timestamp=current.timestamp,
-            size_bytes=current.size_bytes,
-        )
-        self._records[key][-1] = tampered
-        return tampered
-
-    def detect_tampering(self) -> List[str]:
-        """The central DB has no integrity record, so detection finds nothing."""
-        return []
+        versions = self._versions(key)
+        versions[-1] = versions[-1].copy(checksum=new_checksum)

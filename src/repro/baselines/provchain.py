@@ -10,8 +10,18 @@ hardware — the comparison the paper's related-work section appeals to.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Union
 
+from repro.api.protocol import (
+    HistoryEntryView,
+    HistoryView,
+    RecordView,
+    StoreBase,
+    StoreRequest,
+    SubmitHandle,
+    VerifyResult,
+    as_checksum,
+)
 from repro.chaincode.records import ProvenanceRecord
 from repro.common.errors import NotFoundError, ValidationError
 from repro.common.hashing import HashChain
@@ -27,21 +37,12 @@ class PowChainEntry:
     index: int
     record: ProvenanceRecord
     chain_hash: str
-    mined_in_s: float
-    recorded_at: float
-    nonce: int = 0
 
 
-@dataclass
-class PowStoreResult:
-    """Client-visible outcome of storing one record on the PoW chain."""
+class PowProvenanceChain(StoreBase):
+    """A single-miner Proof-of-Work provenance ledger behind the unified protocol."""
 
-    entry: PowChainEntry
-    latency_s: float
-
-
-class PowProvenanceChain:
-    """A single-miner Proof-of-Work provenance ledger."""
+    backend_name = "provchain-pow"
 
     def __init__(
         self,
@@ -55,20 +56,13 @@ class PowProvenanceChain:
         )
         self._chain = HashChain()
         self._entries: List[PowChainEntry] = []
-        self._latest_by_key: Dict[str, int] = {}
-        self._store_adapter = None
-
-    def as_store(self):
-        """This baseline as a unified :class:`repro.api.ProvenanceStore`."""
-        if self._store_adapter is None:
-            from repro.api.adapters import PowChainStore
-
-            self._store_adapter = PowChainStore(self)
-        return self._store_adapter
+        self._by_key: Dict[str, List[PowChainEntry]] = {}
 
     # ------------------------------------------------------------------ write
-    def _store_record(self, record: ProvenanceRecord, at_time: float = 0.0) -> PowStoreResult:
-        """Mine a block anchoring ``record``; the miner CPU is busy throughout."""
+    def submit(self, request: StoreRequest, at_time: Optional[float] = None) -> SubmitHandle:
+        """Mine a block anchoring the request's record; the miner CPU is busy throughout."""
+        start = at_time or 0.0
+        record = request.record_for(start, f"pow://{request.key}", "miner", "pow-org")
         record.validate()
         # All cores search in parallel, so the wall-clock mining time shrinks
         # by the core count but the whole CPU is pegged for its duration —
@@ -76,65 +70,68 @@ class PowProvenanceChain:
         cores = self.miner_device.profile.cores
         hash_rate = self.miner_device.profile.hash_rate_bytes_per_s / 64.0 * cores
         mining_time, _full_util = self.engine.sample_mining_time(hash_rate)
-        end = at_time
+        end = start
         for _core in range(cores):
-            _, core_end = self.miner_device.charge_cpu(at_time, mining_time)
+            _, core_end = self.miner_device.charge_cpu(start, mining_time)
             end = max(end, core_end)
-        chain_hash = self._chain.extend(record.to_json())
         entry = PowChainEntry(
             index=len(self._entries),
             record=record,
-            chain_hash=chain_hash,
-            mined_in_s=mining_time,
-            recorded_at=end,
+            chain_hash=self._chain.extend(record.to_json()),
         )
         self._entries.append(entry)
-        self._latest_by_key[record.key] = entry.index
-        return PowStoreResult(entry=entry, latency_s=end - at_time)
+        self._by_key.setdefault(record.key, []).append(entry)
+        return SubmitHandle(
+            request=request,
+            backend=self.backend_name,
+            record=record.copy(),
+            latency_s=end - start,
+            completed_at=end,
+        )
 
     # ------------------------------------------------------------------- read
-    def _get(self, key: str) -> PowChainEntry:
-        """Latest entry for ``key``."""
-        index = self._latest_by_key.get(key)
-        if index is None:
-            raise NotFoundError(f"key {key!r} not recorded on the PoW chain")
-        return self._entries[index]
-
-    def _history(self, key: str) -> List[PowChainEntry]:
+    def _versions(self, key: str) -> List[PowChainEntry]:
         """Every entry for ``key``, oldest first."""
-        return [entry for entry in self._entries if entry.record.key == key]
+        entries = self._by_key.get(key)
+        if not entries:
+            raise NotFoundError(f"key {key!r} not recorded on the PoW chain")
+        return entries
+
+    def get(self, key: str, at_time: Optional[float] = None) -> RecordView:
+        return RecordView.from_document(self._versions(key)[-1].record.to_json())
+
+    def history(self, key: str, at_time: Optional[float] = None) -> HistoryView:
+        views = tuple(
+            HistoryEntryView(
+                view=RecordView.from_document(entry.record.to_json()),
+                tx_id=entry.chain_hash,
+                block=entry.index,
+            )
+            for entry in self._versions(key)
+        )
+        return HistoryView(key=key, entries=views)
+
+    def verify(
+        self,
+        key: str,
+        data_or_checksum: Union[bytes, bytearray, str],
+        at_time: Optional[float] = None,
+    ) -> VerifyResult:
+        checksum = as_checksum(data_or_checksum)
+        return VerifyResult(key=key, matches=self._versions(key)[-1].record.checksum == checksum)
 
     # -------------------------------------------------------------- integrity
-    def verify_chain(self) -> bool:
-        """Re-play the hash chain over all recorded entries."""
+    def audit(self) -> bool:
+        """Re-play the hash chain over every entry: a rewritten one breaks it."""
         return self._chain.verify(entry.record.to_json() for entry in self._entries)
 
     def tamper(self, key: str, new_checksum: str) -> None:
-        """Attempt to rewrite a committed record in place.
+        """Attempt to rewrite the latest committed record for ``key`` in place.
 
-        The rewrite is applied to the local copy but :meth:`verify_chain`
-        will subsequently fail — demonstrating tamper evidence.
+        The rewrite is applied to the local copy but :meth:`audit` will
+        subsequently fail — demonstrating tamper evidence.
         """
-        entry = self._get(key)
-        tampered = ProvenanceRecord(
-            key=entry.record.key,
-            checksum=new_checksum,
-            location=entry.record.location,
-            creator=entry.record.creator,
-            organization=entry.record.organization,
-            certificate_fingerprint=entry.record.certificate_fingerprint,
-            dependencies=list(entry.record.dependencies),
-            metadata=dict(entry.record.metadata),
-            timestamp=entry.record.timestamp,
-            size_bytes=entry.record.size_bytes,
-        )
         if len(new_checksum) != 64:
             raise ValidationError("tampered checksum must still look like a SHA-256 digest")
-        self._entries[entry.index] = PowChainEntry(
-            index=entry.index,
-            record=tampered,
-            chain_hash=entry.chain_hash,
-            mined_in_s=entry.mined_in_s,
-            recorded_at=entry.recorded_at,
-            nonce=entry.nonce,
-        )
+        entry = self._versions(key)[-1]
+        entry.record = entry.record.copy(checksum=new_checksum)

@@ -250,11 +250,11 @@ def baseline_rows(requests: int, seed: int) -> List[Row]:
     miner = DeviceModel("rpi-miner", RASPBERRY_PI_3B_PLUS, rng=DeterministicRandom(seed))
     chain = PowProvenanceChain(miner, difficulty_bits=POW_DIFFICULTY_BITS,
                                rng=DeterministicRandom(seed))
-    rows.append(_one_by_one("provchain-pow", miner, chain.as_store(), "pow", True,
+    rows.append(_one_by_one("provchain-pow", miner, chain, "pow", True,
                             requests, seed))
     server = DeviceModel("db-server", XEON_E5_1603, rng=DeterministicRandom(seed))
     database = CentralProvenanceDatabase(server_device=server)
-    rows.append(_one_by_one("central-db", server, database.as_store(), "central", False,
+    rows.append(_one_by_one("central-db", server, database, "central", False,
                             requests, seed))
     return rows
 

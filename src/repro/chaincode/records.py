@@ -9,10 +9,11 @@ create an item, and a custom field for any additional metadata."
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Tuple
 
 from repro.common.errors import ValidationError
+from repro.common.serialization import copy_json
 
 
 def record_fields(value: Any) -> Tuple[Any, ...]:
@@ -86,6 +87,15 @@ class ProvenanceRecord:
             raise ValidationError("provenance record requires a creator")
         if any(not dep for dep in self.dependencies):
             raise ValidationError("dependency keys must be non-empty")
+
+    def copy(self, **changes: Any) -> "ProvenanceRecord":
+        """This record with ``changes`` applied, sharing no container with it."""
+        return replace(
+            self,
+            dependencies=list(self.dependencies),
+            metadata=copy_json(self.metadata),
+            **changes,
+        )
 
     def to_json(self) -> str:
         """Serialize to the JSON document stored as the ledger value."""

@@ -1,9 +1,9 @@
 """Contract tests: one assertion set, all three ``ProvenanceStore`` backends.
 
 The suite runs identical store/get/history/verify assertions against the
-HyperProv client, the central database and the PoW chain through their
-adapters, then checks each backend's tamper-evidence semantics through
-the uniform ``audit()`` call.
+HyperProv client's store, the central database and the PoW chain (each
+baseline is a store itself), then checks each backend's tamper-evidence
+semantics through the uniform ``audit()`` call.
 """
 
 from __future__ import annotations
@@ -34,11 +34,9 @@ def _build_store(backend: str) -> ProvenanceStore:
         return build_desktop_deployment(seed=42).client.as_store()
     if backend == "central-db":
         device = DeviceModel("srv", XEON_E5_1603, rng=DeterministicRandom(7))
-        return CentralProvenanceDatabase(server_device=device).as_store()
+        return CentralProvenanceDatabase(server_device=device)
     device = DeviceModel("miner", RASPBERRY_PI_3B_PLUS, rng=DeterministicRandom(8))
-    return PowProvenanceChain(
-        device, difficulty_bits=8, rng=DeterministicRandom(9)
-    ).as_store()
+    return PowProvenanceChain(device, difficulty_bits=8, rng=DeterministicRandom(9))
 
 
 @pytest.fixture(params=BACKENDS)
@@ -47,11 +45,14 @@ def store(request) -> ProvenanceStore:
 
 
 # ----------------------------------------------------------------- protocol
-def test_adapters_satisfy_the_protocol(store):
+def test_backends_satisfy_the_protocol(store):
     assert isinstance(store, ProvenanceStore)
     assert store.backend_name in BACKENDS
-    owner = store.client if store.backend_name == "hyperprov" else store.backend
-    assert owner.as_store() is store  # one adapter per backend, cached
+
+
+def test_hyperprov_store_is_cached_per_client():
+    store = _build_store("hyperprov")
+    assert store.client.as_store() is store
 
 
 def test_store_then_get_roundtrip(store):
@@ -68,6 +69,8 @@ def test_store_then_get_roundtrip(store):
 def test_get_missing_key_raises(store):
     with pytest.raises(NotFoundError):
         store.get("contract/never-stored")
+    with pytest.raises(NotFoundError):
+        store.history("contract/never-stored")
 
 
 def test_history_lists_every_version_oldest_first(store):
@@ -106,6 +109,22 @@ def test_audit_is_clean_without_tampering(store):
     assert store.audit() is True
 
 
+def test_mutating_a_handle_record_changes_nothing_stored(store):
+    handle = store.store(
+        StoreRequest(key="contract/alias", data=b"kept", metadata={"stage": {"n": 1}})
+    )
+    echo = handle.record
+    echo.checksum = checksum_of(b"forged")
+    echo.metadata["stage"]["n"] = 2
+    echo.dependencies.append("contract/forged")
+    view = store.get("contract/alias")
+    assert view.checksum == checksum_of(b"kept")
+    assert view.metadata == {"stage": {"n": 1}} and view.dependencies == ()
+    [entry] = store.history("contract/alias").entries
+    assert entry.view.checksum == checksum_of(b"kept")
+    assert store.audit() is True
+
+
 # ------------------------------------------------------- tamper semantics
 @pytest.mark.parametrize("backend", BACKENDS[1:])
 def test_baselines_refuse_rich_queries_and_subscriptions(backend):
@@ -130,12 +149,12 @@ def test_tamper_evidence_matches_backend_semantics():
     """PoW exposes rewrites via audit; the central DB never notices."""
     pow_store = _build_store("provchain-pow")
     pow_store.store(StoreRequest(key="t", data=b"original"))
-    pow_store.backend.tamper("t", checksum_of(b"forged"))
+    pow_store.tamper("t", checksum_of(b"forged"))
     assert pow_store.audit() is False  # hash chain broke: evidence
 
     central = _build_store("central-db")
     central.store(StoreRequest(key="t", data=b"original"))
-    central.backend.tamper("t", checksum_of(b"forged"))
+    central.tamper("t", checksum_of(b"forged"))
     assert central.audit() is True  # silent rewrite: no evidence
     assert not central.verify("t", b"original")  # history was rewritten
 
@@ -172,10 +191,15 @@ def test_hyperprov_audit_covers_every_shard():
 
 
 # -------------------------------------------------------------- envelopes
-def test_metadata_only_submit_requires_checksum_and_location():
-    store = _build_store("hyperprov")
+def test_metadata_only_submit_requires_checksum_and_location(store):
     with pytest.raises(ValidationError):
         store.submit(StoreRequest(key="meta/only"))
+    with pytest.raises(ValidationError):
+        store.submit(StoreRequest(key="meta/only", checksum=checksum_of(b"elsewhere")))
+    with pytest.raises(ValidationError):
+        store.submit(
+            StoreRequest(key="meta/only", data=b"here", checksum=checksum_of(b"elsewhere"))
+        )
     handle = store.store(
         StoreRequest(
             key="meta/only",
