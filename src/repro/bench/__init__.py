@@ -21,8 +21,9 @@ The seven StoreData sweeps are ``sweeps.SWEEPS`` rows run by ``run_sweep``.
 The gates keep their own modules, since each fails the command on what a
 row cannot express: ``fleet`` (parallel vs sequential executor) and
 ``chaos`` (fault scenarios) on determinism anchors committed in
-``ANCHORS.json`` (``anchors``), ``query`` (``query_bench``) on a same-run
-indexed-vs-scan ratio.  ``export`` writes the figures' rows as CSV;
-wall-clock performance is ``python3 benchmarks/perf/run.py``.  The package
-imports nothing, so binding one module does not load the rest.
+``ANCHORS.json`` (``anchors``), ``query`` (``query_bench``) on the exact
+candidate counts of the indexed and the scan plan.  ``export`` writes the
+figures' rows as CSV; wall-clock performance is ``python3
+benchmarks/perf/run.py``.  The package imports nothing, so binding one
+module does not load the rest.
 """

@@ -35,9 +35,8 @@ event that client applications can subscribe to.
 from __future__ import annotations
 
 import json
-from functools import partial
-from itertools import chain, filterfalse, islice, takewhile, tee
-from operator import attrgetter, is_not
+from itertools import filterfalse, islice
+from operator import attrgetter
 from typing import List, Optional, Tuple
 
 from repro.chaincode.records import ProvenanceRecord
@@ -84,7 +83,6 @@ class HyperProvChaincode:
         "getdependencies": "_get_dependencies",
         "query": "_query",
         "delete": "_delete",
-        "init": "init",
     }
 
     def invoke(self, stub: ChaincodeStub) -> ChaincodeResponse:
@@ -206,7 +204,9 @@ class HyperProvChaincode:
         (and optionally a ``bookmark`` — the last key of the previous
         page) the response is a ``{"records", "bookmark"}`` envelope: the
         bookmark is non-null exactly when the page filled, and feeding it
-        back resumes strictly after it.
+        back resumes strictly after it.  The paginated form skips ``__``
+        marker keys and, reading only the rows it returns, does not
+        record them either; the plain form returns and records them.
         """
         start_key = stub.args[0] if stub.args else ""
         end_key = stub.args[1] if len(stub.args) > 1 else ""
@@ -259,16 +259,18 @@ class HyperProvChaincode:
             non-null exactly when the page filled.
         ``_explain``
             Embed the planner's chosen access path in the envelope as
-            ``"plan"``.
+            ``"plan"``; an index-intersection plan also reports
+            ``"candidates"``, the exact number of keys the posting
+            intersection handed the fetch.
 
         Access-path choice is delegated to :mod:`repro.query.planner`:
         when the peer's world state carries field-value secondary indexes
         the selector's equality fields are served by posting-list
         intersection, otherwise by the prefix run or a full scan.  Every
         path visits candidates in key order, costs one state operation
-        and applies the same compiled predicates, so the returned rows —
-        and the query's virtual-time cost — are identical with indexes
-        on or off.
+        and applies the same compiled predicates, so the returned rows,
+        the read set (those rows) and the query's virtual-time cost are
+        identical with indexes on or off.
         """
         if not stub.args or not stub.args[0]:
             return ChaincodeResponse.error("query requires a JSON selector argument")
@@ -308,8 +310,12 @@ class HyperProvChaincode:
             limit=limit,
             bookmark=bookmark,
         )
+        explained = plan.explain() if explain else None
         if plan.access_path == PATH_INDEX:
             keys = intersect_keys(world_state.secondary_index, plan, selector)
+            if explained is not None:
+                # Exact, where ``estimated_candidates`` is the smallest posting.
+                explained["candidates"] = len(keys)
             candidates = stub.get_state_by_keys(keys)
         elif paginated:
             # The lazy scan: a bookmark+limit page stops as soon as it
@@ -327,7 +333,7 @@ class HyperProvChaincode:
         return ChaincodeResponse.scanned(ScanPage(
             rows,
             rows[-1].key if truncated else None,
-            plan.explain() if explain else None,
+            explained,
             enveloped=paginated,
         ))
 
@@ -344,36 +350,28 @@ class HyperProvChaincode:
         Takes the run of ``candidates`` in order and returns ``(rows,
         truncated)``: every candidate that satisfies ``match`` (when
         given) and is not a ``__`` marker key (unless ``markers``);
-        ``truncated`` when ``limit`` rows filled the page.  Every
-        candidate pulled — skipped, rejected or the one that filled the
-        page — is recorded as a read, nothing after it; a materialised
-        candidate list was fetched, hence read, in full.
+        ``truncated`` when ``limit`` rows filled the page.  The read set
+        is exactly the returned rows, as Fabric records for
+        ``GetQueryResult``: only the keys the query hands back, never
+        the rows it rejected or skipped (a paginated ``getbyrange``
+        records no marker it passes over).  No invoke function scans, so
+        a scan's reads reach no MVCC check; they only feed the digest an
+        endorser signs over a read-only answer.
 
-        The run is never walked by a Python loop here: ``filter`` calls
-        ``match`` once per visited row (a scan without predicate makes
-        no call), the marker test runs on its hits only, and the read
-        set is mapped off the visited run in bulk.  ``candidates`` may be
-        any iterable — under the benchmark's tracer a lazy scan arrives
-        as a plain generator — so nothing here sizes or slices it.
+        ``filter`` calls ``match`` once per visited row (a scan without
+        predicate makes no call), the marker test runs on its hits only,
+        and ``islice`` stops pulling at the row that fills the page.
+        ``candidates`` may be any iterable — under the benchmark's tracer
+        a lazy scan arrives as a plain generator — so nothing here sizes
+        or slices it.
         """
-        # A container was fetched whole; a one-shot iterator (it is its
-        # own ``iter``) fetches a row when the row is pulled.
-        lazy = iter(candidates) is candidates
-        visited, hits = tee(candidates)
         if match is not None:
-            hits = filter(match, hits)
+            candidates = filter(match, candidates)
         if not markers:
-            hits = filterfalse(_is_marker, hits)
-        rows = tuple(islice(hits, limit) if limit else hits)
-        truncated = bool(limit) and len(rows) == limit
-        if truncated and lazy:
-            # The last row returned is the last one pulled: stop there,
-            # without asking the scan for another.
-            last = rows[-1]
-            visited = chain(takewhile(partial(is_not, last), visited), (last,))
-        run = list(visited)
-        stub.rw_set.extend_reads(list(map(_READ, run)), list(map(_READ_LINE, run)))
-        return rows, truncated
+            candidates = filterfalse(_is_marker, candidates)
+        rows = tuple(islice(candidates, limit) if limit else candidates)
+        stub.rw_set.extend_reads(list(map(_READ, rows)), list(map(_READ_LINE, rows)))
+        return rows, bool(limit) and len(rows) == limit
 
     def _delete(self, stub: ChaincodeStub) -> ChaincodeResponse:
         """``delete(key)`` — remove the key from the world state.

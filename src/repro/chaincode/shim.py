@@ -150,8 +150,12 @@ class ChaincodeStub:
     # keeps the same virtual-time cost whichever access path serves it —
     # and hands back the run of committed versions in key order.
     # Recording the reads is the consumer's half of the contract: it
-    # passes the ``read`` (and ``read_line``) of every candidate it
-    # pulled to ``rw_set.extend_reads`` in a single call once it is done.
+    # passes the ``read`` (and ``read_line``) of every row it *returns*
+    # to ``rw_set.extend_reads`` in a single call once it is done — as
+    # Fabric's ``GetQueryResult`` records only the keys the state
+    # database hands back, and never re-runs the query at validation
+    # (phantom reads go undetected).  Rows visited and rejected are not
+    # reads; no invoke function scans, so no scan read meets MVCC.
     # Scans and the history lookup reach the ledger through the
     # ``world_state``/``history`` properties, which is what ends the
     # read log.

@@ -128,7 +128,7 @@ class ReadWriteSet:
     def extend_reads(
         self, entries: List[ReadSetEntry], lines: Optional[List[str]] = None
     ) -> None:
-        """Record every read of a scan in one call, in visit order.
+        """Record every read of a scan (its returned rows) in one call, in order.
 
         ``lines[i]`` is ``canonical_read(*entries[i])``: a scan passes the
         lines its committed versions already carry, and the digest joins

@@ -9,6 +9,7 @@ from repro.bench.anchors import GateError
 from repro.bench.chaos import CHAOS_SEED, SCENARIOS
 from repro.bench.cli import main
 from repro.bench.fleet import anchor_inputs, fleet_spec, profile_name
+from repro.fabric.network import FabricNetwork
 
 COMMITTED = Path(__file__).resolve().parents[2] / "ANCHORS.json"
 
@@ -76,8 +77,8 @@ def test_committed_anchors_cover_every_ci_gate():
     [
         ["fleet", "--fleet-devices", "24", "--fleet-shards", "2", "--workers", "2",
          "--fleet-duration", "30"],
-        ["query", "--query-keys", "64", "--query-queries", "2", "--query-commits",
-         "2", "--query-repeats", "1", "--query-min-speedup", "0"],
+        ["query", "--query-keys", "1024", "--query-queries", "2", "--query-commits",
+         "2", "--query-repeats", "1"],
         ["chaos"],
     ],
     ids=["fleet", "query", "chaos"],
@@ -88,8 +89,13 @@ def test_bench_runs_create_no_file(argv, tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_query_gate_fails_below_the_speedup_floor(capsys):
-    argv = ["query", "--query-keys", "64", "--query-queries", "2",
+def test_query_gate_fails_with_the_index_disabled(capsys, monkeypatch):
+    """Without the index the indexed mode plans a full scan: it fetches
+    every key, as many as the scan, and the count gate fails."""
+    monkeypatch.setattr(FabricNetwork, "enable_secondary_indexes", lambda self, fields: None)
+    argv = ["query", "--query-keys", "1024", "--query-queries", "2",
             "--query-commits", "2", "--query-repeats", "1"]
-    assert main(argv + ["--query-min-speedup", "1e9"]) == 1
-    assert "below the 1000000000.0x floor" in capsys.readouterr().out
+    assert main(argv) == 1
+    out = capsys.readouterr().out
+    assert "indexed plan fetches 1024 of the scan's 1024 candidates" in out
+    assert "(scan), above 1/100 of the scan" in out

@@ -7,7 +7,7 @@ import pytest
 from repro.chaincode.hyperprov import HyperProvChaincode
 from repro.chaincode.lifecycle import ChaincodeRegistry
 from repro.chaincode.records import ProvenanceRecord
-from repro.chaincode.shim import ChaincodeStub
+from repro.chaincode.shim import ChaincodeResponse, ChaincodeStub
 from repro.common.errors import ChaincodeError, NotFoundError, ValidationError
 from repro.common.hashing import checksum_of
 from repro.ledger.history import HistoryDatabase
@@ -350,6 +350,52 @@ def test_unknown_function_errors():
     response = chaincode.invoke(make_stub("frobnicate", []))
     assert not response.is_ok
     assert "unknown function" in response.message
+
+
+def test_init_is_an_unknown_function_not_a_crash():
+    response = HyperProvChaincode().invoke(make_stub("init", []))
+    assert response.status == ChaincodeResponse.ERROR
+    assert response.message.startswith("unknown function 'init'")
+    assert "'init'" not in response.message.partition("expected one of")[2]
+
+
+class NoScanStub(ChaincodeStub):
+    """A stub on which every scan form raises."""
+
+    def _no_scan(self, *args):
+        raise AssertionError(f"{self.function} scanned the world state")
+
+    get_state_by_range = get_state_by_prefix = get_state_by_keys = _no_scan
+    iter_state_by_range = iter_state_by_prefix = _no_scan
+
+
+#: Arguments that make each invoke function succeed on the state below.
+INVOKE_ARGS = {
+    "set": ["k", checksum_of(b"v2"), "loc", json.dumps(["dep"]), json.dumps({"m": 1}), "2"],
+    "delete": ["dep"],
+}
+
+
+def test_no_invoke_function_scans(creator_cert):
+    """A scan's read set never reaches MVCC validation: no function that
+    writes (and so commits) runs a scan."""
+    assert set(INVOKE_ARGS) == HyperProvChaincode.INVOKE_FUNCTIONS
+    for function, args in INVOKE_ARGS.items():
+        state = WorldState()
+        for key in ("k", "dep"):
+            state.put(key, ProvenanceRecord(
+                key=key, checksum=checksum_of(key.encode()), location="loc",
+                creator=creator_cert.subject, organization="org1",
+                certificate_fingerprint="fp",
+            ).to_json(), (0, 0))
+        stub = NoScanStub(
+            tx_id="tx", channel="ch", function=function, args=args,
+            world_state=state, history=HistoryDatabase(), creator=creator_cert,
+            timestamp=1.0,
+        )
+        response = HyperProvChaincode().invoke(stub)
+        assert response.is_ok, (function, response.message)
+        assert stub.rw_set.writes
 
 
 # ------------------------------------------------------------------- lifecycle

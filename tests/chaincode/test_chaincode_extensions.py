@@ -121,13 +121,14 @@ def test_query_prefix_scopes_scan_to_candidate_keys():
         )
     )
     assert [row["key"] for row in json.loads(scoped.scan.payload())] == ["tenant/a/1"]
-    # The rw-set only records the candidate keys, not the whole key space.
+    # The rw-set records the returned row: not the rejected candidate
+    # tenant/a/2, nor anything outside the prefix.
     stub = stub_for(
         "query", [json.dumps({"_prefix": "tenant/a/", "creator": "client1"})],
         state=state,
     )
     chaincode.invoke(stub)
-    assert sorted(r.key for r in stub.rw_set.reads) == ["tenant/a/1", "tenant/a/2"]
+    assert [r.key for r in stub.rw_set.reads] == ["tenant/a/1"]
 
 
 def test_query_prefix_alone_returns_everything_under_it():

@@ -51,8 +51,9 @@ def test_peer_refuses_chaincode_not_installed_on_it(single_peer, channel, organi
 
 
 def test_large_scan_response_is_signed_over_the_read_set_digest(single_peer, organizations, msp):
-    """A 500-row query is endorsed like any other proposal: the signature
-    covers the digest of the full read set and verifies against the MSP."""
+    """A query over 500 rows is endorsed like any other proposal: the
+    signature covers the digest of its read set — the 32 rows it returns,
+    not the 500 it visits — and verifies against the MSP."""
     for index in range(500):
         key = f"scan/{index:04d}"
         record = ProvenanceRecord(
@@ -67,7 +68,9 @@ def test_large_scan_response_is_signed_over_the_read_set_digest(single_peer, org
     )
     response, _ = single_peer.query(proposal, at_time=0.0)
     assert response.is_ok and len(json.loads(response.scan.payload())["records"]) == 32
-    assert len(response.rw_set.reads) == 500
+    rows = response.scan.rows
+    assert [(read.key, read.version) for read in response.rw_set.reads] == \
+        [(row.key, row.version) for row in rows]
     endorsement = response.endorsement
     assert endorsement is not None
     digest = response.rw_set.digest()

@@ -4,7 +4,7 @@ A scan (``query``, both forms of ``getbyrange``) answers with the
 committed versions it matched (``ChaincodeResponse.scan``), a key history
 (``getkeyhistory``) with the key's committed entries
 (``ChaincodeResponse.history``); neither carries a payload string.  A
-scan's read set is appended from what each visited version already carries.
+scan's read set is appended from what each returned version already carries.
 For random ledgers — quotes, backslashes, control characters and non-ASCII
 in keys and values, ``__`` marker keys, values that are not JSON objects,
 updates and deletes — and random requests over all six candidate sources,
@@ -18,8 +18,9 @@ reading of what a selector field matches):
   the row dicts the reference loop builds, and its ``size()`` — what the
   network charges — is that text's length, in every page shape; the same
   holds for a history page against the ``json.dumps`` of its entry dicts;
-* the reads are one entry per candidate the scan pulled, in pull order,
-  and the digest is ``sha256(canonical_json(rw_set.to_dict()))``;
+* the reads are one entry per returned row, in key order — never a
+  candidate the scan pulled and rejected or skipped — and the digest is
+  ``sha256(canonical_json(rw_set.to_dict()))``;
 * the carried rows, bookmark and plan are the text's, decoded;
 * asking twice gives equal answers (the second from filled fragments) and
   a write in between changes exactly the written row;
@@ -27,8 +28,9 @@ reading of what a selector field matches):
   entries, never from the scan's cached lines;
 * a page that fills stops pulling at the filling row whatever hands the
   candidates over (the ledger's lazy scan, a list iterator, a generator
-  as the benchmark's tracer wraps it), and a 5-row page over a 10 000-key
-  state pulls 5 rows and looks up one chunk of keys.
+  as the benchmark's tracer wraps it) and reads only its own rows, and a
+  5-row page over a 10 000-key state pulls 5 rows and looks up one chunk
+  of keys.
 """
 
 import json
@@ -252,9 +254,10 @@ def _check_answer(stub, response, fields, limit, markers, enveloped, scope=None)
     assert text == _reference_payload(rows, truncated, enveloped, page.plan)
     assert page.size() == len(text)
 
-    # One read per pulled candidate, in pull order, digesting like the reference.
+    # One read per returned row, in key order, digesting like the reference.
     rw_set = stub.rw_set
-    assert rw_set.reads == [ReadSetEntry(key, version) for key, _value, version in pulled]
+    versions = {key: version for key, _value, version in scope}
+    assert rw_set.reads == [ReadSetEntry(row["key"], versions[row["key"]]) for row in rows]
     assert all(type(read) is ReadSetEntry for read in rw_set.reads)
     reference = canonical_json(rw_set.to_dict())
     assert rw_set.canonical_bytes() == reference
@@ -450,7 +453,7 @@ def _collect(candidates, match, limit):
     return rows, truncated, stub.rw_set
 
 
-def test_a_filled_page_reads_up_to_the_filling_row_whoever_hands_the_run_over():
+def test_a_filled_page_reads_its_rows_and_stops_at_the_filling_row_whoever_hands_the_run_over():
     state, model = _hot_state(40)
     run = state.range_query_versioned("", "")
     match = compile_row_predicate({"metadata.hot": True})
@@ -468,7 +471,7 @@ def test_a_filled_page_reads_up_to_the_filling_row_whoever_hands_the_run_over():
         "list iterator": iter(run),
         "generator": traced(state.iter_by_prefix_versioned("k/")),
     }
-    expected_reads = [ReadSetEntry(key, model[key][1]) for key in sorted(model)[:12]]
+    expected_reads = [ReadSetEntry(key, model[key][1]) for key in ("k/00003", "k/00007", "k/00011")]
     for shape, candidates in lazy_shapes.items():
         rows, truncated, rw_set = _collect(candidates, match, 3)
         assert [row.key for row in rows] == ["k/00003", "k/00007", "k/00011"], shape
@@ -478,15 +481,16 @@ def test_a_filled_page_reads_up_to_the_filling_row_whoever_hands_the_run_over():
         assert next(candidates).key == "k/00012", shape
     assert pulls == sorted(model)[:13]
 
-    # A list was fetched, hence read, in full — the rows are the same.
+    # A list fetched in full gives the same rows and the same reads.
     rows, truncated, rw_set = _collect(run, match, 3)
     assert [row.key for row in rows] == ["k/00003", "k/00007", "k/00011"] and truncated
-    assert rw_set.reads == [ReadSetEntry(key, model[key][1]) for key in sorted(model)]
+    assert rw_set.reads == expected_reads
 
-    # A page that does not fill reads its whole run, lazy or not.
+    # A page that does not fill walks its whole run and reads its rows, lazy or not.
     for candidates in (iter(run), run, traced(iter(run))):
         rows, truncated, rw_set = _collect(candidates, match, 11)
-        assert len(rows) == 10 and not truncated and len(rw_set.reads) == 40
+        assert len(rows) == 10 and not truncated
+        assert rw_set.reads == [ReadSetEntry(row.key, row.version) for row in rows]
     # No predicate, no marker filter, no limit: the run is the page.
     stub = ChaincodeStub("tx", "ch", "getbyrange", [], WorldState(), HistoryDatabase())
     assert HyperProvChaincode._collect(stub, iter(run), markers=True) == (tuple(run), False)
