@@ -24,7 +24,7 @@ def main() -> None:
     service = HyperProvService(deployment)
     print("Deployment ready:")
     print(f"  peers   : {[peer.name for peer in deployment.peers]}")
-    print(f"  orderer : {deployment.fabric.orderer_node} (Solo)")
+    print(f"  orderer : {deployment.fabric.shard(0).orderer_node} (Solo)")
     print(f"  storage : ssh://storage (off-chain)")
 
     with service.session() as session:

@@ -12,6 +12,7 @@ from repro.bench.chaos import run_chaos
 from repro.bench.experiments import (
     CLAIMS_LOAD,
     EXPERIMENTS,
+    SEED,
     Experiment,
     command_of,
     measure,
@@ -51,7 +52,6 @@ def _run_fleet(args: argparse.Namespace) -> str:
         devices=args.fleet_devices,
         shards=args.fleet_shards,
         workers=args.workers,
-        duration_s=args.fleet_duration,
     )
     stats = shard_stats_table(
         report.parallel.shard_stats,
@@ -96,12 +96,7 @@ def _run_chaos(args: argparse.Namespace) -> str:
 
 
 def _run_query(args: argparse.Namespace) -> str:
-    report = run_query_bench(
-        key_scales=tuple(args.query_keys),
-        queries=args.query_queries,
-        commits=args.query_commits,
-        repeats=args.query_repeats,
-    )
+    report = run_query_bench(key_scales=tuple(args.query_keys))
     verdict = check_query_gate(report)
     return report.to_table().render() + "\n" + verdict
 
@@ -114,8 +109,6 @@ GATES: Dict[str, Callable[[argparse.Namespace], str]] = {
     "chaos": _run_chaos,
 }
 COMMANDS = sorted({command_of(key) for key in EXPERIMENTS} | set(GATES))
-#: Seed of every table experiment.
-SEED = 42
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -172,33 +165,15 @@ def build_parser() -> argparse.ArgumentParser:
              "shard count; 1 runs the sites in-process, one engine each "
              "(default: 4)",
     )
-    fleet.add_argument(
-        "--fleet-duration", type=float, default=200.0,
-        help="virtual seconds of fleet traffic per run (default: 200)",
-    )
     query = parser.add_argument_group(
         "query", "read-side query bench configuration for the query "
                  "experiment (the gate counts the candidates the indexed "
-                 "plan fetches against the scan's, not throughput)"
+                 "plan fetches against the scan's)"
     )
     query.add_argument(
         "--query-keys", type=_positive_int, nargs="+", default=[1_000, 10_000],
         help="preloaded key scales the indexed-vs-scan comparison runs at "
              "(default: 1000 10000; the gate applies at the largest)",
-    )
-    query.add_argument(
-        "--query-queries", type=_positive_int, default=30,
-        help="selector queries per mode and scale (default: 30)",
-    )
-    query.add_argument(
-        "--query-commits", type=_positive_int, default=32,
-        help="commits pushed through the continuous-query delivery "
-             "workload (default: 32)",
-    )
-    query.add_argument(
-        "--query-repeats", type=_positive_int, default=2,
-        help="measurement passes per mode; the fastest is reported "
-             "(default: 2)",
     )
     return parser
 

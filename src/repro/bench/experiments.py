@@ -264,7 +264,7 @@ def _role_of(deployment: HyperProvDeployment, node: str) -> str:
     client_host = deployment.fabric.client_context("hyperprov-client").host_node
     if node in {peer.name for peer in deployment.peers}:
         return "peer+client" if node == client_host else "peer"
-    if node == deployment.fabric.orderer_node:
+    if node == deployment.fabric.shard(0).orderer_node:
         return "orderer"
     if node == deployment.storage_backend.storage_node:
         return "storage"
@@ -492,6 +492,8 @@ def measure(tables: Mapping[str, Experiment], keys: Iterable[str], requests: int
 NOT_OFFLINE = "not available offline"
 #: The ``--requests`` every claim holds at (the CLI's default).
 CLAIMS_LOAD = 20
+#: The seed every table, exported figure and query-bench deployment runs at.
+SEED = 42
 #: Where the paper's numbers are quoted in this repo.
 PROFILES = "src/repro/devices/profiles.py"
 _OPERATORS = {"<": operator.lt, "<=": operator.le, ">": operator.gt,

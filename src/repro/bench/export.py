@@ -18,7 +18,7 @@ import json
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from repro.bench.experiments import EXPERIMENTS, measure
+from repro.bench.experiments import EXPERIMENTS, SEED, measure
 from repro.bench.sweeps import Row
 
 #: The tables exported, each to ``<key with / as _>.csv``.
@@ -37,14 +37,14 @@ def write_csv(path: Path, rows: List[Row]) -> Path:
     return path
 
 
-def export_all(out_dir: Path, requests: int = 30, seed: int = 42) -> Dict[str, str]:
+def export_all(out_dir: Path, requests: int = 30) -> Dict[str, str]:
     """Measure every figure table at ``requests``; table key → written CSV path."""
     out_dir = Path(out_dir)
     written = {
         key: str(write_csv(out_dir / f"{key.replace('/', '_')}.csv", rows))
-        for key, rows in measure(EXPERIMENTS, FIGURES, requests, seed).items()
+        for key, rows in measure(EXPERIMENTS, FIGURES, requests, SEED).items()
     }
-    manifest = {"seed": seed, "requests": requests, "files": written}
+    manifest = {"seed": SEED, "requests": requests, "files": written}
     manifest_path = out_dir / "manifest.json"
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
     return {**written, "manifest": str(manifest_path)}

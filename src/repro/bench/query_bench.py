@@ -1,4 +1,4 @@
-"""Wall-clock query benchmarks (``bench query``).
+"""Query benchmarks (``bench query``).
 
 Two workloads for the read-side query subsystem:
 
@@ -9,29 +9,28 @@ Two workloads for the read-side query subsystem:
     (posting-list intersection).  Virtual-time cost is identical by
     construction — one state operation either way — so what differs is
     the candidates each plan fetches (an exact count from the plan's
-    explain report) and the wall-clock queries per second.
+    explain report).
 ``continuous delivery``
-    A standing continuous query fed by the commit stream while a batch of
-    matching writes flows through endorse → order → commit; reports
-    deliveries per wall-clock second and checks none were missed.
+    A standing continuous query fed by the commit stream while
+    :data:`CONTINUOUS_COMMITS` matching writes flow through endorse →
+    order → commit; checks none was missed.
 
 A gate, not a row of :data:`repro.bench.experiments.EXPERIMENTS`: it
 fails the command, which a row cannot.  Nothing is written:
 :func:`check_query_gate` holds the candidates the indexed plan fetches at
 the largest key scale against the scan's — exact counts, so neither the
-runner's speed nor a faster scan moves the gate.  The wall-clock
-indexed/scan ratio is printed as a note; absolute wall-clock throughput
-is ``benchmarks/perf``'s job.
+runner's speed nor a faster scan moves the gate.  Wall-clock speed is
+``benchmarks/perf``'s job.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.bench.anchors import GateError
-from repro.bench.reporting import ResultTable, format_seconds
+from repro.bench.experiments import SEED
+from repro.bench.reporting import ResultTable
 from repro.chaincode.records import ProvenanceRecord
 from repro.common.hashing import checksum_of
 from repro.core.topology import HyperProvDeployment, build_desktop_deployment
@@ -50,6 +49,9 @@ MIN_CANDIDATE_RATIO = 100
 #: ``creator`` each, so a selector matches a realistic subset.
 PREFIX_GROUPS = 16
 
+#: Matching writes the continuous-delivery workload commits.
+CONTINUOUS_COMMITS = 32
+
 
 def _selector(group: int) -> Dict[str, object]:
     return {"creator": f"sensor-{group:02d}", "metadata.hot": True}
@@ -61,9 +63,6 @@ class QueryMeasurement:
 
     mode: str  # "indexed" | "scan"
     keys: int
-    queries: int
-    wall_s: float
-    wall_queries_per_s: float
     #: Planner-reported access path (``index-intersection`` vs ``scan``).
     access_path: str
     #: Most candidates the plan fetched for one selector: the index's
@@ -72,19 +71,10 @@ class QueryMeasurement:
 
 
 @dataclass
-class ContinuousMeasurement:
-    """The continuous-query delivery workload."""
-
-    commits: int
-    delivered: int
-    wall_s: float
-    deliveries_per_s: float
-
-
-@dataclass
 class QueryBenchReport:
     measurements: List[QueryMeasurement] = field(default_factory=list)
-    continuous: Optional[ContinuousMeasurement] = None
+    #: Deliveries of the continuous-query workload (all of its commits).
+    delivered: int = 0
 
     def pairs(self) -> Dict[int, Tuple[QueryMeasurement, QueryMeasurement]]:
         """``(indexed, scan)`` per key scale that measured both modes."""
@@ -99,27 +89,14 @@ class QueryBenchReport:
 
     def to_table(self) -> ResultTable:
         table = ResultTable(
-            title="bench query — indexed vs scan selector throughput (wall clock)",
-            columns=["mode", "keys", "queries", "wall time", "queries/s",
-                     "access path", "candidates"],
+            title="bench query — indexed vs scan selector candidates",
+            columns=["mode", "keys", "access path", "candidates"],
         )
         for m in self.measurements:
-            table.add_row(
-                m.mode, m.keys, m.queries, format_seconds(m.wall_s),
-                round(m.wall_queries_per_s, 1), m.access_path, m.candidates,
-            )
-        for keys, (indexed, scan) in self.pairs().items():
-            table.add_note(
-                f"indexed vs scan at {keys} keys: {indexed.candidates} vs "
-                f"{scan.candidates} candidates, wall-clock speedup "
-                f"{indexed.wall_queries_per_s / scan.wall_queries_per_s:.2f}x"
-            )
-        if self.continuous is not None:
-            c = self.continuous
-            table.add_note(
-                f"continuous delivery: {c.delivered}/{c.commits} commits pushed "
-                f"in {format_seconds(c.wall_s)} ({c.deliveries_per_s:.1f}/s)"
-            )
+            table.add_row(m.mode, m.keys, m.access_path, m.candidates)
+        table.add_note(
+            f"continuous delivery: {self.delivered}/{CONTINUOUS_COMMITS} commits pushed"
+        )
         return table
 
 
@@ -152,44 +129,34 @@ def _preload_world_state(deployment: HyperProvDeployment, keys: int) -> None:
             peer.world_state.put(key, value, (0, index))
 
 
-def _measure_selector_mode(
-    mode: str, keys: int, queries: int, seed: int
-) -> QueryMeasurement:
-    deployment = build_desktop_deployment(seed=seed)
+def _measure_selector_mode(mode: str, keys: int) -> QueryMeasurement:
+    deployment = build_desktop_deployment(seed=SEED)
     _preload_world_state(deployment, keys)
     if mode == "indexed":
         deployment.fabric.enable_secondary_indexes(INDEX_FIELDS)
     store = deployment.client.as_store()
-    # One untimed query per group, in both modes: it parses the documents
-    # the timed loop matches, and its plan counts what the path fetches.
+    # One query per group: its plan counts what the access path fetches.
     plans = [store.query(_selector(group), explain=True).plan
              for group in range(PREFIX_GROUPS)]
-    started = time.perf_counter()
-    for query in range(queries):
-        store.query(_selector(query % PREFIX_GROUPS))
-    wall = max(time.perf_counter() - started, 1e-9)
     return QueryMeasurement(
         mode=mode,
         keys=keys,
-        queries=queries,
-        wall_s=wall,
-        wall_queries_per_s=queries / wall,
         access_path=plans[0]["access_path"],
         candidates=max(plan.get("candidates", plan["scan_candidates"]) for plan in plans),
     )
 
 
-def _measure_continuous(commits: int, seed: int) -> ContinuousMeasurement:
+def _measure_continuous() -> int:
+    """Deliveries of a continuous query over :data:`CONTINUOUS_COMMITS` matching commits."""
     from repro.api.protocol import StoreRequest
     from repro.middleware.config import PipelineConfig
 
-    deployment = build_desktop_deployment(seed=seed)
+    deployment = build_desktop_deployment(seed=SEED)
     deployment.client.configure_pipeline(PipelineConfig(continuous_queries=True))
     store = deployment.client.as_store()
     delivered: List[Dict[str, object]] = []
     store.subscribe({"metadata.kind": "bench"}, callback=delivered.append)
-    started = time.perf_counter()
-    for index in range(commits):
+    for index in range(CONTINUOUS_COMMITS):
         store.submit(
             StoreRequest(
                 key=f"cq/{index:04d}",
@@ -198,43 +165,23 @@ def _measure_continuous(commits: int, seed: int) -> ContinuousMeasurement:
             )
         )
     deployment.drain()
-    wall = max(time.perf_counter() - started, 1e-9)
-    if len(delivered) != commits:
+    if len(delivered) != CONTINUOUS_COMMITS:
         raise GateError(
-            f"continuous query delivered {len(delivered)}/{commits} commits"
+            f"continuous query delivered {len(delivered)}/{CONTINUOUS_COMMITS} commits"
         )
     store.close()
-    return ContinuousMeasurement(
-        commits=commits,
-        delivered=len(delivered),
-        wall_s=wall,
-        deliveries_per_s=len(delivered) / wall,
-    )
+    return len(delivered)
 
 
 # ------------------------------------------------------------------- entry
-def run_query_bench(
-    key_scales: Sequence[int] = (1_000, 10_000),
-    queries: int = 30,
-    commits: int = 32,
-    seed: int = 42,
-    repeats: int = 2,
-) -> QueryBenchReport:
+def run_query_bench(key_scales: Sequence[int] = (1_000, 10_000)) -> QueryBenchReport:
     """Run the indexed-vs-scan comparison at every scale plus the
-    continuous-delivery workload; fastest of ``repeats`` passes wins."""
+    continuous-delivery workload."""
     report = QueryBenchReport()
-
-    def best(mode: str, keys: int) -> QueryMeasurement:
-        passes = [
-            _measure_selector_mode(mode, keys, queries, seed)
-            for _ in range(max(1, repeats))
-        ]
-        return max(passes, key=lambda m: m.wall_queries_per_s)
-
     for keys in key_scales:
-        report.measurements.append(best("scan", keys))
-        report.measurements.append(best("indexed", keys))
-    report.continuous = _measure_continuous(commits, seed)
+        report.measurements.append(_measure_selector_mode("scan", keys))
+        report.measurements.append(_measure_selector_mode("indexed", keys))
+    report.delivered = _measure_continuous()
     return report
 
 

@@ -1,7 +1,7 @@
 """Deterministic identifier generation.
 
 Benchmarks must be reproducible run-to-run, so identifiers are produced by
-a seeded generator instead of ``uuid.uuid4``.  Each subsystem owns an
+a counter-based generator instead of ``uuid.uuid4``.  Each subsystem owns an
 :class:`IdGenerator` namespaced by a prefix (``tx``, ``block``, ``node``…).
 """
 
@@ -20,22 +20,16 @@ def short_uid(seed: str, length: int = 12) -> str:
 class IdGenerator:
     """Produces unique, deterministic identifiers of the form ``prefix-N-hash``.
 
-    Parameters
-    ----------
-    prefix:
-        A short namespace such as ``"tx"`` or ``"block"``.
-    seed:
-        Run-level seed; two generators created with the same prefix and
-        seed produce the same sequence.
+    ``prefix`` is a short namespace such as ``"tx"`` or ``"block"``; two
+    generators with the same prefix produce the same sequence.
     """
 
-    def __init__(self, prefix: str, seed: str = "hyperprov") -> None:
+    def __init__(self, prefix: str) -> None:
         self.prefix = prefix
-        self.seed = seed
         self._counter: Iterator[int] = itertools.count()
 
     def next(self) -> str:
         """Return the next identifier in the sequence."""
         index = next(self._counter)
-        suffix = short_uid(f"{self.seed}:{self.prefix}:{index}", 8)
+        suffix = short_uid(f"hyperprov:{self.prefix}:{index}", 8)
         return f"{self.prefix}-{index}-{suffix}"

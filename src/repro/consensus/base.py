@@ -43,7 +43,6 @@ class OrderingService(ABC):
         name: str,
         engine: SimulationEngine,
         batch_config: Optional[BatchConfig] = None,
-        metrics: Optional[MetricsRegistry] = None,
         scheduler: Optional[OrderingScheduler] = None,
         intake_interval_s: float = 0.0,
     ) -> None:
@@ -53,7 +52,7 @@ class OrderingService(ABC):
         self.engine = engine
         self.batch_config = batch_config or BatchConfig()
         self.cutter = BlockCutter(self.batch_config)
-        self.metrics = metrics or MetricsRegistry(f"orderer.{name}")
+        self.metrics = MetricsRegistry(f"orderer.{name}")
         self.scheduler: OrderingScheduler = scheduler or FifoScheduler()
         self.intake_interval_s = intake_interval_s
         self._consumers: List[BlockConsumer] = []

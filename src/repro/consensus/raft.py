@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.common.errors import OrderingError
-from repro.common.metrics import MetricsRegistry
 from repro.consensus.base import OrderingService
 from repro.consensus.batching import BatchConfig
 from repro.consensus.scheduler import OrderingScheduler
@@ -52,6 +51,8 @@ ELECTION_TIMEOUT_MIN_S = 0.150
 ELECTION_TIMEOUT_MAX_S = 0.300
 HEARTBEAT_INTERVAL_S = 0.050
 MESSAGE_SIZE_BYTES = 512
+#: Members of the ordering service's Raft cluster.
+CLUSTER_SIZE = 3
 
 CommitCallback = Callable[[LogEntry], None]
 
@@ -386,7 +387,8 @@ class RaftNode:
 class RaftOrderingService(OrderingService):
     """Ordering service backed by a Raft cluster.
 
-    Cut batches are proposed to the current Raft leader; the block is
+    Cut batches are proposed to the current leader of a
+    :data:`CLUSTER_SIZE`-node Raft cluster; the block is
     assembled and delivered when the corresponding log entry commits on the
     leader.  If no leader exists yet the batch is queued and re-proposed
     once an election completes.
@@ -397,9 +399,7 @@ class RaftOrderingService(OrderingService):
         name: str,
         engine: SimulationEngine,
         network: NetworkFabric,
-        cluster_size: int = 3,
         batch_config: Optional[BatchConfig] = None,
-        metrics: Optional[MetricsRegistry] = None,
         rng: Optional[DeterministicRandom] = None,
         scheduler: Optional[OrderingScheduler] = None,
         intake_interval_s: float = 0.0,
@@ -408,14 +408,11 @@ class RaftOrderingService(OrderingService):
             name,
             engine,
             batch_config,
-            metrics,
             scheduler=scheduler,
             intake_interval_s=intake_interval_s,
         )
-        if cluster_size < 1:
-            raise OrderingError("raft cluster size must be >= 1")
         rng = rng or DeterministicRandom(303)
-        node_ids = [f"{name}-raft-{i}" for i in range(cluster_size)]
+        node_ids = [f"{name}-raft-{i}" for i in range(CLUSTER_SIZE)]
         self.nodes: List[RaftNode] = [
             RaftNode(
                 node_id=node_id,

@@ -1,54 +1,19 @@
 """The Solo ordering service: a single orderer, no fault tolerance.
 
 This is what the paper's testbeds run ("one Xeon machine runs the
-orderer").  Batches become blocks immediately, after a small processing
-delay charged to the orderer's device model (if one is attached).
+orderer").  A cut batch becomes a block and is delivered at once.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
-from repro.common.metrics import MetricsRegistry
 from repro.consensus.base import OrderingService
-from repro.consensus.batching import BatchConfig
-from repro.consensus.scheduler import OrderingScheduler
 from repro.ledger.transaction import Transaction
-from repro.simulation.engine import SimulationEngine
 
 
 class SoloOrderingService(OrderingService):
     """Single-node ordering: cut batch → assemble block → deliver."""
 
-    def __init__(
-        self,
-        name: str,
-        engine: SimulationEngine,
-        batch_config: Optional[BatchConfig] = None,
-        metrics: Optional[MetricsRegistry] = None,
-        ordering_delay_s: float = 0.0,
-        scheduler: Optional[OrderingScheduler] = None,
-        intake_interval_s: float = 0.0,
-    ) -> None:
-        super().__init__(
-            name,
-            engine,
-            batch_config,
-            metrics,
-            scheduler=scheduler,
-            intake_interval_s=intake_interval_s,
-        )
-        #: Fixed processing time per block (set by the node model when the
-        #: orderer runs on a constrained device).
-        self.ordering_delay_s = ordering_delay_s
-
     def _order_batch(self, batch: List[Transaction]) -> None:
-        block = self._assemble_block(batch)
-        if self.ordering_delay_s > 0:
-            self.engine.schedule_in(
-                self.ordering_delay_s,
-                lambda b=block: self._deliver_block(b),
-                label=f"{self.name}:deliver-block-{block.number}",
-            )
-        else:
-            self._deliver_block(block)
+        self._deliver_block(self._assemble_block(batch))

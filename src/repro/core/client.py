@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.api.protocol import RecordView
+from repro.chaincode.hyperprov import HyperProvChaincode
 from repro.chaincode.records import ProvenanceRecord
 from repro.common.errors import (
     ChaincodeError,
@@ -95,15 +96,13 @@ class HyperProvClient:
         network: FabricNetwork,
         client_name: str,
         storage: Optional[ContentAddressedStore] = None,
-        chaincode_name: str = "hyperprov",
-        metrics: Optional[MetricsRegistry] = None,
         pipeline_config: Optional[PipelineConfig] = None,
     ) -> None:
         self.network = network
         self.client_name = client_name
         self.storage = storage
-        self.chaincode_name = chaincode_name
-        self.metrics = metrics or MetricsRegistry(f"client.{client_name}")
+        self.chaincode_name = HyperProvChaincode.name
+        self.metrics = MetricsRegistry(f"client.{client_name}")
         self._context = network.client_context(client_name)
         self.pipeline_config = pipeline_config or PipelineConfig()
         self.pipeline: TransactionPipeline = self._build_pipeline(self.pipeline_config)
@@ -195,7 +194,6 @@ class HyperProvClient:
             ctx.function,
             ctx.args,
             at_time=ctx.at_time,
-            payload_size_bytes=ctx.payload_size_bytes,
             shard=shard,
         )
 
@@ -229,7 +227,6 @@ class HyperProvClient:
         operation: str,
         function: str,
         args: List[str],
-        payload_size_bytes: int = 0,
         at_time: Optional[float] = None,
     ) -> TransactionHandle:
         """Run a state-changing operator through the pipeline."""
@@ -240,7 +237,6 @@ class HyperProvClient:
             function=function,
             args=list(args),
             client_name=self.client_name,
-            payload_size_bytes=payload_size_bytes,
             at_time=at_time,
         )
         return self.pipeline.execute(ctx)

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.common.errors import ConfigurationError
+from repro.consensus.base import OrderingService
 from repro.consensus.batching import BatchConfig
 from repro.consensus.raft import RaftOrderingService
 from repro.consensus.scheduler import make_scheduler
@@ -31,7 +32,7 @@ from repro.energy.power import PowerModel
 from repro.fabric.channel import Channel
 from repro.fabric.network import FabricNetwork
 from repro.fabric.peer import Peer
-from repro.membership.identity import Organization
+from repro.membership.identity import Identity, Organization
 from repro.membership.msp import MSP
 from repro.membership.policies import MajorityPolicy
 from repro.network.fabric import NetworkFabric
@@ -116,35 +117,19 @@ def build_deployment(spec: DeploymentSpec) -> HyperProvDeployment:
     # Organizations: one per peer node, like the paper's four-machine setup.
     organizations = [Organization(f"org{i + 1}") for i in range(len(spec.peer_profiles))]
     msp = MSP(organizations)
-    channel = Channel(name="hyperprov-channel", msp=msp, batch_config=spec.batch_config)
+    # Chaincode: HyperProv, endorsed by a majority of the organizations.
+    policy = MajorityPolicy([org.name for org in organizations])
 
     devices: Dict[str, DeviceModel] = {}
-    peers: List[Peer] = []
+    identities: Dict[str, Identity] = {}
     for index, (org, profile) in enumerate(zip(organizations, spec.peer_profiles)):
         peer_name = f"peer{index}.{org.name}"
-        device = DeviceModel(
+        devices[peer_name] = DeviceModel(
             name=peer_name, profile=profile, rng=rng.fork(f"device:{peer_name}")
         )
-        devices[peer_name] = device
-        identity = org.enroll(f"peer{index}", role="peer")
-        peer = Peer(
-            name=peer_name,
-            identity=identity,
-            device=device,
-            channel=channel,
-            parallel_validation=spec.parallel_validation,
-        )
-        peers.append(peer)
+        identities[peer_name] = org.enroll(f"peer{index}", role="peer")
 
-    # Ordering service.
-    orderer_node = "orderer"
-    orderer_device = DeviceModel(
-        name=orderer_node, profile=spec.orderer_profile, rng=rng.fork("device:orderer")
-    )
-    devices[orderer_node] = orderer_device
-    network.register_node(orderer_node, profile=spec.orderer_profile.nic)
-
-    def build_orderer(name: str, rng_label: str) -> object:
+    def build_orderer(name: str, rng_label: str) -> OrderingService:
         scheduler = make_scheduler(spec.scheduler)
         if spec.ordering == "solo":
             return SoloOrderingService(
@@ -166,60 +151,40 @@ def build_deployment(spec: DeploymentSpec) -> HyperProvDeployment:
             )
         raise ConfigurationError(f"unknown ordering mode {spec.ordering!r}")
 
-    orderer = build_orderer(orderer_node, "raft")
-
-    fabric = FabricNetwork(
-        engine=engine,
-        network=network,
-        channel=channel,
-        orderer=orderer,
-        orderer_node=orderer_node,
-        orderer_device=orderer_device,
-    )
-    for peer in peers:
-        fabric.add_peer(peer)
-
-    # Chaincode: HyperProv, endorsed by a majority of the organizations.
-    policy = MajorityPolicy([org.name for org in organizations])
-    channel.instantiate_chaincode(HyperProvChaincode(), endorsement_policy=policy)
-
-    # Extra channel shards: each gets its own ordering service on its own
-    # orderer machine, and every peer node joins with a per-channel ledger
-    # replica sharing the node's device model (one peer process, many
-    # channels — so CPU contention across channels is still modelled).
-    for shard_index in range(1, spec.shards):
-        shard_channel = Channel(
-            name=f"hyperprov-channel-{shard_index}",
-            msp=msp,
-            batch_config=spec.batch_config,
+    # One channel per shard, each ordered on its own orderer machine.  Every
+    # peer node joins every channel with a per-channel ledger replica sharing
+    # the node's device model (one peer process, many channels — so CPU
+    # contention across channels is still modelled).
+    fabric = FabricNetwork(engine=engine, network=network)
+    for shard in range(spec.shards):
+        suffix = f"-{shard}" if shard else ""
+        channel = Channel(
+            name=f"hyperprov-channel{suffix}", msp=msp, batch_config=spec.batch_config
         )
-        shard_orderer_node = f"{orderer_node}-{shard_index}"
-        shard_orderer_device = DeviceModel(
-            name=shard_orderer_node,
+        orderer_node = f"orderer{suffix}"
+        devices[orderer_node] = orderer_device = DeviceModel(
+            name=orderer_node,
             profile=spec.orderer_profile,
-            rng=rng.fork(f"device:{shard_orderer_node}"),
+            rng=rng.fork(f"device:{orderer_node}"),
         )
-        devices[shard_orderer_node] = shard_orderer_device
-        network.register_node(shard_orderer_node, profile=spec.orderer_profile.nic)
-        shard_orderer = build_orderer(shard_orderer_node, f"raft-{shard_index}")
-        index = fabric.add_channel(
-            shard_channel,
-            orderer=shard_orderer,
-            orderer_node=shard_orderer_node,
-            orderer_device=shard_orderer_device,
+        network.register_node(orderer_node, profile=spec.orderer_profile.nic)
+        fabric.add_channel(
+            channel,
+            orderer=build_orderer(orderer_node, f"raft{suffix}"),
+            orderer_node=orderer_node,
+            orderer_device=orderer_device,
         )
-        for peer in peers:
-            replica = Peer(
-                name=peer.name,
-                identity=peer.identity,
-                device=peer.device,
-                channel=shard_channel,
+        for peer_name, identity in identities.items():
+            peer = Peer(
+                name=peer_name,
+                identity=identity,
+                device=devices[peer_name],
+                channel=channel,
                 parallel_validation=spec.parallel_validation,
             )
-            fabric.add_peer(replica, shard=index)
-        shard_channel.instantiate_chaincode(
-            HyperProvChaincode(), endorsement_policy=policy
-        )
+            fabric.add_peer(peer, shard=shard)
+        channel.instantiate_chaincode(HyperProvChaincode(), endorsement_policy=policy)
+    peers = [fabric.peer(peer_name, shard=0) for peer_name in identities]
 
     # Off-chain storage on its own node.
     storage_node = "storage"
@@ -271,7 +236,7 @@ def build_deployment(spec: DeploymentSpec) -> HyperProvDeployment:
         engine=engine,
         network=network,
         fabric=fabric,
-        channel=channel,
+        channel=fabric.shard(0).channel,
         peers=peers,
         devices=devices,
         storage_backend=storage_backend,
@@ -319,12 +284,7 @@ def build_desktop_deployment(
 
 def build_rpi_deployment(
     batch_config: Optional[BatchConfig] = None,
-    ordering: str = "solo",
     parallel_validation: bool = False,
-    shards: int = 1,
-    scheduler: str = "fifo",
-    orderer_intake_interval_s: float = 0.0,
-    indexes: Sequence[str] = (),
     seed: int = 42,
 ) -> HyperProvDeployment:
     """The paper's edge setup: 4× Raspberry Pi 3B+ on one switch.
@@ -341,12 +301,7 @@ def build_rpi_deployment(
         client_profile=RPI_PROFILES[0],
         client_colocated_with=0,
         batch_config=batch_config or BatchConfig(),
-        ordering=ordering,
         parallel_validation=parallel_validation,
-        shards=shards,
-        scheduler=scheduler,
-        orderer_intake_interval_s=orderer_intake_interval_s,
-        indexes=indexes,
         seed=seed,
     )
     return build_deployment(spec)

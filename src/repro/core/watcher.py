@@ -38,12 +38,9 @@ class FileWatcher:
         self,
         client: HyperProvClient,
         namespace: str = "files",
-        track_derivations: bool = True,
     ) -> None:
         self.client = client
         self.namespace = namespace
-        #: Link each new version to the previous version of the same path.
-        self.track_derivations = track_derivations
         self._last_checksum: Dict[str, str] = {}
         self.changes: List[WatchedChange] = []
 
@@ -69,9 +66,8 @@ class FileWatcher:
         if previous == checksum:
             return None
 
-        dependencies: List[str] = []
-        if self.track_derivations and previous is not None:
-            dependencies = [key]
+        # Each new version derives from the previous version of the same path.
+        dependencies = () if previous is None else (key,)
 
         combined_metadata = {"path": path, "watched": True}
         if metadata:
@@ -81,7 +77,7 @@ class FileWatcher:
             StoreRequest(
                 key=key,
                 data=data,
-                dependencies=tuple(dependencies),
+                dependencies=dependencies,
                 metadata=combined_metadata,
             ),
             at_time=at_time,

@@ -7,7 +7,7 @@ intervals in Fig. 3), reporting mean power, peak power and total energy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List
 
 from repro.common.errors import ConfigurationError
@@ -25,7 +25,6 @@ class IntervalReport:
     max_watts: float
     min_watts: float
     energy_joules: float
-    samples: List[PowerSample] = field(default_factory=list)
 
     @property
     def energy_wh(self) -> float:
@@ -59,7 +58,6 @@ class PowerMeter:
         start: float,
         end: float,
         label: str = "",
-        keep_samples: bool = False,
     ) -> IntervalReport:
         """Produce the aggregated report for one measurement interval."""
         samples = self.sample_window(start, end)
@@ -79,5 +77,4 @@ class PowerMeter:
             max_watts=max(watts),
             min_watts=min(watts),
             energy_joules=energy,
-            samples=samples if keep_samples else [],
         )

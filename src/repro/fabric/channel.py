@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 from repro.chaincode.lifecycle import ChaincodeRegistry
 from repro.chaincode.hyperprov import HyperProvChaincode
-from repro.common.errors import ConfigurationError
 from repro.consensus.batching import BatchConfig
 from repro.membership.msp import MSP
 from repro.membership.policies import MajorityPolicy
@@ -34,26 +33,14 @@ class Channel:
         if peer_name not in self.members:
             self.members.append(peer_name)
 
-    def require_member(self, peer_name: str) -> None:
-        if peer_name not in self.members:
-            raise ConfigurationError(
-                f"peer {peer_name!r} has not joined channel {self.name!r}"
-            )
-
     def instantiate_chaincode(
-        self,
-        chaincode: HyperProvChaincode,
-        endorsement_policy: MajorityPolicy,
-        version: str = "1.0",
-        install_on: Optional[List[str]] = None,
+        self, chaincode: HyperProvChaincode, endorsement_policy: MajorityPolicy
     ) -> None:
-        """Instantiate a chaincode on the channel and install it on peers."""
+        """Instantiate a chaincode on the channel and install it on every member."""
         definition = self.chaincodes.instantiate(
             name=chaincode.name,
-            version=version,
+            version="1.0",
             chaincode=chaincode,
             endorsement_policy=endorsement_policy,
         )
-        for peer_name in install_on if install_on is not None else self.members:
-            self.require_member(peer_name)
-            definition.installed_on.add(peer_name)
+        definition.installed_on.update(self.members)

@@ -33,7 +33,6 @@ from repro.common.metrics import MetricsRegistry
 from repro.common.tenancy import TENANT_PREFIX, tenant_of_prefix
 from repro.consensus.base import OrderingService
 from repro.consensus.scheduler import make_scheduler
-from repro.consensus.solo import SoloOrderingService
 from repro.devices.model import DeviceModel
 from repro.fabric.channel import Channel
 from repro.fabric.peer import CommitResult, Peer, SharedCommit, SharedSimulation
@@ -76,7 +75,7 @@ class ChannelShard:
     channel: Channel
     orderer: OrderingService
     orderer_node: str
-    orderer_device: Optional[DeviceModel]
+    orderer_device: DeviceModel
     batcher: Optional[EndorsementBatcher] = None
     pipeline: Optional[TransactionPipeline] = None
     #: Per-channel peer replicas (same node names across shards — one peer
@@ -103,22 +102,13 @@ class ChannelShard:
 class FabricNetwork:
     """A complete simulated Fabric deployment hosting one or more channels."""
 
-    def __init__(
-        self,
-        engine: SimulationEngine,
-        network: NetworkFabric,
-        channel: Channel,
-        orderer: Optional[OrderingService] = None,
-        orderer_node: str = "orderer",
-        orderer_device: Optional[DeviceModel] = None,
-        metrics: Optional[MetricsRegistry] = None,
-    ) -> None:
+    def __init__(self, engine: SimulationEngine, network: NetworkFabric) -> None:
         self.engine = engine
         self.network = network
         #: Endorsed envelopes coalesced into one orderer submission (1 = off,
         #: reproducing the unbatched per-transaction transfer exactly).
         self.order_batch_size = 1
-        self.metrics = metrics or MetricsRegistry("fabric")
+        self.metrics = MetricsRegistry("fabric")
         # Resolved once, like a peer's: these are touched per block or per
         # committed transaction, and a by-name look-up is measurable there.
         self._blocks_delivered = self.metrics.counter("blocks_delivered")
@@ -128,8 +118,6 @@ class FabricNetwork:
         #: The one commit stream: every shard's ``block_delivered`` and
         #: ``chaincode_event:{name}`` announcements (see :meth:`_announce`).
         self.events = EventBus()
-        self.orderer_node = orderer_node
-        self.orderer_device = orderer_device
         self._clients: Dict[str, _ClientContext] = {}
         self._tx_ids = IdGenerator("tx")
         self._shards: List[ChannelShard] = []
@@ -143,44 +131,31 @@ class FabricNetwork:
         #: tenant → every shard that has ordered a write under its
         #: namespace (see :meth:`tenant_shards`).
         self._tenant_shards: Dict[str, FrozenSet[int]] = {}
-        self.add_channel(
-            channel,
-            orderer=orderer,
-            orderer_node=orderer_node,
-            orderer_device=orderer_device,
-        )
 
     # ------------------------------------------------------------- sharding
     def add_channel(
         self,
         channel: Channel,
-        orderer: Optional[OrderingService] = None,
-        orderer_node: Optional[str] = None,
-        orderer_device: Optional[DeviceModel] = None,
+        orderer: OrderingService,
+        orderer_node: str,
+        orderer_device: DeviceModel,
     ) -> int:
-        """Host an additional channel; returns its shard index.
+        """Host a channel ordered by ``orderer`` on ``orderer_node``; returns its shard index.
 
         Each shard gets its own ordering service (block cutter + intake
         scheduler), endorsement batcher and invoke pipeline, so shards
-        order and commit independently of each other.
+        order and commit independently of each other.  The orderer's node
+        must already be registered on the network.
         """
         index = len(self._shards)
-        node = orderer_node or (
-            self.orderer_node if index == 0 else f"{self.orderer_node}-{index}"
-        )
-        if node not in self.network.nodes:
-            self.network.register_node(node)
-        service = orderer or SoloOrderingService(
-            name=node, engine=self.engine, batch_config=channel.batch_config
-        )
         shard = ChannelShard(
             index=index,
             channel=channel,
-            orderer=service,
-            orderer_node=node,
+            orderer=orderer,
+            orderer_node=orderer_node,
             orderer_device=orderer_device,
         )
-        service.register_consumer(
+        orderer.register_consumer(
             lambda block, shard_index=index: self._on_block_ordered(shard_index, block)
         )
         batcher = EndorsementBatcher(
@@ -253,8 +228,8 @@ class FabricNetwork:
         is the peer whose commit completes the client's transactions (the
         same node name on every shard the client submits to).
         """
-        if not self._shards[0].peers:
-            raise ConfigurationError("add peers before registering clients")
+        if not self._shards or not self._shards[0].peers:
+            raise ConfigurationError("add a channel and its peers before registering clients")
         host = host_node or name
         if host not in self.network.nodes:
             self.network.register_node(host, profile=device.profile.nic)
@@ -564,9 +539,8 @@ class FabricNetwork:
         shard: ChannelShard,
     ) -> None:
         handle.ordered_at = self.engine.now
-        if shard.orderer_device is not None:
-            duration = shard.orderer_device.serialization_time(transaction.size_bytes)
-            shard.orderer_device.charge_cpu(self.engine.now, duration)
+        duration = shard.orderer_device.serialization_time(transaction.size_bytes)
+        shard.orderer_device.charge_cpu(self.engine.now, duration)
         shard.orderer.submit(transaction)
 
     # ------------------------------------------------------------- delivery
@@ -575,10 +549,8 @@ class FabricNetwork:
         shard = self._shards[shard_index]
         shard.ordered_blocks.append(block)
         self._place_tenants(shard_index, block)
-        sent_at = self.engine.now
-        if shard.orderer_device is not None:
-            duration = shard.orderer_device.serialization_time(block.size_bytes)
-            _, sent_at = shard.orderer_device.charge_cpu(self.engine.now, duration)
+        duration = shard.orderer_device.serialization_time(block.size_bytes)
+        _, sent_at = shard.orderer_device.charge_cpu(self.engine.now, duration)
 
         shard_peers = shard.ordered_peers
         if self._offline_peers:
@@ -758,17 +730,16 @@ class FabricNetwork:
         function: str,
         args: List[str],
         at_time: Optional[float] = None,
-        peer_name: Optional[str] = None,
         shard: int = 0,
     ) -> Tuple[ProposalResponse, float]:
-        """Evaluate a read-only chaincode function on a single peer.
+        """Evaluate a read-only chaincode function on the client's anchor peer.
 
         Returns the response and the end-to-end latency in seconds.
         """
         context = self.client_context(client_name)
         target = self.shard(shard)
         start = self.engine.now if at_time is None else at_time
-        target_name = peer_name or context.anchor_peer
+        target_name = context.anchor_peer
         peer = target.peers.get(target_name)
         if peer is None:
             raise NotFoundError(f"unknown peer {target_name!r} on shard {shard}")
@@ -842,8 +813,8 @@ class FabricNetwork:
             name: peer.ledger_height for name, peer in self.shard(index).peers.items()
         }
 
-    def in_flight(self, client_name: Optional[str] = None) -> int:
-        """Handles awaiting their anchor-peer commit (optionally per client).
+    def in_flight(self) -> int:
+        """Handles awaiting their anchor-peer commit, every client's.
 
         Counts transactions that reached the await-commit stage on any
         shard; envelopes still queued in an endorsement batcher or
@@ -851,6 +822,4 @@ class FabricNetwork:
         (the session facade's ``in_flight`` tracks the full
         submission-to-commit window).
         """
-        if client_name is not None:
-            return len(self.client_context(client_name).pending)
         return sum(len(context.pending) for context in self._clients.values())

@@ -167,14 +167,13 @@ class Peer:
         identity: Identity,
         device: DeviceModel,
         channel: Channel,
-        metrics: Optional[MetricsRegistry] = None,
         parallel_validation: bool = False,
     ) -> None:
         self.name = name
         self.identity = identity
         self.device = device
         self.channel = channel
-        self.metrics = metrics or MetricsRegistry(f"peer.{name}")
+        self.metrics = MetricsRegistry(f"peer.{name}")
         #: FastFabric-style optimization (Gorenflo et al., cited by the
         #: paper): validate endorsement signatures on all cores in parallel
         #: instead of a single validator thread.

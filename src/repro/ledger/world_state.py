@@ -170,7 +170,7 @@ class _SortedKeyIndex:
 class WorldState:
     """Versioned key/value store with range and composite-key queries."""
 
-    #: Separator used by the optional secondary prefix index to bucket
+    #: Separator used by the secondary prefix index to bucket
     #: keys by their first path segment (``tenant/...``, ``perf/...``).
     PREFIX_SEPARATOR = "/"
 
@@ -178,13 +178,11 @@ class WorldState:
     #: :meth:`_run` for the measurement it comes from; not a tunable).
     _SCAN_LOOKAHEAD = 64
 
-    def __init__(self, prefix_index: bool = True) -> None:
+    def __init__(self) -> None:
         self._data: Dict[str, VersionedValue] = {}
         self._index = _SortedKeyIndex()
         #: first-segment bucket → sorted sub-index (secondary prefix index).
-        self._buckets: Optional[Dict[str, _SortedKeyIndex]] = (
-            {} if prefix_index else None
-        )
+        self._buckets: Dict[str, _SortedKeyIndex] = {}
         #: optional field-value secondary index, maintained transactionally
         #: with every committed put/delete (see ``attach_secondary_index``):
         #: a ``repro.query.indexes.FieldValueIndex``, of which the ledger
@@ -234,9 +232,7 @@ class WorldState:
         """
         if key not in self._data:
             self._index.add(key)
-            bucket = self._bucket_for(key)
-            if bucket is not None:
-                bucket.add(key)
+            self._bucket_for(key).add(key)
         self._data[key] = entry
         if self._secondary is not None:
             self._secondary.update(key, entry.value)
@@ -247,16 +243,12 @@ class WorldState:
         """Remove a key from the world state."""
         if self._data.pop(key, None) is not None:
             self._index.discard(key)
-            bucket = self._bucket_for(key)
-            if bucket is not None:
-                bucket.discard(key)
+            self._bucket_for(key).discard(key)
             if self._secondary is not None:
                 self._secondary.remove(key)
         self.writes_applied += 1
 
-    def _bucket_for(self, key: str) -> Optional[_SortedKeyIndex]:
-        if self._buckets is None:
-            return None
+    def _bucket_for(self, key: str) -> _SortedKeyIndex:
         segment = key.split(self.PREFIX_SEPARATOR, 1)[0]
         bucket = self._buckets.get(segment)
         if bucket is None:
@@ -302,7 +294,7 @@ class WorldState:
         bucket (``None`` if no key ever landed there), the main index
         otherwise.
         """
-        if self._buckets is not None and prefix:
+        if prefix:
             segment, separator, _rest = prefix.partition(self.PREFIX_SEPARATOR)
             if separator:
                 return self._buckets.get(segment)

@@ -15,7 +15,7 @@ from repro.common.errors import ConfigurationError, NetworkError
 from repro.common.events import EventBus
 from repro.common.metrics import MetricsRegistry
 from repro.middleware.base import Handler, Middleware
-from repro.middleware.context import Context
+from repro.middleware.context import KEY_SCOPED_FUNCTIONS, Context
 
 #: The failure class the stale-read fallback may answer for (transport
 #: only: an application error must always propagate).
@@ -26,9 +26,6 @@ UNREACHABLE_ERRORS = NetworkError
 #: is announced again for each peer that commits it late (catch-up after a
 #: partition or a crash); invalidating twice is harmless.
 BLOCK_DELIVERED_TOPIC = "block_delivered"
-
-#: Read functions whose first argument names the single key they depend on.
-KEY_SCOPED_FUNCTIONS = frozenset({"get", "getkeyhistory", "checkhash", "getdependencies"})
 
 CacheKey = Tuple[str, str, Tuple[str, ...]]
 

@@ -15,7 +15,6 @@ from typing import Callable, List, Optional, Tuple
 
 from repro.common.errors import ConfigurationError, ValidationError
 from repro.common.events import EventBus
-from repro.common.ids import IdGenerator
 from repro.common.metrics import MetricsRegistry
 from repro.consensus.scheduler import SCHEDULER_NAMES
 from repro.middleware.base import Handler, Middleware, TransactionPipeline
@@ -113,7 +112,6 @@ def build_client_pipeline(
     clock: Optional[Callable[[], float]] = None,
     events: Optional[EventBus] = None,
     metrics: Optional[MetricsRegistry] = None,
-    id_generator: Optional[IdGenerator] = None,
     engine: Optional[SimulationEngine] = None,
     placement: Optional[Placement] = None,
 ) -> TransactionPipeline:
@@ -137,9 +135,7 @@ def build_client_pipeline(
     ``placement`` (tenant → shards holding its namespace) lets the shard
     router confine a tenant's fan-out reads.
     """
-    middlewares: List[Middleware] = [
-        RequestIdMiddleware(id_generator=id_generator, events=events)
-    ]
+    middlewares: List[Middleware] = [RequestIdMiddleware(events=events)]
     if metrics is not None:
         middlewares.append(MetricsMiddleware(registry=metrics, clock=clock))
     if config.indexes:

@@ -6,6 +6,14 @@ import enum
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+#: Chaincode functions whose first argument is the one ledger key they
+#: touch: ``set`` and ``delete`` write it, the others read it.  The tenant
+#: namespace, the shard route and the read cache's invalidation all follow
+#: from that key; a middleware applies the table to the operations it sees.
+KEY_SCOPED_FUNCTIONS = frozenset(
+    {"get", "getkeyhistory", "checkhash", "getdependencies", "set", "delete"}
+)
+
 
 class OperationKind(enum.Enum):
     """Whether an operation mutates ledger state or only reads it."""

@@ -21,9 +21,6 @@ from repro.middleware.base import Handler, Middleware
 from repro.middleware.context import Context
 from repro.query.indexes import validate_index_fields
 
-#: Rich-query functions whose responses may carry a plan envelope.
-PLANNED_FUNCTIONS = frozenset({"query", "getbyrange"})
-
 
 class QueryPlannerMiddleware(Middleware):
     """Surface planner decisions for rich queries flowing through a pipeline."""

@@ -9,7 +9,7 @@ exercise it:
   network is unreachable the write is queued locally and replayed on a
   virtual-time interval; callers receive a placeholder handle that
   completes when the replayed transaction commits (or is abandoned after
-  ``max_replays``).
+  ``MAX_REPLAYS``).
 """
 
 from __future__ import annotations
@@ -17,13 +17,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, List, Optional
 
-from repro.common.errors import ConfigurationError, NetworkError
+from repro.common.errors import NetworkError
 from repro.common.metrics import MetricsRegistry
 from repro.ledger.transaction import TxValidationCode
 from repro.fabric.proposal import TransactionHandle
 from repro.middleware.base import Handler, Middleware
 from repro.middleware.context import Context
 from repro.simulation.engine import SimulationEngine
+
+#: Virtual seconds between two replays of the parked writes.
+REPLAY_INTERVAL_S = 0.5
+#: Replays of one write before its placeholder is abandoned.
+MAX_REPLAYS = 64
 
 
 @dataclass
@@ -43,9 +48,9 @@ class StoreAndForwardMiddleware(Middleware):
     is captured instead of propagated: the caller receives a *placeholder*
     :class:`TransactionHandle` at once, and a virtual-time replay loop
     re-runs the downstream chain every
-    ``replay_interval_s`` until the write lands (the placeholder then
+    :data:`REPLAY_INTERVAL_S` until the write lands (the placeholder then
     mirrors the real handle — tx id, timings, commit — and completes) or
-    ``max_replays`` attempts are exhausted (the placeholder completes
+    :data:`MAX_REPLAYS` attempts are exhausted (the placeholder completes
     ``INVALID_OTHER_REASON``, bounding the replay loop so a partition
     that never heals cannot keep the engine spinning forever).
     """
@@ -58,17 +63,9 @@ class StoreAndForwardMiddleware(Middleware):
     def __init__(
         self,
         engine: SimulationEngine,
-        replay_interval_s: float = 0.5,
-        max_replays: int = 64,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
-        if replay_interval_s <= 0:
-            raise ConfigurationError("saf replay_interval_s must be > 0")
-        if max_replays < 1:
-            raise ConfigurationError("saf max_replays must be >= 1")
         self.engine = engine
-        self.replay_interval_s = replay_interval_s
-        self.max_replays = max_replays
         self.metrics = metrics
         self._queue: List[_QueuedWrite] = []
         self._replay_event = None
@@ -100,7 +97,7 @@ class StoreAndForwardMiddleware(Middleware):
     def _arm_replay(self) -> None:
         if self._replay_event is None and self._queue:
             self._replay_event = self.engine.schedule_in(
-                self.replay_interval_s, self._replay_tick, label="saf:replay"
+                REPLAY_INTERVAL_S, self._replay_tick, label="saf:replay"
             )
 
     def _replay_tick(self) -> None:
@@ -112,7 +109,7 @@ class StoreAndForwardMiddleware(Middleware):
             try:
                 real = entry.downstream(entry.ctx)
             except self.QUEUE_ON:
-                if entry.attempts >= self.max_replays:
+                if entry.attempts >= MAX_REPLAYS:
                     entry.placeholder.timings["saf_replays"] = float(entry.attempts)
                     entry.placeholder.complete(
                         self.engine.now, TxValidationCode.INVALID_OTHER_REASON

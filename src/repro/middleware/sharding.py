@@ -48,10 +48,7 @@ from repro.common.tenancy import (
 from repro.ledger.scan import HistoryPage, ScanPage
 from repro.ledger.world_state import VersionedValue
 from repro.middleware.base import Handler, Middleware
-from repro.middleware.context import Context
-
-#: Functions whose first argument names the single key they operate on.
-KEY_SCOPED_FUNCTIONS = frozenset({"get", "checkhash", "getdependencies", "set"})
+from repro.middleware.context import KEY_SCOPED_FUNCTIONS, Context
 
 #: Read functions the router fans out and merges.
 FAN_OUT_FUNCTIONS = frozenset({"getbyrange", "query", "getkeyhistory"})

@@ -32,12 +32,7 @@ from repro.common.errors import (
 from repro.common.metrics import MetricsRegistry
 from repro.common.tenancy import namespace_end, tenant_namespace
 from repro.middleware.base import Handler, Middleware
-from repro.middleware.context import Context
-
-#: Functions whose first argument is the single ledger key they touch.
-KEY_SCOPED_FUNCTIONS = frozenset(
-    {"get", "getkeyhistory", "checkhash", "getdependencies", "delete"}
-)
+from repro.middleware.context import KEY_SCOPED_FUNCTIONS, Context
 
 
 class TenantPrefixMiddleware(Middleware):
@@ -189,14 +184,13 @@ class AdmissionControlMiddleware(Middleware):
         max_in_flight: int,
         tenant: str = "",
         metrics: Optional[MetricsRegistry] = None,
-        counter: Optional[InFlightCounter] = None,
     ) -> None:
         if max_in_flight < 1:
             raise ConfigurationError("max_in_flight must be >= 1 when admission is on")
         self.max_in_flight = max_in_flight
         self.tenant = tenant
         self.metrics = metrics
-        self._counter = counter or InFlightCounter()
+        self._counter = InFlightCounter()
 
     def adopt_counter(self, counter: InFlightCounter) -> None:
         """Share another pipeline's counter (same-tenant sessions)."""

@@ -24,12 +24,8 @@ class RequestIdMiddleware(Middleware):
 
     name = "request-id"
 
-    def __init__(
-        self,
-        id_generator: Optional[IdGenerator] = None,
-        events: Optional[EventBus] = None,
-    ) -> None:
-        self._ids = id_generator or IdGenerator("req")
+    def __init__(self, events: Optional[EventBus] = None) -> None:
+        self._ids = IdGenerator("req")
         self.events = events
 
     def handle(self, ctx: Context, call_next: Handler) -> Any:

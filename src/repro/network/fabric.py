@@ -78,14 +78,11 @@ class NetworkFabric:
     def __init__(
         self,
         engine: Optional[SimulationEngine] = None,
-        default_profile: LinkProfile = GIGABIT_LAN,
         rng: Optional[DeterministicRandom] = None,
-        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self.engine = engine or SimulationEngine()
-        self.default_profile = default_profile
         self._rng = rng or DeterministicRandom(11)
-        self.metrics = metrics or MetricsRegistry("network")
+        self.metrics = MetricsRegistry("network")
         # Resolved once: every transfer counts its bytes, and a by-name
         # registry look-up per transfer is measurable.
         self._bytes_counter = self.metrics.counter("bytes")
@@ -110,7 +107,7 @@ class NetworkFabric:
     ) -> None:
         """Add a node to the fabric with an optional inbound message handler."""
         self._handlers[name] = handler or (lambda message: None)
-        self._node_profiles[name] = profile or self.default_profile
+        self._node_profiles[name] = profile or GIGABIT_LAN
         self._bytes_by_node.setdefault(name, 0)
 
     @property
@@ -126,8 +123,8 @@ class NetworkFabric:
         key = (source, destination)
         if key not in self._links:
             # The slower endpoint's profile dominates a LAN path.
-            src_profile = self._node_profiles.get(source, self.default_profile)
-            dst_profile = self._node_profiles.get(destination, self.default_profile)
+            src_profile = self._node_profiles.get(source, GIGABIT_LAN)
+            dst_profile = self._node_profiles.get(destination, GIGABIT_LAN)
             profile = min(
                 (src_profile, dst_profile), key=lambda p: p.bandwidth_bps
             )

@@ -13,10 +13,8 @@ class VirtualClock:
     indicates an event-scheduling bug.
     """
 
-    def __init__(self, start: float = 0.0) -> None:
-        if start < 0:
-            raise SimulationError("clock cannot start at a negative time")
-        self._now = float(start)
+    def __init__(self) -> None:
+        self._now = 0.0
 
     @property
     def now(self) -> float:

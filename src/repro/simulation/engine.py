@@ -98,8 +98,8 @@ class SimulationEngine:
     #: that, popping cancelled entries lazily is cheaper than rebuilding).
     COMPACT_MIN_QUEUE = 64
 
-    def __init__(self, start_time: float = 0.0) -> None:
-        self.clock = VirtualClock(start_time)
+    def __init__(self) -> None:
+        self.clock = VirtualClock()
         self._queue: List[Event] = []
         self._sequence = itertools.count()
         self._processed = 0

@@ -182,7 +182,7 @@ def build_fleet(
     rng = DeterministicRandom(spec.seed)
     network = NetworkFabric(engine=engine, rng=rng.fork("network"))
 
-    fabric: Optional[FabricNetwork] = None
+    fabric = FabricNetwork(engine=engine, network=network)
     shard_of_site: Dict[int, int] = {}
     site_orgs: Dict[int, Organization] = {}
     for site in selected:
@@ -213,23 +213,12 @@ def build_fleet(
             peers.append(
                 Peer(name=peer_node, identity=identity, device=device, channel=channel)
             )
-        if fabric is None:
-            fabric = FabricNetwork(
-                engine=engine,
-                network=network,
-                channel=channel,
-                orderer=orderer,
-                orderer_node=orderer_node,
-                orderer_device=orderer_device,
-            )
-            index = 0
-        else:
-            index = fabric.add_channel(
-                channel,
-                orderer=orderer,
-                orderer_node=orderer_node,
-                orderer_device=orderer_device,
-            )
+        index = fabric.add_channel(
+            channel,
+            orderer=orderer,
+            orderer_node=orderer_node,
+            orderer_device=orderer_device,
+        )
         fabric.set_tx_namespace(index, f"tx-s{site}")
         for peer in peers:
             fabric.add_peer(peer, shard=index)
@@ -238,7 +227,6 @@ def build_fleet(
         )
         shard_of_site[site] = index
 
-    assert fabric is not None
     built = set(selected)
     for index in range(spec.devices):
         site = spec.site_of_device(index)

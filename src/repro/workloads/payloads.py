@@ -98,22 +98,26 @@ class SensorReadingGenerator(PayloadGenerator):
 
 
 class ImagePayloadGenerator(PayloadGenerator):
-    """Camera-image-sized binary payloads (hundreds of KB to a few MB)."""
+    """Camera-image-sized binary payloads (hundreds of KB to a few MB).
+
+    Frame sizes jitter around ``size_bytes`` by :data:`SIZE_JITTER`
+    (a Gaussian's standard deviation, as a fraction of the size).
+    """
+
+    SIZE_JITTER = 0.2
 
     def __init__(
         self,
         camera_id: str = "camera-1",
         size_bytes: int = 2 * 1024 * 1024,
-        size_jitter: float = 0.2,
         seed: int = 42,
     ) -> None:
         super().__init__(size_bytes=size_bytes, seed=seed, prefix=f"cameras/{camera_id}")
         self.camera_id = camera_id
-        self.size_jitter = size_jitter
 
     def next_item(self) -> DataItem:
         self._counter += 1
-        size = int(self._rng.gaussian_jitter(self.size_bytes, self.size_jitter)) or 1
+        size = int(self._rng.gaussian_jitter(self.size_bytes, self.SIZE_JITTER)) or 1
         data = self._payload(size) + f"#frame-{self._counter}".encode("ascii")
         key = f"{self.prefix}/frame-{self._counter:06d}"
         return DataItem(

@@ -38,25 +38,27 @@ class IoTPipelineWorkload:
     in a default session for backward compatibility).
     """
 
+    #: Sensor ``i`` draws from seed ``SEED + i``, camera ``i`` from ``SEED + 100 + i``.
+    SEED = 42
+
     def __init__(
         self,
         client: Union[HyperProvClient, ProvenanceSession],
         sensor_count: int = 2,
         camera_count: int = 1,
         image_size_bytes: int = 256 * 1024,
-        seed: int = 42,
     ) -> None:
         if isinstance(client, ProvenanceSession):
             self.session = client
         else:
             self.session = ProvenanceSession(client.as_store())
         self.sensors = [
-            SensorReadingGenerator(sensor_id=f"sensor-{i + 1}", seed=seed + i)
+            SensorReadingGenerator(sensor_id=f"sensor-{i + 1}", seed=self.SEED + i)
             for i in range(sensor_count)
         ]
         self.cameras = [
             ImagePayloadGenerator(
-                camera_id=f"camera-{i + 1}", size_bytes=image_size_bytes, seed=seed + 100 + i
+                camera_id=f"camera-{i + 1}", size_bytes=image_size_bytes, seed=self.SEED + 100 + i
             )
             for i in range(camera_count)
         ]
@@ -162,6 +164,11 @@ class SkewedTenantWorkload:
     ``fair-share`` (or vs its solo run) to quantify starvation.
     """
 
+    LIGHT_TENANT = "light"
+    HEAVY_TENANT = "heavy"
+    #: Every post names the same off-chain object.
+    PAYLOAD_CHECKSUM = "ab" * 32
+
     def __init__(
         self,
         service: Any,
@@ -169,9 +176,6 @@ class SkewedTenantWorkload:
         skew: int = 10,
         light_interval_s: float = 0.05,
         heavy_interval_s: Optional[float] = None,
-        light_tenant: str = "light",
-        heavy_tenant: str = "heavy",
-        payload_checksum: str = "ab" * 32,
     ) -> None:
         if light_requests < 1:
             raise ConfigurationError("light_requests must be >= 1")
@@ -187,9 +191,6 @@ class SkewedTenantWorkload:
             if heavy_interval_s is not None
             else light_interval_s / skew
         )
-        self.light_tenant = light_tenant
-        self.heavy_tenant = heavy_tenant
-        self.payload_checksum = payload_checksum
 
     def _submit_all(
         self, session: ProvenanceSession, tenant: str, count: int, interval_s: float
@@ -200,7 +201,7 @@ class SkewedTenantWorkload:
             at_time = start + index * interval_s
             handle = session.submit(
                 f"{tenant}/item-{index:05d}",
-                checksum=self.payload_checksum,
+                checksum=self.PAYLOAD_CHECKSUM,
                 location=f"ext://{tenant}/{index}",
                 at_time=at_time,
             )
@@ -221,22 +222,22 @@ class SkewedTenantWorkload:
     def run(self, only_light: bool = False) -> Dict[str, TenantLoadResult]:
         """Run the skewed load; ``only_light`` measures the light tenant solo."""
         results: Dict[str, TenantLoadResult] = {}
-        with self.service.session(tenant=self.light_tenant) as light:
+        with self.service.session(tenant=self.LIGHT_TENANT) as light:
             light_submissions = self._submit_all(
-                light, self.light_tenant, self.light_requests, self.light_interval_s
+                light, self.LIGHT_TENANT, self.light_requests, self.light_interval_s
             )
             if not only_light:
-                with self.service.session(tenant=self.heavy_tenant) as heavy:
+                with self.service.session(tenant=self.HEAVY_TENANT) as heavy:
                     heavy_submissions = self._submit_all(
-                        heavy, self.heavy_tenant, self.heavy_requests,
+                        heavy, self.HEAVY_TENANT, self.heavy_requests,
                         self.heavy_interval_s,
                     )
                     self.service.drain()
-                    results[self.heavy_tenant] = self._collect(
-                        self.heavy_tenant, heavy_submissions
+                    results[self.HEAVY_TENANT] = self._collect(
+                        self.HEAVY_TENANT, heavy_submissions
                     )
             self.service.drain()
-            results[self.light_tenant] = self._collect(
-                self.light_tenant, light_submissions
+            results[self.LIGHT_TENANT] = self._collect(
+                self.LIGHT_TENANT, light_submissions
             )
         return results

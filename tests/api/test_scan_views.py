@@ -99,9 +99,13 @@ def test_mutating_returned_views_and_records_moves_nothing(service, desktop_depl
         peer.name for peer in desktop_deployment.peers
         if peer.name != client._context.anchor_peer
     )
+    desktop_deployment.fabric.add_client(
+        "reader", identity=client._context.identity, device=client._context.device,
+        host_node=client._context.host_node, anchor_peer=other,
+    )
     response, _latency = desktop_deployment.fabric.query(
-        client.client_name, "hyperprov", "query",
-        [json.dumps({**selector, "_limit": 10}, sort_keys=True)], peer_name=other,
+        "reader", "hyperprov", "query",
+        [json.dumps({**selector, "_limit": 10}, sort_keys=True)],
     )
     assert [row.key for row in response.scan.rows] == [view["key"] for view in before]
     assert [row.document["metadata"] for row in response.scan.rows] == [

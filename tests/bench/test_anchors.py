@@ -75,10 +75,8 @@ def test_committed_anchors_cover_every_ci_gate():
 @pytest.mark.parametrize(
     "argv",
     [
-        ["fleet", "--fleet-devices", "24", "--fleet-shards", "2", "--workers", "2",
-         "--fleet-duration", "30"],
-        ["query", "--query-keys", "1024", "--query-queries", "2", "--query-commits",
-         "2", "--query-repeats", "1"],
+        ["fleet", "--fleet-devices", "24", "--fleet-shards", "2", "--workers", "2"],
+        ["query", "--query-keys", "1024"],
         ["chaos"],
     ],
     ids=["fleet", "query", "chaos"],
@@ -93,9 +91,7 @@ def test_query_gate_fails_with_the_index_disabled(capsys, monkeypatch):
     """Without the index the indexed mode plans a full scan: it fetches
     every key, as many as the scan, and the count gate fails."""
     monkeypatch.setattr(FabricNetwork, "enable_secondary_indexes", lambda self, fields: None)
-    argv = ["query", "--query-keys", "1024", "--query-queries", "2",
-            "--query-commits", "2", "--query-repeats", "1"]
-    assert main(argv) == 1
+    assert main(["query", "--query-keys", "1024"]) == 1
     out = capsys.readouterr().out
     assert "indexed plan fetches 1024 of the scan's 1024 candidates" in out
     assert "(scan), above 1/100 of the scan" in out

@@ -15,13 +15,12 @@ from repro.bench.fleet import (
     shard_stats_table,
 )
 
-TINY = ["fleet", "--fleet-devices", "24", "--fleet-shards", "2", "--workers", "2",
-        "--fleet-duration", "30"]
+TINY = ["fleet", "--fleet-devices", "24", "--fleet-shards", "2", "--workers", "2"]
 
 
 @pytest.fixture(scope="module")
 def tiny_report():
-    return run_fleet(devices=24, shards=2, workers=2, duration_s=30.0)
+    return run_fleet(devices=24, shards=2, workers=2)
 
 
 class TestRunFleet:
@@ -30,7 +29,7 @@ class TestRunFleet:
         assert tiny_report.parallel.anchor == tiny_report.sequential.anchor
         tiny_report.verify_determinism()
         assert anchor_inputs(tiny_report.spec) == {
-            "devices": 24, "shards": 2, "duration_s": 30.0, "seed": 42,
+            "devices": 24, "shards": 2, "duration_s": 200.0, "seed": 42,
         }
         assert tiny_report.parallel.workers == 2
         assert tiny_report.parallel.committed == tiny_report.sequential.committed > 0
@@ -106,7 +105,7 @@ class TestPersistence:
         assert main(TINY + ["--anchors", str(path)]) == 1
         out = capsys.readouterr().out
         assert "fleet 24x2: no committed anchor for" in out
-        assert "'devices': 24" in out and "'duration_s': 30.0" in out
+        assert "'devices': 24" in out and "'duration_s': 200.0" in out
         assert "matches" not in out
 
     def test_cli_gate_other_duration_is_a_missing_anchor_not_drift(
@@ -114,11 +113,11 @@ class TestPersistence:
     ):
         """Regression: the gate keyed on ``{devices}x{shards}`` only, so a
         run at another duration failed as "virtual time moved"."""
-        longer = dict(anchor_inputs(tiny_report.spec), duration_s=200.0)
-        path = anchors_file(tmp_path, tiny_report, inputs=longer)
+        shorter = dict(anchor_inputs(tiny_report.spec), duration_s=30.0)
+        path = anchors_file(tmp_path, tiny_report, inputs=shorter)
         assert main(TINY + ["--anchors", str(path)]) == 1
         out = capsys.readouterr().out
-        assert "no committed anchor for" in out and "'duration_s': 30.0" in out
+        assert "no committed anchor for" in out and "'duration_s': 200.0" in out
         assert "virtual time moved" not in out
 
 
@@ -131,7 +130,6 @@ class TestCli:
         assert args.fleet_devices == 500
         assert args.fleet_shards == 2
         assert args.workers == 2
-        assert args.fleet_duration == 200.0
         defaults = parser.parse_args(["fleet"])
         assert defaults.fleet_devices == 10_000
         assert defaults.workers == 4

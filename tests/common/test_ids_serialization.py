@@ -18,8 +18,8 @@ def test_short_uid_length():
 
 
 def test_id_generator_sequence_is_deterministic():
-    first = IdGenerator("tx", seed="s")
-    second = IdGenerator("tx", seed="s")
+    first = IdGenerator("tx")
+    second = IdGenerator("tx")
     assert [first.next() for _ in range(5)] == [second.next() for _ in range(5)]
 
 
@@ -32,10 +32,6 @@ def test_id_generator_unique_within_run():
 def test_id_generator_prefix_embedded():
     gen = IdGenerator("block")
     assert gen.next().startswith("block-0-")
-
-
-def test_different_seeds_produce_different_ids():
-    assert IdGenerator("tx", seed="a").next() != IdGenerator("tx", seed="b").next()
 
 
 # --------------------------------------------------------------------------- serialization

@@ -129,20 +129,6 @@ def test_solo_orderer_flush_delivers_pending():
     assert len(blocks) == 1
 
 
-def test_solo_orderer_with_delay_defers_delivery():
-    engine = SimulationEngine()
-    orderer = SoloOrderingService(
-        "orderer", engine, BatchConfig(max_message_count=1), ordering_delay_s=0.5
-    )
-    blocks = []
-    orderer.register_consumer(blocks.append)
-    orderer.submit(make_tx("t1"))
-    assert blocks == []
-    engine.run_until_idle()
-    assert len(blocks) == 1
-    assert engine.now == pytest.approx(0.5)
-
-
 def test_solo_orderer_metrics_and_counters():
     engine = SimulationEngine()
     orderer = SoloOrderingService("orderer", engine, BatchConfig(max_message_count=2))

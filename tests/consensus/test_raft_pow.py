@@ -83,7 +83,7 @@ def test_raft_ordering_service_orders_transactions():
     engine = SimulationEngine()
     network = NetworkFabric(engine=engine, rng=DeterministicRandom(5))
     orderer = RaftOrderingService(
-        "orderer", engine, network, cluster_size=3,
+        "orderer", engine, network,
         batch_config=BatchConfig(max_message_count=2),
         rng=DeterministicRandom(99),
     )
@@ -101,7 +101,7 @@ def test_raft_ordering_service_queues_batches_until_leader_exists():
     engine = SimulationEngine()
     network = NetworkFabric(engine=engine, rng=DeterministicRandom(5))
     orderer = RaftOrderingService(
-        "orderer", engine, network, cluster_size=3,
+        "orderer", engine, network,
         batch_config=BatchConfig(max_message_count=1),
         rng=DeterministicRandom(7),
     )
@@ -110,13 +110,6 @@ def test_raft_ordering_service_queues_batches_until_leader_exists():
     orderer.submit(make_tx("t1"))  # no leader yet at t=0
     engine.run(until=5.0)
     assert len(blocks) == 1
-
-
-def test_raft_cluster_size_must_be_positive():
-    engine = SimulationEngine()
-    network = NetworkFabric(engine=engine)
-    with pytest.raises(OrderingError):
-        RaftOrderingService("orderer", engine, network, cluster_size=0)
 
 
 # ------------------------------------------------------------------------- pow

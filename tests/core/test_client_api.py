@@ -11,8 +11,12 @@ import pytest
 from repro.api.protocol import RecordView, StoreRequest
 from repro.common.errors import ChaincodeError, NotFoundError, ValidationError
 from repro.common.hashing import checksum_of
+from repro.consensus.solo import SoloOrderingService
 from repro.core.client import HyperProvClient
+from repro.devices.model import DeviceModel
+from repro.devices.profiles import XEON_E5_1603
 from repro.fabric.channel import Channel
+from repro.simulation.randomness import DeterministicRandom
 
 
 def test_init_succeeds_on_healthy_deployment(desktop_deployment):
@@ -20,20 +24,24 @@ def test_init_succeeds_on_healthy_deployment(desktop_deployment):
 
 
 def test_init_fails_without_chaincode(desktop_deployment):
-    client = HyperProvClient(
-        network=desktop_deployment.fabric,
-        client_name="hyperprov-client",
-        storage=desktop_deployment.storage,
-        chaincode_name="not-instantiated",
-    )
+    client = desktop_deployment.client
+    client.chaincode_name = "not-instantiated"
     with pytest.raises(ChaincodeError):
         client.init()
 
 
 def test_init_checks_every_hosted_channel(desktop_deployment):
     """Regression: only shard 0's channel used to be validated."""
+    fabric = desktop_deployment.fabric
     bare = Channel(name="bare-channel", msp=desktop_deployment.channel.msp)
-    desktop_deployment.fabric.add_channel(bare)
+    node = "bare-orderer"
+    fabric.network.register_node(node)
+    fabric.add_channel(
+        bare,
+        orderer=SoloOrderingService(node, fabric.engine),
+        orderer_node=node,
+        orderer_device=DeviceModel(node, XEON_E5_1603, rng=DeterministicRandom(1)),
+    )
     with pytest.raises(ChaincodeError, match="bare-channel"):
         desktop_deployment.client.init()
 

@@ -135,13 +135,3 @@ def test_watcher_links_versions_as_dependencies(desktop_deployment):
     record = store.get("w/data.csv")
     assert list(record.dependencies) == ["w/data.csv"]
     assert len(store.history("w/data.csv")) == 2
-
-
-def test_watcher_without_derivation_tracking(desktop_deployment):
-    watcher = FileWatcher(desktop_deployment.client, namespace="w", track_derivations=False)
-    watcher.observe("x", b"v1")
-    desktop_deployment.drain()
-    watcher.observe("x", b"v2")
-    desktop_deployment.drain()
-    record = desktop_deployment.client.as_store().get("w/x")
-    assert list(record.dependencies) == []

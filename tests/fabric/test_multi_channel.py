@@ -4,8 +4,11 @@ import pytest
 
 from repro.api.protocol import StoreRequest
 from repro.api.service import HyperProvService
-from repro.common.errors import ValidationError
+from repro.common.errors import ConfigurationError, ValidationError
 from repro.core.topology import build_desktop_deployment
+from repro.fabric.network import FabricNetwork
+from repro.network.fabric import NetworkFabric
+from repro.simulation.engine import SimulationEngine
 from repro.middleware.cache import ReadCacheMiddleware
 from repro.middleware.config import PipelineConfig
 from repro.middleware.sharding import ConsistentHashRing
@@ -15,6 +18,16 @@ from repro.middleware.sharding import ConsistentHashRing
 def sharded(request):
     deployment = build_desktop_deployment(seed=42, shards=2)
     return deployment
+
+
+def test_a_client_needs_a_channel_first(desktop_deployment):
+    """A network starts with no channel; every shard comes from ``add_channel``."""
+    engine = SimulationEngine()
+    fabric = FabricNetwork(engine=engine, network=NetworkFabric(engine=engine))
+    assert fabric.shard_count == 0
+    context = desktop_deployment.fabric.client_context("hyperprov-client")
+    with pytest.raises(ConfigurationError, match="add a channel"):
+        fabric.add_client("c", identity=context.identity, device=context.device)
 
 
 def session_for(deployment, shards, **kwargs):

@@ -352,10 +352,15 @@ def test_adopting_replica_keeps_its_own_secondary_index():
 
     selector = json.dumps({"metadata.hot": True, "_explain": True, "_limit": 10})
     answers = []
+    context = built.fabric.client_context(CLIENT)
     for peer in built.peers:
-        response, _ = built.fabric.query(
-            CLIENT, "hyperprov", "query", [selector], peer_name=peer.name
+        # A reader on the client's host that takes its answers from ``peer``.
+        reader = f"reader@{peer.name}"
+        built.fabric.add_client(
+            reader, identity=context.identity, device=context.device,
+            host_node=context.host_node, anchor_peer=peer.name,
         )
+        response, _ = built.fabric.query(reader, "hyperprov", "query", [selector])
         answers.append(json.loads(response.scan.payload()))
         assert peer.world_state.secondary_index.lookup("metadata.hot", True) == {
             "item/b", "item/c"

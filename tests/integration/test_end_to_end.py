@@ -21,7 +21,7 @@ def test_multi_round_pipeline_lineage_and_agreement(desktop_deployment):
     the same ledger, and lineage queries see the whole derivation tree."""
     workload = IoTPipelineWorkload(
         desktop_deployment.client, sensor_count=2, camera_count=1,
-        image_size_bytes=4 * 1024, seed=3,
+        image_size_bytes=4 * 1024,
     )
     for _ in range(3):
         workload.ingest_round()

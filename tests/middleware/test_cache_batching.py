@@ -9,6 +9,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.api.protocol import StoreRequest
+from repro.chaincode.hyperprov import HyperProvChaincode
 from repro.common.errors import ConfigurationError
 from repro.common.events import EventBus
 from repro.common.metrics import MetricsRegistry
@@ -19,7 +20,7 @@ from repro.middleware.base import TransactionPipeline
 from repro.middleware.batching import EndorsementBatcher
 from repro.middleware.cache import ReadCacheMiddleware
 from repro.middleware.config import PipelineConfig
-from repro.middleware.context import Context, OperationKind
+from repro.middleware.context import KEY_SCOPED_FUNCTIONS, Context, OperationKind
 from tests.internals import cache_keys, live_topics, organization
 
 
@@ -77,6 +78,17 @@ class TestReadCacheUnit:
         dropped = cache.invalidate_key("a")
         assert dropped == 2  # the exact-key entry for "a" plus the range scan
         assert len(cache_keys(cache.store)) == 1  # "b" survives
+
+    @pytest.mark.parametrize(
+        "function", sorted(KEY_SCOPED_FUNCTIONS - HyperProvChaincode.INVOKE_FUNCTIONS)
+    )
+    def test_a_key_scoped_read_depends_on_its_key_only(self, function):
+        cache = ReadCacheMiddleware()
+        pipeline = TransactionPipeline([cache], terminal=lambda ctx: ("x", 0.1))
+        pipeline.execute(read_ctx(function, args=("a",)))
+        assert cache.invalidate_key("b") == 0
+        assert cache.invalidate_key("a") == 1
+        assert len(cache_keys(cache.store)) == 0
 
     def test_lru_eviction_respects_capacity(self):
         metrics = MetricsRegistry()

@@ -9,7 +9,7 @@ from repro.common.events import EventBus
 from repro.common.metrics import MetricsRegistry
 from repro.middleware.base import Middleware, TransactionPipeline
 from repro.middleware.config import PipelineConfig, build_client_pipeline
-from repro.middleware.context import Context, OperationKind
+from repro.middleware.context import KEY_SCOPED_FUNCTIONS, Context, OperationKind
 from repro.middleware.retry import RetryMiddleware
 from repro.middleware.tracing import RequestIdMiddleware
 
@@ -300,6 +300,21 @@ def test_tenant_prefix_namespaces_the_key_of_a_delete():
 
     seen = []
     ctx = make_ctx("delete", kind=OperationKind.WRITE, args=["doc/1"])
+    TenantPrefixMiddleware("acme").handle(ctx, lambda inner: seen.append(list(inner.args)))
+    assert seen == [["tenant/acme/doc/1"]]
+
+
+@pytest.mark.parametrize("function", sorted(KEY_SCOPED_FUNCTIONS))
+def test_tenant_prefix_namespaces_the_key_of_every_key_scoped_function(function):
+    from repro.chaincode.hyperprov import HyperProvChaincode
+    from repro.middleware.tenancy import TenantPrefixMiddleware
+
+    kind = (
+        OperationKind.WRITE if function in HyperProvChaincode.INVOKE_FUNCTIONS
+        else OperationKind.READ
+    )
+    seen = []
+    ctx = make_ctx(function, kind=kind, args=["doc/1"])
     TenantPrefixMiddleware("acme").handle(ctx, lambda inner: seen.append(list(inner.args)))
     assert seen == [["tenant/acme/doc/1"]]
 

@@ -12,7 +12,7 @@ from repro.faults import FaultInjector, FaultPlan, PartitionFault
 from repro.ledger.transaction import TxValidationCode
 from repro.middleware.config import PipelineConfig, build_client_pipeline
 from repro.middleware.context import Context, OperationKind
-from repro.middleware.resilience import StoreAndForwardMiddleware
+from repro.middleware.resilience import MAX_REPLAYS, StoreAndForwardMiddleware
 from repro.fabric.proposal import TransactionHandle
 from repro.simulation.engine import SimulationEngine
 from tests.internals import queued_writes
@@ -45,7 +45,7 @@ def write_ctx(at_time=0.0):
 class TestStoreAndForward:
     def test_parks_unreachable_write_and_replays_on_heal(self):
         engine = SimulationEngine()
-        saf = StoreAndForwardMiddleware(engine, replay_interval_s=0.5)
+        saf = StoreAndForwardMiddleware(engine)
         healed = []
 
         def downstream(ctx):
@@ -70,7 +70,7 @@ class TestStoreAndForward:
 
     def test_abandons_after_max_replays(self):
         engine = SimulationEngine()
-        saf = StoreAndForwardMiddleware(engine, replay_interval_s=0.5, max_replays=3)
+        saf = StoreAndForwardMiddleware(engine)
 
         def always_down(ctx):
             raise NetworkError("partitioned")
@@ -80,11 +80,11 @@ class TestStoreAndForward:
         # Bounded: the replay loop gave up instead of spinning forever.
         assert queued_writes(saf) == 0
         assert placeholder.validation_code is TxValidationCode.INVALID_OTHER_REASON
-        assert placeholder.timings["saf_replays"] == 3.0
+        assert placeholder.timings["saf_replays"] == float(MAX_REPLAYS)
 
     def test_close_cancels_the_pending_replay(self):
         engine = SimulationEngine()
-        saf = StoreAndForwardMiddleware(engine, replay_interval_s=0.5)
+        saf = StoreAndForwardMiddleware(engine)
         attempts = []
 
         def always_down(ctx):
@@ -123,14 +123,6 @@ class TestConfigWiring:
 
     def test_defaults_add_nothing(self):
         assert "store-and-forward" not in self.build(PipelineConfig())
-
-    def test_invalid_knobs_raise(self):
-        # The replay cadence and bound are constructor defaults now; the
-        # constructor still refuses values that would spin or never replay.
-        with pytest.raises(ConfigurationError):
-            StoreAndForwardMiddleware(SimulationEngine(), replay_interval_s=0.0)
-        with pytest.raises(ConfigurationError):
-            StoreAndForwardMiddleware(SimulationEngine(), max_replays=0)
 
     def test_stale_reads_require_the_cache(self):
         with pytest.raises(ConfigurationError, match="stale_reads needs cache"):

@@ -12,7 +12,7 @@ from repro.ledger.scan import HistoryPage, ScanPage
 from repro.ledger.transaction import ReadWriteSet
 from repro.ledger.world_state import VersionedValue
 from repro.middleware.base import TransactionPipeline
-from repro.middleware.context import Context, OperationKind
+from repro.middleware.context import KEY_SCOPED_FUNCTIONS, Context, OperationKind
 from repro.middleware.sharding import (
     ConsistentHashRing,
     ShardRouterMiddleware,
@@ -104,6 +104,15 @@ def test_router_tags_writes_with_owning_shard():
     pipeline.execute(ctx_for("set", ["k/1", "cs", "loc"], kind=OperationKind.WRITE))
     pipeline.execute(ctx_for("get", ["k/1"]))
     assert seen[0] == seen[1]  # reads follow their key's writes
+
+
+@pytest.mark.parametrize("function", sorted(KEY_SCOPED_FUNCTIONS))
+def test_router_routes_every_key_scoped_function_to_its_key_owner(function):
+    router = ShardRouterMiddleware(shards=4)
+    # A key away from shard 0, where a call with no routing rule lands.
+    key = next(f"k/{i}" for i in range(100) if router.ring.route(f"k/{i}") != 0)
+    for kind in OperationKind:
+        assert router.route_for(ctx_for(function, [key], kind=kind)) == router.ring.route(key)
 
 
 # ----------------------------------------------------------------- fan-out

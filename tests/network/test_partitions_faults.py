@@ -13,13 +13,9 @@ FLAT = LinkProfile(latency_s=0.010, bandwidth_bps=1e9, jitter_fraction=0.0)
 
 
 def make_fabric(*nodes):
-    fabric = NetworkFabric(
-        engine=SimulationEngine(),
-        default_profile=FLAT,
-        rng=DeterministicRandom(7),
-    )
+    fabric = NetworkFabric(engine=SimulationEngine(), rng=DeterministicRandom(7))
     for node in nodes:
-        fabric.register_node(node)
+        fabric.register_node(node, profile=FLAT)
     return fabric
 
 

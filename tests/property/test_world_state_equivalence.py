@@ -108,10 +108,9 @@ def _assert_equivalent(state: WorldState, oracle: NaiveWorldState, rng: random.R
 
 
 @pytest.mark.parametrize("seed", [1, 7, 42, 1337])
-@pytest.mark.parametrize("prefix_index", [True, False])
-def test_indexed_world_state_matches_naive_oracle(seed, prefix_index):
+def test_indexed_world_state_matches_naive_oracle(seed):
     rng = random.Random(seed)
-    state = WorldState(prefix_index=prefix_index)
+    state = WorldState()
     oracle = NaiveWorldState()
     for step in range(600):
         key = _random_key(rng)
@@ -132,9 +131,8 @@ def test_indexed_world_state_matches_naive_oracle(seed, prefix_index):
 EDGE = "\U0010ffff"  # no code point sorts after it: a prefix ending here has no "next" string
 
 
-@pytest.mark.parametrize("prefix_index", [True, False])
-def test_prefix_and_bookmark_edges_match_the_naive_oracle(prefix_index):
-    state = WorldState(prefix_index=prefix_index)
+def test_prefix_and_bookmark_edges_match_the_naive_oracle():
+    state = WorldState()
     oracle = NaiveWorldState()
     keys = [
         "a", "a/", "a/1", "a/1/x", f"a/{EDGE}", f"a/{EDGE}{EDGE}", f"a/{EDGE}/x", "a0", "ab/1",

@@ -28,6 +28,12 @@ def _organization():
     return org
 
 
+def _clock():
+    clock = VirtualClock()
+    clock.advance_to(1.5)
+    return clock
+
+
 @pytest.mark.parametrize("build, expected", [
     (_handle, "<SubmitHandle 'repr/a' backend=hyperprov in-flight>"),
     (_session, "<ProvenanceSession tenant=acme backend=hyperprov in_flight=0>"),
@@ -35,7 +41,7 @@ def _organization():
     (_organization, "Organization('org7', identities=1)"),
     (lambda: Link("a", "b", LinkProfile(latency_s=0.001, bandwidth_bps=1e8)),
      "Link('a' -> 'b', 100 Mbit/s)"),
-    (lambda: VirtualClock(1.5), "VirtualClock(now=1.500000)"),
+    (_clock, "VirtualClock(now=1.500000)"),
     (lambda: SimulationEngine().run(), "RunOutcome(0, stop_reason='idle')"),
 ])
 def test_repr_names_the_object_and_its_state(build, expected):

@@ -50,7 +50,7 @@ def test_sensor_generator_emits_json_readings():
 
 
 def test_image_generator_size_varies_around_target():
-    generator = ImagePayloadGenerator(size_bytes=100_000, size_jitter=0.2, seed=3)
+    generator = ImagePayloadGenerator(size_bytes=100_000, seed=3)
     sizes = [generator.next_item().size_bytes for _ in range(10)]
     assert all(s > 0 for s in sizes)
     assert len(set(sizes)) > 1
@@ -68,7 +68,7 @@ def test_poisson_times_hold_the_rate():
 def test_iot_pipeline_ingest_and_derive(desktop_deployment):
     workload = IoTPipelineWorkload(
         desktop_deployment.client, sensor_count=2, camera_count=1,
-        image_size_bytes=8 * 1024, seed=11,
+        image_size_bytes=8 * 1024,
     )
     posts = workload.ingest_round()
     desktop_deployment.drain()
