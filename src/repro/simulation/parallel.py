@@ -42,7 +42,8 @@ if TYPE_CHECKING:
 # deployments out of core/fabric pieces), so this module only imports it
 # inside the functions that need it.  Keeping the edge out of module
 # scope is what lets `repro.simulation` stay below `workloads` in the
-# layering DAG (rule A201) and avoids the package import cycle.
+# layering DAG (rule A201 of `tests/test_imports_follow_the_layers.py`)
+# and avoids the package import cycle.
 
 
 def _wall_clock() -> float:
@@ -50,9 +51,10 @@ def _wall_clock() -> float:
 
     Never feeds virtual time, commit logs, or anchors — the determinism
     guarantee is about *simulated* time; how long the host took is
-    exactly the measurement the stats exist to report.
+    exactly the measurement the stats exist to report.  It is the one def
+    ``tests/test_deterministic_by_seed.py`` lets read the wall clock.
     """
-    return time.perf_counter()  # repro: allow-wallclock
+    return time.perf_counter()
 
 
 @dataclass

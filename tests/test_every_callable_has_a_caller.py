@@ -15,11 +15,12 @@ import ast
 import re
 from collections import Counter
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import pytest
 
-REPO = Path(__file__).resolve().parents[1]
+from tests.source_tree import REPO, corpus, defs, parse, src_modules
+
 WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 #: Callables kept for a planned ROADMAP item that needs them, whether or
@@ -41,21 +42,6 @@ PLANNED: Dict[Tuple[str, str], str] = {
     ("repro/chaincode/shim.py", "ChaincodeStub.iter_state_by_range"): "6",
 }
 
-Def = Tuple[str, str, ast.AST]
-
-
-def _defs(tree: ast.AST, module: str, prefix: str = "",
-          owner: Optional[ast.ClassDef] = None) -> Iterator[Def]:
-    """``(module, qualified name, node)`` of every def and class, nested ones too."""
-    for node in ast.iter_child_nodes(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            qualified = prefix + node.name
-            yield module, qualified, node
-            inner_owner = node if isinstance(node, ast.ClassDef) else owner
-            yield from _defs(node, module, qualified + ".", inner_owner)
-        else:
-            yield from _defs(node, module, prefix, owner)
-
 
 def _exempt(name: str, owner: Optional[ast.ClassDef]) -> bool:
     if name.startswith("__") and name.endswith("__"):
@@ -67,34 +53,19 @@ def _exempt(name: str, owner: Optional[ast.ClassDef]) -> bool:
     )
 
 
-def _corpus(root: Path) -> List[Path]:
-    files = [
-        path
-        for top in ("src", "examples", "benchmarks")
-        for path in (root / top).rglob("*.py")
-        if "tests" not in path.relative_to(root).parts
-    ]
-    return files + sorted((root / "docs").glob("*.md"))
-
-
 def _unnamed(root: Path) -> List[str]:
     """``module:line qualified-name`` of every def nothing else names."""
-    src = root / "src"
-    texts = {path: path.read_text(encoding="utf-8") for path in _corpus(root)}
+    texts = {
+        path: path.read_text(encoding="utf-8")
+        for path in corpus(root) + sorted((root / "docs").glob("*.md"))
+    }
     names = Counter(word for text in texts.values() for word in WORD.findall(text))
     found = []
-    for path in sorted((src / "repro").rglob("*.py")):
-        module = path.relative_to(src).as_posix()
+    for module, path in src_modules(root):
         lines = texts[path].splitlines()
-        tree = ast.parse(texts[path])
-        owners = {
-            id(child): node
-            for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
-            for child in node.body
-        }
-        for _, qualified, node in _defs(tree, module):
+        for _, qualified, node, owner in defs(parse(path), module):
             name = node.name
-            if _exempt(name, owners.get(id(node))) or (module, qualified) in PLANNED:
+            if _exempt(name, owner) or (module, qualified) in PLANNED:
                 continue
             first = min([node.lineno] + [d.lineno for d in node.decorator_list])
             own = sum(WORD.findall(line).count(name) for line in lines[first - 1:node.end_lineno])
@@ -108,13 +79,10 @@ def test_every_callable_in_src_is_named_outside_its_definition():
 
 
 def test_every_planned_exemption_names_a_live_def():
-    src = REPO / "src"
     live = {
         (module, qualified)
-        for path in (src / "repro").rglob("*.py")
-        for module, qualified, _ in _defs(
-            ast.parse(path.read_text(encoding="utf-8")), path.relative_to(src).as_posix()
-        )
+        for module, path in src_modules(REPO)
+        for _, qualified, _, _ in defs(parse(path), module)
     }
     assert sorted(set(PLANNED) - live) == []
 

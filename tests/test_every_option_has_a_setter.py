@@ -13,6 +13,17 @@ inside a class stands for its bases'.  A function whose bare name is used
 other than by a call (a callback, a ``partial``, a dispatch table) is
 exempt, and so are dunders other than ``__init__``, which the interpreter
 calls.
+
+The fields of a registered config class (``CONFIG_CLASSES``) are the
+parameters of its ``__init__`` (a ``ClassVar`` or a ``field(init=False)`` is
+not one), and for them a ``replace(cfg, field=...)`` keyword or a string key
+of a dict literal (how ``SWEEPS`` rows pass fields) also counts as a setter.
+A splat does not, nor does a setter in the class's own module: that is the
+module forwarding its own value.  Each field must also be read: some code in
+``src/repro`` outside its class reads an attribute of that name.  Every
+``PipelineConfig`` field is in the config table of ``docs/architecture.md``,
+and every ``@dataclass`` under ``src/repro`` named ``*Config``, ``*Spec`` or
+``*Policy`` is registered.
 """
 
 from __future__ import annotations
@@ -24,10 +35,10 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 import pytest
 
-REPO = Path(__file__).resolve().parents[1]
+from tests.source_tree import REPO, corpus, defs, last_name, parse, src_modules
 
 #: Defaults no caller outside ``tests/`` sets, kept on purpose:
-#: ``(module, qualified def, parameter) -> reason``.  A reason is a ROADMAP
+#: ``(module, qualified def or config class, parameter) -> reason``.  A reason is a ROADMAP
 #: item, a deployment setting (path, address or credential), or the test
 #: that must vary the value to check what no other test checks.
 KEPT: Dict[Tuple[str, str, str], str] = {
@@ -41,27 +52,24 @@ KEPT: Dict[Tuple[str, str, str], str] = {
     ("repro/core/client.py", "HyperProvClient.get_by_range", "at_time"): "ROADMAP 6",
     ("repro/core/client.py", "HyperProvClient.get_by_range", "limit"): "ROADMAP 6",
     ("repro/core/client.py", "HyperProvClient.get_by_range", "bookmark"): "ROADMAP 6",
+    ("repro/core/topology.py", "DeploymentSpec", "indexes"):
+        "ROADMAP 14: indexes move here from PipelineConfig, and the benchmark's"
+        " tenant pipeline sets them on the deployment",
 }
 
-#: ``(positional args passed, keywords passed, splats)`` of one call.
-Call = Tuple[int, Set[str], bool]
+#: The config classes, whose fields are options too: ``module -> class``.
+CONFIG_CLASSES: Dict[str, str] = {
+    "repro/middleware/config.py": "PipelineConfig",
+    "repro/core/topology.py": "DeploymentSpec",
+    "repro/workloads/fleet.py": "FleetSpec",
+    "repro/bench/runner.py": "RunConfig",
+    "repro/consensus/batching.py": "BatchConfig",
+}
+#: The config class whose every field is in ``docs/architecture.md``'s table.
+DOCUMENTED = "PipelineConfig"
 
-
-def _corpus(root: Path) -> List[Path]:
-    return [
-        path
-        for top in ("src", "examples", "benchmarks")
-        for path in sorted((root / top).rglob("*.py"))
-        if "tests" not in path.relative_to(root).parts
-    ]
-
-
-def _last_name(node: ast.AST) -> Optional[str]:
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    return None
+#: ``(positional args passed, keywords passed, splats, calling file)`` of one call.
+Call = Tuple[int, Set[str], bool, Path]
 
 
 def _not_values(tree: ast.AST) -> Set[int]:
@@ -75,7 +83,7 @@ def _not_values(tree: ast.AST) -> Set[int]:
     for node in ast.walk(tree):
         if isinstance(node, ast.Call):
             skipped.add(id(node.func))
-            if _last_name(node.func) in ("isinstance", "issubclass"):
+            if last_name(node.func) in ("isinstance", "issubclass"):
                 for argument in node.args[1:]:
                     skip(argument)
         elif isinstance(node, ast.Attribute):
@@ -96,19 +104,21 @@ def _not_values(tree: ast.AST) -> Set[int]:
     return skipped
 
 
-def _calls(root: Path) -> Tuple[Dict[str, List[Call]], Set[str]]:
-    """Every call by callee name, and every name used as a value."""
+def _calls(root: Path) -> Tuple[Dict[str, List[Call]], Set[str], Set[Tuple[str, Path]]]:
+    """Every call by callee name, every name used as a value, and
+    ``(string key, file)`` of every dict literal."""
     calls: Dict[str, List[Call]] = defaultdict(list)
     values: Set[str] = set()
+    keys: Set[Tuple[str, Path]] = set()
 
-    def visit(node: ast.AST, bases: List[str], skipped: Set[int]) -> None:
+    def visit(node: ast.AST, bases: List[str], skipped: Set[int], path: Path) -> None:
         """Record the calls and values under ``node``, inside a class of ``bases``."""
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.ClassDef):
-                visit(child, [name for name in map(_last_name, child.bases) if name], skipped)
+                visit(child, [name for name in map(last_name, child.bases) if name], skipped, path)
                 continue
             if isinstance(child, ast.Call):
-                name = _last_name(child.func)
+                name = last_name(child.func)
                 positional = sum(not isinstance(arg, ast.Starred) for arg in child.args)
                 keywords = {kw.arg for kw in child.keywords if kw.arg is not None}
                 splat = len(keywords) < len(child.keywords) or positional < len(child.args)
@@ -117,36 +127,25 @@ def _calls(root: Path) -> Tuple[Dict[str, List[Call]], Set[str]]:
                     name == "__init__"
                     and isinstance(child.func, ast.Attribute)
                     and isinstance(child.func.value, ast.Call)
-                    and _last_name(child.func.value.func) == "super"
+                    and last_name(child.func.value.func) == "super"
                 ):
                     callees = bases
                 for callee in callees:
-                    calls[callee].append((positional, keywords, splat))
+                    calls[callee].append((positional, keywords, splat, path))
             elif isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
                 if id(child) not in skipped:
                     values.add(child.id)
-            visit(child, bases, skipped)
+            elif isinstance(child, ast.Dict):
+                keys.update(
+                    (key.value, path) for key in child.keys
+                    if isinstance(key, ast.Constant) and isinstance(key.value, str)
+                )
+            visit(child, bases, skipped, path)
 
-    for path in _corpus(root):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        visit(tree, [], _not_values(tree))
-    return calls, values
-
-
-Def = Tuple[str, str, ast.AST, Optional[ast.ClassDef]]
-
-
-def _defs(tree: ast.AST, module: str, prefix: str = "",
-          owner: Optional[ast.ClassDef] = None) -> Iterator[Def]:
-    """``(module, qualified name, def, owning class)`` of every function, nested ones too."""
-    for node in ast.iter_child_nodes(tree):
-        if isinstance(node, ast.ClassDef):
-            yield from _defs(node, module, prefix + node.name + ".", node)
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield module, prefix + node.name, node, owner
-            yield from _defs(node, module, prefix + node.name + ".", None)
-        else:
-            yield from _defs(node, module, prefix, owner)
+    for path in corpus(root):
+        tree = parse(path)
+        visit(tree, [], _not_values(tree), path)
+    return calls, values, keys
 
 
 def _defaulted(node: ast.AST, bound: bool) -> Iterator[Tuple[str, Optional[int]]]:
@@ -164,49 +163,130 @@ def _defaulted(node: ast.AST, bound: bool) -> Iterator[Tuple[str, Optional[int]]
             yield arg.arg, None
 
 
-def _is_bound(node: ast.AST, owner: Optional[ast.ClassDef]) -> bool:
-    decorators = {_last_name(d) for d in node.decorator_list}  # type: ignore[attr-defined]
-    return owner is not None and "staticmethod" not in decorators
+def _functions(tree: ast.AST, module: str) -> Iterator[Tuple[str, ast.AST, Optional[ast.ClassDef], bool]]:
+    """``(qualified name, def, owning class, takes self or cls)`` of every function."""
+    for _, qualified, node, owner in defs(tree, module):
+        if not isinstance(node, ast.ClassDef):
+            decorators = {last_name(d) for d in node.decorator_list}  # type: ignore[attr-defined]
+            yield qualified, node, owner, owner is not None and "staticmethod" not in decorators
+
+
+def _fields(tree: ast.Module, module: str) -> Iterator[Tuple[str, str, int, int]]:
+    """``(class, field, line, position)`` of each ``__init__`` field of the config
+    class ``module`` defines."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and node.name == CONFIG_CLASSES.get(module):
+            fields = [
+                item for item in node.body
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                and "ClassVar" not in ast.unparse(item.annotation)
+                and not (isinstance(item.value, ast.Call)
+                         and "init=False" in map(ast.unparse, item.value.keywords))
+            ]
+            for position, field in enumerate(fields):
+                yield node.name, field.target.id, field.lineno, position  # type: ignore[union-attr]
+
+
+def _is_set(calls: List[Call], parameter: str, position: Optional[int]) -> bool:
+    return any(
+        splat or parameter in keywords or (position is not None and positional > position)
+        for positional, keywords, splat, _ in calls
+    )
 
 
 def _unset(root: Path) -> List[str]:
     """``module:line qualified-name(parameter)`` of every default nothing sets."""
-    calls, values = _calls(root)
-    src = root / "src"
+    calls, values, keys = _calls(root)
     found = []
-    for path in sorted((src / "repro").rglob("*.py")):
-        module = path.relative_to(src).as_posix()
-        for _, qualified, node, owner in _defs(ast.parse(path.read_text(encoding="utf-8")), module):
+    for module, path in src_modules(root):
+        tree = parse(path)
+        for qualified, node, owner, bound in _functions(tree, module):
             name = node.name  # type: ignore[attr-defined]
             if name == "__init__" and owner is not None:
                 name = owner.name
             elif name.startswith("__") and name.endswith("__") or name in values:
                 continue
-            for parameter, position in _defaulted(node, _is_bound(node, owner)):
-                if (module, qualified, parameter) in KEPT:
-                    continue
-                if not any(
-                    splat or parameter in keywords
-                    or (position is not None and positional > position)
-                    for positional, keywords, splat in calls.get(name, [])
+            for parameter, position in _defaulted(node, bound):
+                if (module, qualified, parameter) not in KEPT and not _is_set(
+                    calls.get(name, []), parameter, position
                 ):
                     found.append(f"{module}:{node.lineno} {qualified}({parameter})")
+        # A field is set by name or position, not by a splat, and not by the
+        # class's own module, which would be forwarding its own value.
+        for config, parameter, line, position in _fields(tree, module):
+            loose = {key for key, where in keys if where != path}.union(*(
+                keywords for _, keywords, _, where in calls.get("replace", []) if where != path
+            ))
+            elsewhere = [
+                (positional, keywords, False, where)
+                for positional, keywords, _, where in calls.get(config, []) if where != path
+            ]
+            if (module, config, parameter) not in KEPT and parameter not in loose and not _is_set(
+                elsewhere, parameter, position
+            ):
+                found.append(f"{module}:{line} {config}({parameter})")
     return found
+
+
+def _unread_or_undocumented(root: Path) -> List[str]:
+    """``module:line Class.field fault`` of each config field read by nothing in
+    ``src/repro`` outside its class, or a ``PipelineConfig`` field missing from the docs."""
+    table = (root / "docs" / "architecture.md").read_text(encoding="utf-8")
+    trees = {module: parse(path) for module, path in src_modules(root)}
+    reads = {
+        node.attr
+        for module, tree in trees.items()
+        for statement in tree.body
+        if not (isinstance(statement, ast.ClassDef) and statement.name == CONFIG_CLASSES.get(module))
+        for node in ast.walk(statement) if isinstance(node, ast.Attribute)
+    }
+    found = []
+    for module, tree in trees.items():
+        for config, name, line, _ in _fields(tree, module):
+            site = f"{module}:{line} {config}.{name}"
+            if name not in reads:
+                found.append(f"{site} is read by nothing")
+            if config == DOCUMENTED and f"`{name}`" not in table:
+                found.append(f"{site} is not in docs/architecture.md")
+    return found
+
+
+def _config_dataclasses(root: Path) -> Set[Tuple[str, str]]:
+    """``(module, class)`` of every ``@dataclass`` named ``*Config``, ``*Spec`` or ``*Policy``."""
+    return {
+        (module, node.name)
+        for module, path in src_modules(root)
+        for node in parse(path).body
+        if isinstance(node, ast.ClassDef)
+        and node.name.endswith(("Config", "Spec", "Policy"))
+        and any(ast.unparse(d).startswith("dataclass") for d in node.decorator_list)
+    }
 
 
 def test_every_default_in_src_is_set_by_a_caller_outside_tests():
     assert _unset(REPO) == []
 
 
+def test_every_config_field_is_read_and_every_pipeline_field_documented():
+    assert _unread_or_undocumented(REPO) == []
+
+
+def test_every_config_class_is_registered():
+    """A config dataclass missing from ``CONFIG_CLASSES`` has its fields unchecked,
+    and a row naming a moved or renamed class checks nothing."""
+    assert _config_dataclasses(REPO) == set(CONFIG_CLASSES.items())
+
+
 def test_every_kept_default_names_a_live_parameter():
-    src = REPO / "src"
     live = {
         (module, qualified, parameter)
-        for path in (src / "repro").rglob("*.py")
-        for module, qualified, node, owner in _defs(
-            ast.parse(path.read_text(encoding="utf-8")), path.relative_to(src).as_posix()
-        )
-        for parameter, _ in _defaulted(node, _is_bound(node, owner))
+        for module, path in src_modules(REPO)
+        for qualified, node, _, bound in _functions(parse(path), module)
+        for parameter, _ in _defaulted(node, bound)
+    } | {
+        (module, config, parameter)
+        for module, path in src_modules(REPO)
+        for config, parameter, _, _ in _fields(parse(path), module)
     }
     assert sorted(set(KEPT) - live) == []
 
@@ -255,3 +335,92 @@ def test_the_guard_flags_exactly_the_unset_defaults(tmp_path, elsewhere, flagged
         (tmp_path / relative).parent.mkdir(parents=True, exist_ok=True)
         (tmp_path / relative).write_text(text, encoding="utf-8")
     assert [entry.split()[-1] for entry in _unset(tmp_path)] == flagged
+
+
+_CONFIG_TREE = {
+    "src/repro/middleware/config.py":
+        "from dataclasses import dataclass\n\n\n@dataclass\nclass PipelineConfig:\n    knob: int = 3\n",
+    "src/repro/middleware/stage.py": "def build(config):\n    return config.knob\n",
+    "docs/architecture.md": "| `knob` | read by build() |\n",
+    "examples/tune.py": "PipelineConfig(knob=4)\n",
+}
+_KNOB = "repro/middleware/config.py:6 PipelineConfig"
+_BATCHING = '''"""A second registered config class."""
+
+from dataclasses import dataclass
+
+
+@dataclass(frozen=True)
+class BatchConfig:
+    max_message_count: int = 10
+    batch_timeout_s: float = 2.0
+    preferred_max_bytes: int = 512
+
+
+def cut_when(config: BatchConfig, pending: int, waited_s: float) -> bool:
+    return pending >= config.max_message_count or waited_s >= config.batch_timeout_s
+
+
+def quick_batches() -> BatchConfig:
+    return BatchConfig(batch_timeout_s=0.5)
+'''
+
+
+@pytest.mark.parametrize("changes, flagged", [
+    ({}, []),
+    ({"src/repro/middleware/stage.py": None}, [f"{_KNOB}.knob is read by nothing"]),
+    ({"docs/architecture.md": ""}, [f"{_KNOB}.knob is not in docs/architecture.md"]),
+    ({"examples/tune.py": None}, [f"{_KNOB}(knob)"]),
+    ({"examples/tune.py": None, "tests/test_tune.py": "PipelineConfig(knob=4)\n"},
+     [f"{_KNOB}(knob)"]),
+    ({"examples/tune.py": "PipelineConfig(4)\n"}, []),
+    ({"examples/tune.py": "PipelineConfig(**options)\n"}, [f"{_KNOB}(knob)"]),
+    ({"examples/tune.py": "replace(config, knob=4)\n"}, []),
+    ({"examples/tune.py": None, "benchmarks/sweep.py": 'ROWS = [{"knob": 4}]\n'}, []),
+    # A builder that forwards its own default sets the field, and is itself unset.
+    ({"examples/tune.py": "quick()\n",
+      "src/repro/middleware/quick.py": "def quick(knob=4):\n    return PipelineConfig(knob=knob)\n"},
+     ["repro/middleware/quick.py:1 quick(knob)"]),
+    ({"src/repro/consensus/batching.py":
+      "from dataclasses import dataclass\n\n\n@dataclass\nclass BatchConfig:\n    max_bytes: int = 512\n",
+      "benchmarks/sweep.py": 'ROWS = [{"max_bytes": 64}]\n'},
+     ["repro/consensus/batching.py:6 BatchConfig.max_bytes is read by nothing"]),
+    # The defining module setting its own field is the module forwarding its
+    # own value: ``batch_timeout_s`` is unset.
+    ({"src/repro/consensus/batching.py": _BATCHING,
+      "src/repro/bench/sweeps.py": 'SWEEPS = [{"max_message_count": 20}]\n'},
+     ["repro/consensus/batching.py:9 BatchConfig(batch_timeout_s)",
+      "repro/consensus/batching.py:10 BatchConfig(preferred_max_bytes)",
+      "repro/consensus/batching.py:10 BatchConfig.preferred_max_bytes is read by nothing"]),
+    ({"src/repro/middleware/config.py": _CONFIG_TREE["src/repro/middleware/config.py"]
+      + 'QUICK = replace(PipelineConfig(knob=4), knob=5)\nROW = {"knob": 6}\n',
+      "examples/tune.py": None},
+     [f"{_KNOB}(knob)"]),
+    # A ``ClassVar`` and an ``init=False`` field are not parameters, so one
+    # positional argument still sets ``knob``.
+    ({"src/repro/middleware/config.py":
+      "from dataclasses import dataclass, field\nfrom typing import ClassVar\n\n\n@dataclass\n"
+      "class PipelineConfig:\n    SCHEMA: ClassVar[int] = 1\n"
+      "    seen: dict = field(init=False, default_factory=dict)\n    knob: int = 3\n",
+      "examples/tune.py": "PipelineConfig(4)\n"}, []),
+])
+def test_the_guard_holds_every_config_field(tmp_path, changes, flagged):
+    for relative, text in {**_CONFIG_TREE, **changes}.items():
+        if text is not None:
+            (tmp_path / relative).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / relative).write_text(text, encoding="utf-8")
+    assert _unset(tmp_path) + _unread_or_undocumented(tmp_path) == flagged
+
+
+def test_the_registry_sees_every_config_class_of_a_module(tmp_path):
+    module = tmp_path / "src" / "repro" / "middleware" / "config.py"
+    module.parent.mkdir(parents=True)
+    module.write_text(
+        "from dataclasses import dataclass\n\n\n@dataclass\nclass RetryPolicy:\n    tries: int = 3\n\n\n"
+        "@dataclass(frozen=True)\nclass PipelineConfig:\n    knob: int = 3\n\n\n"
+        "class LoosePolicy:\n    tries = 3\n",
+        encoding="utf-8",
+    )
+    assert _config_dataclasses(tmp_path) - set(CONFIG_CLASSES.items()) == {
+        ("repro/middleware/config.py", "RetryPolicy")
+    }
