@@ -35,9 +35,9 @@ def tenant_of_transaction(tx: Transaction) -> str:
     writes (unusual for the ordering path) fall back to the first
     chaincode argument, which is the key for every ``set``-shaped invoke.
     """
-    rw_set = getattr(tx, "rw_set", None)
-    if rw_set is not None and rw_set.writes:
-        return tenant_of_key(rw_set.writes[0].key)
+    writes = tx.rw_set.writes
+    if writes:
+        return tenant_of_key(writes[0].key)
     if tx.args:
         return tenant_of_key(tx.args[0])
     return ""

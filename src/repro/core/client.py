@@ -52,7 +52,7 @@ from repro.common.tenancy import strip_namespace, tenant_namespace
 from repro.fabric.network import FabricNetwork
 from repro.fabric.proposal import ProposalResponse, TransactionHandle
 from repro.ledger.history import HistoryEntry
-from repro.middleware.base import TransactionPipeline
+from repro.middleware.base import Result, TransactionPipeline
 from repro.middleware.config import PipelineConfig, build_client_pipeline
 from repro.middleware.context import Context, OperationKind
 from repro.provenance.lineage import LineageReport, lineage_report
@@ -171,7 +171,7 @@ class HyperProvClient:
         if config.indexes:
             self.network.enable_secondary_indexes(config.indexes)
 
-    def _dispatch(self, ctx: Context):
+    def _dispatch(self, ctx: Context) -> Result:
         """Terminal pipeline handler: hand the operation to the network.
 
         The shard router (when configured) parks its routing decision in
@@ -216,7 +216,6 @@ class HyperProvClient:
             chaincode=self.chaincode_name,
             function=function,
             args=list(args),
-            client_name=self.client_name,
             at_time=at_time,
         )
         response, latency = self.pipeline.execute(ctx)
@@ -236,7 +235,6 @@ class HyperProvClient:
             chaincode=self.chaincode_name,
             function=function,
             args=list(args),
-            client_name=self.client_name,
             at_time=at_time,
         )
         return self.pipeline.execute(ctx)

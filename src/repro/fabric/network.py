@@ -379,18 +379,9 @@ class FabricNetwork:
             chaincode=chaincode,
             function=function,
             args=list(args),
-            client_name=context.name,
             payload_size_bytes=payload_size_bytes,
         )
-        ctx.tags["invoke"] = InvokeState(
-            client_context=context,
-            handle=handle,
-            chaincode=chaincode,
-            function=function,
-            args=list(args),
-            payload_size_bytes=payload_size_bytes,
-            shard=shard,
-        )
+        ctx.tags["invoke"] = InvokeState(client_context=context, handle=handle, shard=shard)
         shard.pipeline.execute(ctx)
 
     def set_order_batch_size(self, batch_size: int) -> None:

@@ -3,7 +3,9 @@
 One client operation is modelled as a :class:`~repro.middleware.context.Context`
 flowing through an ordered chain of :class:`~repro.middleware.base.Middleware`
 objects (``handle(ctx, call_next)``) that terminates in a handler doing the
-actual work (a Fabric invoke or query).
+actual work (a Fabric invoke or query).  Every link returns what the
+terminal does (:data:`~repro.middleware.base.Result`): ``(response,
+latency)`` for a read, the ``TransactionHandle`` for a write.
 
 The stock middlewares cover the cross-cutting concerns the roadmap calls
 for — request-id tracing, per-stage metrics, bounded retry with backoff, a

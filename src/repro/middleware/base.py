@@ -2,13 +2,27 @@
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, List, Optional, Type, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Tuple, Type, TypeVar, Union
 
 from repro.common.errors import ConfigurationError
 from repro.middleware.context import Context
 
-#: A handler takes the context and returns the operation's result.
-Handler = Callable[[Context], Any]
+if TYPE_CHECKING:  # the fabric package's network imports this module
+    from repro.fabric.proposal import ProposalResponse, TransactionHandle
+
+#: What a read answers: the peer's response and its latency in seconds.
+ReadResult = Tuple["ProposalResponse", float]
+
+#: An operation's result, the one contract of every pipeline: a
+#: :data:`ReadResult` when ``ctx.is_read``, else the
+#: :class:`TransactionHandle` the write's commit completes.  The terminal
+#: (``HyperProvClient._dispatch``, or the invoke stages' handle), the read
+#: cache, the shard router and store-and-forward return no other shape,
+#: so a middleware reads a result by ``ctx.kind`` and never inspects it.
+Result = Union[ReadResult, "TransactionHandle"]
+
+#: A handler takes the context and returns the operation's :data:`Result`.
+Handler = Callable[[Context], Result]
 
 M = TypeVar("M", bound="Middleware")
 
@@ -25,7 +39,7 @@ class Middleware:
     #: Stable identifier used in pipeline introspection and config.
     name: str = "middleware"
 
-    def handle(self, ctx: Context, call_next: Handler) -> Any:
+    def handle(self, ctx: Context, call_next: Handler) -> Result:
         raise NotImplementedError
 
     def close(self) -> None:
@@ -61,15 +75,13 @@ class TransactionPipeline:
         return handler
 
     # -------------------------------------------------------------- execute
-    def execute(self, ctx: Context) -> Any:
-        """Run ``ctx`` through the chain and return the terminal's result."""
-        result = self._entry(ctx)
-        ctx.result = result
-        return result
+    def execute(self, ctx: Context) -> Result:
+        """Run ``ctx`` through the chain and return its result (see :data:`Handler`)."""
+        return self._entry(ctx)
 
     @staticmethod
     def _wrap(middleware: Middleware, call_next: Handler) -> Handler:
-        def handler(ctx: Context) -> Any:
+        def handler(ctx: Context) -> Result:
             return middleware.handle(ctx, call_next)
 
         return handler

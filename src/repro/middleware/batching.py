@@ -6,7 +6,7 @@ from typing import Any, List, Optional, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.common.metrics import MetricsRegistry
-from repro.middleware.base import Handler, Middleware
+from repro.middleware.base import Handler, Middleware, Result
 from repro.middleware.context import Context
 
 
@@ -43,7 +43,7 @@ class EndorsementBatcher(Middleware):
         self._pending: List[Tuple[Context, Handler]] = []
 
     # ------------------------------------------------------------- pipeline
-    def handle(self, ctx: Context, call_next: Handler) -> Any:
+    def handle(self, ctx: Context, call_next: Handler) -> Result:
         if self.batch_size <= 1:
             return call_next(ctx)
         self._pending.append((ctx, call_next))

@@ -14,7 +14,8 @@ from typing import Any, Dict, FrozenSet, Optional, Set, Tuple
 from repro.common.errors import ConfigurationError, NetworkError
 from repro.common.events import EventBus
 from repro.common.metrics import MetricsRegistry
-from repro.middleware.base import Handler, Middleware
+from repro.fabric.proposal import ProposalResponse
+from repro.middleware.base import Handler, Middleware, Result
 from repro.middleware.context import KEY_SCOPED_FUNCTIONS, Context
 
 #: The failure class the stale-read fallback may answer for (transport
@@ -32,9 +33,9 @@ CacheKey = Tuple[str, str, Tuple[str, ...]]
 
 @dataclass
 class CacheEntry:
-    """A cached read result plus the keys whose commits stale it."""
+    """A cached read's response plus the keys whose commits stale it."""
 
-    result: Any
+    response: ProposalResponse
     keys: FrozenSet[str]
     #: Broad entries (rich queries, range scans) depend on unknown keys and
     #: are dropped on *any* commit.
@@ -116,7 +117,7 @@ class ReadCacheMiddleware(Middleware):
     """LRU cache for read-only operations, invalidated by commit events.
 
     A hit short-circuits the rest of the pipeline and returns the cached
-    payload with a latency of 0.0 (a local lookup instead of a network
+    response with a latency of 0.0 (a local lookup instead of a network
     round trip to a peer).  Correctness comes from
     invalidation, not expiry: the middleware subscribes to the network's
     aggregate :class:`EventBus` and scans every delivered block's write
@@ -127,7 +128,7 @@ class ReadCacheMiddleware(Middleware):
     down with its subscriptions on ``close()``.
 
     With ``serve_stale=True`` the middleware additionally keeps a
-    *stale archive*: the last successful result per read, LRU-bounded but
+    *stale archive*: the last successful response per read, LRU-bounded but
     **never** invalidated by commits.  When the authoritative peer is
     unreachable (partition, crashed peer) a read that would otherwise
     fail is answered from the archive with ``ctx.stale = True`` —
@@ -148,9 +149,9 @@ class ReadCacheMiddleware(Middleware):
         self.capacity = capacity
         self.metrics = metrics
         self.serve_stale = serve_stale
-        #: Last-known-good results for the stale fallback (commit events
+        #: Last-known-good responses for the stale fallback (commit events
         #: never touch this; only LRU pressure evicts).
-        self._stale_archive: "OrderedDict[CacheKey, Any]" = OrderedDict()
+        self._stale_archive: "OrderedDict[CacheKey, ProposalResponse]" = OrderedDict()
         #: Subscriptions are context managers; the stack cancels every one
         #: on close even if an individual cancel raises.
         self._subscriptions = ExitStack()
@@ -170,17 +171,16 @@ class ReadCacheMiddleware(Middleware):
         self._stale_archive.clear()
 
     # ------------------------------------------------------------- pipeline
-    def handle(self, ctx: Context, call_next: Handler) -> Any:
+    def handle(self, ctx: Context, call_next: Handler) -> Result:
         if not ctx.is_read:
             return call_next(ctx)
         key = ctx.cache_key()
         entry = self.store.get(key)
         if entry is not None:
             ctx.cache_hit = True
-            ctx.timings["cache_lookup_s"] = 0.0
             if self.metrics is not None:
                 self.metrics.counter("cache.hits").inc()
-            return self._hit_result(entry.result)
+            return entry.response, 0.0
         if self.metrics is not None:
             self.metrics.counter("cache.misses").inc()
         if self.serve_stale:
@@ -192,33 +192,26 @@ class ReadCacheMiddleware(Middleware):
                     raise
                 self._stale_archive.move_to_end(key)
                 ctx.stale = True
-                ctx.timings["cache_lookup_s"] = 0.0
                 if self.metrics is not None:
                     self.metrics.counter("cache.stale_served").inc()
-                return self._hit_result(archived)
+                return archived, 0.0
         else:
             result = call_next(ctx)
-        self._store(ctx, key, result)
+        self._store(ctx, key, result[0])
         return result
 
-    def _hit_result(self, result: Any) -> Any:
-        """Rewrite the cached result's latency to the local lookup cost."""
-        if isinstance(result, tuple) and len(result) == 2:
-            return (result[0], 0.0)
-        return result
-
-    def _store(self, ctx: Context, key: CacheKey, result: Any) -> None:
+    def _store(self, ctx: Context, key: CacheKey, response: ProposalResponse) -> None:
         if ctx.function in KEY_SCOPED_FUNCTIONS and ctx.args:
             keys: FrozenSet[str] = frozenset({ctx.args[0]})
             broad = False
         else:
             keys = frozenset()
             broad = True
-        evicted = self.store.put(key, CacheEntry(result=result, keys=keys, broad=broad))
+        evicted = self.store.put(key, CacheEntry(response=response, keys=keys, broad=broad))
         if evicted and self.metrics is not None:
             self.metrics.counter("cache.evictions").inc(evicted)
         if self.serve_stale:
-            self._stale_archive[key] = result
+            self._stale_archive[key] = response
             self._stale_archive.move_to_end(key)
             while len(self._stale_archive) > self.capacity:
                 self._stale_archive.popitem(last=False)
@@ -232,12 +225,6 @@ class ReadCacheMiddleware(Middleware):
         return stale
 
     def _on_block_delivered(self, _topic: str, payload: Dict[str, Any]) -> None:
-        block = payload.get("block") if isinstance(payload, dict) else None
-        if block is None:
-            return
-        for transaction in getattr(block, "transactions", []):
-            rw_set = getattr(transaction, "rw_set", None)
-            if rw_set is None:
-                continue
-            for write in rw_set.writes:
+        for transaction in payload["block"].transactions:
+            for write in transaction.rw_set.writes:
                 self.invalidate_key(write.key)

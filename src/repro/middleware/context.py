@@ -39,7 +39,6 @@ class Context:
     chaincode: str
     function: str
     args: List[str]
-    client_name: str = ""
     payload_size_bytes: int = 0
     #: Virtual time the operation should start at; ``None`` means "now".
     at_time: Optional[float] = None
@@ -47,15 +46,11 @@ class Context:
     request_id: str = ""
     #: 1-based attempt number, incremented by the retry middleware.
     attempt: int = 1
-    #: Result of the terminal handler once the pipeline unwound.
-    result: Any = None
     #: Whether the read-cache middleware answered from cache.
     cache_hit: bool = False
     #: Whether the result is a degraded-mode answer served from the stale
     #: archive because the authoritative peer was unreachable.
     stale: bool = False
-    #: Per-stage timing information accumulated along the chain.
-    timings: Dict[str, float] = field(default_factory=dict)
     #: Free-form middleware scratch space.
     tags: Dict[str, Any] = field(default_factory=dict)
 

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
 
 from repro.common.metrics import MetricsRegistry
 from repro.fabric.proposal import TransactionHandle
-from repro.middleware.base import Handler, Middleware
+from repro.middleware.base import Handler, Middleware, Result
 from repro.middleware.context import Context
 
 #: Histogram names for the write path's per-stage latency breakdown.
@@ -45,36 +45,20 @@ class MetricsMiddleware(Middleware):
         self.registry = registry
         self.clock = clock or (lambda: 0.0)
 
-    def handle(self, ctx: Context, call_next: Handler) -> Any:
+    def handle(self, ctx: Context, call_next: Handler) -> Result:
         self.registry.counter(f"ops.{ctx.operation}").inc()
         try:
             result = call_next(ctx)
         except Exception:
             self.registry.counter(f"errors.{ctx.operation}").inc()
             raise
-        self._observe(ctx, result)
+        if ctx.is_read:
+            self.registry.histogram(f"op.{ctx.operation}.latency_s").observe(result[1])
+        else:
+            result.on_complete(lambda handle: self._observe_write(ctx, handle))
         return result
 
     # ------------------------------------------------------------ recording
-    def _observe(self, ctx: Context, result: Any) -> None:
-        if isinstance(result, TransactionHandle):
-            result.on_complete(lambda handle: self._observe_write(ctx, handle))
-            return
-        latency = self._read_latency(ctx, result)
-        if latency is not None:
-            self.registry.histogram(f"op.{ctx.operation}.latency_s").observe(latency)
-
-    @staticmethod
-    def _read_latency(ctx: Context, result: Any) -> Optional[float]:
-        if (
-            isinstance(result, tuple)
-            and len(result) == 2
-            and isinstance(result[1], (int, float))
-        ):
-            return float(result[1])
-        latency = ctx.timings.get("latency_s")
-        return float(latency) if latency is not None else None
-
     def _observe_write(self, ctx: Context, handle: TransactionHandle) -> None:
         if not handle.is_complete:
             return

@@ -2,10 +2,10 @@
 
 The planner itself runs inside the chaincode (it needs the peer's
 world-state indexes); this middleware is its client-side counterpart.
-For rich-query operations it surfaces the access path the planner chose —
-the ``plan`` an explain-enabled response's page carries — into
-``ctx.tags["query_plan"]`` and per-path metrics counters, so bench tables
-and sessions can report which path served each query.
+For rich-query operations it counts the access path the planner chose —
+the ``plan`` an explain-enabled response's page carries — in per-path
+metrics counters (``query.plan.<path>``), so bench tables and sessions can
+report which path served each query.
 
 Enabled by the ``PipelineConfig.indexes`` knob, which also drives the
 fabric-side index enablement (``FabricNetwork.enable_secondary_indexes``)
@@ -14,10 +14,10 @@ the same way ``order_batch_size`` and ``scheduler`` are applied.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
 from repro.common.metrics import MetricsRegistry
-from repro.middleware.base import Handler, Middleware
+from repro.middleware.base import Handler, Middleware, Result
 from repro.middleware.context import Context
 from repro.query.indexes import validate_index_fields
 
@@ -37,20 +37,12 @@ class QueryPlannerMiddleware(Middleware):
         self.metrics = metrics
 
     # ------------------------------------------------------------- pipeline
-    def handle(self, ctx: Context, call_next: Handler) -> Any:
+    def handle(self, ctx: Context, call_next: Handler) -> Result:
         if ctx.function != "query" or not ctx.is_read or not ctx.args:
             return call_next(ctx)
         result = call_next(ctx)
-        plan = self._extract_plan(result)
-        if plan is not None:
-            ctx.tags["query_plan"] = plan
-            if self.metrics is not None:
-                path = plan.get("access_path", "unknown")
-                self.metrics.counter(f"query.plan.{path}").inc()
+        page = result[0].scan
+        if page is not None and page.plan is not None and self.metrics is not None:
+            path = page.plan.get("access_path", "unknown")
+            self.metrics.counter(f"query.plan.{path}").inc()
         return result
-
-    @staticmethod
-    def _extract_plan(result: Any) -> Optional[dict]:
-        response = result[0] if isinstance(result, tuple) else result
-        page = getattr(response, "scan", None)
-        return page.plan if page is not None else None

@@ -15,13 +15,13 @@ exercise it:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Optional
+from typing import List, Optional
 
 from repro.common.errors import NetworkError
 from repro.common.metrics import MetricsRegistry
 from repro.ledger.transaction import TxValidationCode
 from repro.fabric.proposal import TransactionHandle
-from repro.middleware.base import Handler, Middleware
+from repro.middleware.base import Handler, Middleware, Result
 from repro.middleware.context import Context
 from repro.simulation.engine import SimulationEngine
 
@@ -71,7 +71,7 @@ class StoreAndForwardMiddleware(Middleware):
         self._replay_event = None
         self._sequence = 0
 
-    def handle(self, ctx: Context, call_next: Handler) -> Any:
+    def handle(self, ctx: Context, call_next: Handler) -> Result:
         if not ctx.is_write:
             return call_next(ctx)
         try:
@@ -125,14 +125,9 @@ class StoreAndForwardMiddleware(Middleware):
         self._arm_replay()
 
     @staticmethod
-    def _bind(entry: _QueuedWrite, real: Any) -> None:
+    def _bind(entry: _QueuedWrite, real: TransactionHandle) -> None:
         """Mirror the replayed transaction's life cycle onto the placeholder."""
         placeholder = entry.placeholder
-        if not isinstance(real, TransactionHandle):
-            # Downstream returned something unexpected (a custom terminal):
-            # count the replay delivered and complete the placeholder now.
-            placeholder.complete(placeholder.submitted_at, TxValidationCode.VALID)
-            return
 
         def _mirror(done: TransactionHandle, placeholder=placeholder, attempts=entry.attempts) -> None:
             placeholder.tx_id = done.tx_id

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional, Tuple, Type
+from typing import Callable, Optional, Tuple, Type
 
 from repro.common.errors import (
     ConfigurationError,
@@ -11,7 +11,7 @@ from repro.common.errors import (
     OrderingError,
 )
 from repro.common.metrics import MetricsRegistry
-from repro.middleware.base import Handler, Middleware
+from repro.middleware.base import Handler, Middleware, Result
 from repro.middleware.context import Context
 
 #: Failures that are plausibly transient on a real Fabric network.
@@ -49,14 +49,13 @@ class RetryMiddleware(Middleware):
         self.clock = clock or (lambda: 0.0)
         self.metrics = metrics
 
-    def handle(self, ctx: Context, call_next: Handler) -> Any:
+    def handle(self, ctx: Context, call_next: Handler) -> Result:
         last_error: Optional[Exception] = None
         for attempt in range(1, self.max_attempts + 1):
             ctx.attempt = attempt
             if attempt > 1:
                 delay = BACKOFF_S * (BACKOFF_MULTIPLIER ** (attempt - 2))
                 ctx.at_time = max(ctx.at_time or 0.0, self.clock()) + delay
-                ctx.timings[f"retry_backoff_{attempt}_s"] = delay
                 if self.metrics is not None:
                     self.metrics.counter("retry.attempts").inc()
             try:

@@ -35,7 +35,7 @@ import json
 from dataclasses import replace
 from itertools import chain
 from operator import attrgetter
-from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.common.metrics import MetricsRegistry
@@ -47,7 +47,7 @@ from repro.common.tenancy import (
 )
 from repro.ledger.scan import HistoryPage, ScanPage
 from repro.ledger.world_state import VersionedValue
-from repro.middleware.base import Handler, Middleware
+from repro.middleware.base import Handler, Middleware, ReadResult, Result
 from repro.middleware.context import KEY_SCOPED_FUNCTIONS, Context
 
 #: Read functions the router fans out and merges.
@@ -135,7 +135,7 @@ class ShardRouterMiddleware(Middleware):
         self.placement = placement
 
     # ------------------------------------------------------------- pipeline
-    def handle(self, ctx: Context, call_next: Handler) -> Any:
+    def handle(self, ctx: Context, call_next: Handler) -> Result:
         if ctx.function in FAN_OUT_FUNCTIONS and ctx.is_read and self.shards > 1:
             return self._fan_out(ctx, call_next)
         shard = self.route_for(ctx)
@@ -188,54 +188,43 @@ class ShardRouterMiddleware(Middleware):
         prefix = selector.get("_prefix") if isinstance(selector, dict) else None
         return tenant_of_prefix(prefix) if isinstance(prefix, str) else ""
 
-    def _fan_out(self, ctx: Context, call_next: Handler) -> Any:
-        """Run the read on each shard that can answer it and merge the results."""
-        results = []
-        for shard in self._fan_out_shards(ctx):
-            sub = self._sub_context(ctx, shard)
-            results.append(call_next(sub))
+    def _fan_out(self, ctx: Context, call_next: Handler) -> ReadResult:
+        """Run the read on each shard that can answer it and merge the results.
+
+        A shard's answer counts when it is ok and carries its page; the
+        merged latency is the slowest counted shard's.  With none counted
+        the first shard's answer goes back as it is.
+        """
+        results = [
+            call_next(self._sub_context(ctx, shard)) for shard in self._fan_out_shards(ctx)
+        ]
         if self.metrics is not None:
             self.metrics.counter("router.fan_outs").inc()
-        field = "history" if ctx.function == "getkeyhistory" else "scan"
-        ok = [result for result in results if self._is_ok(result, field)]
+        history = ctx.function == "getkeyhistory"
+        ok = [
+            (response, latency) for response, latency in results
+            if response.is_ok
+            and (response.history if history else response.scan) is not None
+        ]
         if not ok:
             return results[0]
-        responses = [self._response(result) for result in ok]
-        latency = max((self._latency(result) for result in ok), default=0.0)
-        if field == "history":
-            merged = replace(responses[0], history=self._merge_history(
-                [response.history for response in responses]
+        first = ok[0][0]
+        latency = max(latency for _, latency in ok)
+        if history:
+            merged = replace(first, history=self._merge_history(
+                [response.history for response, _ in ok]
             ))
         else:
-            merged = replace(responses[0], scan=self._merge_pages(
-                ctx, [response.scan for response in responses]
+            merged = replace(first, scan=self._merge_pages(
+                ctx, [response.scan for response, _ in ok]
             ))
-        if isinstance(ok[0], tuple):
-            return (merged, latency)
-        return merged
+        return merged, latency
 
     @staticmethod
     def _sub_context(ctx: Context, shard: int) -> Context:
-        sub = replace(ctx, args=list(ctx.args), timings={}, tags=dict(ctx.tags))
+        sub = replace(ctx, args=list(ctx.args), tags=dict(ctx.tags))
         sub.tags["shard"] = shard
         return sub
-
-    # ----------------------------------------------------- result plumbing
-    @staticmethod
-    def _response(result: Any) -> Any:
-        return result[0] if isinstance(result, tuple) else result
-
-    @classmethod
-    def _is_ok(cls, result: Any, field: str) -> bool:
-        """Whether a shard answered with a page in ``field`` (``scan``/``history``)."""
-        response = cls._response(result)
-        return getattr(response, "is_ok", False) and getattr(response, field, None) is not None
-
-    @staticmethod
-    def _latency(result: Any) -> float:
-        if isinstance(result, tuple) and len(result) == 2:
-            return float(result[1])
-        return 0.0
 
     # -------------------------------------------------------------- merging
     def _merge_pages(self, ctx: Context, pages: List[ScanPage]) -> ScanPage:

@@ -22,7 +22,7 @@ from typing import Any, List, Optional
 from repro.common.errors import PartitionError
 from repro.fabric.proposal import Proposal, ProposalResponse, TransactionHandle
 from repro.ledger.transaction import Transaction, TxValidationCode
-from repro.middleware.base import Handler, Middleware
+from repro.middleware.base import Handler, Middleware, Result
 from repro.middleware.context import Context
 
 #: Fixed client-side latency per request (SDK/gRPC overhead), seconds.
@@ -31,14 +31,14 @@ CLIENT_OVERHEAD_S = 0.002
 
 @dataclass
 class InvokeState:
-    """Mutable per-invocation state shared by the Fabric stages."""
+    """Mutable per-invocation state shared by the Fabric stages.
+
+    The request itself (chaincode, function, args, payload size) lives on
+    the stage pipeline's :class:`Context`.
+    """
 
     client_context: Any  # fabric _ClientContext (duck-typed: no import cycle)
     handle: TransactionHandle
-    chaincode: str
-    function: str
-    args: List[str]
-    payload_size_bytes: int = 0
     #: The ChannelShard the invoke runs on (duck-typed: no import cycle).
     shard: Any = None
     start: float = 0.0
@@ -66,14 +66,14 @@ class BuildProposalStage(FabricStage):
 
     name = "build-proposal"
 
-    def handle(self, ctx: Context, call_next: Handler) -> Any:
+    def handle(self, ctx: Context, call_next: Handler) -> Result:
         fabric = self.fabric
         state = self.state(ctx)
         client = state.client_context
         state.start = max(state.handle.submitted_at, fabric.engine.now)
         state.proposal = fabric._build_proposal(
-            client, state.handle, state.chaincode, state.function,
-            state.args, state.payload_size_bytes,
+            client, state.handle, ctx.chaincode, ctx.function,
+            ctx.args, ctx.payload_size_bytes,
             channel_name=state.shard.channel.name,
         )
         prep = (
@@ -95,7 +95,7 @@ class CollectEndorsementsStage(FabricStage):
 
     name = "collect-endorsements"
 
-    def handle(self, ctx: Context, call_next: Handler) -> Any:
+    def handle(self, ctx: Context, call_next: Handler) -> Result:
         fabric = self.fabric
         state = self.state(ctx)
         client = state.client_context
@@ -123,13 +123,9 @@ class CollectEndorsementsStage(FabricStage):
 
         ok_responses = [r for r in responses if r.is_ok]
         if not ok_responses:
-            message = responses[0].message if responses else "no endorsing peers reachable"
             handle.response_payload = None
             handle.complete(endorsement_done, TxValidationCode.ENDORSEMENT_POLICY_FAILURE)
             fabric.metrics.counter("endorsement_failures").inc()
-            fabric.events.publish(
-                "endorsement_failed", {"tx_id": handle.tx_id, "message": message}
-            )
             return handle
 
         # Fabric requires all endorsements to agree on the read/write set.
@@ -145,9 +141,9 @@ class CollectEndorsementsStage(FabricStage):
         state.transaction = Transaction(
             tx_id=handle.tx_id,
             channel=state.shard.channel.name,
-            chaincode=state.chaincode,
-            function=state.function,
-            args=list(state.args),
+            chaincode=ctx.chaincode,
+            function=ctx.function,
+            args=list(ctx.args),
             rw_set=consistent[0].rw_set,
             endorsements=[r.endorsement for r in consistent if r.endorsement],
             creator=client.identity.certificate,
@@ -177,7 +173,7 @@ class SubmitToOrdererStage(FabricStage):
 
     name = "submit-to-orderer"
 
-    def handle(self, ctx: Context, call_next: Handler) -> Any:
+    def handle(self, ctx: Context, call_next: Handler) -> Result:
         fabric = self.fabric
         state = self.state(ctx)
         arrival = ctx.tags.get("order_arrival")
@@ -207,7 +203,7 @@ class AwaitCommitStage(FabricStage):
 
     name = "await-commit"
 
-    def handle(self, ctx: Context, call_next: Handler) -> Any:
+    def handle(self, ctx: Context, call_next: Handler) -> Result:
         state = self.state(ctx)
         self.fabric.register_pending(state.client_context, state.handle)
         return call_next(ctx)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import replace
-from typing import Any, Optional
+from typing import Optional
 
 from repro.common.errors import (
     AdmissionRejectedError,
@@ -30,8 +30,8 @@ from repro.common.errors import (
     ValidationError,
 )
 from repro.common.metrics import MetricsRegistry
-from repro.common.tenancy import namespace_end, tenant_namespace
-from repro.middleware.base import Handler, Middleware
+from repro.common.tenancy import namespace_end, relative_key, tenant_namespace
+from repro.middleware.base import Handler, Middleware, ReadResult, Result
 from repro.middleware.context import KEY_SCOPED_FUNCTIONS, Context
 
 
@@ -54,9 +54,10 @@ class TenantPrefixMiddleware(Middleware):
         self.metrics = metrics
 
     # ------------------------------------------------------------- pipeline
-    def handle(self, ctx: Context, call_next: Handler) -> Any:
+    def handle(self, ctx: Context, call_next: Handler) -> Result:
         self._rewrite_args(ctx)
-        return self._scope_page(call_next(ctx))
+        result = call_next(ctx)
+        return self._scope_page(result) if ctx.is_read else result
 
     # ------------------------------------------------------------ rewriting
     def _rewrite_args(self, ctx: Context) -> None:
@@ -123,32 +124,31 @@ class TenantPrefixMiddleware(Middleware):
         return json.dumps([self.prefix + str(dep) for dep in dependencies])
 
     # ------------------------------------------------------------ filtering
-    def _scope_page(self, result: Any) -> Any:
+    def _scope_page(self, result: ReadResult) -> ReadResult:
         """Keep a scan's answer (``query``, ``getbyrange``) inside the namespace.
 
         Rich-query selectors match record fields, so rows of other
-        namespaces are dropped here, on the rows the response carries;
-        the bookmark is a ledger key and goes back tenant-relative.
-        Anything that carries no page passes through.
+        namespaces are dropped here, on the rows the response carries.
+        The bookmark is a ledger key and goes back tenant-relative; one
+        outside the namespace raises
+        :class:`~repro.common.errors.TenancyError` rather than reach the
+        tenant.  A read that carries no page passes through.
         """
-        response = result[0] if isinstance(result, tuple) else result
-        page = getattr(response, "scan", None)
+        response, latency = result
+        page = response.scan
         if page is None:
             return result
         prefix = self.prefix
         kept = tuple([row for row in page.rows if row.key.startswith(prefix)])
-        bookmark = page.bookmark
-        if bookmark is not None and bookmark.startswith(prefix):
-            bookmark = bookmark[len(prefix):]
         dropped = len(page.rows) - len(kept)
-        if not dropped and bookmark == page.bookmark:
+        if not dropped and page.bookmark is None:
             return result
         if dropped and self.metrics is not None:
             self.metrics.counter("tenant.rows_filtered").inc(dropped)
-        response = replace(response, scan=page._replace(rows=kept, bookmark=bookmark))
-        if isinstance(result, tuple):
-            return (response,) + result[1:]
-        return response
+        bookmark = page.bookmark
+        if bookmark is not None:
+            bookmark = relative_key(self.tenant, bookmark)
+        return replace(response, scan=page._replace(rows=kept, bookmark=bookmark)), latency
 
 
 class InFlightCounter:
@@ -198,7 +198,7 @@ class AdmissionControlMiddleware(Middleware):
         self._counter = counter
 
     # ------------------------------------------------------------- pipeline
-    def handle(self, ctx: Context, call_next: Handler) -> Any:
+    def handle(self, ctx: Context, call_next: Handler) -> Result:
         if not ctx.is_write:
             return call_next(ctx)
         if self._counter.value >= self.max_in_flight:
@@ -212,10 +212,8 @@ class AdmissionControlMiddleware(Middleware):
         except Exception:
             self._release()
             raise
-        if hasattr(result, "on_complete") and not getattr(result, "is_complete", True):
-            result.on_complete(lambda _handle: self._release())
-        else:
-            self._release()
+        # A handle that already completed runs the callback at once.
+        result.on_complete(lambda _handle: self._release())
         return result
 
     def _release(self) -> None:

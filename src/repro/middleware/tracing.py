@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Optional
 
 from repro.common.events import EventBus
 from repro.common.ids import IdGenerator
-from repro.middleware.base import Handler, Middleware
+from repro.middleware.base import Handler, Middleware, Result
 from repro.middleware.context import Context
 
 
@@ -28,7 +28,7 @@ class RequestIdMiddleware(Middleware):
         self._ids = IdGenerator("req")
         self.events = events
 
-    def handle(self, ctx: Context, call_next: Handler) -> Any:
+    def handle(self, ctx: Context, call_next: Handler) -> Result:
         if not ctx.request_id:
             ctx.request_id = self._ids.next()
         if self.events is not None:

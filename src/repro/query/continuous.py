@@ -160,14 +160,11 @@ class ContinuousQueryRegistry:
             query.cancel()
 
     # ------------------------------------------------------------- delivery
-    def _on_block_delivered(self, _topic: str, payload: Any) -> None:
-        if not isinstance(payload, dict):
+    def _on_block_delivered(self, _topic: str, payload: Dict[str, Any]) -> None:
+        block, commits, shard = payload["block"], payload["commits"], payload["shard"]
+        if not commits:
+            # Cut while no peer could receive it: the first catch-up announces it.
             return
-        block = payload.get("block")
-        commits = payload.get("commits") or {}
-        if block is None or not commits:
-            return
-        shard = payload.get("shard", 0)
         if block.number < self._next_block.get(shard, 0):
             return
         self._next_block[shard] = block.number + 1

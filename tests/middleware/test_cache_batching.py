@@ -22,6 +22,7 @@ from repro.middleware.cache import ReadCacheMiddleware
 from repro.middleware.config import PipelineConfig
 from repro.middleware.context import KEY_SCOPED_FUNCTIONS, Context, OperationKind
 from tests.internals import cache_keys, live_topics, organization
+from tests.middleware.contract import answer, response_with
 
 
 def read_ctx(function="get", args=("k",)):
@@ -37,16 +38,17 @@ def read_ctx(function="get", args=("k",)):
 class TestReadCacheUnit:
     def test_hit_returns_cached_payload_with_hit_latency(self):
         calls = []
+        response = response_with("payload")
         cache = ReadCacheMiddleware()
         pipeline = TransactionPipeline(
-            [cache], terminal=lambda ctx: calls.append(1) or ("payload", 0.5)
+            [cache], terminal=lambda ctx: calls.append(1) or (response, 0.5)
         )
         miss = pipeline.execute(read_ctx())
         hit_ctx = read_ctx()
         hit = pipeline.execute(hit_ctx)
         assert len(calls) == 1
-        assert miss == ("payload", 0.5)
-        assert hit == ("payload", 0.0)
+        assert miss == (response, 0.5)
+        assert hit == (response, 0.0)
         assert hit_ctx.cache_hit is True
 
     def test_capacity_below_one_is_a_configuration_error(self):
@@ -57,7 +59,7 @@ class TestReadCacheUnit:
         calls = []
         cache = ReadCacheMiddleware()
         pipeline = TransactionPipeline(
-            [cache], terminal=lambda ctx: calls.append(1) or "handle"
+            [cache], terminal=lambda ctx: calls.append(1) or answer(ctx)
         )
         ctx = Context(
             operation="post", kind=OperationKind.WRITE,
@@ -70,7 +72,7 @@ class TestReadCacheUnit:
 
     def test_invalidate_key_drops_key_scoped_and_broad_entries(self):
         cache = ReadCacheMiddleware()
-        pipeline = TransactionPipeline([cache], terminal=lambda ctx: ("x", 0.1))
+        pipeline = TransactionPipeline([cache], terminal=answer)
         pipeline.execute(read_ctx("get", args=("a",)))
         pipeline.execute(read_ctx("get", args=("b",)))
         pipeline.execute(read_ctx("getbyrange", args=("", "~")))  # broad
@@ -84,7 +86,7 @@ class TestReadCacheUnit:
     )
     def test_a_key_scoped_read_depends_on_its_key_only(self, function):
         cache = ReadCacheMiddleware()
-        pipeline = TransactionPipeline([cache], terminal=lambda ctx: ("x", 0.1))
+        pipeline = TransactionPipeline([cache], terminal=answer)
         pipeline.execute(read_ctx(function, args=("a",)))
         assert cache.invalidate_key("b") == 0
         assert cache.invalidate_key("a") == 1
@@ -93,7 +95,7 @@ class TestReadCacheUnit:
     def test_lru_eviction_respects_capacity(self):
         metrics = MetricsRegistry()
         cache = ReadCacheMiddleware(capacity=2, metrics=metrics)
-        pipeline = TransactionPipeline([cache], terminal=lambda ctx: ("x", 0.1))
+        pipeline = TransactionPipeline([cache], terminal=answer)
         for key in ("a", "b", "c"):
             pipeline.execute(read_ctx("get", args=(key,)))
         assert len(cache_keys(cache.store)) == 2
@@ -105,7 +107,7 @@ class TestReadCacheUnit:
     def test_provenance_recorded_event_invalidates(self):
         bus = EventBus()
         cache = ReadCacheMiddleware(events=bus)
-        pipeline = TransactionPipeline([cache], terminal=lambda ctx: ("x", 0.1))
+        pipeline = TransactionPipeline([cache], terminal=answer)
         pipeline.execute(read_ctx("get", args=("sensor/1",)))
         assert len(cache_keys(cache.store)) == 1
         write = SimpleNamespace(key="sensor/1")
@@ -118,7 +120,7 @@ class TestReadCacheUnit:
     def test_close_cancels_subscriptions(self):
         bus = EventBus()
         cache = ReadCacheMiddleware(events=bus)
-        cache.handle(read_ctx(), lambda ctx: ("payload", 0.5))
+        cache.handle(read_ctx(), answer)
         assert live_topics(bus) and len(cache_keys(cache.store)) == 1
         cache.close()
         assert not live_topics(bus)

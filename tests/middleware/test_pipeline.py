@@ -4,14 +4,16 @@ import dataclasses
 
 import pytest
 
-from repro.common.errors import ConfigurationError, NetworkError, NotFoundError
+from repro.common.errors import ConfigurationError, NetworkError, NotFoundError, TenancyError
 from repro.common.events import EventBus
 from repro.common.metrics import MetricsRegistry
+from repro.ledger.scan import ScanPage
 from repro.middleware.base import Middleware, TransactionPipeline
 from repro.middleware.config import PipelineConfig, build_client_pipeline
 from repro.middleware.context import KEY_SCOPED_FUNCTIONS, Context, OperationKind
 from repro.middleware.retry import RetryMiddleware
 from repro.middleware.tracing import RequestIdMiddleware
+from tests.middleware.contract import answer, response_with
 
 
 def make_ctx(function="get", kind=OperationKind.READ, args=None, operation=None):
@@ -39,11 +41,15 @@ class Recorder(Middleware):
         return result
 
 
+#: What ``ShortCircuit`` answers without asking the rest of the chain.
+SHORT_CIRCUITED = (response_with("short-circuited"), 0.0)
+
+
 class ShortCircuit(Middleware):
     name = "short-circuit"
 
     def handle(self, ctx, call_next):
-        return "short-circuited"
+        return SHORT_CIRCUITED
 
 
 class Failing(Middleware):
@@ -59,31 +65,31 @@ class Failing(Middleware):
 class TestPipelineOrdering:
     def test_middlewares_run_in_declared_order(self):
         log = []
+        done = answer(make_ctx())
         pipeline = TransactionPipeline(
             [Recorder("a", log), Recorder("b", log), Recorder("c", log)],
-            terminal=lambda ctx: log.append("terminal") or "done",
+            terminal=lambda ctx: log.append("terminal") or done,
         )
         result = pipeline.execute(make_ctx())
-        assert result == "done"
+        assert result is done
         assert log == [
             "enter:a", "enter:b", "enter:c", "terminal",
             "exit:c", "exit:b", "exit:a",
         ]
 
-    def test_result_is_recorded_on_context(self):
-        pipeline = TransactionPipeline([], terminal=lambda ctx: 41 + 1)
-        ctx = make_ctx()
-        pipeline.execute(ctx)
-        assert ctx.result == 42
+    def test_execute_returns_the_terminal_result(self):
+        done = answer(make_ctx())
+        pipeline = TransactionPipeline([], terminal=lambda ctx: done)
+        assert pipeline.execute(make_ctx()) is done
 
     def test_short_circuit_skips_downstream(self):
         log = []
         pipeline = TransactionPipeline(
             [Recorder("outer", log), ShortCircuit(), Recorder("inner", log)],
-            terminal=lambda ctx: log.append("terminal"),
+            terminal=lambda ctx: log.append("terminal") or answer(ctx),
         )
         result = pipeline.execute(make_ctx())
-        assert result == "short-circuited"
+        assert result is SHORT_CIRCUITED
         assert "enter:inner" not in log
         assert "terminal" not in log
 
@@ -91,7 +97,7 @@ class TestPipelineOrdering:
         log = []
         pipeline = TransactionPipeline(
             [Recorder("outer", log), Failing(NotFoundError("nope"))],
-            terminal=lambda ctx: log.append("terminal"),
+            terminal=lambda ctx: log.append("terminal") or answer(ctx),
         )
         with pytest.raises(NotFoundError):
             pipeline.execute(make_ctx())
@@ -101,12 +107,12 @@ class TestPipelineOrdering:
 
     def test_rejects_non_middleware(self):
         with pytest.raises(ConfigurationError):
-            TransactionPipeline([object()], terminal=lambda ctx: None)
+            TransactionPipeline([object()], terminal=answer)
 
     def test_find_and_names(self):
         log = []
         recorder = Recorder("a", log)
-        pipeline = TransactionPipeline([recorder], terminal=lambda ctx: None)
+        pipeline = TransactionPipeline([recorder], terminal=answer)
         assert pipeline.middleware_names() == ["a"]
         assert pipeline.find(Recorder) is recorder
         assert pipeline.find(ShortCircuit) is None
@@ -114,7 +120,7 @@ class TestPipelineOrdering:
 
 class TestRequestId:
     def test_assigns_stable_deterministic_ids(self):
-        pipeline = TransactionPipeline([RequestIdMiddleware()], terminal=lambda c: None)
+        pipeline = TransactionPipeline([RequestIdMiddleware()], terminal=answer)
         first, second = make_ctx(), make_ctx()
         pipeline.execute(first)
         pipeline.execute(second)
@@ -128,14 +134,14 @@ class TestRequestId:
         bus.subscribe("pipeline.response", lambda t, p: seen.append((t, p)))
         bus.subscribe("pipeline.error", lambda t, p: seen.append((t, p)))
         pipeline = TransactionPipeline(
-            [RequestIdMiddleware(events=bus)], terminal=lambda c: ("ok", 0.1)
+            [RequestIdMiddleware(events=bus)], terminal=answer
         )
         pipeline.execute(make_ctx())
         assert [topic for topic, _ in seen] == ["pipeline.request", "pipeline.response"]
 
         failing = TransactionPipeline(
             [RequestIdMiddleware(events=bus), Failing(NotFoundError("x"))],
-            terminal=lambda c: None,
+            terminal=answer,
         )
         with pytest.raises(NotFoundError):
             failing.execute(make_ctx())
@@ -150,14 +156,15 @@ class TestRetry:
             attempts.append(ctx.attempt)
             if len(attempts) < 3:
                 raise NetworkError("transient")
-            return "ok"
+            return done
 
+        done = answer(make_ctx())
         pipeline = TransactionPipeline(
             [RetryMiddleware(max_attempts=3)],
             terminal=flaky,
         )
         ctx = make_ctx()
-        assert pipeline.execute(ctx) == "ok"
+        assert pipeline.execute(ctx) is done
         assert attempts == [1, 2, 3]
         # Backoff advanced the virtual start time of later attempts.
         assert ctx.at_time is not None and ctx.at_time > 0
@@ -194,18 +201,20 @@ class TestRetry:
         assert calls == [1]
 
     def test_exponential_backoff_schedule(self):
+        starts = []
+
         def always_down(ctx):
+            starts.append(ctx.at_time)
             raise NetworkError("down")
 
         pipeline = TransactionPipeline(
             [RetryMiddleware(max_attempts=4)], terminal=always_down
         )
-        ctx = make_ctx()
         with pytest.raises(NetworkError):
-            pipeline.execute(ctx)
-        backoffs = [ctx.timings[f"retry_backoff_{n}_s"] for n in (2, 3, 4)]
-        assert backoffs == pytest.approx([0.05, 0.1, 0.2])
-        assert ctx.at_time == pytest.approx(0.35)
+            pipeline.execute(make_ctx())
+        # The first attempt starts "now"; the retries wait 0.05, 0.1, 0.2 s.
+        assert starts[0] is None
+        assert starts[1:] == pytest.approx([0.05, 0.15, 0.35])
 
     def test_policy_validation(self):
         with pytest.raises(ConfigurationError):
@@ -217,7 +226,7 @@ class TestPipelineConfig:
         """Names of the chain actually built (with a metrics registry, as
         every client has one)."""
         return build_client_pipeline(
-            config, lambda ctx: None, metrics=MetricsRegistry()
+            config, answer, metrics=MetricsRegistry()
         ).middleware_names()
 
     def test_exactly_twelve_fields(self):
@@ -230,7 +239,7 @@ class TestPipelineConfig:
     def test_default_config_enables_observation_only(self):
         assert self.built(PipelineConfig()) == ["request-id", "metrics"]
         # The metrics middleware follows the registry, not a config field.
-        bare = build_client_pipeline(PipelineConfig(), lambda ctx: None)
+        bare = build_client_pipeline(PipelineConfig(), answer)
         assert bare.middleware_names() == ["request-id"]
 
     def test_full_config_ordering(self):
@@ -262,7 +271,7 @@ class TestPipelineConfig:
         metrics = MetricsRegistry()
         pipeline = build_client_pipeline(
             PipelineConfig(cache=True, retry_attempts=2),
-            lambda ctx: None,
+            answer,
             metrics=metrics,
         )
         assert pipeline.middleware_names() == [
@@ -300,7 +309,9 @@ def test_tenant_prefix_namespaces_the_key_of_a_delete():
 
     seen = []
     ctx = make_ctx("delete", kind=OperationKind.WRITE, args=["doc/1"])
-    TenantPrefixMiddleware("acme").handle(ctx, lambda inner: seen.append(list(inner.args)))
+    TenantPrefixMiddleware("acme").handle(
+        ctx, lambda inner: seen.append(list(inner.args)) or answer(inner)
+    )
     assert seen == [["tenant/acme/doc/1"]]
 
 
@@ -315,7 +326,9 @@ def test_tenant_prefix_namespaces_the_key_of_every_key_scoped_function(function)
     )
     seen = []
     ctx = make_ctx(function, kind=kind, args=["doc/1"])
-    TenantPrefixMiddleware("acme").handle(ctx, lambda inner: seen.append(list(inner.args)))
+    TenantPrefixMiddleware("acme").handle(
+        ctx, lambda inner: seen.append(list(inner.args)) or answer(inner)
+    )
     assert seen == [["tenant/acme/doc/1"]]
 
 
@@ -328,3 +341,21 @@ def test_tenant_prefix_refuses_a_function_it_has_no_rule_for():
     with pytest.raises(ValidationError, match="no namespace rule"):
         TenantPrefixMiddleware("acme").handle(ctx, reached.append)
     assert reached == [] and ctx.args == ["doc/1"]
+
+
+@pytest.mark.parametrize("bookmark, relative", [
+    ("tenant/acme/k", "k"),
+    ("tenant/other/k", None),
+])
+def test_tenant_prefix_hands_back_only_its_own_bookmark(bookmark, relative):
+    page = ScanPage((), bookmark, enveloped=True)
+    pipeline = build_client_pipeline(
+        PipelineConfig(tenant="acme"), lambda ctx: (response_with(page), 0.1)
+    )
+    ctx = make_ctx("getbyrange", args=["a", "b", "1", ""])
+    if relative is None:
+        with pytest.raises(TenancyError, match="tenant/other/k"):
+            pipeline.execute(ctx)
+    else:
+        response, _ = pipeline.execute(ctx)
+        assert response.scan.bookmark == relative

@@ -16,6 +16,7 @@ from repro.middleware.resilience import MAX_REPLAYS, StoreAndForwardMiddleware
 from repro.fabric.proposal import TransactionHandle
 from repro.simulation.engine import SimulationEngine
 from tests.internals import queued_writes
+from tests.middleware.contract import answer
 
 
 def read_ctx(at_time=0.0, **kwargs):
@@ -99,7 +100,8 @@ class TestStoreAndForward:
     def test_reads_and_healthy_writes_bypass_the_queue(self):
         engine = SimulationEngine()
         saf = StoreAndForwardMiddleware(engine)
-        assert saf.handle(read_ctx(), lambda c: "fresh") == "fresh"
+        fresh = answer(read_ctx())
+        assert saf.handle(read_ctx(), lambda c: fresh) is fresh
         handle = TransactionHandle(tx_id="tx-1", submitted_at=0.0, function="post")
         assert saf.handle(write_ctx(), lambda c: handle) is handle
         assert queued_writes(saf) == 0
@@ -109,7 +111,7 @@ class TestStoreAndForward:
 class TestConfigWiring:
     def build(self, config):
         return build_client_pipeline(
-            config, lambda ctx: None, engine=SimulationEngine()
+            config, answer, engine=SimulationEngine()
         ).middleware_names()
 
     def test_resilience_knobs_change_the_middleware_names(self):

@@ -6,10 +6,8 @@ import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.common.tenancy import namespace_end, tenant_of_prefix
-from repro.fabric.proposal import ProposalResponse
 from repro.ledger.history import HistoryEntry
 from repro.ledger.scan import HistoryPage, ScanPage
-from repro.ledger.transaction import ReadWriteSet
 from repro.ledger.world_state import VersionedValue
 from repro.middleware.base import TransactionPipeline
 from repro.middleware.context import KEY_SCOPED_FUNCTIONS, Context, OperationKind
@@ -19,28 +17,13 @@ from repro.middleware.sharding import (
     routing_key,
 )
 from repro.middleware.tenancy import TenantPrefixMiddleware
+from tests.middleware.contract import answer, response_with
 
 
 def ctx_for(function, args, kind=OperationKind.READ):
     return Context(
         operation=function, kind=kind, chaincode="hyperprov",
         function=function, args=list(args),
-    )
-
-
-def response_with(answer):
-    # A present endorsement marks the response ok (is_ok semantics); a
-    # shard missing the key answers with none, like a failed endorsement.
-    # A scan or a key history answers with its page and no payload string.
-    scan = answer if isinstance(answer, ScanPage) else None
-    history = answer if isinstance(answer, HistoryPage) else None
-    payload = answer if isinstance(answer, str) else None
-    endorsement = object() if answer is not None else None
-    status = 200 if answer is not None else 500
-    return ProposalResponse(
-        tx_id="t", peer="p", status=status, payload=payload, message="",
-        rw_set=ReadWriteSet(), endorsement=endorsement, produced_at=0.0,
-        scan=scan, history=history,
     )
 
 
@@ -99,7 +82,7 @@ def test_router_tags_writes_with_owning_shard():
     router = ShardRouterMiddleware(shards=4)
     seen = []
     pipeline = TransactionPipeline(
-        [router], terminal=lambda ctx: seen.append(ctx.tags["shard"]) or "handle"
+        [router], terminal=lambda ctx: seen.append(ctx.tags["shard"]) or answer(ctx)
     )
     pipeline.execute(ctx_for("set", ["k/1", "cs", "loc"], kind=OperationKind.WRITE))
     pipeline.execute(ctx_for("get", ["k/1"]))

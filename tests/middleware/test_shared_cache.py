@@ -12,7 +12,7 @@ from tests.internals import cache_keys
 
 # ----------------------------------------------------------------- the store
 def entry(value):
-    return CacheEntry(result=value, keys=frozenset({value}), broad=False)
+    return CacheEntry(response=value, keys=frozenset({value}), broad=False)
 
 
 def test_shared_store_lru_eviction():
@@ -75,7 +75,7 @@ def test_invalidation_by_reverse_map_matches_the_brute_force_scan(seed):
             # Key-scoped, broad, both at once, and entries that depend on nothing;
             # the same cache key comes back with different dependencies.
             made = CacheEntry(
-                result=step,
+                response=step,
                 keys=frozenset(rng.sample(state_keys, rng.choice([0, 1, 1, 1, 3]))),
                 broad=rng.random() < 0.1,
             )
