@@ -138,8 +138,7 @@ class OrderingService(ABC):
             )
 
     def _cut_through(self, tx: Transaction) -> None:
-        batch = self.cutter.add(tx, now=self.engine.now)
-        if batch is not None:
+        for batch in self.cutter.add(tx, now=self.engine.now):
             self._order_batch(batch)
 
     def _arm_timeout(self) -> None:

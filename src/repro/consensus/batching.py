@@ -44,39 +44,30 @@ class BlockCutter:
         self._first_pending_at: Optional[float] = None
         self.batches_cut = 0
 
-    def add(self, tx: Transaction, now: float) -> Optional[List[Transaction]]:
-        """Add a transaction; return a completed batch if one was cut.
+    def add(self, tx: Transaction, now: float) -> List[List[Transaction]]:
+        """Add a transaction; return the batches it cut, in order (often none).
 
-        An oversized transaction (alone larger than ``preferred_max_bytes``)
-        is cut into its own batch immediately, matching Fabric's behaviour.
+        An oversized transaction (alone at least ``preferred_max_bytes``)
+        is cut alone at once, after whatever was pending: two batches, as
+        Fabric's blockcutter ``Ordered`` returns.
         """
         tx_bytes = tx.size_bytes
         if tx_bytes >= self.config.preferred_max_bytes:
-            # Flush whatever is pending first so ordering is preserved,
-            # then emit the oversized transaction as a singleton batch.
-            leftover = self._cut() if self._pending else []
+            batches = [self._cut()] if self._pending else []
             self.batches_cut += 1
-            if leftover:
-                # Two batches result; the caller gets them concatenated in
-                # order via a sentinel second call.  Keep it simple: return
-                # the pending batch and stash the big tx as the new pending
-                # batch to be cut on the next check.
-                self._pending = [tx]
-                self._pending_bytes = tx_bytes
-                self._first_pending_at = now
-                return leftover
-            return [tx]
+            return batches + [[tx]]
 
         if not self._pending:
             self._first_pending_at = now
         self._pending.append(tx)
         self._pending_bytes += tx_bytes
 
-        if len(self._pending) >= self.config.max_message_count:
-            return self._cut()
-        if self._pending_bytes >= self.config.preferred_max_bytes:
-            return self._cut()
-        return None
+        if (
+            len(self._pending) >= self.config.max_message_count
+            or self._pending_bytes >= self.config.preferred_max_bytes
+        ):
+            return [self._cut()]
+        return []
 
     def check_timeout(self, now: float) -> Optional[List[Transaction]]:
         """Cut the pending batch if the batch timeout has expired."""

@@ -11,7 +11,7 @@ baseline benchmark does not have to grind real hashes.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.simulation.randomness import DeterministicRandom
@@ -20,11 +20,11 @@ from repro.simulation.randomness import DeterministicRandom
 class ProofOfWorkEngine:
     """Proof of work over SHA-256 with a leading-zero-bit target, timed, not ground."""
 
-    def __init__(self, difficulty_bits: int = 16, rng: Optional[DeterministicRandom] = None) -> None:
+    def __init__(self, difficulty_bits: int, rng: DeterministicRandom) -> None:
         if not 1 <= difficulty_bits <= 64:
             raise ConfigurationError("difficulty_bits must be between 1 and 64")
         self.difficulty_bits = difficulty_bits
-        self._rng = rng or DeterministicRandom(999)
+        self._rng = rng
 
     @property
     def expected_attempts(self) -> float:

@@ -66,13 +66,13 @@ class RaftNode:
         peers: List[str],
         engine: SimulationEngine,
         network: NetworkFabric,
-        rng: Optional[DeterministicRandom] = None,
+        rng: DeterministicRandom,
     ) -> None:
         self.node_id = node_id
         self.peers = [p for p in peers if p != node_id]
         self.engine = engine
         self.network = network
-        self._rng = rng or DeterministicRandom(101)
+        self._rng = rng
 
         # Persistent state.
         self.current_term = 0
@@ -399,8 +399,8 @@ class RaftOrderingService(OrderingService):
         name: str,
         engine: SimulationEngine,
         network: NetworkFabric,
+        rng: DeterministicRandom,
         batch_config: Optional[BatchConfig] = None,
-        rng: Optional[DeterministicRandom] = None,
         scheduler: Optional[OrderingScheduler] = None,
         intake_interval_s: float = 0.0,
     ) -> None:
@@ -411,7 +411,6 @@ class RaftOrderingService(OrderingService):
             scheduler=scheduler,
             intake_interval_s=intake_interval_s,
         )
-        rng = rng or DeterministicRandom(303)
         node_ids = [f"{name}-raft-{i}" for i in range(CLUSTER_SIZE)]
         self.nodes: List[RaftNode] = [
             RaftNode(

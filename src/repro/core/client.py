@@ -130,7 +130,6 @@ class HyperProvClient:
         return build_client_pipeline(
             config,
             self._dispatch,
-            clock=lambda: self.network.engine.now,
             events=self.network.events,
             metrics=self.metrics,
             engine=self.network.engine,

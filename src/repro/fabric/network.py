@@ -158,9 +158,7 @@ class FabricNetwork:
         orderer.register_consumer(
             lambda block, shard_index=index: self._on_block_ordered(shard_index, block)
         )
-        batcher = EndorsementBatcher(
-            self, shard, batch_size=self.order_batch_size, metrics=self.metrics
-        )
+        batcher = EndorsementBatcher(self, shard, batch_size=self.order_batch_size)
         shard.batcher = batcher
         #: The client→endorse→order→commit path as discrete pipeline stages.
         shard.pipeline = TransactionPipeline(

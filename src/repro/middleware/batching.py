@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Tuple
 
 from repro.common.errors import ConfigurationError
-from repro.common.metrics import MetricsRegistry
 from repro.middleware.base import Handler, Middleware, Result
 from repro.middleware.context import Context
 
@@ -25,21 +24,14 @@ class EndorsementBatcher(Middleware):
 
     name = "endorsement-batcher"
 
-    def __init__(
-        self,
-        fabric: Any,
-        shard: Any,
-        batch_size: int = 1,
-        metrics: Optional[MetricsRegistry] = None,
-    ) -> None:
+    def __init__(self, fabric: Any, shard: Any, batch_size: int) -> None:
         if batch_size < 1:
             raise ConfigurationError("batch size must be at least 1")
-        #: The owning FabricNetwork (engine clock + topology).
+        #: The owning FabricNetwork (engine clock, topology and metrics).
         self.fabric = fabric
         #: The ChannelShard this batcher serves (one batcher per channel).
         self.shard = shard
         self.batch_size = batch_size
-        self.metrics = metrics
         self._pending: List[Tuple[Context, Handler]] = []
 
     # ------------------------------------------------------------- pipeline
@@ -47,8 +39,7 @@ class EndorsementBatcher(Middleware):
         if self.batch_size <= 1:
             return call_next(ctx)
         self._pending.append((ctx, call_next))
-        if self.metrics is not None:
-            self.metrics.gauge("batcher.queued").set(float(len(self._pending)))
+        self.fabric.metrics.gauge("batcher.queued").set(float(len(self._pending)))
         if len(self._pending) >= self.batch_size:
             self.flush()
         # The handle was created before the pipeline ran; the caller keeps
@@ -76,10 +67,10 @@ class EndorsementBatcher(Middleware):
             )
             ctx.tags["order_arrival"] = send_at + transfer
             call_next(ctx)
-        if self.metrics is not None:
-            self.metrics.counter("batcher.flushes").inc()
-            self.metrics.histogram("batcher.batch_size").observe(float(len(batch)))
-            self.metrics.gauge("batcher.queued").set(0.0)
+        metrics = self.fabric.metrics
+        metrics.counter("batcher.flushes").inc()
+        metrics.histogram("batcher.batch_size").observe(float(len(batch)))
+        metrics.gauge("batcher.queued").set(0.0)
         return len(batch)
 
     @property

@@ -57,7 +57,7 @@ class ReadCacheStore:
     pipeline's ``execute`` or a commit-stream handler.
     """
 
-    def __init__(self, capacity: int = 1024) -> None:
+    def __init__(self, capacity: int) -> None:
         if capacity < 1:
             raise ConfigurationError("cache capacity must be at least 1")
         self.capacity = capacity
@@ -140,10 +140,10 @@ class ReadCacheMiddleware(Middleware):
 
     def __init__(
         self,
-        capacity: int = 256,
-        events: Optional[EventBus] = None,
-        metrics: Optional[MetricsRegistry] = None,
-        serve_stale: bool = False,
+        capacity: int,
+        events: EventBus,
+        metrics: MetricsRegistry,
+        serve_stale: bool,
     ) -> None:
         self.store = ReadCacheStore(capacity)
         self.capacity = capacity
@@ -155,16 +155,11 @@ class ReadCacheMiddleware(Middleware):
         #: Subscriptions are context managers; the stack cancels every one
         #: on close even if an individual cancel raises.
         self._subscriptions = ExitStack()
-        if events is not None:
-            self.attach(events)
-
-    # -------------------------------------------------------------- wiring
-    def attach(self, events: EventBus) -> None:
-        """Subscribe to a bus whose block deliveries invalidate entries."""
         self._subscriptions.enter_context(
             events.subscribe(BLOCK_DELIVERED_TOPIC, self._on_block_delivered)
         )
 
+    # -------------------------------------------------------------- wiring
     def close(self) -> None:
         self._subscriptions.close()
         self.store.clear()
@@ -178,11 +173,9 @@ class ReadCacheMiddleware(Middleware):
         entry = self.store.get(key)
         if entry is not None:
             ctx.cache_hit = True
-            if self.metrics is not None:
-                self.metrics.counter("cache.hits").inc()
+            self.metrics.counter("cache.hits").inc()
             return entry.response, 0.0
-        if self.metrics is not None:
-            self.metrics.counter("cache.misses").inc()
+        self.metrics.counter("cache.misses").inc()
         if self.serve_stale:
             try:
                 result = call_next(ctx)
@@ -192,8 +185,7 @@ class ReadCacheMiddleware(Middleware):
                     raise
                 self._stale_archive.move_to_end(key)
                 ctx.stale = True
-                if self.metrics is not None:
-                    self.metrics.counter("cache.stale_served").inc()
+                self.metrics.counter("cache.stale_served").inc()
                 return archived, 0.0
         else:
             result = call_next(ctx)
@@ -208,7 +200,7 @@ class ReadCacheMiddleware(Middleware):
             keys = frozenset()
             broad = True
         evicted = self.store.put(key, CacheEntry(response=response, keys=keys, broad=broad))
-        if evicted and self.metrics is not None:
+        if evicted:
             self.metrics.counter("cache.evictions").inc(evicted)
         if self.serve_stale:
             self._stale_archive[key] = response
@@ -220,7 +212,7 @@ class ReadCacheMiddleware(Middleware):
     def invalidate_key(self, state_key: str) -> int:
         """Drop every entry that may depend on ``state_key``; returns count."""
         stale = self.store.invalidate_key(state_key)
-        if stale and self.metrics is not None:
+        if stale:
             self.metrics.counter("cache.invalidations").inc(stale)
         return stale
 

@@ -11,7 +11,7 @@ every envelope straight through.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.common.errors import ConfigurationError, ValidationError
 from repro.common.events import EventBus
@@ -109,18 +109,17 @@ def build_client_pipeline(
     config: PipelineConfig,
     terminal: Handler,
     *,
-    clock: Optional[Callable[[], float]] = None,
-    events: Optional[EventBus] = None,
-    metrics: Optional[MetricsRegistry] = None,
-    engine: Optional[SimulationEngine] = None,
-    placement: Optional[Placement] = None,
+    events: EventBus,
+    metrics: MetricsRegistry,
+    engine: SimulationEngine,
+    placement: Placement,
 ) -> TransactionPipeline:
     """Build the stock chain a :class:`PipelineConfig` asks for around ``terminal``.
 
     This function alone decides chain membership and order
     (``TransactionPipeline.middleware_names()`` reports the result):
     tracing (outermost, so every attempt is visible under one request id)
-    → metrics (whenever a registry is given; counts the operation once) →
+    → metrics (counts the operation once) →
     query-planner (surfaces the access path rich-query responses report) →
     admission control (rejects over-cap writes before they consume any
     downstream work) → tenant-prefix (namespaces keys before the cache and
@@ -130,14 +129,18 @@ def build_client_pipeline(
     short-circuits everything below it) → shard-router (innermost: routing
     runs per attempt and a cache hit never pays the fan-out).
 
-    ``events`` is the bus the cache's commit invalidation subscribes to;
-    ``engine`` is required by the store-and-forward replay timer;
-    ``placement`` (tenant → shards holding its namespace) lets the shard
-    router confine a tenant's fan-out reads.
+    It is also the one place a link gets its collaborators: ``events`` is
+    the bus trace events go to and the cache's commit invalidation
+    subscribes to; ``metrics`` is the registry every link counts in;
+    ``engine`` is the virtual clock retry backs off on and the
+    store-and-forward replay timer runs on; ``placement`` (tenant →
+    shards holding its namespace) lets the shard router confine a
+    tenant's fan-out reads.
     """
-    middlewares: List[Middleware] = [RequestIdMiddleware(events=events)]
-    if metrics is not None:
-        middlewares.append(MetricsMiddleware(registry=metrics, clock=clock))
+    middlewares: List[Middleware] = [
+        RequestIdMiddleware(events=events),
+        MetricsMiddleware(registry=metrics),
+    ]
     if config.indexes:
         middlewares.append(QueryPlannerMiddleware(config.indexes, metrics=metrics))
     if config.max_in_flight > 0:
@@ -151,17 +154,12 @@ def build_client_pipeline(
     if config.tenant:
         middlewares.append(TenantPrefixMiddleware(config.tenant, metrics=metrics))
     if config.store_and_forward:
-        if engine is None:
-            raise ConfigurationError(
-                "store_and_forward needs the deployment's simulation engine "
-                "(pass engine=... to build_client_pipeline)"
-            )
         middlewares.append(StoreAndForwardMiddleware(engine, metrics=metrics))
     if config.retry_attempts > 1:
         middlewares.append(
             RetryMiddleware(
                 max_attempts=config.retry_attempts,
-                clock=clock,
+                engine=engine,
                 metrics=metrics,
             )
         )

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Callable, Optional
-
 from repro.common.metrics import MetricsRegistry
 from repro.fabric.proposal import TransactionHandle
 from repro.middleware.base import Handler, Middleware, Result
@@ -37,13 +35,8 @@ class MetricsMiddleware(Middleware):
 
     name = "metrics"
 
-    def __init__(
-        self,
-        registry: MetricsRegistry,
-        clock: Optional[Callable[[], float]] = None,
-    ) -> None:
+    def __init__(self, registry: MetricsRegistry) -> None:
         self.registry = registry
-        self.clock = clock or (lambda: 0.0)
 
     def handle(self, ctx: Context, call_next: Handler) -> Result:
         self.registry.counter(f"ops.{ctx.operation}").inc()

@@ -14,7 +14,7 @@ the same way ``order_batch_size`` and ``scheduler`` are applied.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, Tuple
 
 from repro.common.metrics import MetricsRegistry
 from repro.middleware.base import Handler, Middleware, Result
@@ -27,11 +27,7 @@ class QueryPlannerMiddleware(Middleware):
 
     name = "query-planner"
 
-    def __init__(
-        self,
-        indexes: Iterable[str],
-        metrics: Optional[MetricsRegistry] = None,
-    ) -> None:
+    def __init__(self, indexes: Iterable[str], metrics: MetricsRegistry) -> None:
         #: The index fields this pipeline expects the deployment to maintain.
         self.indexes: Tuple[str, ...] = validate_index_fields(indexes)
         self.metrics = metrics
@@ -42,7 +38,7 @@ class QueryPlannerMiddleware(Middleware):
             return call_next(ctx)
         result = call_next(ctx)
         page = result[0].scan
-        if page is not None and page.plan is not None and self.metrics is not None:
+        if page is not None and page.plan is not None:
             path = page.plan.get("access_path", "unknown")
             self.metrics.counter(f"query.plan.{path}").inc()
         return result

@@ -15,7 +15,7 @@ exercise it:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from repro.common.errors import NetworkError
 from repro.common.metrics import MetricsRegistry
@@ -60,11 +60,7 @@ class StoreAndForwardMiddleware(Middleware):
     #: The failure class that parks a write instead of propagating.
     QUEUE_ON = NetworkError
 
-    def __init__(
-        self,
-        engine: SimulationEngine,
-        metrics: Optional[MetricsRegistry] = None,
-    ) -> None:
+    def __init__(self, engine: SimulationEngine, metrics: MetricsRegistry) -> None:
         self.engine = engine
         self.metrics = metrics
         self._queue: List[_QueuedWrite] = []
@@ -89,8 +85,7 @@ class StoreAndForwardMiddleware(Middleware):
         )
         placeholder.timings["saf_queued_at_s"] = self.engine.now
         self._queue.append(_QueuedWrite(ctx=ctx, downstream=downstream, placeholder=placeholder))
-        if self.metrics is not None:
-            self.metrics.counter("saf.queued").inc()
+        self.metrics.counter("saf.queued").inc()
         self._arm_replay()
         return placeholder
 
@@ -114,14 +109,12 @@ class StoreAndForwardMiddleware(Middleware):
                     entry.placeholder.complete(
                         self.engine.now, TxValidationCode.INVALID_OTHER_REASON
                     )
-                    if self.metrics is not None:
-                        self.metrics.counter("saf.abandoned").inc()
+                    self.metrics.counter("saf.abandoned").inc()
                     continue
                 self._queue.append(entry)
                 continue
             self._bind(entry, real)
-            if self.metrics is not None:
-                self.metrics.counter("saf.replayed").inc()
+            self.metrics.counter("saf.replayed").inc()
         self._arm_replay()
 
     @staticmethod

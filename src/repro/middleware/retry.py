@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple, Type
+from typing import Optional, Tuple, Type
 
 from repro.common.errors import (
     ConfigurationError,
@@ -13,6 +13,7 @@ from repro.common.errors import (
 from repro.common.metrics import MetricsRegistry
 from repro.middleware.base import Handler, Middleware, Result
 from repro.middleware.context import Context
+from repro.simulation.engine import SimulationEngine
 
 #: Failures that are plausibly transient on a real Fabric network.
 DEFAULT_RETRYABLE: Tuple[Type[Exception], ...] = (
@@ -39,14 +40,14 @@ class RetryMiddleware(Middleware):
 
     def __init__(
         self,
-        max_attempts: int = 3,
-        clock: Optional[Callable[[], float]] = None,
-        metrics: Optional[MetricsRegistry] = None,
+        max_attempts: int,
+        engine: SimulationEngine,
+        metrics: MetricsRegistry,
     ) -> None:
         if max_attempts < 1:
             raise ConfigurationError("retry needs at least one attempt")
         self.max_attempts = max_attempts
-        self.clock = clock or (lambda: 0.0)
+        self.engine = engine
         self.metrics = metrics
 
     def handle(self, ctx: Context, call_next: Handler) -> Result:
@@ -55,14 +56,12 @@ class RetryMiddleware(Middleware):
             ctx.attempt = attempt
             if attempt > 1:
                 delay = BACKOFF_S * (BACKOFF_MULTIPLIER ** (attempt - 2))
-                ctx.at_time = max(ctx.at_time or 0.0, self.clock()) + delay
-                if self.metrics is not None:
-                    self.metrics.counter("retry.attempts").inc()
+                ctx.at_time = max(ctx.at_time or 0.0, self.engine.now) + delay
+                self.metrics.counter("retry.attempts").inc()
             try:
                 return call_next(ctx)
             except DEFAULT_RETRYABLE as exc:
                 last_error = exc
-        if self.metrics is not None:
-            self.metrics.counter("retry.exhausted").inc()
+        self.metrics.counter("retry.exhausted").inc()
         assert last_error is not None  # max_attempts >= 1 guarantees a raise above
         raise last_error

@@ -35,7 +35,7 @@ import json
 from dataclasses import replace
 from itertools import chain
 from operator import attrgetter
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, Sequence, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.common.metrics import MetricsRegistry
@@ -125,13 +125,12 @@ class ShardRouterMiddleware(Middleware):
     def __init__(
         self,
         shards: int,
-        metrics: Optional[MetricsRegistry] = None,
-        placement: Optional[Placement] = None,
+        metrics: MetricsRegistry,
+        placement: Placement,
     ) -> None:
         self.ring = ConsistentHashRing(shards)
         self.shards = shards
         self.metrics = metrics
-        #: Without a placement table no read can be confined: all shards.
         self.placement = placement
 
     # ------------------------------------------------------------- pipeline
@@ -140,8 +139,7 @@ class ShardRouterMiddleware(Middleware):
             return self._fan_out(ctx, call_next)
         shard = self.route_for(ctx)
         ctx.tags["shard"] = shard
-        if self.metrics is not None:
-            self.metrics.counter(f"router.shard_{shard}").inc()
+        self.metrics.counter(f"router.shard_{shard}").inc()
         return call_next(ctx)
 
     def route_for(self, ctx: Context) -> int:
@@ -162,7 +160,7 @@ class ShardRouterMiddleware(Middleware):
         under it (a re-sized ring leaves older versions there); the other
         shards hold no key the read can return.  Any other read asks all.
         """
-        tenant = self._confining_tenant(ctx) if self.placement is not None else ""
+        tenant = self._confining_tenant(ctx)
         if not tenant:
             return range(self.shards)
         asked = {self.ring.owner(TENANT_PREFIX + tenant)}
@@ -198,8 +196,7 @@ class ShardRouterMiddleware(Middleware):
         results = [
             call_next(self._sub_context(ctx, shard)) for shard in self._fan_out_shards(ctx)
         ]
-        if self.metrics is not None:
-            self.metrics.counter("router.fan_outs").inc()
+        self.metrics.counter("router.fan_outs").inc()
         history = ctx.function == "getkeyhistory"
         ok = [
             (response, latency) for response, latency in results

@@ -22,8 +22,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import replace
-from typing import Optional
-
 from repro.common.errors import (
     AdmissionRejectedError,
     ConfigurationError,
@@ -47,7 +45,7 @@ class TenantPrefixMiddleware(Middleware):
 
     name = "tenant-prefix"
 
-    def __init__(self, tenant: str, metrics: Optional[MetricsRegistry] = None) -> None:
+    def __init__(self, tenant: str, metrics: MetricsRegistry) -> None:
         self.tenant = tenant
         self.prefix = tenant_namespace(tenant)
         self.end = namespace_end(tenant)
@@ -143,7 +141,7 @@ class TenantPrefixMiddleware(Middleware):
         dropped = len(page.rows) - len(kept)
         if not dropped and page.bookmark is None:
             return result
-        if dropped and self.metrics is not None:
+        if dropped:
             self.metrics.counter("tenant.rows_filtered").inc(dropped)
         bookmark = page.bookmark
         if bookmark is not None:
@@ -182,8 +180,8 @@ class AdmissionControlMiddleware(Middleware):
     def __init__(
         self,
         max_in_flight: int,
-        tenant: str = "",
-        metrics: Optional[MetricsRegistry] = None,
+        tenant: str,
+        metrics: MetricsRegistry,
     ) -> None:
         if max_in_flight < 1:
             raise ConfigurationError("max_in_flight must be >= 1 when admission is on")
@@ -202,8 +200,7 @@ class AdmissionControlMiddleware(Middleware):
         if not ctx.is_write:
             return call_next(ctx)
         if self._counter.value >= self.max_in_flight:
-            if self.metrics is not None:
-                self.metrics.counter("admission.rejected").inc()
+            self.metrics.counter("admission.rejected").inc()
             raise AdmissionRejectedError(self.tenant, self.max_in_flight)
         self._counter.value += 1
         self._observe()
@@ -221,5 +218,4 @@ class AdmissionControlMiddleware(Middleware):
         self._observe()
 
     def _observe(self) -> None:
-        if self.metrics is not None:
-            self.metrics.gauge("admission.in_flight").set(float(self._counter.value))
+        self.metrics.gauge("admission.in_flight").set(float(self._counter.value))

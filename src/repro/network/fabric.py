@@ -75,13 +75,9 @@ class LinkFault:
 class NetworkFabric:
     """Registry of nodes and links plus synchronous/scheduled delivery."""
 
-    def __init__(
-        self,
-        engine: Optional[SimulationEngine] = None,
-        rng: Optional[DeterministicRandom] = None,
-    ) -> None:
-        self.engine = engine or SimulationEngine()
-        self._rng = rng or DeterministicRandom(11)
+    def __init__(self, engine: SimulationEngine, rng: DeterministicRandom) -> None:
+        self.engine = engine
+        self._rng = rng
         self.metrics = MetricsRegistry("network")
         # Resolved once: every transfer counts its bytes, and a by-name
         # registry look-up per transfer is measurable.

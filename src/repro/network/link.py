@@ -57,13 +57,13 @@ class Link:
         source: str,
         destination: str,
         profile: LinkProfile,
-        rng: DeterministicRandom | None = None,
+        rng: DeterministicRandom,
     ) -> None:
         profile.validate()
         self.source = source
         self.destination = destination
         self.profile = profile
-        self._rng = rng or DeterministicRandom(7)
+        self._rng = rng
         self.bytes_transferred = 0
         self.messages_transferred = 0
 

@@ -11,6 +11,7 @@ from repro.api import HyperProvService
 from repro.common.errors import AdmissionRejectedError, ConfigurationError, NotFoundError
 from repro.middleware.config import PipelineConfig, build_client_pipeline
 from repro.common.tenancy import strip_namespace, tenant_namespace
+from tests.middleware.contract import collaborators
 
 
 @pytest.fixture
@@ -211,11 +212,11 @@ def test_admission_cap_without_tenant(service):
 # ---------------------------------------------------------- config surface
 def test_pipeline_config_names_include_tenancy_middlewares():
     pipeline = build_client_pipeline(
-        PipelineConfig(tenant="acme", max_in_flight=8), lambda ctx: None
+        PipelineConfig(tenant="acme", max_in_flight=8), lambda ctx: None, **collaborators()
     )
     # Admission sits above the prefix: a rejected write costs nothing.
     assert pipeline.middleware_names() == [
-        "request-id", "admission-control", "tenant-prefix",
+        "request-id", "metrics", "admission-control", "tenant-prefix",
     ]
 
 

@@ -30,29 +30,39 @@ def test_batch_config_validation():
 
 def test_cutter_cuts_on_message_count():
     cutter = BlockCutter(BatchConfig(max_message_count=3))
-    assert cutter.add(make_tx("t1"), now=0.0) is None
-    assert cutter.add(make_tx("t2"), now=0.1) is None
-    batch = cutter.add(make_tx("t3"), now=0.2)
-    assert batch is not None and len(batch) == 3
-    assert cutter.add(make_tx("t4"), now=0.3) is None  # the cut left nothing pending
+    assert cutter.add(make_tx("t1"), now=0.0) == []
+    assert cutter.add(make_tx("t2"), now=0.1) == []
+    [batch] = cutter.add(make_tx("t3"), now=0.2)
+    assert len(batch) == 3
+    assert cutter.add(make_tx("t4"), now=0.3) == []  # the cut left nothing pending
 
 
 def test_cutter_cuts_on_byte_limit():
     cutter = BlockCutter(BatchConfig(max_message_count=100, preferred_max_bytes=2048))
-    batch = None
+    batches = []
     for i in range(10):
-        batch = cutter.add(make_tx(f"t{i}", payload="x" * 600), now=0.0)
-        if batch:
+        batches = cutter.add(make_tx(f"t{i}", payload="x" * 600), now=0.0)
+        if batches:
             break
-    assert batch is not None
+    [batch] = batches
     assert len(batch) < 10
 
 
 def test_cutter_oversized_transaction_goes_alone():
     cutter = BlockCutter(BatchConfig(max_message_count=10, preferred_max_bytes=2048))
-    batch = cutter.add(make_tx("big", payload="x" * 10_000), now=0.0)
-    assert batch is not None
+    [batch] = cutter.add(make_tx("big", payload="x" * 10_000), now=0.0)
     assert [tx.tx_id for tx in batch] == ["big"]
+
+
+def test_cutter_cuts_an_oversized_transaction_alone_after_the_pending_batch():
+    cutter = BlockCutter(BatchConfig(max_message_count=10, preferred_max_bytes=2048))
+    assert cutter.add(make_tx("small"), now=0.0) == []
+    batches = cutter.add(make_tx("big", payload="x" * 10_000), now=0.1)
+    assert [[tx.tx_id for tx in batch] for batch in batches] == [["small"], ["big"]]
+    # Nothing waits for the timeout, and a later transaction starts a new batch.
+    assert cutter.next_timeout_deadline() is None
+    assert cutter.flush() is None
+    assert cutter.batches_cut == 2
 
 
 def test_cutter_timeout_cut():

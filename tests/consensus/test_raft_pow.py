@@ -114,8 +114,8 @@ def test_raft_ordering_service_queues_batches_until_leader_exists():
 
 # ------------------------------------------------------------------------- pow
 def test_pow_expected_time_scales_with_difficulty():
-    slow = ProofOfWorkEngine(difficulty_bits=20)
-    fast = ProofOfWorkEngine(difficulty_bits=10)
+    slow = ProofOfWorkEngine(difficulty_bits=20, rng=DeterministicRandom(999))
+    fast = ProofOfWorkEngine(difficulty_bits=10, rng=DeterministicRandom(999))
     assert slow.expected_mining_time(1e6) > fast.expected_mining_time(1e6)
     assert slow.expected_attempts == 2 ** 20
 
@@ -129,8 +129,8 @@ def test_pow_sample_mining_time_is_positive_and_full_utilization():
 
 def test_pow_validates_parameters():
     with pytest.raises(ConfigurationError):
-        ProofOfWorkEngine(difficulty_bits=0)
-    engine = ProofOfWorkEngine(difficulty_bits=8)
+        ProofOfWorkEngine(difficulty_bits=0, rng=DeterministicRandom(999))
+    engine = ProofOfWorkEngine(difficulty_bits=8, rng=DeterministicRandom(999))
     with pytest.raises(ConfigurationError):
         engine.expected_mining_time(0)
 

@@ -9,6 +9,7 @@ from repro.core.topology import build_desktop_deployment
 from repro.fabric.network import FabricNetwork
 from repro.network.fabric import NetworkFabric
 from repro.simulation.engine import SimulationEngine
+from repro.simulation.randomness import DeterministicRandom
 from repro.middleware.cache import ReadCacheMiddleware
 from repro.middleware.config import PipelineConfig
 from repro.middleware.sharding import ConsistentHashRing
@@ -23,7 +24,8 @@ def sharded(request):
 def test_a_client_needs_a_channel_first(desktop_deployment):
     """A network starts with no channel; every shard comes from ``add_channel``."""
     engine = SimulationEngine()
-    fabric = FabricNetwork(engine=engine, network=NetworkFabric(engine=engine))
+    network = NetworkFabric(engine=engine, rng=DeterministicRandom(11))
+    fabric = FabricNetwork(engine=engine, network=network)
     assert fabric.shard_count == 0
     context = desktop_deployment.fabric.client_context("hyperprov-client")
     with pytest.raises(ConfigurationError, match="add a channel"):

@@ -1,12 +1,32 @@
-"""Fake terminal answers in the only two shapes a pipeline returns.
+"""Fake terminal answers in the only two shapes a pipeline returns, and
+the collaborators every pipeline link is handed.
 
 A read answers ``(ProposalResponse, latency_s)``; a write answers the
 ``TransactionHandle`` its commit completes (``repro.middleware.base.Result``).
 """
 
+from repro.common.events import EventBus
+from repro.common.metrics import MetricsRegistry
 from repro.fabric.proposal import ProposalResponse, TransactionHandle
 from repro.ledger.scan import HistoryPage, ScanPage
 from repro.ledger.transaction import ReadWriteSet
+from repro.simulation.engine import SimulationEngine
+
+
+def collaborators():
+    """Fresh ``events``, ``metrics``, ``engine`` and ``placement``, by name.
+
+    The keyword arguments ``build_client_pipeline`` takes, and what a test
+    hands a single middleware: an empty bus and registry, an engine at
+    virtual time 0, and a placement in which no tenant has written on any
+    shard (a tenant's read asks its namespace owner alone).
+    """
+    return {
+        "events": EventBus(),
+        "metrics": MetricsRegistry(),
+        "engine": SimulationEngine(),
+        "placement": lambda tenant: frozenset(),
+    }
 
 
 def response_with(answer):

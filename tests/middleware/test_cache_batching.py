@@ -11,8 +11,6 @@ import pytest
 from repro.api.protocol import StoreRequest
 from repro.chaincode.hyperprov import HyperProvChaincode
 from repro.common.errors import ConfigurationError
-from repro.common.events import EventBus
-from repro.common.metrics import MetricsRegistry
 from repro.consensus.batching import BatchConfig
 from repro.core.client import HyperProvClient
 from repro.core.topology import build_desktop_deployment
@@ -22,7 +20,7 @@ from repro.middleware.cache import ReadCacheMiddleware
 from repro.middleware.config import PipelineConfig
 from repro.middleware.context import KEY_SCOPED_FUNCTIONS, Context, OperationKind
 from tests.internals import cache_keys, live_topics, organization
-from tests.middleware.contract import answer, response_with
+from tests.middleware.contract import answer, collaborators, response_with
 
 
 def read_ctx(function="get", args=("k",)):
@@ -35,11 +33,15 @@ def read_ctx(function="get", args=("k",)):
     )
 
 
+def read_cache(wiring, capacity=256):
+    return ReadCacheMiddleware(capacity, wiring["events"], wiring["metrics"], serve_stale=False)
+
+
 class TestReadCacheUnit:
     def test_hit_returns_cached_payload_with_hit_latency(self):
         calls = []
         response = response_with("payload")
-        cache = ReadCacheMiddleware()
+        cache = read_cache(collaborators())
         pipeline = TransactionPipeline(
             [cache], terminal=lambda ctx: calls.append(1) or (response, 0.5)
         )
@@ -53,11 +55,11 @@ class TestReadCacheUnit:
 
     def test_capacity_below_one_is_a_configuration_error(self):
         with pytest.raises(ConfigurationError):
-            ReadCacheMiddleware(capacity=0)
+            read_cache(collaborators(), capacity=0)
 
     def test_writes_are_never_cached(self):
         calls = []
-        cache = ReadCacheMiddleware()
+        cache = read_cache(collaborators())
         pipeline = TransactionPipeline(
             [cache], terminal=lambda ctx: calls.append(1) or answer(ctx)
         )
@@ -71,7 +73,7 @@ class TestReadCacheUnit:
         assert len(cache_keys(cache.store)) == 0
 
     def test_invalidate_key_drops_key_scoped_and_broad_entries(self):
-        cache = ReadCacheMiddleware()
+        cache = read_cache(collaborators())
         pipeline = TransactionPipeline([cache], terminal=answer)
         pipeline.execute(read_ctx("get", args=("a",)))
         pipeline.execute(read_ctx("get", args=("b",)))
@@ -85,7 +87,7 @@ class TestReadCacheUnit:
         "function", sorted(KEY_SCOPED_FUNCTIONS - HyperProvChaincode.INVOKE_FUNCTIONS)
     )
     def test_a_key_scoped_read_depends_on_its_key_only(self, function):
-        cache = ReadCacheMiddleware()
+        cache = read_cache(collaborators())
         pipeline = TransactionPipeline([cache], terminal=answer)
         pipeline.execute(read_ctx(function, args=("a",)))
         assert cache.invalidate_key("b") == 0
@@ -93,8 +95,9 @@ class TestReadCacheUnit:
         assert len(cache_keys(cache.store)) == 0
 
     def test_lru_eviction_respects_capacity(self):
-        metrics = MetricsRegistry()
-        cache = ReadCacheMiddleware(capacity=2, metrics=metrics)
+        wiring = collaborators()
+        metrics = wiring["metrics"]
+        cache = read_cache(wiring, capacity=2)
         pipeline = TransactionPipeline([cache], terminal=answer)
         for key in ("a", "b", "c"):
             pipeline.execute(read_ctx("get", args=(key,)))
@@ -105,8 +108,9 @@ class TestReadCacheUnit:
         assert remaining == {"b", "c"}
 
     def test_provenance_recorded_event_invalidates(self):
-        bus = EventBus()
-        cache = ReadCacheMiddleware(events=bus)
+        wiring = collaborators()
+        bus = wiring["events"]
+        cache = read_cache(wiring)
         pipeline = TransactionPipeline([cache], terminal=answer)
         pipeline.execute(read_ctx("get", args=("sensor/1",)))
         assert len(cache_keys(cache.store)) == 1
@@ -118,8 +122,9 @@ class TestReadCacheUnit:
         assert len(cache_keys(cache.store)) == 0
 
     def test_close_cancels_subscriptions(self):
-        bus = EventBus()
-        cache = ReadCacheMiddleware(events=bus)
+        wiring = collaborators()
+        bus = wiring["events"]
+        cache = read_cache(wiring)
         cache.handle(read_ctx(), answer)
         assert live_topics(bus) and len(cache_keys(cache.store)) == 1
         cache.close()

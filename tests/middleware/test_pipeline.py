@@ -5,15 +5,23 @@ import dataclasses
 import pytest
 
 from repro.common.errors import ConfigurationError, NetworkError, NotFoundError, TenancyError
-from repro.common.events import EventBus
-from repro.common.metrics import MetricsRegistry
 from repro.ledger.scan import ScanPage
 from repro.middleware.base import Middleware, TransactionPipeline
 from repro.middleware.config import PipelineConfig, build_client_pipeline
 from repro.middleware.context import KEY_SCOPED_FUNCTIONS, Context, OperationKind
 from repro.middleware.retry import RetryMiddleware
+from repro.middleware.tenancy import TenantPrefixMiddleware
 from repro.middleware.tracing import RequestIdMiddleware
-from tests.middleware.contract import answer, response_with
+from tests.middleware.contract import answer, collaborators, response_with
+
+
+def retry(max_attempts):
+    wiring = collaborators()
+    return RetryMiddleware(max_attempts, wiring["engine"], wiring["metrics"])
+
+
+def tenant_prefix(tenant):
+    return TenantPrefixMiddleware(tenant, collaborators()["metrics"])
 
 
 def make_ctx(function="get", kind=OperationKind.READ, args=None, operation=None):
@@ -120,7 +128,9 @@ class TestPipelineOrdering:
 
 class TestRequestId:
     def test_assigns_stable_deterministic_ids(self):
-        pipeline = TransactionPipeline([RequestIdMiddleware()], terminal=answer)
+        pipeline = TransactionPipeline(
+            [RequestIdMiddleware(collaborators()["events"])], terminal=answer
+        )
         first, second = make_ctx(), make_ctx()
         pipeline.execute(first)
         pipeline.execute(second)
@@ -128,19 +138,19 @@ class TestRequestId:
         assert first.request_id != second.request_id
 
     def test_publishes_request_and_response_events(self):
-        bus = EventBus()
+        bus = collaborators()["events"]
         seen = []
         bus.subscribe("pipeline.request", lambda t, p: seen.append((t, p)))
         bus.subscribe("pipeline.response", lambda t, p: seen.append((t, p)))
         bus.subscribe("pipeline.error", lambda t, p: seen.append((t, p)))
         pipeline = TransactionPipeline(
-            [RequestIdMiddleware(events=bus)], terminal=answer
+            [RequestIdMiddleware(bus)], terminal=answer
         )
         pipeline.execute(make_ctx())
         assert [topic for topic, _ in seen] == ["pipeline.request", "pipeline.response"]
 
         failing = TransactionPipeline(
-            [RequestIdMiddleware(events=bus), Failing(NotFoundError("x"))],
+            [RequestIdMiddleware(bus), Failing(NotFoundError("x"))],
             terminal=answer,
         )
         with pytest.raises(NotFoundError):
@@ -160,7 +170,7 @@ class TestRetry:
 
         done = answer(make_ctx())
         pipeline = TransactionPipeline(
-            [RetryMiddleware(max_attempts=3)],
+            [retry(3)],
             terminal=flaky,
         )
         ctx = make_ctx()
@@ -170,21 +180,18 @@ class TestRetry:
         assert ctx.at_time is not None and ctx.at_time > 0
 
     def test_gives_up_and_propagates_last_error(self):
-        metrics = MetricsRegistry()
         calls = []
 
         def always_down(ctx):
             calls.append(ctx.attempt)
             raise NetworkError(f"down ({ctx.attempt})")
 
-        pipeline = TransactionPipeline(
-            [RetryMiddleware(max_attempts=3, metrics=metrics)],
-            terminal=always_down,
-        )
+        middleware = retry(3)
+        pipeline = TransactionPipeline([middleware], terminal=always_down)
         with pytest.raises(NetworkError, match=r"down \(3\)"):
             pipeline.execute(make_ctx())
         assert calls == [1, 2, 3]
-        assert metrics.get_counter("retry.exhausted").value == 1
+        assert middleware.metrics.get_counter("retry.exhausted").value == 1
 
     def test_non_retryable_errors_pass_straight_through(self):
         calls = []
@@ -194,7 +201,7 @@ class TestRetry:
             raise NotFoundError("no such key")
 
         pipeline = TransactionPipeline(
-            [RetryMiddleware(max_attempts=5)], terminal=not_found
+            [retry(5)], terminal=not_found
         )
         with pytest.raises(NotFoundError):
             pipeline.execute(make_ctx())
@@ -208,7 +215,7 @@ class TestRetry:
             raise NetworkError("down")
 
         pipeline = TransactionPipeline(
-            [RetryMiddleware(max_attempts=4)], terminal=always_down
+            [retry(4)], terminal=always_down
         )
         with pytest.raises(NetworkError):
             pipeline.execute(make_ctx())
@@ -218,16 +225,13 @@ class TestRetry:
 
     def test_policy_validation(self):
         with pytest.raises(ConfigurationError):
-            RetryMiddleware(max_attempts=0)
+            retry(0)
 
 
 class TestPipelineConfig:
     def built(self, config):
-        """Names of the chain actually built (with a metrics registry, as
-        every client has one)."""
-        return build_client_pipeline(
-            config, answer, metrics=MetricsRegistry()
-        ).middleware_names()
+        """Names of the chain actually built."""
+        return build_client_pipeline(config, answer, **collaborators()).middleware_names()
 
     def test_exactly_twelve_fields(self):
         assert [field.name for field in dataclasses.fields(PipelineConfig)] == [
@@ -238,9 +242,6 @@ class TestPipelineConfig:
 
     def test_default_config_enables_observation_only(self):
         assert self.built(PipelineConfig()) == ["request-id", "metrics"]
-        # The metrics middleware follows the registry, not a config field.
-        bare = build_client_pipeline(PipelineConfig(), answer)
-        assert bare.middleware_names() == ["request-id"]
 
     def test_full_config_ordering(self):
         assert self.built(PipelineConfig(retry_attempts=3, cache=True)) == [
@@ -268,11 +269,10 @@ class TestPipelineConfig:
             PipelineConfig(order_batch_size=0)
 
     def test_build_client_pipeline_matches_config(self):
-        metrics = MetricsRegistry()
         pipeline = build_client_pipeline(
             PipelineConfig(cache=True, retry_attempts=2),
             answer,
-            metrics=metrics,
+            **collaborators(),
         )
         assert pipeline.middleware_names() == [
             "request-id", "metrics", "retry", "read-cache",
@@ -283,9 +283,7 @@ class TestPipelineConfig:
 def test_tenant_prefix_scopes_rich_query_prefix_selector():
     import json
 
-    from repro.middleware.tenancy import TenantPrefixMiddleware
-
-    middleware = TenantPrefixMiddleware("acme")
+    middleware = tenant_prefix("acme")
 
     scoped = make_ctx("query", args=[json.dumps({"_prefix": "sensor/", "creator": "x"})])
     middleware._rewrite_args(scoped)
@@ -305,11 +303,9 @@ def test_tenant_prefix_scopes_rich_query_prefix_selector():
 
 
 def test_tenant_prefix_namespaces_the_key_of_a_delete():
-    from repro.middleware.tenancy import TenantPrefixMiddleware
-
     seen = []
     ctx = make_ctx("delete", kind=OperationKind.WRITE, args=["doc/1"])
-    TenantPrefixMiddleware("acme").handle(
+    tenant_prefix("acme").handle(
         ctx, lambda inner: seen.append(list(inner.args)) or answer(inner)
     )
     assert seen == [["tenant/acme/doc/1"]]
@@ -318,7 +314,6 @@ def test_tenant_prefix_namespaces_the_key_of_a_delete():
 @pytest.mark.parametrize("function", sorted(KEY_SCOPED_FUNCTIONS))
 def test_tenant_prefix_namespaces_the_key_of_every_key_scoped_function(function):
     from repro.chaincode.hyperprov import HyperProvChaincode
-    from repro.middleware.tenancy import TenantPrefixMiddleware
 
     kind = (
         OperationKind.WRITE if function in HyperProvChaincode.INVOKE_FUNCTIONS
@@ -326,7 +321,7 @@ def test_tenant_prefix_namespaces_the_key_of_every_key_scoped_function(function)
     )
     seen = []
     ctx = make_ctx(function, kind=kind, args=["doc/1"])
-    TenantPrefixMiddleware("acme").handle(
+    tenant_prefix("acme").handle(
         ctx, lambda inner: seen.append(list(inner.args)) or answer(inner)
     )
     assert seen == [["tenant/acme/doc/1"]]
@@ -334,12 +329,11 @@ def test_tenant_prefix_namespaces_the_key_of_every_key_scoped_function(function)
 
 def test_tenant_prefix_refuses_a_function_it_has_no_rule_for():
     from repro.common.errors import ValidationError
-    from repro.middleware.tenancy import TenantPrefixMiddleware
 
     reached = []
     ctx = make_ctx("transfer", kind=OperationKind.WRITE, args=["doc/1"])
     with pytest.raises(ValidationError, match="no namespace rule"):
-        TenantPrefixMiddleware("acme").handle(ctx, reached.append)
+        tenant_prefix("acme").handle(ctx, reached.append)
     assert reached == [] and ctx.args == ["doc/1"]
 
 
@@ -350,7 +344,8 @@ def test_tenant_prefix_refuses_a_function_it_has_no_rule_for():
 def test_tenant_prefix_hands_back_only_its_own_bookmark(bookmark, relative):
     page = ScanPage((), bookmark, enveloped=True)
     pipeline = build_client_pipeline(
-        PipelineConfig(tenant="acme"), lambda ctx: (response_with(page), 0.1)
+        PipelineConfig(tenant="acme"), lambda ctx: (response_with(page), 0.1),
+        **collaborators(),
     )
     ctx = make_ctx("getbyrange", args=["a", "b", "1", ""])
     if relative is None:

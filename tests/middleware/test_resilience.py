@@ -14,9 +14,8 @@ from repro.middleware.config import PipelineConfig, build_client_pipeline
 from repro.middleware.context import Context, OperationKind
 from repro.middleware.resilience import MAX_REPLAYS, StoreAndForwardMiddleware
 from repro.fabric.proposal import TransactionHandle
-from repro.simulation.engine import SimulationEngine
 from tests.internals import queued_writes
-from tests.middleware.contract import answer
+from tests.middleware.contract import answer, collaborators
 
 
 def read_ctx(at_time=0.0, **kwargs):
@@ -42,11 +41,16 @@ def write_ctx(at_time=0.0):
     )
 
 
+def store_and_forward():
+    wiring = collaborators()
+    return StoreAndForwardMiddleware(wiring["engine"], wiring["metrics"])
+
+
 # -------------------------------------------------------- store-and-forward
 class TestStoreAndForward:
     def test_parks_unreachable_write_and_replays_on_heal(self):
-        engine = SimulationEngine()
-        saf = StoreAndForwardMiddleware(engine)
+        saf = store_and_forward()
+        engine = saf.engine
         healed = []
 
         def downstream(ctx):
@@ -70,8 +74,8 @@ class TestStoreAndForward:
         assert placeholder.timings["saf_replays"] >= 1.0
 
     def test_abandons_after_max_replays(self):
-        engine = SimulationEngine()
-        saf = StoreAndForwardMiddleware(engine)
+        saf = store_and_forward()
+        engine = saf.engine
 
         def always_down(ctx):
             raise NetworkError("partitioned")
@@ -84,8 +88,8 @@ class TestStoreAndForward:
         assert placeholder.timings["saf_replays"] == float(MAX_REPLAYS)
 
     def test_close_cancels_the_pending_replay(self):
-        engine = SimulationEngine()
-        saf = StoreAndForwardMiddleware(engine)
+        saf = store_and_forward()
+        engine = saf.engine
         attempts = []
 
         def always_down(ctx):
@@ -98,8 +102,7 @@ class TestStoreAndForward:
         assert attempts == [0.0]  # the parked write is never replayed
 
     def test_reads_and_healthy_writes_bypass_the_queue(self):
-        engine = SimulationEngine()
-        saf = StoreAndForwardMiddleware(engine)
+        saf = store_and_forward()
         fresh = answer(read_ctx())
         assert saf.handle(read_ctx(), lambda c: fresh) is fresh
         handle = TransactionHandle(tx_id="tx-1", submitted_at=0.0, function="post")
@@ -110,9 +113,7 @@ class TestStoreAndForward:
 # ------------------------------------------------------------- config knobs
 class TestConfigWiring:
     def build(self, config):
-        return build_client_pipeline(
-            config, answer, engine=SimulationEngine()
-        ).middleware_names()
+        return build_client_pipeline(config, answer, **collaborators()).middleware_names()
 
     def test_resilience_knobs_change_the_middleware_names(self):
         names = self.build(
@@ -121,7 +122,7 @@ class TestConfigWiring:
             )
         )
         # Ordering: SAF wraps retry, so a write parks only once retry gave up.
-        assert names == ["request-id", "store-and-forward", "retry", "read-cache"]
+        assert names == ["request-id", "metrics", "store-and-forward", "retry", "read-cache"]
 
     def test_defaults_add_nothing(self):
         assert "store-and-forward" not in self.build(PipelineConfig())

@@ -17,7 +17,12 @@ from repro.middleware.sharding import (
     routing_key,
 )
 from repro.middleware.tenancy import TenantPrefixMiddleware
-from tests.middleware.contract import answer, response_with
+from tests.middleware.contract import answer, collaborators, response_with
+
+
+def shard_router(shards):
+    wiring = collaborators()
+    return ShardRouterMiddleware(shards, wiring["metrics"], wiring["placement"])
 
 
 def ctx_for(function, args, kind=OperationKind.READ):
@@ -79,7 +84,7 @@ def test_tenant_keys_co_locate_on_one_shard():
 
 # ----------------------------------------------------------- single routing
 def test_router_tags_writes_with_owning_shard():
-    router = ShardRouterMiddleware(shards=4)
+    router = shard_router(4)
     seen = []
     pipeline = TransactionPipeline(
         [router], terminal=lambda ctx: seen.append(ctx.tags["shard"]) or answer(ctx)
@@ -91,7 +96,7 @@ def test_router_tags_writes_with_owning_shard():
 
 @pytest.mark.parametrize("function", sorted(KEY_SCOPED_FUNCTIONS))
 def test_router_routes_every_key_scoped_function_to_its_key_owner(function):
-    router = ShardRouterMiddleware(shards=4)
+    router = shard_router(4)
     # A key away from shard 0, where a call with no routing rule lands.
     key = next(f"k/{i}" for i in range(100) if router.ring.route(f"k/{i}") != 0)
     for kind in OperationKind:
@@ -111,7 +116,7 @@ def fan_out_pipeline(router, payload_by_shard):
 
 
 def test_range_fan_out_merges_rows_in_key_order():
-    router = ShardRouterMiddleware(shards=2)
+    router = shard_router(2)
     pipeline = fan_out_pipeline(router, {
         0: page_of(("b", {"timestamp": 1.0})), 1: page_of(("a", {"timestamp": 2.0})),
     })
@@ -125,7 +130,7 @@ def test_range_fan_out_merges_rows_in_key_order():
 
 
 def test_fan_out_dedupes_duplicate_keys_keeping_newest():
-    router = ShardRouterMiddleware(shards=2)
+    router = shard_router(2)
     old = page_of(("k", {"timestamp": 1.0, "v": "old"}))
     new = page_of(("k", {"timestamp": 9.0, "v": "new"}))
     pipeline = fan_out_pipeline(router, {0: old, 1: new})
@@ -136,7 +141,7 @@ def test_fan_out_dedupes_duplicate_keys_keeping_newest():
 
 
 def test_history_fan_out_orders_by_commit_timestamp():
-    router = ShardRouterMiddleware(shards=2)
+    router = shard_router(2)
     shard0 = HistoryPage((HistoryEntry("k", "t2", 0, 0, 5.0, "v2"),))
     shard1 = HistoryPage((
         HistoryEntry("k", "t1", 7, 0, 1.0, "v1"),
@@ -153,7 +158,7 @@ def test_history_fan_out_orders_by_commit_timestamp():
 
 
 def test_fan_out_tolerates_missing_shards():
-    router = ShardRouterMiddleware(shards=2)
+    router = shard_router(2)
     rows = page_of(("a", {"timestamp": 1.0}))
     pipeline = fan_out_pipeline(router, {1: rows})  # shard 0 misses
     response, _ = pipeline.execute(ctx_for("getbyrange", ["", "~"]))
@@ -161,14 +166,14 @@ def test_fan_out_tolerates_missing_shards():
 
 
 def test_fan_out_with_no_hits_returns_first_error():
-    router = ShardRouterMiddleware(shards=2)
+    router = shard_router(2)
     pipeline = fan_out_pipeline(router, {})
     response, _ = pipeline.execute(ctx_for("getkeyhistory", ["ghost"]))
     assert response.payload is None
 
 
 def test_single_shard_router_never_fans_out():
-    router = ShardRouterMiddleware(shards=1)
+    router = shard_router(1)
     calls = []
     pipeline = TransactionPipeline(
         [router],
@@ -200,7 +205,7 @@ def asked_shards(placement, function, args):
             return (response_with(HistoryPage(())), 0.0)
         return (response_with(page_of()), 0.0)
 
-    router = ShardRouterMiddleware(shards=4, placement=placement)
+    router = ShardRouterMiddleware(4, collaborators()["metrics"], placement)
     TransactionPipeline([router], terminal).execute(ctx_for(function, args))
     return asked
 
@@ -213,7 +218,7 @@ def tenant_read_args(function, tenant="a"):
         "getkeyhistory": ["k"],
     }[function]
     ctx = ctx_for(function, args)
-    TenantPrefixMiddleware(tenant)._rewrite_args(ctx)
+    TenantPrefixMiddleware(tenant, collaborators()["metrics"])._rewrite_args(ctx)
     return ctx.args
 
 
@@ -250,6 +255,6 @@ def test_a_range_ending_at_the_namespace_end_is_confined():
     assert asked_shards(lambda tenant: frozenset(), "getbyrange", args) == [owner]
 
 
-def test_a_router_without_placement_asks_every_shard():
+def test_a_placement_naming_every_shard_asks_every_shard():
     args = tenant_read_args("getkeyhistory")
-    assert asked_shards(None, "getkeyhistory", args) == [0, 1, 2, 3]
+    assert asked_shards(lambda tenant: frozenset(range(4)), "getkeyhistory", args) == [0, 1, 2, 3]

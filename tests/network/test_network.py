@@ -30,7 +30,7 @@ def test_rpi_link_is_slower_than_gigabit():
 
 
 def test_link_rejects_negative_payload():
-    link = Link("a", "b", GIGABIT_LAN)
+    link = Link("a", "b", GIGABIT_LAN, rng=DeterministicRandom(7))
     with pytest.raises(ConfigurationError):
         link.transfer_time(-1)
 

@@ -41,6 +41,21 @@ def src_modules(root: Path) -> Iterator[Tuple[str, Path]]:
         yield path.relative_to(src).as_posix(), path
 
 
+def defaulted(node: ast.AST, bound: bool) -> Iterator[Tuple[str, Optional[int]]]:
+    """``(name, position after the bound argument)`` of each defaulted parameter.
+
+    Keyword-only parameters have no position.
+    """
+    args = node.args  # type: ignore[attr-defined]
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    for index, arg in enumerate(positional[first:], start=first - bound):
+        yield arg.arg, index
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
 def last_name(node: ast.AST) -> Optional[str]:
     """``c`` for ``c`` or ``a.b.c``, else ``None``."""
     if isinstance(node, ast.Name):

@@ -11,6 +11,7 @@ from repro.membership.identity import Organization
 from repro.network.link import Link, LinkProfile
 from repro.simulation.clock import VirtualClock
 from repro.simulation.engine import SimulationEngine
+from repro.simulation.randomness import DeterministicRandom
 
 
 def _handle():
@@ -39,7 +40,8 @@ def _clock():
     (_session, "<ProvenanceSession tenant=acme backend=hyperprov in_flight=0>"),
     (lambda: VersionedValue("v", (1, 2)), "VersionedValue(value='v', version=(1, 2))"),
     (_organization, "Organization('org7', identities=1)"),
-    (lambda: Link("a", "b", LinkProfile(latency_s=0.001, bandwidth_bps=1e8)),
+    (lambda: Link("a", "b", LinkProfile(latency_s=0.001, bandwidth_bps=1e8),
+                  DeterministicRandom(7)),
      "Link('a' -> 'b', 100 Mbit/s)"),
     (_clock, "VirtualClock(now=1.500000)"),
     (lambda: SimulationEngine().run(), "RunOutcome(0, stop_reason='idle')"),

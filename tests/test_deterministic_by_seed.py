@@ -4,7 +4,7 @@ hash order or environment on the way to a result.
 The committed anchors (``ANCHORS.json``), the sequential/parallel fleet
 match and the double-pass chaos runs are digests over virtual-time
 observations, so they reproduce only if the code never consults the host.
-An AST walk flags four leaks:
+An AST walk flags five leaks:
 
 * **D101** a wall-clock read: any ``time.*`` call, ``datetime.now``,
   ``utcnow`` or ``today``;
@@ -17,13 +17,17 @@ An AST walk flags four leaks:
   ``sorted``/``min``/``max(..., key=id)``; builtin ``hash()`` outside
   ``__hash__`` (salted per process for ``str``/``bytes``);
 * **D104** a host-environment read: ``os.environ``, ``os.getenv``,
-  ``os.cpu_count`` and friends, ``platform.*``, ``socket.gethostname``.
+  ``os.cpu_count`` and friends, ``platform.*``, ``socket.gethostname``;
+* **D105** a hidden seed or engine: ``<param> or DeterministicRandom(<literal>)``
+  or ``<param> or SimulationEngine()``.  A caller that passes nothing gets
+  a stream no run seed reaches, or an engine on its own clock.
 
 D101 and D104 cover ``src/repro`` except ``repro/bench/``, the harness
 that measures wall-clock time, and the defs in ``WALL_CLOCK_KEPT``.  D102
 and D103 hold everywhere: the ``.py`` files of ``src/``, ``benchmarks/``
 and ``examples/`` (test directories excluded), because the benchmark's
-seeded inputs must reproduce too.  A call is resolved through its
+seeded inputs must reproduce too.  D105 covers ``src/repro`` except the
+defs in ``FALLBACK_KEPT``.  A call is resolved through its
 module's imports at any depth, so ``from datetime import datetime as dt``
 then ``dt.now()`` is a D101.
 """
@@ -36,13 +40,20 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import pytest
 
-from tests.source_tree import REPO, corpus, defs, dotted, parse
+from tests.source_tree import REPO, corpus, defs, dotted, last_name, parse
 
 #: Defs that may read the wall clock: ``(module, qualified def) -> reason``.
 WALL_CLOCK_KEPT: Dict[Tuple[str, str], str] = {
     ("repro/simulation/parallel.py", "_wall_clock"):
         "worker utilization and barrier stalls are reported, never fed into"
         " virtual time or an anchor",
+}
+#: Defs that may fall back to their own seed: ``(module, qualified def) -> reason``.
+FALLBACK_KEPT: Dict[Tuple[str, str], str] = {
+    ("repro/devices/model.py", "DeviceModel.__init__"):
+        "examples/tamper_detection.py builds its miner and server without an rng",
+    ("repro/baselines/provchain.py", "PowProvenanceChain.__init__"):
+        "examples/tamper_detection.py builds its chain without an rng",
 }
 #: The harness that measures wall-clock time: D101 and D104 do not apply.
 HOST_MEASURING = "repro/bench/"
@@ -174,6 +185,22 @@ class _Leaks(ast.NodeVisitor):
             self._flag(node, "D103", "hash() outside __hash__")
         self.generic_visit(node)
 
+    def visit_BoolOp(self, node: ast.BoolOp) -> None:
+        fallback = node.values[-1]
+        if (
+            isinstance(node.op, ast.Or)
+            and isinstance(node.values[0], ast.Name)
+            and isinstance(fallback, ast.Call)
+        ):
+            name = last_name(fallback.func)
+            args = fallback.args + [keyword.value for keyword in fallback.keywords]
+            literal_seed = name == "DeterministicRandom" and all(
+                isinstance(arg, ast.Constant) for arg in args
+            )
+            if literal_seed or (name == "SimulationEngine" and not args):
+                self._flag(node, "D105", ast.unparse(node))
+        self.generic_visit(node)
+
     def visit_Attribute(self, node: ast.Attribute) -> None:
         if dotted(node) == "os.environ" and self.imports.get("os") == "os":
             self._flag(node, "D104", "os.environ")
@@ -193,6 +220,10 @@ def _leaks(root: Path) -> List[str]:
                 continue
             if rule == "D101" and (module, owner) in WALL_CLOCK_KEPT:
                 continue
+            if rule == "D105" and (
+                not module.startswith("repro/") or (module, owner) in FALLBACK_KEPT
+            ):
+                continue
             found.append(f"{module}:{line} {rule} {what}")
     return found
 
@@ -201,13 +232,22 @@ def test_no_run_reads_the_host():
     assert _leaks(REPO) == []
 
 
-def test_every_kept_wall_clock_names_a_live_def():
+def _dead(kept: Dict[Tuple[str, str], str]) -> List[Tuple[str, str]]:
+    """The rows of a keep table that name no def under ``src/``."""
     live = {
         (module, qualified)
-        for module, _ in WALL_CLOCK_KEPT
+        for module, _ in kept
         for _, qualified, _, _ in defs(parse(REPO / "src" / module), module)
     }
-    assert sorted(set(WALL_CLOCK_KEPT) - live) == []
+    return sorted(set(kept) - live)
+
+
+def test_every_kept_wall_clock_names_a_live_def():
+    assert _dead(WALL_CLOCK_KEPT) == []
+
+
+def test_every_kept_fallback_names_a_live_def():
+    assert _dead(FALLBACK_KEPT) == []
 
 
 _SIM = "repro/simulation/mod.py"
@@ -234,6 +274,11 @@ CASES = [
     (_SIM, "import os\nHOME = os.environ['HOME']\n", ["D104"]),
     (_SIM, "import platform\nSYSTEM = platform.system()\n", ["D104"]),
     (_SIM, "import os\nCORES = os.cpu_count()\n", ["D104"]),
+    # D105: a fallback seed or engine the run's own never reaches.
+    (_SIM, "def build(rng=None):\n    return rng or DeterministicRandom(7)\n", ["D105"]),
+    (_SIM, "def build(rng=None):\n    return rng or DeterministicRandom(seed=7)\n", ["D105"]),
+    (_SIM, "class Net:\n    def __init__(self, engine=None):\n"
+     "        self.engine = engine or SimulationEngine()\n", ["D105"]),
     # D102/D103 hold in examples/ and benchmarks/; D101/D104 do not.
     ("examples/demo.py", "import random\nJITTER = random.random()\n", ["D102"]),
     ("benchmarks/perf/run.py", "import os, time\nT = time.perf_counter()\nN = os.cpu_count()\n",
@@ -245,10 +290,18 @@ CASES = [
     (_PARALLEL, "import time\n\ndef _wall_clock():\n    return time.perf_counter()\n", []),
     (_PARALLEL, "import time\n\ndef _wall_clock():\n    return time.perf_counter()\n\n\n"
      "def _stall():\n    return time.perf_counter()\n", ["D101"]),
+    # A kept def falls back to its own seed; any other def in its module is flagged.
+    ("repro/devices/model.py", "class DeviceModel:\n    def __init__(self, rng=None):\n"
+     "        self._rng = rng or DeterministicRandom(17)\n", []),
+    ("repro/devices/model.py", "class DeviceModel:\n    def fork(self, rng=None):\n"
+     "        return rng or DeterministicRandom(17)\n", ["D105"]),
+    # D105 holds in src/repro only.
+    ("examples/demo.py", "def build(rng=None):\n    return rng or DeterministicRandom(7)\n", []),
     # The sanctioned forms.
     (_SIM, "import random\n\ndef draw(seed):\n    return random.Random(seed).random()\n", []),
     (_SIM, "names = {3, 1}\nordered = sorted(names)\n", []),
     (_SIM, "class Key:\n    def __hash__(self):\n        return hash(self.inner)\n", []),
+    (_SIM, "def build(seed, rng=None):\n    return rng or DeterministicRandom(seed)\n", []),
 ]
 
 

@@ -16,20 +16,29 @@ the middleware enforces.
 A class counts as a middleware when a base's last name is ``Middleware``
 or the name of another middleware class (the Fabric stages derive from
 ``FabricStage``).
+
+And no def under ``src/repro/middleware/`` has a default, unless it is
+nested in another def (a closure binding loop values).
+``build_client_pipeline`` hands every link its collaborators and its
+settings, so a default is a mode only a test reaches: a link with
+``metrics=None`` keeps an ``if self.metrics is not None`` that no client
+runs.
 """
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple, Union
 
 import pytest
 
-from tests.source_tree import REPO, last_name, parse, src_modules
+from tests.source_tree import REPO, defaulted, last_name, parse, src_modules
 
 #: The types a result is, by contract; an ``isinstance`` against one guesses.
 RESULT_TYPES = frozenset({"tuple", "TransactionHandle", "ProposalResponse"})
+#: The package whose defs take no defaults.
+MIDDLEWARE_PACKAGE = "repro/middleware/"
 
 
 def _middleware_classes(root: Path) -> List[Tuple[str, ast.ClassDef]]:
@@ -96,12 +105,35 @@ def _shape_guesses(root: Path) -> List[str]:
     return found
 
 
+def _outer_defs(node: ast.AST) -> Iterator[Union[ast.FunctionDef, ast.AsyncFunctionDef]]:
+    """Every def under ``node`` that is not nested in another def."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield child
+        else:
+            yield from _outer_defs(child)
+
+
+def _defaults(root: Path) -> List[str]:
+    """``module:line def parameter`` of every default of a def under ``repro/middleware/``."""
+    return [
+        f"{module}:{node.lineno} {node.name} {parameter}"
+        for module, path in src_modules(root) if module.startswith(MIDDLEWARE_PACKAGE)
+        for node in _outer_defs(parse(path))
+        for parameter, _ in defaulted(node, False)
+    ]
+
+
 def test_every_middleware_names_its_call_next():
     assert _swallowing(REPO) == []
 
 
 def test_no_middleware_guesses_at_a_result_shape():
     assert _shape_guesses(REPO) == []
+
+
+def test_no_middleware_def_has_a_default():
+    assert _defaults(REPO) == []
 
 
 @pytest.mark.parametrize("body, flagged", [
@@ -151,3 +183,36 @@ def test_the_walk_flags_exactly_the_shape_guess(tmp_path, base, body, guess):
     assert _shape_guesses(tmp_path) == (
         [f"repro/middleware/cache.py:11 Cache {guess}"] if guess else []
     )
+
+
+@pytest.mark.parametrize("module, body, flagged", [
+    # A link that may run without a registry.
+    ("repro/middleware/retry.py",
+     "class Retry(Middleware):\n"
+     "    def __init__(self, metrics: Optional[MetricsRegistry] = None) -> None:\n"
+     "        self.metrics = metrics\n",
+     ["repro/middleware/retry.py:2 __init__ metrics"]),
+    ("repro/middleware/cache.py",
+     "class Cache(Middleware):\n    def __init__(self, capacity, *, events=None):\n"
+     "        self.capacity = capacity\n",
+     ["repro/middleware/cache.py:2 __init__ events"]),
+    ("repro/middleware/config.py",
+     "def build(config, terminal, clock=None, *, engine):\n    return config\n",
+     ["repro/middleware/config.py:1 build clock"]),
+    ("repro/middleware/cache.py",
+     "class Cache(Middleware):\n    def __init__(self, capacity, events, *, metrics):\n"
+     "        self.capacity = capacity\n",
+     []),
+    # A closure binding loop values keeps its defaults.
+    ("repro/middleware/resilience.py",
+     "def bind(handles):\n    for handle in handles:\n"
+     "        def mirror(done, handle=handle):\n            return handle\n",
+     []),
+    # Only the middleware package is held to it.
+    ("repro/fabric/network.py", "def add(shard, batch_size=1):\n    return shard\n", []),
+])
+def test_the_walk_flags_exactly_the_defaults(tmp_path, module, body, flagged):
+    path = tmp_path / "src" / module
+    path.parent.mkdir(parents=True)
+    path.write_text(body, encoding="utf-8")
+    assert _defaults(tmp_path) == flagged

@@ -35,7 +35,7 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 import pytest
 
-from tests.source_tree import REPO, corpus, defs, last_name, parse, src_modules
+from tests.source_tree import REPO, corpus, defaulted, defs, last_name, parse, src_modules
 
 #: Defaults no caller outside ``tests/`` sets, kept on purpose:
 #: ``(module, qualified def or config class, parameter) -> reason``.  A reason is a ROADMAP
@@ -148,21 +148,6 @@ def _calls(root: Path) -> Tuple[Dict[str, List[Call]], Set[str], Set[Tuple[str, 
     return calls, values, keys
 
 
-def _defaulted(node: ast.AST, bound: bool) -> Iterator[Tuple[str, Optional[int]]]:
-    """``(name, position after the bound argument)`` of each defaulted parameter.
-
-    Keyword-only parameters have no position.
-    """
-    args = node.args  # type: ignore[attr-defined]
-    positional = args.posonlyargs + args.args
-    first = len(positional) - len(args.defaults)
-    for index, arg in enumerate(positional[first:], start=first - bound):
-        yield arg.arg, index
-    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
-        if default is not None:
-            yield arg.arg, None
-
-
 def _functions(tree: ast.AST, module: str) -> Iterator[Tuple[str, ast.AST, Optional[ast.ClassDef], bool]]:
     """``(qualified name, def, owning class, takes self or cls)`` of every function."""
     for _, qualified, node, owner in defs(tree, module):
@@ -206,7 +191,7 @@ def _unset(root: Path) -> List[str]:
                 name = owner.name
             elif name.startswith("__") and name.endswith("__") or name in values:
                 continue
-            for parameter, position in _defaulted(node, bound):
+            for parameter, position in defaulted(node, bound):
                 if (module, qualified, parameter) not in KEPT and not _is_set(
                     calls.get(name, []), parameter, position
                 ):
@@ -282,7 +267,7 @@ def test_every_kept_default_names_a_live_parameter():
         (module, qualified, parameter)
         for module, path in src_modules(REPO)
         for qualified, node, _, bound in _functions(parse(path), module)
-        for parameter, _ in _defaulted(node, bound)
+        for parameter, _ in defaulted(node, bound)
     } | {
         (module, config, parameter)
         for module, path in src_modules(REPO)
