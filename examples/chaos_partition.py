@@ -21,7 +21,7 @@ Run with::
 
 from __future__ import annotations
 
-from repro.api.protocol import StoreRequest
+from repro.api import HyperProvService
 from repro.common.hashing import checksum_of
 from repro.consensus.batching import BatchConfig
 from repro.core.topology import DeploymentSpec, build_deployment
@@ -45,10 +45,9 @@ def main() -> None:
             seed=42,
         )
     )
-    deployment.client.configure_pipeline(
-        PipelineConfig(cache=True, stale_reads=True, store_and_forward=True)
+    session = HyperProvService(deployment).session(
+        pipeline=PipelineConfig(cache=True, stale_reads=True, store_and_forward=True)
     )
-    store = deployment.client.as_store()
     engine = deployment.engine
 
     plan = FaultPlan(
@@ -58,15 +57,11 @@ def main() -> None:
     injector = FaultInjector(plan, deployment.fabric).install()
 
     def submit(key: str, version: bytes = b"sensor reading v1") -> None:
-        outcome = store.submit(
-            StoreRequest(
-                key=key, checksum=checksum_of(version), location="edge://demo"
-            )
-        )
+        outcome = session.submit(key, checksum=checksum_of(version), location="edge://demo")
         handles[f"{key}@{engine.now:.1f}"] = outcome.handle
 
     def read(tag: str, key: str) -> None:
-        view = store.get(key)
+        view = session.get(key)
         print(
             f"  t={engine.now:4.1f}s read {key!r}: "
             f"{'STALE archive copy' if view.stale else 'fresh from the peer'}"

@@ -19,6 +19,7 @@ Run with::
 
 from __future__ import annotations
 
+from repro.api import HyperProvService
 from repro.core import build_rpi_deployment
 from repro.core.watcher import FileWatcher
 from repro.workloads.scenarios import IoTPipelineWorkload, PipelineStage
@@ -31,7 +32,8 @@ def main() -> None:
 
     # --- Ingest three rounds of sensor readings and camera frames. ----------
     pipeline = IoTPipelineWorkload(
-        client, sensor_count=3, camera_count=1, image_size_bytes=128 * 1024
+        HyperProvService(deployment).session(),
+        sensor_count=3, camera_count=1, image_size_bytes=128 * 1024,
     )
     for round_index in range(3):
         posts = pipeline.ingest_round()

@@ -20,54 +20,53 @@ Run with::
 
 from __future__ import annotations
 
-from repro.api import StoreRequest
+from repro.api import HyperProvService
 from repro.core import build_desktop_deployment
 from repro.middleware.config import PipelineConfig
 
 
 def main() -> None:
     deployment = build_desktop_deployment()
-    client = deployment.client
-    client.init()
-    store = client.as_store()
-    print(f"Default middleware chain: {client.pipeline.middleware_names()}")
+    deployment.client.init()
+    service = HyperProvService(deployment)
+    # Each session is its own client: its chain is fixed when it opens.
+    plain = service.session()
+    print(f"Default middleware chain: {plain.backend.client.pipeline.middleware_names()}")
 
     # Seed a record to read back.
     payload = b"pressure=1013hPa station=tromso-01"
-    store.store(StoreRequest(key="stations/tromso-01/pressure", data=payload))
+    plain.store("stations/tromso-01/pressure", payload)
 
     # 1. Without the cache, every get pays the peer round trip.
-    cold = store.get("stations/tromso-01/pressure")
-    warm = store.get("stations/tromso-01/pressure")
+    cold = plain.get("stations/tromso-01/pressure")
+    warm = plain.get("stations/tromso-01/pressure")
     print("\nCache disabled (paper behaviour):")
     print(f"  1st get: {cold.latency_s * 1000:.2f} ms   2nd get: {warm.latency_s * 1000:.2f} ms")
 
-    # 2. One config object swaps the chain: cache + retry + batching.
-    client.configure_pipeline(
-        PipelineConfig(cache=True, retry_attempts=3, order_batch_size=4)
+    # 2. One config object describes another chain: cache + retry + batching.
+    tuned = service.session(
+        pipeline=PipelineConfig(cache=True, retry_attempts=3, order_batch_size=4)
     )
+    client = tuned.backend.client
     print(f"\nReconfigured chain: {client.pipeline.middleware_names()}"
           f" + fabric endorsement batcher (size 4)")
 
-    miss = store.get("stations/tromso-01/pressure")
-    hit = store.get("stations/tromso-01/pressure")
+    miss = tuned.get("stations/tromso-01/pressure")
+    hit = tuned.get("stations/tromso-01/pressure")
     print(f"  miss: {miss.latency_s * 1000:.2f} ms   hit: {hit.latency_s * 1000:.3f} ms")
 
     # 3. A committed update invalidates the cached entry automatically.
-    store.store(StoreRequest(key="stations/tromso-01/pressure",
-                             data=payload + b" corrected=true"))
-    fresh = store.get("stations/tromso-01/pressure")
+    tuned.store("stations/tromso-01/pressure", payload + b" corrected=true")
+    fresh = tuned.get("stations/tromso-01/pressure")
     print(f"  after commit-invalidation, re-read: {fresh.latency_s * 1000:.2f} ms "
           f"(checksum {fresh.checksum[:12]}…)")
 
     # 4. The batcher coalesces endorsed envelopes into one orderer send.
     for index in range(4):
-        store.submit(
-            StoreRequest(
-                key=f"stations/tromso-01/batch-{index}",
-                checksum="ab" * 32,
-                location=f"file://batch/{index}",
-            )
+        tuned.submit(
+            f"stations/tromso-01/batch-{index}",
+            checksum="ab" * 32,
+            location=f"file://batch/{index}",
         )
     deployment.drain()
     flushes = deployment.fabric.metrics.get_counter("batcher.flushes").value

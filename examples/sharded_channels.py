@@ -49,7 +49,7 @@ def main() -> None:
         print(f"blocks per shard (hashing is uneven by nature): {per_shard}")
 
         # A range scan fans out to every shard and merges in key order.
-        rows = deployment.client.get_by_range("sensors/", "sensors/~").payload
+        rows = session.backend.client.get_by_range("sensors/", "sensors/~").payload
         print(f"range scan found {len(rows)} records across {SHARDS} shards")
 
     # --- Fair-share ordering under a 10x-heavier neighbour. ----------------

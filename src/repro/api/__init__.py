@@ -1,9 +1,9 @@
 """Unified client-facing API: one protocol, three backends, tenant sessions.
 
-* :mod:`repro.api.protocol` — the :class:`ProvenanceStore` protocol, its
-  typed envelopes (:class:`StoreRequest`, :class:`RecordView`,
-  :class:`HistoryView`, :class:`VerifyResult`, :class:`SubmitHandle`) and
-  ``StoreBase``, the part every backend shares.
+* :mod:`repro.api.protocol` — :class:`ProvenanceStore`, the class every
+  backend subclasses, and its typed envelopes (:class:`StoreRequest`,
+  :class:`RecordView`, :class:`HistoryView`, :class:`VerifyResult`,
+  :class:`SubmitHandle`).
 * :mod:`repro.api.adapters` — :class:`HyperProvStore`, HyperProv's
   implementation (reached through ``client.as_store()``).  The central
   database and the PoW chain in :mod:`repro.baselines` are stores

@@ -16,9 +16,9 @@ from repro.common.serialization import copy_json
 from repro.api.protocol import (
     HistoryEntryView,
     HistoryView,
+    ProvenanceStore,
     QueryPage,
     RecordView,
-    StoreBase,
     StoreRequest,
     SubmitHandle,
     VerifyResult,
@@ -26,7 +26,7 @@ from repro.api.protocol import (
 )
 
 
-class HyperProvStore(StoreBase):
+class HyperProvStore(ProvenanceStore):
     """The HyperProv record operators: one pipeline call, one decode each.
 
     Every method builds the chaincode arguments, runs them through the

@@ -2,8 +2,8 @@
 
 The paper's HyperProv client and both baselines answer the same four
 questions — store, get, history, verify — but historically exposed three
-divergent blocking surfaces.  This module defines the single protocol all
-three backends implement, so benches, workloads and examples are written
+divergent blocking surfaces.  This module defines the one class all
+three backends subclass, so benches, workloads and examples are written
 once:
 
 =============  ============================================================
@@ -31,16 +31,7 @@ Call           Meaning
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Optional,
-    Protocol,
-    Tuple,
-    Union,
-    runtime_checkable,
-)
+from typing import Any, Callable, Dict, Optional, Tuple, Union
 
 from repro.chaincode.records import ProvenanceRecord, record_fields
 from repro.common.errors import (
@@ -363,84 +354,19 @@ class SubmitHandle:
 
 
 # ----------------------------------------------------------------- protocol
-@runtime_checkable
-class ProvenanceStore(Protocol):
-    """What every provenance backend exposes to benches and workloads."""
+class ProvenanceStore:
+    """What every provenance backend exposes to benches and workloads.
 
-    backend_name: str
-
-    def submit(
-        self, request: StoreRequest, at_time: Optional[float] = None
-    ) -> SubmitHandle:
-        """Non-blocking write; returns a future-style handle."""
-        ...
-
-    def store(
-        self, request: StoreRequest, at_time: Optional[float] = None
-    ) -> SubmitHandle:
-        """Blocking write: ``submit`` then ``drain``; the handle is done."""
-        ...
-
-    def get(self, key: str, at_time: Optional[float] = None) -> RecordView:
-        """Latest record for ``key`` (raises ``NotFoundError`` if absent)."""
-        ...
-
-    def history(self, key: str, at_time: Optional[float] = None) -> HistoryView:
-        """Every recorded version of ``key``, oldest first."""
-        ...
-
-    def verify(
-        self,
-        key: str,
-        data_or_checksum: Union[bytes, bytearray, str],
-        at_time: Optional[float] = None,
-    ) -> VerifyResult:
-        """Check data (or a precomputed checksum) against the store."""
-        ...
-
-    def query(
-        self,
-        selector: Dict[str, Any],
-        at_time: Optional[float] = None,
-        limit: Optional[int] = None,
-        bookmark: Optional[str] = None,
-        explain: bool = False,
-    ) -> QueryPage:
-        """Rich query over record fields (backends without one raise)."""
-        ...
-
-    def subscribe(
-        self,
-        selector: Dict[str, Any],
-        callback: Optional[Callable[[Dict[str, Any]], None]] = None,
-    ) -> Any:
-        """Standing commit-fed selector; returns a cancellable handle."""
-        ...
-
-    def audit(self) -> bool:
-        """Backend-wide integrity check (tamper evidence, if any)."""
-        ...
-
-    def drain(self) -> None:
-        """Await every in-flight submission."""
-        ...
-
-    def close(self) -> None:
-        """Release pipeline resources (subscriptions, queues)."""
-        ...
-
-
-class StoreBase:
-    """What the three backends share: blocking ``store`` and lifecycle no-ops.
-
-    A backend subclasses this and implements the record operators
-    (``submit``, ``get``, ``history``, ``verify``, ``audit``); the
+    Each backend subclasses this and implements the record operators
+    (``submit``, ``get``, ``history``, ``verify``, ``audit``); it inherits
+    the blocking ``store`` and the lifecycle no-ops, and the
     selector-driven calls refuse unless it overrides them.
     """
 
     backend_name = "store"
 
     def submit(self, request: StoreRequest, at_time: Optional[float] = None) -> SubmitHandle:
+        """Non-blocking write; returns a future-style handle."""
         raise NotImplementedError
 
     def store(self, request: StoreRequest, at_time: Optional[float] = None) -> SubmitHandle:
@@ -450,8 +376,29 @@ class StoreBase:
             self.drain()
         return handle
 
+    def get(self, key: str, at_time: Optional[float] = None) -> RecordView:
+        """Latest record for ``key`` (raises ``NotFoundError`` if absent)."""
+        raise NotImplementedError
+
+    def history(self, key: str, at_time: Optional[float] = None) -> HistoryView:
+        """Every recorded version of ``key``, oldest first."""
+        raise NotImplementedError
+
+    def verify(
+        self,
+        key: str,
+        data_or_checksum: Union[bytes, bytearray, str],
+        at_time: Optional[float] = None,
+    ) -> VerifyResult:
+        """Check data (or a precomputed checksum) against the store."""
+        raise NotImplementedError
+
+    def audit(self) -> bool:
+        """Backend-wide integrity check (tamper evidence, if any)."""
+        raise NotImplementedError
+
     def drain(self) -> None:
-        """Synchronous backends have nothing in flight."""
+        """Await every in-flight submission (synchronous backends have none)."""
 
     def query(
         self,
@@ -477,7 +424,7 @@ class StoreBase:
         )
 
     def close(self) -> None:
-        """Synchronous backends hold nothing to release."""
+        """Release pipeline resources (synchronous backends hold none)."""
 
 
 def as_checksum(data_or_checksum: Union[bytes, bytearray, str]) -> str:

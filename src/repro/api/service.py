@@ -2,13 +2,14 @@
 
 :class:`HyperProvService` turns a deployment into a multi-tenant service:
 each :meth:`~HyperProvService.session` hands out a
-:class:`ProvenanceSession` bound to one tenant namespace with its own
-middleware pipeline (tenant key-prefixing, optional per-tenant in-flight
-admission cap).  The session's write path is non-blocking — ``submit()``
-returns a :class:`~repro.api.protocol.SubmitHandle` future and multiple
-endorsed envelopes stay in flight through the endorsement batcher —
-while ``drain()`` (or leaving the session's ``with`` block) awaits
-commits.
+:class:`ProvenanceSession` over a client of its own, built with the
+session's middleware pipeline (tenant key-prefixing, optional per-tenant
+in-flight admission cap, cache, retry, …), so opening one session never
+changes another's path.  The session's write path is non-blocking —
+``submit()`` returns a :class:`~repro.api.protocol.SubmitHandle` future
+and multiple endorsed envelopes stay in flight through the endorsement
+batcher — while ``drain()`` (or leaving the session's ``with`` block)
+awaits commits.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from repro.api.protocol import (
     SubmitHandle,
     VerifyResult,
 )
+from repro.common.errors import ConfigurationError
 from repro.middleware.config import PipelineConfig
 from repro.middleware.tenancy import AdmissionControlMiddleware, InFlightCounter
 
@@ -38,16 +40,10 @@ class ProvenanceSession:
     identical in single- and multi-tenant deployments.
     """
 
-    def __init__(
-        self,
-        store: ProvenanceStore,
-        tenant: str = "",
-        owns_store: bool = False,
-    ) -> None:
-        #: The underlying :class:`ProvenanceStore`.
+    def __init__(self, store: ProvenanceStore, tenant: str = "") -> None:
+        #: The underlying :class:`ProvenanceStore`, owned by the session.
         self.backend = store
         self.tenant = tenant
-        self._owns_backend = owns_store
         self._in_flight = 0
         self._subscriptions: List[Any] = []
         self._closed = False
@@ -173,11 +169,11 @@ class ProvenanceSession:
         self.backend.drain()
 
     def close(self) -> None:
-        """Drain, then release the session's pipeline (if it owns one).
+        """Drain, then release the session's store and its pipeline.
 
         Standing continuous queries registered through this session are
-        cancelled here, whether or not the session owns its store — a
-        closed session must never receive further deliveries.
+        cancelled here — a closed session must never receive further
+        deliveries.
         """
         if self._closed:
             return
@@ -185,8 +181,7 @@ class ProvenanceSession:
         for subscription in self._subscriptions:
             subscription.cancel()
         self._subscriptions.clear()
-        if self._owns_backend:
-            self.backend.close()
+        self.backend.close()
         self._closed = True
 
     def __enter__(self) -> "ProvenanceSession":
@@ -218,28 +213,32 @@ class HyperProvService:
         pipeline: Optional[PipelineConfig] = None,
         max_in_flight: int = 0,
     ) -> ProvenanceSession:
-        """Open a session.
+        """Open a session on a client of its own.
 
-        Without a tenant (and no cap) the session wraps the deployment's
-        stock client — byte-for-byte the single-tenant behaviour, with
-        ``pipeline`` applied the way benchmarks always did.  With a tenant
-        or a cap, the session gets its own client whose pipeline includes
-        the tenant-prefix and admission-control middlewares; the network,
-        identity and off-chain storage are shared.
+        The client's pipeline is ``pipeline`` (default: the stock chain)
+        with ``tenant`` and ``max_in_flight`` filled in, so the session
+        gets the tenant-prefix and admission-control middlewares they
+        ask for; the network, identity and off-chain storage are the
+        deployment's.  A ``pipeline`` naming its own tenant or cap must
+        agree with the arguments (:class:`ConfigurationError` otherwise),
+        and one that is passed also pushes its fabric-side knobs onto the
+        shared network (:meth:`HyperProvClient.apply_fabric_knobs`).
         """
-        if tenant is None and max_in_flight == 0:
-            client = self.deployment.client
-            if pipeline is not None:
-                client.configure_pipeline(pipeline)
-            return ProvenanceSession(client.as_store(), tenant="")
-
         from repro.core.client import HyperProvClient
 
-        config = replace(
-            pipeline or PipelineConfig(),
-            tenant=tenant or "",
-            max_in_flight=max_in_flight,
-        )
+        config = pipeline or PipelineConfig()
+        if config.tenant and config.tenant != tenant:
+            raise ConfigurationError(
+                f"pipeline names tenant {config.tenant!r} but the session "
+                f"asks for {tenant!r}: pass the tenant as session(tenant=...)"
+            )
+        if config.max_in_flight and config.max_in_flight != max_in_flight:
+            raise ConfigurationError(
+                f"pipeline caps in-flight writes at {config.max_in_flight} but "
+                f"the session asks for {max_in_flight}: pass the cap as "
+                f"session(max_in_flight=...)"
+            )
+        config = replace(config, tenant=tenant or "", max_in_flight=max_in_flight)
         client = HyperProvClient(
             network=self.deployment.fabric,
             client_name=self.deployment.client.client_name,
@@ -255,9 +254,7 @@ class HyperProvService:
                 admission.adopt_counter(counter)
         if pipeline is not None:
             client.apply_fabric_knobs()
-        return ProvenanceSession(
-            client.as_store(), tenant=tenant or "", owns_store=True
-        )
+        return ProvenanceSession(client.as_store(), tenant=config.tenant)
 
     def drain(self) -> None:
         """Flush pending batches and run the simulation to quiescence."""

@@ -15,8 +15,8 @@ from typing import Dict, List, Optional, Union
 from repro.api.protocol import (
     HistoryEntryView,
     HistoryView,
+    ProvenanceStore,
     RecordView,
-    StoreBase,
     StoreRequest,
     SubmitHandle,
     VerifyResult,
@@ -32,7 +32,7 @@ SERVER_NODE = "provdb"
 REQUEST_OVERHEAD_S = 0.0015
 
 
-class CentralProvenanceDatabase(StoreBase):
+class CentralProvenanceDatabase(ProvenanceStore):
     """Single-server provenance store behind the unified protocol."""
 
     backend_name = "central-db"

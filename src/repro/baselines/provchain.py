@@ -15,8 +15,8 @@ from typing import Dict, List, Optional, Union
 from repro.api.protocol import (
     HistoryEntryView,
     HistoryView,
+    ProvenanceStore,
     RecordView,
-    StoreBase,
     StoreRequest,
     SubmitHandle,
     VerifyResult,
@@ -39,7 +39,7 @@ class PowChainEntry:
     chain_hash: str
 
 
-class PowProvenanceChain(StoreBase):
+class PowProvenanceChain(ProvenanceStore):
     """A single-miner Proof-of-Work provenance ledger behind the unified protocol."""
 
     backend_name = "provchain-pow"

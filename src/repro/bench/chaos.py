@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Any, Callable, Dict, List, Sequence, Tuple
 
-from repro.api.protocol import StoreRequest
+from repro.api.protocol import ProvenanceStore, StoreRequest
 from repro.bench.anchors import GateError
 from repro.bench.reporting import ResultTable, format_seconds
 from repro.common.hashing import checksum_of
@@ -89,6 +89,8 @@ class ChaosRun:
     scenario: ChaosScenario
     seed: int
     deployment: HyperProvDeployment
+    #: One store per row client, in ``scenario.clients`` order.
+    stores: List[ProvenanceStore]
     fault_log: List[Dict[str, Any]]
     #: ``(label, handle)`` client by client, each in submission order; the
     #: label is the key, prefixed ``<tenant>:`` for a tenant's client.
@@ -150,7 +152,7 @@ def read(tag: str, key: str) -> Probe:
     """Read ``key`` through client 0; record ``(checksum, stale)`` as ``tag``."""
 
     def probe(run: ChaosRun) -> None:
-        view = run.deployment.client.as_store().get(key)
+        view = run.stores[0].get(key)
         run.reads[tag] = (view.checksum, view.stale)
 
     return probe
@@ -322,9 +324,16 @@ def fault_counters_moved(at_least: int) -> Invariant:
 
 
 # ------------------------------------------------------------- running a row
-def _client(deployment: HyperProvDeployment, index: int, seed: int) -> HyperProvClient:
+def _client(
+    deployment: HyperProvDeployment, index: int, seed: int, config: PipelineConfig
+) -> HyperProvClient:
+    """Client ``index`` of a row on ``config``: 0 is the deployment's
+    identity, every other one enrols an organization and a host of its own."""
     if index == 0:
-        return deployment.client
+        return HyperProvClient(
+            deployment.fabric, deployment.client.client_name,
+            storage=deployment.storage, pipeline_config=config,
+        )
     letter = chr(ord("a") + index)
     name, host = f"tenant-{letter}", f"client-{letter}"
     org = Organization(f"{name}-org")
@@ -334,7 +343,9 @@ def _client(deployment: HyperProvDeployment, index: int, seed: int) -> HyperProv
     deployment.fabric.add_client(
         name, org.enroll(name, role="client"), device, host, deployment.peers[0].name
     )
-    return HyperProvClient(deployment.fabric, name, storage=deployment.storage)
+    return HyperProvClient(
+        deployment.fabric, name, storage=deployment.storage, pipeline_config=config
+    )
 
 
 def run_scenario(row: ChaosScenario, seed: int) -> ChaosRun:
@@ -354,11 +365,11 @@ def run_scenario(row: ChaosScenario, seed: int) -> ChaosRun:
     )
     stores = []
     for index, config in enumerate(row.clients):
-        client = _client(deployment, index, seed)
-        client.configure_pipeline(config)
+        client = _client(deployment, index, seed, config)
+        client.apply_fabric_knobs()
         stores.append(client.as_store())
     injector = FaultInjector(FaultPlan(seed=seed, faults=row.faults), deployment.fabric)
-    run = ChaosRun(row, seed, deployment, injector.install().log)
+    run = ChaosRun(row, seed, deployment, stores, injector.install().log)
 
     engine = deployment.engine
     for at, probe in row.probes:

@@ -310,22 +310,21 @@ def cache_rows(requests: int, seed: int) -> List[Row]:
     rows = []
     for label, cache in (("cache-off", False), ("cache-on", True)):
         deployment = build_desktop_deployment(seed=seed)
-        client = deployment.client
-        client.configure_pipeline(PipelineConfig(cache=cache))
-        store = client.as_store()
+        session = HyperProvService(deployment).session(pipeline=PipelineConfig(cache=cache))
         generator = PayloadGenerator(size_bytes=KIB, seed=seed, prefix="cache")
         items = [generator.next_item() for _ in range(CACHE_KEYS)]
         for item in items:
-            store.submit(StoreRequest(key=item.key, data=item.data))
+            session.submit(item.key, item.data)
             deployment.drain()
         latencies = []
         for round_index in range(CACHE_ROUNDS):
-            latencies.extend(store.get(item.key).latency_s for item in items)
+            latencies.extend(session.get(item.key).latency_s for item in items)
             if round_index == CACHE_ROUNDS - 2:
-                store.submit(StoreRequest(key=items[0].key, data=items[0].data + b"!"))
+                session.submit(items[0].key, items[0].data + b"!")
                 deployment.drain()
-        hits = client.metrics.get_counter("cache.hits")
-        misses = client.metrics.get_counter("cache.misses")
+        metrics = session.backend.client.metrics
+        hits = metrics.get_counter("cache.hits")
+        misses = metrics.get_counter("cache.misses")
         rows.append({
             "pipeline": label,
             "reads": len(latencies),

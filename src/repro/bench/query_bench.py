@@ -148,28 +148,25 @@ def _measure_selector_mode(mode: str, keys: int) -> QueryMeasurement:
 
 def _measure_continuous() -> int:
     """Deliveries of a continuous query over :data:`CONTINUOUS_COMMITS` matching commits."""
-    from repro.api.protocol import StoreRequest
+    from repro.api.service import HyperProvService
     from repro.middleware.config import PipelineConfig
 
     deployment = build_desktop_deployment(seed=SEED)
-    deployment.client.configure_pipeline(PipelineConfig(continuous_queries=True))
-    store = deployment.client.as_store()
+    session = HyperProvService(deployment).session(
+        pipeline=PipelineConfig(continuous_queries=True)
+    )
     delivered: List[Dict[str, object]] = []
-    store.subscribe({"metadata.kind": "bench"}, callback=delivered.append)
+    session.subscribe({"metadata.kind": "bench"}, callback=delivered.append)
     for index in range(CONTINUOUS_COMMITS):
-        store.submit(
-            StoreRequest(
-                key=f"cq/{index:04d}",
-                data=f"payload-{index}".encode(),
-                metadata={"kind": "bench"},
-            )
+        session.submit(
+            f"cq/{index:04d}", f"payload-{index}".encode(), metadata={"kind": "bench"}
         )
     deployment.drain()
     if len(delivered) != CONTINUOUS_COMMITS:
         raise GateError(
             f"continuous query delivered {len(delivered)}/{CONTINUOUS_COMMITS} commits"
         )
-    store.close()
+    session.close()
     return len(delivered)
 
 

@@ -145,8 +145,9 @@ class StoreDataRunner:
             engine.schedule_at(start_time + slot * stagger, issue_next, label="bench:prime")
 
         session.drain()
-        # The last partial block may still be pending on the batch timeout.
-        session.drain()
+        # The last partial block may still be pending on the batch timeout:
+        # closing drains once more, then releases the session's pipeline.
+        session.close()
 
         committed = [h for h in handles if h.done and h.ok]
         failed = [h for h in handles if h.done and not h.ok]

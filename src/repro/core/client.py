@@ -88,7 +88,10 @@ class HyperProvClient:
     """High-level HyperProv API bound to one client identity.
 
     Record-level reads and writes go through :meth:`as_store` or a
-    :class:`repro.api.HyperProvService` session.
+    :class:`repro.api.HyperProvService` session.  The middleware pipeline
+    is built from ``pipeline_config`` here and never swapped: a caller
+    that wants another path (cache, retry, tenant, …) builds another
+    client, as every service session does.
     """
 
     def __init__(
@@ -104,8 +107,25 @@ class HyperProvClient:
         self.chaincode_name = HyperProvChaincode.name
         self.metrics = MetricsRegistry(f"client.{client_name}")
         self._context = network.client_context(client_name)
-        self.pipeline_config = pipeline_config or PipelineConfig()
-        self.pipeline: TransactionPipeline = self._build_pipeline(self.pipeline_config)
+        config = pipeline_config or PipelineConfig()
+        if config.shards > network.shard_count:
+            raise ValidationError(
+                f"pipeline wants {config.shards} shards but the network hosts "
+                f"{network.shard_count} channel(s); build the deployment "
+                f"with shards={config.shards}"
+            )
+        self.pipeline_config = config
+        # ``network.events`` is the aggregate bus: every shard's commits
+        # reach the read cache through it; the network's placement table
+        # tells the shard router where each tenant namespace lives.
+        self.pipeline: TransactionPipeline = build_client_pipeline(
+            config,
+            self._dispatch,
+            events=network.events,
+            metrics=self.metrics,
+            engine=network.engine,
+            placement=network.tenant_shards,
+        )
         self._store_adapter = None
 
     def as_store(self):
@@ -117,41 +137,6 @@ class HyperProvClient:
         return self._store_adapter
 
     # -------------------------------------------------------------- pipeline
-    def _build_pipeline(self, config: PipelineConfig) -> TransactionPipeline:
-        if config.shards > self.network.shard_count:
-            raise ValidationError(
-                f"pipeline wants {config.shards} shards but the network hosts "
-                f"{self.network.shard_count} channel(s); build the deployment "
-                f"with shards={config.shards}"
-            )
-        # ``network.events`` is the aggregate bus: every shard's commits
-        # reach the read cache through it; the network's placement table
-        # tells the shard router where each tenant namespace lives.
-        return build_client_pipeline(
-            config,
-            self._dispatch,
-            events=self.network.events,
-            metrics=self.metrics,
-            engine=self.network.engine,
-            placement=self.network.tenant_shards,
-        )
-
-    def configure_pipeline(self, config: PipelineConfig) -> None:
-        """Swap the middleware chain (ablations: cache on/off, retry, batching).
-
-        Also applies the config's fabric-side knobs
-        (:meth:`apply_fabric_knobs`), so one declarative object describes
-        the whole path.  Builds the replacement chain before touching the
-        current one, so a rejected config (e.g. more shards than the
-        network hosts) leaves the client fully functional on its old
-        pipeline.
-        """
-        replacement = self._build_pipeline(config)
-        self.pipeline.close()
-        self.pipeline = replacement
-        self.pipeline_config = config
-        self.apply_fabric_knobs()
-
     def apply_fabric_knobs(self) -> None:
         """Push this client's fabric-side pipeline knobs onto the network.
 

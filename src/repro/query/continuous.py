@@ -27,6 +27,7 @@ from typing import Any, Callable, Dict, List, Optional, Type
 
 from repro.common.errors import ValidationError
 from repro.common.events import EventBus
+from repro.common.serialization import copy_json
 from repro.common.tenancy import relative_key, strip_namespace, tenant_namespace
 from repro.ledger.transaction import TxValidationCode
 from repro.query.selectors import (
@@ -203,10 +204,12 @@ class ContinuousQueryRegistry:
                     return
             if not matches(document, query._compiled):
                 continue
+            # Every delivery gets a copy of its own: a callback that edits
+            # its record cannot change what later queries match or receive.
             event = {
                 "key": scoped_key,
                 "record": (
-                    document if query.tenant is None
+                    copy_json(document) if query.tenant is None
                     else _tenant_record(document, query.tenant)
                 ),
                 "block_number": block_number,
@@ -228,7 +231,7 @@ def _tenant_record(document: Dict[str, Any], tenant: str) -> Dict[str, Any]:
     through the lenient ``strip_namespace``.  ``document`` itself stays as
     committed for every other query.
     """
-    record = dict(document)
+    record: Dict[str, Any] = copy_json(document)
     record["key"] = relative_key(tenant, document["key"])
     record["dependencies"] = [
         strip_namespace(tenant, dep) for dep in document["dependencies"]

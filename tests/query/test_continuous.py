@@ -371,6 +371,28 @@ def test_a_tenant_query_leaves_the_shared_document_as_committed():
     ]
 
 
+def test_a_callback_editing_its_record_changes_no_other_delivery():
+    """Two queries on one field: the first callback's edit to its record
+    must neither hide the write from the second nor reach its record."""
+    bus = EventBus()
+    registry = ContinuousQueryRegistry(bus)
+    first, second, tenant = [], [], []
+
+    def tamper(event):
+        event["record"]["metadata"]["kind"] = "tampered"
+        first.append(event)
+
+    registry.register({"metadata.kind": "x"}, callback=tamper)
+    registry.register({"metadata.kind": "x"}, callback=second.append)
+    registry.register({"metadata.kind": "x"}, callback=tenant.append, tenant="a")
+    write = WriteSetEntry("tenant/a/k", record_value("tenant/a/k", metadata={"kind": "x"}))
+    bus.publish("block_delivered", block_payload(0, [write]))
+    assert [e["record"]["metadata"]["kind"] for e in first] == ["tampered"]
+    assert [e["record"]["metadata"]["kind"] for e in second] == ["x"]
+    assert [e["record"]["metadata"]["kind"] for e in tenant] == ["x"]
+    assert first[0]["record"] is not second[0]["record"]
+
+
 def test_multi_shard_commits_all_reach_one_subscriber():
     deployment = build_desktop_deployment(seed=42, shards=2)
     service = HyperProvService(deployment)

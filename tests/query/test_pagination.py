@@ -201,10 +201,9 @@ def test_sharded_query_pagination_merges_to_one_global_walk(sharded):
     for key in keys:
         session.submit(key, b"x")
     session.drain()
-    store = sharded.client.as_store()
     collected, bookmark = [], None
     while True:
-        result = store.query({"_prefix": "fan/"}, limit=5, bookmark=bookmark)
+        result = session.query({"_prefix": "fan/"}, limit=5, bookmark=bookmark)
         page_keys = [view.key for view in result.records]
         assert len(page_keys) <= 5
         collected.extend(page_keys)
@@ -224,7 +223,7 @@ def test_sharded_range_pagination(sharded):
     session.drain()
     collected, bookmark = [], None
     while True:
-        result = sharded.client.get_by_range(
+        result = session.backend.client.get_by_range(
             "srange/", "srange/~", limit=4, bookmark=bookmark
         )
         collected.extend(row["key"] for row in result.payload)
@@ -240,7 +239,7 @@ def test_sharded_explain_reports_fan_out(sharded):
     for i in range(6):
         session.submit(f"xfan/{i}", b"x")
     session.drain()
-    result = sharded.client.as_store().query({"_prefix": "xfan/"}, explain=True)
+    result = session.query({"_prefix": "xfan/"}, explain=True)
     assert result.plan["fan_out"] == 2
     assert len(result.plan["shards"]) == 2
     assert result.plan["access_path"] == "prefix"

@@ -8,17 +8,15 @@ read-side query subsystem.
 """
 
 from repro.api.protocol import StoreRequest
+from repro.api.service import HyperProvService
 from repro.core.topology import build_desktop_deployment
 from repro.middleware.config import PipelineConfig
 
 
 def run_workload(indexed: bool):
     deployment = build_desktop_deployment(seed=42)
-    if indexed:
-        deployment.client.configure_pipeline(
-            PipelineConfig(indexes=("creator", "metadata.*"))
-        )
-    store = deployment.client.as_store()
+    config = PipelineConfig(indexes=("creator", "metadata.*")) if indexed else None
+    store = HyperProvService(deployment).session(pipeline=config).backend
     for i in range(8):
         store.submit(
             StoreRequest(
@@ -28,7 +26,7 @@ def run_workload(indexed: bool):
             )
         )
     deployment.drain()
-    client = deployment.client
+    client = store.client
     observations = []
     for page in [
         store.query({"metadata.group": 1}),

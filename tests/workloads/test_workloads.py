@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.api import HyperProvService
 from repro.common.errors import ConfigurationError
 from repro.simulation.randomness import DeterministicRandom
 from repro.workloads.arrivals import sample_poisson_times
@@ -67,7 +68,8 @@ def test_poisson_times_hold_the_rate():
 # ------------------------------------------------------------------ scenarios
 def test_iot_pipeline_ingest_and_derive(desktop_deployment):
     workload = IoTPipelineWorkload(
-        desktop_deployment.client, sensor_count=2, camera_count=1,
+        HyperProvService(desktop_deployment).session(),
+        sensor_count=2, camera_count=1,
         image_size_bytes=8 * 1024,
     )
     posts = workload.ingest_round()
@@ -95,6 +97,8 @@ def test_skewed_tenant_workload_rejects_empty_load(knobs):
 
 
 def test_iot_pipeline_derive_requires_sources(desktop_deployment):
-    workload = IoTPipelineWorkload(desktop_deployment.client, sensor_count=1, camera_count=0)
+    workload = IoTPipelineWorkload(
+        HyperProvService(desktop_deployment).session(), sensor_count=1, camera_count=0
+    )
     with pytest.raises(ValueError):
         workload.derive(PipelineStage(name="empty"), source_posts=[])
