@@ -12,7 +12,7 @@ from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro.chaincode.records import ProvenanceRecord
 from repro.common.errors import ChaincodeError, ConfigurationError, NotFoundError
-from repro.common.serialization import copy_json
+from repro.common.serialization import copy_json, sorted_json
 from repro.api.protocol import (
     HistoryEntryView,
     HistoryView,
@@ -79,7 +79,7 @@ class HyperProvStore(ProvenanceStore):
             checksum,
             location,
             json.dumps(dependencies),
-            json.dumps(request.metadata, sort_keys=True),
+            sorted_json(request.metadata),
             str(size_bytes),
         ]
         handle = client._invoke(operation, "set", args, at_time=at_time)
@@ -178,7 +178,7 @@ class HyperProvStore(ProvenanceStore):
             request["_explain"] = True
         client = self.client
         response, latency, ctx = client._query(
-            "query", "query", [json.dumps(request, sort_keys=True)], at_time=at_time
+            "query", "query", [sorted_json(request)], at_time=at_time
         )
         page = response.scan
         if not response.is_ok or page is None:

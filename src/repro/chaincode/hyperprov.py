@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import json
 from itertools import filterfalse, islice
+from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter
 from typing import List, Optional, Tuple
 
@@ -160,8 +161,10 @@ class HyperProvChaincode:
         )
         record.validate()
         record_json = record.to_json()
-        event_json = json.dumps(
-            {"key": key, "checksum": checksum, "creator": creator.subject}
+        # ``json.dumps`` of ``{"key", "checksum", "creator"}``, formatted
+        # directly: chaincode arguments and certificate subjects are strings.
+        event_json = '{"key": %s, "checksum": %s, "creator": %s}' % (
+            _quote(key), _quote(checksum), _quote(creator.subject)
         )
         stub.put_state(key, record_json)
         stub.set_event(self.RECORD_EVENT, event_json)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Tuple
 
 from repro.common.errors import ValidationError
-from repro.common.serialization import copy_json
+from repro.common.serialization import copy_json, sorted_json
 
 
 def record_fields(value: Any) -> Tuple[Any, ...]:
@@ -99,7 +99,7 @@ class ProvenanceRecord:
 
     def to_json(self) -> str:
         """Serialize to the JSON document stored as the ledger value."""
-        return json.dumps(
+        return sorted_json(
             {
                 "key": self.key,
                 "checksum": self.checksum,
@@ -111,8 +111,7 @@ class ProvenanceRecord:
                 "metadata": self.metadata,
                 "timestamp": self.timestamp,
                 "size_bytes": self.size_bytes,
-            },
-            sort_keys=True,
+            }
         )
 
     @classmethod

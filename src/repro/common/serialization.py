@@ -32,6 +32,12 @@ class _CanonicalEncoder(json.JSONEncoder):
 _CANONICAL = _CanonicalEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=True)
 
 
+#: ``json.dumps(obj, sort_keys=True)`` — default separators, ASCII — from
+#: one encoder instead of one built per call.  The spelling of ledger
+#: values and of the JSON arguments a client sends.
+sorted_json = json.JSONEncoder(sort_keys=True).encode
+
+
 def canonical_json(obj: Any) -> bytes:
     """Encode ``obj`` into deterministic JSON bytes.
 

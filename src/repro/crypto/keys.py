@@ -21,11 +21,16 @@ import hashlib
 import hmac
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Any, Tuple
 
 from repro.common.errors import CryptoError
 
 _PUBLIC_DERIVATION_TAG = b"hyperprov-public-key-v1"
 _SIGNATURE_TAG = b"hyperprov-signature-v1"
+#: SHA-256's block size: HMAC pads (or pre-hashes) every key to it.
+_BLOCK_SIZE = 64
+_INNER_PAD = bytes(byte ^ 0x36 for byte in range(256))
+_OUTER_PAD = bytes(byte ^ 0x5C for byte in range(256))
 #: What ``hexdigest`` emits, and all a signature's MAC may consist of.
 _HEX_DIGITS = "0123456789abcdef"
 
@@ -60,11 +65,16 @@ class _BoundedMemo(dict):
 
 
 #: Memoized verification outcomes keyed by (public_key, message, signature).
-#: ``verify`` is a pure function, but the same triple is re-checked by every
-#: endorsing peer (the client's proposal signature) — cache the HMAC result.
-#: Every re-check falls inside one endorsement fan-out, before the next
-#: triple arrives; the cap only bounds the message bytes the keys pin.
-_VERIFY_CACHE = _BoundedMemo(64)
+#: ``verify`` is a pure function, and every triple a registered key signs
+#: is checked again later: the client's proposal signature by each
+#: endorsing peer, each endorsement signature by the validating replica at
+#: commit.  So :func:`sign` stores the verdict ``True`` for the triple it
+#: has just produced — ``verify`` would recompute that very MAC under the
+#: registered key — and a forged or altered triple is a different key.
+#: An endorsement's verdict is read only once its block is cut, so the cap
+#: (1 024, about five triples a post) must outlast a block's worth of
+#: posts in flight; it also bounds the message bytes the keys pin.
+_VERIFY_CACHE = _BoundedMemo(1024)
 
 
 @lru_cache(maxsize=4096)
@@ -72,6 +82,34 @@ def _derive_public(private_key: bytes) -> str:
     # Pure derivation, re-run on every sign/verify for the same handful of
     # keys — memoized (keys are 32-byte digests, the cache stays tiny).
     return hashlib.sha256(_PUBLIC_DERIVATION_TAG + private_key).hexdigest()
+
+
+@lru_cache(maxsize=256)
+def _pads(private_key: bytes) -> Tuple[Any, Any]:
+    """SHA-256 states that have absorbed the key's HMAC pads (RFC 2104).
+
+    The inner state has also absorbed :data:`_SIGNATURE_TAG`, the prefix
+    of every signed message.  Deriving them once per key halves the cost
+    of a MAC.  Bounded rather than a dict: a run has one key per identity,
+    but a fleet has thousands of identities and each entry holds two hash
+    states.
+    """
+    if len(private_key) > _BLOCK_SIZE:
+        private_key = hashlib.sha256(private_key).digest()
+    key = private_key.ljust(_BLOCK_SIZE, b"\0")
+    inner = hashlib.sha256(key.translate(_INNER_PAD))
+    inner.update(_SIGNATURE_TAG)
+    return inner, hashlib.sha256(key.translate(_OUTER_PAD))
+
+
+def _mac(private_key: bytes, message: bytes) -> str:
+    """``hmac.new(private_key, _SIGNATURE_TAG + message, sha256).hexdigest()``."""
+    inner_pad, outer_pad = _pads(private_key)
+    inner = inner_pad.copy()
+    inner.update(message)
+    outer = outer_pad.copy()
+    outer.update(inner.digest())
+    return outer.hexdigest()
 
 
 @dataclass(frozen=True)
@@ -102,10 +140,16 @@ def sign(private_key: bytes, message: bytes) -> str:
     """Produce a hex signature of ``message`` under ``private_key``."""
     if not isinstance(message, (bytes, bytearray)):
         raise CryptoError("messages must be bytes")
-    mac = hmac.new(private_key, _SIGNATURE_TAG + bytes(message), hashlib.sha256)
+    message = bytes(message)
+    public = _derive_public(private_key)
     # The signature embeds the public key so verifiers can bind it to the
     # claimed signer without access to the private key.
-    return f"{_derive_public(private_key)}:{mac.hexdigest()}"
+    signature = f"{public}:{_mac(private_key, message)}"
+    if _KEY_REGISTRY.get(public) == private_key:
+        # ``verify`` looks the key up in the registry: a key it does not
+        # hold gets no verdict here, so its signatures still fail.
+        _VERIFY_CACHE[(public, message, signature)] = True
+    return signature
 
 
 def verify(
@@ -124,10 +168,31 @@ def verify(
     """
     if not isinstance(signature, str) or ":" not in signature:
         return False
-    cache_key = (public_key, bytes(message), signature)
+    message = bytes(message)
+    if private_hint is not None:
+        # The signer checking its own signature.  The verdict rests on a
+        # key the registry may not hold, so it neither reads nor feeds
+        # the memo that registry-backed verdicts live in.
+        if _derive_public(private_hint) != public_key:
+            return False
+        return _mac_matches(private_hint, public_key, message, signature)
+    cache_key = (public_key, message, signature)
     cached = _VERIFY_CACHE.get(cache_key)
     if cached is not None:
         return cached
+    # Registered by ``KeyPair.generate`` under the public key it derives
+    # to, so a hit needs no second derivation.
+    signing_key = _KEY_REGISTRY.get(public_key)
+    if signing_key is None:
+        return False
+    result = _mac_matches(signing_key, public_key, message, signature)
+    _VERIFY_CACHE[cache_key] = result
+    return result
+
+
+def _mac_matches(signing_key: bytes, public_key: str, message: bytes, signature: str) -> bool:
+    """Whether ``signature`` names ``public_key`` and carries the MAC of
+    ``message`` under ``signing_key``."""
     embedded_public, mac_hex = signature.split(":", 1)
     if embedded_public != public_key:
         return False
@@ -135,19 +200,4 @@ def verify(
     # empty string exactly when every character is in the set.
     if len(mac_hex) != 64 or mac_hex.strip(_HEX_DIGITS):
         return False
-    if private_hint is None:
-        # Registered by ``KeyPair.generate`` under the public key it
-        # derives to, so a hit needs no second derivation.
-        signing_key = _KEY_REGISTRY.get(public_key)
-        if signing_key is None:
-            return False
-    elif _derive_public(private_hint) != public_key:
-        return False
-    else:
-        signing_key = private_hint
-    expected = hmac.new(
-        signing_key, _SIGNATURE_TAG + bytes(message), hashlib.sha256
-    ).hexdigest()
-    result = hmac.compare_digest(expected, mac_hex)
-    _VERIFY_CACHE[cache_key] = result
-    return result
+    return hmac.compare_digest(_mac(signing_key, message), mac_hex)

@@ -38,6 +38,9 @@ class DeviceModel:
         self.name = name
         self.profile = profile
         self._rng = rng or DeterministicRandom(17)
+        #: Relative jitter of every duration; read once, since about 25
+        #: durations are drawn per post.
+        self._fraction = profile.variance_fraction
         #: Whether the HLF containers (peer/orderer/client) are running on
         #: this device — adds the HLF baseline power draw in the energy model.
         self.hlf_running = hlf_running
@@ -51,21 +54,18 @@ class DeviceModel:
         self._busy = {component: array("d") for component in self._components}
 
     # ------------------------------------------------------------- durations
-    def _jitter(self, mean: float) -> float:
-        return self._rng.gaussian_jitter(mean, self.profile.variance_fraction)
-
     def hash_time(self, payload_bytes: int) -> float:
         """Time to SHA-256 a payload of ``payload_bytes``."""
         base = payload_bytes / self.profile.hash_rate_bytes_per_s
-        return self._jitter(base)
+        return self._rng.gaussian_jitter(base, self._fraction)
 
     def sign_time(self) -> float:
         """Time to produce one signature."""
-        return self._jitter(self.profile.sign_time_s)
+        return self._rng.gaussian_jitter(self.profile.sign_time_s, self._fraction)
 
     def verify_time(self, count: int = 1) -> float:
         """Time to verify ``count`` signatures."""
-        return self._jitter(self.profile.verify_time_s * count)
+        return self._rng.gaussian_jitter(self.profile.verify_time_s * count, self._fraction)
 
     def chaincode_time(self, state_operations: int, payload_bytes: int = 0) -> float:
         """Time for one chaincode invocation with ``state_operations`` get/put calls."""
@@ -74,19 +74,22 @@ class DeviceModel:
             + state_operations * self.profile.state_op_time_s
             + payload_bytes / self.profile.hash_rate_bytes_per_s * 0.1
         )
-        return self._jitter(base)
+        return self._rng.gaussian_jitter(base, self._fraction)
 
     def disk_write_time(self, payload_bytes: int) -> float:
         """Time to persist ``payload_bytes`` to local storage."""
-        return self._jitter(payload_bytes / self.profile.disk_write_bytes_per_s)
+        base = payload_bytes / self.profile.disk_write_bytes_per_s
+        return self._rng.gaussian_jitter(base, self._fraction)
 
     def disk_read_time(self, payload_bytes: int) -> float:
         """Time to read ``payload_bytes`` from local storage."""
-        return self._jitter(payload_bytes / self.profile.disk_read_bytes_per_s)
+        base = payload_bytes / self.profile.disk_read_bytes_per_s
+        return self._rng.gaussian_jitter(base, self._fraction)
 
     def serialization_time(self, payload_bytes: int) -> float:
         """CPU time to marshal/unmarshal a payload (protobuf/JSON handling)."""
-        return self._jitter(payload_bytes / (self.profile.hash_rate_bytes_per_s * 4.0))
+        base = payload_bytes / (self.profile.hash_rate_bytes_per_s * 4.0)
+        return self._rng.gaussian_jitter(base, self._fraction)
 
     # --------------------------------------------------------------- accrual
     def occupy(self, component: str, start: float, duration: float) -> Tuple[float, float]:
@@ -101,7 +104,7 @@ class DeviceModel:
             raise SimulationError(f"unknown device component {component!r}")
         if duration <= 0:
             return (start, start)
-        span = resource.reserve(start, duration)[:2]
+        span = resource.reserve(start, duration)
         self._busy[component].extend(span)
         return span
 

@@ -462,13 +462,20 @@ class Peer:
             return TxValidationCode.INVALID_OTHER_REASON
 
         msp = self.channel.msp
-        # Endorsement digest + certificate validation.
+        # Each endorsement must be over the rw-set this envelope carries and
+        # signed by a valid, unrevoked member of its organisation; one that
+        # does not verify counts for no organisation, and the policy decides.
+        # ``verify_signature`` validates the certificate on every call, so a
+        # revocation bites even where the signature's verdict is memoized.
         valid_orgs = set()
         expected_digest = tx.rw_set.digest()
         for endorsement in tx.endorsements:
-            if endorsement.response_digest != expected_digest:
+            digest = endorsement.response_digest
+            if digest != expected_digest:
                 return TxValidationCode.BAD_SIGNATURE
-            if not msp.validate_certificate(endorsement.certificate):
+            if not msp.verify_signature(
+                endorsement.certificate, digest.encode("ascii"), endorsement.signature
+            ):
                 continue
             valid_orgs.add(endorsement.organization)
         if not definition.endorsement_policy.evaluate(valid_orgs):

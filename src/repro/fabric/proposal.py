@@ -3,15 +3,15 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, Dict, List, Optional
 
-from repro.common.serialization import canonical_json
 from repro.crypto.certificates import Certificate
 from repro.ledger.scan import HistoryPage, ScanPage
 from repro.ledger.transaction import Endorsement, ReadWriteSet, TxValidationCode
 
 
-@dataclass
+@dataclass(init=False)
 class Proposal:
     """A chaincode invocation proposal sent to endorsing peers."""
 
@@ -33,11 +33,36 @@ class Proposal:
     #: cached serialization so verification always sees current content.
     _SIGNED_FIELDS = frozenset({"tx_id", "channel", "chaincode", "function", "args"})
 
+    def __init__(
+        self,
+        tx_id: str,
+        channel: str,
+        chaincode: str,
+        function: str,
+        args: List[str],
+        creator: Certificate,
+        signature: str,
+        timestamp: float,
+        size_bytes: int = 0,
+    ) -> None:
+        # Each field assigned once, as ``__setattr__`` would leave it: args
+        # frozen to a tuple, nothing serialized yet.
+        put = object.__setattr__
+        put(self, "tx_id", tx_id)
+        put(self, "channel", channel)
+        put(self, "chaincode", chaincode)
+        put(self, "function", function)
+        put(self, "args", tuple(args))
+        put(self, "creator", creator)
+        put(self, "signature", signature)
+        put(self, "timestamp", timestamp)
+        put(self, "size_bytes", size_bytes)
+        put(self, "_signed_bytes", None)
+
     def __setattr__(self, name: str, value: object) -> None:
-        # Covers construction too (dataclass __init__ assigns through
-        # here): args is frozen to a tuple so in-place mutation cannot
-        # bypass the cached signed bytes, and rebinding any signed field
-        # drops the cache so verification always sees current content.
+        # args is frozen to a tuple so in-place mutation cannot bypass the
+        # cached signed bytes, and rebinding any signed field drops the
+        # cache so verification always sees current content.
         if name in self._SIGNED_FIELDS:
             object.__setattr__(self, "_signed_bytes", None)
             if name == "args":
@@ -54,15 +79,15 @@ class Proposal:
         verification.
         """
         if self._signed_bytes is None:
-            self._signed_bytes = canonical_json(
-                {
-                    "tx_id": self.tx_id,
-                    "channel": self.channel,
-                    "chaincode": self.chaincode,
-                    "function": self.function,
-                    "args": list(self.args),
-                }
-            )
+            # Exactly ``canonical_json`` of the five covered fields (pinned
+            # by a property test), formatted directly: sorted keys, no
+            # whitespace, ASCII-escaped strings.
+            self._signed_bytes = (
+                '{"args":[%s],"chaincode":%s,"channel":%s,"function":%s,"tx_id":%s}' % (
+                    ",".join([_quote(arg) for arg in self.args]), _quote(self.chaincode),
+                    _quote(self.channel), _quote(self.function), _quote(self.tx_id),
+                )
+            ).encode("ascii")
         return self._signed_bytes
 
 

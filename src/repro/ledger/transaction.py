@@ -193,7 +193,7 @@ class ReadWriteSet:
         return self._digest
 
 
-@dataclass
+@dataclass(init=False)
 class Endorsement:
     """A peer's signature over a proposal response."""
 
@@ -204,6 +204,25 @@ class Endorsement:
     response_digest: str
     _sealed: bool = field(default=False, init=False, repr=False, compare=False)
 
+    def __init__(
+        self,
+        endorser: str,
+        organization: str,
+        certificate: Certificate,
+        signature: str,
+        response_digest: str,
+    ) -> None:
+        # What the generated ``__init__`` would assign, without passing
+        # every field through the seal guard of ``__setattr__``: four
+        # endorsements are built per post.
+        put = object.__setattr__
+        put(self, "endorser", endorser)
+        put(self, "organization", organization)
+        put(self, "certificate", certificate)
+        put(self, "signature", signature)
+        put(self, "response_digest", response_digest)
+        put(self, "_sealed", False)
+
     def __setattr__(self, name: str, value: object) -> None:
         if getattr(self, "_sealed", False) and name != "_sealed":
             raise SealedEnvelopeError(
@@ -212,7 +231,7 @@ class Endorsement:
         object.__setattr__(self, name, value)
 
     def _seal(self) -> None:
-        self._sealed = True
+        object.__setattr__(self, "_sealed", True)
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -235,7 +254,7 @@ class Endorsement:
         )
 
 
-@dataclass
+@dataclass(init=False)
 class Transaction:
     """A fully assembled transaction ready for ordering.
 
@@ -264,6 +283,43 @@ class Transaction:
     )
     _envelope_size: int = field(default=0, init=False, repr=False, compare=False)
     _sealed: bool = field(default=False, init=False, repr=False, compare=False)
+
+    def __init__(
+        self,
+        tx_id: str,
+        channel: str,
+        chaincode: str,
+        function: str,
+        args: List[str],
+        rw_set: ReadWriteSet,
+        endorsements: Optional[List[Endorsement]] = None,
+        creator: Optional[Certificate] = None,
+        creator_signature: str = "",
+        timestamp: float = 0.0,
+        response_payload: Optional[str] = None,
+        chaincode_event: Optional[Tuple[str, str]] = None,
+        validation_code: TxValidationCode = TxValidationCode.VALID,
+    ) -> None:
+        # The generated ``__init__``'s assignments, each made once and
+        # directly: a new envelope is unsealed, so the guard in
+        # ``__setattr__`` would let every one of them through anyway.
+        put = object.__setattr__
+        put(self, "tx_id", tx_id)
+        put(self, "channel", channel)
+        put(self, "chaincode", chaincode)
+        put(self, "function", function)
+        put(self, "args", args)
+        put(self, "rw_set", rw_set)
+        put(self, "endorsements", [] if endorsements is None else endorsements)
+        put(self, "creator", creator)
+        put(self, "creator_signature", creator_signature)
+        put(self, "timestamp", timestamp)
+        put(self, "response_payload", response_payload)
+        put(self, "chaincode_event", chaincode_event)
+        put(self, "validation_code", validation_code)
+        put(self, "_envelope_digest", None)
+        put(self, "_envelope_size", 0)
+        put(self, "_sealed", False)
 
     def __setattr__(self, name: str, value: object) -> None:
         # Sealed envelopes are structurally shared across peers: rebinding

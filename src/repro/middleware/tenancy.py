@@ -28,6 +28,7 @@ from repro.common.errors import (
     ValidationError,
 )
 from repro.common.metrics import MetricsRegistry
+from repro.common.serialization import sorted_json
 from repro.common.tenancy import namespace_end, relative_key, tenant_namespace
 from repro.middleware.base import Handler, Middleware, ReadResult, Result
 from repro.middleware.context import KEY_SCOPED_FUNCTIONS, Context
@@ -110,7 +111,7 @@ class TenantPrefixMiddleware(Middleware):
         if isinstance(bookmark, str) and bookmark:
             # Bookmarks are ledger keys; clients hold them tenant-relative.
             namespaced["_bookmark"] = self.prefix + bookmark
-        return json.dumps(namespaced, sort_keys=True)
+        return sorted_json(namespaced)
 
     def _prefix_dependency_json(self, encoded: str) -> str:
         try:

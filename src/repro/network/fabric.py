@@ -117,17 +117,18 @@ class NetworkFabric:
     # ------------------------------------------------------------------ links
     def _link(self, source: str, destination: str) -> Link:
         key = (source, destination)
-        if key not in self._links:
+        link = self._links.get(key)
+        if link is None:
             # The slower endpoint's profile dominates a LAN path.
             src_profile = self._node_profiles.get(source, GIGABIT_LAN)
             dst_profile = self._node_profiles.get(destination, GIGABIT_LAN)
             profile = min(
                 (src_profile, dst_profile), key=lambda p: p.bandwidth_bps
             )
-            self._links[key] = Link(
+            link = self._links[key] = Link(
                 source, destination, profile, rng=self._rng.fork(f"{source}->{destination}")
             )
-        return self._links[key]
+        return link
 
     # ----------------------------------------------------------- link faults
     def inject_link_fault(

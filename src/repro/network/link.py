@@ -75,12 +75,11 @@ class Link:
         """
         if payload_bytes < 0:
             raise ConfigurationError("payload size cannot be negative")
-        latency = self._rng.gaussian_jitter(
-            self.profile.latency_s, self.profile.jitter_fraction
-        )
-        serialization = (payload_bytes * 8.0) / self.profile.bandwidth_bps
+        profile = self.profile
+        latency = self._rng.gaussian_jitter(profile.latency_s, profile.jitter_fraction)
+        serialization = (payload_bytes * 8.0) / profile.bandwidth_bps
         total = latency + serialization
-        if self.profile.loss_rate > 0 and self._rng.random() < self.profile.loss_rate:
+        if profile.loss_rate > 0 and self._rng.random() < profile.loss_rate:
             total += latency + serialization
         self.bytes_transferred += payload_bytes
         self.messages_transferred += 1

@@ -10,7 +10,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from repro.common.errors import SimulationError
 from repro.simulation.clock import VirtualClock
@@ -61,7 +61,7 @@ class RunOutcome(int):
         return f"RunOutcome({int(self)}, stop_reason={self.stop_reason!r})"
 
 
-@dataclass(order=True)
+@dataclass
 class Event:
     """A callback scheduled at an absolute virtual timestamp.
 
@@ -100,7 +100,10 @@ class SimulationEngine:
 
     def __init__(self) -> None:
         self.clock = VirtualClock()
-        self._queue: List[Event] = []
+        #: ``(timestamp, sequence, event)`` entries, ordered by tuple
+        #: comparison in C: time first, ties in scheduling order
+        #: (sequences are unique, so an event itself is never compared).
+        self._queue: List[Tuple[float, int, Event]] = []
         self._sequence = itertools.count()
         self._processed = 0
         self._running = False
@@ -140,7 +143,7 @@ class SimulationEngine:
             daemon=daemon,
             engine=self,
         )
-        heapq.heappush(self._queue, event)
+        heapq.heappush(self._queue, (event.timestamp, event.sequence, event))
         if not daemon:
             self._non_daemon_queued += 1
         return event
@@ -157,15 +160,16 @@ class SimulationEngine:
 
     def _compact(self) -> None:
         """Drop cancelled events from the heap and re-heapify."""
-        live: List[Event] = []
+        live: List[Tuple[float, int, Event]] = []
         removed_non_daemon = 0
-        for queued in self._queue:
+        for entry in self._queue:
+            queued = entry[2]
             if queued.cancelled:
                 queued.engine = None
                 if not queued.daemon:
                     removed_non_daemon += 1
             else:
-                live.append(queued)
+                live.append(entry)
         heapq.heapify(live)
         self._queue = live
         self._non_daemon_queued -= removed_non_daemon
@@ -190,7 +194,7 @@ class SimulationEngine:
     def step(self) -> bool:
         """Execute the next event.  Returns ``False`` when the queue is empty."""
         while self._queue:
-            event = heapq.heappop(self._queue)
+            event = heapq.heappop(self._queue)[2]
             # Detach so a late cancel() of an already-popped event cannot
             # skew the cancelled-in-heap accounting.
             event.engine = None
@@ -224,7 +228,7 @@ class SimulationEngine:
                 if max_events is not None and executed >= max_events:
                     stop_reason = "cap"
                     break
-                head = self._queue[0]
+                head = self._queue[0][2]
                 if head.cancelled:
                     heapq.heappop(self._queue)
                     head.engine = None

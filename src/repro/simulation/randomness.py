@@ -39,14 +39,21 @@ class DeterministicRandom:
         if mean <= 0:
             return 0.0
         value = self._rng.gauss(mean, mean * stddev_fraction)
-        return max(0.0, value)
+        return value if value > 0.0 else 0.0
 
     def random(self) -> float:
         return self._rng.random()
 
     def bytes(self, length: int) -> bytes:
-        """Deterministic pseudo-random payload bytes of the given length."""
-        return bytes(self._rng.getrandbits(8) for _ in range(length))
+        """Deterministic pseudo-random payload bytes of the given length.
+
+        The stream of ``length`` one-byte draws, in one call: each
+        ``getrandbits(8)`` is the top byte of one 32-bit word, and
+        ``getrandbits(32 * n)`` lays its words out least significant first.
+        """
+        if length <= 0:
+            return b""
+        return self._rng.getrandbits(32 * length).to_bytes(4 * length, "little")[3::4]
 
     def fork(self, label: str) -> "DeterministicRandom":
         """Derive an independent stream for a sub-component.

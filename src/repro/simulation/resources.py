@@ -8,6 +8,7 @@ queueing delay is modelled without an explicit waiting queue.
 
 from __future__ import annotations
 
+from heapq import heapreplace
 from typing import NamedTuple, Tuple
 
 from repro.common.errors import SimulationError
@@ -32,7 +33,8 @@ class SimResource:
             raise SimulationError("resource concurrency must be >= 1")
         self.name = name
         self.concurrency = concurrency
-        # Next-free time per logical server slot.
+        # Next-free time per logical server slot, as a min-heap: slots are
+        # interchangeable, so only the earliest time is ever looked up.
         self._free_at = [0.0] * concurrency
 
     def reserve(self, requested_at: float, duration: float) -> Reservation:
@@ -44,11 +46,11 @@ class SimResource:
         if duration < 0:
             raise SimulationError("cannot reserve a negative duration")
         free_at = self._free_at
-        slot = free_at.index(min(free_at))
-        start = max(requested_at, free_at[slot])
+        earliest = free_at[0]
+        start = earliest if earliest > requested_at else requested_at
         end = start + duration
-        self._free_at[slot] = end
-        return Reservation(start=start, end=end)
+        heapreplace(free_at, end)
+        return Reservation(start, end)
 
 
 def interval_overlap(a: Tuple[float, float], b: Tuple[float, float]) -> float:

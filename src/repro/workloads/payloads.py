@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Dict, Iterator
 
 from repro.common.errors import ConfigurationError
 from repro.common.hashing import checksum_of
+from repro.common.serialization import sorted_json
 from repro.simulation.randomness import DeterministicRandom
 
 
@@ -92,7 +92,7 @@ class SensorReadingGenerator(PayloadGenerator):
             "humidity_pct": round(self._rng.uniform(10.0, 95.0), 1),
             "pm25_ugm3": round(self._rng.uniform(1.0, 80.0), 1),
         }
-        data = json.dumps(reading, sort_keys=True).encode("utf-8")
+        data = sorted_json(reading).encode("utf-8")
         key = f"{self.prefix}/reading-{self._counter:06d}"
         return DataItem(key=key, data=data, metadata={"type": "sensor-reading"})
 

@@ -217,6 +217,15 @@ def test_set_emits_provenance_recorded_event(org1_cert):
     assert json.loads(payload)["key"] == "k"
 
 
+@pytest.mark.parametrize("key", ["k", 'quote"d/ké\\y', "line\nbreak "])
+def test_record_event_payload_is_json_dumps_of_its_fields(org1_cert, key):
+    stub = stub_for("set", [key, checksum_of(b"x"), "loc"], creator=org1_cert)
+    assert HyperProvChaincode().invoke(stub).is_ok
+    assert stub.event[1] == json.dumps(
+        {"key": key, "checksum": checksum_of(b"x"), "creator": org1_cert.subject}
+    )
+
+
 def test_failed_set_emits_no_event(org2_cert):
     chaincode = HyperProvChaincode()
     state = state_with_records(record("owned", organization="org1"))

@@ -1,10 +1,14 @@
 """Tests for keys, certificates and Merkle trees."""
 
+import hashlib
+import hmac
+
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.common.errors import CryptoError, DuplicateError
 from repro.crypto.certificates import CertificateAuthority
-from repro.crypto.keys import KeyPair, sign, verify
+from repro.crypto.keys import _SIGNATURE_TAG, KeyPair, _mac, sign, verify
 from repro.common.hashing import sha256_hex
 from repro.crypto.merkle import EMPTY_ROOT, merkle_root
 
@@ -57,6 +61,25 @@ def test_verify_is_strict_about_the_mac_and_about_whose_key_it_checks():
     assert not verify(
         alice.public_key, b"m", f"{alice.public_key}:{forged}", private_hint=bob.private_key
     )
+
+
+@given(st.binary(max_size=100), st.binary(max_size=300))
+def test_mac_from_precomputed_pads_is_the_standard_hmac(key, message):
+    """Keys up to SHA-256's 64-byte block are padded, longer ones pre-hashed."""
+    expected = hmac.new(key, _SIGNATURE_TAG + message, hashlib.sha256).hexdigest()
+    assert _mac(key, message) == expected
+
+
+def test_only_a_registered_key_gets_its_signatures_verified():
+    """``sign`` memoizes its own verdict only for a key the registry holds,
+    and the signer's own check (``private_hint``) leaves nothing behind
+    for a verifier that has no key to check with."""
+    private_key = hashlib.sha256(b"never registered").digest()
+    signature = sign(private_key, b"m")
+    public_key = signature.partition(":")[0]
+    assert verify(public_key, b"m", signature, private_hint=private_key)
+    assert not verify(public_key, b"m", signature)
+    assert verify(public_key, b"m", signature, private_hint=private_key)
 
 
 def test_sign_requires_bytes():

@@ -13,6 +13,7 @@ from repro.devices.profiles import (
     XEON_E5_1603,
     HardwareProfile,
 )
+from repro.network.link import Link, LinkProfile
 from repro.simulation.randomness import DeterministicRandom
 
 
@@ -125,6 +126,34 @@ def test_busy_time_window_restriction(device):
     device.charge_cpu(10.0, 2.0)
     assert device.busy_time(window=(0.0, 5.0)) == pytest.approx(2.0)
     assert device.busy_time() == pytest.approx(4.0)
+
+
+def test_jittered_durations_are_the_draws_they_always_were(rpi):
+    """The first 20 ``sign_time`` draws of a seeded device, and transfer
+    times of a lossy seeded link (retransmissions included), as the code
+    drew them before its jitter path was flattened."""
+    assert [rpi.sign_time() for _ in range(20)] == [
+        0.0060782625469187335, 0.004052573612054896, 0.004766530244331034,
+        0.004598901976886582, 0.005063725291275469, 0.0035535758927808226,
+        0.0042200249140244015, 0.003992764396918872, 0.0037746228985551748,
+        0.003930415550493717, 0.004154093292109812, 0.0043064141974366804,
+        0.0038879748774645322, 0.004784858076729646, 0.004130430689456351,
+        0.0023414808238452676, 0.00530371194158461, 0.004235478899478658,
+        0.0039982371822539905, 0.004681165179876256,
+    ]
+    lossy = LinkProfile(
+        latency_s=0.0006, bandwidth_bps=220_000_000.0, jitter_fraction=0.12, loss_rate=0.25
+    )
+    link = Link("a", "b", lossy, DeterministicRandom(3))
+    assert [link.transfer_time(1500) for _ in range(20)] == [
+        0.0006613644333021405, 0.0007445472099834701, 0.0012717726556630545,
+        0.00063571666369881, 0.0006514549082724129, 0.0007070693455688184,
+        0.0006968810041984407, 0.0011688746016158486, 0.0005586210666948918,
+        0.0005459324373898574, 0.0006421308223001026, 0.0006314811396141512,
+        0.000648823972292189, 0.0006716885468884199, 0.0006257547564432142,
+        0.0005094526633192835, 0.000552349661041221, 0.0007338542819950584,
+        0.0013563080269684104, 0.001264114078758825,
+    ]
 
 
 def test_disk_and_serialization_costs_positive(device):

@@ -10,6 +10,7 @@ adopted and independent commits is the property test in
 ``tests/property/test_commit_adoption.py``.)
 """
 
+import hashlib
 import json
 
 import pytest
@@ -17,10 +18,13 @@ import pytest
 from repro.common.errors import SealedEnvelopeError, ValidationError
 from repro.common.hashing import checksum_of
 from repro.core.topology import build_desktop_deployment
+from repro.crypto.keys import sign
 from repro.fabric.peer import Peer, SharedCommit
+from repro.fabric.proposal import Proposal
 from repro.ledger.block import Block, BlockHeader
-from repro.ledger.transaction import ReadSetEntry, TxValidationCode
+from repro.ledger.transaction import ReadSetEntry, Transaction, TxValidationCode
 from repro.query.planner import PATH_INDEX
+from tests.internals import organization
 
 CLIENT = "hyperprov-client"
 
@@ -51,12 +55,37 @@ def deployment():
     return watch(build_desktop_deployment(seed=11))
 
 
-def submit(deployment, key, content, dependencies=(), metadata=None):
-    args = [
+def set_args(key, content, dependencies=(), metadata=None):
+    return [
         key, checksum_of(content), f"ssh://storage/{key}",
         json.dumps(list(dependencies)), json.dumps(metadata or {}),
     ]
+
+
+def submit(deployment, key, content, dependencies=(), metadata=None):
+    args = set_args(key, content, dependencies, metadata)
     return deployment.fabric.submit_transaction(CLIENT, "hyperprov", "set", args)
+
+
+def endorsed_transaction(deployment, key, content, tx_id="tx-endorsed"):
+    """The sealed envelope the client would order for ``set(key)``: its own
+    signed proposal and every peer's endorsement of it.  Nothing has
+    ordered or committed it."""
+    identity = deployment.fabric.client_context(CLIENT).identity
+    proposal = Proposal(
+        tx_id=tx_id, channel=deployment.channel.name, chaincode="hyperprov",
+        function="set", args=set_args(key, content), creator=identity.certificate,
+        signature="", timestamp=1.0,
+    )
+    proposal.signature = identity.sign(proposal.signed_bytes())
+    responses = [peer.endorse(proposal, 1.0)[0] for peer in deployment.peers]
+    return Transaction(
+        tx_id=tx_id, channel=proposal.channel, chaincode=proposal.chaincode,
+        function=proposal.function, args=list(proposal.args), rw_set=responses[0].rw_set,
+        endorsements=[response.endorsement for response in responses],
+        creator=identity.certificate, creator_signature=proposal.signature,
+        timestamp=proposal.timestamp,
+    ).seal()
 
 
 def holders(peers, key):
@@ -86,8 +115,9 @@ def ledger_fingerprint(peer):
 
 def forged_transaction(peer, tx_id="tx-forged"):
     """An unsealed copy of the peer's latest transaction under a fresh id,
-    its read versions and endorsement digests re-pointed at current state —
-    what a validating replica judges ``VALID``."""
+    its read versions and endorsement digests re-pointed at current state.
+    Every endorser signed the old digest, so no endorsement verifies and a
+    validating replica refuses it with ``ENDORSEMENT_POLICY_FAILURE``."""
     forged = peer.block_store.block(peer.block_store.height - 1).transactions[-1].tamper()
     forged.tx_id = tx_id
     forged.rw_set.reads = [
@@ -372,17 +402,14 @@ def test_adopting_replica_keeps_its_own_secondary_index():
     assert all(answer == answers[0] for answer in answers[1:])
 
 
-# ----------------------------------------------------------------- bad digests
-def test_endorsement_over_another_digest_is_a_bad_signature(deployment):
-    """Validation compares each endorsement's ``response_digest`` with the
-    digest of the rw-set the envelope carries: a mismatch is refused by the
-    replica that validates and by the one that adopts its verdict."""
-    submit(deployment, "item/a", b"v1")
-    deployment.drain()
+# ------------------------------------------------------ bad endorsements
+def assert_refused(deployment, transaction, code):
+    """``transaction``, alone in the next block, is judged ``code`` by a
+    replica that validates by itself, by one that validates for the fan-out
+    and by one that adopts that verdict; each appends the block and writes
+    nothing of it."""
     alone, validating, adopting = deployment.peers[:3]
-    forged = forged_transaction(alone)
-    forged.endorsements[1].response_digest = "0" * 64
-    block = next_block(alone, [forged])
+    block = next_block(alone, [transaction])
     before = [ledger_fingerprint(peer) for peer in (alone, validating, adopting)]
 
     results = [alone.deliver_block(block, 1.0)]
@@ -391,18 +418,85 @@ def test_endorsement_over_another_digest_is_a_bad_signature(deployment):
 
     assert [adopted for _, _, adopted, _ in deployment.deliveries[-3:]] == [False, False, True]
     for peer, result, fingerprint in zip((alone, validating, adopting), results, before):
-        assert result.validation_codes == [TxValidationCode.BAD_SIGNATURE]
+        assert result.validation_codes == [code]
         assert (result.valid_count, result.invalid_count) == (0, 1)
         assert peer.ledger_height == fingerprint[0] + 1
         assert ledger_fingerprint(peer)[1:5] == fingerprint[1:5]
-        assert not peer.committed("tx-forged")
+        assert not peer.committed(transaction.tx_id)
         assert peer.block_store.verify_chain()
 
 
+def test_endorsement_over_another_digest_is_a_bad_signature(deployment):
+    """Validation compares each endorsement's ``response_digest`` with the
+    digest of the rw-set the envelope carries: a mismatch is refused by the
+    replica that validates and by the one that adopts its verdict."""
+    submit(deployment, "item/a", b"v1")
+    deployment.drain()
+    forged = forged_transaction(deployment.peers[0])
+    forged.endorsements[1].response_digest = "0" * 64
+    assert_refused(deployment, forged, TxValidationCode.BAD_SIGNATURE)
+
+
+def test_forged_transaction_is_refused(deployment):
+    submit(deployment, "item/a", b"v1")
+    deployment.drain()
+    assert_refused(
+        deployment, forged_transaction(deployment.peers[0]),
+        TxValidationCode.ENDORSEMENT_POLICY_FAILURE,
+    )
+
+
+def test_signature_copied_onto_another_digest_is_not_counted(deployment):
+    """Each endorser's own signature, but over another transaction's rw-set:
+    the digest matches the envelope, the signature does not verify, and an
+    endorsement that does not verify counts for no organisation."""
+    submit(deployment, "item/a", b"v1")
+    deployment.drain()
+    donor = endorsed_transaction(deployment, "item/b", b"v1", tx_id="tx-donor")
+    grafted = endorsed_transaction(deployment, "item/c", b"v1").tamper()
+    for endorsement, source in list(zip(grafted.endorsements, donor.endorsements))[:2]:
+        assert endorsement.endorser == source.endorser
+        endorsement.signature = source.signature
+    assert_refused(deployment, grafted, TxValidationCode.ENDORSEMENT_POLICY_FAILURE)
+
+
+def test_signature_under_a_key_never_registered_is_not_counted(deployment):
+    """A member's CA certifies a public key whose private key never went
+    through ``KeyPair.generate``: the MAC under it is well formed, but no
+    verifier holds that key, so the endorsement counts for nothing."""
+    submit(deployment, "item/a", b"v1")
+    deployment.drain()
+    rogue = endorsed_transaction(deployment, "item/b", b"v1").tamper()
+    digest = rogue.rw_set.digest().encode("ascii")
+    for index, endorsement in enumerate(rogue.endorsements[:2]):
+        private_key = hashlib.sha256(f"unregistered:{index}".encode()).digest()
+        signature = sign(private_key, digest)
+        public_key = signature.partition(":")[0]  # a signature names its key
+        ca = organization(deployment.channel.msp, endorsement.organization).ca
+        endorsement.endorser = f"rogue{index}"
+        endorsement.certificate = ca.issue(endorsement.endorser, public_key, role="peer")
+        endorsement.signature = signature
+        assert deployment.channel.msp.validate_certificate(endorsement.certificate)
+    assert_refused(deployment, rogue, TxValidationCode.ENDORSEMENT_POLICY_FAILURE)
+
+
+def test_endorser_with_a_revoked_certificate_is_not_counted(deployment):
+    """Revoked after it endorsed: the signature's verdict is still memoized
+    from signing, but validation checks the certificate first."""
+    submit(deployment, "item/a", b"v1")
+    deployment.drain()
+    transaction = endorsed_transaction(deployment, "item/b", b"v1")
+    for endorsement in transaction.endorsements[:2]:
+        ca = organization(deployment.channel.msp, endorsement.organization).ca
+        ca.revoke(endorsement.certificate)
+    assert_refused(deployment, transaction, TxValidationCode.ENDORSEMENT_POLICY_FAILURE)
+
+
 # ------------------------------------------------------------- refused blocks
-def refused_blocks(peer):
-    """One otherwise committable block per check ``BlockStore.append`` makes."""
-    good = next_block(peer, [forged_transaction(peer)])
+def refused_blocks(peer, transaction):
+    """One block of ``transaction``, otherwise committable, per check
+    ``BlockStore.append`` makes."""
+    good = next_block(peer, [transaction])
     header = good.header
 
     def variant(**changes):
@@ -426,7 +520,8 @@ def test_refused_block_leaves_the_replica_untouched(deployment, check):
         submit(deployment, key, b"v1")
     deployment.drain()
     peer = deployment.peers[0]
-    block, message = refused_blocks(peer)[check]
+    transaction = endorsed_transaction(deployment, "victim", b"v2")
+    block, message = refused_blocks(peer, transaction)[check]
     before = ledger_fingerprint(peer)
     assert peer.world_state.get_version("victim") == (0, 2)
 
@@ -435,7 +530,7 @@ def test_refused_block_leaves_the_replica_untouched(deployment, check):
 
     assert ledger_fingerprint(peer) == before
     assert peer.world_state.get_version("victim") == (0, 2)
-    assert not peer.committed("tx-forged")
+    assert not peer.committed(transaction.tx_id)
     assert peer.metrics.counter("blocks_committed").value == 1
     assert peer.block_store.verify_chain()
     # The same transactions in a block that links are committed.
@@ -448,7 +543,9 @@ def test_block_refused_by_the_first_replica_offers_no_plan(deployment):
     submit(deployment, "item/a", b"v1")
     deployment.drain()
     first, second = deployment.peers[:2]
-    block, message = refused_blocks(first)["data-hash"]
+    block, message = refused_blocks(first, endorsed_transaction(deployment, "item/b", b"v1"))[
+        "data-hash"
+    ]
     plan = SharedCommit(block)
     before = ledger_fingerprint(second)
 

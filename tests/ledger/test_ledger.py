@@ -1,15 +1,19 @@
 """Tests for transactions, blocks, world state, history and the block store."""
 
+from dataclasses import MISSING, fields, replace
+
 import pytest
 
 from repro.common.errors import NotFoundError, SealedEnvelopeError, ValidationError
 from repro.common.hashing import sha256_hex
 from repro.common.serialization import canonical_json
+from repro.crypto.certificates import CertificateAuthority
 from repro.crypto.merkle import EMPTY_ROOT, merkle_root
+from repro.fabric.proposal import Proposal
 from repro.ledger.block import Block
 from repro.ledger.blockchain import BlockStore, GENESIS_PREVIOUS_HASH
 from repro.ledger.history import HistoryDatabase
-from repro.ledger.transaction import ReadWriteSet, Transaction, TxValidationCode
+from repro.ledger.transaction import Endorsement, ReadWriteSet, Transaction, TxValidationCode
 from repro.ledger.world_state import VersionedValue, WorldState
 
 
@@ -111,10 +115,63 @@ def test_sealed_transaction_rejects_scalar_field_mutation():
         tx.rw_set.reads = []
 
 
-def test_sealed_endorsement_is_frozen_but_tamper_clone_is_not():
-    from repro.crypto.certificates import CertificateAuthority
-    from repro.ledger.transaction import Endorsement
+def generated_state(cls, **given):
+    """The ``__dict__`` a generated dataclass ``__init__`` would leave, in order."""
+    state = {}
+    for f in fields(cls):
+        if f.name in given:
+            state[f.name] = given[f.name]
+        elif f.default is not MISSING:
+            state[f.name] = f.default
+        else:
+            state[f.name] = f.default_factory()
+    return state
 
+
+def test_hand_written_constructors_keep_the_dataclass_contract():
+    """``Endorsement``, ``Proposal`` and ``Transaction`` assign their fields
+    without their ``__setattr__`` guards; each leaves what the generated
+    ``__init__`` did: every field in declaration order, ``args`` of a
+    proposal frozen to a tuple, cache and seal slots empty — so ``repr``,
+    ``==`` and ``dataclasses.replace`` behave as before."""
+    cert = CertificateAuthority("ca1", "org1").issue("peer0", "pk")
+    endorsement_args = dict(
+        endorser="peer0", organization="org1", certificate=cert,
+        signature="sig", response_digest="digest",
+    )
+    proposal_args = dict(
+        tx_id="t1", channel="ch", chaincode="hyperprov", function="set",
+        args=["k", "v"], creator=cert, signature="sig", timestamp=1.5,
+    )
+    tx_args = dict(
+        tx_id="t1", channel="ch", chaincode="hyperprov", function="set",
+        args=["k", "v"], rw_set=ReadWriteSet(),
+    )
+    cases = [
+        (Endorsement, endorsement_args, {}),
+        (Proposal, proposal_args, {"args": ("k", "v")}),
+        (Transaction, tx_args, {}),
+    ]
+    for cls, given, frozen in cases:
+        built = cls(**given)
+        expected = generated_state(cls, **{**given, **frozen})
+        assert list(vars(built).items()) == list(expected.items())
+        assert repr(built) == "%s(%s)" % (cls.__name__, ", ".join(
+            f"{f.name}={expected[f.name]!r}" for f in fields(cls) if f.repr
+        ))
+        assert built == cls(**given) == replace(built)
+        other = "tx_id" if "tx_id" in given else "signature"
+        assert built != cls(**{**given, other: "other"})
+
+    full = Transaction(**tx_args, endorsements=[Endorsement(**endorsement_args)],
+                       creator=cert, creator_signature="c", timestamp=2.0,
+                       response_payload="p", chaincode_event=("e", "{}"),
+                       validation_code=TxValidationCode.MVCC_READ_CONFLICT)
+    assert full.tamper() == full
+    assert Transaction(**tx_args).endorsements is not Transaction(**tx_args).endorsements
+
+
+def test_sealed_endorsement_is_frozen_but_tamper_clone_is_not():
     ca = CertificateAuthority("ca1", "org1")
     cert = ca.issue("peer0", "pk")
     endorsement = Endorsement(

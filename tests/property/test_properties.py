@@ -14,6 +14,7 @@ from repro.common.serialization import canonical_json
 from repro.crypto.merkle import EMPTY_ROOT, merkle_root
 from repro.devices.model import DeviceModel
 from repro.devices.profiles import XEON_E5_1603
+from repro.fabric.proposal import Proposal
 from repro.ledger.block import Block
 from repro.ledger.blockchain import BlockStore
 from repro.ledger.transaction import Endorsement, ReadSetEntry, ReadWriteSet, Transaction
@@ -346,6 +347,23 @@ def test_envelope_bytes_equal_canonical_json_of_the_envelope_dict(
     assert clone.envelope_bytes() == canonical_json(clone.to_dict()) != reference
     assert clone.digest() != tx.digest() == sha256_hex(reference)
     assert tx.envelope_bytes() == reference
+
+
+# ----------------------------------------------------------- signed proposal
+@given(st.tuples(awkward_text, awkward_text, awkward_text, awkward_text),
+       st.lists(awkward_text, max_size=6))
+def test_signed_bytes_equal_canonical_json_of_the_covered_fields(names, args):
+    """What the client signs and every endorser verifies stays the
+    reference encoding of the five covered fields."""
+    tx_id, channel, chaincode, function = names
+    proposal = Proposal(
+        tx_id=tx_id, channel=channel, chaincode=chaincode, function=function, args=args,
+        creator=certificates[0], signature="", timestamp=0.0,
+    )
+    assert proposal.signed_bytes() == canonical_json({
+        "tx_id": tx_id, "channel": channel, "chaincode": chaincode,
+        "function": function, "args": list(args),
+    })
 
 
 # ----------------------------------------------------------------------- arrivals

@@ -1,5 +1,7 @@
 """Tests for simulated resources and deterministic randomness."""
 
+import random
+
 import pytest
 
 from repro.common.errors import SimulationError
@@ -97,3 +99,12 @@ def test_exponential_mean_roughly_matches():
 
 def test_bytes_returns_requested_length():
     assert len(DeterministicRandom(1).bytes(1000)) == 1000
+
+
+@pytest.mark.parametrize("length", [0, 1, 2, 7, 4096])
+def test_bytes_are_the_per_byte_draws_and_leave_the_stream_where_they_did(length):
+    for seed in range(20):
+        fast, reference = DeterministicRandom(seed), random.Random(seed)
+        expected = bytes(reference.getrandbits(8) for _ in range(length))
+        assert fast.bytes(length) == expected
+        assert fast.random() == reference.random()

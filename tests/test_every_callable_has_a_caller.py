@@ -26,7 +26,6 @@ WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 #: Callables kept for a planned ROADMAP item that needs them, whether or
 #: not anything names them yet: ``(module, qualified name) -> item``.
 PLANNED: Dict[Tuple[str, str], str] = {
-    ("repro/crypto/certificates.py", "CertificateAuthority.revoke"): "1",
     ("repro/chaincode/hyperprov.py", "HyperProvChaincode._delete"): "3",
     ("repro/chaincode/shim.py", "ChaincodeStub.del_state"): "3",
     ("repro/ledger/world_state.py", "WorldState.delete"): "3",
