@@ -92,7 +92,7 @@ class HyperProvStore(ProvenanceStore):
             organization=identity.organization,
             certificate_fingerprint=identity.certificate.fingerprint,
             dependencies=dependencies,
-            metadata=dict(request.metadata),
+            metadata=request.metadata,
             size_bytes=size_bytes,
         )
         client.metrics.counter("post").inc()
@@ -113,7 +113,6 @@ class HyperProvStore(ProvenanceStore):
         response, latency, ctx = client._query("get", "get", [key], at_time=at_time)
         if not response.is_ok or response.payload is None:
             raise NotFoundError(response.message or f"key {key!r} not found")
-        client.metrics.histogram("get_latency_s").observe(latency)
         return RecordView.from_document(
             response.payload, client.pipeline_config.tenant, latency, ctx.stale
         )
@@ -139,7 +138,6 @@ class HyperProvStore(ProvenanceStore):
             )
             for entry in page.entries
         )
-        client.metrics.histogram("history_latency_s").observe(latency)
         return HistoryView(key=key, entries=entries, latency_s=latency, stale=stale)
 
     def verify(
@@ -183,7 +181,6 @@ class HyperProvStore(ProvenanceStore):
         page = response.scan
         if not response.is_ok or page is None:
             raise ChaincodeError(response.message or "rich query failed")
-        client.metrics.histogram("query_latency_s").observe(latency)
         return QueryPage(
             records=tuple(self.row_views(page, ctx.stale)),
             bookmark=page.bookmark,
@@ -195,16 +192,24 @@ class HyperProvStore(ProvenanceStore):
     def row_views(self, page: Any, stale: bool) -> List[RecordView]:
         """One view per row of a scan (``query``, ``client.get_by_range``).
 
-        Built from the committed version's already-parsed document; the
-        caller is another machine, so whatever it does to a view changes
-        no peer's state and no later answer.
+        Built from the committed version's memoized record reading, or
+        from its document when the version has none (a value that is no
+        well-typed record fails there as on every other read); the caller
+        is another machine, so whatever it does to a view changes no
+        peer's state and no later answer.
         """
         tenant = self.client.pipeline_config.tenant
-        return [
-            RecordView.from_document(row.document, tenant, stale=stale)
-            for row in page.rows
-            if not row.key.startswith("__")
-        ]
+        from_reading, from_document = RecordView.from_reading, RecordView.from_document
+        views = []
+        for row in page.rows:
+            if row.key.startswith("__"):
+                continue
+            reading = row.reading
+            views.append(
+                from_document(row.document, tenant, stale=stale) if reading is None
+                else from_reading(reading, tenant, stale)
+            )
+        return views
 
     def subscribe(
         self,

@@ -33,13 +33,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional, Tuple, Union
 
-from repro.chaincode.records import ProvenanceRecord, record_fields
+from repro.chaincode.records import ProvenanceRecord
 from repro.common.errors import (
     ConfigurationError,
     IncompleteTransactionError,
     ValidationError,
 )
 from repro.common.hashing import checksum_of
+from repro.common.records import DEPENDENCIES, record_fields
 from repro.common.serialization import copy_json
 from repro.common.tenancy import relative_key, strip_namespace
 
@@ -52,7 +53,11 @@ class StoreRequest:
     Exactly one of ``data`` (store the payload and derive its checksum and
     location) or ``checksum`` + ``location`` (metadata-only post for data
     that already lives elsewhere) is given; any other combination is a
-    :class:`~repro.common.errors.ValidationError` at construction.
+    :class:`~repro.common.errors.ValidationError` at construction, and so
+    are ``dependencies`` that are not a tuple or list of non-empty keys (a
+    lone key string included) and ``metadata`` that is not a dict.  The
+    request keeps copies of both containers, so a caller that changes its
+    own afterwards changes no submission.
     """
 
     key: str
@@ -75,6 +80,20 @@ class StoreRequest:
             raise ValidationError(
                 "a StoreRequest with data derives its own checksum and location"
             )
+        dependencies, metadata = self.dependencies, self.metadata
+        if not isinstance(dependencies, (tuple, list)) or not all(
+            isinstance(dependency, str) and dependency for dependency in dependencies
+        ):
+            raise ValidationError(
+                f"StoreRequest dependencies must be a tuple or list of non-empty "
+                f"keys, got {dependencies!r}"
+            )
+        if not isinstance(metadata, dict):
+            raise ValidationError(
+                f"StoreRequest metadata must be a dict, got {type(metadata).__name__}"
+            )
+        object.__setattr__(self, "dependencies", tuple(dependencies))
+        object.__setattr__(self, "metadata", dict(metadata))
 
     def record_for(
         self, at_time: float, location: str, creator: str, organization: str
@@ -148,31 +167,55 @@ class RecordView:
         :class:`~repro.common.errors.TenancyError`; its dependencies are
         stripped leniently.
         """
-        (key, checksum, location, creator, organization, _fingerprint,
-         dependencies, metadata, timestamp, size_bytes) = record_fields(document)
-        if tenant:
-            key = relative_key(tenant, key)
-            dependencies = [strip_namespace(tenant, dep) for dep in dependencies]
-        else:
-            dependencies = copy_json(dependencies)
-        # A scan builds one view per returned row, and a frozen dataclass's
-        # ``__init__`` pays one ``object.__setattr__`` call per field; the
-        # fields go into the instance dict in one update instead.
-        view = object.__new__(cls)
-        view.__dict__.update(
-            key=key,
-            checksum=checksum,
-            location=location,
-            creator=creator,
-            organization=organization,
-            dependencies=tuple(dependencies),
-            metadata=copy_json(metadata),
-            timestamp=timestamp,
-            size_bytes=size_bytes,
-            latency_s=latency_s,
-            stale=stale,
+        fields = record_fields(document)
+        dependencies = tuple(copy_json(fields[DEPENDENCIES]))
+        return _view(
+            cls, fields[:DEPENDENCIES] + (dependencies,) + fields[DEPENDENCIES + 1:],
+            tenant, latency_s, stale,
         )
-        return view
+
+    @classmethod
+    def from_reading(cls, reading: Tuple[Any, ...], tenant: str, stale: bool) -> "RecordView":
+        """The view of a committed version's memoized record reading.
+
+        What a scan's rows become (``VersionedValue.reading``, see
+        :func:`~repro.common.records.record_reading`): the fields are
+        already type-checked and the dependencies an immutable tuple, so
+        all that is left per view is ``tenant``'s namespace and a copy of
+        the metadata map, which every replica and reader shares.  The
+        same view :meth:`from_document` builds from the version's value;
+        like every scan row's view it carries no latency of its own.
+        """
+        return _view(cls, reading, tenant, 0.0, stale)
+
+
+def _view(
+    cls: type, reading: Tuple[Any, ...], tenant: str, latency_s: float, stale: bool
+) -> RecordView:
+    """A view of ``reading`` (dependencies a tuple of its own), metadata copied."""
+    (key, checksum, location, creator, organization, _fingerprint,
+     dependencies, metadata, timestamp, size_bytes) = reading
+    if tenant:
+        key = relative_key(tenant, key)
+        dependencies = tuple([strip_namespace(tenant, dep) for dep in dependencies])
+    # A scan builds one view per returned row, and a frozen dataclass's
+    # ``__init__`` pays one ``object.__setattr__`` call per field; the
+    # fields go into the instance dict in one update instead.
+    view: RecordView = object.__new__(cls)
+    view.__dict__.update(
+        key=key,
+        checksum=checksum,
+        location=location,
+        creator=creator,
+        organization=organization,
+        dependencies=dependencies,
+        metadata=copy_json(metadata),
+        timestamp=timestamp,
+        size_bytes=size_bytes,
+        latency_s=latency_s,
+        stale=stale,
+    )
+    return view
 
 
 @dataclass(frozen=True)

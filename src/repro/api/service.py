@@ -77,8 +77,8 @@ class ProvenanceSession:
             data=data,
             checksum=checksum,
             location=location,
-            dependencies=tuple(dependencies),
-            metadata=dict(metadata or {}),
+            dependencies=dependencies,
+            metadata={} if metadata is None else metadata,
             size_bytes=size_bytes,
         )
         handle = self.backend.submit(request, at_time=at_time)

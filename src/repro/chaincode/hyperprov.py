@@ -38,7 +38,7 @@ import json
 from itertools import filterfalse, islice
 from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.chaincode.records import ProvenanceRecord
 from repro.chaincode.shim import Candidates, ChaincodeResponse, ChaincodeStub
@@ -101,23 +101,38 @@ class HyperProvChaincode:
 
     # ------------------------------------------------------------- functions
     def _set(self, stub: ChaincodeStub) -> ChaincodeResponse:
-        """``set(key, checksum, location, dependencies_json, metadata_json, size)``"""
+        """``set(key, checksum, location, dependencies_json, metadata_json, size)``
+
+        Refused, naming the argument, unless ``dependencies_json`` is a
+        JSON list of non-empty strings, ``metadata_json`` a JSON object
+        and ``size`` an integer: nothing malformed reaches the ledger.
+        """
         if len(stub.args) < 3:
             return ChaincodeResponse.error(
                 "set requires at least: key, checksum, location"
             )
-        key = stub.args[0]
-        checksum = stub.args[1]
-        location = stub.args[2]
-        dependencies: List[str] = []
-        metadata = {}
-        size_bytes = 0
-        if len(stub.args) > 3 and stub.args[3]:
-            dependencies = json.loads(stub.args[3])
-        if len(stub.args) > 4 and stub.args[4]:
-            metadata = json.loads(stub.args[4])
-        if len(stub.args) > 5 and stub.args[5]:
-            size_bytes = int(stub.args[5])
+        args = stub.args
+        key, checksum, location = args[0], args[1], args[2]
+        try:
+            dependencies = json.loads(args[3]) if len(args) > 3 and args[3] else []
+        except ValueError:  # JSONDecodeError is a ValueError
+            dependencies = None
+        if not isinstance(dependencies, list) or not all(
+            isinstance(dependency, str) and dependency for dependency in dependencies
+        ):
+            return ChaincodeResponse.error(
+                "set: dependencies must be a JSON list of non-empty strings"
+            )
+        try:
+            metadata = json.loads(args[4]) if len(args) > 4 and args[4] else {}
+        except ValueError:
+            metadata = None
+        if not isinstance(metadata, dict):
+            return ChaincodeResponse.error("set: metadata must be a JSON object")
+        try:
+            size_bytes = int(args[5]) if len(args) > 5 and args[5] else 0
+        except ValueError:
+            return ChaincodeResponse.error("set: size_bytes must be an integer")
 
         creator = stub.get_creator()
         if creator is None:

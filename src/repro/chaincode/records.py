@@ -8,46 +8,12 @@ create an item, and a custom field for any additional metadata."
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List
 
 from repro.common.errors import ValidationError
+from repro.common.records import record_fields
 from repro.common.serialization import copy_json, sorted_json
-
-
-def record_fields(value: Any) -> Tuple[Any, ...]:
-    """The fields of a ledger value, type-checked, in :class:`ProvenanceRecord` order.
-
-    ``value`` is the committed JSON text or its already-parsed document.
-    Raises :class:`ValidationError` for anything that is not a JSON object
-    with well-typed fields.  ``dependencies`` and ``metadata`` are the
-    document's own containers: whoever parsed the text owns them, whoever
-    was handed a shared document copies them.
-    """
-    try:
-        data = json.loads(value) if isinstance(value, str) else value
-        if not isinstance(data, dict):
-            raise TypeError(f"expected a JSON object, got {type(data).__name__}")
-        dependencies = data.get("dependencies") or []
-        metadata = data.get("metadata") or {}
-        if not isinstance(dependencies, list) or not isinstance(metadata, dict):
-            raise TypeError("dependencies must be a list and metadata an object")
-        get = data.get
-        return (
-            get("key", ""),
-            get("checksum", ""),
-            get("location", ""),
-            get("creator", ""),
-            get("organization", ""),
-            get("certificate_fingerprint", ""),
-            dependencies,
-            metadata,
-            float(get("timestamp", 0.0)),
-            int(get("size_bytes", 0)),
-        )
-    except (TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
-        raise ValidationError(f"malformed provenance record: {exc}") from exc
 
 
 @dataclass

@@ -7,6 +7,7 @@ rest of the code base.  It provides:
 * deterministic identifier generation (:mod:`repro.common.ids`),
 * hashing / checksum helpers (:mod:`repro.common.hashing`),
 * canonical serialization (:mod:`repro.common.serialization`),
+* reading a committed provenance record (:mod:`repro.common.records`),
 * configuration dataclasses (:mod:`repro.common.config`),
 * a tiny synchronous event bus (:mod:`repro.common.events`),
 * a metrics registry for counters/gauges/histograms

@@ -749,9 +749,7 @@ class FabricNetwork:
         back = self.network.estimate_transfer_time(
             target_name, context.host_node, response.size + 1024
         )
-        latency = (ready_at + back) - start
-        self.metrics.histogram("query_latency_s").observe(latency)
-        return response, latency
+        return response, (ready_at + back) - start
 
     # -------------------------------------------------------------- helpers
     def flush_and_drain(self, max_events: int = 1_000_000) -> RunOutcome:

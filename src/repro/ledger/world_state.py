@@ -21,6 +21,7 @@ from bisect import bisect_left, bisect_right, insort
 from itertools import chain
 from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
+from repro.common.records import record_reading
 from repro.ledger.scan import row_size
 from repro.ledger.transaction import ReadSetEntry, Version, canonical_read
 
@@ -35,6 +36,10 @@ def _parse_document(entry: "VersionedValue") -> Optional[Dict[str, Any]]:
     except (TypeError, ValueError):
         return None
     return document if isinstance(document, dict) else None
+
+
+def _reading(entry: "VersionedValue") -> Optional[Tuple[Any, ...]]:
+    return record_reading(entry.document)
 
 
 def _read_entry(entry: "VersionedValue") -> ReadSetEntry:
@@ -57,9 +62,18 @@ class VersionedValue:
     replicas and a workload that never scans computes none.
 
     ``document``   the value parsed as a JSON object (``None`` when it is
-                   anything else) — what rich queries match against and
-                   what clients build records from.  Read-only by contract:
-                   whoever hands parts of it out copies them.
+                   anything else).  Read-only by contract: whoever hands
+                   parts of it out copies them.
+    ``reading``    the record read from ``document`` once for every
+                   replica and reader
+                   (:func:`~repro.common.records.record_reading`): the
+                   type-checked fields, ``dependencies`` a tuple,
+                   ``metadata`` the document's own map.  What a scan's
+                   row predicate matches on and what a client builds its
+                   views from; ``None`` for a value that is no
+                   well-typed record, which both answer from ``document``
+                   instead, as if there were no memo.  A rewrite of the
+                   key is a new version with a reading of its own.
     ``read``       the :class:`ReadSetEntry` a scan visiting this version
                    records.
     ``read_line``  that entry's line in the rw-set's canonical JSON.
@@ -68,18 +82,22 @@ class VersionedValue:
                    charges for it; the text itself is never kept.
     """
 
-    __slots__ = ("value", "version", "key", "document", "read", "read_line", "text_size")
+    __slots__ = (
+        "value", "version", "key", "document", "reading", "read", "read_line", "text_size"
+    )
 
     value: str
     version: Version
     key: Optional[str]
     document: Optional[Dict[str, Any]]
+    reading: Optional[Tuple[Any, ...]]
     read: ReadSetEntry
     read_line: str
     text_size: int
 
     _FRAGMENTS = {
         "document": _parse_document,
+        "reading": _reading,
         "read": _read_entry,
         "read_line": _read_line,
         "text_size": row_size,

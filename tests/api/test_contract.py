@@ -211,6 +211,44 @@ def test_metadata_only_submit_requires_checksum_and_location(store):
     assert store.get("meta/only").location == "file://elsewhere"
 
 
+@pytest.mark.parametrize("containers", [
+    {"dependencies": "contract/dep"},
+    {"dependencies": {"contract/dep": 1}},
+    {"dependencies": (["contract/dep"],)},
+    {"dependencies": ("",)},
+    {"metadata": ["not", "a", "map"]},
+    {"metadata": None},
+])
+def test_a_request_with_malformed_containers_is_refused_alike(store, containers):
+    store.store(StoreRequest(key="contract/dep", data=b"base"))
+    with pytest.raises(ValidationError, match="StoreRequest"):
+        store.submit(StoreRequest(key="contract/bad", data=b"bad", **containers))
+    with pytest.raises(NotFoundError):
+        store.get("contract/bad")
+
+
+@pytest.mark.parametrize("containers", [
+    {"dependencies": "sensor/1"},
+    {"metadata": ["not", "a", "map"]},
+])
+def test_a_session_refuses_malformed_containers_before_submitting(containers):
+    session = HyperProvService(build_desktop_deployment(seed=42)).session()
+    with pytest.raises(ValidationError, match="StoreRequest"):
+        session.submit("sensor/2", b"x", **containers)
+    assert session.in_flight == 0
+
+
+def test_a_request_keeps_copies_of_its_containers():
+    dependencies, metadata = ["contract/dep"], {"stage": "raw"}
+    request = StoreRequest(
+        key="contract/own", data=b"x", dependencies=dependencies, metadata=metadata
+    )
+    dependencies.append("contract/other")
+    metadata["stage"] = "changed"
+    assert request.dependencies == ("contract/dep",)
+    assert request.metadata == {"stage": "raw"}
+
+
 def test_hyperprov_submit_is_nonblocking_and_result_gated():
     store = _build_store("hyperprov")
     handle = store.submit(StoreRequest(key="async/1", data=b"payload"))

@@ -246,6 +246,7 @@ def _constructions(monkeypatch, action) -> dict:
     built = {"views": 0, "records": 0}
     view_init, record_init = RecordView.__init__, ProvenanceRecord.__init__
     from_document = RecordView.from_document.__func__
+    from_reading = RecordView.from_reading.__func__
 
     def counting_view_init(self, *args, **kwargs):
         built["views"] += 1
@@ -255,6 +256,10 @@ def _constructions(monkeypatch, action) -> dict:
         built["views"] += 1
         return from_document(cls, *args, **kwargs)
 
+    def counting_from_reading(cls, *args, **kwargs):
+        built["views"] += 1
+        return from_reading(cls, *args, **kwargs)
+
     def counting_record_init(self, *args, **kwargs):
         built["records"] += 1
         record_init(self, *args, **kwargs)
@@ -262,6 +267,7 @@ def _constructions(monkeypatch, action) -> dict:
     with monkeypatch.context() as patch:
         patch.setattr(RecordView, "__init__", counting_view_init)
         patch.setattr(RecordView, "from_document", classmethod(counting_from_document))
+        patch.setattr(RecordView, "from_reading", classmethod(counting_from_reading))
         patch.setattr(ProvenanceRecord, "__init__", counting_record_init)
         action()
     return built

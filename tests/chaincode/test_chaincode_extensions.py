@@ -7,7 +7,7 @@ import pytest
 
 from repro.chaincode.hyperprov import HyperProvChaincode
 from repro.chaincode.records import ProvenanceRecord
-from repro.chaincode.shim import ChaincodeStub
+from repro.chaincode.shim import ChaincodeResponse, ChaincodeStub
 from repro.common.errors import ChaincodeError
 from repro.common.hashing import checksum_of
 from repro.ledger.history import HistoryDatabase
@@ -160,6 +160,47 @@ def test_query_parse_memo_does_not_serve_stale_records_after_update():
     state.put("item", updated.to_json(), (1, 0))  # new version, new value
     rows = json.loads(chaincode.invoke(stub_for("query", selector, state=state)).scan.payload())
     assert [row["key"] for row in rows] == ["item"]
+
+
+# ------------------------------------------------------------ set arguments
+WELL_FORMED_SET = ["k", checksum_of(b"x"), "loc", "[]", "{}", "0"]
+
+
+@pytest.mark.parametrize("position, value, named", [
+    (4, json.dumps(["not", "a", "map"]), "metadata"),
+    (4, "7", "metadata"),
+    (4, "null", "metadata"),
+    (4, "{not json", "metadata"),
+    (3, json.dumps([["x"]]), "dependencies"),
+    (3, json.dumps({"a": 1}), "dependencies"),
+    (3, json.dumps("raw/a"), "dependencies"),
+    (3, json.dumps([1]), "dependencies"),
+    (3, json.dumps([""]), "dependencies"),
+    (3, "[not json", "dependencies"),
+    (5, "big", "size_bytes"),
+])
+def test_set_refuses_a_malformed_argument_and_names_it(org1_cert, position, value, named):
+    args = list(WELL_FORMED_SET)
+    args[position] = value
+    stub = stub_for("set", args, creator=org1_cert)
+    response = HyperProvChaincode().invoke(stub)
+    assert response.status == ChaincodeResponse.ERROR == 500
+    assert named in response.message
+    assert stub.rw_set.writes == [] and stub.event is None
+
+
+def test_set_stores_well_formed_arguments_as_given(org1_cert):
+    state = state_with_records(record("raw/a"))
+    args = list(WELL_FORMED_SET)
+    args[3:6] = [json.dumps(["raw/a"]), json.dumps({"station": "tromso"}), "2048"]
+    response = HyperProvChaincode().invoke(
+        stub_for("set", args, state=state, creator=org1_cert)
+    )
+    assert response.status == ChaincodeResponse.OK
+    stored = ProvenanceRecord.from_json(response.payload)
+    assert (stored.dependencies, stored.metadata, stored.size_bytes) == (
+        ["raw/a"], {"station": "tromso"}, 2048
+    )
 
 
 # --------------------------------------------------------------------- ACL

@@ -21,8 +21,8 @@ from repro.simulation.randomness import DeterministicRandom
 # Property-test profiles.  ``tier1`` (the default) draws the same examples
 # on every run, so two runs of the suite test the same thing; ``deep``
 # (``pytest --hypothesis-profile=deep``) draws fresh ones, ten times the
-# default budget, and replays failures from the example database.  A test
-# that sets its own ``max_examples`` keeps it under both.
+# budget, and replays failures from the example database.  Each property
+# test's budget is its row in ``tests/property_budgets.py``.
 settings.register_profile("tier1", derandomize=True, database=None)
 settings.register_profile("deep", max_examples=10 * settings.default.max_examples)
 settings.load_profile("tier1")

@@ -3,7 +3,7 @@
 from collections import deque
 
 import pytest
-from hypothesis import example, given, seed, settings, strategies as st
+from hypothesis import example, given, seed, strategies as st
 
 from repro.common.errors import ConfigurationError
 from repro.consensus.batching import BatchConfig
@@ -17,6 +17,7 @@ from repro.consensus.scheduler import (
 from repro.consensus.solo import SoloOrderingService
 from repro.ledger.transaction import ReadWriteSet, Transaction
 from repro.simulation.engine import SimulationEngine
+from tests.property_budgets import budget
 
 
 def make_tx(tx_id, key):
@@ -215,7 +216,7 @@ def run_program(scheduler, program, txs):
 
 
 @seed(20261015)
-@settings(max_examples=300, deadline=None)
+@budget
 @given(programs)
 # The head's tenant still has a backlog when "b" joins mid-turn: "b" is
 # served next, so a scheduler that rotates on the serving call fails here.

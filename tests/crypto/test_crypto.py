@@ -11,6 +11,7 @@ from repro.crypto.certificates import CertificateAuthority
 from repro.crypto.keys import _SIGNATURE_TAG, KeyPair, _mac, sign, verify
 from repro.common.hashing import sha256_hex
 from repro.crypto.merkle import EMPTY_ROOT, merkle_root
+from tests.property_budgets import budget
 
 
 # ----------------------------------------------------------------------- keys
@@ -63,6 +64,7 @@ def test_verify_is_strict_about_the_mac_and_about_whose_key_it_checks():
     )
 
 
+@budget
 @given(st.binary(max_size=100), st.binary(max_size=300))
 def test_mac_from_precomputed_pads_is_the_standard_hmac(key, message):
     """Keys up to SHA-256's 64-byte block are padded, longer ones pre-hashed."""

@@ -14,13 +14,14 @@ same block, unknown functions and several blocks in flight between drains.
 
 import json
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.common.hashing import checksum_of
 from repro.consensus.batching import BatchConfig
 from repro.core.topology import build_desktop_deployment
 from repro.fabric.peer import Peer
 from repro.ledger.transaction import TxValidationCode
+from tests.property_budgets import budget
 
 KEYS = [f"item/{index}" for index in range(4)]
 CLIENT = "hyperprov-client"
@@ -119,7 +120,7 @@ def distinct_objects(deployment):
     return counts
 
 
-@settings(max_examples=40, deadline=None)
+@budget
 @given(st.lists(operations, min_size=1, max_size=24))
 def test_adopted_commits_equal_independent_commits(program):
     shared, shared_results = run(program, share=True)

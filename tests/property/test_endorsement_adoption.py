@@ -13,12 +13,13 @@ transactions in flight between drains.
 
 import json
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.common.hashing import checksum_of
 from repro.core.topology import build_desktop_deployment
 from repro.fabric.peer import Peer
 from tests.internals import organization
+from tests.property_budgets import budget
 
 KEYS = [f"item/{index}" for index in range(4)]
 CLIENTS = ["hyperprov-client", "org2-client"]
@@ -94,7 +95,7 @@ def fields(response, ready_at):
     )
 
 
-@settings(max_examples=40, deadline=None)
+@budget
 @given(st.lists(operations, min_size=1, max_size=24))
 def test_adopted_responses_equal_independent_endorsements(program):
     shared = run(program, share=True)

@@ -8,11 +8,12 @@ produce exactly the commit logs of the one-engine run, through churn,
 partition windows and batched and per-post blocks.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.consensus.batching import BatchConfig
 from repro.simulation.parallel import run_fleet_parallel, run_fleet_sequential
 from repro.workloads.fleet import FleetSpec
+from tests.property_budgets import budget
 
 DURATION_S = 40.0
 
@@ -46,7 +47,7 @@ fleet_specs = st.builds(
 )
 
 
-@settings(max_examples=30, deadline=None)
+@budget
 @given(fleet_specs)
 def test_per_site_runs_equal_the_one_engine_run(spec):
     sequential = run_fleet_sequential(spec)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.chaincode.records import ProvenanceRecord
 from repro.common.errors import ConfigurationError
@@ -28,6 +28,7 @@ from repro.simulation.randomness import DeterministicRandom
 from repro.simulation.resources import SimResource, interval_overlap
 from repro.workloads.arrivals import sample_poisson_times
 from tests.internals import indexed_keys, live_topics
+from tests.property_budgets import budget
 
 payloads = st.binary(min_size=0, max_size=256)
 keys = st.text(alphabet="abcdefghij/", min_size=1, max_size=12)
@@ -43,6 +44,7 @@ def make_tx(tx_id: str, key: str, value: str) -> Transaction:
 
 
 # ----------------------------------------------------------------------- hashes
+@budget
 @given(st.lists(payloads, max_size=20))
 def test_hash_chain_verify_roundtrip(items):
     chain = HashChain()
@@ -51,6 +53,7 @@ def test_hash_chain_verify_roundtrip(items):
     assert chain.verify(items)
 
 
+@budget
 @given(st.lists(payloads, min_size=1, max_size=20), st.integers(min_value=0, max_value=19))
 def test_hash_chain_detects_any_single_mutation(items, index):
     index = index % len(items)
@@ -74,6 +77,7 @@ def _pairwise_root(hashes):
     return _pairwise_root([sha256_hex(padded[i] + padded[i + 1]) for i in range(0, len(padded), 2)])
 
 
+@budget
 @given(st.lists(payloads, max_size=33))
 def test_merkle_root_matches_the_pairwise_definition(leaves):
     hashes = [sha256_hex(leaf) for leaf in leaves]
@@ -81,6 +85,7 @@ def test_merkle_root_matches_the_pairwise_definition(leaves):
     assert hashes == [sha256_hex(leaf) for leaf in leaves]  # the input is not touched
 
 
+@budget
 @given(st.lists(payloads, min_size=2, max_size=16, unique=True), st.integers(min_value=0))
 def test_merkle_root_depends_on_leaf_order(leaves, index):
     hashes = [sha256_hex(leaf) for leaf in leaves]
@@ -91,6 +96,7 @@ def test_merkle_root_depends_on_leaf_order(leaves, index):
 
 
 # ----------------------------------------------------------------- serialization
+@budget
 @given(
     st.recursive(
         st.one_of(st.integers(), st.booleans(), st.text(max_size=20), st.none()),
@@ -105,11 +111,13 @@ def test_canonical_json_roundtrip(value):
     assert json.loads(canonical_json(value)) == value
 
 
+@budget
 @given(st.binary(max_size=64))
 def test_canonical_json_encodes_any_bytes_as_their_hex(blob):
     assert json.loads(canonical_json({"b": blob})) == {"b": {"__bytes__": blob.hex()}}
 
 
+@budget
 @given(st.dictionaries(st.text(max_size=8), st.integers(), max_size=8))
 def test_canonical_json_is_key_order_independent(mapping):
     reordered = dict(reversed(list(mapping.items())))
@@ -117,6 +125,7 @@ def test_canonical_json_is_key_order_independent(mapping):
 
 
 # ------------------------------------------------------------------- world state
+@budget
 @given(st.lists(st.tuples(keys, st.text(max_size=8)), max_size=40))
 def test_world_state_last_write_wins(writes):
     state = WorldState()
@@ -129,6 +138,7 @@ def test_world_state_last_write_wins(writes):
         assert state.get(key).value == value
 
 
+@budget
 @given(st.lists(keys, min_size=1, max_size=30))
 def test_world_state_range_query_is_sorted_and_complete(key_list):
     state = WorldState()
@@ -139,7 +149,7 @@ def test_world_state_range_query_is_sorted_and_complete(key_list):
 
 
 # -------------------------------------------------------------------- block store
-@settings(max_examples=25)
+@budget
 @given(st.lists(st.lists(st.tuples(keys, st.text(max_size=4)), min_size=1, max_size=4),
                 min_size=1, max_size=8))
 def test_block_store_chain_always_verifies(batches):
@@ -157,6 +167,7 @@ def test_block_store_chain_always_verifies(batches):
 
 
 # --------------------------------------------------------------------- resources
+@budget
 @given(st.lists(st.tuples(st.floats(min_value=0, max_value=100),
                           st.floats(min_value=0, max_value=5)), max_size=40),
        st.integers(min_value=1, max_value=4))
@@ -189,6 +200,7 @@ _windows = st.lists(
 )
 
 
+@budget
 @given(_charges, _windows)
 def test_device_busy_log_equals_a_list_of_intervals(charges, windows):
     """Out-of-order starts, zero durations and queueing: ``busy_time`` and
@@ -222,6 +234,7 @@ def test_device_busy_log_equals_a_list_of_intervals(charges, windows):
 
 
 # ----------------------------------------------------------------------- policies
+@budget
 @given(st.sets(st.sampled_from(["org1", "org2", "org3", "org4", "org5"]), max_size=5),
        st.integers(min_value=1, max_value=5))
 def test_majority_policy_semantics(signers, size):
@@ -231,6 +244,7 @@ def test_majority_policy_semantics(signers, size):
 
 
 # ---------------------------------------------------------------------- checksums
+@budget
 @given(payloads, payloads)
 def test_checksum_equality_iff_payload_equality(a, b):
     if a == b:
@@ -253,7 +267,7 @@ versions = st.one_of(
 )
 
 
-@settings(max_examples=60, deadline=None)
+@budget
 @given(
     st.lists(st.tuples(awkward_text, versions), max_size=600),
     st.lists(st.tuples(awkward_text, st.one_of(st.none(), awkward_text), st.booleans()), max_size=5),
@@ -287,7 +301,7 @@ endorsements = st.builds(
 timestamps = st.one_of(st.floats(), st.integers(-10**6, 10**12))
 
 
-@settings(max_examples=80, deadline=None)
+@budget
 @given(
     st.tuples(awkward_text, awkward_text, awkward_text, awkward_text),
     st.lists(awkward_text, max_size=6),
@@ -350,6 +364,7 @@ def test_envelope_bytes_equal_canonical_json_of_the_envelope_dict(
 
 
 # ----------------------------------------------------------- signed proposal
+@budget
 @given(st.tuples(awkward_text, awkward_text, awkward_text, awkward_text),
        st.lists(awkward_text, max_size=6))
 def test_signed_bytes_equal_canonical_json_of_the_covered_fields(names, args):
@@ -367,6 +382,7 @@ def test_signed_bytes_equal_canonical_json_of_the_covered_fields(names, args):
 
 
 # ----------------------------------------------------------------------- arrivals
+@budget
 @given(st.integers(min_value=0, max_value=2**32), st.floats(min_value=0.01, max_value=20.0),
        st.floats(min_value=0.1, max_value=50.0))
 def test_poisson_times_are_sorted_inside_the_window_and_seeded(seed, rate, duration):
@@ -377,6 +393,7 @@ def test_poisson_times_are_sorted_inside_the_window_and_seeded(seed, rate, durat
 
 
 # --------------------------------------------------------------------- partitions
+@budget
 @given(st.lists(st.lists(st.sampled_from("abcdef"), min_size=1, max_size=3),
                 min_size=1, max_size=4))
 def test_a_partition_is_accepted_iff_it_names_each_node_once(groups):
@@ -403,6 +420,7 @@ _bus_programs = st.lists(
 )
 
 
+@budget
 @given(_bus_programs)
 def test_event_bus_delivers_to_exactly_the_live_subscriptions(program):
     bus = EventBus()
@@ -425,6 +443,7 @@ def test_event_bus_delivers_to_exactly_the_live_subscriptions(program):
 
 
 # ------------------------------------------------------------------------ indexes
+@budget
 @given(st.lists(st.tuples(st.sampled_from(["put", "remove"]), st.sampled_from("abcd"),
                           st.sampled_from(["alice", "bob", ""])), max_size=30))
 def test_field_index_postings_follow_the_live_documents(program):

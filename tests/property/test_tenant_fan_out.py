@@ -15,7 +15,7 @@ key is kept here as the reference.
 import dataclasses
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.api.service import HyperProvService
 from repro.common.errors import NotFoundError
@@ -24,6 +24,7 @@ from repro.core.topology import build_desktop_deployment
 from repro.fabric.peer import Peer
 from repro.middleware.config import PipelineConfig
 from repro.middleware.sharding import ConsistentHashRing, ShardRouterMiddleware
+from tests.property_budgets import budget
 
 #: The reading tenant; a 2-shard and a 4-shard ring place it differently.
 READER = "x"
@@ -78,7 +79,7 @@ def answer(session, read):
     return [dataclasses.replace(view, latency_s=0.0) for view in views]
 
 
-@settings(max_examples=50, deadline=None)
+@budget
 @given(program=writes, program_reads=reads)
 def test_a_confined_read_answers_what_asking_every_shard_answers(program, program_reads):
     deployment = build_desktop_deployment(seed=42, shards=4)
@@ -147,7 +148,7 @@ history_writes = st.lists(
 )
 
 
-@settings(max_examples=30, deadline=None)
+@budget
 @given(program=history_writes, reader_ring=st.sampled_from([2, 4]))
 def test_a_merged_history_keeps_the_commit_order_of_the_string_merge(program, reader_ring):
     deployment = build_desktop_deployment(seed=42, shards=4)
