@@ -46,7 +46,7 @@ from repro.common.errors import ValidationError
 from repro.ledger.scan import HistoryPage, ScanPage
 from repro.ledger.world_state import VersionedValue
 from repro.query.planner import PATH_INDEX, build_plan, intersect_keys
-from repro.query.selectors import RowPredicate, compile_row_predicate
+from repro.query.selectors import RowPredicate, column_fields, compile_row_predicate
 
 _READ = attrgetter("read")
 _READ_LINE = attrgetter("read_line")
@@ -289,6 +289,19 @@ class HyperProvChaincode:
         and applies the same compiled predicates, so the returned rows,
         the read set (those rows) and the query's virtual-time cost are
         identical with indexes on or off.
+
+        The prefix run and the full scan (an empty prefix), paginated or
+        not, hand the world state the residual's ``metadata.<k>`` and
+        stored-field equalities (:func:`~repro.query.selectors.column_fields`).
+        It matches the run's keys against a column per field — built by
+        a scan that reads the whole run, unless it is the first since the
+        last write, and kept until the next (``WorldState._run``) — and
+        looks up only the rows no column rejects: no Python frame runs
+        for a rejected row.  The
+        compiled row predicate, the one definition of "matches", still
+        runs on every row handed over: a column rejects only a row whose
+        own value fails the same ``==``, and passes on what it cannot
+        decide (a version with no reading, a deleted key).
         """
         if not stub.args or not stub.args[0]:
             return ChaincodeResponse.error("query requires a JSON selector argument")
@@ -329,6 +342,9 @@ class HyperProvChaincode:
             bookmark=bookmark,
         )
         explained = plan.explain() if explain else None
+        # Index-served equalities are already guaranteed by the posting
+        # intersection; the residual fields compile to one row predicate.
+        residual = {name: selector[name] for name in plan.residual_fields}
         if plan.access_path == PATH_INDEX:
             keys = intersect_keys(world_state.secondary_index, plan, selector)
             if explained is not None:
@@ -338,15 +354,12 @@ class HyperProvChaincode:
         elif paginated:
             # The lazy scan: a bookmark+limit page stops as soon as it
             # fills instead of materialising the whole prefix run.
-            candidates = stub.iter_state_by_prefix(prefix, bookmark)
-        elif prefix:
-            candidates = stub.get_state_by_prefix(prefix)
+            candidates = stub.iter_state_by_prefix(prefix, column_fields(residual), bookmark)
         else:
-            candidates = stub.get_state_by_range("", "")
+            # An empty prefix is the whole key space.
+            candidates = stub.get_state_by_prefix(prefix, column_fields(residual))
 
-        # Index-served equalities are already guaranteed by the posting
-        # intersection; the residual fields compile to one row predicate.
-        match = compile_row_predicate({name: selector[name] for name in plan.residual_fields})
+        match = compile_row_predicate(residual)
         rows, truncated = self._collect(stub, candidates, match, limit)
         return ChaincodeResponse.scanned(ScanPage(
             rows,

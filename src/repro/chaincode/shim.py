@@ -18,7 +18,7 @@ from repro.crypto.certificates import Certificate
 from repro.ledger.history import HistoryDatabase, HistoryEntry
 from repro.ledger.scan import HistoryPage, ScanPage
 from repro.ledger.transaction import ReadWriteSet
-from repro.ledger.world_state import VersionedValue, WorldState
+from repro.ledger.world_state import VersionedValue, Where, WorldState
 
 #: What a scan hands the chaincode: committed versions (each carries its
 #: ``.key``) in key order — a list when the scan fetched them all, a
@@ -164,15 +164,17 @@ class ChaincodeStub:
         self.state_operations += 1
         return self.world_state.range_query_versioned(start_key, end_key)
 
-    def get_state_by_prefix(self, prefix: str) -> Candidates:
+    def get_state_by_prefix(self, prefix: str, where: Where) -> Candidates:
         """Committed keys starting with ``prefix``, materialised.
 
         Served from the world state's prefix index, so a prefix-scoped
         rich query only reads its candidate keys instead of the whole key
-        space.
+        space; an empty ``prefix`` is the whole key space.  A version
+        whose scan column fails one of the ``where`` equalities is not
+        handed out (``()``: every version is).
         """
         self.state_operations += 1
-        return self.world_state.query_by_prefix_versioned(prefix)
+        return self.world_state.query_by_prefix_versioned(prefix, where)
 
     def get_state_by_keys(self, keys: List[str]) -> Candidates:
         """Committed entries for an explicit candidate key list.
@@ -184,7 +186,9 @@ class ChaincodeStub:
         self.state_operations += 1
         return list(filter(None, map(self.world_state.get, keys)))
 
-    def iter_state_by_prefix(self, prefix: str, start_after: str = "") -> Candidates:
+    def iter_state_by_prefix(
+        self, prefix: str, where: Where, start_after: str = ""
+    ) -> Candidates:
         """Lazy prefix scan, optionally resuming strictly after a bookmark.
 
         The paginated counterpart of :meth:`get_state_by_prefix`: a
@@ -192,7 +196,7 @@ class ChaincodeStub:
         ``prefix`` walks the full key space.
         """
         self.state_operations += 1
-        return self.world_state.iter_by_prefix_versioned(prefix, start_after)
+        return self.world_state.iter_by_prefix_versioned(prefix, where, start_after)
 
     def iter_state_by_range(
         self, start_key: str, end_key: str, start_after: str = ""

@@ -23,6 +23,16 @@ RECORD_FIELDS = (
 DEPENDENCIES = RECORD_FIELDS.index("dependencies")
 METADATA = RECORD_FIELDS.index("metadata")
 
+#: Record fields whose reading is the document's own value, unconverted,
+#: by index in a reading: an equality on them answers the same from
+#: either (what the query layer's row predicate and the ledger's scan
+#: columns both rely on).
+READ_AS_STORED = {
+    name: RECORD_FIELDS.index(name)
+    for name in ("key", "checksum", "location", "creator", "organization",
+                 "certificate_fingerprint")
+}
+
 
 def record_fields(value: Any) -> Tuple[Any, ...]:
     """The fields of a ledger value, type-checked, in :data:`RECORD_FIELDS` order.

@@ -18,16 +18,28 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left, bisect_right, insort
-from itertools import chain
-from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
+from itertools import chain, compress, repeat
+from operator import eq
+from typing import Any, Callable, Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.common.records import record_reading
+from repro.common.records import METADATA, READ_AS_STORED, record_reading
 from repro.ledger.scan import row_size
 from repro.ledger.transaction import ReadSetEntry, Version, canonical_read
 
 #: Compact the sorted index once tombstones outnumber this floor *and*
 #: half of the live keys (amortizes rebuilds over many deletes).
 _COMPACT_MIN_TOMBSTONES = 16
+
+#: Scan columns one world state holds at once; the oldest goes first.
+#: ``read_mix`` holds 16 (``metadata.hot`` over each group's 501-key
+#: bucket, 4.5 KiB each by ``sys.getsizeof``), so 32 leaves room for a
+#: second field per group.  A column over the whole key index of that
+#: state (8 015 keys) is 65.6 KiB: 32 of them are 2.1 MiB, 2 % of the
+#: workload's 102.7 MiB peak RSS.
+_MAX_COLUMNS = 32
+
+#: ``(field, expected)`` equalities a scan's columns may reject rows on.
+Where = Tuple[Tuple[str, Any], ...]
 
 
 def _parse_document(entry: "VersionedValue") -> Optional[Dict[str, Any]]:
@@ -133,6 +145,51 @@ class VersionedValue:
         return f"VersionedValue(value={self.value!r}, version={self.version!r})"
 
 
+class _Undecided:
+    """What a column holds for a row it cannot decide: equal to everything.
+
+    A deleted key and a version with no reading compare equal to every
+    expectation, so a scan hands them on (the lookup drops the first, the
+    caller's predicate answers the second from the document).
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        return True
+
+    def __repr__(self) -> str:
+        return "_UNDECIDED"
+
+
+_UNDECIDED = _Undecided()
+
+
+def _column_reader(field: str) -> Callable[[Optional["VersionedValue"]], Any]:
+    """What a column holds of one row: the value an equality on ``field`` compares.
+
+    ``metadata.<k>`` is the reading's metadata map's ``get(k)`` and a
+    field of :data:`~repro.common.records.READ_AS_STORED` the reading's
+    own value: exactly what ``compile_row_predicate`` compares, so a row
+    a column rejects is one the predicate rejects.
+    """
+    if field.startswith("metadata."):
+        name = field[len("metadata."):]
+
+        def read_metadata(entry: Optional[VersionedValue]) -> Any:
+            reading = entry.reading if entry is not None else None
+            return _UNDECIDED if reading is None else reading[METADATA].get(name)
+
+        return read_metadata
+    index = READ_AS_STORED[field]
+
+    def read_stored(entry: Optional[VersionedValue]) -> Any:
+        reading = entry.reading if entry is not None else None
+        return _UNDECIDED if reading is None else reading[index]
+
+    return read_stored
+
+
 def _prefix_end(prefix: str) -> str:
     """The least string above every string starting with ``prefix``.
 
@@ -209,6 +266,12 @@ class WorldState:
         #: query → ledger, never back.
         self._secondary: Optional[Any] = None
         self.writes_applied = 0
+        #: ``(run, field)`` → that field's scan column over the run (a
+        #: first-segment bucket or the main index), all of them built on
+        #: the state as it was after write ``_columns_at`` (see
+        #: :meth:`_columns_for`; -1: no scan yet).
+        self._columns: Dict[Tuple[_SortedKeyIndex, str], List[Any]] = {}
+        self._columns_at = -1
 
     @property
     def secondary_index(self) -> Optional[Any]:
@@ -284,14 +347,16 @@ class WorldState:
         """
         return list(self._range(start_key, end_key))
 
-    def query_by_prefix_versioned(self, prefix: str) -> List[VersionedValue]:
+    def query_by_prefix_versioned(self, prefix: str, where: Where) -> List[VersionedValue]:
         """The committed versions whose key starts with ``prefix``.
 
         Served from the secondary prefix index when the queried prefix is
         contained in a single first-segment bucket, otherwise from the
-        main sorted index (same complexity, larger constant).
+        main sorted index (same complexity, larger constant).  A version
+        whose column value fails one of the ``where`` equalities is left
+        out (see :meth:`_run`); ``()`` hands out the whole run.
         """
-        return list(self._prefix_run(prefix))
+        return list(self._prefix_run(prefix, where))
 
     def prefix_key_estimate(self, prefix: str) -> int:
         """Cheap upper bound on the keys under ``prefix``.
@@ -325,7 +390,7 @@ class WorldState:
         return self._range(start_key, end_key, start_after, lazy=True)
 
     def iter_by_prefix_versioned(
-        self, prefix: str, start_after: str = ""
+        self, prefix: str, where: Where, start_after: str = ""
     ) -> Iterator[VersionedValue]:
         """Lazy variant of :meth:`query_by_prefix_versioned`.
 
@@ -334,22 +399,62 @@ class WorldState:
         block for bookmark pagination: a caller wanting the first page of
         *k* rows touches O(log n + k) work instead of the whole run.
         """
-        return self._prefix_run(prefix, start_after, lazy=True)
+        return self._prefix_run(prefix, where, start_after, lazy=True)
 
     def _range(
         self, start_key: str, end_key: str, start_after: str = "", lazy: bool = False
     ) -> Iterator[VersionedValue]:
-        return self._run(self._index.keys, start_key, end_key, start_after, lazy)
+        return self._run(self._index, start_key, end_key, start_after, lazy, ())
 
     def _prefix_run(
-        self, prefix: str, start_after: str = "", lazy: bool = False
+        self, prefix: str, where: Where, start_after: str = "", lazy: bool = False
     ) -> Iterator[VersionedValue]:
-        bucket = self._bucket_of_prefix(prefix)
-        keys = bucket.keys if bucket is not None else []
-        return self._run(keys, prefix, _prefix_end(prefix), start_after, lazy)
+        return self._run(
+            self._bucket_of_prefix(prefix), prefix, _prefix_end(prefix), start_after, lazy, where
+        )
+
+    def _columns_for(
+        self, run: _SortedKeyIndex, where: Where
+    ) -> Optional[List[Tuple[Optional[List[Any]], Any]]]:
+        """The ``where`` fields' columns over ``run`` (``None`` for one not
+        built yet), each with its expectation; ``None`` instead at the
+        first scan since a write.
+
+        Every column dies at the first scan after a write: it is valid
+        only while :attr:`writes_applied` is the one it was built under,
+        which is what spares the put path any work.  That first scan
+        builds no column either, so a query that follows every write
+        costs what a plain scan costs; a later scan of the unchanged state
+        that reads the whole run builds the columns it lacks
+        (:meth:`_build_columns`), and the scans after it read them.
+        """
+        if self._columns_at != self.writes_applied:
+            self._columns = {}
+            self._columns_at = self.writes_applied
+            return None
+        return [(self._columns.get((run, field)), expected) for field, expected in where]
+
+    def _build_columns(self, run: _SortedKeyIndex, where: Where) -> Tuple[()]:
+        """Build the ``where`` fields' missing columns over ``run``; hands out no row.
+
+        Pulled after the last row of a scan over the whole run: a lazy
+        scan's caller has read every row by then, an eager one's is about
+        to, so a column parses no document its scan's caller would not.
+        A write since the scan began builds nothing.  Past
+        :data:`_MAX_COLUMNS` the oldest column is dropped.
+        """
+        if self._columns_at == self.writes_applied:
+            entries = list(map(self._data.get, run.keys))
+            for field, _expected in where:
+                if (run, field) not in self._columns:
+                    if len(self._columns) >= _MAX_COLUMNS:
+                        del self._columns[next(iter(self._columns))]
+                    self._columns[(run, field)] = list(map(_column_reader(field), entries))
+        return ()
 
     def _run(
-        self, keys: List[str], lower: str, upper: str, start_after: str, lazy: bool
+        self, run: Optional[_SortedKeyIndex], lower: str, upper: str, start_after: str,
+        lazy: bool, where: Where,
     ) -> Iterator[VersionedValue]:
         """The one scan: live versions of ``lower <= key < upper``, in key order.
 
@@ -379,7 +484,26 @@ class WorldState:
 
         Either way the scan sees a stable snapshot: a compaction rebinds
         ``keys``, never mutates it (see :meth:`_SortedKeyIndex.compact`).
+
+        ``where`` lets the scan skip the rows a caller would reject.  For
+        each of its fields the world state keeps a *column* over ``run``
+        (:meth:`_columns_for`): the field's value for every key, read from
+        the version's memoized reading as the query layer's row predicate
+        reads it, and :data:`_UNDECIDED` — equal to every expectation —
+        for a deleted key or a version with no reading.  When every field
+        has its column, a chunk is matched in one C-level pass
+        (``map(eq, …)`` and ``compress``) and only its survivors are
+        looked up.  Otherwise the scan hands out every row; one over the
+        whole run that is pulled past its last row then builds the
+        missing columns, and a page that fills earlier builds none, so a
+        short page reads no row past the one that filled it.  The caller
+        still runs its predicate on every row handed out: a column only
+        ever drops a row whose own value fails the same ``==``.  Rows
+        leave through the same four methods either way, so what a scan
+        hands out counts only what it did not reject.  A chunk pulled
+        after a write reads no column.
         """
+        keys = run.keys if run is not None else []
         if start_after and start_after >= lower:
             start = bisect_right(keys, start_after)
         else:
@@ -391,7 +515,28 @@ class WorldState:
         def look_up(at: int) -> Tuple[Optional[VersionedValue], ...]:
             return tuple(map(get, keys[at:min(at + step, stop)]))
 
-        return filter(None, chain.from_iterable(map(look_up, range(start, stop, step))))
+        chunks: Iterator[Tuple[Optional[VersionedValue], ...]] = map(
+            look_up, range(start, stop, step)
+        )
+        columns = (
+            self._columns_for(run, where) if where and run is not None and start < stop else None
+        )
+        held = [(values, expected) for values, expected in columns or () if values is not None]
+        if columns and len(held) == len(columns):
+            built_at = self._columns_at
+
+            def match_up(at: int) -> Tuple[Optional[VersionedValue], ...]:
+                if self.writes_applied != built_at:
+                    return look_up(at)
+                end = min(at + step, stop)
+                masks = [map(eq, values[at:end], repeat(expected)) for values, expected in held]
+                keep = masks[0] if len(masks) == 1 else map(all, zip(*masks))
+                return tuple(map(get, compress(keys[at:end], keep)))
+
+            chunks = map(match_up, range(start, stop, step))
+        elif columns and start == 0 and stop == len(keys):
+            chunks = chain(chunks, map(self._build_columns, (run,), (where,)))
+        return filter(None, chain.from_iterable(chunks))
 
     def snapshot(self) -> Dict[str, str]:
         """Plain ``{key: value}`` copy of the current state."""

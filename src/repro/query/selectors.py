@@ -3,8 +3,9 @@
 A selector is a flat JSON object; a record document matches when every
 selector field equals the corresponding record field (``metadata.*``
 selectors match inside the custom metadata map, ``dependencies`` with a
-string expectation is a membership test).  This mirrors the rich queries
-HLF offers when the state database supports them.
+string expectation is a membership test in a list of strings).  This
+mirrors the rich queries HLF offers when the state database supports
+them.
 
 Two compiled forms share one meaning of "matches":
 
@@ -22,7 +23,8 @@ Two compiled forms share one meaning of "matches":
   document by the per-field predicates.
 
 A row whose ``metadata`` is not a map matches no ``metadata.*`` field on
-either surface, and a value that is not a JSON object matches no
+either surface, one whose ``dependencies`` is not a list matches no
+``dependencies`` field, and a value that is not a JSON object matches no
 selector, not even an empty one.
 """
 
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Tuple
 
-from repro.common.records import DEPENDENCIES, METADATA, RECORD_FIELDS
+from repro.common.records import DEPENDENCIES, METADATA, READ_AS_STORED
 
 #: Selector fields with reserved (non-matching) meaning.  ``_prefix``
 #: scopes the scan, ``_limit``/``_bookmark`` paginate, ``_explain`` asks
@@ -46,14 +48,6 @@ SELECTOR_FIELD_DEFAULTS: Dict[str, Any] = {
     "organization": "", "certificate_fingerprint": "",
     "dependencies": [], "metadata": {}, "timestamp": 0.0,
     "size_bytes": 0,
-}
-
-#: Record fields whose reading is the document's own value, unconverted:
-#: an equality on them answers the same from either.
-_READ_AS_STORED = {
-    name: RECORD_FIELDS.index(name)
-    for name in ("key", "checksum", "location", "creator", "organization",
-                 "certificate_fingerprint")
 }
 
 #: An expectation no reading's field equals.
@@ -73,16 +67,7 @@ def compile_selector(selector: Dict[str, Any]) -> List[Predicate]:
         if field.startswith("metadata."):
             checks.append(_in_metadata(field[len("metadata."):], expected))
         elif field == "dependencies":
-            if isinstance(expected, str):
-                checks.append(
-                    lambda doc, e=expected:
-                        e in (doc.get("dependencies") or [])
-                )
-            else:
-                checks.append(
-                    lambda doc, e=expected:
-                        (doc.get("dependencies") or []) == e
-                )
+            checks.append(_in_dependencies(expected))
         elif field in SELECTOR_FIELD_DEFAULTS:
             default = SELECTOR_FIELD_DEFAULTS[field]
             checks.append(
@@ -102,6 +87,31 @@ def _in_metadata(name: str, expected: Any) -> Predicate:
         return isinstance(metadata, dict) and metadata.get(name) == expected
 
     return check
+
+
+def _in_dependencies(expected: Any) -> Predicate:
+    """``dependencies``: a string is a membership test in a list of strings,
+    anything else an equality with the list.
+
+    The document's value is read as :func:`~repro.common.records.record_fields`
+    reads it (a missing or falsy one is the empty list); one that is still
+    not a list matches nothing, and neither does a list holding a
+    non-string under a membership test.
+    """
+    if isinstance(expected, str):
+        def member(doc: Dict[str, Any]) -> bool:
+            held = doc.get("dependencies") or []
+            return isinstance(held, list) and expected in held and all(
+                isinstance(dependency, str) for dependency in held
+            )
+
+        return member
+
+    def equal(doc: Dict[str, Any]) -> bool:
+        held = doc.get("dependencies") or []
+        return isinstance(held, list) and held == expected
+
+    return equal
 
 
 def compile_row_predicate(selector: Dict[str, Any]) -> RowPredicate:
@@ -131,8 +141,8 @@ def compile_row_predicate(selector: Dict[str, Any]) -> RowPredicate:
     for field, expected in selector.items():
         if field.startswith("metadata."):
             in_metadata.append((field[len("metadata."):], expected))
-        elif field in _READ_AS_STORED:
-            equal.append((_READ_AS_STORED[field], expected))
+        elif field in READ_AS_STORED:
+            equal.append((READ_AS_STORED[field], expected))
         elif field == "dependencies":
             if isinstance(expected, str):
                 members.append(expected)
@@ -152,8 +162,10 @@ def compile_row_predicate(selector: Dict[str, Any]) -> RowPredicate:
 
     if not equal and not members and len(in_metadata) == 1:
         # A lone ``metadata.<k>``, ``read_mix``'s rich query, skips the
-        # loops: ten alternating ``read_mix`` pairs with and without this
-        # closure read ``call_us_p95`` 635 -> 563 us (10/10, IQR 30 us).
+        # loops.  It pays on every row of a scan with no column yet, the
+        # first since a write: a query after every write of an 8 000
+        # -record state, ten rounds with and without this closure, read
+        # p95 896 -> 728 us (10/10; median 665 -> 523 us).
         ((name, wanted),) = in_metadata
 
         def one_metadata_field(row: Any) -> bool:
@@ -183,6 +195,21 @@ def compile_row_predicate(selector: Dict[str, Any]) -> RowPredicate:
         return True
 
     return by_reading
+
+
+def column_fields(selector: Dict[str, Any]) -> Tuple[Tuple[str, Any], ...]:
+    """The selector's equalities a world-state scan column may reject rows on.
+
+    ``metadata.<k>`` and the fields :data:`~repro.common.records.READ_AS_STORED`
+    names: those :func:`compile_row_predicate` answers with one ``==`` on
+    a value of the row's reading, which is what a column holds
+    (``WorldState._run``).  Every other field is left to the predicate.
+    """
+    return tuple(
+        (field, expected)
+        for field, expected in selector.items()
+        if field.startswith("metadata.") or field in READ_AS_STORED
+    )
 
 
 def matches(document: Dict[str, Any], compiled: List[Predicate]) -> bool:

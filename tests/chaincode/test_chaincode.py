@@ -95,13 +95,13 @@ def test_stub_scans_hand_back_the_run_of_committed_versions():
     # The eager forms fetched their run (a list, read in full by whoever
     # takes it); a row is the committed version itself and carries its key.
     assert stub.get_state_by_range("a/2", "") == [a2, b1]
-    assert stub.get_state_by_prefix("a/") == [a1, a2]
+    assert stub.get_state_by_prefix("a/", ()) == [a1, a2]
     assert stub.get_state_by_keys(["a/1", "gone", "never", "b/1"]) == [a1, b1]
     assert stub.get_state_by_range("", "")[0] is a1 and a1.key == "a/1"
     # The lazy forms look a row up when it is pulled: one-shot iterators.
     for scan, expected in (
-        (stub.iter_state_by_prefix("a/"), [a1, a2]),
-        (stub.iter_state_by_prefix("a/", "a/1"), [a2]),
+        (stub.iter_state_by_prefix("a/", ()), [a1, a2]),
+        (stub.iter_state_by_prefix("a/", (), "a/1"), [a2]),
         (stub.iter_state_by_range("a/2", "", "gone"), []),
         (stub.iter_state_by_range("", "b/1", "a/1"), [a2]),
     ):

@@ -22,9 +22,9 @@ CLIENT = "hyperprov-client"
 #: Every way a simulation can look at the ledger besides ``get_state``.
 PEEKS = {
     "range": lambda stub: stub.get_state_by_range("", ""),
-    "prefix": lambda stub: stub.get_state_by_prefix("item/"),
+    "prefix": lambda stub: stub.get_state_by_prefix("item/", ()),
     "keys": lambda stub: stub.get_state_by_keys(["item/a"]),
-    "lazy-prefix": lambda stub: stub.iter_state_by_prefix("item/"),
+    "lazy-prefix": lambda stub: stub.iter_state_by_prefix("item/", ()),
     "lazy-range": lambda stub: stub.iter_state_by_range("", ""),
     "key-history": lambda stub: stub.get_history_for_key("item/a"),
     "raw-world-state": lambda stub: stub.world_state,

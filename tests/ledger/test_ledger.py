@@ -293,7 +293,7 @@ def test_deleting_an_absent_key_counts_the_write_and_changes_nothing():
     state.delete("a/ghost", (1, 0))
     assert state.writes_applied == 2
     assert pairs(state.range_query_versioned("", "")) == [("a/1", "v")]
-    assert pairs(state.query_by_prefix_versioned("a/")) == [("a/1", "v")]
+    assert pairs(state.query_by_prefix_versioned("a/", ())) == [("a/1", "v")]
 
 
 def test_world_state_range_query():
@@ -309,7 +309,7 @@ def test_world_state_prefix_query_and_snapshot():
     state = WorldState()
     state.put("sensors/1", "x", (0, 0))
     state.put("cameras/1", "y", (0, 1))
-    assert pairs(state.query_by_prefix_versioned("sensors/")) == [("sensors/1", "x")]
+    assert pairs(state.query_by_prefix_versioned("sensors/", ())) == [("sensors/1", "x")]
     assert state.snapshot() == {"sensors/1": "x", "cameras/1": "y"}
     assert len(state) == 2
 
@@ -356,18 +356,18 @@ def test_world_state_prefix_bucket_index_matches_cross_bucket_scan():
     ]:
         state.put(key, value, (0, 0))
     # Bucket-resolved prefix (contains the separator).
-    assert pairs(state.query_by_prefix_versioned("tenant/a/")) == [("tenant/a/1", "a1")]
-    assert pairs(state.query_by_prefix_versioned("tenant/")) == [
+    assert pairs(state.query_by_prefix_versioned("tenant/a/", ())) == [("tenant/a/1", "a1")]
+    assert pairs(state.query_by_prefix_versioned("tenant/", ())) == [
         ("tenant/a/1", "a1"), ("tenant/b/2", "b2")
     ]
     # A prefix without a separator spans buckets ("tenant" vs "tenantx").
-    assert pairs(state.query_by_prefix_versioned("tenant")) == [
+    assert pairs(state.query_by_prefix_versioned("tenant", ())) == [
         ("tenant/a/1", "a1"), ("tenant/b/2", "b2"), ("tenantx/y", "y")
     ]
-    assert pairs(state.query_by_prefix_versioned("missing/")) == []
+    assert pairs(state.query_by_prefix_versioned("missing/", ())) == []
     # Deletes are reflected in the bucket index too.
     state.delete("tenant/a/1", (1, 0))
-    assert pairs(state.query_by_prefix_versioned("tenant/")) == [("tenant/b/2", "b2")]
+    assert pairs(state.query_by_prefix_versioned("tenant/", ())) == [("tenant/b/2", "b2")]
 
 
 # ------------------------------------------------------------------ blockstore

@@ -68,7 +68,7 @@ def range_pairs(state, low, high):
 
 
 def prefix_pairs(state, prefix):
-    return pairs(state.query_by_prefix_versioned(prefix))
+    return pairs(state.query_by_prefix_versioned(prefix, ()))
 
 
 def live_keys(state):
@@ -152,11 +152,11 @@ def test_prefix_and_bookmark_edges_match_the_naive_oracle():
     for prefix in prefixes:
         expected = oracle.query_by_prefix(prefix)
         assert prefix_pairs(state, prefix) == expected
-        versions = state.query_by_prefix_versioned(prefix)
+        versions = state.query_by_prefix_versioned(prefix, ())
         assert [(entry.key, entry.value) for entry in versions] == expected
         assert all(entry is state.get(entry.key) for entry in versions)
         for bookmark in ["", "a/1", f"a/{EDGE}", EDGE * 2, "tenant/a", "zzz"] + keys:
-            resumed = state.iter_by_prefix_versioned(prefix, bookmark)
+            resumed = state.iter_by_prefix_versioned(prefix, (), bookmark)
             assert [(entry.key, entry.value) for entry in resumed] == [
                 pair for pair in expected if pair[0] > bookmark
             ], (prefix, bookmark)

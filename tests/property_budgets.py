@@ -25,6 +25,8 @@ BUDGETS = {
     "test_fair_share_serves_what_unit_weight_drr_serves": 300,
     # tests/crypto/test_crypto.py
     "test_mac_from_precomputed_pads_is_the_standard_hmac": 100,
+    # tests/property/test_column_scans.py
+    "test_a_column_scan_answers_what_the_reference_scan_answers": 60,
     # tests/property/test_commit_adoption.py
     "test_adopted_commits_equal_independent_commits": 40,
     # tests/property/test_endorsement_adoption.py
