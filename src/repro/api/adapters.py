@@ -241,7 +241,7 @@ class HyperProvStore(ProvenanceStore):
         """On every shard, all heights agree and every peer's chain verifies."""
         network = self.client.network
         for index in range(network.shard_count):
-            peers = network.shard_peers(index)
+            peers = network.shard(index).ordered_peers
             if len({peer.ledger_height for peer in peers}) > 1:
                 return False
             if not all(peer.block_store.verify_chain() for peer in peers):

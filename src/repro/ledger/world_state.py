@@ -434,8 +434,8 @@ class WorldState:
             return None
         return [(self._columns.get((run, field)), expected) for field, expected in where]
 
-    def _build_columns(self, run: _SortedKeyIndex, where: Where) -> Tuple[()]:
-        """Build the ``where`` fields' missing columns over ``run``; hands out no row.
+    def _build_columns(self, run: _SortedKeyIndex, where: Where) -> None:
+        """Build the ``where`` fields' missing columns over ``run``.
 
         Pulled after the last row of a scan over the whole run: a lazy
         scan's caller has read every row by then, an eager one's is about
@@ -450,7 +450,6 @@ class WorldState:
                     if len(self._columns) >= _MAX_COLUMNS:
                         del self._columns[next(iter(self._columns))]
                     self._columns[(run, field)] = list(map(_column_reader(field), entries))
-        return ()
 
     def _run(
         self, run: Optional[_SortedKeyIndex], lower: str, upper: str, start_after: str,
@@ -460,11 +459,11 @@ class WorldState:
 
         Both ends are found by bisect (an empty ``upper`` is the end of
         ``keys``) and the versions are looked up by C-level iteration, a
-        chunk of keys per Python call, so a visited row runs no Python
-        frame here.  ``start_after`` resumes strictly *after* the given
-        key — the bookmark contract: pages never overlap even when the
-        bookmark key itself was deleted between pages.  A key deleted
-        since it was indexed has no entry and is dropped.
+        chunk of keys per Python call (:meth:`_chunks`), so a visited row
+        runs no Python frame here.  ``start_after`` resumes strictly
+        *after* the given key — the bookmark contract: pages never overlap
+        even when the bookmark key itself was deleted between pages.  A
+        key deleted since it was indexed has no entry and is dropped.
 
         The eager form is one chunk.  The ``lazy`` form looks up
         :attr:`_SCAN_LOOKAHEAD` keys at a time as rows are pulled, so a
@@ -482,8 +481,14 @@ class WorldState:
         page pays for it is at most 64 dict probes.  One host's cache
         sizes: re-measure before moving it.
 
-        Either way the scan sees a stable snapshot: a compaction rebinds
-        ``keys``, never mutates it (see :meth:`_SortedKeyIndex.compact`).
+        A lazy scan may be pulled across writes.  A compaction rebinds
+        ``keys`` and never mutates it, so the scan keeps reading the list
+        it started on.  A put of a new key inserts into that list in
+        place, shifting every position after it: a scan that finds its
+        list grew between two chunks bisects again, after the last key
+        it looked up, and finds its stop again.  So a key live for the
+        whole scan is handed out exactly once, and a key put during it
+        only if it sorts after where the scan had got to.
 
         ``where`` lets the scan skip the rows a caller would reject.  For
         each of its fields the world state keeps a *column* over ``run``
@@ -503,40 +508,47 @@ class WorldState:
         hands out counts only what it did not reject.  A chunk pulled
         after a write reads no column.
         """
+        return filter(None, chain.from_iterable(
+            self._chunks(run, lower, upper, start_after, lazy, where)
+        ))
+
+    def _chunks(
+        self, run: Optional[_SortedKeyIndex], lower: str, upper: str, start_after: str,
+        lazy: bool, where: Where,
+    ) -> Iterator[Tuple[Optional[VersionedValue], ...]]:
+        """The versions :meth:`_run` hands out, one looked-up chunk at a time."""
         keys = run.keys if run is not None else []
         if start_after and start_after >= lower:
             start = bisect_right(keys, start_after)
         else:
             start = bisect_left(keys, lower)
         stop = bisect_left(keys, upper) if upper else len(keys)
-        step = self._SCAN_LOOKAHEAD if lazy else max(stop - start, 1)
+        if start >= stop:
+            return
+        step = self._SCAN_LOOKAHEAD if lazy else stop - start
         get = self._data.get
-
-        def look_up(at: int) -> Tuple[Optional[VersionedValue], ...]:
-            return tuple(map(get, keys[at:min(at + step, stop)]))
-
-        chunks: Iterator[Tuple[Optional[VersionedValue], ...]] = map(
-            look_up, range(start, stop, step)
-        )
-        columns = (
-            self._columns_for(run, where) if where and run is not None and start < stop else None
-        )
+        columns = self._columns_for(run, where) if where and run is not None else None
         held = [(values, expected) for values, expected in columns or () if values is not None]
-        if columns and len(held) == len(columns):
-            built_at = self._columns_at
-
-            def match_up(at: int) -> Tuple[Optional[VersionedValue], ...]:
-                if self.writes_applied != built_at:
-                    return look_up(at)
-                end = min(at + step, stop)
-                masks = [map(eq, values[at:end], repeat(expected)) for values, expected in held]
+        matching = bool(columns) and len(held) == len(columns)
+        whole = bool(columns) and not matching and start == 0 and stop == len(keys)
+        built_at = self._columns_at
+        size = len(keys)
+        while start < stop:
+            end = min(start + step, stop)
+            last = keys[end - 1]
+            if matching and self.writes_applied == built_at:
+                masks = [map(eq, values[start:end], repeat(expected)) for values, expected in held]
                 keep = masks[0] if len(masks) == 1 else map(all, zip(*masks))
-                return tuple(map(get, compress(keys[at:end], keep)))
-
-            chunks = map(match_up, range(start, stop, step))
-        elif columns and start == 0 and stop == len(keys):
-            chunks = chain(chunks, map(self._build_columns, (run,), (where,)))
-        return filter(None, chain.from_iterable(chunks))
+                yield tuple(map(get, compress(keys[start:end], keep)))
+            else:
+                yield tuple(map(get, keys[start:end]))
+            start = end
+            if len(keys) != size:
+                size = len(keys)
+                start = bisect_right(keys, last)
+                stop = bisect_left(keys, upper) if upper else size
+        if whole:
+            self._build_columns(run, where)
 
     def snapshot(self) -> Dict[str, str]:
         """Plain ``{key: value}`` copy of the current state."""

@@ -24,12 +24,11 @@ class EndorsementBatcher(Middleware):
 
     name = "endorsement-batcher"
 
-    def __init__(self, fabric: Any, shard: Any, batch_size: int) -> None:
+    def __init__(self, shard: Any, batch_size: int) -> None:
         if batch_size < 1:
             raise ConfigurationError("batch size must be at least 1")
-        #: The owning FabricNetwork (engine clock, topology and metrics).
-        self.fabric = fabric
-        #: The ChannelShard this batcher serves (one batcher per channel).
+        #: The ChannelShard this batcher serves (one batcher per channel;
+        #: duck-typed: the fabric package imports this one).
         self.shard = shard
         self.batch_size = batch_size
         self._pending: List[Tuple[Context, Handler]] = []
@@ -39,7 +38,7 @@ class EndorsementBatcher(Middleware):
         if self.batch_size <= 1:
             return call_next(ctx)
         self._pending.append((ctx, call_next))
-        self.fabric.metrics.gauge("batcher.queued").set(float(len(self._pending)))
+        self.shard.fabric.metrics.gauge("batcher.queued").set(float(len(self._pending)))
         if len(self._pending) >= self.batch_size:
             self.flush()
         # The handle was created before the pipeline ran; the caller keeps
@@ -56,18 +55,18 @@ class EndorsementBatcher(Middleware):
         send_at = max(state.assembled_at for state in states)
         # A drain-time flush happens after virtual time moved past the
         # assembly times; the batch leaves the client no earlier than now.
-        send_at = max(send_at, self.fabric.engine.now)
+        send_at = max(send_at, self.shard.engine.now)
         total_bytes = sum(state.transaction.size_bytes for state in states)
         for ctx, call_next in batch:
             state = ctx.tags["invoke"]
-            transfer = self.fabric.network.estimate_transfer_time(
+            transfer = self.shard.network.estimate_transfer_time(
                 state.client_context.host_node,
                 self.shard.orderer_node,
                 total_bytes,
             )
             ctx.tags["order_arrival"] = send_at + transfer
             call_next(ctx)
-        metrics = self.fabric.metrics
+        metrics = self.shard.fabric.metrics
         metrics.counter("batcher.flushes").inc()
         metrics.histogram("batcher.batch_size").observe(float(len(batch)))
         metrics.gauge("batcher.queued").set(0.0)

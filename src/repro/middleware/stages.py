@@ -1,17 +1,16 @@
-"""The Fabric invoke flow decomposed into pipeline stages.
+"""The Fabric invoke flow as pipeline stages, one pipeline per channel shard.
 
-Historically ``FabricNetwork._run_invoke`` ran the whole
-client→endorse→order→commit path as one monolithic method.  Each phase now
-lives in its own :class:`~repro.middleware.base.Middleware` so cross-cutting
-middlewares (the endorsement batcher, tracing, future admission control)
-can be spliced between phases without touching the phases themselves:
+Each phase of the client→endorse→order→commit path is its own
+:class:`~repro.middleware.base.Middleware`, so a middleware (the
+endorsement batcher) sits between phases without touching them:
 
     build-proposal → collect-endorsements → [batcher] → submit-to-orderer
     → await-commit
 
 The stages communicate through an :class:`InvokeState` parked under
-``ctx.tags["invoke"]`` and hold a reference to the owning ``FabricNetwork``
-for topology, devices and the simulation clock.
+``ctx.tags["invoke"]``.  Each is built for one
+:class:`~repro.fabric.shard.ChannelShard` and holds it: its channel,
+orderer, peers, the simulation clock and the hosting network.
 """
 
 from __future__ import annotations
@@ -39,8 +38,6 @@ class InvokeState:
 
     client_context: Any  # fabric _ClientContext (duck-typed: no import cycle)
     handle: TransactionHandle
-    #: The ChannelShard the invoke runs on (duck-typed: no import cycle).
-    shard: Any = None
     start: float = 0.0
     proposal: Optional[Proposal] = None
     prep_done: float = 0.0
@@ -51,10 +48,11 @@ class InvokeState:
 
 
 class FabricStage(Middleware):
-    """Base class binding a stage to its owning FabricNetwork."""
+    """Base class binding a stage to the channel shard it runs on."""
 
-    def __init__(self, fabric: Any) -> None:
-        self.fabric = fabric
+    def __init__(self, shard: Any) -> None:
+        #: The ChannelShard (duck-typed: the fabric package imports this one).
+        self.shard = shard
 
     @staticmethod
     def state(ctx: Context) -> InvokeState:
@@ -67,14 +65,12 @@ class BuildProposalStage(FabricStage):
     name = "build-proposal"
 
     def handle(self, ctx: Context, call_next: Handler) -> Result:
-        fabric = self.fabric
         state = self.state(ctx)
         client = state.client_context
-        state.start = max(state.handle.submitted_at, fabric.engine.now)
-        state.proposal = fabric._build_proposal(
+        state.start = max(state.handle.submitted_at, self.shard.engine.now)
+        state.proposal = self.shard.build_proposal(
             client, state.handle, ctx.chaincode, ctx.function,
             ctx.args, ctx.payload_size_bytes,
-            channel_name=state.shard.channel.name,
         )
         prep = (
             client.device.sign_time()
@@ -96,13 +92,13 @@ class CollectEndorsementsStage(FabricStage):
     name = "collect-endorsements"
 
     def handle(self, ctx: Context, call_next: Handler) -> Result:
-        fabric = self.fabric
+        shard = self.shard
         state = self.state(ctx)
         client = state.client_context
         handle = state.handle
 
-        responses, endorsement_done, reachable = fabric._collect_endorsements(
-            client, state.proposal, state.prep_done, state.shard
+        responses, endorsement_done, reachable = shard.collect_endorsements(
+            client, state.proposal, state.prep_done
         )
         state.responses = responses
         state.endorsement_done = endorsement_done
@@ -115,7 +111,7 @@ class CollectEndorsementsStage(FabricStage):
             # retryable network error (never occurs on fault-free runs)
             # instead of completing the handle — retry/store-and-forward
             # middlewares upstream own the recovery decision.
-            fabric.metrics.counter("endorsement_unreachable").inc()
+            shard.fabric.metrics.counter("endorsement_unreachable").inc()
             raise PartitionError(
                 f"no endorsing peers reachable from {client.host_node!r} "
                 f"for tx {handle.tx_id}"
@@ -125,7 +121,7 @@ class CollectEndorsementsStage(FabricStage):
         if not ok_responses:
             handle.response_payload = None
             handle.complete(endorsement_done, TxValidationCode.ENDORSEMENT_POLICY_FAILURE)
-            fabric.metrics.counter("endorsement_failures").inc()
+            shard.fabric.metrics.counter("endorsement_failures").inc()
             return handle
 
         # Fabric requires all endorsements to agree on the read/write set.
@@ -140,7 +136,7 @@ class CollectEndorsementsStage(FabricStage):
 
         state.transaction = Transaction(
             tx_id=handle.tx_id,
-            channel=state.shard.channel.name,
+            channel=shard.channel.name,
             chaincode=ctx.chaincode,
             function=ctx.function,
             args=list(ctx.args),
@@ -174,20 +170,20 @@ class SubmitToOrdererStage(FabricStage):
     name = "submit-to-orderer"
 
     def handle(self, ctx: Context, call_next: Handler) -> Result:
-        fabric = self.fabric
+        shard = self.shard
         state = self.state(ctx)
         arrival = ctx.tags.get("order_arrival")
         if arrival is None:
-            transfer = fabric.network.estimate_transfer_time(
+            transfer = shard.network.estimate_transfer_time(
                 state.client_context.host_node,
-                state.shard.orderer_node,
+                shard.orderer_node,
                 state.transaction.size_bytes,
             )
             arrival = state.assembled_at + transfer
         state.handle.timings["to_orderer_s"] = arrival - state.assembled_at
-        fabric.engine.schedule_at(
+        shard.engine.schedule_at(
             arrival,
-            lambda: fabric._submit_to_orderer(state.transaction, state.handle, state.shard),
+            lambda: shard.submit_to_orderer(state.transaction, state.handle),
             label=f"order:{state.handle.tx_id}",
         )
         return call_next(ctx)
@@ -205,5 +201,5 @@ class AwaitCommitStage(FabricStage):
 
     def handle(self, ctx: Context, call_next: Handler) -> Result:
         state = self.state(ctx)
-        self.fabric.register_pending(state.client_context, state.handle)
+        self.shard.fabric.register_pending(state.client_context, state.handle)
         return call_next(ctx)

@@ -42,6 +42,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.chaincode.hyperprov import HyperProvChaincode
 from repro.common.errors import ConfigurationError
 from repro.common.hashing import checksum_of
+from repro.common.ids import IdGenerator
 from repro.consensus.batching import BatchConfig
 from repro.consensus.solo import SoloOrderingService
 from repro.devices.model import DeviceModel
@@ -218,8 +219,8 @@ def build_fleet(
             orderer=orderer,
             orderer_node=orderer_node,
             orderer_device=orderer_device,
+            tx_ids=IdGenerator(f"tx-s{site}"),
         )
-        fabric.set_tx_namespace(index, f"tx-s{site}")
         for peer in peers:
             fabric.add_peer(peer, shard=index)
         channel.instantiate_chaincode(

@@ -184,7 +184,7 @@ def test_hyperprov_audit_covers_every_shard():
     session.drain()
     assert min(deployment.fabric.shard_ledger_heights(1).values()) >= 1
     assert session.audit() is True
-    victim = deployment.fabric.shard_peers(1)[0]
+    victim = deployment.fabric.shard(1).ordered_peers[0]
     victim.tamper(0, 0).args[1] = "f" * 64
     assert victim.block_store.verify_chain() is False
     assert session.audit() is False

@@ -314,11 +314,11 @@ def test_plan_of_another_channel_is_ignored():
     """Same block, same height, same (empty) state — but another channel's
     chaincode definitions, policy and MSP would be the ones that judged."""
     built = watch(build_desktop_deployment(shards=2, seed=11))
-    assert built.peers == built.fabric.shard_peers(0)
+    assert built.peers == built.fabric.shard(0).ordered_peers
     submit(built, "item/a", b"v1")
     built.drain()
     (plan,) = built.plans
-    outsider = built.fabric.shard_peers(1)[0]
+    outsider = built.fabric.shard(1).ordered_peers[0]
     assert outsider.channel is not plan.channel and outsider.ledger_height == plan.height
 
     assert not plan.holds_for(plan.block, outsider)

@@ -188,19 +188,17 @@ def test_retried_submission_never_sees_the_previous_attempt(deployment):
     fabric = deployment.fabric
     shard = fabric.shard(0)
     context = fabric.client_context(CLIENT)
-    handle = fabric._make_handle(0.0, "set", shard)
+    handle = shard.make_handle(0.0, "set")
     args = set_args("item/a", b"v1")
 
-    first = fabric._build_proposal(context, handle, "hyperprov", "set", args, 0,
-                                   channel_name=shard.channel.name)
-    first_responses, _, _ = fabric._collect_endorsements(context, first, 0.0, shard)
+    first = shard.build_proposal(context, handle, "hyperprov", "set", args, 0)
+    first_responses, _, _ = shard.collect_endorsements(context, first, 0.0)
     # Between the attempts another writer creates the key.
     submit(deployment, "set", set_args("item/a", b"other"))
     deployment.drain()
-    retry = fabric._build_proposal(context, handle, "hyperprov", "set", args, 0,
-                                   channel_name=shard.channel.name)
-    retry_responses, _, _ = fabric._collect_endorsements(
-        context, retry, deployment.engine.now, shard
+    retry = shard.build_proposal(context, handle, "hyperprov", "set", args, 0)
+    retry_responses, _, _ = shard.collect_endorsements(
+        context, retry, deployment.engine.now
     )
 
     assert retry.tx_id == first.tx_id and retry is not first
@@ -221,9 +219,9 @@ def test_simulation_of_another_proposal_is_ignored(deployment):
     context = fabric.client_context(CLIENT)
 
     def proposal_for(key):
-        return fabric._build_proposal(
-            context, fabric._make_handle(0.0, "set", shard), "hyperprov", "set",
-            set_args(key, b"v1"), 0, channel_name=shard.channel.name,
+        return shard.build_proposal(
+            context, shard.make_handle(0.0, "set"), "hyperprov", "set",
+            set_args(key, b"v1"), 0,
         )
 
     one, other = proposal_for("item/a"), proposal_for("item/b")

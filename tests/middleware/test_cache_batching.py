@@ -324,7 +324,7 @@ class TestEndorsementBatcher:
 
     def test_batch_size_below_one_is_a_configuration_error(self):
         with pytest.raises(ConfigurationError):
-            EndorsementBatcher(fabric=None, shard=None, batch_size=0)
+            EndorsementBatcher(shard=None, batch_size=0)
 
     def test_invalid_batch_size_rejected_without_side_effects(self):
         deployment = build_desktop_deployment(seed=42)

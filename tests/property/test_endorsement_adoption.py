@@ -61,7 +61,7 @@ def build(share: bool):
             return response, ready_at
         return endorse
 
-    for peer in deployment.fabric.shard_peers(0):
+    for peer in deployment.fabric.shard(0).ordered_peers:
         peer.endorse = recording(peer)
     return deployment, recorded
 

@@ -211,6 +211,37 @@ def test_bulk_delete_while_iterating_items_is_safe():
     assert live_keys(state) == []
 
 
+@pytest.mark.parametrize("scan", [
+    lambda state: state.iter_by_prefix_versioned("k/", ()),
+    lambda state: state.iter_by_range_versioned("k/", "k0"),
+], ids=["prefix", "range"])
+def test_a_lazy_scan_pulled_across_new_keys_hands_out_each_old_key_once(scan):
+    """Regression: a put of a new key shifted the positions a lazy scan's
+    next chunk read, so it repeated ``k/108…`` and dropped ``k/180…``."""
+    state = WorldState()
+    old = [f"k/{index:03d}" for index in range(0, 200, 2)]
+    for key in old:
+        state.put(key, "v", (0, 0))
+    rows = scan(state)
+    seen = [next(rows).key for _ in range(10)]
+    for index in range(1, 20, 2):
+        state.put(f"k/{index:03d}", "v", (1, index))
+    seen.extend(row.key for row in rows)
+    assert seen == old
+
+
+def test_a_lazy_scan_hands_out_a_key_put_past_its_position():
+    state = WorldState()
+    for index in range(0, 200, 2):
+        state.put(f"k/{index:03d}", "v", (0, 0))
+    rows = state.iter_by_prefix_versioned("k/", ())
+    seen = [next(rows).key for _ in range(10)]
+    state.put("k/001", "v", (1, 0))
+    state.put("k/151", "v", (1, 1))
+    seen.extend(row.key for row in rows)
+    assert seen == sorted(f"k/{index:03d}" for index in [*range(0, 200, 2), 151])
+
+
 def test_snapshot_matches_live_state_after_interleaving():
     rng = random.Random(3)
     state = WorldState()

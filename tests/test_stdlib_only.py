@@ -35,7 +35,9 @@ print(json.dumps({"modules": sum(name.startswith("repro") for name in sys.module
 
 def test_importing_every_repro_module_loads_nothing_installed():
     result = subprocess.run(
-        [sys.executable, "-c", IMPORT_EVERYTHING],
+        # ``-B``: the bare environment drops PYTHONDONTWRITEBYTECODE, and the
+        # run must leave no ``__pycache__`` under ``src/``.
+        [sys.executable, "-B", "-c", IMPORT_EVERYTHING],
         cwd=SRC,
         env={"PYTHONPATH": str(SRC)},
         capture_output=True,
