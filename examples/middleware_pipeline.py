@@ -11,7 +11,8 @@ declarative :class:`PipelineConfig` turns those concerns on and off:
 1. the default pipeline (observation only — identical to the raw path),
 2. the read cache collapsing repeated ``get`` calls to a local lookup,
 3. commit-event invalidation keeping the cache coherent,
-4. the endorsement batcher coalescing orderer submissions.
+4. the endorsement batcher coalescing orderer submissions,
+5. every registry's series as one Prometheus text exposition.
 
 Run with::
 
@@ -69,14 +70,22 @@ def main() -> None:
             location=f"file://batch/{index}",
         )
     deployment.drain()
-    flushes = deployment.fabric.metrics.get_counter("batcher.flushes").value
-    batch_sizes = deployment.fabric.metrics.get_histogram("batcher.batch_size")
-    print(f"\nEndorsement batcher flushes: {flushes:.0f} "
+    batch_sizes = deployment.fabric.metrics.get_histogram("batcher.batch_size", shard="0")
+    print(f"\nEndorsement batcher flushes: {batch_sizes.count:.0f} "
           f"(largest coalesced submission: {batch_sizes.maximum:.0f} envelopes)")
 
-    hits = client.metrics.get_counter("cache.hits").value
-    misses = client.metrics.get_counter("cache.misses").value
+    hits = client.metrics.get_counter("cache.hits")
+    misses = client.metrics.get_counter("cache.misses")
     print(f"Cache statistics: {hits:.0f} hits / {misses:.0f} misses")
+
+    # 5. One export covers the deployment, both sessions, fabric, peers,
+    #    orderer and network; the tuned session is ``session="1"``.
+    exposition = service.exposition()
+    print("\nPrometheus exposition:")
+    print(exposition, end="")
+    hit_series = f'hyperprov_cache_hits{{component="client",client="{client.client_name}",' \
+        f'tenant="",session="1"}} {hits!r}'
+    assert hit_series in exposition.splitlines(), hit_series
 
 
 if __name__ == "__main__":

@@ -95,9 +95,7 @@ class HyperProvStore(ProvenanceStore):
             metadata=request.metadata,
             size_bytes=size_bytes,
         )
-        client.metrics.counter("post").inc()
         if receipt is not None:
-            client.metrics.counter("store_data").inc()
             client.metrics.histogram("store_data_bytes").observe(size_bytes)
         return SubmitHandle(
             request=request,

@@ -27,6 +27,7 @@ from repro.api.protocol import (
     VerifyResult,
 )
 from repro.common.errors import ConfigurationError
+from repro.common.metrics import MetricsRegistry, render_exposition
 from repro.middleware.config import PipelineConfig
 from repro.middleware.tenancy import AdmissionControlMiddleware, InFlightCounter
 
@@ -206,6 +207,8 @@ class HyperProvService:
         #: One in-flight counter per tenant, shared across its sessions,
         #: so the admission cap is per tenant rather than per session.
         self._admission_counters: Dict[str, InFlightCounter] = {}
+        #: Each session's client registry, labelled ``session`` by opening order.
+        self._session_metrics: List[MetricsRegistry] = []
 
     def session(
         self,
@@ -254,7 +257,21 @@ class HyperProvService:
                 admission.adopt_counter(counter)
         if pipeline is not None:
             client.apply_fabric_knobs()
+        client.metrics.labels["session"] = str(len(self._session_metrics))
+        self._session_metrics.append(client.metrics)
         return ProvenanceSession(client.as_store(), tenant=config.tenant)
+
+    def exposition(self) -> str:
+        """Every registry of the deployment and its sessions, as Prometheus text."""
+        fabric = self.deployment.fabric
+        return render_exposition([
+            self.deployment.client.metrics,
+            *self._session_metrics,
+            fabric.metrics,
+            *(peer.metrics for shard in fabric.shards for peer in shard.ordered_peers),
+            *(shard.orderer.metrics for shard in fabric.shards),
+            fabric.network.metrics,
+        ])
 
     def drain(self) -> None:
         """Flush pending batches and run the simulation to quiescence."""

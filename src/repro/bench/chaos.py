@@ -135,7 +135,10 @@ def _latency(handle: TransactionHandle) -> float:
 
 def _fault_counters(run: ChaosRun) -> Tuple[float, float]:
     metrics = run.deployment.fabric.network.metrics
-    return metrics.counter("fault.dropped").value, metrics.counter("fault.duplicated").value
+    return (
+        metrics.get_counter("fault.frames", kind="dropped"),
+        metrics.get_counter("fault.frames", kind="duplicated"),
+    )
 
 
 def _handle_line(label: str, handle: TransactionHandle) -> str:

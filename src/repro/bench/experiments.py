@@ -185,9 +185,9 @@ def _time_operators(
     means = {op: sum(values) / len(values) if values else float("nan")
              for op, values in latencies.items()}
     stages = {}
-    for stage, metric in STAGES.items():
-        histogram = client.metrics.get_histogram(metric)
-        if histogram is not None and histogram.count:
+    for stage in STAGES:
+        histogram = client.metrics.get_histogram("stage.latency_s", stage=stage)
+        if histogram.count:
             stages[stage] = histogram.mean
     return means, stages
 
@@ -323,14 +323,12 @@ def cache_rows(requests: int, seed: int) -> List[Row]:
                 session.submit(items[0].key, items[0].data + b"!")
                 deployment.drain()
         metrics = session.backend.client.metrics
-        hits = metrics.get_counter("cache.hits")
-        misses = metrics.get_counter("cache.misses")
         rows.append({
             "pipeline": label,
             "reads": len(latencies),
             "mean_get_s": sum(latencies) / len(latencies),
-            "cache_hits": int(hits.value) if hits else 0,
-            "cache_misses": int(misses.value) if misses else 0,
+            "cache_hits": int(metrics.get_counter("cache.hits")),
+            "cache_misses": int(metrics.get_counter("cache.misses")),
         })
     return rows
 

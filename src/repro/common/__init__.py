@@ -10,7 +10,7 @@ rest of the code base.  It provides:
 * reading a committed provenance record (:mod:`repro.common.records`),
 * configuration dataclasses (:mod:`repro.common.config`),
 * a tiny synchronous event bus (:mod:`repro.common.events`),
-* a metrics registry for counters/gauges/histograms
+* labelled counters and histograms with a Prometheus text export
   (:mod:`repro.common.metrics`).
 """
 
@@ -32,7 +32,7 @@ from repro.common.hashing import sha256_hex, checksum_of, HashChain
 from repro.common.ids import IdGenerator, short_uid
 from repro.common.serialization import canonical_json
 from repro.common.events import EventBus, Subscription
-from repro.common.metrics import MetricsRegistry, Counter, Gauge, Histogram
+from repro.common.metrics import MetricsRegistry
 
 __all__ = [
     "HyperProvError",
@@ -56,7 +56,4 @@ __all__ = [
     "EventBus",
     "Subscription",
     "MetricsRegistry",
-    "Counter",
-    "Gauge",
-    "Histogram",
 ]

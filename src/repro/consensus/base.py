@@ -52,7 +52,7 @@ class OrderingService(ABC):
         self.engine = engine
         self.batch_config = batch_config or BatchConfig()
         self.cutter = BlockCutter(self.batch_config)
-        self.metrics = MetricsRegistry(f"orderer.{name}")
+        self.metrics = MetricsRegistry(component="orderer", orderer=name)
         self.scheduler: OrderingScheduler = scheduler or FifoScheduler()
         self.intake_interval_s = intake_interval_s
         self._consumers: List[BlockConsumer] = []
@@ -61,8 +61,6 @@ class OrderingService(ABC):
         self._timeout_event = None
         self._pump_event = None
         self._stalled = False
-        self.blocks_delivered = 0
-        self.transactions_ordered = 0
 
     # ---------------------------------------------------------------- wiring
     def register_consumer(self, consumer: BlockConsumer) -> None:
@@ -205,10 +203,6 @@ class OrderingService(ABC):
             raise OrderingError(
                 f"ordering service {self.name!r} has no registered block consumers"
             )
-        self.blocks_delivered += 1
-        self.transactions_ordered += block.tx_count
-        self.metrics.counter("blocks").inc()
-        self.metrics.counter("ordered_txs").inc(block.tx_count)
         self.metrics.histogram("block_size_txs").observe(block.tx_count)
         for consumer in self._consumers:
             consumer(block)

@@ -94,9 +94,6 @@ class RaftNode:
         self._heartbeat_event = None
         self._commit_callbacks: List[CommitCallback] = []
 
-        self.elections_started = 0
-        self.entries_committed = 0
-
         self.network.register_node(node_id, handler=self._on_message)
 
     # ----------------------------------------------------------- public API
@@ -170,7 +167,6 @@ class RaftNode:
         self.current_term += 1
         self.voted_for = self.node_id
         self._votes_received = {self.node_id}
-        self.elections_started += 1
         self._reset_election_timer()
         request = {
             "term": self.current_term,
@@ -250,7 +246,6 @@ class RaftNode:
             self.commit_index += 1
             entry = self.log[self.commit_index]
             entry.committed = True
-            self.entries_committed += 1
             for callback in self._commit_callbacks:
                 callback(entry)
 
@@ -365,7 +360,6 @@ class RaftNode:
             self.commit_index += 1
             entry = self.log[self.commit_index]
             entry.committed = True
-            self.entries_committed += 1
 
     def _handle_append_entries_reply(self, source: str, reply: Dict[str, Any]) -> None:
         if self.state is not RaftState.LEADER:

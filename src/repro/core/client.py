@@ -105,9 +105,9 @@ class HyperProvClient:
         self.client_name = client_name
         self.storage = storage
         self.chaincode_name = HyperProvChaincode.name
-        self.metrics = MetricsRegistry(f"client.{client_name}")
         self._context = network.client_context(client_name)
         config = pipeline_config or PipelineConfig()
+        self.metrics = MetricsRegistry(component="client", client=client_name, tenant=config.tenant)
         if config.shards > network.shard_count:
             raise ValidationError(
                 f"pipeline wants {config.shards} shards but the network hosts "

@@ -61,12 +61,11 @@ class FabricNetwork:
         #: Endorsed envelopes coalesced into one orderer submission (1 = off,
         #: reproducing the unbatched per-transaction transfer exactly).
         self.order_batch_size = 1
-        self.metrics = MetricsRegistry("fabric")
-        # Resolved once, like a peer's: these are touched per committed
+        self.metrics = MetricsRegistry(component="fabric")
+        # Resolved once, like a peer's: one is touched per committed
         # transaction, and a by-name look-up is measurable there.
-        self._txs_committed = self.metrics.counter("txs_committed")
-        self._txs_invalidated = self.metrics.counter("txs_invalidated")
-        self._tx_latency = self.metrics.histogram("tx_latency_s")
+        self._valid_latency = self.metrics.histogram("tx_latency_s", status="valid")
+        self._invalid_latency = self.metrics.histogram("tx_latency_s", status="invalid")
         #: The one commit stream: every shard's ``block_delivered`` and
         #: ``chaincode_event:{name}`` announcements.
         self.events = EventBus()
@@ -347,10 +346,9 @@ class FabricNetwork:
                 result.committed_at + notify, code, block_number=result.block_number
             )
             if code is TxValidationCode.VALID:
-                self._txs_committed.inc()
+                self._valid_latency.observe(handle.latency_s)
             else:
-                self._txs_invalidated.inc()
-            self._tx_latency.observe(handle.latency_s)
+                self._invalid_latency.observe(handle.latency_s)
 
     # ---------------------------------------------------------------- query
     def query(

@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.chaincode.hyperprov import HyperProvChaincode
 from repro.chaincode.shim import ChaincodeResponse, ChaincodeStub
 from repro.common.errors import ChaincodeError, EndorsementError
-from repro.common.metrics import Counter, Histogram, MetricsRegistry
+from repro.common.metrics import Histogram, MetricsRegistry
 from repro.devices.model import DeviceModel
 from repro.fabric.channel import Channel
 from repro.fabric.proposal import Proposal, ProposalResponse
@@ -173,7 +173,7 @@ class Peer:
         self.identity = identity
         self.device = device
         self.channel = channel
-        self.metrics = MetricsRegistry(f"peer.{name}")
+        self.metrics = MetricsRegistry(component="peer", peer=name, channel=channel.name)
         #: FastFabric-style optimization (Gorenflo et al., cited by the
         #: paper): validate endorsement signatures on all cores in parallel
         #: instead of a single validator thread.
@@ -184,13 +184,10 @@ class Peer:
         self._committed_tx_ids: Set[str] = set()
         # Metric handles resolved once: name-based registry lookups are
         # measurable when repeated for every endorsement and commit.
-        self._endorsements_counter = self.metrics.counter("endorsements")
         self._endorse_time = self.metrics.histogram("endorse_time_s")
-        self._queries_counter = self.metrics.counter("queries")
         self._query_time = self.metrics.histogram("query_time_s")
-        self._blocks_committed = self.metrics.counter("blocks_committed")
-        self._txs_valid = self.metrics.counter("txs_valid")
-        self._txs_invalid = self.metrics.counter("txs_invalid")
+        self._txs_valid = self.metrics.counter("txs", status="valid")
+        self._txs_invalid = self.metrics.counter("txs", status="invalid")
         self._commit_time = self.metrics.histogram("commit_time_s")
         channel.join(name)
 
@@ -210,27 +207,22 @@ class Peer:
         the install check, the client-signature verification, the device
         charges and this peer's own signature never are.
         """
-        return self._evaluate(
-            proposal, at_time, shared, self._endorsements_counter, self._endorse_time
-        )
+        return self._evaluate(proposal, at_time, shared, self._endorse_time)
 
     # ---------------------------------------------------------------- query
     def query(self, proposal: Proposal, at_time: float) -> Tuple[ProposalResponse, float]:
         """Evaluate a read-only invocation (no ordering, no commit).
 
         The same checks, charges and signed response as :meth:`endorse`,
-        counted under ``queries``/``query_time_s`` instead.
+        timed under ``query_time_s`` instead.
         """
-        return self._evaluate(
-            proposal, at_time, None, self._queries_counter, self._query_time
-        )
+        return self._evaluate(proposal, at_time, None, self._query_time)
 
     def _evaluate(
         self,
         proposal: Proposal,
         at_time: float,
         shared: Optional[SharedSimulation],
-        calls: Counter,
         time_s: Histogram,
     ) -> Tuple[ProposalResponse, float]:
         definition = self.channel.chaincodes.get(proposal.chaincode)
@@ -266,7 +258,6 @@ class Peer:
         )
         _, finished_at = self.device.charge_cpu(at_time, duration)
 
-        calls.inc()
         time_s.observe(finished_at - at_time)
 
         if not result.is_ok:
@@ -403,7 +394,6 @@ class Peer:
             invalid_count=len(validation_codes) - valid,
         )
 
-        self._blocks_committed.inc()
         self._txs_valid.inc(valid)
         self._txs_invalid.inc(len(validation_codes) - valid)
         self._commit_time.observe(result.commit_duration_s)

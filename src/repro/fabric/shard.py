@@ -85,7 +85,8 @@ class ChannelShard:
         #: unpublished.  A block cut while no peer could receive it stays at
         #: or past this mark until the first peer catches up on it.
         self.events_pending_from = 0
-        self._blocks_delivered = fabric.metrics.counter("blocks_delivered")
+        self._missed_deliveries = fabric.metrics.counter("missed_deliveries", shard=str(index))
+        self._catch_up_blocks = fabric.metrics.counter("catch_up_blocks", shard=str(index))
         self.batcher = EndorsementBatcher(self, batch_size=fabric.order_batch_size)
         self.pipeline = TransactionPipeline(
             [
@@ -230,7 +231,7 @@ class ChannelShard:
                 )
         missed = len(self.ordered_peers) - len(arrivals)
         if missed:
-            self.fabric.metrics.counter("missed_deliveries").inc(missed)
+            self._missed_deliveries.inc(missed)
 
         commits: Dict[str, CommitResult] = {}
         # Lives for this fan-out only: replicas whose ledgers agree on what
@@ -242,7 +243,6 @@ class ChannelShard:
             commits[peer.name] = peer.deliver_block(block, arrival, shared)
         self.ordered_blocks.append(block)
 
-        self._blocks_delivered.inc()
         self._announce(block, commits)
         if commits:
             self._publish_chaincode_events(block, next(iter(commits.values())))
@@ -278,7 +278,7 @@ class ChannelShard:
                 self.orderer_node, peer.name, missed.size_bytes
             )
             result = peer.deliver_block(missed, at_time + transfer)
-            self.fabric.metrics.counter("catch_up_blocks").inc()
+            self._catch_up_blocks.inc()
             commits = {peer.name: result}
             self._announce(missed, commits)
             if missed.number >= self.events_pending_from:

@@ -38,7 +38,6 @@ class EndorsementBatcher(Middleware):
         if self.batch_size <= 1:
             return call_next(ctx)
         self._pending.append((ctx, call_next))
-        self.shard.fabric.metrics.gauge("batcher.queued").set(float(len(self._pending)))
         if len(self._pending) >= self.batch_size:
             self.flush()
         # The handle was created before the pipeline ran; the caller keeps
@@ -66,10 +65,9 @@ class EndorsementBatcher(Middleware):
             )
             ctx.tags["order_arrival"] = send_at + transfer
             call_next(ctx)
-        metrics = self.shard.fabric.metrics
-        metrics.counter("batcher.flushes").inc()
-        metrics.histogram("batcher.batch_size").observe(float(len(batch)))
-        metrics.gauge("batcher.queued").set(0.0)
+        self.shard.fabric.metrics.histogram(
+            "batcher.batch_size", shard=str(self.shard.index)
+        ).observe(float(len(batch)))
         return len(batch)
 
     @property

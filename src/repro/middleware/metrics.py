@@ -2,23 +2,16 @@
 
 from __future__ import annotations
 
-from repro.common.metrics import MetricsRegistry
+from typing import Dict, Tuple
+
+from repro.common.metrics import Counter, Histogram, MetricsRegistry
 from repro.fabric.proposal import TransactionHandle
 from repro.middleware.base import Handler, Middleware, Result
 from repro.middleware.context import Context
 
-#: Histogram names for the write path's per-stage latency breakdown.
-STAGE_ENDORSE = "stage.endorse_s"
-STAGE_ORDER = "stage.order_s"
-STAGE_COMMIT = "stage.commit_s"
-STAGE_NAMES = (STAGE_ENDORSE, STAGE_ORDER, STAGE_COMMIT)
-#: Canonical stage label → histogram name, in pipeline order.  The bench
-#: reporting/export layers derive their stage lists from this mapping.
-STAGES = {
-    "endorse": STAGE_ENDORSE,
-    "order": STAGE_ORDER,
-    "commit": STAGE_COMMIT,
-}
+#: The write path's stages, in pipeline order: the ``stage`` label of
+#: ``stage.latency_s`` and the rows of the ``ops/stages`` table.
+STAGES = ("endorse", "order", "commit")
 
 
 class MetricsMiddleware(Middleware):
@@ -37,31 +30,42 @@ class MetricsMiddleware(Middleware):
 
     def __init__(self, registry: MetricsRegistry) -> None:
         self.registry = registry
+        #: Operation → its ``ops`` and ``op.latency_s``, resolved on first call.
+        self._operations: Dict[str, Tuple[Counter, Histogram]] = {}
+        self._endorse, self._order, self._commit = (
+            registry.histogram("stage.latency_s", stage=stage) for stage in STAGES
+        )
 
     def handle(self, ctx: Context, call_next: Handler) -> Result:
-        self.registry.counter(f"ops.{ctx.operation}").inc()
+        series = self._operations.get(ctx.operation)
+        if series is None:
+            series = self._operations[ctx.operation] = (
+                self.registry.counter("ops", op=ctx.operation),
+                self.registry.histogram("op.latency_s", op=ctx.operation),
+            )
+        calls, latency = series
+        calls.inc()
         try:
             result = call_next(ctx)
         except Exception:
-            self.registry.counter(f"errors.{ctx.operation}").inc()
+            self.registry.counter("errors", op=ctx.operation).inc()
             raise
         if ctx.is_read:
-            self.registry.histogram(f"op.{ctx.operation}.latency_s").observe(result[1])
+            latency.observe(result[1])
         else:
-            result.on_complete(lambda handle: self._observe_write(ctx, handle))
+            result.on_complete(lambda handle: self._observe_write(ctx, latency, handle))
         return result
 
     # ------------------------------------------------------------ recording
-    def _observe_write(self, ctx: Context, handle: TransactionHandle) -> None:
+    def _observe_write(self, ctx: Context, latency: Histogram, handle: TransactionHandle) -> None:
         if not handle.is_complete:
             return
-        self.registry.histogram(f"op.{ctx.operation}.latency_s").observe(handle.latency_s)
+        latency.observe(handle.latency_s)
         if not handle.is_valid:
-            self.registry.counter(f"invalidated.{ctx.operation}").inc()
+            self.registry.counter("invalidated", op=ctx.operation).inc()
             return
         # A valid handle passed every invoke stage (a store-and-forward
         # placeholder copies the phases of the replay that did).
-        histogram = self.registry.histogram
-        histogram(STAGE_ENDORSE).observe(handle.timings["endorsement_s"])
-        histogram(STAGE_ORDER).observe(handle.ordered_at - handle.endorsed_at)
-        histogram(STAGE_COMMIT).observe(handle.committed_at - handle.ordered_at)
+        self._endorse.observe(handle.timings["endorsement_s"])
+        self._order.observe(handle.ordered_at - handle.endorsed_at)
+        self._commit.observe(handle.committed_at - handle.ordered_at)

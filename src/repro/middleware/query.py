@@ -3,9 +3,9 @@
 The planner itself runs inside the chaincode (it needs the peer's
 world-state indexes); this middleware is its client-side counterpart.
 For rich-query operations it counts the access path the planner chose —
-the ``plan`` an explain-enabled response's page carries — in per-path
-metrics counters (``query.plan.<path>``), so bench tables and sessions can
-report which path served each query.
+the ``plan`` an explain-enabled response's page carries — in the
+``query.plans`` counter, labelled by ``path``, so a session's export
+reports which path served each query.
 
 Enabled by the ``PipelineConfig.indexes`` knob, which also drives the
 fabric-side index enablement (``FabricNetwork.enable_secondary_indexes``)
@@ -40,5 +40,5 @@ class QueryPlannerMiddleware(Middleware):
         page = result[0].scan
         if page is not None and page.plan is not None:
             path = page.plan.get("access_path", "unknown")
-            self.metrics.counter(f"query.plan.{path}").inc()
+            self.metrics.counter("query.plans", path=path).inc()
         return result

@@ -130,8 +130,9 @@ class ShardRouterMiddleware(Middleware):
     ) -> None:
         self.ring = ConsistentHashRing(shards)
         self.shards = shards
-        self.metrics = metrics
         self.placement = placement
+        self._routed = [metrics.counter("router.routed", shard=str(n)) for n in range(shards)]
+        self._fan_outs = metrics.counter("router.fan_outs")
 
     # ------------------------------------------------------------- pipeline
     def handle(self, ctx: Context, call_next: Handler) -> Result:
@@ -139,7 +140,7 @@ class ShardRouterMiddleware(Middleware):
             return self._fan_out(ctx, call_next)
         shard = self.route_for(ctx)
         ctx.tags["shard"] = shard
-        self.metrics.counter(f"router.shard_{shard}").inc()
+        self._routed[shard].inc()
         return call_next(ctx)
 
     def route_for(self, ctx: Context) -> int:
@@ -196,7 +197,7 @@ class ShardRouterMiddleware(Middleware):
         results = [
             call_next(self._sub_context(ctx, shard)) for shard in self._fan_out_shards(ctx)
         ]
-        self.metrics.counter("router.fan_outs").inc()
+        self._fan_outs.inc()
         history = ctx.function == "getkeyhistory"
         ok = [
             (response, latency) for response, latency in results

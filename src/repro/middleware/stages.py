@@ -111,7 +111,7 @@ class CollectEndorsementsStage(FabricStage):
             # retryable network error (never occurs on fault-free runs)
             # instead of completing the handle — retry/store-and-forward
             # middlewares upstream own the recovery decision.
-            shard.fabric.metrics.counter("endorsement_unreachable").inc()
+            shard.fabric.metrics.counter("endorsement_unreachable", shard=str(shard.index)).inc()
             raise PartitionError(
                 f"no endorsing peers reachable from {client.host_node!r} "
                 f"for tx {handle.tx_id}"
@@ -121,7 +121,7 @@ class CollectEndorsementsStage(FabricStage):
         if not ok_responses:
             handle.response_payload = None
             handle.complete(endorsement_done, TxValidationCode.ENDORSEMENT_POLICY_FAILURE)
-            shard.fabric.metrics.counter("endorsement_failures").inc()
+            shard.fabric.metrics.counter("endorsement_failures", shard=str(shard.index)).inc()
             return handle
 
         # Fabric requires all endorsements to agree on the read/write set.

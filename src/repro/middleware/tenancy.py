@@ -204,7 +204,6 @@ class AdmissionControlMiddleware(Middleware):
             self.metrics.counter("admission.rejected").inc()
             raise AdmissionRejectedError(self.tenant, self.max_in_flight)
         self._counter.value += 1
-        self._observe()
         try:
             result = call_next(ctx)
         except Exception:
@@ -216,7 +215,3 @@ class AdmissionControlMiddleware(Middleware):
 
     def _release(self) -> None:
         self._counter.value = max(0, self._counter.value - 1)
-        self._observe()
-
-    def _observe(self) -> None:
-        self.metrics.gauge("admission.in_flight").set(float(self._counter.value))

@@ -13,7 +13,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.common.errors import ConfigurationError, NotFoundError, PartitionError
 from repro.common.ids import IdGenerator
-from repro.common.metrics import MetricsRegistry
+from repro.common.metrics import Counter, MetricsRegistry
 from repro.network.link import Link, LinkProfile, GIGABIT_LAN
 from repro.network.partitions import PartitionManager
 from repro.simulation.engine import SimulationEngine
@@ -78,16 +78,16 @@ class NetworkFabric:
     def __init__(self, engine: SimulationEngine, rng: DeterministicRandom) -> None:
         self.engine = engine
         self._rng = rng
-        self.metrics = MetricsRegistry("network")
-        # Resolved once: every transfer counts its bytes, and a by-name
-        # registry look-up per transfer is measurable.
-        self._bytes_counter = self.metrics.counter("bytes")
+        self.metrics = MetricsRegistry(component="network")
+        #: Each node's ``bytes`` series, resolved when it registers: a by-name
+        #: look-up on every transfer is measurable.
+        self._bytes: Dict[str, Counter] = {}
+        self._message_latency = self.metrics.histogram("message.latency_s")
         self.partitions = PartitionManager()
         self._handlers: Dict[str, MessageHandler] = {}
         self._links: Dict[Tuple[str, str], Link] = {}
         self._node_profiles: Dict[str, LinkProfile] = {}
         self._ids = IdGenerator("msg")
-        self._bytes_by_node: Dict[str, int] = {}
         # Unknown-site partitions must raise, not no-op (chaos-plan typos).
         self.partitions.bind_known_nodes(lambda: self._handlers.keys())
         #: Scheduled link degradations; empty on fault-free runs so the
@@ -104,7 +104,7 @@ class NetworkFabric:
         """Add a node to the fabric with an optional inbound message handler."""
         self._handlers[name] = handler or (lambda message: None)
         self._node_profiles[name] = profile or GIGABIT_LAN
-        self._bytes_by_node.setdefault(name, 0)
+        self._bytes[name] = self.metrics.counter("bytes", node=name)
 
     @property
     def nodes(self) -> Tuple[str, ...]:
@@ -112,7 +112,7 @@ class NetworkFabric:
 
     def bytes_sent_by(self, node: str) -> int:
         """Total bytes a node has put on the wire (used by the energy model)."""
-        return self._bytes_by_node.get(node, 0)
+        return int(self.metrics.get_counter("bytes", node=node))
 
     # ------------------------------------------------------------------ links
     def _link(self, source: str, destination: str) -> Link:
@@ -181,19 +181,13 @@ class NetworkFabric:
                 # Dropped frame, recovered by one retransmission: the bytes
                 # cross the wire twice and the transfer takes twice as long.
                 duration *= 2.0
-                self._bytes_by_node[source] = (
-                    self._bytes_by_node.get(source, 0) + size_bytes
-                )
-                self._bytes_counter.inc(size_bytes)
-                self.metrics.counter("fault.dropped").inc()
+                self._bytes[source].inc(size_bytes)
+                self.metrics.counter("fault.frames", kind="dropped").inc()
             if fault.duplicate_rate > 0.0 and rng.random() < fault.duplicate_rate:
                 # Spurious retransmission: extra bytes on the wire, but the
                 # receiver dedupes so latency is unaffected.
-                self._bytes_by_node[source] = (
-                    self._bytes_by_node.get(source, 0) + size_bytes
-                )
-                self._bytes_counter.inc(size_bytes)
-                self.metrics.counter("fault.duplicated").inc()
+                self._bytes[source].inc(size_bytes)
+                self.metrics.counter("fault.frames", kind="duplicated").inc()
         return duration
 
     # --------------------------------------------------------------- delivery
@@ -221,8 +215,7 @@ class NetworkFabric:
         duration = self._link(source, destination).transfer_time(size_bytes)
         if self._link_faults:
             duration = self._apply_link_faults(source, destination, size_bytes, duration)
-        self._bytes_by_node[source] = self._bytes_by_node.get(source, 0) + size_bytes
-        self._bytes_counter.inc(size_bytes)
+        self._bytes[source].inc(size_bytes)
         return duration
 
     def send(
@@ -255,10 +248,8 @@ class NetworkFabric:
             latency = self._link(source, destination).transfer_time(size_bytes)
             if self._link_faults:
                 latency = self._apply_link_faults(source, destination, size_bytes, latency)
-        self._bytes_by_node[source] = self._bytes_by_node.get(source, 0) + size_bytes
-        self.metrics.counter("messages").inc()
-        self._bytes_counter.inc(size_bytes)
-        self.metrics.histogram("latency_s").observe(latency)
+        self._bytes[source].inc(size_bytes)
+        self._message_latency.observe(latency)
         message.delivered_at = message.sent_at + latency
         if deliver:
             handler = self._handlers[destination]

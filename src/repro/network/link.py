@@ -64,8 +64,6 @@ class Link:
         self.destination = destination
         self.profile = profile
         self._rng = rng
-        self.bytes_transferred = 0
-        self.messages_transferred = 0
 
     def transfer_time(self, payload_bytes: int) -> float:
         """Seconds needed to move ``payload_bytes`` across this link.
@@ -81,8 +79,6 @@ class Link:
         total = latency + serialization
         if profile.loss_rate > 0 and self._rng.random() < profile.loss_rate:
             total += latency + serialization
-        self.bytes_transferred += payload_bytes
-        self.messages_transferred += 1
         return total
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper

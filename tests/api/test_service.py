@@ -10,6 +10,7 @@ import pytest
 from repro.api import HyperProvService
 from repro.common.errors import AdmissionRejectedError, ConfigurationError, NotFoundError
 from repro.middleware.cache import ReadCacheMiddleware
+from repro.middleware.tenancy import AdmissionControlMiddleware
 from repro.middleware.config import PipelineConfig, build_client_pipeline
 from repro.common.tenancy import strip_namespace, tenant_namespace
 from tests.middleware.contract import collaborators
@@ -51,7 +52,7 @@ def test_a_session_configures_its_own_path_and_nothing_else(service):
     assert client.pipeline.find(ReadCacheMiddleware) is cache
     hit = cached.get("iso/a")
     assert hit.checksum == miss.checksum and hit.latency_s < miss.latency_s
-    assert client.metrics.get_counter("cache.hits").value == 1
+    assert client.metrics.get_counter("cache.hits") == 1
     # A later plain session gets the stock chain, not the last one opened.
     plain = service.session()
     assert plain.backend.client.pipeline.middleware_names() == ["request-id", "metrics"]
@@ -133,8 +134,8 @@ def test_session_with_pipeline_config_applies_order_batch(service, desktop_deplo
     for index in range(4):
         session.submit(f"svc/obatch/{index}", b"y" * 32)
     session.drain()
-    flushes = desktop_deployment.fabric.metrics.get_counter("batcher.flushes")
-    assert flushes is not None and flushes.value >= 1
+    flushes = desktop_deployment.fabric.metrics.get_histogram("batcher.batch_size", shard="0")
+    assert flushes.count >= 1
 
 
 # ------------------------------------------------------------------ tenancy
@@ -253,6 +254,23 @@ def test_admission_cap_is_shared_across_sessions_of_one_tenant(service):
     other = service.session(tenant="globex", max_in_flight=4)
     other.submit("s3/0", b"x")
     first.drain()
+
+
+def test_after_a_drain_every_session_of_a_tenant_reads_nothing_in_flight(service):
+    """The in-flight count lives once, in the tenant's shared counter; no
+    per-session copy is left at 1 when another session's commit frees it."""
+    first = service.session(tenant="acme", max_in_flight=4)
+    second = service.session(tenant="acme", max_in_flight=4)
+    first.submit("a", b"x")
+    second.submit("b", b"x")
+    service.drain()
+    counters = [
+        session.backend.client.pipeline.find(AdmissionControlMiddleware)._counter
+        for session in (first, second)
+    ]
+    assert counters[0] is counters[1]
+    assert counters[0].value == 0
+    assert "admission_in_flight" not in service.exposition()
 
 
 def test_admission_cap_without_tenant(service):

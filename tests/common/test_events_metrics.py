@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.events import EventBus
-from repro.common.metrics import Histogram, MetricsRegistry, percentile
+from repro.common.metrics import MetricsRegistry, percentile, render_exposition
 from tests.internals import live_topics
 
 
@@ -170,7 +170,7 @@ def test_subscription_is_a_context_manager():
 
 # -------------------------------------------------------------------- metrics
 def test_counter_increments_and_rejects_negative():
-    registry = MetricsRegistry("test")
+    registry = MetricsRegistry(component="test")
     counter = registry.counter("ops")
     counter.inc()
     counter.inc(2)
@@ -179,46 +179,88 @@ def test_counter_increments_and_rejects_negative():
         counter.inc(-1)
 
 
-def test_gauge_set():
-    gauge = MetricsRegistry().gauge("queue")
-    gauge.set(5)
-    gauge.set(3)
-    assert gauge.value == 3
-
-
 def test_histogram_summary_statistics():
-    histogram = Histogram("lat")
+    histogram = MetricsRegistry().histogram("lat")
     for value in [1.0, 2.0, 3.0, 4.0]:
         histogram.observe(value)
     assert histogram.count == 4
     assert histogram.mean == pytest.approx(2.5)
     assert histogram.maximum == 4.0
-    assert percentile(histogram.samples, 50) == pytest.approx(2.5)
-    assert percentile(histogram.samples, 100) == 4.0
+    assert not hasattr(histogram, "__dict__") and not hasattr(histogram, "samples")
+
+
+def test_histogram_sum_is_the_sequential_sum_of_its_observations():
+    values = [0.1 * index + 1e-9 * index ** 3 for index in range(1, 200)]
+    histogram = MetricsRegistry().histogram("lat")
+    for value in values:
+        histogram.observe(value)
+    total = 0.0
+    for value in values:
+        total += value
+    assert histogram.total == total
+    assert histogram.mean == total / len(values)
 
 
 def test_histogram_empty_is_safe():
-    histogram = Histogram("empty")
+    histogram = MetricsRegistry().get_histogram("empty")
+    assert histogram.count == 0
     assert histogram.mean == 0.0
     assert histogram.maximum == 0.0
-    assert percentile(histogram.samples, 95) == 0.0
+
+
+def test_percentile_of_samples():
+    samples = [1.0, 2.0, 3.0, 4.0]
+    assert percentile(samples, 50) == pytest.approx(2.5)
+    assert percentile(samples, 100) == 4.0
+    assert percentile([], 95) == 0.0
 
 
 def test_histogram_percentile_validates_range():
-    histogram = Histogram("h")
-    histogram.observe(1.0)
     with pytest.raises(ValueError):
-        percentile(histogram.samples, 150)
+        percentile([1.0], 150)
 
 
-def test_registry_namespaces_metric_names():
-    registry = MetricsRegistry("peer.p0")
-    registry.counter("txs").inc()
-    assert registry.get_counter("txs").name == "peer.p0.txs"
+def test_registry_labels_replace_the_namespace_prefix():
+    registry = MetricsRegistry(component="peer", peer="p0")
+    registry.counter("txs", status="valid").inc()
+    registry.counter("txs", status="invalid").inc(2)
+    assert registry.get_counter("txs", status="valid") == 1.0
+    assert registry.get_counter("txs", status="invalid") == 2.0
+    assert registry.labels == {"component": "peer", "peer": "p0"}
 
 
 def test_registry_same_name_returns_same_object():
     registry = MetricsRegistry()
     assert registry.counter("a") is registry.counter("a")
+    assert registry.counter("a", x="1", y="2") is registry.counter("a", y="2", x="1")
+    assert registry.counter("a", x="1") is not registry.counter("a", x="2")
     assert registry.histogram("h") is registry.histogram("h")
 
+
+def test_a_read_never_creates_a_series():
+    registry = MetricsRegistry()
+    assert registry.get_counter("absent", op="get") == 0.0
+    assert isinstance(registry.get_counter("absent"), float)
+    assert registry.get_histogram("absent").count == 0
+    assert render_exposition([registry]) == ""
+
+
+def test_exposition_renders_counters_and_summaries_under_registry_labels():
+    registry = MetricsRegistry(component="client", tenant='a"b\\c')
+    registry.counter("cache.hits").inc(3)
+    latency = registry.histogram("op.latency_s", op="get")
+    latency.observe(0.5)
+    latency.observe(0.25)
+    registry.histogram("stage.latency_s", stage="order")
+    labels = 'component="client",tenant="a\\"b\\\\c"'
+    assert render_exposition([registry]).splitlines() == [
+        "# TYPE hyperprov_cache_hits counter",
+        f"hyperprov_cache_hits{{{labels}}} 3.0",
+        "# TYPE hyperprov_op_latency_s summary",
+        f'hyperprov_op_latency_s{{{labels},op="get",quantile="1"}} 0.5',
+        f'hyperprov_op_latency_s_sum{{{labels},op="get"}} 0.75',
+        f'hyperprov_op_latency_s_count{{{labels},op="get"}} 2',
+        "# TYPE hyperprov_stage_latency_s summary",
+        f'hyperprov_stage_latency_s_sum{{{labels},stage="order"}} 0.0',
+        f'hyperprov_stage_latency_s_count{{{labels},stage="order"}} 0',
+    ]

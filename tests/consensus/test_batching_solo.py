@@ -145,5 +145,6 @@ def test_solo_orderer_metrics_and_counters():
     orderer.register_consumer(lambda block: None)
     for i in range(4):
         orderer.submit(make_tx(f"t{i}"))
-    assert orderer.blocks_delivered == 2
-    assert orderer.transactions_ordered == 4
+    blocks = orderer.metrics.get_histogram("block_size_txs")
+    assert blocks.count == 2
+    assert blocks.total == 4

@@ -192,4 +192,4 @@ def test_query_latencies_are_recorded(desktop_deployment):
     desktop_deployment.drain()
     result = store.get("lat/1")
     assert result.latency_s > 0
-    assert client.metrics.get_histogram("op.get.latency_s").count == 1
+    assert client.metrics.get_histogram("op.latency_s", op="get").count == 1

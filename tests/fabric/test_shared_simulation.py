@@ -102,7 +102,7 @@ def test_replicas_in_agreement_run_the_chaincode_once(deployment):
                 response.endorsement.signature,
             )
     for peer in deployment.peers:
-        assert peer.metrics.counter("endorsements").value == 2
+        assert peer.metrics.get_histogram("endorse_time_s").count == 2
 
 
 @pytest.mark.parametrize("stale_index", [0, 3], ids=["first-endorser", "last-endorser"])
@@ -240,17 +240,14 @@ def test_queries_are_not_counted_as_endorsements(deployment):
     submit(deployment, "set", set_args("item/a", b"v1"))
     deployment.drain()
     anchor = deployment.fabric.peer(deployment.fabric.client_context(CLIENT).anchor_peer)
-    endorsements = anchor.metrics.counter("endorsements").value
-    endorse_samples = anchor.metrics.histogram("endorse_time_s").count
+    endorse_samples = anchor.metrics.get_histogram("endorse_time_s").count
 
     store = deployment.client.as_store()
     for _ in range(5):
         assert store.get("item/a").checksum == checksum_of(b"v1")
 
-    assert anchor.metrics.counter("queries").value == 5
-    assert anchor.metrics.histogram("query_time_s").count == 5
-    assert anchor.metrics.counter("endorsements").value == endorsements == 1
-    assert anchor.metrics.histogram("endorse_time_s").count == endorse_samples == 1
+    assert anchor.metrics.get_histogram("query_time_s").count == 5
+    assert anchor.metrics.get_histogram("endorse_time_s").count == endorse_samples == 1
 
 
 def test_reads_alone_leave_the_endorsement_counter_at_zero():
@@ -260,6 +257,5 @@ def test_reads_alone_leave_the_endorsement_counter_at_zero():
         with pytest.raises(Exception, match="not found"):
             store.get("item/missing")
     anchor = deployment.fabric.peer(deployment.fabric.client_context(CLIENT).anchor_peer)
-    assert anchor.metrics.counter("queries").value == 3
-    assert anchor.metrics.counter("endorsements").value == 0
-    assert anchor.metrics.histogram("endorse_time_s").count == 0
+    assert anchor.metrics.get_histogram("query_time_s").count == 3
+    assert anchor.metrics.get_histogram("endorse_time_s").count == 0

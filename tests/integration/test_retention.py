@@ -18,8 +18,8 @@ from repro.core.topology import build_desktop_deployment
 ROUND = 100
 WARMUP_POSTS = 2 * ROUND
 POSTS = 20 * ROUND
-#: Measured 5 435 B and 19.2 GC-tracked objects per post, + 15 %.
-BYTES_PER_POST = 6250
+#: Measured 5 055 B and 19.2 GC-tracked objects per post, + 15 %.
+BYTES_PER_POST = 5815
 OBJECTS_PER_POST = 22.1
 
 

@@ -57,3 +57,12 @@ def cache_keys(store) -> List[Any]:
 def device_schedules(plan) -> List[Any]:
     """A ``CohortArrivalPlan``'s per-device arrivals, in device order."""
     return plan._schedules
+
+
+def metric_series(registry) -> List[Any]:
+    """``(name, own labels, counter or histogram)`` of each series a ``MetricsRegistry`` holds."""
+    return [
+        (name, labels, series)
+        for table in (registry._counters, registry._histograms)
+        for (name, labels), series in table.items()
+    ]

@@ -12,6 +12,7 @@ from repro.api.protocol import StoreRequest
 from repro.api.service import HyperProvService
 from repro.chaincode.hyperprov import HyperProvChaincode
 from repro.common.errors import ConfigurationError
+from repro.common.metrics import render_exposition
 from repro.consensus.batching import BatchConfig
 from repro.core.client import HyperProvClient
 from repro.core.topology import build_desktop_deployment
@@ -20,6 +21,7 @@ from repro.middleware.batching import EndorsementBatcher
 from repro.middleware.cache import ReadCacheMiddleware
 from repro.middleware.config import PipelineConfig
 from repro.middleware.context import KEY_SCOPED_FUNCTIONS, Context, OperationKind
+from repro.middleware.sharding import ShardRouterMiddleware
 from tests.internals import cache_keys, live_topics, organization
 from tests.middleware.contract import answer, collaborators, response_with
 
@@ -108,7 +110,7 @@ class TestReadCacheUnit:
         for key in ("a", "b", "c"):
             pipeline.execute(read_ctx("get", args=(key,)))
         assert len(cache_keys(cache.store)) == 2
-        assert metrics.get_counter("cache.evictions").value == 1
+        assert metrics.get_counter("cache.evictions") == 1
         # "a" was evicted; "b" and "c" remain.
         remaining = {args[0] for (_, _, args) in cache_keys(cache.store)}
         assert remaining == {"b", "c"}
@@ -149,8 +151,8 @@ class TestReadCacheEndToEnd:
 
         first = store.get("hot/key")
         second = store.get("hot/key")
-        assert client.metrics.get_counter("cache.misses").value == 1
-        assert client.metrics.get_counter("cache.hits").value == 1
+        assert client.metrics.get_counter("cache.misses") == 1
+        assert client.metrics.get_counter("cache.hits") == 1
         # The cached read is answered locally, not via a peer round trip.
         assert second.latency_s < first.latency_s
         assert second.checksum == first.checksum
@@ -160,7 +162,7 @@ class TestReadCacheEndToEnd:
         deployment.drain()
         refreshed = store.get("hot/key")
         # ... so the read goes back to the peer and sees the new checksum.
-        assert client.metrics.get_counter("cache.misses").value == 2
+        assert client.metrics.get_counter("cache.misses") == 2
         assert refreshed.checksum != first.checksum
 
     def test_default_cache_drops_entry_on_commit(self):
@@ -246,7 +248,7 @@ class TestReadCacheEndToEnd:
         second = store.get("cold/key")
         # Without the cache both reads pay a real peer round trip.
         assert second.latency_s > first.latency_s * 0.1
-        assert deployment.client.metrics.get_counter("cache.hits") is None
+        assert "hyperprov_cache_hits" not in render_exposition([deployment.client.metrics])
 
 
 def post_inline(client, key):
@@ -271,9 +273,25 @@ class TestEndorsementBatcher:
         handles.append(post_inline(client, "batch/2"))
         # The third submission filled the batch: nothing left queued.
         assert batcher.queued == 0
-        assert deployment.fabric.metrics.get_counter("batcher.flushes").value == 1
+        assert deployment.fabric.metrics.get_histogram("batcher.batch_size", shard="0").count == 1
         deployment.drain()
         assert all(h.is_valid for h in handles)
+
+    def test_each_shard_batcher_holds_its_own_queue(self):
+        deployment = build_desktop_deployment(seed=42, shards=2)
+        client = configured_client(deployment, PipelineConfig(shards=2, order_batch_size=3))
+        ring = client.pipeline.find(ShardRouterMiddleware).ring
+        keys = [f"queued/{i}" for i in range(20)]
+        for shard, count in ((0, 2), (1, 1)):
+            for key in [key for key in keys if ring.route(key) == shard][:count]:
+                post_inline(client, key)
+        assert [shard.batcher.queued for shard in deployment.fabric.shards] == [2, 1]
+        assert "batcher_queued" not in HyperProvService(deployment).exposition()
+        deployment.drain()
+        assert [shard.batcher.queued for shard in deployment.fabric.shards] == [0, 0]
+        flushed = [deployment.fabric.metrics.get_histogram("batcher.batch_size", shard=shard)
+                   for shard in ("0", "1")]
+        assert [(sizes.count, sizes.total) for sizes in flushed] == [(1, 2.0), (1, 1.0)]
 
     def test_close_flushes_the_partial_batch(self):
         deployment = build_desktop_deployment(seed=42)
@@ -319,8 +337,7 @@ class TestEndorsementBatcher:
         deployment.client.as_store().submit(StoreRequest(key="solo/0", data=b"x"))
         assert deployment.fabric.shard(0).batcher.queued == 0
         deployment.drain()
-        flushes = deployment.fabric.metrics.get_counter("batcher.flushes")
-        assert flushes is None or flushes.value == 0
+        assert deployment.fabric.metrics.get_histogram("batcher.batch_size", shard="0").count == 0
 
     def test_batch_size_below_one_is_a_configuration_error(self):
         with pytest.raises(ConfigurationError):

@@ -6,7 +6,6 @@ from repro.api.protocol import StoreRequest
 from repro.api.service import HyperProvService
 from repro.middleware.cache import BLOCK_DELIVERED_TOPIC, ReadCacheMiddleware
 from repro.middleware.config import PipelineConfig
-from repro.middleware.metrics import STAGE_COMMIT, STAGE_ENDORSE, STAGE_ORDER
 from tests.internals import live_topics
 
 
@@ -26,22 +25,23 @@ class TestClientPipeline:
             "store_data", "get", "get_key_history", "check_hash",
             "get_dependencies", "query", "get_by_range",
         )
-        uncounted = [op for op in operators if client.metrics.get_counter(f"ops.{op}") is None]
+        uncounted = [op for op in operators if client.metrics.get_counter("ops", op=op) == 0]
         assert uncounted == []
 
     def test_stage_breakdown_recorded_for_writes(self, desktop_deployment):
         client = desktop_deployment.client
         client.as_store().submit(StoreRequest(key="stage/a", data=b"a"))
         desktop_deployment.drain()
-        endorse = client.metrics.get_histogram(STAGE_ENDORSE)
-        order = client.metrics.get_histogram(STAGE_ORDER)
-        commit = client.metrics.get_histogram(STAGE_COMMIT)
-        assert endorse is not None and endorse.count == 1
-        assert order is not None and order.count == 1
-        assert commit is not None and commit.count == 1
+        endorse, order, commit = (
+            client.metrics.get_histogram("stage.latency_s", stage=stage)
+            for stage in ("endorse", "order", "commit")
+        )
+        assert endorse.count == 1
+        assert order.count == 1
+        assert commit.count == 1
         # Stage sum reconstructs the end-to-end commit latency.
         total = endorse.total + order.total + commit.total
-        op = client.metrics.get_histogram("op.store_data.latency_s")
+        op = client.metrics.get_histogram("op.latency_s", op="store_data")
         assert op.total == pytest.approx(total, rel=1e-6)
 
     def test_request_ids_are_traced_per_operation(self, desktop_deployment):

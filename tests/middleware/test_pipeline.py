@@ -191,7 +191,7 @@ class TestRetry:
         with pytest.raises(NetworkError, match=r"down \(3\)"):
             pipeline.execute(make_ctx())
         assert calls == [1, 2, 3]
-        assert middleware.metrics.get_counter("retry.exhausted").value == 1
+        assert middleware.metrics.get_counter("retry.exhausted") == 1
 
     def test_non_retryable_errors_pass_straight_through(self):
         calls = []

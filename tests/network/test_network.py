@@ -44,12 +44,14 @@ def test_link_profile_validation():
         LinkProfile(loss_rate=1.5).validate()
 
 
-def test_link_tracks_traffic_counters():
-    link = Link("a", "b", GIGABIT_LAN, rng=DeterministicRandom(1))
-    link.transfer_time(100)
-    link.transfer_time(200)
-    assert link.bytes_transferred == 300
-    assert link.messages_transferred == 2
+def test_network_tracks_traffic_counters():
+    fabric = NetworkFabric(SimulationEngine(), DeterministicRandom(1))
+    fabric.register_node("a")
+    fabric.register_node("b")
+    fabric.send("a", "b", "test", None, 100)
+    fabric.send("a", "b", "test", None, 200)
+    assert fabric.bytes_sent_by("a") == 300
+    assert fabric.metrics.get_histogram("message.latency_s").count == 2
 
 
 # ------------------------------------------------------------------ partitions
