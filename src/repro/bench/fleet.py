@@ -148,6 +148,14 @@ class FleetBenchReport:
             f"parallel speedup: {self.speedup:.2f}x; virtual-time commit "
             "logs byte-identical (anchors match)"
         )
+        posts = max(1, self.sequential.committed)
+        busy_s = sum(stats.busy_wall_s for stats in self.parallel.shard_stats)
+        table.add_note(
+            "wall time per committed post: sequential "
+            f"{format_seconds(self.sequential.wall_s / posts)}, parallel workers' "
+            f"busy time summed {format_seconds(busy_s / posts)} (a sequential "
+            "figure above the sum is the one engine's overhead, not parallel gain)"
+        )
         return table
 
 

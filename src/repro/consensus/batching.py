@@ -42,7 +42,6 @@ class BlockCutter:
         self._pending: List[Transaction] = []
         self._pending_bytes = 0
         self._first_pending_at: Optional[float] = None
-        self.batches_cut = 0
 
     def add(self, tx: Transaction, now: float) -> List[List[Transaction]]:
         """Add a transaction; return the batches it cut, in order (often none).
@@ -54,7 +53,6 @@ class BlockCutter:
         tx_bytes = tx.size_bytes
         if tx_bytes >= self.config.preferred_max_bytes:
             batches = [self._cut()] if self._pending else []
-            self.batches_cut += 1
             return batches + [[tx]]
 
         if not self._pending:
@@ -88,7 +86,6 @@ class BlockCutter:
         self._pending = []
         self._pending_bytes = 0
         self._first_pending_at = None
-        self.batches_cut += 1
         return batch
 
     def next_timeout_deadline(self) -> Optional[float]:

@@ -142,7 +142,7 @@ class FabricNetwork:
             )
         target.peers[peer.name] = peer
         target.ordered_peers = [target.peers[name] for name in sorted(target.peers)]
-        if peer.name not in self.network.nodes:
+        if not self.network.has_node(peer.name):
             self.network.register_node(peer.name, profile=peer.device.profile.nic)
 
     def add_client(
@@ -163,7 +163,7 @@ class FabricNetwork:
         if not self._shards or not self._shards[0].peers:
             raise ConfigurationError("add a channel and its peers before registering clients")
         host = host_node or name
-        if host not in self.network.nodes:
+        if not self.network.has_node(host):
             self.network.register_node(host, profile=device.profile.nic)
         anchor = anchor_peer or self._shards[0].ordered_peers[0].name
         if not any(anchor in shard.peers for shard in self._shards):

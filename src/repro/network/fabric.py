@@ -106,8 +106,13 @@ class NetworkFabric:
         self._node_profiles[name] = profile or GIGABIT_LAN
         self._bytes[name] = self.metrics.counter("bytes", node=name)
 
+    def has_node(self, name: str) -> bool:
+        """Whether ``name`` is registered: one dict look-up, whatever the node count."""
+        return name in self._handlers
+
     @property
     def nodes(self) -> Tuple[str, ...]:
+        """Every registered node, sorted (sorts on each read: not for membership)."""
         return tuple(sorted(self._handlers))
 
     def bytes_sent_by(self, node: str) -> int:

@@ -74,7 +74,7 @@ class SSHFSStorageBackend:
         self.storage_device = storage_device
         self.storage_node = storage_node
         self._objects: Dict[str, StoredObject] = {}
-        if self.storage_node not in network.nodes:
+        if not network.has_node(self.storage_node):
             network.register_node(self.storage_node, profile=storage_device.profile.nic)
 
     def location_of(self, path: str) -> str:

@@ -12,8 +12,8 @@ Both are open-loop Poisson timelines, pre-sampled into lists:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Iterable, List, Optional, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.simulation.randomness import DeterministicRandom
@@ -68,15 +68,15 @@ class CohortArrivalPlan:
     """Vectorized arrival schedules for a whole device fleet.
 
     Every device gets its own deterministic Poisson stream (forked from the
-    cohort seed by device index, never by construction order), pre-sampled
-    into a flat list.  Churned devices get an offline window cut out of
-    their timeline — the join/leave model is a schedule property, so the
-    same plan drives the sequential engine and the per-shard workers bit
-    for bit.
+    cohort seed by device index, never by construction order), sampled
+    into a flat list when its site's schedule is asked for.  Churned devices
+    get an offline window cut out of their timeline — the join/leave model
+    is a schedule property, so the same plan drives the sequential engine
+    and the per-shard workers bit for bit.
 
     Workers rebuild the plan locally from the spec instead of receiving
     10k timelines over a pipe, which keeps the worker-process command
-    boundary thin.
+    boundary thin; a worker samples only its own sites' devices.
     """
 
     devices: int
@@ -86,7 +86,6 @@ class CohortArrivalPlan:
     seed: int = 42
     #: Fraction of devices that leave mid-run and rejoin later (churn).
     churn_fraction: float = 0.0
-    _schedules: List[DeviceArrivals] = field(default_factory=list, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.devices < 1:
@@ -95,44 +94,51 @@ class CohortArrivalPlan:
             raise ConfigurationError("a cohort needs at least one shard")
         if not 0.0 <= self.churn_fraction <= 1.0:
             raise ConfigurationError("churn_fraction must be in [0, 1]")
+
+    def schedules(self, sites: Iterable[int]) -> List[DeviceArrivals]:
+        """The arrivals of every device homed on ``sites``, site by site."""
         root = DeterministicRandom(self.seed)
         churn_period = (
             int(1.0 / self.churn_fraction) if self.churn_fraction > 0 else 0
         )
-        for index in range(self.devices):
-            rng = root.fork(f"arrivals:{index}")
-            times = sample_poisson_times(
-                rng, self.rate_per_device_s, self.duration_s
-            )
-            offline: Optional[Tuple[float, float]] = None
-            if churn_period and index % churn_period == churn_period - 1:
-                # Deterministic per-device offline window, jittered by the
-                # device's own stream so the fleet does not churn in lockstep.
-                width = self.duration_s * CHURN_OFFLINE_FRACTION
-                start = rng.uniform(0.1, 0.9 - CHURN_OFFLINE_FRACTION)
-                leave = start * self.duration_s
-                rejoin = leave + width
-                times = [t for t in times if not leave <= t < rejoin]
-                offline = (leave, rejoin)
-            self._schedules.append(
-                DeviceArrivals(
-                    device_index=index,
-                    shard=index % self.shards,
-                    times=tuple(times),
-                    offline_window=offline,
+        schedules: List[DeviceArrivals] = []
+        for site in sites:
+            for index in range(site, self.devices, self.shards):
+                rng = root.fork(f"arrivals:{index}")
+                times = sample_poisson_times(
+                    rng, self.rate_per_device_s, self.duration_s
                 )
-            )
+                offline: Optional[Tuple[float, float]] = None
+                if churn_period and index % churn_period == churn_period - 1:
+                    # Deterministic per-device offline window, jittered by the
+                    # device's own stream so the fleet does not churn in lockstep.
+                    width = self.duration_s * CHURN_OFFLINE_FRACTION
+                    start = rng.uniform(0.1, 0.9 - CHURN_OFFLINE_FRACTION)
+                    leave = start * self.duration_s
+                    rejoin = leave + width
+                    times = [t for t in times if not leave <= t < rejoin]
+                    offline = (leave, rejoin)
+                schedules.append(
+                    DeviceArrivals(
+                        device_index=index,
+                        shard=site,
+                        times=tuple(times),
+                        offline_window=offline,
+                    )
+                )
+        return schedules
 
-    def merged(self) -> List[Tuple[float, int]]:
-        """``(time, device_index)`` pairs sorted by time (ties by device).
+    def merged(self, sites: Iterable[int]) -> List[Tuple[float, int]]:
+        """``(time, device_index)`` pairs of ``sites``' devices, sorted by time
+        (ties by device).
 
-        This is the submission order both executors use, so per-shard
-        relative order is identical whether the fleet runs on one engine or
-        on per-shard workers.
+        This is the submission order both executors use: one site's pairs
+        are the same subsequence whether the plan is merged for the whole
+        fleet (one engine) or for that site alone (its worker).
         """
         pairs = [
             (time, schedule.device_index)
-            for schedule in self._schedules
+            for schedule in self.schedules(sites)
             for time in schedule.times
         ]
         pairs.sort()

@@ -43,6 +43,7 @@ from repro.chaincode.hyperprov import HyperProvChaincode
 from repro.common.errors import ConfigurationError
 from repro.common.hashing import checksum_of
 from repro.common.ids import IdGenerator
+from repro.common.metrics import MetricsRegistry
 from repro.consensus.batching import BatchConfig
 from repro.consensus.solo import SoloOrderingService
 from repro.devices.model import DeviceModel
@@ -287,27 +288,21 @@ def _schedule_partition_windows(deployment: FleetDeployment) -> None:
         deployment.engine.schedule_at(end, partitions.heal, label="fleet:heal")
 
 
-def submit_fleet(
-    deployment: FleetDeployment, plan: Optional[CohortArrivalPlan] = None
-) -> int:
+def submit_fleet(deployment: FleetDeployment) -> int:
     """Schedule every metadata post of the deployment's sites.
 
     Submissions happen in merged ``(time, device)`` order; a solo build's
     order is exactly the site-local subsequence of the combined order, so
-    per-site handle minting (and therefore tx ids) match.  Returns the
-    number of posts scheduled.
+    per-site handle minting (and therefore tx ids) match.  Only the built
+    sites' devices are sampled.  Returns the number of posts scheduled.
     """
     spec = deployment.spec
-    plan = plan or spec.arrival_plan()
-    built = set(deployment.sites)
     post_counts: Dict[int, int] = {}
     submitted = 0
     for site in deployment.sites:
         deployment.handles.setdefault(site, [])
-    for at_time, index in plan.merged():
+    for at_time, index in spec.arrival_plan().merged(deployment.sites):
         site = spec.site_of_device(index)
-        if site not in built:
-            continue
         sequence = post_counts.get(index, 0)
         post_counts[index] = sequence + 1
         key = f"fleet/{device_name(index)}/r{sequence}"
@@ -331,6 +326,29 @@ def submit_fleet(
         deployment.handles[site].append((index, handle))
         submitted += 1
     return submitted
+
+
+def fleet_registries(deployment: FleetDeployment) -> List[MetricsRegistry]:
+    """Every registry of the deployment, each labelled with its ``site``.
+
+    A peer or orderer serves one site and carries its number; the fabric
+    and network registries serve every site the engine hosts and carry
+    them comma-joined (``"0,1"`` on a two-site engine).  A one-site build,
+    which is what the parallel executor runs, labels everything with that
+    site.  Order: the fabric, each site's peers and orderer, the network.
+    """
+    hosted = ",".join(str(site) for site in deployment.sites)
+    fabric = deployment.fabric
+    fabric.metrics.labels["site"] = hosted
+    deployment.network.metrics.labels["site"] = hosted
+    registries = [fabric.metrics]
+    for site in deployment.sites:
+        shard = fabric.shard(deployment.shard_of_site[site])
+        for registry in [peer.metrics for peer in shard.ordered_peers] + [shard.orderer.metrics]:
+            registry.labels["site"] = str(site)
+            registries.append(registry)
+    registries.append(deployment.network.metrics)
+    return registries
 
 
 def commit_log_lines(deployment: FleetDeployment, site: int) -> List[str]:

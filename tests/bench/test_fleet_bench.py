@@ -55,6 +55,12 @@ class TestRunFleet:
         with pytest.raises(GateError):
             broken.verify_determinism()
 
+    def test_speedup_note_carries_the_cost_per_post_of_both_runs(self, tiny_report):
+        notes = [line for line in tiny_report.to_table().render().splitlines()
+                 if line.startswith("note: wall time per committed post")]
+        assert len(notes) == 1
+        assert "sequential" in notes[0] and "busy time summed" in notes[0]
+
     def test_shard_stats_table_renders(self, tiny_report):
         rendered = shard_stats_table(
             tiny_report.parallel.shard_stats, "stats"

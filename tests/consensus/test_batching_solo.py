@@ -56,13 +56,17 @@ def test_cutter_oversized_transaction_goes_alone():
 
 def test_cutter_cuts_an_oversized_transaction_alone_after_the_pending_batch():
     cutter = BlockCutter(BatchConfig(max_message_count=10, preferred_max_bytes=2048))
-    assert cutter.add(make_tx("small"), now=0.0) == []
-    batches = cutter.add(make_tx("big", payload="x" * 10_000), now=0.1)
-    assert [[tx.tx_id for tx in batch] for batch in batches] == [["small"], ["big"]]
-    # Nothing waits for the timeout, and a later transaction starts a new batch.
+    first = cutter.add(make_tx("small"), now=0.0)
+    second = cutter.add(make_tx("big", payload="x" * 10_000), now=0.1)
+    assert first == []
+    assert [[tx.tx_id for tx in batch] for batch in second] == [["small"], ["big"]]
+    # Nothing waits for the timeout: the two batches returned are all it cut.
     assert cutter.next_timeout_deadline() is None
     assert cutter.flush() is None
-    assert cutter.batches_cut == 2
+    assert len(first + second) == 2
+    # A later transaction starts a new batch of its own.
+    assert cutter.add(make_tx("later"), now=0.2) == []
+    assert [tx.tx_id for tx in cutter.flush()] == ["later"]
 
 
 def test_cutter_timeout_cut():

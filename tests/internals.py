@@ -56,7 +56,8 @@ def cache_keys(store) -> List[Any]:
 
 def device_schedules(plan) -> List[Any]:
     """A ``CohortArrivalPlan``'s per-device arrivals, in device order."""
-    return plan._schedules
+    every_site = plan.schedules(range(plan.shards))
+    return sorted(every_site, key=lambda schedule: schedule.device_index)
 
 
 def metric_series(registry) -> List[Any]:

@@ -6,13 +6,22 @@ fleets the per-site runs (``run_fleet_parallel(spec, workers=1)``: one
 engine per site, in this process, so the case is fast and shrinks) must
 produce exactly the commit logs of the one-engine run, through churn,
 partition windows and batched and per-post blocks.
+
+Their metrics agree too.  A peer or orderer serves one site, so its
+series are the same in both runs, bit for bit.  The one engine's fabric
+and network registries serve every site at once: their series hold the
+per-site series added up (counts exactly, sums to rounding, since the
+additions interleave), with a site's shard numbered 0 when it runs alone.
 """
+
+import math
 
 from hypothesis import given, strategies as st
 
 from repro.consensus.batching import BatchConfig
 from repro.simulation.parallel import run_fleet_parallel, run_fleet_sequential
 from repro.workloads.fleet import FleetSpec
+from tests.internals import metric_series
 from tests.property_budgets import budget
 
 DURATION_S = 40.0
@@ -47,6 +56,41 @@ fleet_specs = st.builds(
 )
 
 
+def values(series):
+    """A counter's value, or a histogram's count, sum and maximum."""
+    if hasattr(series, "value"):
+        return (series.value,)
+    return (series.count, series.total, series.maximum)
+
+
+def site_series(result):
+    """Each peer and orderer series: (registry labels, name, own labels) -> values."""
+    return {
+        (tuple(registry.labels.items()), name, own): values(series)
+        for registry in result.registries()
+        if registry.labels["component"] in ("peer", "orderer")
+        for name, own, series in metric_series(registry)
+    }
+
+
+def shared_totals(result):
+    """The fabric and network series added up over sites and shards."""
+    totals = {}
+    for registry in result.registries():
+        if registry.labels["component"] not in ("fabric", "network"):
+            continue
+        for name, own, series in metric_series(registry):
+            key = (registry.labels["component"], name, tuple(p for p in own if p[0] != "shard"))
+            total = totals.setdefault(key, [0, 0.0, 0.0])
+            if hasattr(series, "value"):
+                total[0] += series.value
+            else:
+                total[0] += series.count
+                total[1] += series.total
+                total[2] = max(total[2], series.maximum)
+    return totals
+
+
 @budget
 @given(fleet_specs)
 def test_per_site_runs_equal_the_one_engine_run(spec):
@@ -56,3 +100,9 @@ def test_per_site_runs_equal_the_one_engine_run(spec):
     assert apart.lines_by_site == sequential.lines_by_site
     assert apart.counts_by_site == sequential.counts_by_site
     assert apart.submitted == sequential.submitted
+    assert site_series(apart) == site_series(sequential)
+    alone, together = shared_totals(apart), shared_totals(sequential)
+    assert alone.keys() == together.keys()
+    for key, (count, total, maximum) in together.items():
+        assert alone[key][0] == count and alone[key][2] == maximum, key
+        assert math.isclose(alone[key][1], total, rel_tol=1e-9, abs_tol=1e-12), key

@@ -8,6 +8,7 @@ for the same spec, with churn and a partition window enabled.
 
 import multiprocessing
 import os
+import re
 import time
 
 import pytest
@@ -151,3 +152,49 @@ class TestWorkerFailure:
         message = self.run_and_time()
         assert "fleet worker 1 (sites [1]) failed" in message
         assert "Traceback" in message and "ValueError: boom" in message
+
+
+class TestFleetExport:
+    """Each site's series come home in its worker's result, labelled by site."""
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        # Three sites on two workers: one worker runs two sites in turn.
+        spec = property_spec(shards=3)
+        return (
+            run_fleet_parallel(spec, workers=1),
+            run_fleet_parallel(spec, workers=2),
+            run_fleet_sequential(spec),
+        )
+
+    def test_in_process_and_forked_exports_are_byte_identical(self, runs):
+        inline, forked, _ = runs
+        assert inline.mode == "parallel-inline" and forked.mode == "parallel"
+        assert forked.exposition() == inline.exposition()
+
+    def test_every_series_of_a_parallel_run_names_one_site(self, runs):
+        _, forked, _ = runs
+        samples = [line for line in forked.exposition().splitlines() if not line.startswith("#")]
+        sites = {re.search(r'site="([^"]*)"', line).group(1) for line in samples}
+        assert sites == {"0", "1", "2"}
+        # Every site reports its blocks, commits and traffic.
+        for site in sites:
+            for family in ("hyperprov_block_size_txs_count", "hyperprov_txs", "hyperprov_bytes"):
+                assert any(
+                    line.startswith(family + "{") and f'site="{site}"' in line
+                    for line in samples
+                ), (family, site)
+
+    def test_one_engine_labels_its_shared_registries_with_every_site(self, runs):
+        _, _, sequential = runs
+        labels = {
+            registry.labels["component"]: registry.labels["site"]
+            for registry in sequential.registries()
+            if registry.labels["component"] in ("fabric", "network")
+        }
+        assert labels == {"fabric": "0,1,2", "network": "0,1,2"}
+        # A peer or orderer serves one site and names it.
+        for registry in sequential.registries():
+            if registry.labels["component"] in ("peer", "orderer"):
+                name = registry.labels.get("peer") or registry.labels["orderer"]
+                assert name.startswith(f"s{registry.labels['site']}-")

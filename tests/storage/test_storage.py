@@ -101,7 +101,7 @@ def test_sshfs_keeps_a_storage_node_already_on_the_network(network):
 def test_sshfs_registers_storage_node_on_network(network):
     device = DeviceModel("storage", XEON_E5_1603)
     SSHFSStorageBackend(network=network, storage_device=device, storage_node="nas")
-    assert "nas" in network.nodes
+    assert network.has_node("nas")
 
 
 # --------------------------------------------------------------------- content

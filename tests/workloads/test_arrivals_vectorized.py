@@ -48,7 +48,7 @@ class TestCohortArrivalPlan:
     def test_deterministic_across_constructions(self):
         first = self.make_plan()
         second = self.make_plan()
-        assert first.merged() == second.merged()
+        assert first.merged(range(4)) == second.merged(range(4))
 
     def test_device_streams_independent_of_shard_count(self):
         # Streams fork by device index, never by shard layout, so resharding
@@ -94,7 +94,7 @@ class TestCohortArrivalPlan:
 
     def test_merged_is_sorted_and_horizon_bounds_it(self):
         plan = self.make_plan()
-        merged = plan.merged()
+        merged = plan.merged(range(plan.shards))
         assert merged == sorted(merged)
         assert merged, "plan should produce arrivals at these rates"
         assert merged[-1][0] <= plan.duration_s
@@ -104,3 +104,10 @@ class TestCohortArrivalPlan:
             self.make_plan(devices=0)
         with pytest.raises(ConfigurationError):
             self.make_plan(churn_fraction=1.5)
+
+    def test_one_sites_merge_is_its_slice_of_the_fleets_merge(self):
+        plan = self.make_plan()
+        fleet = plan.merged(range(plan.shards))
+        for site in range(plan.shards):
+            alone = plan.merged([site])
+            assert alone == [pair for pair in fleet if pair[1] % plan.shards == site]
