@@ -58,6 +58,8 @@ BUDGETS = {
     # tests/property/test_record_reading.py
     "test_the_row_predicate_matches_what_the_document_matches": 150,
     "test_a_view_of_the_reading_is_the_view_of_the_document": 150,
+    # tests/property/test_stream_bit_identity.py
+    "test_a_stream_draws_what_a_live_generator_draws": 200,
     # tests/property/test_tenant_fan_out.py
     "test_a_confined_read_answers_what_asking_every_shard_answers": 50,
     "test_a_merged_history_keeps_the_commit_order_of_the_string_merge": 30,

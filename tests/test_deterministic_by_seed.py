@@ -4,14 +4,14 @@ hash order or environment on the way to a result.
 The committed anchors (``ANCHORS.json``), the sequential/parallel fleet
 match and the double-pass chaos runs are digests over virtual-time
 observations, so they reproduce only if the code never consults the host.
-An AST walk flags five leaks:
+An AST walk flags five leaks and one waste:
 
 * **D101** a wall-clock read: any ``time.*`` call, ``datetime.now``,
   ``utcnow`` or ``today``;
 * **D102** process-global or OS randomness: a module-level ``random.*`` or
   ``secrets.*`` call, ``random.Random()`` without a seed, ``os.urandom``,
   ``uuid.uuid1``/``uuid4`` (a seeded ``random.Random(seed)`` is the
-  sanctioned stream);
+  sanctioned generator);
 * **D103** hash or address order: a provable set fed to ``for``, a
   comprehension, ``list``/``tuple``/``enumerate`` or ``str.join``;
   ``sorted``/``min``/``max(..., key=id)``; builtin ``hash()`` outside
@@ -20,14 +20,21 @@ An AST walk flags five leaks:
   ``os.cpu_count`` and friends, ``platform.*``, ``socket.gethostname``;
 * **D105** a hidden seed or engine: ``<param> or DeterministicRandom(<literal>)``
   or ``<param> or SimulationEngine()``.  A caller that passes nothing gets
-  a stream no run seed reaches, or an engine on its own clock.
+  a stream no run seed reaches, or an engine on its own clock;
+* **D106** a generator made outside the stream class: ``random.Random(seed)``
+  anywhere but ``repro/simulation/randomness.py``.  A Mersenne Twister is
+  2.5 KB, and ``DeterministicRandom`` keeps one only for a stream that
+  draws past its batch; a module holding one per device or link would
+  bring the 2.5 KB back for each.
 
 D101 and D104 cover ``src/repro`` except ``repro/bench/``, the harness
 that measures wall-clock time, and the defs in ``WALL_CLOCK_KEPT``.  D102
 and D103 hold everywhere: the ``.py`` files of ``src/``, ``benchmarks/``
 and ``examples/`` (test directories excluded), because the benchmark's
 seeded inputs must reproduce too.  D105 covers ``src/repro`` except the
-defs in ``FALLBACK_KEPT``.  A call is resolved through its
+defs in ``FALLBACK_KEPT``.  D106 covers ``src/`` and ``examples/`` except
+``RANDOM_HOME``; the benchmark draws its inputs from generators of its
+own.  A call is resolved through its
 module's imports at any depth, so ``from datetime import datetime as dt``
 then ``dt.now()`` is a D101.
 """
@@ -57,6 +64,8 @@ FALLBACK_KEPT: Dict[Tuple[str, str], str] = {
 }
 #: The harness that measures wall-clock time: D101 and D104 do not apply.
 HOST_MEASURING = "repro/bench/"
+#: The one module that may construct a ``random.Random`` (D106).
+RANDOM_HOME = "repro/simulation/randomness.py"
 
 #: Resolved call targets per rule, besides every ``time.*`` (D101),
 #: ``random.*``/``secrets.*`` (D102) and ``platform.*`` (D104) call.
@@ -93,7 +102,7 @@ def _rule(target: str, call: ast.Call) -> Optional[str]:
     if head == "time" or target in WALL_CLOCK:
         return "D101"
     if target == "random.Random":
-        return None if call.args or call.keywords else "D102"
+        return "D106" if call.args or call.keywords else "D102"
     if head in ("random", "secrets") or target in ENTROPY:
         return "D102"
     if head == "platform" or target in HOST_FACTS:
@@ -224,6 +233,8 @@ def _leaks(root: Path) -> List[str]:
                 not module.startswith("repro/") or (module, owner) in FALLBACK_KEPT
             ):
                 continue
+            if rule == "D106" and (module == RANDOM_HOME or module.startswith("benchmarks/")):
+                continue
             found.append(f"{module}:{line} {rule} {what}")
     return found
 
@@ -297,11 +308,22 @@ CASES = [
      "        return rng or DeterministicRandom(17)\n", ["D105"]),
     # D105 holds in src/repro only.
     ("examples/demo.py", "def build(rng=None):\n    return rng or DeterministicRandom(7)\n", []),
+    # D106: a generator outside the stream class.
+    (_SIM, "import random\n\ndef draw(seed):\n    return random.Random(seed).random()\n",
+     ["D106"]),
     # The sanctioned forms.
-    (_SIM, "import random\n\ndef draw(seed):\n    return random.Random(seed).random()\n", []),
     (_SIM, "names = {3, 1}\nordered = sorted(names)\n", []),
     (_SIM, "class Key:\n    def __hash__(self):\n        return hash(self.inner)\n", []),
     (_SIM, "def build(seed, rng=None):\n    return rng or DeterministicRandom(seed)\n", []),
+    # D106 holds in src/ and examples/, not in the one module or benchmarks/.
+    ("examples/demo.py", "from random import Random\nRNG = Random(seed=3)\n", ["D106"]),
+    (RANDOM_HOME, "import random\n\ndef draw(seed):\n    return random.Random(seed).random()\n",
+     []),
+    (RANDOM_HOME, "import random\nRNG = random.Random()\n", ["D102"]),
+    ("benchmarks/perf/workloads.py", "import random\nRNG = random.Random(3)\n", []),
+    # A method called through the class is flagged too: ``seed`` with no
+    # value re-seeds the instance it is given from the OS.
+    (_SIM, "import random\n\ndef reseed(stream):\n    random.Random.seed(stream)\n", ["D102"]),
 ]
 
 
