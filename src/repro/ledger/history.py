@@ -9,9 +9,9 @@ value written.
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from typing import Dict, List, Optional
 
 from repro.ledger.scan import entry_size
@@ -44,10 +44,11 @@ class HistoryDatabase:
 
     def __init__(self) -> None:
         self._entries: Dict[str, List[HistoryEntry]] = {}
-        # Maintained sorted key list: the index is append-only (keys are
-        # never removed, matching Fabric's history database), so one
-        # insort per *new* key replaces a full re-sort per ``keys()`` call.
-        self._sorted_keys: List[str] = []
+        #: every key, sorted, as of the last key read.  Keys are never
+        #: removed (as in Fabric's history database), so the keys written
+        #: since are the last ones in ``_entries``: a read sorts them in
+        #: (:meth:`_sorted_keys`) and a commit pays for no sorted insert.
+        self._sorted: List[str] = []
         self.total_entries = 0
 
     def record(
@@ -82,7 +83,6 @@ class HistoryDatabase:
         existing = self._entries.get(entry.key)
         if existing is None:
             self._entries[entry.key] = [entry]
-            insort(self._sorted_keys, entry.key)
         else:
             existing.append(entry)
         self.total_entries += 1
@@ -92,5 +92,14 @@ class HistoryDatabase:
         """All modifications of ``key`` in commit order (oldest first)."""
         return list(self._entries.get(key, []))
 
+    def _sorted_keys(self) -> List[str]:
+        """:attr:`_sorted`, after one ``extend`` + ``sort`` of the new keys."""
+        known = len(self._sorted)
+        if known < len(self._entries):
+            self._sorted.extend(islice(self._entries, known, None))
+            self._sorted.sort()
+        return self._sorted
+
     def keys(self) -> List[str]:
-        return list(self._sorted_keys)
+        """Every key ever written, sorted (a new list per call)."""
+        return list(self._sorted_keys())

@@ -5,19 +5,21 @@ the height (block number, tx number) of the transaction that last wrote
 it.  MVCC validation compares the versions recorded in a transaction's
 read set against the current world-state versions.
 
-The key space is kept in a maintained sorted index (``bisect``-based
-insort on insert, a lazily compacted tombstone set on delete) so range
-and prefix scans cost O(log n + k) instead of re-sorting the whole key
-space per call.  An optional secondary prefix index additionally buckets
-keys by their first ``/``-separated segment, which lets prefix-scoped
-rich queries fetch their candidate keys without touching the rest of the
-key space.
+The key space is kept in a sorted index, deletes tombstoned and
+compacted lazily, so range and prefix scans cost O(log n + k) instead of
+re-sorting the whole key space per call.  A secondary prefix index
+additionally buckets keys by their first ``/``-separated segment, which
+lets prefix-scoped rich queries fetch their candidate keys without
+touching the rest of the key space.  Both are ordered only when someone
+reads keys in order: a put of a new key appends it to one unsorted list,
+and the next ordered read merges that list in, so commits that nothing
+scans pay for no sorted insert.
 """
 
 from __future__ import annotations
 
 import json
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from itertools import chain, compress, repeat
 from operator import eq
 from typing import Any, Callable, Dict, Iterator, List, Optional, Set, Tuple
@@ -201,13 +203,14 @@ def _prefix_end(prefix: str) -> str:
 
 
 class _SortedKeyIndex:
-    """A sorted key list maintained incrementally with lazy deletions.
+    """A sorted key list, merged into in batches, with lazy deletions.
 
-    Inserts use ``insort`` (O(log n) search + memmove); deletions only
-    record a tombstone until a compaction rebuilds the list.  Re-inserting
-    a tombstoned key simply clears the tombstone, so the list never holds
-    duplicates.  :class:`WorldState` slices ``keys`` directly and drops a
-    tombstoned key by its missing entry.
+    :class:`WorldState` hands it the keys put since the last ordered read
+    (:meth:`add_all`); deletions only record a tombstone until a
+    compaction rebuilds the list.  Re-inserting a tombstoned key simply
+    clears the tombstone, so the list never holds duplicates.
+    :class:`WorldState` slices ``keys`` directly and drops a tombstoned
+    key by its missing entry.
     """
 
     def __init__(self) -> None:
@@ -217,11 +220,21 @@ class _SortedKeyIndex:
     def __len__(self) -> int:
         return len(self.keys) - len(self._dead)
 
-    def add(self, key: str) -> None:
-        if key in self._dead:
-            self._dead.discard(key)
-            return
-        insort(self.keys, key)
+    def add_all(self, added: List[str]) -> None:
+        """Merge ``added`` (keys not in the index, or tombstoned) into ``keys``.
+
+        A tombstoned key is revived; the rest extend the list, which is
+        then sorted once: a pass over the sorted part plus a sort of the
+        new tail.  ``keys`` is mutated in place, never rebound: a lazy
+        scan holding it sees it grow.
+        """
+        dead = self._dead
+        revived = dead.intersection(added)
+        if revived:
+            dead -= revived
+            added = [key for key in added if key not in revived]
+        self.keys.extend(added)
+        self.keys.sort()
 
     def discard(self, key: str) -> None:
         self._dead.add(key)
@@ -258,6 +271,9 @@ class WorldState:
         self._index = _SortedKeyIndex()
         #: first-segment bucket → sorted sub-index (secondary prefix index).
         self._buckets: Dict[str, _SortedKeyIndex] = {}
+        #: keys put since the last ordered read, in put order: in neither
+        #: ``_index`` nor a bucket until :meth:`_merge`.
+        self._unsorted: List[str] = []
         #: optional field-value secondary index, maintained transactionally
         #: with every committed put/delete (see ``attach_secondary_index``):
         #: a ``repro.query.indexes.FieldValueIndex``, of which the ledger
@@ -307,13 +323,13 @@ class WorldState:
         A replica adopting another replica's commit of the same block
         stores the very entry that replica built under the same ``key``
         (one object per committed version per channel, each of its
-        fragments computed at most once); the sorted index, the prefix
-        buckets and the attached secondary index are this world state's
-        own and are kept here either way.
+        fragments computed at most once); the attached secondary index is
+        this world state's own and is kept here either way.  A new key is
+        only appended to :attr:`_unsorted`: the sorted index and the
+        prefix buckets take it at the next ordered read (:meth:`_merge`).
         """
         if key not in self._data:
-            self._index.add(key)
-            self._bucket_for(key).add(key)
+            self._unsorted.append(key)
         self._data[key] = entry
         if self._secondary is not None:
             self._secondary.update(key, entry.value)
@@ -321,8 +337,13 @@ class WorldState:
         return entry
 
     def delete(self, key: str, version: Version) -> None:
-        """Remove a key from the world state."""
+        """Remove a key from the world state.
+
+        Merges the pending keys first, so the key it tombstones is one the
+        sorted index holds.
+        """
         if self._data.pop(key, None) is not None:
+            self._merge()
             self._index.discard(key)
             self._bucket_for(key).discard(key)
             if self._secondary is not None:
@@ -335,6 +356,25 @@ class WorldState:
         if bucket is None:
             bucket = self._buckets[segment] = _SortedKeyIndex()
         return bucket
+
+    def _merge(self) -> None:
+        """Index the keys put since the last ordered read.
+
+        Every reader of ``keys`` or of a bucket's size calls it first.  The
+        pending keys go into the main index and, grouped by first segment,
+        into their buckets (:meth:`_SortedKeyIndex.add_all`).
+        """
+        pending = self._unsorted
+        if not pending:
+            return
+        self._unsorted = []
+        self._index.add_all(pending)
+        grouped: Dict[str, List[str]] = {}
+        separator = self.PREFIX_SEPARATOR
+        for key in pending:
+            grouped.setdefault(key.split(separator, 1)[0], []).append(key)
+        for keys in grouped.values():
+            self._bucket_for(keys[0]).add_all(keys)
 
     def __len__(self) -> int:
         return len(self._data)
@@ -362,9 +402,11 @@ class WorldState:
         """Cheap upper bound on the keys under ``prefix``.
 
         The planner's cost input: the bucket size when the prefix names a
-        single first-segment bucket, the full key count otherwise.  O(1),
-        never scans.
+        single first-segment bucket, the full key count otherwise.  Never
+        scans; O(1) once the keys put since the last ordered read are
+        merged, which it does first (:meth:`_merge`).
         """
+        self._merge()
         bucket = self._bucket_of_prefix(prefix)
         if bucket is self._index:
             return len(self._data)
@@ -409,6 +451,7 @@ class WorldState:
     def _prefix_run(
         self, prefix: str, where: Where, start_after: str = "", lazy: bool = False
     ) -> Iterator[VersionedValue]:
+        self._merge()
         return self._run(
             self._bucket_of_prefix(prefix), prefix, _prefix_end(prefix), start_after, lazy, where
         )
@@ -483,12 +526,16 @@ class WorldState:
 
         A lazy scan may be pulled across writes.  A compaction rebinds
         ``keys`` and never mutates it, so the scan keeps reading the list
-        it started on.  A put of a new key inserts into that list in
-        place, shifting every position after it: a scan that finds its
-        list grew between two chunks bisects again, after the last key
-        it looked up, and finds its stop again.  So a key live for the
-        whole scan is handed out exactly once, and a key put during it
-        only if it sorts after where the scan had got to.
+        it started on.  A put of a new key only queues it
+        (:attr:`_unsorted`); the scan merges the queue (:meth:`_merge`)
+        when it starts and again after each chunk it hands out, and a
+        merge grows that list in place, shifting every position after a
+        new key.  The scan checks for growth right after that merge,
+        before it slices the next chunk: one that finds its list grew
+        bisects again, after the last key it looked up, and finds its
+        stop again.  So a key live for the whole scan is handed out
+        exactly once, and a key put during it only if it sorts after
+        where the scan had got to.
 
         ``where`` lets the scan skip the rows a caller would reject.  For
         each of its fields the world state keeps a *column* over ``run``
@@ -517,6 +564,7 @@ class WorldState:
         lazy: bool, where: Where,
     ) -> Iterator[Tuple[Optional[VersionedValue], ...]]:
         """The versions :meth:`_run` hands out, one looked-up chunk at a time."""
+        self._merge()
         keys = run.keys if run is not None else []
         if start_after and start_after >= lower:
             start = bisect_right(keys, start_after)
@@ -543,6 +591,7 @@ class WorldState:
             else:
                 yield tuple(map(get, keys[start:end]))
             start = end
+            self._merge()
             if len(keys) != size:
                 size = len(keys)
                 start = bisect_right(keys, last)

@@ -338,14 +338,25 @@ def test_history_tracks_deletes():
     assert history.history_for_key("k")[-1].is_delete
 
 
-def test_history_keys_maintained_sorted_without_rescan():
+def test_history_keys_come_back_sorted_and_as_a_copy():
     history = HistoryDatabase()
     for key in ["m/2", "a/1", "z/9", "a/0", "m/2", "a/1"]:
         history.record(key, f"t-{key}", 0, 0, 1.0, "v")
     assert history.keys() == ["a/0", "a/1", "m/2", "z/9"]
-    # Returned list is a copy: mutating it cannot corrupt the index.
+    # Returned list is a copy: mutating it cannot corrupt the history.
     history.keys().append("bogus")
     assert history.keys() == ["a/0", "a/1", "m/2", "z/9"]
+
+
+def test_history_keys_written_after_a_read_are_sorted_in():
+    history = HistoryDatabase()
+    for key in ["m/2", "a/1"]:
+        history.record(key, f"t-{key}", 0, 0, 1.0, "v")
+    assert history.keys() == ["a/1", "m/2"]
+    for key in ["z/9", "a/1", "b/0", "a/0"]:
+        history.record(key, f"t-{key}", 1, 0, 2.0, "v")
+    assert history.keys() == ["a/0", "a/1", "b/0", "m/2", "z/9"]
+    assert history.keys() == ["a/0", "a/1", "b/0", "m/2", "z/9"]
 
 
 def test_world_state_prefix_bucket_index_matches_cross_bucket_scan():

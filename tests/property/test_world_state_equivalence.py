@@ -1,18 +1,21 @@
 """Randomized oracle tests: the indexed WorldState vs a naive sorted scan.
 
-The production :class:`WorldState` keeps a bisect-maintained sorted key
-index with lazily compacted tombstones plus a secondary prefix index.
-These tests drive it with interleaved put/delete sequences and assert
-that every query surface (range, prefix, delete, version lookups,
-iteration order) matches a trivially correct reference implementation
-that re-sorts the whole key space per call — the seed implementation.
+The production :class:`WorldState` keeps a sorted key index with lazily
+compacted tombstones plus a secondary prefix index, and merges new keys
+into both only at the next ordered read.  These tests drive it with
+interleaved put/delete sequences and assert that every query surface
+(range, prefix, estimate, delete, version lookups, iteration order)
+matches a trivially correct reference implementation that re-sorts the
+whole key space per call — the seed implementation.
 """
 
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.ledger.world_state import WorldState
+from tests.property_budgets import budget
 
 
 class NaiveWorldState:
@@ -255,3 +258,119 @@ def test_snapshot_matches_live_state_after_interleaving():
             state.put(key, str(step), (0, step))
             oracle.put(key, str(step), (0, step))
     assert state.snapshot() == {key: oracle.get_value(key) for key in oracle.keys()}
+
+
+SEGMENTS = ("a", "b", "tenant")
+#: Keys of every first segment, and some with no separator at all.
+KEYS = st.one_of(
+    st.builds("{}/{:03d}".format, st.sampled_from(SEGMENTS), st.integers(0, 199)),
+    st.sampled_from(["a", "tenant", "b0"]),
+)
+#: What a burst draws its keys from.
+UNIVERSE = [f"{segment}/{index:03d}" for segment in SEGMENTS for index in range(200)]
+PREFIXES = st.sampled_from(["", "a", "a/", "a/0", "b/", "b/19", "tenant", "tenant/", "zz/"])
+#: A burst puts or deletes this many keys back to back, so one merge may
+#: take anything from none to a third of the universe.
+BURSTS = st.integers(0, 200)
+operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("put"), KEYS),
+        st.tuples(st.just("delete"), KEYS),
+        st.tuples(st.just("put burst"), BURSTS, st.integers(0, 2**16)),
+        st.tuples(st.just("delete burst"), BURSTS, st.integers(0, 2**16)),
+        st.tuples(st.just("range"), KEYS, KEYS),
+        st.tuples(st.just("prefix"), PREFIXES),
+        st.tuples(st.just("estimate"), PREFIXES),
+        st.tuples(st.just("scan"), st.booleans(), PREFIXES, st.integers(0, 80)),
+        st.tuples(st.just("pull"), st.integers(0, 80)),
+    ),
+    max_size=40,
+)
+
+
+def _estimate(oracle, prefix):
+    """``prefix_key_estimate``'s contract: the live keys of the prefix's
+    first-segment bucket when it names one, every live key otherwise."""
+    segment, separator, _rest = prefix.partition("/")
+    if not separator:
+        return len(oracle.keys())
+    return sum(key.split("/", 1)[0] == segment for key in oracle.keys())
+
+
+class OpenScan:
+    """A lazy scan pulled partway, and what it may and must hand out."""
+
+    def __init__(self, state, oracle, as_range, prefix):
+        if as_range:
+            self.low, self.high = prefix, prefix + "~"
+            self.rows = state.iter_by_range_versioned(self.low, self.high)
+        else:
+            self.low, self.high = prefix, None
+            self.rows = state.iter_by_prefix_versioned(prefix, ())
+        self.must = {key for key in oracle.keys() if self.covers(key)}
+        self.may = set(self.must)
+        self.seen = []
+
+    def covers(self, key):
+        if self.high is None:
+            return key.startswith(self.low)
+        return self.low <= key < self.high
+
+    def pull(self, count):
+        for _ in range(count):
+            row = next(self.rows, None)
+            if row is None:
+                return
+            self.seen.append(row.key)
+
+    def wrote(self, key, live):
+        if self.covers(key):
+            if live:
+                self.may.add(key)
+            else:
+                self.must.discard(key)
+
+    def check(self):
+        self.pull(10**6)
+        assert self.seen == sorted(set(self.seen)), "out of order or repeated"
+        assert self.must <= set(self.seen) <= self.may
+
+
+@budget
+@given(operations)
+def test_ordered_reads_between_writes_answer_what_the_oracle_answers(program):
+    state, oracle, scans = WorldState(), NaiveWorldState(), []
+
+    def write(key, step, live):
+        if live:
+            state.put(key, f"v{step}", (step, 0))
+            oracle.put(key, f"v{step}", (step, 0))
+        else:
+            state.delete(key, (step, 0))
+            oracle.delete(key, (step, 0))
+        for scan in scans:
+            scan.wrote(key, live)
+
+    for step, (kind, *args) in enumerate(program):
+        if kind in ("put", "delete"):
+            write(args[0], step, kind == "put")
+        elif kind in ("put burst", "delete burst"):
+            count, seed = args
+            for key in random.Random(seed).sample(UNIVERSE, count):
+                write(key, step, kind == "put burst")
+        elif kind == "range":
+            low, high = args
+            assert range_pairs(state, low, high) == oracle.range_query(low, high)
+        elif kind == "prefix":
+            assert prefix_pairs(state, args[0]) == oracle.query_by_prefix(args[0])
+        elif kind == "estimate":
+            assert state.prefix_key_estimate(args[0]) == _estimate(oracle, args[0])
+        elif kind == "scan":
+            as_range, prefix, count = args
+            scans.append(OpenScan(state, oracle, as_range, prefix))
+            scans[-1].pull(count)
+        elif scans:
+            scans[-1].pull(args[0])
+    for scan in scans:
+        scan.check()
+    assert range_pairs(state, "", "") == oracle.range_query("", "")

@@ -63,6 +63,8 @@ BUDGETS = {
     # tests/property/test_tenant_fan_out.py
     "test_a_confined_read_answers_what_asking_every_shard_answers": 50,
     "test_a_merged_history_keeps_the_commit_order_of_the_string_merge": 30,
+    # tests/property/test_world_state_equivalence.py
+    "test_ordered_reads_between_writes_answer_what_the_oracle_answers": 100,
 }
 
 #: Tests whose single example may take longer than Hypothesis's deadline
